@@ -1,8 +1,10 @@
 //! Benchmark-trajectory runner: measures the engine microbench (wheel vs
 //! retained heap reference), the fig5/fig8 quick workloads, the shard
-//! strong-scaling curve, and the load-balance discipline sweep
+//! strong-scaling curve, the load-balance discipline sweep
 //! (`lb_sweep`: per-discipline quick-BFS wall clock + steal counters,
-//! delta-stepping vs Dijkstra-order SSSP), gates the fresh numbers
+//! delta-stepping vs Dijkstra-order SSSP), and the graph-construction
+//! layer (`graph_build`: full-scale R-MAT and road-mesh generation,
+//! `Csr::from_edges` throughput), gates the fresh numbers
 //! against the last committed entries in
 //! `results/BENCH_trajectory.json`, and (with `--append`) records them.
 //!
@@ -11,6 +13,7 @@
 //! ```text
 //! bench_trajectory [--sha SHA] [--stamp STAMP] [--events N] [--samples K]
 //!                  [--skip-engine] [--skip-e2e] [--skip-sharded] [--skip-lb]
+//!                  [--skip-graph]
 //!                  [--deny-regression PCT] [--min-speedup X]
 //!                  [--min-shard-speedup X]
 //!                  [--append] [--out PATH]
@@ -35,8 +38,8 @@ use std::path::PathBuf;
 
 use atos_bench::trajectory::{
     append_entries, check_regression, fig5_quick_workload, fig8_quick_workload, last_of_kind,
-    measure_engine, measure_lb_sweep, measure_sharded_scaling, read_trajectory, TrajectoryEntry,
-    DEFAULT_TRAJECTORY_PATH,
+    measure_engine, measure_graph_build, measure_lb_sweep, measure_sharded_scaling,
+    read_trajectory, TrajectoryEntry, DEFAULT_TRAJECTORY_PATH,
 };
 
 struct Args {
@@ -48,6 +51,7 @@ struct Args {
     skip_e2e: bool,
     skip_sharded: bool,
     skip_lb: bool,
+    skip_graph: bool,
     deny_regression: Option<f64>,
     min_speedup: Option<f64>,
     min_shard_speedup: Option<f64>,
@@ -65,6 +69,7 @@ fn parse_args() -> Result<Args, String> {
         skip_e2e: false,
         skip_sharded: false,
         skip_lb: false,
+        skip_graph: false,
         deny_regression: None,
         min_speedup: None,
         min_shard_speedup: None,
@@ -94,6 +99,7 @@ fn parse_args() -> Result<Args, String> {
             "--skip-e2e" => a.skip_e2e = true,
             "--skip-sharded" => a.skip_sharded = true,
             "--skip-lb" => a.skip_lb = true,
+            "--skip-graph" => a.skip_graph = true,
             "--deny-regression" => {
                 let v = value("--deny-regression")?;
                 a.deny_regression =
@@ -117,7 +123,7 @@ fn parse_args() -> Result<Args, String> {
                 return Err(format!(
                     "unknown argument `{other}` (supported: --sha, --stamp, --events N, \
                      --samples K, --skip-engine, --skip-e2e, --skip-sharded, --skip-lb, \
-                     --deny-regression PCT, --min-speedup X, --min-shard-speedup X, \
+                     --skip-graph, --deny-regression PCT, --min-speedup X, --min-shard-speedup X, \
                      --append, --out PATH)"
                 ))
             }
@@ -227,6 +233,16 @@ fn main() {
         new_entries.push(TrajectoryEntry {
             run_id: run_id.clone(),
             kind: "lb_sweep".to_string(),
+            metrics,
+        });
+    }
+
+    if !args.skip_graph {
+        let metrics = measure_graph_build(args.samples);
+        print_metrics("graph_build", &metrics);
+        new_entries.push(TrajectoryEntry {
+            run_id: run_id.clone(),
+            kind: "graph_build".to_string(),
             metrics,
         });
     }

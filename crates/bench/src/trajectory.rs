@@ -23,6 +23,8 @@
 //!    ([`measure_lb_sweep`]) times the quick BFS under every
 //!    `LoadBalancer` discipline and delta-stepping vs Dijkstra-order
 //!    SSSP, recording the redundant-work/migration counters alongside.
+//!    [`measure_graph_build`] times the layer underneath all of them:
+//!    full-scale graph generation and the CSR build.
 //! 3. **The trajectory file** ([`TrajectoryEntry`], [`read_trajectory`],
 //!    [`append_entries`], [`check_regression`]): a committed, append-only
 //!    JSON history keyed by `<git sha>@<timestamp>` — both passed in via
@@ -323,10 +325,7 @@ pub const SHARD_SWEEP: [usize; 4] = [1, 2, 4, 8];
 /// worse than no number.
 pub fn measure_sharded_scaling(samples: usize) -> BTreeMap<String, f64> {
     let mut metrics = BTreeMap::new();
-    let cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    metrics.insert("host_cores".to_string(), cores as f64);
+    metrics.insert("host_cores".to_string(), host_cores());
     let mut base_ms = 0.0f64;
     let mut base_sum = 0u64;
     for k in SHARD_SWEEP {
@@ -370,6 +369,49 @@ pub fn measure_sharded_scaling(samples: usize) -> BTreeMap<String, f64> {
     metrics
 }
 
+/// Host parallelism as recorded in every machine-dependent entry.
+fn host_cores() -> f64 {
+    std::thread::available_parallelism().map_or(1, |n| n.get()) as f64
+}
+
+/// Measure the graph-construction layer for the `graph_build` trajectory
+/// entry — the fixed cost every table binary, test and benchmark process
+/// pays before its first task: best-of-`samples` wall clock of the
+/// full-scale soc-LiveJournal1 stand-in (`rmat18_ms`: R-MAT 18, 4.3 M
+/// edges) and osm-eur stand-in (`road1000_ms`: 1000² road mesh), both
+/// sampling + CSR build, and the CSR build alone as input-edge throughput
+/// (`from_edges_medges_per_s`, informational) on the R-MAT graph's edges
+/// in target-major order, so sources arrive scattered the way a
+/// generator emits them. Single-threaded, but wall-clock: records
+/// `host_cores` so [`check_regression`] skips cross-host comparisons.
+pub fn measure_graph_build(samples: usize) -> BTreeMap<String, f64> {
+    use atos_graph::generators::{rmat, road_network};
+    use atos_graph::Csr;
+
+    let mut metrics = BTreeMap::new();
+    metrics.insert("host_cores".to_string(), host_cores());
+    let lj = || rmat(18, 4_300_000, (0.57, 0.19, 0.19, 0.05), 11);
+    let (rmat_ms, _) = best_of_ms(samples, || lj().n_edges() as u64);
+    metrics.insert("rmat18_ms".to_string(), rmat_ms);
+    let (road_ms, _) = best_of_ms(samples, || road_network(1000, 1000, 66).n_edges() as u64);
+    metrics.insert("road1000_ms".to_string(), road_ms);
+    let g = lj();
+    let scattered: Vec<_> = g.transpose().edges().map(|(v, u)| (u, v)).collect();
+    let (build_ms, rebuilt) = best_of_ms(samples, || {
+        Csr::from_edges(g.n_vertices(), &scattered).n_edges() as u64
+    });
+    assert_eq!(
+        rebuilt,
+        g.n_edges() as u64,
+        "from_edges lost or invented edges"
+    );
+    metrics.insert(
+        "from_edges_medges_per_s".to_string(),
+        scattered.len() as f64 / build_ms / 1e3,
+    );
+    metrics
+}
+
 /// Graph families the `lb_sweep` trajectory entry covers: one power-law
 /// (skewed frontier, where stealing/chunking has work to move) and one
 /// road-like mesh (balanced frontier, where a discipline must not add
@@ -396,10 +438,7 @@ pub fn measure_lb_sweep(samples: usize) -> BTreeMap<String, f64> {
     use atos_graph::weights::EdgeWeights;
 
     let mut metrics = BTreeMap::new();
-    let cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    metrics.insert("host_cores".to_string(), cores as f64);
+    metrics.insert("host_cores".to_string(), host_cores());
     let datasets: Vec<Dataset> = LB_SWEEP_FAMILIES
         .iter()
         .map(|(_, preset)| Dataset::build(Preset::by_name(preset).unwrap(), Scale::Tiny))
@@ -831,6 +870,15 @@ mod tests {
         assert_ne!(base, 0, "checksum must fold real work");
         for k in [2, 8] {
             assert_eq!(fig5_sharded_run(k), base, "k={k}");
+        }
+    }
+
+    #[test]
+    fn graph_build_metrics_are_complete() {
+        let m = measure_graph_build(1);
+        assert!(m["host_cores"] >= 1.0);
+        for key in ["rmat18_ms", "road1000_ms", "from_edges_medges_per_s"] {
+            assert!(m[key] > 0.0, "{key}");
         }
     }
 

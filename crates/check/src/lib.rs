@@ -41,7 +41,6 @@
 
 pub mod clock;
 pub mod exec;
-pub mod lint;
 pub mod path;
 pub mod rt;
 pub mod sync;

@@ -13,37 +13,60 @@
 //! All generators are deterministic in their seed.
 
 use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
+use rand::{Rng, RngCore, SeedableRng};
 
 use crate::csr::{Csr, VertexId};
 
+/// Integer thresholds `⌈a·2⁵³⌉, ⌈(a+b)·2⁵³⌉, ⌈(a+b+c)·2⁵³⌉` for
+/// [`quadrant`]. A unit-interval draw is `k·2⁻⁵³` with `k < 2⁵³`, and both
+/// that product and the scaling of a probability by 2⁵³ are exact in f64,
+/// so `r < p ⇔ k < ⌈p·2⁵³⌉`: the integer compare is the f64 compare.
+fn quadrant_thresholds(a: f64, b: f64, c: f64) -> [u64; 3] {
+    const TWO_53: f64 = (1u64 << 53) as f64;
+    [a, a + b, a + b + c].map(|p| (p * TWO_53).ceil() as u64)
+}
+
+/// R-MAT quadrant (`0..=3`; bit 1 is the source bit, bit 0 the target
+/// bit) of the 53-bit draw `k`, as a sum of compares instead of a
+/// three-way unpredictable branch.
+#[inline]
+fn quadrant(k: u64, [ta, tab, tabc]: [u64; 3]) -> VertexId {
+    (k >= ta) as VertexId + (k >= tab) as VertexId + (k >= tabc) as VertexId
+}
+
 /// Generate a scale-free directed graph with `2^scale` vertices and
 /// `n_edges` edges via R-MAT recursive quadrant sampling.
+///
+/// Consumes exactly one `SmallRng` draw per level per edge; the committed
+/// goldens depend on that stream position.
+///
+/// # Panics
+/// If `scale > 31` (vertex ids would not fit [`VertexId`]), a probability
+/// is negative or not finite, or `a + b + c` exceeds 1.
 pub fn rmat(scale: u32, n_edges: usize, probs: (f64, f64, f64, f64), seed: u64) -> Csr {
-    let (a, b, c, _d) = probs;
+    let (a, b, c, d) = probs;
+    assert!(
+        scale <= 31,
+        "rmat scale {scale} exceeds 31: 1 << scale must fit VertexId"
+    );
+    assert!(
+        [a, b, c, d].iter().all(|p| p.is_finite() && *p >= 0.0),
+        "quadrant probabilities must be finite and non-negative, got {probs:?}"
+    );
     assert!(a + b + c < 1.0 + 1e-9, "quadrant probabilities exceed 1");
-    let n = 1usize << scale;
+    let thresholds = quadrant_thresholds(a, b, c);
     let mut rng = SmallRng::seed_from_u64(seed);
     let mut edges = Vec::with_capacity(n_edges);
     for _ in 0..n_edges {
-        let (mut u, mut v) = (0usize, 0usize);
-        for level in (0..scale).rev() {
-            let r: f64 = rng.gen();
-            let (du, dv) = if r < a {
-                (0, 0)
-            } else if r < a + b {
-                (0, 1)
-            } else if r < a + b + c {
-                (1, 0)
-            } else {
-                (1, 1)
-            };
-            u |= du << level;
-            v |= dv << level;
+        let (mut u, mut v): (VertexId, VertexId) = (0, 0);
+        for _ in 0..scale {
+            let q = quadrant(rng.next_u64() >> 11, thresholds);
+            u = (u << 1) | (q >> 1);
+            v = (v << 1) | (q & 1);
         }
-        edges.push((u as VertexId, v as VertexId));
+        edges.push((u, v));
     }
-    Csr::from_edges(n, &edges)
+    Csr::from_edges(1 << scale, &edges)
 }
 
 /// Uniform random (Erdős–Rényi G(n, m)) directed graph.
@@ -238,6 +261,123 @@ impl Preset {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The pre-threshold quadrant pick, kept as the oracle: the f64
+    /// compare chain on `r = k·2⁻⁵³`, exactly as `gen::<f64>()` forms it.
+    fn quadrant_f64(k: u64, a: f64, b: f64, c: f64) -> VertexId {
+        let r = k as f64 * (1.0 / (1u64 << 53) as f64);
+        if r < a {
+            0
+        } else if r < a + b {
+            1
+        } else if r < a + b + c {
+            2
+        } else {
+            3
+        }
+    }
+
+    /// Every valid draw within one of each threshold, plus both ends.
+    fn boundary_draws(thresholds: [u64; 3]) -> Vec<u64> {
+        let max = (1u64 << 53) - 1;
+        let mut ks = vec![0, max];
+        for t in thresholds {
+            ks.extend([t.saturating_sub(1), t, t.saturating_add(1)].map(|k| k.min(max)));
+        }
+        ks
+    }
+
+    fn assert_quadrants_agree(ks: &[u64], a: f64, b: f64, c: f64) {
+        let t = quadrant_thresholds(a, b, c);
+        for &k in ks {
+            assert_eq!(
+                quadrant(k, t),
+                quadrant_f64(k, a, b, c),
+                "k={k} probs=({a},{b},{c})"
+            );
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Arbitrary `(a, b, c)` with `a + b + c ≤ 1 + 1e-9` — drawn at
+        /// full 53-bit resolution so thresholds land on odd integers —
+        /// on random draws and on `k ∈ {t−1, t, t+1}` for each threshold.
+        #[test]
+        fn threshold_quadrant_equals_f64_chain(
+            parts in (0u64..1 << 53, 0u64..1 << 53, 0u64..1 << 53, 1u64..1 << 53),
+            draws in proptest::collection::vec(0u64..1 << 53, 64..65),
+        ) {
+            let (wa, wb, wc, wd) = parts;
+            let total = (wa + wb + wc + wd) as f64;
+            let (a, b, c) = (wa as f64 / total, wb as f64 / total, wc as f64 / total);
+            prop_assert!(a + b + c < 1.0 + 1e-9);
+            let mut ks = boundary_draws(quadrant_thresholds(a, b, c));
+            ks.extend(draws);
+            assert_quadrants_agree(&ks, a, b, c);
+        }
+    }
+
+    #[test]
+    fn threshold_quadrant_edge_probabilities() {
+        let two_53 = (1u64 << 53) as f64;
+        for (a, b, c) in [
+            // Preset probabilities: every f64 in [0.5, 1) is a multiple of
+            // 2⁻⁵³, so these thresholds are exact integers...
+            (0.57, 0.19, 0.19),
+            (0.7, 0.15, 0.1),
+            // ...and below 0.5 they are not: the ceiling matters here.
+            (0.3, 0.1, 0.05),
+            (1e-3, 1e-3, 1e-3),
+            // A zero-probability quadrant collapses two thresholds.
+            (0.0, 0.5, 0.25),
+            (0.4, 0.0, 0.3),
+            (0.4, 0.3, 0.0),
+            // a + b + c ≥ 1: last threshold ≥ 2⁵³, quadrant d unreachable.
+            (0.5, 0.25, 0.25),
+            (0.6, 0.3, 0.1 + 1e-10),
+            (1.0, 0.0, 0.0),
+            // Exactly representable boundaries, and one ulp either side.
+            (0.25, 0.25, 0.25),
+            (0.25 + f64::EPSILON, 0.25, 0.25 - f64::EPSILON),
+            (3.0 / two_53, 1.0 / two_53, 0.5),
+        ] {
+            let t = quadrant_thresholds(a, b, c);
+            assert_quadrants_agree(&boundary_draws(t), a, b, c);
+            if a + b + c >= 1.0 {
+                assert!(t[2] >= 1 << 53, "d must be unreachable for ({a},{b},{c})");
+            }
+        }
+        // Zero-probability quadrants are never picked.
+        let none_b = quadrant_thresholds(0.4, 0.0, 0.3);
+        let none_a = quadrant_thresholds(0.0, 0.5, 0.25);
+        for k in boundary_draws(none_b) {
+            assert_ne!(quadrant(k, none_b), 1);
+        }
+        for k in boundary_draws(none_a) {
+            assert_ne!(quadrant(k, none_a), 0);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds 31")]
+    fn rmat_rejects_scale_that_overflows_vertex_id() {
+        rmat(32, 1, (0.25, 0.25, 0.25, 0.25), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "finite and non-negative")]
+    fn rmat_rejects_negative_probability() {
+        rmat(4, 1, (0.5, -0.1, 0.3, 0.3), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "finite and non-negative")]
+    fn rmat_rejects_nan_probability() {
+        rmat(4, 1, (f64::NAN, 0.1, 0.3, 0.3), 0);
+    }
 
     #[test]
     fn rmat_is_deterministic() {

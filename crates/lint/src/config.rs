@@ -140,6 +140,9 @@ impl Config {
                 "crates/rand-shim/",
                 "crates/proptest-shim/",
                 "crates/criterion-shim/",
+                // The standalone benchmark package: a measurement harness
+                // outside the workspace, never built under `atos_check`.
+                "benchmark/",
             ],
             ordering_exempt: &[
                 // atos-check models *broken* protocols on purpose
@@ -359,6 +362,7 @@ impl Config {
                 "crates/lint/",
                 "crates/check/",
                 "crates/xtask/",
+                "benchmark/",
                 "/src/sync.rs",
             ],
         }

@@ -8,9 +8,16 @@
 //! partitioners require (they fix explicit seeds everywhere).
 //!
 //! Sequences differ from the real `rand::rngs::SmallRng`, so generated
-//! graphs differ from artifacts produced with the upstream crate; every
-//! consumer in this workspace compares shapes and invariants, not stored
-//! byte-level artifacts, so only internal determinism matters.
+//! graphs differ from artifacts produced with the upstream crate.
+//!
+//! The `SmallRng` stream is a **contract**, not an implementation detail:
+//! `results/*_quick.txt`, the trace goldens and the generator fingerprints
+//! in `crates/graph/tests/generator_golden.rs` are byte-compared, so the
+//! seeding procedure, the xoshiro256++ step, and `gen::<f64>()` being
+//! `(next_u64() >> 11) · 2⁻⁵³` must not change. Consumers are part of it
+//! too: `atos_graph::generators::rmat` takes exactly one draw per level
+//! per edge (it reads `next_u64() >> 11` directly and compares against
+//! integer thresholds, which is exact *because* of that f64 formula).
 
 use std::ops::Range;
 

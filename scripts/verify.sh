@@ -110,9 +110,11 @@ done
 echo
 echo "== bench trajectory (engine microbench + e2e smoke, regression gate) =="
 # Re-measures the wheel-vs-heap microbench, the fig5/fig8 quick
-# workloads, the shard-scaling curve, and the load-balance discipline
+# workloads, the shard-scaling curve, the load-balance discipline
 # sweep (per-discipline wall clock + steal counters, delta-stepping vs
-# Dijkstra-order SSSP), then gates against the last committed entries
+# Dijkstra-order SSSP), and the graph-construction layer (graph_build:
+# full-scale R-MAT + road-mesh generation, host_cores-keyed like the
+# shard curve), then gates against the last committed entries
 # in results/BENCH_trajectory.json. Thresholds are loose (shared hosts
 # are noisy); the ratios are load-relative and therefore stable. The
 # shard floor self-gates on host core count — a 1-core host records a
