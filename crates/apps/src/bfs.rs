@@ -189,7 +189,7 @@ pub fn run_bfs(
     fabric: Fabric,
     cfg: AtosConfig,
 ) -> BfsRun {
-    run_bfs_on(graph, partition, source, fabric, cfg, NullTracer)
+    run_bfs_sharded(graph, partition, source, fabric, cfg, 1)
 }
 
 /// Run asynchronous BFS with a virtual-time tracer attached: per-PE step
@@ -204,7 +204,8 @@ pub fn run_bfs_traced(
     cfg: AtosConfig,
     tracer: &mut dyn Tracer,
 ) -> BfsRun {
-    run_bfs_on(graph, partition, source, fabric, cfg, tracer)
+    let tuning = RuntimeTuning::default();
+    run_bfs_sharded_profiled(graph, partition, source, fabric, cfg, tuning, 1, tracer).0
 }
 
 /// Run asynchronous BFS on `shards` parallel engine shards
@@ -220,42 +221,38 @@ pub fn run_bfs_sharded(
     cfg: AtosConfig,
     shards: usize,
 ) -> BfsRun {
-    assert_eq!(partition.n_parts(), fabric.n_pes(), "partition/fabric size");
-    let app = BfsApp::new(graph, partition.clone(), source);
-    let cost = atos_sim::GpuCostModel::v100();
-    let mut rt = Runtime::with_cost_model(app, fabric, cfg, cost);
-    rt.seed(partition.owner(source), [(source, 0u32)]);
-    let stats = rt.run_sharded(shards);
-    let app = rt.into_app();
-    let reachable = app.reached() as u64;
-    BfsRun {
-        stats,
-        depth: app.depth,
-        reachable,
-    }
+    let tuning = RuntimeTuning::default();
+    run_bfs_sharded_profiled(graph, partition, source, fabric, cfg, tuning, shards, NullTracer).0
 }
 
-/// [`run_bfs_sharded`] with the full observability surface: a tracer
-/// collecting the virtual-time timeline (per-PE/aggregation tracks plus
-/// the sharded runtime's per-shard `window`/`exchange` tracks) and the
-/// run's [`ShardProfile`] — per-shard window histograms, flight-recorder
-/// rings, barrier-wait and imbalance telemetry. The profile is `None`
-/// when the run fell back to the sequential path (`shards <= 1` or a
-/// shard-conflicting fabric). Results remain byte-identical to
-/// [`run_bfs`].
-pub fn run_bfs_sharded_profiled(
+/// The one place a BFS run is launched — every `run_bfs*` above and the
+/// Groute-/Galois-like baselines (which differ only in `cfg` and `tuning`)
+/// are calls to it: build the runtime, seed the source, run on `shards`
+/// engine shards, collect.
+///
+/// This is also the full observability surface: `tracer` collects the
+/// virtual-time timeline (per-PE/aggregation tracks plus the sharded
+/// runtime's per-shard `window`/`exchange` tracks; pass [`NullTracer`] for
+/// none) and the second result is the run's [`ShardProfile`] — per-shard
+/// window histograms, flight-recorder rings, barrier-wait and imbalance
+/// telemetry — `None` when the run took the sequential path (`shards <= 1`
+/// or a shard-conflicting fabric). Neither changes depths, stats or
+/// virtual times.
+#[allow(clippy::too_many_arguments)]
+pub fn run_bfs_sharded_profiled<Tr: Tracer>(
     graph: Arc<Csr>,
     partition: Arc<Partition>,
     source: VertexId,
     fabric: Fabric,
     cfg: AtosConfig,
+    tuning: RuntimeTuning,
     shards: usize,
-    tracer: &mut dyn Tracer,
+    tracer: Tr,
 ) -> (BfsRun, Option<ShardProfile>) {
     assert_eq!(partition.n_parts(), fabric.n_pes(), "partition/fabric size");
     let app = BfsApp::new(graph, partition.clone(), source);
     let cost = atos_sim::GpuCostModel::v100();
-    let mut rt = Runtime::with_tracer(app, fabric, cfg, cost, RuntimeTuning::default(), tracer);
+    let mut rt = Runtime::with_tracer(app, fabric, cfg, cost, tuning, tracer);
     rt.seed(partition.owner(source), [(source, 0u32)]);
     let stats = rt.run_sharded(shards);
     let profile = rt.take_shard_profile();
@@ -269,30 +266,6 @@ pub fn run_bfs_sharded_profiled(
         },
         profile,
     )
-}
-
-fn run_bfs_on<Tr: Tracer>(
-    graph: Arc<Csr>,
-    partition: Arc<Partition>,
-    source: VertexId,
-    fabric: Fabric,
-    cfg: AtosConfig,
-    tracer: Tr,
-) -> BfsRun {
-    assert_eq!(partition.n_parts(), fabric.n_pes(), "partition/fabric size");
-    let app = BfsApp::new(graph, partition.clone(), source);
-    let cost = atos_sim::GpuCostModel::v100();
-    let mut rt = Runtime::with_tracer(app, fabric, cfg, cost, RuntimeTuning::default(), tracer);
-    let src_pe = partition.owner(source);
-    rt.seed(src_pe, [(source, 0u32)]);
-    let stats = rt.run();
-    let app = rt.into_app();
-    let reachable = app.reached() as u64;
-    BfsRun {
-        stats,
-        depth: app.depth,
-        reachable,
-    }
 }
 
 #[cfg(test)]
@@ -544,6 +517,7 @@ mod tests {
                 src,
                 fabric.clone(),
                 cfg,
+                RuntimeTuning::default(),
                 k,
                 &mut buf,
             );

@@ -20,7 +20,9 @@
 
 use std::sync::Arc;
 
-use atos_core::{assert_owner, Application, AtosConfig, Emitter, RunStats, Runtime, ShardableApp};
+use atos_core::{
+    assert_owner, Application, AtosConfig, Emitter, RunStats, Runtime, RuntimeTuning, ShardableApp,
+};
 use atos_macros::atos_shard;
 use atos_graph::csr::{Csr, VertexId};
 use atos_graph::partition::Partition;
@@ -203,9 +205,33 @@ pub fn run_pagerank_sharded(
     cfg: AtosConfig,
     shards: usize,
 ) -> PageRankRun {
+    let tuning = RuntimeTuning::default();
+    run_pagerank_tuned(graph, partition, alpha, epsilon, fabric, cfg, tuning, shards)
+}
+
+/// The one place a PageRank run is launched — [`run_pagerank`],
+/// [`run_pagerank_sharded`] and the Groute-/Galois-like baselines (which
+/// differ only in `cfg` and `tuning`) are calls to it: build the runtime,
+/// seed every vertex on its owner, run on `shards` engine shards, assert
+/// convergence, collect.
+///
+/// # Panics
+/// If the queues drain while some residue is still at or above `epsilon`.
+#[allow(clippy::too_many_arguments)]
+pub fn run_pagerank_tuned(
+    graph: Arc<Csr>,
+    partition: Arc<Partition>,
+    alpha: f64,
+    epsilon: f64,
+    fabric: Fabric,
+    cfg: AtosConfig,
+    tuning: RuntimeTuning,
+    shards: usize,
+) -> PageRankRun {
     assert_eq!(partition.n_parts(), fabric.n_pes(), "partition/fabric size");
     let app = PageRankApp::new(graph, partition.clone(), alpha, epsilon);
-    let mut rt = Runtime::new(app, fabric, cfg);
+    let cost = atos_sim::GpuCostModel::v100();
+    let mut rt = Runtime::with_tuning(app, fabric, cfg, cost, tuning);
     for pe in 0..partition.n_parts() {
         let seeds: Vec<PrTask> = partition
             .vertices_of(pe)

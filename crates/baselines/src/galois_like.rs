@@ -23,12 +23,14 @@
 
 use std::sync::Arc;
 
-use atos_apps::bfs::{BfsApp, BfsRun};
-use atos_apps::pagerank::{PageRankApp, PageRankRun, PrTask};
-use atos_core::{AtosConfig, CommMode, KernelMode, QueueMode, Runtime, RuntimeTuning, WorkerConfig};
+use atos_apps::bfs::{run_bfs_sharded_profiled, BfsRun};
+use atos_apps::pagerank::{run_pagerank_tuned, PageRankRun};
+use atos_core::{
+    AtosConfig, CommMode, KernelMode, NullTracer, QueueMode, RuntimeTuning, WorkerConfig,
+};
 use atos_graph::csr::{Csr, VertexId};
 use atos_graph::partition::Partition;
-use atos_sim::{ControlPath, Fabric, GpuCostModel};
+use atos_sim::{ControlPath, Fabric};
 
 fn galois_config() -> AtosConfig {
     AtosConfig {
@@ -42,7 +44,7 @@ fn galois_config() -> AtosConfig {
     }
 }
 
-fn galois_tuning(graph: &Csr, _n_pes: usize) -> RuntimeTuning {
+fn galois_tuning(graph: &Csr) -> RuntimeTuning {
     // Gluon per-round metadata: bitvectors and offset arrays over the
     // masters+mirrors id space (which spans the whole graph under the
     // random/edge-cut partitions used here), packed and unpacked on the
@@ -64,19 +66,8 @@ pub fn galois_bfs(
     source: VertexId,
     fabric: Fabric,
 ) -> BfsRun {
-    assert_eq!(partition.n_parts(), fabric.n_pes());
-    let tuning = galois_tuning(&graph, fabric.n_pes());
-    let app = BfsApp::new(graph, partition.clone(), source);
-    let mut rt = Runtime::with_tuning(app, fabric, galois_config(), GpuCostModel::v100(), tuning);
-    rt.seed(partition.owner(source), [(source, 0u32)]);
-    let stats = rt.run();
-    let app = rt.into_app();
-    let reachable = app.reached() as u64;
-    BfsRun {
-        stats,
-        depth: app.depth,
-        reachable,
-    }
+    let (cfg, tuning) = (galois_config(), galois_tuning(&graph));
+    run_bfs_sharded_profiled(graph, partition, source, fabric, cfg, tuning, 1, NullTracer).0
 }
 
 /// Galois-like bulk-asynchronous push PageRank.
@@ -87,26 +78,8 @@ pub fn galois_pagerank(
     epsilon: f64,
     fabric: Fabric,
 ) -> PageRankRun {
-    assert_eq!(partition.n_parts(), fabric.n_pes());
-    let tuning = galois_tuning(&graph, fabric.n_pes());
-    let app = PageRankApp::new(graph, partition.clone(), alpha, epsilon);
-    let mut rt = Runtime::with_tuning(app, fabric, galois_config(), GpuCostModel::v100(), tuning);
-    for pe in 0..partition.n_parts() {
-        let seeds: Vec<PrTask> = partition
-            .vertices_of(pe)
-            .into_iter()
-            .map(PrTask::Relax)
-            .collect();
-        rt.seed(pe, seeds);
-    }
-    let stats = rt.run();
-    let relaxations = stats.total_tasks();
-    let app = rt.into_app();
-    PageRankRun {
-        stats,
-        rank: app.rank,
-        relaxations,
-    }
+    let (cfg, tuning) = (galois_config(), galois_tuning(&graph));
+    run_pagerank_tuned(graph, partition, alpha, epsilon, fabric, cfg, tuning, 1)
 }
 
 #[cfg(test)]

@@ -21,12 +21,14 @@
 
 use std::sync::Arc;
 
-use atos_apps::bfs::{BfsApp, BfsRun};
-use atos_apps::pagerank::{PageRankApp, PageRankRun, PrTask};
-use atos_core::{AtosConfig, CommMode, KernelMode, QueueMode, Runtime, RuntimeTuning, WorkerConfig};
+use atos_apps::bfs::{run_bfs_sharded_profiled, BfsRun};
+use atos_apps::pagerank::{run_pagerank_tuned, PageRankRun};
+use atos_core::{
+    AtosConfig, CommMode, KernelMode, NullTracer, QueueMode, RuntimeTuning, WorkerConfig,
+};
 use atos_graph::csr::{Csr, VertexId};
 use atos_graph::partition::Partition;
-use atos_sim::{ControlPath, Fabric, GpuCostModel};
+use atos_sim::{ControlPath, Fabric};
 
 /// Groute's router moves data in pipelined fragments of a few thousand
 /// items rather than per-warp messages.
@@ -60,24 +62,8 @@ pub fn groute_bfs(
     source: VertexId,
     fabric: Fabric,
 ) -> BfsRun {
-    assert_eq!(partition.n_parts(), fabric.n_pes());
-    let app = BfsApp::new(graph, partition.clone(), source);
-    let mut rt = Runtime::with_tuning(
-        app,
-        fabric,
-        groute_config(),
-        GpuCostModel::v100(),
-        groute_tuning(),
-    );
-    rt.seed(partition.owner(source), [(source, 0u32)]);
-    let stats = rt.run();
-    let app = rt.into_app();
-    let reachable = app.reached() as u64;
-    BfsRun {
-        stats,
-        depth: app.depth,
-        reachable,
-    }
+    let (cfg, tuning) = (groute_config(), groute_tuning());
+    run_bfs_sharded_profiled(graph, partition, source, fabric, cfg, tuning, 1, NullTracer).0
 }
 
 /// Groute-like asynchronous push PageRank.
@@ -88,31 +74,8 @@ pub fn groute_pagerank(
     epsilon: f64,
     fabric: Fabric,
 ) -> PageRankRun {
-    assert_eq!(partition.n_parts(), fabric.n_pes());
-    let app = PageRankApp::new(graph, partition.clone(), alpha, epsilon);
-    let mut rt = Runtime::with_tuning(
-        app,
-        fabric,
-        groute_config(),
-        GpuCostModel::v100(),
-        groute_tuning(),
-    );
-    for pe in 0..partition.n_parts() {
-        let seeds: Vec<PrTask> = partition
-            .vertices_of(pe)
-            .into_iter()
-            .map(PrTask::Relax)
-            .collect();
-        rt.seed(pe, seeds);
-    }
-    let stats = rt.run();
-    let relaxations = stats.total_tasks();
-    let app = rt.into_app();
-    PageRankRun {
-        stats,
-        rank: app.rank,
-        relaxations,
-    }
+    let (cfg, tuning) = (groute_config(), groute_tuning());
+    run_pagerank_tuned(graph, partition, alpha, epsilon, fabric, cfg, tuning, 1)
 }
 
 #[cfg(test)]

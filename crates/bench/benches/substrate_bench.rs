@@ -173,13 +173,12 @@ fn main() {
     let args = BenchArgs {
         scale: Scale::Tiny,
         threads: default_threads(),
-        sim_threads: 1,
         json: None,
         trace: None,
         metrics: None,
         flight_dump: None,
         run_id: None,
-        load_balance: atos_core::LoadBalance::Owner,
+        run: atos_bench::RunConfig::default(),
     };
     let report = SweepReport::start("substrate_bench", &args);
     let mut built = SweepRunner::from_args(&args).run(&[0usize, 1], |_, &which| match which {

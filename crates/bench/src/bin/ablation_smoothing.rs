@@ -9,12 +9,10 @@
 //!
 //! The five framework runs are independent; each is one sweep cell.
 
-use atos_apps::bfs::run_bfs;
-use atos_apps::pagerank::run_pagerank;
+use atos_apps::bfs::run_bfs_sharded;
+use atos_apps::pagerank::run_pagerank_sharded;
 use atos_baselines::{bsp_bfs, bsp_pagerank, groute_bfs};
-use atos_bench::{
-    sweep::record_sim_events, BenchArgs, Dataset, SweepReport, SweepRunner, ALPHA, EPSILON,
-};
+use atos_bench::{BenchArgs, Dataset, SweepReport, SweepRunner, ALPHA, EPSILON};
 use atos_core::{AtosConfig, RunStats};
 use atos_graph::generators::Preset;
 use atos_sim::Fabric;
@@ -32,8 +30,8 @@ fn row(name: &str, stats: &RunStats) {
 
 fn main() {
     let args = BenchArgs::parse();
-    atos_bench::emit_artifacts(&args);
     let report = SweepReport::start("ablation_smoothing", &args);
+    atos_bench::emit_artifacts(&args, &report.events);
     let ds = Dataset::build(Preset::by_name("soc-LiveJournal1_s").unwrap(), args.scale);
     let part = ds.partition(4);
 
@@ -51,17 +49,19 @@ fn main() {
         "PR: Atos (queue+persistent)",
     ];
     let cells: Vec<usize> = (0..labels.len()).collect();
+    let atos_cfg = AtosConfig::standard_persistent().with_lb(args.run.load_balance);
     let runs = SweepRunner::from_args(&args).run(&cells, |_, &which| {
         let stats = match which {
             0 => bsp_bfs(ds.graph.clone(), part.clone(), ds.source, Fabric::daisy(4)).stats,
             1 => groute_bfs(ds.graph.clone(), part.clone(), ds.source, Fabric::daisy(4)).stats,
             2 => {
-                run_bfs(
+                run_bfs_sharded(
                     ds.graph.clone(),
                     part.clone(),
                     ds.source,
                     Fabric::daisy(4),
-                    AtosConfig::standard_persistent(),
+                    atos_cfg,
+                    args.run.sim_threads,
                 )
                 .stats
             }
@@ -70,18 +70,19 @@ fn main() {
                     .stats
             }
             _ => {
-                run_pagerank(
+                run_pagerank_sharded(
                     ds.graph.clone(),
                     part.clone(),
                     ALPHA,
                     EPSILON,
                     Fabric::daisy(4),
-                    AtosConfig::standard_persistent(),
+                    atos_cfg,
+                    args.run.sim_threads,
                 )
                 .stats
             }
         };
-        record_sim_events(stats.sim_events);
+        report.events.ms_of(&stats);
         stats
     });
     for (label, stats) in labels.iter().zip(&runs) {

@@ -10,15 +10,20 @@
 //! Each (worker shape, fetch) point is one sweep cell.
 
 use atos_apps::bfs::BfsApp;
-use atos_bench::{sweep::record_sim_events, BenchArgs, Dataset, SweepReport, SweepRunner};
+use atos_bench::{sweep::exit_usage, BenchArgs, Dataset, SweepReport, SweepRunner};
 use atos_core::{AtosConfig, Runtime, WorkerConfig, WorkerSize};
 use atos_graph::generators::Preset;
 use atos_sim::Fabric;
 
 fn main() {
     let args = BenchArgs::parse();
-    atos_bench::emit_artifacts(&args);
+    // Each point builds its own `Runtime` on the worker shape's cost model
+    // and runs it sequentially; refuse the run flags rather than ignore them.
+    if let Err(e) = args.require_default_run("ablation_worker") {
+        exit_usage(&e);
+    }
     let report = SweepReport::start("ablation_worker", &args);
+    atos_bench::emit_artifacts(&args, &report.events);
     let ds = Dataset::build(Preset::by_name("soc-LiveJournal1_s").unwrap(), args.scale);
     let part = ds.partition(4);
 
@@ -53,12 +58,11 @@ fn main() {
         let mut rt = Runtime::with_cost_model(app, Fabric::daisy(4), cfg, worker.cost_model());
         rt.seed(part.owner(ds.source), [(ds.source, 0u32)]);
         let stats = rt.run();
-        record_sim_events(stats.sim_events);
         format!(
             "{:<14}{:>8}{:>14.3}{:>14}{:>12}",
             shapes[s].0,
             fetch,
-            stats.elapsed_ms(),
+            report.events.ms_of(&stats),
             stats.steps_per_pe.iter().sum::<u64>(),
             stats.messages
         )

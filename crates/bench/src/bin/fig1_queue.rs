@@ -17,8 +17,8 @@ use atos_queue::bench_harness::{run, Experiment, QueueKind, OPS_PER_VIRTUAL_THRE
 
 fn main() {
     let args = BenchArgs::parse();
-    atos_bench::emit_artifacts(&args);
     let report = SweepReport::start("fig1_queue", &args);
+    atos_bench::emit_artifacts(&args, &report.events);
     let points: Vec<usize> = if args.scale == Scale::Tiny {
         vec![1 << 10, 1 << 13]
     } else {

@@ -10,8 +10,8 @@ use atos_sim::packet::{figure2_series, PacketModel};
 
 fn main() {
     let args = BenchArgs::parse();
-    atos_bench::emit_artifacts(&args);
     let report = SweepReport::start("fig2_efficiency", &args);
+    atos_bench::emit_artifacts(&args, &report.events);
     println!("Figure 2: bandwidth efficiency vs requested bytes");
     println!("{:<18}{:>14}{:>14}", "requested bytes", "PCIe gen 3", "NVLink");
     let pcie = figure2_series(PacketModel::PcieGen3);

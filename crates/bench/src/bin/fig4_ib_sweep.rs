@@ -15,8 +15,8 @@ use atos_sim::{ControlPath, Fabric, PeId};
 
 fn main() {
     let args = BenchArgs::parse();
-    atos_bench::emit_artifacts(&args);
     let report = SweepReport::start("fig4_ib_sweep", &args);
+    atos_bench::emit_artifacts(&args, &report.events);
     println!("Figure 4: IB latency and bandwidth vs message size");
     println!(
         "{:<14}{:>16}{:>18}",

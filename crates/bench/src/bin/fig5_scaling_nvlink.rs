@@ -13,8 +13,8 @@ use atos_graph::generators::Preset;
 
 fn main() {
     let args = BenchArgs::parse();
-    atos_bench::emit_artifacts(&args);
     let report = SweepReport::start("fig5_scaling_nvlink", &args);
+    atos_bench::emit_artifacts(&args, &report.events);
     let gpus = [1usize, 2, 3, 4];
     let datasets: Vec<Dataset> = Preset::SCALING
         .iter()
@@ -38,9 +38,9 @@ fn main() {
     let ms = SweepRunner::from_args(&args).run(&cells, |_, &(a, d, f, g)| {
         let fw = apps[a].1[f];
         if apps[a].0 == "BFS" {
-            bfs_nvlink_ms(fw, &datasets[d], g)
+            bfs_nvlink_ms(fw, &datasets[d], g, args.run, &report.events)
         } else {
-            pr_nvlink_ms(fw, &datasets[d], g)
+            pr_nvlink_ms(fw, &datasets[d], g, args.run, &report.events)
         }
     });
 

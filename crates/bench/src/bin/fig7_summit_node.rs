@@ -10,12 +10,10 @@
 
 use std::sync::Arc;
 
-use atos_apps::bfs::run_bfs;
-use atos_apps::pagerank::run_pagerank;
+use atos_apps::bfs::run_bfs_sharded;
+use atos_apps::pagerank::run_pagerank_sharded;
 use atos_baselines::{bsp_bfs, bsp_pagerank};
-use atos_bench::{
-    ms_of, relative_speedup, BenchArgs, Dataset, SweepReport, SweepRunner, ALPHA, EPSILON,
-};
+use atos_bench::{relative_speedup, BenchArgs, Dataset, SweepReport, SweepRunner, ALPHA, EPSILON};
 use atos_core::AtosConfig;
 use atos_graph::generators::Preset;
 use atos_graph::partition::Partition;
@@ -23,8 +21,8 @@ use atos_sim::Fabric;
 
 fn main() {
     let args = BenchArgs::parse();
-    atos_bench::emit_artifacts(&args);
     let report = SweepReport::start("fig7_summit_node", &args);
+    atos_bench::emit_artifacts(&args, &report.events);
     let gpus = [1usize, 2, 3, 4, 5, 6];
     let names = ["soc-LiveJournal1_s", "indochina_2004_s"];
     let apps = ["BFS", "PageRank"];
@@ -57,26 +55,28 @@ fn main() {
             ("Gunrock", _) => {
                 bsp_pagerank(ds.graph.clone(), part, ALPHA, EPSILON, fabric).stats
             }
-            ("Atos", "BFS") => run_bfs(
+            ("Atos", "BFS") => run_bfs_sharded(
                 ds.graph.clone(),
                 part,
                 ds.source,
                 fabric,
-                AtosConfig::priority_discrete(),
+                AtosConfig::priority_discrete().with_lb(args.run.load_balance),
+                args.run.sim_threads,
             )
             .stats,
-            ("Atos", _) => run_pagerank(
+            ("Atos", _) => run_pagerank_sharded(
                 ds.graph.clone(),
                 part,
                 ALPHA,
                 EPSILON,
                 fabric,
-                AtosConfig::standard_discrete(),
+                AtosConfig::standard_discrete().with_lb(args.run.load_balance),
+                args.run.sim_threads,
             )
             .stats,
             _ => unreachable!(),
         };
-        ms_of(&stats)
+        report.events.ms_of(&stats)
     });
 
     println!("Figure 7: strong scaling on one Summit node (dual-socket NVLink)");

@@ -7,8 +7,8 @@ use atos_graph::generators::Preset;
 
 fn main() {
     let args = BenchArgs::parse();
-    atos_bench::emit_artifacts(&args);
     let report = SweepReport::start("fig8_scaling_ib_bfs", &args);
+    atos_bench::emit_artifacts(&args, &report.events);
     let gpus = [1usize, 2, 3, 4, 5, 6, 7, 8];
     let frameworks = ["Galois", "Atos"];
     let datasets: Vec<Dataset> = Preset::SCALING
@@ -25,7 +25,7 @@ fn main() {
         }
     }
     let ms = SweepRunner::from_args(&args).run(&cells, |_, &(d, f, g)| {
-        ib_ms(frameworks[f], "bfs", &datasets[d], g)
+        ib_ms(frameworks[f], "bfs", &datasets[d], g, args.run, &report.events)
     });
 
     println!("Figure 8: BFS strong scaling on Summit (IB), self-relative");

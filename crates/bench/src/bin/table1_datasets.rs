@@ -13,8 +13,8 @@ use atos_graph::stats::stats;
 
 fn main() {
     let args = BenchArgs::parse();
-    atos_bench::emit_artifacts(&args);
     let report = SweepReport::start("table1_datasets", &args);
+    atos_bench::emit_artifacts(&args, &report.events);
     println!("Table I: summary of the datasets (scaled presets, {:?})", args.scale);
     println!(
         "{:<22}{:>10}{:>12}{:>8}{:>12}{:>12}{:>8}  type",

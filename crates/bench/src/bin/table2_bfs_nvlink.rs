@@ -12,8 +12,8 @@ use atos_bench::{
 
 fn main() {
     let args = BenchArgs::parse();
-    atos_bench::emit_artifacts(&args);
     let report = SweepReport::start("table2_bfs_nvlink", &args);
+    atos_bench::emit_artifacts(&args, &report.events);
     let datasets = Dataset::all(args.scale);
     let gpus = [1usize, 2, 3, 4];
 
@@ -26,7 +26,7 @@ fn main() {
         }
     }
     let ms = SweepRunner::from_args(&args).run(&cells, |_, &(f, d, g)| {
-        bfs_nvlink_ms(BFS_NVLINK_FRAMEWORKS[f], &datasets[d], g)
+        bfs_nvlink_ms(BFS_NVLINK_FRAMEWORKS[f], &datasets[d], g, args.run, &report.events)
     });
 
     let mut it = ms.iter();

@@ -11,7 +11,7 @@
 //! The SSSP block promotes the priority workload to a first-class
 //! algorithm comparison: Dijkstra-order SSSP (priority queue, delta = 1 —
 //! work-optimal but serializing) against light/heavy split delta-stepping
-//! ([`atos_apps::sssp::run_sssp_delta`], delta = 8), reporting virtual
+//! ([`atos_apps::sssp::run_sssp_delta_sharded`], delta = 8), reporting virtual
 //! milliseconds. Both formulations are asserted to produce identical
 //! distances before either number is printed.
 //!
@@ -20,9 +20,9 @@
 
 use std::sync::Arc;
 
-use atos_apps::bfs::run_bfs;
-use atos_apps::sssp::{run_sssp, run_sssp_delta};
-use atos_bench::{sweep::record_sim_events, BenchArgs, Dataset, SweepReport, SweepRunner};
+use atos_apps::bfs::run_bfs_sharded;
+use atos_apps::sssp::{run_sssp_delta_sharded, run_sssp_sharded};
+use atos_bench::{BenchArgs, Dataset, SweepReport, SweepRunner};
 use atos_core::AtosConfig;
 use atos_graph::generators::GraphKind;
 use atos_graph::weights::EdgeWeights;
@@ -39,9 +39,10 @@ const SSSP_WEIGHT_SEED: u64 = 1;
 
 fn main() {
     let args = BenchArgs::parse();
-    atos_bench::emit_artifacts(&args);
     let report = SweepReport::start("table3_priority_workload", &args);
+    atos_bench::emit_artifacts(&args, &report.events);
     let gpus = [1usize, 2, 3, 4];
+    let (lb, shards) = (args.run.load_balance, args.run.sim_threads);
     let datasets: Vec<Dataset> = Dataset::all(args.scale)
         .into_iter()
         .filter(|ds| ds.preset.kind == GraphKind::ScaleFree)
@@ -56,21 +57,24 @@ fn main() {
     let pairs = SweepRunner::from_args(&args).run(&cells, |_, &(d, g)| {
         let ds = &datasets[d];
         let part = ds.partition(g);
-        let fifo = run_bfs(
+        let fifo = run_bfs_sharded(
             ds.graph.clone(),
             part.clone(),
             ds.source,
             Fabric::daisy(g),
-            AtosConfig::standard_persistent(),
+            AtosConfig::standard_persistent().with_lb(lb),
+            shards,
         );
-        let prio = run_bfs(
+        let prio = run_bfs_sharded(
             ds.graph.clone(),
             part,
             ds.source,
             Fabric::daisy(g),
-            AtosConfig::priority_discrete(),
+            AtosConfig::priority_discrete().with_lb(lb),
+            shards,
         );
-        record_sim_events(fifo.stats.sim_events + prio.stats.sim_events);
+        report.events.ms_of(&fifo.stats);
+        report.events.ms_of(&prio.stats);
         (fifo.normalized_workload(), prio.normalized_workload())
     });
 
@@ -94,31 +98,32 @@ fn main() {
         let ds = &datasets[d];
         let part = ds.partition(g);
         let weights = Arc::new(EdgeWeights::random(&ds.graph, SSSP_MAX_WEIGHT, SSSP_WEIGHT_SEED));
-        let dij = run_sssp(
+        let dij = run_sssp_sharded(
             ds.graph.clone(),
             weights.clone(),
             part.clone(),
             ds.source,
             1,
             Fabric::daisy(g),
-            AtosConfig::priority_discrete(),
+            AtosConfig::priority_discrete().with_lb(lb),
+            shards,
         );
-        let delta = run_sssp_delta(
+        let delta = run_sssp_delta_sharded(
             ds.graph.clone(),
             weights,
             part,
             ds.source,
             SSSP_DELTA,
             Fabric::daisy(g),
-            AtosConfig::priority_discrete(),
+            AtosConfig::priority_discrete().with_lb(lb),
+            shards,
         );
         assert_eq!(
             delta.dist, dij.dist,
             "delta-stepping diverged from Dijkstra-order on {} at {g} GPUs",
             ds.preset.name
         );
-        record_sim_events(dij.stats.sim_events + delta.stats.sim_events);
-        (dij.stats.elapsed_ms(), delta.stats.elapsed_ms())
+        (report.events.ms_of(&dij.stats), report.events.ms_of(&delta.stats))
     });
 
     println!();

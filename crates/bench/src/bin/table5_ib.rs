@@ -9,8 +9,8 @@ use atos_bench::{ib_ms, print_table_block, BenchArgs, Dataset, SweepReport, Swee
 
 fn main() {
     let args = BenchArgs::parse();
-    atos_bench::emit_artifacts(&args);
     let report = SweepReport::start("table5_ib", &args);
+    atos_bench::emit_artifacts(&args, &report.events);
     let datasets = Dataset::all(args.scale);
     let gpus = [1usize, 2, 3, 4, 5, 6, 7, 8];
     let apps = ["bfs", "pr"];
@@ -27,7 +27,7 @@ fn main() {
         }
     }
     let ms = SweepRunner::from_args(&args).run(&cells, |_, &(a, d, f, g)| {
-        ib_ms(frameworks[f], apps[a], &datasets[d], g)
+        ib_ms(frameworks[f], apps[a], &datasets[d], g, args.run, &report.events)
     });
 
     println!("Table V: BFS and PageRank runtimes in ms (speedups vs Galois) on Summit (IB)");

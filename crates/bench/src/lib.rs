@@ -13,12 +13,11 @@
 //! over worker threads (default: host parallelism; `ATOS_BENCH_THREADS`
 //! overrides the default), `--sim-threads K` to execute each Atos run on
 //! `K` parallel engine shards (byte-identical output, parallel
-//! wall-clock), and `--json PATH` to redirect the timing report
-//! ([`sweep`] has the harness).
+//! wall-clock), `--load-balance {owner|steal}` to let idle PEs steal
+//! (default `owner`, the paper's scheduling), and `--json PATH` to
+//! redirect the timing report ([`sweep`] has the harness).
 
 use std::sync::Arc;
-
-use atos_core::RunStats;
 
 pub mod observability;
 pub mod profile;
@@ -27,7 +26,7 @@ pub mod trajectory;
 
 pub use observability::emit_artifacts;
 pub use profile::render_report;
-pub use sweep::{BenchArgs, SweepReport, SweepRunner};
+pub use sweep::{BenchArgs, EventTally, RunConfig, SweepReport, SweepRunner};
 
 use atos_apps::bfs::run_bfs_sharded;
 use atos_apps::pagerank::run_pagerank_sharded;
@@ -64,20 +63,6 @@ pub fn pipe_friendly() {
         const SIG_DFL: usize = 0;
         signal(SIGPIPE, SIG_DFL);
     }
-}
-
-/// Parse the shared benchmark command line and return only the scale.
-/// Kept for callers that predate [`BenchArgs`]; new binaries should call
-/// [`BenchArgs::parse`] so they also pick up `--threads` and `--json`.
-pub fn scale_from_args() -> Scale {
-    BenchArgs::parse().scale
-}
-
-/// Record a finished run's simulator-event count in the process tally
-/// (reported by [`SweepReport::finish`]) and return its virtual ms.
-pub fn ms_of(stats: &RunStats) -> f64 {
-    sweep::record_sim_events(stats.sim_events);
-    stats.elapsed_ms()
 }
 
 /// A dataset instantiated for benchmarking.
@@ -140,105 +125,86 @@ pub const PR_NVLINK_FRAMEWORKS: [&str; 4] = [
     "Atos (persistent kernel)",
 ];
 
-/// Run one NVLink BFS framework; returns virtual ms. Atos cells execute
-/// on `sweep::sim_threads()` engine shards (`--sim-threads`) — the tables
-/// are byte-identical at any shard count — under the
-/// `sweep::load_balance()` discipline (`--load-balance`, default owner;
-/// baseline frameworks ignore it).
-pub fn bfs_nvlink_ms(framework: &str, ds: &Dataset, gpus: usize) -> f64 {
-    let part = ds.partition(gpus);
-    let fabric = Fabric::daisy(gpus);
-    let shards = sweep::sim_threads();
+/// Run one NVLink BFS framework, add it to `events`, and return its
+/// virtual ms. Atos cells execute on `run.sim_threads` engine shards — the
+/// tables are byte-identical at any shard count — under
+/// `run.load_balance` (baseline frameworks ignore both).
+pub fn bfs_nvlink_ms(
+    framework: &str,
+    ds: &Dataset,
+    gpus: usize,
+    run: RunConfig,
+    events: &EventTally,
+) -> f64 {
+    let (graph, part, fabric) = (ds.graph.clone(), ds.partition(gpus), Fabric::daisy(gpus));
     let stats = match framework {
-        "Gunrock" => bsp_bfs(ds.graph.clone(), part, ds.source, fabric).stats,
-        "Groute" => groute_bfs(ds.graph.clone(), part, ds.source, fabric).stats,
-        "Atos (queue+persistent kernel)" => run_bfs_sharded(
-            ds.graph.clone(),
-            part,
-            ds.source,
-            fabric,
-            AtosConfig::standard_persistent().with_lb(sweep::load_balance()),
-            shards,
-        )
-        .stats,
-        "Atos (priority queue+discrete kernel)" => run_bfs_sharded(
-            ds.graph.clone(),
-            part,
-            ds.source,
-            fabric,
-            AtosConfig::priority_discrete().with_lb(sweep::load_balance()),
-            shards,
-        )
-        .stats,
-        other => panic!("unknown framework {other}"),
+        "Gunrock" => bsp_bfs(graph, part, ds.source, fabric).stats,
+        "Groute" => groute_bfs(graph, part, ds.source, fabric).stats,
+        atos => {
+            let cfg = match atos {
+                "Atos (queue+persistent kernel)" => AtosConfig::standard_persistent(),
+                "Atos (priority queue+discrete kernel)" => AtosConfig::priority_discrete(),
+                other => panic!("unknown framework {other}"),
+            };
+            let cfg = cfg.with_lb(run.load_balance);
+            run_bfs_sharded(graph, part, ds.source, fabric, cfg, run.sim_threads).stats
+        }
     };
-    ms_of(&stats)
+    events.ms_of(&stats)
 }
 
-/// Run one NVLink PageRank framework; returns virtual ms.
-pub fn pr_nvlink_ms(framework: &str, ds: &Dataset, gpus: usize) -> f64 {
-    let part = ds.partition(gpus);
-    let fabric = Fabric::daisy(gpus);
-    let shards = sweep::sim_threads();
+/// Run one NVLink PageRank framework, add it to `events`, and return its
+/// virtual ms.
+pub fn pr_nvlink_ms(
+    framework: &str,
+    ds: &Dataset,
+    gpus: usize,
+    run: RunConfig,
+    events: &EventTally,
+) -> f64 {
+    let (graph, part, fabric) = (ds.graph.clone(), ds.partition(gpus), Fabric::daisy(gpus));
     let stats = match framework {
-        "Gunrock" => bsp_pagerank(ds.graph.clone(), part, ALPHA, EPSILON, fabric).stats,
-        "Groute" => groute_pagerank(ds.graph.clone(), part, ALPHA, EPSILON, fabric).stats,
-        "Atos (discrete kernel)" => run_pagerank_sharded(
-            ds.graph.clone(),
-            part,
-            ALPHA,
-            EPSILON,
-            fabric,
-            AtosConfig::standard_discrete().with_lb(sweep::load_balance()),
-            shards,
-        )
-        .stats,
-        "Atos (persistent kernel)" => run_pagerank_sharded(
-            ds.graph.clone(),
-            part,
-            ALPHA,
-            EPSILON,
-            fabric,
-            AtosConfig::standard_persistent().with_lb(sweep::load_balance()),
-            shards,
-        )
-        .stats,
-        other => panic!("unknown framework {other}"),
+        "Gunrock" => bsp_pagerank(graph, part, ALPHA, EPSILON, fabric).stats,
+        "Groute" => groute_pagerank(graph, part, ALPHA, EPSILON, fabric).stats,
+        atos => {
+            let cfg = match atos {
+                "Atos (discrete kernel)" => AtosConfig::standard_discrete(),
+                "Atos (persistent kernel)" => AtosConfig::standard_persistent(),
+                other => panic!("unknown framework {other}"),
+            };
+            let cfg = cfg.with_lb(run.load_balance);
+            run_pagerank_sharded(graph, part, ALPHA, EPSILON, fabric, cfg, run.sim_threads).stats
+        }
     };
-    ms_of(&stats)
+    events.ms_of(&stats)
 }
 
 /// Run one InfiniBand framework (`"Galois"` or `"Atos"`) for `app`
-/// (`"bfs"` or `"pr"`); returns virtual ms.
-pub fn ib_ms(framework: &str, app: &str, ds: &Dataset, gpus: usize) -> f64 {
-    let part = ds.partition(gpus);
-    let fabric = Fabric::ib_cluster(gpus);
-    let shards = sweep::sim_threads();
+/// (`"bfs"` or `"pr"`), add it to `events`, and return its virtual ms.
+pub fn ib_ms(
+    framework: &str,
+    app: &str,
+    ds: &Dataset,
+    gpus: usize,
+    run: RunConfig,
+    events: &EventTally,
+) -> f64 {
+    let (graph, part, fabric) = (ds.graph.clone(), ds.partition(gpus), Fabric::ib_cluster(gpus));
+    let (lb, shards) = (run.load_balance, run.sim_threads);
     let stats = match (framework, app) {
-        ("Galois", "bfs") => galois_bfs(ds.graph.clone(), part, ds.source, fabric).stats,
-        ("Galois", "pr") => galois_pagerank(ds.graph.clone(), part, ALPHA, EPSILON, fabric).stats,
-        ("Atos", "bfs") => run_bfs_sharded(
-            ds.graph.clone(),
-            part,
-            ds.source,
-            fabric,
-            AtosConfig::ib_bfs().with_lb(sweep::load_balance()),
-            shards,
-        )
-        .stats,
-        ("Atos", "pr") => run_pagerank_sharded(
-            ds.graph.clone(),
-            part,
-            ALPHA,
-            EPSILON,
-            fabric,
-            AtosConfig::ib_pagerank().with_lb(sweep::load_balance()),
-            shards,
-        )
-        .stats,
+        ("Galois", "bfs") => galois_bfs(graph, part, ds.source, fabric).stats,
+        ("Galois", "pr") => galois_pagerank(graph, part, ALPHA, EPSILON, fabric).stats,
+        ("Atos", "bfs") => {
+            let cfg = AtosConfig::ib_bfs().with_lb(lb);
+            run_bfs_sharded(graph, part, ds.source, fabric, cfg, shards).stats
+        }
+        ("Atos", "pr") => {
+            let cfg = AtosConfig::ib_pagerank().with_lb(lb);
+            run_pagerank_sharded(graph, part, ALPHA, EPSILON, fabric, cfg, shards).stats
+        }
         other => panic!("unknown combination {other:?}"),
     };
-    ms_of(&stats)
+    events.ms_of(&stats)
 }
 
 /// Print one paper-style table block: rows = datasets, cols = GPU counts,
@@ -307,12 +273,14 @@ mod tests {
     #[test]
     fn all_nvlink_framework_runners_work() {
         let ds = Dataset::build(Preset::by_name("road_usa_s").unwrap(), Scale::Tiny);
+        let (run, events) = (RunConfig::default(), EventTally::default());
         for f in BFS_NVLINK_FRAMEWORKS {
-            assert!(bfs_nvlink_ms(f, &ds, 2) > 0.0, "{f}");
+            assert!(bfs_nvlink_ms(f, &ds, 2, run, &events) > 0.0, "{f}");
         }
         for f in PR_NVLINK_FRAMEWORKS {
-            assert!(pr_nvlink_ms(f, &ds, 2) > 0.0, "{f}");
+            assert!(pr_nvlink_ms(f, &ds, 2, run, &events) > 0.0, "{f}");
         }
+        assert!(events.total() > 0, "every run lands in the caller's tally");
     }
 
     #[test]
@@ -320,7 +288,8 @@ mod tests {
         let ds = Dataset::build(Preset::by_name("hollywood_2009_s").unwrap(), Scale::Tiny);
         for f in ["Galois", "Atos"] {
             for app in ["bfs", "pr"] {
-                assert!(ib_ms(f, app, &ds, 2) > 0.0, "{f}/{app}");
+                let (run, events) = (RunConfig::default(), EventTally::default());
+                assert!(ib_ms(f, app, &ds, 2, run, &events) > 0.0, "{f}/{app}");
             }
         }
     }

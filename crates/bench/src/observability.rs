@@ -22,14 +22,14 @@
 
 use std::path::Path;
 
-use atos_apps::bfs::{run_bfs_sharded_profiled, run_bfs_traced};
-use atos_core::{AtosConfig, ShardProfile};
+use atos_apps::bfs::run_bfs_sharded_profiled;
+use atos_core::{AtosConfig, RuntimeTuning, ShardProfile};
 use atos_graph::generators::{Preset, Scale};
 use atos_queue::bench_harness::{run as queue_probe, Experiment, QueueKind};
 use atos_sim::Fabric;
 use atos_trace::{perfetto, MetricsRegistry, TraceBuffer};
 
-use crate::sweep::BenchArgs;
+use crate::sweep::{BenchArgs, EventTally, RunConfig};
 use crate::Dataset;
 
 /// Virtual-thread count for the host-queue contention probes: small
@@ -37,10 +37,11 @@ use crate::Dataset;
 /// visibly retries under real-thread contention.
 const PROBE_VIRTUAL_THREADS: usize = 1024;
 
-/// Emit the `--trace` / `--metrics` artifacts if either flag was given.
-/// No-op (and allocation-free) when both are unset. Output goes to the
-/// requested files plus stderr only — stdout stays reserved for tables.
-pub fn emit_artifacts(args: &BenchArgs) {
+/// Emit the `--trace` / `--metrics` artifacts if either flag was given,
+/// adding the reference run to `events`. No-op (and allocation-free) when
+/// both are unset. Output goes to the requested files plus stderr only —
+/// stdout stays reserved for tables.
+pub fn emit_artifacts(args: &BenchArgs, events: &EventTally) {
     if args.trace.is_none() && args.metrics.is_none() && args.flight_dump.is_none() {
         return;
     }
@@ -48,7 +49,7 @@ pub fn emit_artifacts(args: &BenchArgs) {
     // window-barrier runtime so the artifacts carry per-shard detail
     // (shard tracks in the trace, `shard<k>.*` / `sharded.*` metrics,
     // flight-recorder rings) instead of silently dropping it.
-    let (buf, reg, profile) = reference_run_sharded(args.scale, args.sim_threads);
+    let (buf, reg, profile) = reference_run_sharded(args.scale, args.run, events);
     if let Some(path) = &args.trace {
         write_artifact(path, &perfetto::to_chrome_json(&buf), "trace");
     }
@@ -73,23 +74,24 @@ pub fn emit_artifacts(args: &BenchArgs) {
 /// send/arrive instants, size- and age-triggered flushes, and occupancy
 /// counters all appear. Returns the raw trace and the filled registry.
 pub fn reference_run(scale: Scale) -> (TraceBuffer, MetricsRegistry) {
-    let (buf, reg, _) = reference_run_sharded(scale, 1);
+    let (buf, reg, _) = reference_run_sharded(scale, RunConfig::default(), &EventTally::default());
     (buf, reg)
 }
 
-/// [`reference_run`] on the sharded window-barrier runtime with `k`
-/// engine shards (`k <= 1` falls back to the sequential engine and
-/// returns no profile), under the `crate::sweep::load_balance()`
-/// discipline — so a `--load-balance steal` snapshot carries live
-/// `lb.*` steal counters for `atos-profile`. The simulated results and the per-PE/aggregation
-/// timeline are byte-identical to the sequential run; the trace
-/// additionally carries per-shard `window`/`exchange` tracks, the
-/// registry gains the `shard<i>.*` / `sharded.*` namespaces from
+/// [`reference_run`] under `run`, added to `events`: on the sharded
+/// window-barrier runtime with `run.sim_threads` engine shards (1 is the
+/// sequential engine and returns no profile) and under
+/// `run.load_balance` — so a `--load-balance steal` snapshot carries live
+/// `lb.*` steal counters for `atos-profile`. The simulated results and the
+/// per-PE/aggregation timeline are byte-identical to the sequential run;
+/// the trace additionally carries per-shard `window`/`exchange` tracks,
+/// the registry gains the `shard<i>.*` / `sharded.*` namespaces from
 /// [`ShardProfile::fill_metrics`], and the returned profile holds the
 /// flight-recorder rings for `--flight-dump`.
 pub fn reference_run_sharded(
     scale: Scale,
-    k: usize,
+    run: RunConfig,
+    events: &EventTally,
 ) -> (TraceBuffer, MetricsRegistry, Option<ShardProfile>) {
     let ds = Dataset::build(
         Preset::by_name("soc-LiveJournal1_s").expect("preset table"),
@@ -97,32 +99,21 @@ pub fn reference_run_sharded(
     );
     let part = ds.partition(4);
     let mut buf = TraceBuffer::new();
-    let (run, profile) = if k > 1 {
-        run_bfs_sharded_profiled(
-            ds.graph.clone(),
-            part,
-            ds.source,
-            Fabric::ib_cluster(4),
-            AtosConfig::ib_bfs().with_lb(crate::sweep::load_balance()),
-            k,
-            &mut buf,
-        )
-    } else {
-        let run = run_bfs_traced(
-            ds.graph.clone(),
-            part,
-            ds.source,
-            Fabric::ib_cluster(4),
-            AtosConfig::ib_bfs().with_lb(crate::sweep::load_balance()),
-            &mut buf,
-        );
-        (run, None)
-    };
-    crate::sweep::record_sim_events(run.stats.sim_events);
+    let (bfs, profile) = run_bfs_sharded_profiled(
+        ds.graph.clone(),
+        part,
+        ds.source,
+        Fabric::ib_cluster(4),
+        AtosConfig::ib_bfs().with_lb(run.load_balance),
+        RuntimeTuning::default(),
+        run.sim_threads,
+        &mut buf,
+    );
+    events.ms_of(&bfs.stats);
 
     let mut reg = MetricsRegistry::new();
-    run.stats.fill_metrics(&mut reg);
-    reg.set("run.reached_vertices", run.reachable);
+    bfs.stats.fill_metrics(&mut reg);
+    reg.set("run.reached_vertices", bfs.reachable);
     if let Some(p) = &profile {
         p.fill_metrics(&mut reg);
     }
@@ -171,6 +162,11 @@ fn write_artifact(path: &Path, contents: &str, what: &str) {
 mod tests {
     use super::*;
 
+    /// `--quick` and nothing else.
+    fn quick_args() -> BenchArgs {
+        BenchArgs::parse_from(&["--quick".to_string()], None, 1).unwrap()
+    }
+
     #[test]
     fn reference_run_fills_both_artifacts() {
         let (buf, reg) = reference_run(Scale::Tiny);
@@ -202,18 +198,9 @@ mod tests {
 
     #[test]
     fn emit_artifacts_is_noop_without_flags() {
-        let args = BenchArgs {
-            scale: Scale::Tiny,
-            threads: 1,
-            sim_threads: 1,
-            json: None,
-            trace: None,
-            metrics: None,
-            flight_dump: None,
-            run_id: None,
-            load_balance: atos_core::LoadBalance::Owner,
-        };
-        emit_artifacts(&args); // must not panic or write anything
+        let events = EventTally::default();
+        emit_artifacts(&quick_args(), &events); // must not panic or write anything
+        assert_eq!(events.total(), 0, "and must not run anything");
     }
 
     #[test]
@@ -221,17 +208,13 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("atos-obs-test-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let args = BenchArgs {
-            scale: Scale::Tiny,
-            threads: 1,
-            sim_threads: 1,
-            json: None,
             trace: Some(dir.join("trace.json")),
             metrics: Some(dir.join("metrics.json")),
-            flight_dump: None,
-            run_id: None,
-            load_balance: atos_core::LoadBalance::Owner,
+            ..quick_args()
         };
-        emit_artifacts(&args);
+        let events = EventTally::default();
+        emit_artifacts(&args, &events);
+        assert!(events.total() > 0, "the reference run lands in the caller's tally");
         let trace = std::fs::read_to_string(dir.join("trace.json")).unwrap();
         assert!(perfetto::validate_chrome_trace(&trace).is_ok());
         let metrics = std::fs::read_to_string(dir.join("metrics.json")).unwrap();
@@ -243,7 +226,12 @@ mod tests {
     fn sharded_reference_run_carries_shard_detail() {
         // Satellite fix: `--trace`/`--metrics` with `--sim-threads K > 1`
         // must not silently lose per-shard detail.
-        let (buf, reg, profile) = reference_run_sharded(Scale::Tiny, 4);
+        let sharded = RunConfig {
+            sim_threads: 4,
+            ..RunConfig::default()
+        };
+        let (buf, reg, profile) =
+            reference_run_sharded(Scale::Tiny, sharded, &EventTally::default());
         let json = perfetto::to_chrome_json(&buf);
         let summary = perfetto::validate_chrome_trace(&json).expect("valid trace");
         assert!(summary.names.contains("step"), "PE timeline intact");
@@ -269,17 +257,12 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("atos-obs-shard-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let args = BenchArgs {
-            scale: Scale::Tiny,
-            threads: 1,
-            sim_threads: 4,
-            json: None,
-            trace: None,
             metrics: Some(dir.join("metrics.json")),
             flight_dump: Some(dir.join("flight.json")),
-            run_id: None,
-            load_balance: atos_core::LoadBalance::Owner,
+            run: sharded,
+            ..quick_args()
         };
-        emit_artifacts(&args);
+        emit_artifacts(&args, &EventTally::default());
         let metrics = std::fs::read_to_string(dir.join("metrics.json")).unwrap();
         assert!(metrics.contains("\"sharded.shards\": 4"), "{metrics}");
         let flight = std::fs::read_to_string(dir.join("flight.json")).unwrap();

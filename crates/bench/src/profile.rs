@@ -159,13 +159,16 @@ impl ProfileSnapshot {
         })
     }
 
-    /// Name of the active load-balance discipline (`"owner"` for
-    /// snapshots that predate the `lb.*` namespace or carry an unknown
-    /// code).
-    pub fn balancer_name(&self) -> &'static str {
-        LoadBalance::from_code(self.lb_discipline.min(u8::MAX as u64) as u8)
-            .unwrap_or(LoadBalance::Owner)
-            .name()
+    /// Name of the active load-balance policy: `"owner"` for snapshots
+    /// that predate the `lb.*` namespace (the key reads 0), and the bare
+    /// number for a code no current policy has — a snapshot written when
+    /// `chunk` (2) and `priority` (3) existed did not run owner-computes
+    /// and must not be reported as if it had.
+    pub fn balancer_name(&self) -> String {
+        match u8::try_from(self.lb_discipline).ok().and_then(LoadBalance::from_code) {
+            Some(lb) => lb.name().to_string(),
+            None => format!("#{}", self.lb_discipline),
+        }
     }
 
     /// Redundant work as a percentage over the ideal task count: tasks
@@ -454,6 +457,25 @@ mod tests {
     }
 
     #[test]
+    fn report_prints_the_code_of_a_retired_discipline() {
+        // Snapshots written while `chunk` (2) and `priority` (3) existed.
+        for code in [2u64, 3] {
+            let mut reg = MetricsRegistry::new();
+            reg.set("sharded.shards", 1);
+            reg.set("lb.discipline", code);
+            reg.set("lb.steals", 4);
+            let snap = ProfileSnapshot::parse(&reg.to_json()).unwrap();
+            assert_eq!(snap.balancer_name(), format!("#{code}"));
+            let report = render_report(&reg.to_json()).unwrap();
+            assert!(
+                report.contains(&format!("load balance: #{code} discipline, 4 steals")),
+                "{report}"
+            );
+            assert!(!report.contains("owner"), "{report}");
+        }
+    }
+
+    #[test]
     fn verdict_thresholds() {
         let balanced = ProfileSnapshot::parse(&synthetic_snapshot(1100, 0)).unwrap();
         assert_eq!(balanced.imbalance_verdict(), "balanced");
@@ -483,7 +505,11 @@ mod tests {
         // End-to-end: profile an actual sharded reference run's snapshot.
         let (_, reg, _) = crate::observability::reference_run_sharded(
             atos_graph::generators::Scale::Tiny,
-            4,
+            crate::RunConfig {
+                sim_threads: 4,
+                ..Default::default()
+            },
+            &crate::EventTally::default(),
         );
         let report = render_report(&reg.to_json()).unwrap();
         assert!(report.contains("4 shards"), "{report}");

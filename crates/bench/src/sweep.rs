@@ -9,9 +9,12 @@
 //! — parallelism only reorders wall-clock completion, never results.
 //!
 //! [`BenchArgs`] is the shared CLI surface (`--quick`, `--threads N`,
-//! `--json PATH`, plus the `ATOS_BENCH_THREADS` environment override),
-//! and [`SweepReport`] records each binary's wall-clock time, thread
-//! count, and total simulator events into `results/BENCH_sweep.json`.
+//! `--json PATH`, plus the `ATOS_BENCH_THREADS` environment override); the
+//! two flags that change how each simulated run executes (`--sim-threads`,
+//! `--load-balance`) parse into a [`RunConfig`] value that the binaries
+//! hand to whatever launches their runs. [`SweepReport`] records each
+//! binary's wall-clock time, thread count, and total simulator events
+//! (its [`EventTally`]) into `results/BENCH_sweep.json`.
 //! With `--run-id <sha>@<stamp>` the report entry is keyed
 //! `<binary>@<run-id>` instead of plain `<binary>`, so successive runs
 //! *append* to the committed history rather than overwrite it — the id
@@ -31,12 +34,39 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
-use atos_core::LoadBalance;
+use atos_core::{LoadBalance, RunStats};
 use atos_graph::generators::Scale;
 
 /// Default location of the sweep timing report, relative to the working
 /// directory (the repo root, when run via `cargo run`).
 pub const DEFAULT_REPORT_PATH: &str = "results/BENCH_sweep.json";
+
+/// How each simulated Atos run of a binary executes: the two settings
+/// every cell of one invocation shares, passed by value to the framework
+/// runners (`crate::bfs_nvlink_ms` and friends) and the app launch bodies.
+/// Baseline frameworks ignore both.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RunConfig {
+    /// Engine shards per run from `--sim-threads K` (>= 1; default 1 —
+    /// the sequential engine). With `K > 1` each Atos run executes on the
+    /// sharded window-barrier runtime (`Runtime::run_sharded`):
+    /// byte-identical tables, parallel host wall-clock. Orthogonal to
+    /// `--threads`, which fans *independent* sweep cells.
+    pub sim_threads: usize,
+    /// Load-balance policy from `--load-balance {owner|steal}` (default
+    /// `owner` — the paper's static owner-computes assignment), applied
+    /// to every Atos run's [`atos_core::AtosConfig`].
+    pub load_balance: LoadBalance,
+}
+
+impl Default for RunConfig {
+    fn default() -> Self {
+        RunConfig {
+            sim_threads: 1,
+            load_balance: LoadBalance::Owner,
+        }
+    }
+}
 
 /// Parsed command line shared by the table/figure binaries.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -65,17 +95,8 @@ pub struct BenchArgs {
     /// the timing-report entry is keyed `<binary>@<ID>` so the report
     /// accumulates a history instead of overwriting the binary's entry.
     pub run_id: Option<String>,
-    /// Engine shards per simulated run from `--sim-threads K` (default 1
-    /// — the sequential engine). With `K > 1` each Atos run executes on
-    /// the sharded window-barrier runtime (`Runtime::run_sharded`):
-    /// byte-identical tables, parallel host wall-clock. Orthogonal to
-    /// `--threads`, which fans *independent* sweep cells.
-    pub sim_threads: usize,
-    /// Load-balance discipline from `--load-balance {owner|steal|chunk|
-    /// priority}` (default `owner` — the paper's static owner-computes
-    /// assignment). Applied by the framework runners to every Atos run's
-    /// [`atos_core::AtosConfig`]; baseline frameworks ignore it.
-    pub load_balance: LoadBalance,
+    /// `--sim-threads K` and `--load-balance POLICY`.
+    pub run: RunConfig,
 }
 
 impl BenchArgs {
@@ -87,16 +108,28 @@ impl BenchArgs {
         let args: Vec<String> = std::env::args().skip(1).collect();
         let env = std::env::var("ATOS_BENCH_THREADS").ok();
         match Self::parse_from(&args, env.as_deref(), default_threads()) {
-            Ok(a) => {
-                set_sim_threads(a.sim_threads);
-                set_load_balance(a.load_balance);
-                a
-            }
-            Err(e) => {
-                eprintln!("error: {e}");
-                std::process::exit(2);
-            }
+            Ok(a) => a,
+            Err(e) => exit_usage(&e),
         }
+    }
+
+    /// For a binary whose runs do not go through a sharded launch body and
+    /// so cannot honour `--sim-threads` / `--load-balance`: `Err` naming
+    /// the flag when either is set to a non-default value, so the run is
+    /// refused instead of reported under settings it never used.
+    pub fn require_default_run(&self, binary: &str) -> Result<(), String> {
+        let default = RunConfig::default();
+        let flag = if self.run.sim_threads != default.sim_threads {
+            "--sim-threads"
+        } else if self.run.load_balance != default.load_balance {
+            "--load-balance"
+        } else {
+            return Ok(());
+        };
+        Err(format!(
+            "{binary} does not support {flag}: it launches its runs itself, \
+             sequentially and under owner-computes"
+        ))
     }
 
     /// Pure parser: `args` is argv without the program name,
@@ -116,8 +149,7 @@ impl BenchArgs {
         let mut metrics: Option<PathBuf> = None;
         let mut flight_dump: Option<PathBuf> = None;
         let mut run_id: Option<String> = None;
-        let mut sim_threads = 1usize;
-        let mut load_balance = LoadBalance::Owner;
+        let mut run = RunConfig::default();
         let mut it = args.iter();
         while let Some(arg) = it.next() {
             match arg.as_str() {
@@ -149,17 +181,15 @@ impl BenchArgs {
                 }
                 "--sim-threads" => {
                     let v = it.next().ok_or("--sim-threads requires a value")?;
-                    sim_threads = v
+                    let k: usize = v
                         .parse()
                         .map_err(|_| format!("invalid --sim-threads value `{v}`"))?;
+                    run.sim_threads = k.max(1);
                 }
                 "--load-balance" => {
                     let v = it.next().ok_or("--load-balance requires a value")?;
-                    load_balance = LoadBalance::parse(v).ok_or_else(|| {
-                        format!(
-                            "invalid --load-balance value `{v}` \
-                             (expected owner, steal, chunk, or priority)"
-                        )
+                    run.load_balance = LoadBalance::parse(v).ok_or_else(|| {
+                        format!("invalid --load-balance value `{v}` (expected owner or steal)")
                     })?;
                 }
                 other => {
@@ -167,7 +197,7 @@ impl BenchArgs {
                         "unknown argument `{other}` (supported: --quick, --threads N, \
                          --json PATH, --trace PATH, --metrics PATH, --flight-dump PATH, \
                          --run-id ID, --sim-threads K, \
-                         --load-balance {{owner|steal|chunk|priority}})"
+                         --load-balance {{owner|steal}})"
                     ))
                 }
             }
@@ -188,45 +218,16 @@ impl BenchArgs {
             metrics,
             flight_dump,
             run_id,
-            sim_threads: sim_threads.max(1),
-            load_balance,
+            run,
         })
     }
 }
 
-/// Engine shard count each Atos run should use, set once at argument
-/// parse time and read by the framework runners (`crate::bfs_nvlink_ms`
-/// and friends) when they construct a run. A process-wide atomic rather
-/// than a threaded parameter: the sweep grid fans cells over worker
-/// threads, and every cell of one binary invocation shares the setting.
-static SIM_THREADS: AtomicUsize = AtomicUsize::new(1);
-
-/// Set the engine shard count for subsequent Atos runs (clamped to >= 1).
-pub fn set_sim_threads(k: usize) {
-    SIM_THREADS.store(k.max(1), Ordering::Relaxed);
-}
-
-/// Engine shard count Atos runs execute with (see [`set_sim_threads`]).
-pub fn sim_threads() -> usize {
-    SIM_THREADS.load(Ordering::Relaxed)
-}
-
-/// Load-balance discipline each Atos run should use, set once at
-/// argument parse time and read by the framework runners — the same
-/// process-wide pattern as [`SIM_THREADS`], and for the same reason:
-/// every cell of one binary invocation shares the setting.
-static LOAD_BALANCE: AtomicUsize = AtomicUsize::new(0);
-
-/// Set the load-balance discipline for subsequent Atos runs.
-pub fn set_load_balance(lb: LoadBalance) {
-    LOAD_BALANCE.store(lb.code() as usize, Ordering::Relaxed);
-}
-
-/// Load-balance discipline Atos runs execute with (see
-/// [`set_load_balance`]).
-pub fn load_balance() -> LoadBalance {
-    LoadBalance::from_code(LOAD_BALANCE.load(Ordering::Relaxed) as u8)
-        .unwrap_or(LoadBalance::Owner)
+/// Print a command-line error and exit with status 2 (usage), rather than
+/// silently starting a potentially minutes-long full-scale sweep.
+pub fn exit_usage(error: &str) -> ! {
+    eprintln!("error: {error}");
+    std::process::exit(2);
 }
 
 /// Host parallelism used when neither `--threads` nor
@@ -302,24 +303,31 @@ impl SweepRunner {
     }
 }
 
-/// Process-wide tally of simulator events across every run a binary
-/// performs (each [`atos_core::RunStats::sim_events`] is added once).
-static SIM_EVENTS: AtomicU64 = AtomicU64::new(0);
+/// Simulator events summed over the runs of one sweep (each
+/// [`RunStats::sim_events`] added once), shared by the sweep's worker
+/// threads. Every binary's lives in its [`SweepReport`].
+#[derive(Debug, Default)]
+pub struct EventTally(AtomicU64);
 
-/// Add one run's simulator-event count to the process tally.
-pub fn record_sim_events(n: u64) {
-    SIM_EVENTS.fetch_add(n, Ordering::Relaxed);
-}
+impl EventTally {
+    /// Add one finished run to the tally and return its virtual ms.
+    pub fn ms_of(&self, stats: &RunStats) -> f64 {
+        self.0.fetch_add(stats.sim_events, Ordering::Relaxed);
+        stats.elapsed_ms()
+    }
 
-/// Total simulator events recorded so far in this process.
-pub fn total_sim_events() -> u64 {
-    SIM_EVENTS.load(Ordering::Relaxed)
+    /// Simulator events tallied so far.
+    pub fn total(&self) -> u64 {
+        self.0.load(Ordering::Relaxed)
+    }
 }
 
 /// Wall-clock timer for one binary's sweep; [`SweepReport::finish`]
 /// appends/updates the binary's entry in the timing report and prints a
 /// one-line summary to stderr (never stdout).
 pub struct SweepReport {
+    /// Simulator events of every run the binary performed.
+    pub events: EventTally,
     binary: String,
     threads: usize,
     sim_threads: usize,
@@ -337,9 +345,10 @@ impl SweepReport {
             None => binary.to_string(),
         };
         SweepReport {
+            events: EventTally::default(),
             binary: key,
             threads: args.threads,
-            sim_threads: args.sim_threads,
+            sim_threads: args.run.sim_threads,
             json: args.json.clone(),
             started: Instant::now(),
         }
@@ -348,7 +357,7 @@ impl SweepReport {
     /// Stop the clock, write the report entry, and log to stderr.
     pub fn finish(self) {
         let wall_s = self.started.elapsed().as_secs_f64();
-        let events = total_sim_events();
+        let events = self.events.total();
         let path = self
             .json
             .unwrap_or_else(|| PathBuf::from(DEFAULT_REPORT_PATH));
@@ -448,8 +457,7 @@ mod tests {
         assert_eq!(a.metrics, None);
         assert_eq!(a.flight_dump, None);
         assert_eq!(a.run_id, None);
-        assert_eq!(a.sim_threads, 1);
-        assert_eq!(a.load_balance, LoadBalance::Owner);
+        assert_eq!(a.run, RunConfig::default());
     }
 
     #[test]
@@ -485,26 +493,47 @@ mod tests {
         assert_eq!(a.metrics, Some(PathBuf::from("/tmp/m.json")));
         assert_eq!(a.flight_dump, Some(PathBuf::from("/tmp/f.json")));
         assert_eq!(a.run_id.as_deref(), Some("abc123@2026-01-01T00:00:00Z"));
-        assert_eq!(a.sim_threads, 4);
-        assert_eq!(a.load_balance, LoadBalance::Steal);
+        assert_eq!(
+            a.run,
+            RunConfig {
+                sim_threads: 4,
+                load_balance: LoadBalance::Steal
+            }
+        );
     }
 
     #[test]
-    fn parser_accepts_every_load_balance_discipline() {
+    fn parser_accepts_both_load_balance_policies_and_no_other() {
         for lb in LoadBalance::ALL {
             let a =
                 BenchArgs::parse_from(&s(&["--load-balance", lb.name()]), None, 1).unwrap();
-            assert_eq!(a.load_balance, lb);
+            assert_eq!(a.run.load_balance, lb);
         }
         assert!(BenchArgs::parse_from(&s(&["--load-balance"]), None, 1).is_err());
-        assert!(BenchArgs::parse_from(&s(&["--load-balance", "magic"]), None, 1).is_err());
+        for gone in ["chunk", "priority", "magic"] {
+            let err = BenchArgs::parse_from(&s(&["--load-balance", gone]), None, 1).unwrap_err();
+            assert!(err.contains("expected owner or steal"), "{err}");
+        }
     }
 
+    #[test]
+    fn require_default_run_names_the_offending_flag() {
+        let parse = |args: &[&str]| BenchArgs::parse_from(&s(args), None, 1).unwrap();
+        assert_eq!(parse(&["--quick", "--threads", "3"]).require_default_run("b"), Ok(()));
+        // Spelling out the defaults is not a request for anything else.
+        let spelled = parse(&["--sim-threads", "1", "--load-balance", "owner"]);
+        assert_eq!(spelled.require_default_run("b"), Ok(()));
+        let err = parse(&["--sim-threads", "4"]).require_default_run("ablation_worker");
+        let err = err.unwrap_err();
+        assert!(err.contains("ablation_worker does not support --sim-threads"), "{err}");
+        let err = parse(&["--load-balance", "steal"]).require_default_run("ablation_worker");
+        assert!(err.unwrap_err().contains("--load-balance"));
+    }
 
     #[test]
     fn parser_clamps_sim_threads_and_rejects_garbage() {
         let a = BenchArgs::parse_from(&s(&["--sim-threads", "0"]), None, 1).unwrap();
-        assert_eq!(a.sim_threads, 1);
+        assert_eq!(a.run.sim_threads, 1);
         assert!(BenchArgs::parse_from(&s(&["--sim-threads"]), None, 1).is_err());
         assert!(BenchArgs::parse_from(&s(&["--sim-threads", "two"]), None, 1).is_err());
     }
@@ -622,9 +651,13 @@ mod tests {
 
     #[test]
     fn sim_event_tally_accumulates() {
-        let before = total_sim_events();
-        record_sim_events(7);
-        record_sim_events(5);
-        assert!(total_sim_events() >= before + 12);
+        let mut stats = RunStats::new(1);
+        stats.elapsed_ns = 2_500_000;
+        let tally = EventTally::default();
+        for events in [7, 5] {
+            stats.sim_events = events;
+            assert_eq!(tally.ms_of(&stats), 2.5);
+        }
+        assert_eq!(tally.total(), 12);
     }
 }

@@ -20,9 +20,9 @@
 //!    the Atos cells over K ∈ {1,2,4,8} engine shards and records the
 //!    self-relative speedup curve (plus `host_cores`, since the curve is
 //!    a property of the machine). The load-balance variant
-//!    ([`measure_lb_sweep`]) times the quick BFS under every
-//!    `LoadBalancer` discipline and delta-stepping vs Dijkstra-order
-//!    SSSP, recording the redundant-work/migration counters alongside.
+//!    ([`measure_lb_sweep`]) times the quick BFS under owner-computes and
+//!    under work stealing, and delta-stepping vs Dijkstra-order SSSP,
+//!    recording the redundant-work/migration counters alongside.
 //!    [`measure_graph_build`] times the layer underneath all of them:
 //!    full-scale graph generation and the CSR build.
 //! 3. **The trajectory file** ([`TrajectoryEntry`], [`read_trajectory`],
@@ -42,14 +42,14 @@ use std::time::Instant;
 
 use atos_apps::bfs::{run_bfs_sharded, run_bfs_sharded_profiled};
 use atos_apps::pagerank::run_pagerank_sharded;
-use atos_core::{AtosConfig, NullTracer, RunStats};
+use atos_core::{AtosConfig, NullTracer, RunStats, RuntimeTuning};
 use atos_graph::generators::{Preset, Scale};
 use atos_sim::engine::reference::HeapEngine;
 use atos_sim::{Engine, Fabric};
 
 use crate::{
-    bfs_nvlink_ms, ib_ms, pr_nvlink_ms, Dataset, ALPHA, BFS_NVLINK_FRAMEWORKS, EPSILON,
-    PR_NVLINK_FRAMEWORKS,
+    bfs_nvlink_ms, ib_ms, pr_nvlink_ms, Dataset, EventTally, RunConfig, ALPHA,
+    BFS_NVLINK_FRAMEWORKS, EPSILON, PR_NVLINK_FRAMEWORKS,
 };
 
 /// Default location of the committed trajectory history, relative to the
@@ -212,15 +212,16 @@ pub fn fig5_quick_workload() -> f64 {
         .iter()
         .map(|n| Dataset::build(Preset::by_name(n).unwrap(), Scale::Tiny))
         .collect();
+    let (run, events) = (RunConfig::default(), EventTally::default());
     let t0 = Instant::now();
     let mut acc = 0.0f64;
     for ds in &datasets {
         for g in 1..=4usize {
             for fw in BFS_NVLINK_FRAMEWORKS {
-                acc += bfs_nvlink_ms(fw, ds, g);
+                acc += bfs_nvlink_ms(fw, ds, g, run, &events);
             }
             for fw in PR_NVLINK_FRAMEWORKS {
-                acc += pr_nvlink_ms(fw, ds, g);
+                acc += pr_nvlink_ms(fw, ds, g, run, &events);
             }
         }
     }
@@ -235,12 +236,13 @@ pub fn fig8_quick_workload() -> f64 {
         .iter()
         .map(|n| Dataset::build(Preset::by_name(n).unwrap(), Scale::Tiny))
         .collect();
+    let (run, events) = (RunConfig::default(), EventTally::default());
     let t0 = Instant::now();
     let mut acc = 0.0f64;
     for ds in &datasets {
         for fw in ["Galois", "Atos"] {
             for g in 1..=8usize {
-                acc += ib_ms(fw, "bfs", ds, g);
+                acc += ib_ms(fw, "bfs", ds, g, run, &events);
             }
         }
     }
@@ -352,15 +354,15 @@ pub fn measure_sharded_scaling(samples: usize) -> BTreeMap<String, f64> {
         Preset::by_name(Preset::SCALING[0]).unwrap(),
         Scale::Tiny,
     );
-    let mut tracer = NullTracer;
     let (_, profile) = run_bfs_sharded_profiled(
         ds.graph.clone(),
         ds.partition(4),
         ds.source,
         Fabric::daisy(4),
         AtosConfig::standard_persistent(),
+        RuntimeTuning::default(),
         4,
-        &mut tracer,
+        NullTracer,
     );
     if let Some(p) = profile {
         metrics.insert("fig5_sharded_k4_barrier_frac".to_string(), p.barrier_frac());
@@ -413,23 +415,22 @@ pub fn measure_graph_build(samples: usize) -> BTreeMap<String, f64> {
 }
 
 /// Graph families the `lb_sweep` trajectory entry covers: one power-law
-/// (skewed frontier, where stealing/chunking has work to move) and one
-/// road-like mesh (balanced frontier, where a discipline must not add
-/// overhead).
+/// (skewed frontier, where stealing has work to move) and one road-like
+/// mesh (balanced frontier, where stealing must not add overhead).
 pub const LB_SWEEP_FAMILIES: [(&str, &str); 2] =
     [("sf", "twitter_s"), ("road", "road_usa_s")];
 
-/// Measure the load-balance discipline tradeoff for the `lb_sweep`
-/// trajectory entry: best-of-`samples` wall clock of a quick 4-PE BFS on
-/// both [`LB_SWEEP_FAMILIES`] at K=2 engine shards under each
-/// [`LoadBalance`] discipline (`lb_<name>_ms`), plus the discipline's
-/// redundant-work and migration counters (`lb_<name>_tasks`,
+/// Measure the load-balance tradeoff for the `lb_sweep` trajectory entry:
+/// best-of-`samples` wall clock of a quick 4-PE BFS on both
+/// [`LB_SWEEP_FAMILIES`] at K=2 engine shards under each [`LoadBalance`]
+/// policy (`lb_<name>_ms`), plus the policy's redundant-work and
+/// migration counters (`lb_<name>_tasks`,
 /// `lb_<name>_steals` — informational, never regression-gated), plus the
 /// delta-stepping vs Dijkstra-order SSSP comparison on the power-law
 /// family (`lb_sssp_delta_ms` / `lb_sssp_dijkstra_ms`). Records
 /// `host_cores` like [`measure_sharded_scaling`]: wall-clock under K=2
 /// shard threads is a property of the machine, so [`check_regression`]
-/// skips cross-host comparisons. Panics if any discipline changes a BFS
+/// skips cross-host comparisons. Panics if stealing changes a BFS
 /// depth vector or either SSSP formulation diverges from the other — a
 /// load-balance number for a wrong result is worse than no number.
 pub fn measure_lb_sweep(samples: usize) -> BTreeMap<String, f64> {
@@ -444,8 +445,8 @@ pub fn measure_lb_sweep(samples: usize) -> BTreeMap<String, f64> {
         .map(|(_, preset)| Dataset::build(Preset::by_name(preset).unwrap(), Scale::Tiny))
         .collect();
     let mut owner_depths: Vec<Vec<u32>> = Vec::new();
-    // `ALL` leads with `Owner`, so the reference depths exist before any
-    // stealing discipline is compared against them.
+    // `ALL` leads with `Owner`, so the reference depths exist before the
+    // stealing run is compared against them.
     for lb in LoadBalance::ALL {
         let cfg = AtosConfig::standard_persistent().with_lb(lb);
         let run_family = |ds: &Dataset| {
@@ -468,7 +469,7 @@ pub fn measure_lb_sweep(samples: usize) -> BTreeMap<String, f64> {
             } else {
                 assert_eq!(
                     run.depth, owner_depths[i],
-                    "{} discipline changed BFS depths on {}",
+                    "--load-balance {} changed BFS depths on {}",
                     lb.name(),
                     LB_SWEEP_FAMILIES[i].1
                 );

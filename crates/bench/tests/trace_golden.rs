@@ -6,9 +6,20 @@
 //! trace). These tests pin that property, the trace_event format
 //! contract, and the presence of every instrumented subsystem.
 
-use atos_bench::observability::{reference_run, reference_run_sharded};
+use atos_bench::observability::reference_run;
+use atos_bench::{EventTally, RunConfig};
+use atos_core::ShardProfile;
 use atos_graph::generators::Scale;
-use atos_trace::{json, perfetto};
+use atos_trace::{json, perfetto, MetricsRegistry, TraceBuffer};
+
+/// The reference run on four engine shards, owner-computes.
+fn reference_run_sharded4() -> (TraceBuffer, MetricsRegistry, Option<ShardProfile>) {
+    let run = RunConfig {
+        sim_threads: 4,
+        ..RunConfig::default()
+    };
+    atos_bench::observability::reference_run_sharded(Scale::Tiny, run, &EventTally::default())
+}
 
 /// Metrics keys that legitimately differ between two identical sharded
 /// runs: anything derived from host wall-clock (barrier waits and their
@@ -113,7 +124,7 @@ fn sharded_metrics_round_trip_with_histogram_kind() {
     // The registry now holds two kinds; both must survive serialization
     // with one global sorted key order (counters and histograms
     // interleaved, not segregated).
-    let (_, reg, _) = reference_run_sharded(Scale::Tiny, 4);
+    let (_, reg, _) = reference_run_sharded4();
     let text = reg.to_json();
     let parsed = json::parse(&text).expect("metrics JSON parses");
     let obj = match &parsed {
@@ -153,8 +164,8 @@ fn sharded_trace_golden_is_byte_identical_and_shard_aware() {
     // deterministic artifact (shard window/exchange events are stamped in
     // virtual time only), and every non-wall-clock metric — including the
     // per-shard virtual-time histograms — matches exactly.
-    let (buf_a, reg_a, prof_a) = reference_run_sharded(Scale::Tiny, 4);
-    let (buf_b, reg_b, prof_b) = reference_run_sharded(Scale::Tiny, 4);
+    let (buf_a, reg_a, prof_a) = reference_run_sharded4();
+    let (buf_b, reg_b, prof_b) = reference_run_sharded4();
     let json_a = perfetto::to_chrome_json(&buf_a);
     let json_b = perfetto::to_chrome_json(&buf_b);
     assert_eq!(json_a, json_b, "sharded trace must be deterministic");

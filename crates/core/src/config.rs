@@ -147,9 +147,9 @@ pub struct AtosConfig {
     pub worker: WorkerConfig,
     /// Communication mode.
     pub comm: CommMode,
-    /// Frontier→PE load-balance discipline (see `loadbalance`). All paper
-    /// presets use `Owner` — the paper's static owner-computes — so the
-    /// discipline is strictly additive to the reproduced configurations.
+    /// How an idle PE gets work (see `loadbalance`). All paper presets use
+    /// `Owner` — the paper's static owner-computes — so stealing is
+    /// strictly additive to the reproduced configurations.
     pub lb: LoadBalance,
 }
 
@@ -223,9 +223,9 @@ impl AtosConfig {
         }
     }
 
-    /// Same configuration under a different load-balance discipline
-    /// (`const`, so bench sweeps can derive discipline variants from the
-    /// paper presets without touching the other axes).
+    /// Same configuration under a different load-balance policy (`const`,
+    /// so bench sweeps can derive stealing variants from the paper presets
+    /// without touching the other axes).
     pub const fn with_lb(mut self, lb: LoadBalance) -> Self {
         self.lb = lb;
         self

@@ -63,10 +63,7 @@ pub use app::{Application, ShardableApp};
 pub use config::{AtosConfig, CommMode, KernelMode, QueueMode, WorkerConfig, WorkerSize};
 pub use dqueue::DistributedQueues;
 pub use emitter::Emitter;
-pub use loadbalance::{
-    make_balancer, ChunkedFrontier, LoadBalance, LoadBalancer, OwnerComputes, PriorityAware,
-    WorkStealing, STEAL_GRAIN,
-};
+pub use loadbalance::{LoadBalance, STEAL_GRAIN};
 pub use metrics::RunStats;
 pub use host::{run_host, HostApplication, HostConfig, HostStats};
 pub use profile::{FlightRecorder, ShardProfile, ShardTelemetry, WindowRecord};

@@ -1,47 +1,40 @@
-//! Programmable frontier→PE load balancing (ROADMAP item 3; DESIGN.md §10).
+//! How an idle PE gets work (DESIGN.md §10) — the one module that knows
+//! stealing.
 //!
-//! The paper's scheduling loop hard-codes *owner-computes*: every task is
-//! processed by the PE that owns its vertex, so a skewed frontier leaves
-//! some PEs idle while the hub owner grinds (the `atos-profile` "skewed"
-//! verdict). gunrock-loops argues the fix is to decouple *load balancing*
-//! from *work processing* behind a programmable interface; this module is
-//! that interface for the simulated runtime.
+//! The paper's scheduling loop is *owner-computes*: every task is processed
+//! by the PE that owns its vertex, so a skewed frontier leaves some PEs
+//! idle while the hub owner grinds. [`LoadBalance`] selects between that
+//! ([`LoadBalance::Owner`], the default) and pull-based work stealing
+//! ([`LoadBalance::Steal`]) on `AtosConfig::lb` / `--load-balance`.
 //!
-//! A [`LoadBalancer`] decides, at the moment a PE pops an empty queue,
-//! whether and how it may *pull* work from a busier in-shard peer. The
-//! pull happens at pop time — queues never hold foreign tasks, and every
-//! stolen task is still **processed under the victim's identity**
+//! A steal happens at the moment a PE pops an empty queue: it pulls up to
+//! half of the longest in-range queue, at most [`STEAL_GRAIN`] tasks, with
+//! one `pop_batch`. Queues never hold foreign tasks, and every stolen task
+//! is still **processed under the victim's identity**
 //! (`process(victim, task)`), so owner-computes state, sender-side
-//! mirrors, and the shard-escape discipline are untouched. Only the
-//! *busy time* of the work moves to the thief, which is exactly the
-//! hardware analogy: a stolen `pop_group` executes on the thief's SMs
-//! while the data it touches stays where it lives.
+//! mirrors, and the shard-escape discipline are untouched. Only the *busy
+//! time* of the work moves to the thief, which is the hardware analogy: a
+//! stolen `pop_group` executes on the thief's SMs while the data it
+//! touches stays where it lives. On a priority queue the single pop obeys
+//! the victim's eligibility threshold exactly as the owner's own pop
+//! would: the thief gets eligible work only, and never opens the victim's
+//! next bucket for it.
 //!
-//! Four disciplines ship (selected via [`LoadBalance`] on
-//! `AtosConfig::lb` / `--load-balance`):
-//!
-//! * [`LoadBalance::Owner`] — the paper's static owner-computes; never
-//!   steals. Byte-identical to the pre-trait runtime at every shard
-//!   count.
-//! * [`LoadBalance::Steal`] — work stealing: an idle PE pulls up to one
-//!   group (the queue substrate's `pop_group` reservation width, = the
-//!   `CommMode::Direct` coalescing group of 32) from the longest
-//!   in-shard queue.
-//! * [`LoadBalance::Chunk`] — chunked/merge-path partitioning for
-//!   power-law skew: victims are ranked by *pending edge count* (the
-//!   merge-path diagonal), and a steal pulls tasks until half the
-//!   victim's pending edges move, so a hub vertex's adjacency work
-//!   splits by edges rather than by vertex count.
-//! * [`LoadBalance::Priority`] — priority-aware scheduling: no stealing;
-//!   instead the runtime normalizes FIFO queues to priority buckets
-//!   (threshold 1, delta 1) so applications that expose a bucket
-//!   priority — delta-stepping SSSP's light/heavy split — run in
-//!   near-priority order.
+//! Priority scheduling is not a balancing policy; it is a queue
+//! architecture (`QueueMode::Priority`, the `AtosConfig::priority_*`
+//! presets).
 //!
 //! Steals only move work *within* an engine shard, so each shard's event
 //! order stays sequential and the sharded runtime's conservative-PDES
 //! determinism is preserved: for a fixed `(config, K)` every run is
-//! bit-identical, and `Owner` remains byte-identical across all `K`.
+//! bit-identical, and `Owner` is byte-identical across all `K`.
+
+use atos_macros::atos_hot;
+use atos_sim::Time;
+use atos_trace::Tracer;
+
+use crate::app::Application;
+use crate::runtime::{Ev, Runtime};
 
 /// Steal granularity: tasks one steal may claim. Mirrors the queue
 /// substrate's group reservation width (`pop_group`) and the NVLink
@@ -50,7 +43,7 @@
 /// safe steal quantum.
 pub const STEAL_GRAIN: usize = 32;
 
-/// Load-balance discipline selector (the `--load-balance` flag; stored in
+/// Load-balance policy selector (the `--load-balance` flag; stored in
 /// `AtosConfig::lb`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum LoadBalance {
@@ -58,39 +51,28 @@ pub enum LoadBalance {
     Owner,
     /// Cross-PE work stealing at group granularity.
     Steal,
-    /// Edge-count-aware chunked stealing (merge-path style).
-    Chunk,
-    /// Priority-aware scheduling (bucketed worklists, no stealing).
-    Priority,
 }
 
 impl LoadBalance {
-    /// All disciplines, in reporting order.
-    pub const ALL: [LoadBalance; 4] = [
-        LoadBalance::Owner,
-        LoadBalance::Steal,
-        LoadBalance::Chunk,
-        LoadBalance::Priority,
-    ];
+    /// Both policies, in reporting order.
+    pub const ALL: [LoadBalance; 2] = [LoadBalance::Owner, LoadBalance::Steal];
 
     /// Stable lowercase name (flag value, metric key fragment).
     pub const fn name(self) -> &'static str {
         match self {
             LoadBalance::Owner => "owner",
             LoadBalance::Steal => "steal",
-            LoadBalance::Chunk => "chunk",
-            LoadBalance::Priority => "priority",
         }
     }
 
     /// Stable numeric code recorded in `RunStats::lb_discipline` (metric
-    /// `lb.discipline`), so profiles can name the active balancer.
+    /// `lb.discipline`), so profiles can name the active policy. Codes 2
+    /// and 3 belonged to the retired `chunk` and `priority` disciplines
+    /// and are not reused.
     pub const fn code(self) -> u8 {
         match self {
             LoadBalance::Owner => 0,
             LoadBalance::Steal => 1,
-            LoadBalance::Chunk => 2,
-            LoadBalance::Priority => 3,
         }
     }
 
@@ -105,238 +87,203 @@ impl LoadBalance {
     }
 }
 
-/// One frontier→PE work-assignment discipline.
-///
-/// The runtime consults the balancer from a PE's step path, so every
-/// method must be allocation-free and O(1); the victim scan itself is
-/// done by the runtime (a linear pass over the shard's PEs) using
-/// [`victim_score`](LoadBalancer::victim_score) so no candidate list is
-/// ever materialized.
-pub trait LoadBalancer: Send {
-    /// Stable lowercase discipline name.
-    fn name(&self) -> &'static str;
-
-    /// Stable numeric code (see [`LoadBalance::code`]).
-    fn code(&self) -> u8;
-
-    /// Maximum tasks one steal may pull; `0` disables stealing entirely
-    /// (the runtime then skips the victim scan).
-    fn steal_grain(&self) -> usize {
-        0
-    }
-
-    /// Whether the runtime must maintain per-PE pending-edge estimates
-    /// (needed by edge-aware victim ranking; costs one `task_edges` call
-    /// per push).
-    fn tracks_edges(&self) -> bool {
-        false
-    }
-
-    /// Whether a PE that finishes a step with a still-deep queue should
-    /// wake idle in-shard peers so they get a chance to steal.
-    fn wakes_idle_peers(&self) -> bool {
-        false
-    }
-
-    /// Score a candidate victim; the runtime steals from the
-    /// highest-scoring PE (ties to the lowest index), and a score of `0`
-    /// marks the candidate not stealable.
-    fn victim_score(&self, _queue_len: usize, _pending_edges: u64) -> u64 {
-        0
-    }
-
-    /// How many tasks to pull from the chosen victim (already capped by
-    /// [`steal_grain`](LoadBalancer::steal_grain) by the runtime).
-    fn steal_count(&self, _victim_len: usize) -> usize {
-        0
-    }
-
-    /// Edge budget bounding one steal: the runtime stops pulling once the
-    /// stolen tasks' `task_edges` reach this. `u64::MAX` = unbounded
-    /// (task-count-bounded stealing).
-    fn edge_budget(&self, _victim_pending_edges: u64) -> u64 {
-        u64::MAX
-    }
-}
-
-/// The paper's static owner-computes assignment: work never moves.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct OwnerComputes;
-
-impl LoadBalancer for OwnerComputes {
-    fn name(&self) -> &'static str {
-        LoadBalance::Owner.name()
-    }
-
-    fn code(&self) -> u8 {
-        LoadBalance::Owner.code()
-    }
-}
-
-/// Group-granularity work stealing: idle PEs pull up to [`STEAL_GRAIN`]
-/// tasks from the longest in-shard queue, leaving the victim at least
-/// half its backlog.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct WorkStealing;
-
-impl LoadBalancer for WorkStealing {
-    fn name(&self) -> &'static str {
-        LoadBalance::Steal.name()
-    }
-
-    fn code(&self) -> u8 {
-        LoadBalance::Steal.code()
-    }
-
-    fn steal_grain(&self) -> usize {
-        STEAL_GRAIN
-    }
-
-    fn wakes_idle_peers(&self) -> bool {
-        true
-    }
-
-    fn victim_score(&self, queue_len: usize, _pending_edges: u64) -> u64 {
-        // A victim must keep at least one task, so a queue of one is not
-        // worth a reservation.
-        if queue_len >= 2 {
-            queue_len as u64
-        } else {
-            0
+impl<A: Application, Tr: Tracer> Runtime<A, Tr> {
+    /// `thief` popped nothing: under [`LoadBalance::Steal`], pull work from
+    /// the busiest in-range peer into `batch`. Returns `(victim, taken)`
+    /// when something was stolen — the caller executes the batch under the
+    /// victim's identity — and `None` under owner-computes or when no peer
+    /// is worth a reservation.
+    #[atos_hot]
+    pub(crate) fn try_steal(
+        &mut self,
+        thief: usize,
+        cap: usize,
+        batch: &mut Vec<A::Task>,
+    ) -> Option<(usize, usize)> {
+        if self.cfg.lb != LoadBalance::Steal {
+            return None;
         }
+        let victim = self.pick_victim(thief)?;
+        let taken = self.steal_from(victim, cap, batch);
+        (taken > 0).then_some((victim, taken))
     }
 
-    fn steal_count(&self, victim_len: usize) -> usize {
-        victim_len / 2
-    }
-}
-
-/// Merge-path-style chunked stealing: victims are ranked by pending
-/// *edge* count and a steal moves roughly half the victim's pending
-/// edges, so power-law hubs split by adjacency size instead of vertex
-/// count.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct ChunkedFrontier;
-
-impl LoadBalancer for ChunkedFrontier {
-    fn name(&self) -> &'static str {
-        LoadBalance::Chunk.name()
-    }
-
-    fn code(&self) -> u8 {
-        LoadBalance::Chunk.code()
-    }
-
-    fn steal_grain(&self) -> usize {
-        STEAL_GRAIN
-    }
-
-    fn tracks_edges(&self) -> bool {
-        true
-    }
-
-    fn wakes_idle_peers(&self) -> bool {
-        true
-    }
-
-    fn victim_score(&self, queue_len: usize, pending_edges: u64) -> u64 {
-        if queue_len >= 2 {
-            // Rank by edges; `max(1)` keeps an edge-free but deep queue
-            // stealable (zero-degree frontiers still cost task overhead).
-            pending_edges.max(1)
-        } else {
-            0
+    /// Choose a steal victim for `thief`: the in-range PE with the longest
+    /// queue (ties to the lowest index). A victim keeps at least one task,
+    /// so a queue of one is not worth a reservation; `None` when no peer
+    /// is stealable — the common case, and the only extra cost stealing
+    /// adds to a quiescing run.
+    #[atos_hot]
+    fn pick_victim(&self, thief: usize) -> Option<usize> {
+        let (lo, hi) = self.steal_range;
+        let mut best = 1usize;
+        let mut victim = None;
+        for v in lo..hi {
+            let len = self.pes[v].queue.len();
+            if v != thief && len > best {
+                best = len;
+                victim = Some(v);
+            }
         }
+        victim
     }
 
-    fn steal_count(&self, victim_len: usize) -> usize {
-        // Edge budget is the binding constraint; the count bound merely
-        // keeps zero-edge tasks from draining the whole queue.
-        victim_len / 2
+    /// Pull one steal group from `victim` into `batch` — half its backlog,
+    /// bounded by [`STEAL_GRAIN`] and the thief's round capacity — with a
+    /// single `pop_batch`, the simulator analog of one bounded `pop_group`
+    /// reservation against the victim's published `end` counter. Returns
+    /// the count taken and books the steal counters.
+    #[atos_hot]
+    fn steal_from(&mut self, victim: usize, cap: usize, batch: &mut Vec<A::Task>) -> usize {
+        let want = (self.pes[victim].queue.len() / 2).min(STEAL_GRAIN).min(cap);
+        let at = batch.len();
+        self.pes[victim].queue.pop_batch(want, batch);
+        let stolen = &batch[at..];
+        if stolen.is_empty() {
+            return 0;
+        }
+        self.stats.lb_steals += 1;
+        self.stats.lb_stolen_tasks += stolen.len() as u64;
+        for t in stolen {
+            self.stats.lb_stolen_edges += self.app.task_edges(t);
+        }
+        stolen.len()
     }
 
-    fn edge_budget(&self, victim_pending_edges: u64) -> u64 {
-        (victim_pending_edges / 2).max(1)
-    }
-}
-
-/// Priority-aware scheduling: no work movement; the runtime instead
-/// normalizes FIFO queues to priority buckets (threshold 1, delta 1) so
-/// the application's `priority()` — e.g. delta-stepping SSSP's bucket
-/// index — orders processing.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct PriorityAware;
-
-impl LoadBalancer for PriorityAware {
-    fn name(&self) -> &'static str {
-        LoadBalance::Priority.name()
-    }
-
-    fn code(&self) -> u8 {
-        LoadBalance::Priority.code()
-    }
-}
-
-/// Construct the balancer for a discipline selector.
-pub fn make_balancer(lb: LoadBalance) -> Box<dyn LoadBalancer> {
-    match lb {
-        LoadBalance::Owner => Box::new(OwnerComputes),
-        LoadBalance::Steal => Box::new(WorkStealing),
-        LoadBalance::Chunk => Box::new(ChunkedFrontier),
-        LoadBalance::Priority => Box::new(PriorityAware),
+    /// `busy_pe` finished a round executing `exec_pe`'s work; if that
+    /// queue still holds a backlog, wake drained in-range peers so they
+    /// get a steal attempt when the busy window closes. No-op under
+    /// owner-computes. Bypasses `Runtime::wake`'s non-empty-queue guard:
+    /// the woken step finds its own queue empty and pulls from a victim —
+    /// or steals nothing and goes back to sleep without rescheduling
+    /// itself, so termination is preserved. `idle_ran` is left alone: a
+    /// steal wake is not an idle transition, so `f2` does not re-run.
+    #[atos_hot]
+    pub(crate) fn wake_idle_peers(&mut self, busy_pe: usize, exec_pe: usize, delay: Time) {
+        if self.cfg.lb != LoadBalance::Steal || self.pes[exec_pe].queue.is_empty() {
+            return;
+        }
+        let (lo, hi) = self.steal_range;
+        for peer in lo..hi {
+            if peer != busy_pe && !self.pes[peer].step_scheduled && self.pes[peer].queue.is_empty()
+            {
+                self.pes[peer].step_scheduled = true;
+                self.engine.schedule_in(delay, Ev::Step { pe: peer });
+            }
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::{AtosConfig, QueueMode};
+    use crate::emitter::Emitter;
+    use atos_sim::Fabric;
 
     #[test]
     fn names_codes_round_trip() {
+        assert_eq!(LoadBalance::ALL.len(), 2);
         for lb in LoadBalance::ALL {
             assert_eq!(LoadBalance::parse(lb.name()), Some(lb));
             assert_eq!(LoadBalance::from_code(lb.code()), Some(lb));
-            let b = make_balancer(lb);
-            assert_eq!(b.name(), lb.name());
-            assert_eq!(b.code(), lb.code());
         }
-        assert_eq!(LoadBalance::parse("merge-path"), None);
-        assert_eq!(LoadBalance::from_code(99), None);
-    }
-
-    #[test]
-    fn owner_and_priority_never_steal() {
-        for lb in [LoadBalance::Owner, LoadBalance::Priority] {
-            let b = make_balancer(lb);
-            assert_eq!(b.steal_grain(), 0);
-            assert_eq!(b.victim_score(1_000, 1_000_000), 0);
-            assert_eq!(b.steal_count(1_000), 0);
-            assert!(!b.wakes_idle_peers());
-            assert!(!b.tracks_edges());
+        assert_eq!(
+            (LoadBalance::Owner.code(), LoadBalance::Steal.code()),
+            (0, 1)
+        );
+        // The retired disciplines stay retired: neither their names nor
+        // their codes resolve to anything.
+        for gone in ["chunk", "priority", "merge-path"] {
+            assert_eq!(LoadBalance::parse(gone), None);
+        }
+        for gone in [2, 3, 99] {
+            assert_eq!(LoadBalance::from_code(gone), None);
         }
     }
 
-    #[test]
-    fn stealing_ranks_by_queue_length_and_leaves_half() {
-        let b = WorkStealing;
-        assert_eq!(b.victim_score(0, 0), 0);
-        assert_eq!(b.victim_score(1, 0), 0, "victim keeps its last task");
-        assert_eq!(b.victim_score(10, 0), 10);
-        assert!(b.victim_score(64, 0) > b.victim_score(8, 0));
-        assert_eq!(b.steal_count(10), 5);
-        assert_eq!(b.edge_budget(123), u64::MAX, "count-bounded, not edge-bounded");
-        assert!(b.wakes_idle_peers());
-        assert_eq!(b.steal_grain(), STEAL_GRAIN);
+    /// A task is its own priority bucket; nothing is emitted.
+    struct Buckets;
+
+    impl Application for Buckets {
+        type Task = u32;
+        fn process(&mut self, _pe: usize, _t: u32, _out: &mut Emitter<u32>) {}
+        fn on_receive(&mut self, _pe: usize, t: u32) -> Option<u32> {
+            Some(t)
+        }
+        fn priority(&self, t: &u32) -> u32 {
+            *t
+        }
+        fn task_edges(&self, _t: &u32) -> u64 {
+            1
+        }
+    }
+
+    fn two_pes(cfg: AtosConfig) -> Runtime<Buckets> {
+        Runtime::new(Buckets, Fabric::daisy(2), cfg)
     }
 
     #[test]
-    fn chunking_ranks_by_edges_and_budgets_half() {
-        let b = ChunkedFrontier;
-        assert!(b.tracks_edges());
-        // A short queue with a hub beats a long queue of leaves.
-        assert!(b.victim_score(2, 10_000) > b.victim_score(100, 100));
-        assert_eq!(b.victim_score(1, 10_000), 0, "victim keeps its last task");
-        assert_eq!(b.edge_budget(10_000), 5_000);
-        assert_eq!(b.edge_budget(0), 1, "zero-edge steals still move one task");
+    fn steal_takes_half_the_longest_queue_up_to_the_grain() {
+        let mut rt = two_pes(AtosConfig::standard_persistent().with_lb(LoadBalance::Steal));
+        rt.seed(1, 0..100u32);
+        let mut batch = Vec::new();
+        assert_eq!(
+            rt.try_steal(0, usize::MAX, &mut batch),
+            Some((1, STEAL_GRAIN))
+        );
+        assert_eq!(
+            batch,
+            (0..STEAL_GRAIN as u32).collect::<Vec<_>>(),
+            "FIFO order"
+        );
+        batch.clear();
+        // The thief's round capacity bounds the group too.
+        assert_eq!(rt.try_steal(0, 5, &mut batch), Some((1, 5)));
+        assert_eq!(rt.stats.lb_steals, 2);
+        assert_eq!(rt.stats.lb_stolen_tasks, STEAL_GRAIN as u64 + 5);
+        assert_eq!(
+            rt.stats.lb_stolen_edges, rt.stats.lb_stolen_tasks,
+            "unit-degree tasks"
+        );
+    }
+
+    #[test]
+    fn a_victim_keeps_its_last_task_and_owner_never_steals() {
+        let mut rt = two_pes(AtosConfig::standard_persistent().with_lb(LoadBalance::Steal));
+        rt.seed(1, [7u32]);
+        let mut batch = Vec::new();
+        assert_eq!(rt.try_steal(0, usize::MAX, &mut batch), None);
+        assert_eq!(rt.pes[1].queue.len(), 1);
+
+        let mut owner = two_pes(AtosConfig::standard_persistent());
+        owner.seed(1, 0..100u32);
+        assert_eq!(owner.try_steal(0, usize::MAX, &mut batch), None);
+        assert!(batch.is_empty());
+        assert_eq!(owner.stats.lb_steals, 0);
+    }
+
+    #[test]
+    fn steal_from_a_priority_victim_leaves_its_threshold_alone() {
+        // One eligible task (bucket 0 < threshold 1) and ten waiting in
+        // bucket 5. The owner's own pop would serve the eligible task and
+        // stop at the threshold; so must the thief's. Popping the group
+        // one task at a time used to re-open the threshold on every task:
+        // five tasks stolen, threshold left at 6.
+        let cfg = AtosConfig {
+            queue: QueueMode::Priority {
+                threshold: 1,
+                threshold_delta: 1,
+            },
+            ..AtosConfig::standard_persistent().with_lb(LoadBalance::Steal)
+        };
+        let mut rt = two_pes(cfg);
+        rt.seed(1, std::iter::once(0u32).chain(std::iter::repeat_n(5, 10)));
+        let mut batch = Vec::new();
+        assert_eq!(rt.try_steal(0, usize::MAX, &mut batch), Some((1, 1)));
+        assert_eq!(batch, [0]);
+        assert_eq!(rt.pes[1].queue.threshold(), Some(1));
+        assert_eq!(rt.pes[1].queue.len(), 10);
+        assert_eq!((rt.stats.lb_steals, rt.stats.lb_stolen_tasks), (1, 1));
     }
 }

@@ -40,7 +40,6 @@ use crate::aggregator::AggBuffer;
 use crate::app::{Application, IdleOutcome, ShardableApp};
 use crate::config::{AtosConfig, CommMode, KernelMode, QueueMode};
 use crate::emitter::Emitter;
-use crate::loadbalance::{make_balancer, LoadBalance, LoadBalancer};
 use crate::metrics::RunStats;
 use crate::profile::{self, FlightLog, ShardProfile, WindowRecord};
 use crate::sharded::{ExchangeBoard, SpinBarrier};
@@ -71,7 +70,7 @@ fn runaway_abort(processed: u64) -> ! {
 /// bounds idle memory, it never drops live data.
 const VEC_POOL_CAP: usize = 1024;
 
-enum Ev<T> {
+pub(crate) enum Ev<T> {
     /// Run one scheduling step on a PE.
     Step { pe: usize },
     /// A message of tasks arrives at a PE's receive queue.
@@ -135,15 +134,15 @@ impl Default for RuntimeTuning {
     }
 }
 
-struct Pe<T> {
-    queue: WorkQueue<T>,
+pub(crate) struct Pe<T> {
+    pub(crate) queue: WorkQueue<T>,
     agg: Vec<AggBuffer<T>>,
     /// Per-destination staging for one flush of remote emissions. Allocated
     /// once at construction and drained in place — this replaces the
     /// `BTreeMap<usize, Vec<Task>>` the dispatcher used to build (and
     /// throw away) on every flush.
     stage: Vec<Vec<T>>,
-    step_scheduled: bool,
+    pub(crate) step_scheduled: bool,
     agg_poll_scheduled: bool,
     /// Fire time of the pending aggregator poll (valid only while
     /// `agg_poll_scheduled`). A later flush window whose earliest deadline
@@ -166,13 +165,13 @@ struct Pe<T> {
 /// `tests/alloc_count.rs`). Use [`Runtime::with_tracer`] to collect a
 /// timeline into an `atos_trace::TraceBuffer` (or any `&mut dyn Tracer`).
 pub struct Runtime<A: Application, Tr: Tracer = NullTracer> {
-    engine: Engine<Ev<A::Task>>,
+    pub(crate) engine: Engine<Ev<A::Task>>,
     fabric: Fabric,
     cost: GpuCostModel,
-    cfg: AtosConfig,
-    app: A,
-    pes: Vec<Pe<A::Task>>,
-    stats: RunStats,
+    pub(crate) cfg: AtosConfig,
+    pub(crate) app: A,
+    pub(crate) pes: Vec<Pe<A::Task>>,
+    pub(crate) stats: RunStats,
     tuning: RuntimeTuning,
     /// One emitter recycled across every PE's steps (cleared, never freed).
     em: Emitter<A::Task>,
@@ -201,19 +200,11 @@ pub struct Runtime<A: Application, Tr: Tracer = NullTracer> {
     /// or the `k <= 1` / shard-conflict fallback). See
     /// [`Runtime::take_shard_profile`].
     shard_profile: Option<ShardProfile>,
-    /// Frontier→PE work-assignment discipline (built from `cfg.lb`).
-    /// Owner-computes never steals, so the default compiles the steal
-    /// paths down to a single `steal_grain() == 0` check per empty pop.
-    balancer: Box<dyn LoadBalancer>,
     /// PE range steals may draw from: the whole machine sequentially, the
     /// owning shard's `lo..hi` under `run_sharded` — work never migrates
     /// across shards, which is what keeps each shard's event order
     /// sequential and the PDES protocol conservative.
-    lb_range: (usize, usize),
-    /// Per-PE pending-edge estimate (`task_edges` of every queued task),
-    /// maintained only when the balancer ranks victims by edges
-    /// ([`LoadBalancer::tracks_edges`]); otherwise stays all-zero.
-    pending_edges: Vec<u64>,
+    pub(crate) steal_range: (usize, usize),
 }
 
 impl<A: Application> Runtime<A> {
@@ -253,21 +244,9 @@ impl<A: Application, Tr: Tracer> Runtime<A, Tr> {
         tracer: Tr,
     ) -> Self {
         let n = fabric.n_pes();
-        // The priority-aware discipline is queue normalization: a FIFO
-        // config runs on priority buckets (threshold 1, delta 1) so the
-        // application's `priority()` — e.g. delta-stepping SSSP's bucket
-        // index — orders processing. Explicit priority configs keep their
-        // own threshold parameters.
-        let queue_mode = match (cfg.lb, cfg.queue) {
-            (LoadBalance::Priority, QueueMode::Standard) => QueueMode::Priority {
-                threshold: 1,
-                threshold_delta: 1,
-            },
-            (_, q) => q,
-        };
         let pes = (0..n)
             .map(|_| Pe {
-                queue: match queue_mode {
+                queue: match cfg.queue {
                     QueueMode::Standard => WorkQueue::standard(),
                     QueueMode::Priority {
                         threshold,
@@ -302,9 +281,7 @@ impl<A: Application, Tr: Tracer> Runtime<A, Tr> {
             merge_last: vec![(Time::MAX, usize::MAX); n],
             tracer,
             shard_profile: None,
-            balancer: make_balancer(cfg.lb),
-            lb_range: (0, n),
-            pending_edges: vec![0; n],
+            steal_range: (0, n),
         }
     }
 
@@ -344,12 +321,8 @@ impl<A: Application, Tr: Tracer> Runtime<A, Tr> {
     /// steps are created by `run`'s bootstrap in ascending PE order, so
     /// seeding order never influences the event sequence.
     pub fn seed(&mut self, pe: usize, tasks: impl IntoIterator<Item = A::Task>) {
-        let track_edges = self.balancer.tracks_edges();
         for t in tasks {
             let prio = self.app.priority(&t);
-            if track_edges {
-                self.pending_edges[pe] += self.app.task_edges(&t);
-            }
             self.pes[pe].queue.push(t, prio);
         }
         self.note_queue_depth(pe);
@@ -535,19 +508,17 @@ impl<A: Application, Tr: Tracer> Runtime<A, Tr> {
         let mut got = self.pes[pe].queue.pop_batch(cap, &mut batch);
         let now = self.engine.now();
 
-        // Load balancing: an empty pop tries to pull a group from a busier
-        // in-range peer before falling to the idle handler. Stolen work
+        // An empty pop tries to pull a group from a busier in-range peer
+        // before falling to the idle handler (`loadbalance`). Stolen work
         // executes under the *victim's* identity (`exec_pe`) — owner-
         // computes state, sender-side mirrors, and message routing all see
         // the owner — while busy time and step accounting stay on the
         // thief: the work moved, the data did not.
         let mut exec_pe = pe;
-        if got == 0 && self.balancer.steal_grain() != 0 {
-            if let Some(victim) = self.pick_victim(pe) {
-                got = self.steal_from(victim, cap, &mut batch);
-                if got > 0 {
-                    exec_pe = victim;
-                }
+        if got == 0 {
+            if let Some((victim, taken)) = self.try_steal(pe, cap, &mut batch) {
+                exec_pe = victim;
+                got = taken;
             }
         }
 
@@ -582,10 +553,6 @@ impl<A: Application, Tr: Tracer> Runtime<A, Tr> {
             self.app.process(exec_pe, t, &mut em);
         }
         self.stats.edges_per_pe[pe] += edges;
-        if exec_pe == pe && self.balancer.tracks_edges() {
-            // Stolen batches were already debited inside `steal_from`.
-            self.pending_edges[pe] = self.pending_edges[pe].saturating_sub(edges);
-        }
 
         // A full round (queue held more than we popped) runs at pure
         // throughput: hubs pipeline with following batches. Discrete
@@ -625,114 +592,21 @@ impl<A: Application, Tr: Tracer> Runtime<A, Tr> {
         }
 
         // Next scheduling round once this one's virtual time has elapsed.
+        // If the queue is empty by then (no arrival beat it), that step
+        // tries to steal and otherwise runs the f2 idle handler exactly
+        // once.
         self.pes[pe].idle_ran = false;
-        if !self.pes[pe].queue.is_empty() {
-            self.pes[pe].step_scheduled = true;
-            self.engine.schedule_in(busy, Ev::Step { pe });
-        } else {
-            // Schedule one more step at the end of the busy window: it
-            // will find the queue empty (unless arrivals beat it), try to
-            // steal again, and otherwise run the f2 idle handler exactly
-            // once.
-            self.pes[pe].step_scheduled = true;
-            self.engine.schedule_in(busy, Ev::Step { pe });
-        }
-        if self.balancer.wakes_idle_peers() && !self.pes[exec_pe].queue.is_empty() {
-            // Backlog survived this round: give drained in-range peers a
-            // steal attempt when the batch's busy window closes.
-            self.wake_idle_peers(pe, busy);
-        }
-    }
-
-    /// Choose a steal victim for `thief`: the in-range PE with the
-    /// highest balancer score (ties to the lowest index). `None` when no
-    /// peer is stealable — the common case, and the only extra cost the
-    /// stealing disciplines add to a quiescing run.
-    #[atos_hot]
-    fn pick_victim(&self, thief: usize) -> Option<usize> {
-        let (lo, hi) = self.lb_range;
-        let track_edges = self.balancer.tracks_edges();
-        let mut best = 0u64;
-        let mut victim = None;
-        for v in lo..hi {
-            if v == thief {
-                continue;
-            }
-            let edges = if track_edges { self.pending_edges[v] } else { 0 };
-            let score = self.balancer.victim_score(self.pes[v].queue.len(), edges);
-            if score > best {
-                best = score;
-                victim = Some(v);
-            }
-        }
-        victim
-    }
-
-    /// Pull up to one steal group from `victim` into `batch`, bounded by
-    /// the thief's round capacity and the balancer's edge budget; returns
-    /// the count taken and books the steal counters. One task per pop so
-    /// the edge budget can stop a chunked steal mid-group — the simulator
-    /// analog of a bounded `pop_group` reservation against the victim's
-    /// published `end` counter.
-    #[atos_hot]
-    fn steal_from(&mut self, victim: usize, cap: usize, batch: &mut Vec<A::Task>) -> usize {
-        let budget = self.balancer.edge_budget(self.pending_edges[victim]);
-        let want = self
-            .balancer
-            .steal_count(self.pes[victim].queue.len())
-            .min(self.balancer.steal_grain())
-            .min(cap);
-        let mut taken = 0usize;
-        let mut edges_taken = 0u64;
-        while taken < want && edges_taken < budget {
-            let at = batch.len();
-            if self.pes[victim].queue.pop_batch(1, batch) == 0 {
-                break;
-            }
-            edges_taken += self.app.task_edges(&batch[at]);
-            taken += 1;
-        }
-        if taken == 0 {
-            return 0;
-        }
-        if self.balancer.tracks_edges() {
-            self.pending_edges[victim] = self.pending_edges[victim].saturating_sub(edges_taken);
-        }
-        self.stats.lb_steals += 1;
-        self.stats.lb_stolen_tasks += taken as u64;
-        self.stats.lb_stolen_edges += edges_taken;
-        taken
-    }
-
-    /// Wake drained in-range peers so they get a steal attempt at the end
-    /// of this busy window. Bypasses [`Runtime::wake`]'s non-empty-queue
-    /// guard: the woken step finds its own queue empty and pulls from a
-    /// victim — or steals nothing and goes back to sleep without
-    /// rescheduling itself, so termination is preserved. `idle_ran` is
-    /// left alone: a steal wake is not an idle transition, so `f2` does
-    /// not re-run.
-    #[atos_hot]
-    fn wake_idle_peers(&mut self, busy_pe: usize, delay: Time) {
-        let (lo, hi) = self.lb_range;
-        for peer in lo..hi {
-            if peer != busy_pe
-                && !self.pes[peer].step_scheduled
-                && self.pes[peer].queue.is_empty()
-            {
-                self.pes[peer].step_scheduled = true;
-                self.engine.schedule_in(delay, Ev::Step { pe: peer });
-            }
-        }
+        self.pes[pe].step_scheduled = true;
+        self.engine.schedule_in(busy, Ev::Step { pe });
+        // Backlog that survived this round is on offer to drained in-range
+        // peers once the busy window closes.
+        self.wake_idle_peers(pe, exec_pe, busy);
     }
 
     #[atos_hot]
     fn absorb_local(&mut self, pe: usize, em: &mut Emitter<A::Task>) {
-        let track_edges = self.balancer.tracks_edges();
         for t in em.local.drain(..) {
             let prio = self.app.priority(&t);
-            if track_edges {
-                self.pending_edges[pe] += self.app.task_edges(&t);
-            }
             self.pes[pe].queue.push(t, prio);
         }
         self.note_queue_depth(pe);
@@ -962,15 +836,11 @@ impl<A: Application, Tr: Tracer> Runtime<A, Tr> {
     #[atos_hot]
     fn arrive(&mut self, dst: usize, mut tasks: Vec<A::Task>) {
         let mut enqueued = false;
-        let track_edges = self.balancer.tracks_edges();
         for t in tasks.drain(..) {
             // One-sided destination-side effect (e.g. the RDMA atomicMin):
             // only improved updates enter the queue.
             if let Some(t2) = self.app.on_receive(dst, t) {
                 let prio = self.app.priority(&t2);
-                if track_edges {
-                    self.pending_edges[dst] += self.app.task_edges(&t2);
-                }
                 self.pes[dst].queue.push(t2, prio);
                 enqueued = true;
             }
@@ -1136,12 +1006,11 @@ impl<A: ShardableApp, Tr: Tracer> Runtime<A, Tr> {
                 );
                 for pe in lo..hi {
                     std::mem::swap(&mut sub.pes[pe].queue, &mut self.pes[pe].queue);
-                    sub.pending_edges[pe] = self.pending_edges[pe];
                 }
                 // Steals stay within the shard, so each shard's event
                 // order remains sequential and the exchange protocol
                 // stays conservative.
-                sub.lb_range = (lo, hi);
+                sub.steal_range = (lo, hi);
                 sub.bootstrap(lo, hi);
                 sub
             })

@@ -226,33 +226,27 @@ fn steady_state_send_paths_do_not_allocate_per_task() {
     // warm-up-only.
     use atos_core::LoadBalance;
     const SKEW_TASKS: usize = 20_000;
-    for lb in [LoadBalance::Steal, LoadBalance::Chunk] {
-        let mut rt = Runtime::new(
-            Relay { n_pes: 2 },
-            Fabric::daisy(2),
-            AtosConfig {
-                comm: CommMode::Direct { group: 32 },
-                ..AtosConfig::standard_persistent()
-            }
-            .with_lb(lb),
-        );
-        rt.seed(0, std::iter::repeat_n(0u32, SKEW_TASKS));
-        let before = alloc_calls();
-        let stats = rt.run();
-        let during = alloc_calls() - before;
-        assert_eq!(stats.total_tasks(), SKEW_TASKS as u64);
-        assert!(
-            stats.lb_steals > 0,
-            "{:?}: skewed seed must trigger steals",
-            lb
-        );
-        assert_eq!(stats.lb_stolen_tasks, stats.lb_stolen_edges, "unit-degree tasks");
-        assert!(
-            during < 2_000,
-            "{lb:?} mode: {during} allocations across {} steals (expected warm-up only)",
-            stats.lb_steals
-        );
-    }
+    let mut rt = Runtime::new(
+        Relay { n_pes: 2 },
+        Fabric::daisy(2),
+        AtosConfig {
+            comm: CommMode::Direct { group: 32 },
+            ..AtosConfig::standard_persistent()
+        }
+        .with_lb(LoadBalance::Steal),
+    );
+    rt.seed(0, std::iter::repeat_n(0u32, SKEW_TASKS));
+    let before = alloc_calls();
+    let stats = rt.run();
+    let during = alloc_calls() - before;
+    assert_eq!(stats.total_tasks(), SKEW_TASKS as u64);
+    assert!(stats.lb_steals > 0, "skewed seed must trigger steals");
+    assert_eq!(stats.lb_stolen_tasks, stats.lb_stolen_edges, "unit-degree tasks");
+    assert!(
+        during < 2_000,
+        "steal mode: {during} allocations across {} steals (expected warm-up only)",
+        stats.lb_steals
+    );
 
     // Profiling-layer record paths (exact-zero, see the scenario's doc).
     histogram_record_and_flight_push_scenario();
@@ -316,7 +310,10 @@ fn hot_fns(src: &str) -> Vec<String> {
             continue;
         }
         if pending_hot {
-            let rest = t.strip_prefix("pub ").unwrap_or(t);
+            let rest = t
+                .strip_prefix("pub(crate) ")
+                .or_else(|| t.strip_prefix("pub "))
+                .unwrap_or(t);
             if let Some(name) = rest.strip_prefix("fn ") {
                 hot.push(name.split(['(', '<']).next().unwrap().to_string());
             }
@@ -327,9 +324,10 @@ fn hot_fns(src: &str) -> Vec<String> {
     hot
 }
 
-/// Every `#[atos_hot]` function in the runtime and the engine must be
-/// exercised by one of the counted scenarios in this file, so the
-/// allocation budget actually covers the whole annotated hot path
+/// Every `#[atos_hot]` function in the runtime (step loop and steal
+/// policy) and the engine must be exercised by one of the counted
+/// scenarios in this file, so the allocation budget actually covers the
+/// whole annotated hot path
 /// (`atos-lint` checks the annotated functions statically; this test keeps
 /// the dynamic guard aligned). Annotating a new function fails this test
 /// until a counted scenario exercises it and the maps below record which.
@@ -349,9 +347,10 @@ fn every_hot_runtime_fn_is_covered_by_a_counted_scenario() {
         ("agg_poll", "aggregated relay: age-trigger poll per bundle"),
         ("run_window", "all relays: every execution window drains through it"),
         ("merge_records", "all relays: staged messages merged at every window boundary"),
-        ("pick_victim", "steal/chunk relays: victim scan on every empty pop"),
-        ("steal_from", "steal/chunk relays: group steal from the skewed PE"),
-        ("wake_idle_peers", "steal/chunk relays: backlogged steps wake the idle peer"),
+        ("try_steal", "every relay: consulted on every empty pop"),
+        ("pick_victim", "steal relay: victim scan on every empty pop"),
+        ("steal_from", "steal relay: group steal from the skewed PE"),
+        ("wake_idle_peers", "steal relay: backlogged steps wake the idle peer"),
     ];
     const COVERED_ENGINE: &[(&str, &str)] = &[
         ("schedule_at", "engine churn scenario + every relay event"),
@@ -360,8 +359,11 @@ fn every_hot_runtime_fn_is_covered_by_a_counted_scenario() {
     ];
 
     let manifest = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
-    let runtime_src = std::fs::read_to_string(manifest.join("src/runtime.rs"))
-        .expect("read runtime.rs");
+    // The scheduler's hot path spans two files: the step loop and the
+    // steal policy it calls on an empty pop.
+    let runtime_src = ["src/runtime.rs", "src/loadbalance.rs"]
+        .map(|f| std::fs::read_to_string(manifest.join(f)).expect(f))
+        .concat();
     let engine_src = std::fs::read_to_string(manifest.join("../sim/src/engine.rs"))
         .expect("read engine.rs");
 
@@ -370,8 +372,8 @@ fn every_hot_runtime_fn_is_covered_by_a_counted_scenario() {
     assert_eq!(
         hot_fns(&runtime_src),
         covered,
-        "the #[atos_hot] set in runtime.rs and the counted-scenario map in \
-         this test must stay in sync"
+        "the #[atos_hot] set in runtime.rs + loadbalance.rs and the \
+         counted-scenario map in this test must stay in sync"
     );
 
     let mut covered_engine: Vec<&str> = COVERED_ENGINE.iter().map(|(n, _)| *n).collect();

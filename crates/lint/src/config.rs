@@ -185,15 +185,6 @@ impl Config {
                     file_suffix: "crates/core/src/profile.rs",
                     fns: &["push"],
                 },
-                HotDenyEntry {
-                    // LoadBalancer decision callbacks: per-step trait-object
-                    // dispatch from the scheduler; must stay alloc-free
-                    // (pinned by the steal/chunk `alloc_count.rs`
-                    // scenarios). Default trait methods cannot carry the
-                    // `#[atos_hot]` attribute usefully, so denylist them.
-                    file_suffix: "crates/core/src/loadbalance.rs",
-                    fns: &["victim_score", "steal_count", "edge_budget", "steal_grain"],
-                },
             ],
             kernel_scopes: &[
                 KernelScope {
@@ -223,21 +214,15 @@ impl Config {
                         "stage_arrival",
                         "run_window",
                         "merge_records",
-                        // The work-stealing path: runs inside the scheduler
-                        // step, so a panic mid-steal strands the victim's
-                        // popped-but-unexecuted claim.
-                        "pick_victim",
-                        "steal_from",
-                        "wake_idle_peers",
                     ],
                     forbid_index: false,
                 },
                 KernelScope {
-                    // LoadBalancer decision callbacks: consulted on every
-                    // scheduler step (victim scoring, steal sizing), inside
-                    // the same no-panic envelope as the step itself.
+                    // The work-stealing path: runs inside the scheduler
+                    // step, so a panic mid-steal strands the victim's
+                    // popped-but-unexecuted claim.
                     file_suffix: "crates/core/src/loadbalance.rs",
-                    fns: &["victim_score", "steal_count", "edge_budget", "steal_grain"],
+                    fns: &["try_steal", "pick_victim", "steal_from", "wake_idle_peers"],
                     forbid_index: false,
                 },
                 KernelScope {

@@ -65,14 +65,13 @@ grep -q '"sim_threads": 4' "$tmp/sweep.json" || {
 echo "ok: sweep report records sim_threads"
 
 echo
-echo "== load-balance smoke (owner byte-identity, steal/chunk determinism) =="
-# The LoadBalancer trait (DESIGN.md §10) must be invisible under the
-# default discipline: --load-balance owner is byte-identical to the
-# plain run (and therefore to the committed goldens below). steal/chunk
-# legitimately change the schedule and the virtual clock, but the
-# simulation stays deterministic: two identical invocations must produce
-# byte-identical stdout (result-equality across disciplines is asserted
-# inside measure_lb_sweep, which the trajectory gate below runs).
+echo "== load-balance smoke (owner byte-identity, steal determinism) =="
+# Stealing (DESIGN.md §10) must be invisible under the default policy:
+# --load-balance owner is byte-identical to the plain run (and therefore
+# to the committed goldens below). steal legitimately changes the schedule
+# and the virtual clock, but the simulation stays deterministic: two
+# identical invocations must produce byte-identical stdout (that stealing
+# changes no answer is a tier-1 test, tests/end_to_end.rs).
 ./target/release/fig5_scaling_nvlink --quick --threads 1 --load-balance owner \
     --json "$tmp/sweep.json" > "$tmp/fig5.lb_owner.out" 2> /dev/null
 if ! cmp -s "$tmp/fig5_scaling_nvlink.serial.out" "$tmp/fig5.lb_owner.out"; then
@@ -81,19 +80,21 @@ if ! cmp -s "$tmp/fig5_scaling_nvlink.serial.out" "$tmp/fig5.lb_owner.out"; then
     exit 1
 fi
 echo "ok: --load-balance owner byte-identical to the default"
-for lb in steal chunk; do
-    for rerun in a b; do
-        ./target/release/fig5_scaling_nvlink --quick --threads 1 \
-            --load-balance "$lb" --json "$tmp/sweep.json" \
-            > "$tmp/fig5.lb_$lb.$rerun.out" 2> /dev/null
-    done
-    if ! cmp -s "$tmp/fig5.lb_$lb.a.out" "$tmp/fig5.lb_$lb.b.out"; then
-        echo "FAIL: --load-balance $lb not deterministic across reruns" >&2
-        diff "$tmp/fig5.lb_$lb.a.out" "$tmp/fig5.lb_$lb.b.out" | head >&2
-        exit 1
-    fi
-    echo "ok: --load-balance $lb deterministic (reruns byte-identical)"
+for rerun in a b; do
+    ./target/release/fig5_scaling_nvlink --quick --threads 1 \
+        --load-balance steal --json "$tmp/sweep.json" \
+        > "$tmp/fig5.lb_steal.$rerun.out" 2> /dev/null
 done
+if ! cmp -s "$tmp/fig5.lb_steal.a.out" "$tmp/fig5.lb_steal.b.out"; then
+    echo "FAIL: --load-balance steal not deterministic across reruns" >&2
+    diff "$tmp/fig5.lb_steal.a.out" "$tmp/fig5.lb_steal.b.out" | head >&2
+    exit 1
+fi
+echo "ok: --load-balance steal deterministic (reruns byte-identical)"
+# The retired disciplines are usage errors, not silent aliases.
+./target/release/fig5_scaling_nvlink --quick --load-balance chunk > /dev/null 2>&1 && rc=0 || rc=$?
+[ "$rc" -eq 2 ] || { echo "FAIL: --load-balance chunk exited $rc, expected 2" >&2; exit 1; }
+echo "ok: --load-balance chunk is rejected (exit 2)"
 
 echo
 echo "== golden byte-compare (committed quick outputs pin determinism) =="
@@ -110,8 +111,8 @@ done
 echo
 echo "== bench trajectory (engine microbench + e2e smoke, regression gate) =="
 # Re-measures the wheel-vs-heap microbench, the fig5/fig8 quick
-# workloads, the shard-scaling curve, the load-balance discipline
-# sweep (per-discipline wall clock + steal counters, delta-stepping vs
+# workloads, the shard-scaling curve, the load-balance sweep
+# (owner vs steal wall clock + steal counters, delta-stepping vs
 # Dijkstra-order SSSP), and the graph-construction layer (graph_build:
 # full-scale R-MAT + road-mesh generation, host_cores-keyed like the
 # shard curve), then gates against the last committed entries

@@ -7,9 +7,9 @@
 
 use std::sync::Arc;
 
-use atos::apps::bfs::run_bfs;
+use atos::apps::bfs::{run_bfs, run_bfs_sharded};
 use atos::apps::pagerank::run_pagerank;
-use atos::core::AtosConfig;
+use atos::core::{AtosConfig, LoadBalance};
 use atos::graph::generators::{rmat, Preset, Scale};
 use atos::graph::partition::Partition;
 use atos::sim::Fabric;
@@ -100,4 +100,33 @@ fn gpu_count_changes_time_but_not_results() {
     for d in &depths[1..] {
         assert_eq!(d, &depths[0]);
     }
+}
+
+/// `LoadBalance::Steal`'s schedule, pinned: `(elapsed_ns, lb_steals,
+/// lb_stolen_tasks, total_tasks)` as captured on b6c9886, before the steal
+/// policy moved into `loadbalance.rs` and a steal became one `pop_batch`.
+/// On FIFO queues the two are the same schedule; a change here is a change
+/// of policy, not a refactor.
+#[test]
+fn steal_schedule_is_pinned() {
+    let cfg = AtosConfig::standard_persistent().with_lb(LoadBalance::Steal);
+    let fingerprint = |s: &atos::core::RunStats| {
+        (s.elapsed_ns, s.lb_steals, s.lb_stolen_tasks, s.total_tasks())
+    };
+    let bfs = |name: &str, shards: usize| {
+        let p = Preset::by_name(name).unwrap();
+        let g = Arc::new(p.build(Scale::Tiny));
+        let part = Arc::new(Partition::bfs_grow(&g, 4, 42));
+        let src = p.bfs_source(&g);
+        fingerprint(&run_bfs_sharded(g, part, src, Fabric::daisy(4), cfg, shards).stats)
+    };
+    assert_eq!(bfs("soc-LiveJournal1_s", 1), (41621, 5, 97, 777));
+    assert_eq!(bfs("soc-LiveJournal1_s", 2), (40422, 1, 6, 872));
+    assert_eq!(bfs("road_usa_s", 1), (45701, 43, 219, 2571));
+
+    let p = Preset::by_name("twitter_s").unwrap();
+    let g = Arc::new(p.build(Scale::Tiny));
+    let part = Arc::new(Partition::bfs_grow(&g, 4, 42));
+    let pr = run_pagerank(g, part, 0.85, 1e-5, Fabric::daisy(4), cfg);
+    assert_eq!(fingerprint(&pr.stats), (2822904, 118, 2953, 110796));
 }
