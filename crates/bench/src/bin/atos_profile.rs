@@ -5,11 +5,10 @@
 //! ```text
 //! atos-profile METRICS.json      # read a --metrics snapshot from a file
 //! atos-profile -                 # ...or from stdin
-//! some-bench --quick --sim-threads 4 --metrics /dev/stdout | atos-profile -
 //! ```
 //!
-//! The snapshot comes from any bench binary run with
-//! `--sim-threads K --metrics PATH` (K > 1). The report prints per-shard
+//! The snapshot comes from `atos-bench reference --sim-threads K
+//! --metrics PATH` (K > 1). The report prints per-shard
 //! barrier-wait quantiles, exchange volumes, an imbalance verdict, the
 //! barrier-overhead fraction, and a scaling-headroom estimate; see
 //! EXPERIMENTS.md "diagnosing a flat scaling curve". Exits 1 (with the

@@ -37,9 +37,9 @@ use std::collections::BTreeMap;
 use std::path::PathBuf;
 
 use atos_bench::trajectory::{
-    append_entries, check_regression, fig5_quick_workload, fig8_quick_workload, last_of_kind,
-    measure_engine, measure_graph_build, measure_lb_sweep, measure_sharded_scaling,
-    read_trajectory, TrajectoryEntry, DEFAULT_TRAJECTORY_PATH,
+    append_entries, check_regression, last_of_kind, measure_engine, measure_graph_build,
+    measure_lb_sweep, measure_sharded_scaling, quick_grid_ms, read_trajectory, TrajectoryEntry,
+    DEFAULT_TRAJECTORY_PATH,
 };
 
 struct Args {
@@ -189,8 +189,8 @@ fn main() {
 
     if !args.skip_e2e {
         let mut metrics = BTreeMap::new();
-        metrics.insert("fig5_quick_ms".to_string(), fig5_quick_workload());
-        metrics.insert("fig8_quick_ms".to_string(), fig8_quick_workload());
+        metrics.insert("fig5_quick_ms".to_string(), quick_grid_ms("fig5_scaling_nvlink"));
+        metrics.insert("fig8_quick_ms".to_string(), quick_grid_ms("fig8_scaling_ib_bfs"));
         print_metrics("e2e_quick", &metrics);
         new_entries.push(TrajectoryEntry {
             run_id: run_id.clone(),

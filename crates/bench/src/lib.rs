@@ -1,37 +1,41 @@
-//! Shared harness for the table/figure regeneration binaries.
+//! The evaluation harness behind the `atos-bench` driver.
 //!
-//! Every binary in `src/bin/` regenerates one artifact of the paper's
-//! evaluation (see DESIGN.md §3 for the index). This library holds the
-//! common machinery: dataset construction, framework runners, and table
-//! formatting. All runtimes are *virtual* milliseconds from the
+//! `atos-bench <experiment>` regenerates one artifact of the paper's
+//! evaluation; [`registry::EXPERIMENTS`] is the table of what it can run
+//! (DESIGN.md §3 is the index). The six framework × dataset × GPU-count
+//! grids are rows of data ([`registry::GridSpec`]) executed by one
+//! function; the other experiments are functions in [`experiments`]. This
+//! file holds what they share: dataset construction and the one framework
+//! runner, [`run_cell`]. All runtimes are *virtual* milliseconds from the
 //! simulator's clock; the paper's absolute numbers came from V100
 //! hardware, so EXPERIMENTS.md compares *shapes* (who wins, by what
 //! factor, how scaling trends) rather than absolute values.
 //!
-//! Binaries accept `--quick` to run on the tiny test-scale graphs (the
-//! artifact appendix's "quick mode"), `--threads N` to fan the sweep grid
-//! over worker threads (default: host parallelism; `ATOS_BENCH_THREADS`
-//! overrides the default), `--sim-threads K` to execute each Atos run on
-//! `K` parallel engine shards (byte-identical output, parallel
-//! wall-clock), `--load-balance {owner|steal}` to let idle PEs steal
-//! (default `owner`, the paper's scheduling), and `--json PATH` to
-//! redirect the timing report ([`sweep`] has the harness).
+//! Every experiment accepts `--quick` to run on the tiny test-scale graphs
+//! (the artifact appendix's "quick mode"), `--threads N` to fan the sweep
+//! grid over worker threads (default: host parallelism), `--json PATH` /
+//! `--run-id ID` for the timing report, and — where it launches Atos runs
+//! — `--sim-threads K` to execute each on `K` parallel engine shards
+//! (byte-identical output) and `--load-balance {owner|steal}` to let idle
+//! PEs steal (default `owner`, the paper's scheduling). [`sweep`] has the
+//! harness.
 
 use std::sync::Arc;
 
+pub mod experiments;
 pub mod observability;
 pub mod profile;
+pub mod registry;
 pub mod sweep;
 pub mod trajectory;
 
-pub use observability::emit_artifacts;
 pub use profile::render_report;
 pub use sweep::{BenchArgs, EventTally, RunConfig, SweepReport, SweepRunner};
 
 use atos_apps::bfs::run_bfs_sharded;
 use atos_apps::pagerank::run_pagerank_sharded;
 use atos_baselines::{bsp_bfs, bsp_pagerank, galois_bfs, galois_pagerank, groute_bfs, groute_pagerank};
-use atos_core::AtosConfig;
+use atos_core::{AtosConfig, RunStats};
 use atos_graph::csr::{Csr, VertexId};
 use atos_graph::generators::{Preset, Scale};
 use atos_graph::partition::Partition;
@@ -49,7 +53,7 @@ pub const EPSILON: f64 = 1e-5;
 
 /// Restore the default `SIGPIPE` disposition so `<binary> | head` ends
 /// the process quietly instead of panicking with a broken-pipe backtrace.
-/// Called by every table/figure binary before printing.
+/// Called by every binary of this crate before printing.
 pub fn pipe_friendly() {
     #[cfg(unix)]
     // SAFETY: resetting a signal disposition at process start, before any
@@ -87,6 +91,11 @@ impl Dataset {
         }
     }
 
+    /// Build the preset called `name` (a [`Preset::ALL`] name) at `scale`.
+    pub fn named(name: &str, scale: Scale) -> Self {
+        Dataset::build(Preset::by_name(name).expect("preset table"), scale)
+    }
+
     /// All six Table I datasets.
     pub fn all(scale: Scale) -> Vec<Dataset> {
         Preset::ALL
@@ -109,131 +118,114 @@ impl Dataset {
     }
 }
 
-/// The frameworks of the NVLink BFS comparison (Table II), in row order.
-pub const BFS_NVLINK_FRAMEWORKS: [&str; 4] = [
-    "Gunrock",
-    "Groute",
-    "Atos (queue+persistent kernel)",
-    "Atos (priority queue+discrete kernel)",
-];
-
-/// The frameworks of the NVLink PageRank comparison (Table IV).
-pub const PR_NVLINK_FRAMEWORKS: [&str; 4] = [
-    "Gunrock",
-    "Groute",
-    "Atos (discrete kernel)",
-    "Atos (persistent kernel)",
-];
-
-/// Run one NVLink BFS framework, add it to `events`, and return its
-/// virtual ms. Atos cells execute on `run.sim_threads` engine shards — the
-/// tables are byte-identical at any shard count — under
-/// `run.load_balance` (baseline frameworks ignore both).
-pub fn bfs_nvlink_ms(
-    framework: &str,
-    ds: &Dataset,
-    gpus: usize,
-    run: RunConfig,
-    events: &EventTally,
-) -> f64 {
-    let (graph, part, fabric) = (ds.graph.clone(), ds.partition(gpus), Fabric::daisy(gpus));
-    let stats = match framework {
-        "Gunrock" => bsp_bfs(graph, part, ds.source, fabric).stats,
-        "Groute" => groute_bfs(graph, part, ds.source, fabric).stats,
-        atos => {
-            let cfg = match atos {
-                "Atos (queue+persistent kernel)" => AtosConfig::standard_persistent(),
-                "Atos (priority queue+discrete kernel)" => AtosConfig::priority_discrete(),
-                other => panic!("unknown framework {other}"),
-            };
-            let cfg = cfg.with_lb(run.load_balance);
-            run_bfs_sharded(graph, part, ds.source, fabric, cfg, run.sim_threads).stats
-        }
-    };
-    events.ms_of(&stats)
+/// The two simulated systems of the evaluation.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum System {
+    /// Daisy: one node, all-to-all NVLink, 1–4 GPUs.
+    Nvlink,
+    /// Summit: one GPU per node over InfiniBand, 1–8 GPUs.
+    Ib,
 }
 
-/// Run one NVLink PageRank framework, add it to `events`, and return its
-/// virtual ms.
-pub fn pr_nvlink_ms(
-    framework: &str,
-    ds: &Dataset,
-    gpus: usize,
-    run: RunConfig,
-    events: &EventTally,
-) -> f64 {
-    let (graph, part, fabric) = (ds.graph.clone(), ds.partition(gpus), Fabric::daisy(gpus));
-    let stats = match framework {
-        "Gunrock" => bsp_pagerank(graph, part, ALPHA, EPSILON, fabric).stats,
-        "Groute" => groute_pagerank(graph, part, ALPHA, EPSILON, fabric).stats,
-        atos => {
-            let cfg = match atos {
-                "Atos (discrete kernel)" => AtosConfig::standard_discrete(),
-                "Atos (persistent kernel)" => AtosConfig::standard_persistent(),
-                other => panic!("unknown framework {other}"),
-            };
-            let cfg = cfg.with_lb(run.load_balance);
-            run_pagerank_sharded(graph, part, ALPHA, EPSILON, fabric, cfg, run.sim_threads).stats
+impl System {
+    /// The system's fabric at `gpus` GPUs.
+    pub fn fabric(self, gpus: usize) -> Fabric {
+        match self {
+            System::Nvlink => Fabric::daisy(gpus),
+            System::Ib => Fabric::ib_cluster(gpus),
         }
-    };
-    events.ms_of(&stats)
-}
-
-/// Run one InfiniBand framework (`"Galois"` or `"Atos"`) for `app`
-/// (`"bfs"` or `"pr"`), add it to `events`, and return its virtual ms.
-pub fn ib_ms(
-    framework: &str,
-    app: &str,
-    ds: &Dataset,
-    gpus: usize,
-    run: RunConfig,
-    events: &EventTally,
-) -> f64 {
-    let (graph, part, fabric) = (ds.graph.clone(), ds.partition(gpus), Fabric::ib_cluster(gpus));
-    let (lb, shards) = (run.load_balance, run.sim_threads);
-    let stats = match (framework, app) {
-        ("Galois", "bfs") => galois_bfs(graph, part, ds.source, fabric).stats,
-        ("Galois", "pr") => galois_pagerank(graph, part, ALPHA, EPSILON, fabric).stats,
-        ("Atos", "bfs") => {
-            let cfg = AtosConfig::ib_bfs().with_lb(lb);
-            run_bfs_sharded(graph, part, ds.source, fabric, cfg, shards).stats
-        }
-        ("Atos", "pr") => {
-            let cfg = AtosConfig::ib_pagerank().with_lb(lb);
-            run_pagerank_sharded(graph, part, ALPHA, EPSILON, fabric, cfg, shards).stats
-        }
-        other => panic!("unknown combination {other:?}"),
-    };
-    events.ms_of(&stats)
-}
-
-/// Print one paper-style table block: rows = datasets, cols = GPU counts,
-/// speedups vs `baseline` (same-shaped matrix) in parentheses.
-pub fn print_table_block(
-    title: &str,
-    gpu_counts: &[usize],
-    rows: &[(String, Vec<f64>)],
-    baseline: Option<&[(String, Vec<f64>)]>,
-) {
-    println!("\nApplication: {title}");
-    print!("{:<22}", "dataset");
-    for g in gpu_counts {
-        print!("{:>18}", format!("{g} GPU{}", if *g > 1 { "s" } else { "" }));
     }
-    println!();
-    for (i, (name, ms)) in rows.iter().enumerate() {
-        print!("{name:<22}");
-        for (j, v) in ms.iter().enumerate() {
-            let cell = match baseline {
-                Some(base) => {
-                    let b = base[i].1[j];
-                    format!("{:.5} (x{:.2})", round_sig(*v), b / v)
-                }
-                None => format!("{:.5} (x1)", round_sig(*v)),
-            };
-            print!("{cell:>18}");
+}
+
+/// The two applications of the framework comparisons.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum App {
+    /// Breadth-first search from the dataset's source.
+    Bfs,
+    /// Push-based PageRank at [`ALPHA`] / [`EPSILON`].
+    PageRank,
+}
+
+impl App {
+    /// Name used in table and figure headings.
+    pub fn label(self) -> &'static str {
+        match self {
+            App::Bfs => "BFS",
+            App::PageRank => "PageRank",
         }
-        println!();
+    }
+}
+
+/// The frameworks compared on `system` for `app`, in row order; the first
+/// is the baseline the runtime tables quote speedups against.
+pub fn frameworks(system: System, app: App) -> &'static [&'static str] {
+    match (system, app) {
+        (System::Nvlink, App::Bfs) => &[
+            "Gunrock",
+            "Groute",
+            "Atos (queue+persistent kernel)",
+            "Atos (priority queue+discrete kernel)",
+        ],
+        (System::Nvlink, App::PageRank) => &[
+            "Gunrock",
+            "Groute",
+            "Atos (discrete kernel)",
+            "Atos (persistent kernel)",
+        ],
+        (System::Ib, _) => &["Galois", "Atos"],
+    }
+}
+
+/// Whether `framework` (one of [`frameworks`]) is an Atos configuration.
+pub fn is_atos(framework: &str) -> bool {
+    framework.starts_with("Atos")
+}
+
+/// Run `framework` (one of [`frameworks`]`(system, app)`) on `ds` at
+/// `gpus` GPUs. Atos configurations execute on `run.sim_threads` engine
+/// shards — results are byte-identical at any shard count — under
+/// `run.load_balance`; the baseline frameworks ignore both.
+pub fn run_cell(
+    system: System,
+    app: App,
+    framework: &str,
+    ds: &Dataset,
+    gpus: usize,
+    run: RunConfig,
+) -> RunStats {
+    let (graph, part, fabric) = (ds.graph.clone(), ds.partition(gpus), system.fabric(gpus));
+    let atos = match (system, app, framework) {
+        (System::Nvlink, App::Bfs, "Atos (queue+persistent kernel)")
+        | (System::Nvlink, App::PageRank, "Atos (persistent kernel)") => {
+            Some(AtosConfig::standard_persistent())
+        }
+        (System::Nvlink, App::Bfs, "Atos (priority queue+discrete kernel)") => {
+            Some(AtosConfig::priority_discrete())
+        }
+        (System::Nvlink, App::PageRank, "Atos (discrete kernel)") => {
+            Some(AtosConfig::standard_discrete())
+        }
+        (System::Ib, App::Bfs, "Atos") => Some(AtosConfig::ib_bfs()),
+        (System::Ib, App::PageRank, "Atos") => Some(AtosConfig::ib_pagerank()),
+        _ => None,
+    };
+    if let Some(cfg) = atos {
+        let (cfg, shards) = (cfg.with_lb(run.load_balance), run.sim_threads);
+        return match app {
+            App::Bfs => run_bfs_sharded(graph, part, ds.source, fabric, cfg, shards).stats,
+            App::PageRank => {
+                run_pagerank_sharded(graph, part, ALPHA, EPSILON, fabric, cfg, shards).stats
+            }
+        };
+    }
+    match (framework, app) {
+        ("Gunrock", App::Bfs) => bsp_bfs(graph, part, ds.source, fabric).stats,
+        ("Gunrock", App::PageRank) => bsp_pagerank(graph, part, ALPHA, EPSILON, fabric).stats,
+        ("Groute", App::Bfs) => groute_bfs(graph, part, ds.source, fabric).stats,
+        ("Groute", App::PageRank) => groute_pagerank(graph, part, ALPHA, EPSILON, fabric).stats,
+        ("Galois", App::Bfs) => galois_bfs(graph, part, ds.source, fabric).stats,
+        ("Galois", App::PageRank) => galois_pagerank(graph, part, ALPHA, EPSILON, fabric).stats,
+        (other, _) => panic!("unknown framework {other} for {app:?} on {system:?}"),
     }
 }
 
@@ -271,25 +263,14 @@ mod tests {
     }
 
     #[test]
-    fn all_nvlink_framework_runners_work() {
+    fn every_framework_of_every_system_runs() {
         let ds = Dataset::build(Preset::by_name("road_usa_s").unwrap(), Scale::Tiny);
-        let (run, events) = (RunConfig::default(), EventTally::default());
-        for f in BFS_NVLINK_FRAMEWORKS {
-            assert!(bfs_nvlink_ms(f, &ds, 2, run, &events) > 0.0, "{f}");
-        }
-        for f in PR_NVLINK_FRAMEWORKS {
-            assert!(pr_nvlink_ms(f, &ds, 2, run, &events) > 0.0, "{f}");
-        }
-        assert!(events.total() > 0, "every run lands in the caller's tally");
-    }
-
-    #[test]
-    fn ib_runners_work() {
-        let ds = Dataset::build(Preset::by_name("hollywood_2009_s").unwrap(), Scale::Tiny);
-        for f in ["Galois", "Atos"] {
-            for app in ["bfs", "pr"] {
-                let (run, events) = (RunConfig::default(), EventTally::default());
-                assert!(ib_ms(f, app, &ds, 2, run, &events) > 0.0, "{f}/{app}");
+        for system in [System::Nvlink, System::Ib] {
+            for app in [App::Bfs, App::PageRank] {
+                for f in frameworks(system, app) {
+                    let stats = run_cell(system, app, f, &ds, 2, RunConfig::default());
+                    assert!(stats.elapsed_ms() > 0.0, "{system:?}/{app:?}/{f}");
+                }
             }
         }
     }

@@ -1,12 +1,12 @@
-//! `--trace` / `--metrics` artifact emission shared by every bench binary.
+//! The `reference` experiment: one instrumented run and its artifacts.
 //!
-//! The sweep grids themselves must print byte-identical stdout at any
-//! `--threads` setting, so observability output never goes near stdout:
-//! when either flag is set, [`emit_artifacts`] performs one *reference
+//! The sweep experiments print tables and nothing else; observability is
+//! its own table entry. `atos-bench reference` performs one *reference
 //! run* — deterministic BFS on the scale-free LiveJournal preset over a
 //! 4-GPU InfiniBand fabric with the aggregator on, the configuration that
-//! exercises every instrumented subsystem — and writes the artifacts to
-//! the requested files, logging a one-liner to stderr.
+//! exercises every instrumented subsystem — prints a three-line summary
+//! to stdout, and writes whichever artifacts were requested, logging a
+//! one-liner per file to stderr.
 //!
 //! * `--trace PATH` — Chrome/Perfetto `trace_event` JSON of the reference
 //!   run's virtual-time timeline: per-PE kernel-step spans, message
@@ -19,12 +19,14 @@
 //!   (`queue.cas_retries`, `queue.reservation_conflicts`,
 //!   `queue.host_occupancy_hwm`) gathered by running two small
 //!   `atos-queue` contention probes on real threads.
+//! * `--flight-dump PATH` — with `--sim-threads K > 1`, the per-shard
+//!   flight-recorder rings as deterministic JSON.
 
 use std::path::Path;
 
 use atos_apps::bfs::run_bfs_sharded_profiled;
 use atos_core::{AtosConfig, RuntimeTuning, ShardProfile};
-use atos_graph::generators::{Preset, Scale};
+use atos_graph::generators::Scale;
 use atos_queue::bench_harness::{run as queue_probe, Experiment, QueueKind};
 use atos_sim::Fabric;
 use atos_trace::{perfetto, MetricsRegistry, TraceBuffer};
@@ -37,19 +39,22 @@ use crate::Dataset;
 /// visibly retries under real-thread contention.
 const PROBE_VIRTUAL_THREADS: usize = 1024;
 
-/// Emit the `--trace` / `--metrics` artifacts if either flag was given,
-/// adding the reference run to `events`. No-op (and allocation-free) when
-/// both are unset. Output goes to the requested files plus stderr only —
-/// stdout stays reserved for tables.
-pub fn emit_artifacts(args: &BenchArgs, events: &EventTally) {
-    if args.trace.is_none() && args.metrics.is_none() && args.flight_dump.is_none() {
-        return;
-    }
-    // `--sim-threads K > 1` switches the reference run onto the sharded
-    // window-barrier runtime so the artifacts carry per-shard detail
-    // (shard tracks in the trace, `shard<k>.*` / `sharded.*` metrics,
-    // flight-recorder rings) instead of silently dropping it.
+/// The `reference` experiment: perform the reference run under
+/// `args.run` (added to `events`), print its summary, and write the
+/// artifacts `args` asks for.
+pub fn reference(args: &BenchArgs, events: &EventTally) {
+    // `--sim-threads K > 1` puts the run on the sharded window-barrier
+    // runtime so the artifacts carry per-shard detail (shard tracks in
+    // the trace, `shard<k>.*` / `sharded.*` metrics, flight-recorder
+    // rings) instead of silently dropping it.
     let (buf, reg, profile) = reference_run_sharded(args.scale, args.run, events);
+    println!("Reference run: BFS on soc-LiveJournal1_s, 4 GPUs over InfiniBand, aggregated");
+    for (label, key) in [
+        ("virtual time (ns)", "run.elapsed_ns"),
+        ("reached vertices", "run.reached_vertices"),
+    ] {
+        println!("{label:<20}{:>12}", reg.get(key).expect("reference run fills run.*"));
+    }
     if let Some(path) = &args.trace {
         write_artifact(path, &perfetto::to_chrome_json(&buf), "trace");
     }
@@ -93,10 +98,7 @@ pub fn reference_run_sharded(
     run: RunConfig,
     events: &EventTally,
 ) -> (TraceBuffer, MetricsRegistry, Option<ShardProfile>) {
-    let ds = Dataset::build(
-        Preset::by_name("soc-LiveJournal1_s").expect("preset table"),
-        scale,
-    );
+    let ds = Dataset::named("soc-LiveJournal1_s", scale);
     let part = ds.partition(4);
     let mut buf = TraceBuffer::new();
     let (bfs, profile) = run_bfs_sharded_profiled(
@@ -164,7 +166,7 @@ mod tests {
 
     /// `--quick` and nothing else.
     fn quick_args() -> BenchArgs {
-        BenchArgs::parse_from(&["--quick".to_string()], None, 1).unwrap()
+        BenchArgs::parse_from(&["--quick".to_string()], 1).unwrap()
     }
 
     #[test]
@@ -197,14 +199,7 @@ mod tests {
     }
 
     #[test]
-    fn emit_artifacts_is_noop_without_flags() {
-        let events = EventTally::default();
-        emit_artifacts(&quick_args(), &events); // must not panic or write anything
-        assert_eq!(events.total(), 0, "and must not run anything");
-    }
-
-    #[test]
-    fn emit_artifacts_writes_requested_files() {
+    fn reference_writes_requested_files() {
         let dir = std::env::temp_dir().join(format!("atos-obs-test-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let args = BenchArgs {
@@ -213,7 +208,7 @@ mod tests {
             ..quick_args()
         };
         let events = EventTally::default();
-        emit_artifacts(&args, &events);
+        reference(&args, &events);
         assert!(events.total() > 0, "the reference run lands in the caller's tally");
         let trace = std::fs::read_to_string(dir.join("trace.json")).unwrap();
         assert!(perfetto::validate_chrome_trace(&trace).is_ok());
@@ -224,8 +219,8 @@ mod tests {
 
     #[test]
     fn sharded_reference_run_carries_shard_detail() {
-        // Satellite fix: `--trace`/`--metrics` with `--sim-threads K > 1`
-        // must not silently lose per-shard detail.
+        // `--trace`/`--metrics` with `--sim-threads K > 1` must not silently
+        // lose per-shard detail.
         let sharded = RunConfig {
             sim_threads: 4,
             ..RunConfig::default()
@@ -253,7 +248,7 @@ mod tests {
         let flight = profile.flight_json();
         assert!(atos_trace::json::parse(&flight).is_ok(), "flight dump parses");
 
-        // And emit_artifacts wires all three files through.
+        // And the experiment wires all three files through.
         let dir = std::env::temp_dir().join(format!("atos-obs-shard-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let args = BenchArgs {
@@ -262,7 +257,7 @@ mod tests {
             run: sharded,
             ..quick_args()
         };
-        emit_artifacts(&args, &EventTally::default());
+        reference(&args, &EventTally::default());
         let metrics = std::fs::read_to_string(dir.join("metrics.json")).unwrap();
         assert!(metrics.contains("\"sharded.shards\": 4"), "{metrics}");
         let flight = std::fs::read_to_string(dir.join("flight.json")).unwrap();

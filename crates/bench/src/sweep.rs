@@ -1,6 +1,6 @@
-//! Parallel sweep harness shared by every table/figure binary.
+//! Parallel sweep harness shared by every experiment of `atos-bench`.
 //!
-//! The (dataset × GPU count × framework × app) grids the binaries
+//! The (dataset × GPU count × framework × app) grids the experiments
 //! regenerate are embarrassingly parallel: each cell is one independent
 //! simulated run, and the simulation is a pure function of its inputs.
 //! [`SweepRunner`] fans the cells over scoped worker threads and returns
@@ -8,15 +8,18 @@
 //! byte-identical to a serial sweep no matter how the threads interleave
 //! — parallelism only reorders wall-clock completion, never results.
 //!
-//! [`BenchArgs`] is the shared CLI surface (`--quick`, `--threads N`,
-//! `--json PATH`, plus the `ATOS_BENCH_THREADS` environment override); the
-//! two flags that change how each simulated run executes (`--sim-threads`,
-//! `--load-balance`) parse into a [`RunConfig`] value that the binaries
-//! hand to whatever launches their runs. [`SweepReport`] records each
-//! binary's wall-clock time, thread count, and total simulator events
-//! (its [`EventTally`]) into `results/BENCH_sweep.json`.
+//! [`BenchArgs`] is the CLI surface after the experiment name (`--quick`,
+//! `--threads N`, `--json PATH`, `--run-id ID`); the two flags that change
+//! how each simulated run executes (`--sim-threads`, `--load-balance`)
+//! parse into a [`RunConfig`] value that the experiments hand to whatever
+//! launches their runs, and the three artifact flags (`--trace`,
+//! `--metrics`, `--flight-dump`) belong to the `reference` experiment
+//! alone ([`crate::registry::Experiment::check_flags`] refuses what an
+//! experiment cannot honour). [`SweepReport`] records each experiment's
+//! wall-clock time, thread count, and total simulator events (its
+//! [`EventTally`]) into `results/BENCH_sweep.json`.
 //! With `--run-id <sha>@<stamp>` the report entry is keyed
-//! `<binary>@<run-id>` instead of plain `<binary>`, so successive runs
+//! `<experiment>@<run-id>` instead of plain `<experiment>`, so successive runs
 //! *append* to the committed history rather than overwrite it — the id
 //! is always passed in (typically `git rev-parse --short HEAD` plus
 //! `date -u`), never sampled in-process, keeping wall-clock identity out
@@ -41,10 +44,10 @@ use atos_graph::generators::Scale;
 /// directory (the repo root, when run via `cargo run`).
 pub const DEFAULT_REPORT_PATH: &str = "results/BENCH_sweep.json";
 
-/// How each simulated Atos run of a binary executes: the two settings
-/// every cell of one invocation shares, passed by value to the framework
-/// runners (`crate::bfs_nvlink_ms` and friends) and the app launch bodies.
-/// Baseline frameworks ignore both.
+/// How each simulated Atos run of an experiment executes: the two
+/// settings every cell of one invocation shares, passed by value to
+/// [`crate::run_cell`] and the app launch bodies. Baseline frameworks
+/// ignore both.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RunConfig {
     /// Engine shards per run from `--sim-threads K` (>= 1; default 1 —
@@ -68,7 +71,7 @@ impl Default for RunConfig {
     }
 }
 
-/// Parsed command line shared by the table/figure binaries.
+/// Parsed command line of one `atos-bench <experiment>` invocation.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BenchArgs {
     /// Graph scale: `Scale::Tiny` under `--quick`, else `Scale::Full`.
@@ -77,13 +80,13 @@ pub struct BenchArgs {
     pub threads: usize,
     /// Timing-report destination override from `--json PATH`.
     pub json: Option<PathBuf>,
-    /// Chrome/Perfetto trace destination from `--trace PATH`: when set,
-    /// the binary performs one traced reference run and writes its
-    /// virtual-time timeline there (see [`crate::observability`]).
+    /// Chrome/Perfetto trace destination from `--trace PATH`: the
+    /// `reference` experiment writes its run's virtual-time timeline
+    /// there (see [`crate::observability`]).
     pub trace: Option<PathBuf>,
-    /// Metrics-snapshot destination from `--metrics PATH`: when set, the
-    /// binary dumps a [`atos_core::MetricsRegistry`] JSON snapshot of the
-    /// reference run plus host-queue contention counters.
+    /// Metrics-snapshot destination from `--metrics PATH`: a
+    /// [`atos_core::MetricsRegistry`] JSON snapshot of the reference run
+    /// plus host-queue contention counters.
     pub metrics: Option<PathBuf>,
     /// Flight-recorder destination from `--flight-dump PATH`: when set
     /// together with `--sim-threads K > 1`, the reference run's per-shard
@@ -92,56 +95,18 @@ pub struct BenchArgs {
     pub flight_dump: Option<PathBuf>,
     /// Run identity from `--run-id ID` (conventionally
     /// `<git sha>@<timestamp>`, both produced by the caller): when set,
-    /// the timing-report entry is keyed `<binary>@<ID>` so the report
-    /// accumulates a history instead of overwriting the binary's entry.
+    /// the timing-report entry is keyed `<experiment>@<ID>` so the report
+    /// accumulates a history instead of overwriting the last entry.
     pub run_id: Option<String>,
     /// `--sim-threads K` and `--load-balance POLICY`.
     pub run: RunConfig,
 }
 
 impl BenchArgs {
-    /// Parse the process's argv and environment; prints an error and
-    /// exits with status 2 on unknown or malformed arguments (rather than
-    /// silently starting a potentially minutes-long full-scale sweep).
-    pub fn parse() -> Self {
-        crate::pipe_friendly();
-        let args: Vec<String> = std::env::args().skip(1).collect();
-        let env = std::env::var("ATOS_BENCH_THREADS").ok();
-        match Self::parse_from(&args, env.as_deref(), default_threads()) {
-            Ok(a) => a,
-            Err(e) => exit_usage(&e),
-        }
-    }
-
-    /// For a binary whose runs do not go through a sharded launch body and
-    /// so cannot honour `--sim-threads` / `--load-balance`: `Err` naming
-    /// the flag when either is set to a non-default value, so the run is
-    /// refused instead of reported under settings it never used.
-    pub fn require_default_run(&self, binary: &str) -> Result<(), String> {
-        let default = RunConfig::default();
-        let flag = if self.run.sim_threads != default.sim_threads {
-            "--sim-threads"
-        } else if self.run.load_balance != default.load_balance {
-            "--load-balance"
-        } else {
-            return Ok(());
-        };
-        Err(format!(
-            "{binary} does not support {flag}: it launches its runs itself, \
-             sequentially and under owner-computes"
-        ))
-    }
-
-    /// Pure parser: `args` is argv without the program name,
-    /// `env_threads` the value of `ATOS_BENCH_THREADS` (if set), and
-    /// `default_threads` the fallback thread count. Precedence for the
-    /// thread count: `--threads` flag, then environment, then default;
-    /// the result is clamped to at least 1.
-    pub fn parse_from(
-        args: &[String],
-        env_threads: Option<&str>,
-        default_threads: usize,
-    ) -> Result<Self, String> {
+    /// Pure parser: `args` is argv after the experiment name and
+    /// `default_threads` the thread count when `--threads` is absent; the
+    /// result is clamped to at least 1 worker.
+    pub fn parse_from(args: &[String], default_threads: usize) -> Result<Self, String> {
         let mut scale = Scale::Full;
         let mut threads: Option<usize> = None;
         let mut json: Option<PathBuf> = None;
@@ -202,17 +167,9 @@ impl BenchArgs {
                 }
             }
         }
-        let threads = match (threads, env_threads) {
-            (Some(t), _) => t,
-            (None, Some(e)) => e
-                .trim()
-                .parse()
-                .map_err(|_| format!("invalid ATOS_BENCH_THREADS value `{e}`"))?,
-            (None, None) => default_threads,
-        };
         Ok(BenchArgs {
             scale,
-            threads: threads.max(1),
+            threads: threads.unwrap_or(default_threads).max(1),
             json,
             trace,
             metrics,
@@ -230,8 +187,7 @@ pub fn exit_usage(error: &str) -> ! {
     std::process::exit(2);
 }
 
-/// Host parallelism used when neither `--threads` nor
-/// `ATOS_BENCH_THREADS` is given.
+/// Host parallelism, the sweep-worker count when `--threads` is absent.
 pub fn default_threads() -> usize {
     std::thread::available_parallelism()
         .map(|n| n.get())
@@ -255,16 +211,6 @@ impl SweepRunner {
         SweepRunner {
             threads: threads.max(1),
         }
-    }
-
-    /// Runner configured from parsed [`BenchArgs`].
-    pub fn from_args(args: &BenchArgs) -> Self {
-        Self::new(args.threads)
-    }
-
-    /// Worker-thread count.
-    pub fn threads(&self) -> usize {
-        self.threads
     }
 
     /// Apply `f` to every item; `f` receives `(grid_index, &item)` and
@@ -305,7 +251,7 @@ impl SweepRunner {
 
 /// Simulator events summed over the runs of one sweep (each
 /// [`RunStats::sim_events`] added once), shared by the sweep's worker
-/// threads. Every binary's lives in its [`SweepReport`].
+/// threads. Every experiment's lives in its [`SweepReport`].
 #[derive(Debug, Default)]
 pub struct EventTally(AtomicU64);
 
@@ -322,13 +268,13 @@ impl EventTally {
     }
 }
 
-/// Wall-clock timer for one binary's sweep; [`SweepReport::finish`]
-/// appends/updates the binary's entry in the timing report and prints a
+/// Wall-clock timer for one experiment's sweep; [`SweepReport::finish`]
+/// appends/updates its entry in the timing report and prints a
 /// one-line summary to stderr (never stdout).
 pub struct SweepReport {
-    /// Simulator events of every run the binary performed.
+    /// Simulator events of every run the experiment performed.
     pub events: EventTally,
-    binary: String,
+    key: String,
     threads: usize,
     sim_threads: usize,
     json: Option<PathBuf>,
@@ -336,17 +282,17 @@ pub struct SweepReport {
 }
 
 impl SweepReport {
-    /// Start timing `binary` under the parsed arguments. A `--run-id`
-    /// suffixes the report key (`<binary>@<id>`) so the run lands as a
-    /// new history entry instead of replacing the binary's last one.
-    pub fn start(binary: &str, args: &BenchArgs) -> Self {
+    /// Start timing `experiment` under the parsed arguments. A `--run-id`
+    /// suffixes the report key (`<experiment>@<id>`) so the run lands as a
+    /// new history entry instead of replacing the last one.
+    pub fn start(experiment: &str, args: &BenchArgs) -> Self {
         let key = match &args.run_id {
-            Some(id) => format!("{binary}@{id}"),
-            None => binary.to_string(),
+            Some(id) => format!("{experiment}@{id}"),
+            None => experiment.to_string(),
         };
         SweepReport {
             events: EventTally::default(),
-            binary: key,
+            key,
             threads: args.threads,
             sim_threads: args.run.sim_threads,
             json: args.json.clone(),
@@ -363,7 +309,7 @@ impl SweepReport {
             .unwrap_or_else(|| PathBuf::from(DEFAULT_REPORT_PATH));
         eprintln!(
             "[sweep] {}: {:.3}s wall, {} thread{}, {} engine shard{}, {} sim events -> {}",
-            self.binary,
+            self.key,
             wall_s,
             self.threads,
             if self.threads == 1 { "" } else { "s" },
@@ -374,7 +320,7 @@ impl SweepReport {
         );
         if let Err(e) = write_report_entry(
             &path,
-            &self.binary,
+            &self.key,
             wall_s,
             self.threads,
             self.sim_threads,
@@ -385,14 +331,14 @@ impl SweepReport {
     }
 }
 
-/// Read-modify-write one binary's entry in the line-oriented JSON report
-/// (`{"<binary>": {"wall_s": ..., "threads": ..., "sim_threads": ...,
-/// "sim_events": ...}}`). Existing entries for other binaries — including
+/// Read-modify-write one entry of the line-oriented JSON report
+/// (`{"<key>": {"wall_s": ..., "threads": ..., "sim_threads": ...,
+/// "sim_events": ...}}`). Existing entries under other keys — including
 /// pre-`sim_threads` history lines — are preserved verbatim; output is
-/// sorted by binary name so the file is diff-stable.
+/// sorted by key so the file is diff-stable.
 pub fn write_report_entry(
     path: &Path,
-    binary: &str,
+    key: &str,
     wall_s: f64,
     threads: usize,
     sim_threads: usize,
@@ -412,7 +358,7 @@ pub fn write_report_entry(
         }
     }
     entries.insert(
-        binary.to_string(),
+        key.to_string(),
         format!(
             "{{\"wall_s\": {wall_s:.3}, \"threads\": {threads}, \
              \"sim_threads\": {sim_threads}, \"sim_events\": {sim_events}}}"
@@ -449,7 +395,7 @@ mod tests {
 
     #[test]
     fn parser_defaults() {
-        let a = BenchArgs::parse_from(&[], None, 6).unwrap();
+        let a = BenchArgs::parse_from(&[], 6).unwrap();
         assert_eq!(a.scale, Scale::Full);
         assert_eq!(a.threads, 6);
         assert_eq!(a.json, None);
@@ -482,7 +428,6 @@ mod tests {
                 "--load-balance",
                 "steal",
             ]),
-            None,
             1,
         )
         .unwrap();
@@ -506,62 +451,42 @@ mod tests {
     fn parser_accepts_both_load_balance_policies_and_no_other() {
         for lb in LoadBalance::ALL {
             let a =
-                BenchArgs::parse_from(&s(&["--load-balance", lb.name()]), None, 1).unwrap();
+                BenchArgs::parse_from(&s(&["--load-balance", lb.name()]), 1).unwrap();
             assert_eq!(a.run.load_balance, lb);
         }
-        assert!(BenchArgs::parse_from(&s(&["--load-balance"]), None, 1).is_err());
+        assert!(BenchArgs::parse_from(&s(&["--load-balance"]), 1).is_err());
         for gone in ["chunk", "priority", "magic"] {
-            let err = BenchArgs::parse_from(&s(&["--load-balance", gone]), None, 1).unwrap_err();
+            let err = BenchArgs::parse_from(&s(&["--load-balance", gone]), 1).unwrap_err();
             assert!(err.contains("expected owner or steal"), "{err}");
         }
     }
 
     #[test]
-    fn require_default_run_names_the_offending_flag() {
-        let parse = |args: &[&str]| BenchArgs::parse_from(&s(args), None, 1).unwrap();
-        assert_eq!(parse(&["--quick", "--threads", "3"]).require_default_run("b"), Ok(()));
-        // Spelling out the defaults is not a request for anything else.
-        let spelled = parse(&["--sim-threads", "1", "--load-balance", "owner"]);
-        assert_eq!(spelled.require_default_run("b"), Ok(()));
-        let err = parse(&["--sim-threads", "4"]).require_default_run("ablation_worker");
-        let err = err.unwrap_err();
-        assert!(err.contains("ablation_worker does not support --sim-threads"), "{err}");
-        let err = parse(&["--load-balance", "steal"]).require_default_run("ablation_worker");
-        assert!(err.unwrap_err().contains("--load-balance"));
-    }
-
-    #[test]
     fn parser_clamps_sim_threads_and_rejects_garbage() {
-        let a = BenchArgs::parse_from(&s(&["--sim-threads", "0"]), None, 1).unwrap();
+        let a = BenchArgs::parse_from(&s(&["--sim-threads", "0"]), 1).unwrap();
         assert_eq!(a.run.sim_threads, 1);
-        assert!(BenchArgs::parse_from(&s(&["--sim-threads"]), None, 1).is_err());
-        assert!(BenchArgs::parse_from(&s(&["--sim-threads", "two"]), None, 1).is_err());
+        assert!(BenchArgs::parse_from(&s(&["--sim-threads"]), 1).is_err());
+        assert!(BenchArgs::parse_from(&s(&["--sim-threads", "two"]), 1).is_err());
     }
 
     #[test]
-    fn parser_thread_precedence_flag_env_default() {
-        // Environment overrides the default...
-        let a = BenchArgs::parse_from(&[], Some("3"), 8).unwrap();
-        assert_eq!(a.threads, 3);
-        // ...and the flag overrides the environment.
-        let a = BenchArgs::parse_from(&s(&["--threads", "2"]), Some("3"), 8).unwrap();
+    fn parser_threads_flag_overrides_the_default_and_clamps() {
+        let a = BenchArgs::parse_from(&s(&["--threads", "2"]), 8).unwrap();
         assert_eq!(a.threads, 2);
-        // Zero clamps to one worker.
-        let a = BenchArgs::parse_from(&s(&["--threads", "0"]), None, 8).unwrap();
+        let a = BenchArgs::parse_from(&s(&["--threads", "0"]), 8).unwrap();
         assert_eq!(a.threads, 1);
     }
 
     #[test]
     fn parser_rejects_malformed_input() {
-        assert!(BenchArgs::parse_from(&s(&["--frobnicate"]), None, 1).is_err());
-        assert!(BenchArgs::parse_from(&s(&["--threads"]), None, 1).is_err());
-        assert!(BenchArgs::parse_from(&s(&["--threads", "many"]), None, 1).is_err());
-        assert!(BenchArgs::parse_from(&s(&["--json"]), None, 1).is_err());
-        assert!(BenchArgs::parse_from(&s(&["--trace"]), None, 1).is_err());
-        assert!(BenchArgs::parse_from(&s(&["--metrics"]), None, 1).is_err());
-        assert!(BenchArgs::parse_from(&s(&["--flight-dump"]), None, 1).is_err());
-        assert!(BenchArgs::parse_from(&s(&["--run-id"]), None, 1).is_err());
-        assert!(BenchArgs::parse_from(&[], Some("lots"), 1).is_err());
+        assert!(BenchArgs::parse_from(&s(&["--frobnicate"]), 1).is_err());
+        assert!(BenchArgs::parse_from(&s(&["--threads"]), 1).is_err());
+        assert!(BenchArgs::parse_from(&s(&["--threads", "many"]), 1).is_err());
+        assert!(BenchArgs::parse_from(&s(&["--json"]), 1).is_err());
+        assert!(BenchArgs::parse_from(&s(&["--trace"]), 1).is_err());
+        assert!(BenchArgs::parse_from(&s(&["--metrics"]), 1).is_err());
+        assert!(BenchArgs::parse_from(&s(&["--flight-dump"]), 1).is_err());
+        assert!(BenchArgs::parse_from(&s(&["--run-id"]), 1).is_err());
     }
 
     #[test]
@@ -589,7 +514,7 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         write_report_entry(&path, "table2", 1.5, 4, 1, 100).unwrap();
         write_report_entry(&path, "table5", 2.0, 2, 4, 200).unwrap();
-        // Re-running a binary replaces its entry.
+        // Re-running an experiment replaces its entry.
         write_report_entry(&path, "table2", 9.25, 8, 2, 300).unwrap();
         let text = std::fs::read_to_string(&path).unwrap();
         assert_eq!(
@@ -630,12 +555,12 @@ mod tests {
 
     #[test]
     fn run_id_keys_entries_into_a_history() {
-        let mut args = BenchArgs::parse_from(&[], None, 1).unwrap();
+        let mut args = BenchArgs::parse_from(&[], 1).unwrap();
         args.run_id = Some("abc123@t0".to_string());
         let r = SweepReport::start("fig5", &args);
-        assert_eq!(r.binary, "fig5@abc123@t0");
+        assert_eq!(r.key, "fig5@abc123@t0");
 
-        // Two runs of the same binary under different run ids accumulate
+        // Two runs of the same experiment under different run ids accumulate
         // as separate entries; a re-run of the same id replaces its own.
         let dir = std::env::temp_dir().join(format!("atos-sweep-runid-{}", std::process::id()));
         let path = dir.join("BENCH_sweep.json");

@@ -12,10 +12,11 @@
 //!    distributions (uniform, bursty, near-now skewed). Both runners
 //!    return an order-sensitive checksum, so the bench doubles as an
 //!    equivalence check: the wheel must pop the exact heap sequence.
-//! 2. **End-to-end quick workloads** ([`fig5_quick_workload`],
-//!    [`fig8_quick_workload`]): the fig5/fig8 sweep grids at test scale,
-//!    run serially in-process so the number is a stable single-core
-//!    wall-clock, not a function of host parallelism. The shard-scaling
+//! 2. **End-to-end quick workloads** ([`quick_grid_ms`]): the fig5/fig8
+//!    sweep grids at test scale — their cells enumerated from the
+//!    experiment table ([`crate::registry`]) — run serially in-process so
+//!    the number is a stable single-core wall-clock, not a function of
+//!    host parallelism. The shard-scaling
 //!    variant ([`fig5_sharded_run`], [`measure_sharded_scaling`]) sweeps
 //!    the Atos cells over K ∈ {1,2,4,8} engine shards and records the
 //!    self-relative speedup curve (plus `host_cores`, since the curve is
@@ -41,16 +42,12 @@ use std::path::Path;
 use std::time::Instant;
 
 use atos_apps::bfs::{run_bfs_sharded, run_bfs_sharded_profiled};
-use atos_apps::pagerank::run_pagerank_sharded;
-use atos_core::{AtosConfig, NullTracer, RunStats, RuntimeTuning};
+use atos_core::{AtosConfig, NullTracer, RuntimeTuning};
 use atos_graph::generators::{Preset, Scale};
 use atos_sim::engine::reference::HeapEngine;
 use atos_sim::{Engine, Fabric};
 
-use crate::{
-    bfs_nvlink_ms, ib_ms, pr_nvlink_ms, Dataset, EventTally, RunConfig, ALPHA,
-    BFS_NVLINK_FRAMEWORKS, EPSILON, PR_NVLINK_FRAMEWORKS,
-};
+use crate::{is_atos, registry, Dataset, RunConfig};
 
 /// Default location of the committed trajectory history, relative to the
 /// repo root.
@@ -132,7 +129,8 @@ fn fold(acc: u64, t: u64, v: u64) -> u64 {
 /// Schedule all `times` into the timing-wheel engine, then pop to empty;
 /// returns the order-sensitive checksum of the drain.
 pub fn run_wheel(times: &[u64]) -> u64 {
-    let mut e: Engine<u64> = Engine::with_capacity(times.len());
+    let mut e: Engine<u64> = Engine::new();
+    e.reserve(times.len());
     for (i, &t) in times.iter().enumerate() {
         e.schedule_at(t, i as u64);
     }
@@ -205,106 +203,46 @@ pub fn measure_engine(n: usize, samples: usize) -> BTreeMap<String, f64> {
 // End-to-end quick workloads
 // ---------------------------------------------------------------------------
 
-/// The fig5 sweep grid (NVLink BFS + PageRank strong scaling) at test
-/// scale, run serially; returns wall-clock milliseconds.
-pub fn fig5_quick_workload() -> f64 {
-    let datasets: Vec<Dataset> = Preset::SCALING
-        .iter()
-        .map(|n| Dataset::build(Preset::by_name(n).unwrap(), Scale::Tiny))
-        .collect();
-    let (run, events) = (RunConfig::default(), EventTally::default());
+/// Every cell of grid experiment `name` (a [`registry::GridSpec`] row:
+/// `fig5_scaling_nvlink`, `fig8_scaling_ib_bfs`, …) at test scale, run
+/// serially; returns wall-clock milliseconds. Dataset construction is
+/// outside the timed region.
+pub fn quick_grid_ms(name: &str) -> f64 {
+    let spec = registry::grid(name);
+    let datasets = spec.datasets(Scale::Tiny);
     let t0 = Instant::now();
     let mut acc = 0.0f64;
-    for ds in &datasets {
-        for g in 1..=4usize {
-            for fw in BFS_NVLINK_FRAMEWORKS {
-                acc += bfs_nvlink_ms(fw, ds, g, run, &events);
-            }
-            for fw in PR_NVLINK_FRAMEWORKS {
-                acc += pr_nvlink_ms(fw, ds, g, run, &events);
-            }
-        }
+    for cell in spec.cells() {
+        acc += spec.run_cell(&cell, &datasets, RunConfig::default()).elapsed_ms();
     }
     std::hint::black_box(acc);
     t0.elapsed().as_secs_f64() * 1e3
 }
 
-/// The fig8 sweep grid (InfiniBand BFS strong scaling) at test scale,
-/// run serially; returns wall-clock milliseconds.
-pub fn fig8_quick_workload() -> f64 {
-    let datasets: Vec<Dataset> = Preset::SCALING
-        .iter()
-        .map(|n| Dataset::build(Preset::by_name(n).unwrap(), Scale::Tiny))
-        .collect();
-    let (run, events) = (RunConfig::default(), EventTally::default());
-    let t0 = Instant::now();
-    let mut acc = 0.0f64;
-    for ds in &datasets {
-        for fw in ["Galois", "Atos"] {
-            for g in 1..=8usize {
-                acc += ib_ms(fw, "bfs", ds, g, run, &events);
-            }
-        }
-    }
-    std::hint::black_box(acc);
-    t0.elapsed().as_secs_f64() * 1e3
-}
-
-/// The Atos cells of the fig5 grid (both NVLink BFS configs and both
-/// NVLink PageRank configs, 4 GPUs, all scaling datasets) executed on `k`
-/// parallel engine shards. Returns an order-sensitive checksum over every
-/// run's virtual clock and event count — identical for every `k` by the
-/// sharded runtime's determinism guarantee, so the scaling bench doubles
-/// as an end-to-end equivalence check. `k` larger than the PE count is
-/// clamped by the runtime (k=8 on the 4-GPU fabric runs as 4 shards and
-/// measures the clamp's overhead-freeness).
+/// The Atos cells of the fig5 grid at its full GPU count (both NVLink BFS
+/// configs and both NVLink PageRank configs, 4 GPUs, all scaling
+/// datasets) executed on `k` parallel engine shards. Returns an
+/// order-sensitive checksum over every run's virtual clock and event
+/// count — identical for every `k` by the sharded runtime's determinism
+/// guarantee, so the scaling bench doubles as an end-to-end equivalence
+/// check. `k` larger than the PE count is clamped by the runtime (k=8 on
+/// the 4-GPU fabric runs as 4 shards and measures the clamp's
+/// overhead-freeness).
 pub fn fig5_sharded_run(k: usize) -> u64 {
-    let datasets: Vec<Dataset> = Preset::SCALING
-        .iter()
-        .map(|n| Dataset::build(Preset::by_name(n).unwrap(), Scale::Tiny))
-        .collect();
-    let mut sum = 0u64;
-    let mut fold = |stats: &RunStats| {
-        sum = sum
-            .rotate_left(7)
-            .wrapping_add(stats.elapsed_ns)
-            .wrapping_add(stats.sim_events.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+    let spec = registry::grid("fig5_scaling_nvlink");
+    let datasets = spec.datasets(Scale::Tiny);
+    let run = RunConfig {
+        sim_threads: k,
+        ..RunConfig::default()
     };
-    for ds in &datasets {
-        let part = ds.partition(4);
-        let fabric = Fabric::daisy(4);
-        for cfg in [
-            AtosConfig::standard_persistent(),
-            AtosConfig::priority_discrete(),
-        ] {
-            fold(
-                &run_bfs_sharded(
-                    ds.graph.clone(),
-                    part.clone(),
-                    ds.source,
-                    fabric.clone(),
-                    cfg,
-                    k,
-                )
-                .stats,
-            );
-        }
-        for cfg in [
-            AtosConfig::standard_discrete(),
-            AtosConfig::standard_persistent(),
-        ] {
-            fold(
-                &run_pagerank_sharded(
-                    ds.graph.clone(),
-                    part.clone(),
-                    ALPHA,
-                    EPSILON,
-                    fabric.clone(),
-                    cfg,
-                    k,
-                )
-                .stats,
-            );
+    let mut sum = 0u64;
+    for cell in spec.cells() {
+        if is_atos(cell.framework) && cell.gpus == spec.max_gpus {
+            let stats = spec.run_cell(&cell, &datasets, run);
+            sum = sum
+                .rotate_left(7)
+                .wrapping_add(stats.elapsed_ns)
+                .wrapping_add(stats.sim_events.wrapping_mul(0x9E37_79B9_7F4A_7C15));
         }
     }
     sum
@@ -377,7 +315,7 @@ fn host_cores() -> f64 {
 }
 
 /// Measure the graph-construction layer for the `graph_build` trajectory
-/// entry — the fixed cost every table binary, test and benchmark process
+/// entry — the fixed cost every experiment, test and benchmark process
 /// pays before its first task: best-of-`samples` wall clock of the
 /// full-scale soc-LiveJournal1 stand-in (`rmat18_ms`: R-MAT 18, 4.3 M
 /// edges) and osm-eur stand-in (`road1000_ms`: 1000² road mesh), both

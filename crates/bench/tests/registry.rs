@@ -1,0 +1,117 @@
+//! The experiment table's contract, checked row by row through the real
+//! `atos-bench` binary: names resolve and are documented, committed quick
+//! goldens reproduce, and every flag is honoured or refused — never
+//! accepted and ignored.
+
+use std::path::{Path, PathBuf};
+use std::process::Command;
+
+use atos_bench::registry::{EXPERIMENTS, REFERENCE};
+
+/// Committed `--quick --threads 1` stdout, by experiment name.
+const QUICK_GOLDENS: [(&str, &str); 4] = [
+    ("fig5_scaling_nvlink", "fig5_quick.txt"),
+    ("fig8_scaling_ib_bfs", "fig8_quick.txt"),
+    ("fig9_scaling_ib_pr", "fig9_quick.txt"),
+    ("table5_ib", "table5_quick.txt"),
+];
+
+fn repo_root() -> PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR")).join("../..")
+}
+
+/// `atos-bench <name> --quick --threads 1 <flags>`, its report going to
+/// `json`: (exit code, stdout, stderr).
+fn run(name: &str, flags: &[&str], json: &Path) -> (Option<i32>, Vec<u8>, String) {
+    let out = Command::new(env!("CARGO_BIN_EXE_atos-bench"))
+        .arg(name)
+        .args(["--quick", "--threads", "1"])
+        .args(flags)
+        .arg("--json")
+        .arg(json)
+        .output()
+        .expect("atos-bench should spawn");
+    (out.status.code(), out.stdout, String::from_utf8_lossy(&out.stderr).into_owned())
+}
+
+#[test]
+fn every_row_is_documented_reproducible_and_ignores_no_flag() {
+    let dir = std::env::temp_dir().join(format!("atos-registry-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let json = dir.join("sweep.json");
+    let design = std::fs::read_to_string(repo_root().join("DESIGN.md")).unwrap();
+    let index = design
+        .split("\n## ")
+        .find(|section| section.starts_with("3. "))
+        .expect("DESIGN.md has a section 3");
+
+    for (i, e) in EXPERIMENTS.iter().enumerate() {
+        let name = e.name;
+        assert!(EXPERIMENTS[..i].iter().all(|o| o.name != name), "duplicate row {name}");
+        assert!(index.contains(&format!("`{name}`")), "DESIGN.md §3 does not mention `{name}`");
+
+        let (code, plain, stderr) = run(name, &[], &json);
+        assert_eq!(code, Some(0), "{name}: {stderr}");
+        assert!(!plain.is_empty(), "{name} printed nothing");
+        if let Some((_, file)) = QUICK_GOLDENS.iter().find(|(n, _)| *n == name) {
+            let golden = std::fs::read(repo_root().join("results").join(file)).unwrap();
+            assert!(plain == golden, "{name} --quick differs from results/{file}");
+        }
+
+        // Honoured (sharding never changes a table) or refused by name
+        // before anything is printed or reported.
+        std::fs::remove_file(&json).unwrap();
+        let (code, sharded, stderr) = run(name, &["--sim-threads", "4"], &json);
+        if e.atos_runs {
+            assert_eq!(code, Some(0), "{name} --sim-threads 4: {stderr}");
+            assert!(sharded == plain, "{name}: --sim-threads changed stdout");
+        } else {
+            assert_eq!(code, Some(2), "{name} --sim-threads 4: {stderr}");
+            assert!(stderr.contains("--sim-threads"), "{stderr}");
+            assert!(sharded.is_empty() && !json.exists(), "{name} ran before refusing");
+            let spelled = run(name, &["--sim-threads", "1", "--load-balance", "owner"], &json);
+            assert_eq!(spelled.0, Some(0), "{name}: spelling out the defaults is fine");
+        }
+
+        if name != REFERENCE {
+            let trace = dir.join("trace.json");
+            let (code, stdout, stderr) = run(name, &["--trace", trace.to_str().unwrap()], &json);
+            assert_eq!(code, Some(2), "{name} --trace: {stderr}");
+            assert!(stderr.contains("--trace"), "{stderr}");
+            assert!(stdout.is_empty() && !trace.exists(), "{name} ran before refusing");
+        }
+    }
+    for (name, _) in QUICK_GOLDENS {
+        assert!(EXPERIMENTS.iter().any(|e| e.name == name), "golden for unknown row {name}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn stealing_reaches_the_runs_of_the_hand_written_experiments() {
+    // The grids pass `--load-balance` through `run_cell`; these three
+    // launch their Atos runs themselves and once dropped the flag.
+    let dir = std::env::temp_dir().join(format!("atos-registry-lb-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let json = dir.join("sweep.json");
+    for name in ["fig7_summit_node", "table3_priority_workload", "ablation_smoothing"] {
+        let (_, plain, _) = run(name, &[], &json);
+        let (code, stealing, stderr) = run(name, &["--load-balance", "steal"], &json);
+        assert_eq!(code, Some(0), "{name} --load-balance steal: {stderr}");
+        assert!(stealing != plain, "{name}: --load-balance steal changed nothing it computes");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn an_unknown_or_missing_experiment_prints_the_table() {
+    for args in [&[][..], &["table9"], &["--quick"]] {
+        let out = Command::new(env!("CARGO_BIN_EXE_atos-bench")).args(args).output().unwrap();
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        assert!(out.stdout.is_empty());
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        for e in &EXPERIMENTS {
+            assert!(stderr.contains(e.name), "usage omits {}", e.name);
+        }
+    }
+}

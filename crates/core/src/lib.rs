@@ -51,7 +51,6 @@ pub mod emitter;
 pub mod host;
 pub mod loadbalance;
 pub mod metrics;
-pub mod pgas;
 pub mod profile;
 pub mod runtime;
 pub mod sharded;

@@ -121,11 +121,6 @@ impl FlightRecorder {
         self.len == 0
     }
 
-    /// Ring capacity.
-    pub fn capacity(&self) -> usize {
-        self.ring.len()
-    }
-
     /// Total records ever pushed (retained + evicted).
     pub fn total(&self) -> u64 {
         self.total
@@ -351,14 +346,6 @@ impl ShardProfile {
         }
     }
 
-    /// Optimistic parallel-speedup headroom over sequential for this
-    /// shard count: `K / imbalance × (1 - barrier_frac)` — what the run
-    /// could reach if only load imbalance and barrier overhead limited it.
-    pub fn scaling_headroom(&self) -> f64 {
-        let k = self.shards.len().max(1) as f64;
-        (k / self.imbalance_ratio().max(1.0)) * (1.0 - self.barrier_frac())
-    }
-
     /// Export every shard's counters and histograms plus the run-level
     /// diagnostics into `reg` under deterministic dotted keys
     /// (`shard<k>.*`, `sharded.*`).
@@ -526,8 +513,6 @@ mod tests {
         assert!((p.imbalance_ratio() - 1.5).abs() < 1e-9);
         // mean wait = (10 + 10)/2 = 10 ns of 1000 -> 0.01.
         assert!((p.barrier_frac() - 0.01).abs() < 1e-9);
-        // 2 / 1.5 * 0.99
-        assert!((p.scaling_headroom() - 2.0 / 1.5 * 0.99).abs() < 1e-9);
 
         let mut reg = MetricsRegistry::new();
         p.fill_metrics(&mut reg);

@@ -165,7 +165,8 @@ fn steady_state_send_paths_do_not_allocate_per_task() {
     // Steady-state engine churn: after warm-up, the timing wheel's
     // schedule→pop cycle recycles arena slots, bucket vectors, and heap
     // storage — zero allocations, exactly (not a budget).
-    let mut e: atos_sim::Engine<u64> = atos_sim::Engine::with_capacity(1024);
+    let mut e: atos_sim::Engine<u64> = atos_sim::Engine::new();
+    e.reserve(1024);
     for i in 0..512u64 {
         e.schedule_at(i * 173 % 50_000, i);
     }

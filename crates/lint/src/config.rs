@@ -139,7 +139,6 @@ impl Config {
                 // Vendored dependency shims (outside the runtime proper).
                 "crates/rand-shim/",
                 "crates/proptest-shim/",
-                "crates/criterion-shim/",
                 // The standalone benchmark package: a measurement harness
                 // outside the workspace, never built under `atos_check`.
                 "benchmark/",
@@ -252,13 +251,6 @@ impl Config {
                     fns: &["worker"],
                     forbid_index: false,
                 },
-                KernelScope {
-                    // The conservative-PDES horizon computation: every
-                    // execution window of every shard passes through it.
-                    file_suffix: "crates/sim/src/sharded.rs",
-                    fns: &["safe_horizon"],
-                    forbid_index: false,
-                },
             ],
             sim_paths: &["crates/sim/src/"],
             sim_forbidden: &[
@@ -341,7 +333,6 @@ impl Config {
             ],
             taint_exclude: &[
                 "/tests/",
-                "/benches/",
                 "/examples/",
                 "examples/",
                 "crates/lint/",
@@ -451,14 +442,5 @@ impl Config {
         self.unchecked_scopes
             .iter()
             .find(|s| path.ends_with(s.file_suffix))
-    }
-
-    /// A stable digest of every policy knob, mixed into the result-cache
-    /// key so an edited configuration invalidates cached findings instead
-    /// of replaying them. All fields are `'static` literals with derived
-    /// `Debug`, so the rendering — and therefore the digest — is a pure
-    /// function of the configuration source.
-    pub fn fingerprint(&self) -> u64 {
-        crate::cache::fnv1a64(format!("{self:?}").as_bytes())
     }
 }

@@ -60,16 +60,13 @@
 //! lines of a file (honored for deliberately-broken twins like
 //! `mutations.rs`).
 
-pub mod baseline;
 pub mod bounds;
-pub mod cache;
 pub mod callgraph;
 pub mod config;
 pub mod lints;
 pub mod model;
 pub mod parse;
 pub mod report;
-pub mod sarif;
 pub mod shard;
 pub mod summaries;
 pub mod taint;
@@ -91,23 +88,11 @@ pub struct Finding {
     pub message: String,
 }
 
-impl Finding {
-    /// The baseline identity of this finding: rule + file + message,
-    /// deliberately excluding the line number so unrelated edits above a
-    /// baselined finding do not resurface it.
-    pub fn key(&self) -> String {
-        format!("{}\t{}\t{}", self.rule, self.file, self.message)
-    }
-}
-
 /// One parsed source file.
 #[derive(Debug)]
 pub struct SourceFile {
     /// Workspace-relative `/`-separated path.
     pub path: String,
-    /// Raw source text (retained for baseline snippet fingerprints and
-    /// the content-hash lint cache).
-    pub src: String,
     /// Parsed view.
     pub parsed: parse::ParsedFile,
     /// `lint:skip-file` marker present in the first ten lines.
@@ -134,7 +119,6 @@ impl Workspace {
                     .any(|l| l.contains("lint:skip-file")),
                 parsed: parse::parse(&src),
                 path: path.replace('\\', "/"),
-                src,
             })
             .collect();
         Workspace { files }
@@ -225,43 +209,9 @@ fn suppressed(file: &SourceFile, f: &Finding) -> bool {
 }
 
 /// Run every rule, apply suppressions, and return findings sorted by
-/// `(file, line, rule)` — a stable order for goldens and baselines.
+/// `(file, line, rule)`. The CLI calls [`lints::analyze`] and
+/// [`lints::run`] itself: it also wants the analysis's wall-clock key
+/// inventory and the timing rows.
 pub fn run(ws: &Workspace, cfg: &config::Config) -> Vec<Finding> {
-    run_with_analysis(ws, cfg, &lints::analyze(ws, cfg))
-}
-
-/// Like [`run`], against a prebuilt analysis (the CLI builds it once and
-/// also consumes its wall-clock key inventory).
-pub fn run_with_analysis(
-    ws: &Workspace,
-    cfg: &config::Config,
-    an: &lints::Analysis,
-) -> Vec<Finding> {
-    run_with_analysis_timed(ws, cfg, an).0
-}
-
-/// [`run_with_analysis`], also returning the per-rule wall-time rows the
-/// CLI prints under `--timings` (analysis-phase rows come from
-/// [`lints::Analysis::phase_timings`]).
-pub fn run_with_analysis_timed(
-    ws: &Workspace,
-    cfg: &config::Config,
-    an: &lints::Analysis,
-) -> (Vec<Finding>, Vec<(&'static str, std::time::Duration)>) {
-    let (raw, timings) = lints::run_timed(ws, cfg, an);
-    let mut findings: Vec<Finding> = raw
-        .into_iter()
-        .filter(|f| {
-            ws.files
-                .iter()
-                .find(|sf| sf.path == f.file)
-                .map(|sf| !suppressed(sf, f))
-                .unwrap_or(true)
-        })
-        .collect();
-    findings.sort_by(|a, b| {
-        (a.file.as_str(), a.line, a.rule).cmp(&(b.file.as_str(), b.line, b.rule))
-    });
-    findings.dedup();
-    (findings, timings)
+    lints::run(ws, cfg, &lints::analyze(ws, cfg)).0
 }

@@ -62,19 +62,11 @@ pub fn analyze(ws: &Workspace, cfg: &Config) -> Analysis {
     }
 }
 
-/// Run every rule over the workspace (building the analysis internally).
-pub fn run_all(ws: &Workspace, cfg: &Config) -> Vec<Finding> {
-    run_with(ws, cfg, &analyze(ws, cfg))
-}
-
-/// Run every rule against a prebuilt [`Analysis`].
-pub fn run_with(ws: &Workspace, cfg: &Config, an: &Analysis) -> Vec<Finding> {
-    run_timed(ws, cfg, an).0
-}
-
-/// [`run_with`], also returning per-rule wall time (for `--timings`).
-/// The three ordering rules share one pass and report as one row.
-pub fn run_timed(
+/// Run every rule against a prebuilt [`Analysis`] and apply suppressions:
+/// the findings sorted by `(file, line, rule)` — a stable order for
+/// goldens — plus per-rule wall time (for `--timings`; the three ordering
+/// rules share one pass and report as one row).
+pub fn run(
     ws: &Workspace,
     cfg: &Config,
     an: &Analysis,
@@ -124,6 +116,15 @@ pub fn run_timed(
     let t0 = std::time::Instant::now();
     out.extend(an.taint.findings.iter().cloned());
     timings.push(("determinism-taint", t0.elapsed()));
+    out.retain(|f| {
+        ws.files
+            .iter()
+            .find(|sf| sf.path == f.file)
+            .map(|sf| !crate::suppressed(sf, f))
+            .unwrap_or(true)
+    });
+    out.sort_by(|a, b| (a.file.as_str(), a.line, a.rule).cmp(&(b.file.as_str(), b.line, b.rule)));
+    out.dedup();
     (out, timings)
 }
 

@@ -1,49 +1,28 @@
 //! `atos-lint` CLI.
 //!
 //! ```text
-//! atos-lint --workspace [--emit human|json|sarif] [--deny-new]
-//!           [--baseline FILE] [--write-baseline] [--cache FILE]
+//! atos-lint (--workspace | PATH...) [--json] [--timings]
 //!           [--wall-clock-inventory FILE]
-//! atos-lint PATH...            # lint specific files/directories
 //! ```
 //!
-//! `--json` is a legacy alias for `--emit json`. `--cache FILE` keys the
-//! run on a content hash of the workspace and the lint config and replays
-//! findings (and the wall-clock inventory) byte-identically on a hit.
-//! `--timings` prints a per-rule wall-time breakdown to stderr (on a
-//! cache hit the analysis is skipped and no breakdown exists).
+//! `--workspace` lints every `.rs` file under the workspace root; explicit
+//! paths lint those files/directories (both under the project config).
+//! `--json` prints the stable JSON report instead of the human one.
+//! `--timings` prints a per-phase/per-rule wall-time breakdown to stderr.
 //! `--wall-clock-inventory FILE` writes the determinism-taint pass's
 //! metric-key inventory (the artifact `crates/bench/tests/trace_golden.rs`
 //! consumes).
 //!
-//! Exit codes: 0 = clean (or all findings baselined under `--deny-new`),
-//! 1 = findings, 2 = usage or I/O error.
+//! Exit codes: 0 = clean, 1 = findings, 2 = usage or I/O error.
 
-use atos_lint::{
-    baseline, cache,
-    config::Config,
-    lints, report, run_with_analysis_timed, sarif,
-    taint::{render_inventory, InventoryEntry},
-    Finding, Workspace,
-};
+use atos_lint::{config::Config, lints, report, taint::render_inventory, Workspace};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::time::Instant;
 
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Emit {
-    Human,
-    Json,
-    Sarif,
-}
-
 struct Args {
     workspace: bool,
-    emit: Emit,
-    deny_new: bool,
-    write_baseline: bool,
-    baseline: Option<PathBuf>,
-    cache: Option<PathBuf>,
+    json: bool,
     inventory: Option<PathBuf>,
     timings: bool,
     paths: Vec<PathBuf>,
@@ -51,9 +30,8 @@ struct Args {
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage: atos-lint (--workspace | PATH...) [--emit human|json|sarif] \
-         [--json] [--deny-new] [--baseline FILE] [--write-baseline] \
-         [--cache FILE] [--wall-clock-inventory FILE] [--timings]"
+        "usage: atos-lint (--workspace | PATH...) [--json] [--timings] \
+         [--wall-clock-inventory FILE]"
     );
     ExitCode::from(2)
 }
@@ -61,11 +39,7 @@ fn usage() -> ExitCode {
 fn parse_args() -> Result<Args, ExitCode> {
     let mut a = Args {
         workspace: false,
-        emit: Emit::Human,
-        deny_new: false,
-        write_baseline: false,
-        baseline: None,
-        cache: None,
+        json: false,
         inventory: None,
         timings: false,
         paths: Vec::new(),
@@ -74,29 +48,12 @@ fn parse_args() -> Result<Args, ExitCode> {
     while let Some(arg) = it.next() {
         match arg.as_str() {
             "--workspace" => a.workspace = true,
-            "--json" => a.emit = Emit::Json,
-            "--emit" => match it.next().as_deref() {
-                Some("human") => a.emit = Emit::Human,
-                Some("json") => a.emit = Emit::Json,
-                Some("sarif") => a.emit = Emit::Sarif,
-                _ => return Err(usage()),
-            },
-            "--deny-new" => a.deny_new = true,
-            "--write-baseline" => a.write_baseline = true,
-            "--baseline" => match it.next() {
-                Some(p) => a.baseline = Some(PathBuf::from(p)),
-                None => return Err(usage()),
-            },
-            "--cache" => match it.next() {
-                Some(p) => a.cache = Some(PathBuf::from(p)),
-                None => return Err(usage()),
-            },
+            "--json" => a.json = true,
             "--wall-clock-inventory" => match it.next() {
                 Some(p) => a.inventory = Some(PathBuf::from(p)),
                 None => return Err(usage()),
             },
             "--timings" => a.timings = true,
-            "-h" | "--help" => return Err(usage()),
             p if !p.starts_with('-') => a.paths.push(PathBuf::from(p)),
             _ => return Err(usage()),
         }
@@ -131,20 +88,19 @@ fn main() -> ExitCode {
     };
 
     let t0 = Instant::now();
-    let (root, ws) = if args.workspace {
+    let ws = if args.workspace {
         let Some(root) = find_workspace_root() else {
             eprintln!("atos-lint: no workspace root ([workspace] in Cargo.toml) above cwd");
             return ExitCode::from(2);
         };
         match Workspace::discover(&root) {
-            Ok(ws) => (root, ws),
+            Ok(ws) => ws,
             Err(e) => {
                 eprintln!("atos-lint: {e}");
                 return ExitCode::from(2);
             }
         }
     } else {
-        let cwd = std::env::current_dir().unwrap_or_else(|_| PathBuf::from("."));
         let mut sources = Vec::new();
         for p in &args.paths {
             if let Err(e) = collect(p, &mut sources) {
@@ -152,45 +108,17 @@ fn main() -> ExitCode {
                 return ExitCode::from(2);
             }
         }
-        (cwd, Workspace::from_sources(sources))
+        Workspace::from_sources(sources)
     };
 
     let cfg = Config::project();
-    let run_live = |timings: bool| {
-        let an = lints::analyze(&ws, &cfg);
-        let (findings, rule_timings) = run_with_analysis_timed(&ws, &cfg, &an);
-        if timings {
-            print_timings(&an.phase_timings, &rule_timings);
-        }
-        (findings, an.taint.inventory)
-    };
-    let (findings, inventory, cache_state): (Vec<Finding>, Vec<InventoryEntry>, &str) =
-        match &args.cache {
-            Some(cache_path) => {
-                let key = cache::workspace_key(&ws, &cfg);
-                if let Some(hit) = cache::load(cache_path, key) {
-                    if args.timings {
-                        eprintln!(
-                            "atos-lint: --timings: cache hit replays stored \
-                             findings; no analysis ran"
-                        );
-                    }
-                    (hit.findings, hit.inventory, "cache hit")
-                } else {
-                    let (findings, inventory) = run_live(args.timings);
-                    if let Err(e) = cache::store(cache_path, key, &findings, &inventory) {
-                        eprintln!("atos-lint: writing {}: {e}", cache_path.display());
-                    }
-                    (findings, inventory, "cache miss")
-                }
-            }
-            None => {
-                let (findings, inventory) = run_live(args.timings);
-                (findings, inventory, "no cache")
-            }
-        };
+    let an = lints::analyze(&ws, &cfg);
+    let (findings, rule_timings) = lints::run(&ws, &cfg, &an);
+    if args.timings {
+        print_timings(&an.phase_timings, &rule_timings);
+    }
     eprintln!(
-        "atos-lint: {} files, {} finding{} in {:.1} ms ({cache_state})",
+        "atos-lint: {} files, {} finding{} in {:.1} ms",
         ws.files.len(),
         findings.len(),
         if findings.len() == 1 { "" } else { "s" },
@@ -203,74 +131,18 @@ fn main() -> ExitCode {
                 let _ = std::fs::create_dir_all(parent);
             }
         }
-        if let Err(e) = std::fs::write(inv_path, render_inventory(&inventory)) {
+        if let Err(e) = std::fs::write(inv_path, render_inventory(&an.taint.inventory)) {
             eprintln!("atos-lint: writing {}: {e}", inv_path.display());
             return ExitCode::from(2);
         }
     }
 
-    let base_path = args
-        .baseline
-        .clone()
-        .unwrap_or_else(|| root.join(".atos-lint-baseline"));
-
-    if args.write_baseline {
-        if let Err(e) = baseline::write(&base_path, &ws, &findings) {
-            eprintln!("atos-lint: writing {}: {e}", base_path.display());
-            return ExitCode::from(2);
-        }
-        eprintln!(
-            "atos-lint: wrote {} entr{} to {}",
-            findings.len(),
-            if findings.len() == 1 { "y" } else { "ies" },
-            base_path.display()
-        );
-        return ExitCode::SUCCESS;
-    }
-
-    let effective: Vec<Finding> = if args.deny_new {
-        let base = match baseline::load(&base_path) {
-            Ok(b) => b,
-            Err(e) => {
-                eprintln!("atos-lint: reading {}: {e}", base_path.display());
-                return ExitCode::from(2);
-            }
-        };
-        if base.was_v1 {
-            // Migrate in place: re-fingerprint the findings the v1 file
-            // covered; stale v1 entries (already-fixed findings) drop out.
-            let covered: Vec<Finding> = findings
-                .iter()
-                .filter(|f| base.v1.contains(&f.key()))
-                .cloned()
-                .collect();
-            match baseline::write(&base_path, &ws, &covered) {
-                Ok(()) => eprintln!(
-                    "atos-lint: migrated {} to the v2 fingerprint format \
-                     ({} entr{})",
-                    base_path.display(),
-                    covered.len(),
-                    if covered.len() == 1 { "y" } else { "ies" }
-                ),
-                Err(e) => {
-                    eprintln!("atos-lint: migrating {}: {e}", base_path.display())
-                }
-            }
-        }
-        baseline::new_findings(&ws, &findings, &base)
-            .into_iter()
-            .cloned()
-            .collect()
+    if args.json {
+        println!("{}", report::json(&findings));
     } else {
-        findings
-    };
-
-    match args.emit {
-        Emit::Json => println!("{}", report::json(&effective)),
-        Emit::Sarif => println!("{}", sarif::sarif(&effective)),
-        Emit::Human => print!("{}", report::human(&effective)),
+        print!("{}", report::human(&findings));
     }
-    if effective.is_empty() {
+    if findings.is_empty() {
         ExitCode::SUCCESS
     } else {
         ExitCode::FAILURE

@@ -189,14 +189,6 @@ impl<E> Engine<E> {
         }
     }
 
-    /// Fresh engine with arena and heap capacity for `capacity` pending
-    /// events, so a run of known size never grows the backing storage.
-    pub fn with_capacity(capacity: usize) -> Self {
-        let mut e = Self::new();
-        e.reserve(capacity);
-        e
-    }
-
     /// Current virtual time (the timestamp of the last event popped).
     pub fn now(&self) -> Time {
         self.now
@@ -305,34 +297,6 @@ impl<E> Engine<E> {
         self.slots.reserve(it.size_hint().0.saturating_sub(self.free.len()));
         for (at, event) in it {
             self.schedule_at(at, event);
-        }
-    }
-
-    /// Bulk-schedule events whose times are already non-decreasing.
-    ///
-    /// Semantically identical to [`Engine::schedule_batch`]; the sorted
-    /// precondition (checked in debug builds) lets the loop clamp against
-    /// `now` once instead of per event. Sorted bursts are the common case
-    /// for traffic generators and replayed traces.
-    pub fn schedule_sorted_batch<I>(&mut self, events: I)
-    where
-        I: IntoIterator<Item = (Time, E)>,
-    {
-        let it = events.into_iter();
-        self.slots.reserve(it.size_hint().0.saturating_sub(self.free.len()));
-        let mut prev: Time = 0;
-        for (at, event) in it {
-            debug_assert!(at >= prev, "schedule_sorted_batch: times must be non-decreasing");
-            prev = at;
-            let at = if at < self.now { self.now } else { at };
-            let key = Key { at, seq: self.seq };
-            self.seq += 1;
-            let idx = self.arena_insert(event);
-            self.place(key, idx);
-            self.len += 1;
-        }
-        if self.len > self.max_pending {
-            self.max_pending = self.len;
         }
     }
 
@@ -646,7 +610,7 @@ pub mod reference {
     //! The retired binary-heap engine, kept verbatim as the correctness
     //! oracle for the timing wheel (`tests/properties.rs` asserts
     //! identical pop sequences over random schedules) and as the baseline
-    //! the `engine_bench` criterion bench measures speedups against. Not
+    //! the trajectory's `engine_microbench` measures speedups against. Not
     //! for production use — the wheel in the parent module is strictly
     //! faster and behaviorally identical.
 
@@ -887,35 +851,6 @@ mod tests {
     }
 
     #[test]
-    fn schedule_sorted_batch_matches_schedule_batch() {
-        let mut a = Engine::new();
-        let mut b = Engine::new();
-        let mut events: Vec<(Time, u32)> =
-            (0..500).map(|i| (((i * 37) % 9000) as Time, i as u32)).collect();
-        events.sort_by_key(|&(t, _)| t);
-        // Re-number payloads in sorted order so both engines see the same
-        // (time, payload) stream.
-        for (i, ev) in events.iter_mut().enumerate() {
-            ev.1 = i as u32;
-        }
-        a.schedule_batch(events.iter().copied());
-        b.schedule_sorted_batch(events.iter().copied());
-        let pa: Vec<_> = std::iter::from_fn(|| a.pop()).collect();
-        let pb: Vec<_> = std::iter::from_fn(|| b.pop()).collect();
-        assert_eq!(pa, pb);
-    }
-
-    #[test]
-    fn schedule_sorted_batch_clamps_past_times() {
-        let mut e = Engine::new();
-        e.schedule_at(100, 0u32);
-        e.pop();
-        e.schedule_sorted_batch([(100, 1u32), (150, 2)]);
-        assert_eq!(e.pop(), Some((100, 1)));
-        assert_eq!(e.pop(), Some((150, 2)));
-    }
-
-    #[test]
     fn interleaved_scheduling_stays_deterministic() {
         // Handlers scheduling new events at the current time must run after
         // already-queued same-time events, in scheduling order.
@@ -988,8 +923,9 @@ mod tests {
     }
 
     #[test]
-    fn with_capacity_preallocates() {
-        let mut e: Engine<u64> = Engine::with_capacity(1024);
+    fn reserve_preallocates() {
+        let mut e: Engine<u64> = Engine::new();
+        e.reserve(1024);
         for i in 0..1024 {
             e.schedule_at(i * 17, i);
         }

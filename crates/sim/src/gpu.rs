@@ -32,9 +32,6 @@ pub struct GpuCostModel {
     /// Per-worker cost to process one edge (load neighbor, atomicMin,
     /// conditional push), ns.
     pub edge_ns: f64,
-    /// Per-vertex cost of scanning for unconverged vertices (PageRank's
-    /// pop-fail path), ns per vertex per worker.
-    pub scan_ns: f64,
     /// Concurrently resident workers (CTA-sized workers on 80 SMs).
     pub resident_workers: usize,
 }
@@ -52,7 +49,6 @@ impl GpuCostModel {
             host_sync_ns: 9_000,
             task_ns: 400.0,
             edge_ns: 80.0,
-            scan_ns: 1.0,
             resident_workers: 160,
         }
     }
@@ -86,12 +82,6 @@ impl GpuCostModel {
             span.max(throughput)
         };
         t.ceil() as Time
-    }
-
-    /// Time to scan `vertices` residuals looking for unconverged work
-    /// (parallel across all workers).
-    pub fn scan_ns(&self, vertices: usize) -> Time {
-        ((vertices as f64 * self.scan_ns) / self.resident_workers as f64).ceil() as Time
     }
 
     /// Overhead of one discrete-kernel invocation (launch + host sync).

@@ -69,8 +69,6 @@ pub struct Link {
     /// Wire framing model.
     pub packet: PacketModel,
     next_free: Time,
-    bytes_carried: u64,
-    messages: u64,
 }
 
 impl Link {
@@ -80,8 +78,6 @@ impl Link {
             gbytes_per_s,
             packet,
             next_free: 0,
-            bytes_carried: 0,
-            messages: 0,
         }
     }
 
@@ -92,19 +88,7 @@ impl Link {
         let start = earliest.max(self.next_free);
         let end = start + wire;
         self.next_free = end;
-        self.bytes_carried += self.packet.wire_bytes(payload);
-        self.messages += 1;
         end
-    }
-
-    /// Total wire bytes carried so far.
-    pub fn bytes_carried(&self) -> u64 {
-        self.bytes_carried
-    }
-
-    /// Total messages carried so far.
-    pub fn messages(&self) -> u64 {
-        self.messages
     }
 }
 
@@ -157,7 +141,7 @@ pub struct Fabric {
     n_pes: usize,
     links: Vec<Link>,
     routes: Vec<Option<Route>>, // n*n, row-major [src][dst]
-    /// Per-link utilization timeline and message-size histogram.
+    /// Utilization timeline and message totals.
     pub trace: FabricTrace,
     name: &'static str,
 }
@@ -329,7 +313,7 @@ impl Fabric {
             Route::Direct(l) => {
                 let end = self.links[l].occupy(start, payload);
                 let lat = self.links[l].latency_ns;
-                self.trace.record_link(l, end, self.links[l].packet.wire_bytes(payload));
+                self.trace.record_link(end, self.links[l].packet.wire_bytes(payload));
                 (end + lat, None)
             }
             Route::TwoStage {
@@ -342,7 +326,7 @@ impl Fabric {
                     .packet
                     .wire_time_ns(payload, self.links[egress].gbytes_per_s);
                 self.trace
-                    .record_link(egress, e_end, self.links[egress].packet.wire_bytes(payload));
+                    .record_link(e_end, self.links[egress].packet.wire_bytes(payload));
                 if egress == ingress {
                     // Shared single bottleneck (X-bus): no second
                     // serialization of the same bytes.
@@ -374,11 +358,8 @@ impl Fabric {
             None => pending.t_key,
             Some(ingress) => {
                 let i_end = self.links[ingress].occupy(pending.t_key, pending.payload);
-                self.trace.record_link(
-                    ingress,
-                    i_end,
-                    self.links[ingress].packet.wire_bytes(pending.payload),
-                );
+                self.trace
+                    .record_link(i_end, self.links[ingress].packet.wire_bytes(pending.payload));
                 i_end
             }
         }
@@ -448,8 +429,6 @@ impl Fabric {
         assert_eq!(self.links.len(), other.links.len(), "absorb: topology mismatch");
         for (l, o) in self.links.iter_mut().zip(&other.links) {
             l.next_free = l.next_free.max(o.next_free);
-            l.bytes_carried += o.bytes_carried;
-            l.messages += o.messages;
         }
         self.trace.absorb(&other.trace);
     }
@@ -484,20 +463,10 @@ impl Fabric {
         src != dst && self.routes[src.idx() * self.n_pes + dst.idx()].is_some()
     }
 
-    /// Per-link totals `(wire_bytes, messages)` for reports.
-    pub fn link_totals(&self) -> Vec<(u64, u64)> {
-        self.links
-            .iter()
-            .map(|l| (l.bytes_carried(), l.messages()))
-            .collect()
-    }
-
     /// Reset link occupancy and traces, keeping the topology (new run).
     pub fn reset(&mut self) {
         for l in &mut self.links {
             l.next_free = 0;
-            l.bytes_carried = 0;
-            l.messages = 0;
         }
         self.trace = FabricTrace::new();
     }
@@ -617,9 +586,6 @@ mod tests {
         f.transfer(0, PeId(0), PeId(1), 200, cp);
         assert_eq!(f.trace.total_messages(), 2);
         assert!(f.trace.total_wire_bytes() > 300);
-        let (bytes, msgs): (Vec<u64>, Vec<u64>) = f.link_totals().into_iter().unzip();
-        assert_eq!(msgs.iter().sum::<u64>(), 2);
-        assert!(bytes.iter().sum::<u64>() > 300);
     }
 
     #[test]

@@ -26,8 +26,8 @@
 //!   serialization, and the *control path*: GPU-initiated injection (Atos)
 //!   vs CPU-mediated injection (Groute/Galois/Gunrock), which is the
 //!   paper's headline variable.
-//! * [`trace`] — per-link utilization timelines and message-size
-//!   histograms, used to show communication smoothing.
+//! * [`trace`] — the fabric-wide utilization timeline and message
+//!   totals, used to show communication smoothing.
 //! * [`sharded`] — conservative-lookahead decomposition of the engine
 //!   into per-shard wheels with a deterministic cross-shard merge rule,
 //!   the substrate for parallel host execution in `atos-core`.
@@ -45,7 +45,7 @@ pub use engine::{Engine, Time};
 pub use gpu::GpuCostModel;
 pub use interconnect::{ControlPath, Fabric, PeId, PendingTransfer};
 pub use packet::PacketModel;
-pub use sharded::{imbalance_permille, safe_horizon, ExchangeKey, ShardedEngine};
+pub use sharded::{imbalance_permille, ExchangeKey, ShardedEngine};
 
 /// Nanoseconds per millisecond, for reporting.
 pub const NS_PER_MS: f64 = 1e6;

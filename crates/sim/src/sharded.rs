@@ -13,8 +13,8 @@
 //!
 //! Two pieces live here:
 //!
-//! * [`safe_horizon`] and [`ExchangeKey`] — the window-barrier protocol's
-//!   pure kernels, shared by the runtime in `atos-core`.
+//! * [`ExchangeKey`] and [`imbalance_permille`] — the window-barrier
+//!   protocol's pure kernels, shared by the runtime in `atos-core`.
 //! * [`ShardedEngine`] — a *sequential oracle* for the deterministic
 //!   cross-shard seq-assignment rule: events are dealt round-robin across
 //!   `K` wheels and popped by the globally minimal `(time, global_seq)`
@@ -22,8 +22,6 @@
 //!   lockstep against the heap reference and the single wheel for
 //!   `K ∈ {1, 2, 4, 8}`, pinning that sharding is unobservable in the
 //!   event order.
-
-use atos_macros::atos_hot;
 
 use crate::engine::{Engine, Time};
 
@@ -45,25 +43,6 @@ pub struct ExchangeKey {
     pub src: u32,
     /// Per-source-PE monotone emission counter (window-order tiebreak).
     pub counter: u64,
-}
-
-/// Global safe execution horizon for one window: the minimum next-event
-/// time over all shards plus the conservative lookahead. `None` when no
-/// shard has a pending event (termination).
-///
-/// Every event a shard executes in `[T_min, horizon)` can only schedule
-/// cross-shard effects at or after `T_min + lookahead`, so all shards may
-/// drain their windows in parallel without missing a causal dependency.
-#[atos_hot]
-pub fn safe_horizon(
-    next_event_times: impl IntoIterator<Item = Option<Time>>,
-    lookahead: Time,
-) -> Option<Time> {
-    next_event_times
-        .into_iter()
-        .flatten()
-        .min()
-        .map(|t| t.saturating_add(lookahead))
 }
 
 /// Per-window load-imbalance ratio over the shards' event counts, in
@@ -255,13 +234,6 @@ mod tests {
         // A wheel that never popped still files this at the global now.
         s.schedule_at(5, "late");
         assert_eq!(s.pop(), Some((100, "late")));
-    }
-
-    #[test]
-    fn safe_horizon_ignores_idle_shards() {
-        assert_eq!(safe_horizon([None, Some(40), Some(10)], 25), Some(35));
-        assert_eq!(safe_horizon([None, None], 25), None);
-        assert_eq!(safe_horizon([Some(Time::MAX)], 10), Some(Time::MAX));
     }
 
     #[test]

@@ -1,5 +1,5 @@
-//! Traffic tracing: per-link utilization timelines and message-size
-//! histograms.
+//! Traffic tracing: the fabric-wide utilization timeline and message
+//! totals.
 //!
 //! The paper argues that Atos "smooths the interconnection usage for
 //! bisection-limited problems": BSP frameworks emit traffic in bursts at
@@ -19,23 +19,16 @@ use crate::engine::Time;
 /// runs.
 pub const BUCKET_NS: Time = 5_000;
 
-/// Number of power-of-two message-size histogram bins (2^0 .. 2^39 bytes).
-pub const HIST_BINS: usize = 40;
-
 /// Recorded traffic for one fabric.
 #[derive(Debug, Clone)]
 pub struct FabricTrace {
     /// Wire bytes per [`BUCKET_NS`] bucket, summed over all links.
     buckets: Vec<u64>,
-    /// Message payload-size histogram, bin = floor(log2(bytes)).
-    size_hist: [u64; HIST_BINS],
     total_messages: u64,
     total_wire_bytes: u64,
     /// Exact running payload-byte sum; [`FabricTrace::mean_message_size`]
-    /// divides this (the histogram is kept for shape only).
+    /// divides this.
     total_payload_bytes: u64,
-    /// Per-link wire-byte totals (indexed by link id).
-    per_link: Vec<u64>,
 }
 
 impl Default for FabricTrace {
@@ -49,25 +42,19 @@ impl FabricTrace {
     pub fn new() -> Self {
         FabricTrace {
             buckets: Vec::new(),
-            size_hist: [0; HIST_BINS],
             total_messages: 0,
             total_wire_bytes: 0,
             total_payload_bytes: 0,
-            per_link: Vec::new(),
         }
     }
 
-    /// Record `wire_bytes` leaving on `link` at time `at`.
-    pub fn record_link(&mut self, link: usize, at: Time, wire_bytes: u64) {
+    /// Record `wire_bytes` leaving on some link at time `at`.
+    pub fn record_link(&mut self, at: Time, wire_bytes: u64) {
         let b = (at / BUCKET_NS) as usize;
         if b >= self.buckets.len() {
             self.buckets.resize(b + 1, 0);
         }
         self.buckets[b] += wire_bytes;
-        if link >= self.per_link.len() {
-            self.per_link.resize(link + 1, 0);
-        }
-        self.per_link[link] += wire_bytes;
         self.total_wire_bytes += wire_bytes;
     }
 
@@ -75,8 +62,6 @@ impl FabricTrace {
     pub fn record_message(&mut self, payload: u64) {
         self.total_messages += 1;
         self.total_payload_bytes += payload;
-        let bin = (64 - u64::leading_zeros(payload.max(1)) - 1) as usize;
-        self.size_hist[bin.min(HIST_BINS - 1)] += 1;
     }
 
     /// Extend the utilization bucket series to cover `[0, at]`.
@@ -109,18 +94,9 @@ impl FabricTrace {
         for (b, o) in self.buckets.iter_mut().zip(&other.buckets) {
             *b += o;
         }
-        for (h, o) in self.size_hist.iter_mut().zip(&other.size_hist) {
-            *h += o;
-        }
         self.total_messages += other.total_messages;
         self.total_wire_bytes += other.total_wire_bytes;
         self.total_payload_bytes += other.total_payload_bytes;
-        if other.per_link.len() > self.per_link.len() {
-            self.per_link.resize(other.per_link.len(), 0);
-        }
-        for (p, o) in self.per_link.iter_mut().zip(&other.per_link) {
-            *p += o;
-        }
     }
 
     /// Total messages recorded.
@@ -136,21 +112,6 @@ impl FabricTrace {
     /// Wire bytes per time bucket (index × [`BUCKET_NS`] = start time).
     pub fn utilization_series(&self) -> &[u64] {
         &self.buckets
-    }
-
-    /// Message-size histogram: `(2^bin, count)` for non-empty bins.
-    pub fn size_histogram(&self) -> Vec<(u64, u64)> {
-        self.size_hist
-            .iter()
-            .enumerate()
-            .filter(|(_, &c)| c > 0)
-            .map(|(b, &c)| (1u64 << b, c))
-            .collect()
-    }
-
-    /// Per-link wire-byte totals.
-    pub fn per_link_bytes(&self) -> &[u64] {
-        &self.per_link
     }
 
     /// Coefficient of variation (σ/μ) of per-bucket traffic over the busy
@@ -184,7 +145,7 @@ impl FabricTrace {
 
     /// Mean payload size per message, bytes — exact, from the running
     /// payload sum (wire bytes include framing, so the wire total cannot
-    /// be used; the histogram is kept for distribution shape only).
+    /// be used).
     pub fn mean_message_size(&self) -> f64 {
         if self.total_messages == 0 {
             return 0.0;
@@ -200,38 +161,24 @@ mod tests {
     #[test]
     fn records_accumulate() {
         let mut t = FabricTrace::new();
-        t.record_link(0, 0, 100);
-        t.record_link(1, BUCKET_NS + 1, 200);
+        t.record_link(0, 100);
+        t.record_link(BUCKET_NS + 1, 200);
         t.record_message(64);
         t.record_message(64);
         assert_eq!(t.total_wire_bytes(), 300);
         assert_eq!(t.total_messages(), 2);
         assert_eq!(t.utilization_series(), &[100, 200]);
-        assert_eq!(t.per_link_bytes(), &[100, 200]);
-    }
-
-    #[test]
-    fn histogram_bins_by_log2() {
-        let mut t = FabricTrace::new();
-        t.record_message(1);
-        t.record_message(64);
-        t.record_message(65);
-        t.record_message(1 << 20);
-        let h = t.size_histogram();
-        assert!(h.contains(&(1, 1)));
-        assert!(h.contains(&(64, 2)));
-        assert!(h.contains(&(1 << 20, 1)));
     }
 
     #[test]
     fn burstiness_distinguishes_smooth_from_bursty() {
         let mut smooth = FabricTrace::new();
         for i in 0..100 {
-            smooth.record_link(0, i * BUCKET_NS, 1000);
+            smooth.record_link(i * BUCKET_NS, 1000);
         }
         let mut bursty = FabricTrace::new();
         for i in 0..10 {
-            bursty.record_link(0, i * 10 * BUCKET_NS, 10_000);
+            bursty.record_link(i * 10 * BUCKET_NS, 10_000);
         }
         // Bursts stop at bucket 90; extend both series to the same run
         // end so trailing idle counts toward the variance.
@@ -249,18 +196,9 @@ mod tests {
     }
 
     #[test]
-    fn zero_payload_message_goes_to_smallest_bin() {
-        let mut t = FabricTrace::new();
-        t.record_message(0);
-        assert_eq!(t.size_histogram(), vec![(1, 1)]);
-    }
-
-    #[test]
     fn mean_message_size_is_exact() {
         let mut t = FabricTrace::new();
         assert_eq!(t.mean_message_size(), 0.0);
-        // 65 and 127 share the 2^6 histogram bin; the mean must still be
-        // exact, not reconstructed from bin centers.
         t.record_message(65);
         t.record_message(127);
         t.record_message(8);
@@ -271,7 +209,7 @@ mod tests {
     #[test]
     fn finish_extends_series_to_run_end() {
         let mut t = FabricTrace::new();
-        t.record_link(0, 0, 100);
+        t.record_link(0, 100);
         assert_eq!(t.utilization_series().len(), 1);
         t.finish(10 * BUCKET_NS);
         assert_eq!(t.utilization_series().len(), 11);

@@ -237,27 +237,6 @@ proptest! {
         }
     }
 
-    /// The sorted-batch fast path is behaviorally identical to the oracle
-    /// scheduling one event at a time.
-    #[test]
-    fn sorted_batch_matches_heap_oracle(
-        times in proptest::collection::vec((0u32..4, 0u64..10_000), 1..300),
-    ) {
-        let mut sorted: Vec<u64> =
-            times.iter().map(|&(s, r)| scaled_time(s, r)).collect();
-        sorted.sort_unstable();
-        let mut wheel = Engine::new();
-        let mut heap = HeapEngine::new();
-        wheel.schedule_sorted_batch(sorted.iter().copied().enumerate().map(|(i, t)| (t, i)));
-        for (i, &t) in sorted.iter().enumerate() {
-            heap.schedule_at(t, i);
-        }
-        while let Some(got) = wheel.pop() {
-            prop_assert_eq!(Some(got), heap.pop());
-        }
-        prop_assert_eq!(heap.pop(), None);
-    }
-
     /// Draining the wheel window-by-window through `pop_before` (the
     /// shard-steppable interface) yields exactly the plain pop sequence,
     /// including when new events are scheduled at the window boundary —
