@@ -25,6 +25,7 @@ use atos_core::{
 };
 use atos_macros::atos_shard;
 use atos_graph::csr::{Csr, VertexId};
+use atos_graph::grouped::OwnerGrouped;
 use atos_graph::partition::Partition;
 use atos_sim::Fabric;
 
@@ -39,7 +40,10 @@ pub enum PrTask {
 
 /// PageRank as an Atos application.
 pub struct PageRankApp {
-    graph: Arc<Csr>,
+    /// Out-neighbours grouped by owning PE: a relaxation walks one local
+    /// segment and emits one run per remote PE, with no owner lookup and
+    /// no local/remote branch per edge. Built once, shared by every fork.
+    adj: Arc<OwnerGrouped>,
     partition: Arc<Partition>,
     /// Accumulated rank per vertex.
     pub rank: Vec<f64>,
@@ -56,7 +60,7 @@ impl PageRankApp {
         let n = graph.n_vertices();
         assert_eq!(partition.n_vertices(), n);
         PageRankApp {
-            graph,
+            adj: Arc::new(OwnerGrouped::build(&graph, &partition)),
             partition,
             rank: vec![0.0; n],
             residue: vec![1.0 - alpha; n],
@@ -88,22 +92,28 @@ impl Application for PageRankApp {
         }
         self.residue[v as usize] = 0.0;
         self.rank[v as usize] += r;
-        let deg = self.graph.degree(v);
+        let deg = self.adj.degree(v);
         if deg == 0 {
             return;
         }
         let share = self.alpha * r / deg as f64;
-        for &w in self.graph.neighbors(v) {
-            let owner = self.partition.owner(w);
+        let contrib = share as f32;
+        for (owner, segment) in self.adj.segments(v) {
             if owner == pe {
-                let res = &mut self.residue[w as usize];
-                *res += share;
-                if *res >= self.epsilon && !self.in_queue[w as usize] {
-                    self.in_queue[w as usize] = true;
-                    out.push_local(PrTask::Relax(w));
+                // In `Csr::neighbors` order, so every residue sees the
+                // same sequence of f64 additions as an ungrouped walk.
+                for &w in segment {
+                    assert_owner!(self.partition, w, pe);
+                    let res = &mut self.residue[w as usize];
+                    *res += share;
+                    if *res >= self.epsilon && !self.in_queue[w as usize] {
+                        self.in_queue[w as usize] = true;
+                        out.push_local(PrTask::Relax(w));
+                    }
                 }
             } else {
-                out.push(owner, PrTask::Contrib(w, share as f32));
+                out.remote_mut(owner)
+                    .extend(segment.iter().map(|&w| PrTask::Contrib(w, contrib)));
             }
         }
     }
@@ -127,7 +137,7 @@ impl Application for PageRankApp {
 
     fn task_edges(&self, task: &PrTask) -> u64 {
         match task {
-            PrTask::Relax(v) => self.graph.degree(*v) as u64,
+            PrTask::Relax(v) => self.adj.degree(*v) as u64,
             PrTask::Contrib(..) => 0,
         }
     }
@@ -146,10 +156,10 @@ impl Application for PageRankApp {
 // contribution travels as a `Contrib` task applied in `on_receive` at the
 // owner. No sender-side mirrors are needed.
 impl ShardableApp for PageRankApp {
-    #[atos_shard(owner(rank, residue, in_queue), shared(graph, partition, alpha, epsilon))]
+    #[atos_shard(owner(rank, residue, in_queue), shared(adj, partition, alpha, epsilon))]
     fn fork(&self, _lo: usize, _hi: usize) -> Self {
         PageRankApp {
-            graph: self.graph.clone(),
+            adj: self.adj.clone(),
             partition: self.partition.clone(),
             rank: self.rank.clone(),
             residue: self.residue.clone(),

@@ -1,0 +1,123 @@
+//! Golden fingerprints of whole PageRank runs.
+//!
+//! The constants were computed on the commit *before* the remote path
+//! started moving per-destination runs (per-destination emitter buffers,
+//! run-filled aggregator bundles, owner-grouped adjacency), so a pass here
+//! means that rewrite changed no `rank`/`residue` bit and no simulated
+//! quantity — on every shard count, with and without stealing.
+//!
+//! To re-capture after an *intentional* model change:
+//! `cargo test -p atos-apps --test pagerank_golden -- --nocapture`
+//! prints every row before asserting.
+
+use std::sync::Arc;
+
+use atos_apps::pagerank::PrTask;
+use atos_apps::PageRankApp;
+use atos_core::{AtosConfig, CommMode, LoadBalance, Runtime};
+use atos_graph::generators::{Preset, Scale};
+use atos_graph::partition::Partition;
+use atos_sim::Fabric;
+
+/// FNV-1a over the bit patterns of `rank` then `residue`.
+fn fingerprint(app: &PageRankApp) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for x in app.rank.iter().chain(&app.residue) {
+        for b in x.to_bits().to_le_bytes() {
+            h ^= b as u64;
+            h = h.wrapping_mul(0x0000_0100_0000_01B3);
+        }
+    }
+    h
+}
+
+/// `[fingerprint, elapsed_ns, sim_events, messages, wire_bytes,
+/// agg_flushes, agg_flushes_size, agg_flushes_age]`.
+type Row = [u64; 8];
+
+fn cases() -> Vec<(&'static str, Fabric, AtosConfig)> {
+    let eager = AtosConfig {
+        comm: CommMode::Aggregated {
+            batch_bytes: 4096,
+            wait_time: 4,
+        },
+        ..AtosConfig::ib_pagerank()
+    };
+    vec![
+        ("daisy4/persistent", Fabric::daisy(4), AtosConfig::standard_persistent()),
+        ("daisy4/discrete", Fabric::daisy(4), AtosConfig::standard_discrete()),
+        ("ib8/ib_pagerank", Fabric::ib_cluster(8), AtosConfig::ib_pagerank()),
+        ("ib4/wait4", Fabric::ib_cluster(4), eager),
+    ]
+}
+
+fn run(fabric: Fabric, cfg: AtosConfig, shards: usize) -> Row {
+    let g = Arc::new(Preset::by_name("soc-LiveJournal1_s").unwrap().build(Scale::Tiny));
+    let part = Arc::new(Partition::random(g.n_vertices(), fabric.n_pes(), 7));
+    let app = PageRankApp::new(g, part.clone(), 0.85, 1e-6);
+    let mut rt = Runtime::new(app, fabric, cfg);
+    for pe in 0..part.n_parts() {
+        rt.seed(pe, part.vertices_of(pe).into_iter().map(PrTask::Relax));
+    }
+    let s = rt.run_sharded(shards);
+    [
+        fingerprint(rt.app()),
+        s.elapsed_ns,
+        s.sim_events,
+        s.messages,
+        s.wire_bytes,
+        s.agg_flushes,
+        s.agg_flushes_size,
+        s.agg_flushes_age,
+    ]
+}
+
+#[test]
+fn pagerank_runs_match_parent_commit_fingerprints() {
+    let mut got: Vec<(String, Row)> = Vec::new();
+    for (name, fabric, cfg) in cases() {
+        for lb in LoadBalance::ALL {
+            let cfg = cfg.with_lb(lb);
+            for k in [1, 2, 4] {
+                let row = run(fabric.clone(), cfg, k);
+                println!("    (\"{name}/{lb:?}/{k}\", {row:?}),");
+                got.push((format!("{name}/{lb:?}/{k}"), row));
+            }
+        }
+        // Owner-computes: shards change wall-clock time only. (Steals stay
+        // inside a shard, so under `Steal` each shard count has its own
+        // schedule and its own rows.)
+        let owner = &got[got.len() - 6..got.len() - 3];
+        assert!(owner.iter().all(|(_, r)| *r == owner[0].1), "{name}: shards moved a result");
+    }
+    let golden: Vec<_> = GOLDEN.iter().map(|&(n, r)| (n.to_string(), r)).collect();
+    assert_eq!(got, golden);
+}
+
+#[rustfmt::skip]
+const GOLDEN: &[(&str, Row)] = &[
+    ("daisy4/persistent/Owner/1", [7756162498593278328, 1310640, 17272, 16880, 4720384, 0, 0, 0]),
+    ("daisy4/persistent/Owner/2", [7756162498593278328, 1310640, 17272, 16880, 4720384, 0, 0, 0]),
+    ("daisy4/persistent/Owner/4", [7756162498593278328, 1310640, 17272, 16880, 4720384, 0, 0, 0]),
+    ("daisy4/persistent/Steal/1", [16206054165013289050, 1291702, 17278, 16893, 4721312, 0, 0, 0]),
+    ("daisy4/persistent/Steal/2", [330996726898839687, 1299600, 17280, 16890, 4721472, 0, 0, 0]),
+    ("daisy4/persistent/Steal/4", [7756162498593278328, 1310640, 17272, 16880, 4720384, 0, 0, 0]),
+    ("daisy4/discrete/Owner/1", [16168691235436804750, 2754779, 15611, 15260, 4269712, 0, 0, 0]),
+    ("daisy4/discrete/Owner/2", [16168691235436804750, 2754779, 15611, 15260, 4269712, 0, 0, 0]),
+    ("daisy4/discrete/Owner/4", [16168691235436804750, 2754779, 15611, 15260, 4269712, 0, 0, 0]),
+    ("daisy4/discrete/Steal/1", [3249118642090893861, 2726960, 15614, 15263, 4269728, 0, 0, 0]),
+    ("daisy4/discrete/Steal/2", [12547446433967291394, 2736877, 15614, 15263, 4269776, 0, 0, 0]),
+    ("daisy4/discrete/Steal/4", [16168691235436804750, 2754779, 15611, 15260, 4269712, 0, 0, 0]),
+    ("ib8/ib_pagerank/Owner/1", [6608448951903192120, 4212114, 9885, 4179, 26835540, 4179, 0, 4179]),
+    ("ib8/ib_pagerank/Owner/2", [6608448951903192120, 4212114, 9885, 4179, 26835540, 4179, 0, 4179]),
+    ("ib8/ib_pagerank/Owner/4", [6608448951903192120, 4212114, 9885, 4179, 26835540, 4179, 0, 4179]),
+    ("ib8/ib_pagerank/Steal/1", [18085304559097682566, 3705116, 9207, 3833, 27187636, 3833, 0, 3833]),
+    ("ib8/ib_pagerank/Steal/2", [2907861913226372489, 4269527, 9783, 4082, 27117924, 4082, 0, 4082]),
+    ("ib8/ib_pagerank/Steal/4", [4493736034589566636, 3927311, 9553, 3997, 27032444, 3997, 0, 3997]),
+    ("ib4/wait4/Owner/1", [15842192610460789458, 1926787, 4300, 2391, 11884036, 2391, 542, 1849]),
+    ("ib4/wait4/Owner/2", [15842192610460789458, 1926787, 4300, 2391, 11884036, 2391, 542, 1849]),
+    ("ib4/wait4/Owner/4", [15842192610460789458, 1926787, 4300, 2391, 11884036, 2391, 542, 1849]),
+    ("ib4/wait4/Steal/1", [17201180342033987342, 2000814, 4387, 2414, 11908232, 2414, 542, 1872]),
+    ("ib4/wait4/Steal/2", [16239999228420874266, 2137671, 4535, 2481, 11918540, 2481, 542, 1939]),
+    ("ib4/wait4/Steal/4", [15842192610460789458, 1926787, 4300, 2391, 11884036, 2391, 542, 1849]),
+];

@@ -1,5 +1,5 @@
 //! Benchmark-trajectory runner: measures the engine microbench (wheel vs
-//! retained heap reference), the fig5/fig8 quick workloads, the shard
+//! retained heap reference), the fig5/fig8/fig9 quick workloads, the shard
 //! strong-scaling curve, the load-balance discipline sweep
 //! (`lb_sweep`: per-discipline quick-BFS wall clock + steal counters,
 //! delta-stepping vs Dijkstra-order SSSP), and the graph-construction
@@ -37,8 +37,9 @@ use std::collections::BTreeMap;
 use std::path::PathBuf;
 
 use atos_bench::trajectory::{
-    append_entries, check_regression, last_of_kind, measure_engine, measure_graph_build,
-    measure_lb_sweep, measure_sharded_scaling, quick_grid_ms, read_trajectory, TrajectoryEntry,
+    append_entries, check_regression, host_cores, last_of_kind, measure_engine,
+    measure_graph_build, measure_lb_sweep, measure_sharded_scaling, quick_grid_ms,
+    read_trajectory, TrajectoryEntry,
     DEFAULT_TRAJECTORY_PATH,
 };
 
@@ -189,8 +190,10 @@ fn main() {
 
     if !args.skip_e2e {
         let mut metrics = BTreeMap::new();
+        metrics.insert("host_cores".to_string(), host_cores());
         metrics.insert("fig5_quick_ms".to_string(), quick_grid_ms("fig5_scaling_nvlink"));
         metrics.insert("fig8_quick_ms".to_string(), quick_grid_ms("fig8_scaling_ib_bfs"));
+        metrics.insert("fig9_quick_ms".to_string(), quick_grid_ms("fig9_scaling_ib_pr"));
         print_metrics("e2e_quick", &metrics);
         new_entries.push(TrajectoryEntry {
             run_id: run_id.clone(),

@@ -12,8 +12,8 @@
 //!    distributions (uniform, bursty, near-now skewed). Both runners
 //!    return an order-sensitive checksum, so the bench doubles as an
 //!    equivalence check: the wheel must pop the exact heap sequence.
-//! 2. **End-to-end quick workloads** ([`quick_grid_ms`]): the fig5/fig8
-//!    sweep grids at test scale — their cells enumerated from the
+//! 2. **End-to-end quick workloads** ([`quick_grid_ms`]): the
+//!    fig5/fig8/fig9 sweep grids at test scale — their cells enumerated from the
 //!    experiment table ([`crate::registry`]) — run serially in-process so
 //!    the number is a stable single-core wall-clock, not a function of
 //!    host parallelism. The shard-scaling
@@ -310,7 +310,7 @@ pub fn measure_sharded_scaling(samples: usize) -> BTreeMap<String, f64> {
 }
 
 /// Host parallelism as recorded in every machine-dependent entry.
-fn host_cores() -> f64 {
+pub fn host_cores() -> f64 {
     std::thread::available_parallelism().map_or(1, |n| n.get()) as f64
 }
 

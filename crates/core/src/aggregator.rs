@@ -14,10 +14,52 @@
 //!
 //! This module is pure policy + buffering; the runtime owns the clock and
 //! the actual sends.
+//!
+//! Tasks enter a buffer in *runs*: a dispatch asks [`AggBuffer::run_len`]
+//! how many of a destination's tasks fit before the next trigger and
+//! appends them with one [`AggBuffer::push_slice`]. Issue times are
+//! monotone in the task index ([`IssueClock`]), so that count has a
+//! closed form; [`AggBuffer::push`] is the run of one.
 
 use atos_sim::Time;
 
 use crate::config::AGGREGATOR_POLL_NS;
+
+/// When the remote tasks of one dispatch are issued: the `i`-th of `total`
+/// leaves at `start + busy·i/total` — spread over the step's busy window
+/// (in-kernel communication), or all at once (`busy == 0`: an idle
+/// dispatch, a kernel-boundary framework).
+#[derive(Debug, Clone, Copy)]
+pub struct IssueClock {
+    start: Time,
+    busy: Time,
+    total: u64,
+}
+
+impl IssueClock {
+    /// `total` issues spread evenly over `busy` ns from `start`.
+    pub fn spread(start: Time, busy: Time, total: usize) -> Self {
+        let total = total.max(1) as u64;
+        IssueClock { start, busy, total }
+    }
+
+    /// Issue time of the `i`-th task (monotone in `i`).
+    #[inline]
+    pub fn at(&self, i: u64) -> Time {
+        self.start + self.busy * i / self.total
+    }
+
+    /// Smallest index issued at or after `deadline`, `None` if none ever
+    /// is: `⌊busy·j/total⌋ ≥ need ⟺ busy·j ≥ need·total`, in 128 bits.
+    fn first_at_or_after(&self, deadline: u128) -> Option<u64> {
+        let need = u64::try_from(deadline.saturating_sub(self.start as u128)).ok()?;
+        match (need, self.busy) {
+            (0, _) => Some(0),
+            (_, 0) => None,
+            _ => u64::try_from((need as u128 * self.total as u128).div_ceil(self.busy as u128)).ok(),
+        }
+    }
+}
 
 /// Per-destination accumulation buffer.
 #[derive(Debug)]
@@ -29,7 +71,7 @@ pub struct AggBuffer<T> {
     opened_at: Option<Time>,
 }
 
-impl<T> AggBuffer<T> {
+impl<T: Copy> AggBuffer<T> {
     /// Empty buffer for destination `dst`.
     pub fn new(dst: usize) -> Self {
         AggBuffer {
@@ -41,12 +83,72 @@ impl<T> AggBuffer<T> {
     }
 
     /// Append one task of `task_bytes` at time `now`.
+    #[inline]
     pub fn push(&mut self, task: T, task_bytes: u64, now: Time) {
+        self.push_slice(std::slice::from_ref(&task), task_bytes, now);
+    }
+
+    /// Append a run of tasks of `task_bytes` each; `now`, the issue time of
+    /// its first task, opens the bundle if the buffer was empty.
+    // Vetted: the `reserve` runs only while a buffer is still growing;
+    // steady state reuses pooled capacity (`tests/alloc_count.rs`).
+    #[inline]
+    // atos-lint: allow(hot_path_alloc)
+    pub fn push_slice(&mut self, tasks: &[T], task_bytes: u64, now: Time) {
+        if tasks.is_empty() {
+            return;
+        }
         if self.items.is_empty() {
             self.opened_at = Some(now);
         }
-        self.items.push(task);
-        self.bytes += task_bytes;
+        let len = self.items.len() + tasks.len();
+        if len > self.items.capacity() {
+            // Power-of-two classes, as one-at-a-time pushes produce: bundle
+            // storage rotates through the runtime's payload pool, where
+            // exact-size blocks of every run length fragment the heap.
+            self.items.reserve(len.next_power_of_two() - self.items.len());
+        }
+        self.items.extend_from_slice(tasks);
+        self.bytes += tasks.len() as u64 * task_bytes;
+    }
+
+    /// How many of a dispatch's next `remaining` tasks — the first issued
+    /// as index `i` of `clock` — to append before the flush policy fires,
+    /// and whether it fires on the last of them (flush at that task's issue
+    /// time). Pushing one by one and asking [`AggBuffer::should_flush`]
+    /// after each stops at the same task.
+    pub fn run_len(
+        &self,
+        clock: &IssueClock,
+        i: u64,
+        remaining: usize,
+        task_bytes: u64,
+        batch_bytes: u64,
+        wait_time: u32,
+    ) -> (usize, bool) {
+        // Size: the first k ≥ 1 with bytes + k·task_bytes ≥ batch_bytes.
+        let short = batch_bytes.saturating_sub(self.bytes);
+        let by_size = match (short, task_bytes) {
+            (0, _) => 1,
+            (_, 0) => u64::MAX,
+            _ => short.div_ceil(task_bytes),
+        };
+        // Age: the first index from `i` on issued at or past the deadline
+        // of the bundle this run opens or joins.
+        let age_limit = wait_time as u64 * AGGREGATOR_POLL_NS;
+        let opened = self.opened_at.unwrap_or_else(|| clock.at(i));
+        let by_age = match clock.first_at_or_after(opened as u128 + age_limit as u128) {
+            // `should_flush` subtracts saturating: a zero limit is met even
+            // by a task issued before the bundle opened (a thief dispatching
+            // for its victim can be behind the victim's clock).
+            _ if age_limit == 0 => 1,
+            Some(j) => j.saturating_sub(i).saturating_add(1),
+            None => u64::MAX,
+        };
+        match by_size.min(by_age) {
+            k if k <= remaining as u64 => (k as usize, true),
+            _ => (remaining, false),
+        }
     }
 
     /// Accumulated payload bytes.
@@ -95,12 +197,8 @@ impl<T> AggBuffer<T> {
             .map(|t0| t0 + wait_time as u64 * AGGREGATOR_POLL_NS)
     }
 
-    /// Take the bundle: returns `(tasks, payload_bytes)` and resets.
-    pub fn flush(&mut self) -> (Vec<T>, u64) {
-        self.flush_with(Vec::new())
-    }
-
-    /// Take the bundle, installing `replacement` (an empty vector, usually
+    /// Take the bundle — returns `(tasks, payload_bytes)` and resets —
+    /// installing `replacement` (an empty vector, usually
     /// recycled from the runtime's payload pool) as the new accumulation
     /// storage. With a pooled replacement the buffer's backing memory
     /// rotates through the pool instead of being reallocated per bundle —
@@ -146,7 +244,7 @@ mod tests {
         let mut b = AggBuffer::new(2);
         b.push(1u8, 4, 50);
         b.push(2, 4, 60);
-        let (items, bytes) = b.flush();
+        let (items, bytes) = b.flush_with(Vec::new());
         assert_eq!(items, vec![1, 2]);
         assert_eq!(bytes, 8);
         assert!(b.is_empty());
@@ -171,5 +269,22 @@ mod tests {
         b.push(1u8, 8, 0);
         assert!(b.should_flush(AGGREGATOR_POLL_NS, u64::MAX, 1));
         assert!(!b.should_flush(AGGREGATOR_POLL_NS, u64::MAX, 1000));
+    }
+
+    #[test]
+    fn push_is_the_one_element_run() {
+        let (mut a, mut b) = (AggBuffer::new(0), AggBuffer::new(0));
+        for t in 0..100u32 {
+            a.push(t, 8, 10 + t as u64);
+            b.push_slice(&[t], 8, 10 + t as u64);
+            assert_eq!(a.items.capacity(), b.items.capacity());
+        }
+        assert_eq!((a.len(), a.bytes(), a.opened_at()), (b.len(), b.bytes(), b.opened_at()));
+        // Runs grow storage in the classes single pushes do.
+        let mut c = AggBuffer::new(0);
+        c.push_slice(&[0u32; 100], 8, 10);
+        assert_eq!(c.items.capacity(), a.items.capacity());
+        c.push_slice(&[], 8, 99);
+        assert_eq!(c.opened_at(), Some(10));
     }
 }

@@ -49,6 +49,12 @@ pub trait Application {
     /// Process one popped task on PE `pe` (the paper's `f1`), emitting new
     /// tasks. Runs inside the simulated kernel; mutating real application
     /// state here is what makes runs checkable.
+    ///
+    /// Emit per task with `out.push(owner, task)`, or — when the tasks for
+    /// one remote PE are known together, as with an owner-grouped
+    /// adjacency — as a run, `out.remote_mut(owner).extend(tasks)`: the
+    /// runtime moves remote tasks per destination either way, and a run
+    /// skips the per-task routing.
     fn process(&mut self, pe: usize, task: Self::Task, out: &mut Emitter<Self::Task>);
 
     /// Apply a task arriving from a remote PE *before* it is enqueued:

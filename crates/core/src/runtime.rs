@@ -36,7 +36,7 @@ use atos_sim::{
 };
 use atos_trace::{NullTracer, TraceBuffer, Tracer, Track};
 
-use crate::aggregator::AggBuffer;
+use crate::aggregator::{AggBuffer, IssueClock};
 use crate::app::{Application, IdleOutcome, ShardableApp};
 use crate::config::{AtosConfig, CommMode, KernelMode, QueueMode};
 use crate::emitter::Emitter;
@@ -137,11 +137,6 @@ impl Default for RuntimeTuning {
 pub(crate) struct Pe<T> {
     pub(crate) queue: WorkQueue<T>,
     agg: Vec<AggBuffer<T>>,
-    /// Per-destination staging for one flush of remote emissions. Allocated
-    /// once at construction and drained in place — this replaces the
-    /// `BTreeMap<usize, Vec<Task>>` the dispatcher used to build (and
-    /// throw away) on every flush.
-    stage: Vec<Vec<T>>,
     pub(crate) step_scheduled: bool,
     agg_poll_scheduled: bool,
     /// Fire time of the pending aggregator poll (valid only while
@@ -254,7 +249,6 @@ impl<A: Application, Tr: Tracer> Runtime<A, Tr> {
                     } => WorkQueue::priority(threshold, threshold_delta),
                 },
                 agg: (0..n).map(AggBuffer::new).collect(),
-                stage: (0..n).map(|_| Vec::new()).collect(),
                 step_scheduled: false,
                 agg_poll_scheduled: false,
                 agg_poll_deadline: 0,
@@ -273,7 +267,7 @@ impl<A: Application, Tr: Tracer> Runtime<A, Tr> {
             pes,
             stats,
             tuning,
-            em: Emitter::new(0),
+            em: Emitter::new(0, n),
             batch: Vec::new(),
             vec_pool: Vec::new(),
             pending: Vec::new(),
@@ -531,7 +525,7 @@ impl<A: Application, Tr: Tracer> Runtime<A, Tr> {
                 em.reset_for(pe);
                 if self.app.on_idle(pe, &mut em) == IdleOutcome::Refilled {
                     self.absorb_local(pe, &mut em);
-                    self.dispatch_remote(pe, &mut em, now, 0);
+                    self.dispatch_remote(pe, &em, now, 0);
                     self.wake(pe, 0);
                 }
                 self.em = em;
@@ -581,7 +575,7 @@ impl<A: Application, Tr: Tracer> Runtime<A, Tr> {
         }
 
         self.absorb_local(exec_pe, &mut em);
-        self.dispatch_remote(exec_pe, &mut em, now, busy);
+        self.dispatch_remote(exec_pe, &em, now, busy);
         self.em = em;
         self.batch = batch;
         if exec_pe != pe {
@@ -612,28 +606,22 @@ impl<A: Application, Tr: Tracer> Runtime<A, Tr> {
         self.note_queue_depth(pe);
     }
 
-    /// Route remote emissions: group per destination and either send
-    /// directly (fine-grained, spread across the step for in-kernel
-    /// overlap) or accumulate in the aggregator.
+    /// Route remote emissions, which the emitter already holds as one run
+    /// per destination: either send them directly (fine-grained, spread
+    /// across the step for in-kernel overlap) or move them into the
+    /// aggregator a run at a time. Destinations are walked in ascending
+    /// order, each in emission order.
     #[atos_hot]
     fn dispatch_remote(
         &mut self,
         src: usize,
-        em: &mut Emitter<A::Task>,
+        em: &Emitter<A::Task>,
         now: Time,
         busy: Time,
     ) {
-        if em.remote.is_empty() {
+        let total: usize = em.remote.iter().map(Vec::len).sum();
+        if total == 0 {
             return;
-        }
-        // Per-destination staging buffers live on the PE and are drained in
-        // place; iteration below walks destinations in ascending order,
-        // matching the BTreeMap this replaced, so event order (and thus the
-        // whole simulation) is bit-identical.
-        let mut stage = std::mem::take(&mut self.pes[src].stage);
-        for (dst, t) in em.remote.drain(..) {
-            debug_assert!(dst != src, "remote push to self");
-            stage[dst].push(t);
         }
         let task_bytes = self.app.task_bytes();
         // Gluon-style round metadata: serialize and broadcast update masks
@@ -651,85 +639,57 @@ impl<A: Application, Tr: Tracer> Runtime<A, Tr> {
                 if peer != src {
                     metadata_done += ser_ns;
                     let bytes = self.tuning.round_metadata_bytes;
-                    let xfer = self.fabric.transfer_egress(
-                        metadata_done,
-                        PeId(src as u32),
-                        PeId(peer as u32),
-                        bytes,
-                        self.tuning.control,
-                    );
-                    self.stats.messages += 1;
-                    self.stats.payload_bytes += bytes;
-                    let counter = self.pes[src].emitted;
-                    self.pes[src].emitted += 1;
-                    self.outbox.push(StagedMsg {
-                        key: ExchangeKey {
-                            t_key: xfer.t_key,
-                            src: src as u32,
-                            counter,
-                        },
-                        dst: peer,
-                        xfer,
-                        tasks: Vec::new(),
-                    });
+                    self.egress(metadata_done, src, peer, bytes, Vec::new());
                 }
             }
         }
+        // In-kernel issue times: Atos spreads `issues` sends across the
+        // busy window (communication/computation overlap); kernel-boundary
+        // frameworks emit everything when the kernel completes.
+        let in_kernel = self.tuning.in_kernel_comm;
+        let clock = |issues: usize| match in_kernel {
+            true => IssueClock::spread(now, busy, issues),
+            false => IssueClock::spread(metadata_done, 0, 1),
+        };
+        let mut i = 0u64;
         match self.cfg.comm {
             CommMode::Direct { group } => {
                 let group = group.max(1);
-                // Total chunks across destinations, for time spreading.
-                let total_chunks: usize = stage
-                    .iter()
-                    .map(|v| v.len().div_ceil(group))
-                    .sum();
-                let mut i = 0usize;
-                for (dst, tasks) in stage.iter_mut().enumerate() {
+                // One issue per chunk, across all destinations.
+                let clock = clock(em.remote.iter().map(|v| v.len().div_ceil(group)).sum());
+                for (dst, tasks) in em.remote.iter().enumerate() {
                     for chunk in tasks.chunks(group) {
-                        // In-kernel issue time: Atos spreads sends across
-                        // the busy window (communication/computation
-                        // overlap); kernel-boundary frameworks emit
-                        // everything when the kernel completes.
-                        let t_issue = if self.tuning.in_kernel_comm {
-                            now + busy * i as u64 / total_chunks.max(1) as u64
-                        } else {
-                            metadata_done
-                        };
-                        i += 1;
                         let mut payload = self.vec_pool.pop().unwrap_or_default();
                         payload.extend_from_slice(chunk);
-                        self.route(t_issue, src, dst, payload, task_bytes);
+                        self.route(clock.at(i), src, dst, payload, task_bytes);
+                        i += 1;
                     }
-                    tasks.clear();
                 }
             }
             CommMode::Aggregated {
                 batch_bytes,
                 wait_time,
             } => {
-                let total: usize = stage.iter().map(Vec::len).sum();
-                let mut i = 0usize;
-                for (dst, tasks) in stage.iter_mut().enumerate() {
-                    for &t in tasks.iter() {
-                        let t_push = if self.tuning.in_kernel_comm {
-                            now + busy * i as u64 / total.max(1) as u64
-                        } else {
-                            metadata_done
-                        };
-                        i += 1;
-                        self.pes[src].agg[dst].push(t, task_bytes, t_push);
-                        if self.pes[src].agg[dst].should_flush(t_push, batch_bytes, wait_time)
-                        {
-                            self.flush_bundle(t_push, src, dst, task_bytes, batch_bytes);
+                // One issue per task. Each destination's run goes into its
+                // accumulation buffer in as few copies as the flush policy
+                // allows: up to the next size or age trigger, flush, repeat.
+                let clock = clock(total);
+                for (dst, tasks) in em.remote.iter().enumerate() {
+                    let mut rest = &tasks[..];
+                    while !rest.is_empty() {
+                        let buf = &mut self.pes[src].agg[dst];
+                        let (k, fires) =
+                            buf.run_len(&clock, i, rest.len(), task_bytes, batch_bytes, wait_time);
+                        buf.push_slice(&rest[..k], task_bytes, clock.at(i));
+                        rest = &rest[k..];
+                        i += k as u64;
+                        if fires {
+                            self.flush_bundle(clock.at(i - 1), src, dst, task_bytes, batch_bytes);
                         }
                     }
-                    tasks.clear();
                 }
+                self.schedule_agg_poll(src);
             }
-        }
-        self.pes[src].stage = stage;
-        if matches!(self.cfg.comm, CommMode::Aggregated { .. }) {
-            self.schedule_agg_poll(src);
         }
     }
 
@@ -791,26 +751,14 @@ impl<A: Application, Tr: Tracer> Runtime<A, Tr> {
         self.pending.push((arrival, Ev::Arrive { dst, tasks: payload }));
     }
 
-    /// One message toward the wire: charge the egress side (control path,
-    /// source link occupancy, stats) and stage the message in the outbox
-    /// under its deterministic [`ExchangeKey`]. Ingress resolution and
-    /// the `Arrive` event happen at the next window barrier.
+    /// One message of tasks toward the wire: count it, mark the send on
+    /// the source timeline, and hand it to [`Runtime::egress`].
     #[atos_hot]
     fn route(&mut self, at: Time, src: usize, dst: usize, tasks: Vec<A::Task>, task_bytes: u64) {
-        let payload = tasks.len() as u64 * task_bytes;
-        let xfer = self.fabric.transfer_egress(
-            at,
-            PeId(src as u32),
-            PeId(dst as u32),
-            payload,
-            self.tuning.control,
-        );
-        self.stats.messages += 1;
-        self.stats.payload_bytes += payload;
         self.stats.remote_tasks += tasks.len() as u64;
         if self.tracer.is_enabled() {
-            // Send mark on the source timeline at issue; the arrival mark
-            // is recorded when the barrier merge resolves the message.
+            // The arrival mark is recorded when the barrier merge resolves
+            // the message.
             self.tracer.instant(
                 Track::pe(src),
                 at,
@@ -819,6 +767,25 @@ impl<A: Application, Tr: Tracer> Runtime<A, Tr> {
                 [dst as u64, tasks.len() as u64],
             );
         }
+        self.egress(at, src, dst, tasks.len() as u64 * task_bytes, tasks);
+    }
+
+    /// Charge the egress side of one `bytes`-byte message (control path,
+    /// source link occupancy, stats) and stage it in the outbox under its
+    /// deterministic [`ExchangeKey`]. Ingress resolution and the `Arrive`
+    /// event happen at the next window barrier. `tasks` is empty for round
+    /// metadata, which occupies the wire and delivers nothing.
+    #[atos_hot]
+    fn egress(&mut self, at: Time, src: usize, dst: usize, bytes: u64, tasks: Vec<A::Task>) {
+        let xfer = self.fabric.transfer_egress(
+            at,
+            PeId(src as u32),
+            PeId(dst as u32),
+            bytes,
+            self.tuning.control,
+        );
+        self.stats.messages += 1;
+        self.stats.payload_bytes += bytes;
         let counter = self.pes[src].emitted;
         self.pes[src].emitted += 1;
         self.outbox.push(StagedMsg {
@@ -878,15 +845,18 @@ impl<A: Application, Tr: Tracer> Runtime<A, Tr> {
             // open at or after the time the timer was armed, so every
             // deadline is at or past the armed one and the poll's
             // rescheduling loop picks it up — no per-destination timer.
+            // (Owner-computes only: a thief dispatches for its victim on
+            // its own clock, which can be behind the victim's armed timer;
+            // such a bundle waits for the armed poll.)
             #[cfg(debug_assertions)]
-            if let Some(d) = self.pes[pe]
-                .agg
-                .iter()
-                .filter_map(|b| b.age_deadline(wait_time))
-                .min()
-            {
+            if self.cfg.lb == crate::LoadBalance::Owner {
+                let earliest = self.pes[pe]
+                    .agg
+                    .iter()
+                    .filter_map(|b| b.age_deadline(wait_time))
+                    .min();
                 debug_assert!(
-                    d >= self.pes[pe].agg_poll_deadline,
+                    earliest.is_none_or(|d| d >= self.pes[pe].agg_poll_deadline),
                     "aggregator deadline moved earlier than the armed poll"
                 );
             }

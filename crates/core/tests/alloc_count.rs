@@ -342,6 +342,7 @@ fn every_hot_runtime_fn_is_covered_by_a_counted_scenario() {
         ("dispatch_remote", "both relays: every hop is a remote push"),
         ("flush_bundle", "aggregated relay: age trigger flushes each bundle"),
         ("route", "both relays: fabric routing for every message"),
+        ("egress", "both relays: the egress half of every routed message"),
         ("arrive", "both relays: message delivery at the destination PE"),
         ("stage_arrival", "both relays: every arrival staged (merge check per message)"),
         ("schedule_agg_poll", "aggregated relay: poll armed per open bundle"),

@@ -70,14 +70,14 @@ proptest! {
             prop_assert_eq!(buf.bytes(), pending_bytes);
             prop_assert_eq!(buf.should_flush(now, batch, u32::MAX), pending_bytes >= batch);
             if buf.should_flush(now, batch, u32::MAX) {
-                let (items, b) = buf.flush();
+                let (items, b) = buf.flush_with(Vec::new());
                 prop_assert_eq!(b, pending_bytes);
                 flushed_items += items.len() as u64;
                 pending_bytes = 0;
             }
             now += 10;
         }
-        let (items, b) = buf.flush();
+        let (items, b) = buf.flush_with(Vec::new());
         prop_assert_eq!(b, pending_bytes);
         flushed_items += items.len() as u64;
         prop_assert_eq!(flushed_items, pushed_items);

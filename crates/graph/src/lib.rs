@@ -24,16 +24,17 @@
 //!   correctness test.
 //! * [`stats`] — degree and diameter estimates used to validate presets
 //!   against Table I.
-//! * [`distributed`] — per-PE local CSR slices with global↔local id maps
-//!   and halo sets, the layout a distributed-memory port ships to each PE.
+//! * [`grouped`] — every row stably grouped by owning PE: the layout a
+//!   partitioned traversal reads, one local segment and one run per
+//!   remote PE instead of an owner lookup per edge.
 //! * [`io`] — Matrix Market and DIMACS readers/writers for the paper's
 //!   original dataset formats.
 
 #![warn(missing_docs)]
 
 pub mod csr;
-pub mod distributed;
 pub mod generators;
+pub mod grouped;
 pub mod io;
 pub mod partition;
 pub mod reference;
