@@ -6,6 +6,11 @@
 //! means that rewrite changed no `rank`/`residue` bit and no simulated
 //! quantity — on every shard count, with and without stealing.
 //!
+//! The `sim_events` column alone was re-pinned when arrivals stopped being
+//! engine events (receive lanes, DESIGN.md §4.7): it counts wheel pops, and
+//! an arrival whose receiver has a step coming no longer causes one. Every
+//! other column is still the parent's.
+//!
 //! To re-capture after an *intentional* model change:
 //! `cargo test -p atos-apps --test pagerank_golden -- --nocapture`
 //! prints every row before asserting.
@@ -96,28 +101,28 @@ fn pagerank_runs_match_parent_commit_fingerprints() {
 
 #[rustfmt::skip]
 const GOLDEN: &[(&str, Row)] = &[
-    ("daisy4/persistent/Owner/1", [7756162498593278328, 1310640, 17272, 16880, 4720384, 0, 0, 0]),
-    ("daisy4/persistent/Owner/2", [7756162498593278328, 1310640, 17272, 16880, 4720384, 0, 0, 0]),
-    ("daisy4/persistent/Owner/4", [7756162498593278328, 1310640, 17272, 16880, 4720384, 0, 0, 0]),
-    ("daisy4/persistent/Steal/1", [16206054165013289050, 1291702, 17278, 16893, 4721312, 0, 0, 0]),
-    ("daisy4/persistent/Steal/2", [330996726898839687, 1299600, 17280, 16890, 4721472, 0, 0, 0]),
-    ("daisy4/persistent/Steal/4", [7756162498593278328, 1310640, 17272, 16880, 4720384, 0, 0, 0]),
-    ("daisy4/discrete/Owner/1", [16168691235436804750, 2754779, 15611, 15260, 4269712, 0, 0, 0]),
-    ("daisy4/discrete/Owner/2", [16168691235436804750, 2754779, 15611, 15260, 4269712, 0, 0, 0]),
-    ("daisy4/discrete/Owner/4", [16168691235436804750, 2754779, 15611, 15260, 4269712, 0, 0, 0]),
-    ("daisy4/discrete/Steal/1", [3249118642090893861, 2726960, 15614, 15263, 4269728, 0, 0, 0]),
-    ("daisy4/discrete/Steal/2", [12547446433967291394, 2736877, 15614, 15263, 4269776, 0, 0, 0]),
-    ("daisy4/discrete/Steal/4", [16168691235436804750, 2754779, 15611, 15260, 4269712, 0, 0, 0]),
-    ("ib8/ib_pagerank/Owner/1", [6608448951903192120, 4212114, 9885, 4179, 26835540, 4179, 0, 4179]),
-    ("ib8/ib_pagerank/Owner/2", [6608448951903192120, 4212114, 9885, 4179, 26835540, 4179, 0, 4179]),
-    ("ib8/ib_pagerank/Owner/4", [6608448951903192120, 4212114, 9885, 4179, 26835540, 4179, 0, 4179]),
-    ("ib8/ib_pagerank/Steal/1", [18085304559097682566, 3705116, 9207, 3833, 27187636, 3833, 0, 3833]),
-    ("ib8/ib_pagerank/Steal/2", [2907861913226372489, 4269527, 9783, 4082, 27117924, 4082, 0, 4082]),
-    ("ib8/ib_pagerank/Steal/4", [4493736034589566636, 3927311, 9553, 3997, 27032444, 3997, 0, 3997]),
-    ("ib4/wait4/Owner/1", [15842192610460789458, 1926787, 4300, 2391, 11884036, 2391, 542, 1849]),
-    ("ib4/wait4/Owner/2", [15842192610460789458, 1926787, 4300, 2391, 11884036, 2391, 542, 1849]),
-    ("ib4/wait4/Owner/4", [15842192610460789458, 1926787, 4300, 2391, 11884036, 2391, 542, 1849]),
-    ("ib4/wait4/Steal/1", [17201180342033987342, 2000814, 4387, 2414, 11908232, 2414, 542, 1872]),
-    ("ib4/wait4/Steal/2", [16239999228420874266, 2137671, 4535, 2481, 11918540, 2481, 542, 1939]),
-    ("ib4/wait4/Steal/4", [15842192610460789458, 1926787, 4300, 2391, 11884036, 2391, 542, 1849]),
+    ("daisy4/persistent/Owner/1", [7756162498593278328, 1310640, 444, 16880, 4720384, 0, 0, 0]),
+    ("daisy4/persistent/Owner/2", [7756162498593278328, 1310640, 444, 16880, 4720384, 0, 0, 0]),
+    ("daisy4/persistent/Owner/4", [7756162498593278328, 1310640, 444, 16880, 4720384, 0, 0, 0]),
+    ("daisy4/persistent/Steal/1", [16206054165013289050, 1291702, 402, 16893, 4721312, 0, 0, 0]),
+    ("daisy4/persistent/Steal/2", [330996726898839687, 1299600, 419, 16890, 4721472, 0, 0, 0]),
+    ("daisy4/persistent/Steal/4", [7756162498593278328, 1310640, 444, 16880, 4720384, 0, 0, 0]),
+    ("daisy4/discrete/Owner/1", [16168691235436804750, 2754779, 382, 15260, 4269712, 0, 0, 0]),
+    ("daisy4/discrete/Owner/2", [16168691235436804750, 2754779, 382, 15260, 4269712, 0, 0, 0]),
+    ("daisy4/discrete/Owner/4", [16168691235436804750, 2754779, 382, 15260, 4269712, 0, 0, 0]),
+    ("daisy4/discrete/Steal/1", [3249118642090893861, 2726960, 362, 15263, 4269728, 0, 0, 0]),
+    ("daisy4/discrete/Steal/2", [12547446433967291394, 2736877, 371, 15263, 4269776, 0, 0, 0]),
+    ("daisy4/discrete/Steal/4", [16168691235436804750, 2754779, 382, 15260, 4269712, 0, 0, 0]),
+    ("ib8/ib_pagerank/Owner/1", [6608448951903192120, 4212114, 6480, 4179, 26835540, 4179, 0, 4179]),
+    ("ib8/ib_pagerank/Owner/2", [6608448951903192120, 4212114, 6480, 4179, 26835540, 4179, 0, 4179]),
+    ("ib8/ib_pagerank/Owner/4", [6608448951903192120, 4212114, 6480, 4179, 26835540, 4179, 0, 4179]),
+    ("ib8/ib_pagerank/Steal/1", [18085304559097682566, 3705116, 5606, 3833, 27187636, 3833, 0, 3833]),
+    ("ib8/ib_pagerank/Steal/2", [2907861913226372489, 4269527, 6236, 4082, 27117924, 4082, 0, 4082]),
+    ("ib8/ib_pagerank/Steal/4", [4493736034589566636, 3927311, 6004, 3997, 27032444, 3997, 0, 3997]),
+    ("ib4/wait4/Owner/1", [15842192610460789458, 1926787, 1958, 2391, 11884036, 2391, 542, 1849]),
+    ("ib4/wait4/Owner/2", [15842192610460789458, 1926787, 1958, 2391, 11884036, 2391, 542, 1849]),
+    ("ib4/wait4/Owner/4", [15842192610460789458, 1926787, 1958, 2391, 11884036, 2391, 542, 1849]),
+    ("ib4/wait4/Steal/1", [17201180342033987342, 2000814, 2022, 2414, 11908232, 2414, 542, 1872]),
+    ("ib4/wait4/Steal/2", [16239999228420874266, 2137671, 2169, 2481, 11918540, 2481, 542, 1939]),
+    ("ib4/wait4/Steal/4", [15842192610460789458, 1926787, 1958, 2391, 11884036, 2391, 542, 1849]),
 ];

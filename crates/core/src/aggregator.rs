@@ -104,7 +104,7 @@ impl<T: Copy> AggBuffer<T> {
         let len = self.items.len() + tasks.len();
         if len > self.items.capacity() {
             // Power-of-two classes, as one-at-a-time pushes produce: bundle
-            // storage rotates through the runtime's payload pool, where
+            // storage rotates through the runtime's train pool, where
             // exact-size blocks of every run length fragment the heap.
             self.items.reserve(len.next_power_of_two() - self.items.len());
         }
@@ -199,7 +199,7 @@ impl<T: Copy> AggBuffer<T> {
 
     /// Take the bundle — returns `(tasks, payload_bytes)` and resets —
     /// installing `replacement` (an empty vector, usually
-    /// recycled from the runtime's payload pool) as the new accumulation
+    /// recycled from the runtime's train pool) as the new accumulation
     /// storage. With a pooled replacement the buffer's backing memory
     /// rotates through the pool instead of being reallocated per bundle —
     /// the aggregated path's steady state performs no per-flush heap

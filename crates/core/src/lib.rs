@@ -27,7 +27,11 @@
 //!   communication with computation;
 //! * the **communication aggregator** ([`aggregator`]) that transparently
 //!   bundles fine-grained messages per destination until `BATCH_SIZE`
-//!   bytes or `WAIT_TIME` polls elapse — essential on InfiniBand.
+//!   bytes or `WAIT_TIME` polls elapse — essential on InfiniBand;
+//! * the path between the two ends ([`comm`]): messages charged to the
+//!   fabric as they are emitted, resolved at the window barrier, and
+//!   applied at the owner — from per-source receive lanes — when the owner
+//!   next looks.
 //!
 //! Applications implement the [`app::Application`] trait; the runtime
 //! ([`runtime::Runtime`]) executes them over real graph data inside the
@@ -45,6 +49,7 @@
 
 pub mod aggregator;
 pub mod app;
+pub mod comm;
 pub mod config;
 pub mod dqueue;
 pub mod emitter;

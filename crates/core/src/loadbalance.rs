@@ -114,13 +114,21 @@ impl<A: Application, Tr: Tracer> Runtime<A, Tr> {
     /// is stealable — the common case, and the only extra cost stealing
     /// adds to a quiescing run.
     #[atos_hot]
-    fn pick_victim(&self, thief: usize) -> Option<usize> {
+    fn pick_victim(&mut self, thief: usize) -> Option<usize> {
         let (lo, hi) = self.steal_range;
+        // The thief is about to read its peers' queues (and may run one
+        // peer's tasks): each is first brought up to date with the
+        // arrivals that precede the thief's own step.
+        let now = (self.engine.now(), self.engine.popped_seq());
         let mut best = 1usize;
         let mut victim = None;
         for v in lo..hi {
+            if v == thief {
+                continue;
+            }
+            self.settle(v, now);
             let len = self.pes[v].queue.len();
-            if v != thief && len > best {
+            if len > best {
                 best = len;
                 victim = Some(v);
             }

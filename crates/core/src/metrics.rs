@@ -40,12 +40,16 @@ pub struct RunStats {
     pub queue_hwm_per_pe: Vec<u64>,
     /// Step events dispatched by the engine.
     pub ev_steps: u64,
-    /// Message-arrival events dispatched by the engine.
+    /// Arrival events (doorbells) dispatched by the engine: one per
+    /// delivery that reached a PE with no step coming. Arrivals a PE's next
+    /// step collects from its receive lanes cause none, so on a busy
+    /// receiver this is far below `messages` (which stays exact).
     pub ev_arrivals: u64,
     /// Aggregator-poll events dispatched by the engine.
     pub ev_agg_polls: u64,
-    /// Message arrivals merged into an immediately preceding arrival with
-    /// the same `(dst, deliver_time)` — engine events saved by coalescing.
+    /// Message arrivals that joined the immediately preceding arrival with
+    /// the same `(dst, deliver_time)` at one barrier: one delivery (one
+    /// occupancy sample, one wake), not two.
     pub coalesced_arrivals: u64,
     /// Redundant aggregator wakeups avoided: flush windows that would
     /// have scheduled a timer per buffered destination but found one
@@ -54,10 +58,12 @@ pub struct RunStats {
     /// Aggregator polls that fired and found nothing due (every buffer
     /// they were armed for had already flushed on the size trigger).
     pub agg_poll_idle: u64,
-    /// High-water mark of simultaneously pending simulator events.
+    /// High-water mark of simultaneously pending engine events. Arrivals
+    /// waiting in receive lanes are not engine events and are not counted.
     pub peak_pending_events: u64,
-    /// Simulator events processed during the run (scheduling steps,
-    /// arrivals, aggregator polls) — the sweep harness's work metric.
+    /// Engine events popped during the run: `ev_steps + ev_arrivals +
+    /// ev_agg_polls`. The sweep harness's work metric — it follows
+    /// scheduling steps, not message counts (see `ev_arrivals`).
     pub sim_events: u64,
     /// Traffic burstiness (coefficient of variation; None if negligible
     /// traffic).

@@ -30,26 +30,24 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use atos_queue::sync::{thread, AtomicU64, Ordering};
-use atos_sim::{
-    imbalance_permille, ControlPath, Engine, ExchangeKey, Fabric, GpuCostModel, PeId,
-    PendingTransfer, Time,
-};
+use atos_sim::{imbalance_permille, ControlPath, Engine, Fabric, GpuCostModel, Time};
 use atos_trace::{NullTracer, TraceBuffer, Tracer, Track};
 
-use crate::aggregator::{AggBuffer, IssueClock};
+use crate::aggregator::AggBuffer;
 use crate::app::{Application, IdleOutcome, ShardableApp};
-use crate::config::{AtosConfig, CommMode, KernelMode, QueueMode};
+use crate::comm::{Comm, Outbox, OutboxBoard, Rx};
+use crate::config::{AtosConfig, KernelMode, QueueMode};
 use crate::emitter::Emitter;
 use crate::metrics::RunStats;
 use crate::profile::{self, FlightLog, ShardProfile, WindowRecord};
-use crate::sharded::{ExchangeBoard, SpinBarrier};
+use crate::sharded::SpinBarrier;
 use crate::workqueue::WorkQueue;
 
 use atos_macros::atos_hot;
 
 /// Delay between a remote arrival and an idle persistent worker noticing
 /// it (one poll of the receive queue's `end` counter).
-const WAKE_POLL_NS: Time = 400;
+pub(crate) const WAKE_POLL_NS: Time = 400;
 
 /// Hard cap on processed events — a runaway guard for mis-configured
 /// applications (e.g. a task that re-emits itself forever).
@@ -65,37 +63,15 @@ fn runaway_abort(processed: u64) -> ! {
     panic!("runaway simulation: {processed} events");
 }
 
-/// Upper bound on pooled payload vectors retained for reuse. In-flight
-/// message counts above this simply fall back to allocation; the cap only
-/// bounds idle memory, it never drops live data.
-const VEC_POOL_CAP: usize = 1024;
-
-pub(crate) enum Ev<T> {
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Ev {
     /// Run one scheduling step on a PE.
     Step { pe: usize },
-    /// A message of tasks arrives at a PE's receive queue.
-    Arrive { dst: usize, tasks: Vec<T> },
+    /// Doorbell: an arrival reaches a PE that has no step coming to
+    /// collect it from its receive lanes (`comm`).
+    Arrive { dst: usize },
     /// Aggregator age-trigger poll on a PE.
     AggPoll { pe: usize },
-}
-
-/// One inter-PE message staged in the outbox during a window, resolved
-/// and delivered at the next window barrier.
-///
-/// Egress (source-side link occupancy, stats, the `send` trace instant)
-/// is charged when the message is emitted; ingress resolution and the
-/// `Arrive` event wait for the barrier, where all staged messages merge
-/// in deterministic [`ExchangeKey`] order. Because the key is computed
-/// from source-local state only, the merge order — and therefore every
-/// downstream arrival time and event sequence — is identical no matter
-/// how PEs are partitioned into shards.
-struct StagedMsg<T> {
-    key: ExchangeKey,
-    dst: usize,
-    xfer: PendingTransfer,
-    /// Task payload; empty for round-metadata messages, which occupy the
-    /// wire but deliver nothing.
-    tasks: Vec<T>,
 }
 
 /// Framework-behavior knobs that distinguish Atos from the baseline
@@ -136,19 +112,22 @@ impl Default for RuntimeTuning {
 
 pub(crate) struct Pe<T> {
     pub(crate) queue: WorkQueue<T>,
-    agg: Vec<AggBuffer<T>>,
+    /// Arrivals resolved at a barrier and not yet handed to the
+    /// application (`comm`).
+    pub(crate) rx: Rx<T>,
+    pub(crate) agg: Vec<AggBuffer<T>>,
     pub(crate) step_scheduled: bool,
-    agg_poll_scheduled: bool,
+    pub(crate) agg_poll_scheduled: bool,
     /// Fire time of the pending aggregator poll (valid only while
     /// `agg_poll_scheduled`). A later flush window whose earliest deadline
     /// is not before this needs no extra wakeup — one timer covers the
     /// whole window, not one per buffered destination.
-    agg_poll_deadline: Time,
+    pub(crate) agg_poll_deadline: Time,
     idle_ran: bool,
     /// Monotone count of messages this PE has emitted — the
-    /// [`ExchangeKey::counter`] tiebreak, deterministic because it is
+    /// `ExchangeKey::counter` tiebreak, deterministic because it is
     /// advanced only by this PE's own (shard-local) events.
-    emitted: u64,
+    pub(crate) emitted: u64,
 }
 
 /// The Atos runtime: an [`Application`] executing under an [`AtosConfig`]
@@ -160,37 +139,26 @@ pub(crate) struct Pe<T> {
 /// `tests/alloc_count.rs`). Use [`Runtime::with_tracer`] to collect a
 /// timeline into an `atos_trace::TraceBuffer` (or any `&mut dyn Tracer`).
 pub struct Runtime<A: Application, Tr: Tracer = NullTracer> {
-    pub(crate) engine: Engine<Ev<A::Task>>,
-    fabric: Fabric,
+    pub(crate) engine: Engine<Ev>,
+    pub(crate) fabric: Fabric,
     cost: GpuCostModel,
     pub(crate) cfg: AtosConfig,
     pub(crate) app: A,
     pub(crate) pes: Vec<Pe<A::Task>>,
     pub(crate) stats: RunStats,
-    tuning: RuntimeTuning,
+    pub(crate) tuning: RuntimeTuning,
     /// One emitter recycled across every PE's steps (cleared, never freed).
     em: Emitter<A::Task>,
     /// Pop-batch scratch recycled across steps.
     batch: Vec<A::Task>,
-    /// Free-list of payload vectors: message payloads travel to
-    /// [`Ev::Arrive`], are drained at the destination, and return here —
-    /// the steady-state send path performs no per-task heap allocation.
-    vec_pool: Vec<Vec<A::Task>>,
-    /// Arrival events built during one barrier merge and handed to the
-    /// engine in a single [`Engine::schedule_batch`] call.
-    pending: Vec<(Time, Ev<A::Task>)>,
-    /// Messages emitted during the current window, awaiting the barrier
-    /// merge (cross-shard rows are split off by `run_sharded`).
-    outbox: Vec<StagedMsg<A::Task>>,
-    /// Per-destination coalescing cursor for one merge: `(arrival,
-    /// index-into-pending)` of the destination's most recent staged
-    /// arrival. Keyed per destination — not "last staged overall" — so
-    /// which arrivals merge is independent of how interleaved the sorted
-    /// key sequence is across destinations, i.e. of the shard count.
-    merge_last: Vec<(Time, usize)>,
+    /// Outbox, train pool and receive scratch (`comm`).
+    pub(crate) comm: Comm<A::Task>,
+    /// Exclusive end of the last window executed: every event before it
+    /// has run, every arrival before it counts as delivered.
+    pub(crate) horizon: Time,
     /// Virtual-time event sink ([`NullTracer`] unless built with
     /// [`Runtime::with_tracer`]).
-    tracer: Tr,
+    pub(crate) tracer: Tr,
     /// Telemetry of the last sharded run (`None` after a sequential run
     /// or the `k <= 1` / shard-conflict fallback). See
     /// [`Runtime::take_shard_profile`].
@@ -238,8 +206,11 @@ impl<A: Application, Tr: Tracer> Runtime<A, Tr> {
         tuning: RuntimeTuning,
         tracer: Tr,
     ) -> Self {
-        let n = fabric.n_pes();
-        let pes = (0..n)
+        // (`n_pes`, not `n`: atos-lint's taint pass is name-based, and `n`
+        // is the barrier's host-thread count.)
+        let n_pes = fabric.n_pes();
+        assert!(n_pes <= u16::MAX as usize, "staged messages name PEs in 16 bits");
+        let pes = (0..n_pes)
             .map(|_| Pe {
                 queue: match cfg.queue {
                     QueueMode::Standard => WorkQueue::standard(),
@@ -248,7 +219,8 @@ impl<A: Application, Tr: Tracer> Runtime<A, Tr> {
                         threshold_delta,
                     } => WorkQueue::priority(threshold, threshold_delta),
                 },
-                agg: (0..n).map(AggBuffer::new).collect(),
+                rx: Rx::new(n_pes),
+                agg: (0..n_pes).map(AggBuffer::new).collect(),
                 step_scheduled: false,
                 agg_poll_scheduled: false,
                 agg_poll_deadline: 0,
@@ -256,7 +228,7 @@ impl<A: Application, Tr: Tracer> Runtime<A, Tr> {
                 emitted: 0,
             })
             .collect();
-        let mut stats = RunStats::new(n);
+        let mut stats = RunStats::new(n_pes);
         stats.lb_discipline = cfg.lb.code() as u64;
         Runtime {
             engine: Engine::new(),
@@ -267,15 +239,13 @@ impl<A: Application, Tr: Tracer> Runtime<A, Tr> {
             pes,
             stats,
             tuning,
-            em: Emitter::new(0, n),
+            em: Emitter::new(0, n_pes),
             batch: Vec::new(),
-            vec_pool: Vec::new(),
-            pending: Vec::new(),
-            outbox: Vec::new(),
-            merge_last: vec![(Time::MAX, usize::MAX); n],
+            comm: Comm::default(),
+            horizon: 0,
             tracer,
             shard_profile: None,
-            steal_range: (0, n),
+            steal_range: (0, n_pes),
         }
     }
 
@@ -336,10 +306,11 @@ impl<A: Application, Tr: Tracer> Runtime<A, Tr> {
     ///
     /// Execution proceeds in *windows*: events strictly before the safe
     /// horizon `T_min + lookahead` run, then the outbox of messages
-    /// emitted during the window merges back into the engine in
-    /// deterministic [`ExchangeKey`] order. The lookahead — the minimum
-    /// time any message needs to reach another PE — guarantees no merged
-    /// event can land inside the window that produced it, so this loop
+    /// emitted during the window is resolved into the destinations'
+    /// receive lanes in deterministic [`atos_sim::ExchangeKey`] order
+    /// ([`crate::comm`]). The lookahead — the minimum time any message
+    /// needs to reach another PE — guarantees no resolved arrival can land
+    /// inside the window that produced it, so this loop
     /// computes the same schedule whether the windows of different PEs
     /// run on one thread (here) or on many ([`Runtime::run_sharded`]).
     pub fn run(&mut self) -> RunStats {
@@ -348,7 +319,7 @@ impl<A: Application, Tr: Tracer> Runtime<A, Tr> {
         let lookahead = self.lookahead();
         loop {
             self.merge_exchange();
-            let Some(t_min) = self.engine.peek_time() else {
+            let Some(t_min) = self.next_event_time() else {
                 break;
             };
             self.run_window(t_min.saturating_add(lookahead));
@@ -382,23 +353,28 @@ impl<A: Application, Tr: Tracer> Runtime<A, Tr> {
         }
     }
 
-    /// Dispatch every event strictly before `horizon`.
+    /// Dispatch every event strictly before `horizon`. Each event belongs
+    /// to one PE, whose receive side is settled up to the event's own key
+    /// before the handler looks at it.
     #[atos_hot]
-    fn run_window(&mut self, horizon: Time) {
-        while let Some((_, ev)) = self.engine.pop_before(horizon) {
+    pub(crate) fn run_window(&mut self, horizon: Time) {
+        while let Some((at, ev)) = self.engine.pop_before(horizon) {
+            let key = (at, self.engine.popped_seq());
             // Per-event-kind dispatch counts (the engine is generic over
             // the event payload, so the kinds are tallied here).
             match ev {
                 Ev::Step { pe } => {
                     self.stats.ev_steps += 1;
+                    self.settle(pe, key);
                     self.step(pe);
                 }
-                Ev::Arrive { dst, tasks } => {
+                Ev::Arrive { dst } => {
                     self.stats.ev_arrivals += 1;
-                    self.arrive(dst, tasks);
+                    self.arrive(dst, key);
                 }
                 Ev::AggPoll { pe } => {
                     self.stats.ev_agg_polls += 1;
+                    self.settle(pe, key);
                     self.agg_poll(pe);
                 }
             }
@@ -406,62 +382,17 @@ impl<A: Application, Tr: Tracer> Runtime<A, Tr> {
                 runaway_abort(self.engine.processed());
             }
         }
-    }
-
-    /// Merge this runtime's own outbox into its engine (the single-shard
-    /// window barrier; `run_sharded` routes cross-shard rows through the
-    /// exchange board first).
-    fn merge_exchange(&mut self) {
-        if self.outbox.is_empty() {
-            return;
-        }
-        let mut outbox = std::mem::take(&mut self.outbox);
-        self.merge_records(&mut outbox);
-        self.outbox = outbox;
-    }
-
-    /// Resolve and deliver one barrier's staged messages: sort by
-    /// [`ExchangeKey`], resolve ingress occupancy in that order, coalesce
-    /// same-`(dst, arrival)` deliveries, and hand the arrivals to the
-    /// engine in one batch. Drains `records`, keeping its capacity.
-    #[atos_hot]
-    fn merge_records(&mut self, records: &mut Vec<StagedMsg<A::Task>>) {
-        if records.is_empty() {
-            return;
-        }
-        // Keys are unique (per-source counters), so unstable sort is
-        // deterministic.
-        records.sort_unstable_by_key(|m| m.key);
-        for cursor in self.merge_last.iter_mut() {
-            *cursor = (Time::MAX, usize::MAX);
-        }
-        for msg in records.drain(..) {
-            let arrival = self.fabric.resolve_ingress(&msg.xfer);
-            if msg.tasks.is_empty() {
-                // Round metadata: occupies the wire, delivers no tasks.
-                continue;
-            }
-            if self.tracer.is_enabled() {
-                // Arrival mark carrying the end-to-end latency on the
-                // destination timeline (counterpart of `route`'s send).
-                self.tracer.instant(
-                    Track::pe(msg.dst),
-                    arrival,
-                    "msg",
-                    ["latency_ns", "bytes"],
-                    [arrival.saturating_sub(msg.xfer.issued), msg.xfer.payload],
-                );
-            }
-            self.stage_arrival(arrival, msg.dst, msg.tasks);
-        }
-        let mut pending = std::mem::take(&mut self.pending);
-        self.engine.schedule_batch(pending.drain(..));
-        self.pending = pending;
+        self.horizon = horizon;
+        self.settle_window();
     }
 
     /// Fill the trace- and engine-derived summary statistics after the
     /// event loop drains.
     fn finish_stats(&mut self) {
+        debug_assert!(
+            self.pes.iter().all(|p| p.rx.is_drained()) && self.comm.outbox.cars.is_empty(),
+            "run ended with an undelivered arrival or a train still held"
+        );
         // Extend the utilization series to the true run end so trailing
         // compute-only time counts toward the burstiness statistic.
         self.fabric.trace.finish(self.engine.now());
@@ -478,7 +409,7 @@ impl<A: Application, Tr: Tracer> Runtime<A, Tr> {
     }
 
     #[atos_hot]
-    fn wake(&mut self, pe: usize, delay: Time) {
+    pub(crate) fn wake(&mut self, pe: usize, delay: Time) {
         if !self.pes[pe].step_scheduled && !self.pes[pe].queue.is_empty() {
             self.pes[pe].step_scheduled = true;
             self.pes[pe].idle_ran = false;
@@ -525,11 +456,14 @@ impl<A: Application, Tr: Tracer> Runtime<A, Tr> {
                 em.reset_for(pe);
                 if self.app.on_idle(pe, &mut em) == IdleOutcome::Refilled {
                     self.absorb_local(pe, &mut em);
-                    self.dispatch_remote(pe, &em, now, 0);
+                    self.dispatch_remote(pe, &mut em, now, 0);
                     self.wake(pe, 0);
                 }
                 self.em = em;
             }
+            // If that left the PE idle, no step is coming to collect what is
+            // still in its receive lanes.
+            self.ring_doorbell(pe);
             return;
         }
 
@@ -575,7 +509,7 @@ impl<A: Application, Tr: Tracer> Runtime<A, Tr> {
         }
 
         self.absorb_local(exec_pe, &mut em);
-        self.dispatch_remote(exec_pe, &em, now, busy);
+        self.dispatch_remote(exec_pe, &mut em, now, busy);
         self.em = em;
         self.batch = batch;
         if exec_pe != pe {
@@ -605,302 +539,6 @@ impl<A: Application, Tr: Tracer> Runtime<A, Tr> {
         }
         self.note_queue_depth(pe);
     }
-
-    /// Route remote emissions, which the emitter already holds as one run
-    /// per destination: either send them directly (fine-grained, spread
-    /// across the step for in-kernel overlap) or move them into the
-    /// aggregator a run at a time. Destinations are walked in ascending
-    /// order, each in emission order.
-    #[atos_hot]
-    fn dispatch_remote(
-        &mut self,
-        src: usize,
-        em: &Emitter<A::Task>,
-        now: Time,
-        busy: Time,
-    ) {
-        let total: usize = em.remote.iter().map(Vec::len).sum();
-        if total == 0 {
-            return;
-        }
-        let task_bytes = self.app.task_bytes();
-        // Gluon-style round metadata: serialize and broadcast update masks
-        // to every peer before this round's payload leaves. The host-side
-        // pack/unpack cost accumulates per peer on the sender's critical
-        // path; the payload below cannot leave until it completes (link
-        // FIFO: egress is charged in issue order, so the payload staged
-        // after the metadata cannot overtake it).
-        let mut metadata_done = now + busy;
-        if self.tuning.round_metadata_bytes > 0 {
-            let ser_ns = (self.tuning.round_metadata_bytes as f64
-                * self.tuning.metadata_cpu_ns_per_byte)
-                .ceil() as Time;
-            for peer in 0..self.pes.len() {
-                if peer != src {
-                    metadata_done += ser_ns;
-                    let bytes = self.tuning.round_metadata_bytes;
-                    self.egress(metadata_done, src, peer, bytes, Vec::new());
-                }
-            }
-        }
-        // In-kernel issue times: Atos spreads `issues` sends across the
-        // busy window (communication/computation overlap); kernel-boundary
-        // frameworks emit everything when the kernel completes.
-        let in_kernel = self.tuning.in_kernel_comm;
-        let clock = |issues: usize| match in_kernel {
-            true => IssueClock::spread(now, busy, issues),
-            false => IssueClock::spread(metadata_done, 0, 1),
-        };
-        let mut i = 0u64;
-        match self.cfg.comm {
-            CommMode::Direct { group } => {
-                let group = group.max(1);
-                // One issue per chunk, across all destinations.
-                let clock = clock(em.remote.iter().map(|v| v.len().div_ceil(group)).sum());
-                for (dst, tasks) in em.remote.iter().enumerate() {
-                    for chunk in tasks.chunks(group) {
-                        let mut payload = self.vec_pool.pop().unwrap_or_default();
-                        payload.extend_from_slice(chunk);
-                        self.route(clock.at(i), src, dst, payload, task_bytes);
-                        i += 1;
-                    }
-                }
-            }
-            CommMode::Aggregated {
-                batch_bytes,
-                wait_time,
-            } => {
-                // One issue per task. Each destination's run goes into its
-                // accumulation buffer in as few copies as the flush policy
-                // allows: up to the next size or age trigger, flush, repeat.
-                let clock = clock(total);
-                for (dst, tasks) in em.remote.iter().enumerate() {
-                    let mut rest = &tasks[..];
-                    while !rest.is_empty() {
-                        let buf = &mut self.pes[src].agg[dst];
-                        let (k, fires) =
-                            buf.run_len(&clock, i, rest.len(), task_bytes, batch_bytes, wait_time);
-                        buf.push_slice(&rest[..k], task_bytes, clock.at(i));
-                        rest = &rest[k..];
-                        i += k as u64;
-                        if fires {
-                            self.flush_bundle(clock.at(i - 1), src, dst, task_bytes, batch_bytes);
-                        }
-                    }
-                }
-                self.schedule_agg_poll(src);
-            }
-        }
-    }
-
-    /// Flush one aggregator bundle into a pooled payload and stage its
-    /// arrival. `batch_bytes` is the size trigger, used to classify the
-    /// flush (a bundle at or above it flushed on size, otherwise on age).
-    #[atos_hot]
-    fn flush_bundle(&mut self, at: Time, src: usize, dst: usize, task_bytes: u64, batch_bytes: u64) {
-        let by_size = self.pes[src].agg[dst].bytes() >= batch_bytes;
-        let opened = self.pes[src].agg[dst].opened_at().unwrap_or(at);
-        let replacement = self.vec_pool.pop().unwrap_or_default();
-        let (bundle, bytes) = self.pes[src].agg[dst].flush_with(replacement);
-        self.stats.agg_flushes += 1;
-        if by_size {
-            self.stats.agg_flushes_size += 1;
-        } else {
-            self.stats.agg_flushes_age += 1;
-        }
-        self.stats.agg_flushed_tasks += bundle.len() as u64;
-        self.stats.agg_flushed_bytes += bytes;
-        if self.tracer.is_enabled() {
-            // The aggregation window: from the oldest queued item to the
-            // flush, on the (src, dst) pair's own track.
-            self.tracer.span(
-                Track::agg(src, dst),
-                opened,
-                at.saturating_sub(opened),
-                if by_size { "flush[size]" } else { "flush[age]" },
-                ["bytes", "tasks"],
-                [bytes, bundle.len() as u64],
-            );
-        }
-        self.route(at, src, dst, bundle, task_bytes);
-    }
-
-    /// Stage one resolved arrival for the engine (barrier-merge side),
-    /// coalescing it into the destination's previous staged arrival when
-    /// both land at the same deliver time. Same-`(src, dst)` messages
-    /// serialize on the link (distinct arrival ns), so merges fire only
-    /// for genuinely simultaneous deliveries; resolution happens in
-    /// [`ExchangeKey`] order, so the merged payload keeps that order and
-    /// the destination enqueues tasks exactly as back-to-back events
-    /// would have. One event then pays one engine pop + one wake.
-    #[atos_hot]
-    fn stage_arrival(&mut self, arrival: Time, dst: usize, mut payload: Vec<A::Task>) {
-        let (last_t, last_idx) = self.merge_last[dst];
-        if last_t == arrival {
-            if let (_, Ev::Arrive { tasks, .. }) = &mut self.pending[last_idx] {
-                tasks.extend_from_slice(&payload);
-                self.stats.coalesced_arrivals += 1;
-                payload.clear();
-                if self.vec_pool.len() < VEC_POOL_CAP {
-                    self.vec_pool.push(payload);
-                }
-                return;
-            }
-        }
-        self.merge_last[dst] = (arrival, self.pending.len());
-        self.pending.push((arrival, Ev::Arrive { dst, tasks: payload }));
-    }
-
-    /// One message of tasks toward the wire: count it, mark the send on
-    /// the source timeline, and hand it to [`Runtime::egress`].
-    #[atos_hot]
-    fn route(&mut self, at: Time, src: usize, dst: usize, tasks: Vec<A::Task>, task_bytes: u64) {
-        self.stats.remote_tasks += tasks.len() as u64;
-        if self.tracer.is_enabled() {
-            // The arrival mark is recorded when the barrier merge resolves
-            // the message.
-            self.tracer.instant(
-                Track::pe(src),
-                at,
-                "send",
-                ["dst", "tasks"],
-                [dst as u64, tasks.len() as u64],
-            );
-        }
-        self.egress(at, src, dst, tasks.len() as u64 * task_bytes, tasks);
-    }
-
-    /// Charge the egress side of one `bytes`-byte message (control path,
-    /// source link occupancy, stats) and stage it in the outbox under its
-    /// deterministic [`ExchangeKey`]. Ingress resolution and the `Arrive`
-    /// event happen at the next window barrier. `tasks` is empty for round
-    /// metadata, which occupies the wire and delivers nothing.
-    #[atos_hot]
-    fn egress(&mut self, at: Time, src: usize, dst: usize, bytes: u64, tasks: Vec<A::Task>) {
-        let xfer = self.fabric.transfer_egress(
-            at,
-            PeId(src as u32),
-            PeId(dst as u32),
-            bytes,
-            self.tuning.control,
-        );
-        self.stats.messages += 1;
-        self.stats.payload_bytes += bytes;
-        let counter = self.pes[src].emitted;
-        self.pes[src].emitted += 1;
-        self.outbox.push(StagedMsg {
-            key: ExchangeKey {
-                t_key: xfer.t_key,
-                src: src as u32,
-                counter,
-            },
-            dst,
-            xfer,
-            tasks,
-        });
-    }
-
-    #[atos_hot]
-    fn arrive(&mut self, dst: usize, mut tasks: Vec<A::Task>) {
-        let mut enqueued = false;
-        for t in tasks.drain(..) {
-            // One-sided destination-side effect (e.g. the RDMA atomicMin):
-            // only improved updates enter the queue.
-            if let Some(t2) = self.app.on_receive(dst, t) {
-                let prio = self.app.priority(&t2);
-                self.pes[dst].queue.push(t2, prio);
-                enqueued = true;
-            }
-        }
-        // Recycle the payload's backing storage: the next send pops it
-        // from the pool instead of allocating.
-        if self.vec_pool.len() < VEC_POOL_CAP {
-            self.vec_pool.push(tasks);
-        }
-        self.note_queue_depth(dst);
-        if self.tracer.is_enabled() {
-            // Receive-queue occupancy right after this delivery landed.
-            let now = self.engine.now();
-            let len = self.pes[dst].queue.len() as u64;
-            self.tracer.counter(Track::pe(dst), now, "recvq", len);
-        }
-        if enqueued {
-            let wake_delay = match self.cfg.kernel {
-                KernelMode::Persistent => WAKE_POLL_NS,
-                // Host loop relaunches the kernel when work appears.
-                KernelMode::Discrete => 0,
-            };
-            self.wake(dst, wake_delay);
-        }
-    }
-
-    #[atos_hot]
-    fn schedule_agg_poll(&mut self, pe: usize) {
-        let wait_time = match self.cfg.comm {
-            CommMode::Aggregated { wait_time, .. } => wait_time,
-            _ => return,
-        };
-        if self.pes[pe].agg_poll_scheduled {
-            // One pending timer already covers this flush window: buffers
-            // open at or after the time the timer was armed, so every
-            // deadline is at or past the armed one and the poll's
-            // rescheduling loop picks it up — no per-destination timer.
-            // (Owner-computes only: a thief dispatches for its victim on
-            // its own clock, which can be behind the victim's armed timer;
-            // such a bundle waits for the armed poll.)
-            #[cfg(debug_assertions)]
-            if self.cfg.lb == crate::LoadBalance::Owner {
-                let earliest = self.pes[pe]
-                    .agg
-                    .iter()
-                    .filter_map(|b| b.age_deadline(wait_time))
-                    .min();
-                debug_assert!(
-                    earliest.is_none_or(|d| d >= self.pes[pe].agg_poll_deadline),
-                    "aggregator deadline moved earlier than the armed poll"
-                );
-            }
-            self.stats.agg_poll_coalesced += 1;
-            return;
-        }
-        let deadline = self.pes[pe]
-            .agg
-            .iter()
-            .filter_map(|b| b.age_deadline(wait_time))
-            .min();
-        if let Some(d) = deadline {
-            self.pes[pe].agg_poll_scheduled = true;
-            self.pes[pe].agg_poll_deadline = d;
-            self.engine.schedule_at(d, Ev::AggPoll { pe });
-        }
-    }
-
-    #[atos_hot]
-    fn agg_poll(&mut self, pe: usize) {
-        self.pes[pe].agg_poll_scheduled = false;
-        let (batch_bytes, wait_time) = match self.cfg.comm {
-            CommMode::Aggregated {
-                batch_bytes,
-                wait_time,
-            } => (batch_bytes, wait_time),
-            _ => return,
-        };
-        let now = self.engine.now();
-        let task_bytes = self.app.task_bytes();
-        let mut flushed_any = false;
-        for dst in 0..self.pes[pe].agg.len() {
-            if self.pes[pe].agg[dst].should_flush(now, batch_bytes, wait_time) {
-                self.flush_bundle(now, pe, dst, task_bytes, batch_bytes);
-                flushed_any = true;
-            }
-        }
-        if !flushed_any {
-            // Every buffer this poll was armed for already left on the
-            // size trigger; the timer fired into an empty window.
-            self.stats.agg_poll_idle += 1;
-        }
-        self.schedule_agg_poll(pe);
-    }
 }
 
 impl<A: ShardableApp, Tr: Tracer> Runtime<A, Tr> {
@@ -913,7 +551,7 @@ impl<A: ShardableApp, Tr: Tracer> Runtime<A, Tr> {
     /// shard events execute in the same `(time, seq)` order as the
     /// sequential run's restriction to that shard's PEs, and cross-shard
     /// messages merge at each barrier in the shard-count-independent
-    /// [`ExchangeKey`] order. Only wall-clock time changes. With a
+    /// [`atos_sim::ExchangeKey`] order. Only wall-clock time changes. With a
     /// tracer attached, the per-PE/aggregation timeline is also
     /// byte-identical to the sequential run's (after sorting, which the
     /// Chrome exporter does); sharded runs additionally emit `window`
@@ -986,7 +624,7 @@ impl<A: ShardableApp, Tr: Tracer> Runtime<A, Tr> {
             })
             .collect();
 
-        let board: ExchangeBoard<StagedMsg<A::Task>> = ExchangeBoard::new(k);
+        let board: OutboxBoard<A::Task> = OutboxBoard::new(k);
         let barrier = SpinBarrier::new(threads);
         let next_times: Vec<AtomicU64> = (0..k).map(|_| AtomicU64::new(0)).collect();
         // Per-shard events-executed-last-window cells, feeding the
@@ -1047,6 +685,10 @@ impl<A: ShardableApp, Tr: Tracer> Runtime<A, Tr> {
             sub.stats.elapsed_ns = sub.engine.now();
             sub.stats.sim_events = sub.engine.processed();
             sub.stats.peak_pending_events = sub.engine.max_pending() as u64;
+            debug_assert!(
+                sub.pes.iter().all(|p| p.rx.is_drained()) && sub.comm.outbox.cars.is_empty(),
+                "shard {s} ended with an undelivered arrival or a train still held"
+            );
             elapsed = elapsed.max(sub.engine.now());
             self.stats.absorb(&sub.stats);
             self.fabric.absorb(&sub.fabric);
@@ -1099,7 +741,7 @@ type ShardRuntime<A> = Runtime<A, Option<TraceBuffer>>;
 fn shard_worker<A: ShardableApp>(
     base: usize,
     group: &mut [ShardRuntime<A>],
-    board: &ExchangeBoard<StagedMsg<A::Task>>,
+    board: &OutboxBoard<A::Task>,
     barrier: &SpinBarrier,
     next_times: &[AtomicU64],
     shard_of: &[usize],
@@ -1111,11 +753,11 @@ fn shard_worker<A: ShardableApp>(
     // Reusable per-shard row/inbox buffers; vectors circulate between
     // these and the board's slots via swap, so the steady state allocates
     // nothing.
-    let mut rows: Vec<Vec<Vec<StagedMsg<A::Task>>>> = group
+    let mut rows: Vec<Vec<Outbox<A::Task>>> = group
         .iter()
-        .map(|_| (0..k).map(|_| Vec::new()).collect())
+        .map(|_| (0..k).map(|_| Outbox::default()).collect())
         .collect();
-    let mut inboxes: Vec<Vec<StagedMsg<A::Task>>> = group.iter().map(|_| Vec::new()).collect();
+    let mut inboxes: Vec<Outbox<A::Task>> = group.iter().map(|_| Outbox::default()).collect();
     // Telemetry scratch, preallocated: per-owned-shard exchange volumes
     // for the current iteration and the events-processed cursor.
     let mut published_now: Vec<u64> = vec![0; group.len()];
@@ -1127,10 +769,8 @@ fn shard_worker<A: ShardableApp>(
         // and swap the rows onto the board.
         for (i, sub) in group.iter_mut().enumerate() {
             let s = base + i;
-            published_now[i] = sub.outbox.len() as u64;
-            for msg in sub.outbox.drain(..) {
-                rows[i][shard_of[msg.dst]].push(msg);
-            }
+            published_now[i] = sub.comm.outbox.cars.len() as u64;
+            sub.comm.outbox.split_into(shard_of, &mut rows[i]);
             for (dst_shard, row) in rows[i].iter_mut().enumerate() {
                 board.publish(s, dst_shard, row);
             }
@@ -1138,18 +778,18 @@ fn shard_worker<A: ShardableApp>(
         let t0 = Instant::now();
         barrier.wait();
         let mut wait_ns = t0.elapsed().as_nanos() as u64;
-        // Drain + merge: collect each owned shard's column, merge it into
-        // the shard's engine in ExchangeKey order, and announce the
-        // shard's next event time.
+        // Drain + merge: collect each owned shard's column, resolve it
+        // into the shard's receive lanes in ExchangeKey order, and
+        // announce the shard's next event time.
         for (i, sub) in group.iter_mut().enumerate() {
             let s = base + i;
             let inbox = &mut inboxes[i];
             for src_shard in 0..k {
                 board.drain(src_shard, s, inbox);
             }
-            drained_now[i] = inbox.len() as u64;
+            drained_now[i] = inbox.cars.len() as u64;
             sub.merge_records(inbox);
-            let next = sub.engine.peek_time().unwrap_or(Time::MAX);
+            let next = sub.next_event_time().unwrap_or(Time::MAX);
             next_times[s].store(next, Ordering::Release);
         }
         // Imbalance over the *previous* window's event counts: the stores
@@ -1227,6 +867,8 @@ fn shard_worker<A: ShardableApp>(
 mod tests {
     use super::*;
     use crate::app::IdleOutcome;
+    use crate::config::CommMode;
+    use atos_sim::ControlPath;
 
     /// Relay: a task `(hops_left)` forwards itself to the next PE until
     /// hops run out. Exercises remote paths, wakeups, and termination.
@@ -1506,35 +1148,6 @@ mod tests {
     }
 
     #[test]
-    fn aggregator_handles_multiple_destinations() {
-        // Seed tasks whose children scatter to 3 peers; each peer's bundle
-        // flushes independently.
-        struct Scatter;
-        impl Application for Scatter {
-            type Task = (u32, bool);
-            fn process(&mut self, _pe: usize, t: Self::Task, out: &mut Emitter<Self::Task>) {
-                if t.1 {
-                    for i in 0..300u32 {
-                        out.push(1 + (i % 3) as usize, (i, false));
-                    }
-                }
-            }
-            fn on_receive(&mut self, _pe: usize, t: Self::Task) -> Option<Self::Task> {
-                Some(t)
-            }
-            fn task_edges(&self, _t: &Self::Task) -> u64 {
-                1
-            }
-        }
-        let mut rt = Runtime::new(Scatter, Fabric::ib_cluster(4), AtosConfig::ib_pagerank());
-        rt.seed(0, [(0u32, true)]);
-        let s = rt.run();
-        assert_eq!(s.remote_tasks, 300);
-        // One age-triggered bundle per destination.
-        assert_eq!(s.messages, 3);
-    }
-
-    #[test]
     fn tracer_records_steps_messages_and_flushes() {
         use atos_trace::{EventKind, TraceBuffer};
 
@@ -1606,103 +1219,6 @@ mod tests {
         assert_eq!(a.messages, b.messages);
         assert_eq!(a.sim_events, b.sim_events);
         assert!(!traced.tracer().is_empty());
-    }
-
-    /// Zero-byte tasks issued in one burst at one instant: every message
-    /// serializes onto the link with zero wire time, so all arrivals land
-    /// at the same `(dst, deliver_time)` — the coalescing path's worst
-    /// (and best) case.
-    struct ZeroByteScatter {
-        width: u32,
-        emitted: bool,
-    }
-
-    impl Application for ZeroByteScatter {
-        type Task = u32;
-        fn process(&mut self, _pe: usize, _t: u32, _out: &mut Emitter<u32>) {}
-        fn on_receive(&mut self, _pe: usize, t: u32) -> Option<u32> {
-            Some(t)
-        }
-        fn on_idle(&mut self, pe: usize, out: &mut Emitter<u32>) -> IdleOutcome {
-            if pe == 0 && !self.emitted {
-                self.emitted = true;
-                for i in 0..self.width {
-                    out.push(1, i);
-                }
-                IdleOutcome::Refilled
-            } else {
-                IdleOutcome::Quiescent
-            }
-        }
-        fn task_bytes(&self) -> u64 {
-            0
-        }
-        fn task_edges(&self, _t: &u32) -> u64 {
-            1
-        }
-    }
-
-    #[test]
-    fn simultaneous_arrivals_coalesce_into_one_event() {
-        let width = 64u32;
-        let mut rt = Runtime::new(
-            ZeroByteScatter {
-                width,
-                emitted: false,
-            },
-            Fabric::daisy(2),
-            AtosConfig {
-                comm: CommMode::Direct { group: 1 },
-                ..AtosConfig::standard_persistent()
-            },
-        );
-        rt.seed(0, [0u32]);
-        let s = rt.run();
-        // Every task still travels as its own message (routing, stats and
-        // traces are per message)...
-        assert_eq!(s.messages, width as u64);
-        assert_eq!(s.remote_tasks, width as u64);
-        // ...but the engine dispatches one Arrive for the whole burst.
-        assert_eq!(s.coalesced_arrivals, width as u64 - 1);
-        assert_eq!(s.ev_arrivals, 1);
-    }
-
-    /// Chain: task k re-emits (k-1) locally and sends one remote task per
-    /// step, so several flush windows open while an aggregator poll is
-    /// already armed.
-    struct DripRemote;
-
-    impl Application for DripRemote {
-        type Task = u32;
-        fn process(&mut self, pe: usize, t: u32, out: &mut Emitter<u32>) {
-            if pe == 0 {
-                out.push(1, t);
-                if t > 0 {
-                    out.push_local(t - 1);
-                }
-            }
-        }
-        fn on_receive(&mut self, _pe: usize, t: u32) -> Option<u32> {
-            Some(t)
-        }
-        fn task_edges(&self, _t: &u32) -> u64 {
-            1
-        }
-    }
-
-    #[test]
-    fn flush_window_arms_one_wakeup_not_one_per_dispatch() {
-        let mut rt = Runtime::new(DripRemote, Fabric::ib_cluster(2), AtosConfig::ib_pagerank());
-        rt.seed(0, [30u32]);
-        let s = rt.run();
-        assert!(s.agg_flushes >= 1);
-        assert!(s.ev_agg_polls >= 1);
-        // Dispatches that buffered into an already-armed window reused the
-        // pending timer instead of scheduling their own.
-        assert!(
-            s.agg_poll_coalesced > 0,
-            "expected later dispatches to coalesce onto the armed poll ({s:?})"
-        );
     }
 
     #[test]

@@ -2,11 +2,13 @@
 //!
 //! The dispatcher used to build a `BTreeMap<usize, Vec<Task>>` per flush
 //! and `to_vec()` every chunk it sent — at least two heap allocations per
-//! message. With per-PE staging buffers and the pooled payload free-list,
-//! the steady state sends and receives without touching the allocator.
-//! This test pins that down with a counting global allocator: a relay
-//! workload pushing tens of thousands of messages must stay within a small
-//! constant allocation budget (warm-up growth of queues, heap, and pool).
+//! message. Now a destination's run leaves the emitter whole as a train,
+//! messages are 40-byte cars, and emptied buffers return through the
+//! train pool: the steady state sends and receives without touching the
+//! allocator. This test pins that down with a counting global allocator: a
+//! relay workload pushing tens of thousands of messages must stay within a
+//! small constant allocation budget (warm-up growth of queues, lanes, heap,
+//! and pool).
 
 use std::alloc::{GlobalAlloc, Layout, System};
 // atos-lint: allow(facade_bypass) — the counting allocator is a measurement
@@ -249,6 +251,65 @@ fn steady_state_send_paths_do_not_allocate_per_task() {
         stats.lb_steals
     );
 
+    // Busy receiver: every task on PE 0 sends one task to PE 1, which
+    // consumes faster than PE 0 produces. PE 1 usually has a step coming
+    // when a barrier resolves its arrivals, so they wait in its receive
+    // lanes and that step settles them: fewer arrival events than messages
+    // is the proof the lane path ran, and it must not allocate.
+    const FAN_TASKS: usize = 20_000;
+    let mut rt = Runtime::new(
+        Relay { n_pes: 2 },
+        Fabric::daisy(2),
+        AtosConfig {
+            comm: CommMode::Direct { group: 32 },
+            ..AtosConfig::standard_persistent()
+        },
+    );
+    rt.seed(0, std::iter::repeat_n(1u32, FAN_TASKS));
+    let before = alloc_calls();
+    let stats = rt.run();
+    let during = alloc_calls() - before;
+    assert_eq!(stats.remote_tasks, FAN_TASKS as u64);
+    assert!(
+        stats.ev_arrivals > 0 && stats.ev_arrivals < stats.messages,
+        "busy receiver: {} arrival events for {} messages (lanes must carry some, doorbells some)",
+        stats.ev_arrivals,
+        stats.messages
+    );
+    assert!(
+        during < 2_000,
+        "busy receiver: {during} allocations for {} messages (expected warm-up only)",
+        stats.messages
+    );
+
+    // Lane car → doorbell conversion: two tokens in lockstep under
+    // kernel-boundary communication. Both PEs step at once and send when
+    // their kernel ends, so the barrier files each car while its receiver
+    // still has its follow-up step scheduled — into the lanes — and that
+    // step, at kernel end, finds nothing yet and goes idle: every hop's car
+    // is converted to a doorbell event by `ring_next`.
+    let mut rt = Runtime::with_tuning(
+        Relay { n_pes: 2 },
+        Fabric::daisy(2),
+        AtosConfig::standard_discrete(),
+        GpuCostModel::v100(),
+        RuntimeTuning {
+            in_kernel_comm: false,
+            ..RuntimeTuning::default()
+        },
+    );
+    rt.seed(0, [HOPS / 2]);
+    rt.seed(1, [HOPS / 2]);
+    let before = alloc_calls();
+    let stats = rt.run();
+    let during = alloc_calls() - before;
+    assert_eq!(stats.messages, HOPS as u64);
+    assert_eq!(stats.ev_arrivals, stats.messages, "every car rang its own doorbell");
+    assert!(
+        during < 2_000,
+        "lockstep relay: {during} allocations for {HOPS} converted arrivals (expected warm-up only)"
+    );
+
     // Profiling-layer record paths (exact-zero, see the scenario's doc).
     histogram_record_and_flight_push_scenario();
 }
@@ -325,8 +386,8 @@ fn hot_fns(src: &str) -> Vec<String> {
     hot
 }
 
-/// Every `#[atos_hot]` function in the runtime (step loop and steal
-/// policy) and the engine must be exercised by one of the counted
+/// Every `#[atos_hot]` function in the runtime (step loop, steal policy,
+/// communication) and the engine must be exercised by one of the counted
 /// scenarios in this file, so the allocation budget actually covers the
 /// whole annotated hot path
 /// (`atos-lint` checks the annotated functions statically; this test keeps
@@ -343,27 +404,35 @@ fn every_hot_runtime_fn_is_covered_by_a_counted_scenario() {
         ("flush_bundle", "aggregated relay: age trigger flushes each bundle"),
         ("route", "both relays: fabric routing for every message"),
         ("egress", "both relays: the egress half of every routed message"),
-        ("arrive", "both relays: message delivery at the destination PE"),
-        ("stage_arrival", "both relays: every arrival staged (merge check per message)"),
+        ("take", "every relay: a pooled buffer replaces each departing run / bundle"),
+        ("give", "every relay: a train's buffer comes home when its last car is delivered"),
+        ("merge_records", "all relays: staged cars resolved at every window boundary"),
+        ("file", "all relays: every resolved car pushed onto its lane"),
+        ("arrive", "both relays: a doorbell per arrival at the idle peer PE"),
+        ("settle", "every relay event; busy receiver: steps settle their lanes"),
+        ("deliver", "under every settle and every doorbell"),
+        ("drain_before", "every relay: lane cars delivered in key order"),
+        ("ring_doorbell", "every relay: each barrier, doorbell and step that leaves a PE idle"),
+        ("ring_next", "lockstep relay: every hop's lane car becomes a doorbell event"),
         ("schedule_agg_poll", "aggregated relay: poll armed per open bundle"),
         ("agg_poll", "aggregated relay: age-trigger poll per bundle"),
         ("run_window", "all relays: every execution window drains through it"),
-        ("merge_records", "all relays: staged messages merged at every window boundary"),
         ("try_steal", "every relay: consulted on every empty pop"),
-        ("pick_victim", "steal relay: victim scan on every empty pop"),
+        ("pick_victim", "steal relay: victim scan (settling each peer) on every empty pop"),
         ("steal_from", "steal relay: group steal from the skewed PE"),
         ("wake_idle_peers", "steal relay: backlogged steps wake the idle peer"),
     ];
     const COVERED_ENGINE: &[(&str, &str)] = &[
         ("schedule_at", "engine churn scenario + every relay event"),
+        ("schedule_at_seq", "under every schedule_at; doorbells filed under reserved keys"),
         ("pop", "engine churn scenario + both relays' event loops"),
         ("pop_before", "all relays: every window pop is horizon-bounded"),
     ];
 
     let manifest = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
-    // The scheduler's hot path spans two files: the step loop and the
-    // steal policy it calls on an empty pop.
-    let runtime_src = ["src/runtime.rs", "src/loadbalance.rs"]
+    // The scheduler's hot path spans three files: the step loop, the
+    // steal policy it calls on an empty pop, and the communication path.
+    let runtime_src = ["src/runtime.rs", "src/loadbalance.rs", "src/comm.rs"]
         .map(|f| std::fs::read_to_string(manifest.join(f)).expect(f))
         .concat();
     let engine_src = std::fs::read_to_string(manifest.join("../sim/src/engine.rs"))
@@ -374,8 +443,8 @@ fn every_hot_runtime_fn_is_covered_by_a_counted_scenario() {
     assert_eq!(
         hot_fns(&runtime_src),
         covered,
-        "the #[atos_hot] set in runtime.rs + loadbalance.rs and the \
-         counted-scenario map in this test must stay in sync"
+        "the #[atos_hot] set in runtime.rs + loadbalance.rs + comm.rs and \
+         the counted-scenario map in this test must stay in sync"
     );
 
     let mut covered_engine: Vec<&str> = COVERED_ENGINE.iter().map(|(n, _)| *n).collect();

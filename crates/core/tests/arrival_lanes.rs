@@ -1,0 +1,507 @@
+//! Receive lanes: arrivals delivered at the receiver's next observation
+//! are indistinguishable from arrivals delivered as engine events.
+//!
+//! Two proofs live here.
+//!
+//! * **Callback-log fingerprints** — whole runs of the real applications,
+//!   wrapped so that every `process` / `on_receive` call is folded into a
+//!   per-PE FNV hash in the order that PE sees it. The constants were
+//!   captured on the parent commit 713bf2d, where every message was a
+//!   heap-allocated payload delivered by its own `Ev::Arrive`; a pass means
+//!   each PE still sees the same calls in the same order, and the run ends
+//!   at the same virtual time with the same traffic and queue high-water
+//!   marks — for every shard count, with and without stealing.
+//! * **Lane order property** — the lane structure alone, fed arbitrary
+//!   per-lane-monotone cars in arbitrary barrier batches with `settle`
+//!   interleaved, delivers exactly what a sort of all cars by
+//!   `(arrival, seq)` would (see the second half of this file).
+//!
+//! To re-capture the fingerprints after an *intentional* model change:
+//! `cargo test -p atos-core --test arrival_lanes fingerprints -- --nocapture`
+//! prints every row before asserting.
+
+use std::sync::Arc;
+
+use atos_apps::pagerank::PrTask;
+use atos_apps::sssp::KIND_LIGHT;
+use atos_apps::{BfsApp, PageRankApp, SsspApp};
+use atos_core::{
+    Application, AtosConfig, CommMode, Emitter, KernelMode, LoadBalance, QueueMode, RunStats,
+    Runtime, RuntimeTuning, ShardableApp, WorkerConfig,
+};
+use atos_graph::generators::{Preset, Scale};
+use atos_graph::partition::Partition;
+use atos_graph::weights::EdgeWeights;
+use atos_sim::{ControlPath, Fabric, GpuCostModel};
+
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
+
+fn fnv(h: &mut u64, bytes: &[u8]) {
+    for &b in bytes {
+        *h ^= b as u64;
+        *h = h.wrapping_mul(FNV_PRIME);
+    }
+}
+
+/// An application wrapper that folds every callback a PE sees into that
+/// PE's hash: `(0 = process | 1 = on_receive, task)` in call order.
+struct Logged<A> {
+    inner: A,
+    log: Vec<u64>,
+}
+
+impl<A: Application> Logged<A> {
+    fn new(inner: A, n_pes: usize) -> Self {
+        Logged {
+            inner,
+            log: vec![FNV_OFFSET; n_pes],
+        }
+    }
+
+    fn note(&mut self, pe: usize, tag: u8, task: &A::Task) {
+        fnv(&mut self.log[pe], &[tag]);
+        fnv(&mut self.log[pe], format!("{task:?}").as_bytes());
+    }
+}
+
+impl<A: Application> Application for Logged<A> {
+    type Task = A::Task;
+
+    fn process(&mut self, pe: usize, task: A::Task, out: &mut Emitter<A::Task>) {
+        self.note(pe, 0, &task);
+        self.inner.process(pe, task, out)
+    }
+
+    fn on_receive(&mut self, pe: usize, task: A::Task) -> Option<A::Task> {
+        self.note(pe, 1, &task);
+        self.inner.on_receive(pe, task)
+    }
+
+    fn on_idle(&mut self, pe: usize, out: &mut Emitter<A::Task>) -> atos_core::app::IdleOutcome {
+        self.inner.on_idle(pe, out)
+    }
+
+    fn priority(&self, task: &A::Task) -> u32 {
+        self.inner.priority(task)
+    }
+
+    fn task_edges(&self, task: &A::Task) -> u64 {
+        self.inner.task_edges(task)
+    }
+
+    fn task_bytes(&self) -> u64 {
+        self.inner.task_bytes()
+    }
+}
+
+impl<A: ShardableApp> ShardableApp for Logged<A> {
+    fn fork(&self, lo: usize, hi: usize) -> Self {
+        Logged {
+            inner: self.inner.fork(lo, hi),
+            log: self.log.clone(),
+        }
+    }
+
+    fn join(&mut self, shard: Self, lo: usize, hi: usize) {
+        self.log[lo..hi].copy_from_slice(&shard.log[lo..hi]);
+        self.inner.join(shard.inner, lo, hi);
+    }
+}
+
+/// `[callback-log fingerprint, elapsed_ns, messages, wire_bytes,
+/// queue_hwm fingerprint]`.
+type Row = [u64; 5];
+
+fn row(log: &[u64], s: &RunStats) -> Row {
+    let fold = |xs: &[u64]| {
+        let mut h = FNV_OFFSET;
+        for x in xs {
+            fnv(&mut h, &x.to_le_bytes());
+        }
+        h
+    };
+    [
+        fold(log),
+        s.elapsed_ns,
+        s.messages,
+        s.wire_bytes,
+        fold(&s.queue_hwm_per_pe),
+    ]
+}
+
+fn drive<A: ShardableApp>(
+    app: A,
+    seeds: Vec<(usize, Vec<A::Task>)>,
+    fabric: Fabric,
+    cfg: AtosConfig,
+    tuning: RuntimeTuning,
+    shards: usize,
+) -> Row {
+    let n = fabric.n_pes();
+    let mut rt = Runtime::with_tuning(
+        Logged::new(app, n),
+        fabric,
+        cfg,
+        GpuCostModel::v100(),
+        tuning,
+    );
+    for (pe, tasks) in seeds {
+        rt.seed(pe, tasks);
+    }
+    let stats = rt.run_sharded(shards);
+    row(&rt.app().log, &stats)
+}
+
+fn social() -> Arc<atos_graph::csr::Csr> {
+    Arc::new(
+        Preset::by_name("soc-LiveJournal1_s")
+            .unwrap()
+            .build(Scale::Tiny),
+    )
+}
+
+fn pagerank(fabric: Fabric, cfg: AtosConfig, shards: usize) -> Row {
+    let g = social();
+    let part = Arc::new(Partition::random(g.n_vertices(), fabric.n_pes(), 7));
+    let seeds = (0..part.n_parts())
+        .map(|pe| {
+            (
+                pe,
+                part.vertices_of(pe)
+                    .into_iter()
+                    .map(PrTask::Relax)
+                    .collect(),
+            )
+        })
+        .collect();
+    let app = PageRankApp::new(g, part, 0.85, 1e-6);
+    drive(app, seeds, fabric, cfg, RuntimeTuning::default(), shards)
+}
+
+fn bfs(fabric: Fabric, cfg: AtosConfig, tuning: RuntimeTuning, shards: usize) -> Row {
+    let preset = Preset::by_name("soc-LiveJournal1_s").unwrap();
+    let g = social();
+    let src = preset.bfs_source(&g);
+    let part = Arc::new(Partition::random(g.n_vertices(), fabric.n_pes(), 11));
+    let seeds = vec![(part.owner(src), vec![(src, 0u32)])];
+    drive(
+        BfsApp::new(g, part, src),
+        seeds,
+        fabric,
+        cfg,
+        tuning,
+        shards,
+    )
+}
+
+fn sssp(fabric: Fabric, cfg: AtosConfig, shards: usize) -> Row {
+    let preset = Preset::by_name("road_usa_s").unwrap();
+    let g = Arc::new(preset.build(Scale::Tiny));
+    let w = Arc::new(EdgeWeights::random(&g, 64, 5));
+    let src = preset.bfs_source(&g);
+    let part = Arc::new(Partition::bfs_grow(&g, fabric.n_pes(), 3));
+    let seeds = vec![(part.owner(src), vec![(src, 0u64, KIND_LIGHT)])];
+    let app = SsspApp::new_split(g, w, part, src, 8);
+    drive(app, seeds, fabric, cfg, RuntimeTuning::default(), shards)
+}
+
+/// The Galois/Gluon-like baseline's shape: one discrete kernel per round,
+/// one bulk message per destination, host-mediated control path, and a
+/// per-round metadata broadcast (cars that occupy the wire and deliver
+/// nothing).
+fn gluon() -> (AtosConfig, RuntimeTuning) {
+    let cfg = AtosConfig {
+        kernel: KernelMode::Discrete,
+        queue: QueueMode::Standard,
+        worker: WorkerConfig::cta512(),
+        comm: CommMode::Direct { group: usize::MAX },
+        lb: LoadBalance::Owner,
+    };
+    let tuning = RuntimeTuning {
+        control: ControlPath::cpu_mediated(),
+        in_kernel_comm: false,
+        round_metadata_bytes: 256,
+        metadata_cpu_ns_per_byte: 16.0,
+    };
+    (cfg, tuning)
+}
+
+/// One pinned configuration: run it under a policy on `k` shards.
+type Case = Box<dyn Fn(LoadBalance, usize) -> Row>;
+
+fn cases() -> Vec<(&'static str, Case)> {
+    let plain = RuntimeTuning::default();
+    vec![
+        (
+            "daisy4/pagerank-direct",
+            Box::new(|lb, k| {
+                pagerank(
+                    Fabric::daisy(4),
+                    AtosConfig::standard_persistent().with_lb(lb),
+                    k,
+                )
+            }),
+        ),
+        (
+            "ib8/pagerank-aggregated",
+            Box::new(|lb, k| {
+                pagerank(
+                    Fabric::ib_cluster(8),
+                    AtosConfig::ib_pagerank().with_lb(lb),
+                    k,
+                )
+            }),
+        ),
+        (
+            "summit6/bfs",
+            Box::new(move |lb, k| {
+                bfs(
+                    Fabric::summit_node(6),
+                    AtosConfig::standard_persistent().with_lb(lb),
+                    plain,
+                    k,
+                )
+            }),
+        ),
+        (
+            "daisy4/sssp-priority-discrete",
+            Box::new(|lb, k| {
+                sssp(
+                    Fabric::daisy(4),
+                    AtosConfig::priority_discrete().with_lb(lb),
+                    k,
+                )
+            }),
+        ),
+        (
+            "ib4/bfs-gluon-metadata",
+            Box::new(|lb, k| {
+                let (cfg, tuning) = gluon();
+                bfs(Fabric::ib_cluster(4), cfg.with_lb(lb), tuning, k)
+            }),
+        ),
+    ]
+}
+
+#[test]
+fn fingerprints_match_the_per_message_parent() {
+    let mut got: Vec<(String, Row)> = Vec::new();
+    for (name, run) in cases() {
+        for lb in LoadBalance::ALL {
+            for k in [1, 2, 4] {
+                let r = run(lb, k);
+                println!("    (\"{name}/{lb:?}/{k}\", {r:?}),");
+                got.push((format!("{name}/{lb:?}/{k}"), r));
+            }
+        }
+        // Owner-computes: the shard count changes wall-clock time only.
+        let owner = &got[got.len() - 6..got.len() - 3];
+        assert!(
+            owner.iter().all(|(_, r)| *r == owner[0].1),
+            "{name}: shards moved a result"
+        );
+    }
+    let golden: Vec<_> = GOLDEN.iter().map(|&(n, r)| (n.to_string(), r)).collect();
+    assert_eq!(got, golden);
+}
+
+#[rustfmt::skip]
+const GOLDEN: &[(&str, Row)] = &[
+    ("daisy4/pagerank-direct/Owner/1", [14194713627052086457, 1310640, 16880, 4720384, 10889729997057137531]),
+    ("daisy4/pagerank-direct/Owner/2", [14194713627052086457, 1310640, 16880, 4720384, 10889729997057137531]),
+    ("daisy4/pagerank-direct/Owner/4", [14194713627052086457, 1310640, 16880, 4720384, 10889729997057137531]),
+    ("daisy4/pagerank-direct/Steal/1", [5243725882156436788, 1291702, 16893, 4721312, 10889729997057137531]),
+    ("daisy4/pagerank-direct/Steal/2", [14537854786431663285, 1299600, 16890, 4721472, 10889729997057137531]),
+    ("daisy4/pagerank-direct/Steal/4", [14194713627052086457, 1310640, 16880, 4720384, 10889729997057137531]),
+    ("ib8/pagerank-aggregated/Owner/1", [1036709484681473384, 4212114, 4179, 26835540, 8134328546337234609]),
+    ("ib8/pagerank-aggregated/Owner/2", [1036709484681473384, 4212114, 4179, 26835540, 8134328546337234609]),
+    ("ib8/pagerank-aggregated/Owner/4", [1036709484681473384, 4212114, 4179, 26835540, 8134328546337234609]),
+    ("ib8/pagerank-aggregated/Steal/1", [3755268000028776340, 3705116, 3833, 27187636, 8134328546337234609]),
+    ("ib8/pagerank-aggregated/Steal/2", [14803827502316059538, 4269527, 4082, 27117924, 8134328546337234609]),
+    ("ib8/pagerank-aggregated/Steal/4", [13951181836309464307, 3927311, 3997, 27032444, 8134328546337234609]),
+    ("summit6/bfs/Owner/1", [14860716780881808704, 51197, 175, 30240, 3542823008189542413]),
+    ("summit6/bfs/Owner/2", [14860716780881808704, 51197, 175, 30240, 3542823008189542413]),
+    ("summit6/bfs/Owner/4", [14860716780881808704, 51197, 175, 30240, 3542823008189542413]),
+    ("summit6/bfs/Steal/1", [7294940807896772792, 44661, 121, 19192, 17775134392409248108]),
+    ("summit6/bfs/Steal/2", [9013946940976725599, 43541, 127, 19640, 2776140113730368860]),
+    ("summit6/bfs/Steal/4", [7294940807896772792, 44661, 121, 19192, 17775134392409248108]),
+    ("daisy4/sssp-priority-discrete/Owner/1", [15957031098984437282, 7293022, 236, 11616, 11013856656358351973]),
+    ("daisy4/sssp-priority-discrete/Owner/2", [15957031098984437282, 7293022, 236, 11616, 11013856656358351973]),
+    ("daisy4/sssp-priority-discrete/Owner/4", [15957031098984437282, 7293022, 236, 11616, 11013856656358351973]),
+    ("daisy4/sssp-priority-discrete/Steal/1", [18407683667085183529, 4585560, 232, 11456, 13438993952671763899]),
+    ("daisy4/sssp-priority-discrete/Steal/2", [17388534444366674712, 5852862, 239, 11888, 3230832472641064611]),
+    ("daisy4/sssp-priority-discrete/Steal/4", [15957031098984437282, 7293022, 236, 11616, 11013856656358351973]),
+    ("ib4/bfs-gluon-metadata/Owner/1", [14705585014852128725, 197819, 93, 56476, 18012849274530754535]),
+    ("ib4/bfs-gluon-metadata/Owner/2", [14705585014852128725, 197819, 93, 56476, 18012849274530754535]),
+    ("ib4/bfs-gluon-metadata/Owner/4", [14705585014852128725, 197819, 93, 56476, 18012849274530754535]),
+    ("ib4/bfs-gluon-metadata/Steal/1", [5468081871337608161, 212880, 102, 60136, 9551240599721477276]),
+    ("ib4/bfs-gluon-metadata/Steal/2", [616315356229516691, 209375, 101, 60076, 7771959639245024753]),
+    ("ib4/bfs-gluon-metadata/Steal/4", [14705585014852128725, 197819, 93, 56476, 18012849274530754535]),
+];
+
+// ---------------------------------------------------------------------------
+// The lane structure alone, against a sort.
+// ---------------------------------------------------------------------------
+
+use atos_core::comm::{Car, Key, Rx, Sink, TrainPool};
+use atos_sim::Time;
+use proptest::prelude::*;
+
+#[test]
+fn a_staged_message_is_forty_bytes() {
+    // The per-message record between egress and the barrier: ordering key,
+    // half-charged transfer, task count. It was a 96-byte struct owning a
+    // heap vector.
+    assert!(
+        std::mem::size_of::<Car>() <= 40,
+        "{}",
+        std::mem::size_of::<Car>()
+    );
+}
+
+/// What a [`Sink`] saw.
+#[derive(Debug, Clone, PartialEq)]
+enum Seen {
+    Run(Vec<u32>),
+    Delivered(Time),
+}
+
+#[derive(Default)]
+struct Log(Vec<Seen>);
+
+impl Sink<u32> for Log {
+    fn run(&mut self, tasks: &[u32]) {
+        self.0.push(Seen::Run(tasks.to_vec()));
+    }
+    fn delivered(&mut self, at: Time) {
+        self.0.push(Seen::Delivered(at));
+    }
+}
+
+/// The oracle's view of one filed car.
+#[derive(Debug, Clone)]
+struct ModelCar {
+    order: (Time, u64, u32),
+    tasks: Vec<u32>,
+}
+
+const LANES: usize = 3;
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Cars pushed per-lane-monotone in arbitrary barrier batches, with
+    /// `drain_before` at arbitrary keys and doorbells rung in between, are
+    /// delivered exactly as a sort of all cars by `(arrival, seq)` (then
+    /// resolution order within a delivery) says: the same runs in the same
+    /// order, one `delivered` per key, nothing at or past a bound delivered
+    /// early, every buffer back in the pool at the end.
+    #[test]
+    fn lanes_deliver_what_a_sort_would(
+        ops in proptest::collection::vec((0u32..9, 0usize..LANES, 0u64..3, 1u32..4), 1..160),
+    ) {
+        let mut rx: Rx<u32> = Rx::new(LANES);
+        let mut pool = TrainPool::default();
+        let mut log = Log::default();
+        // Oracle state.
+        let mut filed: Vec<ModelCar> = Vec::new(); // every car ever filed
+        let mut waiting: Vec<(Time, u64, u32)> = Vec::new(); // orders not yet delivered
+        let mut belled: Vec<Key> = Vec::new();
+        let mut lane_last = [0 as Time; LANES];
+        let mut floor: Time = 0; // later arrivals land after every bound used so far
+        let mut next_seq = 0u64;
+        let mut next_task = 0u32;
+        let mut trains = 0usize;
+        // The batch being emitted: `(src, arrival delay, tasks)` in
+        // resolution order. Arrival times are fixed at the barrier: whatever
+        // a window emits lands after everything that window could read.
+        let mut batch: Vec<(usize, Time, Vec<u32>)> = Vec::new();
+
+        let mut barrier = |rx: &mut Rx<u32>,
+                           batch: &mut Vec<(usize, Time, Vec<u32>)>,
+                           filed: &mut Vec<ModelCar>,
+                           waiting: &mut Vec<(Time, u64, u32)>,
+                           next_seq: &mut u64,
+                           trains: &mut usize,
+                           floor: Time| {
+            rx.begin_barrier();
+            // One train per source per barrier, as one step's run is.
+            for src in 0..LANES {
+                let run: Vec<u32> =
+                    batch.iter().filter(|c| c.0 == src).flat_map(|c| c.2.iter().copied()).collect();
+                if !run.is_empty() {
+                    rx.push_train(src, run);
+                    *trains += 1;
+                }
+            }
+            let mut open: Option<(Time, u64, u32)> = None;
+            for (src, delay, tasks) in batch.drain(..) {
+                let arrival = lane_last[src].max(floor) + delay;
+                lane_last[src] = arrival;
+                let (seq, sub) = match open {
+                    Some((at, seq, sub)) if at == arrival => (seq, sub),
+                    _ => (*next_seq, 0),
+                };
+                open = Some((arrival, seq, sub + 1));
+                let opened = rx.file(src, arrival, tasks.len() as u32, || {
+                    let s = *next_seq;
+                    *next_seq += 1;
+                    s
+                });
+                assert_eq!(opened, sub == 0, "coalescing decision");
+                filed.push(ModelCar { order: (arrival, seq, sub), tasks });
+                waiting.push((arrival, seq, sub));
+            }
+        };
+
+        for &(kind, src, delta, tasks) in &ops {
+            match kind {
+                0..=4 => {
+                    let ids: Vec<u32> = (next_task..next_task + tasks).collect();
+                    next_task += tasks;
+                    batch.push((src, delta, ids));
+                }
+                5 => barrier(&mut rx, &mut batch, &mut filed, &mut waiting, &mut next_seq, &mut trains, floor),
+                6 => {
+                    // A reader arrives at the key of some waiting delivery
+                    // (or past them all): everything before it is due.
+                    waiting.sort_unstable();
+                    let pick = (src * 7 + delta as usize * 3 + tasks as usize) % (waiting.len() + 1);
+                    let past_all = (waiting.last().map_or(floor, |o| o.0 + 1), 0);
+                    let bound: Key = waiting.get(pick).map_or(past_all, |o| (o.0, o.1));
+                    rx.drain_before(bound, &mut pool, &mut log);
+                    waiting.retain(|o| (o.0, o.1) >= bound);
+                    prop_assert_eq!(rx.len(), waiting.len(), "bound {:?}", bound);
+                    prop_assert_eq!(rx.next_arrival(), waiting.iter().map(|o| o.0).min());
+                    floor = floor.max(bound.0 + 1);
+                }
+                7 => {
+                    // Busy → idle: the earliest waiting delivery gets its
+                    // doorbell, once.
+                    let first = waiting.iter().min().map(|o| (o.0, o.1));
+                    let want = first.filter(|k| !belled.contains(k));
+                    prop_assert_eq!(rx.ring_next(), want);
+                    belled.extend(want);
+                    prop_assert_eq!(rx.ring_next(), None, "a doorbell rings once");
+                }
+                _ => next_seq += tasks as u64, // other events take sequence numbers too
+            }
+        }
+        barrier(&mut rx, &mut batch, &mut filed, &mut waiting, &mut next_seq, &mut trains, floor);
+        rx.drain_before((Time::MAX, u64::MAX), &mut pool, &mut log);
+        prop_assert!(rx.is_drained(), "a car or a train was left behind");
+        prop_assert_eq!(pool.len(), trains, "every train's buffer came home");
+
+        filed.sort_by_key(|c| c.order);
+        let mut want = Vec::new();
+        for (i, car) in filed.iter().enumerate() {
+            want.push(Seen::Run(car.tasks.clone()));
+            let key = (car.order.0, car.order.1);
+            if filed.get(i + 1).is_none_or(|n| (n.order.0, n.order.1) != key) {
+                want.push(Seen::Delivered(car.order.0));
+            }
+        }
+        prop_assert_eq!(log.0, want);
+    }
+}

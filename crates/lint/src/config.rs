@@ -203,16 +203,27 @@ impl Config {
                 },
                 KernelScope {
                     file_suffix: "crates/core/src/runtime.rs",
+                    fns: &["step", "absorb_local", "run_window"],
+                    forbid_index: false,
+                },
+                KernelScope {
+                    // Send, barrier merge and receive lanes: a panic between
+                    // a car's egress and its delivery strands tasks that
+                    // exist nowhere else.
+                    file_suffix: "crates/core/src/comm.rs",
                     fns: &[
-                        "step",
-                        "absorb_local",
                         "dispatch_remote",
                         "flush_bundle",
                         "route",
-                        "arrive",
-                        "stage_arrival",
-                        "run_window",
+                        "egress",
                         "merge_records",
+                        "file",
+                        "settle",
+                        "deliver",
+                        "drain_before",
+                        "arrive",
+                        "ring_doorbell",
+                        "ring_next",
                     ],
                     forbid_index: false,
                 },
@@ -231,6 +242,7 @@ impl Config {
                     file_suffix: "crates/sim/src/engine.rs",
                     fns: &[
                         "schedule_at",
+                        "schedule_at_seq",
                         "pop",
                         "pop_before",
                         "place",

@@ -119,6 +119,8 @@ fn empty_slot_popped() -> ! {
 /// ```
 pub struct Engine<E> {
     now: Time,
+    /// Sequence number of the event popped last (with `now`, its key).
+    now_seq: u64,
     seq: u64,
     len: usize,
     processed: u64,
@@ -166,6 +168,7 @@ impl<E> Engine<E> {
     pub fn new() -> Self {
         Engine {
             now: 0,
+            now_seq: 0,
             seq: 0,
             len: 0,
             processed: 0,
@@ -192,6 +195,12 @@ impl<E> Engine<E> {
     /// Current virtual time (the timestamp of the last event popped).
     pub fn now(&self) -> Time {
         self.now
+    }
+
+    /// Sequence number of the last event popped: with [`Engine::now`], the
+    /// `(time, seq)` key every still-pending event sorts after.
+    pub fn popped_seq(&self) -> u64 {
+        self.now_seq
     }
 
     /// Pre-grow the arena and heaps for `additional` upcoming events.
@@ -258,9 +267,33 @@ impl<E> Engine<E> {
     /// time from stale link state).
     #[atos_hot]
     pub fn schedule_at(&mut self, at: Time, event: E) {
-        let at = at.max(self.now);
-        let key = Key { at, seq: self.seq };
-        self.seq += 1;
+        let seq = self.reserve_seqs(1);
+        self.schedule_at_seq(at, seq, event);
+    }
+
+    /// Take the next `n` sequence numbers without scheduling anything and
+    /// return the first. An event filed later under one of them with
+    /// [`Engine::schedule_at_seq`] ties with same-time events exactly as if
+    /// it had been scheduled now — which lets a caller hold an event back
+    /// (or never file it at all) without disturbing the `(time, seq)` order
+    /// of everything else.
+    #[inline]
+    pub fn reserve_seqs(&mut self, n: u64) -> u64 {
+        let first = self.seq;
+        self.seq += n;
+        first
+    }
+
+    /// Schedule `event` at `at` (clamped to `now`) under a sequence number
+    /// taken earlier with [`Engine::reserve_seqs`]. Each reserved number
+    /// may be used at most once.
+    #[atos_hot]
+    pub fn schedule_at_seq(&mut self, at: Time, seq: u64, event: E) {
+        debug_assert!(seq < self.seq, "sequence number was never reserved");
+        let key = Key {
+            at: at.max(self.now),
+            seq,
+        };
         let idx = self.arena_insert(event);
         self.place(key, idx);
         self.len += 1;
@@ -279,25 +312,6 @@ impl<E> Engine<E> {
     /// naming used by the runtime and benches).
     pub fn schedule_after(&mut self, delay: Time, event: E) {
         self.schedule_in(delay, event);
-    }
-
-    /// Schedule a burst of events in one call.
-    ///
-    /// Equivalent to calling [`Engine::schedule_at`] on each item in
-    /// iteration order (sequence numbers — and therefore tie-breaking of
-    /// equal timestamps — are assigned in that order), but reserves arena
-    /// capacity once up front so a large burst does not re-grow the
-    /// backing buffers push by push. Used by the runtime's send path,
-    /// where one scheduling step can emit hundreds of messages.
-    pub fn schedule_batch<I>(&mut self, events: I)
-    where
-        I: IntoIterator<Item = (Time, E)>,
-    {
-        let it = events.into_iter();
-        self.slots.reserve(it.size_hint().0.saturating_sub(self.free.len()));
-        for (at, event) in it {
-            self.schedule_at(at, event);
-        }
     }
 
     /// First occupied physical bucket at or after `from` (physical index),
@@ -459,6 +473,7 @@ impl<E> Engine<E> {
         let Reverse((key, idx)) = self.imminent.pop()?;
         debug_assert!(key.at >= self.now, "time went backwards");
         self.now = key.at;
+        self.now_seq = key.seq;
         self.cursor0 = key.at >> L0_SHIFT;
         self.processed += 1;
         self.len -= 1;
@@ -651,6 +666,7 @@ pub mod reference {
     /// The pre-wheel engine: one global `(time, seq)`-ordered heap.
     pub struct HeapEngine<E> {
         now: Time,
+        now_seq: u64,
         seq: u64,
         heap: BinaryHeap<Reverse<Scheduled<E>>>,
         processed: u64,
@@ -668,6 +684,7 @@ pub mod reference {
         pub fn new() -> Self {
             HeapEngine {
                 now: 0,
+                now_seq: 0,
                 seq: 0,
                 heap: BinaryHeap::new(),
                 processed: 0,
@@ -680,11 +697,32 @@ pub mod reference {
             self.now
         }
 
+        /// Sequence number of the last event popped.
+        pub fn popped_seq(&self) -> u64 {
+            self.now_seq
+        }
+
         /// Schedule `event` at absolute time `at` (clamped to `now`).
         pub fn schedule_at(&mut self, at: Time, event: E) {
-            let at = at.max(self.now);
-            let key = Key { at, seq: self.seq };
-            self.seq += 1;
+            let seq = self.reserve_seqs(1);
+            self.schedule_at_seq(at, seq, event);
+        }
+
+        /// Take the next `n` sequence numbers; returns the first.
+        pub fn reserve_seqs(&mut self, n: u64) -> u64 {
+            let first = self.seq;
+            self.seq += n;
+            first
+        }
+
+        /// Schedule `event` at `at` (clamped to `now`) under a reserved
+        /// sequence number.
+        pub fn schedule_at_seq(&mut self, at: Time, seq: u64, event: E) {
+            debug_assert!(seq < self.seq, "sequence number was never reserved");
+            let key = Key {
+                at: at.max(self.now),
+                seq,
+            };
             self.heap.push(Reverse(Scheduled { key, event }));
             self.max_pending = self.max_pending.max(self.heap.len());
         }
@@ -694,23 +732,12 @@ pub mod reference {
             self.schedule_at(self.now.saturating_add(delay), event);
         }
 
-        /// Schedule a burst of events in one call.
-        pub fn schedule_batch<I>(&mut self, events: I)
-        where
-            I: IntoIterator<Item = (Time, E)>,
-        {
-            let it = events.into_iter();
-            self.heap.reserve(it.size_hint().0);
-            for (at, event) in it {
-                self.schedule_at(at, event);
-            }
-        }
-
         /// Pop the next event, advancing the clock to its timestamp.
         pub fn pop(&mut self) -> Option<(Time, E)> {
             let Reverse(s) = self.heap.pop()?;
             debug_assert!(s.key.at >= self.now, "time went backwards");
             self.now = s.key.at;
+            self.now_seq = s.key.seq;
             self.processed += 1;
             Some((s.key.at, s.event))
         }
@@ -825,32 +852,6 @@ mod tests {
     }
 
     #[test]
-    fn schedule_batch_matches_sequential_scheduling() {
-        // A batch must be indistinguishable from one schedule_at per item:
-        // same pop order, same tie-breaking of equal timestamps.
-        let mut a = Engine::new();
-        let mut b = Engine::new();
-        let events: Vec<(Time, u32)> = (0..500).map(|i| ((i * 7) % 40, i as u32)).collect();
-        for &(t, v) in &events {
-            a.schedule_at(t, v);
-        }
-        b.schedule_batch(events.iter().copied());
-        let pa: Vec<_> = std::iter::from_fn(|| a.pop()).collect();
-        let pb: Vec<_> = std::iter::from_fn(|| b.pop()).collect();
-        assert_eq!(pa, pb);
-    }
-
-    #[test]
-    fn schedule_batch_clamps_past_times() {
-        let mut e = Engine::new();
-        e.schedule_at(100, 0u32);
-        e.pop();
-        e.schedule_batch([(50, 1u32), (150, 2)]);
-        assert_eq!(e.pop(), Some((100, 1)));
-        assert_eq!(e.pop(), Some((150, 2)));
-    }
-
-    #[test]
     fn interleaved_scheduling_stays_deterministic() {
         // Handlers scheduling new events at the current time must run after
         // already-queued same-time events, in scheduling order.
@@ -862,6 +863,25 @@ mod tests {
         e.schedule_at(10, 2);
         let rest: Vec<u32> = std::iter::from_fn(|| e.pop()).map(|(_, v)| v).collect();
         assert_eq!(rest, vec![1, 2]);
+    }
+
+    #[test]
+    fn a_reserved_sequence_number_keeps_its_place_in_line() {
+        let mut e = Engine::new();
+        e.schedule_at(10, "first");
+        let held = e.reserve_seqs(2);
+        e.schedule_at(10, "third");
+        // Filed later — even after a pop — the held event still ties with
+        // its neighbours as if it had been scheduled when reserved. The
+        // second reserved number is simply never used.
+        assert_eq!(e.pop(), Some((10, "first")));
+        assert_eq!(e.popped_seq(), 0);
+        e.schedule_at_seq(10, held, "second");
+        assert_eq!(e.pop(), Some((10, "second")));
+        assert_eq!(e.popped_seq(), held);
+        assert_eq!(e.pop(), Some((10, "third")));
+        assert_eq!(e.popped_seq(), held + 2);
+        assert!(e.is_idle());
     }
 
     #[test]

@@ -110,6 +110,8 @@ enum Route {
 /// sharded simulation charge the egress on the sender's fabric clone
 /// during its window and the ingress on the receiver's clone at the
 /// window barrier — each link is then mutated by exactly one shard.
+///
+/// Kept to 24 bytes: the runtime stages one per in-flight message.
 #[derive(Debug, Clone, Copy)]
 pub struct PendingTransfer {
     /// Earliest possible delivery at the destination side: the full
@@ -120,11 +122,15 @@ pub struct PendingTransfer {
     pub t_key: Time,
     /// When the source issued the message (for tracing).
     pub issued: Time,
-    /// Payload bytes carried.
-    pub payload: u64,
-    /// Ingress link still owed serialization at the destination.
-    ingress: Option<usize>,
+    /// Payload bytes carried (one message stays under 4 GiB).
+    pub payload: u32,
+    /// Ingress link still owed serialization at the destination
+    /// ([`NO_INGRESS`] if none).
+    ingress: u32,
 }
+
+/// [`PendingTransfer::ingress`] of a route with no ingress stage.
+const NO_INGRESS: u32 = u32::MAX;
 
 /// A simulated interconnect: links + routes + traffic trace.
 ///
@@ -278,7 +284,8 @@ impl Fabric {
     /// arrival time at the destination PE.
     ///
     /// Equivalent to [`Fabric::transfer_egress`] immediately followed by
-    /// [`Fabric::resolve_ingress`] on the same fabric.
+    /// [`Fabric::resolve_ingress`] on the same fabric (and, unlike the
+    /// split form, not limited to 4 GiB per message).
     pub fn transfer(
         &mut self,
         now: Time,
@@ -287,8 +294,8 @@ impl Fabric {
         payload: u64,
         control: ControlPath,
     ) -> Time {
-        let pending = self.transfer_egress(now, src, dst, payload, control);
-        self.resolve_ingress(&pending)
+        let (t_key, ingress) = self.egress(now, src, dst, payload, control);
+        self.ingress(ingress, t_key, payload)
     }
 
     /// Charge the source-side costs of a transfer (control path, egress
@@ -298,6 +305,9 @@ impl Fabric {
     /// For routes without a separate ingress stage (direct NVLink, shared
     /// X-bus) the returned `t_key` already is the arrival time and
     /// [`Fabric::resolve_ingress`] is a no-op returning it.
+    ///
+    /// # Panics
+    /// If `payload` does not fit the pending record's 32-bit byte count.
     pub fn transfer_egress(
         &mut self,
         now: Time,
@@ -306,15 +316,33 @@ impl Fabric {
         payload: u64,
         control: ControlPath,
     ) -> PendingTransfer {
+        let (t_key, ingress) = self.egress(now, src, dst, payload, control);
+        PendingTransfer {
+            t_key,
+            issued: now,
+            payload: u32::try_from(payload).expect("one staged message carries under 4 GiB"),
+            ingress,
+        }
+    }
+
+    /// Source side of a transfer: `(t_key, ingress link or NO_INGRESS)`.
+    fn egress(
+        &mut self,
+        now: Time,
+        src: PeId,
+        dst: PeId,
+        payload: u64,
+        control: ControlPath,
+    ) -> (Time, u32) {
         let route = self.routes[src.idx() * self.n_pes + dst.idx()]
             .unwrap_or_else(|| panic!("no route {src:?} -> {dst:?}"));
         let start = now + control.inject_ns;
-        let (t_key, ingress) = match route {
+        let staged = match route {
             Route::Direct(l) => {
                 let end = self.links[l].occupy(start, payload);
                 let lat = self.links[l].latency_ns;
                 self.trace.record_link(end, self.links[l].packet.wire_bytes(payload));
-                (end + lat, None)
+                (end + lat, NO_INGRESS)
             }
             Route::TwoStage {
                 egress,
@@ -330,21 +358,16 @@ impl Fabric {
                 if egress == ingress {
                     // Shared single bottleneck (X-bus): no second
                     // serialization of the same bytes.
-                    (e_end + net_latency_ns, None)
+                    (e_end + net_latency_ns, NO_INGRESS)
                 } else {
                     // Pipelined: ingress starts receiving when the first
                     // byte arrives.
-                    (e_end.saturating_sub(e_wire) + net_latency_ns, Some(ingress))
+                    (e_end.saturating_sub(e_wire) + net_latency_ns, ingress as u32)
                 }
             }
         };
         self.trace.record_message(payload);
-        PendingTransfer {
-            t_key,
-            issued: now,
-            payload,
-            ingress,
-        }
+        staged
     }
 
     /// Charge the destination-side serialization of a transfer started
@@ -354,15 +377,20 @@ impl Fabric {
     /// fabric, in deterministic merged order, so ingress-link contention
     /// resolves identically to a sequential run.
     pub fn resolve_ingress(&mut self, pending: &PendingTransfer) -> Time {
-        match pending.ingress {
-            None => pending.t_key,
-            Some(ingress) => {
-                let i_end = self.links[ingress].occupy(pending.t_key, pending.payload);
-                self.trace
-                    .record_link(i_end, self.links[ingress].packet.wire_bytes(pending.payload));
-                i_end
-            }
+        self.ingress(pending.ingress, pending.t_key, pending.payload as u64)
+    }
+
+    /// Destination side of a transfer whose first byte reaches `link` (an
+    /// ingress link, or `NO_INGRESS`) at `t_key`.
+    fn ingress(&mut self, link: u32, t_key: Time, payload: u64) -> Time {
+        if link == NO_INGRESS {
+            return t_key;
         }
+        let link = link as usize;
+        let i_end = self.links[link].occupy(t_key, payload);
+        self.trace
+            .record_link(i_end, self.links[link].packet.wire_bytes(payload));
+        i_end
     }
 
     /// Minimum latency of any remote route, in ns: the conservative

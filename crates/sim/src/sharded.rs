@@ -132,16 +132,6 @@ impl<E> ShardedEngine<E> {
         self.schedule_at(self.now.saturating_add(delay), event);
     }
 
-    /// Schedule a burst of events in iteration order.
-    pub fn schedule_batch<I>(&mut self, events: I)
-    where
-        I: IntoIterator<Item = (Time, E)>,
-    {
-        for (at, event) in events {
-            self.schedule_at(at, event);
-        }
-    }
-
     /// Pop the globally next event: minimal `(time, global_seq)` over all
     /// wheel heads.
     pub fn pop(&mut self) -> Option<(Time, E)> {

@@ -237,6 +237,64 @@ proptest! {
         }
     }
 
+    /// Held-back events: any mix of plain `schedule_at`, sequence numbers
+    /// reserved and filed later (after other events were scheduled and
+    /// popped), and reservations never filed at all pops identically from
+    /// the wheel and the heap — and in the order of the sequence numbers,
+    /// not of the `schedule_at_seq` calls.
+    #[test]
+    fn wheel_matches_heap_with_reserved_sequence_numbers(
+        ops in proptest::collection::vec((0u32..4, 0u32..3, 0u64..2_000, 1u64..4), 1..250),
+    ) {
+        let mut wheel = Engine::new();
+        let mut heap = HeapEngine::new();
+        // Reserved and not yet filed: `(delay at reservation, seq)`.
+        let mut held: Vec<(u64, u64)> = Vec::new();
+        let mut id = 0usize;
+        for &(op, scale, raw, n) in ops.iter() {
+            let delta = scaled_time(scale, raw);
+            match op {
+                0 => {
+                    wheel.schedule_in(delta, id);
+                    heap.schedule_in(delta, id);
+                    id += 1;
+                }
+                1 => {
+                    let first = wheel.reserve_seqs(n);
+                    prop_assert_eq!(first, heap.reserve_seqs(n));
+                    // The last of the block is never filed.
+                    held.extend((first..first + n - 1).map(|seq| (delta, seq)));
+                }
+                2 => {
+                    // File the most recent reservation first: filing order
+                    // must not matter.
+                    if let Some((d, seq)) = held.pop() {
+                        let at = wheel.now() + d;
+                        wheel.schedule_at_seq(at, seq, id);
+                        heap.schedule_at_seq(at, seq, id);
+                        id += 1;
+                    }
+                }
+                _ => {
+                    let got = wheel.pop();
+                    prop_assert_eq!(got, heap.pop());
+                    prop_assert_eq!(wheel.popped_seq(), heap.popped_seq());
+                    prop_assert_eq!(wheel.peek_time(), heap.peek_time());
+                }
+            }
+        }
+        let mut last = (0, 0);
+        while let Some((t, ev)) = wheel.pop() {
+            prop_assert_eq!(Some((t, ev)), heap.pop());
+            prop_assert_eq!(wheel.popped_seq(), heap.popped_seq());
+            prop_assert!((t, wheel.popped_seq()) > last || last == (0, 0), "(time, seq) order");
+            last = (t, wheel.popped_seq());
+        }
+        prop_assert_eq!(heap.pop(), None);
+        prop_assert_eq!(wheel.processed(), heap.processed());
+        prop_assert_eq!(wheel.max_pending(), heap.max_pending());
+    }
+
     /// Draining the wheel window-by-window through `pop_before` (the
     /// shard-steppable interface) yields exactly the plain pop sequence,
     /// including when new events are scheduled at the window boundary —

@@ -104,6 +104,22 @@ for pair in table1_datasets:table1 table2_bfs_nvlink:table2 table3_priority_work
     same "${pair%%:*} matches results/${pair#*:}.txt" "$tmp/full.out" "results/${pair#*:}.txt"
 done
 
+echo
+echo "== frozen benchmark package (build against the public surface + smoke run) =="
+# benchmark/ is its own workspace, frozen to feature PRs, and built by the
+# PR pipeline from the committed files. It consumes the crates' public
+# surface (`Application`, `Emitter`, `AggBuffer::{new, push, len,
+# flush_with}`, `Engine::{schedule_after, pop}`, `RunStats` field names,
+# ...), so a break of that surface must fail here, not there. The smoke
+# run drives all six workloads on tiny inputs and verifies every answer.
+cargo build --release --offline --manifest-path benchmark/Cargo.toml
+bash benchmark/run.sh --smoke --out "$tmp/benchmark-out" > "$tmp/benchmark-smoke.out" 2>&1 || {
+    tail -n 40 "$tmp/benchmark-smoke.out" >&2
+    echo "FAIL: benchmark/run.sh --smoke" >&2
+    exit 1
+}
+echo "ok: benchmark package builds and its smoke run verifies"
+
 echo "== bench trajectory (engine microbench + e2e smoke, regression gate) =="
 # Re-measures the wheel-vs-heap microbench, the fig5/fig8 quick
 # workloads, the shard-scaling curve, the load-balance sweep
