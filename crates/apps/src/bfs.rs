@@ -27,12 +27,13 @@
 use std::sync::Arc;
 
 use atos_core::{
-    assert_owner, Application, AtosConfig, Emitter, NullTracer, RunStats, Runtime, RuntimeTuning,
-    ShardProfile, ShardableApp, Tracer,
+    assert_owner, Application, AtosConfig, Emitter, Lookahead, NullTracer, RunStats, Runtime,
+    RuntimeTuning, ShardProfile, ShardableApp, Tracer,
 };
 use atos_macros::atos_shard;
 use atos_graph::csr::{Csr, VertexId};
 use atos_graph::partition::Partition;
+use atos_graph::prefetch::prefetch;
 use atos_graph::reference::UNREACHED;
 use atos_sim::Fabric;
 
@@ -106,6 +107,14 @@ impl Application for BfsApp {
                 self.mirror[pe][w as usize] = nd;
                 out.push(owner, (w, nd));
             }
+        }
+    }
+
+    #[inline]
+    fn prefetch(&self, (v, _): &Self::Task, ahead: Lookahead) {
+        self.graph.prefetch(*v, ahead);
+        if ahead == Lookahead::Far {
+            prefetch(&self.depth, *v as usize);
         }
     }
 

@@ -10,10 +10,13 @@
 
 use std::sync::Arc;
 
-use atos_core::{assert_owner, Application, AtosConfig, Emitter, RunStats, Runtime, ShardableApp};
+use atos_core::{
+    assert_owner, Application, AtosConfig, Emitter, Lookahead, RunStats, Runtime, ShardableApp,
+};
 use atos_macros::atos_shard;
 use atos_graph::csr::{Csr, VertexId};
 use atos_graph::partition::Partition;
+use atos_graph::prefetch::prefetch;
 use atos_sim::Fabric;
 
 /// Connected components as an Atos application. Expects a symmetric
@@ -72,6 +75,14 @@ impl Application for CcApp {
                 self.mirror[pe][w as usize] = l;
                 out.push(owner, (w, l));
             }
+        }
+    }
+
+    #[inline]
+    fn prefetch(&self, (v, _): &Self::Task, ahead: Lookahead) {
+        self.graph.prefetch(*v, ahead);
+        if ahead == Lookahead::Far {
+            prefetch(&self.label, *v as usize);
         }
     }
 

@@ -18,24 +18,65 @@
 //! which is why the IB configuration batches aggressively
 //! (`WAIT_TIME = 32`).
 
+use std::fmt;
+use std::num::NonZeroU32;
 use std::sync::Arc;
 
 use atos_core::{
-    assert_owner, Application, AtosConfig, Emitter, RunStats, Runtime, RuntimeTuning, ShardableApp,
+    assert_owner, Application, AtosConfig, Emitter, Lookahead, RunStats, Runtime, RuntimeTuning,
+    ShardableApp,
 };
 use atos_macros::atos_shard;
 use atos_graph::csr::{Csr, VertexId};
 use atos_graph::grouped::OwnerGrouped;
 use atos_graph::partition::Partition;
+use atos_graph::prefetch::prefetch;
 use atos_sim::Fabric;
 
 /// A PageRank task: relax an owned vertex, or apply a remote contribution.
-#[derive(Debug, Clone, Copy)]
+///
+/// Eight bytes, the size [`Application::task_bytes`] charges for it: these
+/// are what trains, bundles and receive lanes hold by the million. The
+/// contribution's vertex is stored complemented in a `NonZeroU32`
+/// (`PageRankApp::new` keeps ids below `u32::MAX`), whose spare zero tells
+/// the variants apart, so the enum needs no tag word.
+#[derive(Clone, Copy)]
 pub enum PrTask {
     /// Pop-and-relax an owned vertex.
     Relax(VertexId),
-    /// One-sided residue contribution to a remote vertex.
-    Contrib(VertexId, f32),
+    /// One-sided residue contribution to a remote vertex: `!vertex` and the
+    /// share. Build with [`PrTask::contrib`], read with [`PrTask::target`].
+    Contrib(NonZeroU32, f32),
+}
+
+impl PrTask {
+    /// A contribution of `c` to vertex `w`.
+    ///
+    /// # Panics
+    /// If `w == u32::MAX`, which no graph a [`PageRankApp`] accepts has.
+    #[inline]
+    pub fn contrib(w: VertexId, c: f32) -> Self {
+        PrTask::Contrib(NonZeroU32::new(!w).expect("vertex ids stay below u32::MAX"), c)
+    }
+
+    /// The vertex a `Contrib`'s first field names.
+    #[inline]
+    pub fn target(packed: NonZeroU32) -> VertexId {
+        !packed.get()
+    }
+}
+
+/// What `#[derive(Debug)]` printed when `Contrib` held the vertex itself:
+/// logs and the schedule fingerprints hashed from them do not change.
+impl fmt::Debug for PrTask {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match *self {
+            PrTask::Relax(v) => f.debug_tuple("Relax").field(&v).finish(),
+            PrTask::Contrib(w, c) => {
+                f.debug_tuple("Contrib").field(&PrTask::target(w)).field(&c).finish()
+            }
+        }
+    }
 }
 
 /// PageRank as an Atos application.
@@ -59,6 +100,7 @@ impl PageRankApp {
     pub fn new(graph: Arc<Csr>, partition: Arc<Partition>, alpha: f64, epsilon: f64) -> Self {
         let n = graph.n_vertices();
         assert_eq!(partition.n_vertices(), n);
+        assert!(n < u32::MAX as usize, "PrTask::Contrib stores !vertex in a NonZeroU32");
         PageRankApp {
             adj: Arc::new(OwnerGrouped::build(&graph, &partition)),
             partition,
@@ -113,14 +155,26 @@ impl Application for PageRankApp {
                 }
             } else {
                 out.remote_mut(owner)
-                    .extend(segment.iter().map(|&w| PrTask::Contrib(w, contrib)));
+                    .extend(segment.iter().map(|&w| PrTask::contrib(w, contrib)));
             }
+        }
+    }
+
+    #[inline]
+    fn prefetch(&self, task: &PrTask, ahead: Lookahead) {
+        // Only relaxations are popped; contributions are applied on arrival.
+        let PrTask::Relax(v) = *task else { return };
+        self.adj.prefetch(v, ahead);
+        if ahead == Lookahead::Far {
+            prefetch(&self.residue, v as usize);
+            prefetch(&self.rank, v as usize);
         }
     }
 
     fn on_receive(&mut self, pe: usize, task: PrTask) -> Option<PrTask> {
         match task {
             PrTask::Contrib(w, c) => {
+                let w = PrTask::target(w);
                 assert_owner!(self.partition, w, pe);
                 let res = &mut self.residue[w as usize];
                 *res += c as f64;
@@ -278,6 +332,17 @@ mod tests {
         let want = reference::pagerank_push(g, ALPHA, eps).rank;
         let per_vertex = reference::rank_l1(got, &want) / g.n_vertices() as f64;
         assert!(per_vertex < 1e-3, "per-vertex L1 {per_vertex}");
+    }
+
+    #[test]
+    fn a_task_is_the_eight_bytes_the_model_charges() {
+        assert_eq!(std::mem::size_of::<PrTask>(), 8);
+        // The hand-written Debug is the derive's, vertex uncomplemented.
+        assert_eq!(format!("{:?}", PrTask::Relax(7)), "Relax(7)");
+        assert_eq!(format!("{:?}", PrTask::contrib(0, 0.25)), "Contrib(0, 0.25)");
+        let last = PrTask::contrib(u32::MAX - 1, 1e-7);
+        assert_eq!(format!("{last:?}"), "Contrib(4294967294, 1e-7)");
+        assert_eq!(format!("{last:#?}"), "Contrib(\n    4294967294,\n    1e-7,\n)");
     }
 
     #[test]

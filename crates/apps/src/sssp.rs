@@ -38,10 +38,13 @@
 
 use std::sync::Arc;
 
-use atos_core::{assert_owner, Application, AtosConfig, Emitter, RunStats, Runtime, ShardableApp};
+use atos_core::{
+    assert_owner, Application, AtosConfig, Emitter, Lookahead, RunStats, Runtime, ShardableApp,
+};
 use atos_macros::atos_shard;
 use atos_graph::csr::{Csr, VertexId};
 use atos_graph::partition::Partition;
+use atos_graph::prefetch::prefetch;
 use atos_graph::weights::{EdgeWeights, UNREACHED_DIST};
 use atos_sim::Fabric;
 
@@ -214,6 +217,19 @@ impl Application for SsspApp {
         }
     }
 
+    #[inline]
+    fn prefetch(&self, (v, _, _): &Self::Task, ahead: Lookahead) {
+        self.graph.prefetch(*v, ahead);
+        self.weights.prefetch(*v, ahead);
+        if ahead == Lookahead::Far {
+            let v = *v as usize;
+            prefetch(&self.dist, v);
+            // Empty unless split: an out-of-range hint is a no-op.
+            prefetch(&self.heavy_sent, v);
+            prefetch(&self.light_deg, v);
+        }
+    }
+
     fn on_receive(&mut self, pe: usize, (w, nd, kind): Self::Task) -> Option<Self::Task> {
         assert_owner!(self.partition, w, pe);
         if nd < self.dist[w as usize] {
@@ -225,11 +241,11 @@ impl Application for SsspApp {
     }
 
     fn priority(&self, (_, d, kind): &Self::Task) -> u32 {
-        let b = (d / self.delta).min(u32::MAX as u64) as u32;
+        let b = self.bucket(*d);
         if self.split {
             // Interleave: light tasks of bucket b at 2b, the heavy
             // co-tasks of bucket b at 2b+1, light of b+1 at 2b+2, ...
-            self.bucket(*d).min(u32::MAX / 2 - 1) * 2 + (*kind == KIND_HEAVY) as u32
+            b.min(u32::MAX / 2 - 1) * 2 + (*kind == KIND_HEAVY) as u32
         } else {
             b
         }

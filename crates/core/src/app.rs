@@ -6,6 +6,8 @@
 //! process`]) and `f2` (what to do on pop failure — [`Application::
 //! on_idle`]); the runtime owns popping, pushing, and communication.
 
+use atos_graph::Lookahead;
+
 use crate::emitter::Emitter;
 
 /// Owner-computes witness: debug-assert that vertex `$v`'s owner under
@@ -56,6 +58,29 @@ pub trait Application {
     /// runtime moves remote tasks per destination either way, and a run
     /// skips the per-task routing.
     fn process(&mut self, pe: usize, task: Self::Task, out: &mut Emitter<Self::Task>);
+
+    /// Announcement that `task` is about to be processed in this step: the
+    /// runtime executes a popped batch as a software pipeline and calls this
+    /// a fixed number of positions before the task's [`Application::process`]
+    /// — once with [`Lookahead::Far`], then, closer, with [`Lookahead::Near`]
+    /// — so the application can hint the cache lines the task will start
+    /// on (the paper's GPUs overlap those misses in hardware; a task loop
+    /// on a CPU has to ask).
+    ///
+    /// `Far` may assume nothing is cached: touch what *locates* the task's
+    /// data (a row's index entry) and the task's own state. `Near` may
+    /// assume the `Far` lines have arrived: read the index entry and touch
+    /// what it points at. Tasks near the head of a batch receive only
+    /// `Near`, or no announcement at all, so neither may be relied on.
+    ///
+    /// It must be observably inert — `&self`, no interior mutation that
+    /// `process`, `on_receive` or any answer can see: the schedule, every
+    /// statistic and every result are identical with this body empty, which
+    /// is the default (`crates/core/tests/prefetch_contract.rs`). Hints go
+    /// through `atos_graph::prefetch::prefetch` and the structures'
+    /// `prefetch` methods, which never panic.
+    #[inline]
+    fn prefetch(&self, _task: &Self::Task, _ahead: Lookahead) {}
 
     /// Apply a task arriving from a remote PE *before* it is enqueued:
     /// this is where one-sided remote updates (the paper's RDMA

@@ -77,3 +77,7 @@ pub use sharded::{ExchangeBoard, SpinBarrier};
 // Observability: re-export the tracing vocabulary so downstream crates can
 // drive `Runtime::with_tracer` without naming `atos-trace` directly.
 pub use atos_trace::{MetricsRegistry, NullTracer, TraceBuffer, Tracer, Track};
+
+// The distance vocabulary of `Application::prefetch`; it lives beside the
+// hint itself, in the crate whose structures implement it.
+pub use atos_graph::Lookahead;

@@ -29,6 +29,7 @@
 use std::sync::Arc;
 use std::time::Instant;
 
+use atos_graph::Lookahead;
 use atos_queue::sync::{thread, AtomicU64, Ordering};
 use atos_sim::{imbalance_permille, ControlPath, Engine, Fabric, GpuCostModel, Time};
 use atos_trace::{NullTracer, TraceBuffer, Tracer, Track};
@@ -62,6 +63,18 @@ const MAX_EVENTS: u64 = 200_000_000;
 fn runaway_abort(processed: u64) -> ! {
     panic!("runaway simulation: {processed} events");
 }
+
+/// How many batch positions ahead of its `process` a task is announced to
+/// [`Application::prefetch`] with `Lookahead::Far` (its index entries and
+/// own state). Constants, not configuration — the sweep that chose them, on
+/// the repo benchmark's mesh BFS (`tasks_per_sweep_edge`, seed 23, three
+/// rounds): none 0.149–0.171, (2, 1) 0.174–0.181, (4, 2) 0.198–0.204,
+/// (8, 4) 0.222–0.235, (16, 8) 0.227–0.238, (32, 16) 0.224–0.237. Flat from
+/// here up, and the first `PREFETCH_FAR` tasks of a batch run unannounced,
+/// so the smallest flat pair it is (DESIGN.md §4.8).
+const PREFETCH_FAR: usize = 8;
+/// Positions ahead for `Lookahead::Near` (the rows those entries locate).
+const PREFETCH_NEAR: usize = 4;
 
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum Ev {
@@ -472,14 +485,7 @@ impl<A: Application, Tr: Tracer> Runtime<A, Tr> {
 
         let mut em = std::mem::take(&mut self.em);
         em.reset_for(exec_pe);
-        let mut edges = 0u64;
-        let mut span = 0u64;
-        for &t in &batch {
-            let e = self.app.task_edges(&t);
-            edges += e;
-            span = span.max(e);
-            self.app.process(exec_pe, t, &mut em);
-        }
+        let (edges, span) = self.process_batch(exec_pe, &batch, &mut em);
         self.stats.edges_per_pe[pe] += edges;
 
         // A full round (queue held more than we popped) runs at pure
@@ -529,6 +535,38 @@ impl<A: Application, Tr: Tracer> Runtime<A, Tr> {
         // Backlog that survived this round is on offer to drained in-range
         // peers once the busy window closes.
         self.wake_idle_peers(pe, exec_pe, busy);
+    }
+
+    /// Run a popped batch — a PE's own work or a stolen group — through the
+    /// application, as a two-stage software pipeline: the model keeps
+    /// `resident_workers` tasks in flight and the hardware overlaps their
+    /// cache misses; one host thread runs them one at a time, so each task
+    /// is announced [`PREFETCH_FAR`] and again [`PREFETCH_NEAR`] positions
+    /// before it runs ([`Application::prefetch`]). Returns the batch's total
+    /// and largest `task_edges`.
+    #[inline]
+    #[atos_hot]
+    fn process_batch(
+        &mut self,
+        exec_pe: usize,
+        batch: &[A::Task],
+        em: &mut Emitter<A::Task>,
+    ) -> (u64, u64) {
+        let mut edges = 0u64;
+        let mut span = 0u64;
+        for (i, &t) in batch.iter().enumerate() {
+            if let Some(far) = batch.get(i + PREFETCH_FAR) {
+                self.app.prefetch(far, Lookahead::Far);
+            }
+            if let Some(near) = batch.get(i + PREFETCH_NEAR) {
+                self.app.prefetch(near, Lookahead::Near);
+            }
+            let e = self.app.task_edges(&t);
+            edges += e;
+            span = span.max(e);
+            self.app.process(exec_pe, t, em);
+        }
+        (edges, span)
     }
 
     #[atos_hot]

@@ -17,8 +17,10 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use atos_core::{
-    Application, AtosConfig, CommMode, Emitter, NullTracer, Runtime, RuntimeTuning, ShardableApp,
+    Application, AtosConfig, CommMode, Emitter, Lookahead, NullTracer, Runtime, RuntimeTuning,
+    ShardableApp,
 };
+use atos_graph::prefetch::prefetch;
 use atos_sim::Fabric;
 use atos_sim::GpuCostModel;
 
@@ -62,6 +64,18 @@ fn alloc_calls() -> u64 {
 /// up directly.
 struct Relay {
     n_pes: usize,
+    /// Hops each PE has forwarded: state for `prefetch` to hint, so the
+    /// step's announcement calls run under the allocation counter too.
+    forwarded: Vec<u64>,
+}
+
+impl Relay {
+    fn new(n_pes: usize) -> Self {
+        Relay {
+            n_pes,
+            forwarded: vec![0; n_pes],
+        }
+    }
 }
 
 impl Application for Relay {
@@ -69,8 +83,13 @@ impl Application for Relay {
 
     fn process(&mut self, pe: usize, task: u32, out: &mut Emitter<u32>) {
         if task > 0 {
+            self.forwarded[pe] += 1;
             out.push((pe + 1) % self.n_pes, task - 1);
         }
+    }
+
+    fn prefetch(&self, task: &u32, _ahead: Lookahead) {
+        prefetch(&self.forwarded, *task as usize % self.n_pes);
     }
 
     fn on_receive(&mut self, _pe: usize, task: u32) -> Option<u32> {
@@ -84,7 +103,7 @@ impl Application for Relay {
 
 impl ShardableApp for Relay {
     fn fork(&self, _lo: usize, _hi: usize) -> Self {
-        Relay { n_pes: self.n_pes }
+        Relay::new(self.n_pes)
     }
 
     fn join(&mut self, _shard: Self, _lo: usize, _hi: usize) {}
@@ -99,7 +118,7 @@ fn steady_state_send_paths_do_not_allocate_per_task() {
     // message (>= 40k allocations); the pooled path needs only warm-up.
     const HOPS: u32 = 20_000;
     let mut rt = Runtime::new(
-        Relay { n_pes: 2 },
+        Relay::new(2),
         Fabric::daisy(2),
         AtosConfig {
             comm: CommMode::Direct { group: 32 },
@@ -122,7 +141,7 @@ fn steady_state_send_paths_do_not_allocate_per_task() {
     // recycle) runs once per message.
     const AGG_HOPS: u32 = 5_000;
     let mut rt = Runtime::new(
-        Relay { n_pes: 2 },
+        Relay::new(2),
         Fabric::ib_cluster(2),
         AtosConfig::ib_pagerank(),
     );
@@ -144,7 +163,7 @@ fn steady_state_send_paths_do_not_allocate_per_task() {
     // instrumentation hooks in step/route/arrive/flush must compile down
     // to nothing — same warm-up-only budget as the untraced baseline.
     let mut rt = Runtime::with_tracer(
-        Relay { n_pes: 2 },
+        Relay::new(2),
         Fabric::daisy(2),
         AtosConfig {
             comm: CommMode::Direct { group: 32 },
@@ -204,7 +223,7 @@ fn steady_state_send_paths_do_not_allocate_per_task() {
     // sub-runtime forks, board and buffer growth) the per-window cost must
     // be allocation-free — a per-hop leak would blow this budget ~20x.
     let mut rt = Runtime::new(
-        Relay { n_pes: 2 },
+        Relay::new(2),
         Fabric::daisy(2),
         AtosConfig {
             comm: CommMode::Direct { group: 32 },
@@ -230,7 +249,7 @@ fn steady_state_send_paths_do_not_allocate_per_task() {
     use atos_core::LoadBalance;
     const SKEW_TASKS: usize = 20_000;
     let mut rt = Runtime::new(
-        Relay { n_pes: 2 },
+        Relay::new(2),
         Fabric::daisy(2),
         AtosConfig {
             comm: CommMode::Direct { group: 32 },
@@ -258,7 +277,7 @@ fn steady_state_send_paths_do_not_allocate_per_task() {
     // is the proof the lane path ran, and it must not allocate.
     const FAN_TASKS: usize = 20_000;
     let mut rt = Runtime::new(
-        Relay { n_pes: 2 },
+        Relay::new(2),
         Fabric::daisy(2),
         AtosConfig {
             comm: CommMode::Direct { group: 32 },
@@ -289,7 +308,7 @@ fn steady_state_send_paths_do_not_allocate_per_task() {
     // step, at kernel end, finds nothing yet and goes idle: every hop's car
     // is converted to a doorbell event by `ring_next`.
     let mut rt = Runtime::with_tuning(
-        Relay { n_pes: 2 },
+        Relay::new(2),
         Fabric::daisy(2),
         AtosConfig::standard_discrete(),
         GpuCostModel::v100(),
@@ -399,6 +418,7 @@ fn every_hot_runtime_fn_is_covered_by_a_counted_scenario() {
         ("note_queue_depth", "both relays: depth accounting on every push/pop"),
         ("wake", "both relays: remote arrivals wake the idle peer PE"),
         ("step", "both relays: every scheduling step"),
+        ("process_batch", "every relay: each batch; steal and busy-receiver relays: batches long enough to hint"),
         ("absorb_local", "both relays: emitter drain after each step"),
         ("dispatch_remote", "both relays: every hop is a remote push"),
         ("flush_bundle", "aggregated relay: age trigger flushes each bundle"),

@@ -1,0 +1,429 @@
+//! The contract of [`Application::prefetch`], from both sides.
+//!
+//! * **What the runtime promises** — a recording application and a tracer
+//!   share one log, so every hint, every `process` call and every step's end
+//!   land in one sequence. Under FIFO persistent, priority discrete and
+//!   work-stealing configurations: a task at batch position ≥ [`FAR`] is
+//!   announced `Far`, then `Near`, then processed; nothing is announced that
+//!   the *same* step does not go on to process; a stolen batch is announced
+//!   inside the thief's step.
+//! * **What an application must promise** — the hint is inert. [`NoHint`]
+//!   forwards every method of the real applications except `prefetch`; runs
+//!   with and without it agree on every `RunStats` field and every answer,
+//!   on one shard and on two.
+
+use std::cell::RefCell;
+use std::collections::HashMap;
+use std::rc::Rc;
+use std::sync::Arc;
+
+use atos_apps::pagerank::PrTask;
+use atos_apps::sssp::KIND_LIGHT;
+use atos_apps::{BfsApp, PageRankApp, SsspApp};
+use atos_core::app::IdleOutcome;
+use atos_core::{
+    Application, AtosConfig, Emitter, LoadBalance, Lookahead, RunStats, Runtime, RuntimeTuning,
+    ShardableApp,
+};
+use atos_graph::generators::{Preset, Scale};
+use atos_graph::partition::Partition;
+use atos_graph::weights::EdgeWeights;
+use atos_sim::{Fabric, GpuCostModel};
+use atos_trace::{EventKind, TraceEvent, Tracer};
+
+/// `PREFETCH_FAR` of `crates/core/src/runtime.rs`: the promise is stated
+/// for positions at or past it.
+const FAR: usize = 8;
+
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Entry {
+    Hint(u32, Lookahead),
+    Process {
+        pe: usize,
+        task: u32,
+    },
+    /// The step span the runtime records once the batch has run: `pe` is
+    /// the PE whose step it was (the thief's, for a stolen batch).
+    StepEnd {
+        pe: usize,
+        stolen: bool,
+        tasks: usize,
+    },
+}
+
+type Log = Rc<RefCell<Vec<Entry>>>;
+
+/// A binary tree of uniquely numbered tasks: `t` spawns `2t + 1` and
+/// `2t + 2` below `limit`. Spread over the PEs (many remote pushes, batches
+/// of every size) or, `skewed`, all owned by PE 0 so that its peers can
+/// only steal.
+struct Recorder {
+    n_pes: usize,
+    limit: u32,
+    skewed: bool,
+    log: Log,
+}
+
+impl Application for Recorder {
+    type Task = u32;
+
+    fn process(&mut self, pe: usize, task: u32, out: &mut Emitter<u32>) {
+        self.log.borrow_mut().push(Entry::Process { pe, task });
+        for child in [2 * task + 1, 2 * task + 2] {
+            if child < self.limit {
+                let owner = if self.skewed {
+                    0
+                } else {
+                    child as usize % self.n_pes
+                };
+                out.push(owner, child);
+            }
+        }
+    }
+
+    fn prefetch(&self, task: &u32, ahead: Lookahead) {
+        self.log.borrow_mut().push(Entry::Hint(*task, ahead));
+    }
+
+    fn on_receive(&mut self, _pe: usize, task: u32) -> Option<u32> {
+        Some(task)
+    }
+
+    /// Depth in the tree.
+    fn priority(&self, task: &u32) -> u32 {
+        (task + 1).ilog2()
+    }
+
+    fn task_edges(&self, _task: &u32) -> u64 {
+        2
+    }
+}
+
+/// Turns the runtime's per-step span into the log's step boundary.
+struct StepMarks(Log);
+
+impl Tracer for StepMarks {
+    fn is_enabled(&self) -> bool {
+        true
+    }
+
+    fn record(&mut self, ev: TraceEvent) {
+        if matches!(ev.kind, EventKind::Span { .. }) && ["step", "steal"].contains(&ev.name) {
+            assert_eq!(ev.arg_names[0], "tasks");
+            self.0.borrow_mut().push(Entry::StepEnd {
+                pe: ev.track.0 as usize,
+                stolen: ev.name == "steal",
+                tasks: ev.arg_vals[0] as usize,
+            });
+        }
+    }
+}
+
+/// What one recorded run looked like, for the scenarios to assert on.
+#[derive(Debug, Default)]
+struct Seen {
+    processed: usize,
+    /// Tasks that were announced `Far` and `Near` before running.
+    fully_hinted: usize,
+    stolen_steps_past_far: usize,
+    largest_batch: usize,
+}
+
+fn record(n_pes: usize, limit: u32, skewed: bool, cfg: AtosConfig) -> Seen {
+    let log: Log = Rc::default();
+    let app = Recorder {
+        n_pes,
+        limit,
+        skewed,
+        log: log.clone(),
+    };
+    let mut rt = Runtime::with_tracer(
+        app,
+        Fabric::daisy(n_pes),
+        cfg,
+        GpuCostModel::v100(),
+        RuntimeTuning::default(),
+        StepMarks(log.clone()),
+    );
+    rt.seed(0, [0u32]);
+    let stats = rt.run();
+    assert_eq!(stats.total_tasks(), limit as u64);
+
+    let log = log.borrow();
+    let mut seen = Seen::default();
+    let mut step_start = 0;
+    for (end, entry) in log.iter().enumerate() {
+        let Entry::StepEnd { pe, stolen, tasks } = *entry else {
+            continue;
+        };
+        check_step(&log[step_start..end], pe, stolen, tasks, &mut seen);
+        step_start = end + 1;
+    }
+    assert_eq!(
+        step_start,
+        log.len(),
+        "hints or calls after the last step ended"
+    );
+    assert_eq!(seen.processed, limit as usize);
+    seen
+}
+
+/// One step's entries, in order: hints and `process` calls only.
+fn check_step(step: &[Entry], step_pe: usize, stolen: bool, tasks: usize, seen: &mut Seen) {
+    // Where in the step each task ran, and at which batch position.
+    let mut ran: HashMap<u32, (usize, usize)> = HashMap::new();
+    let mut exec_pe = None;
+    for (at, entry) in step.iter().enumerate() {
+        if let Entry::Process { pe, task } = *entry {
+            assert_eq!(*exec_pe.get_or_insert(pe), pe, "one batch, one identity");
+            let position = ran.len();
+            assert!(
+                ran.insert(task, (at, position)).is_none(),
+                "task {task} ran twice"
+            );
+        }
+    }
+    assert_eq!(ran.len(), tasks, "the step span counts its batch");
+    assert_eq!(
+        stolen,
+        exec_pe != Some(step_pe),
+        "stolen work runs as its victim"
+    );
+
+    // Every hint names a task this same step runs later; per task, at most
+    // one of each kind, `Far` first.
+    let mut far_at: HashMap<u32, usize> = HashMap::new();
+    let mut near_at: HashMap<u32, usize> = HashMap::new();
+    for (at, entry) in step.iter().enumerate() {
+        let Entry::Hint(task, ahead) = *entry else {
+            continue;
+        };
+        let &(runs_at, _) = ran
+            .get(&task)
+            .unwrap_or_else(|| panic!("task {task} hinted {ahead:?} in a step that never runs it"));
+        assert!(at < runs_at, "task {task} hinted {ahead:?} after it ran");
+        let first = match ahead {
+            Lookahead::Far => far_at.insert(task, at),
+            Lookahead::Near => near_at.insert(task, at),
+        };
+        assert!(first.is_none(), "task {task} hinted {ahead:?} twice");
+    }
+    for (task, &(_, position)) in &ran {
+        let (far, near) = (far_at.get(task), near_at.get(task));
+        if position >= FAR {
+            assert!(
+                matches!((far, near), (Some(f), Some(n)) if f < n),
+                "task {task} at position {position}: far {far:?}, near {near:?}"
+            );
+        }
+        if let (Some(f), Some(n)) = (far, near) {
+            assert!(f < n, "task {task}: Near before Far");
+            seen.fully_hinted += 1;
+        }
+    }
+    seen.processed += tasks;
+    seen.largest_batch = seen.largest_batch.max(tasks);
+    seen.stolen_steps_past_far += (stolen && tasks > FAR) as usize;
+}
+
+#[test]
+fn tasks_are_announced_far_then_near_within_their_own_step() {
+    for cfg in [
+        AtosConfig::standard_persistent(),
+        AtosConfig::priority_discrete(),
+    ] {
+        let seen = record(4, 1 << 13, false, cfg);
+        assert!(seen.largest_batch > 4 * FAR, "{cfg:?}: {seen:?}");
+        assert!(seen.fully_hinted > (1 << 12), "{cfg:?}: {seen:?}");
+    }
+}
+
+#[test]
+fn stolen_batches_are_announced_under_the_thiefs_step() {
+    let cfg = AtosConfig::standard_persistent().with_lb(LoadBalance::Steal);
+    let seen = record(2, 1 << 13, true, cfg);
+    assert!(seen.stolen_steps_past_far > 0, "{seen:?}");
+}
+
+// ---------------------------------------------------------------------------
+// The real applications with the hint forwarded and with it dropped.
+// ---------------------------------------------------------------------------
+
+/// `A` with `prefetch` left at the trait's empty default: every other
+/// method forwards. (The benchmark's `Timed` wrapper is this too — it was
+/// written before the method existed — so its per-callback timings show the
+/// un-pipelined path.)
+struct NoHint<A>(A);
+
+impl<A: Application> Application for NoHint<A> {
+    type Task = A::Task;
+
+    fn process(&mut self, pe: usize, task: A::Task, out: &mut Emitter<A::Task>) {
+        self.0.process(pe, task, out)
+    }
+
+    fn on_receive(&mut self, pe: usize, task: A::Task) -> Option<A::Task> {
+        self.0.on_receive(pe, task)
+    }
+
+    fn on_receive_run(&mut self, pe: usize, run: &[A::Task], keep: &mut Vec<A::Task>) {
+        self.0.on_receive_run(pe, run, keep)
+    }
+
+    fn on_idle(&mut self, pe: usize, out: &mut Emitter<A::Task>) -> IdleOutcome {
+        self.0.on_idle(pe, out)
+    }
+
+    fn priority(&self, task: &A::Task) -> u32 {
+        self.0.priority(task)
+    }
+
+    fn task_edges(&self, task: &A::Task) -> u64 {
+        self.0.task_edges(task)
+    }
+
+    fn task_bytes(&self) -> u64 {
+        self.0.task_bytes()
+    }
+
+    fn converged(&self) -> bool {
+        self.0.converged()
+    }
+}
+
+impl<A: ShardableApp> ShardableApp for NoHint<A> {
+    fn fork(&self, lo: usize, hi: usize) -> Self {
+        NoHint(self.0.fork(lo, hi))
+    }
+
+    fn join(&mut self, shard: Self, lo: usize, hi: usize) {
+        self.0.join(shard.0, lo, hi)
+    }
+}
+
+type Seeds<A> = Vec<(usize, Vec<<A as Application>::Task>)>;
+
+fn drive<A: ShardableApp>(
+    app: A,
+    seeds: &Seeds<A>,
+    fabric: Fabric,
+    cfg: AtosConfig,
+    shards: usize,
+) -> (A, RunStats) {
+    let mut rt = Runtime::new(app, fabric, cfg);
+    for (pe, tasks) in seeds {
+        rt.seed(*pe, tasks.iter().copied());
+    }
+    let stats = rt.run_sharded(shards);
+    (rt.into_app(), stats)
+}
+
+/// Run `make()` bare and inside [`NoHint`] on one shard and on two; every
+/// `RunStats` field (its `Debug` prints them all) and the answer must agree.
+fn assert_hint_is_inert<A: ShardableApp, R: PartialEq + std::fmt::Debug>(
+    name: &str,
+    make: impl Fn() -> (A, Seeds<A>),
+    fabric: &Fabric,
+    cfg: AtosConfig,
+    answer: impl Fn(A) -> R,
+) {
+    for shards in [1, 2] {
+        let (app, seeds) = make();
+        let (hinted, hinted_stats) = drive(app, &seeds, fabric.clone(), cfg, shards);
+        let (app, seeds) = make();
+        let (plain, plain_stats) = drive(NoHint(app), &seeds, fabric.clone(), cfg, shards);
+        assert!(hinted_stats.total_tasks() > 0, "{name}: nothing ran");
+        assert_eq!(
+            format!("{hinted_stats:?}"),
+            format!("{plain_stats:?}"),
+            "{name}, {shards} shard(s): a statistic moved"
+        );
+        assert!(
+            answer(hinted) == answer(plain.0),
+            "{name}, {shards} shard(s): the answer moved"
+        );
+    }
+}
+
+fn tiny(preset: &str) -> (Preset, Arc<atos_graph::Csr>) {
+    let preset = Preset::by_name(preset).unwrap();
+    (preset, Arc::new(preset.build(Scale::Tiny)))
+}
+
+#[test]
+fn dropping_the_hint_changes_no_statistic_and_no_answer() {
+    let (preset, mesh) = tiny("road_usa_s");
+    let src = preset.bfs_source(&mesh);
+    let part = Arc::new(Partition::block(mesh.n_vertices(), 4));
+    assert_hint_is_inert(
+        "mesh BFS",
+        || {
+            let seeds = vec![(part.owner(src), vec![(src, 0u32)])];
+            (BfsApp::new(mesh.clone(), part.clone(), src), seeds)
+        },
+        &Fabric::daisy(4),
+        AtosConfig::standard_persistent(),
+        |app| app.depth,
+    );
+
+    let (preset, social) = tiny("soc-LiveJournal1_s");
+    let src = preset.bfs_source(&social);
+    let weights = Arc::new(EdgeWeights::random(&social, 64, 5));
+    let part = Arc::new(Partition::random(social.n_vertices(), 4, 3));
+    assert_hint_is_inert(
+        "split SSSP",
+        || {
+            let seeds = vec![(part.owner(src), vec![(src, 0u64, KIND_LIGHT)])];
+            let app = SsspApp::new_split(social.clone(), weights.clone(), part.clone(), src, 8);
+            (app, seeds)
+        },
+        &Fabric::daisy(4),
+        AtosConfig::priority_discrete(),
+        |app| app.dist,
+    );
+
+    for (name, fabric, cfg) in [
+        (
+            "direct PageRank",
+            Fabric::daisy(4),
+            AtosConfig::standard_persistent(),
+        ),
+        (
+            "aggregated PageRank",
+            Fabric::ib_cluster(8),
+            AtosConfig::ib_pagerank(),
+        ),
+    ] {
+        let n_pes = fabric.n_pes();
+        let part = Arc::new(Partition::random(social.n_vertices(), n_pes, 7));
+        assert_hint_is_inert(
+            name,
+            || {
+                let seeds = (0..n_pes)
+                    .map(|pe| {
+                        (
+                            pe,
+                            part.vertices_of(pe)
+                                .into_iter()
+                                .map(PrTask::Relax)
+                                .collect(),
+                        )
+                    })
+                    .collect();
+                (
+                    PageRankApp::new(social.clone(), part.clone(), 0.85, 1e-6),
+                    seeds,
+                )
+            },
+            &fabric,
+            cfg,
+            // Bit-equal floats: the apply order is part of the schedule.
+            |app| {
+                (
+                    app.rank.iter().map(|r| r.to_bits()).collect::<Vec<_>>(),
+                    app.residue,
+                )
+            },
+        );
+    }
+}

@@ -5,6 +5,8 @@
 //! offsets so twitter-scale edge counts fit, 32-bit vertex ids to halve
 //! memory traffic (the paper's graphs all fit u32).
 
+use crate::prefetch::{prefetch_row, Lookahead};
+
 /// Vertex identifier (u32: all Table I graphs fit, and halving index width
 /// matters for bandwidth-bound traversal).
 pub type VertexId = u32;
@@ -84,15 +86,24 @@ impl Csr {
     }
 
     /// Out-degree of `v`.
+    #[inline]
     pub fn degree(&self, v: VertexId) -> usize {
         (self.offsets[v as usize + 1] - self.offsets[v as usize]) as usize
     }
 
     /// Out-neighbors of `v`.
+    #[inline]
     pub fn neighbors(&self, v: VertexId) -> &[VertexId] {
         let lo = self.offsets[v as usize] as usize;
         let hi = self.offsets[v as usize + 1] as usize;
         &self.neighbors[lo..hi]
+    }
+
+    /// Announce that row `v` is about to be read: `Far` touches its offset
+    /// entry, `Near` reads that entry and touches the row's first line.
+    #[inline]
+    pub fn prefetch(&self, v: VertexId, ahead: Lookahead) {
+        prefetch_row(&self.offsets, &self.neighbors, v as usize, ahead);
     }
 
     /// Maximum out-degree.
@@ -282,6 +293,19 @@ mod tests {
         let g = diamond();
         assert_eq!(g.frontier_edges(&[0, 1]), 3);
         assert_eq!(g.frontier_edges(&[]), 0);
+    }
+
+    #[test]
+    fn prefetch_never_panics() {
+        // Vertex 3 is the last one and isolated: its row starts at
+        // `neighbors.len()`. Out-of-range ids are ignored too.
+        let g = diamond();
+        for ahead in [Lookahead::Far, Lookahead::Near] {
+            for v in [0, 3, 4, VertexId::MAX] {
+                g.prefetch(v, ahead);
+            }
+            Csr::from_edges(0, &[]).prefetch(0, ahead);
+        }
     }
 
     #[test]

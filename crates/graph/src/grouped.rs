@@ -14,6 +14,7 @@
 
 use crate::csr::{Csr, VertexId};
 use crate::partition::Partition;
+use crate::prefetch::{prefetch, Lookahead};
 
 /// Every vertex's out-neighbours, stably grouped by owning PE.
 ///
@@ -102,6 +103,22 @@ impl OwnerGrouped {
         let lo = self.seg_bounds[self.seg_offsets[v as usize] as usize];
         let hi = self.seg_bounds[self.seg_offsets[v as usize + 1] as usize];
         (hi - lo) as usize
+    }
+
+    /// Announce that row `v` is about to be read: `Far` touches its
+    /// segment-index entry, `Near` reads that entry and touches the row's
+    /// first segment (its bound and its owner).
+    #[inline]
+    pub fn prefetch(&self, v: VertexId, ahead: Lookahead) {
+        match ahead {
+            Lookahead::Far => prefetch(&self.seg_offsets, v as usize),
+            Lookahead::Near => {
+                if let Some(&s) = self.seg_offsets.get(v as usize) {
+                    prefetch(&self.seg_bounds, s as usize);
+                    prefetch(&self.seg_owner, s as usize);
+                }
+            }
+        }
     }
 
     /// `(owner, neighbours of v it owns)` for every owner with at least

@@ -29,6 +29,8 @@
 //!   remote PE instead of an owner lookup per edge.
 //! * [`io`] — Matrix Market and DIMACS readers/writers for the paper's
 //!   original dataset formats.
+//! * [`mod@prefetch`] — the cache-line hint every structure's `prefetch`
+//!   bottoms out in, and the [`Lookahead`] distance a caller announces.
 
 #![warn(missing_docs)]
 
@@ -37,9 +39,11 @@ pub mod generators;
 pub mod grouped;
 pub mod io;
 pub mod partition;
+pub mod prefetch;
 pub mod reference;
 pub mod stats;
 pub mod weights;
 
 pub use csr::{Csr, VertexId};
 pub use partition::Partition;
+pub use prefetch::Lookahead;

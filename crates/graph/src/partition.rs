@@ -136,6 +136,7 @@ impl Partition {
     }
 
     /// Owning PE of `v` (the paper's `findPE`).
+    #[inline]
     pub fn owner(&self, v: VertexId) -> usize {
         self.owner[v as usize] as usize
     }

@@ -8,6 +8,7 @@
 //! `atos-apps` SSSP extension.
 
 use crate::csr::{Csr, VertexId};
+use crate::prefetch::{prefetch_row, Lookahead};
 
 /// Distance value for unreachable vertices.
 pub const UNREACHED_DIST: u64 = u64::MAX;
@@ -52,10 +53,18 @@ impl EdgeWeights {
     }
 
     /// Weights of `u`'s out-edges, parallel to `g.neighbors(u)`.
+    #[inline]
     pub fn of(&self, u: VertexId) -> &[u32] {
         let lo = self.offsets[u as usize] as usize;
         let hi = self.offsets[u as usize + 1] as usize;
         &self.w[lo..hi]
+    }
+
+    /// Announce that `of(u)` is about to be read: `Far` touches its offset
+    /// entry, `Near` reads that entry and touches the row's first line.
+    #[inline]
+    pub fn prefetch(&self, u: VertexId, ahead: Lookahead) {
+        prefetch_row(&self.offsets, &self.w, u as usize, ahead);
     }
 
     /// Maximum weight present (delta-stepping tuning input).
@@ -138,6 +147,18 @@ mod tests {
             assert!(w.of(u).iter().all(|&x| (1..=16).contains(&x)));
         }
         assert!(w.max() <= 16);
+    }
+
+    #[test]
+    fn prefetch_never_panics() {
+        // Vertex 2 is the last one and has no out-edges.
+        let g = Csr::from_edges(3, &[(0, 1), (0, 2), (1, 2)]);
+        let w = EdgeWeights::unit(&g);
+        for ahead in [Lookahead::Far, Lookahead::Near] {
+            for u in [0, 2, 3, VertexId::MAX] {
+                w.prefetch(u, ahead);
+            }
+        }
     }
 
     #[test]

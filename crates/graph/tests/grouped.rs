@@ -4,7 +4,7 @@
 
 use atos_graph::generators::{rmat, road_network};
 use atos_graph::grouped::OwnerGrouped;
-use atos_graph::{Csr, Partition, VertexId};
+use atos_graph::{Csr, Lookahead, Partition, VertexId};
 
 /// For every vertex the grouped row is the stable partition of the CSR
 /// row by owner: ascending owners, none empty, none repeated, and each
@@ -61,4 +61,19 @@ fn a_single_pe_keeps_every_row_whole() {
 #[test]
 fn empty_graph_builds() {
     OwnerGrouped::build(&Csr::from_edges(0, &[]), &Partition::single(0));
+}
+
+#[test]
+fn prefetch_never_panics() {
+    // Vertex 3 is the last one and isolated: its first segment is one past
+    // the end of `seg_owner`. Out-of-range ids are ignored too.
+    let g = Csr::from_edges(4, &[(0, 1), (0, 2), (1, 2)]);
+    let adj = OwnerGrouped::build(&g, &Partition::block(4, 2));
+    let empty = OwnerGrouped::build(&Csr::from_edges(0, &[]), &Partition::single(0));
+    for ahead in [Lookahead::Far, Lookahead::Near] {
+        for v in [0, 3, 4, VertexId::MAX] {
+            adj.prefetch(v, ahead);
+        }
+        empty.prefetch(0, ahead);
+    }
 }

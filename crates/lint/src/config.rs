@@ -203,7 +203,7 @@ impl Config {
                 },
                 KernelScope {
                     file_suffix: "crates/core/src/runtime.rs",
-                    fns: &["step", "absorb_local", "run_window"],
+                    fns: &["step", "process_batch", "absorb_local", "run_window"],
                     forbid_index: false,
                 },
                 KernelScope {
@@ -234,6 +234,51 @@ impl Config {
                     file_suffix: "crates/core/src/loadbalance.rs",
                     fns: &["try_steal", "pick_victim", "steal_from", "wake_idle_peers"],
                     forbid_index: false,
+                },
+                // The hint path: `process_batch` announces tasks it has not
+                // run yet, so a panic in a hint aborts a step over work
+                // that was never wrong. `get`, never indexing, from each
+                // application's `prefetch` through the structure it reads
+                // down to the one `_mm_prefetch`.
+                KernelScope {
+                    file_suffix: "crates/graph/src/prefetch.rs",
+                    fns: &["prefetch", "prefetch_row"],
+                    forbid_index: true,
+                },
+                KernelScope {
+                    file_suffix: "crates/graph/src/csr.rs",
+                    fns: &["prefetch"],
+                    forbid_index: true,
+                },
+                KernelScope {
+                    file_suffix: "crates/graph/src/weights.rs",
+                    fns: &["prefetch"],
+                    forbid_index: true,
+                },
+                KernelScope {
+                    file_suffix: "crates/graph/src/grouped.rs",
+                    fns: &["prefetch"],
+                    forbid_index: true,
+                },
+                KernelScope {
+                    file_suffix: "crates/apps/src/bfs.rs",
+                    fns: &["prefetch"],
+                    forbid_index: true,
+                },
+                KernelScope {
+                    file_suffix: "crates/apps/src/sssp.rs",
+                    fns: &["prefetch"],
+                    forbid_index: true,
+                },
+                KernelScope {
+                    file_suffix: "crates/apps/src/pagerank.rs",
+                    fns: &["prefetch"],
+                    forbid_index: true,
+                },
+                KernelScope {
+                    file_suffix: "crates/apps/src/cc.rs",
+                    fns: &["prefetch"],
+                    forbid_index: true,
                 },
                 KernelScope {
                     // The timing wheel's schedule→pop protocol: every
@@ -344,7 +389,10 @@ impl Config {
                 },
             ],
             taint_exclude: &[
+                // (The root package's own `tests/` and `examples/` have no
+                // leading slash.)
                 "/tests/",
+                "tests/",
                 "/examples/",
                 "examples/",
                 "crates/lint/",

@@ -1,0 +1,371 @@
+//! Where a simulated run's host time goes, line by line.
+//!
+//! A `SIGPROF` sampler (a sample per millisecond of CPU time, or per kernel
+//! tick where that is longer) around the repo benchmark's four
+//! single-threaded workloads, driven through the same public calls as
+//! `benchmark/src/workloads.rs`. Each sample is the interrupted instruction;
+//! `addr2line` turns it into its inline stack, and the report ranks the
+//! *innermost frame under `crates/`* — the line of this workspace that was
+//! waiting, whichever `core`/`alloc` helper it was in. This is the
+//! attribution behind DESIGN.md §4.8: before tasks were announced ahead of
+//! their `process`, a quarter to two fifths of every run sat on a task's
+//! first loads (`Csr::degree`, the head of `neighbors`).
+//!
+//! ```bash
+//! cargo run --release --example where_time_goes -- bfs        # mesh BFS, 20 runs
+//! cargo run --release --example where_time_goes -- sssp 5     # sssp | pr | prib, run count
+//! ```
+//!
+//! Linux x86_64 only (it reads `RIP` out of the signal's `ucontext`);
+//! elsewhere it prints `unsupported` and exits 0. Line numbers need the
+//! release profile's `debug = "line-tables-only"` and `addr2line` on `PATH`;
+//! without the tool it prints the raw offsets.
+
+#[cfg(not(all(target_os = "linux", target_arch = "x86_64")))]
+fn main() {
+    println!("where_time_goes: unsupported on this target (Linux x86_64 only)");
+}
+
+#[cfg(all(target_os = "linux", target_arch = "x86_64"))]
+fn main() {
+    linux::main();
+}
+
+#[cfg(all(target_os = "linux", target_arch = "x86_64"))]
+mod linux {
+    use std::collections::BTreeMap;
+    use std::ffi::c_void;
+    use std::io::Write;
+    use std::process::Command;
+    use std::sync::Arc;
+
+    use atos::apps::pagerank::PrTask;
+    use atos::apps::sssp::KIND_LIGHT;
+    use atos::apps::{BfsApp, PageRankApp, SsspApp};
+    use atos::core::{Application, AtosConfig, Runtime};
+    use atos::graph::generators::{rmat, road_network};
+    use atos::graph::partition::Partition;
+    use atos::graph::reference;
+    use atos::graph::weights::{dijkstra, EdgeWeights};
+    use atos::graph::{Csr, VertexId};
+    use atos::queue::sync::{AtomicU64, AtomicUsize, Ordering};
+    use atos::sim::Fabric;
+
+    const SEED: u64 = 23;
+    const RMAT_PROBS: (f64, f64, f64, f64) = (0.57, 0.19, 0.19, 0.05);
+    const TOP_N: usize = 25;
+
+    // ---- the sampler ----------------------------------------------------
+
+    /// Room for two minutes of CPU time at a sample per millisecond.
+    const MAX_SAMPLES: usize = 1 << 17;
+    static RIPS: [AtomicU64; MAX_SAMPLES] = [const { AtomicU64::new(0) }; MAX_SAMPLES];
+    static TAKEN: AtomicUsize = AtomicUsize::new(0);
+
+    const SIGPROF: i32 = 27;
+    const ITIMER_PROF: i32 = 2;
+    const SA_SIGINFO: i32 = 4;
+    const SA_RESTART: i32 = 0x1000_0000;
+    /// `offsetof(ucontext_t, uc_mcontext.gregs[REG_RIP])` on x86_64 Linux:
+    /// `uc_flags` 8 + `uc_link` 8 + `uc_stack` 24, then `gregs[16]`.
+    const UCONTEXT_RIP: usize = 40 + 16 * 8;
+
+    /// glibc's `struct sigaction` on x86_64.
+    #[repr(C)]
+    struct SigAction {
+        handler: usize,
+        mask: [u64; 16],
+        flags: i32,
+        restorer: usize,
+    }
+
+    #[repr(C)]
+    struct TimeVal {
+        sec: i64,
+        usec: i64,
+    }
+
+    #[repr(C)]
+    struct ITimerVal {
+        interval: TimeVal,
+        value: TimeVal,
+    }
+
+    // Declared directly (rather than via `libc`) so the workspace builds
+    // without registry access, as `atos_bench::pipe_friendly` does.
+    // SAFETY: glibc's own prototypes, over the `repr(C)` mirrors above of the
+    // x86_64 Linux structs they take.
+    unsafe extern "C" {
+        fn sigaction(signum: i32, act: *const SigAction, old: *mut SigAction) -> i32;
+        fn setitimer(which: i32, new: *const ITimerVal, old: *mut ITimerVal) -> i32;
+    }
+
+    /// Async-signal-safe: two atomic operations on statics, nothing else.
+    extern "C" fn on_sigprof(_signum: i32, _info: *mut c_void, context: *mut c_void) {
+        // SAFETY: installed with SA_SIGINFO, so the kernel passes a valid
+        // `ucontext_t` for the interrupted thread; the offset is that
+        // struct's saved RIP, an aligned u64 inside it.
+        let rip = unsafe { context.cast::<u8>().add(UCONTEXT_RIP).cast::<u64>().read() };
+        let slot = TAKEN.fetch_add(1, Ordering::Relaxed);
+        if let Some(cell) = RIPS.get(slot) {
+            cell.store(rip, Ordering::Relaxed);
+        }
+    }
+
+    /// Arm (`period_us > 0`) or disarm (`0`) the CPU-time sampling timer.
+    fn set_sampling(period_us: i64) {
+        let tick = || TimeVal {
+            sec: 0,
+            usec: period_us,
+        };
+        let timer = ITimerVal {
+            interval: tick(),
+            value: tick(),
+        };
+        // SAFETY: `timer` is a live, fully initialised `itimerval`; the old
+        // value is not asked for.
+        let rc = unsafe { setitimer(ITIMER_PROF, &timer, std::ptr::null_mut()) };
+        assert_eq!(rc, 0, "setitimer(ITIMER_PROF)");
+    }
+
+    fn install_handler() {
+        let action = SigAction {
+            handler: on_sigprof as *const () as usize,
+            mask: [0; 16],
+            flags: SA_SIGINFO | SA_RESTART,
+            restorer: 0,
+        };
+        // SAFETY: `action` is a live `struct sigaction` naming a handler of
+        // the SA_SIGINFO signature that only touches atomics in statics.
+        let rc = unsafe { sigaction(SIGPROF, &action, std::ptr::null_mut()) };
+        assert_eq!(rc, 0, "sigaction(SIGPROF)");
+    }
+
+    // ---- the workloads (benchmark/src/workloads.rs, by hand) --------------
+
+    fn hub(g: &Csr) -> VertexId {
+        (0..g.n_vertices() as VertexId)
+            .max_by_key(|&v| (g.degree(v), std::cmp::Reverse(v)))
+            .expect("generated graphs are not empty")
+    }
+
+    /// Construct, seed and run to termination, `runs` times; `check` sees the
+    /// last finished application (outside the sampled region).
+    fn drive<A: Application>(
+        runs: usize,
+        fabric: impl Fn() -> Fabric,
+        cfg: AtosConfig,
+        make: impl Fn() -> (A, Vec<(usize, Vec<A::Task>)>),
+        check: impl FnOnce(A),
+    ) {
+        let mut last = None;
+        for _ in 0..runs {
+            let (app, seeds) = make();
+            set_sampling(1_000);
+            let mut rt = Runtime::new(app, fabric(), cfg);
+            for (pe, tasks) in seeds {
+                rt.seed(pe, tasks);
+            }
+            rt.run();
+            set_sampling(0);
+            last = Some(rt.into_app());
+        }
+        check(last.expect("at least one run"));
+    }
+
+    fn run_workload(name: &str, runs: usize) -> bool {
+        match name {
+            "bfs" => {
+                let side = 1000;
+                let g = Arc::new(road_network(side, side, SEED));
+                let p = Arc::new(Partition::block(g.n_vertices(), 4));
+                let src = (side / 2 * side + side / 2) as VertexId;
+                drive(
+                    runs,
+                    || Fabric::daisy(4),
+                    AtosConfig::standard_persistent(),
+                    || {
+                        let seeds = vec![(p.owner(src), vec![(src, 0u32)])];
+                        (BfsApp::new(g.clone(), p.clone(), src), seeds)
+                    },
+                    |app| assert_eq!(app.depth, reference::bfs(&g, src), "BFS depths"),
+                );
+            }
+            "sssp" => {
+                let g = Arc::new(rmat(18, 4_300_000, RMAT_PROBS, SEED));
+                let w = Arc::new(EdgeWeights::random(&g, 64, SEED));
+                let p = Arc::new(Partition::random(g.n_vertices(), 4, SEED));
+                let src = hub(&g);
+                drive(
+                    runs,
+                    || Fabric::daisy(4),
+                    AtosConfig::priority_discrete(),
+                    || {
+                        let seeds = vec![(p.owner(src), vec![(src, 0u64, KIND_LIGHT)])];
+                        (
+                            SsspApp::new_split(g.clone(), w.clone(), p.clone(), src, 8),
+                            seeds,
+                        )
+                    },
+                    |app| assert_eq!(app.dist, dijkstra(&g, &w, src), "SSSP distances"),
+                );
+            }
+            "pr" | "prib" => {
+                let (scale, edges, n_pes, cfg) = match name {
+                    "pr" => (16, 1_000_000, 4, AtosConfig::standard_persistent()),
+                    _ => (14, 250_000, 8, AtosConfig::ib_pagerank()),
+                };
+                let g = Arc::new(rmat(scale, edges, RMAT_PROBS, SEED));
+                let p = Arc::new(Partition::random(g.n_vertices(), n_pes, SEED));
+                drive(
+                    runs,
+                    || match name {
+                        "pr" => Fabric::daisy(n_pes),
+                        _ => Fabric::ib_cluster(n_pes),
+                    },
+                    cfg,
+                    || {
+                        let seeds = (0..n_pes)
+                            .map(|pe| {
+                                (
+                                    pe,
+                                    p.vertices_of(pe).into_iter().map(PrTask::Relax).collect(),
+                                )
+                            })
+                            .collect();
+                        (PageRankApp::new(g.clone(), p.clone(), 0.85, 1e-5), seeds)
+                    },
+                    |app| assert!(app.converged(), "residue {} left", app.max_residue()),
+                );
+            }
+            _ => return false,
+        }
+        true
+    }
+
+    // ---- symbolisation ----------------------------------------------------
+
+    /// Where this executable's image starts in memory: a PIE's first segment
+    /// sits at ELF address 0, so `rip - base` is what `addr2line` wants.
+    fn image_range(exe: &str) -> Option<(u64, u64)> {
+        let maps = std::fs::read_to_string("/proc/self/maps").ok()?;
+        let mut range: Option<(u64, u64)> = None;
+        for line in maps.lines().filter(|l| l.ends_with(exe)) {
+            let (lo, hi) = line.split_whitespace().next()?.split_once('-')?;
+            let (lo, hi) = (
+                u64::from_str_radix(lo, 16).ok()?,
+                u64::from_str_radix(hi, 16).ok()?,
+            );
+            range = Some(range.map_or((lo, hi), |(a, b)| (a.min(lo), b.max(hi))));
+        }
+        range
+    }
+
+    /// `offset → "crates/…/file.rs:line  function"` for the innermost inlined
+    /// frame under `crates/`, from `addr2line -a -f -C -i`; `None` when the
+    /// tool is missing.
+    fn symbolise(exe: &str, offsets: &[u64]) -> Option<BTreeMap<u64, String>> {
+        let mut lines_of = BTreeMap::new();
+        // A few thousand arguments per call stay far below ARG_MAX, and
+        // `output()` drains the pipe as the tool writes.
+        for chunk in offsets.chunks(4096) {
+            let out = Command::new("addr2line")
+                .args(["-e", exe, "-a", "-f", "-C", "-i"])
+                .args(chunk.iter().map(|o| format!("{o:#x}")))
+                .output()
+                .ok()?;
+            let text = String::from_utf8_lossy(&out.stdout);
+            // Per address: its `0x…` line, then `function` / `file:line`
+            // pairs, innermost frame first.
+            for block in text.split("0x").skip(1) {
+                let mut lines = block.lines();
+                let Some(addr) = lines
+                    .next()
+                    .and_then(|hex| u64::from_str_radix(hex, 16).ok())
+                else {
+                    continue;
+                };
+                let lines: Vec<&str> = lines.collect();
+                let frames: Vec<(&str, &str)> =
+                    lines.chunks_exact(2).map(|p| (p[0], p[1])).collect();
+                let Some((depth, at)) = frames
+                    .iter()
+                    .enumerate()
+                    .find_map(|(depth, (_, place))| Some((depth, place.find("crates/")?)))
+                else {
+                    continue;
+                };
+                let place = frames[depth].1[at..].split(' ').next().unwrap_or_default();
+                // binutils pairs a *call site* with the name of the function
+                // inlined there, so a location lies in the function the next
+                // pair names; the outermost lies in the first pair's, the
+                // concrete symbol.
+                let function = frames.get(depth + 1).unwrap_or(&frames[0]).0;
+                lines_of.insert(addr, format!("{place}  {function}"));
+            }
+        }
+        Some(lines_of)
+    }
+
+    pub fn main() {
+        let args: Vec<String> = std::env::args().skip(1).collect();
+        let name = args.first().map(String::as_str).unwrap_or("bfs");
+        let runs = match args.get(1).map(|r| r.parse::<usize>()) {
+            None => 20,
+            Some(Ok(runs)) if runs > 0 => runs,
+            Some(_) => usage(),
+        };
+        install_handler();
+        if !run_workload(name, runs) {
+            usage();
+        }
+
+        let taken = TAKEN.load(Ordering::Relaxed).min(MAX_SAMPLES);
+        let exe = std::env::current_exe().expect("own path");
+        let exe = exe.to_str().expect("utf-8 path");
+        let (base, end) = image_range(exe).expect("own image in /proc/self/maps");
+        let mut hits: BTreeMap<u64, u64> = BTreeMap::new();
+        for cell in &RIPS[..taken] {
+            let rip = cell.load(Ordering::Relaxed);
+            if (base..end).contains(&rip) {
+                *hits.entry(rip - base).or_default() += 1;
+            }
+        }
+        let inside: u64 = hits.values().sum();
+        let mut report = format!(
+            "where_time_goes {name}: {runs} run(s), {taken} samples, {inside} inside this binary\n"
+        );
+
+        let offsets: Vec<u64> = hits.keys().copied().collect();
+        let mut share: BTreeMap<String, u64> = BTreeMap::new();
+        match symbolise(exe, &offsets) {
+            Some(lines_of) => {
+                for (offset, count) in &hits {
+                    let line = lines_of
+                        .get(offset)
+                        .map_or("(no frame under crates/)", |l| l);
+                    *share.entry(line.to_string()).or_default() += count;
+                }
+            }
+            None => {
+                report += "addr2line is not on PATH: raw image offsets follow\n";
+                for (offset, count) in &hits {
+                    share.insert(format!("{offset:#x}"), *count);
+                }
+            }
+        }
+        let mut ranked: Vec<(String, u64)> = share.into_iter().collect();
+        ranked.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
+        for (line, count) in ranked.iter().take(TOP_N) {
+            let percent = 100.0 * *count as f64 / taken.max(1) as f64;
+            report += &format!("{percent:6.1} %  {line}\n");
+        }
+        // One write, error ignored: `… | head` may close the pipe early.
+        let _ = std::io::stdout().write_all(report.as_bytes());
+    }
+
+    fn usage() -> ! {
+        eprintln!("usage: where_time_goes bfs|sssp|pr|prib [runs]");
+        std::process::exit(2);
+    }
+}
