@@ -6,10 +6,23 @@
 //! `distance / delta`, and only buckets below the moving threshold are
 //! eligible. FIFO scheduling relaxes vertices in arrival order and pays
 //! heavily in re-relaxations; priority scheduling approaches Dijkstra's
-//! work efficiency while keeping bucket-level parallelism. The
-//! `ablation_delta` bench sweeps `delta` to reproduce the classic
+//! work efficiency while keeping bucket-level parallelism.
+//! `examples/sssp_delta.rs` sweeps `delta` to reproduce the classic
 //! trade-off (small delta = work-efficient but serial; large = parallel
 //! but speculative).
+//!
+//! # One slot per relaxation: the per-PE view
+//!
+//! Only a few percent of relaxations improve anything, so what a
+//! relaxation reads before it gives up is the cost of the application.
+//! Every PE keeps a *view*, `view[pe][w]`: the lowest distance PE `pe`
+//! knows for `w`. For a vertex `pe` owns that is `dist[w]` itself, written
+//! through wherever `dist[w]` is written (the source, a local relaxation,
+//! `on_receive`); for any other vertex it is the best offer `pe` has sent,
+//! which keeps it from re-sending one that cannot improve on its own. A
+//! relaxation compares against that one slot, and only one that improves
+//! it looks up the owner — to update `dist` if the vertex is local, and to
+//! address the push either way. `dist` stays authoritative throughout.
 //!
 //! # Light/heavy edge splitting ([`run_sssp_delta`])
 //!
@@ -35,6 +48,14 @@
 //! within the same bucket — always triggers a fresh co-task. With `split`
 //! off the application is byte-identical to the original single-kind
 //! formulation.
+//!
+//! A vertex runs as a light task every time its distance improves and as
+//! a heavy task about once per bucket, so which edges a light task visits
+//! is laid out once, at construction: [`LightEdges`] holds every row's
+//! light edges, target and weight side by side, and a light task walks
+//! that row and nothing of the [`Csr`] or the [`EdgeWeights`]. Heavy and
+//! unsplit tasks walk the full row; a heavy task skips the light edges in
+//! it.
 
 use std::sync::Arc;
 
@@ -43,6 +64,7 @@ use atos_core::{
 };
 use atos_macros::atos_shard;
 use atos_graph::csr::{Csr, VertexId};
+use atos_graph::light::LightEdges;
 use atos_graph::partition::Partition;
 use atos_graph::prefetch::prefetch;
 use atos_graph::weights::{EdgeWeights, UNREACHED_DIST};
@@ -65,18 +87,19 @@ pub struct SsspApp {
     /// Tentative distance per vertex. Owned entries are authoritative;
     /// non-owned entries are only touched by their owner.
     pub dist: Vec<u64>,
-    /// `mirror[pe][w]`: best distance PE `pe` has sent for remote vertex
-    /// `w` (sender-side duplicate suppression, private per PE).
-    mirror: Vec<Vec<u64>>,
+    /// `view[pe][w]`: the lowest distance PE `pe` knows for `w`; what that
+    /// means for an owned and for a remote `w` is in the module docs.
+    /// Private per PE.
+    view: Vec<Vec<u64>>,
     /// Lowest distance for which this vertex's heavy edges have been
-    /// scheduled or relaxed (`UNREACHED_DIST` = never). A light task
-    /// re-sends the heavy co-task iff `dist[v]` drops below this.
-    /// Owner-indexed like `dist`; only used in split mode.
+    /// scheduled or relaxed (`UNREACHED_DIST` = never; 0 from the start
+    /// for a vertex with no heavy edge, which therefore never gets a
+    /// co-task). A light task re-sends the heavy co-task iff `dist[v]`
+    /// drops below this. Owner-indexed like `dist`; empty unless split.
     heavy_sent: Vec<u64>,
-    /// Light (weight ≤ delta) out-degree per vertex; empty unless split.
-    light_deg: Arc<Vec<u32>>,
-    /// Light/heavy edge splitting on? Off = original formulation.
-    split: bool,
+    /// The rows light tasks walk: `Some` iff light/heavy edge splitting is
+    /// on, `None` = original formulation.
+    light: Option<Arc<LightEdges>>,
     /// Delta-stepping bucket width for the priority queue.
     pub delta: u64,
     source: VertexId,
@@ -120,24 +143,23 @@ impl SsspApp {
         let delta = delta.max(1);
         let mut dist = vec![UNREACHED_DIST; n];
         dist[source as usize] = 0;
-        let light_deg = if split {
-            (0..n as VertexId)
-                .map(|v| {
-                    weights.of(v).iter().filter(|&&wt| wt as u64 <= delta).count() as u32
-                })
-                .collect()
-        } else {
-            Vec::new()
+        let mut view = vec![vec![UNREACHED_DIST; n]; partition.n_parts()];
+        view[partition.owner(source)][source as usize] = 0;
+        let light = split.then(|| Arc::new(LightEdges::build(&graph, &weights, delta)));
+        let heavy_sent = match &light {
+            Some(light) => (0..n as VertexId)
+                .map(|v| if light.degree(v) < graph.degree(v) { UNREACHED_DIST } else { 0 })
+                .collect(),
+            None => Vec::new(),
         };
         SsspApp {
             graph,
             weights,
-            partition: partition.clone(),
+            partition,
             dist,
-            mirror: vec![vec![UNREACHED_DIST; n]; partition.n_parts()],
-            heavy_sent: if split { vec![UNREACHED_DIST; n] } else { Vec::new() },
-            light_deg: Arc::new(light_deg),
-            split,
+            view,
+            heavy_sent,
+            light,
             delta,
             source,
         }
@@ -155,12 +177,42 @@ impl SsspApp {
 
     /// Kind stamped on newly generated distance-update tasks.
     fn push_kind(&self) -> u8 {
-        if self.split {
+        if self.light.is_some() {
             KIND_LIGHT
         } else {
             KIND_FULL
         }
     }
+}
+
+/// Offer every `(w, nd)` to `view` — the executing PE's row of
+/// `SsspApp::view`, the one slot that decides (module docs) — and call
+/// `improved` on those that lower it. The compare is spelled here and not
+/// inside `improved` so that it is inlined into the loop: one closure
+/// holding the whole relaxation was left out of line, a call and five
+/// register spills per edge (DESIGN.md §4.9).
+#[inline(always)]
+fn relax(
+    offers: impl Iterator<Item = (VertexId, u64)>,
+    view: &mut [u64],
+    mut improved: impl FnMut(VertexId, u64),
+) {
+    for (w, nd) in offers {
+        if nd < view[w as usize] {
+            view[w as usize] = nd;
+            improved(w, nd);
+        }
+    }
+}
+
+/// The light rows behind `SsspApp::light`, for the task kinds only a split
+/// instance creates. (On the field, not on `&self`: `process` reads them
+/// while its relaxation holds `view` and `dist` mutably.)
+#[inline]
+fn split_rows(light: &Option<Arc<LightEdges>>) -> &LightEdges {
+    light
+        .as_deref()
+        .expect("light and heavy tasks exist only in split mode")
 }
 
 impl Application for SsspApp {
@@ -181,8 +233,7 @@ impl Application for SsspApp {
             // and re-reads `dist[v]` then — so heavy edges see the
             // settled source distance instead of every speculative
             // improvement.
-            let has_heavy = (self.light_deg[v as usize] as usize) < self.graph.degree(v);
-            if has_heavy && d < self.heavy_sent[v as usize] {
+            if d < self.heavy_sent[v as usize] {
                 self.heavy_sent[v as usize] = d;
                 out.push(pe, (v, d, KIND_HEAVY));
             }
@@ -192,41 +243,49 @@ impl Application for SsspApp {
             let hs = &mut self.heavy_sent[v as usize];
             *hs = (*hs).min(d);
         }
-        for (&w, &wt) in self.graph.neighbors(v).iter().zip(self.weights.of(v)) {
-            // Edge filter for the split kinds; KIND_FULL relaxes all.
-            match kind {
-                KIND_LIGHT if wt as u64 > self.delta => continue,
-                KIND_HEAVY if wt as u64 <= self.delta => continue,
-                _ => {}
-            }
-            let nd = d + wt as u64;
+        let (push_kind, delta) = (self.push_kind(), self.delta);
+        // What an improving offer still has to do: the local atomicMin +
+        // conditional local push, or the one-sided RDMA atomicMin (applied
+        // at the owner on arrival, same semantics as BFS).
+        let improved = |w: VertexId, nd: u64| {
             let owner = self.partition.owner(w);
             if owner == pe {
-                // Local atomicMin + conditional local push.
-                if nd < self.dist[w as usize] {
-                    self.dist[w as usize] = nd;
-                    out.push(pe, (w, nd, self.push_kind()));
-                }
-            } else if nd < self.mirror[pe][w as usize] {
-                // One-sided RDMA atomicMin, applied at the owner on
-                // arrival (same semantics as BFS); the sender's private
-                // mirror suppresses non-improving offers.
-                self.mirror[pe][w as usize] = nd;
-                out.push(owner, (w, nd, self.push_kind()));
+                self.dist[w as usize] = nd;
             }
+            out.push(owner, (w, nd, push_kind));
+        };
+        let view = self.view[pe].as_mut_slice();
+        if kind == KIND_LIGHT {
+            let row = split_rows(&self.light).row(v);
+            relax(row.iter().map(|&(w, wt)| (w, d + wt as u64)), view, improved);
+        } else {
+            // A heavy task skips the row's light edges (its light tasks
+            // relaxed them); KIND_FULL relaxes all.
+            let skip_light = kind == KIND_HEAVY;
+            let row = self.graph.neighbors(v).iter().zip(self.weights.of(&self.graph, v));
+            let kept = row.filter(|&(_, &wt)| !(skip_light && wt as u64 <= delta));
+            relax(kept.map(|(&w, &wt)| (w, d + wt as u64)), view, improved);
         }
     }
 
     #[inline]
-    fn prefetch(&self, (v, _, _): &Self::Task, ahead: Lookahead) {
-        self.graph.prefetch(*v, ahead);
-        self.weights.prefetch(*v, ahead);
+    fn prefetch(&self, &(v, _, kind): &Self::Task, ahead: Lookahead) {
+        let light = self.light.as_deref();
+        if let (KIND_LIGHT, Some(light)) = (kind, light) {
+            // A light task walks its light row and nothing of the graph.
+            light.prefetch(v, ahead);
+        } else {
+            self.graph.prefetch(v, ahead);
+            self.weights.prefetch(&self.graph, v, ahead);
+        }
         if ahead == Lookahead::Far {
-            let v = *v as usize;
-            prefetch(&self.dist, v);
+            prefetch(&self.dist, v as usize);
             // Empty unless split: an out-of-range hint is a no-op.
-            prefetch(&self.heavy_sent, v);
-            prefetch(&self.light_deg, v);
+            prefetch(&self.heavy_sent, v as usize);
+            if let (KIND_HEAVY, Some(light)) = (kind, light) {
+                // `task_edges` subtracts the light degree.
+                light.prefetch(v, ahead);
+            }
         }
     }
 
@@ -234,6 +293,7 @@ impl Application for SsspApp {
         assert_owner!(self.partition, w, pe);
         if nd < self.dist[w as usize] {
             self.dist[w as usize] = nd;
+            self.view[pe][w as usize] = nd;
             Some((w, nd, kind))
         } else {
             None
@@ -242,7 +302,7 @@ impl Application for SsspApp {
 
     fn priority(&self, (_, d, kind): &Self::Task) -> u32 {
         let b = self.bucket(*d);
-        if self.split {
+        if self.light.is_some() {
             // Interleave: light tasks of bucket b at 2b, the heavy
             // co-tasks of bucket b at 2b+1, light of b+1 at 2b+2, ...
             b.min(u32::MAX / 2 - 1) * 2 + (*kind == KIND_HEAVY) as u32
@@ -251,17 +311,16 @@ impl Application for SsspApp {
         }
     }
 
-    fn task_edges(&self, (v, _, kind): &Self::Task) -> u64 {
-        let deg = self.graph.degree(*v) as u64;
-        match *kind {
-            KIND_LIGHT => self.light_deg[*v as usize] as u64,
-            KIND_HEAVY => deg - self.light_deg[*v as usize] as u64,
-            _ => deg,
+    fn task_edges(&self, &(v, _, kind): &Self::Task) -> u64 {
+        match kind {
+            KIND_LIGHT => split_rows(&self.light).degree(v) as u64,
+            KIND_HEAVY => (self.graph.degree(v) - split_rows(&self.light).degree(v)) as u64,
+            _ => self.graph.degree(v) as u64,
         }
     }
 
     fn task_bytes(&self) -> u64 {
-        if self.split {
+        if self.light.is_some() {
             13 // vertex id + 64-bit distance + kind byte
         } else {
             12 // vertex id + 64-bit distance
@@ -272,8 +331,8 @@ impl Application for SsspApp {
 impl ShardableApp for SsspApp {
     #[atos_shard(
         owner(dist, heavy_sent),
-        private(mirror),
-        shared(graph, weights, partition, light_deg, split, delta, source)
+        private(view),
+        shared(graph, weights, partition, light, delta, source)
     )]
     fn fork(&self, _lo: usize, _hi: usize) -> Self {
         SsspApp {
@@ -281,10 +340,9 @@ impl ShardableApp for SsspApp {
             weights: self.weights.clone(),
             partition: self.partition.clone(),
             dist: self.dist.clone(),
-            mirror: self.mirror.clone(),
+            view: self.view.clone(),
             heavy_sent: self.heavy_sent.clone(),
-            light_deg: self.light_deg.clone(),
-            split: self.split,
+            light: self.light.clone(),
             delta: self.delta,
             source: self.source,
         }
@@ -303,8 +361,8 @@ impl ShardableApp for SsspApp {
                 self.heavy_sent[v] = hs;
             }
         }
-        for (pe, row) in shard.mirror.into_iter().enumerate().take(hi).skip(lo) {
-            self.mirror[pe] = row;
+        for (pe, row) in shard.view.into_iter().enumerate().take(hi).skip(lo) {
+            self.view[pe] = row;
         }
     }
 }
@@ -428,8 +486,43 @@ fn run_sssp_impl(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use atos_core::LoadBalance;
     use atos_graph::generators::{Preset, Scale};
     use atos_graph::weights::dijkstra;
+
+    /// The split application, with the vertex of every heavy task it runs
+    /// written down.
+    struct HeavySpy {
+        app: SsspApp,
+        heavy: Vec<VertexId>,
+    }
+
+    impl Application for HeavySpy {
+        type Task = <SsspApp as Application>::Task;
+
+        fn process(&mut self, pe: usize, task: Self::Task, out: &mut Emitter<Self::Task>) {
+            if task.2 == KIND_HEAVY {
+                self.heavy.push(task.0);
+            }
+            self.app.process(pe, task, out);
+        }
+
+        fn on_receive(&mut self, pe: usize, task: Self::Task) -> Option<Self::Task> {
+            self.app.on_receive(pe, task)
+        }
+
+        fn priority(&self, task: &Self::Task) -> u32 {
+            self.app.priority(task)
+        }
+
+        fn task_edges(&self, task: &Self::Task) -> u64 {
+            self.app.task_edges(task)
+        }
+
+        fn task_bytes(&self) -> u64 {
+            self.app.task_bytes()
+        }
+    }
 
     fn check(
         g: &Arc<Csr>,
@@ -529,6 +622,60 @@ mod tests {
         // Light tasks with zero heavy neighbors must not spawn co-tasks:
         // total tasks stays within 2x of the unsplit relaxation count.
         assert!(split.stats.total_tasks() <= 2 * plain.stats.total_tasks());
+
+        // Nor does a vertex whose edges are all light ever run as a heavy
+        // task, and the graph has such vertices within reach.
+        let part = Arc::new(Partition::bfs_grow(&g, 4, 3));
+        let spy = HeavySpy {
+            app: SsspApp::new_split(g.clone(), w.clone(), part.clone(), src, 8),
+            heavy: Vec::new(),
+        };
+        let mut rt = Runtime::new(spy, Fabric::daisy(4), AtosConfig::priority_discrete());
+        rt.seed(part.owner(src), [(src, 0u64, KIND_LIGHT)]);
+        rt.run();
+        let spy = rt.into_app();
+        assert_eq!(spy.app.dist, split.dist);
+        let all_light = |v: VertexId| w.of(&g, v).iter().all(|&wt| wt <= 8);
+        assert!(!spy.heavy.is_empty(), "the run has heavy tasks");
+        assert!(spy.heavy.iter().all(|&v| !all_light(v)), "heavy task on an all-light vertex");
+        let reached_all_light = (0..g.n_vertices() as VertexId)
+            .filter(|&v| g.degree(v) > 0 && all_light(v) && spy.app.dist[v as usize] != UNREACHED_DIST)
+            .count();
+        assert!(reached_all_light > 0, "no reached vertex has only light edges");
+    }
+
+    #[test]
+    fn a_view_holds_the_owners_truth_and_no_offer_undercuts_it() {
+        let p = Preset::by_name("twitter_s").unwrap();
+        let g = Arc::new(p.build(Scale::Tiny));
+        let w = Arc::new(EdgeWeights::random(&g, 64, 1));
+        let src = p.bfs_source(&g);
+        let part = Arc::new(Partition::random(g.n_vertices(), 4, 7));
+        let exact = dijkstra(&g, &w, src);
+        for split in [false, true] {
+            for lb in LoadBalance::ALL {
+                for shards in [1, 2] {
+                    let app = SsspApp::build(g.clone(), w.clone(), part.clone(), src, 8, split);
+                    let kind = app.push_kind();
+                    let cfg = AtosConfig::priority_discrete().with_lb(lb);
+                    let mut rt = Runtime::new(app, Fabric::daisy(4), cfg);
+                    rt.seed(part.owner(src), [(src, 0u64, kind)]);
+                    rt.run_sharded(shards);
+                    let app = rt.into_app();
+                    assert_eq!(app.dist, exact, "split {split} {lb:?} K={shards}");
+                    for (v, &d) in app.dist.iter().enumerate() {
+                        let owner = part.owner(v as VertexId);
+                        for (pe, row) in app.view.iter().enumerate() {
+                            if pe == owner {
+                                assert_eq!(row[v], d, "PE {pe} owns {v}");
+                            } else {
+                                assert!(row[v] >= d, "PE {pe} offered {v} {} < {d}", row[v]);
+                            }
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

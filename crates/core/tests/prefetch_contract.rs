@@ -18,7 +18,7 @@ use std::rc::Rc;
 use std::sync::Arc;
 
 use atos_apps::pagerank::PrTask;
-use atos_apps::sssp::KIND_LIGHT;
+use atos_apps::sssp::{KIND_FULL, KIND_LIGHT};
 use atos_apps::{BfsApp, PageRankApp, SsspApp};
 use atos_core::app::IdleOutcome;
 use atos_core::{
@@ -370,17 +370,28 @@ fn dropping_the_hint_changes_no_statistic_and_no_answer() {
     let src = preset.bfs_source(&social);
     let weights = Arc::new(EdgeWeights::random(&social, 64, 5));
     let part = Arc::new(Partition::random(social.n_vertices(), 4, 3));
-    assert_hint_is_inert(
-        "split SSSP",
-        || {
-            let seeds = vec![(part.owner(src), vec![(src, 0u64, KIND_LIGHT)])];
-            let app = SsspApp::new_split(social.clone(), weights.clone(), part.clone(), src, 8);
-            (app, seeds)
-        },
-        &Fabric::daisy(4),
-        AtosConfig::priority_discrete(),
-        |app| app.dist,
-    );
+    // Both arms of SSSP's kind-aware hint: light and heavy tasks (split),
+    // in bucket order and in arrival order, and full tasks (unsplit).
+    for (name, split, cfg) in [
+        ("split SSSP", true, AtosConfig::priority_discrete()),
+        ("split SSSP, FIFO", true, AtosConfig::standard_persistent()),
+        ("unsplit SSSP", false, AtosConfig::priority_discrete()),
+    ] {
+        assert_hint_is_inert(
+            name,
+            || {
+                let (g, w, p) = (social.clone(), weights.clone(), part.clone());
+                let (app, kind) = match split {
+                    true => (SsspApp::new_split(g, w, p, src, 8), KIND_LIGHT),
+                    false => (SsspApp::new(g, w, p, src, 8), KIND_FULL),
+                };
+                (app, vec![(part.owner(src), vec![(src, 0u64, kind)])])
+            },
+            &Fabric::daisy(4),
+            cfg,
+            |app| app.dist,
+        );
+    }
 
     for (name, fabric, cfg) in [
         (

@@ -5,6 +5,8 @@
 //! offsets so twitter-scale edge counts fit, 32-bit vertex ids to halve
 //! memory traffic (the paper's graphs all fit u32).
 
+use std::ops::Range;
+
 use crate::prefetch::{prefetch_row, Lookahead};
 
 /// Vertex identifier (u32: all Table I graphs fit, and halving index width
@@ -91,12 +93,24 @@ impl Csr {
         (self.offsets[v as usize + 1] - self.offsets[v as usize]) as usize
     }
 
+    /// Row `v`'s positions in the edge order — what `neighbors(v)` slices
+    /// by, and what every array stored parallel to the neighbor array
+    /// (`EdgeWeights`) slices by too, so the row index exists once.
+    #[inline]
+    pub(crate) fn row(&self, v: VertexId) -> Range<usize> {
+        self.offsets[v as usize] as usize..self.offsets[v as usize + 1] as usize
+    }
+
+    /// The row index itself, for the hint path (`get`, never indexing).
+    #[inline]
+    pub(crate) fn offsets(&self) -> &[u64] {
+        &self.offsets
+    }
+
     /// Out-neighbors of `v`.
     #[inline]
     pub fn neighbors(&self, v: VertexId) -> &[VertexId] {
-        let lo = self.offsets[v as usize] as usize;
-        let hi = self.offsets[v as usize + 1] as usize;
-        &self.neighbors[lo..hi]
+        &self.neighbors[self.row(v)]
     }
 
     /// Announce that row `v` is about to be read: `Far` touches its offset

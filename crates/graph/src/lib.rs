@@ -27,6 +27,9 @@
 //! * [`grouped`] — every row stably grouped by owning PE: the layout a
 //!   partitioned traversal reads, one local segment and one run per
 //!   remote PE instead of an owner lookup per edge.
+//! * [`light`] — every row's edges of weight ≤ `delta`, target and weight
+//!   side by side: what a delta-stepping light task walks instead of
+//!   filtering the full row.
 //! * [`io`] — Matrix Market and DIMACS readers/writers for the paper's
 //!   original dataset formats.
 //! * [`mod@prefetch`] — the cache-line hint every structure's `prefetch`
@@ -38,6 +41,7 @@ pub mod csr;
 pub mod generators;
 pub mod grouped;
 pub mod io;
+pub mod light;
 pub mod partition;
 pub mod prefetch;
 pub mod reference;

@@ -42,12 +42,17 @@ pub fn prefetch<T>(slice: &[T], index: usize) {
 /// `rows[offsets[v]..offsets[v + 1]]`: `Far` touches the row's offset entry,
 /// `Near` reads that entry and touches the row's first line.
 #[inline(always)]
-pub(crate) fn prefetch_row<T>(offsets: &[u64], rows: &[T], v: usize, ahead: Lookahead) {
+pub(crate) fn prefetch_row<O: Copy + Into<u64>, T>(
+    offsets: &[O],
+    rows: &[T],
+    v: usize,
+    ahead: Lookahead,
+) {
     match ahead {
         Lookahead::Far => prefetch(offsets, v),
         Lookahead::Near => {
             if let Some(&lo) = offsets.get(v) {
-                prefetch(rows, lo as usize);
+                prefetch(rows, lo.into() as usize);
             }
         }
     }

@@ -14,10 +14,12 @@ use crate::prefetch::{prefetch_row, Lookahead};
 pub const UNREACHED_DIST: u64 = u64::MAX;
 
 /// Per-edge weights stored parallel to a CSR's neighbor array.
+///
+/// Only the weights are stored: the row index is the graph's own, so every
+/// row accessor takes the [`Csr`] the weights were made for.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EdgeWeights {
     w: Vec<u32>,
-    offsets: Vec<u64>,
 }
 
 impl EdgeWeights {
@@ -28,43 +30,38 @@ impl EdgeWeights {
     pub fn random(g: &Csr, max_weight: u32, seed: u64) -> Self {
         assert!(max_weight >= 1);
         let mut w = Vec::with_capacity(g.n_edges());
-        let mut offsets = Vec::with_capacity(g.n_vertices() + 1);
-        offsets.push(0u64);
         for u in 0..g.n_vertices() as VertexId {
             for &v in g.neighbors(u) {
                 w.push(hash_edge(u, v, seed) % max_weight + 1);
             }
-            offsets.push(w.len() as u64);
         }
-        EdgeWeights { w, offsets }
+        EdgeWeights { w }
     }
 
     /// Unit weights (SSSP degenerates to BFS).
     pub fn unit(g: &Csr) -> Self {
-        let mut offsets = Vec::with_capacity(g.n_vertices() + 1);
-        offsets.push(0u64);
-        for u in 0..g.n_vertices() as VertexId {
-            offsets.push(offsets.last().unwrap() + g.degree(u) as u64);
-        }
         EdgeWeights {
             w: vec![1; g.n_edges()],
-            offsets,
         }
     }
 
-    /// Weights of `u`'s out-edges, parallel to `g.neighbors(u)`.
+    /// Weights of `u`'s out-edges, parallel to `g.neighbors(u)`; `g` is the
+    /// graph these weights were made for.
     #[inline]
-    pub fn of(&self, u: VertexId) -> &[u32] {
-        let lo = self.offsets[u as usize] as usize;
-        let hi = self.offsets[u as usize + 1] as usize;
-        &self.w[lo..hi]
+    pub fn of(&self, g: &Csr, u: VertexId) -> &[u32] {
+        debug_assert_eq!(self.w.len(), g.n_edges(), "weights of another graph");
+        &self.w[g.row(u)]
     }
 
-    /// Announce that `of(u)` is about to be read: `Far` touches its offset
-    /// entry, `Near` reads that entry and touches the row's first line.
+    /// Announce that `of(g, u)` is about to be read. The row index is the
+    /// graph's, so the `Far` stage is [`Csr::prefetch`]'s and nothing is
+    /// left to do here; `Near` reads the offset entry that stage fetched
+    /// and touches the row's first line.
     #[inline]
-    pub fn prefetch(&self, u: VertexId, ahead: Lookahead) {
-        prefetch_row(&self.offsets, &self.w, u as usize, ahead);
+    pub fn prefetch(&self, g: &Csr, u: VertexId, ahead: Lookahead) {
+        if ahead == Lookahead::Near {
+            prefetch_row(g.offsets(), &self.w, u as usize, ahead);
+        }
     }
 
     /// Maximum weight present (delta-stepping tuning input).
@@ -96,7 +93,7 @@ pub fn dijkstra(g: &Csr, w: &EdgeWeights, src: VertexId) -> Vec<u64> {
         if d > dist[u as usize] {
             continue;
         }
-        for (&v, &wt) in g.neighbors(u).iter().zip(w.of(u)) {
+        for (&v, &wt) in g.neighbors(u).iter().zip(w.of(g, u)) {
             let nd = d + wt as u64;
             if nd < dist[v as usize] {
                 dist[v as usize] = nd;
@@ -143,8 +140,8 @@ mod tests {
         let g = rmat(8, 1200, (0.57, 0.19, 0.19, 0.05), 3);
         let w = EdgeWeights::random(&g, 16, 7);
         for u in 0..g.n_vertices() as VertexId {
-            assert_eq!(w.of(u).len(), g.degree(u));
-            assert!(w.of(u).iter().all(|&x| (1..=16).contains(&x)));
+            assert_eq!(w.of(&g, u).len(), g.degree(u));
+            assert!(w.of(&g, u).iter().all(|&x| (1..=16).contains(&x)));
         }
         assert!(w.max() <= 16);
     }
@@ -156,7 +153,7 @@ mod tests {
         let w = EdgeWeights::unit(&g);
         for ahead in [Lookahead::Far, Lookahead::Near] {
             for u in [0, 2, 3, VertexId::MAX] {
-                w.prefetch(u, ahead);
+                w.prefetch(&g, u, ahead);
             }
         }
     }
@@ -189,10 +186,7 @@ mod tests {
         // 0 -> 1 -> 2 cheap; 0 -> 2 expensive.
         let g = Csr::from_edges(3, &[(0, 1), (0, 2), (1, 2)]);
         // Hand-build weights: of(0) = [w(0,1), w(0,2)], of(1) = [w(1,2)].
-        let w = EdgeWeights {
-            w: vec![1, 10, 1],
-            offsets: vec![0, 2, 3, 3],
-        };
+        let w = EdgeWeights { w: vec![1, 10, 1] };
         assert_eq!(dijkstra(&g, &w, 0), vec![0, 1, 2]);
     }
 

@@ -261,6 +261,11 @@ impl Config {
                     forbid_index: true,
                 },
                 KernelScope {
+                    file_suffix: "crates/graph/src/light.rs",
+                    fns: &["prefetch"],
+                    forbid_index: true,
+                },
+                KernelScope {
                     file_suffix: "crates/apps/src/bfs.rs",
                     fns: &["prefetch"],
                     forbid_index: true,

@@ -158,21 +158,23 @@ EOF
 
 echo
 echo "== line-level sampler smoke (examples/where_time_goes.rs) =="
-# One sampled mesh-BFS run must attribute at least one sample to a line of
-# this workspace (DESIGN.md §4.8's table comes from this tool). It needs
-# Linux x86_64 and binutils' addr2line; anywhere else it has nothing to
-# symbolise and says so.
-cargo run --release -q --example where_time_goes -- bfs 1 > "$tmp/where.out"
-if grep -q "unsupported" "$tmp/where.out" || ! command -v addr2line > /dev/null; then
-    echo "skip: $(head -n 1 "$tmp/where.out")"
-else
-    grep -q "%  crates/" "$tmp/where.out" || {
-        cat "$tmp/where.out" >&2
-        echo "FAIL: where_time_goes attributed no sample to a line under crates/" >&2
-        exit 1
-    }
-    echo "ok: $(head -n 1 "$tmp/where.out")"
-fi
+# One sampled mesh-BFS run and one sampled split-SSSP run must each
+# attribute at least one sample to a line of this workspace (DESIGN.md
+# §4.8's and §4.9's tables come from this tool). It needs Linux x86_64 and
+# binutils' addr2line; anywhere else it has nothing to symbolise and says so.
+for app in bfs sssp; do
+    cargo run --release -q --example where_time_goes -- "$app" 1 > "$tmp/where.out"
+    if grep -q "unsupported" "$tmp/where.out" || ! command -v addr2line > /dev/null; then
+        echo "skip: $(head -n 1 "$tmp/where.out")"
+    else
+        grep -q "%  crates/" "$tmp/where.out" || {
+            cat "$tmp/where.out" >&2
+            echo "FAIL: where_time_goes $app attributed no sample to a line under crates/" >&2
+            exit 1
+        }
+        echo "ok: $(head -n 1 "$tmp/where.out")"
+    fi
+done
 
 echo
 echo "== shard profiling smoke (reference --sim-threads 4 | atos-profile) =="
