@@ -10,8 +10,23 @@
 //! The paper's GPU implementation rediscovers unconverged vertices by
 //! rescanning on pop failure (`f2`) because cross-PE in-queue flags are
 //! racy on hardware; the simulator serializes each PE's events, so exact
-//! in-queue tracking is equivalent and is what we do (the `f2` rescan
-//! would find exactly the vertices our `on_receive` re-queues).
+//! in-queue tracking is equivalent (the `f2` rescan would find exactly the
+//! vertices our `on_receive` re-queues) — and it needs no flag, because
+//! **the residue is the flag**: a vertex is queued exactly while its
+//! residue is at or above ε.
+//!
+//! 1. Between two relaxations of `w` its residue never shrinks: every
+//!    contribution is `α·r/deg ≥ 0` ([`PageRankApp::new`] keeps `α` in
+//!    `[0, 1]`).
+//! 2. `w` enters the queue at the contribution that lifts its residue from
+//!    below ε to at least ε, and by 1 stays at or above ε until it is
+//!    popped; the pop resets the residue to `0 < ε`.
+//! 3. The start state fits: every vertex is seeded with residue `1 − α`;
+//!    if that is below ε every seed returns early and nothing is ever sent.
+//!
+//! So a contribution `c` enqueues `w` iff `old < ε ≤ old + c` — what a
+//! fetch-and-add hands the sender on the hardware. `deposit` is that
+//! rule, once, for local edges, per-task arrivals and whole messages.
 //!
 //! PageRank is the paper's *bandwidth-bound* application: unlike BFS,
 //! every vertex is relaxed many times and every relaxation communicates,
@@ -52,11 +67,14 @@ pub enum PrTask {
 impl PrTask {
     /// A contribution of `c` to vertex `w`.
     ///
-    /// # Panics
-    /// If `w == u32::MAX`, which no graph a [`PageRankApp`] accepts has.
+    /// Precondition: `w < u32::MAX`, which [`PageRankApp::new`] asserts once
+    /// for every vertex of the graph and debug builds check here. The
+    /// function is total — no panic edge, so a loop that builds a run of
+    /// these vectorises: `u32::MAX` itself would name vertex `u32::MAX − 1`.
     #[inline]
     pub fn contrib(w: VertexId, c: f32) -> Self {
-        PrTask::Contrib(NonZeroU32::new(!w).expect("vertex ids stay below u32::MAX"), c)
+        debug_assert!(w != u32::MAX, "vertex ids stay below u32::MAX");
+        PrTask::Contrib(NonZeroU32::new(!w).unwrap_or(NonZeroU32::MIN), c)
     }
 
     /// The vertex a `Contrib`'s first field names.
@@ -88,25 +106,41 @@ pub struct PageRankApp {
     partition: Arc<Partition>,
     /// Accumulated rank per vertex.
     pub rank: Vec<f64>,
-    /// Pending residue per vertex.
+    /// Pending residue per vertex; at or above `epsilon` exactly while the
+    /// vertex is queued (module doc).
     pub residue: Vec<f64>,
-    in_queue: Vec<bool>,
     alpha: f64,
     epsilon: f64,
 }
 
 impl PageRankApp {
     /// New instance with damping `alpha` and threshold `epsilon`.
+    ///
+    /// # Panics
+    /// If `alpha` is not a finite number in `[0, 1]` (a negative damping
+    /// makes residues shrink, the one thing the queueing rule relies on
+    /// never happening), if `epsilon` is not finite and positive (at 0 a
+    /// vertex is never done and the run spins until the runtime's runaway
+    /// abort), if the partition is for another vertex count, or if the
+    /// graph has `u32::MAX` vertices or more.
     pub fn new(graph: Arc<Csr>, partition: Arc<Partition>, alpha: f64, epsilon: f64) -> Self {
+        // A NaN is in no range.
+        assert!(
+            (0.0..=1.0).contains(&alpha),
+            "PageRank alpha must be finite and in [0, 1], got {alpha}"
+        );
+        assert!(
+            epsilon.is_finite() && epsilon > 0.0,
+            "PageRank epsilon must be finite and > 0, got {epsilon}"
+        );
         let n = graph.n_vertices();
-        assert_eq!(partition.n_vertices(), n);
+        assert_eq!(partition.n_vertices(), n, "partition/graph size");
         assert!(n < u32::MAX as usize, "PrTask::Contrib stores !vertex in a NonZeroU32");
         PageRankApp {
             adj: Arc::new(OwnerGrouped::build(&graph, &partition)),
             partition,
             rank: vec![0.0; n],
             residue: vec![1.0 - alpha; n],
-            in_queue: vec![true; n],
             alpha,
             epsilon,
         }
@@ -115,6 +149,60 @@ impl PageRankApp {
     /// Largest pending residue (convergence diagnostic).
     pub fn max_residue(&self) -> f64 {
         self.residue.iter().copied().fold(0.0, f64::max)
+    }
+}
+
+/// Add the contribution `c` to one vertex's residue and report whether that
+/// enqueues the vertex: whether the residue went from below ε to at least ε
+/// (module doc). One load, one store, two compares and no branch — the only
+/// place a residue grows.
+#[inline]
+fn deposit(residue: &mut f64, epsilon: f64, c: f64) -> bool {
+    let old = *residue;
+    let new = old + c;
+    *residue = new;
+    (old < epsilon) & (new >= epsilon)
+}
+
+/// Append `Relax(w)` to `keep`, in order, for every item whose `apply`
+/// returns `(w, true)`.
+///
+/// Which contributions cross ε is as good as random, so the push is not a
+/// branch: every item's task is stored at the cursor and only a crossing
+/// advances it — the single-thread form of an aggregated worklist push.
+/// That needs the slots to exist beforehand, hence a whole run at a time.
+#[inline]
+fn compact<T: Copy>(
+    items: &[T],
+    keep: &mut Vec<PrTask>,
+    mut apply: impl FnMut(T) -> (VertexId, bool),
+) {
+    let base = keep.len();
+    keep.resize(base + items.len(), PrTask::Relax(0));
+    let slots = &mut keep[base..];
+    let mut k = 0;
+    for &item in items {
+        let (w, enqueue) = apply(item);
+        slots[k] = PrTask::Relax(w);
+        k += enqueue as usize;
+    }
+    keep.truncate(base + k);
+}
+
+impl PageRankApp {
+    /// What an arriving task does at its owner: the vertex it names and
+    /// whether that vertex is enqueued. Per task and per run alike.
+    #[inline]
+    fn receive(&mut self, pe: usize, task: PrTask) -> (VertexId, bool) {
+        match task {
+            PrTask::Contrib(w, c) => {
+                let w = PrTask::target(w);
+                assert_owner!(self.partition, w, pe);
+                let enqueue = deposit(&mut self.residue[w as usize], self.epsilon, c as f64);
+                (w, enqueue)
+            }
+            PrTask::Relax(v) => (v, true),
+        }
     }
 }
 
@@ -127,9 +215,9 @@ impl Application for PageRankApp {
             PrTask::Contrib(..) => unreachable!("contributions are applied in on_receive"),
         };
         debug_assert_eq!(self.partition.owner(v), pe);
-        self.in_queue[v as usize] = false;
         let r = self.residue[v as usize];
         if r < self.epsilon {
+            // Only a seed whose `1 − α` starts below ε.
             return;
         }
         self.residue[v as usize] = 0.0;
@@ -144,15 +232,10 @@ impl Application for PageRankApp {
             if owner == pe {
                 // In `Csr::neighbors` order, so every residue sees the
                 // same sequence of f64 additions as an ungrouped walk.
-                for &w in segment {
+                compact(segment, &mut out.local, |w| {
                     assert_owner!(self.partition, w, pe);
-                    let res = &mut self.residue[w as usize];
-                    *res += share;
-                    if *res >= self.epsilon && !self.in_queue[w as usize] {
-                        self.in_queue[w as usize] = true;
-                        out.push_local(PrTask::Relax(w));
-                    }
-                }
+                    (w, deposit(&mut self.residue[w as usize], self.epsilon, share))
+                });
             } else {
                 out.remote_mut(owner)
                     .extend(segment.iter().map(|&w| PrTask::contrib(w, contrib)));
@@ -172,21 +255,17 @@ impl Application for PageRankApp {
     }
 
     fn on_receive(&mut self, pe: usize, task: PrTask) -> Option<PrTask> {
-        match task {
-            PrTask::Contrib(w, c) => {
-                let w = PrTask::target(w);
-                assert_owner!(self.partition, w, pe);
-                let res = &mut self.residue[w as usize];
-                *res += c as f64;
-                if *res >= self.epsilon && !self.in_queue[w as usize] {
-                    self.in_queue[w as usize] = true;
-                    Some(PrTask::Relax(w))
-                } else {
-                    None
-                }
-            }
-            PrTask::Relax(v) => Some(PrTask::Relax(v)),
-        }
+        let (w, enqueue) = self.receive(pe, task);
+        enqueue.then_some(PrTask::Relax(w))
+    }
+
+    /// The same rule as [`Application::on_receive`], a message at a time so
+    /// that the kept tasks can be compacted instead of branched on. A
+    /// wrapper that forwards only the per-task method (the repo benchmark's
+    /// `Timed`) sees the same run: `prefetch_contract.rs` holds the two
+    /// together.
+    fn on_receive_run(&mut self, pe: usize, run: &[PrTask], keep: &mut Vec<PrTask>) {
+        compact(run, keep, |task| self.receive(pe, task));
     }
 
     fn task_edges(&self, task: &PrTask) -> u64 {
@@ -205,19 +284,18 @@ impl Application for PageRankApp {
     }
 }
 
-// PageRank is owner-computes by construction: `process` touches rank /
-// residue / in-queue entries of owned vertices only, and every remote
-// contribution travels as a `Contrib` task applied in `on_receive` at the
-// owner. No sender-side mirrors are needed.
+// PageRank is owner-computes by construction: `process` touches rank and
+// residue entries of owned vertices only, and every remote contribution
+// travels as a `Contrib` task applied in `on_receive` at the owner. No
+// sender-side mirrors are needed.
 impl ShardableApp for PageRankApp {
-    #[atos_shard(owner(rank, residue, in_queue), shared(adj, partition, alpha, epsilon))]
+    #[atos_shard(owner(rank, residue), shared(adj, partition, alpha, epsilon))]
     fn fork(&self, _lo: usize, _hi: usize) -> Self {
         PageRankApp {
             adj: self.adj.clone(),
             partition: self.partition.clone(),
             rank: self.rank.clone(),
             residue: self.residue.clone(),
-            in_queue: self.in_queue.clone(),
             alpha: self.alpha,
             epsilon: self.epsilon,
         }
@@ -229,7 +307,6 @@ impl ShardableApp for PageRankApp {
             if (lo..hi).contains(&owner) {
                 self.rank[v] = shard.rank[v];
                 self.residue[v] = shard.residue[v];
-                self.in_queue[v] = shard.in_queue[v];
             }
         }
     }
@@ -343,6 +420,59 @@ mod tests {
         let last = PrTask::contrib(u32::MAX - 1, 1e-7);
         assert_eq!(format!("{last:?}"), "Contrib(4294967294, 1e-7)");
         assert_eq!(format!("{last:#?}"), "Contrib(\n    4294967294,\n    1e-7,\n)");
+        for w in [0, 1, 7, u32::MAX - 1] {
+            let PrTask::Contrib(packed, c) = PrTask::contrib(w, 0.5) else {
+                panic!("contrib built a Relax");
+            };
+            assert_eq!((PrTask::target(packed), c), (w, 0.5));
+        }
+        // Total outside its precondition: no panic edge in release builds.
+        #[cfg(not(debug_assertions))]
+        assert_eq!(format!("{:?}", PrTask::contrib(u32::MAX, 0.5)), "Contrib(4294967294, 0.5)");
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "vertex ids stay below u32::MAX")]
+    fn debug_builds_check_contribs_precondition() {
+        PrTask::contrib(u32::MAX, 0.5);
+    }
+
+    #[test]
+    fn new_names_the_parameter_it_rejects() {
+        let g = Arc::new(Csr::from_edges(3, &[(0, 1), (1, 2), (2, 0)]));
+        let part = Arc::new(Partition::single(3));
+        let nan = f64::NAN;
+        for (alpha, epsilon, named) in [
+            (-0.1, EPS, "alpha"),
+            (1.0 + 1e-9, EPS, "alpha"),
+            (nan, EPS, "alpha"),
+            (f64::INFINITY, EPS, "alpha"),
+            (ALPHA, 0.0, "epsilon"),
+            (ALPHA, -EPS, "epsilon"),
+            (ALPHA, nan, "epsilon"),
+            (ALPHA, f64::INFINITY, "epsilon"),
+        ] {
+            let (g, part) = (g.clone(), part.clone());
+            let panic = std::panic::catch_unwind(|| PageRankApp::new(g, part, alpha, epsilon))
+                .err()
+                .unwrap_or_else(|| panic!("alpha {alpha}, epsilon {epsilon} accepted"));
+            let text = panic.downcast_ref::<String>().expect("a formatted message");
+            assert!(text.starts_with(&format!("PageRank {named} must be")), "{text}");
+        }
+        // Both ends of alpha's range are legal, and so is a threshold above
+        // the starting residue: nothing is folded, nothing is sent.
+        for (alpha, epsilon, rank) in [(0.0, EPS, 1.0), (1.0, EPS, 0.0), (ALPHA, 1.0, 0.0)] {
+            let run = run_pagerank(
+                g.clone(),
+                part.clone(),
+                alpha,
+                epsilon,
+                Fabric::daisy(1),
+                AtosConfig::standard_persistent(),
+            );
+            assert_eq!(run.rank, [rank; 3], "alpha {alpha}, epsilon {epsilon}");
+        }
     }
 
     #[test]

@@ -95,8 +95,14 @@ pub trait Application {
     /// order. This is what the runtime calls — a message is a contiguous
     /// range of the receive queue, as it is on the hardware. The default is
     /// the per-task loop, which monomorphizes with `on_receive` inlined;
-    /// override it only where a run has work to share that the loop cannot
-    /// (PageRank's apply measured the same either way and does not).
+    /// override it only where a run can do what the loop cannot. PageRank
+    /// does: whether a contribution is kept is as good as random, so instead
+    /// of branching per task it stores every candidate at a cursor into
+    /// `keep` and advances the cursor only for the kept ones, which needs
+    /// the run's length up front (DESIGN.md §4.10). An override must stay
+    /// equal to the per-task loop: a wrapper that forwards only `on_receive`
+    /// (the repo benchmark's `Timed`) gets this default, and its runs must
+    /// not differ (`crates/core/tests/prefetch_contract.rs`).
     fn on_receive_run(&mut self, pe: usize, run: &[Self::Task], keep: &mut Vec<Self::Task>) {
         for &task in run {
             keep.extend(self.on_receive(pe, task));

@@ -14,6 +14,7 @@
 //! ```bash
 //! cargo run --release --example where_time_goes -- bfs        # mesh BFS, 20 runs
 //! cargo run --release --example where_time_goes -- sssp 5     # sssp | pr | prib, run count
+//! cargo run --release --example where_time_goes -- pr 5 --by fn   # summed per function, or `--by file`
 //! ```
 //!
 //! Linux x86_64 only (it reads `RIP` out of the signal's `ucontext`);
@@ -261,10 +262,31 @@ mod linux {
         range
     }
 
-    /// `offset → "crates/…/file.rs:line  function"` for the innermost inlined
-    /// frame under `crates/`, from `addr2line -a -f -C -i`; `None` when the
-    /// tool is missing.
-    fn symbolise(exe: &str, offsets: &[u64]) -> Option<BTreeMap<u64, String>> {
+    /// What the report sums samples by (`--by`).
+    #[derive(Clone, Copy)]
+    enum By {
+        Line,
+        Function,
+        File,
+    }
+
+    impl By {
+        /// The report's row for a sample at `place` (`crates/…/file.rs:line`)
+        /// inside `function`.
+        fn row(self, place: &str, function: &str) -> String {
+            let file = place.rsplit_once(':').map_or(place, |(file, _line)| file);
+            match self {
+                By::Line => format!("{place}  {function}"),
+                By::Function => format!("{file}  {function}"),
+                By::File => file.to_string(),
+            }
+        }
+    }
+
+    /// `offset → ("crates/…/file.rs:line", function)` for the innermost
+    /// inlined frame under `crates/`, from `addr2line -a -f -C -i`; `None`
+    /// when the tool is missing.
+    fn symbolise(exe: &str, offsets: &[u64]) -> Option<BTreeMap<u64, (String, String)>> {
         let mut lines_of = BTreeMap::new();
         // A few thousand arguments per call stay far below ARG_MAX, and
         // `output()` drains the pipe as the tool writes.
@@ -301,14 +323,30 @@ mod linux {
                 // pair names; the outermost lies in the first pair's, the
                 // concrete symbol.
                 let function = frames.get(depth + 1).unwrap_or(&frames[0]).0;
-                lines_of.insert(addr, format!("{place}  {function}"));
+                lines_of.insert(addr, (place.to_string(), function.to_string()));
             }
         }
         Some(lines_of)
     }
 
     pub fn main() {
-        let args: Vec<String> = std::env::args().skip(1).collect();
+        let mut args: Vec<String> = std::env::args().skip(1).collect();
+        let by = match args.iter().position(|a| a == "--by") {
+            None => By::Line,
+            Some(at) => {
+                let by = match args.get(at + 1).map(String::as_str) {
+                    Some("line") => By::Line,
+                    Some("fn") => By::Function,
+                    Some("file") => By::File,
+                    _ => usage(),
+                };
+                args.drain(at..at + 2);
+                by
+            }
+        };
+        if args.len() > 2 {
+            usage();
+        }
         let name = args.first().map(String::as_str).unwrap_or("bfs");
         let runs = match args.get(1).map(|r| r.parse::<usize>()) {
             None => 20,
@@ -341,10 +379,11 @@ mod linux {
         match symbolise(exe, &offsets) {
             Some(lines_of) => {
                 for (offset, count) in &hits {
-                    let line = lines_of
-                        .get(offset)
-                        .map_or("(no frame under crates/)", |l| l);
-                    *share.entry(line.to_string()).or_default() += count;
+                    let row = lines_of.get(offset).map_or_else(
+                        || "(no frame under crates/)".to_string(),
+                        |(place, function)| by.row(place, function),
+                    );
+                    *share.entry(row).or_default() += count;
                 }
             }
             None => {
@@ -365,7 +404,7 @@ mod linux {
     }
 
     fn usage() -> ! {
-        eprintln!("usage: where_time_goes bfs|sssp|pr|prib [runs]");
+        eprintln!("usage: where_time_goes bfs|sssp|pr|prib [runs] [--by line|fn|file]");
         std::process::exit(2);
     }
 }

@@ -158,12 +158,15 @@ EOF
 
 echo
 echo "== line-level sampler smoke (examples/where_time_goes.rs) =="
-# One sampled mesh-BFS run and one sampled split-SSSP run must each
-# attribute at least one sample to a line of this workspace (DESIGN.md
-# §4.8's and §4.9's tables come from this tool). It needs Linux x86_64 and
-# binutils' addr2line; anywhere else it has nothing to symbolise and says so.
-for app in bfs sssp; do
-    cargo run --release -q --example where_time_goes -- "$app" 1 > "$tmp/where.out"
+# One sampled run of each workload — mesh BFS, split SSSP, direct and
+# aggregated PageRank — must attribute at least one sample to a line of this
+# workspace (DESIGN.md §4.8's, §4.9's and §4.10's tables come from this
+# tool; §4.10 also uses its `--by file` sums). It needs Linux x86_64
+# and binutils' addr2line; anywhere else it has nothing to symbolise and
+# says so.
+for app in "bfs 1" "sssp 1" "pr 1" "prib 1 --by file"; do
+    # shellcheck disable=SC2086  # $app is the tool's argument list
+    cargo run --release -q --example where_time_goes -- $app > "$tmp/where.out"
     if grep -q "unsupported" "$tmp/where.out" || ! command -v addr2line > /dev/null; then
         echo "skip: $(head -n 1 "$tmp/where.out")"
     else
