@@ -12,15 +12,17 @@
 //! * the aggregator has polled `WAIT_TIME` times since the bundle opened
 //!   (the eager-mode escape hatch for latency-bound phases).
 //!
-//! This module is pure policy + buffering; the runtime owns the clock and
-//! the actual sends.
+//! This module is pure policy; the runtime owns the clock, the sends and
+//! the tasks. A bundle is a *count* ([`Bundle`]): a worker writes a task
+//! into its emitter run once, the run leaves as a train, and the aggregator
+//! only decides where the stream of runs is cut into messages.
 //!
-//! Tasks enter a buffer in *runs*: a dispatch asks [`AggBuffer::run_len`]
-//! how many of a destination's tasks fit before the next trigger and
-//! appends them with one [`AggBuffer::push_slice`]. Issue times are
-//! monotone in the task index ([`IssueClock`]), so that count has a
-//! closed form; [`AggBuffer::push`] is the run of one.
+//! Tasks are counted in *runs*: a dispatch asks [`Bundle::run_len`] how
+//! many of a destination's tasks fit before the next trigger and counts
+//! them with one [`Bundle::note`]. Issue times are monotone in the task
+//! index ([`IssueClock`]), so that count has a closed form.
 
+use atos_macros::atos_hot;
 use atos_sim::Time;
 
 use crate::config::AGGREGATOR_POLL_NS;
@@ -61,62 +63,42 @@ impl IssueClock {
     }
 }
 
-/// Per-destination accumulation buffer.
-#[derive(Debug)]
-pub struct AggBuffer<T> {
-    /// Destination PE.
-    pub dst: usize,
-    items: Vec<T>,
+/// One `(src, dst)` pair's open bundle as the flush policy sees it, and all
+/// the runtime keeps per pair: the tasks stay in the emitter runs they were
+/// written into ([`crate::comm`]), and a flush sends a car that counts them.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Bundle {
+    tasks: usize,
     bytes: u64,
     opened_at: Option<Time>,
 }
 
-impl<T: Copy> AggBuffer<T> {
-    /// Empty buffer for destination `dst`.
-    pub fn new(dst: usize) -> Self {
-        AggBuffer {
-            dst,
-            items: Vec::new(),
-            bytes: 0,
-            opened_at: None,
-        }
-    }
-
-    /// Append one task of `task_bytes` at time `now`.
+impl Bundle {
+    /// Count a run of `n` tasks of `task_bytes` each; `now`, the issue time
+    /// of its first task, opens the bundle if it was empty.
     #[inline]
-    pub fn push(&mut self, task: T, task_bytes: u64, now: Time) {
-        self.push_slice(std::slice::from_ref(&task), task_bytes, now);
-    }
-
-    /// Append a run of tasks of `task_bytes` each; `now`, the issue time of
-    /// its first task, opens the bundle if the buffer was empty.
-    // Vetted: the `reserve` runs only while a buffer is still growing;
-    // steady state reuses pooled capacity (`tests/alloc_count.rs`).
-    #[inline]
-    // atos-lint: allow(hot_path_alloc)
-    pub fn push_slice(&mut self, tasks: &[T], task_bytes: u64, now: Time) {
-        if tasks.is_empty() {
-            return;
-        }
-        if self.items.is_empty() {
+    #[atos_hot]
+    pub fn note(&mut self, n: usize, task_bytes: u64, now: Time) {
+        if self.tasks == 0 && n > 0 {
             self.opened_at = Some(now);
         }
-        let len = self.items.len() + tasks.len();
-        if len > self.items.capacity() {
-            // Power-of-two classes, as one-at-a-time pushes produce: bundle
-            // storage rotates through the runtime's train pool, where
-            // exact-size blocks of every run length fragment the heap.
-            self.items.reserve(len.next_power_of_two() - self.items.len());
-        }
-        self.items.extend_from_slice(tasks);
-        self.bytes += tasks.len() as u64 * task_bytes;
+        self.tasks += n;
+        self.bytes += n as u64 * task_bytes;
+    }
+
+    /// Close the bundle — returns `(tasks, payload_bytes)` and resets.
+    #[inline]
+    #[atos_hot]
+    pub fn close(&mut self) -> (usize, u64) {
+        let closed = std::mem::take(self);
+        (closed.tasks, closed.bytes)
     }
 
     /// How many of a dispatch's next `remaining` tasks — the first issued
-    /// as index `i` of `clock` — to append before the flush policy fires,
+    /// as index `i` of `clock` — to count before the flush policy fires,
     /// and whether it fires on the last of them (flush at that task's issue
-    /// time). Pushing one by one and asking [`AggBuffer::should_flush`]
-    /// after each stops at the same task.
+    /// time). Noting one by one and asking [`Bundle::should_flush`] after
+    /// each stops at the same task.
     pub fn run_len(
         &self,
         clock: &IssueClock,
@@ -156,16 +138,6 @@ impl<T: Copy> AggBuffer<T> {
         self.bytes
     }
 
-    /// Accumulated task count.
-    pub fn len(&self) -> usize {
-        self.items.len()
-    }
-
-    /// Whether the buffer holds nothing.
-    pub fn is_empty(&self) -> bool {
-        self.items.is_empty()
-    }
-
     /// Time the oldest unsent item was enqueued.
     pub fn opened_at(&self) -> Option<Time> {
         self.opened_at
@@ -177,7 +149,7 @@ impl<T: Copy> AggBuffer<T> {
     /// data is sent out, whether it meets the maximum message size or
     /// not"), so the age limit is `wait_time × AGGREGATOR_POLL_NS`.
     pub fn should_flush(&self, now: Time, batch_bytes: u64, wait_time: u32) -> bool {
-        if self.items.is_empty() {
+        if self.tasks == 0 {
             return false;
         }
         if self.bytes >= batch_bytes {
@@ -196,19 +168,67 @@ impl<T: Copy> AggBuffer<T> {
         self.opened_at
             .map(|t0| t0 + wait_time as u64 * AGGREGATOR_POLL_NS)
     }
+}
+
+/// A [`Bundle`] together with the tasks it counts. The runtime does not use
+/// it; filled one task at a time it is what the policy is specified against
+/// (`tests/aggregator_runs.rs`). Derefs to its record for `run_len`,
+/// `should_flush`, `age_deadline`, `bytes` and `opened_at`.
+#[derive(Debug)]
+pub struct AggBuffer<T> {
+    /// Destination PE.
+    pub dst: usize,
+    bundle: Bundle,
+    items: Vec<T>,
+}
+
+impl<T> std::ops::Deref for AggBuffer<T> {
+    type Target = Bundle;
+
+    fn deref(&self) -> &Bundle {
+        &self.bundle
+    }
+}
+
+impl<T: Copy> AggBuffer<T> {
+    /// Empty buffer for destination `dst`.
+    pub fn new(dst: usize) -> Self {
+        AggBuffer {
+            dst,
+            bundle: Bundle::default(),
+            items: Vec::new(),
+        }
+    }
+
+    /// Append one task of `task_bytes` at time `now`.
+    #[inline]
+    pub fn push(&mut self, task: T, task_bytes: u64, now: Time) {
+        self.push_slice(std::slice::from_ref(&task), task_bytes, now);
+    }
+
+    /// Append a run of tasks of `task_bytes` each; `now`, the issue time of
+    /// its first task, opens the bundle if the buffer was empty.
+    #[inline]
+    pub fn push_slice(&mut self, tasks: &[T], task_bytes: u64, now: Time) {
+        self.bundle.note(tasks.len(), task_bytes, now);
+        self.items.extend_from_slice(tasks);
+    }
+
+    /// Accumulated task count.
+    pub fn len(&self) -> usize {
+        self.items.len()
+    }
+
+    /// Whether the buffer holds nothing.
+    pub fn is_empty(&self) -> bool {
+        self.items.is_empty()
+    }
 
     /// Take the bundle — returns `(tasks, payload_bytes)` and resets —
-    /// installing `replacement` (an empty vector, usually
-    /// recycled from the runtime's train pool) as the new accumulation
-    /// storage. With a pooled replacement the buffer's backing memory
-    /// rotates through the pool instead of being reallocated per bundle —
-    /// the aggregated path's steady state performs no per-flush heap
-    /// allocation.
+    /// installing `replacement` (empty, maybe recycled) as the new storage.
     pub fn flush_with(&mut self, replacement: Vec<T>) -> (Vec<T>, u64) {
         debug_assert!(replacement.is_empty(), "replacement must be empty");
-        let bytes = self.bytes;
-        self.bytes = 0;
-        self.opened_at = None;
+        let (_, bytes) = self.bundle.close();
         (std::mem::replace(&mut self.items, replacement), bytes)
     }
 }
@@ -277,14 +297,28 @@ mod tests {
         for t in 0..100u32 {
             a.push(t, 8, 10 + t as u64);
             b.push_slice(&[t], 8, 10 + t as u64);
-            assert_eq!(a.items.capacity(), b.items.capacity());
         }
-        assert_eq!((a.len(), a.bytes(), a.opened_at()), (b.len(), b.bytes(), b.opened_at()));
-        // Runs grow storage in the classes single pushes do.
-        let mut c = AggBuffer::new(0);
-        c.push_slice(&[0u32; 100], 8, 10);
-        assert_eq!(c.items.capacity(), a.items.capacity());
+        assert_eq!((a.len(), *a), (b.len(), *b));
+        // An empty run neither opens a bundle nor re-stamps an open one.
+        b.push_slice(&[], 8, 99);
+        assert_eq!(b.opened_at(), Some(10));
+        let mut c: AggBuffer<u32> = AggBuffer::new(0);
         c.push_slice(&[], 8, 99);
-        assert_eq!(c.opened_at(), Some(10));
+        assert_eq!(*c, Bundle::default());
+    }
+
+    #[test]
+    fn a_bundle_counts_what_a_buffer_holds() {
+        let (mut buf, mut bundle) = (AggBuffer::new(3), Bundle::default());
+        for (n, now) in [(3usize, 40u64), (0, 50), (5, 60)] {
+            buf.push_slice(&vec![7u16; n], 2, now);
+            bundle.note(n, 2, now);
+            assert_eq!(*buf, bundle);
+        }
+        assert_eq!((bundle.bytes(), bundle.opened_at()), (16, Some(40)));
+        let (items, bytes) = buf.flush_with(Vec::new());
+        assert_eq!((items.len(), bytes), bundle.close());
+        assert_eq!(bundle, Bundle::default());
+        assert_eq!(*buf, bundle);
     }
 }

@@ -8,10 +8,13 @@
 //!
 //! * a **car** ([`Car`], 40 bytes, plain data) — the ordering key, the
 //!   half-charged transfer and a task count;
-//! * a share of a **train** — the buffer the tasks were emitted into,
-//!   moved out of the emitter (or the aggregator) whole. One scheduling
-//!   step's tasks for one destination are one train however many messages
-//!   carry them, and an aggregator bundle is a train of one car.
+//! * a share of a route's **trains** — the buffers the tasks were emitted
+//!   into, moved out of the emitter whole: one scheduling step's tasks for
+//!   one destination are one train, in both comm modes. Cars only say
+//!   where that stream is cut, and tile the *concatenation* of the route's
+//!   trains: direct mode cuts every `group` tasks, the aggregator where a
+//!   trigger fires ([`crate::aggregator::Bundle`]) — its car can span
+//!   several trains and leave windows after the first of them did.
 //!
 //! No task is copied and nothing is allocated per message between
 //! `process` and `on_receive`.
@@ -105,9 +108,8 @@ impl Car {
     }
 }
 
-/// The tasks one PE emitted for one destination in one go — a scheduling
-/// step's run in direct mode, a flushed bundle in aggregated mode — in
-/// the buffer they were emitted into.
+/// The tasks one PE emitted for one destination in one scheduling step,
+/// in the buffer they were emitted into.
 #[derive(Debug)]
 pub(crate) struct Train<T> {
     src: u16,
@@ -116,8 +118,8 @@ pub(crate) struct Train<T> {
 }
 
 /// What one window's sends leave for the barrier: cars in emission order,
-/// and their trains in emission order. A route's cars tile its trains
-/// front to back, so neither refers to the other.
+/// and trains in emission order. A route's cars tile the concatenation of
+/// its trains front to back, so neither refers to the other.
 #[derive(Debug)]
 pub(crate) struct Outbox<T> {
     pub(crate) cars: Vec<Car>,
@@ -134,6 +136,11 @@ impl<T> Default for Outbox<T> {
 }
 
 impl<T> Outbox<T> {
+    /// Whether the window sent nothing.
+    pub(crate) fn is_empty(&self) -> bool {
+        self.cars.is_empty() && self.trains.is_empty()
+    }
+
     /// Move everything into `rows[shard_of[dst]]`, keeping emission order
     /// within each row (and so within each route).
     pub(crate) fn split_into(&mut self, shard_of: &[usize], rows: &mut [Outbox<T>]) {
@@ -201,9 +208,9 @@ impl<T> OutboxBoard<T> {
     }
 }
 
-/// Free list of task buffers: emitter runs and aggregator bundles leave
-/// as trains, come home empty when their last car is delivered, and go
-/// out again — whole, so a buffer that has grown to a step's run length
+/// Free list of task buffers: emitter runs leave as trains, come home
+/// empty when the car covering their last task is delivered, and go out
+/// again — whole, so a buffer that has grown to a step's run length
 /// stays that size instead of cycling through the allocator.
 #[derive(Debug)]
 pub struct TrainPool<T> {
@@ -267,8 +274,9 @@ impl LaneCar {
     }
 }
 
-/// One `(src, dst)` route's arrivals: cars in key order, the trains they
-/// tile in emission order, and how far into the front train delivery got.
+/// One `(src, dst)` route's arrivals: cars in key order, the trains whose
+/// concatenation they tile in emission order — waiting, while their bundle
+/// is open at the source — and how far into the front train delivery got.
 #[derive(Debug)]
 struct Lane<T> {
     cars: VecDeque<LaneCar>,
@@ -278,11 +286,27 @@ struct Lane<T> {
 
 /// Where [`Rx::drain_before`] hands deliveries.
 pub trait Sink<T> {
-    /// One car's tasks, in emission order.
+    /// The next tasks of the car being delivered, in emission order: all
+    /// of them, or — for a car that spans trains — one contiguous piece.
     fn run(&mut self, tasks: &[T]);
     /// Every car of the delivery that arrived at `at` has been handed
     /// over (one call per `(arrival, seq)` key).
     fn delivered(&mut self, at: Time);
+}
+
+/// Outlined abort for the invariant every lane rests on: the car being
+/// delivered counts `owed` tasks more than its route's trains hold, and
+/// carrying on would silently drop them.
+// Outlined failure path, vetted: invariant-violation abort.
+#[cold]
+#[inline(never)]
+// atos-lint: allow(panic_in_kernel)
+fn car_outran_its_trains(src: usize, car: LaneCar, owed: usize) -> ! {
+    panic!(
+        "lane invariant broken: the car of {} tasks from PE {src} arriving at {} ns \
+         outran its trains, {owed} tasks still owed",
+        car.tasks, car.arrival
+    );
 }
 
 /// A PE's receive side: one lane per source PE.
@@ -416,19 +440,21 @@ impl<T> Rx<T> {
             let lane = &mut self.lanes[src];
             lane.cars.pop_front();
             self.cars -= 1;
-            let Some(train) = lane.trains.front() else {
-                debug_assert!(false, "a car outran its train");
-                break;
-            };
-            let end = lane.cursor + car.tasks as usize;
-            debug_assert!(end <= train.len(), "cars must tile their train");
-            sink.run(&train[lane.cursor..end]);
-            if end < train.len() {
-                lane.cursor = end;
-            } else {
-                lane.cursor = 0;
-                if let Some(done) = lane.trains.pop_front() {
-                    pool.give(done);
+            let mut owed = car.tasks as usize;
+            while owed > 0 {
+                let Some(train) = lane.trains.front() else {
+                    car_outran_its_trains(src, car, owed);
+                };
+                let end = train.len().min(lane.cursor + owed);
+                sink.run(&train[lane.cursor..end]);
+                owed -= end - lane.cursor;
+                if end < train.len() {
+                    lane.cursor = end;
+                } else {
+                    lane.cursor = 0;
+                    if let Some(done) = lane.trains.pop_front() {
+                        pool.give(done);
+                    }
                 }
             }
         }
@@ -577,11 +603,11 @@ impl<A: Application, Tr: Tracer> Runtime<A, Tr> {
     }
 
     /// Route remote emissions, which the emitter already holds as one run
-    /// per destination: either send them directly (fine-grained, spread
-    /// across the step for in-kernel overlap) — the run leaves as one
-    /// train, swapped out of the emitter — or move them into the
-    /// aggregator a run at a time. Destinations are walked in ascending
-    /// order, each in emission order.
+    /// per destination. Each run leaves whole as one train, swapped out of
+    /// the emitter; the comm mode only decides where cars are cut — every
+    /// `group` tasks (fine-grained, spread across the step for in-kernel
+    /// overlap), or where the aggregator's policy fires, if it does in this
+    /// dispatch. Destinations ascend, each in emission order.
     #[atos_hot]
     pub(crate) fn dispatch_remote(
         &mut self,
@@ -614,66 +640,63 @@ impl<A: Application, Tr: Tracer> Runtime<A, Tr> {
                 }
             }
         }
+        // One issue per message across all destinations, or one per task.
+        let issues = match self.cfg.comm {
+            CommMode::Direct { group } => {
+                em.remote.iter().map(|v| v.len().div_ceil(group.max(1))).sum()
+            }
+            CommMode::Aggregated { .. } => total,
+        };
         // In-kernel issue times: Atos spreads `issues` sends across the
         // busy window (communication/computation overlap); kernel-boundary
         // frameworks emit everything when the kernel completes.
-        let in_kernel = self.tuning.in_kernel_comm;
-        let clock = |issues: usize| match in_kernel {
+        let clock = match self.tuning.in_kernel_comm {
             true => IssueClock::spread(now, busy, issues),
             false => IssueClock::spread(metadata_done, 0, 1),
         };
         let mut i = 0u64;
-        match self.cfg.comm {
-            CommMode::Direct { group } => {
-                let group = group.max(1);
-                // One issue per message, across all destinations.
-                let clock = clock(em.remote.iter().map(|v| v.len().div_ceil(group)).sum());
-                for dst in 0..em.remote.len() {
-                    let len = em.remote[dst].len();
-                    if len == 0 {
-                        continue;
-                    }
-                    let mut sent = 0;
-                    while sent < len {
-                        let tasks = group.min(len - sent);
+        for dst in 0..em.remote.len() {
+            let mut rest = em.remote[dst].len();
+            if rest == 0 {
+                continue;
+            }
+            match self.cfg.comm {
+                CommMode::Direct { group } => {
+                    while rest > 0 {
+                        let tasks = group.clamp(1, rest);
                         self.route(clock.at(i), src, dst, tasks, task_bytes);
-                        sent += tasks;
+                        rest -= tasks;
                         i += 1;
                     }
-                    let run = std::mem::replace(&mut em.remote[dst], self.comm.pool.take());
-                    self.depart(src, dst, run);
                 }
-            }
-            CommMode::Aggregated {
-                batch_bytes,
-                wait_time,
-            } => {
-                // One issue per task. Each destination's run goes into its
-                // accumulation buffer in as few copies as the flush policy
-                // allows: up to the next size or age trigger, flush, repeat.
-                let clock = clock(total);
-                for (dst, tasks) in em.remote.iter().enumerate() {
-                    let mut rest = &tasks[..];
-                    while !rest.is_empty() {
-                        let buf = &mut self.pes[src].agg[dst];
+                CommMode::Aggregated {
+                    batch_bytes,
+                    wait_time,
+                } => {
+                    // Count the run into the pair's bundle: up to the
+                    // next size or age trigger, flush, repeat.
+                    while rest > 0 {
+                        let bundle = &mut self.pes[src].agg[dst];
                         let (k, fires) =
-                            buf.run_len(&clock, i, rest.len(), task_bytes, batch_bytes, wait_time);
-                        buf.push_slice(&rest[..k], task_bytes, clock.at(i));
-                        rest = &rest[k..];
+                            bundle.run_len(&clock, i, rest, task_bytes, batch_bytes, wait_time);
+                        bundle.note(k, task_bytes, clock.at(i));
+                        rest -= k;
                         i += k as u64;
                         if fires {
                             self.flush_bundle(clock.at(i - 1), src, dst, task_bytes, batch_bytes);
                         }
                     }
                 }
-                self.schedule_agg_poll(src);
             }
+            let run = std::mem::replace(&mut em.remote[dst], self.comm.pool.take());
+            self.depart(src, dst, run);
         }
+        self.schedule_agg_poll(src);
     }
 
-    /// Flush one aggregator bundle as a one-car train. `batch_bytes` is
-    /// the size trigger, used to classify the flush (a bundle at or above
-    /// it flushed on size, otherwise on age).
+    /// Flush one aggregator bundle: close the pair's record and cut a car
+    /// over the tasks it counted. `batch_bytes` is the size trigger, used
+    /// to classify the flush (at or above it: on size, otherwise on age).
     #[atos_hot]
     fn flush_bundle(
         &mut self,
@@ -683,17 +706,17 @@ impl<A: Application, Tr: Tracer> Runtime<A, Tr> {
         task_bytes: u64,
         batch_bytes: u64,
     ) {
-        let by_size = self.pes[src].agg[dst].bytes() >= batch_bytes;
-        let opened = self.pes[src].agg[dst].opened_at().unwrap_or(at);
-        let replacement = self.comm.pool.take();
-        let (bundle, bytes) = self.pes[src].agg[dst].flush_with(replacement);
+        let bundle = &mut self.pes[src].agg[dst];
+        let by_size = bundle.bytes() >= batch_bytes;
+        let opened = bundle.opened_at().unwrap_or(at);
+        let (tasks, bytes) = bundle.close();
         self.stats.agg_flushes += 1;
         if by_size {
             self.stats.agg_flushes_size += 1;
         } else {
             self.stats.agg_flushes_age += 1;
         }
-        self.stats.agg_flushed_tasks += bundle.len() as u64;
+        self.stats.agg_flushed_tasks += tasks as u64;
         self.stats.agg_flushed_bytes += bytes;
         if self.tracer.is_enabled() {
             // The aggregation window: from the oldest queued item to the
@@ -704,15 +727,15 @@ impl<A: Application, Tr: Tracer> Runtime<A, Tr> {
                 at.saturating_sub(opened),
                 if by_size { "flush[size]" } else { "flush[age]" },
                 ["bytes", "tasks"],
-                [bytes, bundle.len() as u64],
+                [bytes, tasks as u64],
             );
         }
-        self.route(at, src, dst, bundle.len(), task_bytes);
-        self.depart(src, dst, bundle);
+        self.route(at, src, dst, tasks, task_bytes);
     }
 
-    /// Stage the (non-empty) buffer the cars just routed from `src` to
-    /// `dst` count into.
+    /// Stage the (non-empty) run `src` just emitted for `dst`: the next
+    /// stretch of what the route's cars, sent already or yet to be, count.
+    #[atos_hot]
     fn depart(&mut self, src: usize, dst: usize, buf: Vec<A::Task>) {
         self.comm.outbox.trains.push(Train {
             src: src as u16,
@@ -775,9 +798,6 @@ impl<A: Application, Tr: Tracer> Runtime<A, Tr> {
     /// `run_sharded` routes cross-shard rows through the exchange board
     /// first).
     pub(crate) fn merge_exchange(&mut self) {
-        if self.comm.outbox.cars.is_empty() {
-            return;
-        }
         let mut outbox = std::mem::take(&mut self.comm.outbox);
         self.merge_records(&mut outbox);
         self.comm.outbox = outbox;
@@ -791,14 +811,13 @@ impl<A: Application, Tr: Tracer> Runtime<A, Tr> {
     /// capacity.
     #[atos_hot]
     pub(crate) fn merge_records(&mut self, inbox: &mut Outbox<A::Task>) {
-        if inbox.cars.is_empty() {
-            debug_assert!(inbox.trains.is_empty(), "a train without cars");
-            return;
-        }
         for train in inbox.trains.drain(..) {
             self.pes[train.dst as usize]
                 .rx
                 .push_train(train.src as usize, train.buf);
+        }
+        if inbox.cars.is_empty() {
+            return; // only runs whose bundles are still open
         }
         // Keys are unique (per-source counters), so unstable sort is
         // deterministic.

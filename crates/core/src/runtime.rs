@@ -23,8 +23,8 @@
 //!   step (that is exactly what the baselines in `atos-baselines` do).
 //! * Each message pays the GPU-resident control path
 //!   ([`ControlPath::gpu_direct`]) plus fabric serialization and latency.
-//! * In aggregated mode, pushes land in per-destination
-//!   [`AggBuffer`]s instead, and bundles leave on the size/age triggers.
+//! * In aggregated mode, pushes are counted into per-destination
+//!   [`Bundle`]s instead, and bundles leave on the size/age triggers.
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -34,7 +34,7 @@ use atos_queue::sync::{thread, AtomicU64, Ordering};
 use atos_sim::{imbalance_permille, ControlPath, Engine, Fabric, GpuCostModel, Time};
 use atos_trace::{NullTracer, TraceBuffer, Tracer, Track};
 
-use crate::aggregator::AggBuffer;
+use crate::aggregator::Bundle;
 use crate::app::{Application, IdleOutcome, ShardableApp};
 use crate::comm::{Comm, Outbox, OutboxBoard, Rx};
 use crate::config::{AtosConfig, KernelMode, QueueMode};
@@ -128,7 +128,9 @@ pub(crate) struct Pe<T> {
     /// Arrivals resolved at a barrier and not yet handed to the
     /// application (`comm`).
     pub(crate) rx: Rx<T>,
-    pub(crate) agg: Vec<AggBuffer<T>>,
+    /// The open aggregator bundle toward each destination: counts only —
+    /// the tasks ride in the trains `comm` stages.
+    pub(crate) agg: Vec<Bundle>,
     pub(crate) step_scheduled: bool,
     pub(crate) agg_poll_scheduled: bool,
     /// Fire time of the pending aggregator poll (valid only while
@@ -233,7 +235,7 @@ impl<A: Application, Tr: Tracer> Runtime<A, Tr> {
                     } => WorkQueue::priority(threshold, threshold_delta),
                 },
                 rx: Rx::new(n_pes),
-                agg: (0..n_pes).map(AggBuffer::new).collect(),
+                agg: vec![Bundle::default(); n_pes],
                 step_scheduled: false,
                 agg_poll_scheduled: false,
                 agg_poll_deadline: 0,
@@ -403,7 +405,7 @@ impl<A: Application, Tr: Tracer> Runtime<A, Tr> {
     /// event loop drains.
     fn finish_stats(&mut self) {
         debug_assert!(
-            self.pes.iter().all(|p| p.rx.is_drained()) && self.comm.outbox.cars.is_empty(),
+            self.pes.iter().all(|p| p.rx.is_drained()) && self.comm.outbox.is_empty(),
             "run ended with an undelivered arrival or a train still held"
         );
         // Extend the utilization series to the true run end so trailing
@@ -724,7 +726,7 @@ impl<A: ShardableApp, Tr: Tracer> Runtime<A, Tr> {
             sub.stats.sim_events = sub.engine.processed();
             sub.stats.peak_pending_events = sub.engine.max_pending() as u64;
             debug_assert!(
-                sub.pes.iter().all(|p| p.rx.is_drained()) && sub.comm.outbox.cars.is_empty(),
+                sub.pes.iter().all(|p| p.rx.is_drained()) && sub.comm.outbox.is_empty(),
                 "shard {s} ended with an undelivered arrival or a train still held"
             );
             elapsed = elapsed.max(sub.engine.now());

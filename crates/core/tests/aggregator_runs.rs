@@ -1,18 +1,27 @@
 //! The aggregator's run fill against the per-task loop it replaced.
 //!
 //! `Runtime::dispatch_remote` used to push every remote task into its
-//! accumulation buffer one by one and ask the flush policy after each. It
-//! now asks `AggBuffer::run_len` how far the next trigger is and appends
-//! that many with one `push_slice`. The old loop is kept here as the
-//! oracle: both must flush the same bundles at the same times and leave
-//! the same residue — that is what keeps every virtual time unchanged.
+//! accumulation buffer one by one and ask the flush policy after each.
+//! Then it asked `AggBuffer::run_len` how far the next trigger is and
+//! appended that many with one `push_slice`; now it keeps no buffer at all
+//! and counts the run into a `Bundle` with one `note`. The first loop is
+//! kept here as the oracle: all three must flush the same bundles at the
+//! same times and leave the same residue — that is what keeps every virtual
+//! time unchanged. The second half of the file holds whole runs to what
+//! they were while bundles were copies.
 
-use atos_core::aggregator::{AggBuffer, IssueClock};
-use atos_sim::Time;
+use atos_core::aggregator::{AggBuffer, Bundle, IssueClock};
+use atos_core::{
+    Application, AtosConfig, CommMode, Emitter, LoadBalance, RunStats, Runtime, ShardableApp,
+};
+use atos_sim::{Fabric, Time};
 use proptest::prelude::*;
 
 /// One flushed bundle: `(dst, flush time, tasks, bytes, by_size)`.
 type Flushed = (usize, Time, Vec<u32>, u64, bool);
+/// A bundle as the runtime knows it: `(dst, flush time, task count, bytes,
+/// by_size)`.
+type Cut = (usize, Time, usize, u64, bool);
 /// What stays behind in a buffer: `(len, bytes, opened_at)`.
 type Residual = (usize, u64, Option<Time>);
 
@@ -89,7 +98,8 @@ impl Dispatch {
         })
     }
 
-    /// The runtime's loop: append up to the next trigger, flush, repeat.
+    /// The run fill on a buffer: append up to the next trigger, flush,
+    /// repeat.
     fn run_filled(&self) -> (Vec<Flushed>, Vec<Residual>) {
         let clock = self.clock();
         let (tb, batch, wait) = (self.task_bytes, self.batch_bytes, self.wait_time);
@@ -108,10 +118,44 @@ impl Dispatch {
         })
     }
 
-    /// Both loops agree; returns what they produced.
+    /// The runtime's loop, on the record that is all it keeps: count up to
+    /// the next trigger, close, repeat. A bundle is `(dst, flush time,
+    /// tasks, bytes, by_size)`: where the stream of tasks is cut, and when.
+    fn counted(&self) -> (Vec<Cut>, Vec<Residual>) {
+        let clock = self.clock();
+        let (tb, batch, wait) = (self.task_bytes, self.batch_bytes, self.wait_time);
+        let mut cuts = Vec::new();
+        let mut i = 0u64;
+        let residual = (self.lens.iter().enumerate())
+            .map(|(dst, &len)| {
+                let mut bundle = Bundle::default();
+                bundle.note(self.pre.1, tb, self.pre.0);
+                let mut rest = len;
+                while rest > 0 {
+                    let (k, fires) = bundle.run_len(&clock, i, rest, tb, batch, wait);
+                    bundle.note(k, tb, clock.at(i));
+                    rest -= k;
+                    i += k as u64;
+                    if fires {
+                        let by_size = bundle.bytes() >= batch;
+                        let (tasks, bytes) = bundle.close();
+                        cuts.push((dst, clock.at(i - 1), tasks, bytes, by_size));
+                    }
+                }
+                let opened_at = bundle.opened_at();
+                let (tasks, bytes) = bundle.close();
+                (tasks, bytes, opened_at)
+            })
+            .collect();
+        (cuts, residual)
+    }
+
+    /// All three loops agree; returns what they produced.
     fn check(&self) -> (Vec<Flushed>, Vec<Residual>) {
         let want = self.per_task();
         assert_eq!(self.run_filled(), want, "{self:?}");
+        let cuts = want.0.iter().map(|f| (f.0, f.1, f.2.len(), f.3, f.4)).collect();
+        assert_eq!(self.counted(), (cuts, want.1.clone()), "{self:?}");
         want
     }
 }
@@ -243,3 +287,150 @@ fn corner_bundle_opened_after_this_dispatch_began() {
     let (flushed, _) = Dispatch { wait_time: 0, ..d }.check();
     assert_eq!(flushed[0].2.len(), 3);
 }
+
+// ---------------------------------------------------------------------------
+// Whole runs: a bundle that spans steps, a step that spans bundles.
+// ---------------------------------------------------------------------------
+
+const LEAF: u32 = u32::MAX;
+
+/// Chains of steps on PEs 0 and 1: a link `(ttl, id)` sends `fan` leaves to every
+/// other PE and re-emits itself locally until `ttl` runs out, so each step
+/// leaves one run per destination. Every PE folds the leaves it receives,
+/// in order, into a hash.
+struct Spray {
+    n_pes: usize,
+    fan: u32,
+    received: Vec<u64>,
+}
+
+impl Application for Spray {
+    type Task = (u32, u32);
+
+    fn process(&mut self, pe: usize, (ttl, id): (u32, u32), out: &mut Emitter<(u32, u32)>) {
+        if ttl == LEAF {
+            return;
+        }
+        for i in 0..self.fan * (self.n_pes as u32 - 1) {
+            let dst = (pe + 1 + i as usize % (self.n_pes - 1)) % self.n_pes;
+            out.push(dst, (LEAF, id.wrapping_mul(1_000_003).wrapping_add(i)));
+        }
+        if ttl > 0 {
+            out.push_local((ttl - 1, id + 1));
+        }
+    }
+
+    fn on_receive(&mut self, pe: usize, task: (u32, u32)) -> Option<(u32, u32)> {
+        let h = &mut self.received[pe];
+        *h = (*h ^ task.1 as u64).wrapping_mul(0x0000_0100_0000_01B3);
+        Some(task)
+    }
+
+    fn task_edges(&self, _t: &(u32, u32)) -> u64 {
+        1
+    }
+}
+
+impl ShardableApp for Spray {
+    fn fork(&self, _lo: usize, _hi: usize) -> Self {
+        Spray { n_pes: self.n_pes, fan: self.fan, received: self.received.clone() }
+    }
+
+    fn join(&mut self, shard: Self, lo: usize, hi: usize) {
+        self.received[lo..hi].copy_from_slice(&shard.received[lo..hi]);
+    }
+}
+
+fn fnv(bytes: impl IntoIterator<Item = u8>) -> u64 {
+    bytes.into_iter().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01B3)
+    })
+}
+
+/// Run `chains` chains of `ttl + 1` links on PE 0 and half as many on PE 1
+/// of a 4-PE InfiniBand cluster, so every lane-to-lane interleaving at a
+/// receiver is the schedule's; returns the stats and `[fnv(format!("{stats:?}")), fnv(every
+/// PE's delivered-task hash)]`.
+fn spray(
+    fan: u32,
+    chains: u32,
+    ttl: u32,
+    comm: CommMode,
+    lb: LoadBalance,
+    k: usize,
+) -> (RunStats, [u64; 2]) {
+    let app = Spray { n_pes: 4, fan, received: vec![0; 4] };
+    let cfg = AtosConfig { comm, ..AtosConfig::ib_pagerank() }.with_lb(lb);
+    let mut rt = Runtime::new(app, Fabric::ib_cluster(4), cfg);
+    rt.seed(0, (0..chains).map(|c| (ttl, c * 1_000)));
+    rt.seed(1, (0..chains / 2).map(|c| (ttl, 500 + c * 1_000)));
+    let stats = rt.run_sharded_on(k, k);
+    let order = fnv(rt.app().received.iter().flat_map(|h| h.to_le_bytes()));
+    let row = [fnv(format!("{stats:?}").bytes()), order];
+    (stats, row)
+}
+
+/// `(load balance, shards)` in the order the pinned rows are listed.
+const TWINS: [(LoadBalance, usize); 4] = [
+    (LoadBalance::Owner, 1),
+    (LoadBalance::Owner, 2),
+    (LoadBalance::Steal, 1),
+    (LoadBalance::Steal, 2),
+];
+
+#[test]
+fn a_bundle_spanning_steps_runs_as_it_did_when_bundles_were_copies() {
+    // 1 MiB batches never fill, and 8 polls (12 µs) outlast some twenty
+    // half-microsecond steps: every bundle is the age trigger's — most cut by
+    // a later dispatch, the last by the poll — over many steps' runs.
+    let comm = CommMode::Aggregated { batch_bytes: 1 << 20, wait_time: 8 };
+    let mut got = Vec::new();
+    for (lb, k) in TWINS {
+        let (s, row) = spray(3, 6, 400, comm, lb, k);
+        println!("    {row:?}, // {lb:?}/{k}: {} bundles", s.agg_flushes);
+        assert_eq!((s.agg_flushes_size, s.remote_tasks), (0, 9 * 401 * 9), "{s:?}");
+        // A chain's links run in successive steps, so each source emitted
+        // at least 401 runs per destination: three and more to a bundle.
+        assert!(s.agg_flushes * 3 <= 2 * 3 * 401, "{s:?}");
+        assert_eq!(lb == LoadBalance::Steal, s.lb_steals > 0, "{s:?}");
+        got.push(row);
+    }
+    assert_eq!(got, SPANNING_STEPS);
+}
+
+#[test]
+fn a_step_cut_into_bundles_runs_as_it_did_when_bundles_were_copies() {
+    // 128-byte batches against 50 eight-byte tasks per link and
+    // destination: the size trigger cuts even a one-link run three times,
+    // and the remainder rides into the next step's run.
+    let comm = CommMode::Aggregated { batch_bytes: 128, wait_time: 32 };
+    let mut got = Vec::new();
+    for (lb, k) in TWINS {
+        let (s, row) = spray(50, 6, 12, comm, lb, k);
+        println!("    {row:?}, // {lb:?}/{k}: {} size + {} age bundles", s.agg_flushes_size, s.agg_flushes_age);
+        assert_eq!(s.remote_tasks, 9 * 13 * 150, "{s:?}");
+        assert!(s.agg_flushes_size >= 3 * 3 * 9 * 13 && s.agg_flushes_age > 0, "{s:?}");
+        assert_eq!(lb == LoadBalance::Steal, s.lb_steals > 0, "{s:?}");
+        got.push(row);
+    }
+    assert_eq!(got, CUT_WITHIN_A_STEP);
+}
+
+/// Captured on the parent commit fe33613, whose aggregator copied every
+/// task into a per-pair buffer and sent each bundle as a train of its own
+/// (`cargo test -p atos-core --test aggregator_runs -- --nocapture` prints
+/// the rows).
+#[rustfmt::skip]
+const SPANNING_STEPS: [[u64; 2]; 4] = [
+    [16327134036685278658, 11955051332651252563], // Owner/1: 102 bundles
+    [16327134036685278658, 11955051332651252563], // Owner/2: 102 bundles
+    [16416126955759301857, 1628912714987714579], // Steal/1: 72 bundles
+    [196864865132176419, 11955051332651252563], // Steal/2: 102 bundles
+];
+#[rustfmt::skip]
+const CUT_WITHIN_A_STEP: [[u64; 2]; 4] = [
+    [14339362818366167074, 9117714385370042282], // Owner/1: 1092 size + 6 age bundles
+    [14339362818366167074, 9117714385370042282], // Owner/2: 1092 size + 6 age bundles
+    [16267583173629404588, 14877393461571253251], // Steal/1: 1092 size + 6 age bundles
+    [15064989755177230551, 9117714385370042282], // Steal/2: 1092 size + 6 age bundles
+];

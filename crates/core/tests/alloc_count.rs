@@ -109,6 +109,31 @@ impl ShardableApp for Relay {
     fn join(&mut self, _shard: Self, _lo: usize, _hi: usize) {}
 }
 
+/// PE 0 counts down one step at a time, sending one task to PE 1 per step:
+/// under the aggregator, many steps' runs feed one open bundle.
+struct Drip;
+
+impl Application for Drip {
+    type Task = u32;
+
+    fn process(&mut self, pe: usize, task: u32, out: &mut Emitter<u32>) {
+        if pe == 0 {
+            out.push(1, task);
+            if task > 0 {
+                out.push_local(task - 1);
+            }
+        }
+    }
+
+    fn on_receive(&mut self, _pe: usize, task: u32) -> Option<u32> {
+        Some(task)
+    }
+
+    fn task_edges(&self, _t: &u32) -> u64 {
+        1
+    }
+}
+
 /// Both scenarios live in one test so the process-global counter is never
 /// polluted by a concurrently running sibling test.
 #[test]
@@ -156,6 +181,29 @@ fn steady_state_send_paths_do_not_allocate_per_task() {
     assert!(
         during < 2_000,
         "aggregated mode: {during} allocations for {} bundles (expected warm-up only)",
+        stats.agg_flushes
+    );
+
+    // A bundle that spans steps: each of PE 0's steps leaves a one-task run
+    // that departs as a train at once and waits in PE 1's lane — dozens
+    // deep — until the age trigger cuts one car over all of them. Runs,
+    // lane slots and the car's pieces all come out of recycled storage.
+    const DRIPS: u32 = 20_000;
+    let mut rt = Runtime::new(Drip, Fabric::ib_cluster(2), AtosConfig::ib_pagerank());
+    rt.seed(0, [DRIPS - 1]);
+    let before = alloc_calls();
+    let stats = rt.run();
+    let during = alloc_calls() - before;
+    assert_eq!(stats.agg_flushed_tasks, DRIPS as u64);
+    assert!(
+        stats.agg_flushes > 100 && stats.agg_flushes * 10 < DRIPS as u64,
+        "{} bundles for {DRIPS} one-task steps (each must span many)",
+        stats.agg_flushes
+    );
+    assert!(
+        during < 2_000,
+        "multi-step bundles: {during} allocations for {DRIPS} trains under {} cars \
+         (expected warm-up only)",
         stats.agg_flushes
     );
 
@@ -421,17 +469,20 @@ fn every_hot_runtime_fn_is_covered_by_a_counted_scenario() {
         ("process_batch", "every relay: each batch; steal and busy-receiver relays: batches long enough to hint"),
         ("absorb_local", "both relays: emitter drain after each step"),
         ("dispatch_remote", "both relays: every hop is a remote push"),
-        ("flush_bundle", "aggregated relay: age trigger flushes each bundle"),
+        ("note", "aggregated relay and drip: every run counted into its pair's bundle"),
+        ("close", "aggregated relay and drip: every flush closes the record"),
+        ("flush_bundle", "aggregated relay: age trigger flushes each bundle; drip: one car over many steps' runs"),
+        ("depart", "every relay: each destination's run leaves the emitter as a train"),
         ("route", "both relays: fabric routing for every message"),
         ("egress", "both relays: the egress half of every routed message"),
-        ("take", "every relay: a pooled buffer replaces each departing run / bundle"),
-        ("give", "every relay: a train's buffer comes home when its last car is delivered"),
+        ("take", "every relay: a pooled buffer replaces each departing run"),
+        ("give", "every relay: a train's buffer comes home when the car over its last task is delivered"),
         ("merge_records", "all relays: staged cars resolved at every window boundary"),
         ("file", "all relays: every resolved car pushed onto its lane"),
         ("arrive", "both relays: a doorbell per arrival at the idle peer PE"),
         ("settle", "every relay event; busy receiver: steps settle their lanes"),
         ("deliver", "under every settle and every doorbell"),
-        ("drain_before", "every relay: lane cars delivered in key order"),
+        ("drain_before", "every relay: lane cars delivered in key order; drip: a car handed over train by train"),
         ("ring_doorbell", "every relay: each barrier, doorbell and step that leaves a PE idle"),
         ("ring_next", "lockstep relay: every hop's lane car becomes a doorbell event"),
         ("schedule_agg_poll", "aggregated relay: poll armed per open bundle"),
@@ -450,9 +501,10 @@ fn every_hot_runtime_fn_is_covered_by_a_counted_scenario() {
     ];
 
     let manifest = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
-    // The scheduler's hot path spans three files: the step loop, the
-    // steal policy it calls on an empty pop, and the communication path.
-    let runtime_src = ["src/runtime.rs", "src/loadbalance.rs", "src/comm.rs"]
+    // The scheduler's hot path spans four files: the step loop, the steal
+    // policy it calls on an empty pop, the communication path, and the
+    // aggregator's bundle record that path keeps per destination.
+    let runtime_src = ["src/runtime.rs", "src/loadbalance.rs", "src/comm.rs", "src/aggregator.rs"]
         .map(|f| std::fs::read_to_string(manifest.join(f)).expect(f))
         .concat();
     let engine_src = std::fs::read_to_string(manifest.join("../sim/src/engine.rs"))
@@ -463,8 +515,8 @@ fn every_hot_runtime_fn_is_covered_by_a_counted_scenario() {
     assert_eq!(
         hot_fns(&runtime_src),
         covered,
-        "the #[atos_hot] set in runtime.rs + loadbalance.rs + comm.rs and \
-         the counted-scenario map in this test must stay in sync"
+        "the #[atos_hot] set in runtime.rs + loadbalance.rs + comm.rs + \
+         aggregator.rs and the counted-scenario map in this test must stay in sync"
     );
 
     let mut covered_engine: Vec<&str> = COVERED_ENGINE.iter().map(|(n, _)| *n).collect();

@@ -1,7 +1,7 @@
 //! Receive lanes: arrivals delivered at the receiver's next observation
 //! are indistinguishable from arrivals delivered as engine events.
 //!
-//! Two proofs live here.
+//! Three proofs live here.
 //!
 //! * **Callback-log fingerprints** — whole runs of the real applications,
 //!   wrapped so that every `process` / `on_receive` call is folded into a
@@ -14,7 +14,14 @@
 //! * **Lane order property** — the lane structure alone, fed arbitrary
 //!   per-lane-monotone cars in arbitrary barrier batches with `settle`
 //!   interleaved, delivers exactly what a sort of all cars by
-//!   `(arrival, seq)` would (see the second half of this file).
+//!   `(arrival, seq)` would (see the second part of this file).
+//! * **Cars that span trains** — since the aggregator stopped copying tasks
+//!   a bundle's car counts tasks that left in several steps' runs: a route's
+//!   cars tile the *concatenation* of its trains. Random runs, cut anywhere
+//!   and filed at any later barrier, against a second lane fed the parent
+//!   fe33613's shape — every car's tasks copied into a train of its own —
+//!   and the documented abort when a car counts tasks no train holds (the
+//!   last part of this file).
 //!
 //! To re-capture the fingerprints after an *intentional* model change:
 //! `cargo test -p atos-core --test arrival_lanes fingerprints -- --nocapture`
@@ -504,4 +511,246 @@ proptest! {
         }
         prop_assert_eq!(log.0, want);
     }
+}
+
+// ---------------------------------------------------------------------------
+// Cars that span trains, against a lane that copies every car's tasks.
+// ---------------------------------------------------------------------------
+
+#[test]
+#[should_panic(expected = "the car of 5 tasks from PE 1 arriving at 70 ns outran its trains, 2 tasks still owed")]
+fn a_car_that_outruns_its_trains_aborts_in_every_build() {
+    // A lane holding fewer tasks than a car counts means tasks were lost on
+    // the way: a release build must stop too, not drop them and carry on.
+    let mut rx: Rx<u32> = Rx::new(2);
+    rx.begin_barrier();
+    rx.push_train(1, vec![10, 11, 12]);
+    rx.file(1, 70, 5, || 0);
+    rx.drain_before((Time::MAX, u64::MAX), &mut TrainPool::default(), &mut Log::default());
+}
+
+/// Shapes one case exercised, as bit flags.
+mod shape {
+    /// A car inside one train, stopping short of its end.
+    pub const INSIDE: u32 = 1;
+    /// A car ending exactly where a train ends.
+    pub const ON_BOUNDARY: u32 = 2;
+    /// A car delivered as two pieces.
+    pub const SPANS_TWO: u32 = 4;
+    /// A car delivered as three or more pieces.
+    pub const SPANS_THREE: u32 = 8;
+    /// A barrier that filed trains and no car.
+    pub const TRAINS_ONLY: u32 = 16;
+    /// A car filed at least two barriers after its first train.
+    pub const LATE_CAR: u32 = 32;
+    pub const ALL: u32 = 63;
+}
+
+/// One route's emissions as the model sees them.
+#[derive(Default)]
+struct RouteModel {
+    /// Every task emitted on the route, in order.
+    stream: Vec<u32>,
+    /// End offset in `stream` of each train, and the barrier that filed it.
+    ends: Vec<usize>,
+    filed_at: Vec<usize>,
+    /// Trains emitted since the last barrier.
+    pending: Vec<Vec<u32>>,
+    /// `stream[..cut]` is covered by cars already.
+    cut: usize,
+}
+
+/// A sink's log as `(tasks, delivered_at)` per delivery, however the tasks
+/// were split into runs.
+fn deliveries(log: &Log) -> Vec<(Vec<u32>, Time)> {
+    let mut out = Vec::new();
+    let mut tasks = Vec::new();
+    for seen in &log.0 {
+        match seen {
+            Seen::Run(run) => tasks.extend_from_slice(run),
+            Seen::Delivered(at) => out.push((std::mem::take(&mut tasks), *at)),
+        }
+    }
+    assert!(tasks.is_empty(), "tasks handed over and never marked delivered");
+    out
+}
+
+/// Drive two receive sides through `ops` — `(kind, src, a, b)` — and hold
+/// them equal. `rx` gets what the runtime files: each emitted run whole as a
+/// train at the next barrier, and cars cut anywhere over the concatenation of
+/// a route's trains, at that barrier or any later one. `oracle` gets the
+/// parent commit's shape: every car's tasks copied into a train of its own,
+/// filed with the car. Returns the [`shape`]s the case exercised.
+fn spanning_cars_match_copied_bundles(ops: &[(u32, usize, u32, u32)]) -> u32 {
+    let (mut rx, mut oracle): (Rx<u32>, Rx<u32>) = (Rx::new(LANES), Rx::new(LANES));
+    let (mut pool, mut oracle_pool) = (TrainPool::default(), TrainPool::default());
+    let (mut log, mut oracle_log) = (Log::default(), Log::default());
+    let mut routes: Vec<RouteModel> = (0..LANES).map(|_| RouteModel::default()).collect();
+    // Cars cut since the last barrier: `(src, arrival delay, tasks, first train)`.
+    let mut batch: Vec<(usize, Time, Vec<u32>, usize)> = Vec::new();
+    let mut waiting: Vec<Key> = Vec::new();
+    let mut lane_last = [0 as Time; LANES];
+    let mut floor: Time = 0;
+    let (mut next_seq, mut next_task) = (0u64, 0u32);
+    let (mut barriers, mut trains, mut cars, mut pieces) = (0usize, 0usize, 0usize, 0usize);
+    let mut seen = 0u32;
+
+    // Cut a car of `k` tasks off the front of what `src`'s cars have not
+    // covered yet.
+    let cut = |r: &mut RouteModel, src: usize, k: usize, delay: Time, seen: &mut u32, pieces: &mut usize| {
+        let (from, to) = (r.cut, r.cut + k);
+        let first = r.ends.partition_point(|&e| e <= from);
+        let last = r.ends.partition_point(|&e| e < to);
+        *pieces += last - first + 1;
+        *seen |= match last - first {
+            0 if r.ends[last] > to => shape::INSIDE,
+            0 => 0,
+            1 => shape::SPANS_TWO,
+            _ => shape::SPANS_THREE,
+        };
+        if r.ends[last] == to {
+            *seen |= shape::ON_BOUNDARY;
+        }
+        r.cut = to;
+        (src, delay, r.stream[from..to].to_vec(), first)
+    };
+
+    // However the case ends, the run ends the same way: a last car over
+    // whatever is uncovered, a barrier, and a reader past everything.
+    for &(kind, src, a, b) in ops.iter().chain(&[(9, 0, 0, 0), (6, 0, 0, 0), (10, 0, 0, 0)]) {
+        let r = &mut routes[src];
+        match kind {
+            // Emit a run: a train of its own at the next barrier.
+            0..=2 => {
+                let run: Vec<u32> = (next_task..next_task + 1 + a % 5).collect();
+                next_task += run.len() as u32;
+                r.stream.extend_from_slice(&run);
+                r.ends.push(r.stream.len());
+                r.pending.push(run);
+            }
+            // Cut a car: up to the end of a train ahead, or anywhere.
+            3..=5 if r.cut < r.stream.len() => {
+                let ahead = r.ends.partition_point(|&e| e <= r.cut);
+                let k = match b % 3 {
+                    0 => r.ends[(ahead + a as usize % 3).min(r.ends.len() - 1)] - r.cut,
+                    _ => 1 + a as usize % (r.stream.len() - r.cut),
+                };
+                batch.push(cut(r, src, k, (b / 3 % 3) as Time, &mut seen, &mut pieces));
+            }
+            // The run ends: whatever is still uncovered leaves in a last car.
+            9 => {
+                for (src, r) in routes.iter_mut().enumerate() {
+                    if r.cut < r.stream.len() {
+                        let k = r.stream.len() - r.cut;
+                        batch.push(cut(r, src, k, 1, &mut seen, &mut pieces));
+                    }
+                }
+            }
+            // A barrier: trains first, then cars in resolution order.
+            6 => {
+                rx.begin_barrier();
+                oracle.begin_barrier();
+                let mut filed_trains = false;
+                for (src, r) in routes.iter_mut().enumerate() {
+                    for run in r.pending.drain(..) {
+                        rx.push_train(src, run);
+                        r.filed_at.push(barriers);
+                        trains += 1;
+                        filed_trains = true;
+                    }
+                }
+                if filed_trains && batch.is_empty() {
+                    seen |= shape::TRAINS_ONLY;
+                }
+                for (src, delay, tasks, first) in batch.drain(..) {
+                    let arrival = lane_last[src].max(floor) + delay;
+                    lane_last[src] = arrival;
+                    if barriers >= routes[src].filed_at[first] + 2 {
+                        seen |= shape::LATE_CAR;
+                    }
+                    let opened = rx.file(src, arrival, tasks.len() as u32, || {
+                        next_seq += 1;
+                        next_seq - 1
+                    });
+                    // A car that opened no delivery joined the one the
+                    // barrier's previous car is in.
+                    let seq = match opened {
+                        true => next_seq - 1,
+                        false => waiting.last().expect("a delivery to join").1,
+                    };
+                    oracle.push_train(src, tasks.clone());
+                    assert_eq!(oracle.file(src, arrival, tasks.len() as u32, || seq), opened);
+                    waiting.push((arrival, seq));
+                    cars += 1;
+                }
+                barriers += 1;
+            }
+            // A reader at the key of some waiting delivery or just past them
+            // all (7), or past everything there will ever be (10).
+            7 | 10 => {
+                waiting.sort_unstable();
+                let pick = (src * 7 + a as usize * 3 + b as usize) % (waiting.len() + 1);
+                let past_all = (waiting.last().map_or(floor, |k| k.0 + 1), 0);
+                let bound = match kind {
+                    7 => waiting.get(pick).copied().unwrap_or(past_all),
+                    _ => (Time::MAX, u64::MAX),
+                };
+                rx.drain_before(bound, &mut pool, &mut log);
+                oracle.drain_before(bound, &mut oracle_pool, &mut oracle_log);
+                waiting.retain(|&k| k >= bound);
+                assert_eq!((rx.len(), rx.next_arrival()), (oracle.len(), oracle.next_arrival()));
+                assert_eq!(rx.len(), waiting.len());
+                floor = floor.max(bound.0.saturating_add(1));
+            }
+            _ => next_seq += a as u64, // other events take sequence numbers too
+        }
+    }
+
+    assert!(rx.is_drained() && oracle.is_drained(), "a car or a train was left behind");
+    // Each buffer came home once: one per run here, one per car there.
+    assert_eq!((pool.len(), oracle_pool.len()), (trains, cars));
+    // The same tasks under the same deliveries — as one run per car from
+    // the copies, as one run per train a car touches from the runs.
+    assert_eq!(deliveries(&log), deliveries(&oracle_log));
+    let runs = |l: &Log| l.0.iter().filter(|s| matches!(s, Seen::Run(_))).count();
+    assert_eq!((runs(&log), runs(&oracle_log)), (pieces, cars));
+    seen
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Any sequence of runs per route, cut into cars anywhere, filed at any
+    /// barrier from the run's own on: the lane delivers what a lane of
+    /// per-car copies delivers.
+    #[test]
+    fn cars_tile_the_concatenation_of_their_trains(
+        ops in proptest::collection::vec((0u32..9, 0usize..LANES, 0u32..12, 0u32..9), 1..160),
+    ) {
+        spanning_cars_match_copied_bundles(&ops);
+    }
+}
+
+#[test]
+fn every_named_car_shape_is_exercised() {
+    // Route 0: trains of 3, 2, 4 and 1 tasks, the first two filed by a
+    // barrier with no car at all and left waiting through two more.
+    let ops = [
+        (0, 0, 2, 0), // train [0,1,2]
+        (0, 0, 1, 0), // train [3,4]
+        (6, 0, 0, 0), // barrier: trains only
+        (6, 0, 0, 0),
+        (3, 0, 1, 1), // car of 2: inside the first train
+        (3, 0, 0, 0), // car of 1: to the end of the first train
+        (0, 0, 3, 0), // train [5..9]
+        (0, 0, 0, 0), // train [9]
+        (3, 0, 2, 1), // car of 3: all of the second train and one task more
+        (6, 0, 0, 0), // barrier: the first car is two barriers behind its train
+        (7, 0, 0, 1),
+        (0, 0, 4, 0), // train [10..15]
+        (0, 0, 1, 0), // train [15,16]
+        (3, 0, 2, 0), // car to the end of the third train ahead: three pieces
+        (6, 0, 0, 0),
+    ];
+    assert_eq!(spanning_cars_match_copied_bundles(&ops), shape::ALL);
 }

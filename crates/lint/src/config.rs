@@ -214,6 +214,7 @@ impl Config {
                     fns: &[
                         "dispatch_remote",
                         "flush_bundle",
+                        "depart",
                         "route",
                         "egress",
                         "merge_records",

@@ -6,7 +6,11 @@
 //! `benchmark/src/workloads.rs`. Each sample is the interrupted instruction;
 //! `addr2line` turns it into its inline stack, and the report ranks the
 //! *innermost frame under `crates/`* — the line of this workspace that was
-//! waiting, whichever `core`/`alloc` helper it was in. This is the
+//! waiting, whichever `core`/`alloc` helper it was in. A sample outside this
+//! executable's image is a row too, named after the mapped object it hit
+//! (`[libc.so.6]` — `memmove`, `malloc` — `[vdso]`, `[unmapped/kernel]`), and
+//! what the top rows leave over is summed in a last one: the rows add up to
+//! the samples taken, so no time hides between two numbers. This is the
 //! attribution behind DESIGN.md §4.8: before tasks were announced ahead of
 //! their `process`, a quarter to two fifths of every run sat on a task's
 //! first loads (`Csr::degree`, the head of `neighbors`).
@@ -246,20 +250,44 @@ mod linux {
 
     // ---- symbolisation ----------------------------------------------------
 
-    /// Where this executable's image starts in memory: a PIE's first segment
-    /// sits at ELF address 0, so `rip - base` is what `addr2line` wants.
-    fn image_range(exe: &str) -> Option<(u64, u64)> {
+    /// `/proc/self/maps` as `(start, end, path)`; the path is empty for an
+    /// anonymous mapping.
+    fn mappings() -> Option<Vec<(u64, u64, String)>> {
         let maps = std::fs::read_to_string("/proc/self/maps").ok()?;
-        let mut range: Option<(u64, u64)> = None;
-        for line in maps.lines().filter(|l| l.ends_with(exe)) {
-            let (lo, hi) = line.split_whitespace().next()?.split_once('-')?;
-            let (lo, hi) = (
-                u64::from_str_radix(lo, 16).ok()?,
-                u64::from_str_radix(hi, 16).ok()?,
-            );
-            range = Some(range.map_or((lo, hi), |(a, b)| (a.min(lo), b.max(hi))));
+        maps.lines()
+            .map(|line| {
+                let mut fields = line.split_whitespace();
+                let (lo, hi) = fields.next()?.split_once('-')?;
+                // perms, offset, device, inode; what is left is the path.
+                let path = fields.skip(4).collect::<Vec<_>>().join(" ");
+                Some((
+                    u64::from_str_radix(lo, 16).ok()?,
+                    u64::from_str_radix(hi, 16).ok()?,
+                    path,
+                ))
+            })
+            .collect()
+    }
+
+    /// Where this executable's image lies in memory: a PIE's first segment
+    /// sits at ELF address 0, so `rip - base` is what `addr2line` wants.
+    fn image_range(maps: &[(u64, u64, String)], exe: &str) -> Option<(u64, u64)> {
+        let own = maps.iter().filter(|m| m.2 == exe);
+        own.fold(None, |range, &(lo, hi, _)| {
+            Some(range.map_or((lo, hi), |(a, b): (u64, u64)| (a.min(lo), b.max(hi))))
+        })
+    }
+
+    /// The report's row for a sample outside this executable's image: the
+    /// mapped object it hit, by file name.
+    fn outside_row(maps: &[(u64, u64, String)], rip: u64) -> String {
+        match maps.iter().find(|m| (m.0..m.1).contains(&rip)) {
+            None => "[unmapped/kernel]".to_string(),
+            Some((_, _, path)) if path.is_empty() => "[anonymous mapping]".to_string(),
+            // `[vdso]`, `[heap]`, … name themselves.
+            Some((_, _, path)) if path.starts_with('[') => path.clone(),
+            Some((_, _, path)) => format!("[{}]", path.rsplit('/').next().unwrap_or(path)),
         }
-        range
     }
 
     /// What the report sums samples by (`--by`).
@@ -361,12 +389,16 @@ mod linux {
         let taken = TAKEN.load(Ordering::Relaxed).min(MAX_SAMPLES);
         let exe = std::env::current_exe().expect("own path");
         let exe = exe.to_str().expect("utf-8 path");
-        let (base, end) = image_range(exe).expect("own image in /proc/self/maps");
+        let maps = mappings().expect("a readable /proc/self/maps");
+        let (base, end) = image_range(&maps, exe).expect("own image in /proc/self/maps");
         let mut hits: BTreeMap<u64, u64> = BTreeMap::new();
+        let mut share: BTreeMap<String, u64> = BTreeMap::new();
         for cell in &RIPS[..taken] {
             let rip = cell.load(Ordering::Relaxed);
             if (base..end).contains(&rip) {
                 *hits.entry(rip - base).or_default() += 1;
+            } else {
+                *share.entry(outside_row(&maps, rip)).or_default() += 1;
             }
         }
         let inside: u64 = hits.values().sum();
@@ -375,7 +407,6 @@ mod linux {
         );
 
         let offsets: Vec<u64> = hits.keys().copied().collect();
-        let mut share: BTreeMap<String, u64> = BTreeMap::new();
         match symbolise(exe, &offsets) {
             Some(lines_of) => {
                 for (offset, count) in &hits {
@@ -395,9 +426,16 @@ mod linux {
         }
         let mut ranked: Vec<(String, u64)> = share.into_iter().collect();
         ranked.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
-        for (line, count) in ranked.iter().take(TOP_N) {
+        // Samples, share of all samples taken, row; the last row sums what
+        // the first `TOP_N` leave, so the column adds up to `taken`.
+        let rest = ranked.split_off(TOP_N.min(ranked.len()));
+        if !rest.is_empty() {
+            let count = rest.iter().map(|r| r.1).sum();
+            ranked.push((format!("({} more rows)", rest.len()), count));
+        }
+        for (line, count) in &ranked {
             let percent = 100.0 * *count as f64 / taken.max(1) as f64;
-            report += &format!("{percent:6.1} %  {line}\n");
+            report += &format!("{count:7} {percent:6.1} %  {line}\n");
         }
         // One write, error ignored: `… | head` may close the pipe early.
         let _ = std::io::stdout().write_all(report.as_bytes());

@@ -161,7 +161,7 @@ echo "== line-level sampler smoke (examples/where_time_goes.rs) =="
 # One sampled run of each workload — mesh BFS, split SSSP, direct and
 # aggregated PageRank — must attribute at least one sample to a line of this
 # workspace (DESIGN.md §4.8's, §4.9's and §4.10's tables come from this
-# tool; §4.10 also uses its `--by file` sums). It needs Linux x86_64
+# tool; §4.10 and §4.11 also use its `--by file` sums). It needs Linux x86_64
 # and binutils' addr2line; anywhere else it has nothing to symbolise and
 # says so.
 for app in "bfs 1" "sssp 1" "pr 1" "prib 1 --by file"; do
@@ -173,6 +173,16 @@ for app in "bfs 1" "sssp 1" "pr 1" "prib 1 --by file"; do
         grep -q "%  crates/" "$tmp/where.out" || {
             cat "$tmp/where.out" >&2
             echo "FAIL: where_time_goes $app attributed no sample to a line under crates/" >&2
+            exit 1
+        }
+        # Every sample is in some row — this binary's lines, the mapped
+        # object an outside sample hit, or the remainder row — so the count
+        # column adds up to the header's "N samples".
+        awk 'NR == 1 { for (i = 2; i <= NF; i++) if ($i == "samples,") taken = $(i - 1) }
+             NR > 1 { rows += $1 }
+             END { exit !(taken > 0 && rows == taken) }' "$tmp/where.out" || {
+            cat "$tmp/where.out" >&2
+            echo "FAIL: where_time_goes $app: the rows do not sum to the samples taken" >&2
             exit 1
         }
         echo "ok: $(head -n 1 "$tmp/where.out")"
