@@ -14,9 +14,7 @@
 //!   HCA on packet arrival, not at the sender's issue point. The sender
 //!   keeps a per-PE *mirror* of its best depth offer per remote vertex so
 //!   it never re-sends a non-improving update; the mirror is private to
-//!   the sending PE, which is what lets the sharded runtime
-//!   (`run_bfs_sharded`) fork PEs across threads and stay byte-identical
-//!   to the sequential engine.
+//!   the sending PE, as memory on its own device would be.
 //!
 //! Speculation and redundant work: out-of-order processing can visit a
 //! vertex more than once before its depth settles. The priority-queue
@@ -28,7 +26,7 @@ use std::sync::Arc;
 
 use atos_core::{
     assert_owner, Application, AtosConfig, Emitter, Lookahead, NullTracer, RunStats, Runtime,
-    RuntimeTuning, ShardProfile, ShardableApp, Tracer,
+    RuntimeTuning, Tracer,
 };
 use atos_macros::atos_shard;
 use atos_graph::csr::{Csr, VertexId};
@@ -48,7 +46,7 @@ pub struct BfsApp {
     pub depth: Vec<u32>,
     /// `mirror[pe][w]`: the best depth PE `pe` has *sent* for remote
     /// vertex `w` — the sender-side duplicate-suppression filter. Private
-    /// to `pe`, so sharded execution partitions it cleanly.
+    /// to `pe`.
     mirror: Vec<Vec<u32>>,
     source: VertexId,
 }
@@ -84,6 +82,7 @@ impl Application for BfsApp {
     /// `(vertex, depth at push time)`.
     type Task = (VertexId, u32);
 
+    #[atos_shard(owner(depth), private(mirror), shared(graph, partition, source))]
     fn process(&mut self, pe: usize, (v, _pushed_depth): Self::Task, out: &mut Emitter<Self::Task>) {
         debug_assert_eq!(self.partition.owner(v), pe, "task on wrong PE");
         let d = self.depth[v as usize];
@@ -145,8 +144,8 @@ impl Application for BfsApp {
     }
 }
 
-impl ShardableApp for BfsApp {
-    #[atos_shard(owner(depth), private(mirror), shared(graph, partition, source))]
+// For the frozen `benchmark/` only (`atos_core::sharded`); nothing calls it.
+impl atos_core::ShardableApp for BfsApp {
     fn fork(&self, _lo: usize, _hi: usize) -> Self {
         BfsApp {
             graph: self.graph.clone(),
@@ -198,7 +197,7 @@ pub fn run_bfs(
     fabric: Fabric,
     cfg: AtosConfig,
 ) -> BfsRun {
-    run_bfs_sharded(graph, partition, source, fabric, cfg, 1)
+    run_bfs_tuned(graph, partition, source, fabric, cfg, RuntimeTuning::default(), NullTracer)
 }
 
 /// Run asynchronous BFS with a virtual-time tracer attached: per-PE step
@@ -213,68 +212,36 @@ pub fn run_bfs_traced(
     cfg: AtosConfig,
     tracer: &mut dyn Tracer,
 ) -> BfsRun {
-    let tuning = RuntimeTuning::default();
-    run_bfs_sharded_profiled(graph, partition, source, fabric, cfg, tuning, 1, tracer).0
+    run_bfs_tuned(graph, partition, source, fabric, cfg, RuntimeTuning::default(), tracer)
 }
 
-/// Run asynchronous BFS on `shards` parallel engine shards
-/// (`Runtime::run_sharded`): PEs are partitioned across per-shard timing
-/// wheels stepped on OS threads, synchronized by conservative lookahead.
-/// The result — depths, stats, virtual times — is byte-identical to
-/// [`run_bfs`]; only host wall-clock changes.
-pub fn run_bfs_sharded(
-    graph: Arc<Csr>,
-    partition: Arc<Partition>,
-    source: VertexId,
-    fabric: Fabric,
-    cfg: AtosConfig,
-    shards: usize,
-) -> BfsRun {
-    let tuning = RuntimeTuning::default();
-    run_bfs_sharded_profiled(graph, partition, source, fabric, cfg, tuning, shards, NullTracer).0
-}
-
-/// The one place a BFS run is launched — every `run_bfs*` above and the
-/// Groute-/Galois-like baselines (which differ only in `cfg` and `tuning`)
-/// are calls to it: build the runtime, seed the source, run on `shards`
-/// engine shards, collect.
-///
-/// This is also the full observability surface: `tracer` collects the
-/// virtual-time timeline (per-PE/aggregation tracks plus the sharded
-/// runtime's per-shard `window`/`exchange` tracks; pass [`NullTracer`] for
-/// none) and the second result is the run's [`ShardProfile`] — per-shard
-/// window histograms, flight-recorder rings, barrier-wait and imbalance
-/// telemetry — `None` when the run took the sequential path (`shards <= 1`
-/// or a shard-conflicting fabric). Neither changes depths, stats or
-/// virtual times.
-#[allow(clippy::too_many_arguments)]
-pub fn run_bfs_sharded_profiled<Tr: Tracer>(
+/// The one place a BFS run is launched — [`run_bfs`], [`run_bfs_traced`]
+/// and the Groute-/Galois-like baselines (which differ only in `cfg` and
+/// `tuning`) are calls to it: build the runtime, seed the source, run,
+/// collect. `tracer` collects the virtual-time timeline (pass
+/// [`NullTracer`] for none) and changes no depth, stat or virtual time.
+pub fn run_bfs_tuned<Tr: Tracer>(
     graph: Arc<Csr>,
     partition: Arc<Partition>,
     source: VertexId,
     fabric: Fabric,
     cfg: AtosConfig,
     tuning: RuntimeTuning,
-    shards: usize,
     tracer: Tr,
-) -> (BfsRun, Option<ShardProfile>) {
+) -> BfsRun {
     assert_eq!(partition.n_parts(), fabric.n_pes(), "partition/fabric size");
     let app = BfsApp::new(graph, partition.clone(), source);
     let cost = atos_sim::GpuCostModel::v100();
     let mut rt = Runtime::with_tracer(app, fabric, cfg, cost, tuning, tracer);
     rt.seed(partition.owner(source), [(source, 0u32)]);
-    let stats = rt.run_sharded(shards);
-    let profile = rt.take_shard_profile();
+    let stats = rt.run();
     let app = rt.into_app();
     let reachable = app.reached() as u64;
-    (
-        BfsRun {
-            stats,
-            depth: app.depth,
-            reachable,
-        },
-        profile,
-    )
+    BfsRun {
+        stats,
+        depth: app.depth,
+        reachable,
+    }
 }
 
 #[cfg(test)]
@@ -466,87 +433,6 @@ mod tests {
         assert_eq!(plain.stats.messages, traced.stats.messages);
         assert!(!buf.is_empty(), "tracer saw the run");
         assert!(buf.events_named("step").len() as u64 >= traced.stats.steps_per_pe.iter().sum::<u64>());
-    }
-
-    #[test]
-    fn sharded_runs_are_byte_identical_to_sequential() {
-        // The tentpole invariant, at the application level: K-shard
-        // parallel simulation must reproduce the sequential engine's
-        // depths AND virtual-time stats exactly, on both fabrics.
-        let p = Preset::by_name("hollywood_2009_s").unwrap();
-        let g = Arc::new(p.build(Scale::Tiny));
-        let src = p.bfs_source(&g);
-        for (fabric, cfg) in [
-            (Fabric::daisy(4), AtosConfig::standard_persistent()),
-            (Fabric::ib_cluster(4), AtosConfig::ib_bfs()),
-        ] {
-            let part = Arc::new(Partition::random(g.n_vertices(), 4, 5));
-            let seq = run_bfs(g.clone(), part.clone(), src, fabric.clone(), cfg);
-            for k in [2, 4] {
-                let sh = run_bfs_sharded(g.clone(), part.clone(), src, fabric.clone(), cfg, k);
-                assert_eq!(sh.depth, seq.depth, "k={k} depths");
-                assert_eq!(sh.stats.elapsed_ns, seq.stats.elapsed_ns, "k={k} time");
-                assert_eq!(sh.stats.messages, seq.stats.messages, "k={k} messages");
-                assert_eq!(sh.stats.tasks_per_pe, seq.stats.tasks_per_pe, "k={k} tasks");
-                assert_eq!(sh.stats.sim_events, seq.stats.sim_events, "k={k} events");
-            }
-        }
-    }
-
-    #[test]
-    fn sharded_profiled_trace_matches_sequential_after_shard_filter() {
-        // Observability must be observation-only: with a tracer attached,
-        // the sharded run's per-PE/aggregation timeline is byte-identical
-        // to the sequential traced run once the shard-local bookkeeping
-        // tracks are filtered out, and the profile accounts for every
-        // simulated event.
-        use atos_core::{TraceBuffer, Track};
-        use atos_trace::perfetto::to_chrome_json;
-        let p = Preset::by_name("hollywood_2009_s").unwrap();
-        let g = Arc::new(p.build(Scale::Tiny));
-        let src = p.bfs_source(&g);
-        let part = Arc::new(Partition::random(g.n_vertices(), 4, 5));
-        let fabric = Fabric::ib_cluster(4);
-        let cfg = AtosConfig::ib_bfs();
-        let mut seq_buf = TraceBuffer::new();
-        let seq = run_bfs_traced(
-            g.clone(),
-            part.clone(),
-            src,
-            fabric.clone(),
-            cfg,
-            &mut seq_buf,
-        );
-        let seq_json = to_chrome_json(&seq_buf);
-        for k in [2, 4] {
-            let mut buf = TraceBuffer::new();
-            let (run, profile) = run_bfs_sharded_profiled(
-                g.clone(),
-                part.clone(),
-                src,
-                fabric.clone(),
-                cfg,
-                RuntimeTuning::default(),
-                k,
-                &mut buf,
-            );
-            assert_eq!(run.depth, seq.depth, "k={k} depths");
-            assert_eq!(run.stats.elapsed_ns, seq.stats.elapsed_ns, "k={k} time");
-            let profile = profile.expect("sharded path collects a profile");
-            assert_eq!(profile.shards.len(), k, "k={k} telemetry shards");
-            let events: u64 = profile.shards.iter().map(|s| s.events).sum();
-            assert_eq!(events, run.stats.sim_events, "k={k} event accounting");
-            assert!(
-                buf.events().iter().any(|e| e.track == Track::shard(0)),
-                "k={k} shard tracks present"
-            );
-            buf.retain(|e| (0..k).all(|s| e.track != Track::shard(s)));
-            assert_eq!(
-                to_chrome_json(&buf),
-                seq_json,
-                "k={k} filtered timeline identical"
-            );
-        }
     }
 
     #[test]

@@ -10,9 +10,7 @@
 
 use std::sync::Arc;
 
-use atos_core::{
-    assert_owner, Application, AtosConfig, Emitter, Lookahead, RunStats, Runtime, ShardableApp,
-};
+use atos_core::{assert_owner, Application, AtosConfig, Emitter, Lookahead, RunStats, Runtime};
 use atos_macros::atos_shard;
 use atos_graph::csr::{Csr, VertexId};
 use atos_graph::partition::Partition;
@@ -58,6 +56,7 @@ impl Application for CcApp {
     /// `(vertex, candidate label)`.
     type Task = (VertexId, u32);
 
+    #[atos_shard(owner(label), private(mirror), shared(graph, partition))]
     fn process(&mut self, pe: usize, (v, _l): Self::Task, out: &mut Emitter<Self::Task>) {
         debug_assert_eq!(self.partition.owner(v), pe);
         let l = self.label[v as usize];
@@ -111,30 +110,6 @@ impl Application for CcApp {
     }
 }
 
-impl ShardableApp for CcApp {
-    #[atos_shard(owner(label), private(mirror), shared(graph, partition))]
-    fn fork(&self, _lo: usize, _hi: usize) -> Self {
-        CcApp {
-            graph: self.graph.clone(),
-            partition: self.partition.clone(),
-            label: self.label.clone(),
-            mirror: self.mirror.clone(),
-        }
-    }
-
-    fn join(&mut self, shard: Self, lo: usize, hi: usize) {
-        for (v, l) in shard.label.into_iter().enumerate() {
-            let owner = self.partition.owner(v as VertexId);
-            if (lo..hi).contains(&owner) {
-                self.label[v] = l;
-            }
-        }
-        for (pe, row) in shard.mirror.into_iter().enumerate().take(hi).skip(lo) {
-            self.mirror[pe] = row;
-        }
-    }
-}
-
 /// Result of one CC run.
 #[derive(Debug, Clone)]
 pub struct CcRun {
@@ -153,18 +128,6 @@ pub fn run_cc(
     fabric: Fabric,
     cfg: AtosConfig,
 ) -> CcRun {
-    run_cc_sharded(graph, partition, fabric, cfg, 1)
-}
-
-/// [`run_cc`] on `shards` parallel engine shards — byte-identical
-/// results, parallel host execution.
-pub fn run_cc_sharded(
-    graph: Arc<Csr>,
-    partition: Arc<Partition>,
-    fabric: Fabric,
-    cfg: AtosConfig,
-    shards: usize,
-) -> CcRun {
     assert_eq!(partition.n_parts(), fabric.n_pes());
     let app = CcApp::new(graph, partition.clone());
     let mut rt = Runtime::new(app, fabric, cfg);
@@ -176,7 +139,7 @@ pub fn run_cc_sharded(
             .collect();
         rt.seed(pe, seeds);
     }
-    let stats = rt.run_sharded(shards);
+    let stats = rt.run();
     let app = rt.into_app();
     let components = app.component_count();
     CcRun {
@@ -237,21 +200,6 @@ mod tests {
             prio.stats.total_tasks(),
             fifo.stats.total_tasks()
         );
-    }
-
-    #[test]
-    fn sharded_runs_are_byte_identical_to_sequential() {
-        let p = Preset::by_name("osm_eur_s").unwrap();
-        let g = Arc::new(p.build(Scale::Tiny).symmetrize());
-        let part = Arc::new(Partition::random(g.n_vertices(), 4, 5));
-        let cfg = AtosConfig::standard_persistent();
-        let seq = run_cc(g.clone(), part.clone(), Fabric::daisy(4), cfg);
-        for k in [2, 4] {
-            let sh = run_cc_sharded(g.clone(), part.clone(), Fabric::daisy(4), cfg, k);
-            assert_eq!(sh.label, seq.label, "k={k} labels");
-            assert_eq!(sh.stats.elapsed_ns, seq.stats.elapsed_ns, "k={k} time");
-            assert_eq!(sh.stats.tasks_per_pe, seq.stats.tasks_per_pe, "k={k} tasks");
-        }
     }
 
     #[test]

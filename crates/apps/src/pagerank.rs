@@ -39,7 +39,6 @@ use std::sync::Arc;
 
 use atos_core::{
     assert_owner, Application, AtosConfig, Emitter, Lookahead, RunStats, Runtime, RuntimeTuning,
-    ShardableApp,
 };
 use atos_macros::atos_shard;
 use atos_graph::csr::{Csr, VertexId};
@@ -101,7 +100,7 @@ impl fmt::Debug for PrTask {
 pub struct PageRankApp {
     /// Out-neighbours grouped by owning PE: a relaxation walks one local
     /// segment and emits one run per remote PE, with no owner lookup and
-    /// no local/remote branch per edge. Built once, shared by every fork.
+    /// no local/remote branch per edge. Built once.
     adj: Arc<OwnerGrouped>,
     partition: Arc<Partition>,
     /// Accumulated rank per vertex.
@@ -209,6 +208,7 @@ impl PageRankApp {
 impl Application for PageRankApp {
     type Task = PrTask;
 
+    #[atos_shard(owner(rank, residue), shared(adj, partition, alpha, epsilon))]
     fn process(&mut self, pe: usize, task: PrTask, out: &mut Emitter<PrTask>) {
         let v = match task {
             PrTask::Relax(v) => v,
@@ -284,12 +284,8 @@ impl Application for PageRankApp {
     }
 }
 
-// PageRank is owner-computes by construction: `process` touches rank and
-// residue entries of owned vertices only, and every remote contribution
-// travels as a `Contrib` task applied in `on_receive` at the owner. No
-// sender-side mirrors are needed.
-impl ShardableApp for PageRankApp {
-    #[atos_shard(owner(rank, residue), shared(adj, partition, alpha, epsilon))]
+// For the frozen `benchmark/` only (`atos_core::sharded`); nothing calls it.
+impl atos_core::ShardableApp for PageRankApp {
     fn fork(&self, _lo: usize, _hi: usize) -> Self {
         PageRankApp {
             adj: self.adj.clone(),
@@ -332,33 +328,17 @@ pub fn run_pagerank(
     fabric: Fabric,
     cfg: AtosConfig,
 ) -> PageRankRun {
-    run_pagerank_sharded(graph, partition, alpha, epsilon, fabric, cfg, 1)
-}
-
-/// [`run_pagerank`] on `shards` parallel engine shards — byte-identical
-/// results, parallel host execution.
-pub fn run_pagerank_sharded(
-    graph: Arc<Csr>,
-    partition: Arc<Partition>,
-    alpha: f64,
-    epsilon: f64,
-    fabric: Fabric,
-    cfg: AtosConfig,
-    shards: usize,
-) -> PageRankRun {
     let tuning = RuntimeTuning::default();
-    run_pagerank_tuned(graph, partition, alpha, epsilon, fabric, cfg, tuning, shards)
+    run_pagerank_tuned(graph, partition, alpha, epsilon, fabric, cfg, tuning)
 }
 
-/// The one place a PageRank run is launched — [`run_pagerank`],
-/// [`run_pagerank_sharded`] and the Groute-/Galois-like baselines (which
-/// differ only in `cfg` and `tuning`) are calls to it: build the runtime,
-/// seed every vertex on its owner, run on `shards` engine shards, assert
-/// convergence, collect.
+/// The one place a PageRank run is launched — [`run_pagerank`] and the
+/// Groute-/Galois-like baselines (which differ only in `cfg` and `tuning`)
+/// are calls to it: build the runtime, seed every vertex on its owner,
+/// run, assert convergence, collect.
 ///
 /// # Panics
 /// If the queues drain while some residue is still at or above `epsilon`.
-#[allow(clippy::too_many_arguments)]
 pub fn run_pagerank_tuned(
     graph: Arc<Csr>,
     partition: Arc<Partition>,
@@ -367,7 +347,6 @@ pub fn run_pagerank_tuned(
     fabric: Fabric,
     cfg: AtosConfig,
     tuning: RuntimeTuning,
-    shards: usize,
 ) -> PageRankRun {
     assert_eq!(partition.n_parts(), fabric.n_pes(), "partition/fabric size");
     let app = PageRankApp::new(graph, partition.clone(), alpha, epsilon);
@@ -381,7 +360,7 @@ pub fn run_pagerank_tuned(
             .collect();
         rt.seed(pe, seeds);
     }
-    let stats = rt.run_sharded(shards);
+    let stats = rt.run();
     let relaxations = stats.total_tasks();
     let app = rt.into_app();
     assert!(
@@ -568,33 +547,6 @@ mod tests {
             AtosConfig::standard_persistent(),
         );
         assert!(pr.stats.total_edges() > 2 * bfs.stats.total_edges());
-    }
-
-    #[test]
-    fn sharded_runs_are_byte_identical_to_sequential() {
-        // PageRank is the bandwidth-bound workload with floating-point
-        // state: bit-equal ranks require the sharded engine to replay the
-        // exact sequential arrival and relaxation order.
-        let p = Preset::by_name("soc-LiveJournal1_s").unwrap();
-        let g = Arc::new(p.build(Scale::Tiny));
-        let part = Arc::new(Partition::bfs_grow(&g, 4, 4));
-        let cfg = AtosConfig::ib_pagerank();
-        let seq = run_pagerank(g.clone(), part.clone(), ALPHA, EPS, Fabric::ib_cluster(4), cfg);
-        for k in [2, 4] {
-            let sh = run_pagerank_sharded(
-                g.clone(),
-                part.clone(),
-                ALPHA,
-                EPS,
-                Fabric::ib_cluster(4),
-                cfg,
-                k,
-            );
-            assert_eq!(sh.rank, seq.rank, "k={k} ranks (bit-equal floats)");
-            assert_eq!(sh.stats.elapsed_ns, seq.stats.elapsed_ns, "k={k} time");
-            assert_eq!(sh.stats.tasks_per_pe, seq.stats.tasks_per_pe, "k={k} tasks");
-            assert_eq!(sh.stats.agg_flushes, seq.stats.agg_flushes, "k={k} flushes");
-        }
     }
 
     #[test]

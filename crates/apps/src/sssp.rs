@@ -59,9 +59,7 @@
 
 use std::sync::Arc;
 
-use atos_core::{
-    assert_owner, Application, AtosConfig, Emitter, Lookahead, RunStats, Runtime, ShardableApp,
-};
+use atos_core::{assert_owner, Application, AtosConfig, Emitter, Lookahead, RunStats, Runtime};
 use atos_macros::atos_shard;
 use atos_graph::csr::{Csr, VertexId};
 use atos_graph::light::LightEdges;
@@ -222,6 +220,11 @@ impl Application for SsspApp {
     /// format carries a constant byte and behavior is unchanged.
     type Task = (VertexId, u64, u8);
 
+    #[atos_shard(
+        owner(dist, heavy_sent),
+        private(view),
+        shared(graph, weights, partition, light, delta, source)
+    )]
     fn process(&mut self, pe: usize, (v, _pushed, kind): Self::Task, out: &mut Emitter<Self::Task>) {
         debug_assert_eq!(self.partition.owner(v), pe);
         let d = self.dist[v as usize];
@@ -328,12 +331,8 @@ impl Application for SsspApp {
     }
 }
 
-impl ShardableApp for SsspApp {
-    #[atos_shard(
-        owner(dist, heavy_sent),
-        private(view),
-        shared(graph, weights, partition, light, delta, source)
-    )]
+// For the frozen `benchmark/` only (`atos_core::sharded`); nothing calls it.
+impl atos_core::ShardableApp for SsspApp {
     fn fork(&self, _lo: usize, _hi: usize) -> Self {
         SsspApp {
             graph: self.graph.clone(),
@@ -399,23 +398,7 @@ pub fn run_sssp(
     fabric: Fabric,
     cfg: AtosConfig,
 ) -> SsspRun {
-    run_sssp_impl(graph, weights, partition, source, delta, fabric, cfg, 1, false)
-}
-
-/// [`run_sssp`] on `shards` parallel engine shards — byte-identical
-/// results, parallel host execution.
-#[allow(clippy::too_many_arguments)]
-pub fn run_sssp_sharded(
-    graph: Arc<Csr>,
-    weights: Arc<EdgeWeights>,
-    partition: Arc<Partition>,
-    source: VertexId,
-    delta: u64,
-    fabric: Fabric,
-    cfg: AtosConfig,
-    shards: usize,
-) -> SsspRun {
-    run_sssp_impl(graph, weights, partition, source, delta, fabric, cfg, shards, false)
+    run_sssp_impl(graph, weights, partition, source, delta, fabric, cfg, false)
 }
 
 /// Delta-stepping SSSP with light/heavy edge splitting: light tasks
@@ -434,22 +417,7 @@ pub fn run_sssp_delta(
     fabric: Fabric,
     cfg: AtosConfig,
 ) -> SsspRun {
-    run_sssp_impl(graph, weights, partition, source, delta, fabric, cfg, 1, true)
-}
-
-/// [`run_sssp_delta`] on `shards` parallel engine shards.
-#[allow(clippy::too_many_arguments)]
-pub fn run_sssp_delta_sharded(
-    graph: Arc<Csr>,
-    weights: Arc<EdgeWeights>,
-    partition: Arc<Partition>,
-    source: VertexId,
-    delta: u64,
-    fabric: Fabric,
-    cfg: AtosConfig,
-    shards: usize,
-) -> SsspRun {
-    run_sssp_impl(graph, weights, partition, source, delta, fabric, cfg, shards, true)
+    run_sssp_impl(graph, weights, partition, source, delta, fabric, cfg, true)
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -461,7 +429,6 @@ fn run_sssp_impl(
     delta: u64,
     fabric: Fabric,
     cfg: AtosConfig,
-    shards: usize,
     split: bool,
 ) -> SsspRun {
     assert_eq!(partition.n_parts(), fabric.n_pes());
@@ -473,7 +440,7 @@ fn run_sssp_impl(
     let kind = app.push_kind();
     let mut rt = Runtime::new(app, fabric, cfg);
     rt.seed(partition.owner(source), [(source, 0u64, kind)]);
-    let stats = rt.run_sharded(shards);
+    let stats = rt.run();
     let app = rt.into_app();
     let reachable = app.dist.iter().filter(|&&d| d != UNREACHED_DIST).count() as u64;
     SsspRun {
@@ -654,61 +621,25 @@ mod tests {
         let exact = dijkstra(&g, &w, src);
         for split in [false, true] {
             for lb in LoadBalance::ALL {
-                for shards in [1, 2] {
-                    let app = SsspApp::build(g.clone(), w.clone(), part.clone(), src, 8, split);
-                    let kind = app.push_kind();
-                    let cfg = AtosConfig::priority_discrete().with_lb(lb);
-                    let mut rt = Runtime::new(app, Fabric::daisy(4), cfg);
-                    rt.seed(part.owner(src), [(src, 0u64, kind)]);
-                    rt.run_sharded(shards);
-                    let app = rt.into_app();
-                    assert_eq!(app.dist, exact, "split {split} {lb:?} K={shards}");
-                    for (v, &d) in app.dist.iter().enumerate() {
-                        let owner = part.owner(v as VertexId);
-                        for (pe, row) in app.view.iter().enumerate() {
-                            if pe == owner {
-                                assert_eq!(row[v], d, "PE {pe} owns {v}");
-                            } else {
-                                assert!(row[v] >= d, "PE {pe} offered {v} {} < {d}", row[v]);
-                            }
+                let app = SsspApp::build(g.clone(), w.clone(), part.clone(), src, 8, split);
+                let kind = app.push_kind();
+                let cfg = AtosConfig::priority_discrete().with_lb(lb);
+                let mut rt = Runtime::new(app, Fabric::daisy(4), cfg);
+                rt.seed(part.owner(src), [(src, 0u64, kind)]);
+                rt.run();
+                let app = rt.into_app();
+                assert_eq!(app.dist, exact, "split {split} {lb:?}");
+                for (v, &d) in app.dist.iter().enumerate() {
+                    let owner = part.owner(v as VertexId);
+                    for (pe, row) in app.view.iter().enumerate() {
+                        if pe == owner {
+                            assert_eq!(row[v], d, "PE {pe} owns {v}");
+                        } else {
+                            assert!(row[v] >= d, "PE {pe} offered {v} {} < {d}", row[v]);
                         }
                     }
                 }
             }
-        }
-    }
-
-    #[test]
-    fn delta_stepping_sharded_is_byte_identical() {
-        let p = Preset::by_name("twitter_s").unwrap();
-        let g = Arc::new(p.build(Scale::Tiny));
-        let w = Arc::new(EdgeWeights::random(&g, 16, 9));
-        let src = p.bfs_source(&g);
-        let part = Arc::new(Partition::bfs_grow(&g, 4, 3));
-        let cfg = AtosConfig::priority_discrete();
-        let seq = run_sssp_delta(
-            g.clone(),
-            w.clone(),
-            part.clone(),
-            src,
-            4,
-            Fabric::daisy(4),
-            cfg,
-        );
-        for k in [2, 4] {
-            let sh = run_sssp_delta_sharded(
-                g.clone(),
-                w.clone(),
-                part.clone(),
-                src,
-                4,
-                Fabric::daisy(4),
-                cfg,
-                k,
-            );
-            assert_eq!(sh.dist, seq.dist, "k={k} distances");
-            assert_eq!(sh.stats.elapsed_ns, seq.stats.elapsed_ns, "k={k} time");
-            assert_eq!(sh.stats.tasks_per_pe, seq.stats.tasks_per_pe, "k={k} tasks");
         }
     }
 
@@ -741,32 +672,6 @@ mod tests {
             if depth != u32::MAX {
                 assert_eq!(run.dist[v], depth as u64);
             }
-        }
-    }
-
-    #[test]
-    fn sharded_runs_are_byte_identical_to_sequential() {
-        let p = Preset::by_name("twitter_s").unwrap();
-        let g = Arc::new(p.build(Scale::Tiny));
-        let w = Arc::new(EdgeWeights::random(&g, 16, 9));
-        let src = p.bfs_source(&g);
-        let part = Arc::new(Partition::bfs_grow(&g, 4, 3));
-        let cfg = AtosConfig::priority_discrete();
-        let seq = run_sssp(g.clone(), w.clone(), part.clone(), src, 4, Fabric::daisy(4), cfg);
-        for k in [2, 4] {
-            let sh = run_sssp_sharded(
-                g.clone(),
-                w.clone(),
-                part.clone(),
-                src,
-                4,
-                Fabric::daisy(4),
-                cfg,
-                k,
-            );
-            assert_eq!(sh.dist, seq.dist, "k={k} distances");
-            assert_eq!(sh.stats.elapsed_ns, seq.stats.elapsed_ns, "k={k} time");
-            assert_eq!(sh.stats.tasks_per_pe, seq.stats.tasks_per_pe, "k={k} tasks");
         }
     }
 

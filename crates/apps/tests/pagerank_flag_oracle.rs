@@ -6,8 +6,8 @@
 //! `rank` bit and every `residue` bit must agree.
 //!
 //! * whole runs, sampled from graphs × partitions × ε × configurations ×
-//!   balancers × shard counts — including an ε above the starting residue
-//!   `1 − α`, where nothing may run at all;
+//!   balancers — including an ε above the starting residue `1 − α`, where
+//!   nothing may run at all;
 //! * single messages, `PageRankApp::on_receive_run` against the flagged
 //!   per-task loop, on runs that hit one vertex many times.
 
@@ -19,7 +19,6 @@ use atos_apps::pagerank::PrTask;
 use atos_apps::PageRankApp;
 use atos_core::{
     assert_owner, Application, AtosConfig, CommMode, Emitter, LoadBalance, RunStats, Runtime,
-    ShardableApp,
 };
 use atos_graph::generators::{Preset, Scale};
 use atos_graph::grouped::OwnerGrouped;
@@ -60,6 +59,7 @@ impl FlaggedPageRank {
 impl Application for FlaggedPageRank {
     type Task = PrTask;
 
+    #[atos_shard(owner(rank, residue, in_queue), shared(adj, partition, alpha, epsilon))]
     fn process(&mut self, pe: usize, task: PrTask, out: &mut Emitter<PrTask>) {
         let v = match task {
             PrTask::Relax(v) => v,
@@ -127,49 +127,22 @@ impl Application for FlaggedPageRank {
     }
 }
 
-impl ShardableApp for FlaggedPageRank {
-    #[atos_shard(owner(rank, residue, in_queue), shared(adj, partition, alpha, epsilon))]
-    fn fork(&self, _lo: usize, _hi: usize) -> Self {
-        FlaggedPageRank {
-            adj: self.adj.clone(),
-            partition: self.partition.clone(),
-            rank: self.rank.clone(),
-            residue: self.residue.clone(),
-            in_queue: self.in_queue.clone(),
-            alpha: self.alpha,
-            epsilon: self.epsilon,
-        }
-    }
-
-    fn join(&mut self, shard: Self, lo: usize, hi: usize) {
-        for v in 0..self.rank.len() {
-            let owner = self.partition.owner(v as VertexId);
-            if (lo..hi).contains(&owner) {
-                self.rank[v] = shard.rank[v];
-                self.residue[v] = shard.residue[v];
-                self.in_queue[v] = shard.in_queue[v];
-            }
-        }
-    }
-}
-
 fn bits(values: &[f64]) -> Vec<u64> {
     values.iter().map(|x| x.to_bits()).collect()
 }
 
-/// Seed every vertex on its owner and run to termination on `shards`.
-fn drive<A: ShardableApp<Task = PrTask>>(
+/// Seed every vertex on its owner and run to termination.
+fn drive<A: Application<Task = PrTask>>(
     app: A,
     partition: &Partition,
     fabric: Fabric,
     cfg: AtosConfig,
-    shards: usize,
 ) -> (A, RunStats) {
     let mut rt = Runtime::new(app, fabric, cfg);
     for pe in 0..partition.n_parts() {
         rt.seed(pe, partition.vertices_of(pe).into_iter().map(PrTask::Relax));
     }
-    let stats = rt.run_sharded(shards);
+    let stats = rt.run();
     (rt.into_app(), stats)
 }
 
@@ -223,7 +196,6 @@ proptest! {
         epsilon in 0usize..3,
         configuration in 0usize..4,
         balancer in 0usize..2,
-        shards in 1usize..3,
         seed in 0u64..1000,
     ) {
         let g = Arc::new(graph(graph_id));
@@ -238,9 +210,9 @@ proptest! {
         let epsilon = EPSILONS[epsilon];
 
         let flagged = FlaggedPageRank::new(g.clone(), part.clone(), ALPHA, epsilon);
-        let (flagged, want) = drive(flagged, &part, fabric.clone(), cfg, shards);
+        let (flagged, want) = drive(flagged, &part, fabric.clone(), cfg);
         let app = PageRankApp::new(g.clone(), part.clone(), ALPHA, epsilon);
-        let (app, got) = drive(app, &part, fabric, cfg, shards);
+        let (app, got) = drive(app, &part, fabric, cfg);
 
         prop_assert_eq!(format!("{got:?}"), format!("{want:?}"), "a statistic moved");
         prop_assert_eq!(bits(&app.rank), bits(&flagged.rank), "a rank bit moved");

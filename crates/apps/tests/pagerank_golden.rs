@@ -4,7 +4,7 @@
 //! started moving per-destination runs (per-destination emitter buffers,
 //! run-filled aggregator bundles, owner-grouped adjacency), so a pass here
 //! means that rewrite changed no `rank`/`residue` bit and no simulated
-//! quantity — on every shard count, with and without stealing.
+//! quantity, with and without stealing.
 //!
 //! The `sim_events` column alone was re-pinned when arrivals stopped being
 //! engine events (receive lanes, DESIGN.md §4.7): it counts wheel pops, and
@@ -56,7 +56,7 @@ fn cases() -> Vec<(&'static str, Fabric, AtosConfig)> {
     ]
 }
 
-fn run(fabric: Fabric, cfg: AtosConfig, shards: usize) -> Row {
+fn run(fabric: Fabric, cfg: AtosConfig) -> Row {
     let g = Arc::new(Preset::by_name("soc-LiveJournal1_s").unwrap().build(Scale::Tiny));
     let part = Arc::new(Partition::random(g.n_vertices(), fabric.n_pes(), 7));
     let app = PageRankApp::new(g, part.clone(), 0.85, 1e-6);
@@ -64,7 +64,7 @@ fn run(fabric: Fabric, cfg: AtosConfig, shards: usize) -> Row {
     for pe in 0..part.n_parts() {
         rt.seed(pe, part.vertices_of(pe).into_iter().map(PrTask::Relax));
     }
-    let s = rt.run_sharded(shards);
+    let s = rt.run();
     [
         fingerprint(rt.app()),
         s.elapsed_ns,
@@ -82,18 +82,10 @@ fn pagerank_runs_match_parent_commit_fingerprints() {
     let mut got: Vec<(String, Row)> = Vec::new();
     for (name, fabric, cfg) in cases() {
         for lb in LoadBalance::ALL {
-            let cfg = cfg.with_lb(lb);
-            for k in [1, 2, 4] {
-                let row = run(fabric.clone(), cfg, k);
-                println!("    (\"{name}/{lb:?}/{k}\", {row:?}),");
-                got.push((format!("{name}/{lb:?}/{k}"), row));
-            }
+            let row = run(fabric.clone(), cfg.with_lb(lb));
+            println!("    (\"{name}/{lb:?}/1\", {row:?}),");
+            got.push((format!("{name}/{lb:?}/1"), row));
         }
-        // Owner-computes: shards change wall-clock time only. (Steals stay
-        // inside a shard, so under `Steal` each shard count has its own
-        // schedule and its own rows.)
-        let owner = &got[got.len() - 6..got.len() - 3];
-        assert!(owner.iter().all(|(_, r)| *r == owner[0].1), "{name}: shards moved a result");
     }
     let golden: Vec<_> = GOLDEN.iter().map(|&(n, r)| (n.to_string(), r)).collect();
     assert_eq!(got, golden);
@@ -102,27 +94,11 @@ fn pagerank_runs_match_parent_commit_fingerprints() {
 #[rustfmt::skip]
 const GOLDEN: &[(&str, Row)] = &[
     ("daisy4/persistent/Owner/1", [7756162498593278328, 1310640, 444, 16880, 4720384, 0, 0, 0]),
-    ("daisy4/persistent/Owner/2", [7756162498593278328, 1310640, 444, 16880, 4720384, 0, 0, 0]),
-    ("daisy4/persistent/Owner/4", [7756162498593278328, 1310640, 444, 16880, 4720384, 0, 0, 0]),
     ("daisy4/persistent/Steal/1", [16206054165013289050, 1291702, 402, 16893, 4721312, 0, 0, 0]),
-    ("daisy4/persistent/Steal/2", [330996726898839687, 1299600, 419, 16890, 4721472, 0, 0, 0]),
-    ("daisy4/persistent/Steal/4", [7756162498593278328, 1310640, 444, 16880, 4720384, 0, 0, 0]),
     ("daisy4/discrete/Owner/1", [16168691235436804750, 2754779, 382, 15260, 4269712, 0, 0, 0]),
-    ("daisy4/discrete/Owner/2", [16168691235436804750, 2754779, 382, 15260, 4269712, 0, 0, 0]),
-    ("daisy4/discrete/Owner/4", [16168691235436804750, 2754779, 382, 15260, 4269712, 0, 0, 0]),
     ("daisy4/discrete/Steal/1", [3249118642090893861, 2726960, 362, 15263, 4269728, 0, 0, 0]),
-    ("daisy4/discrete/Steal/2", [12547446433967291394, 2736877, 371, 15263, 4269776, 0, 0, 0]),
-    ("daisy4/discrete/Steal/4", [16168691235436804750, 2754779, 382, 15260, 4269712, 0, 0, 0]),
     ("ib8/ib_pagerank/Owner/1", [6608448951903192120, 4212114, 6480, 4179, 26835540, 4179, 0, 4179]),
-    ("ib8/ib_pagerank/Owner/2", [6608448951903192120, 4212114, 6480, 4179, 26835540, 4179, 0, 4179]),
-    ("ib8/ib_pagerank/Owner/4", [6608448951903192120, 4212114, 6480, 4179, 26835540, 4179, 0, 4179]),
     ("ib8/ib_pagerank/Steal/1", [18085304559097682566, 3705116, 5606, 3833, 27187636, 3833, 0, 3833]),
-    ("ib8/ib_pagerank/Steal/2", [2907861913226372489, 4269527, 6236, 4082, 27117924, 4082, 0, 4082]),
-    ("ib8/ib_pagerank/Steal/4", [4493736034589566636, 3927311, 6004, 3997, 27032444, 3997, 0, 3997]),
     ("ib4/wait4/Owner/1", [15842192610460789458, 1926787, 1958, 2391, 11884036, 2391, 542, 1849]),
-    ("ib4/wait4/Owner/2", [15842192610460789458, 1926787, 1958, 2391, 11884036, 2391, 542, 1849]),
-    ("ib4/wait4/Owner/4", [15842192610460789458, 1926787, 1958, 2391, 11884036, 2391, 542, 1849]),
     ("ib4/wait4/Steal/1", [17201180342033987342, 2000814, 2022, 2414, 11908232, 2414, 542, 1872]),
-    ("ib4/wait4/Steal/2", [16239999228420874266, 2137671, 2169, 2481, 11918540, 2481, 542, 1939]),
-    ("ib4/wait4/Steal/4", [15842192610460789458, 1926787, 1958, 2391, 11884036, 2391, 542, 1849]),
 ];

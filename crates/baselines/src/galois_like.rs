@@ -23,7 +23,7 @@
 
 use std::sync::Arc;
 
-use atos_apps::bfs::{run_bfs_sharded_profiled, BfsRun};
+use atos_apps::bfs::{run_bfs_tuned, BfsRun};
 use atos_apps::pagerank::{run_pagerank_tuned, PageRankRun};
 use atos_core::{
     AtosConfig, CommMode, KernelMode, NullTracer, QueueMode, RuntimeTuning, WorkerConfig,
@@ -67,7 +67,7 @@ pub fn galois_bfs(
     fabric: Fabric,
 ) -> BfsRun {
     let (cfg, tuning) = (galois_config(), galois_tuning(&graph));
-    run_bfs_sharded_profiled(graph, partition, source, fabric, cfg, tuning, 1, NullTracer).0
+    run_bfs_tuned(graph, partition, source, fabric, cfg, tuning, NullTracer)
 }
 
 /// Galois-like bulk-asynchronous push PageRank.
@@ -79,7 +79,7 @@ pub fn galois_pagerank(
     fabric: Fabric,
 ) -> PageRankRun {
     let (cfg, tuning) = (galois_config(), galois_tuning(&graph));
-    run_pagerank_tuned(graph, partition, alpha, epsilon, fabric, cfg, tuning, 1)
+    run_pagerank_tuned(graph, partition, alpha, epsilon, fabric, cfg, tuning)
 }
 
 #[cfg(test)]

@@ -21,7 +21,7 @@
 
 use std::sync::Arc;
 
-use atos_apps::bfs::{run_bfs_sharded_profiled, BfsRun};
+use atos_apps::bfs::{run_bfs_tuned, BfsRun};
 use atos_apps::pagerank::{run_pagerank_tuned, PageRankRun};
 use atos_core::{
     AtosConfig, CommMode, KernelMode, NullTracer, QueueMode, RuntimeTuning, WorkerConfig,
@@ -63,7 +63,7 @@ pub fn groute_bfs(
     fabric: Fabric,
 ) -> BfsRun {
     let (cfg, tuning) = (groute_config(), groute_tuning());
-    run_bfs_sharded_profiled(graph, partition, source, fabric, cfg, tuning, 1, NullTracer).0
+    run_bfs_tuned(graph, partition, source, fabric, cfg, tuning, NullTracer)
 }
 
 /// Groute-like asynchronous push PageRank.
@@ -75,7 +75,7 @@ pub fn groute_pagerank(
     fabric: Fabric,
 ) -> PageRankRun {
     let (cfg, tuning) = (groute_config(), groute_tuning());
-    run_pagerank_tuned(graph, partition, alpha, epsilon, fabric, cfg, tuning, 1)
+    run_pagerank_tuned(graph, partition, alpha, epsilon, fabric, cfg, tuning)
 }
 
 #[cfg(test)]

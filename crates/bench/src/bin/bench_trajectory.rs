@@ -1,6 +1,6 @@
 //! Benchmark-trajectory runner: measures the engine microbench (wheel vs
-//! retained heap reference), the fig5/fig8/fig9 quick workloads, the shard
-//! strong-scaling curve, the load-balance discipline sweep
+//! retained heap reference), the fig5/fig8/fig9 quick workloads, the
+//! load-balance discipline sweep
 //! (`lb_sweep`: per-discipline quick-BFS wall clock + steal counters,
 //! delta-stepping vs Dijkstra-order SSSP), and the graph-construction
 //! layer (`graph_build`: full-scale R-MAT and road-mesh generation,
@@ -12,10 +12,8 @@
 //!
 //! ```text
 //! bench_trajectory [--sha SHA] [--stamp STAMP] [--events N] [--samples K]
-//!                  [--skip-engine] [--skip-e2e] [--skip-sharded] [--skip-lb]
-//!                  [--skip-graph]
+//!                  [--skip-engine] [--skip-e2e] [--skip-lb] [--skip-graph]
 //!                  [--deny-regression PCT] [--min-speedup X]
-//!                  [--min-shard-speedup X]
 //!                  [--append] [--out PATH]
 //! ```
 //!
@@ -25,21 +23,16 @@
 //! `--deny-regression PCT` the process exits 1 if any freshly measured
 //! metric regresses more than PCT percent against the last committed
 //! entry of the same kind; `--min-speedup X` additionally enforces the
-//! absolute wheel-vs-heap floor on the 1M-event uniform drain, and
-//! `--min-shard-speedup X` the K=4 shard-scaling floor on the fig5 Atos
-//! cells. The shard floor is only *enforced* when the host has at least 4
-//! cores — shard threads are clamped to host parallelism, so on a smaller
-//! host the curve is honestly flat and the floor is reported as
-//! unenforceable instead of failing. Nothing is written unless `--append`
-//! is given, so the gate can run in CI without dirtying the work tree.
+//! absolute wheel-vs-heap floor on the 1M-event uniform drain. Nothing is
+//! written unless `--append` is given, so the gate can run in CI without
+//! dirtying the work tree.
 
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 
 use atos_bench::trajectory::{
     append_entries, check_regression, host_cores, last_of_kind, measure_engine,
-    measure_graph_build, measure_lb_sweep, measure_sharded_scaling, quick_grid_ms,
-    read_trajectory, TrajectoryEntry,
+    measure_graph_build, measure_lb_sweep, quick_grid_ms, read_trajectory, TrajectoryEntry,
     DEFAULT_TRAJECTORY_PATH,
 };
 
@@ -50,12 +43,10 @@ struct Args {
     samples: usize,
     skip_engine: bool,
     skip_e2e: bool,
-    skip_sharded: bool,
     skip_lb: bool,
     skip_graph: bool,
     deny_regression: Option<f64>,
     min_speedup: Option<f64>,
-    min_shard_speedup: Option<f64>,
     append: bool,
     out: PathBuf,
 }
@@ -68,12 +59,10 @@ fn parse_args() -> Result<Args, String> {
         samples: 3,
         skip_engine: false,
         skip_e2e: false,
-        skip_sharded: false,
         skip_lb: false,
         skip_graph: false,
         deny_regression: None,
         min_speedup: None,
-        min_shard_speedup: None,
         append: false,
         out: PathBuf::from(DEFAULT_TRAJECTORY_PATH),
     };
@@ -98,7 +87,6 @@ fn parse_args() -> Result<Args, String> {
             }
             "--skip-engine" => a.skip_engine = true,
             "--skip-e2e" => a.skip_e2e = true,
-            "--skip-sharded" => a.skip_sharded = true,
             "--skip-lb" => a.skip_lb = true,
             "--skip-graph" => a.skip_graph = true,
             "--deny-regression" => {
@@ -111,21 +99,13 @@ fn parse_args() -> Result<Args, String> {
                 a.min_speedup =
                     Some(v.parse().map_err(|_| format!("invalid --min-speedup value `{v}`"))?);
             }
-            "--min-shard-speedup" => {
-                let v = value("--min-shard-speedup")?;
-                a.min_shard_speedup = Some(
-                    v.parse()
-                        .map_err(|_| format!("invalid --min-shard-speedup value `{v}`"))?,
-                );
-            }
             "--append" => a.append = true,
             "--out" => a.out = PathBuf::from(value("--out")?),
             other => {
                 return Err(format!(
                     "unknown argument `{other}` (supported: --sha, --stamp, --events N, \
-                     --samples K, --skip-engine, --skip-e2e, --skip-sharded, --skip-lb, \
-                     --skip-graph, --deny-regression PCT, --min-speedup X, --min-shard-speedup X, \
-                     --append, --out PATH)"
+                     --samples K, --skip-engine, --skip-e2e, --skip-lb, --skip-graph, \
+                     --deny-regression PCT, --min-speedup X, --append, --out PATH)"
                 ))
             }
         }
@@ -141,7 +121,7 @@ fn print_metrics(kind: &str, metrics: &BTreeMap<String, f64>) {
         } else if k.ends_with("_speedup_x") {
             println!("  {k:<24} {v:>12.2} x");
         } else if v.fract() != 0.0 {
-            // Fractional diagnostics (barrier_frac, imbalance ratios).
+            // Fractional diagnostics (`from_edges_medges_per_s`).
             println!("  {k:<24} {v:>12.3}");
         } else {
             println!("  {k:<24} {v:>12.0}");
@@ -198,34 +178,6 @@ fn main() {
         new_entries.push(TrajectoryEntry {
             run_id: run_id.clone(),
             kind: "e2e_quick".to_string(),
-            metrics,
-        });
-    }
-
-    if !args.skip_sharded {
-        let metrics = measure_sharded_scaling(args.samples);
-        print_metrics("sharded_scaling", &metrics);
-        if let Some(floor) = args.min_shard_speedup {
-            let cores = metrics["host_cores"];
-            let got = metrics["fig5_sharded_k4_speedup_x"];
-            if cores >= 4.0 {
-                if got < floor {
-                    failures.push(format!(
-                        "sharded_scaling [fig5_sharded_k4_speedup_x]: {got:.2}x below the \
-                         {floor:.2}x floor on a {cores:.0}-core host"
-                    ));
-                }
-            } else {
-                eprintln!(
-                    "[trajectory] note: --min-shard-speedup {floor:.2} not enforceable on a \
-                     {cores:.0}-core host (shard threads clamp to host parallelism; measured \
-                     {got:.2}x at K=4)"
-                );
-            }
-        }
-        new_entries.push(TrajectoryEntry {
-            run_id: run_id.clone(),
-            kind: "sharded_scaling".to_string(),
             metrics,
         });
     }

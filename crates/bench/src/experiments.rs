@@ -6,9 +6,9 @@
 
 use std::sync::Arc;
 
-use atos_apps::bfs::{run_bfs_sharded, BfsApp};
-use atos_apps::pagerank::run_pagerank_sharded;
-use atos_apps::sssp::{run_sssp_delta_sharded, run_sssp_sharded};
+use atos_apps::bfs::{run_bfs, BfsApp};
+use atos_apps::pagerank::run_pagerank;
+use atos_apps::sssp::{run_sssp, run_sssp_delta};
 use atos_baselines::{bsp_bfs, bsp_pagerank, groute_bfs};
 use atos_core::{AtosConfig, RunStats, Runtime, WorkerConfig, WorkerSize};
 use atos_graph::generators::{GraphKind, Preset, Scale};
@@ -79,7 +79,7 @@ const SSSP_WEIGHT_SEED: u64 = 1;
 /// is printed.
 pub fn table3_priority_workload(args: &BenchArgs, events: &EventTally) {
     let gpus = [1usize, 2, 3, 4];
-    let (lb, shards) = (args.run.load_balance, args.run.sim_threads);
+    let lb = args.run.load_balance;
     let datasets: Vec<Dataset> = Dataset::all(args.scale)
         .into_iter()
         .filter(|ds| ds.preset.kind == GraphKind::ScaleFree)
@@ -109,7 +109,7 @@ pub fn table3_priority_workload(args: &BenchArgs, events: &EventTally) {
         let part = ds.partition(g);
         let bfs = |cfg: AtosConfig| {
             let (graph, part, fabric) = (ds.graph.clone(), part.clone(), Fabric::daisy(g));
-            run_bfs_sharded(graph, part, ds.source, fabric, cfg.with_lb(lb), shards)
+            run_bfs(graph, part, ds.source, fabric, cfg.with_lb(lb))
         };
         let fifo = bfs(AtosConfig::standard_persistent());
         let prio = bfs(AtosConfig::priority_discrete());
@@ -126,7 +126,7 @@ pub fn table3_priority_workload(args: &BenchArgs, events: &EventTally) {
         let part = ds.partition(g);
         let weights = Arc::new(EdgeWeights::random(&ds.graph, SSSP_MAX_WEIGHT, SSSP_WEIGHT_SEED));
         let cfg = AtosConfig::priority_discrete().with_lb(lb);
-        let dij = run_sssp_sharded(
+        let dij = run_sssp(
             ds.graph.clone(),
             weights.clone(),
             part.clone(),
@@ -134,9 +134,8 @@ pub fn table3_priority_workload(args: &BenchArgs, events: &EventTally) {
             1,
             Fabric::daisy(g),
             cfg,
-            shards,
         );
-        let delta = run_sssp_delta_sharded(
+        let delta = run_sssp_delta(
             ds.graph.clone(),
             weights,
             part,
@@ -144,7 +143,6 @@ pub fn table3_priority_workload(args: &BenchArgs, events: &EventTally) {
             SSSP_DELTA,
             Fabric::daisy(g),
             cfg,
-            shards,
         );
         assert_eq!(
             delta.dist, dij.dist,
@@ -271,7 +269,7 @@ pub fn fig7_summit_node(args: &BenchArgs, events: &EventTally) {
     let apps = ["BFS", "PageRank"];
     let frameworks = ["Gunrock", "Atos"];
     let datasets: Vec<Dataset> = names.iter().map(|n| Dataset::named(n, args.scale)).collect();
-    let (lb, shards) = (args.run.load_balance, args.run.sim_threads);
+    let lb = args.run.load_balance;
 
     let mut cells: Vec<(usize, usize, usize, usize)> = Vec::new();
     for d in 0..datasets.len() {
@@ -297,11 +295,11 @@ pub fn fig7_summit_node(args: &BenchArgs, events: &EventTally) {
             ("Gunrock", _) => bsp_pagerank(graph, part, ALPHA, EPSILON, fabric).stats,
             (_, "BFS") => {
                 let cfg = AtosConfig::priority_discrete().with_lb(lb);
-                run_bfs_sharded(graph, part, ds.source, fabric, cfg, shards).stats
+                run_bfs(graph, part, ds.source, fabric, cfg).stats
             }
             _ => {
                 let cfg = AtosConfig::standard_discrete().with_lb(lb);
-                run_pagerank_sharded(graph, part, ALPHA, EPSILON, fabric, cfg, shards).stats
+                run_pagerank(graph, part, ALPHA, EPSILON, fabric, cfg).stats
             }
         };
         events.ms_of(&stats)
@@ -356,17 +354,14 @@ pub fn ablation_smoothing(args: &BenchArgs, events: &EventTally) {
     ];
     let cells: Vec<usize> = (0..labels.len()).collect();
     let atos_cfg = AtosConfig::standard_persistent().with_lb(args.run.load_balance);
-    let shards = args.run.sim_threads;
     let runs: Vec<RunStats> = SweepRunner::new(args.threads).run(&cells, |_, &which| {
         let (graph, part, fabric) = (ds.graph.clone(), part.clone(), Fabric::daisy(4));
         let stats = match which {
             0 => bsp_bfs(graph, part, ds.source, fabric).stats,
             1 => groute_bfs(graph, part, ds.source, fabric).stats,
-            2 => run_bfs_sharded(graph, part, ds.source, fabric, atos_cfg, shards).stats,
+            2 => run_bfs(graph, part, ds.source, fabric, atos_cfg).stats,
             3 => bsp_pagerank(graph, part, ALPHA, EPSILON, fabric).stats,
-            _ => {
-                run_pagerank_sharded(graph, part, ALPHA, EPSILON, fabric, atos_cfg, shards).stats
-            }
+            _ => run_pagerank(graph, part, ALPHA, EPSILON, fabric, atos_cfg).stats,
         };
         events.ms_of(&stats);
         stats
@@ -395,8 +390,8 @@ pub fn ablation_smoothing(args: &BenchArgs, events: &EventTally) {
 /// simulator's cost model: smaller workers lose neighbor-list coalescing
 /// (higher per-edge cost), larger fetch amortizes pops but delays
 /// communication. Each point builds its own `Runtime` on the worker
-/// shape's cost model and runs it sequentially, which is why the table
-/// marks this experiment as launching no sharded Atos run.
+/// shape's cost model under its own configuration, which is why the table
+/// marks this experiment as honouring no run flag.
 pub fn ablation_worker(args: &BenchArgs, events: &EventTally) {
     let ds = Dataset::named("soc-LiveJournal1_s", args.scale);
     let part = ds.partition(4);

@@ -15,25 +15,21 @@
 //! (the artifact appendix's "quick mode"), `--threads N` to fan the sweep
 //! grid over worker threads (default: host parallelism), `--json PATH` /
 //! `--run-id ID` for the timing report, and — where it launches Atos runs
-//! — `--sim-threads K` to execute each on `K` parallel engine shards
-//! (byte-identical output) and `--load-balance {owner|steal}` to let idle
-//! PEs steal (default `owner`, the paper's scheduling). [`sweep`] has the
-//! harness.
+//! — `--load-balance {owner|steal}` to let idle PEs steal (default
+//! `owner`, the paper's scheduling). [`sweep`] has the harness.
 
 use std::sync::Arc;
 
 pub mod experiments;
 pub mod observability;
-pub mod profile;
 pub mod registry;
 pub mod sweep;
 pub mod trajectory;
 
-pub use profile::render_report;
 pub use sweep::{BenchArgs, EventTally, RunConfig, SweepReport, SweepRunner};
 
-use atos_apps::bfs::run_bfs_sharded;
-use atos_apps::pagerank::run_pagerank_sharded;
+use atos_apps::bfs::run_bfs;
+use atos_apps::pagerank::run_pagerank;
 use atos_baselines::{bsp_bfs, bsp_pagerank, galois_bfs, galois_pagerank, groute_bfs, groute_pagerank};
 use atos_core::{AtosConfig, RunStats};
 use atos_graph::csr::{Csr, VertexId};
@@ -182,9 +178,8 @@ pub fn is_atos(framework: &str) -> bool {
 }
 
 /// Run `framework` (one of [`frameworks`]`(system, app)`) on `ds` at
-/// `gpus` GPUs. Atos configurations execute on `run.sim_threads` engine
-/// shards — results are byte-identical at any shard count — under
-/// `run.load_balance`; the baseline frameworks ignore both.
+/// `gpus` GPUs. Atos configurations execute under `run.load_balance`; the
+/// baseline frameworks ignore it.
 pub fn run_cell(
     system: System,
     app: App,
@@ -210,12 +205,10 @@ pub fn run_cell(
         _ => None,
     };
     if let Some(cfg) = atos {
-        let (cfg, shards) = (cfg.with_lb(run.load_balance), run.sim_threads);
+        let cfg = cfg.with_lb(run.load_balance);
         return match app {
-            App::Bfs => run_bfs_sharded(graph, part, ds.source, fabric, cfg, shards).stats,
-            App::PageRank => {
-                run_pagerank_sharded(graph, part, ALPHA, EPSILON, fabric, cfg, shards).stats
-            }
+            App::Bfs => run_bfs(graph, part, ds.source, fabric, cfg).stats,
+            App::PageRank => run_pagerank(graph, part, ALPHA, EPSILON, fabric, cfg).stats,
         };
     }
     match (framework, app) {

@@ -19,13 +19,11 @@
 //!   (`queue.cas_retries`, `queue.reservation_conflicts`,
 //!   `queue.host_occupancy_hwm`) gathered by running two small
 //!   `atos-queue` contention probes on real threads.
-//! * `--flight-dump PATH` — with `--sim-threads K > 1`, the per-shard
-//!   flight-recorder rings as deterministic JSON.
 
 use std::path::Path;
 
-use atos_apps::bfs::run_bfs_sharded_profiled;
-use atos_core::{AtosConfig, RuntimeTuning, ShardProfile};
+use atos_apps::bfs::run_bfs_traced;
+use atos_core::AtosConfig;
 use atos_graph::generators::Scale;
 use atos_queue::bench_harness::{run as queue_probe, Experiment, QueueKind};
 use atos_sim::Fabric;
@@ -43,11 +41,7 @@ const PROBE_VIRTUAL_THREADS: usize = 1024;
 /// `args.run` (added to `events`), print its summary, and write the
 /// artifacts `args` asks for.
 pub fn reference(args: &BenchArgs, events: &EventTally) {
-    // `--sim-threads K > 1` puts the run on the sharded window-barrier
-    // runtime so the artifacts carry per-shard detail (shard tracks in
-    // the trace, `shard<k>.*` / `sharded.*` metrics, flight-recorder
-    // rings) instead of silently dropping it.
-    let (buf, reg, profile) = reference_run_sharded(args.scale, args.run, events);
+    let (buf, reg) = reference_run(args.scale, args.run, events);
     println!("Reference run: BFS on soc-LiveJournal1_s, 4 GPUs over InfiniBand, aggregated");
     for (label, key) in [
         ("virtual time (ns)", "run.elapsed_ns"),
@@ -61,54 +55,29 @@ pub fn reference(args: &BenchArgs, events: &EventTally) {
     if let Some(path) = &args.metrics {
         write_artifact(path, &reg.to_json(), "metrics");
     }
-    if let Some(path) = &args.flight_dump {
-        match &profile {
-            Some(p) => write_artifact(path, &p.flight_json(), "flight recorder"),
-            None => eprintln!(
-                "[observability] warning: --flight-dump needs --sim-threads K > 1 \
-                 (sequential runs keep no flight recorder); skipping {}",
-                path.display()
-            ),
-        }
-    }
 }
 
-/// The deterministic instrumented reference run: BFS on
-/// `soc-LiveJournal1_s` over `Fabric::ib_cluster(4)` with
+/// The deterministic instrumented reference run, added to `events`: BFS
+/// on `soc-LiveJournal1_s` over `Fabric::ib_cluster(4)` with
 /// [`AtosConfig::ib_bfs`] — aggregated communication, so step spans,
 /// send/arrive instants, size- and age-triggered flushes, and occupancy
-/// counters all appear. Returns the raw trace and the filled registry.
-pub fn reference_run(scale: Scale) -> (TraceBuffer, MetricsRegistry) {
-    let (buf, reg, _) = reference_run_sharded(scale, RunConfig::default(), &EventTally::default());
-    (buf, reg)
-}
-
-/// [`reference_run`] under `run`, added to `events`: on the sharded
-/// window-barrier runtime with `run.sim_threads` engine shards (1 is the
-/// sequential engine and returns no profile) and under
-/// `run.load_balance` — so a `--load-balance steal` snapshot carries live
-/// `lb.*` steal counters for `atos-profile`. The simulated results and the
-/// per-PE/aggregation timeline are byte-identical to the sequential run;
-/// the trace additionally carries per-shard `window`/`exchange` tracks,
-/// the registry gains the `shard<i>.*` / `sharded.*` namespaces from
-/// [`ShardProfile::fill_metrics`], and the returned profile holds the
-/// flight-recorder rings for `--flight-dump`.
-pub fn reference_run_sharded(
+/// counters all appear — under `run.load_balance`, so a
+/// `--load-balance steal` snapshot carries live `lb.*` steal counters.
+/// Returns the raw trace and the filled registry.
+pub fn reference_run(
     scale: Scale,
     run: RunConfig,
     events: &EventTally,
-) -> (TraceBuffer, MetricsRegistry, Option<ShardProfile>) {
+) -> (TraceBuffer, MetricsRegistry) {
     let ds = Dataset::named("soc-LiveJournal1_s", scale);
     let part = ds.partition(4);
     let mut buf = TraceBuffer::new();
-    let (bfs, profile) = run_bfs_sharded_profiled(
+    let bfs = run_bfs_traced(
         ds.graph.clone(),
         part,
         ds.source,
         Fabric::ib_cluster(4),
         AtosConfig::ib_bfs().with_lb(run.load_balance),
-        RuntimeTuning::default(),
-        run.sim_threads,
         &mut buf,
     );
     events.ms_of(&bfs.stats);
@@ -116,9 +85,6 @@ pub fn reference_run_sharded(
     let mut reg = MetricsRegistry::new();
     bfs.stats.fill_metrics(&mut reg);
     reg.set("run.reached_vertices", bfs.reachable);
-    if let Some(p) = &profile {
-        p.fill_metrics(&mut reg);
-    }
 
     // The simulated run never touches the host queues, so exercise them
     // directly: one counter-queue and one CAS-queue probe on real
@@ -138,7 +104,7 @@ pub fn reference_run_sharded(
     reg.set("queue.cas_retries", q.cas_retries);
     reg.set("queue.reservation_conflicts", q.reservation_conflicts);
     reg.set("queue.host_occupancy_hwm", q.occupancy_hwm);
-    (buf, reg, profile)
+    (buf, reg)
 }
 
 fn write_artifact(path: &Path, contents: &str, what: &str) {
@@ -171,7 +137,8 @@ mod tests {
 
     #[test]
     fn reference_run_fills_both_artifacts() {
-        let (buf, reg) = reference_run(Scale::Tiny);
+        let (buf, reg) =
+            reference_run(Scale::Tiny, RunConfig::default(), &EventTally::default());
         assert!(!buf.is_empty());
         let json = perfetto::to_chrome_json(&buf);
         let summary = perfetto::validate_chrome_trace(&json).expect("valid trace");
@@ -214,54 +181,6 @@ mod tests {
         assert!(perfetto::validate_chrome_trace(&trace).is_ok());
         let metrics = std::fs::read_to_string(dir.join("metrics.json")).unwrap();
         assert!(atos_trace::json::parse(&metrics).is_ok());
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn sharded_reference_run_carries_shard_detail() {
-        // `--trace`/`--metrics` with `--sim-threads K > 1` must not silently
-        // lose per-shard detail.
-        let sharded = RunConfig {
-            sim_threads: 4,
-            ..RunConfig::default()
-        };
-        let (buf, reg, profile) =
-            reference_run_sharded(Scale::Tiny, sharded, &EventTally::default());
-        let json = perfetto::to_chrome_json(&buf);
-        let summary = perfetto::validate_chrome_trace(&json).expect("valid trace");
-        assert!(summary.names.contains("step"), "PE timeline intact");
-        assert!(summary.names.contains("window"), "shard tracks present");
-        for key in [
-            "run.elapsed_ns",
-            "sharded.shards",
-            "sharded.windows",
-            "shard0.events",
-            "shard3.windows",
-        ] {
-            assert!(reg.get(key).is_some(), "missing {key}");
-        }
-        assert_eq!(reg.get("sharded.shards"), Some(4));
-        assert!(reg.histogram("shard0.barrier_wait_ns").is_some());
-        assert!(reg.histogram("sharded.imbalance_permille").is_some());
-        let profile = profile.expect("sharded run collects a profile");
-        assert_eq!(profile.shards.len(), 4);
-        let flight = profile.flight_json();
-        assert!(atos_trace::json::parse(&flight).is_ok(), "flight dump parses");
-
-        // And the experiment wires all three files through.
-        let dir = std::env::temp_dir().join(format!("atos-obs-shard-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let args = BenchArgs {
-            metrics: Some(dir.join("metrics.json")),
-            flight_dump: Some(dir.join("flight.json")),
-            run: sharded,
-            ..quick_args()
-        };
-        reference(&args, &EventTally::default());
-        let metrics = std::fs::read_to_string(dir.join("metrics.json")).unwrap();
-        assert!(metrics.contains("\"sharded.shards\": 4"), "{metrics}");
-        let flight = std::fs::read_to_string(dir.join("flight.json")).unwrap();
-        assert!(atos_trace::json::parse(&flight).is_ok());
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -23,10 +23,10 @@ pub struct Experiment {
     pub name: &'static str,
     /// One line for the usage table.
     pub about: &'static str,
-    /// Whether the experiment launches Atos runs through the sharded
-    /// launch bodies and therefore honours `--sim-threads` /
-    /// `--load-balance`. One that does not refuses the flags (exit 2)
-    /// rather than report a run under settings it never used.
+    /// Whether the experiment launches Atos runs under the invocation's
+    /// [`RunConfig`] and therefore honours `--load-balance`. One that does
+    /// not refuses the flag (exit 2) rather than report a run under a
+    /// setting it never used.
     pub atos_runs: bool,
     /// What it executes.
     pub body: Body,
@@ -40,8 +40,7 @@ pub enum Body {
     Custom(fn(&BenchArgs, &EventTally)),
 }
 
-/// The one experiment that writes run artifacts (`--trace`, `--metrics`,
-/// `--flight-dump`).
+/// The one experiment that writes run artifacts (`--trace`, `--metrics`).
 pub const REFERENCE: &str = "reference";
 
 /// Everything `atos-bench` can run, in the order the usage table prints.
@@ -174,7 +173,7 @@ pub static EXPERIMENTS: [Experiment; 15] = [
     },
     Experiment {
         name: REFERENCE,
-        about: "One instrumented BFS run; writes --trace / --metrics / --flight-dump artifacts",
+        about: "One instrumented BFS run; writes --trace / --metrics artifacts",
         atos_runs: true,
         body: Body::Custom(observability::reference),
     },
@@ -202,8 +201,8 @@ pub fn usage() -> String {
     }
     out.push_str(
         "\nflags: --quick, --threads N, --json PATH, --run-id ID, and, where the experiment\n\
-         launches Atos runs, --sim-threads K, --load-balance {owner|steal};\n\
-         `reference` alone accepts --trace PATH, --metrics PATH, --flight-dump PATH\n",
+         launches Atos runs, --load-balance {owner|steal};\n\
+         `reference` alone accepts --trace PATH, --metrics PATH\n",
     );
     out
 }
@@ -212,29 +211,15 @@ impl Experiment {
     /// `Err` naming the first flag in `args` this experiment cannot
     /// honour, so the run is refused instead of silently ignoring it.
     pub fn check_flags(&self, args: &BenchArgs) -> Result<(), String> {
-        let default = RunConfig::default();
-        if !self.atos_runs {
-            let flag = if args.run.sim_threads != default.sim_threads {
-                Some("--sim-threads")
-            } else if args.run.load_balance != default.load_balance {
-                Some("--load-balance")
-            } else {
-                None
-            };
-            if let Some(flag) = flag {
-                return Err(format!(
-                    "{} does not support {flag}: none of its runs go through the sharded \
-                     Atos launch path, so the flag would be ignored",
-                    self.name
-                ));
-            }
+        if !self.atos_runs && args.run.load_balance != RunConfig::default().load_balance {
+            return Err(format!(
+                "{} does not support --load-balance: none of its runs take the flag, so it \
+                 would be ignored",
+                self.name
+            ));
         }
         if self.name != REFERENCE {
-            let artifact = [
-                ("--trace", &args.trace),
-                ("--metrics", &args.metrics),
-                ("--flight-dump", &args.flight_dump),
-            ];
+            let artifact = [("--trace", &args.trace), ("--metrics", &args.metrics)];
             if let Some((flag, _)) = artifact.iter().find(|(_, path)| path.is_some()) {
                 return Err(format!(
                     "{} does not support {flag}: only `{REFERENCE}` writes run artifacts",
@@ -451,16 +436,14 @@ mod tests {
     fn run_flags_are_refused_exactly_where_no_atos_run_is_launched() {
         for e in &EXPERIMENTS {
             assert_eq!(e.check_flags(&args(&["--quick", "--threads", "3"])), Ok(()), "{}", e.name);
-            // Spelling out the defaults is not a request for anything else.
-            let spelled = args(&["--sim-threads", "1", "--load-balance", "owner"]);
+            // Spelling out the default is not a request for anything else.
+            let spelled = args(&["--load-balance", "owner"]);
             assert_eq!(e.check_flags(&spelled), Ok(()), "{}", e.name);
-            for flag in [["--sim-threads", "4"], ["--load-balance", "steal"]] {
-                match e.check_flags(&args(&flag)) {
-                    Ok(()) => assert!(e.atos_runs, "{} ignores {}", e.name, flag[0]),
-                    Err(err) => {
-                        assert!(!e.atos_runs, "{}: {err}", e.name);
-                        assert!(err.contains(e.name) && err.contains(flag[0]), "{err}");
-                    }
+            match e.check_flags(&args(&["--load-balance", "steal"])) {
+                Ok(()) => assert!(e.atos_runs, "{} ignores --load-balance", e.name),
+                Err(err) => {
+                    assert!(!e.atos_runs, "{}: {err}", e.name);
+                    assert!(err.contains(e.name) && err.contains("--load-balance"), "{err}");
                 }
             }
         }
@@ -469,7 +452,7 @@ mod tests {
     #[test]
     fn only_the_reference_run_accepts_artifact_flags() {
         for e in &EXPERIMENTS {
-            for flag in ["--trace", "--metrics", "--flight-dump"] {
+            for flag in ["--trace", "--metrics"] {
                 let got = e.check_flags(&args(&[flag, "/tmp/x.json"]));
                 if e.name == REFERENCE {
                     assert_eq!(got, Ok(()));

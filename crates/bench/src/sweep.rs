@@ -9,12 +9,12 @@
 //! — parallelism only reorders wall-clock completion, never results.
 //!
 //! [`BenchArgs`] is the CLI surface after the experiment name (`--quick`,
-//! `--threads N`, `--json PATH`, `--run-id ID`); the two flags that change
-//! how each simulated run executes (`--sim-threads`, `--load-balance`)
-//! parse into a [`RunConfig`] value that the experiments hand to whatever
-//! launches their runs, and the three artifact flags (`--trace`,
-//! `--metrics`, `--flight-dump`) belong to the `reference` experiment
-//! alone ([`crate::registry::Experiment::check_flags`] refuses what an
+//! `--threads N`, `--json PATH`, `--run-id ID`); the flag that changes
+//! how each simulated run executes (`--load-balance`) parses into a
+//! [`RunConfig`] value that the experiments hand to whatever launches
+//! their runs, and the two artifact flags (`--trace`, `--metrics`) belong
+//! to the `reference` experiment alone
+//! ([`crate::registry::Experiment::check_flags`] refuses what an
 //! experiment cannot honour). [`SweepReport`] records each experiment's
 //! wall-clock time, thread count, and total simulator events (its
 //! [`EventTally`]) into `results/BENCH_sweep.json`.
@@ -44,18 +44,12 @@ use atos_graph::generators::Scale;
 /// directory (the repo root, when run via `cargo run`).
 pub const DEFAULT_REPORT_PATH: &str = "results/BENCH_sweep.json";
 
-/// How each simulated Atos run of an experiment executes: the two
-/// settings every cell of one invocation shares, passed by value to
+/// How each simulated Atos run of an experiment executes: the setting
+/// every cell of one invocation shares, passed by value to
 /// [`crate::run_cell`] and the app launch bodies. Baseline frameworks
-/// ignore both.
+/// ignore it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RunConfig {
-    /// Engine shards per run from `--sim-threads K` (>= 1; default 1 —
-    /// the sequential engine). With `K > 1` each Atos run executes on the
-    /// sharded window-barrier runtime (`Runtime::run_sharded`):
-    /// byte-identical tables, parallel host wall-clock. Orthogonal to
-    /// `--threads`, which fans *independent* sweep cells.
-    pub sim_threads: usize,
     /// Load-balance policy from `--load-balance {owner|steal}` (default
     /// `owner` — the paper's static owner-computes assignment), applied
     /// to every Atos run's [`atos_core::AtosConfig`].
@@ -65,7 +59,6 @@ pub struct RunConfig {
 impl Default for RunConfig {
     fn default() -> Self {
         RunConfig {
-            sim_threads: 1,
             load_balance: LoadBalance::Owner,
         }
     }
@@ -88,17 +81,12 @@ pub struct BenchArgs {
     /// [`atos_core::MetricsRegistry`] JSON snapshot of the reference run
     /// plus host-queue contention counters.
     pub metrics: Option<PathBuf>,
-    /// Flight-recorder destination from `--flight-dump PATH`: when set
-    /// together with `--sim-threads K > 1`, the reference run's per-shard
-    /// flight-recorder rings (last [`atos_core::FlightRecorder`] windows
-    /// per shard) are dumped there as deterministic JSON.
-    pub flight_dump: Option<PathBuf>,
     /// Run identity from `--run-id ID` (conventionally
     /// `<git sha>@<timestamp>`, both produced by the caller): when set,
     /// the timing-report entry is keyed `<experiment>@<ID>` so the report
     /// accumulates a history instead of overwriting the last entry.
     pub run_id: Option<String>,
-    /// `--sim-threads K` and `--load-balance POLICY`.
+    /// `--load-balance POLICY`.
     pub run: RunConfig,
 }
 
@@ -112,7 +100,6 @@ impl BenchArgs {
         let mut json: Option<PathBuf> = None;
         let mut trace: Option<PathBuf> = None;
         let mut metrics: Option<PathBuf> = None;
-        let mut flight_dump: Option<PathBuf> = None;
         let mut run_id: Option<String> = None;
         let mut run = RunConfig::default();
         let mut it = args.iter();
@@ -136,20 +123,9 @@ impl BenchArgs {
                     let v = it.next().ok_or("--metrics requires a path")?;
                     metrics = Some(PathBuf::from(v));
                 }
-                "--flight-dump" => {
-                    let v = it.next().ok_or("--flight-dump requires a path")?;
-                    flight_dump = Some(PathBuf::from(v));
-                }
                 "--run-id" => {
                     let v = it.next().ok_or("--run-id requires a value")?;
                     run_id = Some(v.clone());
-                }
-                "--sim-threads" => {
-                    let v = it.next().ok_or("--sim-threads requires a value")?;
-                    let k: usize = v
-                        .parse()
-                        .map_err(|_| format!("invalid --sim-threads value `{v}`"))?;
-                    run.sim_threads = k.max(1);
                 }
                 "--load-balance" => {
                     let v = it.next().ok_or("--load-balance requires a value")?;
@@ -160,8 +136,7 @@ impl BenchArgs {
                 other => {
                     return Err(format!(
                         "unknown argument `{other}` (supported: --quick, --threads N, \
-                         --json PATH, --trace PATH, --metrics PATH, --flight-dump PATH, \
-                         --run-id ID, --sim-threads K, \
+                         --json PATH, --trace PATH, --metrics PATH, --run-id ID, \
                          --load-balance {{owner|steal}})"
                     ))
                 }
@@ -173,7 +148,6 @@ impl BenchArgs {
             json,
             trace,
             metrics,
-            flight_dump,
             run_id,
             run,
         })
@@ -276,7 +250,6 @@ pub struct SweepReport {
     pub events: EventTally,
     key: String,
     threads: usize,
-    sim_threads: usize,
     json: Option<PathBuf>,
     started: Instant,
 }
@@ -294,7 +267,6 @@ impl SweepReport {
             events: EventTally::default(),
             key,
             threads: args.threads,
-            sim_threads: args.run.sim_threads,
             json: args.json.clone(),
             started: Instant::now(),
         }
@@ -308,40 +280,30 @@ impl SweepReport {
             .json
             .unwrap_or_else(|| PathBuf::from(DEFAULT_REPORT_PATH));
         eprintln!(
-            "[sweep] {}: {:.3}s wall, {} thread{}, {} engine shard{}, {} sim events -> {}",
+            "[sweep] {}: {:.3}s wall, {} thread{}, {} sim events -> {}",
             self.key,
             wall_s,
             self.threads,
             if self.threads == 1 { "" } else { "s" },
-            self.sim_threads,
-            if self.sim_threads == 1 { "" } else { "s" },
             events,
             path.display()
         );
-        if let Err(e) = write_report_entry(
-            &path,
-            &self.key,
-            wall_s,
-            self.threads,
-            self.sim_threads,
-            events,
-        ) {
+        if let Err(e) = write_report_entry(&path, &self.key, wall_s, self.threads, events) {
             eprintln!("[sweep] warning: could not write {}: {e}", path.display());
         }
     }
 }
 
 /// Read-modify-write one entry of the line-oriented JSON report
-/// (`{"<key>": {"wall_s": ..., "threads": ..., "sim_threads": ...,
-/// "sim_events": ...}}`). Existing entries under other keys — including
-/// pre-`sim_threads` history lines — are preserved verbatim; output is
-/// sorted by key so the file is diff-stable.
+/// (`{"<key>": {"wall_s": ..., "threads": ..., "sim_events": ...}}`).
+/// Existing entries under other keys — including history lines that carry
+/// the engine-shard count of the deleted sharded engine — are preserved
+/// verbatim; output is sorted by key so the file is diff-stable.
 pub fn write_report_entry(
     path: &Path,
     key: &str,
     wall_s: f64,
     threads: usize,
-    sim_threads: usize,
     sim_events: u64,
 ) -> io::Result<()> {
     let mut entries: BTreeMap<String, String> = BTreeMap::new();
@@ -360,8 +322,7 @@ pub fn write_report_entry(
     entries.insert(
         key.to_string(),
         format!(
-            "{{\"wall_s\": {wall_s:.3}, \"threads\": {threads}, \
-             \"sim_threads\": {sim_threads}, \"sim_events\": {sim_events}}}"
+            "{{\"wall_s\": {wall_s:.3}, \"threads\": {threads}, \"sim_events\": {sim_events}}}"
         ),
     );
     if let Some(dir) = path.parent() {
@@ -401,7 +362,6 @@ mod tests {
         assert_eq!(a.json, None);
         assert_eq!(a.trace, None);
         assert_eq!(a.metrics, None);
-        assert_eq!(a.flight_dump, None);
         assert_eq!(a.run_id, None);
         assert_eq!(a.run, RunConfig::default());
     }
@@ -419,12 +379,8 @@ mod tests {
                 "/tmp/t.json",
                 "--metrics",
                 "/tmp/m.json",
-                "--flight-dump",
-                "/tmp/f.json",
                 "--run-id",
                 "abc123@2026-01-01T00:00:00Z",
-                "--sim-threads",
-                "4",
                 "--load-balance",
                 "steal",
             ]),
@@ -436,12 +392,10 @@ mod tests {
         assert_eq!(a.json, Some(PathBuf::from("/tmp/r.json")));
         assert_eq!(a.trace, Some(PathBuf::from("/tmp/t.json")));
         assert_eq!(a.metrics, Some(PathBuf::from("/tmp/m.json")));
-        assert_eq!(a.flight_dump, Some(PathBuf::from("/tmp/f.json")));
         assert_eq!(a.run_id.as_deref(), Some("abc123@2026-01-01T00:00:00Z"));
         assert_eq!(
             a.run,
             RunConfig {
-                sim_threads: 4,
                 load_balance: LoadBalance::Steal
             }
         );
@@ -462,14 +416,6 @@ mod tests {
     }
 
     #[test]
-    fn parser_clamps_sim_threads_and_rejects_garbage() {
-        let a = BenchArgs::parse_from(&s(&["--sim-threads", "0"]), 1).unwrap();
-        assert_eq!(a.run.sim_threads, 1);
-        assert!(BenchArgs::parse_from(&s(&["--sim-threads"]), 1).is_err());
-        assert!(BenchArgs::parse_from(&s(&["--sim-threads", "two"]), 1).is_err());
-    }
-
-    #[test]
     fn parser_threads_flag_overrides_the_default_and_clamps() {
         let a = BenchArgs::parse_from(&s(&["--threads", "2"]), 8).unwrap();
         assert_eq!(a.threads, 2);
@@ -485,7 +431,6 @@ mod tests {
         assert!(BenchArgs::parse_from(&s(&["--json"]), 1).is_err());
         assert!(BenchArgs::parse_from(&s(&["--trace"]), 1).is_err());
         assert!(BenchArgs::parse_from(&s(&["--metrics"]), 1).is_err());
-        assert!(BenchArgs::parse_from(&s(&["--flight-dump"]), 1).is_err());
         assert!(BenchArgs::parse_from(&s(&["--run-id"]), 1).is_err());
     }
 
@@ -512,42 +457,45 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("atos-sweep-test-{}", std::process::id()));
         let path = dir.join("BENCH_sweep.json");
         let _ = std::fs::remove_dir_all(&dir);
-        write_report_entry(&path, "table2", 1.5, 4, 1, 100).unwrap();
-        write_report_entry(&path, "table5", 2.0, 2, 4, 200).unwrap();
+        write_report_entry(&path, "table2", 1.5, 4, 100).unwrap();
+        write_report_entry(&path, "table5", 2.0, 2, 200).unwrap();
         // Re-running an experiment replaces its entry.
-        write_report_entry(&path, "table2", 9.25, 8, 2, 300).unwrap();
+        write_report_entry(&path, "table2", 9.25, 8, 300).unwrap();
         let text = std::fs::read_to_string(&path).unwrap();
         assert_eq!(
             text,
-            "{\n  \"table2\": {\"wall_s\": 9.250, \"threads\": 8, \"sim_threads\": 2, \
-             \"sim_events\": 300},\n  \
-             \"table5\": {\"wall_s\": 2.000, \"threads\": 2, \"sim_threads\": 4, \
-             \"sim_events\": 200}\n}\n"
+            "{\n  \"table2\": {\"wall_s\": 9.250, \"threads\": 8, \"sim_events\": 300},\n  \
+             \"table5\": {\"wall_s\": 2.000, \"threads\": 2, \"sim_events\": 200}\n}\n"
         );
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn report_preserves_pre_sim_threads_entries() {
-        // History lines written before the sim_threads field existed must
-        // survive a merge untouched.
+        // History lines written before the sim_threads field existed, and
+        // those written while it did, must survive a merge untouched.
         let dir = std::env::temp_dir().join(format!("atos-sweep-old-{}", std::process::id()));
         let path = dir.join("BENCH_sweep.json");
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
         std::fs::write(
             &path,
-            "{\n  \"fig1@old\": {\"wall_s\": 1.000, \"threads\": 1, \"sim_events\": 5}\n}\n",
+            "{\n  \"fig1@old\": {\"wall_s\": 1.000, \"threads\": 1, \"sim_events\": 5},\n  \
+             \"fig1@sharded\": {\"wall_s\": 3.000, \"threads\": 1, \"sim_threads\": 4, \"sim_events\": 7}\n}\n",
         )
         .unwrap();
-        write_report_entry(&path, "fig1@new", 2.0, 1, 4, 9).unwrap();
+        write_report_entry(&path, "fig1@new", 2.0, 1, 9).unwrap();
         let text = std::fs::read_to_string(&path).unwrap();
         assert!(
             text.contains("\"fig1@old\": {\"wall_s\": 1.000, \"threads\": 1, \"sim_events\": 5}"),
             "{text}"
         );
         assert!(
-            text.contains("\"fig1@new\": {\"wall_s\": 2.000, \"threads\": 1, \"sim_threads\": 4, \"sim_events\": 9}"),
+            text.contains("\"fig1@sharded\": {\"wall_s\": 3.000, \"threads\": 1, \"sim_threads\": 4, \"sim_events\": 7}"),
+            "{text}"
+        );
+        assert!(
+            text.contains("\"fig1@new\": {\"wall_s\": 2.000, \"threads\": 1, \"sim_events\": 9}"),
             "{text}"
         );
         let _ = std::fs::remove_dir_all(&dir);
@@ -565,9 +513,9 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("atos-sweep-runid-{}", std::process::id()));
         let path = dir.join("BENCH_sweep.json");
         let _ = std::fs::remove_dir_all(&dir);
-        write_report_entry(&path, "fig5@abc123@t0", 1.0, 1, 1, 10).unwrap();
-        write_report_entry(&path, "fig5@def456@t1", 2.0, 1, 1, 20).unwrap();
-        write_report_entry(&path, "fig5@abc123@t0", 3.0, 1, 1, 30).unwrap();
+        write_report_entry(&path, "fig5@abc123@t0", 1.0, 1, 10).unwrap();
+        write_report_entry(&path, "fig5@def456@t1", 2.0, 1, 20).unwrap();
+        write_report_entry(&path, "fig5@abc123@t0", 3.0, 1, 30).unwrap();
         let text = std::fs::read_to_string(&path).unwrap();
         assert!(text.contains("\"fig5@abc123@t0\": {\"wall_s\": 3.000"), "{text}");
         assert!(text.contains("\"fig5@def456@t1\": {\"wall_s\": 2.000"), "{text}");

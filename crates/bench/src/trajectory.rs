@@ -16,11 +16,7 @@
 //!    fig5/fig8/fig9 sweep grids at test scale — their cells enumerated from the
 //!    experiment table ([`crate::registry`]) — run serially in-process so
 //!    the number is a stable single-core wall-clock, not a function of
-//!    host parallelism. The shard-scaling
-//!    variant ([`fig5_sharded_run`], [`measure_sharded_scaling`]) sweeps
-//!    the Atos cells over K ∈ {1,2,4,8} engine shards and records the
-//!    self-relative speedup curve (plus `host_cores`, since the curve is
-//!    a property of the machine). The load-balance variant
+//!    host parallelism. The load-balance variant
 //!    ([`measure_lb_sweep`]) times the quick BFS under owner-computes and
 //!    under work stealing, and delta-stepping vs Dijkstra-order SSSP,
 //!    recording the redundant-work/migration counters alongside.
@@ -41,13 +37,13 @@ use std::io;
 use std::path::Path;
 use std::time::Instant;
 
-use atos_apps::bfs::{run_bfs_sharded, run_bfs_sharded_profiled};
-use atos_core::{AtosConfig, NullTracer, RuntimeTuning};
+use atos_apps::bfs::run_bfs;
+use atos_core::AtosConfig;
 use atos_graph::generators::{Preset, Scale};
 use atos_sim::engine::reference::HeapEngine;
 use atos_sim::{Engine, Fabric};
 
-use crate::{is_atos, registry, Dataset, RunConfig};
+use crate::{registry, Dataset, RunConfig};
 
 /// Default location of the committed trajectory history, relative to the
 /// repo root.
@@ -219,96 +215,6 @@ pub fn quick_grid_ms(name: &str) -> f64 {
     t0.elapsed().as_secs_f64() * 1e3
 }
 
-/// The Atos cells of the fig5 grid at its full GPU count (both NVLink BFS
-/// configs and both NVLink PageRank configs, 4 GPUs, all scaling
-/// datasets) executed on `k` parallel engine shards. Returns an
-/// order-sensitive checksum over every run's virtual clock and event
-/// count — identical for every `k` by the sharded runtime's determinism
-/// guarantee, so the scaling bench doubles as an end-to-end equivalence
-/// check. `k` larger than the PE count is clamped by the runtime (k=8 on
-/// the 4-GPU fabric runs as 4 shards and measures the clamp's
-/// overhead-freeness).
-pub fn fig5_sharded_run(k: usize) -> u64 {
-    let spec = registry::grid("fig5_scaling_nvlink");
-    let datasets = spec.datasets(Scale::Tiny);
-    let run = RunConfig {
-        sim_threads: k,
-        ..RunConfig::default()
-    };
-    let mut sum = 0u64;
-    for cell in spec.cells() {
-        if is_atos(cell.framework) && cell.gpus == spec.max_gpus {
-            let stats = spec.run_cell(&cell, &datasets, run);
-            sum = sum
-                .rotate_left(7)
-                .wrapping_add(stats.elapsed_ns)
-                .wrapping_add(stats.sim_events.wrapping_mul(0x9E37_79B9_7F4A_7C15));
-        }
-    }
-    sum
-}
-
-/// Shard counts the `sharded_scaling` trajectory entry sweeps.
-pub const SHARD_SWEEP: [usize; 4] = [1, 2, 4, 8];
-
-/// Measure the shard-count strong-scaling curve for the
-/// `sharded_scaling` trajectory entry: best-of-`samples` wall clock of
-/// [`fig5_sharded_run`] at K ∈ {1, 2, 4, 8} (`fig5_sharded_k{K}_ms`)
-/// plus self-relative ratios vs K=1 (`fig5_sharded_k{K}_speedup_x`,
-/// higher is better). Also records `host_cores`: shard *threads* are
-/// clamped to host parallelism, so on a 1-core host the curve is
-/// honestly flat (ratios ≈ 1.0, minus barrier overhead) — the gate
-/// compares ratios against history from the same host rather than
-/// against an absolute floor, and [`check_regression`] skips the ratio
-/// comparison when the recorded core counts differ. Panics if any K's
-/// checksum diverges from K=1: a scaling number for a wrong result is
-/// worse than no number.
-pub fn measure_sharded_scaling(samples: usize) -> BTreeMap<String, f64> {
-    let mut metrics = BTreeMap::new();
-    metrics.insert("host_cores".to_string(), host_cores());
-    let mut base_ms = 0.0f64;
-    let mut base_sum = 0u64;
-    for k in SHARD_SWEEP {
-        let (ms, sum) = best_of_ms(samples, || fig5_sharded_run(k));
-        if k == 1 {
-            base_ms = ms;
-            base_sum = sum;
-        } else {
-            assert_eq!(
-                sum, base_sum,
-                "sharded fig5 run diverged from sequential at k={k}"
-            );
-            metrics.insert(format!("fig5_sharded_k{k}_speedup_x"), base_ms / ms);
-        }
-        metrics.insert(format!("fig5_sharded_k{k}_ms"), ms);
-    }
-    // One profiled K=4 run diagnoses *why* the curve has the shape it
-    // has: `barrier_frac` (fraction of wall-clock at the window barriers)
-    // and `imbalance` (median max/mean shard-events ratio). Informational
-    // — neither key carries a `_ms`/`_speedup_x` suffix, so the
-    // regression gate never fails on them, but a flat curve entry now
-    // records its own explanation (see EXPERIMENTS.md).
-    let ds = Dataset::build(
-        Preset::by_name(Preset::SCALING[0]).unwrap(),
-        Scale::Tiny,
-    );
-    let (_, profile) = run_bfs_sharded_profiled(
-        ds.graph.clone(),
-        ds.partition(4),
-        ds.source,
-        Fabric::daisy(4),
-        AtosConfig::standard_persistent(),
-        RuntimeTuning::default(),
-        4,
-        NullTracer,
-    );
-    if let Some(p) = profile {
-        metrics.insert("fig5_sharded_k4_barrier_frac".to_string(), p.barrier_frac());
-        metrics.insert("fig5_sharded_k4_imbalance".to_string(), p.imbalance_ratio());
-    }
-    metrics
-}
-
 /// Host parallelism as recorded in every machine-dependent entry.
 pub fn host_cores() -> f64 {
     std::thread::available_parallelism().map_or(1, |n| n.get()) as f64
@@ -360,15 +266,17 @@ pub const LB_SWEEP_FAMILIES: [(&str, &str); 2] =
 
 /// Measure the load-balance tradeoff for the `lb_sweep` trajectory entry:
 /// best-of-`samples` wall clock of a quick 4-PE BFS on both
-/// [`LB_SWEEP_FAMILIES`] at K=2 engine shards under each [`LoadBalance`]
+/// [`LB_SWEEP_FAMILIES`] under each [`LoadBalance`]
 /// policy (`lb_<name>_ms`), plus the policy's redundant-work and
 /// migration counters (`lb_<name>_tasks`,
 /// `lb_<name>_steals` — informational, never regression-gated), plus the
 /// delta-stepping vs Dijkstra-order SSSP comparison on the power-law
 /// family (`lb_sssp_delta_ms` / `lb_sssp_dijkstra_ms`). Records
-/// `host_cores` like [`measure_sharded_scaling`]: wall-clock under K=2
-/// shard threads is a property of the machine, so [`check_regression`]
-/// skips cross-host comparisons. Panics if stealing changes a BFS
+/// `host_cores` like [`measure_graph_build`]: wall clock is a property of
+/// the machine, so [`check_regression`] skips cross-host comparisons.
+/// Entries before `sequential` in their run id ran at K=2 engine shards
+/// with steals confined to a shard's PE range: a different experiment.
+/// Panics if stealing changes a BFS
 /// depth vector or either SSSP formulation diverges from the other — a
 /// load-balance number for a wrong result is worse than no number.
 pub fn measure_lb_sweep(samples: usize) -> BTreeMap<String, f64> {
@@ -388,13 +296,12 @@ pub fn measure_lb_sweep(samples: usize) -> BTreeMap<String, f64> {
     for lb in LoadBalance::ALL {
         let cfg = AtosConfig::standard_persistent().with_lb(lb);
         let run_family = |ds: &Dataset| {
-            run_bfs_sharded(
+            run_bfs(
                 ds.graph.clone(),
                 ds.partition(4),
                 ds.source,
                 Fabric::daisy(4),
                 cfg,
-                2,
             )
         };
         let (mut tasks, mut steals) = (0u64, 0u64);
@@ -496,8 +403,9 @@ pub fn measure_lb_sweep(samples: usize) -> BTreeMap<String, f64> {
 pub struct TrajectoryEntry {
     /// `<git sha>@<timestamp>` — both supplied on the command line.
     pub run_id: String,
-    /// Entry kind: `engine_microbench`, `e2e_quick`, `sharded_scaling`,
-    /// or `lb_sweep`.
+    /// Entry kind: `engine_microbench`, `e2e_quick`, `lb_sweep` or
+    /// `graph_build` (history also holds the deleted sharded engine's
+    /// `sharded_scaling`; the reader is kind-agnostic).
     pub kind: String,
     /// Numeric metrics; key suffixes carry the regression direction
     /// (`_ms` = lower is better, `_speedup_x` = higher is better).
@@ -602,8 +510,8 @@ pub fn append_entries(path: &Path, new: &[TrajectoryEntry]) -> io::Result<()> {
 /// record an `events` count and they differ, absolute `_ms` metrics are
 /// not comparable and are skipped (the ratio metrics still are). When
 /// both entries record `host_cores` and they differ, *everything* is
-/// skipped: shard-scaling ratios and wall-clock alike are functions of
-/// the machine, and a history written on one host must not gate another.
+/// skipped: wall clock is a function of the machine, and a history
+/// written on one host must not gate another.
 pub fn check_regression(
     prev: &TrajectoryEntry,
     cur: &TrajectoryEntry,
@@ -769,47 +677,35 @@ mod tests {
     #[test]
     fn regression_gate_skips_everything_across_host_core_counts() {
         let prev = entry(
-            "sharded_scaling",
+            "e2e_quick",
             &[
                 ("host_cores", 8.0),
-                ("fig5_sharded_k1_ms", 100.0),
-                ("fig5_sharded_k4_speedup_x", 3.2),
+                ("fig5_quick_ms", 100.0),
+                ("uniform_speedup_x", 3.2),
             ],
         );
-        // Same metrics measured on a 1-core host: flat curve, slower
-        // wall clock — not a regression, a different machine.
+        // Same metrics measured on a 1-core host: slower wall clock, a
+        // lower ratio — not a regression, a different machine.
         let one_core = entry(
-            "sharded_scaling",
+            "e2e_quick",
             &[
                 ("host_cores", 1.0),
-                ("fig5_sharded_k1_ms", 400.0),
-                ("fig5_sharded_k4_speedup_x", 0.97),
+                ("fig5_quick_ms", 400.0),
+                ("uniform_speedup_x", 0.97),
             ],
         );
         assert!(check_regression(&prev, &one_core, 10.0).is_empty());
         // Same host: the collapsed ratio is flagged.
         let same_host = entry(
-            "sharded_scaling",
+            "e2e_quick",
             &[
                 ("host_cores", 8.0),
-                ("fig5_sharded_k1_ms", 100.0),
-                ("fig5_sharded_k4_speedup_x", 0.97),
+                ("fig5_quick_ms", 100.0),
+                ("uniform_speedup_x", 0.97),
             ],
         );
         let v = check_regression(&prev, &same_host, 10.0);
         assert_eq!(v.len(), 1, "{v:?}");
-    }
-
-    #[test]
-    fn sharded_fig5_checksum_is_shard_invariant() {
-        // The scaling bench is only meaningful if every shard count
-        // computes the identical schedule; k=8 additionally exercises the
-        // clamp to the 4-PE fabric.
-        let base = fig5_sharded_run(1);
-        assert_ne!(base, 0, "checksum must fold real work");
-        for k in [2, 8] {
-            assert_eq!(fig5_sharded_run(k), base, "k={k}");
-        }
     }
 
     #[test]
@@ -819,22 +715,5 @@ mod tests {
         for key in ["rmat18_ms", "road1000_ms", "from_edges_medges_per_s"] {
             assert!(m[key] > 0.0, "{key}");
         }
-    }
-
-    #[test]
-    fn sharded_scaling_metrics_are_complete() {
-        let m = measure_sharded_scaling(1);
-        assert!(m["host_cores"] >= 1.0);
-        for k in SHARD_SWEEP {
-            assert!(m[&format!("fig5_sharded_k{k}_ms")] > 0.0, "k={k}");
-        }
-        for k in &SHARD_SWEEP[1..] {
-            assert!(m[&format!("fig5_sharded_k{k}_speedup_x")] > 0.0, "k={k}");
-        }
-        // The diagnostic fields from the profiled K=4 run: a barrier
-        // fraction in [0, 1] and an imbalance ratio of at least 1.
-        let bf = m["fig5_sharded_k4_barrier_frac"];
-        assert!((0.0..=1.0).contains(&bf), "barrier_frac {bf}");
-        assert!(m["fig5_sharded_k4_imbalance"] >= 1.0);
     }
 }

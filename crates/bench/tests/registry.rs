@@ -58,19 +58,18 @@ fn every_row_is_documented_reproducible_and_ignores_no_flag() {
             assert!(plain == golden, "{name} --quick differs from results/{file}");
         }
 
-        // Honoured (sharding never changes a table) or refused by name
-        // before anything is printed or reported.
+        // Honoured or refused by name before anything is printed or
+        // reported.
         std::fs::remove_file(&json).unwrap();
-        let (code, sharded, stderr) = run(name, &["--sim-threads", "4"], &json);
+        let (code, stealing, stderr) = run(name, &["--load-balance", "steal"], &json);
         if e.atos_runs {
-            assert_eq!(code, Some(0), "{name} --sim-threads 4: {stderr}");
-            assert!(sharded == plain, "{name}: --sim-threads changed stdout");
+            assert_eq!(code, Some(0), "{name} --load-balance steal: {stderr}");
         } else {
-            assert_eq!(code, Some(2), "{name} --sim-threads 4: {stderr}");
-            assert!(stderr.contains("--sim-threads"), "{stderr}");
-            assert!(sharded.is_empty() && !json.exists(), "{name} ran before refusing");
-            let spelled = run(name, &["--sim-threads", "1", "--load-balance", "owner"], &json);
-            assert_eq!(spelled.0, Some(0), "{name}: spelling out the defaults is fine");
+            assert_eq!(code, Some(2), "{name} --load-balance steal: {stderr}");
+            assert!(stderr.contains("--load-balance"), "{stderr}");
+            assert!(stealing.is_empty() && !json.exists(), "{name} ran before refusing");
+            let spelled = run(name, &["--load-balance", "owner"], &json);
+            assert_eq!(spelled.0, Some(0), "{name}: spelling out the default is fine");
         }
 
         if name != REFERENCE {

@@ -135,23 +135,3 @@ pub trait Application {
         true
     }
 }
-
-/// An application whose state can be forked across shards and joined back
-/// — the contract for the parallel window-barrier runtime
-/// (`Runtime::run_sharded`).
-///
-/// A fork carries everything the shard needs to process PEs `lo..hi`:
-/// typically full-size state arrays where entries owned by other shards
-/// are read-only stale mirrors. For the fork/join round trip to be exact
-/// (sharded runs must be byte-identical to sequential ones), processing a
-/// task on PE `p` may mutate only state that `join` adopts from `p`'s
-/// shard — PE-owned entries plus send-side bookkeeping that never crosses
-/// the shard boundary.
-pub trait ShardableApp: Application + Send {
-    /// Clone the state one shard needs to process PEs `lo..hi`.
-    fn fork(&self, lo: usize, hi: usize) -> Self;
-
-    /// Fold a finished shard back in, adopting every result owned by PEs
-    /// `lo..hi` (the same range the shard was forked for).
-    fn join(&mut self, shard: Self, lo: usize, hi: usize);
-}

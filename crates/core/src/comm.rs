@@ -23,8 +23,8 @@
 //!
 //! At the barrier every car gets the `(arrival, seq)` key its arrival
 //! event has always had — the sequence number is *reserved* on the engine,
-//! in [`atos_sim::ExchangeKey`] order, whether or not an event is filed
-//! under it — and joins the FIFO **lane** of its `(src, dst)` route in the
+//! in `ExchangeKey` order, whether or not an event is filed under it — and
+//! joins the FIFO **lane** of its `(src, dst)` route in the
 //! destination's [`Rx`]. A route's link is serial, so a lane is sorted by
 //! key as it stands, and the destination's next arrival is the smallest
 //! of at most `n_pes − 1` lane heads.
@@ -57,7 +57,7 @@
 use std::collections::VecDeque;
 
 use atos_macros::atos_hot;
-use atos_sim::{ExchangeKey, PeId, PendingTransfer, Time};
+use atos_sim::{PeId, PendingTransfer, Time};
 use atos_trace::{Tracer, Track};
 
 use crate::aggregator::IssueClock;
@@ -65,11 +65,27 @@ use crate::app::Application;
 use crate::config::{CommMode, KernelMode};
 use crate::emitter::Emitter;
 use crate::runtime::{Ev, Pe, Runtime, WAKE_POLL_NS};
-use crate::sharded::ExchangeBoard;
 use crate::workqueue::WorkQueue;
 
 /// `(time, seq)`: the engine's event order, and the order of deliveries.
 pub type Key = (Time, u64);
+
+/// The order in which one barrier's staged messages are resolved.
+///
+/// `t_key` is the destination-side delivery key fixed at egress time
+/// (`Fabric::transfer_egress`), `src` the emitting PE, and `counter` that
+/// PE's monotone emission counter. The triple is unique per staged message
+/// and computed from source-local state only; every arrival time, sequence
+/// number and golden downstream of a barrier follows from it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct ExchangeKey {
+    /// Earliest possible destination-side delivery time, fixed at egress.
+    t_key: Time,
+    /// Emitting PE index.
+    src: u32,
+    /// Per-source-PE monotone emission counter (window-order tiebreak).
+    counter: u64,
+}
 
 /// Upper bound on recycled task buffers kept for reuse. Trains in flight
 /// above this simply fall back to allocation when their buffers come
@@ -80,10 +96,8 @@ const TRAIN_POOL_CAP: usize = 1024;
 ///
 /// Egress (source-side link occupancy, stats, the `send` trace instant) is
 /// charged when the message is emitted; ingress resolution waits for the
-/// barrier, where all staged cars merge in deterministic [`ExchangeKey`]
-/// order. The key is computed from source-local state only, so the merge
-/// order — and every downstream arrival time and sequence number — is the
-/// same however PEs are partitioned into shards.
+/// barrier, where all staged cars merge in deterministic `ExchangeKey`
+/// order.
 ///
 /// The tasks themselves ride in the route's current train; a car only
 /// says how many of them it carries. `tasks == 0` is round metadata, which
@@ -140,17 +154,6 @@ impl<T> Outbox<T> {
     pub(crate) fn is_empty(&self) -> bool {
         self.cars.is_empty() && self.trains.is_empty()
     }
-
-    /// Move everything into `rows[shard_of[dst]]`, keeping emission order
-    /// within each row (and so within each route).
-    pub(crate) fn split_into(&mut self, shard_of: &[usize], rows: &mut [Outbox<T>]) {
-        for car in self.cars.drain(..) {
-            rows[shard_of[car.dst as usize]].cars.push(car);
-        }
-        for train in self.trains.drain(..) {
-            rows[shard_of[train.dst as usize]].trains.push(train);
-        }
-    }
 }
 
 /// A runtime's communication state between steps: what the current window
@@ -158,7 +161,7 @@ impl<T> Outbox<T> {
 /// delivery's kept tasks pass through on their way to the worklist.
 pub(crate) struct Comm<T> {
     /// Messages emitted during the current window, awaiting the barrier
-    /// merge (cross-shard rows are split off by `run_sharded`).
+    /// merge.
     pub(crate) outbox: Outbox<T>,
     pool: TrainPool<T>,
     keep: Vec<T>,
@@ -171,40 +174,6 @@ impl<T> Default for Comm<T> {
             pool: TrainPool::default(),
             keep: Vec::new(),
         }
-    }
-}
-
-/// The cross-shard mailbox for [`Outbox`]es: one [`ExchangeBoard`] for the
-/// cars, one for the trains, published and drained together under the
-/// board's phase contract.
-pub(crate) struct OutboxBoard<T> {
-    cars: ExchangeBoard<Car>,
-    trains: ExchangeBoard<Train<T>>,
-}
-
-impl<T> OutboxBoard<T> {
-    pub(crate) fn new(k: usize) -> Self {
-        OutboxBoard {
-            cars: ExchangeBoard::new(k),
-            trains: ExchangeBoard::new(k),
-        }
-    }
-
-    pub(crate) fn shards(&self) -> usize {
-        self.cars.shards()
-    }
-
-    /// Publish phase: swap `row` into slot `(src, dst)`; it comes back
-    /// holding the emptied vectors `dst` drained last window.
-    pub(crate) fn publish(&self, src: usize, dst: usize, row: &mut Outbox<T>) {
-        self.cars.publish(src, dst, &mut row.cars);
-        self.trains.publish(src, dst, &mut row.trains);
-    }
-
-    /// Drain phase: append slot `(src, dst)` to `into`.
-    pub(crate) fn drain(&self, src: usize, dst: usize, into: &mut Outbox<T>) {
-        self.cars.drain(src, dst, &mut into.cars);
-        self.trains.drain(src, dst, &mut into.trains);
     }
 }
 
@@ -318,7 +287,7 @@ pub struct Rx<T> {
     /// `(arrival, seq, members)` of the delivery the current barrier filed
     /// last. Kept per destination — not "last filed overall" — so which
     /// arrivals share a delivery does not depend on how the sorted key
-    /// sequence interleaves destinations, i.e. on the shard count.
+    /// sequence interleaves destinations.
     open: Option<(Time, u64, u32)>,
 }
 
@@ -377,7 +346,7 @@ impl<T> Rx<T> {
     ///
     /// Same-route messages serialize on their link, so deliveries merge
     /// only for genuinely simultaneous arrivals; cars are filed in
-    /// [`ExchangeKey`] order, so a delivery hands its tasks over exactly
+    /// `ExchangeKey` order, so a delivery hands its tasks over exactly
     /// as back-to-back arrival events would have.
     #[atos_hot]
     pub fn file(
@@ -794,38 +763,29 @@ impl<A: Application, Tr: Tracer> Runtime<A, Tr> {
         });
     }
 
-    /// Merge this runtime's own outbox (the single-shard window barrier;
-    /// `run_sharded` routes cross-shard rows through the exchange board
-    /// first).
-    pub(crate) fn merge_exchange(&mut self) {
-        let mut outbox = std::mem::take(&mut self.comm.outbox);
-        self.merge_records(&mut outbox);
-        self.comm.outbox = outbox;
-    }
-
-    /// Resolve one barrier's staged messages: hand the trains to their
-    /// lanes, sort the cars by [`ExchangeKey`], resolve ingress occupancy
-    /// in that order, and file each car under the `(arrival, seq)` key of
-    /// the arrival event it stands for; then ring the doorbell of every
-    /// destination that has no step coming. Drains `inbox`, keeping its
-    /// capacity.
+    /// Resolve one barrier's staged messages: hand the window's trains to
+    /// their lanes, sort its cars by [`ExchangeKey`], resolve ingress
+    /// occupancy in that order, and file each car under the `(arrival,
+    /// seq)` key of the arrival event it stands for; then ring the doorbell
+    /// of every destination that has no step coming. Drains the outbox,
+    /// keeping its capacity.
     #[atos_hot]
-    pub(crate) fn merge_records(&mut self, inbox: &mut Outbox<A::Task>) {
-        for train in inbox.trains.drain(..) {
+    pub(crate) fn merge_records(&mut self) {
+        for train in self.comm.outbox.trains.drain(..) {
             self.pes[train.dst as usize]
                 .rx
                 .push_train(train.src as usize, train.buf);
         }
-        if inbox.cars.is_empty() {
+        if self.comm.outbox.cars.is_empty() {
             return; // only runs whose bundles are still open
         }
         // Keys are unique (per-source counters), so unstable sort is
         // deterministic.
-        inbox.cars.sort_unstable_by_key(Car::key);
+        self.comm.outbox.cars.sort_unstable_by_key(Car::key);
         for pe in &mut self.pes {
             pe.rx.begin_barrier();
         }
-        for car in inbox.cars.drain(..) {
+        for car in self.comm.outbox.cars.drain(..) {
             let arrival = self.fabric.resolve_ingress(&car.xfer);
             if car.tasks == 0 {
                 // Round metadata: occupies the wire, delivers no tasks.
@@ -938,6 +898,14 @@ mod tests {
     use crate::app::IdleOutcome;
     use crate::config::AtosConfig;
     use atos_sim::Fabric;
+
+    #[test]
+    fn exchange_key_orders_by_time_then_source_then_counter() {
+        let k = |t, s, c| ExchangeKey { t_key: t, src: s, counter: c };
+        let mut v = [k(5, 1, 0), k(5, 0, 1), k(4, 9, 9), k(5, 0, 0)];
+        v.sort();
+        assert_eq!(v, [k(4, 9, 9), k(5, 0, 0), k(5, 0, 1), k(5, 1, 0)]);
+    }
 
     #[test]
     fn aggregator_handles_multiple_destinations() {

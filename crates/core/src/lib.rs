@@ -56,23 +56,19 @@ pub mod emitter;
 pub mod host;
 pub mod loadbalance;
 pub mod metrics;
-pub mod profile;
 pub mod runtime;
 pub mod sharded;
-#[cfg(atos_check)]
-pub mod sharded_mutations;
 pub mod workqueue;
 
-pub use app::{Application, ShardableApp};
+pub use app::Application;
 pub use config::{AtosConfig, CommMode, KernelMode, QueueMode, WorkerConfig, WorkerSize};
 pub use dqueue::DistributedQueues;
 pub use emitter::Emitter;
 pub use loadbalance::{LoadBalance, STEAL_GRAIN};
 pub use metrics::RunStats;
 pub use host::{run_host, HostApplication, HostConfig, HostStats};
-pub use profile::{FlightRecorder, ShardProfile, ShardTelemetry, WindowRecord};
 pub use runtime::{Runtime, RuntimeTuning};
-pub use sharded::{ExchangeBoard, SpinBarrier};
+pub use sharded::{ShardProfile, ShardTelemetry, ShardableApp};
 
 // Observability: re-export the tracing vocabulary so downstream crates can
 // drive `Runtime::with_tracer` without naming `atos-trace` directly.

@@ -8,8 +8,8 @@
 //! ([`LoadBalance::Steal`]) on `AtosConfig::lb` / `--load-balance`.
 //!
 //! A steal happens at the moment a PE pops an empty queue: it pulls up to
-//! half of the longest in-range queue, at most [`STEAL_GRAIN`] tasks, with
-//! one `pop_batch`. Queues never hold foreign tasks, and every stolen task
+//! half of the longest queue, at most [`STEAL_GRAIN`] tasks, with one
+//! `pop_batch`. Queues never hold foreign tasks, and every stolen task
 //! is still **processed under the victim's identity**
 //! (`process(victim, task)`), so owner-computes state, sender-side
 //! mirrors, and the shard-escape discipline are untouched. Only the *busy
@@ -23,11 +23,6 @@
 //! Priority scheduling is not a balancing policy; it is a queue
 //! architecture (`QueueMode::Priority`, the `AtosConfig::priority_*`
 //! presets).
-//!
-//! Steals only move work *within* an engine shard, so each shard's event
-//! order stays sequential and the sharded runtime's conservative-PDES
-//! determinism is preserved: for a fixed `(config, K)` every run is
-//! bit-identical, and `Owner` is byte-identical across all `K`.
 
 use atos_macros::atos_hot;
 use atos_sim::Time;
@@ -80,17 +75,12 @@ impl LoadBalance {
     pub fn parse(s: &str) -> Option<Self> {
         LoadBalance::ALL.into_iter().find(|lb| lb.name() == s)
     }
-
-    /// Inverse of [`LoadBalance::code`] (profile rendering).
-    pub fn from_code(code: u8) -> Option<Self> {
-        LoadBalance::ALL.into_iter().find(|lb| lb.code() == code)
-    }
 }
 
 impl<A: Application, Tr: Tracer> Runtime<A, Tr> {
     /// `thief` popped nothing: under [`LoadBalance::Steal`], pull work from
-    /// the busiest in-range peer into `batch`. Returns `(victim, taken)`
-    /// when something was stolen — the caller executes the batch under the
+    /// the busiest peer into `batch`. Returns `(victim, taken)` when
+    /// something was stolen — the caller executes the batch under the
     /// victim's identity — and `None` under owner-computes or when no peer
     /// is worth a reservation.
     #[atos_hot]
@@ -108,21 +98,20 @@ impl<A: Application, Tr: Tracer> Runtime<A, Tr> {
         (taken > 0).then_some((victim, taken))
     }
 
-    /// Choose a steal victim for `thief`: the in-range PE with the longest
+    /// Choose a steal victim for `thief`: the PE with the longest
     /// queue (ties to the lowest index). A victim keeps at least one task,
     /// so a queue of one is not worth a reservation; `None` when no peer
     /// is stealable — the common case, and the only extra cost stealing
     /// adds to a quiescing run.
     #[atos_hot]
     fn pick_victim(&mut self, thief: usize) -> Option<usize> {
-        let (lo, hi) = self.steal_range;
         // The thief is about to read its peers' queues (and may run one
         // peer's tasks): each is first brought up to date with the
         // arrivals that precede the thief's own step.
         let now = (self.engine.now(), self.engine.popped_seq());
         let mut best = 1usize;
         let mut victim = None;
-        for v in lo..hi {
+        for v in 0..self.pes.len() {
             if v == thief {
                 continue;
             }
@@ -159,7 +148,7 @@ impl<A: Application, Tr: Tracer> Runtime<A, Tr> {
     }
 
     /// `busy_pe` finished a round executing `exec_pe`'s work; if that
-    /// queue still holds a backlog, wake drained in-range peers so they
+    /// queue still holds a backlog, wake drained peers so they
     /// get a steal attempt when the busy window closes. No-op under
     /// owner-computes. Bypasses `Runtime::wake`'s non-empty-queue guard:
     /// the woken step finds its own queue empty and pulls from a victim —
@@ -171,8 +160,7 @@ impl<A: Application, Tr: Tracer> Runtime<A, Tr> {
         if self.cfg.lb != LoadBalance::Steal || self.pes[exec_pe].queue.is_empty() {
             return;
         }
-        let (lo, hi) = self.steal_range;
-        for peer in lo..hi {
+        for peer in 0..self.pes.len() {
             if peer != busy_pe && !self.pes[peer].step_scheduled && self.pes[peer].queue.is_empty()
             {
                 self.pes[peer].step_scheduled = true;
@@ -194,19 +182,15 @@ mod tests {
         assert_eq!(LoadBalance::ALL.len(), 2);
         for lb in LoadBalance::ALL {
             assert_eq!(LoadBalance::parse(lb.name()), Some(lb));
-            assert_eq!(LoadBalance::from_code(lb.code()), Some(lb));
         }
         assert_eq!(
             (LoadBalance::Owner.code(), LoadBalance::Steal.code()),
             (0, 1)
         );
-        // The retired disciplines stay retired: neither their names nor
-        // their codes resolve to anything.
+        // The retired disciplines stay retired: their names resolve to
+        // nothing.
         for gone in ["chunk", "priority", "merge-path"] {
             assert_eq!(LoadBalance::parse(gone), None);
-        }
-        for gone in [2, 3, 99] {
-            assert_eq!(LoadBalance::from_code(gone), None);
         }
     }
 

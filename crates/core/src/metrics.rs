@@ -97,53 +97,6 @@ impl RunStats {
         atos_sim::ns_to_ms(self.elapsed_ns)
     }
 
-    /// Fold one shard's stats into this run (sharded execution merge).
-    ///
-    /// Every event executes on exactly one shard, so counters sum and
-    /// per-PE vectors add elementwise; high-water marks (queue occupancy,
-    /// whose seed-time values live in the parent) take the elementwise
-    /// max; elapsed time is the latest shard clock. `wire_bytes` and
-    /// `burstiness` are summed/left alone here and overwritten by the
-    /// caller from the merged fabric trace.
-    pub fn absorb(&mut self, other: &RunStats) {
-        self.elapsed_ns = self.elapsed_ns.max(other.elapsed_ns);
-        let pairs = |a: &mut Vec<u64>, b: &[u64]| {
-            for (x, y) in a.iter_mut().zip(b) {
-                *x += y;
-            }
-        };
-        pairs(&mut self.tasks_per_pe, &other.tasks_per_pe);
-        pairs(&mut self.edges_per_pe, &other.edges_per_pe);
-        pairs(&mut self.busy_ns_per_pe, &other.busy_ns_per_pe);
-        pairs(&mut self.steps_per_pe, &other.steps_per_pe);
-        for (x, y) in self.queue_hwm_per_pe.iter_mut().zip(&other.queue_hwm_per_pe) {
-            *x = (*x).max(*y);
-        }
-        self.messages += other.messages;
-        self.payload_bytes += other.payload_bytes;
-        self.wire_bytes += other.wire_bytes;
-        self.remote_tasks += other.remote_tasks;
-        self.agg_flushes += other.agg_flushes;
-        self.agg_flushes_size += other.agg_flushes_size;
-        self.agg_flushes_age += other.agg_flushes_age;
-        self.agg_flushed_tasks += other.agg_flushed_tasks;
-        self.agg_flushed_bytes += other.agg_flushed_bytes;
-        self.ev_steps += other.ev_steps;
-        self.ev_arrivals += other.ev_arrivals;
-        self.ev_agg_polls += other.ev_agg_polls;
-        self.coalesced_arrivals += other.coalesced_arrivals;
-        self.agg_poll_coalesced += other.agg_poll_coalesced;
-        self.agg_poll_idle += other.agg_poll_idle;
-        self.peak_pending_events += other.peak_pending_events;
-        self.sim_events += other.sim_events;
-        // Every shard runs the same discipline; max (not sum) keeps the
-        // code a code.
-        self.lb_discipline = self.lb_discipline.max(other.lb_discipline);
-        self.lb_steals += other.lb_steals;
-        self.lb_stolen_tasks += other.lb_stolen_tasks;
-        self.lb_stolen_edges += other.lb_stolen_edges;
-    }
-
     /// Total tasks processed across PEs.
     pub fn total_tasks(&self) -> u64 {
         self.tasks_per_pe.iter().sum()
@@ -273,25 +226,6 @@ mod tests {
         assert_eq!(reg.get("lb.discipline"), Some(2));
         assert_eq!(reg.get("lb.steals"), Some(6));
         assert_eq!(reg.get("lb.stolen_tasks"), Some(48));
-    }
-
-    #[test]
-    fn absorb_sums_steals_and_keeps_discipline() {
-        let mut a = RunStats::new(2);
-        a.lb_discipline = 1;
-        a.lb_steals = 2;
-        a.lb_stolen_tasks = 10;
-        a.lb_stolen_edges = 100;
-        let mut b = RunStats::new(2);
-        b.lb_discipline = 1;
-        b.lb_steals = 3;
-        b.lb_stolen_tasks = 5;
-        b.lb_stolen_edges = 7;
-        a.absorb(&b);
-        assert_eq!(a.lb_discipline, 1);
-        assert_eq!(a.lb_steals, 5);
-        assert_eq!(a.lb_stolen_tasks, 15);
-        assert_eq!(a.lb_stolen_edges, 107);
     }
 
     #[test]

@@ -26,22 +26,16 @@
 //! * In aggregated mode, pushes are counted into per-destination
 //!   [`Bundle`]s instead, and bundles leave on the size/age triggers.
 
-use std::sync::Arc;
-use std::time::Instant;
-
 use atos_graph::Lookahead;
-use atos_queue::sync::{thread, AtomicU64, Ordering};
-use atos_sim::{imbalance_permille, ControlPath, Engine, Fabric, GpuCostModel, Time};
-use atos_trace::{NullTracer, TraceBuffer, Tracer, Track};
+use atos_sim::{ControlPath, Engine, Fabric, GpuCostModel, Time};
+use atos_trace::{NullTracer, Tracer, Track};
 
 use crate::aggregator::Bundle;
-use crate::app::{Application, IdleOutcome, ShardableApp};
-use crate::comm::{Comm, Outbox, OutboxBoard, Rx};
+use crate::app::{Application, IdleOutcome};
+use crate::comm::{Comm, Rx};
 use crate::config::{AtosConfig, KernelMode, QueueMode};
 use crate::emitter::Emitter;
 use crate::metrics::RunStats;
-use crate::profile::{self, FlightLog, ShardProfile, WindowRecord};
-use crate::sharded::SpinBarrier;
 use crate::workqueue::WorkQueue;
 
 use atos_macros::atos_hot;
@@ -139,9 +133,8 @@ pub(crate) struct Pe<T> {
     /// whole window, not one per buffered destination.
     pub(crate) agg_poll_deadline: Time,
     idle_ran: bool,
-    /// Monotone count of messages this PE has emitted — the
-    /// `ExchangeKey::counter` tiebreak, deterministic because it is
-    /// advanced only by this PE's own (shard-local) events.
+    /// Monotone count of messages this PE has emitted — the barrier merge
+    /// order's tiebreak (`comm`), advanced only by this PE's own events.
     pub(crate) emitted: u64,
 }
 
@@ -174,15 +167,6 @@ pub struct Runtime<A: Application, Tr: Tracer = NullTracer> {
     /// Virtual-time event sink ([`NullTracer`] unless built with
     /// [`Runtime::with_tracer`]).
     pub(crate) tracer: Tr,
-    /// Telemetry of the last sharded run (`None` after a sequential run
-    /// or the `k <= 1` / shard-conflict fallback). See
-    /// [`Runtime::take_shard_profile`].
-    shard_profile: Option<ShardProfile>,
-    /// PE range steals may draw from: the whole machine sequentially, the
-    /// owning shard's `lo..hi` under `run_sharded` — work never migrates
-    /// across shards, which is what keeps each shard's event order
-    /// sequential and the PDES protocol conservative.
-    pub(crate) steal_range: (usize, usize),
 }
 
 impl<A: Application> Runtime<A> {
@@ -221,8 +205,6 @@ impl<A: Application, Tr: Tracer> Runtime<A, Tr> {
         tuning: RuntimeTuning,
         tracer: Tr,
     ) -> Self {
-        // (`n_pes`, not `n`: atos-lint's taint pass is name-based, and `n`
-        // is the barrier's host-thread count.)
         let n_pes = fabric.n_pes();
         assert!(n_pes <= u16::MAX as usize, "staged messages name PEs in 16 bits");
         let pes = (0..n_pes)
@@ -259,26 +241,12 @@ impl<A: Application, Tr: Tracer> Runtime<A, Tr> {
             comm: Comm::default(),
             horizon: 0,
             tracer,
-            shard_profile: None,
-            steal_range: (0, n_pes),
         }
     }
 
     /// Borrow the tracer (inspect the collected timeline after `run`).
     pub fn tracer(&self) -> &Tr {
         &self.tracer
-    }
-
-    /// Borrow the last sharded run's telemetry, if any.
-    pub fn shard_profile(&self) -> Option<&ShardProfile> {
-        self.shard_profile.as_ref()
-    }
-
-    /// Take the last sharded run's telemetry (per-shard window
-    /// histograms, flight-recorder rings, barrier diagnostics). `None`
-    /// after sequential runs, including the `run_sharded` fallbacks.
-    pub fn take_shard_profile(&mut self) -> Option<ShardProfile> {
-        self.shard_profile.take()
     }
 
     /// Number of PEs.
@@ -322,18 +290,15 @@ impl<A: Application, Tr: Tracer> Runtime<A, Tr> {
     /// Execution proceeds in *windows*: events strictly before the safe
     /// horizon `T_min + lookahead` run, then the outbox of messages
     /// emitted during the window is resolved into the destinations'
-    /// receive lanes in deterministic [`atos_sim::ExchangeKey`] order
-    /// ([`crate::comm`]). The lookahead — the minimum time any message
-    /// needs to reach another PE — guarantees no resolved arrival can land
-    /// inside the window that produced it, so this loop
-    /// computes the same schedule whether the windows of different PEs
-    /// run on one thread (here) or on many ([`Runtime::run_sharded`]).
+    /// receive lanes in one deterministic order ([`crate::comm`]). The
+    /// lookahead — the minimum time any message needs to reach another
+    /// PE — guarantees no resolved arrival can land inside the window that
+    /// produced it.
     pub fn run(&mut self) -> RunStats {
-        let n = self.pes.len();
-        self.bootstrap(0, n);
+        self.bootstrap();
         let lookahead = self.lookahead();
         loop {
-            self.merge_exchange();
+            self.merge_records();
             let Some(t_min) = self.next_event_time() else {
                 break;
             };
@@ -355,11 +320,10 @@ impl<A: Application, Tr: Tracer> Runtime<A, Tr> {
         }
     }
 
-    /// Schedule the initial scheduling step for every seeded PE in
-    /// `lo..hi`, in ascending PE order — the same relative order any
-    /// shard's restriction of the sequence would have.
-    fn bootstrap(&mut self, lo: usize, hi: usize) {
-        for pe in lo..hi {
+    /// Schedule the initial scheduling step for every seeded PE, in
+    /// ascending PE order.
+    fn bootstrap(&mut self) {
+        for pe in 0..self.pes.len() {
             if !self.pes[pe].queue.is_empty() && !self.pes[pe].step_scheduled {
                 self.pes[pe].step_scheduled = true;
                 self.pes[pe].idle_ran = false;
@@ -448,7 +412,7 @@ impl<A: Application, Tr: Tracer> Runtime<A, Tr> {
         let mut got = self.pes[pe].queue.pop_batch(cap, &mut batch);
         let now = self.engine.now();
 
-        // An empty pop tries to pull a group from a busier in-range peer
+        // An empty pop tries to pull a group from a busier peer
         // before falling to the idle handler (`loadbalance`). Stolen work
         // executes under the *victim's* identity (`exec_pe`) — owner-
         // computes state, sender-side mirrors, and message routing all see
@@ -534,8 +498,8 @@ impl<A: Application, Tr: Tracer> Runtime<A, Tr> {
         self.pes[pe].idle_ran = false;
         self.pes[pe].step_scheduled = true;
         self.engine.schedule_in(busy, Ev::Step { pe });
-        // Backlog that survived this round is on offer to drained in-range
-        // peers once the busy window closes.
+        // Backlog that survived this round is on offer to drained peers
+        // once the busy window closes.
         self.wake_idle_peers(pe, exec_pe, busy);
     }
 
@@ -578,328 +542,6 @@ impl<A: Application, Tr: Tracer> Runtime<A, Tr> {
             self.pes[pe].queue.push(t, prio);
         }
         self.note_queue_depth(pe);
-    }
-}
-
-impl<A: ShardableApp, Tr: Tracer> Runtime<A, Tr> {
-    /// Execute to global quiescence with PEs partitioned across `k`
-    /// shards, each stepping its own engine and fabric clone on an OS
-    /// thread — conservative parallel discrete-event simulation with the
-    /// window-barrier protocol.
-    ///
-    /// The result is **byte-identical** to [`Runtime::run`]: within a
-    /// shard events execute in the same `(time, seq)` order as the
-    /// sequential run's restriction to that shard's PEs, and cross-shard
-    /// messages merge at each barrier in the shard-count-independent
-    /// [`atos_sim::ExchangeKey`] order. Only wall-clock time changes. With a
-    /// tracer attached, the per-PE/aggregation timeline is also
-    /// byte-identical to the sequential run's (after sorting, which the
-    /// Chrome exporter does); sharded runs additionally emit `window`
-    /// spans and `exchange` instants on per-shard [`Track::shard`]
-    /// tracks, stamped purely in virtual time.
-    ///
-    /// Every sharded run also collects a [`ShardProfile`] — per-shard
-    /// window histograms, an always-on flight-recorder ring (dumped to
-    /// stderr if the run panics), wall-clock barrier waits, and the
-    /// per-window load-imbalance distribution — retrievable afterwards
-    /// via [`Runtime::take_shard_profile`].
-    ///
-    /// OS threads are capped at the host's available parallelism (logical
-    /// shards beyond that share threads), so `k` larger than the machine
-    /// degrades gracefully instead of thrashing. Partitions that would
-    /// make two shards mutate one link (e.g. cross-socket traffic sharing
-    /// a Summit X-bus) fall back to the sequential path, as does `k <= 1`.
-    pub fn run_sharded(&mut self, k: usize) -> RunStats {
-        let threads = atos_queue::sync::host_parallelism().min(k.max(1));
-        self.run_sharded_on(k, threads)
-    }
-
-    /// [`Runtime::run_sharded`] with an explicit OS-thread count —
-    /// exposed so tests can force multi-thread execution (or
-    /// oversubscription) regardless of the host's core count.
-    pub fn run_sharded_on(&mut self, k: usize, threads: usize) -> RunStats {
-        let n = self.pes.len();
-        let k = k.clamp(1, n.max(1));
-        let ranges: Vec<(usize, usize)> = (0..k).map(|s| (s * n / k, (s + 1) * n / k)).collect();
-        let mut shard_of = vec![0usize; n];
-        for (s, &(lo, hi)) in ranges.iter().enumerate() {
-            shard_of[lo..hi].fill(s);
-        }
-        self.shard_profile = None;
-        if k == 1 || self.fabric.shard_conflicts(&shard_of) {
-            // Identical output by construction — the sequential window
-            // loop runs the same schedule on one engine.
-            return self.run();
-        }
-        let threads = threads.clamp(1, k);
-        let lookahead = self.lookahead();
-
-        // One sub-runtime per shard: forked application state, a fabric
-        // clone (each link is mutated by exactly one shard — checked
-        // above), and the parent's seeded queues moved in for owned PEs.
-        // Each shard collects its own trace buffer iff the parent tracer
-        // is live; `Option<TraceBuffer>`'s `None` path is the same
-        // zero-work guard as `NullTracer`, just decided at run time.
-        let collect_trace = self.tracer.is_enabled();
-        let mut subs: Vec<ShardRuntime<A>> = ranges
-            .iter()
-            .map(|&(lo, hi)| {
-                let mut sub = Runtime::with_tracer(
-                    self.app.fork(lo, hi),
-                    self.fabric.clone(),
-                    self.cfg,
-                    self.cost,
-                    self.tuning,
-                    collect_trace.then(TraceBuffer::new),
-                );
-                for pe in lo..hi {
-                    std::mem::swap(&mut sub.pes[pe].queue, &mut self.pes[pe].queue);
-                }
-                // Steals stay within the shard, so each shard's event
-                // order remains sequential and the exchange protocol
-                // stays conservative.
-                sub.steal_range = (lo, hi);
-                sub.bootstrap(lo, hi);
-                sub
-            })
-            .collect();
-
-        let board: OutboxBoard<A::Task> = OutboxBoard::new(k);
-        let barrier = SpinBarrier::new(threads);
-        let next_times: Vec<AtomicU64> = (0..k).map(|_| AtomicU64::new(0)).collect();
-        // Per-shard events-executed-last-window cells, feeding the
-        // imbalance telemetry (deterministic: virtual-time counts only).
-        let win_events: Vec<AtomicU64> = (0..k).map(|_| AtomicU64::new(0)).collect();
-        // Always-on telemetry: per-shard window records + flight rings,
-        // registered with the panic hook for crash-time dumping.
-        let flight = Arc::new(FlightLog::new(&ranges));
-        profile::register(&flight);
-        let wall = Instant::now();
-
-        // Contiguous shard groups per thread; each thread steps its own
-        // shards sequentially within every phase.
-        {
-            let mut groups: Vec<(usize, &mut [ShardRuntime<A>])> = Vec::with_capacity(threads);
-            let mut rest: &mut [ShardRuntime<A>] = &mut subs;
-            let mut start = 0;
-            for t in 0..threads {
-                let end = (t + 1) * k / threads;
-                let (g, r) = rest.split_at_mut(end - start);
-                groups.push((start, g));
-                rest = r;
-                start = end;
-            }
-            let board = &board;
-            let barrier = &barrier;
-            let next_times = &next_times[..];
-            let shard_of = &shard_of[..];
-            let win_events = &win_events[..];
-            let flight = &*flight;
-            thread::scope(|scope| {
-                for (base, group) in groups {
-                    scope.spawn(move || {
-                        shard_worker(
-                            base, group, board, barrier, next_times, shard_of, lookahead,
-                            win_events, flight,
-                        )
-                    });
-                }
-            });
-        }
-        let wall_ns = wall.elapsed().as_nanos() as u64;
-        profile::unregister(&flight);
-
-        // Fold the shards back: stats and traces are sums over events that
-        // each happened on exactly one shard, so the merge reconstructs
-        // the sequential run's numbers exactly (peak pending events, a
-        // high-water mark, merges as the sum of per-shard peaks — a
-        // documented upper bound). Trace events merge in shard order:
-        // every track belongs to exactly one shard, so per-track order is
-        // the sequential run's and the time-sorting Chrome exporter emits
-        // byte-identical JSON for the shared tracks.
-        let mut elapsed: Time = 0;
-        let mut shard_steals: Vec<u64> = Vec::with_capacity(ranges.len());
-        for (s, mut sub) in subs.into_iter().enumerate() {
-            let (lo, hi) = ranges[s];
-            shard_steals.push(sub.stats.lb_steals);
-            sub.stats.elapsed_ns = sub.engine.now();
-            sub.stats.sim_events = sub.engine.processed();
-            sub.stats.peak_pending_events = sub.engine.max_pending() as u64;
-            debug_assert!(
-                sub.pes.iter().all(|p| p.rx.is_drained()) && sub.comm.outbox.is_empty(),
-                "shard {s} ended with an undelivered arrival or a train still held"
-            );
-            elapsed = elapsed.max(sub.engine.now());
-            self.stats.absorb(&sub.stats);
-            self.fabric.absorb(&sub.fabric);
-            if let Some(buf) = std::mem::take(&mut sub.tracer) {
-                if self.tracer.is_enabled() {
-                    for &ev in buf.events() {
-                        self.tracer.record(ev);
-                    }
-                }
-            }
-            self.app.join(sub.into_app(), lo, hi);
-        }
-        self.stats.elapsed_ns = elapsed;
-        self.fabric.trace.finish(elapsed);
-        self.stats.wire_bytes = self.fabric.trace.total_wire_bytes();
-        self.stats.burstiness = self.fabric.trace.burstiness();
-        let mut profile =
-            ShardProfile::from_log(flight, wall_ns, threads, lookahead, barrier.yield_waits());
-        for (t, &steals) in profile.shards.iter_mut().zip(&shard_steals) {
-            t.lb_steals = steals;
-        }
-        self.shard_profile = Some(profile);
-        self.stats.clone()
-    }
-}
-
-/// One thread's share of the window-barrier protocol: step the owned
-/// shards through publish → barrier → merge → barrier → window, forever,
-/// until every shard's engine drains.
-///
-/// Two barriers per window suffice: the first orders publish before
-/// drain, the second orders this window's drains (and `next_times`
-/// stores) before the next window's publishes — and window execution
-/// itself never touches the board.
-///
-/// Telemetry (all observation-only): wall-clock barrier waits are
-/// measured per thread and attributed to every owned shard; per-window
-/// records feed each shard's histograms and flight ring in `flight`;
-/// per-window event counts cross the barrier through `win_events` so the
-/// shard-0 thread can record the (deterministic) imbalance ratio; and
-/// when the shard collects a trace, a `window` span plus an `exchange`
-/// instant land on its [`Track::shard`] track, stamped in virtual time
-/// only — wall-clock values never enter the trace.
-/// Per-shard sub-runtime of the sharded path: collects its own trace
-/// buffer iff the parent tracer is enabled (`None` = the `NullTracer`
-/// zero-work guard, decided at run time).
-type ShardRuntime<A> = Runtime<A, Option<TraceBuffer>>;
-
-#[allow(clippy::too_many_arguments)]
-fn shard_worker<A: ShardableApp>(
-    base: usize,
-    group: &mut [ShardRuntime<A>],
-    board: &OutboxBoard<A::Task>,
-    barrier: &SpinBarrier,
-    next_times: &[AtomicU64],
-    shard_of: &[usize],
-    lookahead: Time,
-    win_events: &[AtomicU64],
-    flight: &FlightLog,
-) {
-    let k = board.shards();
-    // Reusable per-shard row/inbox buffers; vectors circulate between
-    // these and the board's slots via swap, so the steady state allocates
-    // nothing.
-    let mut rows: Vec<Vec<Outbox<A::Task>>> = group
-        .iter()
-        .map(|_| (0..k).map(|_| Outbox::default()).collect())
-        .collect();
-    let mut inboxes: Vec<Outbox<A::Task>> = group.iter().map(|_| Outbox::default()).collect();
-    // Telemetry scratch, preallocated: per-owned-shard exchange volumes
-    // for the current iteration and the events-processed cursor.
-    let mut published_now: Vec<u64> = vec![0; group.len()];
-    let mut drained_now: Vec<u64> = vec![0; group.len()];
-    let mut prev_processed: Vec<u64> = group.iter().map(|sub| sub.engine.processed()).collect();
-    let mut window: u64 = 0;
-    loop {
-        // Publish: split each owned shard's outbox by destination shard
-        // and swap the rows onto the board.
-        for (i, sub) in group.iter_mut().enumerate() {
-            let s = base + i;
-            published_now[i] = sub.comm.outbox.cars.len() as u64;
-            sub.comm.outbox.split_into(shard_of, &mut rows[i]);
-            for (dst_shard, row) in rows[i].iter_mut().enumerate() {
-                board.publish(s, dst_shard, row);
-            }
-        }
-        let t0 = Instant::now();
-        barrier.wait();
-        let mut wait_ns = t0.elapsed().as_nanos() as u64;
-        // Drain + merge: collect each owned shard's column, resolve it
-        // into the shard's receive lanes in ExchangeKey order, and
-        // announce the shard's next event time.
-        for (i, sub) in group.iter_mut().enumerate() {
-            let s = base + i;
-            let inbox = &mut inboxes[i];
-            for src_shard in 0..k {
-                board.drain(src_shard, s, inbox);
-            }
-            drained_now[i] = inbox.cars.len() as u64;
-            sub.merge_records(inbox);
-            let next = sub.next_event_time().unwrap_or(Time::MAX);
-            next_times[s].store(next, Ordering::Release);
-        }
-        // Imbalance over the *previous* window's event counts: the stores
-        // happened before the publish barrier, so every cell is visible
-        // here. One thread records it (shard 0's owner) — the value is a
-        // pure function of virtual-time counts, hence deterministic.
-        if base == 0 && window > 0 {
-            if let Some(p) =
-                imbalance_permille(win_events.iter().map(|c| c.load(Ordering::Acquire)))
-            {
-                flight.record_imbalance(p);
-            }
-        }
-        let t1 = Instant::now();
-        barrier.wait();
-        wait_ns += t1.elapsed().as_nanos() as u64;
-        // Window: every thread derives the same global horizon from the
-        // published next-event times.
-        let t_min = next_times
-            .iter()
-            .map(|t| t.load(Ordering::Acquire))
-            .min()
-            .unwrap_or(Time::MAX);
-        if t_min == Time::MAX {
-            break;
-        }
-        let horizon = t_min.saturating_add(lookahead);
-        for (i, sub) in group.iter_mut().enumerate() {
-            let s = base + i;
-            sub.run_window(horizon);
-            let done = sub.engine.processed();
-            let events = done - prev_processed[i];
-            prev_processed[i] = done;
-            win_events[s].store(events, Ordering::Release);
-            if sub.tracer.is_enabled() {
-                // Virtual-time-only shard-track events: the window span
-                // covers [t_min, last executed event]; consecutive spans
-                // never overlap because the next t_min is >= this
-                // horizon. Exchange volumes ride as an instant at the
-                // window's opening barrier.
-                let end = sub.engine.now().max(t_min);
-                sub.tracer.span(
-                    Track::shard(s),
-                    t_min,
-                    end - t_min,
-                    "window",
-                    ["events", "published"],
-                    [events, published_now[i]],
-                );
-                if published_now[i] + drained_now[i] > 0 {
-                    sub.tracer.instant(
-                        Track::shard(s),
-                        t_min,
-                        "exchange",
-                        ["published", "drained"],
-                        [published_now[i], drained_now[i]],
-                    );
-                }
-            }
-            flight.shard(s).record_window(WindowRecord {
-                window,
-                t_min,
-                horizon,
-                events,
-                published: published_now[i],
-                drained: drained_now[i],
-                barrier_wait_ns: wait_ns,
-            });
-        }
-        window += 1;
     }
 }
 
@@ -1291,181 +933,5 @@ mod tests {
         rt.seed(0, [5u32, 1, 3, 0, 2, 4]);
         rt.run();
         assert_eq!(rt.app().order, vec![0, 1, 2, 3, 4, 5]);
-    }
-
-    impl ShardableApp for Relay {
-        fn fork(&self, _lo: usize, _hi: usize) -> Self {
-            Relay {
-                n_pes: self.n_pes,
-                processed: 0,
-                received: 0,
-            }
-        }
-        fn join(&mut self, shard: Self, _lo: usize, _hi: usize) {
-            self.processed += shard.processed;
-            self.received += shard.received;
-        }
-    }
-
-    impl ShardableApp for FanOut {
-        fn fork(&self, _lo: usize, _hi: usize) -> Self {
-            FanOut { width: self.width }
-        }
-        fn join(&mut self, _shard: Self, _lo: usize, _hi: usize) {}
-    }
-
-    /// Compare two runs field by field. `peak_pending_events` is excluded:
-    /// for K > 1 it is the sum of per-shard maxima, an upper bound that is
-    /// not required to equal the sequential global maximum.
-    fn assert_runs_identical(a: &RunStats, b: &RunStats, what: &str) {
-        let scrub = |s: &RunStats| {
-            let mut s = s.clone();
-            s.peak_pending_events = 0;
-            format!("{s:?}")
-        };
-        assert_eq!(scrub(a), scrub(b), "{what}: sharded run diverged");
-    }
-
-    #[test]
-    fn sharded_relay_matches_sequential_byte_for_byte() {
-        let hops = 61u32; // odd, so traffic is asymmetric across PEs
-        let baseline = {
-            let mut rt = daisy_runtime(4, AtosConfig::standard_persistent());
-            rt.seed(0, [hops]);
-            rt.run()
-        };
-        // Uneven splits (4 PEs over 3 shards → 1/1/2) and real threads
-        // both included; threads may exceed cores — the barrier yields.
-        for (k, threads) in [(2, 1), (2, 2), (3, 2), (4, 2), (4, 4)] {
-            let mut rt = daisy_runtime(4, AtosConfig::standard_persistent());
-            rt.seed(0, [hops]);
-            let s = rt.run_sharded_on(k, threads);
-            assert_runs_identical(&baseline, &s, &format!("relay k={k} t={threads}"));
-            assert_eq!(rt.app().processed, hops as u64 + 1);
-            assert_eq!(rt.app().received, hops as u64);
-        }
-    }
-
-    #[test]
-    fn sharded_aggregated_fanout_matches_sequential() {
-        // Aggregated IB mode: flush windows, polls, and bundle traffic all
-        // cross the shard boundary.
-        let go = |k: Option<(usize, usize)>| {
-            let mut rt = Runtime::new(
-                FanOut { width: 700 },
-                Fabric::ib_cluster(4),
-                AtosConfig::ib_pagerank(),
-            );
-            rt.seed(0, [(0u32, true)]);
-            match k {
-                None => rt.run(),
-                Some((k, threads)) => rt.run_sharded_on(k, threads),
-            }
-        };
-        let baseline = go(None);
-        for (k, threads) in [(2, 2), (4, 2), (4, 4)] {
-            let s = go(Some((k, threads)));
-            assert_runs_identical(&baseline, &s, &format!("fanout k={k} t={threads}"));
-        }
-    }
-
-    #[test]
-    fn sharded_traced_run_matches_sequential_trace_byte_for_byte() {
-        use atos_trace::perfetto::{to_chrome_json, validate_chrome_trace};
-        use atos_trace::TraceBuffer;
-
-        let traced_daisy = || {
-            Runtime::with_tracer(
-                Relay {
-                    n_pes: 4,
-                    processed: 0,
-                    received: 0,
-                },
-                Fabric::daisy(4),
-                AtosConfig::standard_persistent(),
-                GpuCostModel::v100(),
-                RuntimeTuning::default(),
-                TraceBuffer::new(),
-            )
-        };
-        let seq_json = {
-            let mut rt = traced_daisy();
-            rt.seed(0, [61u32]);
-            rt.run();
-            to_chrome_json(rt.tracer())
-        };
-        for (k, threads) in [(2, 2), (4, 2), (4, 4)] {
-            let mut rt = traced_daisy();
-            rt.seed(0, [61u32]);
-            rt.run_sharded_on(k, threads);
-            let mut merged = rt.tracer().clone();
-            // Shard tracks are sharded-run-only additions; everything
-            // else must be the sequential timeline, byte for byte.
-            let full = to_chrome_json(&merged);
-            let summary = validate_chrome_trace(&full)
-                .unwrap_or_else(|e| panic!("k={k}: invalid sharded trace: {e}"));
-            assert!(summary.spans > 0);
-            let shard_events =
-                merged.events().iter().filter(|e| e.track == Track::shard(0)).count();
-            assert!(shard_events > 0, "k={k}: no shard-track telemetry recorded");
-            merged.retain(|e| (0..k).all(|s| e.track != Track::shard(s)));
-            assert_eq!(
-                to_chrome_json(&merged),
-                seq_json,
-                "k={k} t={threads}: traced sharded run diverged from sequential"
-            );
-        }
-    }
-
-    #[test]
-    fn sharded_run_collects_profile() {
-        let mut rt = daisy_runtime(4, AtosConfig::standard_persistent());
-        rt.seed(0, [61u32]);
-        let stats = rt.run_sharded_on(4, 2);
-        let p = rt.take_shard_profile().expect("sharded run must profile");
-        assert_eq!(p.shards.len(), 4);
-        assert_eq!(p.threads, 2);
-        // Every shard crossed every window barrier.
-        let w0 = p.shards[0].windows;
-        assert!(w0 > 0);
-        assert!(p.shards.iter().all(|s| s.windows == w0));
-        // Window event totals reconstruct the run's event count.
-        let events: u64 = p.shards.iter().map(|s| s.events).sum();
-        assert_eq!(events, stats.sim_events);
-        // Flight rings retained the tail of the run.
-        assert!(p.shards.iter().all(|s| !s.flight.is_empty()));
-        assert_eq!(p.shards[0].flight.total(), w0);
-        // Imbalance was recorded (daisy relay is single-token, so the
-        // ratio is k * 1000 for most windows) and is deterministic.
-        assert!(!p.imbalance.is_empty());
-        assert!(p.imbalance_ratio() >= 1.0);
-        // A second identical run records the identical imbalance
-        // distribution (virtual-time counts only).
-        let mut rt2 = daisy_runtime(4, AtosConfig::standard_persistent());
-        rt2.seed(0, [61u32]);
-        rt2.run_sharded_on(4, 2);
-        let p2 = rt2.take_shard_profile().unwrap();
-        assert_eq!(p.imbalance, p2.imbalance);
-        assert_eq!(p.shards[0].window_events, p2.shards[0].window_events);
-        assert_eq!(p.shards[0].window_span, p2.shards[0].window_span);
-        // The sequential fallback leaves no profile behind.
-        let mut rt3 = daisy_runtime(4, AtosConfig::standard_persistent());
-        rt3.seed(0, [5u32]);
-        rt3.run_sharded(1);
-        assert!(rt3.shard_profile().is_none());
-    }
-
-    #[test]
-    fn sharded_k1_is_the_sequential_engine() {
-        // k = 1 (and any k on a single PE) must take the sequential path
-        // exactly — same object code, same stats, no threads.
-        let mut a = daisy_runtime(4, AtosConfig::standard_persistent());
-        a.seed(0, [25u32]);
-        let sa = a.run();
-        let mut b = daisy_runtime(4, AtosConfig::standard_persistent());
-        b.seed(0, [25u32]);
-        let sb = b.run_sharded(1);
-        assert_runs_identical(&sa, &sb, "k=1");
-        assert_eq!(sa.peak_pending_events, sb.peak_pending_events);
     }
 }

@@ -1,264 +1,60 @@
-//! Inter-shard synchronization for the window-barrier runtime: a
-//! sense-reversing spin barrier and a pre-allocated staging board for
-//! cross-shard event exchange.
-//!
-//! The sharded runtime (`Runtime::run_sharded`) steps `K` per-shard
-//! engines on OS threads; between execution windows the shards exchange
-//! staged cross-shard messages. That exchange is phase-structured:
-//!
-//! 1. **publish** — each shard swaps its per-destination outbox vectors
-//!    into its row of the [`ExchangeBoard`];
-//! 2. barrier;
-//! 3. **drain** — each shard takes its column, merging the staged
-//!    messages into its engine in deterministic [`atos_sim::ExchangeKey`]
-//!    order.
-//!
-//! Within a phase every board slot `(src, dst)` is touched by exactly one
-//! thread (the row owner during publish, the column owner during drain),
-//! and the barrier between phases provides the happens-before edge that
-//! makes the hand-off sound. The board therefore needs no locks — just
-//! `UnsafeCell` slots plus that protocol contract, which the model
-//! checker verifies (`crates/check/tests/exchange_models.rs`), including
-//! catching a seeded relaxed-ordering mutation of the barrier.
-//!
-//! Both types are built on the `atos_queue::sync` facade, so the exact
-//! production code runs under `--cfg atos_check` with every interleaving
-//! explored and every cell access race-checked.
+//! Residue of the deleted K-shard engine (DESIGN.md §11), kept for one
+//! caller: the `benchmark/` package is frozen to feature PRs and compiles
+//! against these four names (`benchmark/README.md`, "Public functions the
+//! benchmark pins"). There is one engine; nothing else in the workspace may
+//! name them. ROADMAP item 4's `[benchmark]` PR deletes this file, the three
+//! `impl ShardableApp` in `atos-apps` and `tests/benchmark_pins.rs`.
 
-use atos_queue::sync::{hint, thread, AtomicU64, AtomicUsize, Ordering, UnsafeCell};
+use atos_trace::Tracer;
 
-/// Spins on the barrier generation before yielding to the OS scheduler.
-/// Short: the barrier is crossed twice per simulation window, and on an
-/// oversubscribed host (more shards than cores) yielding quickly matters
-/// more than saving the syscall.
-const SPIN_LIMIT: u32 = 64;
+use crate::app::Application;
+use crate::metrics::RunStats;
+use crate::runtime::Runtime;
 
-/// Sense-reversing spin barrier for a fixed party count.
-///
-/// `wait` returns once all `n` parties have arrived. The last arrival
-/// resets the count and releases the new generation; the rest spin on the
-/// generation word (briefly) and then `yield_now`, so the barrier stays
-/// correct and non-pathological when shards outnumber cores.
-pub struct SpinBarrier {
-    /// Arrivals in the current generation.
-    count: AtomicUsize,
-    /// Generation counter; incremented by the last arrival with Release
-    /// ordering, observed by waiters with Acquire — the happens-before
-    /// edge that publishes everything written before the barrier.
-    generation: AtomicUsize,
-    /// Party count.
-    n: usize,
-    /// Telemetry: waits that exhausted the spin budget and fell back to
-    /// `yield_now` at least once. Relaxed — it is a diagnostic counter
-    /// with no ordering role (it distinguishes "spun briefly" from
-    /// "stalled into the OS scheduler" in shard profiles).
-    yield_waits: AtomicU64,
+/// The bound the benchmark puts on an application it drives. Nothing calls
+/// either method.
+pub trait ShardableApp: Application + Send {
+    /// A copy of the application that can process PEs `lo..hi`.
+    fn fork(&self, lo: usize, hi: usize) -> Self;
+
+    /// Adopt from `shard` every result PEs `lo..hi` own.
+    fn join(&mut self, shard: Self, lo: usize, hi: usize);
 }
 
-impl SpinBarrier {
-    /// Barrier for `n >= 1` parties.
-    pub fn new(n: usize) -> Self {
-        assert!(n >= 1, "barrier needs at least one party");
-        SpinBarrier {
-            count: AtomicUsize::new(0),
-            generation: AtomicUsize::new(0),
-            n,
-            yield_waits: AtomicU64::new(0),
-        }
+/// Per-shard telemetry of a sharded run. Never constructed.
+#[derive(Debug, Clone)]
+pub struct ShardTelemetry {
+    /// Windows the shard crossed.
+    pub windows: u64,
+}
+
+/// Telemetry of a sharded run. Never constructed.
+#[derive(Debug, Clone)]
+pub struct ShardProfile {
+    /// One entry per shard.
+    pub shards: Vec<ShardTelemetry>,
+}
+
+impl ShardProfile {
+    /// Fraction of wall time spent in barriers.
+    pub fn barrier_frac(&self) -> f64 {
+        0.0
     }
 
-    /// Waits that fell back to `yield_now` after exhausting the spin
-    /// budget, across all parties and generations so far.
-    pub fn yield_waits(&self) -> u64 {
-        self.yield_waits.load(Ordering::Relaxed)
-    }
-
-    /// Block (spin, then yield) until all parties have called `wait` for
-    /// this generation.
-    pub fn wait(&self) {
-        let gen = self.generation.load(Ordering::Acquire);
-        if self.count.fetch_add(1, Ordering::AcqRel) + 1 == self.n {
-            // Last arrival: reset and open the next generation. The
-            // Release store publishes every pre-barrier write (including
-            // the count reset) to all waiters' Acquire loads.
-            self.count.store(0, Ordering::Relaxed);
-            self.generation.store(gen + 1, Ordering::Release);
-            return;
-        }
-        let mut spins = 0u32;
-        while self.generation.load(Ordering::Acquire) == gen {
-            if spins < SPIN_LIMIT {
-                spins += 1;
-                hint::spin_loop();
-            } else {
-                if spins == SPIN_LIMIT {
-                    // Count the transition once per wait, not per retry.
-                    spins += 1;
-                    self.yield_waits.fetch_add(1, Ordering::Relaxed);
-                }
-                thread::yield_now();
-            }
-        }
+    /// Median per-window `max / mean` shard events.
+    pub fn imbalance_ratio(&self) -> f64 {
+        1.0
     }
 }
 
-/// Pre-allocated `K × K` staging buffers for cross-shard message
-/// exchange — the window-barrier protocol's mailbox.
-///
-/// Slot `(src, dst)` carries the messages shard `src` staged for shard
-/// `dst` during the window that just ended. Access is phase-exclusive:
-/// only `src`'s thread touches the slot during the publish phase, only
-/// `dst`'s thread during the drain phase, and a [`SpinBarrier::wait`]
-/// separates the phases. `publish` and `drain` both *swap* vectors rather
-/// than allocating, so the steady state is allocation-free: the empty
-/// vector drained last window returns to the publisher as its next
-/// staging buffer.
-pub struct ExchangeBoard<T> {
-    /// Row-major `K × K` slots; `slots[src * k + dst]`.
-    slots: Box<[UnsafeCell<Vec<T>>]>,
-    k: usize,
-}
-
-// SAFETY: slots are plain `Vec`s behind `UnsafeCell`; the publish/drain
-// phase contract (one thread per slot per phase, barrier between phases)
-// gives each access exclusivity plus a happens-before edge, which the
-// model-checker build verifies on every access.
-unsafe impl<T: Send> Sync for ExchangeBoard<T> {}
-
-impl<T> ExchangeBoard<T> {
-    /// Board for `k` shards, all slots empty.
-    pub fn new(k: usize) -> Self {
-        ExchangeBoard {
-            slots: (0..k * k).map(|_| UnsafeCell::new(Vec::new())).collect(),
-            k,
-        }
+impl<A: ShardableApp, Tr: Tracer> Runtime<A, Tr> {
+    /// [`Runtime::run`], whatever `k`.
+    pub fn run_sharded(&mut self, _k: usize) -> RunStats {
+        self.run()
     }
 
-    /// Shard count the board was built for.
-    pub fn shards(&self) -> usize {
-        self.k
-    }
-
-    /// Publish phase (shard `src`'s thread only): swap `buf` into slot
-    /// `(src, dst)`. `buf` comes back holding whatever the slot held —
-    /// in steady state the empty vector `dst` drained last window.
-    pub fn publish(&self, src: usize, dst: usize, buf: &mut Vec<T>) {
-        self.slots[src * self.k + dst].with_mut(|slot| {
-            // SAFETY: phase contract — during publish only `src`'s thread
-            // touches row `src`, and the inter-phase barrier ordered all
-            // prior accesses before this one. `slot` and `buf` never
-            // alias (one lives in the board, one in the caller).
-            unsafe { core::ptr::swap(slot, buf) }
-        });
-    }
-
-    /// Drain phase (shard `dst`'s thread only): move slot `(src, dst)`'s
-    /// messages to the end of `into`, leaving the slot's vector empty but
-    /// with its capacity intact.
-    pub fn drain(&self, src: usize, dst: usize, into: &mut Vec<T>) {
-        self.slots[src * self.k + dst].with_mut(|slot| {
-            // SAFETY: phase contract — during drain only `dst`'s thread
-            // touches column `dst`, after the barrier.
-            unsafe { into.append(&mut *slot) }
-        });
-    }
-}
-
-#[cfg(all(test, not(atos_check)))]
-mod tests {
-    use super::*;
-    use atos_queue::sync::AtomicU64;
-
-    #[test]
-    fn barrier_releases_all_parties() {
-        let n = 4;
-        let barrier = SpinBarrier::new(n);
-        let before = AtomicU64::new(0);
-        thread::scope(|s| {
-            for _ in 0..n {
-                s.spawn(|| {
-                    before.fetch_add(1, Ordering::SeqCst);
-                    barrier.wait();
-                    // Everyone arrived before anyone left.
-                    assert_eq!(before.load(Ordering::SeqCst), n as u64);
-                });
-            }
-        });
-    }
-
-    #[test]
-    fn barrier_generations_reuse() {
-        let barrier = SpinBarrier::new(2);
-        let turns = AtomicU64::new(0);
-        thread::scope(|s| {
-            for _ in 0..2 {
-                s.spawn(|| {
-                    for _ in 0..100 {
-                        barrier.wait();
-                        turns.fetch_add(1, Ordering::SeqCst);
-                        barrier.wait();
-                    }
-                });
-            }
-        });
-        assert_eq!(turns.load(Ordering::SeqCst), 200);
-    }
-
-    #[test]
-    fn board_round_trips_and_recycles_capacity() {
-        let board: ExchangeBoard<u32> = ExchangeBoard::new(2);
-        let mut buf = vec![1, 2, 3];
-        board.publish(0, 1, &mut buf);
-        assert!(buf.is_empty());
-        let mut got = Vec::new();
-        board.drain(0, 1, &mut got);
-        assert_eq!(got, vec![1, 2, 3]);
-        // Second round: the drained-empty slot vector comes back to the
-        // publisher, capacity intact — the zero-alloc steady state.
-        buf.extend([4, 5]);
-        board.publish(0, 1, &mut buf);
-        got.clear();
-        board.drain(0, 1, &mut got);
-        assert_eq!(got, vec![4, 5]);
-    }
-
-    #[test]
-    fn board_threads_exchange_through_barrier() {
-        let k = 2;
-        let board: ExchangeBoard<u64> = ExchangeBoard::new(k);
-        let barrier = SpinBarrier::new(k);
-        let sums: Vec<AtomicU64> = (0..k).map(|_| AtomicU64::new(0)).collect();
-        thread::scope(|s| {
-            for me in 0..k {
-                let board = &board;
-                let barrier = &barrier;
-                let sums = &sums;
-                s.spawn(move || {
-                    let mut out: Vec<Vec<u64>> = vec![Vec::new(); k];
-                    let mut inbox = Vec::new();
-                    for round in 0..50u64 {
-                        for (dst, buf) in out.iter_mut().enumerate() {
-                            if dst != me {
-                                buf.push(round * 10 + me as u64);
-                            }
-                            board.publish(me, dst, buf);
-                        }
-                        barrier.wait();
-                        inbox.clear();
-                        for src in 0..k {
-                            board.drain(src, me, &mut inbox);
-                        }
-                        let got: u64 = inbox.iter().sum();
-                        sums[me].fetch_add(got, Ordering::SeqCst);
-                        barrier.wait();
-                    }
-                });
-            }
-        });
-        // Shard 1 sent round*10+1 to shard 0; shard 0 sent round*10 to 1.
-        let from1: u64 = (0..50u64).map(|r| r * 10 + 1).sum();
-        let from0: u64 = (0..50u64).map(|r| r * 10).sum();
-        assert_eq!(sums[0].load(Ordering::SeqCst), from1);
-        assert_eq!(sums[1].load(Ordering::SeqCst), from0);
+    /// `None`: no run collects a profile.
+    pub fn take_shard_profile(&mut self) -> Option<ShardProfile> {
+        None
     }
 }

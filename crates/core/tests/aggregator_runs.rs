@@ -11,9 +11,7 @@
 //! they were while bundles were copies.
 
 use atos_core::aggregator::{AggBuffer, Bundle, IssueClock};
-use atos_core::{
-    Application, AtosConfig, CommMode, Emitter, LoadBalance, RunStats, Runtime, ShardableApp,
-};
+use atos_core::{Application, AtosConfig, CommMode, Emitter, LoadBalance, RunStats, Runtime};
 use atos_sim::{Fabric, Time};
 use proptest::prelude::*;
 
@@ -331,16 +329,6 @@ impl Application for Spray {
     }
 }
 
-impl ShardableApp for Spray {
-    fn fork(&self, _lo: usize, _hi: usize) -> Self {
-        Spray { n_pes: self.n_pes, fan: self.fan, received: self.received.clone() }
-    }
-
-    fn join(&mut self, shard: Self, lo: usize, hi: usize) {
-        self.received[lo..hi].copy_from_slice(&shard.received[lo..hi]);
-    }
-}
-
 fn fnv(bytes: impl IntoIterator<Item = u8>) -> u64 {
     bytes.into_iter().fold(0xcbf2_9ce4_8422_2325, |h, b| {
         (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01B3)
@@ -357,26 +345,17 @@ fn spray(
     ttl: u32,
     comm: CommMode,
     lb: LoadBalance,
-    k: usize,
 ) -> (RunStats, [u64; 2]) {
     let app = Spray { n_pes: 4, fan, received: vec![0; 4] };
     let cfg = AtosConfig { comm, ..AtosConfig::ib_pagerank() }.with_lb(lb);
     let mut rt = Runtime::new(app, Fabric::ib_cluster(4), cfg);
     rt.seed(0, (0..chains).map(|c| (ttl, c * 1_000)));
     rt.seed(1, (0..chains / 2).map(|c| (ttl, 500 + c * 1_000)));
-    let stats = rt.run_sharded_on(k, k);
+    let stats = rt.run();
     let order = fnv(rt.app().received.iter().flat_map(|h| h.to_le_bytes()));
     let row = [fnv(format!("{stats:?}").bytes()), order];
     (stats, row)
 }
-
-/// `(load balance, shards)` in the order the pinned rows are listed.
-const TWINS: [(LoadBalance, usize); 4] = [
-    (LoadBalance::Owner, 1),
-    (LoadBalance::Owner, 2),
-    (LoadBalance::Steal, 1),
-    (LoadBalance::Steal, 2),
-];
 
 #[test]
 fn a_bundle_spanning_steps_runs_as_it_did_when_bundles_were_copies() {
@@ -385,9 +364,9 @@ fn a_bundle_spanning_steps_runs_as_it_did_when_bundles_were_copies() {
     // a later dispatch, the last by the poll — over many steps' runs.
     let comm = CommMode::Aggregated { batch_bytes: 1 << 20, wait_time: 8 };
     let mut got = Vec::new();
-    for (lb, k) in TWINS {
-        let (s, row) = spray(3, 6, 400, comm, lb, k);
-        println!("    {row:?}, // {lb:?}/{k}: {} bundles", s.agg_flushes);
+    for lb in LoadBalance::ALL {
+        let (s, row) = spray(3, 6, 400, comm, lb);
+        println!("    {row:?}, // {lb:?}/1: {} bundles", s.agg_flushes);
         assert_eq!((s.agg_flushes_size, s.remote_tasks), (0, 9 * 401 * 9), "{s:?}");
         // A chain's links run in successive steps, so each source emitted
         // at least 401 runs per destination: three and more to a bundle.
@@ -405,9 +384,9 @@ fn a_step_cut_into_bundles_runs_as_it_did_when_bundles_were_copies() {
     // and the remainder rides into the next step's run.
     let comm = CommMode::Aggregated { batch_bytes: 128, wait_time: 32 };
     let mut got = Vec::new();
-    for (lb, k) in TWINS {
-        let (s, row) = spray(50, 6, 12, comm, lb, k);
-        println!("    {row:?}, // {lb:?}/{k}: {} size + {} age bundles", s.agg_flushes_size, s.agg_flushes_age);
+    for lb in LoadBalance::ALL {
+        let (s, row) = spray(50, 6, 12, comm, lb);
+        println!("    {row:?}, // {lb:?}/1: {} size + {} age bundles", s.agg_flushes_size, s.agg_flushes_age);
         assert_eq!(s.remote_tasks, 9 * 13 * 150, "{s:?}");
         assert!(s.agg_flushes_size >= 3 * 3 * 9 * 13 && s.agg_flushes_age > 0, "{s:?}");
         assert_eq!(lb == LoadBalance::Steal, s.lb_steals > 0, "{s:?}");
@@ -421,16 +400,12 @@ fn a_step_cut_into_bundles_runs_as_it_did_when_bundles_were_copies() {
 /// (`cargo test -p atos-core --test aggregator_runs -- --nocapture` prints
 /// the rows).
 #[rustfmt::skip]
-const SPANNING_STEPS: [[u64; 2]; 4] = [
+const SPANNING_STEPS: [[u64; 2]; 2] = [
     [16327134036685278658, 11955051332651252563], // Owner/1: 102 bundles
-    [16327134036685278658, 11955051332651252563], // Owner/2: 102 bundles
     [16416126955759301857, 1628912714987714579], // Steal/1: 72 bundles
-    [196864865132176419, 11955051332651252563], // Steal/2: 102 bundles
 ];
 #[rustfmt::skip]
-const CUT_WITHIN_A_STEP: [[u64; 2]; 4] = [
+const CUT_WITHIN_A_STEP: [[u64; 2]; 2] = [
     [14339362818366167074, 9117714385370042282], // Owner/1: 1092 size + 6 age bundles
-    [14339362818366167074, 9117714385370042282], // Owner/2: 1092 size + 6 age bundles
     [16267583173629404588, 14877393461571253251], // Steal/1: 1092 size + 6 age bundles
-    [15064989755177230551, 9117714385370042282], // Steal/2: 1092 size + 6 age bundles
 ];

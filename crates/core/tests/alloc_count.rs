@@ -18,7 +18,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use atos_core::{
     Application, AtosConfig, CommMode, Emitter, Lookahead, NullTracer, Runtime, RuntimeTuning,
-    ShardableApp,
 };
 use atos_graph::prefetch::prefetch;
 use atos_sim::Fabric;
@@ -99,14 +98,6 @@ impl Application for Relay {
     fn task_edges(&self, _t: &u32) -> u64 {
         1
     }
-}
-
-impl ShardableApp for Relay {
-    fn fork(&self, _lo: usize, _hi: usize) -> Self {
-        Relay::new(self.n_pes)
-    }
-
-    fn join(&mut self, _shard: Self, _lo: usize, _hi: usize) {}
 }
 
 /// PE 0 counts down one step at a time, sending one task to PE 1 per step:
@@ -263,32 +254,6 @@ fn steady_state_send_paths_do_not_allocate_per_task() {
         "steady-state engine churn must not allocate (schedule→pop is arena-recycled)"
     );
 
-    // Sharded window-barrier mode: the same 20k-hop relay split across two
-    // shards on two real threads. Every hop crosses the shard boundary, so
-    // each window runs the full publish → barrier → drain → merge cycle.
-    // Vector capacities circulate between the shard outboxes and the
-    // exchange-board slots by swap/append, so after warm-up (thread spawn,
-    // sub-runtime forks, board and buffer growth) the per-window cost must
-    // be allocation-free — a per-hop leak would blow this budget ~20x.
-    let mut rt = Runtime::new(
-        Relay::new(2),
-        Fabric::daisy(2),
-        AtosConfig {
-            comm: CommMode::Direct { group: 32 },
-            ..AtosConfig::standard_persistent()
-        },
-    );
-    rt.seed(0, [HOPS]);
-    let before = alloc_calls();
-    let stats = rt.run_sharded_on(2, 2);
-    let during = alloc_calls() - before;
-    assert_eq!(stats.messages, HOPS as u64);
-    assert!(
-        during < 3_000,
-        "sharded mode: {during} allocations for {HOPS} cross-shard messages \
-         (expected warm-up only; exchange buffers must recycle)"
-    );
-
     // Work stealing: a skewed seed (every task on PE 0) forces PE 1
     // through the full steal path — idle-peer wake, victim scan, group
     // steal — a few hundred times. The steal machinery reuses the step's
@@ -377,44 +342,29 @@ fn steady_state_send_paths_do_not_allocate_per_task() {
         "lockstep relay: {during} allocations for {HOPS} converted arrivals (expected warm-up only)"
     );
 
-    // Profiling-layer record paths (exact-zero, see the scenario's doc).
-    histogram_record_and_flight_push_scenario();
+    // Histogram record path (exact-zero, see the scenario's doc).
+    histogram_record_scenario();
 }
 
-/// The profiling layer's record paths are on the shard-worker hot loop:
-/// `Histogram::record` and `FlightRecorder::push` must perform *zero*
-/// allocations after construction — not a budget, exactly none. Runs
-/// inside the single mega-test (below) because the allocation counter is
-/// process-global: a concurrently scheduled sibling test would pollute
-/// the exact-zero window.
-fn histogram_record_and_flight_push_scenario() {
-    use atos_core::{FlightRecorder, WindowRecord};
+/// `Histogram::record` must perform *zero* allocations after construction
+/// — not a budget, exactly none. Runs inside the single mega-test (below)
+/// because the allocation counter is process-global: a concurrently
+/// scheduled sibling test would pollute the exact-zero window.
+fn histogram_record_scenario() {
     use atos_trace::Histogram;
 
     let mut h = Histogram::new();
-    let mut f = FlightRecorder::new(64);
-    // Warm-up is construction itself; the record paths have no lazy init.
+    // Warm-up is construction itself; the record path has no lazy init.
     let before = alloc_calls();
     for i in 0..100_000u64 {
         // Mixed magnitudes walk the linear region and many octaves.
         h.record(i.wrapping_mul(0x9E37_79B9).rotate_left((i % 31) as u32));
-        f.push(WindowRecord {
-            window: i,
-            t_min: i * 10,
-            horizon: i * 10 + 7,
-            events: i % 17,
-            published: i % 5,
-            drained: i % 3,
-            barrier_wait_ns: i % 1_000,
-        });
     }
     let during = alloc_calls() - before;
     assert_eq!(h.count(), 100_000);
-    assert_eq!(f.total(), 100_000);
-    assert_eq!(f.len(), 64);
     assert_eq!(
         during, 0,
-        "histogram record / flight push allocated {during} times in steady state"
+        "histogram record allocated {during} times in steady state"
     );
     // Merging into a preallocated histogram is also allocation-free.
     let other = h.clone();

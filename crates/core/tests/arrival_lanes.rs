@@ -10,7 +10,7 @@
 //!   heap-allocated payload delivered by its own `Ev::Arrive`; a pass means
 //!   each PE still sees the same calls in the same order, and the run ends
 //!   at the same virtual time with the same traffic and queue high-water
-//!   marks — for every shard count, with and without stealing.
+//!   marks, with and without stealing.
 //! * **Lane order property** — the lane structure alone, fed arbitrary
 //!   per-lane-monotone cars in arbitrary barrier batches with `settle`
 //!   interleaved, delivers exactly what a sort of all cars by
@@ -34,7 +34,7 @@ use atos_apps::sssp::KIND_LIGHT;
 use atos_apps::{BfsApp, PageRankApp, SsspApp};
 use atos_core::{
     Application, AtosConfig, CommMode, Emitter, KernelMode, LoadBalance, QueueMode, RunStats,
-    Runtime, RuntimeTuning, ShardableApp, WorkerConfig,
+    Runtime, RuntimeTuning, WorkerConfig,
 };
 use atos_graph::generators::{Preset, Scale};
 use atos_graph::partition::Partition;
@@ -102,20 +102,6 @@ impl<A: Application> Application for Logged<A> {
     }
 }
 
-impl<A: ShardableApp> ShardableApp for Logged<A> {
-    fn fork(&self, lo: usize, hi: usize) -> Self {
-        Logged {
-            inner: self.inner.fork(lo, hi),
-            log: self.log.clone(),
-        }
-    }
-
-    fn join(&mut self, shard: Self, lo: usize, hi: usize) {
-        self.log[lo..hi].copy_from_slice(&shard.log[lo..hi]);
-        self.inner.join(shard.inner, lo, hi);
-    }
-}
-
 /// `[callback-log fingerprint, elapsed_ns, messages, wire_bytes,
 /// queue_hwm fingerprint]`.
 type Row = [u64; 5];
@@ -137,13 +123,12 @@ fn row(log: &[u64], s: &RunStats) -> Row {
     ]
 }
 
-fn drive<A: ShardableApp>(
+fn drive<A: Application>(
     app: A,
     seeds: Vec<(usize, Vec<A::Task>)>,
     fabric: Fabric,
     cfg: AtosConfig,
     tuning: RuntimeTuning,
-    shards: usize,
 ) -> Row {
     let n = fabric.n_pes();
     let mut rt = Runtime::with_tuning(
@@ -156,7 +141,7 @@ fn drive<A: ShardableApp>(
     for (pe, tasks) in seeds {
         rt.seed(pe, tasks);
     }
-    let stats = rt.run_sharded(shards);
+    let stats = rt.run();
     row(&rt.app().log, &stats)
 }
 
@@ -168,7 +153,7 @@ fn social() -> Arc<atos_graph::csr::Csr> {
     )
 }
 
-fn pagerank(fabric: Fabric, cfg: AtosConfig, shards: usize) -> Row {
+fn pagerank(fabric: Fabric, cfg: AtosConfig) -> Row {
     let g = social();
     let part = Arc::new(Partition::random(g.n_vertices(), fabric.n_pes(), 7));
     let seeds = (0..part.n_parts())
@@ -183,26 +168,19 @@ fn pagerank(fabric: Fabric, cfg: AtosConfig, shards: usize) -> Row {
         })
         .collect();
     let app = PageRankApp::new(g, part, 0.85, 1e-6);
-    drive(app, seeds, fabric, cfg, RuntimeTuning::default(), shards)
+    drive(app, seeds, fabric, cfg, RuntimeTuning::default())
 }
 
-fn bfs(fabric: Fabric, cfg: AtosConfig, tuning: RuntimeTuning, shards: usize) -> Row {
+fn bfs(fabric: Fabric, cfg: AtosConfig, tuning: RuntimeTuning) -> Row {
     let preset = Preset::by_name("soc-LiveJournal1_s").unwrap();
     let g = social();
     let src = preset.bfs_source(&g);
     let part = Arc::new(Partition::random(g.n_vertices(), fabric.n_pes(), 11));
     let seeds = vec![(part.owner(src), vec![(src, 0u32)])];
-    drive(
-        BfsApp::new(g, part, src),
-        seeds,
-        fabric,
-        cfg,
-        tuning,
-        shards,
-    )
+    drive(BfsApp::new(g, part, src), seeds, fabric, cfg, tuning)
 }
 
-fn sssp(fabric: Fabric, cfg: AtosConfig, shards: usize) -> Row {
+fn sssp(fabric: Fabric, cfg: AtosConfig) -> Row {
     let preset = Preset::by_name("road_usa_s").unwrap();
     let g = Arc::new(preset.build(Scale::Tiny));
     let w = Arc::new(EdgeWeights::random(&g, 64, 5));
@@ -210,7 +188,7 @@ fn sssp(fabric: Fabric, cfg: AtosConfig, shards: usize) -> Row {
     let part = Arc::new(Partition::bfs_grow(&g, fabric.n_pes(), 3));
     let seeds = vec![(part.owner(src), vec![(src, 0u64, KIND_LIGHT)])];
     let app = SsspApp::new_split(g, w, part, src, 8);
-    drive(app, seeds, fabric, cfg, RuntimeTuning::default(), shards)
+    drive(app, seeds, fabric, cfg, RuntimeTuning::default())
 }
 
 /// The Galois/Gluon-like baseline's shape: one discrete kernel per round,
@@ -234,58 +212,39 @@ fn gluon() -> (AtosConfig, RuntimeTuning) {
     (cfg, tuning)
 }
 
-/// One pinned configuration: run it under a policy on `k` shards.
-type Case = Box<dyn Fn(LoadBalance, usize) -> Row>;
+/// One pinned configuration: run it under a policy.
+type Case = Box<dyn Fn(LoadBalance) -> Row>;
 
 fn cases() -> Vec<(&'static str, Case)> {
     let plain = RuntimeTuning::default();
     vec![
         (
             "daisy4/pagerank-direct",
-            Box::new(|lb, k| {
-                pagerank(
-                    Fabric::daisy(4),
-                    AtosConfig::standard_persistent().with_lb(lb),
-                    k,
-                )
-            }),
+            Box::new(|lb| pagerank(Fabric::daisy(4), AtosConfig::standard_persistent().with_lb(lb))),
         ),
         (
             "ib8/pagerank-aggregated",
-            Box::new(|lb, k| {
-                pagerank(
-                    Fabric::ib_cluster(8),
-                    AtosConfig::ib_pagerank().with_lb(lb),
-                    k,
-                )
-            }),
+            Box::new(|lb| pagerank(Fabric::ib_cluster(8), AtosConfig::ib_pagerank().with_lb(lb))),
         ),
         (
             "summit6/bfs",
-            Box::new(move |lb, k| {
+            Box::new(move |lb| {
                 bfs(
                     Fabric::summit_node(6),
                     AtosConfig::standard_persistent().with_lb(lb),
                     plain,
-                    k,
                 )
             }),
         ),
         (
             "daisy4/sssp-priority-discrete",
-            Box::new(|lb, k| {
-                sssp(
-                    Fabric::daisy(4),
-                    AtosConfig::priority_discrete().with_lb(lb),
-                    k,
-                )
-            }),
+            Box::new(|lb| sssp(Fabric::daisy(4), AtosConfig::priority_discrete().with_lb(lb))),
         ),
         (
             "ib4/bfs-gluon-metadata",
-            Box::new(|lb, k| {
+            Box::new(|lb| {
                 let (cfg, tuning) = gluon();
-                bfs(Fabric::ib_cluster(4), cfg.with_lb(lb), tuning, k)
+                bfs(Fabric::ib_cluster(4), cfg.with_lb(lb), tuning)
             }),
         ),
     ]
@@ -296,18 +255,10 @@ fn fingerprints_match_the_per_message_parent() {
     let mut got: Vec<(String, Row)> = Vec::new();
     for (name, run) in cases() {
         for lb in LoadBalance::ALL {
-            for k in [1, 2, 4] {
-                let r = run(lb, k);
-                println!("    (\"{name}/{lb:?}/{k}\", {r:?}),");
-                got.push((format!("{name}/{lb:?}/{k}"), r));
-            }
+            let r = run(lb);
+            println!("    (\"{name}/{lb:?}/1\", {r:?}),");
+            got.push((format!("{name}/{lb:?}/1"), r));
         }
-        // Owner-computes: the shard count changes wall-clock time only.
-        let owner = &got[got.len() - 6..got.len() - 3];
-        assert!(
-            owner.iter().all(|(_, r)| *r == owner[0].1),
-            "{name}: shards moved a result"
-        );
     }
     let golden: Vec<_> = GOLDEN.iter().map(|&(n, r)| (n.to_string(), r)).collect();
     assert_eq!(got, golden);
@@ -316,35 +267,15 @@ fn fingerprints_match_the_per_message_parent() {
 #[rustfmt::skip]
 const GOLDEN: &[(&str, Row)] = &[
     ("daisy4/pagerank-direct/Owner/1", [14194713627052086457, 1310640, 16880, 4720384, 10889729997057137531]),
-    ("daisy4/pagerank-direct/Owner/2", [14194713627052086457, 1310640, 16880, 4720384, 10889729997057137531]),
-    ("daisy4/pagerank-direct/Owner/4", [14194713627052086457, 1310640, 16880, 4720384, 10889729997057137531]),
     ("daisy4/pagerank-direct/Steal/1", [5243725882156436788, 1291702, 16893, 4721312, 10889729997057137531]),
-    ("daisy4/pagerank-direct/Steal/2", [14537854786431663285, 1299600, 16890, 4721472, 10889729997057137531]),
-    ("daisy4/pagerank-direct/Steal/4", [14194713627052086457, 1310640, 16880, 4720384, 10889729997057137531]),
     ("ib8/pagerank-aggregated/Owner/1", [1036709484681473384, 4212114, 4179, 26835540, 8134328546337234609]),
-    ("ib8/pagerank-aggregated/Owner/2", [1036709484681473384, 4212114, 4179, 26835540, 8134328546337234609]),
-    ("ib8/pagerank-aggregated/Owner/4", [1036709484681473384, 4212114, 4179, 26835540, 8134328546337234609]),
     ("ib8/pagerank-aggregated/Steal/1", [3755268000028776340, 3705116, 3833, 27187636, 8134328546337234609]),
-    ("ib8/pagerank-aggregated/Steal/2", [14803827502316059538, 4269527, 4082, 27117924, 8134328546337234609]),
-    ("ib8/pagerank-aggregated/Steal/4", [13951181836309464307, 3927311, 3997, 27032444, 8134328546337234609]),
     ("summit6/bfs/Owner/1", [14860716780881808704, 51197, 175, 30240, 3542823008189542413]),
-    ("summit6/bfs/Owner/2", [14860716780881808704, 51197, 175, 30240, 3542823008189542413]),
-    ("summit6/bfs/Owner/4", [14860716780881808704, 51197, 175, 30240, 3542823008189542413]),
     ("summit6/bfs/Steal/1", [7294940807896772792, 44661, 121, 19192, 17775134392409248108]),
-    ("summit6/bfs/Steal/2", [9013946940976725599, 43541, 127, 19640, 2776140113730368860]),
-    ("summit6/bfs/Steal/4", [7294940807896772792, 44661, 121, 19192, 17775134392409248108]),
     ("daisy4/sssp-priority-discrete/Owner/1", [15957031098984437282, 7293022, 236, 11616, 11013856656358351973]),
-    ("daisy4/sssp-priority-discrete/Owner/2", [15957031098984437282, 7293022, 236, 11616, 11013856656358351973]),
-    ("daisy4/sssp-priority-discrete/Owner/4", [15957031098984437282, 7293022, 236, 11616, 11013856656358351973]),
     ("daisy4/sssp-priority-discrete/Steal/1", [18407683667085183529, 4585560, 232, 11456, 13438993952671763899]),
-    ("daisy4/sssp-priority-discrete/Steal/2", [17388534444366674712, 5852862, 239, 11888, 3230832472641064611]),
-    ("daisy4/sssp-priority-discrete/Steal/4", [15957031098984437282, 7293022, 236, 11616, 11013856656358351973]),
     ("ib4/bfs-gluon-metadata/Owner/1", [14705585014852128725, 197819, 93, 56476, 18012849274530754535]),
-    ("ib4/bfs-gluon-metadata/Owner/2", [14705585014852128725, 197819, 93, 56476, 18012849274530754535]),
-    ("ib4/bfs-gluon-metadata/Owner/4", [14705585014852128725, 197819, 93, 56476, 18012849274530754535]),
     ("ib4/bfs-gluon-metadata/Steal/1", [5468081871337608161, 212880, 102, 60136, 9551240599721477276]),
-    ("ib4/bfs-gluon-metadata/Steal/2", [616315356229516691, 209375, 101, 60076, 7771959639245024753]),
-    ("ib4/bfs-gluon-metadata/Steal/4", [14705585014852128725, 197819, 93, 56476, 18012849274530754535]),
 ];
 
 // ---------------------------------------------------------------------------

@@ -9,8 +9,7 @@
 //!   inside the thief's step.
 //! * **What an application must promise** — the hint is inert. [`NoHint`]
 //!   forwards every method of the real applications except `prefetch`; runs
-//!   with and without it agree on every `RunStats` field and every answer,
-//!   on one shard and on two.
+//!   with and without it agree on every `RunStats` field and every answer.
 //! * **The other defaulted method, `on_receive_run`**, is as invisible:
 //!   [`PerTask`] forwards what the frozen benchmark's `Timed` wrapper
 //!   forwards, so a message reaches PageRank's per-task `on_receive` through
@@ -28,7 +27,6 @@ use atos_apps::{BfsApp, PageRankApp, SsspApp};
 use atos_core::app::IdleOutcome;
 use atos_core::{
     Application, AtosConfig, Emitter, LoadBalance, Lookahead, RunStats, Runtime, RuntimeTuning,
-    ShardableApp,
 };
 use atos_graph::generators::{Preset, Scale};
 use atos_graph::partition::Partition;
@@ -320,37 +318,26 @@ impl<A: Application, const RUNS: bool> Application for Forward<A, RUNS> {
     }
 }
 
-impl<A: ShardableApp, const RUNS: bool> ShardableApp for Forward<A, RUNS> {
-    fn fork(&self, lo: usize, hi: usize) -> Self {
-        Forward(self.0.fork(lo, hi))
-    }
-
-    fn join(&mut self, shard: Self, lo: usize, hi: usize) {
-        self.0.join(shard.0, lo, hi)
-    }
-}
-
 type Seeds<A> = Vec<(usize, Vec<<A as Application>::Task>)>;
 
-fn drive<A: ShardableApp>(
+fn drive<A: Application>(
     app: A,
     seeds: &Seeds<A>,
     fabric: Fabric,
     cfg: AtosConfig,
-    shards: usize,
 ) -> (A, RunStats) {
     let mut rt = Runtime::new(app, fabric, cfg);
     for (pe, tasks) in seeds {
         rt.seed(*pe, tasks.iter().copied());
     }
-    let stats = rt.run_sharded(shards);
+    let stats = rt.run();
     (rt.into_app(), stats)
 }
 
 /// Run `make()` bare and inside `wrap` ([`NoHint::new`] or
-/// [`PerTask::new`]) on one shard and on two; every `RunStats` field (its
-/// `Debug` prints them all) and the answer must agree.
-fn assert_transparent<const RUNS: bool, A: ShardableApp, R: PartialEq + std::fmt::Debug>(
+/// [`PerTask::new`]); every `RunStats` field (its `Debug` prints them all)
+/// and the answer must agree.
+fn assert_transparent<const RUNS: bool, A: Application, R: PartialEq + std::fmt::Debug>(
     name: &str,
     wrap: impl Fn(A) -> Forward<A, RUNS>,
     make: impl Fn() -> (A, Seeds<A>),
@@ -358,22 +345,17 @@ fn assert_transparent<const RUNS: bool, A: ShardableApp, R: PartialEq + std::fmt
     cfg: AtosConfig,
     answer: impl Fn(A) -> R,
 ) {
-    for shards in [1, 2] {
-        let (app, seeds) = make();
-        let (bare, bare_stats) = drive(app, &seeds, fabric.clone(), cfg, shards);
-        let (app, seeds) = make();
-        let (wrapped, wrapped_stats) = drive(wrap(app), &seeds, fabric.clone(), cfg, shards);
-        assert!(bare_stats.total_tasks() > 0, "{name}: nothing ran");
-        assert_eq!(
-            format!("{bare_stats:?}"),
-            format!("{wrapped_stats:?}"),
-            "{name}, {shards} shard(s): a statistic moved"
-        );
-        assert!(
-            answer(bare) == answer(wrapped.0),
-            "{name}, {shards} shard(s): the answer moved"
-        );
-    }
+    let (app, seeds) = make();
+    let (bare, bare_stats) = drive(app, &seeds, fabric.clone(), cfg);
+    let (app, seeds) = make();
+    let (wrapped, wrapped_stats) = drive(wrap(app), &seeds, fabric.clone(), cfg);
+    assert!(bare_stats.total_tasks() > 0, "{name}: nothing ran");
+    assert_eq!(
+        format!("{bare_stats:?}"),
+        format!("{wrapped_stats:?}"),
+        "{name}: a statistic moved"
+    );
+    assert!(answer(bare) == answer(wrapped.0), "{name}: the answer moved");
 }
 
 fn tiny(preset: &str) -> (Preset, Arc<atos_graph::Csr>) {

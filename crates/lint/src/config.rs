@@ -24,23 +24,11 @@ pub struct KernelScope {
     pub forbid_index: bool,
 }
 
-/// A barrier-protocol scope: one source file plus the window-loop
-/// functions inside it whose phase structure (`publish` → `barrier.wait`
-/// → `drain` → `barrier.wait` → `run_window`) the `barrier-phase` rule
-/// checks statically.
-#[derive(Debug, Clone)]
-pub struct BarrierScope {
-    /// Path suffix identifying the file (always `/`-separated).
-    pub file_suffix: &'static str,
-    /// Function names inside that file containing a window loop.
-    pub fns: &'static [&'static str],
-}
-
-/// An owner-computes scope: one source file holding a `ShardableApp`
+/// An owner-computes scope: one source file holding an `Application`
 /// impl whose entry points the `shard-escape` rule flow-checks. Field
 /// classes (owner-indexed authoritative / per-sender private /
 /// shared-immutable) come from the `#[atos_shard(..)]` attribute on the
-/// impl's `fork`, backstopped by inference from the `fork`/`join` bodies.
+/// impl's `process`; without it the scope is a finding.
 #[derive(Debug, Clone)]
 pub struct ShardScope {
     /// Path suffix identifying the file (always `/`-separated).
@@ -110,8 +98,6 @@ pub struct Config {
     /// contention probes. Inventoried at metric sinks but not findings at
     /// trace sinks (see the rationale in [`crate::taint`]).
     pub taint_nondet_sources: &'static [&'static str],
-    /// Window-barrier protocol scopes for the `barrier-phase` rule.
-    pub barrier_scopes: &'static [BarrierScope],
     /// Owner-computes scopes for the `shard-escape` rule.
     pub shard_scopes: &'static [ShardScope],
     /// Unchecked-accessor scopes for the `unchecked-guard` rule.
@@ -147,14 +133,6 @@ impl Config {
                 // atos-check models *broken* protocols on purpose
                 // (negative self-tests for the race detector).
                 "crates/check/",
-                // ExchangeBoard's cell writes are published by the
-                // SpinBarrier's AcqRel generation flip *between* the
-                // publish and drain phases — a cross-function protocol
-                // the intra-function dataflow rule cannot see. The
-                // protocol itself is model-checked by atos-check's
-                // exchange model (and its seeded-mutation twin proves
-                // the checker would catch a relaxed barrier).
-                "crates/core/src/sharded.rs",
             ],
             hot_denylist: &[
                 HotDenyEntry {
@@ -170,19 +148,12 @@ impl Config {
                     fns: &["push", "pop"],
                 },
                 HotDenyEntry {
-                    // The profiling layer's record path: called once per
-                    // histogram sample / per window on every shard, and
-                    // pinned allocation-free by `alloc_count.rs`.
+                    // The histogram record path: called once per sample
+                    // and pinned allocation-free by `alloc_count.rs`.
                     // `atos-trace` is a leaf crate, so it cannot carry the
                     // `#[atos_hot]` proc-macro attribute.
                     file_suffix: "crates/trace/src/hist.rs",
                     fns: &["record", "bucket_index"],
-                },
-                HotDenyEntry {
-                    // Flight-recorder ring push: every window of every
-                    // shard, steady-state alloc-free by construction.
-                    file_suffix: "crates/core/src/profile.rs",
-                    fns: &["push"],
                 },
             ],
             kernel_scopes: &[
@@ -342,17 +313,10 @@ impl Config {
                 // Host thread-count query (facade wrapper included).
                 "available_parallelism",
                 "host_parallelism",
-                // Barrier contention probe (spin/yield counts are
-                // scheduling-dependent).
-                "yield_waits",
                 // Process-global queue contention counters (CAS retries,
                 // host occupancy high-water marks).
                 "global_snapshot",
             ],
-            barrier_scopes: &[BarrierScope {
-                file_suffix: "crates/core/src/runtime.rs",
-                fns: &["shard_worker"],
-            }],
             shard_scopes: &[
                 ShardScope {
                     file_suffix: "crates/apps/src/bfs.rs",
@@ -431,14 +395,6 @@ impl Config {
             taint_path_sources: Config::project().taint_path_sources,
             taint_method_sources: Config::project().taint_method_sources,
             taint_nondet_sources: Config::project().taint_nondet_sources,
-            barrier_scopes: &[BarrierScope {
-                file_suffix: "barrier_phase.rs",
-                fns: &[
-                    "window_loop",
-                    "window_loop_skips_drain",
-                    "window_loop_ok",
-                ],
-            }],
             shard_scopes: &[ShardScope {
                 file_suffix: "shard_escape.rs",
                 ty: "BadApp",
@@ -478,13 +434,6 @@ impl Config {
     /// Is `path` opaque to the determinism-taint pass?
     pub fn is_taint_excluded(&self, path: &str) -> bool {
         self.taint_exclude.iter().any(|p| path.contains(p))
-    }
-
-    /// The barrier-protocol scope covering `path`, if any.
-    pub fn barrier_scope(&self, path: &str) -> Option<&BarrierScope> {
-        self.barrier_scopes
-            .iter()
-            .find(|s| path.ends_with(s.file_suffix))
     }
 
     /// Hot-denylisted function names for `path`.

@@ -38,17 +38,14 @@
 //!    wall-clock key inventory (`--wall-clock-inventory`), which
 //!    `crates/bench/tests/trace_golden.rs` consumes instead of a
 //!    hand-maintained skip list.
-//! 10. `barrier-phase` — protocol check on the sharded engine's window
-//!     loop: publish → barrier.wait → drain → barrier.wait → run_window,
-//!     in that order, for every configured `barrier_scopes` function.
-//! 11. `shard-escape` — owner-computes flow check ([`shard`]): every
-//!     field of a `ShardableApp` impl is classified owner-indexed
+//! 10. `shard-escape` — owner-computes flow check ([`shard`]): every
+//!     field of an `Application` impl is classified owner-indexed
 //!     authoritative / per-sender private / shared-immutable (declared
-//!     via `#[atos_shard(..)]` on `fork`, inferred from the `fork`/`join`
-//!     bodies otherwise), and the entry points plus everything they
-//!     transitively call in-file may write authoritative state only
-//!     under a dominating `partition.owner(v) == pe` witness.
-//! 12. `unchecked-guard` — reservation-bound proofs ([`bounds`]): every
+//!     via `#[atos_shard(..)]` on `process`; an application in scope
+//!     without the attribute is a finding), and the entry points plus
+//!     everything they transitively call in-file may write authoritative
+//!     state only under a dominating `partition.owner(v) == pe` witness.
+//! 11. `unchecked-guard` — reservation-bound proofs ([`bounds`]): every
 //!     call to a `# Safety: idx < cap` unchecked accessor must dominate
 //!     its index with a diverging capacity guard or a loop clamped by an
 //!     Acquire-loaded publication index; parameter-forwarding helpers

@@ -24,7 +24,6 @@ pub const RULES: &[&str] = &[
     "sim-determinism",
     "missing-safety",
     "determinism-taint",
-    "barrier-phase",
     "shard-escape",
     "unchecked-guard",
 ];
@@ -102,9 +101,6 @@ pub fn run(
         });
         rule("missing-safety", &mut out, &mut |_, file, out| {
             missing_safety(file, out)
-        });
-        rule("barrier-phase", &mut out, &mut |_, file, out| {
-            barrier_phase(file, cfg, out)
         });
         rule("shard-escape", &mut out, &mut |fi, _, out| {
             crate::shard::shard_escape(ws, fi, cfg, an, out)
@@ -624,117 +620,6 @@ fn missing_safety(file: &SourceFile, out: &mut Vec<Finding>) {
                  the 8 preceding lines"
                     .into(),
             ));
-        }
-    }
-}
-
-// --------------------------------------------------------- barrier-phase
-
-/// One phase event in a window loop.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Phase {
-    /// `board.publish(..)` — cross-shard row handoff.
-    Publish,
-    /// `barrier.wait()` — the generation flip that publishes the board.
-    Wait,
-    /// `board.drain(..)` — absorbing rows published *before* the barrier.
-    Drain,
-    /// `sub.run_window(..)` — executing the window.
-    Run,
-}
-
-/// Rule 10: `barrier-phase` — the sharded window loop must order its
-/// phases `publish → barrier.wait → drain → barrier.wait → run_window`.
-/// The ExchangeBoard's plain cell writes are published only by the
-/// SpinBarrier's AcqRel generation flip, so a publish after the first
-/// wait is invisible to this window's drains, a drain before it can read
-/// torn rows, and running the window before the second wait races the
-/// drains of slower shards. The scope (which file, which functions) is
-/// configuration, like kernel scopes.
-fn barrier_phase(file: &SourceFile, cfg: &Config, out: &mut Vec<Finding>) {
-    let Some(scope) = cfg.barrier_scope(&file.path) else {
-        return;
-    };
-    for f in &file.parsed.fns {
-        if f.in_test_mod || !scope.fns.contains(&f.name.as_str()) {
-            continue;
-        }
-        let mut seq: Vec<(Phase, u32)> = Vec::new();
-        for e in events_of(&file.parsed, f) {
-            // `board.drain(..)` arrives as a method call; `barrier.wait()`
-            // likewise. `recv` filters out unrelated `.drain(..)` /
-            // `.wait()` calls on other receivers (outbox drains, condvars).
-            let Event::Call {
-                name, recv, line, ..
-            } = &e
-            else {
-                continue;
-            };
-            let phase = match name.as_str() {
-                "publish" if recv.contains("board") => Phase::Publish,
-                "wait" if recv.contains("barrier") => Phase::Wait,
-                "drain" if recv.contains("board") => Phase::Drain,
-                "run_window" => Phase::Run,
-                _ => continue,
-            };
-            seq.push((phase, *line));
-        }
-        let count = |p: Phase| seq.iter().filter(|(q, _)| *q == p).count();
-        let missing: Vec<&str> = [
-            (Phase::Publish, 1, "publish"),
-            (Phase::Wait, 2, "two barrier waits"),
-            (Phase::Drain, 1, "drain"),
-            (Phase::Run, 1, "run_window"),
-        ]
-        .iter()
-        .filter(|(p, n, _)| count(*p) < *n)
-        .map(|(_, _, what)| *what)
-        .collect();
-        if !missing.is_empty() {
-            out.push(finding(
-                "barrier-phase",
-                file,
-                f.line,
-                format!(
-                    "window loop `{}` misses: {} (expected publish -> barrier.wait \
-                     -> drain -> barrier.wait -> run_window)",
-                    f.name,
-                    missing.join(", ")
-                ),
-            ));
-            continue;
-        }
-        let first_wait = seq.iter().position(|(p, _)| *p == Phase::Wait).unwrap();
-        let second_wait = first_wait
-            + 1
-            + seq[first_wait + 1..]
-                .iter()
-                .position(|(p, _)| *p == Phase::Wait)
-                .unwrap();
-        for (i, (p, line)) in seq.iter().enumerate() {
-            let violation = match p {
-                Phase::Publish if i > first_wait => Some(
-                    "publish after the first barrier wait: the row is invisible \
-                     to this window's drains",
-                ),
-                Phase::Drain if i < first_wait => Some(
-                    "drain before the first barrier wait: the board is not yet \
-                     published and the read can tear",
-                ),
-                Phase::Run if i < second_wait => Some(
-                    "run_window before the second barrier wait: races the drains \
-                     of slower shards",
-                ),
-                _ => None,
-            };
-            if let Some(v) = violation {
-                out.push(finding(
-                    "barrier-phase",
-                    file,
-                    *line,
-                    format!("{v} (in window loop `{}`)", f.name),
-                ));
-            }
         }
     }
 }

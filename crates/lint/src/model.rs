@@ -67,14 +67,11 @@ pub enum Event {
     Cas { field: String, success: Ord, line: u32 },
     /// `fence(ord)`.
     Fence { ord: Ord, line: u32 },
-    /// A call: free/associated (`path::name(`) or method (`.name(`).
-    /// For method calls `recv` is the receiver field/variable name (as
-    /// [`receiver_field`] resolves it) and `method` is true; for
-    /// free/associated calls `recv` is empty and `method` is false.
+    /// A call: free/associated (`path::name(`, `method` false) or method
+    /// (`.name(`, `method` true).
     Call {
         name: String,
         path: String,
-        recv: String,
         method: bool,
         line: u32,
     },
@@ -319,7 +316,6 @@ pub fn events_of(file: &ParsedFile, f: &FnItem) -> Vec<Event> {
                 _ => out.push(Event::Call {
                     name: name.to_string(),
                     path: String::new(),
-                    recv: field,
                     method: true,
                     line,
                 }),
@@ -357,7 +353,6 @@ pub fn events_of(file: &ParsedFile, f: &FnItem) -> Vec<Event> {
                     out.push(Event::Call {
                         name: t.text.clone(),
                         path,
-                        recv: String::new(),
                         method: false,
                         line: t.line,
                     });

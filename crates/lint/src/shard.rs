@@ -1,21 +1,21 @@
 //! `shard-escape`: the owner-computes discipline, checked statically.
 //!
-//! The sharded runtime's byte-identity guarantee (DESIGN.md §5) rests on
-//! a convention the type system cannot see: a `ShardableApp`'s entry
-//! points (`process`, `on_receive`, `on_idle`) may mutate *authoritative*
-//! vertex-indexed state only at indices the current PE owns — the paper's
-//! one-sided `atomicMin` lands in the owner's memory, and `join` adopts
-//! exactly the owner-range entries back. A write to `depth[w]` where
-//! `partition.owner(w) != pe` is silently discarded at join time in a
-//! sharded run but visible in a sequential one: the runs diverge.
+//! The model's costs rest on a convention the type system cannot see: an
+//! `Application`'s entry points (`process`, `on_receive`, `on_idle`) may
+//! mutate *authoritative* vertex-indexed state only at indices the
+//! current PE owns — the paper's one-sided `atomicMin` lands in the
+//! owner's memory, and reaches it as a message. A write to `depth[w]`
+//! where `partition.owner(w) != pe` is communication the fabric never
+//! charged: the run's virtual time and its Table III message counts are
+//! wrong, and nothing at run time says so. (The name is from the K-shard
+//! engine the check was written for, where such a write also diverged
+//! between shard counts; DESIGN.md §11.)
 //!
-//! The rule classifies every field of the impl into three classes —
-//! declared by `#[atos_shard(owner(..), private(..), shared(..))]` on the
-//! impl's `fork`, backstopped by inference from the `fork`/`join` bodies
-//! (join writes under an `(lo..hi).contains(&owner)` guard are
-//! authoritative; other join adoptions are per-sender private; everything
-//! else the fork clones is shared) — then walks each entry point and
-//! everything it transitively calls in the same file:
+//! The rule takes the class of every field from the
+//! `#[atos_shard(owner(..), private(..), shared(..))]` attribute on the
+//! impl's `process` — an application in scope without one is itself a
+//! finding — then walks each entry point and everything it transitively
+//! calls in the same file:
 //!
 //! * a write to an `owner` field must be dominated by an owner witness
 //!   for its index: an `assert_owner!(partition, v, pe)` /
@@ -24,8 +24,8 @@
 //!   (valid inside the guarded block only);
 //! * a write to a `shared` field, or a wholesale overwrite of an `owner`
 //!   array, is always a finding;
-//! * `private` fields (send-side mirrors) are writable freely — they
-//!   never cross the shard boundary;
+//! * `private` fields (send-side mirrors) are writable freely — no other
+//!   PE reads them;
 //! * sends (`out.push(owner, task)`) are the only escape for non-owned
 //!   updates and are untouched by the rule.
 //!
@@ -43,12 +43,12 @@ use crate::model::{first_ident_in, matching, split_top_commas};
 use crate::parse::{FnItem, Tok, TokKind};
 use crate::{Finding, SourceFile, Workspace};
 
-/// Ownership class of one `ShardableApp` field.
+/// Ownership class of one application field.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FieldClass {
     /// Owner-indexed authoritative state: writable only at owned indices.
     Owner,
-    /// Per-sender scratch (mirrors): never crosses the shard boundary.
+    /// Per-sender scratch (mirrors): read by no other PE.
     Private,
     /// Immutable topology/config: read-only in entry paths.
     Shared,
@@ -131,85 +131,34 @@ fn writes_in(toks: &[Tok], range: Range<usize>) -> Vec<FieldWrite> {
     out
 }
 
-/// Classify the impl's fields: attribute first, then `join` inference
-/// (owner-guarded writes are authoritative, other adoptions private),
-/// then everything else the `fork` clones as shared.
+/// The impl's field classes, as its `process` declares them:
+/// `#[atos_shard(owner(a, b), private(c), shared(d))]`. Empty when the
+/// attribute (or the method) is missing.
 pub(crate) fn classify_fields(
     file: &SourceFile,
     scope: &ShardScope,
 ) -> BTreeMap<String, FieldClass> {
-    let toks = &file.parsed.toks;
     let mut map: BTreeMap<String, FieldClass> = BTreeMap::new();
-
-    // 1. `#[atos_shard(owner(a, b), private(c), shared(d))]` on `fork`.
-    //    The parser flattens attribute args to an in-order ident list, so
-    //    the class keywords act as mode switches.
-    if let Some(fork) = find_method(file, scope.ty, "fork") {
-        if let Some(a) = fork.attrs.iter().find(|a| a.name == "atos_shard") {
-            let mut cur = None;
-            for arg in &a.args {
-                match arg.as_str() {
-                    "owner" => cur = Some(FieldClass::Owner),
-                    "private" => cur = Some(FieldClass::Private),
-                    "shared" => cur = Some(FieldClass::Shared),
-                    field => {
-                        if let Some(c) = cur {
-                            map.entry(field.to_string()).or_insert(c);
-                        }
-                    }
+    let Some(attr) = find_method(file, scope.ty, "process")
+        .and_then(|process| process.attrs.iter().find(|a| a.name == "atos_shard"))
+    else {
+        return map;
+    };
+    // The parser flattens attribute args to an in-order ident list, so the
+    // class keywords act as mode switches.
+    let mut cur = None;
+    for arg in &attr.args {
+        match arg.as_str() {
+            "owner" => cur = Some(FieldClass::Owner),
+            "private" => cur = Some(FieldClass::Private),
+            "shared" => cur = Some(FieldClass::Shared),
+            field => {
+                if let Some(c) = cur {
+                    map.entry(field.to_string()).or_insert(c);
                 }
             }
         }
     }
-
-    // 2. Inference from `join`: a write inside an
-    //    `(lo..hi).contains(&owner)`-guarded block adopts authoritative
-    //    entries; any other join write is a per-sender row adoption.
-    if let Some(join) = find_method(file, scope.ty, "join") {
-        let mut guards: Vec<Range<usize>> = Vec::new();
-        let mut i = join.body.start;
-        while i + 1 < join.body.end {
-            if toks[i].is("contains") && toks[i + 1].is("(") {
-                if let Some(close) = matching(toks, i + 1, "(", ")") {
-                    let names_owner = (i + 2..close)
-                        .any(|k| toks[k].kind == TokKind::Ident && toks[k].is("owner"));
-                    if names_owner {
-                        if let Some(open) =
-                            (close..join.body.end).find(|&k| toks[k].is("{"))
-                        {
-                            if let Some(end) = matching(toks, open, "{", "}") {
-                                guards.push(open..end);
-                            }
-                        }
-                    }
-                }
-            }
-            i += 1;
-        }
-        for w in writes_in(toks, join.body.clone()) {
-            let class = if guards.iter().any(|g| g.contains(&w.at)) {
-                FieldClass::Owner
-            } else {
-                FieldClass::Private
-            };
-            map.entry(w.field).or_insert(class);
-        }
-    }
-
-    // 3. Remaining fields named in the fork's struct literal (`field: …`)
-    //    are cloned but never adopted back: shared-immutable.
-    if let Some(fork) = find_method(file, scope.ty, "fork") {
-        for i in fork.body.clone() {
-            if toks[i].kind == TokKind::Ident
-                && toks.get(i + 1).is_some_and(|t| t.is(":"))
-                && !toks.get(i + 2).is_some_and(|t| t.is(":"))
-                && !(i > 0 && toks[i - 1].is(":"))
-            {
-                map.entry(toks[i].text.clone()).or_insert(FieldClass::Shared);
-            }
-        }
-    }
-
     map
 }
 
@@ -392,7 +341,7 @@ fn render_local(f: &FnItem, v: &Violation) -> String {
     }
 }
 
-/// Rule 11: `shard-escape` — see the module docs.
+/// Rule 10: `shard-escape` — see the module docs.
 pub fn shard_escape(
     ws: &Workspace,
     fi: usize,
@@ -406,6 +355,17 @@ pub fn shard_escape(
     };
     let classes = classify_fields(file, scope);
     if classes.is_empty() {
+        // Unclassified state would pass every check below.
+        out.push(Finding {
+            rule: "shard-escape",
+            file: file.path.clone(),
+            line: find_method(file, scope.ty, "process").map_or(1, |f| f.line),
+            message: format!(
+                "`{}` is in the owner-computes scope but its `process` declares no field \
+                 classes; add `#[atos_shard(owner(..), private(..), shared(..))]`",
+                scope.ty
+            ),
+        });
         return;
     }
     let is_entry = |f: &FnItem| {
@@ -501,39 +461,31 @@ mod tests {
     }
 
     #[test]
-    fn attribute_classes_win() {
+    fn classes_come_from_the_attribute_on_process() {
         let m = classify(
             "impl BadApp {\n\
              #[atos_shard(owner(depth), private(mirror), shared(graph))]\n\
-             fn fork(&self, lo: usize, hi: usize) -> Self { BadApp }\n\
+             fn process(&mut self, pe: usize, v: u32) {}\n\
              }\n",
         );
         assert_eq!(m.get("depth"), Some(&FieldClass::Owner));
         assert_eq!(m.get("mirror"), Some(&FieldClass::Private));
         assert_eq!(m.get("graph"), Some(&FieldClass::Shared));
+        assert_eq!(m.len(), 3);
     }
 
     #[test]
-    fn join_inference_fills_gaps() {
-        // No attribute at all: `labels` is written under the owner guard
-        // (authoritative), `mirror` outside it (private), and `graph` is
-        // only cloned by fork (shared).
-        let m = classify(
-            "impl BadApp {\n\
-             fn fork(&self, lo: usize, hi: usize) -> Self {\n\
-                 BadApp { graph: self.graph.clone(), labels: self.labels.clone() }\n\
-             }\n\
-             fn join(&mut self, shard: BadApp, lo: usize, hi: usize) {\n\
-                 for v in 0..n {\n\
-                     let owner = self.partition.owner(v);\n\
-                     if (lo..hi).contains(&owner) { self.labels[v] = 1; }\n\
-                 }\n\
-                 for pe in lo..hi { self.mirror[pe] = row; }\n\
-             }\n\
-             }\n",
-        );
-        assert_eq!(m.get("labels"), Some(&FieldClass::Owner));
-        assert_eq!(m.get("mirror"), Some(&FieldClass::Private));
-        assert_eq!(m.get("graph"), Some(&FieldClass::Shared));
+    fn an_application_without_the_attribute_is_a_finding() {
+        // The unguarded write below would pass if no class were known.
+        let src = "impl BadApp {\n\
+                   fn process(&mut self, pe: usize, v: u32) { self.depth[v as usize] = 1; }\n\
+                   }\n";
+        assert!(classify(src).is_empty());
+        let ws = Workspace::from_sources(vec![("fixtures/shard_escape.rs".into(), src.into())]);
+        let findings = crate::run(&ws, &Config::fixture());
+        assert_eq!(findings.len(), 1, "{findings:?}");
+        let f = &findings[0];
+        assert_eq!((f.rule, f.line), ("shard-escape", 2));
+        assert!(f.message.contains("`BadApp`") && f.message.contains("atos_shard"), "{f:?}");
     }
 }

@@ -1,8 +1,6 @@
 //! Bad fixture for `shard-escape`: entry-point writes to authoritative
-//! vertex state that escape the owner-computes discipline. `depth` is
-//! declared owner-indexed by the attribute; `labels` carries no attribute
-//! entry and is classified by the join inference (adopted under the
-//! owner guard -> authoritative).
+//! vertex state that escape the owner-computes discipline. The attribute
+//! on `process` declares `depth` and `labels` owner-indexed.
 
 struct Part;
 impl Part {
@@ -20,29 +18,7 @@ struct BadApp {
 }
 
 impl BadApp {
-    #[atos_shard(owner(depth), private(mirror), shared(graph))]
-    fn fork(&self, _lo: usize, _hi: usize) -> Self {
-        BadApp {
-            depth: self.depth.clone(),
-            labels: self.labels.clone(),
-            mirror: self.mirror.clone(),
-            graph: self.graph.clone(),
-            partition: Part,
-        }
-    }
-
-    fn join(&mut self, shard: BadApp, lo: usize, hi: usize) {
-        for (v, l) in shard.labels.into_iter().enumerate() {
-            let owner = self.partition.owner(v as u32);
-            if (lo..hi).contains(&owner) {
-                self.labels[v] = l;
-            }
-        }
-        for pe in lo..hi {
-            self.mirror[pe] = Vec::new();
-        }
-    }
-
+    #[atos_shard(owner(depth, labels), private(mirror), shared(graph))]
     fn process(&mut self, pe: usize, v: u32) {
         let owner = self.partition.owner(v);
         if owner == pe {

@@ -3,7 +3,7 @@
 //! The scopes in `Config::project()` are keyed by `file_suffix` + function
 //! name, and the rules skip names they do not find. Moving or renaming a
 //! function would therefore drop it out of its no-panic / no-alloc /
-//! barrier / owner-computes / bounds scope without a single finding. This
+//! owner-computes / bounds scope without a single finding. This
 //! test closes that hole: each `(file_suffix, fn)` must resolve to a
 //! non-test function with a body that the parser finds in the workspace.
 
@@ -48,9 +48,6 @@ fn every_configured_scope_resolves_to_a_function() {
     for s in cfg.hot_denylist {
         flat.extend(s.fns.iter().map(|f| ("hot_denylist", s.file_suffix, *f)));
     }
-    for s in cfg.barrier_scopes {
-        flat.extend(s.fns.iter().map(|f| ("barrier_scopes", s.file_suffix, *f)));
-    }
     for s in cfg.unchecked_scopes {
         flat.extend(
             s.accessors
@@ -70,13 +67,13 @@ fn every_configured_scope_resolves_to_a_function() {
     // Owner-computes scopes name an impl and its entry points. An entry
     // point the impl leaves out must be one the `Application` trait
     // supplies, i.e. exist there with a default body — that is the code
-    // the shard then runs.
+    // the runtime then calls.
     let app_trait = file(&ws, "crates/core/src/app.rs", "shard_scopes");
     for s in cfg.shard_scopes {
         let f = file(&ws, s.file_suffix, "shard_scopes");
         assert!(
-            defines(f, "fork", Some(s.ty)),
-            "shard_scopes: no `ShardableApp for {}` in `{}`",
+            defines(f, "process", Some(s.ty)),
+            "shard_scopes: no `Application for {}` in `{}`",
             s.ty,
             s.file_suffix
         );

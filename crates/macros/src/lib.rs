@@ -21,13 +21,13 @@
 //!   instead of reporting every hot caller. Use it for setup-phase
 //!   helpers (arena growth, one-time table builds) whose allocations are
 //!   amortized by design and covered by `alloc_count.rs` scenarios.
-//! * [`macro@atos_shard`] classifies the fields of a `ShardableApp` impl
-//!   for the `shard-escape` lint. Placed on the impl's `fork` method (the
-//!   one fn every shardable app must define), it declares each field as
+//! * [`macro@atos_shard`] classifies the fields of an `Application` for
+//!   the `shard-escape` lint. Placed on the impl's `process` method (the
+//!   one fn every application must define), it declares each field as
 //!   `owner(..)` — owner-indexed authoritative state that only the owning
-//!   PE may write, `private(..)` — per-sender scratch that never crosses
-//!   the shard boundary, or `shared(..)` — immutable topology/config.
-//!   Fields left out are inferred from the `fork`/`join` bodies.
+//!   PE may write, `private(..)` — per-sender scratch no other PE reads,
+//!   or `shared(..)` — immutable topology/config. An application in the
+//!   lint's scope that carries no attribute is a finding.
 //!
 //! [`atos-lint`]: ../atos_lint/index.html
 
@@ -56,13 +56,13 @@ pub fn atos_alloc_ok(_attr: TokenStream, item: TokenStream) -> TokenStream {
     item
 }
 
-/// Declare the ownership classes of a `ShardableApp`'s fields for the
+/// Declare the ownership classes of an `Application`'s fields for the
 /// `shard-escape` lint, e.g.
 /// `#[atos_shard(owner(depth), private(mirror), shared(graph, partition))]`
-/// on the impl's `fork` method. `owner` fields are vertex-indexed
+/// on the impl's `process` method. `owner` fields are vertex-indexed
 /// authoritative state (writable only at indices the current PE owns),
-/// `private` fields are per-sender scratch adopted wholesale by `join`,
-/// and `shared` fields are immutable after construction. Inert; read back
+/// `private` fields are per-sender scratch indexed by the sending PE, and
+/// `shared` fields are immutable after construction. Inert; read back
 /// from the source by `atos-lint`.
 #[proc_macro_attribute]
 pub fn atos_shard(_attr: TokenStream, item: TokenStream) -> TokenStream {

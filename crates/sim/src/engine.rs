@@ -487,9 +487,9 @@ impl<E> Engine<E> {
     /// Pop the next event only if its timestamp is strictly before
     /// `horizon`; otherwise leave the queue untouched and return `None`.
     ///
-    /// This is the shard-steppable interface for conservative parallel
-    /// simulation: a shard drains exactly its safe window `[now, horizon)`
-    /// and stops without disturbing later events. The horizon test happens
+    /// This is the window interface of the runtime's conservative-lookahead
+    /// loop: it drains exactly the safe window `[now, horizon)` and stops
+    /// without disturbing later events. The horizon test happens
     /// *before* any wheel cursor moves past it (a plain `pop`-then-check
     /// would advance cursors beyond the horizon and break the invariant
     /// that events merged at the next window barrier land at or after the
@@ -546,46 +546,6 @@ impl<E> Engine<E> {
             }
         }
         self.far.peek().map(|&Reverse((k, _))| k.at)
-    }
-
-    /// Next pending event's timestamp and a reference to its payload,
-    /// without popping. Read-only like [`Engine::peek_time`], and the same
-    /// O(buckets) worst case; used by the sharded merge oracle to compare
-    /// per-shard heads by their full deterministic key before committing
-    /// to a pop.
-    pub fn peek(&self) -> Option<(Time, &E)> {
-        let head = |bucket: &Vec<Entry>| bucket.iter().copied().min();
-        let entry = if let Some(&Reverse(e)) = self.imminent.peek() {
-            Some(e)
-        } else if self.len == 0 {
-            None
-        } else {
-            let mut found = None;
-            if self.cursor0 < self.l0_rot_end {
-                if let Some(p) =
-                    Self::next_occupied(&self.l0_occ, (self.cursor0 & BUCKET_MASK) as usize)
-                {
-                    found = head(&self.l0[p]);
-                }
-            }
-            if found.is_none() && self.cursor1 < self.l1_rot_end {
-                if let Some(p) =
-                    Self::next_occupied(&self.l1_occ, (self.cursor1 & BUCKET_MASK) as usize)
-                {
-                    found = head(&self.l1[p]);
-                }
-            }
-            if found.is_none() && self.cursor2 < self.l2_rot_end {
-                if let Some(p) =
-                    Self::next_occupied(&self.l2_occ, (self.cursor2 & BUCKET_MASK) as usize)
-                {
-                    found = head(&self.l2[p]);
-                }
-            }
-            found.or_else(|| self.far.peek().map(|&Reverse(e)| e))
-        };
-        let (key, idx) = entry?;
-        self.slots[idx as usize].as_ref().map(|e| (key.at, e))
     }
 
     /// Number of pending events.

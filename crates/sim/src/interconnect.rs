@@ -106,10 +106,10 @@ enum Route {
 /// destination-side serialization (if any) is still owed.
 ///
 /// Produced by [`Fabric::transfer_egress`], consumed by
-/// [`Fabric::resolve_ingress`]. Splitting the transfer this way lets a
-/// sharded simulation charge the egress on the sender's fabric clone
-/// during its window and the ingress on the receiver's clone at the
-/// window barrier — each link is then mutated by exactly one shard.
+/// [`Fabric::resolve_ingress`]. Splitting the transfer this way lets the
+/// runtime charge the egress when the message is emitted, inside its
+/// window, and the ingress at the window barrier, where every staged
+/// message is resolved in one deterministic order.
 ///
 /// Kept to 24 bytes: the runtime stages one per in-flight message.
 #[derive(Debug, Clone, Copy)]
@@ -117,8 +117,8 @@ pub struct PendingTransfer {
     /// Earliest possible delivery at the destination side: the full
     /// arrival time for routes with no ingress stage, or the first-byte
     /// time at the ingress link otherwise. This is the deterministic
-    /// cross-shard ordering key — it is fixed at egress time and
-    /// independent of destination-side link state.
+    /// barrier ordering key — it is fixed at egress time and independent
+    /// of destination-side link state.
     pub t_key: Time,
     /// When the source issued the message (for tracing).
     pub issued: Time,
@@ -373,9 +373,9 @@ impl Fabric {
     /// Charge the destination-side serialization of a transfer started
     /// with [`Fabric::transfer_egress`] and return the arrival time.
     ///
-    /// In a sharded run this is called on the *destination* shard's
-    /// fabric, in deterministic merged order, so ingress-link contention
-    /// resolves identically to a sequential run.
+    /// The runtime calls this at the window barrier, in deterministic
+    /// merged order, which is what fixes how ingress-link contention
+    /// resolves.
     pub fn resolve_ingress(&mut self, pending: &PendingTransfer) -> Time {
         self.ingress(pending.ingress, pending.t_key, pending.payload as u64)
     }
@@ -394,7 +394,7 @@ impl Fabric {
     }
 
     /// Minimum latency of any remote route, in ns: the conservative
-    /// lookahead for parallel simulation (no event can affect another PE
+    /// lookahead of the runtime's windows (no event can affect another PE
     /// sooner than the fastest link can carry a message). `None` when the
     /// fabric has no routes at all (single PE).
     pub fn min_remote_latency_ns(&self) -> Option<Time> {
@@ -406,59 +406,6 @@ impl Fabric {
                 Route::TwoStage { net_latency_ns, .. } => *net_latency_ns,
             })
             .min()
-    }
-
-    /// Whether the PE→shard assignment `shard_of` would make two shards
-    /// mutate the same link. Egress links (and direct links, and shared
-    /// single-bottleneck routes) are charged by the *source* shard;
-    /// separate ingress links by the *destination* shard. A conflicting
-    /// partition cannot run its windows in parallel without losing
-    /// byte-identical link serialization, so callers fall back to one
-    /// shard.
-    pub fn shard_conflicts(&self, shard_of: &[usize]) -> bool {
-        assert_eq!(shard_of.len(), self.n_pes, "shard map must cover every PE");
-        let mut owner: Vec<Option<usize>> = vec![None; self.links.len()];
-        let claim = |owner: &mut Vec<Option<usize>>, link: usize, shard: usize| -> bool {
-            match owner[link] {
-                None => {
-                    owner[link] = Some(shard);
-                    false
-                }
-                Some(prev) => prev != shard,
-            }
-        };
-        for s in 0..self.n_pes {
-            for d in 0..self.n_pes {
-                let Some(route) = self.routes[s * self.n_pes + d] else {
-                    continue;
-                };
-                let conflict = match route {
-                    Route::Direct(l) => claim(&mut owner, l, shard_of[s]),
-                    Route::TwoStage { egress, ingress, .. } => {
-                        claim(&mut owner, egress, shard_of[s])
-                            || (ingress != egress && claim(&mut owner, ingress, shard_of[d]))
-                    }
-                };
-                if conflict {
-                    return true;
-                }
-            }
-        }
-        false
-    }
-
-    /// Fold another clone's link counters and trace into this fabric.
-    ///
-    /// After a sharded run each link was mutated by exactly one shard's
-    /// clone, so summing byte/message counters (and taking the max of
-    /// occupancy frontiers) reconstructs exactly the totals a sequential
-    /// run would have recorded.
-    pub fn absorb(&mut self, other: &Fabric) {
-        assert_eq!(self.links.len(), other.links.len(), "absorb: topology mismatch");
-        for (l, o) in self.links.iter_mut().zip(&other.links) {
-            l.next_free = l.next_free.max(o.next_free);
-        }
-        self.trace.absorb(&other.trace);
     }
 
     /// Latency + serialization estimate for an uncontended transfer (used

@@ -28,9 +28,6 @@
 //!   paper's headline variable.
 //! * [`trace`] — the fabric-wide utilization timeline and message
 //!   totals, used to show communication smoothing.
-//! * [`sharded`] — conservative-lookahead decomposition of the engine
-//!   into per-shard wheels with a deterministic cross-shard merge rule,
-//!   the substrate for parallel host execution in `atos-core`.
 
 #![warn(missing_docs)]
 
@@ -38,14 +35,12 @@ pub mod engine;
 pub mod gpu;
 pub mod interconnect;
 pub mod packet;
-pub mod sharded;
 pub mod trace;
 
 pub use engine::{Engine, Time};
 pub use gpu::GpuCostModel;
 pub use interconnect::{ControlPath, Fabric, PeId, PendingTransfer};
 pub use packet::PacketModel;
-pub use sharded::{imbalance_permille, ExchangeKey, ShardedEngine};
 
 /// Nanoseconds per millisecond, for reporting.
 pub const NS_PER_MS: f64 = 1e6;

@@ -82,23 +82,6 @@ impl FabricTrace {
         }
     }
 
-    /// Fold another trace's records into this one.
-    ///
-    /// Every statistic in a trace is a sum over individual `record_*`
-    /// calls, so merging per-shard traces (each record happened on exactly
-    /// one shard) reconstructs the sequential trace exactly.
-    pub fn absorb(&mut self, other: &FabricTrace) {
-        if other.buckets.len() > self.buckets.len() {
-            self.buckets.resize(other.buckets.len(), 0);
-        }
-        for (b, o) in self.buckets.iter_mut().zip(&other.buckets) {
-            *b += o;
-        }
-        self.total_messages += other.total_messages;
-        self.total_wire_bytes += other.total_wire_bytes;
-        self.total_payload_bytes += other.total_payload_bytes;
-    }
-
     /// Total messages recorded.
     pub fn total_messages(&self) -> u64 {
         self.total_messages

@@ -102,21 +102,10 @@ proptest! {
 // ---------------------------------------------------------------------------
 // Engine equivalence oracle: the retired binary-heap engine
 // (`engine::reference::HeapEngine`) defines the semantics; the timing wheel
-// AND the sharded decomposition (K ∈ {1, 2, 4, 8} per-shard wheels with the
-// deterministic cross-shard merge rule) must pop the exact same
-// `(time, event)` sequence for any schedule.
+// must pop the exact same `(time, event)` sequence for any schedule.
 // ---------------------------------------------------------------------------
 
 use atos_sim::engine::reference::HeapEngine;
-use atos_sim::ShardedEngine;
-
-/// The shard counts the tentpole pins: K=1 degenerates to one wheel, the
-/// rest exercise the round-robin deal and cross-wheel `(time, gseq)` merge.
-const SHARD_COUNTS: [usize; 4] = [1, 2, 4, 8];
-
-fn sharded_engines() -> Vec<ShardedEngine<usize>> {
-    SHARD_COUNTS.iter().map(|&k| ShardedEngine::new(k)).collect()
-}
 
 /// Expand a `(scale, raw)` pair into a timestamp. Scales stride the wheel's
 /// structure: 0 lands in the level-0/level-1 windows, 1–2 exercise cascades,
@@ -135,31 +124,20 @@ proptest! {
     ) {
         let mut wheel = Engine::new();
         let mut heap = HeapEngine::new();
-        let mut sharded = sharded_engines();
         for (i, &(scale, raw)) in times.iter().enumerate() {
             let t = scaled_time(scale, raw);
             wheel.schedule_at(t, i);
             heap.schedule_at(t, i);
-            for s in &mut sharded {
-                s.schedule_at(t, i);
-            }
         }
         loop {
             let (a, b) = (wheel.pop(), heap.pop());
             prop_assert_eq!(a, b);
             prop_assert_eq!(wheel.now(), heap.now());
-            for s in &mut sharded {
-                prop_assert_eq!(s.pop(), a, "k={}", s.shards());
-                prop_assert_eq!(s.now(), heap.now(), "k={}", s.shards());
-            }
             if a.is_none() {
                 break;
             }
         }
         prop_assert_eq!(wheel.pending(), 0);
-        for s in &sharded {
-            prop_assert_eq!(s.pending(), 0);
-        }
     }
 
     /// Equal-time bursts: tiny time domain maximizes ties, so ordering is
@@ -170,24 +148,14 @@ proptest! {
     ) {
         let mut wheel = Engine::new();
         let mut heap = HeapEngine::new();
-        let mut sharded = sharded_engines();
         for (i, &t) in times.iter().enumerate() {
             wheel.schedule_at(t, i);
             heap.schedule_at(t, i);
-            for s in &mut sharded {
-                s.schedule_at(t, i);
-            }
         }
         while let Some(got) = wheel.pop() {
             prop_assert_eq!(Some(got), heap.pop());
-            for s in &mut sharded {
-                prop_assert_eq!(s.pop(), Some(got), "k={}", s.shards());
-            }
         }
         prop_assert_eq!(heap.pop(), None);
-        for s in &mut sharded {
-            prop_assert_eq!(s.pop(), None);
-        }
     }
 
     /// Pop-interleaved scheduling: handlers scheduling relative to the
@@ -199,42 +167,25 @@ proptest! {
     ) {
         let mut wheel = Engine::new();
         let mut heap = HeapEngine::new();
-        let mut sharded = sharded_engines();
         let mut id = 0usize;
         for &(scale, raw, n) in ops.iter() {
             let delta = scaled_time(scale, raw);
             for _ in 0..=n {
                 wheel.schedule_in(delta, id);
                 heap.schedule_in(delta, id);
-                for s in &mut sharded {
-                    s.schedule_in(delta, id);
-                }
                 id += 1;
             }
             let got = wheel.pop();
             prop_assert_eq!(got, heap.pop());
             prop_assert_eq!(wheel.now(), heap.now());
             prop_assert_eq!(wheel.peek_time(), heap.peek_time());
-            for s in &mut sharded {
-                prop_assert_eq!(s.pop(), got, "k={}", s.shards());
-                prop_assert_eq!(s.now(), heap.now(), "k={}", s.shards());
-                prop_assert_eq!(s.peek_time(), heap.peek_time(), "k={}", s.shards());
-            }
         }
         while let Some(got) = wheel.pop() {
             prop_assert_eq!(Some(got), heap.pop());
-            for s in &mut sharded {
-                prop_assert_eq!(s.pop(), Some(got), "k={}", s.shards());
-            }
         }
         prop_assert_eq!(heap.pop(), None);
         prop_assert_eq!(wheel.processed(), heap.processed());
         prop_assert_eq!(wheel.max_pending(), heap.max_pending());
-        for s in &mut sharded {
-            prop_assert_eq!(s.pop(), None);
-            prop_assert_eq!(s.processed(), heap.processed(), "k={}", s.shards());
-            prop_assert_eq!(s.max_pending(), heap.max_pending(), "k={}", s.shards());
-        }
     }
 
     /// Held-back events: any mix of plain `schedule_at`, sequence numbers
@@ -295,10 +246,10 @@ proptest! {
         prop_assert_eq!(wheel.max_pending(), heap.max_pending());
     }
 
-    /// Draining the wheel window-by-window through `pop_before` (the
-    /// shard-steppable interface) yields exactly the plain pop sequence,
-    /// including when new events are scheduled at the window boundary —
-    /// the access pattern of the conservative window-barrier runtime.
+    /// Draining the wheel window-by-window through `pop_before` yields
+    /// exactly the plain pop sequence, including when new events are
+    /// scheduled at the window boundary — the access pattern of the
+    /// runtime's window loop.
     #[test]
     fn windowed_pop_before_matches_heap(
         times in proptest::collection::vec((0u32..4, 0u64..10_000), 1..300),
@@ -332,9 +283,9 @@ proptest! {
                     break;
                 }
             }
-            // Window-barrier inserts: merged cross-shard events land at or
-            // after the horizon, possibly behind wheel cursors that peeked
-            // past it.
+            // Window-barrier inserts: doorbells filed at the barrier land at
+            // or after the horizon, possibly behind wheel cursors that
+            // peeked past it.
             if budget > 0 {
                 budget -= 1;
                 for j in 0..boundary_extra {

@@ -52,13 +52,6 @@ impl TraceBuffer {
         self.events.clear();
     }
 
-    /// Keep only the events for which `f` returns true, preserving
-    /// recording order. Used by equivalence tests to project a sharded
-    /// trace down to the tracks a sequential run produces.
-    pub fn retain(&mut self, f: impl FnMut(&TraceEvent) -> bool) {
-        self.events.retain(f);
-    }
-
     /// All distinct tracks that appear in the buffer, sorted.
     pub fn tracks(&self) -> Vec<Track> {
         let mut t: Vec<Track> = self.events.iter().map(|e| e.track).collect();

@@ -8,12 +8,12 @@
 //! `u64` range. The bucket array is allocated once at construction;
 //! [`Histogram::record`] is branch-light integer arithmetic plus one
 //! slot increment — no allocation, no floating point — so it is safe on
-//! the shard-worker hot path (enforced by `atos-lint`'s hot-path scope
-//! and `alloc_count.rs`).
+//! a hot path (enforced by `atos-lint`'s hot-path scope and
+//! `alloc_count.rs`).
 //!
 //! Histograms are mergeable ([`Histogram::merge`]): merging two
 //! histograms is exactly equivalent to recording the concatenation of
-//! their inputs, which is what lets per-shard telemetry fold into a
+//! their inputs, which is what lets per-producer telemetry fold into a
 //! run-wide distribution deterministically.
 
 use crate::json;

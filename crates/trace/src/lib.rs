@@ -52,15 +52,12 @@ pub type Time = u64;
 /// * `0x1_0000 ..` — per-`(src, dst)` aggregation-window tracks
 ///   ([`Track::agg`]). Windows on one src→dst pair are sequential in
 ///   virtual time, so spans on one track never overlap and nest trivially.
-/// * `0x2000_0000 ..` — per-shard tracks ([`Track::shard`]): window
-///   spans and exchange telemetry of the sharded window-barrier runtime.
 /// * [`Track::ENGINE`] — simulator-engine-wide events (event-heap depth).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Track(pub u32);
 
 const AGG_BASE: u32 = 1 << 16;
 const AGG_STRIDE: u32 = 1 << 12;
-const SHARD_BASE: u32 = 1 << 29;
 
 impl Track {
     /// Engine-wide track (event-heap occupancy and dispatch counts).
@@ -79,23 +76,12 @@ impl Track {
         Track(AGG_BASE + (src as u32) * AGG_STRIDE + dst as u32)
     }
 
-    /// The telemetry track of engine shard `s` in a sharded run: one
-    /// `window` span per execution window plus exchange instants, so a
-    /// Perfetto view shows the window cadence of every shard side by
-    /// side with its PEs' step spans.
-    pub fn shard(s: usize) -> Track {
-        debug_assert!(s < AGG_BASE as usize, "shard index {s} out of track range");
-        Track(SHARD_BASE + s as u32)
-    }
-
     /// Human-readable label, used for Perfetto `thread_name` metadata.
     pub fn label(self) -> String {
         if self == Track::ENGINE {
             "engine".to_string()
         } else if self.0 < AGG_BASE {
             format!("pe{}", self.0)
-        } else if self.0 >= SHARD_BASE {
-            format!("shard{}", self.0 - SHARD_BASE)
         } else {
             let rel = self.0 - AGG_BASE;
             format!("agg {}->{}", rel / AGG_STRIDE, rel % AGG_STRIDE)
@@ -239,25 +225,6 @@ impl Tracer for NullTracer {
     fn record(&mut self, _ev: TraceEvent) {}
 }
 
-/// A runtime-switchable sink: `None` behaves like [`NullTracer`] (the
-/// `is_enabled` guard is a branch on the discriminant, so the disabled
-/// path stays allocation-free), `Some` forwards. The sharded runtime
-/// gives each shard an `Option<TraceBuffer>` so per-shard collection
-/// turns on exactly when the parent runtime's tracer is enabled.
-impl<T: Tracer> Tracer for Option<T> {
-    #[inline]
-    fn is_enabled(&self) -> bool {
-        self.as_ref().is_some_and(Tracer::is_enabled)
-    }
-
-    #[inline]
-    fn record(&mut self, ev: TraceEvent) {
-        if let Some(t) = self {
-            t.record(ev);
-        }
-    }
-}
-
 /// Forwarding impl so `&mut dyn Tracer` (and `&mut TraceBuffer`) can be
 /// passed wherever a generic `Tr: Tracer` is expected.
 impl<T: Tracer + ?Sized> Tracer for &mut T {
@@ -291,7 +258,6 @@ mod tests {
     fn track_labels() {
         assert_eq!(Track::pe(3).label(), "pe3");
         assert_eq!(Track::agg(1, 2).label(), "agg 1->2");
-        assert_eq!(Track::shard(2).label(), "shard2");
         assert_eq!(Track::ENGINE.label(), "engine");
         assert_eq!(format!("{}", Track::pe(0)), "pe0");
     }
@@ -301,21 +267,6 @@ mod tests {
         assert_ne!(Track::pe(0), Track::agg(0, 0));
         assert_ne!(Track::agg(0, 1), Track::agg(1, 0));
         assert_ne!(Track::ENGINE, Track::pe(0));
-        // Shard tracks sit above the densest agg track and below ENGINE.
-        assert_ne!(Track::shard(0), Track::agg(0xFFF, 0xFFF));
-        assert_ne!(Track::shard(0xFFFF), Track::ENGINE);
-        assert!(Track::agg(0xFFF, 0xFFF) < Track::shard(0));
-    }
-
-    #[test]
-    fn option_tracer_switches() {
-        let mut off: Option<TraceBuffer> = None;
-        assert!(!off.is_enabled());
-        off.counter(Track::shard(0), 1, "x", 1); // guarded no-op
-        let mut on = Some(TraceBuffer::new());
-        assert!(on.is_enabled());
-        on.span(Track::shard(1), 0, 10, "window", ["events", ""], [3, 0]);
-        assert_eq!(on.as_ref().unwrap().len(), 1);
     }
 
     #[test]

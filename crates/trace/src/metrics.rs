@@ -8,7 +8,7 @@ use crate::json;
 /// A flat registry of named `u64` counters and [`Histogram`]s.
 ///
 /// Keys use dotted namespaces (`"queue.cas_retries"`, `"agg.flushes_size"`,
-/// `"shard0.barrier_wait_ns"`). `BTreeMap`s keep the JSON output
+/// `"pe0.busy_ns"`). `BTreeMap`s keep the JSON output
 /// deterministically key-sorted; counters and histograms share one key
 /// namespace (setting one kind removes the other under the same key).
 /// Metrics are end-of-run snapshots — the hot path never touches the

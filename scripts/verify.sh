@@ -54,19 +54,6 @@ grep -q '"table2_bfs_nvlink@verify@smoke"' "$tmp/sweep.json" || {
 echo "ok: --run-id keys sweep report entries"
 
 echo
-echo "== sharded engine smoke (--sim-threads 4, byte-identity vs sequential) =="
-# The K-shard conservative-PDES engine must be byte-identical to the
-# sequential run (DESIGN.md §8); the sweep entry must record sim_threads.
-fig5="$tmp/fig5_scaling_nvlink.serial.out"
-quick fig5_scaling_nvlink "$tmp/fig5.sharded.out" --sim-threads 4
-same "fig5_scaling_nvlink byte-identical across shard counts" "$fig5" "$tmp/fig5.sharded.out"
-grep -q '"sim_threads": 4' "$tmp/sweep.json" || {
-    echo "FAIL: sweep report entry missing sim_threads field" >&2
-    exit 1
-}
-echo "ok: sweep report records sim_threads"
-
-echo
 echo "== load-balance smoke (owner byte-identity, steal determinism) =="
 # Stealing (DESIGN.md §10) must be invisible under the default policy:
 # --load-balance owner is byte-identical to the plain run (and therefore
@@ -74,6 +61,7 @@ echo "== load-balance smoke (owner byte-identity, steal determinism) =="
 # and the virtual clock, but the simulation stays deterministic: two
 # identical invocations must produce byte-identical stdout (that stealing
 # changes no answer is a tier-1 test, tests/end_to_end.rs).
+fig5="$tmp/fig5_scaling_nvlink.serial.out"
 quick fig5_scaling_nvlink "$tmp/fig5.lb_owner.out" --load-balance owner
 same "--load-balance owner byte-identical to the default" "$fig5" "$tmp/fig5.lb_owner.out"
 for rerun in a b; do
@@ -81,10 +69,11 @@ for rerun in a b; do
 done
 same "--load-balance steal deterministic (reruns byte-identical)" \
     "$tmp/fig5.lb_steal.a.out" "$tmp/fig5.lb_steal.b.out"
-# Usage errors exit 2: a retired discipline, a flag the experiment cannot
-# honour, an artifact flag off the reference entry, an unknown experiment.
-for args in "fig5_scaling_nvlink --load-balance chunk" "fig2_efficiency --sim-threads 4" \
-        "table2_bfs_nvlink --trace $tmp/no.json" "table9"; do
+# Usage errors exit 2: a retired discipline, the deleted sharded engine's
+# flag, a flag the experiment cannot honour, an artifact flag off the
+# reference entry, an unknown experiment.
+for args in "fig5_scaling_nvlink --load-balance chunk" "fig5_scaling_nvlink --sim-threads 4" \
+        "fig2_efficiency --load-balance steal" "table2_bfs_nvlink --trace $tmp/no.json" "table9"; do
     # shellcheck disable=SC2086
     "$bench" $args --quick > /dev/null 2>&1 && rc=0 || rc=$?
     [ "$rc" -eq 2 ] || { echo "FAIL: atos-bench $args exited $rc, expected 2" >&2; exit 1; }
@@ -122,20 +111,18 @@ echo "ok: benchmark package builds and its smoke run verifies"
 
 echo "== bench trajectory (engine microbench + e2e smoke, regression gate) =="
 # Re-measures the wheel-vs-heap microbench, the fig5/fig8 quick
-# workloads, the shard-scaling curve, the load-balance sweep
-# (owner vs steal wall clock + steal counters, delta-stepping vs
-# Dijkstra-order SSSP), and the graph-construction layer (graph_build:
-# full-scale R-MAT + road-mesh generation, host_cores-keyed like the
-# shard curve), then gates against the last committed entries
+# workloads, the load-balance sweep (owner vs steal wall clock + steal
+# counters, delta-stepping vs Dijkstra-order SSSP), and the
+# graph-construction layer (graph_build: full-scale R-MAT + road-mesh
+# generation), then gates against the last committed entries
 # in results/BENCH_trajectory.json. Thresholds are loose (shared hosts
-# are noisy); the ratios are load-relative and therefore stable. The
-# shard floor self-gates on host core count — a 1-core host records a
-# flat curve instead of failing — and cross-host comparisons are
-# skipped for the host-dependent kinds (host_cores is recorded).
+# are noisy); the ratios are load-relative and therefore stable.
+# Cross-host comparisons are skipped for the host-dependent kinds
+# (host_cores is recorded).
 ./target/release/bench_trajectory \
     --sha "$(git rev-parse --short HEAD 2>/dev/null || echo unknown)" \
     --stamp "$(date -u +%Y-%m-%dT%H:%M:%SZ)" \
-    --samples 3 --min-speedup 1.5 --min-shard-speedup 1.6 --deny-regression 60
+    --samples 3 --min-speedup 1.5 --deny-regression 60
 echo "ok: trajectory gate passed"
 
 echo
@@ -190,61 +177,45 @@ for app in "bfs 1" "sssp 1" "pr 1" "prib 1 --by file"; do
 done
 
 echo
-echo "== shard profiling smoke (reference --sim-threads 4 | atos-profile) =="
-# A sharded reference run must carry per-shard detail in both artifacts
-# (shard tracks in the trace, shard<k>.*/sharded.* metrics), and
-# atos-profile must turn the snapshot into a non-empty bottleneck report,
-# exit 0.
-quick reference /dev/null --sim-threads 4 --trace "$tmp/shard_trace.json" \
-    --metrics "$tmp/shard_metrics.json" --flight-dump "$tmp/flight.json"
-python3 - "$tmp/shard_trace.json" "$tmp/shard_metrics.json" "$tmp/flight.json" <<'EOF'
-import json, sys
-trace = json.load(open(sys.argv[1]))
-names = {e.get("name") for e in trace["traceEvents"]}
-assert "step" in names, "per-PE timeline lost in sharded trace"
-assert "window" in names, f"no per-shard window spans: {sorted(names)}"
-metrics = json.load(open(sys.argv[2]))
-assert metrics.get("sharded.shards") == 4, "metrics missing sharded.shards=4"
-for key in ("shard0.events", "shard3.windows", "sharded.imbalance_permille"):
-    assert key in metrics, f"metrics snapshot missing {key}"
-flight = json.load(open(sys.argv[3]))
-assert flight["shards"], "flight dump has no shard rings"
-print("ok: sharded artifacts carry per-shard detail")
-EOF
-report="$("./target/release/atos-profile" "$tmp/shard_metrics.json")"
-test -n "$report" || { echo "FAIL: atos-profile printed nothing" >&2; exit 1; }
-echo "$report" | grep -q "imbalance" || {
-    echo "FAIL: atos-profile report missing imbalance verdict" >&2
-    exit 1
-}
-echo "ok: atos-profile bottleneck report ($(echo "$report" | wc -l) lines)"
-
-echo
 echo "== workspace static analysis (atos-lint) =="
 # Interprocedural pass over the whole workspace: transitive alloc/panic
-# propagation, determinism-taint, barrier-phase, shard-escape (owner-
-# computes flow), unchecked-guard (reservation-bound proofs); exits 1 on
-# any finding. --timings prints the per-phase/per-rule breakdown so a rule
-# that regresses from microseconds to seconds shows up in every log, and
-# the whole run must stay fast enough to sit in a pre-commit hook (the
-# release binary built above keeps cargo's overhead out of the number).
-lint_t0="$(date +%s%N)"
-./target/release/atos-lint --workspace --timings > "$tmp/lint.out" 2> "$tmp/lint.stderr" || {
-    cat "$tmp/lint.out" "$tmp/lint.stderr" >&2
-    echo "FAIL: atos-lint --workspace reported findings" >&2
-    exit 1
-}
-lint_ms=$(( ($(date +%s%N) - lint_t0) / 1000000 ))
+# propagation, determinism-taint, shard-escape (owner-computes flow),
+# unchecked-guard (reservation-bound proofs); exits 1 on any finding.
+# --timings prints the per-phase/per-rule breakdown so a rule that
+# regresses from microseconds to seconds shows up in every log, and the
+# whole run must stay fast enough to sit in a pre-commit hook (the release
+# binary built above keeps cargo's overhead out of the number). The budget
+# is held against the best of three runs — one reading taken right after
+# the heavy stages says how fast the host was, not the analyzer — and a
+# best over budget fails the script at its end, after miri, the model
+# checker and clippy have had their say.
+late_failure=0
+lint_ms=""
+for _ in 1 2 3; do
+    lint_t0="$(date +%s%N)"
+    ./target/release/atos-lint --workspace --timings > "$tmp/lint.out" 2> "$tmp/lint.try" || {
+        cat "$tmp/lint.out" "$tmp/lint.try" >&2
+        echo "FAIL: atos-lint --workspace reported findings" >&2
+        exit 1
+    }
+    try_ms=$(( ($(date +%s%N) - lint_t0) / 1000000 ))
+    if [ -z "$lint_ms" ] || [ "$try_ms" -lt "$lint_ms" ]; then
+        lint_ms="$try_ms"
+        cp "$tmp/lint.try" "$tmp/lint.stderr"
+    fi
+done
 cat "$tmp/lint.stderr"
 grep -q "wall time by phase and rule:" "$tmp/lint.stderr" || {
     echo "FAIL: --timings printed no per-rule breakdown" >&2
     exit 1
 }
 if [ "$lint_ms" -ge 500 ]; then
-    echo "FAIL: atos-lint --workspace took ${lint_ms} ms (budget: 500 ms)" >&2
-    exit 1
+    echo "FAIL: atos-lint --workspace took ${lint_ms} ms at best of 3 (budget: 500 ms);" \
+        "the remaining stages run, then the script exits 1" >&2
+    late_failure=1
+else
+    echo "ok: atos-lint --workspace clean in ${lint_ms} ms, best of 3 (< 500 ms budget)"
 fi
-echo "ok: atos-lint --workspace clean in ${lint_ms} ms (< 500 ms budget)"
 # The committed wall-clock key inventory (consumed by
 # crates/bench/tests/trace_golden.rs) must match a fresh regeneration.
 ./target/release/atos-lint --workspace \
@@ -277,4 +248,8 @@ echo "== clippy (deny warnings) =="
 cargo clippy --workspace --all-targets -- -D warnings
 
 echo
+if [ "$late_failure" -ne 0 ]; then
+    echo "verify: FAILED — atos-lint --workspace was over its wall-clock budget (see above)" >&2
+    exit 1
+fi
 echo "verify: all checks passed"

@@ -7,7 +7,7 @@
 
 use std::sync::Arc;
 
-use atos::apps::bfs::{run_bfs, run_bfs_sharded};
+use atos::apps::bfs::run_bfs;
 use atos::apps::pagerank::run_pagerank;
 use atos::core::{AtosConfig, LoadBalance};
 use atos::graph::generators::{rmat, Preset, Scale};
@@ -113,16 +113,15 @@ fn steal_schedule_is_pinned() {
     let fingerprint = |s: &atos::core::RunStats| {
         (s.elapsed_ns, s.lb_steals, s.lb_stolen_tasks, s.total_tasks())
     };
-    let bfs = |name: &str, shards: usize| {
+    let bfs = |name: &str| {
         let p = Preset::by_name(name).unwrap();
         let g = Arc::new(p.build(Scale::Tiny));
         let part = Arc::new(Partition::bfs_grow(&g, 4, 42));
         let src = p.bfs_source(&g);
-        fingerprint(&run_bfs_sharded(g, part, src, Fabric::daisy(4), cfg, shards).stats)
+        fingerprint(&run_bfs(g, part, src, Fabric::daisy(4), cfg).stats)
     };
-    assert_eq!(bfs("soc-LiveJournal1_s", 1), (41621, 5, 97, 777));
-    assert_eq!(bfs("soc-LiveJournal1_s", 2), (40422, 1, 6, 872));
-    assert_eq!(bfs("road_usa_s", 1), (45701, 43, 219, 2571));
+    assert_eq!(bfs("soc-LiveJournal1_s"), (41621, 5, 97, 777));
+    assert_eq!(bfs("road_usa_s"), (45701, 43, 219, 2571));
 
     let p = Preset::by_name("twitter_s").unwrap();
     let g = Arc::new(p.build(Scale::Tiny));

@@ -5,10 +5,10 @@
 
 use std::sync::Arc;
 
-use atos::apps::bfs::{run_bfs, run_bfs_sharded};
-use atos::apps::cc::run_cc_sharded;
-use atos::apps::pagerank::{run_pagerank, run_pagerank_sharded};
-use atos::apps::sssp::{run_sssp_delta_sharded, run_sssp_sharded};
+use atos::apps::bfs::run_bfs;
+use atos::apps::cc::run_cc;
+use atos::apps::pagerank::run_pagerank;
+use atos::apps::sssp::{run_sssp, run_sssp_delta};
 use atos::baselines::{bsp_bfs, bsp_pagerank, galois_bfs, galois_pagerank, groute_bfs, groute_pagerank};
 use atos::core::{AtosConfig, LoadBalance};
 use atos::graph::generators::{Preset, Scale};
@@ -107,8 +107,8 @@ fn all_frameworks_agree_on_pagerank() {
 
 /// Work stealing moves busy time between PEs, never answers: every
 /// application stays exact under `LoadBalance::Steal` on a scale-free and
-/// a mesh graph, sequential and sharded, on FIFO and priority queues, and
-/// a rerun repeats bit for bit.
+/// a mesh graph, on FIFO and priority queues, and a rerun repeats bit for
+/// bit.
 #[test]
 fn stealing_preserves_every_applications_answer() {
     // Steals seen per queue kind (FIFO, priority).
@@ -127,38 +127,31 @@ fn stealing_preserves_every_applications_answer() {
         let bases = [AtosConfig::standard_persistent(), AtosConfig::priority_discrete()];
         for (queue_kind, base) in bases.into_iter().enumerate() {
             let cfg = base.with_lb(LoadBalance::Steal);
-            let want_label =
-                run_cc_sharded(sym.clone(), part.clone(), fabric(), base, 1).label;
-            for k in [1usize, 2] {
-                let what = format!("{name} {} k={k}", cfg.label());
-                // One pass over the five applications: their answers and
-                // the schedule each ran.
-                let pass = || {
-                    let bfs = run_bfs_sharded(g.clone(), part.clone(), src, fabric(), cfg, k);
-                    let sssp = run_sssp_sharded(
-                        g.clone(), weights.clone(), part.clone(), src, 4, fabric(), cfg, k,
-                    );
-                    let delta = run_sssp_delta_sharded(
-                        g.clone(), weights.clone(), part.clone(), src, 4, fabric(), cfg, k,
-                    );
-                    let cc = run_cc_sharded(sym.clone(), part.clone(), fabric(), cfg, k);
-                    let pr = run_pagerank_sharded(
-                        g.clone(), part.clone(), ALPHA, EPS, fabric(), cfg, k,
-                    );
-                    let schedule = [&bfs.stats, &sssp.stats, &delta.stats, &cc.stats, &pr.stats]
-                        .map(|s| (s.elapsed_ns, s.lb_steals, s.lb_stolen_tasks, s.total_tasks()));
-                    (bfs.depth, sssp.dist, delta.dist, cc.label, pr.rank, schedule)
-                };
-                let first = pass();
-                assert_eq!(first.0, want_depth, "BFS {what}");
-                assert_eq!(first.1, want_dist, "SSSP {what}");
-                assert_eq!(first.2, want_dist, "delta-split SSSP {what}");
-                assert_eq!(first.3, want_label, "CC vs the owner run {what}");
-                let err = reference::rank_l1(&first.4, &want_rank) / g.n_vertices() as f64;
-                assert!(err < 1e-3, "PageRank {what}: per-vertex L1 {err}");
-                assert!(pass() == first, "{what}: a rerun is not bit-identical");
-                steals[queue_kind] += first.5.iter().map(|f| f.1).sum::<u64>();
-            }
+            let want_label = run_cc(sym.clone(), part.clone(), fabric(), base).label;
+            let what = format!("{name} {}", cfg.label());
+            // One pass over the five applications: their answers and the
+            // schedule each ran.
+            let pass = || {
+                let bfs = run_bfs(g.clone(), part.clone(), src, fabric(), cfg);
+                let sssp =
+                    run_sssp(g.clone(), weights.clone(), part.clone(), src, 4, fabric(), cfg);
+                let delta =
+                    run_sssp_delta(g.clone(), weights.clone(), part.clone(), src, 4, fabric(), cfg);
+                let cc = run_cc(sym.clone(), part.clone(), fabric(), cfg);
+                let pr = run_pagerank(g.clone(), part.clone(), ALPHA, EPS, fabric(), cfg);
+                let schedule = [&bfs.stats, &sssp.stats, &delta.stats, &cc.stats, &pr.stats]
+                    .map(|s| (s.elapsed_ns, s.lb_steals, s.lb_stolen_tasks, s.total_tasks()));
+                (bfs.depth, sssp.dist, delta.dist, cc.label, pr.rank, schedule)
+            };
+            let first = pass();
+            assert_eq!(first.0, want_depth, "BFS {what}");
+            assert_eq!(first.1, want_dist, "SSSP {what}");
+            assert_eq!(first.2, want_dist, "delta-split SSSP {what}");
+            assert_eq!(first.3, want_label, "CC vs the owner run {what}");
+            let err = reference::rank_l1(&first.4, &want_rank) / g.n_vertices() as f64;
+            assert!(err < 1e-3, "PageRank {what}: per-vertex L1 {err}");
+            assert!(pass() == first, "{what}: a rerun is not bit-identical");
+            steals[queue_kind] += first.5.iter().map(|f| f.1).sum::<u64>();
         }
     }
     assert!(
