@@ -28,7 +28,7 @@ use atos_core::{
     assert_owner, Application, AtosConfig, Emitter, Lookahead, NullTracer, RunStats, Runtime,
     RuntimeTuning, Tracer,
 };
-use atos_macros::atos_shard;
+use atos_macros::{atos_hot, atos_shard};
 use atos_graph::csr::{Csr, VertexId};
 use atos_graph::partition::Partition;
 use atos_graph::prefetch::prefetch;
@@ -110,6 +110,7 @@ impl Application for BfsApp {
     }
 
     #[inline]
+    #[atos_hot(no_index)]
     fn prefetch(&self, (v, _): &Self::Task, ahead: Lookahead) {
         self.graph.prefetch(*v, ahead);
         if ahead == Lookahead::Far {

@@ -11,7 +11,7 @@
 use std::sync::Arc;
 
 use atos_core::{assert_owner, Application, AtosConfig, Emitter, Lookahead, RunStats, Runtime};
-use atos_macros::atos_shard;
+use atos_macros::{atos_hot, atos_shard};
 use atos_graph::csr::{Csr, VertexId};
 use atos_graph::partition::Partition;
 use atos_graph::prefetch::prefetch;
@@ -78,6 +78,7 @@ impl Application for CcApp {
     }
 
     #[inline]
+    #[atos_hot(no_index)]
     fn prefetch(&self, (v, _): &Self::Task, ahead: Lookahead) {
         self.graph.prefetch(*v, ahead);
         if ahead == Lookahead::Far {

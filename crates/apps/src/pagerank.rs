@@ -40,7 +40,7 @@ use std::sync::Arc;
 use atos_core::{
     assert_owner, Application, AtosConfig, Emitter, Lookahead, RunStats, Runtime, RuntimeTuning,
 };
-use atos_macros::atos_shard;
+use atos_macros::{atos_hot, atos_shard};
 use atos_graph::csr::{Csr, VertexId};
 use atos_graph::grouped::OwnerGrouped;
 use atos_graph::partition::Partition;
@@ -244,6 +244,7 @@ impl Application for PageRankApp {
     }
 
     #[inline]
+    #[atos_hot(no_index)]
     fn prefetch(&self, task: &PrTask, ahead: Lookahead) {
         // Only relaxations are popped; contributions are applied on arrival.
         let PrTask::Relax(v) = *task else { return };

@@ -60,7 +60,7 @@
 use std::sync::Arc;
 
 use atos_core::{assert_owner, Application, AtosConfig, Emitter, Lookahead, RunStats, Runtime};
-use atos_macros::atos_shard;
+use atos_macros::{atos_hot, atos_shard};
 use atos_graph::csr::{Csr, VertexId};
 use atos_graph::light::LightEdges;
 use atos_graph::partition::Partition;
@@ -272,6 +272,7 @@ impl Application for SsspApp {
     }
 
     #[inline]
+    #[atos_hot(no_index)]
     fn prefetch(&self, &(v, _, kind): &Self::Task, ahead: Lookahead) {
         let light = self.light.as_deref();
         if let (KIND_LIGHT, Some(light)) = (kind, light) {

@@ -78,7 +78,9 @@ pub trait Application {
     /// statistic and every result are identical with this body empty, which
     /// is the default (`crates/core/tests/prefetch_contract.rs`). Hints go
     /// through `atos_graph::prefetch::prefetch` and the structures'
-    /// `prefetch` methods, which never panic.
+    /// `prefetch` methods, which never panic: an override says so itself
+    /// with `#[atos_hot(no_index)]` (`get`, never `[..]`; no `unwrap`, no
+    /// allocation — `atos-lint` holds it to that).
     #[inline]
     fn prefetch(&self, _task: &Self::Task, _ahead: Lookahead) {}
 

@@ -21,8 +21,10 @@
 //!   retires, so the counter can only reach zero when no task exists
 //!   anywhere — queues, claims, or in flight.
 
+// atos-lint: allow(sim_determinism) — real-thread backend, no tracer
 use std::time::{Duration, Instant};
 
+use atos_macros::atos_hot;
 use atos_queue::counter::CounterQueue;
 // The sync facade makes this whole backend model-checkable: under
 // `--cfg atos_check` every atomic, thread spawn, yield, spin hint, and
@@ -62,6 +64,7 @@ pub struct HostConfig {
 impl HostConfig {
     /// A reasonable default: PEs × workers covering the machine, fetch 32.
     pub fn new(n_pes: usize, queue_capacity: usize) -> Self {
+        // atos-lint: allow(sim_determinism) — real-thread backend, no tracer
         let threads = std::thread::available_parallelism()
             .map(|n| n.get())
             .unwrap_or(4)
@@ -145,8 +148,10 @@ impl IdleBackoff {
     /// One empty poll: wait according to the current tier, then escalate.
     /// The transitive panic through the atos-check shim (`yield_now` →
     /// `require`) only fires when a model-checked test drives the worker
-    /// outside a checker schedule — unreachable in production builds.
+    /// outside a checker schedule — unreachable in production builds — and
+    /// the transitive `format!` is that shim's livelock report.
     // atos-lint: allow(panic_in_kernel)
+    // atos-lint: allow(hot_path_alloc)
     #[inline]
     fn wait(&mut self) {
         if self.streak < IDLE_SPIN_ROUNDS {
@@ -208,11 +213,13 @@ fn arena_exhausted() -> ! {
 /// One worker thread: `pop → process → push` to global quiescence
 /// (paper Listing 3). This function is queue-protocol code — covered by
 /// the `panic-in-kernel` lint, so failure paths are outlined or handled.
+#[atos_hot]
 fn worker<A: HostApplication>(ctx: &WorkerCtx<'_, A>, pe: usize, tasks_ctr: &AtomicU64) {
     let mut recv_state = PopState::new();
     let mut local_state = PopState::new();
     let mut backoff = IdleBackoff::new();
-    // One-time per-thread setup; the loop below never allocates.
+    // atos-lint: allow(hot_path_alloc) — one-time per-thread setup; the
+    // loop below never allocates.
     let mut batch: Vec<A::Task> = Vec::with_capacity(ctx.cfg.fetch);
     loop {
         batch.clear();
@@ -290,6 +297,7 @@ pub fn run_host<A: HostApplication>(
             .expect("seed exceeds queue capacity");
     }
 
+    // atos-lint: allow(sim_determinism) — real-thread backend, no tracer
     let start = Instant::now();
     let ctx = WorkerCtx {
         app,

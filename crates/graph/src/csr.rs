@@ -116,6 +116,7 @@ impl Csr {
     /// Announce that row `v` is about to be read: `Far` touches its offset
     /// entry, `Near` reads that entry and touches the row's first line.
     #[inline]
+    // atos-lint: hot(no-index)
     pub fn prefetch(&self, v: VertexId, ahead: Lookahead) {
         prefetch_row(&self.offsets, &self.neighbors, v as usize, ahead);
     }

@@ -109,6 +109,7 @@ impl OwnerGrouped {
     /// segment-index entry, `Near` reads that entry and touches the row's
     /// first segment (its bound and its owner).
     #[inline]
+    // atos-lint: hot(no-index)
     pub fn prefetch(&self, v: VertexId, ahead: Lookahead) {
         match ahead {
             Lookahead::Far => prefetch(&self.seg_offsets, v as usize),

@@ -81,6 +81,7 @@ impl LightEdges {
     /// Announce that row `v` is about to be read: `Far` touches its offset
     /// entry, `Near` reads that entry and touches the row's first line.
     #[inline]
+    // atos-lint: hot(no-index)
     pub fn prefetch(&self, v: VertexId, ahead: Lookahead) {
         prefetch_row(&self.offsets, &self.edges, v as usize, ahead);
     }

@@ -22,6 +22,7 @@ pub enum Lookahead {
 /// Hint that `slice[index]` is about to be read. An out-of-range `index` is
 /// a no-op — a hint never panics — and so is every target but x86_64.
 #[inline(always)]
+// atos-lint: hot(no-index)
 pub fn prefetch<T>(slice: &[T], index: usize) {
     let Some(item) = slice.get(index) else {
         return;
@@ -42,6 +43,7 @@ pub fn prefetch<T>(slice: &[T], index: usize) {
 /// `rows[offsets[v]..offsets[v + 1]]`: `Far` touches the row's offset entry,
 /// `Near` reads that entry and touches the row's first line.
 #[inline(always)]
+// atos-lint: hot(no-index)
 pub(crate) fn prefetch_row<O: Copy + Into<u64>, T>(
     offsets: &[O],
     rows: &[T],

@@ -17,47 +17,41 @@
 //! 3. `unreleased-write` — cell write with no release edge at all.
 //! 4. `acquire-pairing` — relaxed load of a publish counter followed by a
 //!    cell read with no acquire in between.
-//! 5. `hot-path-alloc` — allocation in `#[atos_hot]` functions (or the
-//!    configured denylist) and, transitively, in anything they reach
-//!    through the workspace call graph ([`callgraph`] + fixed-point
-//!    effect summaries in [`summaries`]); `#[atos_alloc_ok]` vets a
-//!    definition and stops the propagation there.
-//! 6. `panic-in-kernel` — `unwrap`/`expect`/`panic!`/panicking indexes in
-//!    queue-protocol and runtime-step code, again propagated transitively
-//!    so an outlined `#[cold]` abort helper is attributed to its kernel
-//!    callers.
-//! 7. `sim-determinism` — wall-clock, sleeps, and default-hasher
-//!    containers in the simulator.
+//! 5. `hot-path-alloc` — allocation in hot functions and, transitively,
+//!    in anything they reach through the workspace call graph
+//!    ([`callgraph`] + fixed-point effect summaries in [`summaries`]). A
+//!    function is hot because it says so: `#[atos_hot]`, or the comment
+//!    `// atos-lint: hot` on the line above the `fn` in the crates that
+//!    stay dependency-free (`atos-queue`, `atos-graph`).
+//! 6. `panic-in-kernel` — `unwrap`/`expect`/`panic!`-family in the same
+//!    hot functions, again propagated transitively so an outlined
+//!    `#[cold]` abort helper is attributed to its callers; with the
+//!    marker's one argument (`#[atos_hot(no_index)]` /
+//!    `// atos-lint: hot(no-index)`: the queue protocol and the
+//!    `prefetch` hint path) panicking indexes too.
+//! 7. `sim-determinism` — wall-clock, sleeps, default-hasher containers
+//!    and the host thread-count query, by name, in every crate that
+//!    produces trace events or virtual time (simulator, runtime,
+//!    applications, baselines).
 //! 8. `missing-safety` — `unsafe` without a `SAFETY:` comment.
-//! 9. `determinism-taint` — dataflow pass ([`taint`]) tracing wall-clock
-//!    reads (`Instant::now`, `.elapsed()`) and host-nondeterminism probes
-//!    (thread counts, contention counters) through locals, fields, and
-//!    return values. Wall-clock taint reaching a *trace* sink is a
-//!    finding (traces are golden-compared and must carry virtual time
-//!    only); either kind reaching a *metrics* sink lands in the generated
-//!    wall-clock key inventory (`--wall-clock-inventory`), which
-//!    `crates/bench/tests/trace_golden.rs` consumes instead of a
-//!    hand-maintained skip list.
-//! 10. `shard-escape` — owner-computes flow check ([`shard`]): every
-//!     field of an `Application` impl is classified owner-indexed
-//!     authoritative / per-sender private / shared-immutable (declared
-//!     via `#[atos_shard(..)]` on `process`; an application in scope
-//!     without the attribute is a finding), and the entry points plus
-//!     everything they transitively call in-file may write authoritative
-//!     state only under a dominating `partition.owner(v) == pe` witness.
-//! 11. `unchecked-guard` — reservation-bound proofs ([`bounds`]): every
-//!     call to a `# Safety: idx < cap` unchecked accessor must dominate
-//!     its index with a diverging capacity guard or a loop clamped by an
-//!     Acquire-loaded publication index; parameter-forwarding helpers
-//!     become derived accessors so their callers are checked instead.
+//! 9. `shard-escape` — owner-computes flow check ([`shard`]): every
+//!    field of an `Application` impl is classified owner-indexed
+//!    authoritative / per-sender private / shared-immutable (declared
+//!    via `#[atos_shard(..)]` on `process`; a `process(&mut self, pe, ..)`
+//!    in scope without the attribute is a finding), and the entry points
+//!    plus everything they transitively call in-file may write
+//!    authoritative state only under a dominating
+//!    `partition.owner(v) == pe` witness.
 //!
-//! Suppression is always visible in the diff: `#[allow_atos_lint(rule)]`
-//! on an item, an `atos-lint: allow(rule)` comment on the finding line or
-//! the two lines above it, or a `lint:skip-file` marker in the first ten
-//! lines of a file (honored for deliberately-broken twins like
-//! `mutations.rs`).
+//! Which rule is the only catcher of which seeded defect is the audit
+//! table in DESIGN.md §7; two flow analyses (`determinism-taint`,
+//! `unchecked-guard`) left on that evidence (§11).
+//!
+//! Suppression is always visible in the diff: an `atos-lint: allow(rule)`
+//! comment on the finding line or the two lines above it, or a
+//! `lint:skip-file` marker in the first ten lines of a file (honored for
+//! deliberately-broken twins like `mutations.rs`).
 
-pub mod bounds;
 pub mod callgraph;
 pub mod config;
 pub mod lints;
@@ -66,7 +60,6 @@ pub mod parse;
 pub mod report;
 pub mod shard;
 pub mod summaries;
-pub mod taint;
 
 use std::fs;
 use std::io;
@@ -172,43 +165,17 @@ fn snake(rule: &str) -> String {
     rule.replace('-', "_")
 }
 
-/// The innermost function whose source span covers `line`.
-fn fn_covering_line(p: &parse::ParsedFile, line: u32) -> Option<&parse::FnItem> {
-    p.fns
-        .iter()
-        .filter(|f| {
-            if f.body.is_empty() {
-                return f.line == line;
-            }
-            let first = f.line;
-            let last = p.toks[f.body.end - 1].line;
-            first <= line && line <= last
-        })
-        .min_by_key(|f| f.body.len())
-}
-
-/// Is `f` suppressed at `line` by attribute or comment?
-fn suppressed(file: &SourceFile, f: &Finding) -> bool {
-    let needle = format!("atos-lint: allow({})", snake(f.rule));
-    if file.parsed.comment_near(f.line, 2, &needle) {
-        return true;
-    }
-    if let Some(item) = fn_covering_line(&file.parsed, f.line) {
-        if item
-            .attrs
-            .iter()
-            .any(|a| a.name == "allow_atos_lint" && a.args.iter().any(|x| *x == snake(f.rule)))
-        {
-            return true;
-        }
-    }
-    false
+/// Is there an `atos-lint: allow(rule)` comment on `line` or the two
+/// above? The one spelling of a suppression: on a finding's line it
+/// silences the finding, on a definition's it vets the callee.
+pub(crate) fn allowed_at(file: &SourceFile, line: u32, rule: &str) -> bool {
+    let needle = format!("atos-lint: allow({})", snake(rule));
+    file.parsed.comment_near(line, 2, &needle)
 }
 
 /// Run every rule, apply suppressions, and return findings sorted by
 /// `(file, line, rule)`. The CLI calls [`lints::analyze`] and
-/// [`lints::run`] itself: it also wants the analysis's wall-clock key
-/// inventory and the timing rows.
+/// [`lints::run`] itself: it also wants the timing rows.
 pub fn run(ws: &Workspace, cfg: &config::Config) -> Vec<Finding> {
-    lints::run(ws, cfg, &lints::analyze(ws, cfg)).0
+    lints::run(ws, cfg, &lints::analyze(ws)).0
 }

@@ -1,16 +1,15 @@
 //! The lint rules.
 //!
 //! Each rule is a pure function from the parsed workspace to findings;
-//! suppression (`#[allow_atos_lint(..)]` attributes, `atos-lint: allow(..)`
-//! comments, `lint:skip-file` markers) is applied centrally by
-//! [`crate::run`], so rules report every raw site they see.
+//! suppression (`atos-lint: allow(..)` comments, `lint:skip-file` markers)
+//! is applied centrally by [`crate::run`], so rules report every raw site
+//! they see.
 
 use crate::callgraph::CallGraph;
 use crate::config::Config;
 use crate::model::{events_of, Event, Ord};
 use crate::parse::{FnItem, TokKind};
-use crate::summaries::{alloc_vetted, panic_vetted, Summaries, Why};
-use crate::taint::{self, TaintResult};
+use crate::summaries::{vetted, Summaries, Why};
 use crate::{Finding, SourceFile, Workspace};
 
 /// All rule identifiers, in report order.
@@ -23,9 +22,7 @@ pub const RULES: &[&str] = &[
     "panic-in-kernel",
     "sim-determinism",
     "missing-safety",
-    "determinism-taint",
     "shard-escape",
-    "unchecked-guard",
 ];
 
 /// The interprocedural substrate the rules share: built once per run.
@@ -34,29 +31,23 @@ pub struct Analysis {
     pub graph: CallGraph,
     /// Per-function effect summaries at their fixed point.
     pub summaries: Summaries,
-    /// Determinism-taint findings and wall-clock key inventory.
-    pub taint: TaintResult,
     /// Wall time of each analysis phase (for `--timings`).
     pub phase_timings: Vec<(&'static str, std::time::Duration)>,
 }
 
-/// Build the call graph, effect summaries, and taint analysis.
-pub fn analyze(ws: &Workspace, cfg: &Config) -> Analysis {
+/// Build the call graph and the effect summaries.
+pub fn analyze(ws: &Workspace) -> Analysis {
     let t0 = std::time::Instant::now();
     let graph = CallGraph::build(ws);
     let t1 = std::time::Instant::now();
-    let summaries = Summaries::compute(ws, cfg, &graph);
+    let summaries = Summaries::compute(ws, &graph);
     let t2 = std::time::Instant::now();
-    let taint = taint::analyze(ws, cfg, &graph);
-    let t3 = std::time::Instant::now();
     Analysis {
         graph,
         summaries,
-        taint,
         phase_timings: vec![
             ("analysis: call graph", t1 - t0),
             ("analysis: effect summaries", t2 - t1),
-            ("analysis: determinism taint", t3 - t2),
         ],
     }
 }
@@ -91,10 +82,10 @@ pub fn run(
             ordering_rules(file, cfg, out)
         });
         rule("hot-path-alloc", &mut out, &mut |fi, _, out| {
-            hot_path_alloc(ws, fi, cfg, an, out)
+            hot_path_alloc(ws, fi, an, out)
         });
         rule("panic-in-kernel", &mut out, &mut |fi, _, out| {
-            panic_in_kernel(ws, fi, cfg, an, out)
+            panic_in_kernel(ws, fi, an, out)
         });
         rule("sim-determinism", &mut out, &mut |_, file, out| {
             sim_determinism(file, cfg, out)
@@ -105,18 +96,12 @@ pub fn run(
         rule("shard-escape", &mut out, &mut |fi, _, out| {
             crate::shard::shard_escape(ws, fi, cfg, an, out)
         });
-        rule("unchecked-guard", &mut out, &mut |fi, _, out| {
-            crate::bounds::unchecked_guard(ws, fi, cfg, an, out)
-        });
     }
-    let t0 = std::time::Instant::now();
-    out.extend(an.taint.findings.iter().cloned());
-    timings.push(("determinism-taint", t0.elapsed()));
     out.retain(|f| {
         ws.files
             .iter()
             .find(|sf| sf.path == f.file)
-            .map(|sf| !crate::suppressed(sf, f))
+            .map(|sf| !crate::allowed_at(sf, f.line, f.rule))
             .unwrap_or(true)
     });
     out.sort_by(|a, b| (a.file.as_str(), a.line, a.rule).cmp(&(b.file.as_str(), b.line, b.rule)));
@@ -342,31 +327,46 @@ pub(crate) fn alloc_pattern(e: &Event) -> Option<String> {
     }
 }
 
-/// Is this function hot: annotated `#[atos_hot]` or config-denylisted.
-pub(crate) fn is_hot(file: &SourceFile, f: &FnItem, cfg: &Config) -> bool {
+/// How a function declares itself hot, if it does: `#[atos_hot]` where
+/// the crate depends on `atos-macros`, the comment `// atos-lint: hot` on
+/// the line above the `fn` in the dependency-free crates. Hot means both
+/// `hot-path-alloc` and `panic-in-kernel` apply, transitively. The one
+/// argument — `#[atos_hot(no_index)]` / `// atos-lint: hot(no-index)` —
+/// also forbids panicking slice indexing (`ident[i]`) in the body: the
+/// lock-free queue protocol, where a bounds panic would strand a published
+/// reservation, and the `prefetch` hint path, which runs over tasks that
+/// have not executed yet. The runtime indexes its own dense PE arrays
+/// pervasively and does not take it.
+///
+/// `None`: not hot; `Some(no_index)` otherwise.
+pub(crate) fn hot_marker(file: &SourceFile, f: &FnItem) -> Option<bool> {
     if f.in_test_mod || f.body.is_empty() {
-        return false;
+        return None;
     }
-    f.attrs.iter().any(|a| a.name == "atos_hot")
-        || cfg.hot_fns(&file.path).contains(&f.name.as_str())
+    if let Some(a) = f.attrs.iter().find(|a| a.name == "atos_hot") {
+        return Some(a.args.iter().any(|x| x == "no_index"));
+    }
+    // The comment form is the whole line directly above the `fn`: prose
+    // that merely mentions the marker (this doc comment) is not one.
+    let above = file.parsed.comments.iter().find(|c| c.end_line + 1 == f.line)?;
+    let arg = above.text.lines().last()?.trim().strip_prefix("// atos-lint: hot")?;
+    match arg {
+        "" => Some(false),
+        "(no-index)" => Some(true),
+        _ => None,
+    }
 }
 
 /// Rule 5: `hot-path-alloc` — no allocating construct in a hot function
 /// or, transitively, in anything it calls through the resolved call
 /// graph. A direct callee that allocates locally keeps the original
 /// one-hop message; deeper chains spell out the call path. Callees
-/// vetted at their own definition (hot themselves, `#[atos_alloc_ok]`,
-/// or an allow) stop the walk.
-fn hot_path_alloc(
-    ws: &Workspace,
-    fi: usize,
-    cfg: &Config,
-    an: &Analysis,
-    out: &mut Vec<Finding>,
-) {
+/// vetted at their own definition (hot themselves, or an allow) stop the
+/// walk.
+fn hot_path_alloc(ws: &Workspace, fi: usize, an: &Analysis, out: &mut Vec<Finding>) {
     let file = &ws.files[fi];
     for (gi, f) in file.parsed.fns.iter().enumerate() {
-        if !is_hot(file, f, cfg) {
+        if hot_marker(file, f).is_none() {
             continue;
         }
         for e in events_of(&file.parsed, f) {
@@ -385,7 +385,7 @@ fn hot_path_alloc(
                 continue;
             }
             checked.push(&site.name);
-            if alloc_vetted(ws, cfg, site.callee) {
+            if vetted(ws, site.callee, "hot-path-alloc") {
                 continue;
             }
             let (cfi, cgi) = site.callee;
@@ -447,35 +447,27 @@ fn hot_path_alloc(
 pub(crate) const PANIC_MACROS: &[&str] = &["panic", "unreachable", "todo", "unimplemented", "assert", "assert_eq", "assert_ne"];
 pub(crate) const PANIC_CALLS: &[&str] = &["unwrap", "expect"];
 
-/// Rule 6: `panic-in-kernel` — no panicking construct in queue-protocol
-/// and runtime-step functions, nor (transitively) in anything they call
-/// through the resolved call graph. A panic between reservation and
-/// publication strands the reservation for every other thread. Callees
-/// vetted at their own definition (kernel-scope themselves, or carrying
-/// an allow) stop the walk; panicking *indexing* stays a local judgment
-/// (`forbid_index`) and is not propagated.
-fn panic_in_kernel(
-    ws: &Workspace,
-    fi: usize,
-    cfg: &Config,
-    an: &Analysis,
-    out: &mut Vec<Finding>,
-) {
+/// Rule 6: `panic-in-kernel` — no panicking construct in a hot function
+/// (queue protocol, runtime step, engine wheel, hint path), nor
+/// (transitively) in anything it calls through the resolved call graph. A
+/// panic between reservation and publication strands the reservation for
+/// every other thread. Callees vetted at their own definition (hot
+/// themselves, or carrying an allow) stop the walk; panicking *indexing*
+/// stays a local judgment (the marker's `no_index` argument) and is not
+/// propagated.
+fn panic_in_kernel(ws: &Workspace, fi: usize, an: &Analysis, out: &mut Vec<Finding>) {
     let file = &ws.files[fi];
-    let Some(scope) = cfg.kernel_scope(&file.path) else {
-        return;
-    };
     for (gi, f) in file.parsed.fns.iter().enumerate() {
-        if f.in_test_mod || !scope.fns.contains(&f.name.as_str()) {
+        let Some(no_index) = hot_marker(file, f) else {
             continue;
-        }
+        };
         let mut checked: Vec<&str> = Vec::new();
         for site in an.graph.callees_of((fi, gi)) {
             if checked.contains(&site.name.as_str()) {
                 continue;
             }
             checked.push(&site.name);
-            if panic_vetted(ws, cfg, site.callee) {
+            if vetted(ws, site.callee, "panic-in-kernel") {
                 continue;
             }
             if an.summaries.of(site.callee).panic.is_none() {
@@ -525,20 +517,20 @@ fn panic_in_kernel(
                         *line,
                         format!(
                             "`{name}()` in protocol fn `{}` can abort mid-protocol; \
-                             handle the None/Err arm or use an unchecked accessor with \
-                             a SAFETY argument",
+                             handle the None/Err arm (a lookup is `get(..)` with its \
+                             `None` arm)",
                             f.name
                         ),
                     ));
                 }
-                Event::Index { base, line } if scope.forbid_index => {
+                Event::Index { base, line } if no_index => {
                     out.push(finding(
                         "panic-in-kernel",
                         file,
                         *line,
                         format!(
-                            "panicking index `{base}[..]` in protocol fn `{}`; use a \
-                             bounds-proven unchecked accessor",
+                            "panicking index `{base}[..]` in protocol fn `{}`; use \
+                             `get(..)` and handle the `None` arm",
                             f.name
                         ),
                     ));
@@ -551,9 +543,12 @@ fn panic_in_kernel(
 
 // ------------------------------------------------------ sim-determinism
 
-/// Rule 7: `sim-determinism` — the simulator must be a pure function of
-/// its inputs: no wall-clock types, no default-hasher containers (their
-/// iteration order is seeded per-process), no thread sleeps.
+/// Rule 7: `sim-determinism` — the simulator, the runtime that records
+/// its trace events, and the applications and baselines that charge its
+/// virtual time must be a pure function of their inputs: no wall-clock
+/// types, no default-hasher containers (their iteration order is seeded
+/// per-process), no thread sleeps, no host thread-count query. Lexical: a
+/// clock that cannot be named in these files cannot flow to a trace.
 fn sim_determinism(file: &SourceFile, cfg: &Config, out: &mut Vec<Finding>) {
     if !cfg.is_sim_path(&file.path) {
         return;
@@ -621,5 +616,45 @@ fn missing_safety(file: &SourceFile, out: &mut Vec<Finding>) {
                     .into(),
             ));
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn hot_marker_reads_both_spellings_and_the_argument() {
+        let src = "#[atos_hot]\nfn a() { x(); }\n\
+                   #[inline]\n#[atos_hot(no_index)]\nfn b() { x(); }\n\
+                   /// Docs.\n// atos-lint: hot\npub fn c() { x(); }\n\
+                   #[inline]\n// atos-lint: hot(no-index)\npub(crate) fn d() { x(); }\n\
+                   // atos-lint: hot\n\nfn not_adjacent() { x(); }\n\
+                   /// Prose naming `// atos-lint: hot` is not a marker.\nfn prose() { x(); }\n\
+                   // atos-lint: hotter\nfn misspelt() { x(); }\n\
+                   fn plain() { x(); }\n\
+                   #[cfg(test)]\nmod tests {\n#[atos_hot]\nfn in_tests() { x(); }\n}\n";
+        let ws = Workspace::from_sources(vec![("x.rs".into(), src.into())]);
+        let file = &ws.files[0];
+        let got: Vec<(&str, Option<bool>)> = file
+            .parsed
+            .fns
+            .iter()
+            .map(|f| (f.name.as_str(), hot_marker(file, f)))
+            .collect();
+        assert_eq!(
+            got,
+            [
+                ("a", Some(false)),
+                ("b", Some(true)),
+                ("c", Some(false)),
+                ("d", Some(true)),
+                ("not_adjacent", None),
+                ("prose", None),
+                ("misspelt", None),
+                ("plain", None),
+                ("in_tests", None),
+            ]
+        );
     }
 }

@@ -2,20 +2,16 @@
 //!
 //! ```text
 //! atos-lint (--workspace | PATH...) [--json] [--timings]
-//!           [--wall-clock-inventory FILE]
 //! ```
 //!
 //! `--workspace` lints every `.rs` file under the workspace root; explicit
 //! paths lint those files/directories (both under the project config).
 //! `--json` prints the stable JSON report instead of the human one.
 //! `--timings` prints a per-phase/per-rule wall-time breakdown to stderr.
-//! `--wall-clock-inventory FILE` writes the determinism-taint pass's
-//! metric-key inventory (the artifact `crates/bench/tests/trace_golden.rs`
-//! consumes).
 //!
 //! Exit codes: 0 = clean, 1 = findings, 2 = usage or I/O error.
 
-use atos_lint::{config::Config, lints, report, taint::render_inventory, Workspace};
+use atos_lint::{config::Config, lints, report, Workspace};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::time::Instant;
@@ -23,16 +19,12 @@ use std::time::Instant;
 struct Args {
     workspace: bool,
     json: bool,
-    inventory: Option<PathBuf>,
     timings: bool,
     paths: Vec<PathBuf>,
 }
 
 fn usage() -> ExitCode {
-    eprintln!(
-        "usage: atos-lint (--workspace | PATH...) [--json] [--timings] \
-         [--wall-clock-inventory FILE]"
-    );
+    eprintln!("usage: atos-lint (--workspace | PATH...) [--json] [--timings]");
     ExitCode::from(2)
 }
 
@@ -40,19 +32,13 @@ fn parse_args() -> Result<Args, ExitCode> {
     let mut a = Args {
         workspace: false,
         json: false,
-        inventory: None,
         timings: false,
         paths: Vec::new(),
     };
-    let mut it = std::env::args().skip(1);
-    while let Some(arg) = it.next() {
+    for arg in std::env::args().skip(1) {
         match arg.as_str() {
             "--workspace" => a.workspace = true,
             "--json" => a.json = true,
-            "--wall-clock-inventory" => match it.next() {
-                Some(p) => a.inventory = Some(PathBuf::from(p)),
-                None => return Err(usage()),
-            },
             "--timings" => a.timings = true,
             p if !p.starts_with('-') => a.paths.push(PathBuf::from(p)),
             _ => return Err(usage()),
@@ -112,7 +98,7 @@ fn main() -> ExitCode {
     };
 
     let cfg = Config::project();
-    let an = lints::analyze(&ws, &cfg);
+    let an = lints::analyze(&ws);
     let (findings, rule_timings) = lints::run(&ws, &cfg, &an);
     if args.timings {
         print_timings(&an.phase_timings, &rule_timings);
@@ -124,18 +110,6 @@ fn main() -> ExitCode {
         if findings.len() == 1 { "" } else { "s" },
         t0.elapsed().as_secs_f64() * 1e3
     );
-
-    if let Some(inv_path) = &args.inventory {
-        if let Some(parent) = inv_path.parent() {
-            if !parent.as_os_str().is_empty() {
-                let _ = std::fs::create_dir_all(parent);
-            }
-        }
-        if let Err(e) = std::fs::write(inv_path, render_inventory(&an.taint.inventory)) {
-            eprintln!("atos-lint: writing {}: {e}", inv_path.display());
-            return ExitCode::from(2);
-        }
-    }
 
     if args.json {
         println!("{}", report::json(&findings));

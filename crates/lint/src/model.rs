@@ -244,34 +244,6 @@ pub(crate) fn first_ident_in(toks: &[Tok], range: std::ops::Range<usize>) -> Opt
         .map(|t| t.text.as_str())
 }
 
-/// Render a token range as source-order text with `as TYPE` casts and
-/// grouping parens stripped — the normalized index-expression form the
-/// bounds facts are keyed on (`(idx) as u64` and `idx` both render as
-/// `idx`; `state . cursor` renders as `state.cursor`).
-pub(crate) fn expr_text(toks: &[Tok], range: std::ops::Range<usize>) -> String {
-    let mut out = String::new();
-    let mut i = range.start;
-    while i < range.end {
-        let t = &toks[i];
-        if t.is("as") && t.kind == TokKind::Ident {
-            // Skip the cast keyword and its type tokens (ident plus any
-            // `::`-path tail).
-            i += 1;
-            while i < range.end
-                && (toks[i].kind == TokKind::Ident || toks[i].is("::"))
-            {
-                i += 1;
-            }
-            continue;
-        }
-        if !t.is("(") && !t.is(")") {
-            out.push_str(&t.text);
-        }
-        i += 1;
-    }
-    out
-}
-
 /// Extract the ordered event list of one function body.
 pub fn events_of(file: &ParsedFile, f: &FnItem) -> Vec<Event> {
     let toks = &file.toks;
@@ -375,15 +347,6 @@ pub fn events_of(file: &ParsedFile, f: &FnItem) -> Vec<Event> {
         i += 1;
     }
     out
-}
-
-/// Reference to a function in the workspace index.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FnRef {
-    /// Index into [`crate::Workspace::files`].
-    pub file: usize,
-    /// Index into that file's `fns`.
-    pub f: usize,
 }
 
 #[cfg(test)]

@@ -35,11 +35,6 @@ pub struct Tok {
     /// Token text (`"::"`, `"fn"`, `"("`, …). Literals are reduced to a
     /// placeholder so their contents can never pattern-match as code.
     pub text: String,
-    /// For string literals only: the literal's contents. Kept out of
-    /// `text` so string contents can never pattern-match as code, but
-    /// available to passes that need the value (the determinism-taint
-    /// pass reads metric *keys* out of `reg.set("key", …)` calls).
-    pub str_lit: Option<String>,
 }
 
 impl Tok {
@@ -79,20 +74,10 @@ pub fn lex(src: &str) -> Lexed {
     let n = b.len();
 
     let push = |out: &mut Lexed, line: u32, kind: TokKind, text: String| {
-        out.toks.push(Tok {
-            line,
-            kind,
-            text,
-            str_lit: None,
-        });
+        out.toks.push(Tok { line, kind, text });
     };
-    let push_str = |out: &mut Lexed, line: u32, contents: String| {
-        out.toks.push(Tok {
-            line,
-            kind: TokKind::Lit,
-            text: "\"…\"".into(),
-            str_lit: Some(contents),
-        });
+    let push_str = |out: &mut Lexed, line: u32| {
+        push(out, line, TokKind::Lit, "\"…\"".into());
     };
 
     while i < n {
@@ -140,9 +125,8 @@ pub fn lex(src: &str) -> Lexed {
                 });
             }
             '"' => {
-                // String literal (escapes honored; contents captured).
+                // String literal (escapes honored).
                 let start_line = line;
-                let start = i + 1;
                 i += 1;
                 while i < n {
                     match b[i] {
@@ -155,11 +139,10 @@ pub fn lex(src: &str) -> Lexed {
                         _ => i += 1,
                     }
                 }
-                let contents: String = b[start..i.min(n)].iter().collect();
                 if i < n {
                     i += 1; // closing quote
                 }
-                push_str(&mut out, start_line, contents);
+                push_str(&mut out, start_line);
             }
             'r' if i + 1 < n && (b[i + 1] == '"' || b[i + 1] == '#') => {
                 // Raw string r"..." / r#"..."# (any hash count).
@@ -172,8 +155,6 @@ pub fn lex(src: &str) -> Lexed {
                 }
                 if j < n && b[j] == '"' {
                     j += 1;
-                    let start = j;
-                    let mut end = j;
                     'raw: while j < n {
                         if b[j] == '\n' {
                             line += 1;
@@ -183,17 +164,14 @@ pub fn lex(src: &str) -> Lexed {
                                 k += 1;
                             }
                             if k == hashes {
-                                end = j;
                                 j += 1 + hashes;
                                 break 'raw;
                             }
                         }
                         j += 1;
-                        end = j;
                     }
                     i = j;
-                    let contents: String = b[start..end.min(n)].iter().collect();
-                    push_str(&mut out, start_line, contents);
+                    push_str(&mut out, start_line);
                 } else {
                     // `r#ident` raw identifier or plain `r`.
                     let start = i;
@@ -281,10 +259,10 @@ pub struct UseDecl {
     pub path: String,
 }
 
-/// One parsed attribute, e.g. `atos_hot` or `allow_atos_lint(panic_in_kernel)`.
+/// One parsed attribute, e.g. `atos_hot` or `atos_hot(no_index)`.
 #[derive(Debug, Clone)]
 pub struct Attr {
-    /// Attribute path (first ident), e.g. `allow_atos_lint`.
+    /// Attribute path (first ident), e.g. `atos_hot`.
     pub name: String,
     /// Raw argument idents inside the parens (empty if none).
     pub args: Vec<String>,
@@ -721,8 +699,8 @@ fn f<'a>(x: &'a str) -> char {
     fn finds_fns_with_attrs_and_bodies() {
         let src = r#"
 impl Foo {
-    #[atos_hot]
-    #[allow_atos_lint(panic_in_kernel)]
+    #[inline]
+    #[atos_hot(no_index)]
     pub fn step(&mut self, pe: usize) -> u64 {
         self.inner(pe)
     }
@@ -735,9 +713,9 @@ mod tests {
         let p = parse(src);
         let step = p.fns.iter().find(|f| f.name == "step").unwrap();
         assert_eq!(step.attrs.len(), 2);
-        assert_eq!(step.attrs[0].name, "atos_hot");
-        assert_eq!(step.attrs[1].name, "allow_atos_lint");
-        assert_eq!(step.attrs[1].args, vec!["panic_in_kernel"]);
+        assert_eq!(step.attrs[0].name, "inline");
+        assert_eq!(step.attrs[1].name, "atos_hot");
+        assert_eq!(step.attrs[1].args, vec!["no_index"]);
         assert!(!step.in_test_mod);
         assert!(!step.body.is_empty());
         let helper = p.fns.iter().find(|f| f.name == "helper").unwrap();
@@ -820,17 +798,6 @@ fn free(x: u64) -> impl Fn() -> u64 {
             Some("atos_queue::stats::global_snapshot")
         );
         assert!(!p.aliases.keys().any(|k| k == "*"));
-    }
-
-    #[test]
-    fn string_literal_contents_are_captured() {
-        let p = parse(r##"fn f() { reg.set("queue.cas_retries", v); let _r = r#"raw"#; }"##);
-        let lits: Vec<&str> = p
-            .toks
-            .iter()
-            .filter_map(|t| t.str_lit.as_deref())
-            .collect();
-        assert_eq!(lits, vec!["queue.cas_retries", "raw"]);
     }
 
     #[test]

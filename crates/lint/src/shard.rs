@@ -11,11 +11,12 @@
 //! engine the check was written for, where such a write also diverged
 //! between shard counts; DESIGN.md §11.)
 //!
-//! The rule takes the class of every field from the
-//! `#[atos_shard(owner(..), private(..), shared(..))]` attribute on the
-//! impl's `process` — an application in scope without one is itself a
-//! finding — then walks each entry point and everything it transitively
-//! calls in the same file:
+//! Under the configured path scope every `process(&mut self, pe, ..)`
+//! is an application: the rule takes the class of every field from the
+//! `#[atos_shard(owner(..), private(..), shared(..))]` attribute on it —
+//! a `process` without one is itself a finding — then walks the `Self`
+//! type's entry points and everything they transitively call in the same
+//! file:
 //!
 //! * a write to an `owner` field must be dominated by an owner witness
 //!   for its index: an `assert_owner!(partition, v, pe)` /
@@ -37,7 +38,7 @@ use std::collections::BTreeMap;
 use std::ops::Range;
 
 use crate::callgraph::FnId;
-use crate::config::{Config, ShardScope};
+use crate::config::Config;
 use crate::lints::Analysis;
 use crate::model::{first_ident_in, matching, split_top_commas};
 use crate::parse::{FnItem, Tok, TokKind};
@@ -75,13 +76,9 @@ struct Violation {
     class: FieldClass,
 }
 
-/// The method `name` of impl type `ty`, if defined in this file.
-fn find_method<'a>(file: &'a SourceFile, ty: &str, name: &str) -> Option<&'a FnItem> {
-    file.parsed
-        .fns
-        .iter()
-        .find(|f| !f.in_test_mod && f.name == name && f.self_ty.as_deref() == Some(ty))
-}
+/// The `Application` trait's three entry points: their writes (direct
+/// and transitive) must respect the owner-computes discipline.
+const ENTRY_FNS: &[&str] = &["process", "on_receive", "on_idle"];
 
 /// Is the token at `j` the start of an assignment operator (`=` or a
 /// compound `+=`-family, excluding the `==` comparison and the `=>`
@@ -133,15 +130,10 @@ fn writes_in(toks: &[Tok], range: Range<usize>) -> Vec<FieldWrite> {
 
 /// The impl's field classes, as its `process` declares them:
 /// `#[atos_shard(owner(a, b), private(c), shared(d))]`. Empty when the
-/// attribute (or the method) is missing.
-pub(crate) fn classify_fields(
-    file: &SourceFile,
-    scope: &ShardScope,
-) -> BTreeMap<String, FieldClass> {
+/// attribute is missing.
+pub(crate) fn classify_fields(process: &FnItem) -> BTreeMap<String, FieldClass> {
     let mut map: BTreeMap<String, FieldClass> = BTreeMap::new();
-    let Some(attr) = find_method(file, scope.ty, "process")
-        .and_then(|process| process.attrs.iter().find(|a| a.name == "atos_shard"))
-    else {
+    let Some(attr) = process.attrs.iter().find(|a| a.name == "atos_shard") else {
         return map;
     };
     // The parser flattens attribute args to an in-order ident list, so the
@@ -341,7 +333,7 @@ fn render_local(f: &FnItem, v: &Violation) -> String {
     }
 }
 
-/// Rule 10: `shard-escape` — see the module docs.
+/// Rule 9: `shard-escape` — see the module docs.
 pub fn shard_escape(
     ws: &Workspace,
     fi: usize,
@@ -350,33 +342,53 @@ pub fn shard_escape(
     out: &mut Vec<Finding>,
 ) {
     let file = &ws.files[fi];
-    let Some(scope) = cfg.shard_scope(&file.path) else {
-        return;
-    };
-    let classes = classify_fields(file, scope);
-    if classes.is_empty() {
-        // Unclassified state would pass every check below.
-        out.push(Finding {
-            rule: "shard-escape",
-            file: file.path.clone(),
-            line: find_method(file, scope.ty, "process").map_or(1, |f| f.line),
-            message: format!(
-                "`{}` is in the owner-computes scope but its `process` declares no field \
-                 classes; add `#[atos_shard(owner(..), private(..), shared(..))]`",
-                scope.ty
-            ),
-        });
+    if !cfg.is_shard_path(&file.path) {
         return;
     }
-    let is_entry = |f: &FnItem| {
-        scope.entry_fns.contains(&f.name.as_str()) && f.self_ty.as_deref() == Some(scope.ty)
-    };
+    for process in &file.parsed.fns {
+        let is_app = process.name == "process"
+            && !process.in_test_mod
+            && process.has_self
+            && process.params.first().is_some_and(|p| p == "pe");
+        let Some(ty) = process.self_ty.as_deref().filter(|_| is_app) else {
+            continue;
+        };
+        let classes = classify_fields(process);
+        if classes.is_empty() {
+            // Unclassified state would pass every check below.
+            out.push(Finding {
+                rule: "shard-escape",
+                file: file.path.clone(),
+                line: process.line,
+                message: format!(
+                    "`{ty}` is in the owner-computes scope but its `process` declares no \
+                     field classes; add `#[atos_shard(owner(..), private(..), shared(..))]`"
+                ),
+            });
+            continue;
+        }
+        check_entries(ws, fi, an, ty, &classes, out);
+    }
+}
+
+/// Flow-check the entry points of application `ty` under `classes`.
+fn check_entries(
+    ws: &Workspace,
+    fi: usize,
+    an: &Analysis,
+    ty: &str,
+    classes: &BTreeMap<String, FieldClass>,
+    out: &mut Vec<Finding>,
+) {
+    let file = &ws.files[fi];
+    let is_entry =
+        |f: &FnItem| ENTRY_FNS.contains(&f.name.as_str()) && f.self_ty.as_deref() == Some(ty);
     for (gi, f) in file.parsed.fns.iter().enumerate() {
         if f.in_test_mod || f.body.is_empty() || !is_entry(f) {
             continue;
         }
         // Direct violations, reported at the write.
-        for v in violations_in(file, f, &classes) {
+        for v in violations_in(file, f, classes) {
             out.push(Finding {
                 rule: "shard-escape",
                 file: file.path.clone(),
@@ -409,7 +421,7 @@ pub fn shard_escape(
                 continue;
             }
             let hops: Vec<String> = chain.iter().map(|n| format!("`{n}`")).collect();
-            for v in violations_in(file, g, &classes) {
+            for v in violations_in(file, g, classes) {
                 let what = match (&v.class, &v.idx) {
                     (FieldClass::Shared, _) => {
                         format!("shared-immutable field `{}`", v.field)
@@ -455,9 +467,8 @@ mod tests {
             "fixtures/shard_escape.rs".into(),
             src.into(),
         )]);
-        let cfg = Config::fixture();
-        let scope = cfg.shard_scope("fixtures/shard_escape.rs").unwrap();
-        classify_fields(&ws.files[0], scope)
+        let process = ws.files[0].parsed.fns.iter().find(|f| f.name == "process");
+        classify_fields(process.expect("a process fn"))
     }
 
     #[test]

@@ -1,24 +1,23 @@
 //! Per-function effect summaries and their fixed-point propagation over
 //! the call graph.
 //!
-//! Each function gets four effect bits — `allocates`, `may_panic`,
-//! `reads_wall_clock`, `nondeterministic` — seeded from local patterns
-//! (allocating constructs, panicking constructs, wall-clock / host-query
-//! sources) and propagated caller-ward over resolved call edges until
-//! nothing changes. The lattice is four monotone booleans, so the
-//! worklist terminates on cycles without special casing; recursion simply
-//! reaches its fixed point.
+//! Each function gets two effect bits — `allocates`, `may_panic` —
+//! seeded from local patterns (allocating constructs, panicking
+//! constructs) and propagated caller-ward over resolved call edges until
+//! nothing changes. The lattice is two monotone booleans, so the worklist
+//! terminates on cycles without special casing; recursion simply reaches
+//! its fixed point.
 //!
 //! Propagation deliberately *stops* at callees that are vetted at their
 //! own definition:
 //!
-//! * hot callees (`#[atos_hot]` / denylist) report their own allocations
-//!   directly — re-reporting them at every caller would be noise;
-//! * kernel-scope callees likewise own their panic findings;
-//! * `#[atos_alloc_ok]` / `#[allow_atos_lint(hot_path_alloc)]` (or the
-//!   comment form on the definition line) vouch for an allocation, and
-//!   `#[allow_atos_lint(panic_in_kernel)]` for a panic — the escape
-//!   hatches for arena growth paths and documented API panics.
+//! * hot callees (`#[atos_hot]` / `// atos-lint: hot`) report their own
+//!   allocations and panics directly — re-reporting them at every caller
+//!   would be noise;
+//! * an `atos-lint: allow(hot_path_alloc)` comment on the definition
+//!   vouches for an allocation, `atos-lint: allow(panic_in_kernel)` for a
+//!   panic — the escape hatches for arena growth paths and documented
+//!   abort helpers.
 //!
 //! Unresolved calls contribute no effects (conservative in the "fewer
 //! findings" direction); the dynamic `alloc_count` guard and atos-check
@@ -27,8 +26,7 @@
 use std::collections::BTreeMap;
 
 use crate::callgraph::{CallGraph, FnId};
-use crate::config::Config;
-use crate::lints::{alloc_pattern, is_hot, PANIC_CALLS, PANIC_MACROS};
+use crate::lints::{alloc_pattern, hot_marker, PANIC_CALLS, PANIC_MACROS};
 use crate::model::{events_of, Event};
 use crate::Workspace;
 
@@ -47,12 +45,8 @@ pub struct Effects {
     /// Allocates (directly or transitively).
     pub alloc: Option<Why>,
     /// May panic via `unwrap`/`expect`/panic-family macros (indexing is
-    /// judged locally per kernel scope, not propagated).
+    /// judged locally per hot function, not propagated).
     pub panic: Option<Why>,
-    /// Reads the wall clock (`Instant::now`, `SystemTime::now`, …).
-    pub wall: Option<Why>,
-    /// Observes host nondeterminism (parallelism, contention counters).
-    pub nondet: Option<Why>,
 }
 
 /// A reconstructed provenance chain: the `(fn name, file, decl line)`
@@ -66,38 +60,17 @@ pub struct Summaries {
     pub fx: BTreeMap<FnId, Effects>,
 }
 
-/// Is the callee vetted for allocation at its own definition?
-pub fn alloc_vetted(ws: &Workspace, cfg: &Config, id: FnId) -> bool {
+/// Is the callee vetted for `rule` at its own definition: hot itself (it
+/// reports its own sites), or carrying the allow comment?
+pub fn vetted(ws: &Workspace, id: FnId, rule: &str) -> bool {
     let file = &ws.files[id.0];
     let f = &file.parsed.fns[id.1];
-    is_hot(file, f, cfg)
-        || f.attrs
-            .iter()
-            .any(|a| a.name == "atos_alloc_ok" || is_allow(a, "hot_path_alloc"))
-        || file
-            .parsed
-            .comment_near(f.line, 2, "atos-lint: allow(hot_path_alloc)")
-}
-
-/// Is the callee vetted for panics at its own definition?
-pub fn panic_vetted(ws: &Workspace, cfg: &Config, id: FnId) -> bool {
-    let file = &ws.files[id.0];
-    let f = &file.parsed.fns[id.1];
-    cfg.kernel_scope(&file.path)
-        .is_some_and(|s| s.fns.contains(&f.name.as_str()))
-        || f.attrs.iter().any(|a| is_allow(a, "panic_in_kernel"))
-        || file
-            .parsed
-            .comment_near(f.line, 2, "atos-lint: allow(panic_in_kernel)")
-}
-
-fn is_allow(a: &crate::parse::Attr, rule_snake: &str) -> bool {
-    a.name == "allow_atos_lint" && a.args.iter().any(|x| x == rule_snake)
+    hot_marker(file, f).is_some() || crate::allowed_at(file, f.line, rule)
 }
 
 impl Summaries {
     /// Seed local effects and run the propagation to its fixed point.
-    pub fn compute(ws: &Workspace, cfg: &Config, graph: &CallGraph) -> Summaries {
+    pub fn compute(ws: &Workspace, graph: &CallGraph) -> Summaries {
         let mut fx: BTreeMap<FnId, Effects> = BTreeMap::new();
 
         // Seed: local patterns.
@@ -136,28 +109,6 @@ impl Summaries {
                                 line: *line,
                             });
                         }
-                        Event::Call {
-                            name, path, line, ..
-                        } => {
-                            let full = format!("{path}{name}");
-                            if e.wall.is_none()
-                                && (cfg.taint_path_sources.iter().any(|s| full == *s)
-                                    || cfg.taint_method_sources.iter().any(|s| name == s))
-                            {
-                                e.wall = Some(Why::Local {
-                                    pat: full.clone(),
-                                    line: *line,
-                                });
-                            }
-                            if e.nondet.is_none()
-                                && cfg.taint_nondet_sources.iter().any(|s| name == s)
-                            {
-                                e.nondet = Some(Why::Local {
-                                    pat: format!("{name}()"),
-                                    line: *line,
-                                });
-                            }
-                        }
                         _ => {}
                     }
                 }
@@ -165,8 +116,8 @@ impl Summaries {
             }
         }
 
-        // Propagate to fixed point. Four monotone bits per fn → at most
-        // 4·|fns| useful iterations; the sweep loop converges long before.
+        // Propagate to fixed point. Two monotone bits per fn → at most
+        // 2·|fns| useful iterations; the sweep loop converges long before.
         loop {
             let mut changed = false;
             let ids: Vec<FnId> = fx.keys().copied().collect();
@@ -183,24 +134,16 @@ impl Summaries {
                     let e = fx.get_mut(&id).expect("seeded");
                     if e.alloc.is_none()
                         && callee_fx.alloc.is_some()
-                        && !alloc_vetted(ws, cfg, site.callee)
+                        && !vetted(ws, site.callee, "hot-path-alloc")
                     {
                         e.alloc = Some(via.clone());
                         changed = true;
                     }
                     if e.panic.is_none()
                         && callee_fx.panic.is_some()
-                        && !panic_vetted(ws, cfg, site.callee)
+                        && !vetted(ws, site.callee, "panic-in-kernel")
                     {
-                        e.panic = Some(via.clone());
-                        changed = true;
-                    }
-                    if e.wall.is_none() && callee_fx.wall.is_some() {
-                        e.wall = Some(via.clone());
-                        changed = true;
-                    }
-                    if e.nondet.is_none() && callee_fx.nondet.is_some() {
-                        e.nondet = Some(via);
+                        e.panic = Some(via);
                         changed = true;
                     }
                 }

@@ -1,5 +1,5 @@
 //! Lint fixture: `hot-path-alloc` — allocation in an `#[atos_hot]` fn, in
-//! a config-denylisted fn (`denylisted_hot`), and one call level deep.
+//! a comment-marked fn (`denylisted_hot`), and one call level deep.
 
 #[atos_hot]
 pub fn attributed_hot(out: &mut Vec<u64>) {
@@ -7,7 +7,7 @@ pub fn attributed_hot(out: &mut Vec<u64>) {
     out.extend_from_slice(&staged);
     refill(out);
 }
-
+// atos-lint: hot
 pub fn denylisted_hot(n: usize) -> String {
     format!("task {n}")
 }

@@ -81,6 +81,7 @@ impl<T: Copy + Send> BrokerQueue<T> {
 
     /// Push one item: reserve, write, fence, set flag (the three-step
     /// protocol the paper describes).
+    // atos-lint: hot(no-index)
     pub fn push(&self, item: T) -> Result<(), QueueFull> {
         let idx = self.tail.fetch_add(1, Ordering::Relaxed);
         if idx >= self.slots.len() as u64 {
@@ -106,6 +107,7 @@ impl<T: Copy + Send> BrokerQueue<T> {
     /// producer that has reserved the slot is mid-write and will set it
     /// imminently). Returns `None` without reserving when the queue looks
     /// empty.
+    // atos-lint: hot(no-index)
     pub fn pop(&self) -> Option<T> {
         loop {
             let h = self.head.load(Ordering::Relaxed);

@@ -70,6 +70,7 @@ impl<T: Copy + Send> CasQueue<T> {
     }
 
     /// Push a group of items; the leader reserves with a CAS retry loop.
+    // atos-lint: hot(no-index)
     pub fn push_group(&self, items: &[T]) -> Result<(), QueueFull> {
         if items.is_empty() {
             return Ok(());
@@ -171,6 +172,7 @@ impl<T: Copy + Send> CasQueue<T> {
     }
 
     /// Push one item.
+    // atos-lint: hot(no-index)
     pub fn push(&self, item: T) -> Result<(), QueueFull> {
         self.push_group(core::slice::from_ref(&item))
     }
@@ -180,6 +182,7 @@ impl<T: Copy + Send> CasQueue<T> {
     /// CAS lets the claim be bounded *exactly* by the published `end` (no
     /// overshoot), so no claim state persists; `_state` is accepted for
     /// interface parity.
+    // atos-lint: hot(no-index)
     pub fn pop_group(&self, _state: &mut PopState, max: usize, out: &mut Vec<T>) -> usize {
         if max == 0 {
             return 0;
@@ -280,9 +283,11 @@ impl<T> Drop for CasQueue<T> {
 }
 
 impl<T: Copy + Send> ConcurrentQueue<T> for CasQueue<T> {
+    // atos-lint: hot(no-index)
     fn push_group(&self, items: &[T]) -> Result<(), QueueFull> {
         CasQueue::push_group(self, items)
     }
+    // atos-lint: hot(no-index)
     fn pop_group(&self, state: &mut PopState, max: usize, out: &mut Vec<T>) -> usize {
         CasQueue::pop_group(self, state, max, out)
     }

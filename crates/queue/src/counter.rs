@@ -124,6 +124,7 @@ impl<T: Copy + Send> CounterQueue<T> {
 
     /// Push a group of items with a single reservation (the host analog of
     /// `push_warp`/`push_cta`: leader does one `atomicAdd`, lanes write).
+    // atos-lint: hot(no-index)
     pub fn push_group(&self, items: &[T]) -> Result<(), QueueFull> {
         if items.is_empty() {
             return Ok(());
@@ -171,6 +172,7 @@ impl<T: Copy + Send> CounterQueue<T> {
     }
 
     /// Push one item (thread-sized worker).
+    // atos-lint: hot(no-index)
     pub fn push(&self, item: T) -> Result<(), QueueFull> {
         self.push_group(core::slice::from_ref(&item))
     }
@@ -180,6 +182,7 @@ impl<T: Copy + Send> CounterQueue<T> {
     /// Returns how many items were produced. `0` means the queue *looked*
     /// empty (the scheduler's `f2` path); an outstanding claim in `state` may
     /// still fill on a later call once publication advances.
+    // atos-lint: hot(no-index)
     pub fn pop_group(&self, state: &mut PopState, max: usize, out: &mut Vec<T>) -> usize {
         if max == 0 {
             return 0;
@@ -225,6 +228,7 @@ impl<T: Copy + Send> CounterQueue<T> {
         }
     }
 
+    // atos-lint: hot(no-index)
     fn drain_claim(&self, state: &mut PopState, max: usize, out: &mut Vec<T>) -> usize {
         if state.cursor == state.claim_hi {
             return 0;
@@ -299,9 +303,11 @@ impl<T> Drop for CounterQueue<T> {
 }
 
 impl<T: Copy + Send> ConcurrentQueue<T> for CounterQueue<T> {
+    // atos-lint: hot(no-index)
     fn push_group(&self, items: &[T]) -> Result<(), QueueFull> {
         CounterQueue::push_group(self, items)
     }
+    // atos-lint: hot(no-index)
     fn pop_group(&self, state: &mut PopState, max: usize, out: &mut Vec<T>) -> usize {
         CounterQueue::pop_group(self, state, max, out)
     }

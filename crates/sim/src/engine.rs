@@ -213,6 +213,7 @@ impl<E> Engine<E> {
 
     /// Store a payload in the arena, returning its slot.
     #[inline]
+    #[atos_hot]
     fn arena_insert(&mut self, event: E) -> u32 {
         match self.free.pop() {
             Some(i) => {
@@ -231,6 +232,7 @@ impl<E> Engine<E> {
     /// Callers guarantee `key.at >= self.now` (clamped in `schedule_at`),
     /// so the entry's bucket is never behind the cursor.
     #[inline]
+    #[atos_hot]
     fn place(&mut self, key: Key, idx: u32) {
         let b0 = key.at >> L0_SHIFT;
         debug_assert!(b0 >= self.cursor0, "event filed behind the wheel cursor");
@@ -337,6 +339,7 @@ impl<E> Engine<E> {
     }
 
     /// Drain level-0 bucket `b0` (absolute) into the imminent heap.
+    #[atos_hot]
     fn drain_l0_bucket(&mut self, b0: u64) {
         let p = (b0 & BUCKET_MASK) as usize;
         self.l0_occ[p >> 6] &= !(1 << (p & 63));
@@ -350,6 +353,7 @@ impl<E> Engine<E> {
 
     /// Cascade level-1 bucket `b1` (absolute) into a fresh level-0
     /// rotation covering exactly its span.
+    #[atos_hot]
     fn cascade_l1_bucket(&mut self, b1: u64) {
         self.cursor0 = b1 << LEVEL_BITS;
         self.l0_rot_end = (b1 + 1) << LEVEL_BITS;
@@ -371,6 +375,7 @@ impl<E> Engine<E> {
     /// the stale `l0_rot_end`, so `place` can only file into level 1 here
     /// (the following `advance` iteration cascades the first occupied
     /// level-1 bucket down).
+    #[atos_hot]
     fn cascade_l2_bucket(&mut self, b2: u64) {
         self.cursor1 = b2 << LEVEL_BITS;
         self.l1_rot_end = (b2 + 1) << LEVEL_BITS;
@@ -388,6 +393,7 @@ impl<E> Engine<E> {
     /// Reposition all three wheels around the far heap's minimum and pull
     /// every far entry inside the new level-2 horizon back into the
     /// wheels. Caller guarantees wheels and imminent heap are empty.
+    #[atos_hot]
     fn jump_to_far(&mut self) {
         let Some(&Reverse((min_key, _))) = self.far.peek() else {
             return;
@@ -414,6 +420,7 @@ impl<E> Engine<E> {
     /// Refill the imminent heap with the next bucket's events, advancing
     /// cursors (and cascading / jumping) as needed. Returns `false` if no
     /// events remain anywhere.
+    #[atos_hot]
     fn advance(&mut self) -> bool {
         loop {
             // A cascade or jump may file entries straight into the

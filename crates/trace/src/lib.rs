@@ -31,13 +31,11 @@
 #![warn(missing_docs)]
 
 pub mod buffer;
-pub mod hist;
 pub mod json;
 pub mod metrics;
 pub mod perfetto;
 
 pub use buffer::{InterarrivalStats, TraceBuffer};
-pub use hist::{Histogram, HistogramSummary};
 pub use metrics::MetricsRegistry;
 
 /// Virtual time in nanoseconds (mirrors `atos_sim::Time`; duplicated here
