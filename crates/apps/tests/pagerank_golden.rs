@@ -7,8 +7,8 @@
 //! quantity, with and without stealing.
 //!
 //! The `sim_events` column alone was re-pinned when arrivals stopped being
-//! engine events (receive lanes, DESIGN.md §4.7): it counts wheel pops, and
-//! an arrival whose receiver has a step coming no longer causes one. Every
+//! engine events (receive lanes, DESIGN.md §4.7): it counts engine pops,
+//! and an arrival whose receiver has a step coming no longer causes one. Every
 //! other column is still the parent's.
 //!
 //! To re-capture after an *intentional* model change:
@@ -56,7 +56,8 @@ fn cases() -> Vec<(&'static str, Fabric, AtosConfig)> {
     ]
 }
 
-fn run(fabric: Fabric, cfg: AtosConfig) -> Row {
+/// The row and the run's `peak_pending_events`.
+fn run(fabric: Fabric, cfg: AtosConfig) -> (Row, u64) {
     let g = Arc::new(Preset::by_name("soc-LiveJournal1_s").unwrap().build(Scale::Tiny));
     let part = Arc::new(Partition::random(g.n_vertices(), fabric.n_pes(), 7));
     let app = PageRankApp::new(g, part.clone(), 0.85, 1e-6);
@@ -65,7 +66,7 @@ fn run(fabric: Fabric, cfg: AtosConfig) -> Row {
         rt.seed(pe, part.vertices_of(pe).into_iter().map(PrTask::Relax));
     }
     let s = rt.run();
-    [
+    let row = [
         fingerprint(rt.app()),
         s.elapsed_ns,
         s.sim_events,
@@ -74,15 +75,22 @@ fn run(fabric: Fabric, cfg: AtosConfig) -> Row {
         s.agg_flushes,
         s.agg_flushes_size,
         s.agg_flushes_age,
-    ]
+    ];
+    (row, s.peak_pending_events)
 }
 
 #[test]
 fn pagerank_runs_match_parent_commit_fingerprints() {
     let mut got: Vec<(String, Row)> = Vec::new();
     for (name, fabric, cfg) in cases() {
+        let n_pes = fabric.n_pes() as u64;
         for lb in LoadBalance::ALL {
-            let row = run(fabric.clone(), cfg.with_lb(lb));
+            let (row, peak) = run(fabric.clone(), cfg.with_lb(lb));
+            // The bound that makes a binary heap enough for the engine: per
+            // PE, at most its `step_scheduled` step, its `agg_poll_scheduled`
+            // poll and one belled doorbell per lane head (`Rx::ring_next`)
+            // are pending. Per-message engine events would break it.
+            assert!(peak <= n_pes * (n_pes + 2), "{name}/{lb:?}: {peak} pending events");
             println!("    (\"{name}/{lb:?}/1\", {row:?}),");
             got.push((format!("{name}/{lb:?}/1"), row));
         }

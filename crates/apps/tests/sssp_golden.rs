@@ -71,7 +71,8 @@ fn input(preset: &str) -> Input {
     Input { graph, weights, source, exact }
 }
 
-fn run(input: &Input, split: bool, fabric: Fabric, cfg: AtosConfig) -> Row {
+/// The row and the run's `peak_pending_events`.
+fn run(input: &Input, split: bool, fabric: Fabric, cfg: AtosConfig) -> (Row, u64) {
     let (g, w, src) = (input.graph.clone(), input.weights.clone(), input.source);
     let part = Arc::new(Partition::random(g.n_vertices(), fabric.n_pes(), 7));
     let (app, kind) = if split {
@@ -84,7 +85,7 @@ fn run(input: &Input, split: bool, fabric: Fabric, cfg: AtosConfig) -> Row {
     let s = rt.run();
     let dist = rt.into_app().dist;
     assert_eq!(dist, input.exact, "distances must be exact");
-    [
+    let row = [
         s.elapsed_ns,
         s.sim_events,
         s.total_tasks(),
@@ -94,7 +95,8 @@ fn run(input: &Input, split: bool, fabric: Fabric, cfg: AtosConfig) -> Row {
         s.remote_tasks,
         s.queue_hwm_per_pe.iter().copied().max().unwrap_or(0),
         fingerprint(&dist),
-    ]
+    ];
+    (row, s.peak_pending_events)
 }
 
 #[test]
@@ -104,8 +106,16 @@ fn sssp_runs_match_parent_commit_fingerprints() {
         let input = input(preset);
         for (mode, split) in [("new", false), ("new_split", true)] {
             for (name, fabric, cfg) in cases() {
+                let n_pes = fabric.n_pes() as u64;
                 for lb in LoadBalance::ALL {
-                    let row = run(&input, split, fabric.clone(), cfg.with_lb(lb));
+                    let (row, peak) = run(&input, split, fabric.clone(), cfg.with_lb(lb));
+                    // The bound that makes a binary heap enough for the
+                    // engine: per PE, at most its `step_scheduled` step, its
+                    // `agg_poll_scheduled` poll and one belled doorbell per
+                    // lane head (`Rx::ring_next`) are pending. Per-message
+                    // engine events would break it.
+                    let id = format!("{preset}/{mode}/{name}/{lb:?}");
+                    assert!(peak <= n_pes * (n_pes + 2), "{id}: {peak} pending events");
                     println!("    (\"{preset}/{mode}/{name}/{lb:?}/1\", {row:?}),");
                     got.push((format!("{preset}/{mode}/{name}/{lb:?}/1"), row));
                 }

@@ -1,6 +1,5 @@
-//! Benchmark-trajectory runner: measures the engine microbench (wheel vs
-//! retained heap reference), the fig5/fig8/fig9 quick workloads, the
-//! load-balance discipline sweep
+//! Benchmark-trajectory runner: measures the fig5/fig8/fig9 quick
+//! workloads, the load-balance discipline sweep
 //! (`lb_sweep`: per-discipline quick-BFS wall clock + steal counters,
 //! delta-stepping vs Dijkstra-order SSSP), and the graph-construction
 //! layer (`graph_build`: full-scale R-MAT and road-mesh generation,
@@ -11,10 +10,9 @@
 //! Usage:
 //!
 //! ```text
-//! bench_trajectory [--sha SHA] [--stamp STAMP] [--events N] [--samples K]
-//!                  [--skip-engine] [--skip-e2e] [--skip-lb] [--skip-graph]
-//!                  [--deny-regression PCT] [--min-speedup X]
-//!                  [--append] [--out PATH]
+//! bench_trajectory [--sha SHA] [--stamp STAMP] [--samples K]
+//!                  [--skip-e2e] [--skip-lb] [--skip-graph]
+//!                  [--deny-regression PCT] [--append] [--out PATH]
 //! ```
 //!
 //! The run id is `SHA@STAMP`, both passed in from the command line (the
@@ -22,31 +20,25 @@
 //! `scripts/verify.sh` supplies `git rev-parse` + `date -u`). With
 //! `--deny-regression PCT` the process exits 1 if any freshly measured
 //! metric regresses more than PCT percent against the last committed
-//! entry of the same kind; `--min-speedup X` additionally enforces the
-//! absolute wheel-vs-heap floor on the 1M-event uniform drain. Nothing is
-//! written unless `--append` is given, so the gate can run in CI without
-//! dirtying the work tree.
+//! entry of the same kind. Nothing is written unless `--append` is given,
+//! so the gate can run in CI without dirtying the work tree.
 
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 
 use atos_bench::trajectory::{
-    append_entries, check_regression, host_cores, last_of_kind, measure_engine,
-    measure_graph_build, measure_lb_sweep, quick_grid_ms, read_trajectory, TrajectoryEntry,
-    DEFAULT_TRAJECTORY_PATH,
+    append_entries, check_regression, host_cores, last_of_kind, measure_graph_build,
+    measure_lb_sweep, quick_grid_ms, read_trajectory, TrajectoryEntry, DEFAULT_TRAJECTORY_PATH,
 };
 
 struct Args {
     sha: String,
     stamp: String,
-    events: usize,
     samples: usize,
-    skip_engine: bool,
     skip_e2e: bool,
     skip_lb: bool,
     skip_graph: bool,
     deny_regression: Option<f64>,
-    min_speedup: Option<f64>,
     append: bool,
     out: PathBuf,
 }
@@ -55,14 +47,11 @@ fn parse_args() -> Result<Args, String> {
     let mut a = Args {
         sha: "local".to_string(),
         stamp: "unstamped".to_string(),
-        events: 1_000_000,
         samples: 3,
-        skip_engine: false,
         skip_e2e: false,
         skip_lb: false,
         skip_graph: false,
         deny_regression: None,
-        min_speedup: None,
         append: false,
         out: PathBuf::from(DEFAULT_TRAJECTORY_PATH),
     };
@@ -77,15 +66,10 @@ fn parse_args() -> Result<Args, String> {
         match arg.as_str() {
             "--sha" => a.sha = value("--sha")?,
             "--stamp" => a.stamp = value("--stamp")?,
-            "--events" => {
-                let v = value("--events")?;
-                a.events = v.parse().map_err(|_| format!("invalid --events value `{v}`"))?;
-            }
             "--samples" => {
                 let v = value("--samples")?;
                 a.samples = v.parse().map_err(|_| format!("invalid --samples value `{v}`"))?;
             }
-            "--skip-engine" => a.skip_engine = true,
             "--skip-e2e" => a.skip_e2e = true,
             "--skip-lb" => a.skip_lb = true,
             "--skip-graph" => a.skip_graph = true,
@@ -94,18 +78,13 @@ fn parse_args() -> Result<Args, String> {
                 a.deny_regression =
                     Some(v.parse().map_err(|_| format!("invalid --deny-regression value `{v}`"))?);
             }
-            "--min-speedup" => {
-                let v = value("--min-speedup")?;
-                a.min_speedup =
-                    Some(v.parse().map_err(|_| format!("invalid --min-speedup value `{v}`"))?);
-            }
             "--append" => a.append = true,
             "--out" => a.out = PathBuf::from(value("--out")?),
             other => {
                 return Err(format!(
-                    "unknown argument `{other}` (supported: --sha, --stamp, --events N, \
-                     --samples K, --skip-engine, --skip-e2e, --skip-lb, --skip-graph, \
-                     --deny-regression PCT, --min-speedup X, --append, --out PATH)"
+                    "unknown argument `{other}` (supported: --sha, --stamp, --samples K, \
+                     --skip-e2e, --skip-lb, --skip-graph, --deny-regression PCT, --append, \
+                     --out PATH)"
                 ))
             }
         }
@@ -118,8 +97,6 @@ fn print_metrics(kind: &str, metrics: &BTreeMap<String, f64>) {
     for (k, v) in metrics {
         if k.ends_with("_ms") {
             println!("  {k:<24} {v:>12.3} ms");
-        } else if k.ends_with("_speedup_x") {
-            println!("  {k:<24} {v:>12.2} x");
         } else if v.fract() != 0.0 {
             // Fractional diagnostics (`from_edges_medges_per_s`).
             println!("  {k:<24} {v:>12.3}");
@@ -149,24 +126,6 @@ fn main() {
 
     let mut failures: Vec<String> = Vec::new();
     let mut new_entries: Vec<TrajectoryEntry> = Vec::new();
-
-    if !args.skip_engine {
-        let metrics = measure_engine(args.events, args.samples);
-        print_metrics("engine_microbench", &metrics);
-        if let Some(floor) = args.min_speedup {
-            let got = metrics["uniform_speedup_x"];
-            if got < floor {
-                failures.push(format!(
-                    "engine_microbench [uniform_speedup_x]: {got:.2}x below the {floor:.2}x floor"
-                ));
-            }
-        }
-        new_entries.push(TrajectoryEntry {
-            run_id: run_id.clone(),
-            kind: "engine_microbench".to_string(),
-            metrics,
-        });
-    }
 
     if !args.skip_e2e {
         let mut metrics = BTreeMap::new();

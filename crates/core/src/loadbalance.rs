@@ -164,7 +164,7 @@ impl<A: Application, Tr: Tracer> Runtime<A, Tr> {
             if peer != busy_pe && !self.pes[peer].step_scheduled && self.pes[peer].queue.is_empty()
             {
                 self.pes[peer].step_scheduled = true;
-                self.engine.schedule_in(delay, Ev::Step { pe: peer });
+                self.engine.schedule_after(delay, Ev::Step { pe: peer });
             }
         }
     }

@@ -327,7 +327,7 @@ impl<A: Application, Tr: Tracer> Runtime<A, Tr> {
             if !self.pes[pe].queue.is_empty() && !self.pes[pe].step_scheduled {
                 self.pes[pe].step_scheduled = true;
                 self.pes[pe].idle_ran = false;
-                self.engine.schedule_in(0, Ev::Step { pe });
+                self.engine.schedule_after(0, Ev::Step { pe });
             }
         }
     }
@@ -392,7 +392,7 @@ impl<A: Application, Tr: Tracer> Runtime<A, Tr> {
         if !self.pes[pe].step_scheduled && !self.pes[pe].queue.is_empty() {
             self.pes[pe].step_scheduled = true;
             self.pes[pe].idle_ran = false;
-            self.engine.schedule_in(delay, Ev::Step { pe });
+            self.engine.schedule_after(delay, Ev::Step { pe });
         }
     }
 
@@ -497,7 +497,7 @@ impl<A: Application, Tr: Tracer> Runtime<A, Tr> {
         // once.
         self.pes[pe].idle_ran = false;
         self.pes[pe].step_scheduled = true;
-        self.engine.schedule_in(busy, Ev::Step { pe });
+        self.engine.schedule_after(busy, Ev::Step { pe });
         // Backlog that survived this round is on offer to drained peers
         // once the busy window closes.
         self.wake_idle_peers(pe, exec_pe, busy);

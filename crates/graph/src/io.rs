@@ -41,6 +41,15 @@ fn malformed(msg: impl Into<String>) -> ParseError {
     ParseError::Malformed(msg.into())
 }
 
+/// A declared vertex count, rejected unless every 1-based id up to it fits
+/// a [`VertexId`].
+fn vertex_count(n: usize) -> Result<usize, ParseError> {
+    if n > VertexId::MAX as usize {
+        return Err(malformed(format!("{n} vertices overflow 32-bit vertex ids")));
+    }
+    Ok(n)
+}
+
 /// Read a Matrix Market coordinate file as a directed graph.
 ///
 /// Supports `%%MatrixMarket matrix coordinate <field> <symmetry>` with
@@ -76,9 +85,10 @@ pub fn read_matrix_market<R: Read>(reader: R) -> Result<Csr, ParseError> {
     let [rows, cols, nnz] = dims[..] else {
         return Err(malformed("size line needs rows cols nnz"));
     };
-    let n = rows.max(cols);
+    let n = vertex_count(rows.max(cols))?;
 
-    let mut edges = Vec::with_capacity(if symmetric { nnz * 2 } else { nnz });
+    // Not pre-sized from `nnz`: a file may declare any count.
+    let mut edges = Vec::new();
     for line in lines {
         let line = line?;
         let t = line.trim();
@@ -142,8 +152,7 @@ pub fn read_dimacs<R: Read>(reader: R) -> Result<Csr, ParseError> {
                 if parts.len() < 4 || parts[1] != "sp" {
                     return Err(malformed(format!("bad problem line: {t}")));
                 }
-                n = parts[2].parse().map_err(|_| malformed("bad vertex count"))?;
-                edges.reserve(parts[3].parse().unwrap_or(0));
+                n = vertex_count(parts[2].parse().map_err(|_| malformed("bad vertex count"))?)?;
             }
             Some('a') => {
                 let mut it = t.split_whitespace().skip(1);

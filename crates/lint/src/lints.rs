@@ -448,7 +448,7 @@ pub(crate) const PANIC_MACROS: &[&str] = &["panic", "unreachable", "todo", "unim
 pub(crate) const PANIC_CALLS: &[&str] = &["unwrap", "expect"];
 
 /// Rule 6: `panic-in-kernel` — no panicking construct in a hot function
-/// (queue protocol, runtime step, engine wheel, hint path), nor
+/// (queue protocol, runtime step, engine heap, hint path), nor
 /// (transitively) in anything it calls through the resolved call graph. A
 /// panic between reservation and publication strands the reservation for
 /// every other thread. Callees vetted at their own definition (hot

@@ -100,119 +100,143 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
-// Engine equivalence oracle: the retired binary-heap engine
-// (`engine::reference::HeapEngine`) defines the semantics; the timing wheel
-// must pop the exact same `(time, event)` sequence for any schedule.
+// Engine equivalence oracle: a linear scan over every pending event defines
+// the semantics; the engine must pop the exact same `(time, event)` sequence
+// for any schedule.
 // ---------------------------------------------------------------------------
 
-use atos_sim::engine::reference::HeapEngine;
+/// The engine's contract, spelled as plainly as possible: pending events are
+/// `(at.max(now), seq, id)` triples and each pop takes the minimum. `last`
+/// is the `(time, seq)` key of the last pop.
+#[derive(Default)]
+struct Model {
+    last: (u64, u64),
+    next_seq: u64,
+    pending: Vec<(u64, u64, usize)>,
+}
 
-/// Expand a `(scale, raw)` pair into a timestamp. Scales stride the wheel's
-/// structure: 0 lands in the level-0/level-1 windows, 1–2 exercise cascades,
-/// 3 forces far-heap jumps across empty horizons.
-fn scaled_time(scale: u32, raw: u64) -> u64 {
-    raw << (12 * (scale % 4))
+impl Model {
+    fn reserve_seqs(&mut self, n: u64) -> u64 {
+        self.next_seq += n;
+        self.next_seq - n
+    }
+    fn schedule_at_seq(&mut self, at: u64, seq: u64, id: usize) {
+        self.pending.push((at.max(self.last.0), seq, id));
+    }
+    fn schedule_at(&mut self, at: u64, id: usize) {
+        let seq = self.reserve_seqs(1);
+        self.schedule_at_seq(at, seq, id);
+    }
+    fn peek_time(&self) -> Option<u64> {
+        self.pending.iter().min().map(|e| e.0)
+    }
+    fn pop(&mut self) -> Option<(u64, usize)> {
+        let (i, _) = self.pending.iter().enumerate().min_by_key(|&(_, e)| *e)?;
+        let (at, seq, id) = self.pending.swap_remove(i);
+        self.last = (at, seq);
+        Some((at, id))
+    }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
-    /// Identical pop sequences over schedules spanning every wheel level.
+    /// Identical pop sequences over schedules spanning nanoseconds to
+    /// seconds.
     #[test]
-    fn wheel_matches_heap_on_random_schedules(
-        times in proptest::collection::vec((0u32..4, 0u64..10_000), 1..400),
+    fn engine_matches_model_on_random_schedules(
+        times in proptest::collection::vec(0u64..1 << 32, 1..400),
     ) {
-        let mut wheel = Engine::new();
-        let mut heap = HeapEngine::new();
-        for (i, &(scale, raw)) in times.iter().enumerate() {
-            let t = scaled_time(scale, raw);
-            wheel.schedule_at(t, i);
-            heap.schedule_at(t, i);
+        let mut engine = Engine::new();
+        let mut model = Model::default();
+        for (i, &t) in times.iter().enumerate() {
+            engine.schedule_at(t, i);
+            model.schedule_at(t, i);
         }
         loop {
-            let (a, b) = (wheel.pop(), heap.pop());
+            let (a, b) = (engine.pop(), model.pop());
             prop_assert_eq!(a, b);
-            prop_assert_eq!(wheel.now(), heap.now());
+            prop_assert_eq!(engine.now(), model.last.0);
             if a.is_none() {
                 break;
             }
         }
-        prop_assert_eq!(wheel.pending(), 0);
+        prop_assert_eq!(engine.pending(), 0);
     }
 
     /// Equal-time bursts: tiny time domain maximizes ties, so ordering is
     /// dominated by the sequence-number tie-break.
     #[test]
-    fn wheel_matches_heap_on_equal_time_bursts(
+    fn engine_matches_model_on_equal_time_bursts(
         times in proptest::collection::vec(0u64..8, 1..250),
     ) {
-        let mut wheel = Engine::new();
-        let mut heap = HeapEngine::new();
+        let mut engine = Engine::new();
+        let mut model = Model::default();
         for (i, &t) in times.iter().enumerate() {
-            wheel.schedule_at(t, i);
-            heap.schedule_at(t, i);
+            engine.schedule_at(t, i);
+            model.schedule_at(t, i);
         }
-        while let Some(got) = wheel.pop() {
-            prop_assert_eq!(Some(got), heap.pop());
+        while let Some(got) = engine.pop() {
+            prop_assert_eq!(Some(got), model.pop());
         }
-        prop_assert_eq!(heap.pop(), None);
+        prop_assert_eq!(model.pop(), None);
     }
 
     /// Pop-interleaved scheduling: handlers scheduling relative to the
     /// advancing clock (including past times, which clamp) must stay in
-    /// lockstep with the oracle.
+    /// lockstep with the model.
     #[test]
-    fn wheel_matches_heap_with_interleaved_pops(
-        ops in proptest::collection::vec((0u32..4, 0u64..1_000, 0u32..3), 1..200),
+    fn engine_matches_model_with_interleaved_pops(
+        ops in proptest::collection::vec((0u64..1 << 24, 0u32..3), 1..200),
     ) {
-        let mut wheel = Engine::new();
-        let mut heap = HeapEngine::new();
+        let mut engine = Engine::new();
+        let mut model = Model::default();
         let mut id = 0usize;
-        for &(scale, raw, n) in ops.iter() {
-            let delta = scaled_time(scale, raw);
+        for &(delta, n) in ops.iter() {
             for _ in 0..=n {
-                wheel.schedule_in(delta, id);
-                heap.schedule_in(delta, id);
+                engine.schedule_after(delta, id);
+                model.schedule_at(model.last.0 + delta, id);
                 id += 1;
             }
-            let got = wheel.pop();
-            prop_assert_eq!(got, heap.pop());
-            prop_assert_eq!(wheel.now(), heap.now());
-            prop_assert_eq!(wheel.peek_time(), heap.peek_time());
+            // A past time clamps to now in both.
+            engine.schedule_at(delta / 2, id);
+            model.schedule_at(delta / 2, id);
+            id += 1;
+            prop_assert_eq!(engine.pop(), model.pop());
+            prop_assert_eq!(engine.now(), model.last.0);
+            prop_assert_eq!(engine.peek_time(), model.peek_time());
         }
-        while let Some(got) = wheel.pop() {
-            prop_assert_eq!(Some(got), heap.pop());
+        while let Some(got) = engine.pop() {
+            prop_assert_eq!(Some(got), model.pop());
         }
-        prop_assert_eq!(heap.pop(), None);
-        prop_assert_eq!(wheel.processed(), heap.processed());
-        prop_assert_eq!(wheel.max_pending(), heap.max_pending());
+        prop_assert_eq!(model.pop(), None);
+        prop_assert_eq!(engine.processed(), id as u64, "every filed event popped once");
     }
 
     /// Held-back events: any mix of plain `schedule_at`, sequence numbers
     /// reserved and filed later (after other events were scheduled and
     /// popped), and reservations never filed at all pops identically from
-    /// the wheel and the heap — and in the order of the sequence numbers,
+    /// the engine and the model — and in the order of the sequence numbers,
     /// not of the `schedule_at_seq` calls.
     #[test]
-    fn wheel_matches_heap_with_reserved_sequence_numbers(
-        ops in proptest::collection::vec((0u32..4, 0u32..3, 0u64..2_000, 1u64..4), 1..250),
+    fn engine_matches_model_with_reserved_sequence_numbers(
+        ops in proptest::collection::vec((0u32..4, 0u64..1 << 24, 1u64..4), 1..250),
     ) {
-        let mut wheel = Engine::new();
-        let mut heap = HeapEngine::new();
+        let mut engine = Engine::new();
+        let mut model = Model::default();
         // Reserved and not yet filed: `(delay at reservation, seq)`.
         let mut held: Vec<(u64, u64)> = Vec::new();
         let mut id = 0usize;
-        for &(op, scale, raw, n) in ops.iter() {
-            let delta = scaled_time(scale, raw);
+        for &(op, delta, n) in ops.iter() {
             match op {
                 0 => {
-                    wheel.schedule_in(delta, id);
-                    heap.schedule_in(delta, id);
+                    engine.schedule_after(delta, id);
+                    model.schedule_at(model.last.0 + delta, id);
                     id += 1;
                 }
                 1 => {
-                    let first = wheel.reserve_seqs(n);
-                    prop_assert_eq!(first, heap.reserve_seqs(n));
+                    let first = engine.reserve_seqs(n);
+                    prop_assert_eq!(first, model.reserve_seqs(n));
                     // The last of the block is never filed.
                     held.extend((first..first + n - 1).map(|seq| (delta, seq)));
                 }
@@ -220,83 +244,79 @@ proptest! {
                     // File the most recent reservation first: filing order
                     // must not matter.
                     if let Some((d, seq)) = held.pop() {
-                        let at = wheel.now() + d;
-                        wheel.schedule_at_seq(at, seq, id);
-                        heap.schedule_at_seq(at, seq, id);
+                        let at = engine.now() + d;
+                        engine.schedule_at_seq(at, seq, id);
+                        model.schedule_at_seq(at, seq, id);
                         id += 1;
                     }
                 }
                 _ => {
-                    let got = wheel.pop();
-                    prop_assert_eq!(got, heap.pop());
-                    prop_assert_eq!(wheel.popped_seq(), heap.popped_seq());
-                    prop_assert_eq!(wheel.peek_time(), heap.peek_time());
+                    prop_assert_eq!(engine.pop(), model.pop());
+                    prop_assert_eq!(engine.popped_seq(), model.last.1);
+                    prop_assert_eq!(engine.peek_time(), model.peek_time());
                 }
             }
         }
         let mut last = (0, 0);
-        while let Some((t, ev)) = wheel.pop() {
-            prop_assert_eq!(Some((t, ev)), heap.pop());
-            prop_assert_eq!(wheel.popped_seq(), heap.popped_seq());
-            prop_assert!((t, wheel.popped_seq()) > last || last == (0, 0), "(time, seq) order");
-            last = (t, wheel.popped_seq());
+        while let Some((t, ev)) = engine.pop() {
+            prop_assert_eq!(Some((t, ev)), model.pop());
+            prop_assert_eq!(engine.popped_seq(), model.last.1);
+            prop_assert!((t, engine.popped_seq()) > last || last == (0, 0), "(time, seq) order");
+            last = (t, engine.popped_seq());
         }
-        prop_assert_eq!(heap.pop(), None);
-        prop_assert_eq!(wheel.processed(), heap.processed());
-        prop_assert_eq!(wheel.max_pending(), heap.max_pending());
+        prop_assert_eq!(model.pop(), None);
+        prop_assert_eq!(engine.processed(), id as u64, "every filed event popped once");
     }
 
-    /// Draining the wheel window-by-window through `pop_before` yields
-    /// exactly the plain pop sequence, including when new events are
+    /// Draining the engine window-by-window through `pop_before` yields
+    /// exactly the model's pop sequence, including when new events are
     /// scheduled at the window boundary — the access pattern of the
     /// runtime's window loop.
     #[test]
-    fn windowed_pop_before_matches_heap(
-        times in proptest::collection::vec((0u32..4, 0u64..10_000), 1..300),
+    fn windowed_pop_before_matches_model(
+        times in proptest::collection::vec(0u64..1 << 24, 1..300),
         lookahead in 1u64..50_000,
         boundary_extra in 0u64..3,
     ) {
-        let mut wheel = Engine::new();
-        let mut heap = HeapEngine::new();
-        for (i, &(scale, raw)) in times.iter().enumerate() {
-            let t = scaled_time(scale, raw);
-            wheel.schedule_at(t, i);
-            heap.schedule_at(t, i);
+        let mut engine = Engine::new();
+        let mut model = Model::default();
+        for (i, &t) in times.iter().enumerate() {
+            engine.schedule_at(t, i);
+            model.schedule_at(t, i);
         }
         let mut id = times.len();
         let mut budget = 16u32; // bound the boundary-insert replenishment
         loop {
-            let t_min = wheel.peek_time();
-            prop_assert_eq!(t_min, heap.peek_time());
+            let t_min = engine.peek_time();
+            prop_assert_eq!(t_min, model.peek_time());
             let Some(t_min) = t_min else { break };
             let horizon = t_min.saturating_add(lookahead);
             loop {
-                let expect = if heap.peek_time().is_some_and(|t| t < horizon) {
-                    heap.pop()
+                let expect = if model.peek_time().is_some_and(|t| t < horizon) {
+                    model.pop()
                 } else {
                     None
                 };
-                let got = wheel.pop_before(horizon);
+                let got = engine.pop_before(horizon);
                 prop_assert_eq!(got, expect);
-                prop_assert_eq!(wheel.now(), heap.now());
+                prop_assert_eq!(engine.now(), model.last.0);
                 if got.is_none() {
                     break;
                 }
             }
             // Window-barrier inserts: doorbells filed at the barrier land at
-            // or after the horizon, possibly behind wheel cursors that
-            // peeked past it.
+            // or after the horizon.
             if budget > 0 {
                 budget -= 1;
                 for j in 0..boundary_extra {
                     let t = horizon.saturating_add(j * 977);
-                    wheel.schedule_at(t, id);
-                    heap.schedule_at(t, id);
+                    engine.schedule_at(t, id);
+                    model.schedule_at(t, id);
                     id += 1;
                 }
             }
         }
-        prop_assert_eq!(wheel.pending(), 0);
-        prop_assert_eq!(heap.pending(), 0);
+        prop_assert_eq!(engine.pending(), 0);
+        prop_assert_eq!(model.pending.len(), 0);
     }
 }

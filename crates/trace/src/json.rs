@@ -64,12 +64,18 @@ impl Json {
     }
 }
 
+/// Deepest nesting of objects and arrays [`parse`] accepts. The parser
+/// recurses once per level, so a deeper document is an error rather than a
+/// stack overflow; the exporters nest three levels.
+pub const MAX_DEPTH: usize = 128;
+
 /// Parse a complete JSON document. Trailing whitespace is allowed;
-/// trailing garbage is an error.
+/// trailing garbage is an error, and so is nesting past [`MAX_DEPTH`].
 pub fn parse(text: &str) -> Result<Json, String> {
     let mut p = Parser {
         bytes: text.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
@@ -83,6 +89,8 @@ pub fn parse(text: &str) -> Result<Json, String> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Objects and arrays open around `pos`.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -116,8 +124,7 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<Json, String> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{' | b'[') => self.nested(),
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
@@ -129,6 +136,21 @@ impl Parser<'_> {
                 self.pos
             )),
         }
+    }
+
+    /// An object or array one level deeper than the current position.
+    fn nested(&mut self) -> Result<Json, String> {
+        if self.depth == MAX_DEPTH {
+            return Err(format!("nesting deeper than {MAX_DEPTH} at byte {}", self.pos));
+        }
+        self.depth += 1;
+        let v = if self.peek() == Some(b'{') {
+            self.object()
+        } else {
+            self.array()
+        };
+        self.depth -= 1;
+        v
     }
 
     fn literal(&mut self, word: &str, v: Json) -> Result<Json, String> {
