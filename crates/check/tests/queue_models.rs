@@ -65,7 +65,7 @@ fn counter_push_pop_publication_safe() {
             });
             // FIFO: a concurrent popper sees a prefix of the group.
             assert!(
-                popped == [] || popped == [7] || popped == [7, 8],
+                popped.is_empty() || popped == [7] || popped == [7, 8],
                 "popped a non-prefix: {popped:?}"
             );
             let mut h = PopState::new();
@@ -151,7 +151,7 @@ fn cas_pop_reservation_relaxed_is_sound() {
                 q.pop_group(&mut h, 2, &mut popped);
             });
             assert!(
-                popped == [] || popped == [7] || popped == [7, 8],
+                popped.is_empty() || popped == [7] || popped == [7, 8],
                 "popped a non-prefix: {popped:?}"
             );
             let mut h = PopState::new();

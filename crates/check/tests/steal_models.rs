@@ -136,7 +136,7 @@ fn steal_pop_is_prefix_safe_under_publication() {
                 h.abandon();
             });
             assert!(
-                stolen == [] || stolen == [5] || stolen == [5, 6],
+                stolen.is_empty() || stolen == [5] || stolen == [5, 6],
                 "stole a non-prefix: {stolen:?}"
             );
         })

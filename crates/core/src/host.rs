@@ -148,10 +148,8 @@ impl IdleBackoff {
     /// One empty poll: wait according to the current tier, then escalate.
     /// The transitive panic through the atos-check shim (`yield_now` →
     /// `require`) only fires when a model-checked test drives the worker
-    /// outside a checker schedule — unreachable in production builds — and
-    /// the transitive `format!` is that shim's livelock report.
+    /// outside a checker schedule — unreachable in production builds.
     // atos-lint: allow(panic_in_kernel)
-    // atos-lint: allow(hot_path_alloc)
     #[inline]
     fn wait(&mut self) {
         if self.streak < IDLE_SPIN_ROUNDS {
@@ -218,8 +216,6 @@ fn worker<A: HostApplication>(ctx: &WorkerCtx<'_, A>, pe: usize, tasks_ctr: &Ato
     let mut recv_state = PopState::new();
     let mut local_state = PopState::new();
     let mut backoff = IdleBackoff::new();
-    // atos-lint: allow(hot_path_alloc) — one-time per-thread setup; the
-    // loop below never allocates.
     let mut batch: Vec<A::Task> = Vec::with_capacity(ctx.cfg.fetch);
     loop {
         batch.clear();

@@ -1,27 +1,50 @@
-//! Steady-state allocation accounting for the runtime's hot paths.
+//! Allocation accounting for every hot function: the one allocation guard.
 //!
 //! The dispatcher used to build a `BTreeMap<usize, Vec<Task>>` per flush
 //! and `to_vec()` every chunk it sent — at least two heap allocations per
 //! message. Now a destination's run leaves the emitter whole as a train,
 //! messages are 40-byte cars, and emptied buffers return through the
 //! train pool: the steady state sends and receives without touching the
-//! allocator. This test pins that down with a counting global allocator: a
-//! relay workload pushing tens of thousands of messages must stay within a
-//! small constant allocation budget (warm-up growth of queues, lanes, heap,
-//! and pool).
+//! allocator. This test pins that down with a counting global allocator.
+//!
+//! Every function that says it is hot (`#[atos_hot]` / `// atos-lint:
+//! hot`, read by `atos_lint::lints::hot_marker`) in the runtime's crates
+//! runs inside one of the counted windows below, and [`COVERED`] names
+//! which. A runtime window runs the same scenario at `n` and `2n` tasks and
+//! its counts may differ by at most [`GROWTH`] — warm-up growth of queues,
+//! lanes, heap and pool, about one allocation per doubling — so an
+//! allocation on any message, however rare, fails it. The queue, hint and
+//! engine windows own no growable storage and read exactly 0.
+//!
+//! One `#[test]`: the counter is process-global, so nothing else in this
+//! binary may allocate while a window is open. The coverage check parses
+//! source and runs first, before any window.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::path::Path;
 // atos-lint: allow(facade_bypass) — the counting allocator is a measurement
 // instrument; routing its counter through the facade would make the
 // instrument depend on the machinery it is measuring around.
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
+use atos_apps::pagerank::PrTask;
+use atos_apps::sssp::{KIND_FULL, KIND_HEAVY, KIND_LIGHT};
+use atos_apps::{BfsApp, CcApp, PageRankApp, SsspApp};
 use atos_core::{
-    Application, AtosConfig, CommMode, Emitter, Lookahead, NullTracer, Runtime, RuntimeTuning,
+    run_host, Application, AtosConfig, CommMode, Emitter, HostApplication, HostConfig, LoadBalance,
+    Lookahead, NullTracer, Runtime, RuntimeTuning,
 };
+use atos_graph::generators::{Preset, Scale};
+use atos_graph::partition::Partition;
 use atos_graph::prefetch::prefetch;
-use atos_sim::Fabric;
-use atos_sim::GpuCostModel;
+use atos_graph::weights::EdgeWeights;
+use atos_lint::{lints::hot_marker, Workspace};
+use atos_queue::broker::BrokerQueue;
+use atos_queue::cas::CasQueue;
+use atos_queue::counter::CounterQueue;
+use atos_queue::{ConcurrentQueue, PopState, QueueFull};
+use atos_sim::{Engine, Fabric, GpuCostModel};
 
 struct CountingAlloc;
 
@@ -54,8 +77,114 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
-fn alloc_calls() -> u64 {
-    ALLOC_CALLS.load(Ordering::Relaxed)
+/// Allocator calls made while `f` runs, and its result.
+fn counted<R>(f: impl FnOnce() -> R) -> (u64, R) {
+    let before = ALLOC_CALLS.load(Ordering::Relaxed);
+    let r = f();
+    (ALLOC_CALLS.load(Ordering::Relaxed) - before, r)
+}
+
+/// How far a window's count may move when its task count doubles. Warm-up
+/// grows by about one allocation per doubling (direct relay at 10 k / 20 k
+/// / 40 k hops: 30 / 31 / 32).
+const GROWTH: u64 = 4;
+
+/// Run `window` at `n` and `2n` tasks: the allocation counts may differ by
+/// at most [`GROWTH`].
+fn assert_no_growth(name: &str, n: u32, window: impl Fn(u32) -> u64) {
+    let (at_n, at_2n) = (window(n), window(2 * n));
+    assert!(
+        at_2n.abs_diff(at_n) <= GROWTH,
+        "{name}: {at_n} allocations at {n} tasks, {at_2n} at {}: the count grows with the work",
+        2 * n
+    );
+}
+
+/// Every hot-marked function in `crates/{core,sim,queue,graph,apps}/src`,
+/// as `file::fn` under `crates/`, with the window that runs it. A trait
+/// forwarder has its own row under its inherent method's name.
+const COVERED: &[(&str, &str)] = &[
+    ("core/src/runtime.rs::note_queue_depth", "every relay: depth accounting on every push/pop"),
+    ("core/src/runtime.rs::wake", "every relay: remote arrivals wake the idle peer PE"),
+    ("core/src/runtime.rs::step", "every relay: every scheduling step"),
+    ("core/src/runtime.rs::process_batch", "every relay: each batch; steal and busy-receiver relays: batches long enough to hint"),
+    ("core/src/runtime.rs::absorb_local", "every relay: emitter drain after each step"),
+    ("core/src/runtime.rs::run_window", "every relay: every execution window drains through it"),
+    ("core/src/comm.rs::dispatch_remote", "every relay: every hop is a remote push"),
+    ("core/src/comm.rs::flush_bundle", "aggregated relay: age trigger flushes each bundle; drip: one car over many steps' runs"),
+    ("core/src/comm.rs::depart", "every relay: each destination's run leaves the emitter as a train"),
+    ("core/src/comm.rs::route", "every relay: fabric routing for every message"),
+    ("core/src/comm.rs::egress", "every relay: the egress half of every routed message"),
+    ("core/src/comm.rs::take", "every relay: a pooled buffer replaces each departing run"),
+    ("core/src/comm.rs::give", "every relay: a train's buffer comes home when the car over its last task is delivered"),
+    ("core/src/comm.rs::merge_records", "every relay: staged cars resolved at every window boundary"),
+    ("core/src/comm.rs::file", "every relay: every resolved car pushed onto its lane"),
+    ("core/src/comm.rs::arrive", "every relay: a doorbell per arrival at the idle peer PE"),
+    ("core/src/comm.rs::settle", "every relay event; busy receiver: steps settle their lanes"),
+    ("core/src/comm.rs::deliver", "under every settle and every doorbell"),
+    ("core/src/comm.rs::drain_before", "every relay: lane cars delivered in key order; drip: a car handed over train by train"),
+    ("core/src/comm.rs::ring_doorbell", "every relay: each barrier, doorbell and step that leaves a PE idle"),
+    ("core/src/comm.rs::ring_next", "lockstep relay: every hop's lane car becomes a doorbell event"),
+    ("core/src/comm.rs::schedule_agg_poll", "aggregated relay: poll armed per open bundle"),
+    ("core/src/comm.rs::agg_poll", "aggregated relay: age-trigger poll per bundle"),
+    ("core/src/aggregator.rs::note", "aggregated relay and drip: every run counted into its pair's bundle"),
+    ("core/src/aggregator.rs::close", "aggregated relay and drip: every flush closes the record"),
+    ("core/src/loadbalance.rs::try_steal", "every relay: consulted on every empty pop"),
+    ("core/src/loadbalance.rs::pick_victim", "steal relay: victim scan (settling each peer) on every empty pop"),
+    ("core/src/loadbalance.rs::steal_from", "steal relay: group steal from the skewed PE"),
+    ("core/src/loadbalance.rs::wake_idle_peers", "steal relay: backlogged steps wake the idle peer"),
+    ("core/src/host.rs::worker", "host relay: every worker thread of `run_host`"),
+    ("sim/src/engine.rs::schedule_at", "engine churn + every relay event"),
+    ("sim/src/engine.rs::schedule_at_seq", "under every schedule_at; doorbells filed under reserved keys"),
+    ("sim/src/engine.rs::pop", "engine churn + every relay's event loop"),
+    ("sim/src/engine.rs::pop_before", "every relay: every window pop is horizon-bounded"),
+    ("queue/src/counter.rs::push_group", "counter queue churn: `ConcurrentQueue::push_group` and `push`"),
+    ("queue/src/counter.rs::push_group", "counter queue churn: the `ConcurrentQueue` forwarder"),
+    ("queue/src/counter.rs::push", "counter queue churn: one single-item push per round"),
+    ("queue/src/counter.rs::pop_group", "counter queue churn: `ConcurrentQueue::pop_group`"),
+    ("queue/src/counter.rs::pop_group", "counter queue churn: the `ConcurrentQueue` forwarder"),
+    ("queue/src/counter.rs::drain_claim", "counter queue churn: under every pop_group"),
+    ("queue/src/cas.rs::push_group", "CAS queue churn: `ConcurrentQueue::push_group` and `push`"),
+    ("queue/src/cas.rs::push_group", "CAS queue churn: the `ConcurrentQueue` forwarder"),
+    ("queue/src/cas.rs::push", "CAS queue churn: one single-item push per round"),
+    ("queue/src/cas.rs::pop_group", "CAS queue churn: `ConcurrentQueue::pop_group`"),
+    ("queue/src/cas.rs::pop_group", "CAS queue churn: the `ConcurrentQueue` forwarder"),
+    ("queue/src/broker.rs::push", "broker queue churn: every push, single and grouped"),
+    ("queue/src/broker.rs::pop", "broker queue churn: every pop of `pop_group`"),
+    ("graph/src/prefetch.rs::prefetch", "every app's hint and the relays' `Relay::prefetch`"),
+    ("graph/src/prefetch.rs::prefetch_row", "hints: under the Csr, OwnerGrouped, LightEdges and EdgeWeights rows"),
+    ("graph/src/csr.rs::prefetch", "hints: BFS, CC and SSSP's full and heavy tasks"),
+    ("graph/src/grouped.rs::prefetch", "hints: PageRank's relaxations"),
+    ("graph/src/light.rs::prefetch", "hints: split SSSP's light tasks"),
+    ("graph/src/weights.rs::prefetch", "hints: SSSP's full and heavy tasks"),
+    ("apps/src/bfs.rs::prefetch", "hints: BfsApp over a batch, Far and Near"),
+    ("apps/src/cc.rs::prefetch", "hints: CcApp over a batch, Far and Near"),
+    ("apps/src/pagerank.rs::prefetch", "hints: PageRankApp over relaxations and contributions"),
+    ("apps/src/sssp.rs::prefetch", "hints: split SsspApp over light, heavy and full tasks"),
+];
+
+/// [`COVERED`] names exactly the functions `hot_marker` marks.
+fn assert_every_hot_fn_is_mapped() {
+    let crates = Path::new(env!("CARGO_MANIFEST_DIR")).join("..");
+    let mut marked = Vec::new();
+    for krate in ["core", "sim", "queue", "graph", "apps"] {
+        let ws = Workspace::discover(&crates.join(krate).join("src")).expect("read sources");
+        for file in ws.files.iter().filter(|file| !file.skip) {
+            for f in &file.parsed.fns {
+                if hot_marker(file, f).is_some() {
+                    marked.push(format!("{krate}/src/{}::{}", file.path, f.name));
+                }
+            }
+        }
+    }
+    let mut mapped: Vec<String> = COVERED.iter().map(|(key, _)| key.to_string()).collect();
+    marked.sort();
+    mapped.sort();
+    assert_eq!(
+        marked, mapped,
+        "every hot-marked function must run in a counted window of this file, \
+         and `COVERED` must say which"
+    );
 }
 
 /// A task forwards itself to the next PE until its hop count runs out:
@@ -125,110 +254,238 @@ impl Application for Drip {
     }
 }
 
-/// Both scenarios live in one test so the process-global counter is never
-/// polluted by a concurrently running sibling test.
-#[test]
-fn steady_state_send_paths_do_not_allocate_per_task() {
-    // Direct (fine-grained) mode: 20k hops = 20k messages. The old
-    // dispatcher allocated a BTreeMap node plus a payload vector per
-    // message (>= 40k allocations); the pooled path needs only warm-up.
-    const HOPS: u32 = 20_000;
-    let mut rt = Runtime::new(
-        Relay::new(2),
-        Fabric::daisy(2),
-        AtosConfig {
-            comm: CommMode::Direct { group: 32 },
-            ..AtosConfig::standard_persistent()
-        },
-    );
-    rt.seed(0, [HOPS]);
-    let before = alloc_calls();
-    let stats = rt.run();
-    let during = alloc_calls() - before;
-    assert_eq!(stats.total_tasks(), HOPS as u64 + 1);
-    assert_eq!(stats.messages, HOPS as u64);
-    assert!(
-        during < 2_000,
-        "direct mode: {during} allocations for {HOPS} messages (expected warm-up only)"
-    );
+/// The [`Relay`] on the host backend's worker threads.
+struct HostRelay;
 
-    // Aggregated mode: every hop opens a bundle that the age trigger
-    // flushes, so the aggregator flush path (bundle hand-off + payload
-    // recycle) runs once per message.
-    const AGG_HOPS: u32 = 5_000;
-    let mut rt = Runtime::new(
-        Relay::new(2),
-        Fabric::ib_cluster(2),
-        AtosConfig::ib_pagerank(),
-    );
-    rt.seed(0, [AGG_HOPS]);
-    let before = alloc_calls();
-    let stats = rt.run();
-    let during = alloc_calls() - before;
-    assert_eq!(stats.total_tasks(), AGG_HOPS as u64 + 1);
+impl HostApplication for HostRelay {
+    type Task = u32;
+
+    fn process(&self, pe: usize, task: u32, push: &mut dyn FnMut(usize, u32)) {
+        if task > 0 {
+            push(1 - pe, task - 1);
+        }
+    }
+}
+
+fn direct() -> AtosConfig {
+    AtosConfig {
+        comm: CommMode::Direct { group: 32 },
+        ..AtosConfig::standard_persistent()
+    }
+}
+
+/// Direct (fine-grained) mode: one message per hop. The old dispatcher
+/// allocated a BTreeMap node plus a payload vector per message.
+fn direct_relay(hops: u32) -> u64 {
+    let mut rt = Runtime::new(Relay::new(2), Fabric::daisy(2), direct());
+    rt.seed(0, [hops]);
+    let (during, stats) = counted(|| rt.run());
+    assert_eq!(stats.total_tasks(), hops as u64 + 1);
+    assert_eq!(stats.messages, hops as u64);
+    during
+}
+
+/// Aggregated mode: every hop opens a bundle that the age trigger flushes,
+/// so the aggregator flush path (bundle hand-off + payload recycle) runs
+/// once per message.
+fn aggregated_relay(hops: u32) -> u64 {
+    let mut rt = Runtime::new(Relay::new(2), Fabric::ib_cluster(2), AtosConfig::ib_pagerank());
+    rt.seed(0, [hops]);
+    let (during, stats) = counted(|| rt.run());
+    assert_eq!(stats.total_tasks(), hops as u64 + 1);
     assert_eq!(stats.agg_flushes, stats.messages);
-    assert_eq!(stats.agg_flushed_tasks, AGG_HOPS as u64);
-    assert!(stats.agg_flushes > 0);
-    assert!(
-        during < 2_000,
-        "aggregated mode: {during} allocations for {} bundles (expected warm-up only)",
-        stats.agg_flushes
-    );
+    assert_eq!(stats.agg_flushed_tasks, hops as u64);
+    during
+}
 
-    // A bundle that spans steps: each of PE 0's steps leaves a one-task run
-    // that departs as a train at once and waits in PE 1's lane — dozens
-    // deep — until the age trigger cuts one car over all of them. Runs,
-    // lane slots and the car's pieces all come out of recycled storage.
-    const DRIPS: u32 = 20_000;
+/// A bundle that spans steps: each of PE 0's steps leaves a one-task run
+/// that departs as a train at once and waits in PE 1's lane — dozens deep —
+/// until the age trigger cuts one car over all of them. Runs, lane slots
+/// and the car's pieces all come out of recycled storage.
+fn drip(drips: u32) -> u64 {
     let mut rt = Runtime::new(Drip, Fabric::ib_cluster(2), AtosConfig::ib_pagerank());
-    rt.seed(0, [DRIPS - 1]);
-    let before = alloc_calls();
-    let stats = rt.run();
-    let during = alloc_calls() - before;
-    assert_eq!(stats.agg_flushed_tasks, DRIPS as u64);
+    rt.seed(0, [drips - 1]);
+    let (during, stats) = counted(|| rt.run());
+    assert_eq!(stats.agg_flushed_tasks, drips as u64);
     assert!(
-        stats.agg_flushes > 100 && stats.agg_flushes * 10 < DRIPS as u64,
-        "{} bundles for {DRIPS} one-task steps (each must span many)",
+        stats.agg_flushes > 100 && stats.agg_flushes * 10 < drips as u64,
+        "{} bundles for {drips} one-task steps (each must span many)",
         stats.agg_flushes
     );
-    assert!(
-        during < 2_000,
-        "multi-step bundles: {during} allocations for {DRIPS} trains under {} cars \
-         (expected warm-up only)",
-        stats.agg_flushes
-    );
+    during
+}
 
-    // Tracing disabled (`NullTracer`, spelled out explicitly): the
-    // instrumentation hooks in step/route/arrive/flush must compile down
-    // to nothing — same warm-up-only budget as the untraced baseline.
+/// Tracing disabled (`NullTracer`, spelled out explicitly): the
+/// instrumentation hooks in step/route/arrive/flush compile down to nothing.
+fn null_tracer_relay(hops: u32) -> u64 {
     let mut rt = Runtime::with_tracer(
         Relay::new(2),
         Fabric::daisy(2),
-        AtosConfig {
-            comm: CommMode::Direct { group: 32 },
-            ..AtosConfig::standard_persistent()
-        },
+        direct(),
         GpuCostModel::v100(),
         RuntimeTuning::default(),
         NullTracer,
     );
-    rt.seed(0, [HOPS]);
-    let before = alloc_calls();
-    let stats = rt.run();
-    let during = alloc_calls() - before;
-    assert_eq!(stats.messages, HOPS as u64);
-    assert!(
-        during < 2_000,
-        "NullTracer: {during} allocations for {HOPS} messages (disabled tracing must not allocate)"
-    );
+    rt.seed(0, [hops]);
+    let (during, stats) = counted(|| rt.run());
+    assert_eq!(stats.messages, hops as u64);
+    during
+}
 
-    // Steady-state engine churn: after warm-up, the heap's schedule→pop
-    // cycle reuses its storage — zero allocations, exactly (not a budget).
-    let mut e: atos_sim::Engine<u64> = atos_sim::Engine::new();
+/// Work stealing: a skewed seed (every task on PE 0) forces PE 1 through
+/// the full steal path — idle-peer wake, victim scan, group steal — a few
+/// hundred times. It reuses the step's pop scratch and never builds
+/// candidate lists.
+fn steal_relay(tasks: u32) -> u64 {
+    let mut rt = Runtime::new(
+        Relay::new(2),
+        Fabric::daisy(2),
+        direct().with_lb(LoadBalance::Steal),
+    );
+    rt.seed(0, std::iter::repeat_n(0u32, tasks as usize));
+    let (during, stats) = counted(|| rt.run());
+    assert_eq!(stats.total_tasks(), tasks as u64);
+    assert!(stats.lb_steals > 0, "skewed seed must trigger steals");
+    assert_eq!(stats.lb_stolen_tasks, stats.lb_stolen_edges, "unit-degree tasks");
+    during
+}
+
+/// Busy receiver: every task on PE 0 sends one task to PE 1, which
+/// consumes faster than PE 0 produces. PE 1 usually has a step coming when
+/// a barrier resolves its arrivals, so they wait in its receive lanes and
+/// that step settles them: fewer arrival events than messages is the proof
+/// the lane path ran.
+fn busy_receiver(tasks: u32) -> u64 {
+    let mut rt = Runtime::new(Relay::new(2), Fabric::daisy(2), direct());
+    rt.seed(0, std::iter::repeat_n(1u32, tasks as usize));
+    let (during, stats) = counted(|| rt.run());
+    assert_eq!(stats.remote_tasks, tasks as u64);
+    assert!(
+        stats.ev_arrivals > 0 && stats.ev_arrivals < stats.messages,
+        "busy receiver: {} arrival events for {} messages (lanes must carry some, doorbells some)",
+        stats.ev_arrivals,
+        stats.messages
+    );
+    during
+}
+
+/// Lane car → doorbell conversion: two tokens in lockstep under
+/// kernel-boundary communication. Both PEs step at once and send when
+/// their kernel ends, so the barrier files each car while its receiver
+/// still has its follow-up step scheduled — into the lanes — and that step,
+/// at kernel end, finds nothing yet and goes idle: every hop's car is
+/// converted to a doorbell event by `ring_next`.
+fn lockstep_relay(hops: u32) -> u64 {
+    let mut rt = Runtime::with_tuning(
+        Relay::new(2),
+        Fabric::daisy(2),
+        AtosConfig::standard_discrete(),
+        GpuCostModel::v100(),
+        RuntimeTuning {
+            in_kernel_comm: false,
+            ..RuntimeTuning::default()
+        },
+    );
+    rt.seed(0, [hops / 2]);
+    rt.seed(1, [hops / 2]);
+    let (during, stats) = counted(|| rt.run());
+    assert_eq!(stats.messages, hops as u64);
+    assert_eq!(stats.ev_arrivals, stats.messages, "every car rang its own doorbell");
+    during
+}
+
+/// The host backend end to end: `run_host` spawns one worker per PE, and a
+/// token crosses between them `hops` times. The arenas, threads and stats
+/// are a fixed cost; the worker loop adds nothing per task.
+fn host_relay(hops: u32) -> u64 {
+    let cfg = HostConfig {
+        n_pes: 2,
+        workers_per_pe: 1,
+        fetch: 32,
+        queue_capacity: hops as usize + 1,
+    };
+    let seeds = vec![vec![hops], vec![]];
+    let (during, stats) = counted(|| run_host(&HostRelay, cfg, seeds));
+    assert_eq!(stats.tasks_per_pe.iter().sum::<u64>(), hops as u64 + 1);
+    assert_eq!(stats.remote_pushes, hops as u64);
+    during
+}
+
+/// Push/pop churn on one queue family, through [`ConcurrentQueue`] and the
+/// single-item `push`, into an `out` reserved before the window: the arena
+/// is the only storage, and it exists before the window opens.
+fn queue_churn<Q: ConcurrentQueue<u32>>(
+    make: impl Fn(usize) -> Q,
+    push: impl Fn(&Q, u32) -> Result<(), QueueFull>,
+) -> u64 {
+    const ROUNDS: u32 = 2_000;
+    let q = make(4 * ROUNDS as usize);
+    let mut state = PopState::new();
+    let mut out = Vec::with_capacity(8);
+    let (during, popped) = counted(|| {
+        let mut popped = 0;
+        for r in 0..ROUNDS {
+            let pushed = q.push_group(&[r, r, r]).and_then(|()| push(&q, r));
+            assert!(pushed.is_ok(), "the arena holds every push");
+            out.clear();
+            popped += q.pop_group(&mut state, 8, &mut out);
+        }
+        popped
+    });
+    assert_eq!(popped, 4 * ROUNDS as usize);
+    during
+}
+
+/// One application's hint over a batch, `Far` then `Near` per task.
+fn hint_batch<A: Application>(app: &A, batch: &[A::Task]) -> u64 {
+    counted(|| {
+        for task in batch {
+            app.prefetch(task, Lookahead::Far);
+            app.prefetch(task, Lookahead::Near);
+        }
+    })
+    .0
+}
+
+/// Every real application's `prefetch` over every vertex of a tiny graph,
+/// through every arm of its hint.
+fn app_hints() -> u64 {
+    let mesh_preset = Preset::by_name("road_usa_s").unwrap();
+    let mesh = Arc::new(mesh_preset.build(Scale::Tiny));
+    let mesh_part = Arc::new(Partition::block(mesh.n_vertices(), 4));
+    let social = Arc::new(Preset::by_name("soc-LiveJournal1_s").unwrap().build(Scale::Tiny));
+    let social_part = Arc::new(Partition::random(social.n_vertices(), 4, 3));
+    let weights = Arc::new(EdgeWeights::random(&social, 64, 5));
+    let mesh_vs: Vec<u32> = (0..mesh.n_vertices() as u32).collect();
+    let social_vs: Vec<u32> = (0..social.n_vertices() as u32).collect();
+
+    let bfs = BfsApp::new(mesh.clone(), mesh_part.clone(), mesh_preset.bfs_source(&mesh));
+    let cc = CcApp::new(mesh.clone(), mesh_part);
+    let pr = PageRankApp::new(social.clone(), social_part.clone(), 0.85, 1e-6);
+    let sssp = SsspApp::new_split(social, weights, social_part, 0, 8);
+    let pair: Vec<(u32, u32)> = mesh_vs.iter().map(|&v| (v, 0)).collect();
+    let relax: Vec<PrTask> = social_vs.iter().map(|&v| PrTask::Relax(v)).collect();
+    let contrib: Vec<PrTask> = social_vs.iter().map(|&v| PrTask::contrib(v, 0.5)).collect();
+    let sssp_tasks: Vec<(u32, u64, u8)> = [KIND_LIGHT, KIND_HEAVY, KIND_FULL]
+        .into_iter()
+        .flat_map(|kind| social_vs.iter().map(move |&v| (v, 0, kind)))
+        .collect();
+
+    hint_batch(&bfs, &pair)
+        + hint_batch(&cc, &pair)
+        + hint_batch(&pr, &relax)
+        + hint_batch(&pr, &contrib)
+        + hint_batch(&sssp, &sssp_tasks)
+}
+
+/// Steady-state engine churn: after warm-up, the heap's schedule→pop cycle
+/// reuses its storage.
+fn engine_churn() -> u64 {
+    let mut e: Engine<u64> = Engine::new();
     for i in 0..512u64 {
         e.schedule_at(i * 173 % 50_000, i);
     }
-    let churn = |e: &mut atos_sim::Engine<u64>, rounds: u64| {
+    let churn = |e: &mut Engine<u64>, rounds: u64| {
         for _ in 0..rounds {
             let (t, v) = e.pop().unwrap();
             let delta = if v % 3 == 0 {
@@ -240,205 +497,38 @@ fn steady_state_send_paths_do_not_allocate_per_task() {
         }
     };
     churn(&mut e, 20_000);
-    let before = alloc_calls();
-    churn(&mut e, 50_000);
-    let during = alloc_calls() - before;
+    let (during, ()) = counted(|| churn(&mut e, 50_000));
     assert_eq!(e.pending(), 512);
+    during
+}
+
+#[test]
+fn every_hot_fn_runs_in_a_window_that_does_not_grow() {
+    assert_every_hot_fn_is_mapped();
+
+    // The exact-zero windows first: a defect in code the runtime windows
+    // also run (a queue pop under `run_host`) fails where it lives.
+    let queues = [
+        ("counter queue", queue_churn(CounterQueue::with_capacity, CounterQueue::push)),
+        ("CAS queue", queue_churn(CasQueue::with_capacity, CasQueue::push)),
+        ("broker queue", queue_churn(BrokerQueue::with_capacity, BrokerQueue::push)),
+    ];
+    for (name, during) in queues {
+        assert_eq!(during, 0, "{name}: push/pop churn must not allocate");
+    }
+    assert_eq!(app_hints(), 0, "a `prefetch` hint must not allocate");
     assert_eq!(
-        during, 0,
+        engine_churn(),
+        0,
         "steady-state engine churn must not allocate (schedule→pop reuses the heap)"
     );
 
-    // Work stealing: a skewed seed (every task on PE 0) forces PE 1
-    // through the full steal path — idle-peer wake, victim scan, group
-    // steal — a few hundred times. The steal machinery reuses the step's
-    // pop scratch and never builds candidate lists, so the budget stays
-    // warm-up-only.
-    use atos_core::LoadBalance;
-    const SKEW_TASKS: usize = 20_000;
-    let mut rt = Runtime::new(
-        Relay::new(2),
-        Fabric::daisy(2),
-        AtosConfig {
-            comm: CommMode::Direct { group: 32 },
-            ..AtosConfig::standard_persistent()
-        }
-        .with_lb(LoadBalance::Steal),
-    );
-    rt.seed(0, std::iter::repeat_n(0u32, SKEW_TASKS));
-    let before = alloc_calls();
-    let stats = rt.run();
-    let during = alloc_calls() - before;
-    assert_eq!(stats.total_tasks(), SKEW_TASKS as u64);
-    assert!(stats.lb_steals > 0, "skewed seed must trigger steals");
-    assert_eq!(stats.lb_stolen_tasks, stats.lb_stolen_edges, "unit-degree tasks");
-    assert!(
-        during < 2_000,
-        "steal mode: {during} allocations across {} steals (expected warm-up only)",
-        stats.lb_steals
-    );
-
-    // Busy receiver: every task on PE 0 sends one task to PE 1, which
-    // consumes faster than PE 0 produces. PE 1 usually has a step coming
-    // when a barrier resolves its arrivals, so they wait in its receive
-    // lanes and that step settles them: fewer arrival events than messages
-    // is the proof the lane path ran, and it must not allocate.
-    const FAN_TASKS: usize = 20_000;
-    let mut rt = Runtime::new(
-        Relay::new(2),
-        Fabric::daisy(2),
-        AtosConfig {
-            comm: CommMode::Direct { group: 32 },
-            ..AtosConfig::standard_persistent()
-        },
-    );
-    rt.seed(0, std::iter::repeat_n(1u32, FAN_TASKS));
-    let before = alloc_calls();
-    let stats = rt.run();
-    let during = alloc_calls() - before;
-    assert_eq!(stats.remote_tasks, FAN_TASKS as u64);
-    assert!(
-        stats.ev_arrivals > 0 && stats.ev_arrivals < stats.messages,
-        "busy receiver: {} arrival events for {} messages (lanes must carry some, doorbells some)",
-        stats.ev_arrivals,
-        stats.messages
-    );
-    assert!(
-        during < 2_000,
-        "busy receiver: {during} allocations for {} messages (expected warm-up only)",
-        stats.messages
-    );
-
-    // Lane car → doorbell conversion: two tokens in lockstep under
-    // kernel-boundary communication. Both PEs step at once and send when
-    // their kernel ends, so the barrier files each car while its receiver
-    // still has its follow-up step scheduled — into the lanes — and that
-    // step, at kernel end, finds nothing yet and goes idle: every hop's car
-    // is converted to a doorbell event by `ring_next`.
-    let mut rt = Runtime::with_tuning(
-        Relay::new(2),
-        Fabric::daisy(2),
-        AtosConfig::standard_discrete(),
-        GpuCostModel::v100(),
-        RuntimeTuning {
-            in_kernel_comm: false,
-            ..RuntimeTuning::default()
-        },
-    );
-    rt.seed(0, [HOPS / 2]);
-    rt.seed(1, [HOPS / 2]);
-    let before = alloc_calls();
-    let stats = rt.run();
-    let during = alloc_calls() - before;
-    assert_eq!(stats.messages, HOPS as u64);
-    assert_eq!(stats.ev_arrivals, stats.messages, "every car rang its own doorbell");
-    assert!(
-        during < 2_000,
-        "lockstep relay: {during} allocations for {HOPS} converted arrivals (expected warm-up only)"
-    );
-}
-
-/// Extract the names of `#[atos_hot]`-annotated functions from a source
-/// file (same shape the `atos-lint` hot-path rule keys on).
-fn hot_fns(src: &str) -> Vec<String> {
-    let mut hot: Vec<String> = Vec::new();
-    let mut pending_hot = false;
-    for line in src.lines() {
-        let t = line.trim();
-        if t == "#[atos_hot]" || t == "#[atos_hot(no_index)]" {
-            pending_hot = true;
-            continue;
-        }
-        if t.starts_with("#[") || t.starts_with("//") {
-            continue;
-        }
-        if pending_hot {
-            let rest = t
-                .strip_prefix("pub(crate) ")
-                .or_else(|| t.strip_prefix("pub "))
-                .unwrap_or(t);
-            if let Some(name) = rest.strip_prefix("fn ") {
-                hot.push(name.split(['(', '<']).next().unwrap().to_string());
-            }
-            pending_hot = false;
-        }
-    }
-    hot.sort();
-    hot
-}
-
-/// Every `#[atos_hot]` function in the runtime (step loop, steal policy,
-/// communication) and the engine must be exercised by one of the counted
-/// scenarios in this file, so the allocation budget actually covers the
-/// whole annotated hot path
-/// (`atos-lint` checks the annotated functions statically; this test keeps
-/// the dynamic guard aligned). Annotating a new function fails this test
-/// until a counted scenario exercises it and the maps below record which.
-#[test]
-fn every_hot_runtime_fn_is_covered_by_a_counted_scenario() {
-    const COVERED: &[(&str, &str)] = &[
-        ("note_queue_depth", "both relays: depth accounting on every push/pop"),
-        ("wake", "both relays: remote arrivals wake the idle peer PE"),
-        ("step", "both relays: every scheduling step"),
-        ("process_batch", "every relay: each batch; steal and busy-receiver relays: batches long enough to hint"),
-        ("absorb_local", "both relays: emitter drain after each step"),
-        ("dispatch_remote", "both relays: every hop is a remote push"),
-        ("note", "aggregated relay and drip: every run counted into its pair's bundle"),
-        ("close", "aggregated relay and drip: every flush closes the record"),
-        ("flush_bundle", "aggregated relay: age trigger flushes each bundle; drip: one car over many steps' runs"),
-        ("depart", "every relay: each destination's run leaves the emitter as a train"),
-        ("route", "both relays: fabric routing for every message"),
-        ("egress", "both relays: the egress half of every routed message"),
-        ("take", "every relay: a pooled buffer replaces each departing run"),
-        ("give", "every relay: a train's buffer comes home when the car over its last task is delivered"),
-        ("merge_records", "all relays: staged cars resolved at every window boundary"),
-        ("file", "all relays: every resolved car pushed onto its lane"),
-        ("arrive", "both relays: a doorbell per arrival at the idle peer PE"),
-        ("settle", "every relay event; busy receiver: steps settle their lanes"),
-        ("deliver", "under every settle and every doorbell"),
-        ("drain_before", "every relay: lane cars delivered in key order; drip: a car handed over train by train"),
-        ("ring_doorbell", "every relay: each barrier, doorbell and step that leaves a PE idle"),
-        ("ring_next", "lockstep relay: every hop's lane car becomes a doorbell event"),
-        ("schedule_agg_poll", "aggregated relay: poll armed per open bundle"),
-        ("agg_poll", "aggregated relay: age-trigger poll per bundle"),
-        ("run_window", "all relays: every execution window drains through it"),
-        ("try_steal", "every relay: consulted on every empty pop"),
-        ("pick_victim", "steal relay: victim scan (settling each peer) on every empty pop"),
-        ("steal_from", "steal relay: group steal from the skewed PE"),
-        ("wake_idle_peers", "steal relay: backlogged steps wake the idle peer"),
-    ];
-    const COVERED_ENGINE: &[(&str, &str)] = &[
-        ("schedule_at", "engine churn scenario + every relay event"),
-        ("schedule_at_seq", "under every schedule_at; doorbells filed under reserved keys"),
-        ("pop", "engine churn scenario + both relays' event loops"),
-        ("pop_before", "all relays: every window pop is horizon-bounded"),
-    ];
-
-    let manifest = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
-    // The scheduler's hot path spans four files: the step loop, the steal
-    // policy it calls on an empty pop, the communication path, and the
-    // aggregator's bundle record that path keeps per destination.
-    let runtime_src = ["src/runtime.rs", "src/loadbalance.rs", "src/comm.rs", "src/aggregator.rs"]
-        .map(|f| std::fs::read_to_string(manifest.join(f)).expect(f))
-        .concat();
-    let engine_src = std::fs::read_to_string(manifest.join("../sim/src/engine.rs"))
-        .expect("read engine.rs");
-
-    let mut covered: Vec<&str> = COVERED.iter().map(|(n, _)| *n).collect();
-    covered.sort();
-    assert_eq!(
-        hot_fns(&runtime_src),
-        covered,
-        "the #[atos_hot] set in runtime.rs + loadbalance.rs + comm.rs + \
-         aggregator.rs and the counted-scenario map in this test must stay in sync"
-    );
-
-    let mut covered_engine: Vec<&str> = COVERED_ENGINE.iter().map(|(n, _)| *n).collect();
-    covered_engine.sort();
-    assert_eq!(
-        hot_fns(&engine_src),
-        covered_engine,
-        "the #[atos_hot] set in engine.rs and the counted-scenario map in \
-         this test must stay in sync"
-    );
+    assert_no_growth("direct relay", 20_000, direct_relay);
+    assert_no_growth("aggregated relay", 5_000, aggregated_relay);
+    assert_no_growth("multi-step bundles", 20_000, drip);
+    assert_no_growth("NullTracer relay", 20_000, null_tracer_relay);
+    assert_no_growth("steal relay", 20_000, steal_relay);
+    assert_no_growth("busy receiver", 20_000, busy_receiver);
+    assert_no_growth("lockstep relay", 20_000, lockstep_relay);
+    assert_no_growth("host relay", 10_000, host_relay);
 }

@@ -18,11 +18,6 @@ pub struct Config {
     /// `std::cell::UnsafeCell` directly (the facade itself, the model
     /// checker that shadows it, and the vendored dependency shims).
     pub facade_allowed: &'static [&'static str],
-    /// Path fragments of files excluded from the ordering-dataflow rules
-    /// (`relaxed-publish`, `unreleased-write`, `acquire-pairing`). The
-    /// model-checker crate deliberately constructs broken protocols as
-    /// negative self-tests.
-    pub ordering_exempt: &'static [&'static str],
     /// Path fragments of files covered by `sim-determinism`: every crate
     /// that produces trace events or virtual time.
     pub sim_paths: &'static [&'static str],
@@ -50,11 +45,6 @@ impl Config {
                 // The standalone benchmark package: a measurement harness
                 // outside the workspace, never built under `atos_check`.
                 "benchmark/",
-            ],
-            ordering_exempt: &[
-                // atos-check models *broken* protocols on purpose
-                // (negative self-tests for the race detector).
-                "crates/check/",
             ],
             sim_paths: &[
                 "crates/sim/src/",
@@ -85,7 +75,6 @@ impl Config {
     pub fn fixture() -> Config {
         Config {
             facade_allowed: &[],
-            ordering_exempt: &[],
             sim_paths: &["sim_determinism.rs"],
             sim_forbidden: Config::project().sim_forbidden,
             shard_paths: &["shard_escape.rs"],
@@ -95,11 +84,6 @@ impl Config {
     /// Is `path` allowed to bypass the atomics facade?
     pub fn is_facade_allowed(&self, path: &str) -> bool {
         self.facade_allowed.iter().any(|p| path.contains(p))
-    }
-
-    /// Is `path` exempt from the ordering-dataflow rules?
-    pub fn is_ordering_exempt(&self, path: &str) -> bool {
-        self.ordering_exempt.iter().any(|p| path.contains(p))
     }
 
     /// Is `path` inside the deterministic-simulation scope?

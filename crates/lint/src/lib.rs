@@ -12,29 +12,22 @@
 //! 1. `facade-bypass` — raw `std::sync::atomic` / `std::cell::UnsafeCell`
 //!    outside the `atos_queue::sync` facade (which is what lets
 //!    `--cfg atos_check` interpose the checker's shadow types).
-//! 2. `relaxed-publish` — relaxed atomic write publishing a pending cell
-//!    write.
-//! 3. `unreleased-write` — cell write with no release edge at all.
-//! 4. `acquire-pairing` — relaxed load of a publish counter followed by a
-//!    cell read with no acquire in between.
-//! 5. `hot-path-alloc` — allocation in hot functions and, transitively,
-//!    in anything they reach through the workspace call graph
-//!    ([`callgraph`] + fixed-point effect summaries in [`summaries`]). A
-//!    function is hot because it says so: `#[atos_hot]`, or the comment
-//!    `// atos-lint: hot` on the line above the `fn` in the crates that
-//!    stay dependency-free (`atos-queue`, `atos-graph`).
-//! 6. `panic-in-kernel` — `unwrap`/`expect`/`panic!`-family in the same
-//!    hot functions, again propagated transitively so an outlined
-//!    `#[cold]` abort helper is attributed to its callers; with the
-//!    marker's one argument (`#[atos_hot(no_index)]` /
+//! 2. `panic-in-kernel` — `unwrap`/`expect`/`panic!`-family in hot
+//!    functions and, transitively, in anything they reach through the
+//!    workspace call graph ([`callgraph`] + fixed-point summaries in
+//!    [`summaries`]), so an outlined `#[cold]` abort helper is attributed
+//!    to its callers. A function is hot because it says so: `#[atos_hot]`,
+//!    or the comment `// atos-lint: hot` on the line above the `fn` in the
+//!    crates that stay dependency-free (`atos-queue`, `atos-graph`); with
+//!    the marker's one argument (`#[atos_hot(no_index)]` /
 //!    `// atos-lint: hot(no-index)`: the queue protocol and the
 //!    `prefetch` hint path) panicking indexes too.
-//! 7. `sim-determinism` — wall-clock, sleeps, default-hasher containers
+//! 3. `sim-determinism` — wall-clock, sleeps, default-hasher containers
 //!    and the host thread-count query, by name, in every crate that
 //!    produces trace events or virtual time (simulator, runtime,
 //!    applications, baselines).
-//! 8. `missing-safety` — `unsafe` without a `SAFETY:` comment.
-//! 9. `shard-escape` — owner-computes flow check ([`shard`]): every
+//! 4. `missing-safety` — `unsafe` without a `SAFETY:` comment.
+//! 5. `shard-escape` — owner-computes flow check ([`shard`]): every
 //!    field of an `Application` impl is classified owner-indexed
 //!    authoritative / per-sender private / shared-immutable (declared
 //!    via `#[atos_shard(..)]` on `process`; a `process(&mut self, pe, ..)`
@@ -44,8 +37,10 @@
 //!    `partition.owner(v) == pe` witness.
 //!
 //! Which rule is the only catcher of which seeded defect is the audit
-//! table in DESIGN.md §7; two flow analyses (`determinism-taint`,
-//! `unchecked-guard`) left on that evidence (§11).
+//! table in DESIGN.md §7. What left on that evidence (§11): two flow
+//! analyses (`determinism-taint`, `unchecked-guard`), the ordering pass
+//! (`atos-check` runs every cell access it saw) and `hot-path-alloc`
+//! (`crates/core/tests/alloc_count.rs` runs every hot function).
 //!
 //! Suppression is always visible in the diff: an `atos-lint: allow(rule)`
 //! comment on the finding line or the two lines above it, or a

@@ -7,18 +7,14 @@
 
 use crate::callgraph::CallGraph;
 use crate::config::Config;
-use crate::model::{events_of, Event, Ord};
+use crate::model::{events_of, Event};
 use crate::parse::{FnItem, TokKind};
-use crate::summaries::{vetted, Summaries, Why};
+use crate::summaries::{vetted, Summaries};
 use crate::{Finding, SourceFile, Workspace};
 
 /// All rule identifiers, in report order.
 pub const RULES: &[&str] = &[
     "facade-bypass",
-    "relaxed-publish",
-    "unreleased-write",
-    "acquire-pairing",
-    "hot-path-alloc",
     "panic-in-kernel",
     "sim-determinism",
     "missing-safety",
@@ -29,13 +25,13 @@ pub const RULES: &[&str] = &[
 pub struct Analysis {
     /// Resolved call graph.
     pub graph: CallGraph,
-    /// Per-function effect summaries at their fixed point.
+    /// Per-function panic summaries at their fixed point.
     pub summaries: Summaries,
     /// Wall time of each analysis phase (for `--timings`).
     pub phase_timings: Vec<(&'static str, std::time::Duration)>,
 }
 
-/// Build the call graph and the effect summaries.
+/// Build the call graph and the panic summaries.
 pub fn analyze(ws: &Workspace) -> Analysis {
     let t0 = std::time::Instant::now();
     let graph = CallGraph::build(ws);
@@ -47,15 +43,14 @@ pub fn analyze(ws: &Workspace) -> Analysis {
         summaries,
         phase_timings: vec![
             ("analysis: call graph", t1 - t0),
-            ("analysis: effect summaries", t2 - t1),
+            ("analysis: panic summaries", t2 - t1),
         ],
     }
 }
 
 /// Run every rule against a prebuilt [`Analysis`] and apply suppressions:
 /// the findings sorted by `(file, line, rule)` — a stable order for
-/// goldens — plus per-rule wall time (for `--timings`; the three ordering
-/// rules share one pass and report as one row).
+/// goldens — plus per-rule wall time (for `--timings`).
 pub fn run(
     ws: &Workspace,
     cfg: &Config,
@@ -77,12 +72,6 @@ pub fn run(
         };
         rule("facade-bypass", &mut out, &mut |_, file, out| {
             facade_bypass(file, cfg, out)
-        });
-        rule("ordering (3 rules)", &mut out, &mut |_, file, out| {
-            ordering_rules(file, cfg, out)
-        });
-        rule("hot-path-alloc", &mut out, &mut |fi, _, out| {
-            hot_path_alloc(ws, fi, an, out)
         });
         rule("panic-in-kernel", &mut out, &mut |fi, _, out| {
             panic_in_kernel(ws, fi, an, out)
@@ -159,187 +148,22 @@ fn facade_bypass(file: &SourceFile, cfg: &Config, out: &mut Vec<Finding>) {
     }
 }
 
-// ------------------------------------------------------------- ordering
-
-/// Rules 2–4: the ordering-dataflow pass. Per non-test function, walk the
-/// event list tracking the publication protocol:
-///
-/// * `relaxed-publish` — a relaxed atomic *write* (store/RMW/CAS-success)
-///   while a cell write is still unpublished. Readers that acquire-load
-///   the counter would not synchronize-with the slot contents.
-/// * `unreleased-write` — a cell write that is never followed by any
-///   release-ordered atomic write in the same function: the data has no
-///   publication edge at all.
-/// * `acquire-pairing` — a relaxed load of a *publish field* (a field
-///   that receives release-ordered writes somewhere in the file) followed
-///   by a cell read with no intervening acquire: the read may observe
-///   pre-publication slot state.
-fn ordering_rules(file: &SourceFile, cfg: &Config, out: &mut Vec<Finding>) {
-    if cfg.is_ordering_exempt(&file.path) {
-        return;
-    }
-    // Publish fields: receive a release-ordered atomic write in any
-    // non-test fn of this file.
-    let mut publish_fields: Vec<String> = Vec::new();
-    let fn_events: Vec<(usize, Vec<Event>)> = file
-        .parsed
-        .fns
-        .iter()
-        .enumerate()
-        .filter(|(_, f)| !f.in_test_mod && !f.body.is_empty())
-        .map(|(i, f)| (i, events_of(&file.parsed, f)))
-        .collect();
-    for (_, evs) in &fn_events {
-        for e in evs {
-            let (field, ord) = match e {
-                Event::AtomicWrite { field, ord, .. } => (field, *ord),
-                Event::Cas { field, success, .. } => (field, *success),
-                _ => continue,
-            };
-            if ord.releases() && !field.is_empty() && !publish_fields.contains(field) {
-                publish_fields.push(field.clone());
-            }
-        }
-    }
-
-    for (fidx, evs) in &fn_events {
-        let f = &file.parsed.fns[*fidx];
-        // Pending (unpublished) cell writes, by line.
-        let mut pending: Vec<(String, u32)> = Vec::new();
-        // Relaxed load of a publish field with no acquire since.
-        let mut tainted: Option<(String, u32)> = None;
-        for e in evs {
-            match e {
-                Event::CellWrite { field, line } => pending.push((field.clone(), *line)),
-                Event::AtomicWrite { field, ord, line }
-                | Event::Cas {
-                    field,
-                    success: ord,
-                    line,
-                } => {
-                    if ord.releases() {
-                        pending.clear();
-                    } else if *ord == Ord::Relaxed && !pending.is_empty() {
-                        let (_, wline) = pending[0].clone();
-                        out.push(finding(
-                            "relaxed-publish",
-                            file,
-                            *line,
-                            format!(
-                                "relaxed atomic write to `{field}` in `{}` while the cell \
-                                 write at line {wline} is unpublished; use Release (or \
-                                 stronger) so poppers synchronize-with the slot contents",
-                                f.name
-                            ),
-                        ));
-                        // Treat as published to avoid cascading reports.
-                        pending.clear();
-                    }
-                    if ord.acquires() {
-                        tainted = None;
-                    }
-                }
-                Event::AtomicLoad { field, ord, line } => {
-                    if ord.acquires() {
-                        tainted = None;
-                    } else if *ord == Ord::Relaxed
-                        && publish_fields.contains(field)
-                        && tainted.is_none()
-                    {
-                        tainted = Some((field.clone(), *line));
-                    }
-                }
-                Event::Fence { ord, .. } => {
-                    if ord.releases() {
-                        pending.clear();
-                    }
-                    if ord.acquires() {
-                        tainted = None;
-                    }
-                }
-                Event::CellRead { line, .. } => {
-                    if let Some((lfield, lline)) = &tainted {
-                        out.push(finding(
-                            "acquire-pairing",
-                            file,
-                            *line,
-                            format!(
-                                "cell read in `{}` after relaxed load of publish field \
-                                 `{lfield}` (line {lline}) with no acquire in between; \
-                                 the read can observe pre-publication slot state",
-                                f.name
-                            ),
-                        ));
-                        tainted = None;
-                    }
-                }
-                _ => {}
-            }
-        }
-        for (field, wline) in pending {
-            out.push(finding(
-                "unreleased-write",
-                file,
-                wline,
-                format!(
-                    "cell write to `{field}` in `{}` is never published by a \
-                     release-ordered atomic write in this function",
-                    f.name
-                ),
-            ));
-        }
-    }
-}
-
-// ------------------------------------------------------------ hot-path
-
-pub(crate) const ALLOC_METHODS: &[&str] = &[
-    "with_capacity",
-    "collect",
-    "to_vec",
-    "to_string",
-    "to_owned",
-    "into_boxed_slice",
-    "reserve",
-    "reserve_exact",
-];
-pub(crate) const ALLOC_NEW_PATHS: &[&str] = &["Box::", "Rc::", "Arc::"];
-pub(crate) const ALLOC_MACROS: &[&str] = &["vec", "format"];
-
-/// Does this event allocate? Returns a short description if so.
-pub(crate) fn alloc_pattern(e: &Event) -> Option<String> {
-    match e {
-        Event::Macro { name, .. } if ALLOC_MACROS.contains(&name.as_str()) => {
-            Some(format!("{name}!"))
-        }
-        Event::Call { name, path, .. } => {
-            if ALLOC_METHODS.contains(&name.as_str()) {
-                Some(name.clone())
-            } else if name == "new" && ALLOC_NEW_PATHS.contains(&path.as_str()) {
-                Some(format!("{path}new"))
-            } else if name == "from" && path == "String::" {
-                Some("String::from".into())
-            } else {
-                None
-            }
-        }
-        _ => None,
-    }
-}
+// ------------------------------------------------------- panic-in-kernel
 
 /// How a function declares itself hot, if it does: `#[atos_hot]` where
 /// the crate depends on `atos-macros`, the comment `// atos-lint: hot` on
-/// the line above the `fn` in the dependency-free crates. Hot means both
-/// `hot-path-alloc` and `panic-in-kernel` apply, transitively. The one
-/// argument — `#[atos_hot(no_index)]` / `// atos-lint: hot(no-index)` —
-/// also forbids panicking slice indexing (`ident[i]`) in the body: the
-/// lock-free queue protocol, where a bounds panic would strand a published
-/// reservation, and the `prefetch` hint path, which runs over tasks that
-/// have not executed yet. The runtime indexes its own dense PE arrays
-/// pervasively and does not take it.
+/// the line above the `fn` in the dependency-free crates. Hot means
+/// `panic-in-kernel` applies, transitively, and that
+/// `crates/core/tests/alloc_count.rs` must run the function inside a
+/// counted window. The one argument — `#[atos_hot(no_index)]` /
+/// `// atos-lint: hot(no-index)` — also forbids panicking slice indexing
+/// (`ident[i]`) in the body: the lock-free queue protocol, where a bounds
+/// panic would strand a published reservation, and the `prefetch` hint
+/// path, which runs over tasks that have not executed yet. The runtime
+/// indexes its own dense PE arrays pervasively and does not take it.
 ///
 /// `None`: not hot; `Some(no_index)` otherwise.
-pub(crate) fn hot_marker(file: &SourceFile, f: &FnItem) -> Option<bool> {
+pub fn hot_marker(file: &SourceFile, f: &FnItem) -> Option<bool> {
     if f.in_test_mod || f.body.is_empty() {
         return None;
     }
@@ -357,97 +181,10 @@ pub(crate) fn hot_marker(file: &SourceFile, f: &FnItem) -> Option<bool> {
     }
 }
 
-/// Rule 5: `hot-path-alloc` — no allocating construct in a hot function
-/// or, transitively, in anything it calls through the resolved call
-/// graph. A direct callee that allocates locally keeps the original
-/// one-hop message; deeper chains spell out the call path. Callees
-/// vetted at their own definition (hot themselves, or an allow) stop the
-/// walk.
-fn hot_path_alloc(ws: &Workspace, fi: usize, an: &Analysis, out: &mut Vec<Finding>) {
-    let file = &ws.files[fi];
-    for (gi, f) in file.parsed.fns.iter().enumerate() {
-        if hot_marker(file, f).is_none() {
-            continue;
-        }
-        for e in events_of(&file.parsed, f) {
-            if let Some(pat) = alloc_pattern(&e) {
-                out.push(finding(
-                    "hot-path-alloc",
-                    file,
-                    e.line(),
-                    format!("allocating `{pat}` in hot-path fn `{}`", f.name),
-                ));
-            }
-        }
-        let mut checked: Vec<&str> = Vec::new();
-        for site in an.graph.callees_of((fi, gi)) {
-            if checked.contains(&site.name.as_str()) {
-                continue;
-            }
-            checked.push(&site.name);
-            if vetted(ws, site.callee, "hot-path-alloc") {
-                continue;
-            }
-            let (cfi, cgi) = site.callee;
-            let cfile = &ws.files[cfi];
-            let callee = &cfile.parsed.fns[cgi];
-            match an.summaries.of(site.callee).alloc {
-                None => {}
-                Some(Why::Local { .. }) => {
-                    // Depth 1: report every local allocation in the callee.
-                    for ce in events_of(&cfile.parsed, callee) {
-                        if let Some(pat) = alloc_pattern(&ce) {
-                            out.push(finding(
-                                "hot-path-alloc",
-                                file,
-                                site.line,
-                                format!(
-                                    "hot-path fn `{}` calls `{}` ({}:{}), which allocates \
-                                     (`{pat}` at line {})",
-                                    f.name,
-                                    callee.name,
-                                    cfile.path,
-                                    callee.line,
-                                    ce.line()
-                                ),
-                            ));
-                        }
-                    }
-                }
-                Some(Why::Via { .. }) => {
-                    let Some((hops, pat, pfile, pline)) =
-                        an.summaries.chain(ws, site.callee, |e| e.alloc.clone())
-                    else {
-                        continue;
-                    };
-                    let chain: Vec<String> =
-                        hops.iter().map(|(n, _, _)| format!("`{n}`")).collect();
-                    out.push(finding(
-                        "hot-path-alloc",
-                        file,
-                        site.line,
-                        format!(
-                            "hot-path fn `{}` calls `{}` ({}:{}), which allocates \
-                             transitively via {} (`{pat}` at {pfile}:{pline})",
-                            f.name,
-                            callee.name,
-                            cfile.path,
-                            callee.line,
-                            chain.join(" -> ")
-                        ),
-                    ));
-                }
-            }
-        }
-    }
-}
-
-// ------------------------------------------------------- panic-in-kernel
-
 pub(crate) const PANIC_MACROS: &[&str] = &["panic", "unreachable", "todo", "unimplemented", "assert", "assert_eq", "assert_ne"];
 pub(crate) const PANIC_CALLS: &[&str] = &["unwrap", "expect"];
 
-/// Rule 6: `panic-in-kernel` — no panicking construct in a hot function
+/// Rule 2: `panic-in-kernel` — no panicking construct in a hot function
 /// (queue protocol, runtime step, engine heap, hint path), nor
 /// (transitively) in anything it calls through the resolved call graph. A
 /// panic between reservation and publication strands the reservation for
@@ -467,15 +204,10 @@ fn panic_in_kernel(ws: &Workspace, fi: usize, an: &Analysis, out: &mut Vec<Findi
                 continue;
             }
             checked.push(&site.name);
-            if vetted(ws, site.callee, "panic-in-kernel") {
+            if vetted(ws, site.callee) {
                 continue;
             }
-            if an.summaries.of(site.callee).panic.is_none() {
-                continue;
-            }
-            let Some((hops, pat, pfile, pline)) =
-                an.summaries.chain(ws, site.callee, |e| e.panic.clone())
-            else {
+            let Some((hops, pat, pfile, pline)) = an.summaries.chain(ws, site.callee) else {
                 continue;
             };
             let (cfi, cgi) = site.callee;
@@ -543,7 +275,7 @@ fn panic_in_kernel(ws: &Workspace, fi: usize, an: &Analysis, out: &mut Vec<Findi
 
 // ------------------------------------------------------ sim-determinism
 
-/// Rule 7: `sim-determinism` — the simulator, the runtime that records
+/// Rule 3: `sim-determinism` — the simulator, the runtime that records
 /// its trace events, and the applications and baselines that charge its
 /// virtual time must be a pure function of their inputs: no wall-clock
 /// types, no default-hasher containers (their iteration order is seeded
@@ -588,7 +320,7 @@ fn sim_determinism(file: &SourceFile, cfg: &Config, out: &mut Vec<Finding>) {
 
 // -------------------------------------------------------- missing-safety
 
-/// Rule 8: `missing-safety` — every `unsafe` keyword needs a `SAFETY:`
+/// Rule 4: `missing-safety` — every `unsafe` keyword needs a `SAFETY:`
 /// comment on the same line or within the 8 preceding lines.
 fn missing_safety(file: &SourceFile, out: &mut Vec<Finding>) {
     let mut seen_lines: Vec<u32> = Vec::new();

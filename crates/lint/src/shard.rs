@@ -32,7 +32,7 @@
 //!
 //! Transitive violations are reported at the entry point's call site
 //! with a provenance chain naming the helper and the violating write,
-//! mirroring `hot-path-alloc`'s chain messages.
+//! mirroring `panic-in-kernel`'s chain messages.
 
 use std::collections::BTreeMap;
 use std::ops::Range;
@@ -333,7 +333,7 @@ fn render_local(f: &FnItem, v: &Violation) -> String {
     }
 }
 
-/// Rule 9: `shard-escape` — see the module docs.
+/// Rule 5: `shard-escape` — see the module docs.
 pub fn shard_escape(
     ws: &Workspace,
     fi: usize,

@@ -82,10 +82,8 @@ fn timings_breakdown_lists_every_rule() {
     );
     for row in [
         "analysis: call graph",
-        "analysis: effect summaries",
+        "analysis: panic summaries",
         "facade-bypass",
-        "ordering (3 rules)",
-        "hot-path-alloc",
         "panic-in-kernel",
         "sim-determinism",
         "missing-safety",

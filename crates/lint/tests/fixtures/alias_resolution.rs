@@ -1,12 +1,12 @@
-//! Regression fixture for `use`-alias call resolution: the allocating
+//! Regression fixture for `use`-alias call resolution: the panicking
 //! helper is imported under a different name, so a purely name-keyed
-//! resolver would miss the edge and the transitive hot-path-alloc
+//! resolver would miss the edge and the transitive panic-in-kernel
 //! finding with it.
 
 mod helpers {
     pub fn grow(v: &mut Vec<u64>) {
-        let mut extra = vec![0u64; 16];
-        v.append(&mut extra);
+        let last = v.last().copied().unwrap();
+        v.push(last);
     }
 }
 

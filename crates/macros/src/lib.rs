@@ -5,18 +5,17 @@
 //! annotation itself, which `atos-lint` reads back out of the source text:
 //!
 //! * [`macro@atos_hot`] marks a function as being on the runtime hot path,
-//!   which means two things, both transitively through the workspace
-//!   functions it calls: `hot-path-alloc` forbids allocating constructs
-//!   (`vec!`, `format!`, `Box::new`, `with_capacity`, `collect`, …), and
-//!   `panic-in-kernel` forbids `unwrap` / `expect` / the `panic!` family.
-//!   The one argument, `#[atos_hot(no_index)]`, also forbids panicking
-//!   slice indexing (`ident[i]`) in the body — the `prefetch` hint path
-//!   uses it. Crates that stay dependency-free (`atos-queue`,
-//!   `atos-graph`) spell the same marker as a comment on the line above
-//!   the `fn`: `// atos-lint: hot` / `// atos-lint: hot(no-index)`.
-//!   `crates/core/tests/alloc_count.rs` asserts every annotated runtime
-//!   and engine function is exercised by a counted allocation scenario —
-//!   the static rule and the dynamic guard cannot drift apart.
+//!   which means two things. `panic-in-kernel` forbids `unwrap` /
+//!   `expect` / the `panic!` family in it and, transitively, in the
+//!   workspace functions it calls. And `crates/core/tests/alloc_count.rs`
+//!   must run it inside a counted window whose allocations do not grow
+//!   with the task count (its coverage map reads this marker through
+//!   `atos_lint::lints::hot_marker`). The one argument,
+//!   `#[atos_hot(no_index)]`, also forbids panicking slice indexing
+//!   (`ident[i]`) in the body — the `prefetch` hint path uses it. Crates
+//!   that stay dependency-free (`atos-queue`, `atos-graph`) spell the same
+//!   marker as a comment on the line above the `fn`: `// atos-lint: hot` /
+//!   `// atos-lint: hot(no-index)`.
 //! * [`macro@atos_shard`] classifies the fields of an `Application` for
 //!   the `shard-escape` lint. Placed on the impl's `process` method (the
 //!   one fn every application must define), it declares each field as
@@ -32,11 +31,11 @@
 
 use proc_macro::TokenStream;
 
-/// Mark a function as runtime-hot-path: no allocation and no
-/// `unwrap`/`expect`/`panic!`-family, both transitively; with the
-/// `no_index` argument no panicking index either. Inert; read by
-/// `atos-lint`'s `hot-path-alloc` and `panic-in-kernel` rules and by the
-/// `alloc_count` coverage test.
+/// Mark a function as runtime-hot-path: no `unwrap`/`expect`/`panic!`
+/// family, transitively, and no allocation growth under the task count;
+/// with the `no_index` argument no panicking index either. Inert; read by
+/// `atos-lint`'s `panic-in-kernel` rule and by the `alloc_count` coverage
+/// check.
 #[proc_macro_attribute]
 pub fn atos_hot(_attr: TokenStream, item: TokenStream) -> TokenStream {
     item

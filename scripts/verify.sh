@@ -1,6 +1,10 @@
 #!/usr/bin/env bash
-# Repository verification: tier-1 build+test, a parallel-sweep smoke run
-# with byte-identity check, and a clean clippy pass.
+# Repository verification, in thirteen stages: tier-1 build+test, the
+# workspace tests, the parallel-sweep smoke (byte-identity across thread
+# counts), the load-balance smoke, the golden byte-compares, the frozen
+# benchmark package (build + smoke run), the bench trajectory gate, the
+# observability smoke, the line-level sampler smoke, atos-lint, miri, the
+# model checker under --cfg atos_check (tests + clippy), and clippy.
 #
 # Usage: scripts/verify.sh  (from anywhere; cd's to the repo root)
 
@@ -176,7 +180,7 @@ done
 
 echo
 echo "== workspace static analysis (atos-lint) =="
-# Interprocedural pass over the whole workspace: transitive alloc/panic
+# Interprocedural pass over the whole workspace: transitive panic
 # propagation from the functions that mark themselves hot, shard-escape
 # (owner-computes flow), the lexical rules; exits 1 on any finding.
 # --timings prints the per-phase/per-rule breakdown so a rule that
@@ -213,9 +217,16 @@ fi
 echo
 echo "== model checker: queue suites under --cfg atos_check =="
 # Separate target dir: the cfg changes atos-queue/atos-core codegen, and
-# sharing ./target would thrash the production build cache.
+# sharing ./target would thrash the production build cache. This stage is
+# the ordering guard: the race detector runs every UnsafeCell access in the
+# queues (golden.rs::cell_accesses_stay_in_model_checked_files keeps new
+# ones out of undriven files) and catches the seeded twins of
+# mutation_detection.rs and steal_models.rs. Clippy then lints the
+# #[cfg(atos_check)] code the ordinary pass below never compiles.
 RUSTFLAGS="--cfg atos_check" CARGO_TARGET_DIR=target/check \
     cargo test -p atos-check -q
+RUSTFLAGS="--cfg atos_check" CARGO_TARGET_DIR=target/check \
+    cargo clippy -p atos-check -p atos-queue -p atos-core --all-targets -- -D warnings
 
 echo
 echo "== clippy (deny warnings) =="
