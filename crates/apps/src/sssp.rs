@@ -454,7 +454,6 @@ fn run_sssp_impl(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use atos_core::LoadBalance;
     use atos_graph::generators::{Preset, Scale};
     use atos_graph::weights::dijkstra;
 
@@ -621,23 +620,20 @@ mod tests {
         let part = Arc::new(Partition::random(g.n_vertices(), 4, 7));
         let exact = dijkstra(&g, &w, src);
         for split in [false, true] {
-            for lb in LoadBalance::ALL {
-                let app = SsspApp::build(g.clone(), w.clone(), part.clone(), src, 8, split);
-                let kind = app.push_kind();
-                let cfg = AtosConfig::priority_discrete().with_lb(lb);
-                let mut rt = Runtime::new(app, Fabric::daisy(4), cfg);
-                rt.seed(part.owner(src), [(src, 0u64, kind)]);
-                rt.run();
-                let app = rt.into_app();
-                assert_eq!(app.dist, exact, "split {split} {lb:?}");
-                for (v, &d) in app.dist.iter().enumerate() {
-                    let owner = part.owner(v as VertexId);
-                    for (pe, row) in app.view.iter().enumerate() {
-                        if pe == owner {
-                            assert_eq!(row[v], d, "PE {pe} owns {v}");
-                        } else {
-                            assert!(row[v] >= d, "PE {pe} offered {v} {} < {d}", row[v]);
-                        }
+            let app = SsspApp::build(g.clone(), w.clone(), part.clone(), src, 8, split);
+            let kind = app.push_kind();
+            let mut rt = Runtime::new(app, Fabric::daisy(4), AtosConfig::priority_discrete());
+            rt.seed(part.owner(src), [(src, 0u64, kind)]);
+            rt.run();
+            let app = rt.into_app();
+            assert_eq!(app.dist, exact, "split {split}");
+            for (v, &d) in app.dist.iter().enumerate() {
+                let owner = part.owner(v as VertexId);
+                for (pe, row) in app.view.iter().enumerate() {
+                    if pe == owner {
+                        assert_eq!(row[v], d, "PE {pe} owns {v}");
+                    } else {
+                        assert!(row[v] >= d, "PE {pe} offered {v} {} < {d}", row[v]);
                     }
                 }
             }

@@ -5,9 +5,9 @@
 //! run here is made twice, once with each: every `RunStats` field, every
 //! `rank` bit and every `residue` bit must agree.
 //!
-//! * whole runs, sampled from graphs × partitions × ε × configurations ×
-//!   balancers — including an ε above the starting residue `1 − α`, where
-//!   nothing may run at all;
+//! * whole runs, sampled from graphs × partitions × ε × configurations —
+//!   including an ε above the starting residue `1 − α`, where nothing may
+//!   run at all;
 //! * single messages, `PageRankApp::on_receive_run` against the flagged
 //!   per-task loop, on runs that hit one vertex many times.
 
@@ -17,9 +17,7 @@ use proptest::prelude::*;
 
 use atos_apps::pagerank::PrTask;
 use atos_apps::PageRankApp;
-use atos_core::{
-    assert_owner, Application, AtosConfig, CommMode, Emitter, LoadBalance, RunStats, Runtime,
-};
+use atos_core::{assert_owner, Application, AtosConfig, CommMode, Emitter, RunStats, Runtime};
 use atos_graph::generators::{Preset, Scale};
 use atos_graph::grouped::OwnerGrouped;
 use atos_graph::partition::Partition;
@@ -195,12 +193,10 @@ proptest! {
         partitioner in 0usize..3,
         epsilon in 0usize..3,
         configuration in 0usize..4,
-        balancer in 0usize..2,
         seed in 0u64..1000,
     ) {
         let g = Arc::new(graph(graph_id));
         let (fabric, cfg) = configurations()[configuration].clone();
-        let cfg = cfg.with_lb(LoadBalance::ALL[balancer]);
         let n_pes = fabric.n_pes();
         let part = Arc::new(match partitioner {
             0 => Partition::random(g.n_vertices(), n_pes, seed),

@@ -4,7 +4,7 @@
 //! started moving per-destination runs (per-destination emitter buffers,
 //! run-filled aggregator bundles, owner-grouped adjacency), so a pass here
 //! means that rewrite changed no `rank`/`residue` bit and no simulated
-//! quantity, with and without stealing.
+//! quantity.
 //!
 //! The `sim_events` column alone was re-pinned when arrivals stopped being
 //! engine events (receive lanes, DESIGN.md §4.7): it counts engine pops,
@@ -19,7 +19,7 @@ use std::sync::Arc;
 
 use atos_apps::pagerank::PrTask;
 use atos_apps::PageRankApp;
-use atos_core::{AtosConfig, CommMode, LoadBalance, Runtime};
+use atos_core::{AtosConfig, CommMode, Runtime};
 use atos_graph::generators::{Preset, Scale};
 use atos_graph::partition::Partition;
 use atos_sim::Fabric;
@@ -84,16 +84,14 @@ fn pagerank_runs_match_parent_commit_fingerprints() {
     let mut got: Vec<(String, Row)> = Vec::new();
     for (name, fabric, cfg) in cases() {
         let n_pes = fabric.n_pes() as u64;
-        for lb in LoadBalance::ALL {
-            let (row, peak) = run(fabric.clone(), cfg.with_lb(lb));
-            // The bound that makes a binary heap enough for the engine: per
-            // PE, at most its `step_scheduled` step, its `agg_poll_scheduled`
-            // poll and one belled doorbell per lane head (`Rx::ring_next`)
-            // are pending. Per-message engine events would break it.
-            assert!(peak <= n_pes * (n_pes + 2), "{name}/{lb:?}: {peak} pending events");
-            println!("    (\"{name}/{lb:?}/1\", {row:?}),");
-            got.push((format!("{name}/{lb:?}/1"), row));
-        }
+        let (row, peak) = run(fabric, cfg);
+        // The bound that makes a binary heap enough for the engine: per PE,
+        // at most its `step_scheduled` step, its `agg_poll_scheduled` poll
+        // and one belled doorbell per lane head (`Rx::ring_next`) are
+        // pending. Per-message engine events would break it.
+        assert!(peak <= n_pes * (n_pes + 2), "{name}: {peak} pending events");
+        println!("    (\"{name}/1\", {row:?}),");
+        got.push((format!("{name}/1"), row));
     }
     let golden: Vec<_> = GOLDEN.iter().map(|&(n, r)| (n.to_string(), r)).collect();
     assert_eq!(got, golden);
@@ -101,12 +99,8 @@ fn pagerank_runs_match_parent_commit_fingerprints() {
 
 #[rustfmt::skip]
 const GOLDEN: &[(&str, Row)] = &[
-    ("daisy4/persistent/Owner/1", [7756162498593278328, 1310640, 444, 16880, 4720384, 0, 0, 0]),
-    ("daisy4/persistent/Steal/1", [16206054165013289050, 1291702, 402, 16893, 4721312, 0, 0, 0]),
-    ("daisy4/discrete/Owner/1", [16168691235436804750, 2754779, 382, 15260, 4269712, 0, 0, 0]),
-    ("daisy4/discrete/Steal/1", [3249118642090893861, 2726960, 362, 15263, 4269728, 0, 0, 0]),
-    ("ib8/ib_pagerank/Owner/1", [6608448951903192120, 4212114, 6480, 4179, 26835540, 4179, 0, 4179]),
-    ("ib8/ib_pagerank/Steal/1", [18085304559097682566, 3705116, 5606, 3833, 27187636, 3833, 0, 3833]),
-    ("ib4/wait4/Owner/1", [15842192610460789458, 1926787, 1958, 2391, 11884036, 2391, 542, 1849]),
-    ("ib4/wait4/Steal/1", [17201180342033987342, 2000814, 2022, 2414, 11908232, 2414, 542, 1872]),
+    ("daisy4/persistent/1", [7756162498593278328, 1310640, 444, 16880, 4720384, 0, 0, 0]),
+    ("daisy4/discrete/1", [16168691235436804750, 2754779, 382, 15260, 4269712, 0, 0, 0]),
+    ("ib8/ib_pagerank/1", [6608448951903192120, 4212114, 6480, 4179, 26835540, 4179, 0, 4179]),
+    ("ib4/wait4/1", [15842192610460789458, 1926787, 1958, 2391, 11884036, 2391, 542, 1849]),
 ];

@@ -3,8 +3,7 @@
 //! The constants were captured on the commit *before* delta-stepping got
 //! light rows and the per-PE view (`LightEdges`, DESIGN.md §4.9), so a pass
 //! here means that rewrite moved no distance and no simulated quantity —
-//! split and unsplit, FIFO and priority buckets, direct and aggregated,
-//! with and without stealing.
+//! split and unsplit, FIFO and priority buckets, direct and aggregated.
 //!
 //! To re-capture after an *intentional* model change:
 //! `cargo test -p atos-apps --test sssp_golden -- --nocapture`
@@ -14,7 +13,7 @@ use std::sync::Arc;
 
 use atos_apps::sssp::{KIND_FULL, KIND_LIGHT};
 use atos_apps::SsspApp;
-use atos_core::{AtosConfig, CommMode, LoadBalance, Runtime};
+use atos_core::{AtosConfig, CommMode, Runtime};
 use atos_graph::csr::Csr;
 use atos_graph::generators::{Preset, Scale};
 use atos_graph::partition::Partition;
@@ -107,18 +106,16 @@ fn sssp_runs_match_parent_commit_fingerprints() {
         for (mode, split) in [("new", false), ("new_split", true)] {
             for (name, fabric, cfg) in cases() {
                 let n_pes = fabric.n_pes() as u64;
-                for lb in LoadBalance::ALL {
-                    let (row, peak) = run(&input, split, fabric.clone(), cfg.with_lb(lb));
-                    // The bound that makes a binary heap enough for the
-                    // engine: per PE, at most its `step_scheduled` step, its
-                    // `agg_poll_scheduled` poll and one belled doorbell per
-                    // lane head (`Rx::ring_next`) are pending. Per-message
-                    // engine events would break it.
-                    let id = format!("{preset}/{mode}/{name}/{lb:?}");
-                    assert!(peak <= n_pes * (n_pes + 2), "{id}: {peak} pending events");
-                    println!("    (\"{preset}/{mode}/{name}/{lb:?}/1\", {row:?}),");
-                    got.push((format!("{preset}/{mode}/{name}/{lb:?}/1"), row));
-                }
+                let (row, peak) = run(&input, split, fabric, cfg);
+                // The bound that makes a binary heap enough for the engine:
+                // per PE, at most its `step_scheduled` step, its
+                // `agg_poll_scheduled` poll and one belled doorbell per lane
+                // head (`Rx::ring_next`) are pending. Per-message engine
+                // events would break it.
+                let id = format!("{preset}/{mode}/{name}/1");
+                assert!(peak <= n_pes * (n_pes + 2), "{id}: {peak} pending events");
+                println!("    (\"{id}\", {row:?}),");
+                got.push((id, row));
             }
         }
     }
@@ -128,36 +125,20 @@ fn sssp_runs_match_parent_commit_fingerprints() {
 
 #[rustfmt::skip]
 const GOLDEN: &[(&str, Row)] = &[
-    ("twitter_s/new/daisy4/persistent/Owner/1", [203966, 59, 7901, 236365, 531, 209200, 15330, 1046, 1286837142196524013]),
-    ("twitter_s/new/daisy4/persistent/Steal/1", [205501, 57, 6082, 171802, 462, 176224, 12881, 853, 1286837142196524013]),
-    ("twitter_s/new/daisy4/priority/Owner/1", [743222, 82, 4845, 157556, 352, 123024, 8879, 1014, 1286837142196524013]),
-    ("twitter_s/new/daisy4/priority/Steal/1", [685440, 69, 4445, 142579, 320, 113568, 8229, 961, 1286837142196524013]),
-    ("twitter_s/new/ib8/persistent/Owner/1", [279278, 733, 7180, 196077, 533, 650172, 25748, 343, 1286837142196524013]),
-    ("twitter_s/new/ib8/persistent/Steal/1", [307728, 656, 6761, 183000, 539, 631908, 24982, 443, 1286837142196524013]),
-    ("twitter_s/new/ib8/priority/Owner/1", [806000, 730, 4927, 150715, 705, 423468, 15882, 551, 1286837142196524013]),
-    ("twitter_s/new/ib8/priority/Steal/1", [731400, 689, 4723, 145025, 675, 399948, 14977, 521, 1286837142196524013]),
-    ("twitter_s/new_split/daisy4/persistent/Owner/1", [166807, 73, 6415, 66912, 323, 129280, 8486, 814, 1286837142196524013]),
-    ("twitter_s/new_split/daisy4/persistent/Steal/1", [164160, 64, 6273, 63334, 325, 123632, 8086, 808, 1286837142196524013]),
-    ("twitter_s/new_split/daisy4/priority/Owner/1", [601680, 122, 4520, 51894, 276, 92688, 5986, 572, 1286837142196524013]),
-    ("twitter_s/new_split/daisy4/priority/Steal/1", [584280, 113, 4411, 49328, 265, 91168, 5900, 560, 1286837142196524013]),
-    ("twitter_s/new_split/ib8/persistent/Owner/1", [217568, 773, 8127, 81901, 628, 493668, 17538, 416, 1286837142196524013]),
-    ("twitter_s/new_split/ib8/persistent/Steal/1", [210994, 715, 8554, 87822, 603, 497368, 17738, 371, 1286837142196524013]),
-    ("twitter_s/new_split/ib8/priority/Owner/1", [657634, 896, 4589, 54535, 715, 323258, 10783, 298, 1286837142196524013]),
-    ("twitter_s/new_split/ib8/priority/Steal/1", [683200, 850, 5628, 59008, 688, 343634, 11629, 489, 1286837142196524013]),
-    ("road_usa_s/new/daisy4/persistent/Owner/1", [130864, 736, 33815, 116889, 3026, 842720, 58982, 140, 14913478705938353580]),
-    ("road_usa_s/new/daisy4/persistent/Steal/1", [122464, 690, 33036, 114191, 2895, 815408, 57199, 136, 14913478705938353580]),
-    ("road_usa_s/new/daisy4/priority/Owner/1", [3868762, 872, 2922, 10205, 1901, 117744, 4598, 45, 14913478705938353580]),
-    ("road_usa_s/new/daisy4/priority/Steal/1", [3967061, 899, 2924, 10214, 1947, 119424, 4596, 44, 14913478705938353580]),
-    ("road_usa_s/new/ib8/persistent/Owner/1", [707631, 6016, 24659, 85264, 3318, 1538232, 55798, 85, 14913478705938353580]),
-    ("road_usa_s/new/ib8/persistent/Steal/1", [707801, 6178, 24649, 85200, 3318, 1538280, 55800, 84, 14913478705938353580]),
-    ("road_usa_s/new/ib8/priority/Owner/1", [3786880, 5967, 3192, 11159, 4423, 424524, 6631, 26, 14913478705938353580]),
-    ("road_usa_s/new/ib8/priority/Steal/1", [3567726, 5814, 3118, 10896, 4385, 419412, 6513, 27, 14913478705938353580]),
-    ("road_usa_s/new_split/daisy4/persistent/Owner/1", [169706, 973, 35916, 59028, 2635, 542208, 32547, 106, 14913478705938353580]),
-    ("road_usa_s/new_split/daisy4/persistent/Steal/1", [161865, 942, 34020, 55707, 2504, 514512, 30864, 101, 14913478705938353580]),
-    ("road_usa_s/new_split/daisy4/priority/Owner/1", [6848166, 1546, 5162, 8298, 2116, 128400, 4539, 42, 14913478705938353580]),
-    ("road_usa_s/new_split/daisy4/priority/Steal/1", [6814880, 1549, 5159, 8291, 2129, 128864, 4538, 42, 14913478705938353580]),
-    ("road_usa_s/new_split/ib8/persistent/Owner/1", [658589, 9767, 50101, 82796, 4051, 1832986, 61151, 57, 14913478705938353580]),
-    ("road_usa_s/new_split/ib8/persistent/Steal/1", [709765, 7741, 44225, 71744, 3318, 1582124, 53194, 105, 14913478705938353580]),
-    ("road_usa_s/new_split/ib8/priority/Owner/1", [6236035, 7327, 5355, 8579, 4615, 440362, 6287, 24, 14913478705938353580]),
-    ("road_usa_s/new_split/ib8/priority/Steal/1", [6124040, 7204, 5298, 8491, 4560, 435476, 6226, 26, 14913478705938353580]),
+    ("twitter_s/new/daisy4/persistent/1", [203966, 59, 7901, 236365, 531, 209200, 15330, 1046, 1286837142196524013]),
+    ("twitter_s/new/daisy4/priority/1", [743222, 82, 4845, 157556, 352, 123024, 8879, 1014, 1286837142196524013]),
+    ("twitter_s/new/ib8/persistent/1", [279278, 733, 7180, 196077, 533, 650172, 25748, 343, 1286837142196524013]),
+    ("twitter_s/new/ib8/priority/1", [806000, 730, 4927, 150715, 705, 423468, 15882, 551, 1286837142196524013]),
+    ("twitter_s/new_split/daisy4/persistent/1", [166807, 73, 6415, 66912, 323, 129280, 8486, 814, 1286837142196524013]),
+    ("twitter_s/new_split/daisy4/priority/1", [601680, 122, 4520, 51894, 276, 92688, 5986, 572, 1286837142196524013]),
+    ("twitter_s/new_split/ib8/persistent/1", [217568, 773, 8127, 81901, 628, 493668, 17538, 416, 1286837142196524013]),
+    ("twitter_s/new_split/ib8/priority/1", [657634, 896, 4589, 54535, 715, 323258, 10783, 298, 1286837142196524013]),
+    ("road_usa_s/new/daisy4/persistent/1", [130864, 736, 33815, 116889, 3026, 842720, 58982, 140, 14913478705938353580]),
+    ("road_usa_s/new/daisy4/priority/1", [3868762, 872, 2922, 10205, 1901, 117744, 4598, 45, 14913478705938353580]),
+    ("road_usa_s/new/ib8/persistent/1", [707631, 6016, 24659, 85264, 3318, 1538232, 55798, 85, 14913478705938353580]),
+    ("road_usa_s/new/ib8/priority/1", [3786880, 5967, 3192, 11159, 4423, 424524, 6631, 26, 14913478705938353580]),
+    ("road_usa_s/new_split/daisy4/persistent/1", [169706, 973, 35916, 59028, 2635, 542208, 32547, 106, 14913478705938353580]),
+    ("road_usa_s/new_split/daisy4/priority/1", [6848166, 1546, 5162, 8298, 2116, 128400, 4539, 42, 14913478705938353580]),
+    ("road_usa_s/new_split/ib8/persistent/1", [658589, 9767, 50101, 82796, 4051, 1832986, 61151, 57, 14913478705938353580]),
+    ("road_usa_s/new_split/ib8/priority/1", [6236035, 7327, 5355, 8579, 4615, 440362, 6287, 24, 14913478705938353580]),
 ];

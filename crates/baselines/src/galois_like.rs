@@ -40,7 +40,6 @@ fn galois_config() -> AtosConfig {
         worker: WorkerConfig::cta512(),
         // One bulk message per destination per round.
         comm: CommMode::Direct { group: usize::MAX },
-        lb: atos_core::LoadBalance::Owner,
     }
 }
 

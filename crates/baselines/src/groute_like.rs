@@ -42,7 +42,6 @@ fn groute_config() -> AtosConfig {
         comm: CommMode::Direct {
             group: GROUTE_FRAGMENT_TASKS,
         },
-        lb: atos_core::LoadBalance::Owner,
     }
 }
 

@@ -1,8 +1,6 @@
 //! Benchmark-trajectory runner: measures the fig5/fig8/fig9 quick
-//! workloads, the load-balance discipline sweep
-//! (`lb_sweep`: per-discipline quick-BFS wall clock + steal counters,
-//! delta-stepping vs Dijkstra-order SSSP), and the graph-construction
-//! layer (`graph_build`: full-scale R-MAT and road-mesh generation,
+//! workloads (`e2e_quick`) and the graph-construction layer
+//! (`graph_build`: full-scale R-MAT and road-mesh generation,
 //! `Csr::from_edges` throughput), gates the fresh numbers
 //! against the last committed entries in
 //! `results/BENCH_trajectory.json`, and (with `--append`) records them.
@@ -11,7 +9,7 @@
 //!
 //! ```text
 //! bench_trajectory [--sha SHA] [--stamp STAMP] [--samples K]
-//!                  [--skip-e2e] [--skip-lb] [--skip-graph]
+//!                  [--skip-e2e] [--skip-graph]
 //!                  [--deny-regression PCT] [--append] [--out PATH]
 //! ```
 //!
@@ -27,8 +25,8 @@ use std::collections::BTreeMap;
 use std::path::PathBuf;
 
 use atos_bench::trajectory::{
-    append_entries, check_regression, host_cores, last_of_kind, measure_graph_build,
-    measure_lb_sweep, quick_grid_ms, read_trajectory, TrajectoryEntry, DEFAULT_TRAJECTORY_PATH,
+    append_entries, check_regression, host_cores, last_of_kind, measure_graph_build, quick_grid_ms,
+    read_trajectory, TrajectoryEntry, DEFAULT_TRAJECTORY_PATH,
 };
 
 struct Args {
@@ -36,7 +34,6 @@ struct Args {
     stamp: String,
     samples: usize,
     skip_e2e: bool,
-    skip_lb: bool,
     skip_graph: bool,
     deny_regression: Option<f64>,
     append: bool,
@@ -49,7 +46,6 @@ fn parse_args() -> Result<Args, String> {
         stamp: "unstamped".to_string(),
         samples: 3,
         skip_e2e: false,
-        skip_lb: false,
         skip_graph: false,
         deny_regression: None,
         append: false,
@@ -71,7 +67,6 @@ fn parse_args() -> Result<Args, String> {
                 a.samples = v.parse().map_err(|_| format!("invalid --samples value `{v}`"))?;
             }
             "--skip-e2e" => a.skip_e2e = true,
-            "--skip-lb" => a.skip_lb = true,
             "--skip-graph" => a.skip_graph = true,
             "--deny-regression" => {
                 let v = value("--deny-regression")?;
@@ -83,8 +78,7 @@ fn parse_args() -> Result<Args, String> {
             other => {
                 return Err(format!(
                     "unknown argument `{other}` (supported: --sha, --stamp, --samples K, \
-                     --skip-e2e, --skip-lb, --skip-graph, --deny-regression PCT, --append, \
-                     --out PATH)"
+                     --skip-e2e, --skip-graph, --deny-regression PCT, --append, --out PATH)"
                 ))
             }
         }
@@ -137,16 +131,6 @@ fn main() {
         new_entries.push(TrajectoryEntry {
             run_id: run_id.clone(),
             kind: "e2e_quick".to_string(),
-            metrics,
-        });
-    }
-
-    if !args.skip_lb {
-        let metrics = measure_lb_sweep(args.samples);
-        print_metrics("lb_sweep", &metrics);
-        new_entries.push(TrajectoryEntry {
-            run_id: run_id.clone(),
-            kind: "lb_sweep".to_string(),
             metrics,
         });
     }

@@ -79,7 +79,6 @@ const SSSP_WEIGHT_SEED: u64 = 1;
 /// is printed.
 pub fn table3_priority_workload(args: &BenchArgs, events: &EventTally) {
     let gpus = [1usize, 2, 3, 4];
-    let lb = args.run.load_balance;
     let datasets: Vec<Dataset> = Dataset::all(args.scale)
         .into_iter()
         .filter(|ds| ds.preset.kind == GraphKind::ScaleFree)
@@ -109,7 +108,7 @@ pub fn table3_priority_workload(args: &BenchArgs, events: &EventTally) {
         let part = ds.partition(g);
         let bfs = |cfg: AtosConfig| {
             let (graph, part, fabric) = (ds.graph.clone(), part.clone(), Fabric::daisy(g));
-            run_bfs(graph, part, ds.source, fabric, cfg.with_lb(lb))
+            run_bfs(graph, part, ds.source, fabric, cfg)
         };
         let fifo = bfs(AtosConfig::standard_persistent());
         let prio = bfs(AtosConfig::priority_discrete());
@@ -125,7 +124,7 @@ pub fn table3_priority_workload(args: &BenchArgs, events: &EventTally) {
         let ds = &datasets[d];
         let part = ds.partition(g);
         let weights = Arc::new(EdgeWeights::random(&ds.graph, SSSP_MAX_WEIGHT, SSSP_WEIGHT_SEED));
-        let cfg = AtosConfig::priority_discrete().with_lb(lb);
+        let cfg = AtosConfig::priority_discrete();
         let dij = run_sssp(
             ds.graph.clone(),
             weights.clone(),
@@ -269,7 +268,6 @@ pub fn fig7_summit_node(args: &BenchArgs, events: &EventTally) {
     let apps = ["BFS", "PageRank"];
     let frameworks = ["Gunrock", "Atos"];
     let datasets: Vec<Dataset> = names.iter().map(|n| Dataset::named(n, args.scale)).collect();
-    let lb = args.run.load_balance;
 
     let mut cells: Vec<(usize, usize, usize, usize)> = Vec::new();
     for d in 0..datasets.len() {
@@ -294,11 +292,11 @@ pub fn fig7_summit_node(args: &BenchArgs, events: &EventTally) {
             ("Gunrock", "BFS") => bsp_bfs(graph, part, ds.source, fabric).stats,
             ("Gunrock", _) => bsp_pagerank(graph, part, ALPHA, EPSILON, fabric).stats,
             (_, "BFS") => {
-                let cfg = AtosConfig::priority_discrete().with_lb(lb);
+                let cfg = AtosConfig::priority_discrete();
                 run_bfs(graph, part, ds.source, fabric, cfg).stats
             }
             _ => {
-                let cfg = AtosConfig::standard_discrete().with_lb(lb);
+                let cfg = AtosConfig::standard_discrete();
                 run_pagerank(graph, part, ALPHA, EPSILON, fabric, cfg).stats
             }
         };
@@ -353,7 +351,7 @@ pub fn ablation_smoothing(args: &BenchArgs, events: &EventTally) {
         "PR: Atos (queue+persistent)",
     ];
     let cells: Vec<usize> = (0..labels.len()).collect();
-    let atos_cfg = AtosConfig::standard_persistent().with_lb(args.run.load_balance);
+    let atos_cfg = AtosConfig::standard_persistent();
     let runs: Vec<RunStats> = SweepRunner::new(args.threads).run(&cells, |_, &which| {
         let (graph, part, fabric) = (ds.graph.clone(), part.clone(), Fabric::daisy(4));
         let stats = match which {
@@ -390,8 +388,7 @@ pub fn ablation_smoothing(args: &BenchArgs, events: &EventTally) {
 /// simulator's cost model: smaller workers lose neighbor-list coalescing
 /// (higher per-edge cost), larger fetch amortizes pops but delays
 /// communication. Each point builds its own `Runtime` on the worker
-/// shape's cost model under its own configuration, which is why the table
-/// marks this experiment as honouring no run flag.
+/// shape's cost model under its own configuration.
 pub fn ablation_worker(args: &BenchArgs, events: &EventTally) {
     let ds = Dataset::named("soc-LiveJournal1_s", args.scale);
     let part = ds.partition(4);

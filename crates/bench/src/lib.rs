@@ -13,10 +13,8 @@
 //!
 //! Every experiment accepts `--quick` to run on the tiny test-scale graphs
 //! (the artifact appendix's "quick mode"), `--threads N` to fan the sweep
-//! grid over worker threads (default: host parallelism), `--json PATH` /
-//! `--run-id ID` for the timing report, and — where it launches Atos runs
-//! — `--load-balance {owner|steal}` to let idle PEs steal (default
-//! `owner`, the paper's scheduling). [`sweep`] has the harness.
+//! grid over worker threads (default: host parallelism), and `--json PATH`
+//! / `--run-id ID` for the timing report. [`sweep`] has the harness.
 
 use std::sync::Arc;
 
@@ -26,7 +24,7 @@ pub mod registry;
 pub mod sweep;
 pub mod trajectory;
 
-pub use sweep::{BenchArgs, EventTally, RunConfig, SweepReport, SweepRunner};
+pub use sweep::{BenchArgs, EventTally, SweepReport, SweepRunner};
 
 use atos_apps::bfs::run_bfs;
 use atos_apps::pagerank::run_pagerank;
@@ -178,16 +176,8 @@ pub fn is_atos(framework: &str) -> bool {
 }
 
 /// Run `framework` (one of [`frameworks`]`(system, app)`) on `ds` at
-/// `gpus` GPUs. Atos configurations execute under `run.load_balance`; the
-/// baseline frameworks ignore it.
-pub fn run_cell(
-    system: System,
-    app: App,
-    framework: &str,
-    ds: &Dataset,
-    gpus: usize,
-    run: RunConfig,
-) -> RunStats {
+/// `gpus` GPUs.
+pub fn run_cell(system: System, app: App, framework: &str, ds: &Dataset, gpus: usize) -> RunStats {
     let (graph, part, fabric) = (ds.graph.clone(), ds.partition(gpus), system.fabric(gpus));
     let atos = match (system, app, framework) {
         (System::Nvlink, App::Bfs, "Atos (queue+persistent kernel)")
@@ -205,7 +195,6 @@ pub fn run_cell(
         _ => None,
     };
     if let Some(cfg) = atos {
-        let cfg = cfg.with_lb(run.load_balance);
         return match app {
             App::Bfs => run_bfs(graph, part, ds.source, fabric, cfg).stats,
             App::PageRank => run_pagerank(graph, part, ALPHA, EPSILON, fabric, cfg).stats,
@@ -261,7 +250,7 @@ mod tests {
         for system in [System::Nvlink, System::Ib] {
             for app in [App::Bfs, App::PageRank] {
                 for f in frameworks(system, app) {
-                    let stats = run_cell(system, app, f, &ds, 2, RunConfig::default());
+                    let stats = run_cell(system, app, f, &ds, 2);
                     assert!(stats.elapsed_ms() > 0.0, "{system:?}/{app:?}/{f}");
                 }
             }

@@ -29,7 +29,7 @@ use atos_queue::bench_harness::{run as queue_probe, Experiment, QueueKind};
 use atos_sim::Fabric;
 use atos_trace::{perfetto, MetricsRegistry, TraceBuffer};
 
-use crate::sweep::{BenchArgs, EventTally, RunConfig};
+use crate::sweep::{BenchArgs, EventTally};
 use crate::Dataset;
 
 /// Virtual-thread count for the host-queue contention probes: small
@@ -37,11 +37,10 @@ use crate::Dataset;
 /// visibly retries under real-thread contention.
 const PROBE_VIRTUAL_THREADS: usize = 1024;
 
-/// The `reference` experiment: perform the reference run under
-/// `args.run` (added to `events`), print its summary, and write the
-/// artifacts `args` asks for.
+/// The `reference` experiment: perform the reference run (added to
+/// `events`), print its summary, and write the artifacts `args` asks for.
 pub fn reference(args: &BenchArgs, events: &EventTally) {
-    let (buf, reg) = reference_run(args.scale, args.run, events);
+    let (buf, reg) = reference_run(args.scale, events);
     println!("Reference run: BFS on soc-LiveJournal1_s, 4 GPUs over InfiniBand, aggregated");
     for (label, key) in [
         ("virtual time (ns)", "run.elapsed_ns"),
@@ -61,14 +60,8 @@ pub fn reference(args: &BenchArgs, events: &EventTally) {
 /// on `soc-LiveJournal1_s` over `Fabric::ib_cluster(4)` with
 /// [`AtosConfig::ib_bfs`] — aggregated communication, so step spans,
 /// send/arrive instants, size- and age-triggered flushes, and occupancy
-/// counters all appear — under `run.load_balance`, so a
-/// `--load-balance steal` snapshot carries live `lb.*` steal counters.
-/// Returns the raw trace and the filled registry.
-pub fn reference_run(
-    scale: Scale,
-    run: RunConfig,
-    events: &EventTally,
-) -> (TraceBuffer, MetricsRegistry) {
+/// counters all appear. Returns the raw trace and the filled registry.
+pub fn reference_run(scale: Scale, events: &EventTally) -> (TraceBuffer, MetricsRegistry) {
     let ds = Dataset::named("soc-LiveJournal1_s", scale);
     let part = ds.partition(4);
     let mut buf = TraceBuffer::new();
@@ -77,7 +70,7 @@ pub fn reference_run(
         part,
         ds.source,
         Fabric::ib_cluster(4),
-        AtosConfig::ib_bfs().with_lb(run.load_balance),
+        AtosConfig::ib_bfs(),
         &mut buf,
     );
     events.ms_of(&bfs.stats);
@@ -137,8 +130,7 @@ mod tests {
 
     #[test]
     fn reference_run_fills_both_artifacts() {
-        let (buf, reg) =
-            reference_run(Scale::Tiny, RunConfig::default(), &EventTally::default());
+        let (buf, reg) = reference_run(Scale::Tiny, &EventTally::default());
         assert!(!buf.is_empty());
         let json = perfetto::to_chrome_json(&buf);
         let summary = perfetto::validate_chrome_trace(&json).expect("valid trace");

@@ -12,7 +12,7 @@
 use atos_core::RunStats;
 use atos_graph::generators::{Preset, Scale};
 
-use crate::sweep::{BenchArgs, EventTally, RunConfig, SweepRunner};
+use crate::sweep::{BenchArgs, EventTally, SweepRunner};
 use crate::{experiments, frameworks, observability, relative_speedup, round_sig};
 use crate::{run_cell, App, Dataset, System};
 
@@ -23,11 +23,6 @@ pub struct Experiment {
     pub name: &'static str,
     /// One line for the usage table.
     pub about: &'static str,
-    /// Whether the experiment launches Atos runs under the invocation's
-    /// [`RunConfig`] and therefore honours `--load-balance`. One that does
-    /// not refuses the flag (exit 2) rather than report a run under a
-    /// setting it never used.
-    pub atos_runs: bool,
     /// What it executes.
     pub body: Body,
 }
@@ -48,13 +43,11 @@ pub static EXPERIMENTS: [Experiment; 15] = [
     Experiment {
         name: "table1_datasets",
         about: "Table I: the six scaled datasets (sizes, diameter, degrees)",
-        atos_runs: false,
         body: Body::Custom(experiments::table1_datasets),
     },
     Experiment {
         name: "table2_bfs_nvlink",
         about: "Table II: BFS runtimes on NVLink, four frameworks x six datasets",
-        atos_runs: true,
         body: Body::Grid(GridSpec {
             title: "Table II: BFS runtimes in ms (speedup vs Gunrock) on Daisy (NVLink)",
             system: System::Nvlink,
@@ -67,13 +60,11 @@ pub static EXPERIMENTS: [Experiment; 15] = [
     Experiment {
         name: "table3_priority_workload",
         about: "Table III: BFS redundant work without/with the priority queue, plus SSSP",
-        atos_runs: true,
         body: Body::Custom(experiments::table3_priority_workload),
     },
     Experiment {
         name: "table4_pr_nvlink",
         about: "Table IV: PageRank runtimes on NVLink, four frameworks x six datasets",
-        atos_runs: true,
         body: Body::Grid(GridSpec {
             title: "Table IV: PageRank runtimes in ms (speedup vs Gunrock) on Daisy (NVLink)",
             system: System::Nvlink,
@@ -86,7 +77,6 @@ pub static EXPERIMENTS: [Experiment; 15] = [
     Experiment {
         name: "table5_ib",
         about: "Table V: BFS and PageRank runtimes on InfiniBand, Galois vs Atos",
-        atos_runs: true,
         body: Body::Grid(GridSpec {
             title: "Table V: BFS and PageRank runtimes in ms (speedups vs Galois) on Summit (IB)",
             system: System::Ib,
@@ -99,25 +89,21 @@ pub static EXPERIMENTS: [Experiment; 15] = [
     Experiment {
         name: "fig1_queue",
         about: "Figure 1: queue push/pop microbenchmarks on real host threads (wall clock)",
-        atos_runs: false,
         body: Body::Custom(experiments::fig1_queue),
     },
     Experiment {
         name: "fig2_efficiency",
         about: "Figure 2: bandwidth efficiency vs requested bytes, PCIe 3 and NVLink",
-        atos_runs: false,
         body: Body::Custom(experiments::fig2_efficiency),
     },
     Experiment {
         name: "fig4_ib_sweep",
         about: "Figure 4: InfiniBand latency and bandwidth vs message size",
-        atos_runs: false,
         body: Body::Custom(experiments::fig4_ib_sweep),
     },
     Experiment {
         name: "fig5_scaling_nvlink",
         about: "Figure 5: BFS and PageRank strong scaling on NVLink, self-relative",
-        atos_runs: true,
         body: Body::Grid(GridSpec {
             title: "\nFigure 5 ({app}): relative speedup vs own 1-GPU runtime",
             system: System::Nvlink,
@@ -130,13 +116,11 @@ pub static EXPERIMENTS: [Experiment; 15] = [
     Experiment {
         name: "fig7_summit_node",
         about: "Figures 6-7: Gunrock vs Atos strong scaling on one dual-socket Summit node",
-        atos_runs: true,
         body: Body::Custom(experiments::fig7_summit_node),
     },
     Experiment {
         name: "fig8_scaling_ib_bfs",
         about: "Figure 8: BFS strong scaling on InfiniBand, self-relative",
-        atos_runs: true,
         body: Body::Grid(GridSpec {
             title: "Figure 8: BFS strong scaling on Summit (IB), self-relative",
             system: System::Ib,
@@ -149,7 +133,6 @@ pub static EXPERIMENTS: [Experiment; 15] = [
     Experiment {
         name: "fig9_scaling_ib_pr",
         about: "Figure 9: PageRank strong scaling on InfiniBand, self-relative",
-        atos_runs: true,
         body: Body::Grid(GridSpec {
             title: "Figure 9: PageRank strong scaling on Summit (IB), self-relative",
             system: System::Ib,
@@ -162,19 +145,16 @@ pub static EXPERIMENTS: [Experiment; 15] = [
     Experiment {
         name: "ablation_smoothing",
         about: "Ablation: traffic burstiness per framework (communication smoothing)",
-        atos_runs: true,
         body: Body::Custom(experiments::ablation_smoothing),
     },
     Experiment {
         name: "ablation_worker",
         about: "Ablation: worker granularity (thread/warp/CTA) x fetch size",
-        atos_runs: false,
         body: Body::Custom(experiments::ablation_worker),
     },
     Experiment {
         name: REFERENCE,
         about: "One instrumented BFS run; writes --trace / --metrics artifacts",
-        atos_runs: true,
         body: Body::Custom(observability::reference),
     },
 ];
@@ -200,8 +180,7 @@ pub fn usage() -> String {
         out.push_str(&format!("  {:<26}{}\n", e.name, e.about));
     }
     out.push_str(
-        "\nflags: --quick, --threads N, --json PATH, --run-id ID, and, where the experiment\n\
-         launches Atos runs, --load-balance {owner|steal};\n\
+        "\nflags: --quick, --threads N, --json PATH, --run-id ID;\n\
          `reference` alone accepts --trace PATH, --metrics PATH\n",
     );
     out
@@ -211,13 +190,6 @@ impl Experiment {
     /// `Err` naming the first flag in `args` this experiment cannot
     /// honour, so the run is refused instead of silently ignoring it.
     pub fn check_flags(&self, args: &BenchArgs) -> Result<(), String> {
-        if !self.atos_runs && args.run.load_balance != RunConfig::default().load_balance {
-            return Err(format!(
-                "{} does not support --load-balance: none of its runs take the flag, so it \
-                 would be ignored",
-                self.name
-            ));
-        }
         if self.name != REFERENCE {
             let artifact = [("--trace", &args.trace), ("--metrics", &args.metrics)];
             if let Some((flag, _)) = artifact.iter().find(|(_, path)| path.is_some()) {
@@ -324,9 +296,9 @@ impl GridSpec {
 
     /// Run one of [`GridSpec::cells`] on `datasets` (from
     /// [`GridSpec::datasets`]).
-    pub fn run_cell(&self, cell: &Cell, datasets: &[Dataset], run: RunConfig) -> RunStats {
+    pub fn run_cell(&self, cell: &Cell, datasets: &[Dataset]) -> RunStats {
         let ds = &datasets[cell.dataset];
-        run_cell(self.system, cell.app, cell.framework, ds, cell.gpus, run)
+        run_cell(self.system, cell.app, cell.framework, ds, cell.gpus)
     }
 }
 
@@ -336,7 +308,7 @@ impl GridSpec {
 pub fn run_grid(spec: &GridSpec, args: &BenchArgs, events: &EventTally) {
     let datasets = spec.datasets(args.scale);
     let ms = SweepRunner::new(args.threads).run(&spec.cells(), |_, cell| {
-        events.ms_of(&spec.run_cell(cell, &datasets, args.run))
+        events.ms_of(&spec.run_cell(cell, &datasets))
     });
     let gpus: Vec<usize> = (1..=spec.max_gpus).collect();
     // One scaling series per (application, dataset, framework), consumed
@@ -433,25 +405,9 @@ mod tests {
     }
 
     #[test]
-    fn run_flags_are_refused_exactly_where_no_atos_run_is_launched() {
-        for e in &EXPERIMENTS {
-            assert_eq!(e.check_flags(&args(&["--quick", "--threads", "3"])), Ok(()), "{}", e.name);
-            // Spelling out the default is not a request for anything else.
-            let spelled = args(&["--load-balance", "owner"]);
-            assert_eq!(e.check_flags(&spelled), Ok(()), "{}", e.name);
-            match e.check_flags(&args(&["--load-balance", "steal"])) {
-                Ok(()) => assert!(e.atos_runs, "{} ignores --load-balance", e.name),
-                Err(err) => {
-                    assert!(!e.atos_runs, "{}: {err}", e.name);
-                    assert!(err.contains(e.name) && err.contains("--load-balance"), "{err}");
-                }
-            }
-        }
-    }
-
-    #[test]
     fn only_the_reference_run_accepts_artifact_flags() {
         for e in &EXPERIMENTS {
+            assert_eq!(e.check_flags(&args(&["--quick", "--threads", "3"])), Ok(()), "{}", e.name);
             for flag in ["--trace", "--metrics"] {
                 let got = e.check_flags(&args(&[flag, "/tmp/x.json"]));
                 if e.name == REFERENCE {

@@ -9,11 +9,8 @@
 //! — parallelism only reorders wall-clock completion, never results.
 //!
 //! [`BenchArgs`] is the CLI surface after the experiment name (`--quick`,
-//! `--threads N`, `--json PATH`, `--run-id ID`); the flag that changes
-//! how each simulated run executes (`--load-balance`) parses into a
-//! [`RunConfig`] value that the experiments hand to whatever launches
-//! their runs, and the two artifact flags (`--trace`, `--metrics`) belong
-//! to the `reference` experiment alone
+//! `--threads N`, `--json PATH`, `--run-id ID`); the two artifact flags
+//! (`--trace`, `--metrics`) belong to the `reference` experiment alone
 //! ([`crate::registry::Experiment::check_flags`] refuses what an
 //! experiment cannot honour). [`SweepReport`] records each experiment's
 //! wall-clock time, thread count, and total simulator events (its
@@ -37,32 +34,12 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
-use atos_core::{LoadBalance, RunStats};
+use atos_core::RunStats;
 use atos_graph::generators::Scale;
 
 /// Default location of the sweep timing report, relative to the working
 /// directory (the repo root, when run via `cargo run`).
 pub const DEFAULT_REPORT_PATH: &str = "results/BENCH_sweep.json";
-
-/// How each simulated Atos run of an experiment executes: the setting
-/// every cell of one invocation shares, passed by value to
-/// [`crate::run_cell`] and the app launch bodies. Baseline frameworks
-/// ignore it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RunConfig {
-    /// Load-balance policy from `--load-balance {owner|steal}` (default
-    /// `owner` — the paper's static owner-computes assignment), applied
-    /// to every Atos run's [`atos_core::AtosConfig`].
-    pub load_balance: LoadBalance,
-}
-
-impl Default for RunConfig {
-    fn default() -> Self {
-        RunConfig {
-            load_balance: LoadBalance::Owner,
-        }
-    }
-}
 
 /// Parsed command line of one `atos-bench <experiment>` invocation.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -86,8 +63,6 @@ pub struct BenchArgs {
     /// the timing-report entry is keyed `<experiment>@<ID>` so the report
     /// accumulates a history instead of overwriting the last entry.
     pub run_id: Option<String>,
-    /// `--load-balance POLICY`.
-    pub run: RunConfig,
 }
 
 impl BenchArgs {
@@ -101,7 +76,6 @@ impl BenchArgs {
         let mut trace: Option<PathBuf> = None;
         let mut metrics: Option<PathBuf> = None;
         let mut run_id: Option<String> = None;
-        let mut run = RunConfig::default();
         let mut it = args.iter();
         while let Some(arg) = it.next() {
             match arg.as_str() {
@@ -127,17 +101,10 @@ impl BenchArgs {
                     let v = it.next().ok_or("--run-id requires a value")?;
                     run_id = Some(v.clone());
                 }
-                "--load-balance" => {
-                    let v = it.next().ok_or("--load-balance requires a value")?;
-                    run.load_balance = LoadBalance::parse(v).ok_or_else(|| {
-                        format!("invalid --load-balance value `{v}` (expected owner or steal)")
-                    })?;
-                }
                 other => {
                     return Err(format!(
                         "unknown argument `{other}` (supported: --quick, --threads N, \
-                         --json PATH, --trace PATH, --metrics PATH, --run-id ID, \
-                         --load-balance {{owner|steal}})"
+                         --json PATH, --trace PATH, --metrics PATH, --run-id ID)"
                     ))
                 }
             }
@@ -149,7 +116,6 @@ impl BenchArgs {
             trace,
             metrics,
             run_id,
-            run,
         })
     }
 }
@@ -363,7 +329,6 @@ mod tests {
         assert_eq!(a.trace, None);
         assert_eq!(a.metrics, None);
         assert_eq!(a.run_id, None);
-        assert_eq!(a.run, RunConfig::default());
     }
 
     #[test]
@@ -381,8 +346,6 @@ mod tests {
                 "/tmp/m.json",
                 "--run-id",
                 "abc123@2026-01-01T00:00:00Z",
-                "--load-balance",
-                "steal",
             ]),
             1,
         )
@@ -393,26 +356,6 @@ mod tests {
         assert_eq!(a.trace, Some(PathBuf::from("/tmp/t.json")));
         assert_eq!(a.metrics, Some(PathBuf::from("/tmp/m.json")));
         assert_eq!(a.run_id.as_deref(), Some("abc123@2026-01-01T00:00:00Z"));
-        assert_eq!(
-            a.run,
-            RunConfig {
-                load_balance: LoadBalance::Steal
-            }
-        );
-    }
-
-    #[test]
-    fn parser_accepts_both_load_balance_policies_and_no_other() {
-        for lb in LoadBalance::ALL {
-            let a =
-                BenchArgs::parse_from(&s(&["--load-balance", lb.name()]), 1).unwrap();
-            assert_eq!(a.run.load_balance, lb);
-        }
-        assert!(BenchArgs::parse_from(&s(&["--load-balance"]), 1).is_err());
-        for gone in ["chunk", "priority", "magic"] {
-            let err = BenchArgs::parse_from(&s(&["--load-balance", gone]), 1).unwrap_err();
-            assert!(err.contains("expected owner or steal"), "{err}");
-        }
     }
 
     #[test]

@@ -9,12 +9,8 @@
 //!    fig5/fig8/fig9 sweep grids at test scale — their cells enumerated from the
 //!    experiment table ([`crate::registry`]) — run serially in-process so
 //!    the number is a stable single-core wall-clock, not a function of
-//!    host parallelism. The load-balance variant
-//!    ([`measure_lb_sweep`]) times the quick BFS under owner-computes and
-//!    under work stealing, and delta-stepping vs Dijkstra-order SSSP,
-//!    recording the redundant-work/migration counters alongside.
-//!    [`measure_graph_build`] times the layer underneath all of them:
-//!    full-scale graph generation and the CSR build.
+//!    host parallelism. [`measure_graph_build`] times the layer underneath
+//!    them: full-scale graph generation and the CSR build.
 //! 2. **The trajectory file** ([`TrajectoryEntry`], [`read_trajectory`],
 //!    [`append_entries`], [`check_regression`]): a committed, append-only
 //!    JSON history keyed by `<git sha>@<timestamp>` — both passed in via
@@ -30,12 +26,9 @@ use std::io;
 use std::path::Path;
 use std::time::Instant;
 
-use atos_apps::bfs::run_bfs;
-use atos_core::AtosConfig;
-use atos_graph::generators::{Preset, Scale};
-use atos_sim::Fabric;
+use atos_graph::generators::Scale;
 
-use crate::{registry, Dataset, RunConfig};
+use crate::registry;
 
 /// Default location of the committed trajectory history, relative to the
 /// repo root.
@@ -73,7 +66,7 @@ pub fn quick_grid_ms(name: &str) -> f64 {
     let t0 = Instant::now();
     let mut acc = 0.0f64;
     for cell in spec.cells() {
-        acc += spec.run_cell(&cell, &datasets, RunConfig::default()).elapsed_ms();
+        acc += spec.run_cell(&cell, &datasets).elapsed_ms();
     }
     std::hint::black_box(acc);
     t0.elapsed().as_secs_f64() * 1e3
@@ -122,142 +115,6 @@ pub fn measure_graph_build(samples: usize) -> BTreeMap<String, f64> {
     metrics
 }
 
-/// Graph families the `lb_sweep` trajectory entry covers: one power-law
-/// (skewed frontier, where stealing has work to move) and one road-like
-/// mesh (balanced frontier, where stealing must not add overhead).
-pub const LB_SWEEP_FAMILIES: [(&str, &str); 2] =
-    [("sf", "twitter_s"), ("road", "road_usa_s")];
-
-/// Measure the load-balance tradeoff for the `lb_sweep` trajectory entry:
-/// best-of-`samples` wall clock of a quick 4-PE BFS on both
-/// [`LB_SWEEP_FAMILIES`] under each [`LoadBalance`]
-/// policy (`lb_<name>_ms`), plus the policy's redundant-work and
-/// migration counters (`lb_<name>_tasks`,
-/// `lb_<name>_steals` — informational, never regression-gated), plus the
-/// delta-stepping vs Dijkstra-order SSSP comparison on the power-law
-/// family (`lb_sssp_delta_ms` / `lb_sssp_dijkstra_ms`). Records
-/// `host_cores` like [`measure_graph_build`]: wall clock is a property of
-/// the machine, so [`check_regression`] skips cross-host comparisons.
-/// Entries before `sequential` in their run id ran at K=2 engine shards
-/// with steals confined to a shard's PE range: a different experiment.
-/// Panics if stealing changes a BFS
-/// depth vector or either SSSP formulation diverges from the other — a
-/// load-balance number for a wrong result is worse than no number.
-pub fn measure_lb_sweep(samples: usize) -> BTreeMap<String, f64> {
-    use atos_apps::sssp::{run_sssp, run_sssp_delta};
-    use atos_core::LoadBalance;
-    use atos_graph::weights::EdgeWeights;
-
-    let mut metrics = BTreeMap::new();
-    metrics.insert("host_cores".to_string(), host_cores());
-    let datasets: Vec<Dataset> = LB_SWEEP_FAMILIES
-        .iter()
-        .map(|(_, preset)| Dataset::build(Preset::by_name(preset).unwrap(), Scale::Tiny))
-        .collect();
-    let mut owner_depths: Vec<Vec<u32>> = Vec::new();
-    // `ALL` leads with `Owner`, so the reference depths exist before the
-    // stealing run is compared against them.
-    for lb in LoadBalance::ALL {
-        let cfg = AtosConfig::standard_persistent().with_lb(lb);
-        let run_family = |ds: &Dataset| {
-            run_bfs(
-                ds.graph.clone(),
-                ds.partition(4),
-                ds.source,
-                Fabric::daisy(4),
-                cfg,
-            )
-        };
-        let (mut tasks, mut steals) = (0u64, 0u64);
-        for (i, ds) in datasets.iter().enumerate() {
-            let run = run_family(ds);
-            tasks += run.stats.total_tasks();
-            steals += run.stats.lb_steals;
-            if lb == LoadBalance::Owner {
-                owner_depths.push(run.depth);
-            } else {
-                assert_eq!(
-                    run.depth, owner_depths[i],
-                    "--load-balance {} changed BFS depths on {}",
-                    lb.name(),
-                    LB_SWEEP_FAMILIES[i].1
-                );
-            }
-        }
-        let (ms, _) = best_of_ms(samples, || {
-            let mut sum = 0u64;
-            for ds in &datasets {
-                let stats = run_family(ds).stats;
-                sum = sum
-                    .rotate_left(7)
-                    .wrapping_add(stats.elapsed_ns)
-                    .wrapping_add(stats.sim_events.wrapping_mul(0x9E37_79B9_7F4A_7C15));
-            }
-            sum
-        });
-        metrics.insert(format!("lb_{}_ms", lb.name()), ms);
-        metrics.insert(format!("lb_{}_tasks", lb.name()), tasks as f64);
-        metrics.insert(format!("lb_{}_steals", lb.name()), steals as f64);
-    }
-    // Delta-stepping (light/heavy split, delta=8) vs Dijkstra-order
-    // (priority queue, delta=1) SSSP on the power-law family. Equal
-    // distances are asserted once, then each formulation is timed.
-    let ds = &datasets[0];
-    let weights = std::sync::Arc::new(EdgeWeights::random(&ds.graph, 64, 1));
-    let part = ds.partition(4);
-    let dij = run_sssp(
-        ds.graph.clone(),
-        weights.clone(),
-        part.clone(),
-        ds.source,
-        1,
-        Fabric::daisy(4),
-        AtosConfig::priority_discrete(),
-    );
-    let delta = run_sssp_delta(
-        ds.graph.clone(),
-        weights.clone(),
-        part.clone(),
-        ds.source,
-        8,
-        Fabric::daisy(4),
-        AtosConfig::priority_discrete(),
-    );
-    assert_eq!(
-        delta.dist, dij.dist,
-        "delta-stepping SSSP diverged from Dijkstra-order SSSP"
-    );
-    let (dij_ms, _) = best_of_ms(samples, || {
-        run_sssp(
-            ds.graph.clone(),
-            weights.clone(),
-            part.clone(),
-            ds.source,
-            1,
-            Fabric::daisy(4),
-            AtosConfig::priority_discrete(),
-        )
-        .stats
-        .elapsed_ns
-    });
-    let (delta_ms, _) = best_of_ms(samples, || {
-        run_sssp_delta(
-            ds.graph.clone(),
-            weights.clone(),
-            part.clone(),
-            ds.source,
-            8,
-            Fabric::daisy(4),
-            AtosConfig::priority_discrete(),
-        )
-        .stats
-        .elapsed_ns
-    });
-    metrics.insert("lb_sssp_dijkstra_ms".to_string(), dij_ms);
-    metrics.insert("lb_sssp_delta_ms".to_string(), delta_ms);
-    metrics
-}
-
 // ---------------------------------------------------------------------------
 // Trajectory file
 // ---------------------------------------------------------------------------
@@ -267,8 +124,8 @@ pub fn measure_lb_sweep(samples: usize) -> BTreeMap<String, f64> {
 pub struct TrajectoryEntry {
     /// `<git sha>@<timestamp>` — both supplied on the command line.
     pub run_id: String,
-    /// Entry kind: `e2e_quick`, `lb_sweep` or `graph_build` (history also
-    /// holds the retired `engine_microbench` and the deleted sharded
+    /// Entry kind: `e2e_quick` or `graph_build` (history also holds the
+    /// retired `engine_microbench` and `lb_sweep` and the deleted sharded
     /// engine's `sharded_scaling`; the reader is kind-agnostic).
     pub kind: String,
     /// Numeric metrics; a `_ms` suffix marks a gated timing (lower is
@@ -411,33 +268,19 @@ mod tests {
     }
 
     #[test]
-    fn measure_lb_sweep_reports_all_disciplines() {
-        let m = measure_lb_sweep(1);
-        assert!(m["host_cores"] >= 1.0);
-        for lb in atos_core::LoadBalance::ALL {
-            assert!(m[&format!("lb_{}_ms", lb.name())] > 0.0);
-            assert!(m[&format!("lb_{}_tasks", lb.name())] > 0.0);
-            assert!(m.contains_key(&format!("lb_{}_steals", lb.name())));
-        }
-        assert_eq!(m["lb_owner_steals"], 0.0, "owner-computes must never steal");
-        assert!(m["lb_sssp_delta_ms"] > 0.0);
-        assert!(m["lb_sssp_dijkstra_ms"] > 0.0);
-    }
-
-    #[test]
     fn trajectory_file_round_trips_and_appends() {
         let dir = std::env::temp_dir().join(format!("atos-traj-test-{}", std::process::id()));
         let path = dir.join("BENCH_trajectory.json");
         let _ = std::fs::remove_dir_all(&dir);
         assert!(read_trajectory(&path).unwrap().is_empty());
-        let e1 = entry("lb_sweep", &[("host_cores", 2.0), ("lb_owner_ms", 81.125)]);
+        let e1 = entry("graph_build", &[("host_cores", 2.0), ("rmat18_ms", 81.125)]);
         let e2 = entry("e2e_quick", &[("fig5_quick_ms", 2311.5)]);
         append_entries(&path, std::slice::from_ref(&e1)).unwrap();
         append_entries(&path, std::slice::from_ref(&e2)).unwrap();
         let history = read_trajectory(&path).unwrap();
         assert_eq!(history, vec![e1.clone(), e2.clone()]);
         assert_eq!(last_of_kind(&history, "e2e_quick"), Some(&e2));
-        assert_eq!(last_of_kind(&history, "lb_sweep"), Some(&e1));
+        assert_eq!(last_of_kind(&history, "graph_build"), Some(&e1));
         let text = std::fs::read_to_string(&path).unwrap();
         assert!(text.starts_with("[\n{\"run_id\": "), "{text}");
         assert!(text.ends_with("}\n]\n"), "{text}");
@@ -458,9 +301,9 @@ mod tests {
         // A faster run never fails, and a key without `_ms` is never gated.
         let fast = entry("e2e_quick", &[("fig5_quick_ms", 50.0), ("fig9_quick_ms", 150.0)]);
         assert!(check_regression(&prev, &fast, 10.0).is_empty());
-        let counts = entry("lb_sweep", &[("lb_steal_tasks", 100.0)]);
-        let more = entry("lb_sweep", &[("lb_steal_tasks", 900.0)]);
-        assert!(check_regression(&counts, &more, 10.0).is_empty());
+        let rate = entry("graph_build", &[("from_edges_medges_per_s", 900.0)]);
+        let slower = entry("graph_build", &[("from_edges_medges_per_s", 100.0)]);
+        assert!(check_regression(&rate, &slower, 10.0).is_empty());
     }
 
     #[test]

@@ -58,20 +58,7 @@ fn every_row_is_documented_reproducible_and_ignores_no_flag() {
             assert!(plain == golden, "{name} --quick differs from results/{file}");
         }
 
-        // Honoured or refused by name before anything is printed or
-        // reported.
-        std::fs::remove_file(&json).unwrap();
-        let (code, stealing, stderr) = run(name, &["--load-balance", "steal"], &json);
-        if e.atos_runs {
-            assert_eq!(code, Some(0), "{name} --load-balance steal: {stderr}");
-        } else {
-            assert_eq!(code, Some(2), "{name} --load-balance steal: {stderr}");
-            assert!(stderr.contains("--load-balance"), "{stderr}");
-            assert!(stealing.is_empty() && !json.exists(), "{name} ran before refusing");
-            let spelled = run(name, &["--load-balance", "owner"], &json);
-            assert_eq!(spelled.0, Some(0), "{name}: spelling out the default is fine");
-        }
-
+        // Refused by name before anything is printed or reported.
         if name != REFERENCE {
             let trace = dir.join("trace.json");
             let (code, stdout, stderr) = run(name, &["--trace", trace.to_str().unwrap()], &json);
@@ -82,22 +69,6 @@ fn every_row_is_documented_reproducible_and_ignores_no_flag() {
     }
     for (name, _) in QUICK_GOLDENS {
         assert!(EXPERIMENTS.iter().any(|e| e.name == name), "golden for unknown row {name}");
-    }
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn stealing_reaches_the_runs_of_the_hand_written_experiments() {
-    // The grids pass `--load-balance` through `run_cell`; these three
-    // launch their Atos runs themselves and once dropped the flag.
-    let dir = std::env::temp_dir().join(format!("atos-registry-lb-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let json = dir.join("sweep.json");
-    for name in ["fig7_summit_node", "table3_priority_workload", "ablation_smoothing"] {
-        let (_, plain, _) = run(name, &[], &json);
-        let (code, stealing, stderr) = run(name, &["--load-balance", "steal"], &json);
-        assert_eq!(code, Some(0), "{name} --load-balance steal: {stderr}");
-        assert!(stealing != plain, "{name}: --load-balance steal changed nothing it computes");
     }
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -11,7 +11,7 @@
 use std::path::PathBuf;
 use std::process::{Command, Output};
 
-use atos_bench::{registry, run_cell, App, Dataset, EventTally, RunConfig, SweepRunner, System};
+use atos_bench::{registry, run_cell, App, Dataset, EventTally, SweepRunner, System};
 use atos_graph::generators::{Preset, Scale};
 
 /// Run `atos-bench` with `args`, its report going to `json`.
@@ -56,7 +56,7 @@ fn same_configuration_runs_twice_identically() {
         (System::Nvlink, App::Bfs, "Atos (queue+persistent kernel)", 3),
         (System::Ib, App::PageRank, "Atos", 2),
     ] {
-        let once = || run_cell(system, app, framework, &ds, gpus, RunConfig::default());
+        let once = || run_cell(system, app, framework, &ds, gpus);
         let (a, b) = (once(), once());
         assert_eq!(a.elapsed_ns, b.elapsed_ns, "{system:?}/{app:?}");
         assert_eq!(a.sim_events, b.sim_events, "{system:?}/{app:?}");
@@ -72,7 +72,7 @@ fn sweep_grid_matches_serial_reference() {
     let datasets = spec.datasets(Scale::Tiny);
     let cells = spec.cells();
     let events = EventTally::default();
-    let cell = |c: &registry::Cell| events.ms_of(&spec.run_cell(c, &datasets, RunConfig::default()));
+    let cell = |c: &registry::Cell| events.ms_of(&spec.run_cell(c, &datasets));
     let serial: Vec<f64> = cells.iter().map(cell).collect();
     let serial_events = events.total();
     let parallel = SweepRunner::new(4).run(&cells, |_, c| cell(c));

@@ -6,13 +6,13 @@
 //! trace). These tests pin that property, the trace_event format
 //! contract, and the presence of every instrumented subsystem.
 
-use atos_bench::{EventTally, RunConfig};
+use atos_bench::EventTally;
 use atos_graph::generators::Scale;
 use atos_trace::{json, perfetto, MetricsRegistry, TraceBuffer};
 
-/// The reference run, owner-computes.
+/// The reference run.
 fn reference_run(scale: Scale) -> (TraceBuffer, MetricsRegistry) {
-    atos_bench::observability::reference_run(scale, RunConfig::default(), &EventTally::default())
+    atos_bench::observability::reference_run(scale, &EventTally::default())
 }
 
 /// Metrics keys that legitimately differ between two identical runs: the

@@ -4,7 +4,7 @@
 //! drivers in `queue_models.rs`. This is the falsifiability proof for the
 //! whole subsystem: a checker that cannot reject broken orderings says
 //! nothing by accepting the real ones. Mutations 1–3 live here; mutation 4
-//! (the relaxed steal-cursor load) lives with the steal-protocol suite in
+//! (the relaxed pop-side `end` load) lives with the racing-pop suite in
 //! `steal_models.rs`.
 #![cfg(atos_check)]
 

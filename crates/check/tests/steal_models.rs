@@ -1,16 +1,20 @@
-//! Model-check suite for the work-stealing protocol.
+//! Model-check suite for two pop handles racing on one queue.
 //!
-//! The runtime's cross-PE steal path (`atos_core::runtime`, `--load-balance
-//! steal`) has a stealer pop a *group* from a victim PE's queue through the
-//! exact same `pop_group`/`PopState` machinery the owner uses — there is no
-//! separate steal cursor. Its safety therefore reduces to three properties
-//! of [`CounterQueue`] under two racing pop handles:
+//! `run_host` (`atos_core::host::worker`) runs `workers_per_pe` workers per
+//! PE, and with two or more of them sibling workers pop *groups* from the
+//! same `local` and `recv` [`CounterQueue`]s, each through its own
+//! `PopState`, while remote workers push into `recv`. (The file's name
+//! dates from the simulator's work stealing, which popped a victim's queue
+//! the same way and is gone; the protocol it checks is the one `run_host`
+//! runs.) Its safety reduces to three properties of [`CounterQueue`] under
+//! two racing pop handles — called "owner" and "stealer" below, for the
+//! first and the second worker:
 //!
-//! 1. **Disjoint claims** — owner-pop and stealer-pop-group never yield the
-//!    same item (monotone `fetch_add` on `start`).
-//! 2. **Conservation** — across owner, stealer, and a racing victim-side
-//!    pusher, nothing is lost or duplicated once the queue quiesces.
-//! 3. **Prefix safety** — a stealer racing publication only ever observes a
+//! 1. **Disjoint claims** — the two pop groups never yield the same item
+//!    (monotone `fetch_add` on `start`).
+//! 2. **Conservation** — across both poppers and a racing pusher, nothing is
+//!    lost or duplicated once the queue quiesces.
+//! 3. **Prefix safety** — a popper racing publication only ever observes a
 //!    prefix of fully published items, never an unwritten slot.
 //!
 //! Compiled only under `RUSTFLAGS="--cfg atos_check"`. The suite also
@@ -31,9 +35,9 @@ fn bounded(preemptions: usize) -> Model {
     m
 }
 
-/// Property 1: owner and stealer pop groups concurrently from a pre-filled
-/// victim queue. Every interleaving yields disjoint claims — no item is
-/// executed by both PEs — and with enough combined demand the queue drains
+/// Property 1: two workers pop groups concurrently from a pre-filled
+/// queue. Every interleaving yields disjoint claims — no item is executed
+/// by both workers — and with enough combined demand the queue drains
 /// completely (any claim overshooting the final `end` is provably
 /// unfillable and abandoned, exactly the runtime's termination argument).
 #[test]
@@ -67,10 +71,9 @@ fn steal_owner_and_stealer_claims_disjoint() {
         .assert_passed();
 }
 
-/// Property 2: a victim-side pusher races the owner pop *and* a stealer
-/// pop-group. Whatever either popper harvests mid-race, after quiescence
-/// the union is exactly the pushed set — steals move work, they never
-/// duplicate or lose it.
+/// Property 2: a remote pusher races both workers' pop groups. Whatever
+/// either popper harvests mid-race, after quiescence the union is exactly
+/// the pushed set — nothing duplicated, nothing lost.
 #[test]
 fn steal_racing_pusher_conserves_items() {
     let out = bounded(2).check(|| {
@@ -117,10 +120,10 @@ fn steal_racing_pusher_conserves_items() {
     }
 }
 
-/// Property 3: a stealer racing publication observes only a prefix of the
-/// pushed group — the Acquire load of `end` is the one edge that makes the
-/// stolen slot reads safe, and the checker verifies it on every
-/// interleaving (weakening it is mutation 4, caught below).
+/// Property 3: a popper racing publication observes only a prefix of the
+/// pushed group — the Acquire load of `end` is the one edge that makes its
+/// slot reads safe, and the checker verifies it on every interleaving
+/// (weakening it is mutation 4, caught below).
 #[test]
 fn steal_pop_is_prefix_safe_under_publication() {
     bounded(2)
@@ -129,8 +132,8 @@ fn steal_pop_is_prefix_safe_under_publication() {
             let mut stolen = Vec::new();
             thread::scope(|s| {
                 s.spawn(|| q.push_group(&[5u64, 6]).unwrap());
-                // The "stealer": pops from a queue it does not own while
-                // the owner-side push is mid-flight.
+                // The popper: a worker draining `recv` while a remote
+                // worker's push is mid-flight.
                 let mut h = PopState::new();
                 q.pop_group(&mut h, 2, &mut stolen);
                 h.abandon();
@@ -153,11 +156,11 @@ fn assert_replays(f: &Failure, body: impl Fn() + Send + Sync + 'static) {
     assert_eq!(rf.kind, f.kind, "replay changed the failure kind");
 }
 
-/// Mutation 4 — the steal-side `end` load weakened Acquire→Relaxed
-/// (`atos_queue::mutations::CounterQueueRelaxedSteal`). A stealer that
+/// Mutation 4 — the pop-side `end` load weakened Acquire→Relaxed
+/// (`atos_queue::mutations::CounterQueueRelaxedSteal`). A popper that
 /// observes `end > start` with a Relaxed load claims the slot without
-/// synchronizing with the victim-side pusher's publication, so its slot
-/// read races with the slot write. The checker must report the race with
+/// synchronizing with the pusher's publication, so its slot read races with
+/// the slot write. The checker must report the race with
 /// a deterministic, replayable schedule; the identical driver on the real
 /// queue is `steal_pop_is_prefix_safe_under_publication` above, which
 /// passes.

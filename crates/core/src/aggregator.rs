@@ -98,7 +98,9 @@ impl Bundle {
     /// as index `i` of `clock` — to count before the flush policy fires,
     /// and whether it fires on the last of them (flush at that task's issue
     /// time). Noting one by one and asking [`Bundle::should_flush`] after
-    /// each stops at the same task.
+    /// each stops at the same task, given what every dispatch guarantees:
+    /// only the bundle's own PE issues into it, in time order, so no task is
+    /// issued before the bundle it joins opened.
     pub fn run_len(
         &self,
         clock: &IssueClock,
@@ -120,10 +122,6 @@ impl Bundle {
         let age_limit = wait_time as u64 * AGGREGATOR_POLL_NS;
         let opened = self.opened_at.unwrap_or_else(|| clock.at(i));
         let by_age = match clock.first_at_or_after(opened as u128 + age_limit as u128) {
-            // `should_flush` subtracts saturating: a zero limit is met even
-            // by a task issued before the bundle opened (a thief dispatching
-            // for its victim can be behind the victim's clock).
-            _ if age_limit == 0 => 1,
             Some(j) => j.saturating_sub(i).saturating_add(1),
             None => u64::MAX,
         };

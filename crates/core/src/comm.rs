@@ -32,14 +32,14 @@
 //! One rule replaces the arrival event: **whoever is about to read a PE's
 //! receive-side state settles that PE first** — delivers, in key order,
 //! every lane car whose key is below the reader's own event key. The
-//! readers are the PE's own events (its step pops the queue, its
-//! aggregator poll shares its trace track) and a thief inspecting it as a
-//! steal victim; nothing else can tell a queue that holds an arrival from
-//! a lane that does. A PE with no step scheduled has no reader coming, so
-//! its earliest waiting arrival does get an engine event — a *doorbell*,
-//! filed under that arrival's reserved key, which settles the PE through
-//! the key and wakes it as the arrival event used to; if nothing came of
-//! it the PE is still idle and the next arrival's doorbell is rung. An
+//! readers are the PE's own events only (its step pops the queue, its
+//! aggregator poll shares its trace track); nothing else can tell a queue
+//! that holds an arrival from a lane that does. A PE with no step
+//! scheduled has no reader coming, so its earliest waiting arrival does
+//! get an engine event — a *doorbell*, filed under that arrival's reserved
+//! key, which settles the PE through the key and wakes it as the arrival
+//! event used to; if nothing came of it the PE is still idle and the next
+//! arrival's doorbell is rung. An
 //! idle PE with waiting arrivals always has one coming: the barrier that
 //! files them, the doorbell that wakes nobody and the step that goes idle
 //! each ring it (`Runtime::ring_doorbell`). Either way each
@@ -834,21 +834,13 @@ impl<A: Application, Tr: Tracer> Runtime<A, Tr> {
             // open at or after the time the timer was armed, so every
             // deadline is at or past the armed one and the poll's
             // rescheduling loop picks it up — no per-destination timer.
-            // (Owner-computes only: a thief dispatches for its victim on
-            // its own clock, which can be behind the victim's armed timer;
-            // such a bundle waits for the armed poll.)
-            #[cfg(debug_assertions)]
-            if self.cfg.lb == crate::LoadBalance::Owner {
-                let earliest = self.pes[pe]
-                    .agg
-                    .iter()
+            debug_assert!(
+                (self.pes[pe].agg.iter())
                     .filter_map(|b| b.age_deadline(wait_time))
-                    .min();
-                debug_assert!(
-                    earliest.is_none_or(|d| d >= self.pes[pe].agg_poll_deadline),
-                    "aggregator deadline moved earlier than the armed poll"
-                );
-            }
+                    .min()
+                    .is_none_or(|d| d >= self.pes[pe].agg_poll_deadline),
+                "aggregator deadline moved earlier than the armed poll"
+            );
             self.stats.agg_poll_coalesced += 1;
             return;
         }

@@ -1,7 +1,5 @@
 //! Runtime configuration: the paper's three design axes plus communication
-//! mode and the load-balance discipline.
-
-use crate::loadbalance::LoadBalance;
+//! mode.
 
 /// Kernel implementation strategy (paper configuration decision 1).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -147,10 +145,6 @@ pub struct AtosConfig {
     pub worker: WorkerConfig,
     /// Communication mode.
     pub comm: CommMode,
-    /// How an idle PE gets work (see `loadbalance`). All paper presets use
-    /// `Owner` — the paper's static owner-computes — so stealing is
-    /// strictly additive to the reproduced configurations.
-    pub lb: LoadBalance,
 }
 
 impl AtosConfig {
@@ -162,7 +156,6 @@ impl AtosConfig {
             queue: QueueMode::Standard,
             worker: WorkerConfig::cta512(),
             comm: CommMode::Direct { group: 32 },
-            lb: LoadBalance::Owner,
         }
     }
 
@@ -178,7 +171,6 @@ impl AtosConfig {
             },
             worker: WorkerConfig::cta512(),
             comm: CommMode::Direct { group: 32 },
-            lb: LoadBalance::Owner,
         }
     }
 
@@ -189,7 +181,6 @@ impl AtosConfig {
             queue: QueueMode::Standard,
             worker: WorkerConfig::cta512(),
             comm: CommMode::Direct { group: 32 },
-            lb: LoadBalance::Owner,
         }
     }
 
@@ -204,7 +195,6 @@ impl AtosConfig {
                 batch_bytes: 1 << 20,
                 wait_time: 4,
             },
-            lb: LoadBalance::Owner,
         }
     }
 
@@ -219,16 +209,7 @@ impl AtosConfig {
                 batch_bytes: 1 << 20,
                 wait_time: 32,
             },
-            lb: LoadBalance::Owner,
         }
-    }
-
-    /// Same configuration under a different load-balance policy (`const`,
-    /// so bench sweeps can derive stealing variants from the paper presets
-    /// without touching the other axes).
-    pub const fn with_lb(mut self, lb: LoadBalance) -> Self {
-        self.lb = lb;
-        self
     }
 
     /// Human-readable label matching the paper's table headers.
@@ -273,22 +254,6 @@ mod tests {
         assert_eq!(WorkerSize::Warp.threads(), 32);
         assert_eq!(WorkerSize::Cta(512).threads(), 512);
         assert_eq!(WorkerConfig::cta512().round_capacity(), 160 * 32);
-    }
-
-    #[test]
-    fn presets_default_to_owner_computes() {
-        for cfg in [
-            AtosConfig::standard_persistent(),
-            AtosConfig::priority_discrete(),
-            AtosConfig::standard_discrete(),
-            AtosConfig::ib_bfs(),
-            AtosConfig::ib_pagerank(),
-        ] {
-            assert_eq!(cfg.lb, LoadBalance::Owner);
-        }
-        let stealing = AtosConfig::standard_persistent().with_lb(LoadBalance::Steal);
-        assert_eq!(stealing.lb, LoadBalance::Steal);
-        assert_eq!(stealing.kernel, AtosConfig::standard_persistent().kernel);
     }
 
     #[test]

@@ -54,7 +54,6 @@ pub mod config;
 pub mod dqueue;
 pub mod emitter;
 pub mod host;
-pub mod loadbalance;
 pub mod metrics;
 pub mod runtime;
 pub mod sharded;
@@ -64,7 +63,6 @@ pub use app::Application;
 pub use config::{AtosConfig, CommMode, KernelMode, QueueMode, WorkerConfig, WorkerSize};
 pub use dqueue::DistributedQueues;
 pub use emitter::Emitter;
-pub use loadbalance::{LoadBalance, STEAL_GRAIN};
 pub use metrics::RunStats;
 pub use host::{run_host, HostApplication, HostConfig, HostStats};
 pub use runtime::{Runtime, RuntimeTuning};

@@ -68,15 +68,14 @@ pub struct RunStats {
     /// Traffic burstiness (coefficient of variation; None if negligible
     /// traffic).
     pub burstiness: Option<f64>,
-    /// Active load-balance discipline (`LoadBalance::code()`); 0 = the
-    /// default owner-computes.
-    pub lb_discipline: u64,
-    /// Steal operations performed (one per victim reservation).
+    /// Residue of the deleted work-stealing discipline (DESIGN.md §11),
+    /// always 0: scheduling is owner-computes, so no PE ever runs another's
+    /// tasks. Kept for one caller, the frozen `benchmark/` package, which
+    /// reports it as `core.lb_steals`. ROADMAP item 2(e)'s `[benchmark]` PR
+    /// deletes it with `lb_stolen_tasks` and `tests/benchmark_pins.rs`.
     pub lb_steals: u64,
-    /// Tasks moved by steals.
+    /// Residue, always 0, like `lb_steals` (`core.lb_stolen_tasks`).
     pub lb_stolen_tasks: u64,
-    /// Edge work moved by steals (`task_edges` of the stolen tasks).
-    pub lb_stolen_edges: u64,
 }
 
 impl RunStats {
@@ -162,10 +161,6 @@ impl RunStats {
         reg.set("engine.ev_arrivals", self.ev_arrivals);
         reg.set("engine.ev_agg_polls", self.ev_agg_polls);
         reg.set("engine.peak_pending_events", self.peak_pending_events);
-        reg.set("lb.discipline", self.lb_discipline);
-        reg.set("lb.steals", self.lb_steals);
-        reg.set("lb.stolen_tasks", self.lb_stolen_tasks);
-        reg.set("lb.stolen_edges", self.lb_stolen_edges);
         reg.set(
             "queue.occupancy_hwm",
             self.queue_hwm_per_pe.iter().copied().max().unwrap_or(0),
@@ -211,9 +206,6 @@ mod tests {
         s.agg_flushes_age = 1;
         s.ev_steps = 9;
         s.peak_pending_events = 5;
-        s.lb_discipline = 2;
-        s.lb_steals = 6;
-        s.lb_stolen_tasks = 48;
         let mut reg = MetricsRegistry::new();
         s.fill_metrics(&mut reg);
         assert_eq!(reg.get("run.tasks"), Some(7));
@@ -223,9 +215,6 @@ mod tests {
         assert_eq!(reg.get("agg.flushes_age"), Some(1));
         assert_eq!(reg.get("engine.ev_steps"), Some(9));
         assert_eq!(reg.get("engine.peak_pending_events"), Some(5));
-        assert_eq!(reg.get("lb.discipline"), Some(2));
-        assert_eq!(reg.get("lb.steals"), Some(6));
-        assert_eq!(reg.get("lb.stolen_tasks"), Some(48));
     }
 
     #[test]

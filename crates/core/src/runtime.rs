@@ -225,8 +225,6 @@ impl<A: Application, Tr: Tracer> Runtime<A, Tr> {
                 emitted: 0,
             })
             .collect();
-        let mut stats = RunStats::new(n_pes);
-        stats.lb_discipline = cfg.lb.code() as u64;
         Runtime {
             engine: Engine::new(),
             fabric,
@@ -234,7 +232,7 @@ impl<A: Application, Tr: Tracer> Runtime<A, Tr> {
             cfg,
             app,
             pes,
-            stats,
+            stats: RunStats::new(n_pes),
             tuning,
             em: Emitter::new(0, n_pes),
             batch: Vec::new(),
@@ -409,22 +407,8 @@ impl<A: Application, Tr: Tracer> Runtime<A, Tr> {
         };
         let mut batch = std::mem::take(&mut self.batch);
         batch.clear();
-        let mut got = self.pes[pe].queue.pop_batch(cap, &mut batch);
+        let got = self.pes[pe].queue.pop_batch(cap, &mut batch);
         let now = self.engine.now();
-
-        // An empty pop tries to pull a group from a busier peer
-        // before falling to the idle handler (`loadbalance`). Stolen work
-        // executes under the *victim's* identity (`exec_pe`) — owner-
-        // computes state, sender-side mirrors, and message routing all see
-        // the owner — while busy time and step accounting stay on the
-        // thief: the work moved, the data did not.
-        let mut exec_pe = pe;
-        if got == 0 {
-            if let Some((victim, taken)) = self.try_steal(pe, cap, &mut batch) {
-                exec_pe = victim;
-                got = taken;
-            }
-        }
 
         if got == 0 {
             self.batch = batch;
@@ -450,8 +434,8 @@ impl<A: Application, Tr: Tracer> Runtime<A, Tr> {
         self.stats.tasks_per_pe[pe] += got as u64;
 
         let mut em = std::mem::take(&mut self.em);
-        em.reset_for(exec_pe);
-        let (edges, span) = self.process_batch(exec_pe, &batch, &mut em);
+        em.reset_for(pe);
+        let (edges, span) = self.process_batch(pe, &batch, &mut em);
         self.stats.edges_per_pe[pe] += edges;
 
         // A full round (queue held more than we popped) runs at pure
@@ -469,7 +453,7 @@ impl<A: Application, Tr: Tracer> Runtime<A, Tr> {
                 Track::pe(pe),
                 now,
                 busy,
-                if exec_pe == pe { "step" } else { "steal" },
+                "step",
                 ["tasks", "edges"],
                 [got as u64, edges],
             );
@@ -480,41 +464,31 @@ impl<A: Application, Tr: Tracer> Runtime<A, Tr> {
                 .counter(Track::pe(pe), now, "worklist", got as u64 + remaining);
         }
 
-        self.absorb_local(exec_pe, &mut em);
-        self.dispatch_remote(exec_pe, &mut em, now, busy);
+        self.absorb_local(pe, &mut em);
+        self.dispatch_remote(pe, &mut em, now, busy);
         self.em = em;
         self.batch = batch;
-        if exec_pe != pe {
-            // Local emissions of stolen work landed on the victim's
-            // queue; make sure the victim has a step coming for them
-            // (no-op while one is already scheduled, the common case).
-            self.wake(exec_pe, busy);
-        }
 
         // Next scheduling round once this one's virtual time has elapsed.
         // If the queue is empty by then (no arrival beat it), that step
-        // tries to steal and otherwise runs the f2 idle handler exactly
-        // once.
+        // runs the f2 idle handler exactly once.
         self.pes[pe].idle_ran = false;
         self.pes[pe].step_scheduled = true;
         self.engine.schedule_after(busy, Ev::Step { pe });
-        // Backlog that survived this round is on offer to drained peers
-        // once the busy window closes.
-        self.wake_idle_peers(pe, exec_pe, busy);
     }
 
-    /// Run a popped batch — a PE's own work or a stolen group — through the
-    /// application, as a two-stage software pipeline: the model keeps
-    /// `resident_workers` tasks in flight and the hardware overlaps their
-    /// cache misses; one host thread runs them one at a time, so each task
-    /// is announced [`PREFETCH_FAR`] and again [`PREFETCH_NEAR`] positions
-    /// before it runs ([`Application::prefetch`]). Returns the batch's total
-    /// and largest `task_edges`.
+    /// Run a popped batch through the application, as a two-stage software
+    /// pipeline: the model keeps `resident_workers` tasks in flight and the
+    /// hardware overlaps their cache misses; one host thread runs them one
+    /// at a time, so each task is announced [`PREFETCH_FAR`] and again
+    /// [`PREFETCH_NEAR`] positions before it runs
+    /// ([`Application::prefetch`]). Returns the batch's total and largest
+    /// `task_edges`.
     #[inline]
     #[atos_hot]
     fn process_batch(
         &mut self,
-        exec_pe: usize,
+        pe: usize,
         batch: &[A::Task],
         em: &mut Emitter<A::Task>,
     ) -> (u64, u64) {
@@ -530,7 +504,7 @@ impl<A: Application, Tr: Tracer> Runtime<A, Tr> {
             let e = self.app.task_edges(&t);
             edges += e;
             span = span.max(e);
-            self.app.process(exec_pe, t, em);
+            self.app.process(pe, t, em);
         }
         (edges, span)
     }

@@ -32,8 +32,8 @@ use atos_apps::pagerank::PrTask;
 use atos_apps::sssp::{KIND_FULL, KIND_HEAVY, KIND_LIGHT};
 use atos_apps::{BfsApp, CcApp, PageRankApp, SsspApp};
 use atos_core::{
-    run_host, Application, AtosConfig, CommMode, Emitter, HostApplication, HostConfig, LoadBalance,
-    Lookahead, NullTracer, Runtime, RuntimeTuning,
+    run_host, Application, AtosConfig, CommMode, Emitter, HostApplication, HostConfig, Lookahead,
+    NullTracer, Runtime, RuntimeTuning,
 };
 use atos_graph::generators::{Preset, Scale};
 use atos_graph::partition::Partition;
@@ -107,7 +107,7 @@ const COVERED: &[(&str, &str)] = &[
     ("core/src/runtime.rs::note_queue_depth", "every relay: depth accounting on every push/pop"),
     ("core/src/runtime.rs::wake", "every relay: remote arrivals wake the idle peer PE"),
     ("core/src/runtime.rs::step", "every relay: every scheduling step"),
-    ("core/src/runtime.rs::process_batch", "every relay: each batch; steal and busy-receiver relays: batches long enough to hint"),
+    ("core/src/runtime.rs::process_batch", "every relay: each batch; busy-receiver relay: batches long enough to hint"),
     ("core/src/runtime.rs::absorb_local", "every relay: emitter drain after each step"),
     ("core/src/runtime.rs::run_window", "every relay: every execution window drains through it"),
     ("core/src/comm.rs::dispatch_remote", "every relay: every hop is a remote push"),
@@ -129,10 +129,6 @@ const COVERED: &[(&str, &str)] = &[
     ("core/src/comm.rs::agg_poll", "aggregated relay: age-trigger poll per bundle"),
     ("core/src/aggregator.rs::note", "aggregated relay and drip: every run counted into its pair's bundle"),
     ("core/src/aggregator.rs::close", "aggregated relay and drip: every flush closes the record"),
-    ("core/src/loadbalance.rs::try_steal", "every relay: consulted on every empty pop"),
-    ("core/src/loadbalance.rs::pick_victim", "steal relay: victim scan (settling each peer) on every empty pop"),
-    ("core/src/loadbalance.rs::steal_from", "steal relay: group steal from the skewed PE"),
-    ("core/src/loadbalance.rs::wake_idle_peers", "steal relay: backlogged steps wake the idle peer"),
     ("core/src/host.rs::worker", "host relay: every worker thread of `run_host`"),
     ("sim/src/engine.rs::schedule_at", "engine churn + every relay event"),
     ("sim/src/engine.rs::schedule_at_seq", "under every schedule_at; doorbells filed under reserved keys"),
@@ -332,24 +328,6 @@ fn null_tracer_relay(hops: u32) -> u64 {
     during
 }
 
-/// Work stealing: a skewed seed (every task on PE 0) forces PE 1 through
-/// the full steal path — idle-peer wake, victim scan, group steal — a few
-/// hundred times. It reuses the step's pop scratch and never builds
-/// candidate lists.
-fn steal_relay(tasks: u32) -> u64 {
-    let mut rt = Runtime::new(
-        Relay::new(2),
-        Fabric::daisy(2),
-        direct().with_lb(LoadBalance::Steal),
-    );
-    rt.seed(0, std::iter::repeat_n(0u32, tasks as usize));
-    let (during, stats) = counted(|| rt.run());
-    assert_eq!(stats.total_tasks(), tasks as u64);
-    assert!(stats.lb_steals > 0, "skewed seed must trigger steals");
-    assert_eq!(stats.lb_stolen_tasks, stats.lb_stolen_edges, "unit-degree tasks");
-    during
-}
-
 /// Busy receiver: every task on PE 0 sends one task to PE 1, which
 /// consumes faster than PE 0 produces. PE 1 usually has a step coming when
 /// a barrier resolves its arrivals, so they wait in its receive lanes and
@@ -527,7 +505,6 @@ fn every_hot_fn_runs_in_a_window_that_does_not_grow() {
     assert_no_growth("aggregated relay", 5_000, aggregated_relay);
     assert_no_growth("multi-step bundles", 20_000, drip);
     assert_no_growth("NullTracer relay", 20_000, null_tracer_relay);
-    assert_no_growth("steal relay", 20_000, steal_relay);
     assert_no_growth("busy receiver", 20_000, busy_receiver);
     assert_no_growth("lockstep relay", 20_000, lockstep_relay);
     assert_no_growth("host relay", 10_000, host_relay);

@@ -10,7 +10,7 @@
 //!   heap-allocated payload delivered by its own `Ev::Arrive`; a pass means
 //!   each PE still sees the same calls in the same order, and the run ends
 //!   at the same virtual time with the same traffic and queue high-water
-//!   marks, with and without stealing.
+//!   marks.
 //! * **Lane order property** — the lane structure alone, fed arbitrary
 //!   per-lane-monotone cars in arbitrary barrier batches with `settle`
 //!   interleaved, delivers exactly what a sort of all cars by
@@ -33,7 +33,7 @@ use atos_apps::pagerank::PrTask;
 use atos_apps::sssp::KIND_LIGHT;
 use atos_apps::{BfsApp, PageRankApp, SsspApp};
 use atos_core::{
-    Application, AtosConfig, CommMode, Emitter, KernelMode, LoadBalance, QueueMode, RunStats,
+    Application, AtosConfig, CommMode, Emitter, KernelMode, QueueMode, RunStats,
     Runtime, RuntimeTuning, WorkerConfig,
 };
 use atos_graph::generators::{Preset, Scale};
@@ -201,7 +201,6 @@ fn gluon() -> (AtosConfig, RuntimeTuning) {
         queue: QueueMode::Standard,
         worker: WorkerConfig::cta512(),
         comm: CommMode::Direct { group: usize::MAX },
-        lb: LoadBalance::Owner,
     };
     let tuning = RuntimeTuning {
         control: ControlPath::cpu_mediated(),
@@ -212,70 +211,30 @@ fn gluon() -> (AtosConfig, RuntimeTuning) {
     (cfg, tuning)
 }
 
-/// One pinned configuration: run it under a policy.
-type Case = Box<dyn Fn(LoadBalance) -> Row>;
-
-fn cases() -> Vec<(&'static str, Case)> {
-    let plain = RuntimeTuning::default();
-    vec![
-        (
-            "daisy4/pagerank-direct",
-            Box::new(|lb| pagerank(Fabric::daisy(4), AtosConfig::standard_persistent().with_lb(lb))),
-        ),
-        (
-            "ib8/pagerank-aggregated",
-            Box::new(|lb| pagerank(Fabric::ib_cluster(8), AtosConfig::ib_pagerank().with_lb(lb))),
-        ),
-        (
-            "summit6/bfs",
-            Box::new(move |lb| {
-                bfs(
-                    Fabric::summit_node(6),
-                    AtosConfig::standard_persistent().with_lb(lb),
-                    plain,
-                )
-            }),
-        ),
-        (
-            "daisy4/sssp-priority-discrete",
-            Box::new(|lb| sssp(Fabric::daisy(4), AtosConfig::priority_discrete().with_lb(lb))),
-        ),
-        (
-            "ib4/bfs-gluon-metadata",
-            Box::new(|lb| {
-                let (cfg, tuning) = gluon();
-                bfs(Fabric::ib_cluster(4), cfg.with_lb(lb), tuning)
-            }),
-        ),
-    ]
-}
-
 #[test]
 fn fingerprints_match_the_per_message_parent() {
-    let mut got: Vec<(String, Row)> = Vec::new();
-    for (name, run) in cases() {
-        for lb in LoadBalance::ALL {
-            let r = run(lb);
-            println!("    (\"{name}/{lb:?}/1\", {r:?}),");
-            got.push((format!("{name}/{lb:?}/1"), r));
-        }
+    let (gluon_cfg, gluon_tuning) = gluon();
+    let plain = RuntimeTuning::default();
+    let got = [
+        ("daisy4/pagerank-direct/1", pagerank(Fabric::daisy(4), AtosConfig::standard_persistent())),
+        ("ib8/pagerank-aggregated/1", pagerank(Fabric::ib_cluster(8), AtosConfig::ib_pagerank())),
+        ("summit6/bfs/1", bfs(Fabric::summit_node(6), AtosConfig::standard_persistent(), plain)),
+        ("daisy4/sssp-priority-discrete/1", sssp(Fabric::daisy(4), AtosConfig::priority_discrete())),
+        ("ib4/bfs-gluon-metadata/1", bfs(Fabric::ib_cluster(4), gluon_cfg, gluon_tuning)),
+    ];
+    for (name, r) in &got {
+        println!("    (\"{name}\", {r:?}),");
     }
-    let golden: Vec<_> = GOLDEN.iter().map(|&(n, r)| (n.to_string(), r)).collect();
-    assert_eq!(got, golden);
+    assert_eq!(got, GOLDEN);
 }
 
 #[rustfmt::skip]
-const GOLDEN: &[(&str, Row)] = &[
-    ("daisy4/pagerank-direct/Owner/1", [14194713627052086457, 1310640, 16880, 4720384, 10889729997057137531]),
-    ("daisy4/pagerank-direct/Steal/1", [5243725882156436788, 1291702, 16893, 4721312, 10889729997057137531]),
-    ("ib8/pagerank-aggregated/Owner/1", [1036709484681473384, 4212114, 4179, 26835540, 8134328546337234609]),
-    ("ib8/pagerank-aggregated/Steal/1", [3755268000028776340, 3705116, 3833, 27187636, 8134328546337234609]),
-    ("summit6/bfs/Owner/1", [14860716780881808704, 51197, 175, 30240, 3542823008189542413]),
-    ("summit6/bfs/Steal/1", [7294940807896772792, 44661, 121, 19192, 17775134392409248108]),
-    ("daisy4/sssp-priority-discrete/Owner/1", [15957031098984437282, 7293022, 236, 11616, 11013856656358351973]),
-    ("daisy4/sssp-priority-discrete/Steal/1", [18407683667085183529, 4585560, 232, 11456, 13438993952671763899]),
-    ("ib4/bfs-gluon-metadata/Owner/1", [14705585014852128725, 197819, 93, 56476, 18012849274530754535]),
-    ("ib4/bfs-gluon-metadata/Steal/1", [5468081871337608161, 212880, 102, 60136, 9551240599721477276]),
+const GOLDEN: [(&str, Row); 5] = [
+    ("daisy4/pagerank-direct/1", [14194713627052086457, 1310640, 16880, 4720384, 10889729997057137531]),
+    ("ib8/pagerank-aggregated/1", [1036709484681473384, 4212114, 4179, 26835540, 8134328546337234609]),
+    ("summit6/bfs/1", [14860716780881808704, 51197, 175, 30240, 3542823008189542413]),
+    ("daisy4/sssp-priority-discrete/1", [15957031098984437282, 7293022, 236, 11616, 11013856656358351973]),
+    ("ib4/bfs-gluon-metadata/1", [14705585014852128725, 197819, 93, 56476, 18012849274530754535]),
 ];
 
 // ---------------------------------------------------------------------------

@@ -1,9 +1,10 @@
-//! The four names the frozen `benchmark/` package compiles against
-//! (`crates/core/src/sharded.rs`): `ShardableApp`, `Runtime::run_sharded`,
-//! `Runtime::take_shard_profile` and `ShardProfile` with its
-//! `ShardTelemetry`. `cargo test --workspace` does not build `benchmark/`,
-//! so a pin that breaks fails here and not only in `verify.sh`'s
-//! frozen-benchmark stage. Deleted together with the residue.
+//! The residue names the frozen `benchmark/` package compiles against: the
+//! four of `crates/core/src/sharded.rs` (`ShardableApp`,
+//! `Runtime::run_sharded`, `Runtime::take_shard_profile` and `ShardProfile`
+//! with its `ShardTelemetry`) and the two always-zero steal counters
+//! `RunStats::{lb_steals, lb_stolen_tasks}`. `cargo test --workspace` does
+//! not build `benchmark/`, so a pin that breaks fails here and not only in
+//! `verify.sh`'s frozen-benchmark stage. Deleted together with the residue.
 
 use atos_core::{
     Application, AtosConfig, Emitter, Runtime, ShardProfile, ShardTelemetry, ShardableApp,
@@ -73,7 +74,11 @@ fn run_sharded_is_run_and_collects_no_profile() {
         ("aggregated", Fabric::ib_cluster(4), AtosConfig::ib_pagerank()),
     ] {
         let mut rt = ring(&fabric, cfg);
-        let want = format!("{:?}", rt.run());
+        let stats = rt.run();
+        // What `benchmark/src/single.rs` reads as `core.lb_steals` and
+        // `core.lb_stolen_tasks`: nothing is ever stolen.
+        assert_eq!((stats.lb_steals, stats.lb_stolen_tasks), (0, 0), "{name}");
+        let want = format!("{stats:?}");
         let answer = rt.into_app().received;
         assert!(answer.iter().all(|&r| r > 0), "{name}: every PE received");
         for k in [1, 2, 4] {

@@ -2,11 +2,10 @@
 //!
 //! * **What the runtime promises** — a recording application and a tracer
 //!   share one log, so every hint, every `process` call and every step's end
-//!   land in one sequence. Under FIFO persistent, priority discrete and
-//!   work-stealing configurations: a task at batch position ≥ [`FAR`] is
-//!   announced `Far`, then `Near`, then processed; nothing is announced that
-//!   the *same* step does not go on to process; a stolen batch is announced
-//!   inside the thief's step.
+//!   land in one sequence. Under FIFO persistent and priority discrete
+//!   configurations: a task at batch position ≥ [`FAR`] is announced `Far`,
+//!   then `Near`, then processed; nothing is announced that the *same* step
+//!   does not go on to process, and a step runs its own PE's tasks only.
 //! * **What an application must promise** — the hint is inert. [`NoHint`]
 //!   forwards every method of the real applications except `prefetch`; runs
 //!   with and without it agree on every `RunStats` field and every answer.
@@ -25,9 +24,7 @@ use atos_apps::pagerank::PrTask;
 use atos_apps::sssp::{KIND_FULL, KIND_LIGHT};
 use atos_apps::{BfsApp, PageRankApp, SsspApp};
 use atos_core::app::IdleOutcome;
-use atos_core::{
-    Application, AtosConfig, Emitter, LoadBalance, Lookahead, RunStats, Runtime, RuntimeTuning,
-};
+use atos_core::{Application, AtosConfig, Emitter, Lookahead, RunStats, Runtime, RuntimeTuning};
 use atos_graph::generators::{Preset, Scale};
 use atos_graph::partition::Partition;
 use atos_graph::weights::EdgeWeights;
@@ -46,10 +43,9 @@ enum Entry {
         task: u32,
     },
     /// The step span the runtime records once the batch has run: `pe` is
-    /// the PE whose step it was (the thief's, for a stolen batch).
+    /// the PE whose step it was.
     StepEnd {
         pe: usize,
-        stolen: bool,
         tasks: usize,
     },
 }
@@ -57,13 +53,11 @@ enum Entry {
 type Log = Rc<RefCell<Vec<Entry>>>;
 
 /// A binary tree of uniquely numbered tasks: `t` spawns `2t + 1` and
-/// `2t + 2` below `limit`. Spread over the PEs (many remote pushes, batches
-/// of every size) or, `skewed`, all owned by PE 0 so that its peers can
-/// only steal.
+/// `2t + 2` below `limit`, spread over the PEs: many remote pushes, batches
+/// of every size.
 struct Recorder {
     n_pes: usize,
     limit: u32,
-    skewed: bool,
     log: Log,
 }
 
@@ -74,12 +68,7 @@ impl Application for Recorder {
         self.log.borrow_mut().push(Entry::Process { pe, task });
         for child in [2 * task + 1, 2 * task + 2] {
             if child < self.limit {
-                let owner = if self.skewed {
-                    0
-                } else {
-                    child as usize % self.n_pes
-                };
-                out.push(owner, child);
+                out.push(child as usize % self.n_pes, child);
             }
         }
     }
@@ -111,11 +100,10 @@ impl Tracer for StepMarks {
     }
 
     fn record(&mut self, ev: TraceEvent) {
-        if matches!(ev.kind, EventKind::Span { .. }) && ["step", "steal"].contains(&ev.name) {
+        if matches!(ev.kind, EventKind::Span { .. }) && ev.name == "step" {
             assert_eq!(ev.arg_names[0], "tasks");
             self.0.borrow_mut().push(Entry::StepEnd {
                 pe: ev.track.0 as usize,
-                stolen: ev.name == "steal",
                 tasks: ev.arg_vals[0] as usize,
             });
         }
@@ -128,16 +116,14 @@ struct Seen {
     processed: usize,
     /// Tasks that were announced `Far` and `Near` before running.
     fully_hinted: usize,
-    stolen_steps_past_far: usize,
     largest_batch: usize,
 }
 
-fn record(n_pes: usize, limit: u32, skewed: bool, cfg: AtosConfig) -> Seen {
+fn record(n_pes: usize, limit: u32, cfg: AtosConfig) -> Seen {
     let log: Log = Rc::default();
     let app = Recorder {
         n_pes,
         limit,
-        skewed,
         log: log.clone(),
     };
     let mut rt = Runtime::with_tracer(
@@ -156,10 +142,10 @@ fn record(n_pes: usize, limit: u32, skewed: bool, cfg: AtosConfig) -> Seen {
     let mut seen = Seen::default();
     let mut step_start = 0;
     for (end, entry) in log.iter().enumerate() {
-        let Entry::StepEnd { pe, stolen, tasks } = *entry else {
+        let Entry::StepEnd { pe, tasks } = *entry else {
             continue;
         };
-        check_step(&log[step_start..end], pe, stolen, tasks, &mut seen);
+        check_step(&log[step_start..end], pe, tasks, &mut seen);
         step_start = end + 1;
     }
     assert_eq!(
@@ -172,13 +158,12 @@ fn record(n_pes: usize, limit: u32, skewed: bool, cfg: AtosConfig) -> Seen {
 }
 
 /// One step's entries, in order: hints and `process` calls only.
-fn check_step(step: &[Entry], step_pe: usize, stolen: bool, tasks: usize, seen: &mut Seen) {
+fn check_step(step: &[Entry], step_pe: usize, tasks: usize, seen: &mut Seen) {
     // Where in the step each task ran, and at which batch position.
     let mut ran: HashMap<u32, (usize, usize)> = HashMap::new();
-    let mut exec_pe = None;
     for (at, entry) in step.iter().enumerate() {
         if let Entry::Process { pe, task } = *entry {
-            assert_eq!(*exec_pe.get_or_insert(pe), pe, "one batch, one identity");
+            assert_eq!(pe, step_pe, "a step runs its own PE's tasks");
             let position = ran.len();
             assert!(
                 ran.insert(task, (at, position)).is_none(),
@@ -187,11 +172,6 @@ fn check_step(step: &[Entry], step_pe: usize, stolen: bool, tasks: usize, seen: 
         }
     }
     assert_eq!(ran.len(), tasks, "the step span counts its batch");
-    assert_eq!(
-        stolen,
-        exec_pe != Some(step_pe),
-        "stolen work runs as its victim"
-    );
 
     // Every hint names a task this same step runs later; per task, at most
     // one of each kind, `Far` first.
@@ -226,7 +206,6 @@ fn check_step(step: &[Entry], step_pe: usize, stolen: bool, tasks: usize, seen: 
     }
     seen.processed += tasks;
     seen.largest_batch = seen.largest_batch.max(tasks);
-    seen.stolen_steps_past_far += (stolen && tasks > FAR) as usize;
 }
 
 #[test]
@@ -235,17 +214,10 @@ fn tasks_are_announced_far_then_near_within_their_own_step() {
         AtosConfig::standard_persistent(),
         AtosConfig::priority_discrete(),
     ] {
-        let seen = record(4, 1 << 13, false, cfg);
+        let seen = record(4, 1 << 13, cfg);
         assert!(seen.largest_batch > 4 * FAR, "{cfg:?}: {seen:?}");
         assert!(seen.fully_hinted > (1 << 12), "{cfg:?}: {seen:?}");
     }
-}
-
-#[test]
-fn stolen_batches_are_announced_under_the_thiefs_step() {
-    let cfg = AtosConfig::standard_persistent().with_lb(LoadBalance::Steal);
-    let seen = record(2, 1 << 13, true, cfg);
-    assert!(seen.stolen_steps_past_far > 0, "{seen:?}");
 }
 
 // ---------------------------------------------------------------------------

@@ -290,14 +290,16 @@ impl<T: Copy + Send> CasQueueRelaxedEnd<T> {
 }
 
 /// Mutation 4: the counter queue with the *pop-side* publication-frontier
-/// loads weakened `Acquire`→`Relaxed`. This is the steal-protocol twin:
-/// a stealer pops from a victim's queue through the exact same
-/// `pop_group`/`PopState` path the owner uses, and the only edge that
-/// makes its slot reads safe is the Acquire load of `end` synchronizing
-/// with the victim-side pusher's AcqRel publication. Weakening that load
-/// means observing `end > start` no longer brings the pusher's slot
-/// writes into view — the cross-PE steal reads a slot that was never
-/// released to it. Push side is byte-for-byte the real protocol.
+/// loads weakened `Acquire`→`Relaxed`. This is the racing-pop twin: under
+/// `run_host` with `workers_per_pe ≥ 2`, sibling workers pop one PE's
+/// `recv` queue through their own `PopState`s while remote workers push
+/// into it, and the only edge that makes a popper's slot reads safe is the
+/// Acquire load of `end` synchronizing with the pusher's AcqRel
+/// publication. Weakening that load means observing `end > start` no
+/// longer brings the pusher's slot writes into view — the popper reads a
+/// slot that was never released to it. (The name dates from the deleted
+/// work stealing, which popped a victim's queue the same way.) Push side
+/// is byte-for-byte the real protocol.
 pub struct CounterQueueRelaxedSteal<T> {
     slots: Box<[UnsafeCell<MaybeUninit<T>>]>,
     start: AtomicU64,

@@ -25,7 +25,6 @@ fn cfg(batch_bytes: u64, wait_time: u32) -> AtosConfig {
             batch_bytes,
             wait_time,
         },
-        lb: atos::core::LoadBalance::Owner,
     }
 }
 

@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
-# Repository verification, in thirteen stages: tier-1 build+test, the
+# Repository verification, in twelve stages: tier-1 build+test, the
 # workspace tests, the parallel-sweep smoke (byte-identity across thread
-# counts), the load-balance smoke, the golden byte-compares, the frozen
-# benchmark package (build + smoke run), the bench trajectory gate, the
+# counts, usage errors), the golden byte-compares, the frozen benchmark
+# package (build + smoke run), the bench trajectory gate, the
 # observability smoke, the line-level sampler smoke, atos-lint, miri, the
 # model checker under --cfg atos_check (tests + clippy), and clippy.
 #
@@ -56,28 +56,11 @@ grep -q '"table2_bfs_nvlink@verify@smoke"' "$tmp/sweep.json" || {
     exit 1
 }
 echo "ok: --run-id keys sweep report entries"
-
-echo
-echo "== load-balance smoke (owner byte-identity, steal determinism) =="
-# Stealing (DESIGN.md §10) must be invisible under the default policy:
-# --load-balance owner is byte-identical to the plain run (and therefore
-# to the committed goldens below). steal legitimately changes the schedule
-# and the virtual clock, but the simulation stays deterministic: two
-# identical invocations must produce byte-identical stdout (that stealing
-# changes no answer is a tier-1 test, tests/end_to_end.rs).
-fig5="$tmp/fig5_scaling_nvlink.serial.out"
-quick fig5_scaling_nvlink "$tmp/fig5.lb_owner.out" --load-balance owner
-same "--load-balance owner byte-identical to the default" "$fig5" "$tmp/fig5.lb_owner.out"
-for rerun in a b; do
-    quick fig5_scaling_nvlink "$tmp/fig5.lb_steal.$rerun.out" --load-balance steal
-done
-same "--load-balance steal deterministic (reruns byte-identical)" \
-    "$tmp/fig5.lb_steal.a.out" "$tmp/fig5.lb_steal.b.out"
-# Usage errors exit 2: a retired discipline, the deleted sharded engine's
-# flag, a flag the experiment cannot honour, an artifact flag off the
-# reference entry, an unknown experiment.
-for args in "fig5_scaling_nvlink --load-balance chunk" "fig5_scaling_nvlink --sim-threads 4" \
-        "fig2_efficiency --load-balance steal" "table2_bfs_nvlink --trace $tmp/no.json" "table9"; do
+# Usage errors exit 2: the deleted work-stealing and sharded-engine flags
+# (DESIGN.md §11), an artifact flag off the reference entry, an unknown
+# experiment.
+for args in "fig5_scaling_nvlink --load-balance steal" "fig5_scaling_nvlink --sim-threads 4" \
+        "table2_bfs_nvlink --trace $tmp/no.json" "table9"; do
     # shellcheck disable=SC2086
     "$bench" $args --quick > /dev/null 2>&1 && rc=0 || rc=$?
     [ "$rc" -eq 2 ] || { echo "FAIL: atos-bench $args exited $rc, expected 2" >&2; exit 1; }
@@ -114,10 +97,9 @@ bash benchmark/run.sh --smoke --out "$tmp/benchmark-out" > "$tmp/benchmark-smoke
 echo "ok: benchmark package builds and its smoke run verifies"
 
 echo "== bench trajectory (e2e smoke, regression gate) =="
-# Re-measures the fig5/fig8/fig9 quick workloads, the load-balance sweep
-# (owner vs steal wall clock + steal counters, delta-stepping vs
-# Dijkstra-order SSSP), and the graph-construction layer (graph_build:
-# full-scale R-MAT + road-mesh generation), then gates against the last
+# Re-measures the fig5/fig8/fig9 quick workloads (e2e_quick) and the
+# graph-construction layer (graph_build: full-scale R-MAT + road-mesh
+# generation), then gates against the last
 # committed entries in results/BENCH_trajectory.json. The threshold is
 # loose (shared hosts are noisy). Cross-host comparisons are skipped
 # (host_cores is recorded).
@@ -221,7 +203,8 @@ echo "== model checker: queue suites under --cfg atos_check =="
 # the ordering guard: the race detector runs every UnsafeCell access in the
 # queues (golden.rs::cell_accesses_stay_in_model_checked_files keeps new
 # ones out of undriven files) and catches the seeded twins of
-# mutation_detection.rs and steal_models.rs. Clippy then lints the
+# mutation_detection.rs and steal_models.rs (two pops racing on one queue,
+# as run_host's sibling workers do). Clippy then lints the
 # #[cfg(atos_check)] code the ordinary pass below never compiles.
 RUSTFLAGS="--cfg atos_check" CARGO_TARGET_DIR=target/check \
     cargo test -p atos-check -q

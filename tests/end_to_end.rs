@@ -10,7 +10,7 @@ use atos::apps::cc::run_cc;
 use atos::apps::pagerank::run_pagerank;
 use atos::apps::sssp::{run_sssp, run_sssp_delta};
 use atos::baselines::{bsp_bfs, bsp_pagerank, galois_bfs, galois_pagerank, groute_bfs, groute_pagerank};
-use atos::core::{AtosConfig, LoadBalance};
+use atos::core::AtosConfig;
 use atos::graph::generators::{Preset, Scale};
 use atos::graph::partition::Partition;
 use atos::graph::reference;
@@ -105,14 +105,11 @@ fn all_frameworks_agree_on_pagerank() {
     );
 }
 
-/// Work stealing moves busy time between PEs, never answers: every
-/// application stays exact under `LoadBalance::Steal` on a scale-free and
-/// a mesh graph, on FIFO and priority queues, and a rerun repeats bit for
-/// bit.
+/// Every application is exact under owner-computes on a scale-free and a
+/// mesh graph, on FIFO and priority queues, and a rerun repeats bit for
+/// bit. CC's labels are those of a one-PE run.
 #[test]
-fn stealing_preserves_every_applications_answer() {
-    // Steals seen per queue kind (FIFO, priority).
-    let mut steals = [0u64; 2];
+fn every_application_is_exact_and_reruns_bit_identical() {
     for name in ["soc-LiveJournal1_s", "road_usa_s"] {
         let p = Preset::by_name(name).unwrap();
         let g = Arc::new(p.build(Scale::Tiny));
@@ -124,10 +121,9 @@ fn stealing_preserves_every_applications_answer() {
         let want_depth = reference::bfs(&g, src);
         let want_dist = dijkstra(&g, &weights, src);
         let want_rank = reference::pagerank_push(&g, ALPHA, EPS).rank;
-        let bases = [AtosConfig::standard_persistent(), AtosConfig::priority_discrete()];
-        for (queue_kind, base) in bases.into_iter().enumerate() {
-            let cfg = base.with_lb(LoadBalance::Steal);
-            let want_label = run_cc(sym.clone(), part.clone(), fabric(), base).label;
+        let single = Arc::new(Partition::single(g.n_vertices()));
+        for cfg in [AtosConfig::standard_persistent(), AtosConfig::priority_discrete()] {
+            let want_label = run_cc(sym.clone(), single.clone(), Fabric::daisy(1), cfg).label;
             let what = format!("{name} {}", cfg.label());
             // One pass over the five applications: their answers and the
             // schedule each ran.
@@ -140,24 +136,19 @@ fn stealing_preserves_every_applications_answer() {
                 let cc = run_cc(sym.clone(), part.clone(), fabric(), cfg);
                 let pr = run_pagerank(g.clone(), part.clone(), ALPHA, EPS, fabric(), cfg);
                 let schedule = [&bfs.stats, &sssp.stats, &delta.stats, &cc.stats, &pr.stats]
-                    .map(|s| (s.elapsed_ns, s.lb_steals, s.lb_stolen_tasks, s.total_tasks()));
+                    .map(|s| (s.elapsed_ns, s.total_tasks()));
                 (bfs.depth, sssp.dist, delta.dist, cc.label, pr.rank, schedule)
             };
             let first = pass();
             assert_eq!(first.0, want_depth, "BFS {what}");
             assert_eq!(first.1, want_dist, "SSSP {what}");
             assert_eq!(first.2, want_dist, "delta-split SSSP {what}");
-            assert_eq!(first.3, want_label, "CC vs the owner run {what}");
+            assert_eq!(first.3, want_label, "CC vs the one-PE run {what}");
             let err = reference::rank_l1(&first.4, &want_rank) / g.n_vertices() as f64;
             assert!(err < 1e-3, "PageRank {what}: per-vertex L1 {err}");
             assert!(pass() == first, "{what}: a rerun is not bit-identical");
-            steals[queue_kind] += first.5.iter().map(|f| f.1).sum::<u64>();
         }
     }
-    assert!(
-        steals.iter().all(|&n| n > 0),
-        "a queue kind never stole (FIFO, priority: {steals:?}): the test is vacuous"
-    );
 }
 
 /// The paper's headline qualitative results hold at test scale.
