@@ -85,8 +85,10 @@ pub fn host_cores() -> f64 {
 /// sampling + CSR build, and the CSR build alone as input-edge throughput
 /// (`from_edges_medges_per_s`, informational) on the R-MAT graph's edges
 /// in target-major order, so sources arrive scattered the way a
-/// generator emits them. Single-threaded, but wall-clock: records
-/// `host_cores` so [`check_regression`] skips cross-host comparisons.
+/// generator emits them. R-MAT sampling runs on every host core and the
+/// CSR build and road mesh on one, so `rmat18_ms` depends on the core
+/// count: records `host_cores` so [`check_regression`] skips cross-host
+/// comparisons.
 pub fn measure_graph_build(samples: usize) -> BTreeMap<String, f64> {
     use atos_graph::generators::{rmat, road_network};
     use atos_graph::Csr;

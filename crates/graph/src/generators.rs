@@ -12,6 +12,8 @@
 //!
 //! All generators are deterministic in their seed.
 
+use std::sync::Mutex;
+
 use rand::rngs::SmallRng;
 use rand::{Rng, RngCore, SeedableRng};
 
@@ -34,16 +36,40 @@ fn quadrant(k: u64, [ta, tab, tabc]: [u64; 3]) -> VertexId {
     (k >= ta) as VertexId + (k >= tab) as VertexId + (k >= tabc) as VertexId
 }
 
+/// Edges per sampling chunk, the unit a thread claims. Fewer edges than
+/// this stay on the calling thread: a spawn and an `advance` jump would
+/// cost more than the draws they take over.
+const EDGES_PER_CHUNK: usize = 1 << 16;
+
 /// Generate a scale-free directed graph with `2^scale` vertices and
 /// `n_edges` edges via R-MAT recursive quadrant sampling.
 ///
-/// Consumes exactly one `SmallRng` draw per level per edge; the committed
-/// goldens depend on that stream position.
+/// Consumes exactly one `SmallRng` draw per level per edge, edge `i`
+/// taking draws `i·scale … (i+1)·scale − 1`; the committed goldens depend
+/// on that stream position. Sampling runs on every host core: threads
+/// claim `EDGES_PER_CHUNK`-edge chunks in order and reach each chunk's
+/// first draw with [`SmallRng::advance`], so the graph does not depend on
+/// the thread count or on which thread sampled what. The CSR build stays
+/// serial.
 ///
 /// # Panics
 /// If `scale > 31` (vertex ids would not fit [`VertexId`]), a probability
 /// is negative or not finite, or `a + b + c` exceeds 1.
 pub fn rmat(scale: u32, n_edges: usize, probs: (f64, f64, f64, f64), seed: u64) -> Csr {
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let threads = cores.min(n_edges.div_ceil(EDGES_PER_CHUNK));
+    rmat_on_threads(scale, n_edges, probs, seed, threads)
+}
+
+/// [`rmat`] sampled on `threads` threads (the caller's among them, so 0
+/// and 1 both mean the caller alone).
+pub(crate) fn rmat_on_threads(
+    scale: u32,
+    n_edges: usize,
+    probs: (f64, f64, f64, f64),
+    seed: u64,
+    threads: usize,
+) -> Csr {
     let (a, b, c, d) = probs;
     assert!(
         scale <= 31,
@@ -55,22 +81,61 @@ pub fn rmat(scale: u32, n_edges: usize, probs: (f64, f64, f64, f64), seed: u64) 
     );
     assert!(a + b + c < 1.0 + 1e-9, "quadrant probabilities exceed 1");
     let thresholds = quadrant_thresholds(a, b, c);
-    let mut rng = SmallRng::seed_from_u64(seed);
-    let mut edges = Vec::with_capacity(n_edges);
-    for _ in 0..n_edges {
+    let seeded = SmallRng::seed_from_u64(seed);
+    let mut edges = vec![(0, 0); n_edges];
+    // Chunks are claimed, not dealt: a thread on a contended core takes
+    // fewer of them instead of holding the others up.
+    let chunks = Mutex::new(edges.chunks_mut(EDGES_PER_CHUNK).enumerate());
+    let sample = || {
+        // `rng` sits at draw `at·scale`; claims only ever move forward.
+        let (mut rng, mut at) = (seeded.clone(), 0);
+        loop {
+            let Some((i, out)) = chunks.lock().unwrap_or_else(|e| e.into_inner()).next() else {
+                return;
+            };
+            let start = i * EDGES_PER_CHUNK;
+            rng.advance((start - at) as u64 * u64::from(scale));
+            sample_edges(out, &mut rng, scale, thresholds);
+            at = start + out.len();
+        }
+    };
+    std::thread::scope(|s| {
+        for _ in 1..threads {
+            s.spawn(sample);
+        }
+        sample();
+    });
+    Csr::from_edges(1 << scale, &edges)
+}
+
+/// Fill `out` with consecutive R-MAT edges drawn from `rng`.
+fn sample_edges(
+    out: &mut [(VertexId, VertexId)],
+    rng: &mut SmallRng,
+    scale: u32,
+    thresholds: [u64; 3],
+) {
+    for e in out {
         let (mut u, mut v): (VertexId, VertexId) = (0, 0);
         for _ in 0..scale {
             let q = quadrant(rng.next_u64() >> 11, thresholds);
             u = (u << 1) | (q >> 1);
             v = (v << 1) | (q & 1);
         }
-        edges.push((u, v));
+        *e = (u, v);
     }
-    Csr::from_edges(1 << scale, &edges)
 }
 
 /// Uniform random (Erdős–Rényi G(n, m)) directed graph.
+///
+/// # Panics
+/// If `n_vertices` is 0 and `n_edges` is not: there is no vertex to draw
+/// an endpoint from.
 pub fn uniform(n_vertices: usize, n_edges: usize, seed: u64) -> Csr {
+    assert!(
+        n_vertices > 0 || n_edges == 0,
+        "uniform: {n_edges} edges need n_vertices > 0, got n_vertices = 0"
+    );
     let mut rng = SmallRng::seed_from_u64(seed);
     let edges: Vec<(VertexId, VertexId)> = (0..n_edges)
         .map(|_| {
@@ -458,6 +523,39 @@ mod tests {
         assert!(Preset::by_name("nope").is_none());
         assert_eq!(GraphKind::ScaleFree.suffix(), "s");
         assert_eq!(GraphKind::MeshLike.suffix(), "m");
+    }
+
+    #[test]
+    fn rmat_is_independent_of_the_thread_count() {
+        let probs = (0.57, 0.19, 0.19, 0.05);
+        for n_edges in [0, 1, 5, 250_001] {
+            let one = rmat_on_threads(10, n_edges, probs, 5, 1);
+            assert_eq!(one.n_vertices(), 1 << 10);
+            for threads in [2, 3, 7] {
+                assert_eq!(
+                    rmat_on_threads(10, n_edges, probs, 5, threads),
+                    one,
+                    "n_edges={n_edges} threads={threads}"
+                );
+            }
+        }
+        // More threads than edges: all but one claim nothing.
+        assert_eq!(
+            rmat_on_threads(6, 3, probs, 8, 64),
+            rmat_on_threads(6, 3, probs, 8, 1)
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "n_vertices = 0")]
+    fn uniform_rejects_edges_without_vertices() {
+        uniform(0, 3, 1);
+    }
+
+    #[test]
+    fn uniform_with_nothing_is_empty() {
+        let g = uniform(0, 0, 1);
+        assert_eq!((g.n_vertices(), g.n_edges()), (0, 0));
     }
 
     #[test]

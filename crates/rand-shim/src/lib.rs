@@ -18,6 +18,9 @@
 //! too: `atos_graph::generators::rmat` takes exactly one draw per level
 //! per edge (it reads `next_u64() >> 11` directly and compares against
 //! integer thresholds, which is exact *because* of that f64 formula).
+//! It consumes those draws in contiguous chunks, one per sampling thread,
+//! each reached from the seeded state by [`rngs::SmallRng::advance`]; edge
+//! `i` still takes draws `i·scale … (i+1)·scale − 1` of the one stream.
 
 use std::ops::Range;
 
@@ -162,22 +165,138 @@ pub mod rngs {
                 .wrapping_add(self.s[3])
                 .rotate_left(23)
                 .wrapping_add(self.s[0]);
-            let t = self.s[1] << 17;
-            self.s[2] ^= self.s[0];
-            self.s[3] ^= self.s[1];
-            self.s[1] ^= self.s[2];
-            self.s[0] ^= self.s[3];
-            self.s[2] ^= t;
-            self.s[3] = self.s[3].rotate_left(45);
+            step(&mut self.s);
             result
         }
+    }
+
+    impl SmallRng {
+        /// Skip `k` draws: afterwards the generator is in exactly the state
+        /// `k` calls of [`RngCore::next_u64`] would have left it in.
+        ///
+        /// The state transition `T` is linear over GF(2)²⁵⁶, so `Tᵏ = r(T)`
+        /// where `r = xᵏ mod P` and `P` is `T`'s characteristic polynomial
+        /// (Cayley–Hamilton). `r` comes from square-and-multiply on 256-bit
+        /// words; the new state is `Σ rᵢ·Tⁱ(s)`, 256 steps. The cost is
+        /// `O(log k)` squarings plus those steps, whatever `k` is.
+        pub fn advance(&mut self, k: u64) {
+            let r = crate::gf2::x_pow_mod(k);
+            let mut acc = [0u64; 4];
+            let mut s = self.s;
+            for i in 0..256 {
+                if r[i / 64] >> (i % 64) & 1 == 1 {
+                    for (a, w) in acc.iter_mut().zip(s) {
+                        *a ^= w;
+                    }
+                }
+                step(&mut s);
+            }
+            self.s = acc;
+        }
+    }
+
+    /// The xoshiro256 state transition `T`, without the `++` output.
+    #[inline]
+    pub(crate) fn step(s: &mut [u64; 4]) {
+        let t = s[1] << 17;
+        s[2] ^= s[0];
+        s[3] ^= s[1];
+        s[1] ^= s[2];
+        s[0] ^= s[3];
+        s[2] ^= t;
+        s[3] = s[3].rotate_left(45);
+    }
+}
+
+/// Polynomials over GF(2) modulo the characteristic polynomial of the
+/// xoshiro256 state transition, for [`rngs::SmallRng::advance`]. A residue
+/// is 256 coefficients, bit `i` of word `i / 64` holding that of `xⁱ`.
+mod gf2 {
+    /// Coefficients of `x⁰ … x²⁵⁵` in the degree-256 characteristic
+    /// polynomial `P` of the xoshiro256 state transition; `x²⁵⁶` is
+    /// implicit. Re-derived by Berlekamp–Massey in this crate's tests.
+    pub(crate) const CHAR_POLY: [u64; 4] = [
+        0x9d11_6f2b_b0f0_f001,
+        0x0280_002b_cefd_1a5e,
+        0x04b4_edcf_2625_9f85,
+        0x0003_c03c_3f3e_cb19,
+    ];
+
+    /// `xᵏ mod P`, square-and-multiply from the top bit of `k`.
+    pub(crate) fn x_pow_mod(k: u64) -> [u64; 4] {
+        let mut r = [1, 0, 0, 0];
+        for bit in (0..u64::BITS - k.leading_zeros()).rev() {
+            r = square_mod(r);
+            if k >> bit & 1 == 1 {
+                r = mul_x_mod(r);
+            }
+        }
+        r
+    }
+
+    /// `r·x mod P`.
+    fn mul_x_mod(r: [u64; 4]) -> [u64; 4] {
+        let carry = r[3] >> 63;
+        let mut out = [
+            r[0] << 1,
+            r[1] << 1 | r[0] >> 63,
+            r[2] << 1 | r[1] >> 63,
+            r[3] << 1 | r[2] >> 63,
+        ];
+        if carry == 1 {
+            for (o, p) in out.iter_mut().zip(CHAR_POLY) {
+                *o ^= p;
+            }
+        }
+        out
+    }
+
+    /// `r² mod P`. Squaring over GF(2) spreads each bit `i` to bit `2i`;
+    /// the 512-bit square is then reduced one set bit at a time from the
+    /// top, with `x^j ≡ P_low·x^(j−256)` applied as a word-shifted XOR.
+    pub(crate) fn square_mod(r: [u64; 4]) -> [u64; 4] {
+        let mut w = [0u64; 8];
+        for (i, word) in r.into_iter().enumerate() {
+            w[2 * i] = spread(word as u32);
+            w[2 * i + 1] = spread((word >> 32) as u32);
+        }
+        for wi in (4..8).rev() {
+            while w[wi] != 0 {
+                let bit = 63 - w[wi].leading_zeros() as usize;
+                w[wi] ^= 1 << bit;
+                xor_shifted(&mut w, wi * 64 + bit - 256);
+            }
+        }
+        [w[0], w[1], w[2], w[3]]
+    }
+
+    /// `w ^= P_low << shift`. `P_low` has degree < 256, so for the
+    /// `shift < 256` the reduction uses the result ends below bit 511.
+    fn xor_shifted(w: &mut [u64; 8], shift: usize) {
+        let (words, bits) = (shift / 64, shift % 64);
+        for (i, p) in CHAR_POLY.into_iter().enumerate() {
+            w[words + i] ^= p << bits;
+            if bits != 0 {
+                w[words + i + 1] ^= p >> (64 - bits);
+            }
+        }
+    }
+
+    /// Bit `i` of `x` moved to bit `2i`, zeros between.
+    fn spread(x: u32) -> u64 {
+        let mut x = x as u64;
+        x = (x | x << 16) & 0x0000_FFFF_0000_FFFF;
+        x = (x | x << 8) & 0x00FF_00FF_00FF_00FF;
+        x = (x | x << 4) & 0x0F0F_0F0F_0F0F_0F0F;
+        x = (x | x << 2) & 0x3333_3333_3333_3333;
+        (x | x << 1) & 0x5555_5555_5555_5555
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::rngs::SmallRng;
-    use super::{Rng, SeedableRng};
+    use super::{Rng, RngCore, SeedableRng};
 
     #[test]
     fn deterministic_per_seed() {
@@ -214,6 +333,134 @@ mod tests {
         }
         // Mean of 10k uniform draws is near 0.5.
         assert!((sum / 10_000.0 - 0.5).abs() < 0.02);
+    }
+
+    /// `k` single draws, the definition `advance` must match.
+    fn stepped(seed: u64, k: u64) -> SmallRng {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        for _ in 0..k {
+            rng.next_u64();
+        }
+        rng
+    }
+
+    fn advanced(seed: u64, k: u64) -> SmallRng {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        rng.advance(k);
+        rng
+    }
+
+    /// `Debug` prints the whole 256-bit state.
+    fn same_state(a: &SmallRng, b: &SmallRng) -> bool {
+        format!("{a:?}") == format!("{b:?}")
+    }
+
+    #[test]
+    fn advance_equals_single_draws() {
+        for k in [0, 1, 255, 256, 511, 512] {
+            assert!(same_state(&advanced(9, k), &stepped(9, k)), "k={k}");
+        }
+        let mut pick = SmallRng::seed_from_u64(2024);
+        for seed in 0..12 {
+            let k = pick.gen_range(0..1_000_000u64);
+            assert!(
+                same_state(&advanced(seed, k), &stepped(seed, k)),
+                "seed={seed} k={k}"
+            );
+        }
+    }
+
+    #[test]
+    fn advance_composes() {
+        let mut pick = SmallRng::seed_from_u64(77);
+        for _ in 0..16 {
+            let (a, b) = (pick.gen::<u64>() >> 2, pick.gen::<u64>() >> 2);
+            let mut twice = SmallRng::seed_from_u64(a ^ b);
+            twice.advance(a);
+            twice.advance(b);
+            assert!(same_state(&twice, &advanced(a ^ b, a + b)), "a={a} b={b}");
+        }
+    }
+
+    /// Berlekamp–Massey over GF(2): the shortest recurrence
+    /// `bits[n] = Σ cᵢ·bits[n−i]`, as `(c₁ … c_L)`.
+    fn berlekamp_massey(bits: &[u8]) -> Vec<u8> {
+        let (mut c, mut b) = (vec![1u8], vec![1u8]);
+        let (mut len, mut m) = (0usize, 1usize);
+        for n in 0..bits.len() {
+            let d = (1..=len).fold(bits[n], |d, i| d ^ (c[i] & bits[n - i]));
+            if d == 0 {
+                m += 1;
+                continue;
+            }
+            let prev = c.clone();
+            c.resize(c.len().max(b.len() + m), 0);
+            for (i, &bi) in b.iter().enumerate() {
+                c[i + m] ^= bi;
+            }
+            if 2 * len <= n {
+                len = n + 1 - len;
+                b = prev;
+                m = 1;
+            } else {
+                m += 1;
+            }
+        }
+        c.resize(len + 1, 0);
+        c[1..].to_vec()
+    }
+
+    #[test]
+    fn char_poly_is_rederived_by_berlekamp_massey() {
+        // One state bit over 512 transitions: its minimal polynomial is
+        // the full characteristic polynomial (xoshiro256's is primitive).
+        let mut s = [0x0123_4567_89AB_CDEF, 0xDEAD_BEEF, 42, 7];
+        let bits: Vec<u8> = (0..512)
+            .map(|_| {
+                let b = (s[0] & 1) as u8;
+                super::rngs::step(&mut s);
+                b
+            })
+            .collect();
+        let c = berlekamp_massey(&bits);
+        assert_eq!(c.len(), 256, "degree");
+        // x²⁵⁶ + c₁x²⁵⁵ + … + c₂₅₆: the coefficient of xʲ is c₂₅₆₋ⱼ.
+        let mut p = [0u64; 4];
+        for j in 0..256 {
+            p[j / 64] |= (c[255 - j] as u64) << (j % 64);
+        }
+        assert_eq!(p, super::gf2::CHAR_POLY, "{p:#018x?}");
+    }
+
+    /// xoshiro256's published `jump()` (2¹²⁸ draws) and `long_jump()`
+    /// (2¹⁹²) polynomials, reached by squaring `x` — an independent check
+    /// of the stored `P`.
+    #[test]
+    fn published_jump_polynomials_are_powers_of_x() {
+        let mut r = [2, 0, 0, 0];
+        for squarings in 1..=192 {
+            r = super::gf2::square_mod(r);
+            if squarings == 128 {
+                assert_eq!(
+                    r,
+                    [
+                        0x180e_c6d3_3cfd_0aba,
+                        0xd5a6_1266_f0c9_392c,
+                        0xa958_2618_e03f_c9aa,
+                        0x39ab_dc45_29b1_661c
+                    ]
+                );
+            }
+        }
+        assert_eq!(
+            r,
+            [
+                0x76e1_5d3e_fefd_cbbf,
+                0xc500_4e44_1c52_2fb3,
+                0x7771_0069_854e_e241,
+                0x3910_9bb0_2acb_e635
+            ]
+        );
     }
 
     #[test]
