@@ -85,10 +85,11 @@ pub fn host_cores() -> f64 {
 /// sampling + CSR build, and the CSR build alone as input-edge throughput
 /// (`from_edges_medges_per_s`, informational) on the R-MAT graph's edges
 /// in target-major order, so sources arrive scattered the way a
-/// generator emits them. R-MAT sampling runs on every host core and the
-/// CSR build and road mesh on one, so `rmat18_ms` depends on the core
-/// count: records `host_cores` so [`check_regression`] skips cross-host
-/// comparisons.
+/// generator emits them. R-MAT sampling and the R-MAT graph's CSR build
+/// run on every host core, and the road mesh, at under 8 pairs per
+/// vertex, on one, so `rmat18_ms` and the build throughput depend on the
+/// core count: records `host_cores` so [`check_regression`] skips
+/// cross-host comparisons.
 pub fn measure_graph_build(samples: usize) -> BTreeMap<String, f64> {
     use atos_graph::generators::{rmat, road_network};
     use atos_graph::Csr;

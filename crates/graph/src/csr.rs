@@ -7,11 +7,19 @@
 
 use std::ops::Range;
 
+use crate::par::{alongside, balanced_rows, build_threads, split_at_cuts};
 use crate::prefetch::{prefetch_row, Lookahead};
 
 /// Vertex identifier (u32: all Table I graphs fit, and halving index width
 /// matters for bandwidth-bound traversal).
 pub type VertexId = u32;
+
+/// Pairs per vertex below which [`Csr::from_edges`] stays on one thread.
+/// Each extra thread holds a cursor row of 4 B/vertex beside the 4 B/pair
+/// of `neighbors`, so on a sparse input the rows are a large share of the
+/// build's memory: the road mesh, at about 3.5 pairs per vertex, peaked
+/// 2 MiB higher on two threads (DESIGN.md §6).
+const MIN_PAIRS_PER_VERTEX: usize = 8;
 
 /// Immutable CSR adjacency structure (out-edges).
 ///
@@ -33,44 +41,124 @@ impl Csr {
     /// `0..n_vertices` are dropped, duplicates are merged, and every row
     /// comes out sorted; self-loops are kept (harmless to BFS/PR).
     ///
-    /// Counting sort by source — degree histogram, prefix sum, scatter of
-    /// the targets into one `Vec<VertexId>` — then a per-row sort + dedup
-    /// compacted in place. Nothing ever holds a second copy of the pairs,
-    /// so the peak is the caller's 8 B/edge plus 4 B/edge here.
+    /// Counting sort by source on every host core (the `rmat` thread
+    /// rule): the pairs are cut into one contiguous slice per thread, and
+    ///
+    /// 1. each slice counts its in-range pairs per source;
+    /// 2. a serial prefix pass gives every (row, slice) its own run of the
+    ///    row's slots;
+    /// 3. each slice scatters its targets into its runs of the one
+    ///    `Vec<VertexId>` that becomes `neighbors`;
+    /// 4. rows are cut into ranges of about equal edges, each range is
+    ///    sorted, deduped and compacted in place, and a serial pass slides
+    ///    the ranges down over the gaps; then `shrink_to_fit`.
+    ///
+    /// Every pass reads each pair once, and every row comes out sorted, so
+    /// the graph does not depend on the thread count. Nothing ever holds a
+    /// second copy of the pairs: the peak is the caller's 8 B/pair plus
+    /// 4 B/pair here, and 4 B/vertex of cursors per thread beyond the
+    /// first. An input of fewer than 8 pairs per vertex stays on one
+    /// thread. On one thread nothing is spawned, and the build allocates
+    /// exactly what the serial counting sort did: `offsets` and
+    /// `neighbors`.
     pub fn from_edges(n_vertices: usize, edges: &[(VertexId, VertexId)]) -> Self {
+        let threads = if edges.len() < MIN_PAIRS_PER_VERTEX * n_vertices {
+            1
+        } else {
+            build_threads(edges.len())
+        };
+        Csr::from_edges_on_threads(n_vertices, edges, threads)
+    }
+
+    /// [`Csr::from_edges`] built on `threads` threads (the caller's among
+    /// them, so 0 and 1 both mean the caller alone).
+    pub(crate) fn from_edges_on_threads(
+        n_vertices: usize,
+        edges: &[(VertexId, VertexId)],
+        threads: usize,
+    ) -> Self {
         let in_range = |&&(u, v): &&(VertexId, VertexId)| {
             (u as usize) < n_vertices && (v as usize) < n_vertices
         };
+        // Slices before the last keep `u32` cursors, which must hold any slot.
+        let threads = if edges.len() > u32::MAX as usize {
+            1
+        } else {
+            threads.max(1)
+        };
+        let mut slices = edges.chunks(edges.len().div_ceil(threads).max(1));
+        let last = slices.next_back().unwrap_or_default();
         let mut offsets = vec![0u64; n_vertices + 1];
-        for &(u, _) in edges.iter().filter(in_range) {
-            offsets[u as usize + 1] += 1;
-        }
-        for i in 0..n_vertices {
-            offsets[i + 1] += offsets[i];
-        }
-        // Scatter with `offsets[u]` as row u's write cursor: afterwards it
-        // holds the row's raw *end*, which the compaction pass below turns
-        // back into the compacted start.
-        let mut neighbors = vec![0 as VertexId; offsets[n_vertices] as usize];
-        for &(u, v) in edges.iter().filter(in_range) {
-            let cursor = &mut offsets[u as usize];
-            neighbors[*cursor as usize] = v;
-            *cursor += 1;
-        }
-        let (mut raw_start, mut len) = (0usize, 0usize);
-        for offset in offsets.iter_mut().take(n_vertices) {
-            let raw_end = *offset as usize;
-            *offset = len as u64;
-            neighbors[raw_start..raw_end].sort_unstable();
-            for i in raw_start..raw_end {
-                let v = neighbors[i];
-                if i == raw_start || neighbors[len - 1] != v {
-                    neighbors[len] = v;
-                    len += 1;
+        // Not `vec![row; k]`, which builds one row even for k = 0.
+        let mut cursors: Vec<Vec<u32>> = (0..slices.len()).map(|_| vec![0; n_vertices]).collect();
+
+        // 1. Count: the last slice into `offsets[u + 1]`, each other into
+        // its row.
+        alongside(
+            slices.clone().zip(&mut cursors),
+            |(pairs, row)| {
+                for &(u, _) in pairs.iter().filter(in_range) {
+                    row[u as usize] += 1;
                 }
+            },
+            || {
+                for &(u, _) in last.iter().filter(in_range) {
+                    offsets[u as usize + 1] += 1;
+                }
+            },
+        );
+
+        // 2. Prefix: row u's slots go to the slices in input order, each
+        // cursor now absolute; the last slice's cursor is `offsets[u]`. A
+        // row whose pairs arrive sorted stays sorted, which its sort in
+        // step 4 then only has to confirm.
+        let mut start = 0u64;
+        for u in 0..n_vertices {
+            let mut at = start;
+            for row in &mut cursors {
+                let count = u64::from(row[u]);
+                row[u] = at as u32;
+                at += count;
             }
-            raw_start = raw_end;
+            start = at + offsets[u + 1];
+            offsets[u] = at;
         }
+        offsets[n_vertices] = start;
+
+        // 3. Scatter: afterwards `offsets[u]` holds row u's raw *end*, which
+        // the compaction below turns back into the compacted start.
+        let mut neighbors = vec![0 as VertexId; start as usize];
+        // The slices write the one array concurrently, so its address
+        // crosses threads as a `usize`.
+        let out = neighbors.as_mut_ptr() as usize;
+        let put = |slot: u64, v: VertexId| {
+            // SAFETY: step 2 gave each (row, slice) a run of exactly the
+            // slice's count of the row's slots, inside `neighbors` and
+            // disjoint from every other run. Each slice below puts a pair
+            // only at its own cursor for the pair's row, which walks that
+            // run: the slot is in bounds and no other thread touches it.
+            // Nothing reads `neighbors` until every slice has joined.
+            unsafe { (out as *mut VertexId).add(slot as usize).write(v) }
+        };
+        alongside(
+            slices.zip(&mut cursors),
+            |(pairs, row)| {
+                for &(u, v) in pairs.iter().filter(in_range) {
+                    put(row[u as usize].into(), v);
+                    row[u as usize] += 1;
+                }
+            },
+            || {
+                for &(u, v) in last.iter().filter(in_range) {
+                    put(offsets[u as usize], v);
+                    offsets[u as usize] += 1;
+                }
+            },
+        );
+        drop(cursors);
+
+        // 4. Sort + dedup.
+        let len = compact(&mut offsets[..n_vertices], &mut neighbors, threads);
         offsets[n_vertices] = len as u64;
         neighbors.truncate(len);
         neighbors.shrink_to_fit();
@@ -183,6 +271,70 @@ impl Csr {
     }
 }
 
+/// `from_edges` step 4: sort and dedup every row and compact them to the
+/// front of `neighbors`, on `threads` threads; `ends[u]` goes from row u's
+/// raw end to its compacted start. Returns the compacted length. Rows are
+/// cut into edge-balanced ranges, each range compacts in place from its own
+/// raw start, and the ranges then close up on the ones before them.
+fn compact(ends: &mut [u64], neighbors: &mut [VertexId], threads: usize) -> usize {
+    if threads <= 1 {
+        return compact_rows(ends, neighbors, 0);
+    }
+    let rows = balanced_rows(ends, threads);
+    // A range's raw start is the raw end of the row before it.
+    let starts: Vec<usize> = rows
+        .iter()
+        .map(|&r| r.checked_sub(1).map_or(0, |u| ends[u] as usize))
+        .collect();
+    let mut lens = vec![0usize; threads];
+    let mut ranges = split_at_cuts(ends, &rows)
+        .into_iter()
+        .zip(split_at_cuts(neighbors, &starts))
+        .zip(&starts)
+        .zip(&mut lens);
+    let (((first_ends, first_range), _), first_len) = ranges.next().expect("two ranges or more");
+    alongside(
+        ranges,
+        |(((range_ends, range), &base), len)| *len = compact_rows(range_ends, range, base as u64),
+        || *first_len = compact_rows(first_ends, first_range, 0),
+    );
+    let mut len = lens[0];
+    for k in 1..threads {
+        let from = starts[k];
+        if from != len {
+            neighbors.copy_within(from..from + lens[k], len);
+            for end in &mut ends[rows[k]..rows[k + 1]] {
+                *end -= (from - len) as u64;
+            }
+        }
+        len += lens[k];
+    }
+    len
+}
+
+/// `from_edges` step 4 for one range of rows: sort and dedup each row in
+/// place and compact the range to the front of `neighbors`. `ends[i]` is
+/// row i's raw end, absolute, and `base` the range's raw start; each entry
+/// becomes the row's compacted start, as if the range began at `base`.
+/// Returns the range's compacted length.
+fn compact_rows(ends: &mut [u64], neighbors: &mut [VertexId], base: u64) -> usize {
+    let (mut raw_start, mut len) = (0usize, 0usize);
+    for end in ends {
+        let raw_end = (*end - base) as usize;
+        *end = base + len as u64;
+        neighbors[raw_start..raw_end].sort_unstable();
+        for i in raw_start..raw_end {
+            let v = neighbors[i];
+            if i == raw_start || neighbors[len - 1] != v {
+                neighbors[len] = v;
+                len += 1;
+            }
+        }
+        raw_start = raw_end;
+    }
+    len
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -209,21 +361,36 @@ mod tests {
         Csr { offsets, neighbors }
     }
 
+    /// `from_edges` equals the oracle on every thread count here: one
+    /// slice per pair and more (64), counts that leave a short last slice
+    /// (3, 7), and the caller alone (1).
+    fn assert_matches_oracle_on_every_thread_count(n: usize, edges: &[(VertexId, VertexId)]) {
+        let oracle = from_edges_oracle(n, edges);
+        assert_eq!(Csr::from_edges(n, edges), oracle);
+        for threads in [1, 2, 3, 7, 64] {
+            let g = Csr::from_edges_on_threads(n, edges, threads);
+            assert_eq!(g, oracle, "threads={threads} n={n} edges={edges:?}");
+            assert_eq!(g.neighbors.capacity(), g.neighbors.len());
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(128))]
 
         /// Endpoints range past `n` (out-of-range rows and targets), and a
-        /// small id space forces heavy duplication and self-loops.
+        /// small id space forces heavy duplication and self-loops, so every
+        /// row range leaves gaps for the closing pass.
         #[test]
         fn from_edges_matches_oracle(
             n in 0usize..40,
             edges in proptest::collection::vec((0u32..48, 0u32..48), 0..600),
         ) {
-            prop_assert_eq!(Csr::from_edges(n, &edges), from_edges_oracle(n, &edges));
+            assert_matches_oracle_on_every_thread_count(n, &edges);
         }
 
         /// One hub row holds every edge (the whole build is a single row
-        /// sort), with duplicates, a self-loop and out-of-range targets.
+        /// sort, and every range but one is empty), with duplicates, a
+        /// self-loop and out-of-range targets.
         #[test]
         fn from_edges_single_hub_matches_oracle(
             n in 1usize..200,
@@ -231,7 +398,7 @@ mod tests {
             targets in proptest::collection::vec(0u32..260, 0..800),
         ) {
             let edges: Vec<_> = targets.iter().map(|&v| (hub, v)).chain([(hub, hub)]).collect();
-            prop_assert_eq!(Csr::from_edges(n, &edges), from_edges_oracle(n, &edges));
+            assert_matches_oracle_on_every_thread_count(n, &edges);
         }
     }
 
@@ -245,9 +412,7 @@ mod tests {
             (5, loops),
             (2, vec![(VertexId::MAX, 0), (0, VertexId::MAX)]),
         ] {
-            let g = Csr::from_edges(n, &edges);
-            assert_eq!(g, from_edges_oracle(n, &edges), "n={n} edges={edges:?}");
-            assert_eq!(g.neighbors.capacity(), g.neighbors.len());
+            assert_matches_oracle_on_every_thread_count(n, &edges);
         }
     }
 

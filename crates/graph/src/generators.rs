@@ -18,6 +18,7 @@ use rand::rngs::SmallRng;
 use rand::{Rng, RngCore, SeedableRng};
 
 use crate::csr::{Csr, VertexId};
+use crate::par::{alongside, build_threads, EDGES_PER_CHUNK};
 
 /// Integer thresholds `⌈a·2⁵³⌉, ⌈(a+b)·2⁵³⌉, ⌈(a+b+c)·2⁵³⌉` for
 /// [`quadrant`]. A unit-interval draw is `k·2⁻⁵³` with `k < 2⁵³`, and both
@@ -36,11 +37,6 @@ fn quadrant(k: u64, [ta, tab, tabc]: [u64; 3]) -> VertexId {
     (k >= ta) as VertexId + (k >= tab) as VertexId + (k >= tabc) as VertexId
 }
 
-/// Edges per sampling chunk, the unit a thread claims. Fewer edges than
-/// this stay on the calling thread: a spawn and an `advance` jump would
-/// cost more than the draws they take over.
-const EDGES_PER_CHUNK: usize = 1 << 16;
-
 /// Generate a scale-free directed graph with `2^scale` vertices and
 /// `n_edges` edges via R-MAT recursive quadrant sampling.
 ///
@@ -49,16 +45,16 @@ const EDGES_PER_CHUNK: usize = 1 << 16;
 /// on that stream position. Sampling runs on every host core: threads
 /// claim `EDGES_PER_CHUNK`-edge chunks in order and reach each chunk's
 /// first draw with [`SmallRng::advance`], so the graph does not depend on
-/// the thread count or on which thread sampled what. The CSR build stays
-/// serial.
+/// the thread count or on which thread sampled what. An input of one
+/// chunk or less stays on the calling thread, where a spawn and a jump
+/// would cost more than the draws they take over. The CSR build,
+/// [`Csr::from_edges`], follows the same thread rule.
 ///
 /// # Panics
 /// If `scale > 31` (vertex ids would not fit [`VertexId`]), a probability
 /// is negative or not finite, or `a + b + c` exceeds 1.
 pub fn rmat(scale: u32, n_edges: usize, probs: (f64, f64, f64, f64), seed: u64) -> Csr {
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let threads = cores.min(n_edges.div_ceil(EDGES_PER_CHUNK));
-    rmat_on_threads(scale, n_edges, probs, seed, threads)
+    rmat_on_threads(scale, n_edges, probs, seed, build_threads(n_edges))
 }
 
 /// [`rmat`] sampled on `threads` threads (the caller's among them, so 0
@@ -99,12 +95,7 @@ pub(crate) fn rmat_on_threads(
             at = start + out.len();
         }
     };
-    std::thread::scope(|s| {
-        for _ in 1..threads {
-            s.spawn(sample);
-        }
-        sample();
-    });
+    alongside(1..threads, |_| sample(), sample);
     Csr::from_edges(1 << scale, &edges)
 }
 

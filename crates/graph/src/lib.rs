@@ -42,6 +42,7 @@ pub mod generators;
 pub mod grouped;
 pub mod io;
 pub mod light;
+mod par;
 pub mod partition;
 pub mod prefetch;
 pub mod reference;

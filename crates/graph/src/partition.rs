@@ -45,8 +45,11 @@ impl Partition {
     }
 
     /// Uniform random assignment.
+    ///
+    /// # Panics
+    /// If `n_parts` is 0 or exceeds `u16::MAX`.
     pub fn random(n_vertices: usize, n_parts: usize, seed: u64) -> Self {
-        assert!(n_parts > 0 && n_parts <= u16::MAX as usize);
+        check_n_parts(n_parts);
         let mut rng = SmallRng::seed_from_u64(seed);
         Partition {
             owner: (0..n_vertices)
@@ -57,8 +60,11 @@ impl Partition {
     }
 
     /// Contiguous equal ranges of the vertex id space.
+    ///
+    /// # Panics
+    /// If `n_parts` is 0 or exceeds `u16::MAX`.
     pub fn block(n_vertices: usize, n_parts: usize) -> Self {
-        assert!(n_parts > 0 && n_parts <= u16::MAX as usize);
+        check_n_parts(n_parts);
         let per = n_vertices.div_ceil(n_parts).max(1);
         Partition {
             owner: (0..n_vertices).map(|v| ((v / per) as u16).min(n_parts as u16 - 1)).collect(),
@@ -70,8 +76,11 @@ impl Partition {
     /// high-degree vertices and grows regions breadth-first under a balance
     /// cap, then assigns any unreached vertices round-robin. A METIS-like
     /// low-edge-cut heuristic.
+    ///
+    /// # Panics
+    /// If `n_parts` is 0 or exceeds `u16::MAX`.
     pub fn bfs_grow(g: &Csr, n_parts: usize, seed: u64) -> Self {
-        assert!(n_parts > 0 && n_parts <= u16::MAX as usize);
+        check_n_parts(n_parts);
         let n = g.n_vertices();
         if n_parts == 1 || n == 0 {
             return Partition {
@@ -195,6 +204,15 @@ impl Partition {
     }
 }
 
+/// Owners are `u16`, so a partition has 1 to `u16::MAX` parts.
+fn check_n_parts(n_parts: usize) {
+    assert!(
+        (1..=u16::MAX as usize).contains(&n_parts),
+        "n_parts must be in 1..={}, got {n_parts}",
+        u16::MAX
+    );
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -259,6 +277,24 @@ mod tests {
         let p = Partition::block(10, 2);
         assert_eq!(p.vertices_of(0), vec![0, 1, 2, 3, 4]);
         assert_eq!(p.vertices_of(1), vec![5, 6, 7, 8, 9]);
+    }
+
+    #[test]
+    #[should_panic(expected = "n_parts must be in 1..=65535, got 0")]
+    fn random_rejects_zero_parts() {
+        Partition::random(10, 0, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "n_parts must be in 1..=65535, got 65536")]
+    fn block_rejects_more_parts_than_owner_ids() {
+        Partition::block(10, 1 << 16);
+    }
+
+    #[test]
+    #[should_panic(expected = "n_parts must be in 1..=65535, got 0")]
+    fn bfs_grow_rejects_zero_parts() {
+        Partition::bfs_grow(&grid_2d(2, 2), 0, 1);
     }
 
     #[test]

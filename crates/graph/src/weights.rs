@@ -8,6 +8,7 @@
 //! `atos-apps` SSSP extension.
 
 use crate::csr::{Csr, VertexId};
+use crate::par::{alongside, balanced_rows, build_threads, split_at_cuts};
 use crate::prefetch::{prefetch_row, Lookahead};
 
 /// Distance value for unreachable vertices.
@@ -27,14 +28,42 @@ impl EdgeWeights {
     ///
     /// Weights are a pure function of `(u, v, seed)`, so two CSRs with the
     /// same edges get the same weights regardless of construction order.
+    /// Rows are filled on every host core (the `rmat` thread rule), each
+    /// thread a range of rows of about equal edges.
+    ///
+    /// # Panics
+    /// If `max_weight` is 0.
     pub fn random(g: &Csr, max_weight: u32, seed: u64) -> Self {
-        assert!(max_weight >= 1);
-        let mut w = Vec::with_capacity(g.n_edges());
-        for u in 0..g.n_vertices() as VertexId {
-            for &v in g.neighbors(u) {
-                w.push(hash_edge(u, v, seed) % max_weight + 1);
+        Self::random_on_threads(g, max_weight, seed, build_threads(g.n_edges()))
+    }
+
+    /// [`EdgeWeights::random`] filled on `threads` threads (the caller's
+    /// among them, so 0 and 1 both mean the caller alone).
+    pub(crate) fn random_on_threads(g: &Csr, max_weight: u32, seed: u64, threads: usize) -> Self {
+        assert!(
+            max_weight >= 1,
+            "EdgeWeights::random: max_weight must be at least 1, got {max_weight}"
+        );
+        let offsets = g.offsets();
+        let rows = balanced_rows(&offsets[1..], threads.max(1));
+        let cuts: Vec<usize> = rows.iter().map(|&r| offsets[r] as usize).collect();
+        let mut w = vec![0; g.n_edges()];
+        // `out` holds exactly the edges of rows `range[0]..range[1]`.
+        let fill = |range: &[usize], out: &mut [u32]| {
+            let mut slots = out.iter_mut();
+            for u in range[0] as VertexId..range[1] as VertexId {
+                for (&v, slot) in g.neighbors(u).iter().zip(&mut slots) {
+                    *slot = hash_edge(u, v, seed) % max_weight + 1;
+                }
             }
-        }
+        };
+        let mut parts = rows.windows(2).zip(split_at_cuts(&mut w, &cuts));
+        let (first_rows, first_out) = parts.next().expect("one range or more");
+        alongside(
+            parts,
+            |(range, out)| fill(range, out),
+            || fill(first_rows, first_out),
+        );
         EdgeWeights { w }
     }
 
@@ -164,6 +193,34 @@ mod tests {
         let g = rmat(7, 500, (0.57, 0.19, 0.19, 0.05), 1);
         assert_eq!(EdgeWeights::random(&g, 8, 5), EdgeWeights::random(&g, 8, 5));
         assert_ne!(EdgeWeights::random(&g, 8, 5), EdgeWeights::random(&g, 8, 6));
+    }
+
+    #[test]
+    fn weights_are_independent_of_the_thread_count() {
+        // A hub row, isolated rows at both ends, and the empty graph.
+        let hub = Csr::from_edges(9, &[(1, 2), (1, 3), (1, 4), (1, 5), (4, 1), (6, 7)]);
+        for g in [
+            rmat(9, 3000, (0.57, 0.19, 0.19, 0.05), 4),
+            hub,
+            Csr::from_edges(0, &[]),
+        ] {
+            // Each weight is its own edge's, slot for slot.
+            let serial = EdgeWeights {
+                w: g.edges()
+                    .map(|(u, v)| hash_edge(u, v, 3) % 20 + 1)
+                    .collect(),
+            };
+            assert_eq!(EdgeWeights::random(&g, 20, 3), serial);
+            for threads in [1, 2, 7] {
+                assert_eq!(EdgeWeights::random_on_threads(&g, 20, 3, threads), serial);
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "max_weight must be at least 1, got 0")]
+    fn random_rejects_zero_max_weight() {
+        EdgeWeights::random(&grid_2d(2, 2), 0, 1);
     }
 
     #[test]
