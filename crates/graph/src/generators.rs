@@ -20,21 +20,36 @@ use rand::{Rng, RngCore, SeedableRng};
 use crate::csr::{Csr, VertexId};
 use crate::par::{alongside, build_threads, EDGES_PER_CHUNK};
 
+/// Generator streams one chunk is sampled as: each lane owns a contiguous
+/// sixteenth of the chunk and all of them step together, like one 16-wide
+/// warp. A constant, not a setting: 4 and 8 lanes sampled little or no
+/// faster than one serial stream, and 32 no faster than 16 on AVX-512 and
+/// slower on AVX2 (DESIGN.md §6).
+const LANES: usize = 16;
+
 /// Integer thresholds `⌈a·2⁵³⌉, ⌈(a+b)·2⁵³⌉, ⌈(a+b+c)·2⁵³⌉` for
-/// [`quadrant`]. A unit-interval draw is `k·2⁻⁵³` with `k < 2⁵³`, and both
-/// that product and the scaling of a probability by 2⁵³ are exact in f64,
-/// so `r < p ⇔ k < ⌈p·2⁵³⌉`: the integer compare is the f64 compare.
+/// [`quadrant_bits`]. A unit-interval draw is `k·2⁻⁵³` with `k < 2⁵³`, and
+/// both that product and the scaling of a probability by 2⁵³ are exact in
+/// f64, so `r < p ⇔ k < ⌈p·2⁵³⌉`: the integer compare is the f64 compare.
 fn quadrant_thresholds(a: f64, b: f64, c: f64) -> [u64; 3] {
     const TWO_53: f64 = (1u64 << 53) as f64;
     [a, a + b, a + b + c].map(|p| (p * TWO_53).ceil() as u64)
 }
 
-/// R-MAT quadrant (`0..=3`; bit 1 is the source bit, bit 0 the target
-/// bit) of the 53-bit draw `k`, as a sum of compares instead of a
-/// three-way unpredictable branch.
-#[inline]
-fn quadrant(k: u64, [ta, tab, tabc]: [u64; 3]) -> VertexId {
-    (k >= ta) as VertexId + (k >= tab) as VertexId + (k >= tabc) as VertexId
+/// R-MAT source and target bit of the 53-bit draw `k`. With `ta ≤ tab ≤
+/// tabc` the quadrant is the compare count `(k≥ta) + (k≥tab) + (k≥tabc)`:
+/// its high bit is `k ≥ tab` and its low bit the three compares' parity.
+///
+/// Each compare is signed, as the sign bit of `t − 1 − k`: set exactly
+/// when `k ≥ t`, and the subtraction cannot overflow because `k < 2⁵³`
+/// and every threshold is below 2⁵⁴. The parity is one XOR of the three
+/// differences and one shift. Every vector unit has 64-bit subtract, XOR
+/// and shift; SSE2, the x86_64 baseline, has no 64-bit compare, and in
+/// that form the plain compilation sampled slower than one serial stream.
+#[inline(always)]
+fn quadrant_bits(k: i64, [ta, tab, tabc]: [i64; 3]) -> (VertexId, VertexId) {
+    let [a, ab, abc] = [ta, tab, tabc].map(|t| (t - 1 - k) as u64);
+    ((ab >> 63) as VertexId, ((a ^ ab ^ abc) >> 63) as VertexId)
 }
 
 /// Generate a scale-free directed graph with `2^scale` vertices and
@@ -49,6 +64,13 @@ fn quadrant(k: u64, [ta, tab, tabc]: [u64; 3]) -> VertexId {
 /// chunk or less stays on the calling thread, where a spawn and a jump
 /// would cost more than the draws they take over. The CSR build,
 /// [`Csr::from_edges`], follows the same thread rule.
+///
+/// Each chunk is sampled as [`LANES`] generator streams stepped in
+/// lock-step ([`sample_edges`]), compiled for the widest vector unit the
+/// host has: AVX-512F, else AVX2, else plain code, the only path off
+/// x86_64. The platform picks it once per call; no setting does. Every
+/// compilation gives every edge the same draws, so the graph does not
+/// depend on the host's vector unit either.
 ///
 /// # Panics
 /// If `scale > 31` (vertex ids would not fit [`VertexId`]), a probability
@@ -77,6 +99,9 @@ pub(crate) fn rmat_on_threads(
     );
     assert!(a + b + c < 1.0 + 1e-9, "quadrant probabilities exceed 1");
     let thresholds = quadrant_thresholds(a, b, c);
+    let (_, sample_chunk) = host_samplers()
+        .next()
+        .expect("plain code runs on every host");
     let seeded = SmallRng::seed_from_u64(seed);
     let mut edges = vec![(0, 0); n_edges];
     // Chunks are claimed, not dealt: a thread on a contended core takes
@@ -91,7 +116,9 @@ pub(crate) fn rmat_on_threads(
             };
             let start = i * EDGES_PER_CHUNK;
             rng.advance((start - at) as u64 * u64::from(scale));
-            sample_edges(out, &mut rng, scale, thresholds);
+            // SAFETY: `host_samplers` yields only compilations whose
+            // target features this host has.
+            unsafe { sample_chunk(out, &mut rng, scale, thresholds) };
             at = start + out.len();
         }
     };
@@ -99,21 +126,118 @@ pub(crate) fn rmat_on_threads(
     Csr::from_edges(1 << scale, &edges)
 }
 
-/// Fill `out` with consecutive R-MAT edges drawn from `rng`.
+/// Fill `out` with consecutive R-MAT edges drawn from `rng`, and leave
+/// `rng` after the last of their draws.
+///
+/// The edges are cut into [`LANES`] contiguous runs of
+/// `m = out.len() / LANES`, and the last run also takes the
+/// `out.len() mod LANES` edges after them. Lane `l`'s generator starts at
+/// its run's first draw, `l·m·scale` ([`SmallRng::lanes`]). The lanes step
+/// together, one `[u64; LANES]` word of draws per level, and each writes
+/// its own run. The last lane then finishes the tail on its own and is
+/// handed back as `rng`. Every edge thus gets exactly the draws a serial
+/// walk would give it, whatever the compilation.
+#[inline(always)]
 fn sample_edges(
     out: &mut [(VertexId, VertexId)],
     rng: &mut SmallRng,
     scale: u32,
     thresholds: [u64; 3],
 ) {
-    for e in out {
+    let run = out.len() / LANES;
+    let thresholds = thresholds.map(|t| t as i64);
+    let mut lanes = rng.lanes::<LANES>(run as u64 * u64::from(scale));
+    let (runs, tail) = out.split_at_mut(run * LANES);
+    for j in 0..run {
+        let (mut u, mut v) = ([0; LANES], [0; LANES]);
+        for _ in 0..scale {
+            let draws = lanes.next_u64s();
+            for l in 0..LANES {
+                let (ub, vb) = quadrant_bits((draws[l] >> 11) as i64, thresholds);
+                u[l] = u[l] << 1 | ub;
+                v[l] = v[l] << 1 | vb;
+            }
+        }
+        for l in 0..LANES {
+            runs[l * run + j] = (u[l], v[l]);
+        }
+    }
+    *rng = lanes.lane(LANES - 1);
+    for e in tail {
         let (mut u, mut v): (VertexId, VertexId) = (0, 0);
         for _ in 0..scale {
-            let q = quadrant(rng.next_u64() >> 11, thresholds);
-            u = (u << 1) | (q >> 1);
-            v = (v << 1) | (q & 1);
+            let (ub, vb) = quadrant_bits((rng.next_u64() >> 11) as i64, thresholds);
+            u = u << 1 | ub;
+            v = v << 1 | vb;
         }
         *e = (u, v);
+    }
+}
+
+/// One compilation of [`sample_edges`].
+///
+/// # Safety
+/// The host must have the target features the function was compiled
+/// for; [`host_samplers`] hands out only such.
+type Sampler = unsafe fn(&mut [(VertexId, VertexId)], &mut SmallRng, u32, [u64; 3]);
+
+/// The compilations of [`sample_edges`] this host runs, widest first, each
+/// with its name: AVX-512F and AVX2 where the CPU reports them, then plain
+/// code, which every host runs and is the only one off x86_64.
+fn host_samplers() -> impl Iterator<Item = (&'static str, Sampler)> {
+    #[cfg(target_arch = "x86_64")]
+    let wide: [(&str, Sampler, bool); 2] = [
+        (
+            "avx512f",
+            x86::sample_edges_avx512f,
+            std::is_x86_feature_detected!("avx512f"),
+        ),
+        (
+            "avx2",
+            x86::sample_edges_avx2,
+            std::is_x86_feature_detected!("avx2"),
+        ),
+    ];
+    #[cfg(not(target_arch = "x86_64"))]
+    let wide: [(&str, Sampler, bool); 0] = [];
+    wide.into_iter()
+        .filter_map(|(name, sample, here)| here.then_some((name, sample)))
+        .chain([("plain", sample_edges as Sampler)])
+}
+
+/// [`sample_edges`] compiled with a wider vector unit enabled: the same
+/// body, so the same draws per edge.
+#[cfg(target_arch = "x86_64")]
+mod x86 {
+    use super::{sample_edges, SmallRng, VertexId};
+
+    /// [`sample_edges`] on 512-bit registers: one state word of all 16
+    /// lanes per register.
+    ///
+    /// # Safety
+    /// The host must have AVX-512F.
+    #[target_feature(enable = "avx512f")]
+    pub(super) unsafe fn sample_edges_avx512f(
+        out: &mut [(VertexId, VertexId)],
+        rng: &mut SmallRng,
+        scale: u32,
+        thresholds: [u64; 3],
+    ) {
+        sample_edges(out, rng, scale, thresholds)
+    }
+
+    /// [`sample_edges`] on 256-bit registers.
+    ///
+    /// # Safety
+    /// The host must have AVX2.
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn sample_edges_avx2(
+        out: &mut [(VertexId, VertexId)],
+        rng: &mut SmallRng,
+        scale: u32,
+        thresholds: [u64; 3],
+    ) {
+        sample_edges(out, rng, scale, thresholds)
     }
 }
 
@@ -344,15 +468,72 @@ mod tests {
         ks
     }
 
+    /// The pre-lane quadrant pick, kept for the oracle: a sum of compares.
+    fn quadrant(k: u64, [ta, tab, tabc]: [u64; 3]) -> VertexId {
+        (k >= ta) as VertexId + (k >= tab) as VertexId + (k >= tabc) as VertexId
+    }
+
+    /// The pre-lane sampler, kept as the oracle: edge after edge, one
+    /// draw per level from the one generator.
+    fn sample_edges_serial(
+        out: &mut [(VertexId, VertexId)],
+        rng: &mut SmallRng,
+        scale: u32,
+        thresholds: [u64; 3],
+    ) {
+        for e in out {
+            let (mut u, mut v): (VertexId, VertexId) = (0, 0);
+            for _ in 0..scale {
+                let q = quadrant(rng.next_u64() >> 11, thresholds);
+                u = (u << 1) | (q >> 1);
+                v = (v << 1) | (q & 1);
+            }
+            *e = (u, v);
+        }
+    }
+
     fn assert_quadrants_agree(ks: &[u64], a: f64, b: f64, c: f64) {
         let t = quadrant_thresholds(a, b, c);
         for &k in ks {
-            assert_eq!(
-                quadrant(k, t),
-                quadrant_f64(k, a, b, c),
-                "k={k} probs=({a},{b},{c})"
-            );
+            let q = quadrant_f64(k, a, b, c);
+            assert_eq!(quadrant(k, t), q, "k={k} probs=({a},{b},{c})");
+            let (u, v) = quadrant_bits(k as i64, t.map(|t| t as i64));
+            assert_eq!(u << 1 | v, q, "bits: k={k} probs=({a},{b},{c})");
         }
+    }
+
+    #[test]
+    fn every_sampler_this_host_runs_matches_the_serial_oracle() {
+        let mut ran = Vec::new();
+        for (name, sample) in host_samplers() {
+            // A preset's exact thresholds, and inexact ones (below 0.5).
+            for (a, b, c) in [(0.57, 0.19, 0.19), (0.3, 0.1, 0.05)] {
+                let thresholds = quadrant_thresholds(a, b, c);
+                for (scale, len) in [0, 1, 18, 31]
+                    .into_iter()
+                    .flat_map(|scale| [0, 1, 15, 16, 17, 4_099, 65_536].map(|len| (scale, len)))
+                {
+                    let seeded = SmallRng::seed_from_u64(u64::from(scale) << 20 | len as u64);
+                    let (mut want_rng, mut got_rng) = (seeded.clone(), seeded);
+                    let mut want = vec![(0, 0); len];
+                    sample_edges_serial(&mut want, &mut want_rng, scale, thresholds);
+                    let mut got = vec![(VertexId::MAX, VertexId::MAX); len];
+                    // SAFETY: `host_samplers` yields only compilations
+                    // whose target features this host has.
+                    unsafe { sample(&mut got, &mut got_rng, scale, thresholds) };
+                    let at = format!("{name}: scale={scale} len={len}");
+                    assert!(got == want, "{at}: edges differ from the oracle");
+                    assert_eq!(
+                        got_rng.next_u64(),
+                        want_rng.next_u64(),
+                        "{at}: rng left elsewhere"
+                    );
+                }
+            }
+            ran.push(name);
+        }
+        assert_eq!(ran.last(), Some(&"plain"));
+        println!("sampler compilations checked against the oracle: {ran:?}");
     }
 
     proptest! {

@@ -19,8 +19,10 @@
 //! per edge (it reads `next_u64() >> 11` directly and compares against
 //! integer thresholds, which is exact *because* of that f64 formula).
 //! It consumes those draws in contiguous chunks, one per sampling thread,
-//! each reached from the seeded state by [`rngs::SmallRng::advance`]; edge
-//! `i` still takes draws `i·scale … (i+1)·scale − 1` of the one stream.
+//! each reached from the seeded state by [`rngs::SmallRng::advance`], and
+//! each chunk as 16 contiguous sixteenths stepped together by
+//! [`rngs::SmallRng::lanes`]; edge `i` still takes draws
+//! `i·scale … (i+1)·scale − 1` of the one stream.
 
 use std::ops::Range;
 
@@ -161,10 +163,7 @@ pub mod rngs {
 
     impl RngCore for SmallRng {
         fn next_u64(&mut self) -> u64 {
-            let result = self.s[0]
-                .wrapping_add(self.s[3])
-                .rotate_left(23)
-                .wrapping_add(self.s[0]);
+            let result = output(&self.s);
             step(&mut self.s);
             result
         }
@@ -180,19 +179,87 @@ pub mod rngs {
         /// words; the new state is `Σ rᵢ·Tⁱ(s)`, 256 steps. The cost is
         /// `O(log k)` squarings plus those steps, whatever `k` is.
         pub fn advance(&mut self, k: u64) {
-            let r = crate::gf2::x_pow_mod(k);
-            let mut acc = [0u64; 4];
-            let mut s = self.s;
-            for i in 0..256 {
-                if r[i / 64] >> (i % 64) & 1 == 1 {
-                    for (a, w) in acc.iter_mut().zip(s) {
-                        *a ^= w;
-                    }
-                }
-                step(&mut s);
-            }
-            self.s = acc;
+            self.s = jump(&crate::gf2::x_pow_mod(k), self.s);
         }
+
+        /// `L` generators that step together: lane `l` starts where this
+        /// one would be after `l·stride` draws, so lane `l`'s `j`-th draw
+        /// is this stream's draw `l·stride + j`. `xˢᵗʳⁱᵈᵉ mod P` is formed
+        /// once and applied `L − 1` times, each lane jumping from the one
+        /// before it (see [`SmallRng::advance`]).
+        pub fn lanes<const L: usize>(&self, stride: u64) -> Lanes<L> {
+            let r = crate::gf2::x_pow_mod(stride);
+            let mut s = [[0; L]; 4];
+            let mut lane = self.s;
+            for l in 0..L {
+                if l > 0 {
+                    lane = jump(&r, lane);
+                }
+                for (word, w) in s.iter_mut().zip(lane) {
+                    word[l] = w;
+                }
+            }
+            Lanes { s }
+        }
+    }
+
+    /// `L` xoshiro256++ generators stepped in lock-step, built by
+    /// [`SmallRng::lanes`]. The state is kept as structure of arrays, one
+    /// `[u64; L]` per state word, so a step is seven whole-array
+    /// operations that a vector unit does `L` lanes at a time.
+    #[derive(Debug, Clone)]
+    pub struct Lanes<const L: usize> {
+        /// `s[w][l]` is word `w` of lane `l`'s state.
+        s: [[u64; L]; 4],
+    }
+
+    impl<const L: usize> Lanes<L> {
+        /// One draw from every lane: element `l` is what lane `l`'s
+        /// [`RngCore::next_u64`] would return.
+        #[inline(always)]
+        pub fn next_u64s(&mut self) -> [u64; L] {
+            let [s0, s1, s2, s3] = &mut self.s;
+            let mut out = [0; L];
+            for l in 0..L {
+                let mut s = [s0[l], s1[l], s2[l], s3[l]];
+                out[l] = output(&s);
+                step(&mut s);
+                [s0[l], s1[l], s2[l], s3[l]] = s;
+            }
+            out
+        }
+
+        /// Lane `l` taken back as a generator, at the draw the lane has
+        /// reached: it continues that lane's stream.
+        ///
+        /// # Panics
+        /// If `l ≥ L`.
+        pub fn lane(&self, l: usize) -> SmallRng {
+            SmallRng {
+                s: self.s.map(|word| word[l]),
+            }
+        }
+    }
+
+    /// The xoshiro256++ output of state `s`, before it steps.
+    #[inline(always)]
+    fn output(s: &[u64; 4]) -> u64 {
+        s[0].wrapping_add(s[3]).rotate_left(23).wrapping_add(s[0])
+    }
+
+    /// `r(T)(s)`: the state `s` moved by the polynomial `r` in `T`, i.e.
+    /// `Σ rᵢ·Tⁱ(s)`, in 256 steps.
+    fn jump(r: &[u64; 4], mut s: [u64; 4]) -> [u64; 4] {
+        let mut acc = [0u64; 4];
+        for i in 0..256 {
+            if r[i / 64] >> (i % 64) & 1 == 1 {
+                for (a, w) in acc.iter_mut().zip(s) {
+                    *a ^= w;
+                }
+            }
+            step(&mut s);
+        }
+        acc
     }
 
     /// The xoshiro256 state transition `T`, without the `++` output.
@@ -379,6 +446,43 @@ mod tests {
             twice.advance(a);
             twice.advance(b);
             assert!(same_state(&twice, &advanced(a ^ b, a + b)), "a={a} b={b}");
+        }
+    }
+
+    #[test]
+    fn lane_l_starts_at_draw_l_times_stride() {
+        for stride in [0, 1, 17, 256, 4_099 * 18, 1 << 40] {
+            let rng = SmallRng::seed_from_u64(stride ^ 5);
+            let lanes = rng.lanes::<16>(stride);
+            for l in 0..16 {
+                let mut at = rng.clone();
+                at.advance(l * stride);
+                assert!(
+                    same_state(&lanes.lane(l as usize), &at),
+                    "stride={stride} lane={l}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn lanes_draw_their_own_streams_and_hand_them_back() {
+        let (stride, drawn) = (300, 37);
+        let rng = SmallRng::seed_from_u64(31);
+        let mut lanes = rng.lanes::<4>(stride);
+        let mut serial = [0, 1, 2, 3].map(|l| advanced(31, l * stride));
+        for _ in 0..drawn {
+            let words = lanes.next_u64s();
+            for (w, s) in words.into_iter().zip(&mut serial) {
+                assert_eq!(w, s.next_u64());
+            }
+        }
+        // A lane taken back continues the one stream: lane 3 after
+        // `drawn` draws is at draw `3·stride + drawn`.
+        let mut back = lanes.lane(3);
+        let mut reference = stepped(31, 3 * stride + drawn);
+        for _ in 0..100 {
+            assert_eq!(back.next_u64(), reference.next_u64());
         }
     }
 
