@@ -249,71 +249,6 @@ pub fn run_bfs_tuned<Tr: Tracer>(
 mod tests {
     use super::*;
     use atos_graph::generators::{GraphKind, Preset, Scale};
-    use atos_graph::reference;
-
-    fn check_exact(g: Arc<Csr>, part: Arc<Partition>, src: VertexId, fabric: Fabric, cfg: AtosConfig) {
-        let run = run_bfs(g.clone(), part, src, fabric, cfg);
-        let want = reference::bfs(&g, src);
-        assert_eq!(run.depth, want, "async BFS must match serial depths");
-    }
-
-    #[test]
-    fn matches_reference_single_pe_all_configs() {
-        for p in Preset::ALL {
-            let g = Arc::new(p.build(Scale::Tiny));
-            let src = p.bfs_source(&g);
-            let part = Arc::new(Partition::single(g.n_vertices()));
-            for cfg in [
-                AtosConfig::standard_persistent(),
-                AtosConfig::priority_discrete(),
-                AtosConfig::standard_discrete(),
-            ] {
-                check_exact(g.clone(), part.clone(), src, Fabric::daisy(1), cfg);
-            }
-        }
-    }
-
-    #[test]
-    fn matches_reference_multi_pe_nvlink() {
-        for p in Preset::ALL {
-            let g = Arc::new(p.build(Scale::Tiny));
-            let src = p.bfs_source(&g);
-            for n in [2, 4] {
-                let part = Arc::new(Partition::bfs_grow(&g, n, 7));
-                check_exact(
-                    g.clone(),
-                    part.clone(),
-                    src,
-                    Fabric::daisy(n),
-                    AtosConfig::standard_persistent(),
-                );
-                check_exact(
-                    g.clone(),
-                    part,
-                    src,
-                    Fabric::daisy(n),
-                    AtosConfig::priority_discrete(),
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn matches_reference_on_ib_with_aggregator() {
-        let p = Preset::by_name("soc-LiveJournal1_s").unwrap();
-        let g = Arc::new(p.build(Scale::Tiny));
-        let src = p.bfs_source(&g);
-        for n in [2, 4, 8] {
-            let part = Arc::new(Partition::random(g.n_vertices(), n, 5));
-            check_exact(
-                g.clone(),
-                part,
-                src,
-                Fabric::ib_cluster(n),
-                AtosConfig::ib_bfs(),
-            );
-        }
-    }
 
     #[test]
     fn priority_queue_reduces_redundant_work() {
@@ -436,25 +371,4 @@ mod tests {
         assert!(buf.events_named("step").len() as u64 >= traced.stats.steps_per_pe.iter().sum::<u64>());
     }
 
-    #[test]
-    fn deterministic_across_runs() {
-        let p = Preset::by_name("hollywood_2009_s").unwrap();
-        let g = Arc::new(p.build(Scale::Tiny));
-        let src = p.bfs_source(&g);
-        let part = Arc::new(Partition::bfs_grow(&g, 3, 1));
-        let go = || {
-            run_bfs(
-                g.clone(),
-                part.clone(),
-                src,
-                Fabric::daisy(3),
-                AtosConfig::standard_persistent(),
-            )
-        };
-        let a = go();
-        let b = go();
-        assert_eq!(a.stats.elapsed_ns, b.stats.elapsed_ns);
-        assert_eq!(a.depth, b.depth);
-        assert_eq!(a.stats.messages, b.stats.messages);
-    }
 }

@@ -168,15 +168,6 @@ mod tests {
     }
 
     #[test]
-    fn matches_reference_on_presets() {
-        for p in Preset::ALL {
-            let g = Arc::new(p.build(Scale::Tiny).symmetrize());
-            check(g.clone(), 1, AtosConfig::standard_persistent());
-            check(g, 4, AtosConfig::standard_persistent());
-        }
-    }
-
-    #[test]
     fn finds_multiple_components() {
         // Two disjoint grids.
         let a = grid_2d(4, 4);

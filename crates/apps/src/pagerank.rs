@@ -380,16 +380,9 @@ pub fn run_pagerank_tuned(
 mod tests {
     use super::*;
     use atos_graph::generators::{Preset, Scale};
-    use atos_graph::reference;
 
     const ALPHA: f64 = 0.85;
     const EPS: f64 = 1e-6;
-
-    fn check_close(g: &Csr, got: &[f64], eps: f64) {
-        let want = reference::pagerank_push(g, ALPHA, eps).rank;
-        let per_vertex = reference::rank_l1(got, &want) / g.n_vertices() as f64;
-        assert!(per_vertex < 1e-3, "per-vertex L1 {per_vertex}");
-    }
 
     #[test]
     fn a_task_is_the_eight_bytes_the_model_charges() {
@@ -456,57 +449,6 @@ mod tests {
     }
 
     #[test]
-    fn matches_reference_single_pe() {
-        for p in Preset::ALL {
-            let g = Arc::new(p.build(Scale::Tiny));
-            let part = Arc::new(Partition::single(g.n_vertices()));
-            let run = run_pagerank(
-                g.clone(),
-                part,
-                ALPHA,
-                EPS,
-                Fabric::daisy(1),
-                AtosConfig::standard_persistent(),
-            );
-            check_close(&g, &run.rank, EPS);
-        }
-    }
-
-    #[test]
-    fn matches_reference_multi_pe_nvlink() {
-        let p = Preset::by_name("soc-LiveJournal1_s").unwrap();
-        let g = Arc::new(p.build(Scale::Tiny));
-        for n in [2, 4] {
-            let part = Arc::new(Partition::bfs_grow(&g, n, 4));
-            for cfg in [
-                AtosConfig::standard_persistent(),
-                AtosConfig::standard_discrete(),
-            ] {
-                let run = run_pagerank(g.clone(), part.clone(), ALPHA, EPS, Fabric::daisy(n), cfg);
-                check_close(&g, &run.rank, EPS);
-            }
-        }
-    }
-
-    #[test]
-    fn matches_reference_on_ib_with_aggregator() {
-        let p = Preset::by_name("road_usa_s").unwrap();
-        let g = Arc::new(p.build(Scale::Tiny));
-        for n in [2, 6] {
-            let part = Arc::new(Partition::block(g.n_vertices(), n));
-            let run = run_pagerank(
-                g.clone(),
-                part,
-                ALPHA,
-                EPS,
-                Fabric::ib_cluster(n),
-                AtosConfig::ib_pagerank(),
-            );
-            check_close(&g, &run.rank, EPS);
-        }
-    }
-
-    #[test]
     fn rank_mass_is_conserved() {
         // No sinks in the symmetrized graph, so Σrank → n.
         let p = Preset::by_name("osm_eur_s").unwrap();
@@ -548,28 +490,6 @@ mod tests {
             AtosConfig::standard_persistent(),
         );
         assert!(pr.stats.total_edges() > 2 * bfs.stats.total_edges());
-    }
-
-    #[test]
-    fn deterministic_across_runs() {
-        let p = Preset::by_name("indochina_2004_s").unwrap();
-        let g = Arc::new(p.build(Scale::Tiny));
-        let part = Arc::new(Partition::random(g.n_vertices(), 4, 8));
-        let go = || {
-            run_pagerank(
-                g.clone(),
-                part.clone(),
-                ALPHA,
-                EPS,
-                Fabric::daisy(4),
-                AtosConfig::standard_persistent(),
-            )
-        };
-        let a = go();
-        let b = go();
-        assert_eq!(a.stats.elapsed_ns, b.stats.elapsed_ns);
-        assert_eq!(a.relaxations, b.relaxations);
-        assert_eq!(a.rank, b.rank);
     }
 
     #[test]

@@ -544,31 +544,6 @@ mod tests {
     }
 
     #[test]
-    fn matches_dijkstra_all_presets() {
-        for p in Preset::ALL {
-            let g = Arc::new(p.build(Scale::Tiny));
-            let w = Arc::new(EdgeWeights::random(&g, 16, 9));
-            let src = p.bfs_source(&g);
-            check(&g, &w, src, 1, AtosConfig::standard_persistent(), 4);
-            check(&g, &w, src, 4, AtosConfig::standard_persistent(), 4);
-            check(&g, &w, src, 4, AtosConfig::priority_discrete(), 4);
-        }
-    }
-
-    #[test]
-    fn delta_stepping_matches_dijkstra_all_presets() {
-        for p in Preset::ALL {
-            let g = Arc::new(p.build(Scale::Tiny));
-            let w = Arc::new(EdgeWeights::random(&g, 16, 9));
-            let src = p.bfs_source(&g);
-            check_delta(&g, &w, src, 1, AtosConfig::priority_discrete(), 4);
-            check_delta(&g, &w, src, 4, AtosConfig::priority_discrete(), 4);
-            // Exactness must not depend on priority scheduling.
-            check_delta(&g, &w, src, 4, AtosConfig::standard_persistent(), 4);
-        }
-    }
-
-    #[test]
     fn delta_stepping_defers_heavy_edges() {
         // With weights up to 64 and delta = 8, most edges are heavy. The
         // split run must stay exact, and its speculative *edge* work on
@@ -672,15 +647,4 @@ mod tests {
         }
     }
 
-    #[test]
-    fn deterministic() {
-        let p = Preset::by_name("soc-LiveJournal1_s").unwrap();
-        let g = Arc::new(p.build(Scale::Tiny));
-        let w = Arc::new(EdgeWeights::random(&g, 16, 2));
-        let src = p.bfs_source(&g);
-        let a = check(&g, &w, src, 3, AtosConfig::priority_discrete(), 8);
-        let b = check(&g, &w, src, 3, AtosConfig::priority_discrete(), 8);
-        assert_eq!(a.stats.elapsed_ns, b.stats.elapsed_ns);
-        assert_eq!(a.stats.total_tasks(), b.stats.total_tasks());
-    }
 }

@@ -87,29 +87,6 @@ mod tests {
     use atos_apps::bfs::run_bfs;
     use atos_apps::pagerank::run_pagerank;
     use atos_graph::generators::{Preset, Scale};
-    use atos_graph::reference;
-
-    #[test]
-    fn galois_bfs_matches_reference() {
-        for p in Preset::ALL {
-            let g = Arc::new(p.build(Scale::Tiny));
-            let src = p.bfs_source(&g);
-            let part = Arc::new(Partition::random(g.n_vertices(), 4, 6));
-            let run = galois_bfs(g.clone(), part, src, Fabric::ib_cluster(4));
-            assert_eq!(run.depth, reference::bfs(&g, src), "{}", p.name);
-        }
-    }
-
-    #[test]
-    fn galois_pagerank_matches_reference() {
-        let p = Preset::by_name("hollywood_2009_s").unwrap();
-        let g = Arc::new(p.build(Scale::Tiny));
-        let part = Arc::new(Partition::random(g.n_vertices(), 4, 2));
-        let run = galois_pagerank(g.clone(), part, 0.85, 1e-6, Fabric::ib_cluster(4));
-        let want = reference::pagerank_push(&g, 0.85, 1e-6).rank;
-        let per_vertex = reference::rank_l1(&run.rank, &want) / g.n_vertices() as f64;
-        assert!(per_vertex < 1e-3, "per-vertex L1 {per_vertex}");
-    }
 
     #[test]
     fn atos_beats_galois_on_ib(){

@@ -82,29 +82,6 @@ mod tests {
     use super::*;
     use atos_apps::bfs::run_bfs;
     use atos_graph::generators::{Preset, Scale};
-    use atos_graph::reference;
-
-    #[test]
-    fn groute_bfs_matches_reference() {
-        for p in Preset::ALL {
-            let g = Arc::new(p.build(Scale::Tiny));
-            let src = p.bfs_source(&g);
-            let part = Arc::new(Partition::bfs_grow(&g, 2, 1));
-            let run = groute_bfs(g.clone(), part, src, Fabric::daisy(2));
-            assert_eq!(run.depth, reference::bfs(&g, src), "{}", p.name);
-        }
-    }
-
-    #[test]
-    fn groute_pagerank_matches_reference() {
-        let p = Preset::by_name("road_usa_s").unwrap();
-        let g = Arc::new(p.build(Scale::Tiny));
-        let part = Arc::new(Partition::block(g.n_vertices(), 4));
-        let run = groute_pagerank(g.clone(), part, 0.85, 1e-6, Fabric::daisy(4));
-        let want = reference::pagerank_push(&g, 0.85, 1e-6).rank;
-        let per_vertex = reference::rank_l1(&run.rank, &want) / g.n_vertices() as f64;
-        assert!(per_vertex < 1e-3, "per-vertex L1 {per_vertex}");
-    }
 
     #[test]
     fn atos_beats_groute_on_latency_bound_mesh() {

@@ -3,13 +3,13 @@
 //! replayable schedule — while the unmutated queues pass the identical
 //! drivers in `queue_models.rs`. This is the falsifiability proof for the
 //! whole subsystem: a checker that cannot reject broken orderings says
-//! nothing by accepting the real ones. Mutations 1–3 live here; mutation 4
-//! (the relaxed pop-side `end` load) lives with the racing-pop suite in
-//! `steal_models.rs`.
+//! nothing by accepting the real ones.
 #![cfg(atos_check)]
 
 use atos_check::{thread, Failure, FailureKind, Model};
-use atos_queue::mutations::{CasQueueRelaxedEnd, CounterQueueHolePub, CounterQueueRelaxedPub};
+use atos_queue::mutations::{
+    CasQueueRelaxedEnd, CounterQueueHolePub, CounterQueueRelaxedPopEnd, CounterQueueRelaxedPub,
+};
 use atos_queue::PopState;
 
 /// Assert the failure replays: re-running the body pinned to the reported
@@ -105,6 +105,36 @@ fn mutation_relaxed_end_load_is_caught() {
     let f = out
         .failure()
         .expect("checker must catch the relaxed end load")
+        .clone();
+    assert_eq!(f.kind, FailureKind::DataRace, "{f}");
+    assert!(!f.schedule.is_empty(), "failure must carry a schedule");
+    assert_replays(&f, body);
+}
+
+/// Mutation 4 — `counter.rs` pop's `end` load weakened Acquire→Relaxed
+/// (`CounterQueueRelaxedPopEnd`). A popper that observes `end > start` with
+/// a Relaxed load claims the slot without synchronizing with the pusher's
+/// publication, so its slot read races with the slot write. The real queue
+/// passes the same race in `queue_models.rs`'s
+/// `counter_push_pop_publication_safe`.
+#[test]
+fn mutation_relaxed_pop_end_load_is_caught() {
+    let body = || {
+        let q = CounterQueueRelaxedPopEnd::with_capacity(2);
+        let mut out = Vec::new();
+        thread::scope(|s| {
+            s.spawn(|| q.push_group(&[1u64]).unwrap());
+            let mut h = PopState::new();
+            q.pop_group(&mut h, 1, &mut out);
+            h.abandon();
+        });
+    };
+    let mut m = Model::new();
+    m.preemption_bound = Some(2);
+    let out = m.check(body);
+    let f = out
+        .failure()
+        .expect("checker must catch the relaxed pop-side end load")
         .clone();
     assert_eq!(f.kind, FailureKind::DataRace, "{f}");
     assert!(!f.schedule.is_empty(), "failure must carry a schedule");

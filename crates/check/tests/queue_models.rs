@@ -109,6 +109,85 @@ fn counter_two_pushers_one_popper() {
         .assert_passed();
 }
 
+/// Two sibling pops: `run_host` with `workers_per_pe ≥ 2` has workers pop
+/// groups from one PE's queue, each through its own `PopState`. On a
+/// pre-filled queue every interleaving gives them disjoint claims, and
+/// enough combined demand drains it (a claim overshooting the final `end`
+/// is unfillable and abandoned, the host backend's termination argument).
+#[test]
+fn counter_sibling_pops_claim_disjoint() {
+    bounded(2)
+        .check(|| {
+            let q = CounterQueue::with_capacity(4);
+            q.push_group(&[1u64, 2, 3]).unwrap();
+            let mut mine = Vec::new();
+            let mut theirs = Vec::new();
+            thread::scope(|s| {
+                let t = s.spawn(|| {
+                    let mut h = PopState::new();
+                    let mut out = Vec::new();
+                    q.pop_group(&mut h, 2, &mut out);
+                    h.abandon();
+                    out
+                });
+                let mut h = PopState::new();
+                q.pop_group(&mut h, 2, &mut mine);
+                h.abandon();
+                theirs = t.join().unwrap();
+            });
+            let mut all: Vec<u64> = mine.iter().chain(theirs.iter()).copied().collect();
+            all.sort_unstable();
+            let mut uniq = all.clone();
+            uniq.dedup();
+            assert_eq!(all, uniq, "sibling pops claimed the same item");
+            assert_eq!(all, vec![1, 2, 3], "combined demand drains the queue");
+        })
+        .assert_passed();
+}
+
+/// Two sibling pops racing a remote pusher, as on a PE's `recv` queue:
+/// whatever either harvests mid-race, after quiescence the union is exactly
+/// the pushed set.
+#[test]
+fn counter_sibling_pops_and_a_pusher_conserve_items() {
+    let out = bounded(2).check(|| {
+        let q = CounterQueue::with_capacity(4);
+        let mut mine = Vec::new();
+        let mut theirs = Vec::new();
+        thread::scope(|s| {
+            s.spawn(|| q.push_group(&[7u64, 8]).unwrap());
+            let t = s.spawn(|| {
+                let mut h = PopState::new();
+                let mut out = Vec::new();
+                q.pop_group(&mut h, 1, &mut out);
+                h.abandon();
+                out
+            });
+            let mut h = PopState::new();
+            q.pop_group(&mut h, 1, &mut mine);
+            h.abandon();
+            theirs = t.join().unwrap();
+        });
+        for &v in mine.iter().chain(theirs.iter()) {
+            assert!(v == 7 || v == 8, "popped an unpushed value {v}");
+        }
+        // Quiesced: one fresh handle drains whatever the racers left.
+        let mut h = PopState::new();
+        let mut rest = Vec::new();
+        q.pop_group(&mut h, 2, &mut rest);
+        let mut all: Vec<u64> = mine.iter().chain(&theirs).chain(&rest).copied().collect();
+        all.sort_unstable();
+        assert_eq!(all, vec![7, 8], "conservation across both pops");
+    });
+    // The three-way race must branch into many explored interleavings.
+    match out {
+        CheckOutcome::Passed { executions } => {
+            assert!(executions > 10, "suspiciously few interleavings: {executions}")
+        }
+        CheckOutcome::Failed(f) => panic!("{f}"),
+    }
+}
+
 /// CAS queue: concurrent group pushes linearize exactly like the counter
 /// queue (same protocol, CAS reservations).
 #[test]

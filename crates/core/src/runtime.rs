@@ -197,6 +197,12 @@ impl<A: Application, Tr: Tracer> Runtime<A, Tr> {
     /// Build with an explicit virtual-time tracer (see [`atos_trace`]):
     /// per-PE kernel-step spans, message send→arrive instants, aggregator
     /// flush windows, and occupancy counters are recorded into `tracer`.
+    ///
+    /// # Panics
+    /// If the fabric has more than `u16::MAX` PEs, or if `cfg` runs a
+    /// persistent kernel whose worker pool pops nothing per round
+    /// (`cfg.worker.fetch` or `cfg.worker.num_workers` is 0): its steps
+    /// would find no task and strand every seeded one.
     pub fn with_tracer(
         app: A,
         fabric: Fabric,
@@ -207,6 +213,12 @@ impl<A: Application, Tr: Tracer> Runtime<A, Tr> {
     ) -> Self {
         let n_pes = fabric.n_pes();
         assert!(n_pes <= u16::MAX as usize, "staged messages name PEs in 16 bits");
+        let (fetch, num_workers) = (cfg.worker.fetch, cfg.worker.num_workers);
+        assert!(
+            cfg.kernel != KernelMode::Persistent || (fetch > 0 && num_workers > 0),
+            "a persistent kernel pops cfg.worker.fetch × cfg.worker.num_workers tasks a \
+             round, got fetch = {fetch}, num_workers = {num_workers}"
+        );
         let pes = (0..n_pes)
             .map(|_| Pe {
                 queue: match cfg.queue {
@@ -370,6 +382,10 @@ impl<A: Application, Tr: Tracer> Runtime<A, Tr> {
             self.pes.iter().all(|p| p.rx.is_drained()) && self.comm.outbox.is_empty(),
             "run ended with an undelivered arrival or a train still held"
         );
+        debug_assert!(
+            self.pes.iter().all(|p| p.queue.is_empty()),
+            "run ended with a task still queued"
+        );
         // Extend the utilization series to the true run end so trailing
         // compute-only time counts toward the burstiness statistic.
         self.fabric.trace.finish(self.engine.now());
@@ -523,7 +539,7 @@ impl<A: Application, Tr: Tracer> Runtime<A, Tr> {
 mod tests {
     use super::*;
     use crate::app::IdleOutcome;
-    use crate::config::CommMode;
+    use crate::config::{CommMode, WorkerConfig};
     use atos_sim::ControlPath;
 
     /// Relay: a task `(hops_left)` forwards itself to the next PE until
@@ -612,6 +628,13 @@ mod tests {
         let stats = rt.run();
         assert_eq!(stats.total_tasks(), 1);
         assert_eq!(stats.messages, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "got fetch = 0, num_workers = 160")]
+    fn a_persistent_kernel_that_pops_nothing_is_rejected() {
+        let worker = WorkerConfig { fetch: 0, ..WorkerConfig::cta512() };
+        daisy_runtime(2, AtosConfig { worker, ..AtosConfig::standard_persistent() });
     }
 
     #[test]

@@ -130,7 +130,7 @@ pub fn lex(src: &str) -> Lexed {
                 i += 1;
                 while i < n {
                     match b[i] {
-                        '\\' => i += 2,
+                        '\\' => (line, i) = (line + (b.get(i + 1) == Some(&'\n')) as u32, i + 2),
                         '"' => break,
                         '\n' => {
                             line += 1;
@@ -677,11 +677,16 @@ mod tests {
 fn f<'a>(x: &'a str) -> char {
     let _s = "quoted } brace";
     let _r = r#"raw " str"#;
+    let _c = "a continued \
+              string";
     'x'
 }
 "##;
         let l = lex(src);
         assert_eq!(l.comments.len(), 1);
+        // The continued string's escaped newline still counts as a line.
+        let x = l.toks.iter().find(|t| t.is("'…'")).unwrap();
+        assert_eq!(x.line, 8);
         // No brace tokens leaked from the string literals.
         let braces = l.toks.iter().filter(|t| t.is("{") || t.is("}")).count();
         assert_eq!(braces, 2, "{:?}", l.toks);

@@ -290,17 +290,15 @@ impl<T: Copy + Send> CasQueueRelaxedEnd<T> {
 }
 
 /// Mutation 4: the counter queue with the *pop-side* publication-frontier
-/// loads weakened `Acquire`→`Relaxed`. This is the racing-pop twin: under
-/// `run_host` with `workers_per_pe ≥ 2`, sibling workers pop one PE's
-/// `recv` queue through their own `PopState`s while remote workers push
-/// into it, and the only edge that makes a popper's slot reads safe is the
-/// Acquire load of `end` synchronizing with the pusher's AcqRel
-/// publication. Weakening that load means observing `end > start` no
-/// longer brings the pusher's slot writes into view — the popper reads a
-/// slot that was never released to it. (The name dates from the deleted
-/// work stealing, which popped a victim's queue the same way.) Push side
-/// is byte-for-byte the real protocol.
-pub struct CounterQueueRelaxedSteal<T> {
+/// (`end`) loads weakened `Acquire`→`Relaxed`. Under `run_host` with
+/// `workers_per_pe ≥ 2`, sibling workers pop one PE's `recv` queue through
+/// their own `PopState`s while remote workers push into it, and the only
+/// edge that makes a popper's slot reads safe is the Acquire load of `end`
+/// synchronizing with the pusher's AcqRel publication. Weakening that load
+/// means observing `end > start` no longer brings the pusher's slot writes
+/// into view — the popper reads a slot that was never released to it. Push
+/// side is byte-for-byte the real protocol.
+pub struct CounterQueueRelaxedPopEnd<T> {
     slots: Box<[UnsafeCell<MaybeUninit<T>>]>,
     start: AtomicU64,
     end: AtomicU64,
@@ -309,10 +307,10 @@ pub struct CounterQueueRelaxedSteal<T> {
     end_count: AtomicU64,
 }
 
-unsafe impl<T: Copy + Send> Sync for CounterQueueRelaxedSteal<T> {}
-unsafe impl<T: Copy + Send> Send for CounterQueueRelaxedSteal<T> {}
+unsafe impl<T: Copy + Send> Sync for CounterQueueRelaxedPopEnd<T> {}
+unsafe impl<T: Copy + Send> Send for CounterQueueRelaxedPopEnd<T> {}
 
-impl<T: Copy + Send> CounterQueueRelaxedSteal<T> {
+impl<T: Copy + Send> CounterQueueRelaxedPopEnd<T> {
     /// Fixed-arena constructor (mirrors `CounterQueue::with_capacity`).
     pub fn with_capacity(capacity: usize) -> Self {
         Self {

@@ -1,10 +1,11 @@
 #!/usr/bin/env bash
-# Repository verification, in twelve stages: tier-1 build+test, the
-# workspace tests, the parallel-sweep smoke (byte-identity across thread
-# counts, usage errors), the golden byte-compares, the frozen benchmark
-# package (build + smoke run), the bench trajectory gate, the
-# observability smoke, the line-level sampler smoke, atos-lint, miri, the
-# model checker under --cfg atos_check (tests + clippy), and clippy.
+# Repository verification, in thirteen stages: tier-1 build+test, the
+# workspace tests, the doc-reference check, the parallel-sweep smoke
+# (byte-identity across thread counts, usage errors), the golden
+# byte-compares, the frozen benchmark package (build + smoke run), the
+# bench trajectory gate, the observability smoke, the line-level sampler
+# smoke, atos-lint, miri, the model checker under --cfg atos_check (tests +
+# clippy), and clippy.
 #
 # Usage: scripts/verify.sh  (from anywhere; cd's to the repo root)
 
@@ -18,6 +19,43 @@ cargo test -q
 echo
 echo "== workspace tests =="
 cargo test --workspace -q
+
+echo
+echo "== doc references (every backticked path.rs and path.rs::symbol resolves) =="
+# A path resolves if it is a file of the tree or the tail of one (`comm.rs`,
+# `tests/golden.rs`), after expanding `{a, b}` groups; a symbol must occur as
+# a word in a file the path names. Deleted files are named in plain text,
+# not in backticks (DESIGN.md §11). The docs are README, DESIGN, EXPERIMENTS
+# and the verify skill's SKILL.md; benchmark/README.md is frozen with its
+# package and is not checked.
+python3 - README.md DESIGN.md EXPERIMENTS.md .*/skills/verify/SKILL.md <<'EOF'
+import os, re, sys
+tree = []
+for d, dirs, names in os.walk("."):
+    dirs[:] = [x for x in dirs if x not in (".git", "target")]
+    tree += [os.path.join(d, x)[2:] for x in names if x.endswith(".rs")]
+def expand(path):
+    m = re.search(r"\{([^{}]*)\}", path)
+    if not m:
+        return [path]
+    return [p for alt in m.group(1).split(",")
+            for p in expand(path[:m.start()] + alt.strip() + path[m.end():])]
+stale = []
+for doc in sys.argv[1:]:
+    for span in re.findall(r"`([^`\n]+)`", open(doc).read()):
+        ref = re.fullmatch(r"([\w./{}, -]+\.rs)(?:::(\w+|\{[\w, ]+\}))?", span)
+        if not ref:
+            continue
+        symbols = re.findall(r"\w+", ref.group(2) or "")
+        for path in expand(ref.group(1)):
+            hits = [f for f in tree if f == path or f.endswith("/" + path)]
+            texts = [open(f).read() for f in hits]
+            missing = [s for s in symbols if not any(re.search(rf"\b{s}\b", t) for t in texts)]
+            if not hits or missing:
+                stale.append(f"{doc}: `{span}`" + (f" ({', '.join(missing)} not in {path})" if hits else ""))
+print("\n".join(stale) or "ok: every doc reference resolves")
+sys.exit(bool(stale))
+EOF
 
 echo
 echo "== parallel sweep smoke (--quick --threads 2, byte-identity vs serial) =="
@@ -202,9 +240,9 @@ echo "== model checker: queue suites under --cfg atos_check =="
 # sharing ./target would thrash the production build cache. This stage is
 # the ordering guard: the race detector runs every UnsafeCell access in the
 # queues (golden.rs::cell_accesses_stay_in_model_checked_files keeps new
-# ones out of undriven files) and catches the seeded twins of
-# mutation_detection.rs and steal_models.rs (two pops racing on one queue,
-# as run_host's sibling workers do). Clippy then lints the
+# ones out of undriven files), drives two sibling pops racing on one queue
+# as run_host's workers do (queue_models.rs), and catches the four seeded
+# twins of mutation_detection.rs. Clippy then lints the
 # #[cfg(atos_check)] code the ordinary pass below never compiles.
 RUSTFLAGS="--cfg atos_check" CARGO_TARGET_DIR=target/check \
     cargo test -p atos-check -q

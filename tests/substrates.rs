@@ -1,10 +1,9 @@
 //! Integration tests for the supporting substrates through the facade:
 //! file IO round trips, owner-grouped sharding, weighted SSSP on the
-//! simulator, CC on InfiniBand, and the host backend via the facade.
+//! simulator, the host backend and the worker cost models.
 
 use std::sync::Arc;
 
-use atos::apps::cc::run_cc;
 use atos::apps::host_bfs::host_bfs;
 use atos::apps::sssp::run_sssp;
 use atos::core::AtosConfig;
@@ -12,8 +11,8 @@ use atos::graph::generators::{road_network, rmat, Preset, Scale};
 use atos::graph::grouped::OwnerGrouped;
 use atos::graph::io::{read_matrix_market, write_dimacs, write_matrix_market, read_dimacs};
 use atos::graph::partition::Partition;
-use atos::graph::weights::{connected_components, dijkstra, EdgeWeights};
 use atos::graph::reference;
+use atos::graph::weights::{dijkstra, EdgeWeights};
 use atos::sim::Fabric;
 
 #[test]
@@ -80,20 +79,6 @@ fn weighted_sssp_on_ib_with_aggregator() {
     );
     assert_eq!(run.dist, dijkstra(&g, &w, 0));
     assert!(run.stats.messages > 0, "aggregated bundles flowed");
-}
-
-#[test]
-fn cc_on_ib_cluster() {
-    let p = Preset::by_name("soc-LiveJournal1_s").unwrap();
-    let g = Arc::new(p.build(Scale::Tiny).symmetrize());
-    let part = Arc::new(Partition::random(g.n_vertices(), 6, 3));
-    let run = run_cc(
-        g.clone(),
-        part,
-        Fabric::ib_cluster(6),
-        AtosConfig::ib_bfs(),
-    );
-    assert_eq!(run.label, connected_components(&g));
 }
 
 #[test]
