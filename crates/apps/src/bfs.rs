@@ -28,7 +28,7 @@ use atos_core::{
     assert_owner, Application, AtosConfig, Emitter, Lookahead, NullTracer, RunStats, Runtime,
     RuntimeTuning, Tracer,
 };
-use atos_macros::{atos_hot, atos_shard};
+use atos_macros::atos_hot;
 use atos_graph::csr::{Csr, VertexId};
 use atos_graph::partition::Partition;
 use atos_graph::prefetch::prefetch;
@@ -82,7 +82,6 @@ impl Application for BfsApp {
     /// `(vertex, depth at push time)`.
     type Task = (VertexId, u32);
 
-    #[atos_shard(owner(depth), private(mirror), shared(graph, partition, source))]
     fn process(&mut self, pe: usize, (v, _pushed_depth): Self::Task, out: &mut Emitter<Self::Task>) {
         debug_assert_eq!(self.partition.owner(v), pe, "task on wrong PE");
         let d = self.depth[v as usize];

@@ -11,7 +11,7 @@
 use std::sync::Arc;
 
 use atos_core::{assert_owner, Application, AtosConfig, Emitter, Lookahead, RunStats, Runtime};
-use atos_macros::{atos_hot, atos_shard};
+use atos_macros::atos_hot;
 use atos_graph::csr::{Csr, VertexId};
 use atos_graph::partition::Partition;
 use atos_graph::prefetch::prefetch;
@@ -56,7 +56,6 @@ impl Application for CcApp {
     /// `(vertex, candidate label)`.
     type Task = (VertexId, u32);
 
-    #[atos_shard(owner(label), private(mirror), shared(graph, partition))]
     fn process(&mut self, pe: usize, (v, _l): Self::Task, out: &mut Emitter<Self::Task>) {
         debug_assert_eq!(self.partition.owner(v), pe);
         let l = self.label[v as usize];

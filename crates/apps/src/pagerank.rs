@@ -40,7 +40,7 @@ use std::sync::Arc;
 use atos_core::{
     assert_owner, Application, AtosConfig, Emitter, Lookahead, RunStats, Runtime, RuntimeTuning,
 };
-use atos_macros::{atos_hot, atos_shard};
+use atos_macros::atos_hot;
 use atos_graph::csr::{Csr, VertexId};
 use atos_graph::grouped::OwnerGrouped;
 use atos_graph::partition::Partition;
@@ -208,7 +208,6 @@ impl PageRankApp {
 impl Application for PageRankApp {
     type Task = PrTask;
 
-    #[atos_shard(owner(rank, residue), shared(adj, partition, alpha, epsilon))]
     fn process(&mut self, pe: usize, task: PrTask, out: &mut Emitter<PrTask>) {
         let v = match task {
             PrTask::Relax(v) => v,

@@ -60,7 +60,7 @@
 use std::sync::Arc;
 
 use atos_core::{assert_owner, Application, AtosConfig, Emitter, Lookahead, RunStats, Runtime};
-use atos_macros::{atos_hot, atos_shard};
+use atos_macros::atos_hot;
 use atos_graph::csr::{Csr, VertexId};
 use atos_graph::light::LightEdges;
 use atos_graph::partition::Partition;
@@ -220,11 +220,6 @@ impl Application for SsspApp {
     /// format carries a constant byte and behavior is unchanged.
     type Task = (VertexId, u64, u8);
 
-    #[atos_shard(
-        owner(dist, heavy_sent),
-        private(view),
-        shared(graph, weights, partition, light, delta, source)
-    )]
     fn process(&mut self, pe: usize, (v, _pushed, kind): Self::Task, out: &mut Emitter<Self::Task>) {
         debug_assert_eq!(self.partition.owner(v), pe);
         let d = self.dist[v as usize];

@@ -22,7 +22,6 @@ use atos_graph::generators::{Preset, Scale};
 use atos_graph::grouped::OwnerGrouped;
 use atos_graph::partition::Partition;
 use atos_graph::{Csr, VertexId};
-use atos_macros::atos_shard;
 use atos_sim::Fabric;
 
 const ALPHA: f64 = 0.85;
@@ -57,7 +56,6 @@ impl FlaggedPageRank {
 impl Application for FlaggedPageRank {
     type Task = PrTask;
 
-    #[atos_shard(owner(rank, residue, in_queue), shared(adj, partition, alpha, epsilon))]
     fn process(&mut self, pe: usize, task: PrTask, out: &mut Emitter<PrTask>) {
         let v = match task {
             PrTask::Relax(v) => v,

@@ -1,11 +1,11 @@
 //! Schedule-fuzzing suites: randomized (but seeded, hence deterministic)
 //! schedule exploration at sizes the exhaustive DFS can't reach —
-//! including a full `DistributedQueues` push/recv round trip through the
-//! host backend, which runs real worker threads on the shadow runtime.
+//! including a full push/recv round trip through the host backend
+//! (`run_host`), which runs real worker threads on the shadow runtime.
 #![cfg(atos_check)]
 
 use atos_check::thread;
-use atos_core::DistributedQueues;
+use atos_core::{run_host, HostApplication, HostConfig};
 use atos_queue::broker::BrokerQueue;
 use atos_queue::cas::CasQueue;
 use atos_queue::counter::CounterQueue;
@@ -77,36 +77,34 @@ fn fuzz_broker_queue() {
     .assert_passed();
 }
 
-/// The paper's `DistributedQueues` API end to end on the shadow runtime:
-/// 2 PEs × 1 worker relay a token through local and remote (one-sided
-/// recv-queue) pushes until quiescence. Each fuzzed schedule runs the full
-/// host backend — scoped worker threads, pop/process/push loops, and the
-/// outstanding-counter termination protocol.
+/// The host backend end to end on the shadow runtime: 2 PEs × 1 worker
+/// relay a token through local and remote (one-sided recv-queue) pushes
+/// until quiescence. Each fuzzed schedule runs the full backend — scoped
+/// worker threads, pop/process/push loops, and the outstanding-counter
+/// termination protocol.
 #[test]
 fn fuzz_distributed_queues_push_recv() {
     use std::sync::atomic::{AtomicU64, Ordering};
+    struct Relay {
+        visits: AtomicU64,
+    }
+    impl HostApplication for Relay {
+        type Task = u32;
+        fn process(&self, pe: usize, ttl: u32, push: &mut dyn FnMut(usize, u32)) {
+            self.visits.fetch_add(1, Ordering::Relaxed);
+            if ttl > 0 {
+                // Alternate local and one-sided remote pushes so both
+                // queue families see traffic in every schedule.
+                let dst = if ttl.is_multiple_of(2) { pe } else { (pe + 1) % 2 };
+                push(dst, ttl - 1);
+            }
+        }
+    }
     atos_check::fuzz_schedules(0xA706, 60, || {
-        let visits = AtomicU64::new(0);
-        let q = DistributedQueues::init(2, 64, 64);
-        let stats = q.launch_thread(
-            true,
-            1,
-            vec![vec![3u32], vec![]],
-            |pe, ttl, push| {
-                visits.fetch_add(1, Ordering::Relaxed);
-                if ttl > 0 {
-                    // Alternate local and one-sided remote pushes so both
-                    // queue families see traffic in every schedule.
-                    if ttl % 2 == 0 {
-                        push.local(ttl - 1);
-                    } else {
-                        push.remote(ttl - 1, (pe + 1) % 2);
-                    }
-                }
-            },
-            |_pe| {},
-        );
-        assert_eq!(visits.load(Ordering::Relaxed), 4, "ttl 3 → 4 visits");
+        let app = Relay { visits: AtomicU64::new(0) };
+        let cfg = HostConfig { n_pes: 2, workers_per_pe: 1, fetch: 1, queue_capacity: 64 };
+        let stats = run_host(&app, cfg, vec![vec![3u32], vec![]]);
+        assert_eq!(app.visits.load(Ordering::Relaxed), 4, "ttl 3 → 4 visits");
         assert_eq!(stats.remote_pushes, 2, "ttl 3 and 1 cross PEs");
         assert_eq!(stats.tasks_per_pe.iter().sum::<u64>(), 4);
     })

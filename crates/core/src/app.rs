@@ -16,11 +16,10 @@ use crate::emitter::Emitter;
 /// This is the canonical guard for authoritative writes in
 /// [`Application::on_receive`]: a task arriving from a remote PE may
 /// only mutate owner-indexed state at indices the receiving PE owns (the
-/// paper's one-sided `atomicMin` lands in the *owner's* memory). The
-/// `shard-escape` lint recognizes this macro — or a raw
-/// `debug_assert_eq!(partition.owner(v), pe)` — as the dominating owner
-/// proof; an unwitnessed write to an `owner(..)`-classified array is a
-/// finding.
+/// paper's one-sided `atomicMin` lands in the *owner's* memory). It is
+/// a runtime check in debug builds, which is what `cargo test` and
+/// `tests/differential.rs` run; a write that skips it is caught there by
+/// its effect on the answers or on the pinned message counts.
 #[macro_export]
 macro_rules! assert_owner {
     ($partition:expr, $v:expr, $pe:expr) => {

@@ -39,10 +39,12 @@
 //! references while virtual time reproduces the paper's performance
 //! phenomena.
 //!
-//! A second backend, [`host`], executes the same task-parallel model on
-//! *real OS threads* over the lock-free `atos-queue` data structures —
-//! the single-node CPU analog of the paper's system, with genuinely
-//! concurrent one-sided pushes and quiescence-based termination.
+//! A second backend, [`host`], executes the task-parallel model on *real
+//! OS threads* over the lock-free `atos-queue` data structures — the
+//! single-node CPU analog of the paper's system, with genuinely concurrent
+//! one-sided pushes and quiescence-based termination. Its applications
+//! implement [`HostApplication`] (shared state behind atomics, no
+//! `on_receive`) and run through [`run_host`]; nothing else launches it.
 
 #![warn(missing_docs)]
 #![deny(unsafe_op_in_unsafe_fn)]
@@ -51,7 +53,6 @@ pub mod aggregator;
 pub mod app;
 pub mod comm;
 pub mod config;
-pub mod dqueue;
 pub mod emitter;
 pub mod host;
 pub mod metrics;
@@ -61,7 +62,6 @@ pub mod workqueue;
 
 pub use app::Application;
 pub use config::{AtosConfig, CommMode, KernelMode, QueueMode, WorkerConfig, WorkerSize};
-pub use dqueue::DistributedQueues;
 pub use emitter::Emitter;
 pub use metrics::RunStats;
 pub use host::{run_host, HostApplication, HostConfig, HostStats};

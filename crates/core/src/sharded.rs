@@ -2,8 +2,8 @@
 //! caller: the `benchmark/` package is frozen to feature PRs and compiles
 //! against these four names (`benchmark/README.md`, "Public functions the
 //! benchmark pins"). There is one engine; nothing else in the workspace may
-//! name them. ROADMAP item 4's `[benchmark]` PR deletes this file, the three
-//! `impl ShardableApp` in `atos-apps` and `tests/benchmark_pins.rs`.
+//! name them. ROADMAP item 2(e)'s `[benchmark]` PR deletes this file, the
+//! three `impl ShardableApp` in `atos-apps` and `tests/benchmark_pins.rs`.
 
 use atos_trace::Tracer;
 

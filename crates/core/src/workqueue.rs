@@ -1,7 +1,7 @@
 //! Per-PE logical work queues: standard FIFO and the priority variant.
 //!
-//! These model the *scheduling semantics* of the paper's
-//! `DistributedQueues` / `DistributedPriorityQueues` inside the simulator.
+//! These model the *scheduling semantics* of the paper's distributed
+//! standard and priority queues inside the simulator.
 //! (The real lock-free data structure with the counter-publication
 //! protocol lives in the `atos-queue` crate and is benchmarked in
 //! Figure 1; here the simulator serializes each PE's events, so a plain

@@ -7,7 +7,8 @@
 //!   wrapped so that every `process` / `on_receive` call is folded into a
 //!   per-PE FNV hash in the order that PE sees it. The constants were
 //!   captured on the parent commit 713bf2d, where every message was a
-//!   heap-allocated payload delivered by its own `Ev::Arrive`; a pass means
+//!   heap-allocated payload delivered by its own `Ev::Arrive` (the two CC
+//!   rows on 5f87cfc, the commit before they were added); a pass means
 //!   each PE still sees the same calls in the same order, and the run ends
 //!   at the same virtual time with the same traffic and queue high-water
 //!   marks.
@@ -31,7 +32,7 @@ use std::sync::Arc;
 
 use atos_apps::pagerank::PrTask;
 use atos_apps::sssp::KIND_LIGHT;
-use atos_apps::{BfsApp, PageRankApp, SsspApp};
+use atos_apps::{BfsApp, CcApp, PageRankApp, SsspApp};
 use atos_core::{
     Application, AtosConfig, CommMode, Emitter, KernelMode, QueueMode, RunStats,
     Runtime, RuntimeTuning, WorkerConfig,
@@ -191,6 +192,15 @@ fn sssp(fabric: Fabric, cfg: AtosConfig) -> Row {
     drive(app, seeds, fabric, cfg, RuntimeTuning::default())
 }
 
+fn cc(fabric: Fabric, cfg: AtosConfig) -> Row {
+    let g = Arc::new(social().symmetrize());
+    let part = Arc::new(Partition::random(g.n_vertices(), fabric.n_pes(), 9));
+    let seeds = (0..part.n_parts())
+        .map(|pe| (pe, part.vertices_of(pe).into_iter().map(|v| (v, v)).collect()))
+        .collect();
+    drive(CcApp::new(g, part), seeds, fabric, cfg, RuntimeTuning::default())
+}
+
 /// The Galois/Gluon-like baseline's shape: one discrete kernel per round,
 /// one bulk message per destination, host-mediated control path, and a
 /// per-round metadata broadcast (cars that occupy the wire and deliver
@@ -221,6 +231,8 @@ fn fingerprints_match_the_per_message_parent() {
         ("summit6/bfs/1", bfs(Fabric::summit_node(6), AtosConfig::standard_persistent(), plain)),
         ("daisy4/sssp-priority-discrete/1", sssp(Fabric::daisy(4), AtosConfig::priority_discrete())),
         ("ib4/bfs-gluon-metadata/1", bfs(Fabric::ib_cluster(4), gluon_cfg, gluon_tuning)),
+        ("daisy4/cc-direct/1", cc(Fabric::daisy(4), AtosConfig::standard_persistent())),
+        ("ib4/cc-aggregated/1", cc(Fabric::ib_cluster(4), AtosConfig::ib_bfs())),
     ];
     for (name, r) in &got {
         println!("    (\"{name}\", {r:?}),");
@@ -229,12 +241,15 @@ fn fingerprints_match_the_per_message_parent() {
 }
 
 #[rustfmt::skip]
-const GOLDEN: [(&str, Row); 5] = [
+const GOLDEN: [(&str, Row); 7] = [
     ("daisy4/pagerank-direct/1", [14194713627052086457, 1310640, 16880, 4720384, 10889729997057137531]),
     ("ib8/pagerank-aggregated/1", [1036709484681473384, 4212114, 4179, 26835540, 8134328546337234609]),
     ("summit6/bfs/1", [14860716780881808704, 51197, 175, 30240, 3542823008189542413]),
     ("daisy4/sssp-priority-discrete/1", [15957031098984437282, 7293022, 236, 11616, 11013856656358351973]),
     ("ib4/bfs-gluon-metadata/1", [14705585014852128725, 197819, 93, 56476, 18012849274530754535]),
+    // Captured later, on 5f87cfc, so that CC's messages are pinned too.
+    ("daisy4/cc-direct/1", [17230173559104280803, 58349, 137, 35008, 3633582280860120104]),
+    ("ib4/cc-aggregated/1", [3270800866066138133, 71373, 54, 64360, 14226299046936176094]),
 ];
 
 // ---------------------------------------------------------------------------

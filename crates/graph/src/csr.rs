@@ -264,11 +264,6 @@ impl Csr {
         (0..self.n_vertices() as VertexId)
             .flat_map(move |u| self.neighbors(u).iter().map(move |&v| (u, v)))
     }
-
-    /// Total out-degree over a set of vertices (frontier work estimate).
-    pub fn frontier_edges(&self, frontier: &[VertexId]) -> u64 {
-        frontier.iter().map(|&v| self.degree(v) as u64).sum()
-    }
 }
 
 /// `from_edges` step 4: sort and dedup every row and compact them to the
@@ -466,13 +461,6 @@ mod tests {
         assert_eq!(edges, vec![(0, 1), (0, 2), (1, 3), (2, 3)]);
         let rebuilt = Csr::from_edges(4, &edges);
         assert_eq!(rebuilt, g);
-    }
-
-    #[test]
-    fn frontier_edges_sums_degrees() {
-        let g = diamond();
-        assert_eq!(g.frontier_edges(&[0, 1]), 3);
-        assert_eq!(g.frontier_edges(&[]), 0);
     }
 
     #[test]

@@ -71,15 +71,6 @@ fn deepest_depth(depths: &[u32]) -> u32 {
         .unwrap_or(0)
 }
 
-/// Fraction of vertices reachable from `src`.
-pub fn reachable_fraction(g: &Csr, src: VertexId) -> f64 {
-    if g.n_vertices() == 0 {
-        return 0.0;
-    }
-    let d = bfs(g, src);
-    d.iter().filter(|&&x| x != UNREACHED).count() as f64 / g.n_vertices() as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -119,14 +110,14 @@ mod tests {
     fn road_networks_mostly_connected_from_hub() {
         let g = road_network(48, 48, 7);
         let src = Preset::by_name("road_usa_s").unwrap().bfs_source(&g);
-        assert!(reachable_fraction(&g, src) > 0.95);
+        let reached = bfs(&g, src).iter().filter(|&&d| d != UNREACHED).count();
+        assert!(reached as f64 > 0.95 * g.n_vertices() as f64);
     }
 
     #[test]
     fn empty_graph_stats() {
         let g = Csr::from_edges(0, &[]);
         assert_eq!(estimate_diameter(&g), 0);
-        assert_eq!(reachable_fraction(&g, 0), 0.0);
         assert_eq!(stats(&g).max_in_degree, 0);
     }
 }

@@ -1,6 +1,6 @@
 //! Workspace call graph: name/alias/method resolution and resolved call
-//! edges, the substrate for the interprocedural passes in
-//! [`crate::summaries`] and [`crate::shard`].
+//! edges, the substrate for the interprocedural pass in
+//! [`crate::summaries`].
 //!
 //! Resolution is deliberately *conservative*: an ambiguous name (two
 //! candidate definitions in the chosen scope) resolves to nothing, so the

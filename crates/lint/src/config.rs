@@ -2,10 +2,9 @@
 //!
 //! The configuration is code, not a config file: the invariants it encodes
 //! (which files may touch raw atomics, which crates must stay
-//! deterministic, where `Application` impls live) are architectural facts
-//! of this workspace, and changing them should be a reviewed source change
-//! next to the audit table in DESIGN.md §7 — not an edit to an untracked
-//! dotfile.
+//! deterministic) are architectural facts of this workspace, and changing
+//! them should be a reviewed source change next to the audit table in
+//! DESIGN.md §7 — not an edit to an untracked dotfile.
 //!
 //! Only *path* scopes live here. Which *functions* are hot is declared at
 //! the function (`#[atos_hot]` / `// atos-lint: hot`, see
@@ -23,10 +22,6 @@ pub struct Config {
     pub sim_paths: &'static [&'static str],
     /// Identifiers forbidden in deterministic-simulation code.
     pub sim_forbidden: &'static [&'static str],
-    /// Path fragments under which `shard-escape` flow-checks every
-    /// `Application` impl: a `process(&mut self, pe, ..)` there must carry
-    /// `#[atos_shard(..)]`.
-    pub shard_paths: &'static [&'static str],
 }
 
 impl Config {
@@ -65,7 +60,6 @@ impl Config {
                 "available_parallelism",
                 "sleep",
             ],
-            shard_paths: &["crates/apps/src/"],
         }
     }
 
@@ -77,7 +71,6 @@ impl Config {
             facade_allowed: &[],
             sim_paths: &["sim_determinism.rs"],
             sim_forbidden: Config::project().sim_forbidden,
-            shard_paths: &["shard_escape.rs"],
         }
     }
 
@@ -89,10 +82,5 @@ impl Config {
     /// Is `path` inside the deterministic-simulation scope?
     pub fn is_sim_path(&self, path: &str) -> bool {
         self.sim_paths.iter().any(|p| path.contains(p))
-    }
-
-    /// Is `path` inside the owner-computes scope?
-    pub fn is_shard_path(&self, path: &str) -> bool {
-        self.shard_paths.iter().any(|p| path.contains(p))
     }
 }

@@ -27,19 +27,13 @@
 //!    produces trace events or virtual time (simulator, runtime,
 //!    applications, baselines).
 //! 4. `missing-safety` — `unsafe` without a `SAFETY:` comment.
-//! 5. `shard-escape` — owner-computes flow check ([`shard`]): every
-//!    field of an `Application` impl is classified owner-indexed
-//!    authoritative / per-sender private / shared-immutable (declared
-//!    via `#[atos_shard(..)]` on `process`; a `process(&mut self, pe, ..)`
-//!    in scope without the attribute is a finding), and the entry points
-//!    plus everything they transitively call in-file may write
-//!    authoritative state only under a dominating
-//!    `partition.owner(v) == pe` witness.
 //!
 //! Which rule is the only catcher of which seeded defect is the audit
-//! table in DESIGN.md §7. What left on that evidence (§11): two flow
-//! analyses (`determinism-taint`, `unchecked-guard`), the ordering pass
-//! (`atos-check` runs every cell access it saw) and `hot-path-alloc`
+//! table in DESIGN.md §7. What left on that evidence (§11): three flow
+//! analyses (`determinism-taint`, `unchecked-guard`, and the
+//! owner-computes write check, whose every catch `tests/differential.rs`
+//! and the goldens repeat), the ordering pass (`atos-check` runs every
+//! cell access it saw) and `hot-path-alloc`
 //! (`crates/core/tests/alloc_count.rs` runs every hot function).
 //!
 //! Suppression is always visible in the diff: an `atos-lint: allow(rule)`
@@ -53,7 +47,6 @@ pub mod lints;
 pub mod model;
 pub mod parse;
 pub mod report;
-pub mod shard;
 pub mod summaries;
 
 use std::fs;

@@ -18,7 +18,6 @@ pub const RULES: &[&str] = &[
     "panic-in-kernel",
     "sim-determinism",
     "missing-safety",
-    "shard-escape",
 ];
 
 /// The interprocedural substrate the rules share: built once per run.
@@ -81,9 +80,6 @@ pub fn run(
         });
         rule("missing-safety", &mut out, &mut |_, file, out| {
             missing_safety(file, out)
-        });
-        rule("shard-escape", &mut out, &mut |fi, _, out| {
-            crate::shard::shard_escape(ws, fi, cfg, an, out)
         });
     }
     out.retain(|f| {

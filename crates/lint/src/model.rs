@@ -7,7 +7,7 @@
 //! fidelity for project-invariant lints; what it cannot see is covered by
 //! the dynamic checkers (`atos-check`, `alloc_count.rs`).
 
-use crate::parse::{FnItem, ParsedFile, Tok, TokKind};
+use crate::parse::{FnItem, ParsedFile, TokKind};
 
 /// One event in a function body, in source order.
 #[derive(Debug, Clone)]
@@ -25,62 +25,6 @@ pub enum Event {
     /// Indexing into a named place: `ident[…]` (slice/array index that can
     /// panic). Indexing a numeric literal or `]` chain is not recorded.
     Index { base: String, line: u32 },
-}
-
-/// Index of the token matching the opener at `open` (which must hold
-/// `open_s`), scanning forward and balancing `open_s`/`close_s` pairs.
-/// `None` if the stream ends unbalanced.
-pub(crate) fn matching(toks: &[Tok], open: usize, open_s: &str, close_s: &str) -> Option<usize> {
-    if !toks.get(open)?.is(open_s) {
-        return None;
-    }
-    let mut d = 0i32;
-    for (i, t) in toks.iter().enumerate().skip(open) {
-        if t.is(open_s) {
-            d += 1;
-        } else if t.is(close_s) {
-            d -= 1;
-            if d == 0 {
-                return Some(i);
-            }
-        }
-    }
-    None
-}
-
-/// Split a token range at top-level commas (paren/bracket/brace depth 0
-/// relative to the range), e.g. an argument list with its outer parens
-/// already stripped.
-pub(crate) fn split_top_commas(
-    toks: &[Tok],
-    range: std::ops::Range<usize>,
-) -> Vec<std::ops::Range<usize>> {
-    let mut out = Vec::new();
-    let mut depth = 0i32;
-    let mut start = range.start;
-    for i in range.clone() {
-        match toks[i].text.as_str() {
-            "(" | "[" | "{" => depth += 1,
-            ")" | "]" | "}" => depth -= 1,
-            "," if depth == 0 => {
-                out.push(start..i);
-                start = i + 1;
-            }
-            _ => {}
-        }
-    }
-    if start < range.end {
-        out.push(start..range.end);
-    }
-    out
-}
-
-/// First identifier token in a range, if any.
-pub(crate) fn first_ident_in(toks: &[Tok], range: std::ops::Range<usize>) -> Option<&str> {
-    toks[range]
-        .iter()
-        .find(|t| t.kind == TokKind::Ident)
-        .map(|t| t.text.as_str())
 }
 
 /// Extract the ordered event list of one function body.

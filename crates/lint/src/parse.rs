@@ -287,10 +287,6 @@ pub struct FnItem {
     pub self_ty: Option<String>,
     /// Does the signature take `self` (method rather than associated fn)?
     pub has_self: bool,
-    /// Parameter binding names, in order, `self` excluded. Complex
-    /// patterns record the identifier immediately left of the `:`, which
-    /// is the binding for the `name: Type` common case.
-    pub params: Vec<String>,
 }
 
 /// Parsed view of one source file.
@@ -428,13 +424,11 @@ pub fn parse(src: &str) -> ParsedFile {
                 let line = t.line;
                 // Find the body `{` at angle/paren depth 0, stopping
                 // at `;` (bodyless decl). Along the way, scan the
-                // signature parens for `self` and parameter bindings
-                // (the ident immediately left of a `:` at paren depth 1).
+                // signature parens for `self`.
                 let mut j = i + 2;
                 let mut paren = 0i32;
                 let mut body = 0..0;
                 let mut has_self = false;
-                let mut params = Vec::new();
                 let mut in_sig = true;
                 while j < toks.len() {
                     match toks[j].text.as_str() {
@@ -446,13 +440,6 @@ pub fn parse(src: &str) -> ParsedFile {
                             }
                         }
                         "self" if in_sig && paren == 1 => has_self = true,
-                        ":" if in_sig && paren == 1 => {
-                            if let Some(prev) = toks.get(j - 1) {
-                                if prev.kind == TokKind::Ident && !prev.is("self") {
-                                    params.push(prev.text.clone());
-                                }
-                            }
-                        }
                         ";" if paren == 0 => break,
                         "{" if paren == 0 => {
                             // Matching close brace.
@@ -483,7 +470,6 @@ pub fn parse(src: &str) -> ParsedFile {
                     in_test_mod: !test_mod_depths.is_empty() || pending_cfg_test,
                     self_ty: None,
                     has_self,
-                    params,
                 });
                 pending_cfg_test = false;
                 // Do NOT skip the body: nested fns are items too.
@@ -763,16 +749,13 @@ fn free(x: u64) -> impl Fn() -> u64 {
         let push = p.fns.iter().find(|f| f.name == "push").unwrap();
         assert_eq!(push.self_ty.as_deref(), Some("Wheel"));
         assert!(push.has_self);
-        assert_eq!(push.params, vec!["t"]);
         let cap = p.fns.iter().find(|f| f.name == "capacity").unwrap();
         assert_eq!(cap.self_ty.as_deref(), Some("Wheel"));
         assert!(!cap.has_self);
-        assert_eq!(cap.params, vec!["hint"]);
         let next = p.fns.iter().find(|f| f.name == "next").unwrap();
         assert_eq!(next.self_ty.as_deref(), Some("Drain"));
         let free = p.fns.iter().find(|f| f.name == "free").unwrap();
         assert_eq!(free.self_ty, None);
-        assert_eq!(free.params, vec!["x"]);
     }
 
     #[test]

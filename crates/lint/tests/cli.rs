@@ -87,7 +87,6 @@ fn timings_breakdown_lists_every_rule() {
         "panic-in-kernel",
         "sim-determinism",
         "missing-safety",
-        "shard-escape",
         "total",
     ] {
         assert!(stderr.contains(row), "missing `{row}` row in: {stderr}");

@@ -8,6 +8,7 @@
 //! pollute the production run.
 
 use atos_lint::model::{events_of, Event};
+use atos_lint::parse::{FnItem, ParsedFile};
 use atos_lint::{config::Config, lints, report, Finding, Workspace};
 
 fn fixture_dir() -> String {
@@ -31,7 +32,6 @@ fn rule_set_is_stable() {
             "panic-in-kernel",
             "sim-determinism",
             "missing-safety",
-            "shard-escape",
         ]
     );
 }
@@ -120,29 +120,6 @@ fn missing_safety_golden() {
         "{\"findings\":[{\"rule\":\"missing-safety\",\"file\":\"fixtures/missing_safety.rs\",\
          \"line\":5,\"message\":\"`unsafe` without a `SAFETY:` comment on the same line or \
          within the 8 preceding lines\"}],\"count\":1}"
-    );
-}
-
-#[test]
-fn shard_escape_golden() {
-    assert_eq!(
-        report::json(&lint_fixture("shard_escape.rs")),
-        "{\"findings\":[\
-         {\"rule\":\"shard-escape\",\"file\":\"fixtures/shard_escape.rs\",\"line\":27,\
-         \"message\":\"`process` writes owner-indexed `depth[v]` with no dominating \
-         `partition.owner(v) == pe` guard or `assert_owner!` witness; only the owning \
-         PE may mutate authoritative state — send the update to `owner` instead\"},\
-         {\"rule\":\"shard-escape\",\"file\":\"fixtures/shard_escape.rs\",\"line\":32,\
-         \"message\":\"`on_receive` writes owner-indexed `labels[w]` with no dominating \
-         `partition.owner(w) == pe` guard or `assert_owner!` witness; only the owning \
-         PE may mutate authoritative state — send the update to `owner` instead\"},\
-         {\"rule\":\"shard-escape\",\"file\":\"fixtures/shard_escape.rs\",\"line\":35,\
-         \"message\":\"`on_receive` calls `store` (fixtures/shard_escape.rs:42), which \
-         writes owner-indexed `depth[w]` at line 43 with no dominating owner witness \
-         (via `on_receive` -> `store`)\"},\
-         {\"rule\":\"shard-escape\",\"file\":\"fixtures/shard_escape.rs\",\"line\":36,\
-         \"message\":\"`on_receive` writes shared-immutable field `graph`; \
-         topology/config state is read-only in shard entry paths\"}],\"count\":4}"
     );
 }
 
@@ -244,6 +221,64 @@ fn cell_accesses_stay_in_model_checked_files() {
     );
 }
 
+/// Tripwire for undrawn applications: the owner-computes rule (a task
+/// writes only state its PE owns; everything else travels as a charged
+/// message) is guarded by `tests/differential.rs` and the goldens, not by
+/// a lint, so every application must be one the fuzzer runs. An
+/// application is a non-test `impl Application for X` (or
+/// `HostApplication`) in `crates/apps/src/` or `crates/baselines/src/`;
+/// it is run when a body in `tests/differential.rs` names a free function
+/// of its file that builds `X`, directly or through another such function.
+#[test]
+fn every_application_is_drawn_by_the_differential_fuzzer() {
+    const APP_DIRS: &[&str] = &["crates/apps/src/", "crates/baselines/src/"];
+    fn names(p: &ParsedFile, f: &FnItem, ident: &str) -> bool {
+        p.toks[f.body.clone()].iter().any(|t| t.is(ident))
+    }
+    let ws = Workspace::discover(&workspace_root()).unwrap();
+    let fuzzer = &ws
+        .files
+        .iter()
+        .find(|f| f.path == "tests/differential.rs")
+        .expect("tests/differential.rs")
+        .parsed;
+    let mut undrawn = Vec::new();
+    for file in ws.files.iter().filter(|f| APP_DIRS.iter().any(|d| f.path.starts_with(d))) {
+        let p = &file.parsed;
+        let live = |f: &&FnItem| !f.in_test_mod;
+        let apps = p.toks.windows(3).filter_map(|w| {
+            let is_trait = w[0].is("Application") || w[0].is("HostApplication");
+            (is_trait && w[1].is("for")).then(|| w[2].text.as_str())
+        });
+        let apps = apps.filter(|&x| p.fns.iter().filter(live).any(|f| f.self_ty.as_deref() == Some(x)));
+        for app in apps {
+            // The free functions that build `app`, closed under "calls one".
+            let mut entries: Vec<&str> = Vec::new();
+            loop {
+                let before = entries.len();
+                for f in p.fns.iter().filter(live).filter(|f| f.self_ty.is_none()) {
+                    if !entries.contains(&f.name.as_str())
+                        && (names(p, f, app) || entries.iter().any(|e| names(p, f, e)))
+                    {
+                        entries.push(&f.name);
+                    }
+                }
+                if entries.len() == before {
+                    break;
+                }
+            }
+            if !entries.iter().any(|e| fuzzer.fns.iter().any(|f| names(fuzzer, f, e))) {
+                undrawn.push(format!("{app} ({}; entry points {entries:?})", file.path));
+            }
+        }
+    }
+    assert!(
+        undrawn.is_empty(),
+        "applications tests/differential.rs never runs: {undrawn:?} — add each to the \
+         fuzzer's generator (its `App` enum, `Case::draw`, `run` and `check_answer`)"
+    );
+}
+
 /// Seeded mutation: a raw atomic import in the queue crate must be caught.
 #[test]
 fn mutation_raw_atomic_import_is_caught() {
@@ -263,33 +298,6 @@ fn mutation_raw_atomic_import_is_caught() {
             .iter()
             .any(|f| f.rule == "facade-bypass" && f.line == 1),
         "mutation not caught: {findings:?}"
-    );
-}
-
-/// Seeded mutation: redirecting the non-owner mirror write in BFS
-/// `process` to the authoritative `depth` array (the silent-divergence
-/// bug the owner-computes discipline exists to prevent) must be caught
-/// by `shard-escape` — the write sits in the `else` branch, outside the
-/// `owner == pe` guarded block.
-#[test]
-fn mutation_non_owner_depth_write_is_caught() {
-    let rel = "crates/apps/src/bfs.rs";
-    let clean = read_real(rel);
-    let mirror_write = "self.mirror[pe][w as usize] = nd;";
-    assert!(
-        clean.contains(mirror_write),
-        "bfs.rs mirror write moved; update this mutation"
-    );
-    let mutated = clean.replacen(mirror_write, "self.depth[w as usize] = nd;", 1);
-    let ws = Workspace::from_sources(vec![(rel.into(), mutated)]);
-    let findings = atos_lint::run(&ws, &Config::project());
-    assert!(
-        findings.iter().any(|f| {
-            f.rule == "shard-escape"
-                && f.message.contains("`process`")
-                && f.message.contains("`depth[w]`")
-        }),
-        "non-owner write mutation not caught: {findings:?}"
     );
 }
 

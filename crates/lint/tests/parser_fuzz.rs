@@ -31,7 +31,7 @@ fn lint_bounded(path: &str, src: String) {
 /// What the lexer has to disambiguate or balance.
 const HARD_CASES: &[&str] = &[
     "\"", "r\"", "r#\"", "\"#", "'", "'a", "'\\", "\\", "/*", "*/", "//", "\n", "(", ")", "[",
-    "]", "{", "}", "#[atos_hot", "#[atos_hot(no_index)]", "#[atos_shard(owner(", "#[cfg(test)]",
+    "]", "{", "}", "#[atos_hot", "#[atos_hot(no_index)]", "#[derive(", "#[cfg(test)]",
     "// atos-lint: hot", "// atos-lint: allow(", "fn ", "fn f(&mut self, pe: usize", "impl ",
     "impl X for Y ", "mod ", "use a::{b, c as ", "unsafe ", ".unwrap()", ".with_mut(|p| ",
     ".load(Ordering::", "self.x[i] = ", "::", "0..", "x!", " ",
@@ -89,7 +89,7 @@ proptest! {
             from = to;
         }
         src.push_str(&raw[from..]);
-        // Inside the path scopes of sim-determinism / shard-escape, and out.
+        // Inside the path scope of sim-determinism, and out.
         let path = ["crates/apps/src/fuzz.rs", "crates/queue/src/fuzz.rs", "fuzz.rs"][path];
         lint_bounded(path, src);
     }

@@ -1,28 +1,19 @@
-//! Marker attributes consumed by the [`atos-lint`] static analyzer.
+//! The marker attribute consumed by the [`atos-lint`] static analyzer.
 //!
-//! Both attributes are *inert at runtime*: they expand to the annotated
-//! item unchanged, so they cost nothing in any build. Their payload is the
-//! annotation itself, which `atos-lint` reads back out of the source text:
-//!
-//! * [`macro@atos_hot`] marks a function as being on the runtime hot path,
-//!   which means two things. `panic-in-kernel` forbids `unwrap` /
-//!   `expect` / the `panic!` family in it and, transitively, in the
-//!   workspace functions it calls. And `crates/core/tests/alloc_count.rs`
-//!   must run it inside a counted window whose allocations do not grow
-//!   with the task count (its coverage map reads this marker through
-//!   `atos_lint::lints::hot_marker`). The one argument,
-//!   `#[atos_hot(no_index)]`, also forbids panicking slice indexing
-//!   (`ident[i]`) in the body — the `prefetch` hint path uses it. Crates
-//!   that stay dependency-free (`atos-queue`, `atos-graph`) spell the same
-//!   marker as a comment on the line above the `fn`: `// atos-lint: hot` /
-//!   `// atos-lint: hot(no-index)`.
-//! * [`macro@atos_shard`] classifies the fields of an `Application` for
-//!   the `shard-escape` lint. Placed on the impl's `process` method (the
-//!   one fn every application must define), it declares each field as
-//!   `owner(..)` — owner-indexed authoritative state that only the owning
-//!   PE may write, `private(..)` — per-sender scratch no other PE reads,
-//!   or `shared(..)` — immutable topology/config. An application in the
-//!   lint's scope that carries no attribute is a finding.
+//! [`macro@atos_hot`] is *inert at runtime*: it expands to the annotated
+//! item unchanged, so it costs nothing in any build. Its payload is the
+//! annotation itself, which `atos-lint` reads back out of the source text.
+//! It marks a function as being on the runtime hot path, which means two
+//! things. `panic-in-kernel` forbids `unwrap` / `expect` / the `panic!`
+//! family in it and, transitively, in the workspace functions it calls.
+//! And `crates/core/tests/alloc_count.rs` must run it inside a counted
+//! window whose allocations do not grow with the task count (its coverage
+//! map reads this marker through `atos_lint::lints::hot_marker`). The one
+//! argument, `#[atos_hot(no_index)]`, also forbids panicking slice
+//! indexing (`ident[i]`) in the body — the `prefetch` hint path uses it.
+//! Crates that stay dependency-free (`atos-queue`, `atos-graph`) spell the
+//! same marker as a comment on the line above the `fn`: `// atos-lint: hot`
+//! / `// atos-lint: hot(no-index)`.
 //!
 //! Suppression is not an attribute: an `atos-lint: allow(rule)` comment
 //! with its reason, on the finding or on the vetted callee's definition.
@@ -38,18 +29,5 @@ use proc_macro::TokenStream;
 /// check.
 #[proc_macro_attribute]
 pub fn atos_hot(_attr: TokenStream, item: TokenStream) -> TokenStream {
-    item
-}
-
-/// Declare the ownership classes of an `Application`'s fields for the
-/// `shard-escape` lint, e.g.
-/// `#[atos_shard(owner(depth), private(mirror), shared(graph, partition))]`
-/// on the impl's `process` method. `owner` fields are vertex-indexed
-/// authoritative state (writable only at indices the current PE owns),
-/// `private` fields are per-sender scratch indexed by the sending PE, and
-/// `shared` fields are immutable after construction. Inert; read back
-/// from the source by `atos-lint`.
-#[proc_macro_attribute]
-pub fn atos_shard(_attr: TokenStream, item: TokenStream) -> TokenStream {
     item
 }

@@ -25,7 +25,7 @@
 //!
 //! All queues here are *arena* queues: storage indices grow monotonically and
 //! slots are never reused until [`reset`](counter::CounterQueue::reset). This
-//! matches the paper's usage — `DistributedQueues::init` takes `local_cap` /
+//! matches the paper's usage — its queue `init` takes `local_cap` /
 //! `recv_cap` sized for the whole computation — and removes ABA and
 //! wrap-around hazards from the concurrency argument.
 //!
@@ -120,11 +120,6 @@ impl PopState {
     /// Fresh state with no outstanding claim.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Indices reserved but not yet consumed (waiting for publication).
-    pub fn outstanding(&self) -> u64 {
-        self.claim_hi - self.cursor
     }
 
     /// Drop the outstanding claim.

@@ -88,11 +88,6 @@ impl GpuCostModel {
     pub fn kernel_cycle_ns(&self) -> Time {
         self.kernel_launch_ns + self.host_sync_ns
     }
-
-    /// Aggregate edge throughput at saturation, edges per second.
-    pub fn saturated_teps(&self) -> f64 {
-        self.resident_workers as f64 / self.edge_ns * 1e9
-    }
 }
 
 impl Default for GpuCostModel {
@@ -156,7 +151,8 @@ mod tests {
     #[test]
     fn calibration_is_in_v100_range() {
         let m = GpuCostModel::v100();
-        let teps = m.saturated_teps();
+        // Aggregate edge throughput at saturation, edges per second.
+        let teps = m.resident_workers as f64 / m.edge_ns * 1e9;
         assert!(teps > 5e8 && teps < 1e10, "teps={teps}");
         assert!(m.kernel_cycle_ns() >= 10_000);
     }

@@ -366,7 +366,7 @@ impl Fabric {
                 }
             }
         };
-        self.trace.record_message(payload);
+        self.trace.record_message();
         staged
     }
 

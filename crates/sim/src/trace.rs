@@ -26,9 +26,6 @@ pub struct FabricTrace {
     buckets: Vec<u64>,
     total_messages: u64,
     total_wire_bytes: u64,
-    /// Exact running payload-byte sum; [`FabricTrace::mean_message_size`]
-    /// divides this.
-    total_payload_bytes: u64,
 }
 
 impl Default for FabricTrace {
@@ -44,7 +41,6 @@ impl FabricTrace {
             buckets: Vec::new(),
             total_messages: 0,
             total_wire_bytes: 0,
-            total_payload_bytes: 0,
         }
     }
 
@@ -58,10 +54,9 @@ impl FabricTrace {
         self.total_wire_bytes += wire_bytes;
     }
 
-    /// Record one application message of `payload` bytes.
-    pub fn record_message(&mut self, payload: u64) {
+    /// Record one application message.
+    pub fn record_message(&mut self) {
         self.total_messages += 1;
-        self.total_payload_bytes += payload;
     }
 
     /// Extend the utilization bucket series to cover `[0, at]`.
@@ -120,21 +115,6 @@ impl FabricTrace {
             / n;
         Some(var.sqrt() / mean)
     }
-
-    /// Total payload bytes recorded (excludes wire framing).
-    pub fn total_payload_bytes(&self) -> u64 {
-        self.total_payload_bytes
-    }
-
-    /// Mean payload size per message, bytes — exact, from the running
-    /// payload sum (wire bytes include framing, so the wire total cannot
-    /// be used).
-    pub fn mean_message_size(&self) -> f64 {
-        if self.total_messages == 0 {
-            return 0.0;
-        }
-        self.total_payload_bytes as f64 / self.total_messages as f64
-    }
 }
 
 #[cfg(test)]
@@ -146,8 +126,8 @@ mod tests {
         let mut t = FabricTrace::new();
         t.record_link(0, 100);
         t.record_link(BUCKET_NS + 1, 200);
-        t.record_message(64);
-        t.record_message(64);
+        t.record_message();
+        t.record_message();
         assert_eq!(t.total_wire_bytes(), 300);
         assert_eq!(t.total_messages(), 2);
         assert_eq!(t.utilization_series(), &[100, 200]);
@@ -176,17 +156,6 @@ mod tests {
     fn burstiness_none_when_insufficient() {
         let t = FabricTrace::new();
         assert!(t.burstiness().is_none());
-    }
-
-    #[test]
-    fn mean_message_size_is_exact() {
-        let mut t = FabricTrace::new();
-        assert_eq!(t.mean_message_size(), 0.0);
-        t.record_message(65);
-        t.record_message(127);
-        t.record_message(8);
-        assert_eq!(t.total_payload_bytes(), 200);
-        assert!((t.mean_message_size() - 200.0 / 3.0).abs() < 1e-9);
     }
 
     #[test]

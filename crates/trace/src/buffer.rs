@@ -13,19 +13,6 @@ pub struct TraceBuffer {
     events: Vec<TraceEvent>,
 }
 
-/// Summary statistics over the gaps between successive event times.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct InterarrivalStats {
-    /// Number of gaps (events minus one).
-    pub count: usize,
-    /// Mean gap in virtual ns.
-    pub mean_ns: f64,
-    /// Smallest gap in virtual ns.
-    pub min_ns: Time,
-    /// Largest gap in virtual ns.
-    pub max_ns: Time,
-}
-
 impl TraceBuffer {
     /// New empty buffer.
     pub fn new() -> Self {
@@ -58,33 +45,6 @@ impl TraceBuffer {
         t.sort_unstable();
         t.dedup();
         t
-    }
-
-    /// Spans on `track`, sorted by start time, as `(start, dur, name)`.
-    pub fn spans_on(&self, track: Track) -> Vec<(Time, Time, &'static str)> {
-        let mut spans: Vec<(Time, Time, &'static str)> = self
-            .events
-            .iter()
-            .filter(|e| e.track == track)
-            .filter_map(|e| match e.kind {
-                EventKind::Span { dur } => Some((e.at, dur, e.name)),
-                _ => None,
-            })
-            .collect();
-        spans.sort_unstable_by_key(|&(at, dur, _)| (at, dur));
-        spans
-    }
-
-    /// Busy/idle decomposition of `track` over `[0, run_end]`: total span
-    /// time vs everything else. Spans on one track are assumed disjoint
-    /// (true for PE step spans and aggregation windows).
-    pub fn busy_idle(&self, track: Track, run_end: Time) -> (Time, Time) {
-        let busy: Time = self
-            .spans_on(track)
-            .iter()
-            .map(|&(at, dur, _)| dur.min(run_end.saturating_sub(at)))
-            .sum();
-        (busy, run_end.saturating_sub(busy))
     }
 
     /// Time-series of counter `name` on `track`, sorted by time.
@@ -125,34 +85,6 @@ impl TraceBuffer {
         evs.sort_by_key(|e| e.at);
         evs
     }
-
-    /// Interarrival statistics over the (time-sorted) *end* times of
-    /// events whose name starts with `prefix` — e.g. `"flush"` matches
-    /// both `flush[size]` and `flush[age]` spans. Returns `None` with
-    /// fewer than two matching events.
-    pub fn interarrival(&self, prefix: &str) -> Option<InterarrivalStats> {
-        let mut ends: Vec<Time> = self
-            .events
-            .iter()
-            .filter(|e| e.name.starts_with(prefix))
-            .map(|e| match e.kind {
-                EventKind::Span { dur } => e.at + dur,
-                _ => e.at,
-            })
-            .collect();
-        if ends.len() < 2 {
-            return None;
-        }
-        ends.sort_unstable();
-        let gaps: Vec<Time> = ends.windows(2).map(|w| w[1] - w[0]).collect();
-        let sum: Time = gaps.iter().sum();
-        Some(InterarrivalStats {
-            count: gaps.len(),
-            mean_ns: sum as f64 / gaps.len() as f64,
-            min_ns: *gaps.iter().min().unwrap(),
-            max_ns: *gaps.iter().max().unwrap(),
-        })
-    }
 }
 
 impl Tracer for TraceBuffer {
@@ -185,17 +117,6 @@ mod tests {
     }
 
     #[test]
-    fn busy_idle_decomposes_run() {
-        let b = demo();
-        let (busy, idle) = b.busy_idle(Track::pe(0), 300);
-        assert_eq!(busy, 150);
-        assert_eq!(idle, 150);
-        // Span running past run_end is clipped.
-        let (busy, _) = b.busy_idle(Track::pe(0), 260);
-        assert_eq!(busy, 110);
-    }
-
-    #[test]
     fn counter_series_sorted_and_peak() {
         let b = demo();
         assert_eq!(
@@ -207,18 +128,6 @@ mod tests {
     }
 
     #[test]
-    fn interarrival_over_prefix() {
-        let b = demo();
-        // flush spans end at 60 and 140 -> one gap of 80.
-        let s = b.interarrival("flush").unwrap();
-        assert_eq!(s.count, 1);
-        assert_eq!(s.min_ns, 80);
-        assert_eq!(s.max_ns, 80);
-        assert!((s.mean_ns - 80.0).abs() < 1e-9);
-        assert!(b.interarrival("msg").is_none()); // single event
-    }
-
-    #[test]
     fn tracks_and_named_queries() {
         let b = demo();
         assert_eq!(
@@ -226,7 +135,6 @@ mod tests {
             vec![Track::pe(0), Track::pe(1), Track::agg(0, 1)]
         );
         assert_eq!(b.events_named("step").len(), 3);
-        assert_eq!(b.spans_on(Track::pe(1)).len(), 1);
     }
 
     #[test]

@@ -13,9 +13,9 @@
 //!   [`is_enabled`](Tracer::is_enabled) so a monomorphized [`NullTracer`]
 //!   compiles to nothing — the disabled path adds zero allocations and
 //!   (after inlining) zero instructions per task.
-//! * [`TraceBuffer`] — an in-memory sink with query helpers (per-track
-//!   busy/idle timelines, counter time-series, interarrival statistics)
-//!   used by tests and analysis code.
+//! * [`TraceBuffer`] — an in-memory sink with query helpers (tracks,
+//!   events by name, counter time-series and peaks) used by tests and
+//!   analysis code.
 //! * [`perfetto`] — a Chrome/Perfetto `trace_event` JSON writer plus a
 //!   validator, so traces load directly in `ui.perfetto.dev`.
 //! * [`MetricsRegistry`] — a named-counter snapshot serialized to JSON by
@@ -35,7 +35,7 @@ pub mod json;
 pub mod metrics;
 pub mod perfetto;
 
-pub use buffer::{InterarrivalStats, TraceBuffer};
+pub use buffer::TraceBuffer;
 pub use metrics::MetricsRegistry;
 
 /// Virtual time in nanoseconds (mirrors `atos_sim::Time`; duplicated here

@@ -27,17 +27,6 @@ impl MetricsRegistry {
         self.counters.insert(key.to_string(), value);
     }
 
-    /// Add `delta` to `key` (creating it at zero).
-    pub fn add(&mut self, key: &str, delta: u64) {
-        *self.counters.entry(key.to_string()).or_insert(0) += delta;
-    }
-
-    /// Raise `key` to `value` if larger (creating it at zero).
-    pub fn max(&mut self, key: &str, value: u64) {
-        let e = self.counters.entry(key.to_string()).or_insert(0);
-        *e = (*e).max(value);
-    }
-
     /// Current value of counter `key`, if set.
     pub fn get(&self, key: &str) -> Option<u64> {
         self.counters.get(key).copied()
@@ -77,13 +66,11 @@ mod tests {
     use super::*;
 
     #[test]
-    fn set_add_max_get() {
+    fn set_overwrites_and_get_reads() {
         let mut r = MetricsRegistry::new();
         r.set("a.x", 5);
-        r.add("a.x", 2);
-        r.add("a.y", 1);
-        r.max("a.x", 3);
-        r.max("a.x", 100);
+        r.set("a.y", 1);
+        r.set("a.x", 100);
         assert_eq!(r.get("a.x"), Some(100));
         assert_eq!(r.get("a.y"), Some(1));
         assert_eq!(r.get("nope"), None);

@@ -1,5 +1,6 @@
-//! The Atos model on real threads: host-backend BFS plus the Listing 4
-//! `DistributedQueues` launch API.
+//! The Atos model on real threads: host-backend BFS plus a task-parallel
+//! fan-out written directly against `run_host` (the paper's Listing 3 run
+//! loop with a Listing 4-style `f1`).
 //!
 //! Everything in this example executes with genuine parallelism — shared
 //! atomic depth arrays, lock-free counter-publication queues, one-sided
@@ -14,10 +15,29 @@ use std::sync::Arc;
 use atos::queue::sync::{AtomicU64, Ordering};
 
 use atos::apps::host_bfs::host_bfs;
-use atos::core::DistributedQueues;
+use atos::core::{run_host, HostApplication, HostConfig};
 use atos::graph::generators::rmat;
 use atos::graph::partition::Partition;
 use atos::graph::reference;
+
+/// Binary fan-out: each task `(depth, salt)` spawns two children, hashed
+/// to their owner PEs, until depth 0.
+struct FanOut {
+    processed: AtomicU64,
+}
+
+impl HostApplication for FanOut {
+    type Task = (u32, u32);
+    fn process(&self, _pe: usize, (depth, salt): Self::Task, push: &mut dyn FnMut(usize, Self::Task)) {
+        self.processed.fetch_add(1, Ordering::Relaxed);
+        if depth > 0 {
+            for i in 0..2u32 {
+                let child_salt = salt.wrapping_mul(1664525).wrapping_add(i);
+                push((child_salt % 4) as usize, (depth - 1, child_salt));
+            }
+        }
+    }
+}
 
 fn main() {
     // Part 1: parallel BFS through the high-level API.
@@ -41,29 +61,14 @@ fn main() {
         run.stats.remote_pushes
     );
 
-    // Part 2: the paper's Listing 4 API directly — a task-parallel
-    // Fibonacci-style fan-out where f1 generates work for other PEs.
-    let processed = AtomicU64::new(0);
-    let queues = DistributedQueues::init(4, 1 << 22, 1 << 22);
-    let stats = queues.launch_cta(
-        /* persistent */ true,
-        /* workers per PE */ 2,
-        vec![vec![(20u32, 7u32)], vec![], vec![], vec![]],
-        |_pe, (depth, salt), push| {
-            processed.fetch_add(1, Ordering::Relaxed);
-            if depth > 0 {
-                // Binary fan-out, children hashed to owner PEs.
-                for i in 0..2u32 {
-                    let child_salt = salt.wrapping_mul(1664525).wrapping_add(i);
-                    push.remote((depth - 1, child_salt), (child_salt % 4) as usize);
-                }
-            }
-        },
-        |_pe| {},
-    );
-    let total = processed.load(Ordering::Relaxed);
+    // Part 2: an application of its own on the host backend — a
+    // task-parallel fan-out where f1 generates work for other PEs.
+    let app = FanOut { processed: AtomicU64::new(0) };
+    let cfg = HostConfig { n_pes: 4, workers_per_pe: 2, fetch: 32, queue_capacity: 1 << 22 };
+    let stats = run_host(&app, cfg, vec![vec![(20u32, 7u32)], vec![], vec![], vec![]]);
+    let total = app.processed.load(Ordering::Relaxed);
     println!(
-        "\nListing-4 fan-out: {} tasks in {:.2} ms ({} crossed PEs)",
+        "\nfan-out: {} tasks in {:.2} ms ({} crossed PEs)",
         total,
         stats.elapsed.as_secs_f64() * 1e3,
         stats.remote_pushes

@@ -201,8 +201,9 @@ done
 echo
 echo "== workspace static analysis (atos-lint) =="
 # Interprocedural pass over the whole workspace: transitive panic
-# propagation from the functions that mark themselves hot, shard-escape
-# (owner-computes flow), the lexical rules; exits 1 on any finding.
+# propagation from the functions that mark themselves hot, and the lexical
+# rules (facade-bypass, sim-determinism, missing-safety); exits 1 on any
+# finding.
 # --timings prints the per-phase/per-rule breakdown so a rule that
 # regresses from microseconds to seconds shows up in every log, and the
 # whole run must stay fast enough to sit in a pre-commit hook (the release
