@@ -4,21 +4,24 @@
 //! iteration, every GPU launches a kernel over its frontier, the host
 //! synchronizes the stream, remote updates are exchanged in bulk
 //! (CPU-mediated), and a merge step folds received updates into the next
-//! frontier. The clock is advanced with the same
-//! [`GpuCostModel`] used by Atos; the only differences are
-//! the framework's own: kernel-boundary synchronization, bursty bulk
-//! exchange, and a CPU control path.
+//! frontier. It is a *schedule*, not a second program: [`run_bsp`] runs
+//! the same [`Application`]s the Atos runtime runs (IrGL's view of BSP vs
+//! persistent execution), and the clock is advanced with the same
+//! [`GpuCostModel`]. The only differences are the framework's own:
+//! kernel-boundary synchronization, bursty bulk exchange, and a CPU
+//! control path.
 //!
 //! Per iteration we charge **two kernel cycles** (Gunrock's advance +
-//! filter operator pair) plus one more when a merge of received updates
-//! is needed.
+//! filter operator pair) plus one more on a PE that merges received
+//! updates.
 
 use std::sync::Arc;
 
-use atos_core::RunStats;
+use atos_apps::bfs::BfsApp;
+use atos_apps::pagerank::{PageRankApp, PrTask};
+use atos_core::{Application, Emitter, RunStats};
 use atos_graph::csr::{Csr, VertexId};
 use atos_graph::partition::Partition;
-use atos_graph::reference::UNREACHED;
 use atos_sim::{ControlPath, Fabric, GpuCostModel, PeId, Time};
 
 /// Result of a BSP run.
@@ -76,30 +79,24 @@ impl BspClock {
         self.clock = t_end;
     }
 
-    /// Bulk all-to-all exchange at the barrier; returns when the last
-    /// message lands.
-    fn exchange(&mut self, bytes: &[Vec<u64>], task_counts: &[Vec<u64>]) {
+    /// Bulk all-to-all exchange at the barrier of `sends[src][dst]`, at
+    /// `task_bytes` per task; returns when the last message lands.
+    fn exchange<T>(&mut self, sends: &[Vec<Vec<T>>], task_bytes: u64) {
         let mut t_end = self.clock;
-        let n = bytes.len();
-        for (src, row) in bytes.iter().enumerate() {
-            for (dst, &b) in row.iter().enumerate() {
-                if b == 0 || src == dst {
+        for (src, row) in sends.iter().enumerate() {
+            for (dst, run) in row.iter().enumerate() {
+                if run.is_empty() {
                     continue;
                 }
-                let arrival = self.fabric.transfer(
-                    self.clock,
-                    PeId(src as u32),
-                    PeId(dst as u32),
-                    b,
-                    self.control,
-                );
+                let bytes = run.len() as u64 * task_bytes;
+                let (from, to) = (PeId(src as u32), PeId(dst as u32));
+                let arrival = self.fabric.transfer(self.clock, from, to, bytes, self.control);
                 self.stats.messages += 1;
-                self.stats.payload_bytes += b;
-                self.stats.remote_tasks += task_counts[src][dst];
+                self.stats.payload_bytes += bytes;
+                self.stats.remote_tasks += run.len() as u64;
                 t_end = t_end.max(arrival);
             }
         }
-        let _ = n;
         self.clock = t_end;
     }
 
@@ -115,126 +112,105 @@ impl BspClock {
     }
 }
 
-/// Level-synchronous multi-GPU BFS (Gunrock-like).
+/// Run `app` bulk-synchronously on `fabric` from `seeds[pe]`, PE `pe`'s
+/// first frontier; returns the run's statistics and its superstep count.
+///
+/// Each superstep does four things, in order:
+/// 1. every PE runs its whole frontier through [`Application::process`],
+///    charged as two kernels (advance + filter);
+/// 2. at the barrier the host ships each `(src, dst)` run in bulk over the
+///    CPU control path, at [`Application::task_bytes`] per task;
+/// 3. each receiver applies its runs, in source-PE order, with
+///    [`Application::on_receive_run`], charged as one merge kernel;
+/// 4. the local tasks and then the kept ones form the next frontier.
+///
+/// The run ends when every frontier is empty. The schedule calls
+/// `process`, `on_receive_run`, `task_edges` and `task_bytes`, and no
+/// other method: there is no priority queue (`priority`), no pop failure
+/// inside a superstep (`on_idle`) and no batch pipeline (`prefetch`).
+///
+/// # Panics
+/// If `seeds` does not hold one frontier per PE of `fabric`.
+pub fn run_bsp<A: Application>(
+    app: &mut A,
+    fabric: Fabric,
+    seeds: Vec<Vec<A::Task>>,
+) -> (RunStats, u32) {
+    let n_pes = fabric.n_pes();
+    assert_eq!(seeds.len(), n_pes, "one seed frontier per PE");
+    let mut clk = BspClock::new(fabric, GpuCostModel::v100());
+    let task_bytes = app.task_bytes();
+    let mut frontier = seeds;
+    // `sends[src][dst]`: the run `src` ships to `dst` at this barrier.
+    let mut sends: Vec<Vec<Vec<A::Task>>> =
+        (0..n_pes).map(|_| (0..n_pes).map(|_| Vec::new()).collect()).collect();
+    let mut supersteps = 0u32;
+
+    while frontier.iter().any(|f| !f.is_empty()) {
+        supersteps += 1;
+        // Advance + filter kernels per PE.
+        let mut next = Vec::with_capacity(n_pes);
+        let mut shape = Vec::with_capacity(n_pes);
+        for (pe, tasks) in frontier.iter().enumerate() {
+            let mut out = Emitter::new(pe, n_pes);
+            let (mut edges, mut span) = (0u64, 0u64);
+            for &task in tasks {
+                let e = app.task_edges(&task);
+                edges += e;
+                span = span.max(e);
+                app.process(pe, task, &mut out);
+            }
+            shape.push((tasks.len(), edges, span));
+            for (dst, run) in sends[pe].iter_mut().enumerate() {
+                if dst != pe {
+                    *run = std::mem::take(out.remote_mut(dst));
+                }
+            }
+            next.push(out.local);
+        }
+        clk.compute_phase(&shape, 2);
+
+        // Barrier + bulk exchange.
+        clk.exchange(&sends, task_bytes);
+
+        // Merge received updates. Merging is a flat scan of received
+        // updates (one atomic each), not a task-scheduling round: charge
+        // it as pure edge work on one saturating batch.
+        let mut merge = Vec::with_capacity(n_pes);
+        for (dst, keep) in next.iter_mut().enumerate() {
+            let mut received = 0u64;
+            for row in &sends {
+                received += row[dst].len() as u64;
+                app.on_receive_run(dst, &row[dst], keep);
+            }
+            merge.push(((received > 0) as usize, received, 1u64));
+        }
+        clk.compute_phase(&merge, 1);
+        frontier = next;
+    }
+
+    (clk.finish(), supersteps)
+}
+
+/// Level-synchronous multi-GPU BFS (Gunrock-like): [`BfsApp`] under
+/// [`run_bsp`], seeded as `run_bfs_tuned` seeds it.
 pub fn bsp_bfs(
     graph: Arc<Csr>,
     partition: Arc<Partition>,
     source: VertexId,
     fabric: Fabric,
 ) -> BspRun {
-    let n_pes = fabric.n_pes();
-    assert_eq!(partition.n_parts(), n_pes);
-    let mut clk = BspClock::new(fabric, GpuCostModel::v100());
-    let n = graph.n_vertices();
-    let mut depth = vec![UNREACHED; n];
-    depth[source as usize] = 0;
-    let mut frontier: Vec<Vec<VertexId>> = vec![Vec::new(); n_pes];
-    frontier[partition.owner(source)].push(source);
-    let task_bytes = 8u64;
-    let mut iterations = 0u32;
-
-    loop {
-        let active: usize = frontier.iter().map(Vec::len).sum();
-        if active == 0 {
-            break;
-        }
-        iterations += 1;
-        // Advance + filter kernels per PE.
-        let mut next: Vec<Vec<VertexId>> = vec![Vec::new(); n_pes];
-        let mut send: Vec<Vec<Vec<(VertexId, u32)>>> =
-            vec![vec![Vec::new(); n_pes]; n_pes];
-        let mut shape = Vec::with_capacity(n_pes);
-        for pe in 0..n_pes {
-            let mut edges = 0u64;
-            let mut span = 0u64;
-            for &v in &frontier[pe] {
-                let deg = graph.degree(v) as u64;
-                edges += deg;
-                span = span.max(deg);
-                let nd = depth[v as usize] + 1;
-                for &w in graph.neighbors(v) {
-                    let owner = partition.owner(w);
-                    if owner == pe {
-                        if nd < depth[w as usize] {
-                            depth[w as usize] = nd;
-                            next[pe].push(w);
-                        }
-                    } else {
-                        // BSP: remote updates are buffered until the
-                        // barrier, applied at the destination next
-                        // iteration.
-                        send[pe][owner].push((w, nd));
-                    }
-                }
-            }
-            shape.push((frontier[pe].len(), edges, span));
-        }
-        clk.compute_phase(&shape, 2);
-
-        // The filter kernel deduplicates the outgoing update lists (a
-        // vertex reached from several parents in one level is sent once).
-        for row in &mut send {
-            for buf in row.iter_mut() {
-                buf.sort_unstable();
-                buf.dedup_by_key(|&mut (w, _)| w);
-            }
-        }
-
-        // Barrier + bulk exchange.
-        let bytes: Vec<Vec<u64>> = send
-            .iter()
-            .map(|row| row.iter().map(|v| v.len() as u64 * task_bytes).collect())
-            .collect();
-        let counts: Vec<Vec<u64>> = send
-            .iter()
-            .map(|row| row.iter().map(|v| v.len() as u64).collect())
-            .collect();
-        let any_comm = bytes.iter().flatten().any(|&b| b > 0);
-        clk.exchange(&bytes, &counts);
-
-        // Merge received updates (one more kernel on receiving PEs).
-        if any_comm {
-            let mut merge_shape = vec![(0usize, 0u64, 0u64); n_pes];
-            for (src, row) in send.iter().enumerate() {
-                let _ = src;
-                for (dst, updates) in row.iter().enumerate() {
-                    for &(w, nd) in updates {
-                        merge_shape[dst].0 += 1;
-                        if nd < depth[w as usize] {
-                            depth[w as usize] = nd;
-                            next[dst].push(w);
-                        }
-                    }
-                }
-            }
-            // Merging is a flat scan of received updates (one atomicMin
-            // each), not a task-scheduling round: charge it as pure edge
-            // work on one saturating batch.
-            let merge: Vec<(usize, u64, u64)> = merge_shape
-                .iter()
-                .map(|&(t, _, _)| (t.min(1), t as u64, 1u64))
-                .collect();
-            clk.compute_phase(&merge, 1);
-        }
-
-        // Deduplicate next frontier (filter kernel's job).
-        for f in &mut next {
-            f.sort_unstable();
-            f.dedup();
-        }
-        frontier = next;
-    }
-
-    BspRun {
-        stats: clk.finish(),
-        depth,
-        rank: Vec::new(),
-        iterations,
-    }
+    assert_eq!(partition.n_parts(), fabric.n_pes(), "partition/fabric size");
+    let mut app = BfsApp::new(graph, partition.clone(), source);
+    let mut seeds = vec![Vec::new(); fabric.n_pes()];
+    seeds[partition.owner(source)].push((source, 0));
+    let (stats, iterations) = run_bsp(&mut app, fabric, seeds);
+    BspRun { stats, depth: app.depth, rank: Vec::new(), iterations }
 }
 
-/// Bulk-synchronous push PageRank (Gunrock-like): all active vertices
-/// relax each iteration; remote contributions cross at the barrier.
+/// Bulk-synchronous push PageRank (Gunrock-like): [`PageRankApp`] under
+/// [`run_bsp`], every vertex seeded on its owner as `run_pagerank_tuned`
+/// seeds it; remote contributions cross at the barrier.
 pub fn bsp_pagerank(
     graph: Arc<Csr>,
     partition: Arc<Partition>,
@@ -242,118 +218,13 @@ pub fn bsp_pagerank(
     epsilon: f64,
     fabric: Fabric,
 ) -> BspRun {
-    let n_pes = fabric.n_pes();
-    assert_eq!(partition.n_parts(), n_pes);
-    let mut clk = BspClock::new(fabric, GpuCostModel::v100());
-    let n = graph.n_vertices();
-    let mut rank = vec![0.0f64; n];
-    let mut residue = vec![1.0 - alpha; n];
-    let task_bytes = 8u64;
-    let owned: Vec<Vec<VertexId>> = (0..n_pes).map(|pe| partition.vertices_of(pe)).collect();
-    let mut iterations = 0u32;
-
-    // Reused accumulation state. BSP PageRank is *Jacobi*: every
-    // contribution — local or remote — is buffered during the iteration
-    // and applied at the barrier, so each round relaxes against residues
-    // from the previous round. This is what makes the bulk-synchronous
-    // formulation do severalfold more relaxations than the asynchronous
-    // (Gauss-Seidel-ordered) push PR the paper's Atos and Groute run.
-    // Remote contributions are pre-aggregated per destination vertex (the
-    // reduce in Gunrock's exchange), so message size is per-vertex.
-    let mut next_residue = vec![0.0f64; n];
-    let mut send_val: Vec<Vec<f64>> = vec![vec![0.0; n]; n_pes];
-    let mut touched: Vec<Vec<Vec<VertexId>>> = vec![vec![Vec::new(); n_pes]; n_pes];
-    loop {
-        // Active = residue above threshold, found by the filter kernel.
-        let mut shape = Vec::with_capacity(n_pes);
-        let mut active_total = 0usize;
-        for pe in 0..n_pes {
-            let mut tasks = 0usize;
-            let mut edges = 0u64;
-            let mut span = 0u64;
-            for &v in &owned[pe] {
-                let r = residue[v as usize];
-                if r < epsilon {
-                    continue;
-                }
-                tasks += 1;
-                active_total += 1;
-                let deg = graph.degree(v) as u64;
-                edges += deg;
-                span = span.max(deg);
-                residue[v as usize] = 0.0;
-                rank[v as usize] += r;
-                if deg == 0 {
-                    continue;
-                }
-                let share = alpha * r / deg as f64;
-                for &w in graph.neighbors(v) {
-                    let owner = partition.owner(w);
-                    if owner == pe {
-                        next_residue[w as usize] += share;
-                    } else {
-                        if send_val[owner][w as usize] == 0.0 {
-                            touched[pe][owner].push(w);
-                        }
-                        send_val[owner][w as usize] += share;
-                    }
-                }
-            }
-            shape.push((tasks, edges, span));
-        }
-        if active_total == 0 {
-            break;
-        }
-        iterations += 1;
-        clk.compute_phase(&shape, 2);
-
-        // Barrier: fold this round's local contributions into the live
-        // residues (remote ones arrive via the exchange below).
-        for (w, nr) in next_residue.iter_mut().enumerate() {
-            if *nr != 0.0 {
-                residue[w] += *nr;
-                *nr = 0.0;
-            }
-        }
-
-        // Bulk exchange of per-vertex aggregated contributions.
-        let counts: Vec<Vec<u64>> = touched
-            .iter()
-            .map(|row| row.iter().map(|t| t.len() as u64).collect())
-            .collect();
-        let bytes: Vec<Vec<u64>> = counts
-            .iter()
-            .map(|row| row.iter().map(|&c| c * task_bytes).collect())
-            .collect();
-        clk.exchange(&bytes, &counts);
-
-        // Apply at destinations (flat scan; charged like the BFS merge).
-        let mut merge_shape = vec![(0usize, 0u64, 0u64); n_pes];
-        for row in &mut touched {
-            for (dst, list) in row.iter_mut().enumerate() {
-                merge_shape[dst].1 += list.len() as u64;
-                merge_shape[dst].0 = 1;
-                for w in list.drain(..) {
-                    residue[w as usize] += send_val[dst][w as usize];
-                    send_val[dst][w as usize] = 0.0;
-                }
-            }
-        }
-        clk.compute_phase(
-            &merge_shape
-                .iter()
-                .map(|&(t, e, _)| (t.min(1) * (e > 0) as usize, e, 1u64))
-                .collect::<Vec<_>>(),
-            1,
-        );
-    }
-
-    BspRun {
-        stats: clk.finish(),
-        depth: Vec::new(),
-        rank,
-        iterations,
-    }
+    assert_eq!(partition.n_parts(), fabric.n_pes(), "partition/fabric size");
+    let mut app = PageRankApp::new(graph, partition.clone(), alpha, epsilon);
+    let seeds = (0..partition.n_parts())
+        .map(|pe| partition.vertices_of(pe).into_iter().map(PrTask::Relax).collect())
+        .collect();
+    let (stats, iterations) = run_bsp(&mut app, fabric, seeds);
+    BspRun { stats, depth: Vec::new(), rank: app.rank, iterations }
 }
 
 #[cfg(test)]

@@ -4,9 +4,10 @@
 //! The paper compares against three systems; each is reproduced as the
 //! scheduling discipline the paper attributes its behavior to:
 //!
-//! * [`bsp`] — **Gunrock-like**: level-synchronous BSP. Per iteration:
-//!   advance + filter kernels on every GPU, a CPU-side barrier, then a
-//!   bulk all-to-all exchange through the CPU control path. Suffers kernel
+//! * [`bsp`] — **Gunrock-like**: level-synchronous BSP, a schedule
+//!   ([`run_bsp`]) over the same applications. Per iteration: advance +
+//!   filter kernels on every GPU, a CPU-side barrier, then a bulk
+//!   all-to-all exchange through the CPU control path. Suffers kernel
 //!   launch overhead × diameter on mesh graphs and bursty communication
 //!   everywhere.
 //! * [`groute_like`] — **Groute-like**: the *same asynchronous algorithm
@@ -28,6 +29,6 @@ pub mod bsp;
 pub mod galois_like;
 pub mod groute_like;
 
-pub use bsp::{bsp_bfs, bsp_pagerank, BspRun};
+pub use bsp::{bsp_bfs, bsp_pagerank, run_bsp, BspRun};
 pub use galois_like::{galois_bfs, galois_pagerank};
 pub use groute_like::{groute_bfs, groute_pagerank};

@@ -42,7 +42,7 @@ pub const ALPHA: f64 = 0.85;
 /// Residues start at `1 - α = 0.15` per vertex, so `1e-5` is four orders
 /// of magnitude of convergence — comparable to the tolerances the
 /// compared frameworks default to, and it keeps full-table regeneration
-/// affordable on a single-core host (see EXPERIMENTS.md).
+/// affordable on a small host (full Table IV takes ≈ 2 min on 2 cores).
 pub const EPSILON: f64 = 1e-5;
 
 /// Restore the default `SIGPIPE` disposition so `<binary> | head` ends
@@ -168,11 +168,6 @@ pub fn frameworks(system: System, app: App) -> &'static [&'static str] {
         ],
         (System::Ib, _) => &["Galois", "Atos"],
     }
-}
-
-/// Whether `framework` (one of [`frameworks`]) is an Atos configuration.
-pub fn is_atos(framework: &str) -> bool {
-    framework.starts_with("Atos")
 }
 
 /// Run `framework` (one of [`frameworks`]`(system, app)`) on `ds` at

@@ -7,10 +7,11 @@
 //!
 //! 1. **End-to-end quick workloads** ([`quick_grid_ms`]): the
 //!    fig5/fig8/fig9 sweep grids at test scale — their cells enumerated from the
-//!    experiment table ([`crate::registry`]) — run serially in-process so
-//!    the number is a stable single-core wall-clock, not a function of
-//!    host parallelism. [`measure_graph_build`] times the layer underneath
-//!    them: full-scale graph generation and the CSR build.
+//!    experiment table ([`crate::registry`]) — run serially in-process, on
+//!    one thread, so the number does not scale with host parallelism (each
+//!    entry records `host_cores`, and the gate skips cross-host pairs).
+//!    [`measure_graph_build`] times the layer underneath them: full-scale
+//!    graph generation and the CSR build, which does use every core.
 //! 2. **The trajectory file** ([`TrajectoryEntry`], [`read_trajectory`],
 //!    [`append_entries`], [`check_regression`]): a committed, append-only
 //!    JSON history keyed by `<git sha>@<timestamp>` — both passed in via

@@ -9,7 +9,8 @@ use std::process::Command;
 use atos_bench::registry::{EXPERIMENTS, REFERENCE};
 
 /// Committed `--quick --threads 1` stdout, by experiment name.
-const QUICK_GOLDENS: [(&str, &str); 4] = [
+const QUICK_GOLDENS: [(&str, &str); 5] = [
+    ("table4_pr_nvlink", "table4_quick.txt"),
     ("fig5_scaling_nvlink", "fig5_quick.txt"),
     ("fig8_scaling_ib_bfs", "fig8_quick.txt"),
     ("fig9_scaling_ib_pr", "fig9_quick.txt"),

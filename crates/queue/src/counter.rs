@@ -265,13 +265,6 @@ impl<T: Copy + Send> CounterQueue<T> {
         self.len() == 0
     }
 
-    /// Total items ever pushed (reservations that fit the arena).
-    pub fn total_pushed(&self) -> usize {
-        self.end_alloc
-            .load(Ordering::Relaxed)
-            .min(self.slots.len() as u64) as usize
-    }
-
     /// Publication frontier (diagnostics / tests).
     pub fn published(&self) -> u64 {
         self.end.load(Ordering::Acquire)

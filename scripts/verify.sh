@@ -77,7 +77,8 @@ quick() {
     local exp="$1" out="$2"; shift 2
     "$bench" "$exp" --quick --threads 1 --json "$tmp/sweep.json" "$@" > "$out" 2> /dev/null
 }
-for exp in table2_bfs_nvlink table5_ib fig5_scaling_nvlink fig8_scaling_ib_bfs fig9_scaling_ib_pr; do
+for exp in table2_bfs_nvlink table4_pr_nvlink table5_ib fig5_scaling_nvlink fig8_scaling_ib_bfs \
+        fig9_scaling_ib_pr; do
     quick "$exp" "$tmp/$exp.serial.out"
     quick "$exp" "$tmp/$exp.threads2.out" --threads 2
     same "$exp byte-identical across thread counts" "$tmp/$exp.serial.out" "$tmp/$exp.threads2.out"
@@ -107,13 +108,16 @@ echo "ok: unsupported flags and unknown experiments are rejected (exit 2)"
 
 echo
 echo "== golden byte-compare (committed outputs pin determinism) =="
-for pair in fig5_scaling_nvlink:fig5 table5_ib:table5 fig8_scaling_ib_bfs:fig8 fig9_scaling_ib_pr:fig9; do
+for pair in fig5_scaling_nvlink:fig5 table4_pr_nvlink:table4 table5_ib:table5 fig8_scaling_ib_bfs:fig8 \
+        fig9_scaling_ib_pr:fig9; do
     same "${pair%%:*} --quick matches results/${pair#*:}_quick.txt" \
         "$tmp/${pair%%:*}.serial.out" "results/${pair#*:}_quick.txt"
 done
-# The full-scale files that regenerate in seconds, so none can go stale.
+# The full-scale files that regenerate within a minute, so none can go stale
+# (fig7 is the slowest, ≈ 25 s on 2 cores; full table4 takes ≈ 2 min and is
+# gated at quick scale above).
 for pair in table1_datasets:table1 table2_bfs_nvlink:table2 table3_priority_workload:table3 \
-        fig2_efficiency:fig2 fig4_ib_sweep:fig4; do
+        fig2_efficiency:fig2 fig4_ib_sweep:fig4 fig7_summit_node:fig7; do
     "$bench" "${pair%%:*}" --json "$tmp/sweep.json" > "$tmp/full.out" 2> /dev/null
     same "${pair%%:*} matches results/${pair#*:}.txt" "$tmp/full.out" "results/${pair#*:}.txt"
 done

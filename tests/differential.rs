@@ -22,12 +22,12 @@ use std::ops::Range;
 use std::sync::Arc;
 
 use atos::apps::bfs::run_bfs_tuned;
-use atos::apps::cc::run_cc;
+use atos::apps::cc::{run_cc, CcApp};
 use atos::apps::host_bfs::host_bfs;
 use atos::apps::pagerank::run_pagerank_tuned;
-use atos::apps::sssp::{run_sssp, run_sssp_delta};
+use atos::apps::sssp::{run_sssp, run_sssp_delta, SsspApp, KIND_FULL, KIND_LIGHT};
 use atos::baselines::{
-    bsp_bfs, bsp_pagerank, galois_bfs, galois_pagerank, groute_bfs, groute_pagerank,
+    bsp_bfs, bsp_pagerank, galois_bfs, galois_pagerank, groute_bfs, groute_pagerank, run_bsp,
 };
 use atos::core::{
     AtosConfig, CommMode, KernelMode, NullTracer, QueueMode, RunStats, RuntimeTuning,
@@ -77,8 +77,10 @@ enum Net {
     Ib(usize),
 }
 
-/// Who runs a BFS or a PageRank: the Atos runtime under the drawn
-/// configuration and tuning, or one of the baselines under its own.
+/// Who runs a case: the Atos runtime under the drawn configuration and
+/// tuning, or one of the baselines under its own. Groute- and Galois-like
+/// exist for BFS and PageRank only; the bulk-synchronous schedule
+/// (`run_bsp`) runs every simulated application.
 #[derive(Debug, Clone, Copy)]
 enum Framework {
     Atos,
@@ -91,8 +93,8 @@ enum Framework {
 enum App {
     Bfs(Framework),
     PageRank { framework: Framework, alpha: f64 },
-    Cc,
-    Sssp { split: bool, delta: u64, max_weight: u32, seed: u64 },
+    Cc(Framework),
+    Sssp { framework: Framework, split: bool, delta: u64, max_weight: u32, seed: u64 },
     /// BFS on real threads (`atos-core`'s host backend).
     HostBfs,
 }
@@ -263,18 +265,20 @@ impl Case {
         let n = graph.n_vertices();
         let frameworks = [Framework::Atos, Framework::Groute, Framework::Galois, Framework::Bsp];
         let framework = pick(&mut rng, &frameworks);
+        // CC and SSSP have no Groute- or Galois-like configuration.
+        let schedule = pick(&mut rng, &[Framework::Atos, Framework::Bsp]);
         // `PageRankApp::new` takes any damping in [0, 1].
         let alpha = pick(&mut rng, &[0.0, 0.5, 0.7, 0.85, 1.0]);
         let max_weight = draw(&mut rng, 1..40);
         let delta = draw(&mut rng, 0..2 * max_weight as u64);
         let seed = draw(&mut rng, 0..1 << 20);
-        let sssp = |split| App::Sssp { split, delta, max_weight, seed };
+        let sssp = |split| App::Sssp { framework: schedule, split, delta, max_weight, seed };
         // CC and PageRank are the applications that need no source vertex.
         let app = match draw(&mut rng, 0..6) {
-            _ if n == 0 => pick(&mut rng, &[App::Cc, App::PageRank { framework, alpha }]),
+            _ if n == 0 => pick(&mut rng, &[App::Cc(schedule), App::PageRank { framework, alpha }]),
             0 => App::Bfs(framework),
             1 => App::PageRank { framework, alpha },
-            2 => App::Cc,
+            2 => App::Cc(schedule),
             3 => sssp(false),
             4 => sssp(true),
             _ => App::HostBfs,
@@ -346,15 +350,45 @@ fn run(case: &Case, g: &Arc<Csr>, part: &Arc<Partition>) -> (Answer, Option<RunS
             };
             (Answer::Rank(rank.iter().map(|x| x.to_bits()).collect()), stats)
         }
-        App::Cc => {
-            let r = run_cc(Arc::new(g.symmetrize()), part, fabric, cfg);
-            (Answer::Label(r.label), r.stats)
+        App::Cc(framework) => {
+            let g = Arc::new(g.symmetrize());
+            let (label, stats) = match framework {
+                Framework::Bsp => {
+                    let mut app = CcApp::new(g, part.clone());
+                    let seeds = (0..part.n_parts())
+                        .map(|pe| part.vertices_of(pe).into_iter().map(|v| (v, v)).collect())
+                        .collect();
+                    let (stats, _) = run_bsp(&mut app, fabric, seeds);
+                    (app.label, stats)
+                }
+                _ => {
+                    let r = run_cc(g, part, fabric, cfg);
+                    (r.label, r.stats)
+                }
+            };
+            (Answer::Label(label), stats)
         }
-        App::Sssp { split, delta, max_weight, seed } => {
+        App::Sssp { framework, split, delta, max_weight, seed } => {
             let w = Arc::new(EdgeWeights::random(&g, max_weight, seed));
-            let go = if split { run_sssp_delta } else { run_sssp };
-            let r = go(g, w, part, src, delta, fabric, cfg);
-            (Answer::Dist(r.dist), r.stats)
+            let (dist, stats) = match framework {
+                Framework::Bsp => {
+                    let mut seeds = vec![Vec::new(); part.n_parts()];
+                    let (mut app, kind) = if split {
+                        (SsspApp::new_split(g, w, part.clone(), src, delta), KIND_LIGHT)
+                    } else {
+                        (SsspApp::new(g, w, part.clone(), src, delta), KIND_FULL)
+                    };
+                    seeds[part.owner(src)].push((src, 0, kind));
+                    let (stats, _) = run_bsp(&mut app, fabric, seeds);
+                    (app.dist, stats)
+                }
+                _ => {
+                    let go = if split { run_sssp_delta } else { run_sssp };
+                    let r = go(g, w, part, src, delta, fabric, cfg);
+                    (r.dist, r.stats)
+                }
+            };
+            (Answer::Dist(dist), stats)
         }
         App::HostBfs => return (Answer::Depth(host_bfs(g, part, src, None).depth), None),
     };
