@@ -21,6 +21,11 @@
 //! configuration orders tasks by depth-at-push (`threshold_delta = 1`),
 //! which is exactly the paper's mitigation quantified in Table III; this
 //! module's [`BfsRun::normalized_workload`] reproduces that metric.
+//!
+//! The same program with a zero hop is min-label connected components
+//! ([`BfsApp::components`], run by [`crate::cc::run_cc`]): every vertex
+//! starts at its own id and a relaxation offers the label itself instead
+//! of `d + 1`.
 
 use std::sync::Arc;
 
@@ -35,41 +40,52 @@ use atos_graph::prefetch::prefetch;
 use atos_graph::reference::UNREACHED;
 use atos_sim::Fabric;
 
-/// BFS as an Atos application.
+/// BFS (and, with hop 0, connected components) as an Atos application.
 pub struct BfsApp {
     graph: Arc<Csr>,
     partition: Arc<Partition>,
-    /// Current best depth per vertex (`u32::MAX` = unreached). Owned
-    /// entries are authoritative; an entry owned by another PE is only
-    /// ever read/written by its owner (`process` local relaxations and
+    /// Current best depth per vertex (`u32::MAX` = unreached), or
+    /// component label under [`BfsApp::components`]. Owned entries are
+    /// authoritative; an entry owned by another PE is only ever
+    /// read/written by its owner (`process` local relaxations and
     /// `on_receive` remote ones).
     pub depth: Vec<u32>,
     /// `mirror[pe][w]`: the best depth PE `pe` has *sent* for remote
     /// vertex `w` — the sender-side duplicate-suppression filter. Private
     /// to `pe`.
     mirror: Vec<Vec<u32>>,
-    source: VertexId,
+    /// What one edge adds to the depth it relaxes: 1 for BFS, 0 for
+    /// min-label components.
+    hop: u32,
 }
 
 impl BfsApp {
     /// New BFS instance from `source`.
     pub fn new(graph: Arc<Csr>, partition: Arc<Partition>, source: VertexId) -> Self {
-        let n = graph.n_vertices();
-        assert_eq!(partition.n_vertices(), n);
-        let mut depth = vec![UNREACHED; n];
+        let mut depth = vec![UNREACHED; graph.n_vertices()];
         depth[source as usize] = 0;
-        BfsApp {
-            graph,
-            partition: partition.clone(),
-            depth,
-            mirror: vec![vec![UNREACHED; n]; partition.n_parts()],
-            source,
-        }
+        Self::with_depths(graph, partition, depth, 1)
     }
 
-    /// The BFS source vertex.
-    pub fn source(&self) -> VertexId {
-        self.source
+    /// Connected components by min-label propagation: every vertex starts
+    /// labelled with its own id (seed each one with `(v, v)`) and the hop
+    /// is 0. Expects a symmetric graph (use [`Csr::symmetrize`] for
+    /// directed inputs).
+    pub fn components(graph: Arc<Csr>, partition: Arc<Partition>) -> Self {
+        let labels = (0..graph.n_vertices() as u32).collect();
+        Self::with_depths(graph, partition, labels, 0)
+    }
+
+    fn with_depths(graph: Arc<Csr>, partition: Arc<Partition>, depth: Vec<u32>, hop: u32) -> Self {
+        let n = graph.n_vertices();
+        assert_eq!(partition.n_vertices(), n);
+        BfsApp {
+            graph,
+            mirror: vec![vec![UNREACHED; n]; partition.n_parts()],
+            partition,
+            depth,
+            hop,
+        }
     }
 
     /// Number of vertices reached so far.
@@ -86,7 +102,7 @@ impl Application for BfsApp {
         debug_assert_eq!(self.partition.owner(v), pe, "task on wrong PE");
         let d = self.depth[v as usize];
         debug_assert_ne!(d, UNREACHED, "queued vertex must have a depth");
-        let nd = d + 1;
+        let nd = d + self.hop;
         for &w in self.graph.neighbors(v) {
             let owner = self.partition.owner(w);
             if owner == pe {
@@ -152,7 +168,7 @@ impl atos_core::ShardableApp for BfsApp {
             partition: self.partition.clone(),
             depth: self.depth.clone(),
             mirror: self.mirror.clone(),
-            source: self.source,
+            hop: self.hop,
         }
     }
 

@@ -15,7 +15,8 @@
 //!
 //! * [`sssp`] — delta-stepping shortest paths, the canonical client of
 //!   the `DistributedPriorityQueues` threshold machinery;
-//! * [`cc`] — asynchronous min-label connected components.
+//! * [`cc`] — asynchronous min-label connected components, which is
+//!   [`BfsApp`] with a zero hop ([`BfsApp::components`]).
 //!
 //! All are executed by [`atos_core::Runtime`] over real graph data, so
 //! every run is validated against serial references. the [`host_bfs`](fn@crate::host_bfs::host_bfs) entry point runs
@@ -32,6 +33,6 @@ pub mod sssp;
 
 pub use bfs::{BfsApp, BfsRun};
 pub use host_bfs::{host_bfs, HostBfsApp, HostBfsRun};
-pub use cc::{CcApp, CcRun};
+pub use cc::CcRun;
 pub use pagerank::{PageRankApp, PageRankRun};
 pub use sssp::{SsspApp, SsspRun};

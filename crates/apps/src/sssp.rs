@@ -100,7 +100,6 @@ pub struct SsspApp {
     light: Option<Arc<LightEdges>>,
     /// Delta-stepping bucket width for the priority queue.
     pub delta: u64,
-    source: VertexId,
 }
 
 impl SsspApp {
@@ -159,13 +158,7 @@ impl SsspApp {
             heavy_sent,
             light,
             delta,
-            source,
         }
-    }
-
-    /// The source vertex.
-    pub fn source(&self) -> VertexId {
-        self.source
     }
 
     /// Bucket index of distance `d`.
@@ -339,7 +332,6 @@ impl atos_core::ShardableApp for SsspApp {
             heavy_sent: self.heavy_sent.clone(),
             light: self.light.clone(),
             delta: self.delta,
-            source: self.source,
         }
     }
 

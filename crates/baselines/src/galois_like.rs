@@ -47,14 +47,12 @@ fn galois_tuning(graph: &Csr) -> RuntimeTuning {
     // Gluon per-round metadata: bitvectors and offset arrays over the
     // masters+mirrors id space (which spans the whole graph under the
     // random/edge-cut partitions used here), packed and unpacked on the
-    // host. ~n/8 bytes per peer per communicating round, at a host
-    // serialization throughput of ~60 MB/s effective (pack + MPI stack +
-    // unpack), which is the measured Gluon overhead regime.
+    // host. ~n/8 bytes per peer per communicating round, serialized at
+    // the runtime's `METADATA_CPU_NS_PER_BYTE`.
     RuntimeTuning {
         control: ControlPath::cpu_mediated(),
         in_kernel_comm: false,
         round_metadata_bytes: (graph.n_vertices() as u64 / 8).max(64),
-        metadata_cpu_ns_per_byte: 16.0,
     }
 }
 

@@ -50,7 +50,6 @@ fn groute_tuning() -> RuntimeTuning {
         control: ControlPath::cpu_mediated(),
         in_kernel_comm: false,
         round_metadata_bytes: 0,
-        metadata_cpu_ns_per_byte: 0.0,
     }
 }
 

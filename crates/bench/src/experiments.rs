@@ -1,8 +1,7 @@
 //! The experiments that are not framework grids: one function per
-//! artifact, each `fn(&BenchArgs, &EventTally)` as
-//! [`crate::registry::Body::Custom`] expects. They print their table to
-//! stdout (byte-identical at any `--threads`), add every simulated run to
-//! the tally, and leave timing to the driver's [`crate::SweepReport`].
+//! artifact, each `fn(&BenchArgs)` as [`crate::registry::Body::Custom`]
+//! expects. They print their table to stdout (byte-identical at any
+//! `--threads`) and leave timing to `atos-bench`.
 
 use std::sync::Arc;
 
@@ -19,7 +18,7 @@ use atos_queue::bench_harness::{run as queue_run, Experiment, QueueKind, OPS_PER
 use atos_sim::packet::{figure2_series, PacketModel};
 use atos_sim::{ControlPath, Fabric, PeId};
 
-use crate::sweep::{BenchArgs, EventTally, SweepRunner};
+use crate::sweep::{BenchArgs, SweepRunner};
 use crate::{relative_speedup, Dataset, ALPHA, EPSILON};
 
 /// Table I: vertex/edge counts, estimated diameter, degree extremes and
@@ -27,7 +26,7 @@ use crate::{relative_speedup, Dataset, ALPHA, EPSILON};
 /// the paper's originals (EXPERIMENTS.md holds the side-by-side).
 /// Dataset construction + statistics are the cost, so each preset is one
 /// sweep cell.
-pub fn table1_datasets(args: &BenchArgs, _events: &EventTally) {
+pub fn table1_datasets(args: &BenchArgs) {
     println!("Table I: summary of the datasets (scaled presets, {:?})", args.scale);
     println!(
         "{:<22}{:>10}{:>12}{:>8}{:>12}{:>12}{:>8}  type",
@@ -77,7 +76,7 @@ const SSSP_WEIGHT_SEED: u64 = 1;
 /// against light/heavy split delta-stepping (delta = 8) in virtual ms;
 /// both are asserted to produce identical distances before either number
 /// is printed.
-pub fn table3_priority_workload(args: &BenchArgs, events: &EventTally) {
+pub fn table3_priority_workload(args: &BenchArgs) {
     let gpus = [1usize, 2, 3, 4];
     let datasets: Vec<Dataset> = Dataset::all(args.scale)
         .into_iter()
@@ -112,8 +111,6 @@ pub fn table3_priority_workload(args: &BenchArgs, events: &EventTally) {
         };
         let fifo = bfs(AtosConfig::standard_persistent());
         let prio = bfs(AtosConfig::priority_discrete());
-        events.ms_of(&fifo.stats);
-        events.ms_of(&prio.stats);
         (fifo.normalized_workload(), prio.normalized_workload())
     });
     println!("Table III: normalized workload without -> with priority queue");
@@ -148,7 +145,7 @@ pub fn table3_priority_workload(args: &BenchArgs, events: &EventTally) {
             "delta-stepping diverged from Dijkstra-order on {} at {g} GPUs",
             ds.preset.name
         );
-        (events.ms_of(&dij.stats), events.ms_of(&delta.stats))
+        (dij.stats.elapsed_ms(), delta.stats.elapsed_ms())
     });
     println!();
     println!("SSSP: Dijkstra-order (delta=1) -> delta-stepping (delta={SSSP_DELTA}), virtual ms");
@@ -164,7 +161,7 @@ pub fn table3_priority_workload(args: &BenchArgs, events: &EventTally) {
 /// the simulator. The measurement loop stays serial regardless of
 /// `--threads`: fanning contention measurements over sweep workers would
 /// have them steal each other's cores and corrupt the timings.
-pub fn fig1_queue(args: &BenchArgs, _events: &EventTally) {
+pub fn fig1_queue(args: &BenchArgs) {
     let points: Vec<usize> = if args.scale == Scale::Tiny {
         vec![1 << 10, 1 << 13]
     } else {
@@ -199,7 +196,7 @@ pub fn fig1_queue(args: &BenchArgs, _events: &EventTally) {
 /// Figure 2: bandwidth efficiency (fraction of wire bytes that are
 /// payload) vs. requested bytes, on PCIe gen 3 and NVLink — closed-form
 /// packet-model evaluations.
-pub fn fig2_efficiency(_args: &BenchArgs, _events: &EventTally) {
+pub fn fig2_efficiency(_args: &BenchArgs) {
     println!("Figure 2: bandwidth efficiency vs requested bytes");
     println!("{:<18}{:>14}{:>14}", "requested bytes", "PCIe gen 3", "NVLink");
     let pcie = figure2_series(PacketModel::PcieGen3);
@@ -219,7 +216,7 @@ pub fn fig2_efficiency(_args: &BenchArgs, _events: &EventTally) {
 /// GPU-initiated transfer of the payload followed by an 8-byte counter
 /// update on the same path. Each message size is one sweep cell (a fresh
 /// two-node fabric per point, so cells are independent).
-pub fn fig4_ib_sweep(args: &BenchArgs, _events: &EventTally) {
+pub fn fig4_ib_sweep(args: &BenchArgs) {
     println!("Figure 4: IB latency and bandwidth vs message size");
     println!(
         "{:<14}{:>16}{:>18}",
@@ -262,7 +259,7 @@ pub fn fig4_ib_sweep(args: &BenchArgs, _events: &EventTally) {
 /// Gunrock's scaling collapse beyond 3 GPUs and Atos's latency tolerance.
 /// Not a [`crate::registry::GridSpec`] row: the fabric, the two-framework
 /// pairing and the always-BFS-grown partition are this figure's alone.
-pub fn fig7_summit_node(args: &BenchArgs, events: &EventTally) {
+pub fn fig7_summit_node(args: &BenchArgs) {
     let gpus = [1usize, 2, 3, 4, 5, 6];
     let names = ["soc-LiveJournal1_s", "indochina_2004_s"];
     let apps = ["BFS", "PageRank"];
@@ -300,7 +297,7 @@ pub fn fig7_summit_node(args: &BenchArgs, events: &EventTally) {
                 run_pagerank(graph, part, ALPHA, EPSILON, fabric, cfg).stats
             }
         };
-        events.ms_of(&stats)
+        stats.elapsed_ms()
     });
 
     println!("Figure 7: strong scaling on one Summit node (dual-socket NVLink)");
@@ -334,7 +331,7 @@ pub fn fig7_summit_node(args: &BenchArgs, events: &EventTally) {
 /// wire bytes per [`atos_sim::trace::BUCKET_NS`] bucket) and wire volume
 /// for each framework on the same workload. The five framework runs are
 /// independent; each is one sweep cell.
-pub fn ablation_smoothing(args: &BenchArgs, events: &EventTally) {
+pub fn ablation_smoothing(args: &BenchArgs) {
     let ds = Dataset::named("soc-LiveJournal1_s", args.scale);
     let part = ds.partition(4);
 
@@ -354,15 +351,13 @@ pub fn ablation_smoothing(args: &BenchArgs, events: &EventTally) {
     let atos_cfg = AtosConfig::standard_persistent();
     let runs: Vec<RunStats> = SweepRunner::new(args.threads).run(&cells, |_, &which| {
         let (graph, part, fabric) = (ds.graph.clone(), part.clone(), Fabric::daisy(4));
-        let stats = match which {
+        match which {
             0 => bsp_bfs(graph, part, ds.source, fabric).stats,
             1 => groute_bfs(graph, part, ds.source, fabric).stats,
             2 => run_bfs(graph, part, ds.source, fabric, atos_cfg).stats,
             3 => bsp_pagerank(graph, part, ALPHA, EPSILON, fabric).stats,
             _ => run_pagerank(graph, part, ALPHA, EPSILON, fabric, atos_cfg).stats,
-        };
-        events.ms_of(&stats);
-        stats
+        }
     });
     for (label, stats) in labels.iter().zip(&runs) {
         println!(
@@ -389,7 +384,7 @@ pub fn ablation_smoothing(args: &BenchArgs, events: &EventTally) {
 /// (higher per-edge cost), larger fetch amortizes pops but delays
 /// communication. Each point builds its own `Runtime` on the worker
 /// shape's cost model under its own configuration.
-pub fn ablation_worker(args: &BenchArgs, events: &EventTally) {
+pub fn ablation_worker(args: &BenchArgs) {
     let ds = Dataset::named("soc-LiveJournal1_s", args.scale);
     let part = ds.partition(4);
 
@@ -428,7 +423,7 @@ pub fn ablation_worker(args: &BenchArgs, events: &EventTally) {
             "{:<14}{:>8}{:>14.3}{:>14}{:>12}",
             shapes[s].0,
             fetch,
-            events.ms_of(&stats),
+            stats.elapsed_ms(),
             stats.steps_per_pe.iter().sum::<u64>(),
             stats.messages
         )

@@ -13,8 +13,8 @@
 //!
 //! Every experiment accepts `--quick` to run on the tiny test-scale graphs
 //! (the artifact appendix's "quick mode"), `--threads N` to fan the sweep
-//! grid over worker threads (default: host parallelism), and `--json PATH`
-//! / `--run-id ID` for the timing report. [`sweep`] has the harness.
+//! grid over worker threads (default: host parallelism). `atos-bench`
+//! writes no file but the `reference` run's artifacts. [`sweep`] has the harness.
 
 use std::sync::Arc;
 
@@ -24,7 +24,7 @@ pub mod registry;
 pub mod sweep;
 pub mod trajectory;
 
-pub use sweep::{BenchArgs, EventTally, SweepReport, SweepRunner};
+pub use sweep::{BenchArgs, SweepRunner};
 
 use atos_apps::bfs::run_bfs;
 use atos_apps::pagerank::run_pagerank;

@@ -29,7 +29,7 @@ use atos_queue::bench_harness::{run as queue_probe, Experiment, QueueKind};
 use atos_sim::Fabric;
 use atos_trace::{perfetto, MetricsRegistry, TraceBuffer};
 
-use crate::sweep::{BenchArgs, EventTally};
+use crate::sweep::BenchArgs;
 use crate::Dataset;
 
 /// Virtual-thread count for the host-queue contention probes: small
@@ -37,10 +37,10 @@ use crate::Dataset;
 /// visibly retries under real-thread contention.
 const PROBE_VIRTUAL_THREADS: usize = 1024;
 
-/// The `reference` experiment: perform the reference run (added to
-/// `events`), print its summary, and write the artifacts `args` asks for.
-pub fn reference(args: &BenchArgs, events: &EventTally) {
-    let (buf, reg) = reference_run(args.scale, events);
+/// The `reference` experiment: perform the reference run, print its
+/// summary, and write the artifacts `args` asks for.
+pub fn reference(args: &BenchArgs) {
+    let (buf, reg) = reference_run(args.scale);
     println!("Reference run: BFS on soc-LiveJournal1_s, 4 GPUs over InfiniBand, aggregated");
     for (label, key) in [
         ("virtual time (ns)", "run.elapsed_ns"),
@@ -56,12 +56,12 @@ pub fn reference(args: &BenchArgs, events: &EventTally) {
     }
 }
 
-/// The deterministic instrumented reference run, added to `events`: BFS
-/// on `soc-LiveJournal1_s` over `Fabric::ib_cluster(4)` with
+/// The deterministic instrumented reference run: BFS on
+/// `soc-LiveJournal1_s` over `Fabric::ib_cluster(4)` with
 /// [`AtosConfig::ib_bfs`] — aggregated communication, so step spans,
 /// send/arrive instants, size- and age-triggered flushes, and occupancy
 /// counters all appear. Returns the raw trace and the filled registry.
-pub fn reference_run(scale: Scale, events: &EventTally) -> (TraceBuffer, MetricsRegistry) {
+pub fn reference_run(scale: Scale) -> (TraceBuffer, MetricsRegistry) {
     let ds = Dataset::named("soc-LiveJournal1_s", scale);
     let part = ds.partition(4);
     let mut buf = TraceBuffer::new();
@@ -73,7 +73,6 @@ pub fn reference_run(scale: Scale, events: &EventTally) -> (TraceBuffer, Metrics
         AtosConfig::ib_bfs(),
         &mut buf,
     );
-    events.ms_of(&bfs.stats);
 
     let mut reg = MetricsRegistry::new();
     bfs.stats.fill_metrics(&mut reg);
@@ -130,7 +129,7 @@ mod tests {
 
     #[test]
     fn reference_run_fills_both_artifacts() {
-        let (buf, reg) = reference_run(Scale::Tiny, &EventTally::default());
+        let (buf, reg) = reference_run(Scale::Tiny);
         assert!(!buf.is_empty());
         let json = perfetto::to_chrome_json(&buf);
         let summary = perfetto::validate_chrome_trace(&json).expect("valid trace");
@@ -166,9 +165,7 @@ mod tests {
             metrics: Some(dir.join("metrics.json")),
             ..quick_args()
         };
-        let events = EventTally::default();
-        reference(&args, &events);
-        assert!(events.total() > 0, "the reference run lands in the caller's tally");
+        reference(&args);
         let trace = std::fs::read_to_string(dir.join("trace.json")).unwrap();
         assert!(perfetto::validate_chrome_trace(&trace).is_ok());
         let metrics = std::fs::read_to_string(dir.join("metrics.json")).unwrap();

@@ -12,14 +12,14 @@
 use atos_core::RunStats;
 use atos_graph::generators::{Preset, Scale};
 
-use crate::sweep::{BenchArgs, EventTally, SweepRunner};
+use crate::sweep::{BenchArgs, SweepRunner};
 use crate::{experiments, frameworks, observability, relative_speedup, round_sig};
 use crate::{run_cell, App, Dataset, System};
 
 /// One row of the experiment table.
 pub struct Experiment {
-    /// Name on the command line — also the `results/BENCH_sweep.json` key
-    /// and the name `results/README.md` and EXPERIMENTS.md refer to.
+    /// Name on the command line — also the name `results/README.md` and
+    /// EXPERIMENTS.md refer to.
     pub name: &'static str,
     /// One line for the usage table.
     pub about: &'static str,
@@ -31,8 +31,8 @@ pub struct Experiment {
 pub enum Body {
     /// A framework comparison grid, executed by [`run_grid`].
     Grid(GridSpec),
-    /// A one-off measurement: prints to stdout, adds its runs to the tally.
-    Custom(fn(&BenchArgs, &EventTally)),
+    /// A one-off measurement that prints its table to stdout.
+    Custom(fn(&BenchArgs)),
 }
 
 /// The one experiment that writes run artifacts (`--trace`, `--metrics`).
@@ -180,7 +180,7 @@ pub fn usage() -> String {
         out.push_str(&format!("  {:<26}{}\n", e.name, e.about));
     }
     out.push_str(
-        "\nflags: --quick, --threads N, --json PATH, --run-id ID;\n\
+        "\nflags: --quick, --threads N;\n\
          `reference` alone accepts --trace PATH, --metrics PATH\n",
     );
     out
@@ -202,11 +202,11 @@ impl Experiment {
         Ok(())
     }
 
-    /// Execute the experiment, adding every simulated run to `events`.
-    pub fn run(&self, args: &BenchArgs, events: &EventTally) {
+    /// Execute the experiment.
+    pub fn run(&self, args: &BenchArgs) {
         match &self.body {
-            Body::Grid(spec) => run_grid(spec, args, events),
-            Body::Custom(f) => f(args, events),
+            Body::Grid(spec) => run_grid(spec, args),
+            Body::Custom(f) => f(args),
         }
     }
 }
@@ -305,10 +305,10 @@ impl GridSpec {
 /// Execute a grid: fan its cells over the sweep workers, then print the
 /// tables. Results are keyed by cell index, so stdout is byte-identical
 /// at any `--threads` setting.
-pub fn run_grid(spec: &GridSpec, args: &BenchArgs, events: &EventTally) {
+pub fn run_grid(spec: &GridSpec, args: &BenchArgs) {
     let datasets = spec.datasets(args.scale);
     let ms = SweepRunner::new(args.threads).run(&spec.cells(), |_, cell| {
-        events.ms_of(&spec.run_cell(cell, &datasets))
+        spec.run_cell(cell, &datasets).elapsed_ms()
     });
     let gpus: Vec<usize> = (1..=spec.max_gpus).collect();
     // One scaling series per (application, dataset, framework), consumed

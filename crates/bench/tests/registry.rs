@@ -1,7 +1,7 @@
 //! The experiment table's contract, checked row by row through the real
 //! `atos-bench` binary: names resolve and are documented, committed quick
-//! goldens reproduce, and every flag is honoured or refused — never
-//! accepted and ignored.
+//! goldens reproduce, every flag is honoured or refused — never accepted
+//! and ignored — and a run writes nothing into its working directory.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -21,15 +21,14 @@ fn repo_root() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("../..")
 }
 
-/// `atos-bench <name> --quick --threads 1 <flags>`, its report going to
-/// `json`: (exit code, stdout, stderr).
-fn run(name: &str, flags: &[&str], json: &Path) -> (Option<i32>, Vec<u8>, String) {
+/// `atos-bench <name> --quick --threads 1 <flags>` started in `cwd`:
+/// (exit code, stdout, stderr).
+fn run(name: &str, flags: &[&str], cwd: &Path) -> (Option<i32>, Vec<u8>, String) {
     let out = Command::new(env!("CARGO_BIN_EXE_atos-bench"))
+        .current_dir(cwd)
         .arg(name)
         .args(["--quick", "--threads", "1"])
         .args(flags)
-        .arg("--json")
-        .arg(json)
         .output()
         .expect("atos-bench should spawn");
     (out.status.code(), out.stdout, String::from_utf8_lossy(&out.stderr).into_owned())
@@ -38,8 +37,9 @@ fn run(name: &str, flags: &[&str], json: &Path) -> (Option<i32>, Vec<u8>, String
 #[test]
 fn every_row_is_documented_reproducible_and_ignores_no_flag() {
     let dir = std::env::temp_dir().join(format!("atos-registry-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let json = dir.join("sweep.json");
+    let cwd = dir.join("cwd");
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&cwd).unwrap();
     let design = std::fs::read_to_string(repo_root().join("DESIGN.md")).unwrap();
     let index = design
         .split("\n## ")
@@ -51,7 +51,7 @@ fn every_row_is_documented_reproducible_and_ignores_no_flag() {
         assert!(EXPERIMENTS[..i].iter().all(|o| o.name != name), "duplicate row {name}");
         assert!(index.contains(&format!("`{name}`")), "DESIGN.md §3 does not mention `{name}`");
 
-        let (code, plain, stderr) = run(name, &[], &json);
+        let (code, plain, stderr) = run(name, &[], &cwd);
         assert_eq!(code, Some(0), "{name}: {stderr}");
         assert!(!plain.is_empty(), "{name} printed nothing");
         if let Some((_, file)) = QUICK_GOLDENS.iter().find(|(n, _)| *n == name) {
@@ -59,14 +59,24 @@ fn every_row_is_documented_reproducible_and_ignores_no_flag() {
             assert!(plain == golden, "{name} --quick differs from results/{file}");
         }
 
-        // Refused by name before anything is printed or reported.
+        // Refused by name before anything is printed or written.
         if name != REFERENCE {
             let trace = dir.join("trace.json");
-            let (code, stdout, stderr) = run(name, &["--trace", trace.to_str().unwrap()], &json);
+            let (code, stdout, stderr) = run(name, &["--trace", trace.to_str().unwrap()], &cwd);
             assert_eq!(code, Some(2), "{name} --trace: {stderr}");
             assert!(stderr.contains("--trace"), "{stderr}");
             assert!(stdout.is_empty() && !trace.exists(), "{name} ran before refusing");
         }
+        // Unknown flags, such as the old timing report's, are refused alike.
+        for flag in ["--json", "--run-id"] {
+            let (code, stdout, stderr) = run(name, &[flag, "x"], &cwd);
+            assert_eq!(code, Some(2), "{name} {flag}: {stderr}");
+            assert!(stderr.contains(flag), "{stderr}");
+            assert!(stdout.is_empty(), "{name} ran before refusing {flag}");
+        }
+
+        let left: Vec<_> = std::fs::read_dir(&cwd).unwrap().map(|e| e.unwrap().path()).collect();
+        assert!(left.is_empty(), "{name} wrote into its working directory: {left:?}");
     }
     for (name, _) in QUICK_GOLDENS {
         assert!(EXPERIMENTS.iter().any(|e| e.name == name), "golden for unknown row {name}");

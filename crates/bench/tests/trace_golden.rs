@@ -6,14 +6,9 @@
 //! trace). These tests pin that property, the trace_event format
 //! contract, and the presence of every instrumented subsystem.
 
-use atos_bench::EventTally;
+use atos_bench::observability::reference_run;
 use atos_graph::generators::Scale;
-use atos_trace::{json, perfetto, MetricsRegistry, TraceBuffer};
-
-/// The reference run.
-fn reference_run(scale: Scale) -> (TraceBuffer, MetricsRegistry) {
-    atos_bench::observability::reference_run(scale, &EventTally::default())
-}
+use atos_trace::{json, perfetto};
 
 /// Metrics keys that legitimately differ between two identical runs: the
 /// process-global queue contention probe (`atos_queue::stats::

@@ -599,7 +599,7 @@ impl<A: Application, Tr: Tracer> Runtime<A, Tr> {
         let mut metadata_done = now + busy;
         if self.tuning.round_metadata_bytes > 0 {
             let ser_ns = (self.tuning.round_metadata_bytes as f64
-                * self.tuning.metadata_cpu_ns_per_byte)
+                * crate::runtime::METADATA_CPU_NS_PER_BYTE)
                 .ceil() as Time;
             for peer in 0..self.pes.len() {
                 if peer != src {

@@ -96,15 +96,18 @@ pub struct RuntimeTuning {
     pub in_kernel_comm: bool,
     /// Gluon-style per-round synchronization metadata: if nonzero, every
     /// scheduling step that communicates also broadcasts this many bytes
-    /// (update bitvectors / offsets) to every peer before its payload.
+    /// (update bitvectors / offsets) to every peer before its payload,
+    /// each peer's copy serialized at [`METADATA_CPU_NS_PER_BYTE`].
     pub round_metadata_bytes: u64,
-    /// Host-side serialization cost per metadata byte, ns. Gluon packs and
-    /// unpacks its per-round update structures on the CPU; this charge —
-    /// paid per peer, per communicating round, on the sender's critical
-    /// path — is what makes bulk-asynchronous frameworks *slower* with
-    /// more peers (Table V's anti-scaling).
-    pub metadata_cpu_ns_per_byte: f64,
 }
+
+/// Host-side serialization cost per round-metadata byte, ns: about 60 MB/s
+/// effective (pack + MPI stack + unpack), the measured Gluon overhead
+/// regime. Gluon packs and unpacks its per-round update structures on the
+/// CPU; this charge — paid per peer, per communicating round, on the
+/// sender's critical path — is what makes bulk-asynchronous frameworks
+/// *slower* with more peers (Table V's anti-scaling).
+pub const METADATA_CPU_NS_PER_BYTE: f64 = 16.0;
 
 impl Default for RuntimeTuning {
     fn default() -> Self {
@@ -112,7 +115,6 @@ impl Default for RuntimeTuning {
             control: ControlPath::gpu_direct(),
             in_kernel_comm: true,
             round_metadata_bytes: 0,
-            metadata_cpu_ns_per_byte: 0.0,
         }
     }
 }
@@ -779,7 +781,6 @@ mod tests {
                 control: ControlPath::cpu_mediated(),
                 in_kernel_comm: false,
                 round_metadata_bytes: 4096,
-                metadata_cpu_ns_per_byte: 16.0,
             };
             let mut rt = Runtime::with_tuning(
                 app,
@@ -794,7 +795,7 @@ mod tests {
         let t2 = run_with_peers(2);
         let t8 = run_with_peers(8);
         assert!(
-            t8 > t2 + 30 * 6 * (4096.0 * 16.0) as u64 / 2,
+            t8 > t2 + 30 * 6 * (4096.0 * METADATA_CPU_NS_PER_BYTE) as u64 / 2,
             "8 peers {t8} vs 2 peers {t2}"
         );
     }

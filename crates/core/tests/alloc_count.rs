@@ -30,7 +30,7 @@ use std::sync::Arc;
 
 use atos_apps::pagerank::PrTask;
 use atos_apps::sssp::{KIND_FULL, KIND_HEAVY, KIND_LIGHT};
-use atos_apps::{BfsApp, CcApp, PageRankApp, SsspApp};
+use atos_apps::{BfsApp, PageRankApp, SsspApp};
 use atos_core::{
     run_host, Application, AtosConfig, CommMode, Emitter, HostApplication, HostConfig, Lookahead,
     NullTracer, Runtime, RuntimeTuning,
@@ -153,8 +153,7 @@ const COVERED: &[(&str, &str)] = &[
     ("graph/src/grouped.rs::prefetch", "hints: PageRank's relaxations"),
     ("graph/src/light.rs::prefetch", "hints: split SSSP's light tasks"),
     ("graph/src/weights.rs::prefetch", "hints: SSSP's full and heavy tasks"),
-    ("apps/src/bfs.rs::prefetch", "hints: BfsApp over a batch, Far and Near"),
-    ("apps/src/cc.rs::prefetch", "hints: CcApp over a batch, Far and Near"),
+    ("apps/src/bfs.rs::prefetch", "hints: BfsApp, BFS and components, Far and Near"),
     ("apps/src/pagerank.rs::prefetch", "hints: PageRankApp over relaxations and contributions"),
     ("apps/src/sssp.rs::prefetch", "hints: split SsspApp over light, heavy and full tasks"),
 ];
@@ -438,7 +437,7 @@ fn app_hints() -> u64 {
     let social_vs: Vec<u32> = (0..social.n_vertices() as u32).collect();
 
     let bfs = BfsApp::new(mesh.clone(), mesh_part.clone(), mesh_preset.bfs_source(&mesh));
-    let cc = CcApp::new(mesh.clone(), mesh_part);
+    let cc = BfsApp::components(mesh.clone(), mesh_part);
     let pr = PageRankApp::new(social.clone(), social_part.clone(), 0.85, 1e-6);
     let sssp = SsspApp::new_split(social, weights, social_part, 0, 8);
     let pair: Vec<(u32, u32)> = mesh_vs.iter().map(|&v| (v, 0)).collect();

@@ -32,7 +32,7 @@ use std::sync::Arc;
 
 use atos_apps::pagerank::PrTask;
 use atos_apps::sssp::KIND_LIGHT;
-use atos_apps::{BfsApp, CcApp, PageRankApp, SsspApp};
+use atos_apps::{BfsApp, PageRankApp, SsspApp};
 use atos_core::{
     Application, AtosConfig, CommMode, Emitter, KernelMode, QueueMode, RunStats,
     Runtime, RuntimeTuning, WorkerConfig,
@@ -198,7 +198,7 @@ fn cc(fabric: Fabric, cfg: AtosConfig) -> Row {
     let seeds = (0..part.n_parts())
         .map(|pe| (pe, part.vertices_of(pe).into_iter().map(|v| (v, v)).collect()))
         .collect();
-    drive(CcApp::new(g, part), seeds, fabric, cfg, RuntimeTuning::default())
+    drive(BfsApp::components(g, part), seeds, fabric, cfg, RuntimeTuning::default())
 }
 
 /// The Galois/Gluon-like baseline's shape: one discrete kernel per round,
@@ -216,7 +216,6 @@ fn gluon() -> (AtosConfig, RuntimeTuning) {
         control: ControlPath::cpu_mediated(),
         in_kernel_comm: false,
         round_metadata_bytes: 256,
-        metadata_cpu_ns_per_byte: 16.0,
     };
     (cfg, tuning)
 }

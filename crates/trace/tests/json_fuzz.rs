@@ -1,9 +1,9 @@
 //! Parser fuzz: `json::parse` must turn *any* text into a value or an
 //! `Err` — never a panic, never a stack overflow. Inputs: arbitrary bytes
 //! (kept as valid UTF-8) spliced with the grammar's hard cases, and real
-//! documents — the committed `results/*.json` files and a Chrome trace from
-//! the exporter — truncated or with one structural byte deleted, which must
-//! be `Err`.
+//! documents — the committed `results/BENCH_trajectory.json`, a Chrome trace
+//! from the exporter and a keyed report — truncated or with one structural
+//! byte deleted, which must be `Err`.
 
 use std::path::Path;
 
@@ -28,13 +28,21 @@ fn chrome_trace() -> String {
     perfetto::to_chrome_json(&buf)
 }
 
-/// Every real document: the exporter's trace and the committed results.
+/// A keyed report: an object of per-name objects, one a line, mixing
+/// integer and fractional numbers.
+const KEYED_REPORT: &str = r#"{
+  "fig5_scaling_nvlink@a1b2c3": {"wall_s": 0.412, "threads": 2, "sim_events": 81234},
+  "table1_datasets": {"wall_s": 2.220, "threads": 1, "sim_threads": 4, "sim_events": 0}
+}
+"#;
+
+/// Every real document: the exporter's trace, a keyed report and the
+/// committed trajectory.
 fn documents() -> Vec<String> {
     let results = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results");
-    let mut docs = vec![chrome_trace()];
-    for name in ["BENCH_sweep.json", "BENCH_trajectory.json"] {
-        docs.push(std::fs::read_to_string(results.join(name)).expect(name));
-    }
+    let trajectory = std::fs::read_to_string(results.join("BENCH_trajectory.json"))
+        .expect("BENCH_trajectory.json");
+    let docs = vec![chrome_trace(), KEYED_REPORT.to_string(), trajectory];
     for doc in &docs {
         assert!(json::parse(doc).is_ok(), "seed document must parse");
     }

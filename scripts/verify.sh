@@ -1,11 +1,11 @@
 #!/usr/bin/env bash
 # Repository verification, in thirteen stages: tier-1 build+test, the
 # workspace tests, the doc-reference check, the parallel-sweep smoke
-# (byte-identity across thread counts, usage errors), the golden
-# byte-compares, the frozen benchmark package (build + smoke run), the
-# bench trajectory gate, the observability smoke, the line-level sampler
-# smoke, atos-lint, miri, the model checker under --cfg atos_check (tests +
-# clippy), and clippy.
+# (byte-identity across thread counts; usage errors, the removed --json and
+# --run-id among them), the golden byte-compares, the frozen benchmark
+# package (build + smoke run), the bench trajectory gate, the observability
+# smoke, the line-level sampler smoke, atos-lint, miri, the model checker
+# under --cfg atos_check (tests + clippy), and clippy.
 #
 # Usage: scripts/verify.sh  (from anywhere; cd's to the repo root)
 
@@ -75,7 +75,7 @@ same() {
 # quick <experiment> <out> [flags...]: one --quick run, stdout to <out>.
 quick() {
     local exp="$1" out="$2"; shift 2
-    "$bench" "$exp" --quick --threads 1 --json "$tmp/sweep.json" "$@" > "$out" 2> /dev/null
+    "$bench" "$exp" --quick --threads 1 "$@" > "$out" 2> /dev/null
 }
 for exp in table2_bfs_nvlink table4_pr_nvlink table5_ib fig5_scaling_nvlink fig8_scaling_ib_bfs \
         fig9_scaling_ib_pr; do
@@ -83,22 +83,11 @@ for exp in table2_bfs_nvlink table4_pr_nvlink table5_ib fig5_scaling_nvlink fig8
     quick "$exp" "$tmp/$exp.threads2.out" --threads 2
     same "$exp byte-identical across thread counts" "$tmp/$exp.serial.out" "$tmp/$exp.threads2.out"
 done
-grep -q '"table2_bfs_nvlink"' "$tmp/sweep.json" || {
-    echo "FAIL: sweep timing report missing table2_bfs_nvlink entry" >&2
-    exit 1
-}
-echo "ok: sweep timing report written"
-# --run-id keys the entry as <experiment>@<id> so histories accumulate.
-quick table2_bfs_nvlink /dev/null --run-id "verify@smoke"
-grep -q '"table2_bfs_nvlink@verify@smoke"' "$tmp/sweep.json" || {
-    echo "FAIL: --run-id did not key the sweep report entry" >&2
-    exit 1
-}
-echo "ok: --run-id keys sweep report entries"
-# Usage errors exit 2: the deleted work-stealing and sharded-engine flags
-# (DESIGN.md §11), an artifact flag off the reference entry, an unknown
-# experiment.
+# Usage errors exit 2: the deleted work-stealing, sharded-engine and
+# timing-report flags (DESIGN.md §11), an artifact flag off the reference
+# entry, an unknown experiment.
 for args in "fig5_scaling_nvlink --load-balance steal" "fig5_scaling_nvlink --sim-threads 4" \
+        "fig5_scaling_nvlink --json x" "fig5_scaling_nvlink --run-id x" \
         "table2_bfs_nvlink --trace $tmp/no.json" "table9"; do
     # shellcheck disable=SC2086
     "$bench" $args --quick > /dev/null 2>&1 && rc=0 || rc=$?
@@ -118,7 +107,7 @@ done
 # gated at quick scale above).
 for pair in table1_datasets:table1 table2_bfs_nvlink:table2 table3_priority_workload:table3 \
         fig2_efficiency:fig2 fig4_ib_sweep:fig4 fig7_summit_node:fig7; do
-    "$bench" "${pair%%:*}" --json "$tmp/sweep.json" > "$tmp/full.out" 2> /dev/null
+    "$bench" "${pair%%:*}" > "$tmp/full.out" 2> /dev/null
     same "${pair%%:*} matches results/${pair#*:}.txt" "$tmp/full.out" "results/${pair#*:}.txt"
 done
 

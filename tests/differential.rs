@@ -21,8 +21,8 @@
 use std::ops::Range;
 use std::sync::Arc;
 
-use atos::apps::bfs::run_bfs_tuned;
-use atos::apps::cc::{run_cc, CcApp};
+use atos::apps::bfs::{run_bfs_tuned, BfsApp};
+use atos::apps::cc::run_cc;
 use atos::apps::host_bfs::host_bfs;
 use atos::apps::pagerank::run_pagerank_tuned;
 use atos::apps::sssp::{run_sssp, run_sssp_delta, SsspApp, KIND_FULL, KIND_LIGHT};
@@ -240,7 +240,6 @@ fn draw_tuning(rng: &mut TestRng) -> RuntimeTuning {
         control: ControlPath { inject_ns: draw(rng, 0..20_000) },
         in_kernel_comm: draw(rng, 0..2) == 0,
         round_metadata_bytes: pick(rng, &[0, 0, 64, 4096]),
-        metadata_cpu_ns_per_byte: pick(rng, &[0.0, 1.5, 16.0]),
     }
 }
 
@@ -354,12 +353,12 @@ fn run(case: &Case, g: &Arc<Csr>, part: &Arc<Partition>) -> (Answer, Option<RunS
             let g = Arc::new(g.symmetrize());
             let (label, stats) = match framework {
                 Framework::Bsp => {
-                    let mut app = CcApp::new(g, part.clone());
+                    let mut app = BfsApp::components(g, part.clone());
                     let seeds = (0..part.n_parts())
                         .map(|pe| part.vertices_of(pe).into_iter().map(|v| (v, v)).collect())
                         .collect();
                     let (stats, _) = run_bsp(&mut app, fabric, seeds);
-                    (app.label, stats)
+                    (app.depth, stats)
                 }
                 _ => {
                     let r = run_cc(g, part, fabric, cfg);
