@@ -236,8 +236,7 @@ impl Application for PageRankApp {
                     (w, deposit(&mut self.residue[w as usize], self.epsilon, share))
                 });
             } else {
-                out.remote_mut(owner)
-                    .extend(segment.iter().map(|&w| PrTask::contrib(w, contrib)));
+                out.extend_remote(owner, segment.iter().map(|&w| PrTask::contrib(w, contrib)));
             }
         }
     }

@@ -24,6 +24,12 @@
 //! it looks up the owner — to update `dist` if the vertex is local, and to
 //! address the push either way. `dist` stays authoritative throughout.
 //!
+//! The view is the one piece of state that grows with the PE count
+//! (`n × n_pes` slots), so a slot is 32 bits. That is exact: a tentative
+//! distance is the length of a path on which every vertex improved, so a
+//! simple path, and an offer is such a distance plus one edge — at most
+//! `n × max weight`, which construction asserts is below `u32::MAX`.
+//!
 //! # Light/heavy edge splitting ([`run_sssp_delta`])
 //!
 //! Classic delta-stepping additionally defers *heavy* edges (weight >
@@ -76,6 +82,9 @@ pub const KIND_LIGHT: u8 = 1;
 /// Task kind: relax only heavy edges (weight > delta), once per bucket.
 pub const KIND_HEAVY: u8 = 2;
 
+/// What `SsspApp::view` and `heavy_sent` hold for "no distance yet".
+const UNREACHED_VIEW: u32 = u32::MAX;
+
 
 /// SSSP as an Atos application.
 pub struct SsspApp {
@@ -87,14 +96,15 @@ pub struct SsspApp {
     pub dist: Vec<u64>,
     /// `view[pe][w]`: the lowest distance PE `pe` knows for `w`; what that
     /// means for an owned and for a remote `w` is in the module docs.
-    /// Private per PE.
-    view: Vec<Vec<u64>>,
+    /// Private per PE, [`UNREACHED_VIEW`] = none; 32 bits a slot (module
+    /// docs).
+    view: Vec<Vec<u32>>,
     /// Lowest distance for which this vertex's heavy edges have been
-    /// scheduled or relaxed (`UNREACHED_DIST` = never; 0 from the start
+    /// scheduled or relaxed ([`UNREACHED_VIEW`] = never; 0 from the start
     /// for a vertex with no heavy edge, which therefore never gets a
     /// co-task). A light task re-sends the heavy co-task iff `dist[v]`
     /// drops below this. Owner-indexed like `dist`; empty unless split.
-    heavy_sent: Vec<u64>,
+    heavy_sent: Vec<u32>,
     /// The rows light tasks walk: `Some` iff light/heavy edge splitting is
     /// on, `None` = original formulation.
     light: Option<Arc<LightEdges>>,
@@ -137,15 +147,21 @@ impl SsspApp {
     ) -> Self {
         let n = graph.n_vertices();
         assert_eq!(partition.n_vertices(), n);
+        let max_weight = weights.max();
+        assert!(
+            (n as u64).saturating_mul(max_weight as u64) < UNREACHED_VIEW as u64,
+            "SSSP keeps distances in 32 bits: {n} vertices × max weight {max_weight} \
+             must stay below {UNREACHED_VIEW}"
+        );
         let delta = delta.max(1);
         let mut dist = vec![UNREACHED_DIST; n];
         dist[source as usize] = 0;
-        let mut view = vec![vec![UNREACHED_DIST; n]; partition.n_parts()];
+        let mut view = vec![vec![UNREACHED_VIEW; n]; partition.n_parts()];
         view[partition.owner(source)][source as usize] = 0;
         let light = split.then(|| Arc::new(LightEdges::build(&graph, &weights, delta)));
         let heavy_sent = match &light {
             Some(light) => (0..n as VertexId)
-                .map(|v| if light.degree(v) < graph.degree(v) { UNREACHED_DIST } else { 0 })
+                .map(|v| if light.degree(v) < graph.degree(v) { UNREACHED_VIEW } else { 0 })
                 .collect(),
             None => Vec::new(),
         };
@@ -178,19 +194,20 @@ impl SsspApp {
 
 /// Offer every `(w, nd)` to `view` — the executing PE's row of
 /// `SsspApp::view`, the one slot that decides (module docs) — and call
-/// `improved` on those that lower it. The compare is spelled here and not
+/// `improved` on those that lower it. An offer that lowers a slot is below
+/// `u32::MAX`, so it is stored exactly. The compare is spelled here and not
 /// inside `improved` so that it is inlined into the loop: one closure
 /// holding the whole relaxation was left out of line, a call and five
 /// register spills per edge (DESIGN.md §4.9).
 #[inline(always)]
 fn relax(
     offers: impl Iterator<Item = (VertexId, u64)>,
-    view: &mut [u64],
+    view: &mut [u32],
     mut improved: impl FnMut(VertexId, u64),
 ) {
     for (w, nd) in offers {
-        if nd < view[w as usize] {
-            view[w as usize] = nd;
+        if nd < view[w as usize] as u64 {
+            view[w as usize] = nd as u32;
             improved(w, nd);
         }
     }
@@ -224,15 +241,15 @@ impl Application for SsspApp {
             // and re-reads `dist[v]` then — so heavy edges see the
             // settled source distance instead of every speculative
             // improvement.
-            if d < self.heavy_sent[v as usize] {
-                self.heavy_sent[v as usize] = d;
+            if d < self.heavy_sent[v as usize] as u64 {
+                self.heavy_sent[v as usize] = d as u32;
                 out.push(pe, (v, d, KIND_HEAVY));
             }
         } else if kind == KIND_HEAVY {
             // Record the distance actually relaxed at: a later light
             // task only re-sends if `dist[v]` improves below this.
             let hs = &mut self.heavy_sent[v as usize];
-            *hs = (*hs).min(d);
+            *hs = (*hs).min(d as u32);
         }
         let (push_kind, delta) = (self.push_kind(), self.delta);
         // What an improving offer still has to do: the local atomicMin +
@@ -285,7 +302,7 @@ impl Application for SsspApp {
         assert_owner!(self.partition, w, pe);
         if nd < self.dist[w as usize] {
             self.dist[w as usize] = nd;
-            self.view[pe][w as usize] = nd;
+            self.view[pe][w as usize] = nd as u32;
             Some((w, nd, kind))
         } else {
             None
@@ -589,17 +606,40 @@ mod tests {
             rt.run();
             let app = rt.into_app();
             assert_eq!(app.dist, exact, "split {split}");
+            let known = |slot: u32| match slot {
+                UNREACHED_VIEW => UNREACHED_DIST,
+                d => d as u64,
+            };
             for (v, &d) in app.dist.iter().enumerate() {
                 let owner = part.owner(v as VertexId);
                 for (pe, row) in app.view.iter().enumerate() {
                     if pe == owner {
-                        assert_eq!(row[v], d, "PE {pe} owns {v}");
+                        assert_eq!(known(row[v]), d, "PE {pe} owns {v}");
                     } else {
-                        assert!(row[v] >= d, "PE {pe} offered {v} {} < {d}", row[v]);
+                        assert!(known(row[v]) >= d, "PE {pe} offered {v} {} < {d}", row[v]);
                     }
                 }
             }
         }
+    }
+
+    #[test]
+    fn weights_too_heavy_for_the_view_are_refused() {
+        let g = Arc::new(Csr::from_edges(4, &[(0, 1), (1, 2), (2, 3)]));
+        let w = Arc::new(EdgeWeights::random(&g, u32::MAX, 1));
+        let max = w.max();
+        assert!(4 * max as u64 >= u32::MAX as u64, "the case needs a heavy edge, drew {max}");
+        let part = Arc::new(Partition::single(4));
+        let built = std::panic::catch_unwind(|| SsspApp::new(g, w, part, 0, 8).delta);
+        let err = built.expect_err("a view that cannot hold every offer is refused");
+        let msg = err.downcast_ref::<String>().expect("a formatted message");
+        assert_eq!(
+            *msg,
+            format!(
+                "SSSP keeps distances in 32 bits: 4 vertices × max weight {max} \
+                 must stay below 4294967295"
+            )
+        );
     }
 
     #[test]

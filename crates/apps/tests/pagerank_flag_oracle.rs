@@ -87,8 +87,7 @@ impl Application for FlaggedPageRank {
                     }
                 }
             } else {
-                out.remote_mut(owner)
-                    .extend(segment.iter().map(|&w| PrTask::contrib(w, contrib)));
+                out.extend_remote(owner, segment.iter().map(|&w| PrTask::contrib(w, contrib)));
             }
         }
     }

@@ -145,6 +145,7 @@ pub fn run_bsp<A: Application>(
     let mut sends: Vec<Vec<Vec<A::Task>>> =
         (0..n_pes).map(|_| (0..n_pes).map(|_| Vec::new()).collect()).collect();
     let mut supersteps = 0u32;
+    let mut out = Emitter::new(0, n_pes);
 
     while frontier.iter().any(|f| !f.is_empty()) {
         supersteps += 1;
@@ -152,7 +153,7 @@ pub fn run_bsp<A: Application>(
         let mut next = Vec::with_capacity(n_pes);
         let mut shape = Vec::with_capacity(n_pes);
         for (pe, tasks) in frontier.iter().enumerate() {
-            let mut out = Emitter::new(pe, n_pes);
+            out.reset_for(pe);
             let (mut edges, mut span) = (0u64, 0u64);
             for &task in tasks {
                 let e = app.task_edges(&task);
@@ -162,11 +163,10 @@ pub fn run_bsp<A: Application>(
             }
             shape.push((tasks.len(), edges, span));
             for (dst, run) in sends[pe].iter_mut().enumerate() {
-                if dst != pe {
-                    *run = std::mem::take(out.remote_mut(dst));
-                }
+                run.clear();
+                out.drain_remote(dst, run);
             }
-            next.push(out.local);
+            next.push(std::mem::take(&mut out.local));
         }
         clk.compute_phase(&shape, 2);
 

@@ -53,9 +53,9 @@ pub trait Application {
     ///
     /// Emit per task with `out.push(owner, task)`, or — when the tasks for
     /// one remote PE are known together, as with an owner-grouped
-    /// adjacency — as a run, `out.remote_mut(owner).extend(tasks)`: the
+    /// adjacency — as a run, `out.extend_remote(owner, tasks)`: the
     /// runtime moves remote tasks per destination either way, and a run
-    /// skips the per-task routing.
+    /// skips the per-task routing and is written into its chunks in bulk.
     fn process(&mut self, pe: usize, task: Self::Task, out: &mut Emitter<Self::Task>);
 
     /// Announcement that `task` is about to be processed in this step: the

@@ -8,16 +8,19 @@
 //!
 //! * a **car** ([`Car`], 40 bytes, plain data) — the ordering key, the
 //!   half-charged transfer and a task count;
-//! * a share of a route's **trains** — the buffers the tasks were emitted
-//!   into, moved out of the emitter whole: one scheduling step's tasks for
-//!   one destination are one train, in both comm modes. Cars only say
-//!   where that stream is cut, and tile the *concatenation* of the route's
-//!   trains: direct mode cuts every `group` tasks, the aggregator where a
-//!   trigger fires ([`crate::aggregator::Bundle`]) — its car can span
-//!   several trains and leave windows after the first of them did.
+//! * a share of a route's **trains** — the fixed-capacity chunks the tasks
+//!   were written into as they were emitted ([`crate::emitter`]): one
+//!   scheduling step's tasks for one destination are one or more chunks,
+//!   and each chunk departs as one train, in both comm modes. Cars only
+//!   say where that stream is cut, and tile the *concatenation* of the
+//!   route's trains: direct mode cuts every `group` tasks, the aggregator
+//!   where a trigger fires ([`crate::aggregator::Bundle`]) — its car can
+//!   span several trains and leave windows after the first of them did.
 //!
 //! No task is copied and nothing is allocated per message between
-//! `process` and `on_receive`.
+//! `process` and `on_receive`: a delivered train goes straight back to its
+//! size class in the emitter's [`ChunkPool`], so the comm layer holds the
+//! volume in flight plus one partial chunk per open run.
 //!
 //! ## Receive lanes
 //!
@@ -56,6 +59,7 @@
 
 use std::collections::VecDeque;
 
+use atos_graph::prefetch::prefetch;
 use atos_macros::atos_hot;
 use atos_sim::{PeId, PendingTransfer, Time};
 use atos_trace::{Tracer, Track};
@@ -63,7 +67,7 @@ use atos_trace::{Tracer, Track};
 use crate::aggregator::IssueClock;
 use crate::app::Application;
 use crate::config::{CommMode, KernelMode};
-use crate::emitter::Emitter;
+use crate::emitter::{ChunkPool, Emitter};
 use crate::runtime::{Ev, Pe, Runtime, WAKE_POLL_NS};
 use crate::workqueue::WorkQueue;
 
@@ -86,11 +90,6 @@ struct ExchangeKey {
     /// Per-source-PE monotone emission counter (window-order tiebreak).
     counter: u64,
 }
-
-/// Upper bound on recycled task buffers kept for reuse. Trains in flight
-/// above this simply fall back to allocation when their buffers come
-/// home; the cap only bounds idle memory, it never drops live data.
-const TRAIN_POOL_CAP: usize = 1024;
 
 /// One inter-PE message between its emission and the next window barrier.
 ///
@@ -122,8 +121,8 @@ impl Car {
     }
 }
 
-/// The tasks one PE emitted for one destination in one scheduling step,
-/// in the buffer they were emitted into.
+/// One chunk of the tasks one PE emitted for one destination in one
+/// scheduling step, in the buffer they were written into.
 #[derive(Debug)]
 pub(crate) struct Train<T> {
     src: u16,
@@ -157,13 +156,12 @@ impl<T> Outbox<T> {
 }
 
 /// A runtime's communication state between steps: what the current window
-/// has sent, the buffers waiting to carry the next run, and the scratch a
-/// delivery's kept tasks pass through on their way to the worklist.
+/// has sent, and the scratch a delivery's kept tasks pass through on their
+/// way to the worklist.
 pub(crate) struct Comm<T> {
     /// Messages emitted during the current window, awaiting the barrier
     /// merge.
     pub(crate) outbox: Outbox<T>,
-    pool: TrainPool<T>,
     keep: Vec<T>,
 }
 
@@ -171,51 +169,8 @@ impl<T> Default for Comm<T> {
     fn default() -> Self {
         Comm {
             outbox: Outbox::default(),
-            pool: TrainPool::default(),
             keep: Vec::new(),
         }
-    }
-}
-
-/// Free list of task buffers: emitter runs leave as trains, come home
-/// empty when the car covering their last task is delivered, and go out
-/// again — whole, so a buffer that has grown to a step's run length
-/// stays that size instead of cycling through the allocator.
-#[derive(Debug)]
-pub struct TrainPool<T> {
-    free: Vec<Vec<T>>,
-}
-
-impl<T> Default for TrainPool<T> {
-    fn default() -> Self {
-        TrainPool { free: Vec::new() }
-    }
-}
-
-impl<T> TrainPool<T> {
-    /// An empty buffer, recycled if one is on hand.
-    #[atos_hot]
-    pub fn take(&mut self) -> Vec<T> {
-        self.free.pop().unwrap_or_default()
-    }
-
-    /// Return a buffer whose tasks have all been delivered.
-    #[atos_hot]
-    pub fn give(&mut self, mut buf: Vec<T>) {
-        buf.clear();
-        if self.free.len() < TRAIN_POOL_CAP {
-            self.free.push(buf);
-        }
-    }
-
-    /// Buffers on hand.
-    pub fn len(&self) -> usize {
-        self.free.len()
-    }
-
-    /// Whether no buffer is on hand.
-    pub fn is_empty(&self) -> bool {
-        self.free.is_empty()
     }
 }
 
@@ -276,6 +231,20 @@ fn car_outran_its_trains(src: usize, car: LaneCar, owed: usize) -> ! {
          outran its trains, {owed} tasks still owed",
         car.tasks, car.arrival
     );
+}
+
+/// Hint the first cache lines of the train a delivery reads next. A
+/// train is a chunk somewhere on the heap, so the hardware's stream
+/// prefetcher starts cold on each; touched one piece ahead, the head
+/// arrives while the current piece is delivered. It pays where a car spans
+/// many chunks, as aggregated bundles do (DESIGN.md §4.11, *Chunks*).
+#[inline(always)]
+fn prefetch_head<T>(train: &[T]) {
+    const LINE: usize = 64;
+    let per_line = (LINE / std::mem::size_of::<T>().max(1)).max(1);
+    for line in 0..4 {
+        prefetch(train, line * per_line);
+    }
 }
 
 /// A PE's receive side: one lane per source PE.
@@ -397,9 +366,10 @@ impl<T> Rx<T> {
     }
 
     /// Deliver, in key order, every waiting car whose `(arrival, seq)` is
-    /// below `bound`; buffers whose last task went out return to `pool`.
+    /// below `bound`; a train whose last task went out returns to its
+    /// class in `pool` at once.
     #[atos_hot]
-    pub fn drain_before<S: Sink<T>>(&mut self, bound: Key, pool: &mut TrainPool<T>, sink: &mut S) {
+    pub fn drain_before<S: Sink<T>>(&mut self, bound: Key, pool: &mut ChunkPool<T>, sink: &mut S) {
         let mut current: Option<Key> = None;
         while let Some((src, car)) = self.next_below(bound) {
             if let Some((at, _)) = current.filter(|&k| k != car.key()) {
@@ -415,6 +385,11 @@ impl<T> Rx<T> {
                     car_outran_its_trains(src, car, owed);
                 };
                 let end = train.len().min(lane.cursor + owed);
+                if end == train.len() {
+                    if let Some(next) = lane.trains.get(1) {
+                        prefetch_head(next);
+                    }
+                }
                 sink.run(&train[lane.cursor..end]);
                 owed -= end - lane.cursor;
                 if end < train.len() {
@@ -518,7 +493,7 @@ impl<A: Application, Tr: Tracer> Runtime<A, Tr> {
             tracer: &mut self.tracer,
             enqueued: false,
         };
-        rx.drain_before(bound, &mut self.comm.pool, &mut sink);
+        rx.drain_before(bound, &mut self.em.pool, &mut sink);
         sink.enqueued
     }
 
@@ -572,8 +547,8 @@ impl<A: Application, Tr: Tracer> Runtime<A, Tr> {
     }
 
     /// Route remote emissions, which the emitter already holds as one run
-    /// per destination. Each run leaves whole as one train, swapped out of
-    /// the emitter; the comm mode only decides where cars are cut — every
+    /// per destination. Each of a run's chunks leaves as one train, in
+    /// emission order; the comm mode only decides where cars are cut — every
     /// `group` tasks (fine-grained, spread across the step for in-kernel
     /// overlap), or where the aggregator's policy fires, if it does in this
     /// dispatch. Destinations ascend, each in emission order.
@@ -585,7 +560,7 @@ impl<A: Application, Tr: Tracer> Runtime<A, Tr> {
         now: Time,
         busy: Time,
     ) {
-        let total: usize = em.remote.iter().map(Vec::len).sum();
+        let total: usize = (0..em.n_dst()).map(|dst| em.run_len(dst)).sum();
         if total == 0 {
             return;
         }
@@ -612,7 +587,7 @@ impl<A: Application, Tr: Tracer> Runtime<A, Tr> {
         // One issue per message across all destinations, or one per task.
         let issues = match self.cfg.comm {
             CommMode::Direct { group } => {
-                em.remote.iter().map(|v| v.len().div_ceil(group.max(1))).sum()
+                (0..em.n_dst()).map(|dst| em.run_len(dst).div_ceil(group.max(1))).sum()
             }
             CommMode::Aggregated { .. } => total,
         };
@@ -624,8 +599,8 @@ impl<A: Application, Tr: Tracer> Runtime<A, Tr> {
             false => IssueClock::spread(metadata_done, 0, 1),
         };
         let mut i = 0u64;
-        for dst in 0..em.remote.len() {
-            let mut rest = em.remote[dst].len();
+        for dst in 0..em.n_dst() {
+            let mut rest = em.run_len(dst);
             if rest == 0 {
                 continue;
             }
@@ -657,8 +632,9 @@ impl<A: Application, Tr: Tracer> Runtime<A, Tr> {
                     }
                 }
             }
-            let run = std::mem::replace(&mut em.remote[dst], self.comm.pool.take());
-            self.depart(src, dst, run);
+            for chunk in em.take_run(dst) {
+                self.depart(src, dst, chunk);
+            }
         }
         self.schedule_agg_poll(src);
     }
@@ -702,8 +678,9 @@ impl<A: Application, Tr: Tracer> Runtime<A, Tr> {
         self.route(at, src, dst, tasks, task_bytes);
     }
 
-    /// Stage the (non-empty) run `src` just emitted for `dst`: the next
-    /// stretch of what the route's cars, sent already or yet to be, count.
+    /// Stage a (non-empty) chunk of the run `src` just emitted for `dst`:
+    /// the next stretch of what the route's cars, sent already or yet to
+    /// be, count.
     #[atos_hot]
     fn depart(&mut self, src: usize, dst: usize, buf: Vec<A::Task>) {
         self.comm.outbox.trains.push(Train {

@@ -68,6 +68,11 @@ pub struct RunStats {
     /// Traffic burstiness (coefficient of variation; None if negligible
     /// traffic).
     pub burstiness: Option<f64>,
+    /// Peak bytes of task chunks out of the pool at once: the remote runs
+    /// being emitted, departed and waiting in receive lanes
+    /// ([`crate::emitter::ChunkPool`]). The comm layer's share of the
+    /// run's memory, counted by capacity.
+    pub comm_peak_bytes: u64,
     /// Residue of the deleted work-stealing discipline (DESIGN.md §11),
     /// always 0: scheduling is owner-computes, so no PE ever runs another's
     /// tasks. Kept for one caller, the frozen `benchmark/` package, which
@@ -161,6 +166,7 @@ impl RunStats {
         reg.set("engine.ev_arrivals", self.ev_arrivals);
         reg.set("engine.ev_agg_polls", self.ev_agg_polls);
         reg.set("engine.peak_pending_events", self.peak_pending_events);
+        reg.set("mem.comm_peak_bytes", self.comm_peak_bytes);
         reg.set(
             "queue.occupancy_hwm",
             self.queue_hwm_per_pe.iter().copied().max().unwrap_or(0),

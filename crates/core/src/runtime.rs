@@ -157,11 +157,12 @@ pub struct Runtime<A: Application, Tr: Tracer = NullTracer> {
     pub(crate) pes: Vec<Pe<A::Task>>,
     pub(crate) stats: RunStats,
     pub(crate) tuning: RuntimeTuning,
-    /// One emitter recycled across every PE's steps (cleared, never freed).
-    em: Emitter<A::Task>,
+    /// One emitter recycled across every PE's steps (cleared, never freed);
+    /// its chunk pool is where delivered trains go home.
+    pub(crate) em: Emitter<A::Task>,
     /// Pop-batch scratch recycled across steps.
     batch: Vec<A::Task>,
-    /// Outbox, train pool and receive scratch (`comm`).
+    /// Outbox and receive scratch (`comm`).
     pub(crate) comm: Comm<A::Task>,
     /// Exclusive end of the last window executed: every event before it
     /// has run, every arrival before it counts as delivered.
@@ -396,6 +397,7 @@ impl<A: Application, Tr: Tracer> Runtime<A, Tr> {
         self.stats.burstiness = self.fabric.trace.burstiness();
         self.stats.sim_events = self.engine.processed();
         self.stats.peak_pending_events = self.engine.max_pending() as u64;
+        self.stats.comm_peak_bytes = self.em.pool.peak_bytes() as u64;
     }
 
     /// The fabric's traffic trace (after `run`).

@@ -2,10 +2,10 @@
 //!
 //! The dispatcher used to build a `BTreeMap<usize, Vec<Task>>` per flush
 //! and `to_vec()` every chunk it sent — at least two heap allocations per
-//! message. Now a destination's run leaves the emitter whole as a train,
-//! messages are 40-byte cars, and emptied buffers return through the
-//! train pool: the steady state sends and receives without touching the
-//! allocator. This test pins that down with a counting global allocator.
+//! message. Now a destination's run is written into pooled chunks that
+//! leave the emitter as trains, messages are 40-byte cars, and emptied
+//! chunks return to their class in the pool: the steady state sends and
+//! receives without touching the allocator. This test pins that down with a counting global allocator.
 //!
 //! Every function that says it is hot (`#[atos_hot]` / `// atos-lint:
 //! hot`, read by `atos_lint::lints::hot_marker`) in the runtime's crates
@@ -115,8 +115,9 @@ const COVERED: &[(&str, &str)] = &[
     ("core/src/comm.rs::depart", "every relay: each destination's run leaves the emitter as a train"),
     ("core/src/comm.rs::route", "every relay: fabric routing for every message"),
     ("core/src/comm.rs::egress", "every relay: the egress half of every routed message"),
-    ("core/src/comm.rs::take", "every relay: a pooled buffer replaces each departing run"),
-    ("core/src/comm.rs::give", "every relay: a train's buffer comes home when the car over its last task is delivered"),
+    ("core/src/emitter.rs::spill", "every relay: each run's first push draws its first chunk"),
+    ("core/src/emitter.rs::take", "every relay: under every spill, a pooled chunk of the run's next class"),
+    ("core/src/emitter.rs::give", "every relay: a train's chunk goes home to its class when the car over its last task is delivered"),
     ("core/src/comm.rs::merge_records", "every relay: staged cars resolved at every window boundary"),
     ("core/src/comm.rs::file", "every relay: every resolved car pushed onto its lane"),
     ("core/src/comm.rs::arrive", "every relay: a doorbell per arrival at the idle peer PE"),

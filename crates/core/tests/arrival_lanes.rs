@@ -255,9 +255,19 @@ const GOLDEN: [(&str, Row); 7] = [
 // The lane structure alone, against a sort.
 // ---------------------------------------------------------------------------
 
-use atos_core::comm::{Car, Key, Rx, Sink, TrainPool};
+use atos_core::comm::{Car, Key, Rx, Sink};
+use atos_core::emitter::{ChunkPool, CHUNK_CLASSES};
 use atos_sim::Time;
 use proptest::prelude::*;
+
+/// `tasks` in a buffer of the smallest chunk class that holds them, as the
+/// emitter's pool hands one out.
+fn chunk(tasks: Vec<u32>) -> Vec<u32> {
+    let cap = CHUNK_CLASSES.iter().copied().find(|&c| c >= tasks.len());
+    let mut buf = Vec::with_capacity(cap.expect("a test train fits the largest class"));
+    buf.extend(tasks);
+    buf
+}
 
 #[test]
 fn a_staged_message_is_forty_bytes() {
@@ -313,7 +323,7 @@ proptest! {
         ops in proptest::collection::vec((0u32..9, 0usize..LANES, 0u64..3, 1u32..4), 1..160),
     ) {
         let mut rx: Rx<u32> = Rx::new(LANES);
-        let mut pool = TrainPool::default();
+        let mut pool = ChunkPool::default();
         let mut log = Log::default();
         // Oracle state.
         let mut filed: Vec<ModelCar> = Vec::new(); // every car ever filed
@@ -342,7 +352,7 @@ proptest! {
                 let run: Vec<u32> =
                     batch.iter().filter(|c| c.0 == src).flat_map(|c| c.2.iter().copied()).collect();
                 if !run.is_empty() {
-                    rx.push_train(src, run);
+                    rx.push_train(src, chunk(run));
                     *trains += 1;
                 }
             }
@@ -430,7 +440,7 @@ fn a_car_that_outruns_its_trains_aborts_in_every_build() {
     rx.begin_barrier();
     rx.push_train(1, vec![10, 11, 12]);
     rx.file(1, 70, 5, || 0);
-    rx.drain_before((Time::MAX, u64::MAX), &mut TrainPool::default(), &mut Log::default());
+    rx.drain_before((Time::MAX, u64::MAX), &mut ChunkPool::default(), &mut Log::default());
 }
 
 /// Shapes one case exercised, as bit flags.
@@ -487,7 +497,7 @@ fn deliveries(log: &Log) -> Vec<(Vec<u32>, Time)> {
 /// filed with the car. Returns the [`shape`]s the case exercised.
 fn spanning_cars_match_copied_bundles(ops: &[(u32, usize, u32, u32)]) -> u32 {
     let (mut rx, mut oracle): (Rx<u32>, Rx<u32>) = (Rx::new(LANES), Rx::new(LANES));
-    let (mut pool, mut oracle_pool) = (TrainPool::default(), TrainPool::default());
+    let (mut pool, mut oracle_pool) = (ChunkPool::default(), ChunkPool::default());
     let (mut log, mut oracle_log) = (Log::default(), Log::default());
     let mut routes: Vec<RouteModel> = (0..LANES).map(|_| RouteModel::default()).collect();
     // Cars cut since the last barrier: `(src, arrival delay, tasks, first train)`.
@@ -557,7 +567,7 @@ fn spanning_cars_match_copied_bundles(ops: &[(u32, usize, u32, u32)]) -> u32 {
                 let mut filed_trains = false;
                 for (src, r) in routes.iter_mut().enumerate() {
                     for run in r.pending.drain(..) {
-                        rx.push_train(src, run);
+                        rx.push_train(src, chunk(run));
                         r.filed_at.push(barriers);
                         trains += 1;
                         filed_trains = true;
@@ -582,7 +592,7 @@ fn spanning_cars_match_copied_bundles(ops: &[(u32, usize, u32, u32)]) -> u32 {
                         true => next_seq - 1,
                         false => waiting.last().expect("a delivery to join").1,
                     };
-                    oracle.push_train(src, tasks.clone());
+                    oracle.push_train(src, chunk(tasks.clone()));
                     assert_eq!(oracle.file(src, arrival, tasks.len() as u32, || seq), opened);
                     waiting.push((arrival, seq));
                     cars += 1;
