@@ -1,84 +1,59 @@
 //! Benchmark-trajectory runner: measures the fig5/fig8/fig9 quick
 //! workloads (`e2e_quick`) and the graph-construction layer
 //! (`graph_build`: full-scale R-MAT and road-mesh generation,
-//! `Csr::from_edges` throughput), gates the fresh numbers
-//! against the last committed entries in
-//! `results/BENCH_trajectory.json`, and (with `--append`) records them.
+//! `Csr::from_edges` throughput), prints them, and with `--append` records
+//! them in `results/BENCH_trajectory.json`.
 //!
 //! Usage:
 //!
 //! ```text
-//! bench_trajectory [--sha SHA] [--stamp STAMP] [--samples K]
-//!                  [--skip-e2e] [--skip-graph]
-//!                  [--deny-regression PCT] [--append] [--out PATH]
+//! bench_trajectory [--sha SHA] [--stamp STAMP] [--append] [--out PATH]
+//! bench_trajectory --compare FILE
 //! ```
 //!
 //! The run id is `SHA@STAMP`, both passed in from the command line (the
-//! repo's determinism policy keeps wall-clock identity out of the crates;
-//! `scripts/verify.sh` supplies `git rev-parse` + `date -u`). With
-//! `--deny-regression PCT` the process exits 1 if any freshly measured
-//! metric regresses more than PCT percent against the last committed
-//! entry of the same kind. Nothing is written unless `--append` is given,
-//! so the gate can run in CI without dirtying the work tree.
+//! repo's determinism policy keeps wall-clock identity out of the crates).
+//! `--compare FILE` measures nothing: it judges the base/change samples that
+//! `scripts/ab.sh` gathered from alternating runs of two builds, prints one
+//! row per metric and exits 1 if any failed (`trajectory::pair_verdict`).
 
 use std::collections::BTreeMap;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 use atos_bench::trajectory::{
-    append_entries, check_regression, host_cores, last_of_kind, measure_graph_build, quick_grid_ms,
-    read_trajectory, TrajectoryEntry, DEFAULT_TRAJECTORY_PATH,
+    append_entries, host_cores, measure_graph_build, pair_verdict, quick_grid_ms, read_samples,
+    FLOOR, PAIRS,
 };
 
 struct Args {
     sha: String,
     stamp: String,
-    samples: usize,
-    skip_e2e: bool,
-    skip_graph: bool,
-    deny_regression: Option<f64>,
     append: bool,
     out: PathBuf,
+    compare: Option<PathBuf>,
 }
 
 fn parse_args() -> Result<Args, String> {
     let mut a = Args {
         sha: "local".to_string(),
         stamp: "unstamped".to_string(),
-        samples: 3,
-        skip_e2e: false,
-        skip_graph: false,
-        deny_regression: None,
         append: false,
-        out: PathBuf::from(DEFAULT_TRAJECTORY_PATH),
+        out: PathBuf::from("results/BENCH_trajectory.json"),
+        compare: None,
     };
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    let mut it = argv.iter();
+    let mut it = std::env::args().skip(1);
     while let Some(arg) = it.next() {
-        let mut value = |flag: &str| {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("{flag} requires a value"))
-        };
+        let mut value = || it.next().ok_or(format!("{arg} requires a value"));
         match arg.as_str() {
-            "--sha" => a.sha = value("--sha")?,
-            "--stamp" => a.stamp = value("--stamp")?,
-            "--samples" => {
-                let v = value("--samples")?;
-                a.samples = v.parse().map_err(|_| format!("invalid --samples value `{v}`"))?;
-            }
-            "--skip-e2e" => a.skip_e2e = true,
-            "--skip-graph" => a.skip_graph = true,
-            "--deny-regression" => {
-                let v = value("--deny-regression")?;
-                a.deny_regression =
-                    Some(v.parse().map_err(|_| format!("invalid --deny-regression value `{v}`"))?);
-            }
+            "--sha" => a.sha = value()?,
+            "--stamp" => a.stamp = value()?,
             "--append" => a.append = true,
-            "--out" => a.out = PathBuf::from(value("--out")?),
+            "--out" => a.out = PathBuf::from(value()?),
+            "--compare" => a.compare = Some(PathBuf::from(value()?)),
             other => {
                 return Err(format!(
-                    "unknown argument `{other}` (supported: --sha, --stamp, --samples K, \
-                     --skip-e2e, --skip-graph, --deny-regression PCT, --append, --out PATH)"
+                    "unknown argument `{other}` (supported: --sha, --stamp, --append, \
+                     --out PATH, --compare FILE)"
                 ))
             }
         }
@@ -100,83 +75,63 @@ fn print_metrics(kind: &str, metrics: &BTreeMap<String, f64>) {
     }
 }
 
-fn main() {
-    atos_bench::pipe_friendly();
-    let args = match parse_args() {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("error: {e}");
-            std::process::exit(2);
-        }
-    };
-    let run_id = format!("{}@{}", args.sha, args.stamp);
-    let history = match read_trajectory(&args.out) {
-        Ok(h) => h,
-        Err(e) => {
-            eprintln!("error: could not read {}: {e}", args.out.display());
-            std::process::exit(2);
-        }
-    };
-
-    let mut failures: Vec<String> = Vec::new();
-    let mut new_entries: Vec<TrajectoryEntry> = Vec::new();
-
-    if !args.skip_e2e {
-        let mut metrics = BTreeMap::new();
-        metrics.insert("host_cores".to_string(), host_cores());
-        metrics.insert("fig5_quick_ms".to_string(), quick_grid_ms("fig5_scaling_nvlink"));
-        metrics.insert("fig8_quick_ms".to_string(), quick_grid_ms("fig8_scaling_ib_bfs"));
-        metrics.insert("fig9_quick_ms".to_string(), quick_grid_ms("fig9_scaling_ib_pr"));
-        print_metrics("e2e_quick", &metrics);
-        new_entries.push(TrajectoryEntry {
-            run_id: run_id.clone(),
-            kind: "e2e_quick".to_string(),
-            metrics,
-        });
+/// `--compare FILE`: the table `scripts/ab.sh` prints, and whether every
+/// metric passed.
+fn compare(path: &Path) -> Result<bool, String> {
+    let text = std::fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))?;
+    let metrics = read_samples(&text)?;
+    if let Some((key, _, pairs)) = metrics.iter().find(|m| m.2.len() != PAIRS) {
+        return Err(format!("{key}: {} pairs, expected {PAIRS}", pairs.len()));
     }
-
-    if !args.skip_graph {
-        let metrics = measure_graph_build(args.samples);
-        print_metrics("graph_build", &metrics);
-        new_entries.push(TrajectoryEntry {
-            run_id: run_id.clone(),
-            kind: "graph_build".to_string(),
-            metrics,
-        });
-    }
-
-    if let Some(pct) = args.deny_regression {
-        for cur in &new_entries {
-            match last_of_kind(&history, &cur.kind) {
-                Some(prev) => failures.extend(check_regression(prev, cur, pct)),
-                None => eprintln!(
-                    "[trajectory] no committed {} entry in {} — nothing to gate against",
-                    cur.kind,
-                    args.out.display()
-                ),
-            }
-        }
-    }
-
-    if args.append {
-        if let Err(e) = append_entries(&args.out, &new_entries) {
-            eprintln!("error: could not write {}: {e}", args.out.display());
-            std::process::exit(2);
-        }
+    println!("N = {PAIRS}, FLOOR = {FLOOR}: fail on median ratio > 1 + FLOOR and >= 2/3 worse");
+    println!("metric                                   base med   change med   ratio  worse   base q3-q1");
+    // Five decimals below 1, so a ratio metric such as 0.0073 keeps its digits.
+    let num = |x: f64| format!("{x:>12.*}", if x.abs() < 1.0 { 5 } else { 3 });
+    let mut ok = true;
+    for (key, better, pairs) in &metrics {
+        let v = pair_verdict(pairs, *better);
+        ok &= !v.fails;
+        let worse = format!("{}/{PAIRS}", v.worse);
+        let verdict = if v.fails { "FAIL" } else { "ok" };
+        let (base, change, iqr) = (num(v.base_median), num(v.change_median), num(v.base_iqr));
         println!(
-            "[trajectory] appended {} entr{} as {run_id} -> {}",
-            new_entries.len(),
-            if new_entries.len() == 1 { "y" } else { "ies" },
-            args.out.display()
+            "{key:<36} {base} {change} {:>7.3} {worse:>6} {iqr}  {verdict}",
+            v.ratio
         );
     }
+    Ok(ok)
+}
 
-    if !failures.is_empty() {
-        eprintln!("[trajectory] FAIL: {} regression(s):", failures.len());
-        for f in &failures {
-            eprintln!("  {f}");
-        }
-        std::process::exit(1);
+fn fail(e: String) -> ! {
+    eprintln!("error: {e}");
+    std::process::exit(2);
+}
+
+fn main() {
+    atos_bench::pipe_friendly();
+    let args = parse_args().unwrap_or_else(|e| fail(e));
+    if let Some(path) = &args.compare {
+        let ok = compare(path).unwrap_or_else(|e| fail(e));
+        std::process::exit(if ok { 0 } else { 1 });
     }
-    println!("[trajectory] ok ({run_id})");
+    let mut e2e = BTreeMap::from([("host_cores".to_string(), host_cores())]);
+    for (fig, grid) in [
+        ("fig5", "fig5_scaling_nvlink"),
+        ("fig8", "fig8_scaling_ib_bfs"),
+        ("fig9", "fig9_scaling_ib_pr"),
+    ] {
+        e2e.insert(format!("{fig}_quick_ms"), quick_grid_ms(grid));
+    }
+    print_metrics("e2e_quick", &e2e);
+    let graph = measure_graph_build(3);
+    print_metrics("graph_build", &graph);
+
+    if args.append {
+        let (run_id, out) = (format!("{}@{}", args.sha, args.stamp), args.out.display());
+        let entries = [("e2e_quick", &e2e), ("graph_build", &graph)];
+        if let Err(e) = append_entries(&args.out, &run_id, &entries) {
+            fail(format!("could not write {out}: {e}"));
+        }
+        println!("[trajectory] appended 2 entries as {run_id} -> {out}");
+    }
 }

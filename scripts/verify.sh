@@ -1,11 +1,12 @@
 #!/usr/bin/env bash
 # Repository verification, in thirteen stages: tier-1 build+test, the
 # workspace tests, the doc-reference check, the parallel-sweep smoke
-# (byte-identity across thread counts; usage errors, the removed --json and
-# --run-id among them), the golden byte-compares, the frozen benchmark
-# package (build + smoke run), the bench trajectory gate, the observability
-# smoke, the line-level sampler smoke, atos-lint, miri, the model checker
-# under --cfg atos_check (tests + clippy), and clippy.
+# (byte-identity across thread counts; usage errors, the removed --json,
+# --run-id and bench_trajectory gate flags among them), the golden
+# byte-compares, the frozen benchmark package (build + smoke run), the
+# paired perf gate against the parent commit (scripts/ab.sh HEAD~1), the
+# observability smoke, the line-level sampler smoke, atos-lint, miri, the
+# model checker under --cfg atos_check (tests + clippy), and clippy.
 #
 # Usage: scripts/verify.sh  (from anywhere; cd's to the repo root)
 
@@ -25,10 +26,11 @@ echo "== doc references (every backticked path.rs and path.rs::symbol resolves) 
 # A path resolves if it is a file of the tree or the tail of one (`comm.rs`,
 # `tests/golden.rs`), after expanding `{a, b}` groups; a symbol must occur as
 # a word in a file the path names. Deleted files are named in plain text,
-# not in backticks (DESIGN.md §11). The docs are README, DESIGN, EXPERIMENTS
-# and the verify skill's SKILL.md; benchmark/README.md is frozen with its
-# package and is not checked.
-python3 - README.md DESIGN.md EXPERIMENTS.md .*/skills/verify/SKILL.md <<'EOF'
+# not in backticks (DESIGN.md §11). The docs are README, DESIGN, EXPERIMENTS,
+# results/README.md and the verify skill's SKILL.md; benchmark/README.md is
+# frozen with its package and ROADMAP.md names deleted files on purpose, so
+# neither is checked.
+python3 - README.md DESIGN.md EXPERIMENTS.md results/README.md .*/skills/verify/SKILL.md <<'EOF'
 import os, re, sys
 tree = []
 for d, dirs, names in os.walk("."):
@@ -85,13 +87,18 @@ for exp in table2_bfs_nvlink table4_pr_nvlink table5_ib fig5_scaling_nvlink fig8
 done
 # Usage errors exit 2: the deleted work-stealing, sharded-engine and
 # timing-report flags (DESIGN.md §11), an artifact flag off the reference
-# entry, an unknown experiment.
+# entry, an unknown experiment; then bench_trajectory's deleted gate flags.
 for args in "fig5_scaling_nvlink --load-balance steal" "fig5_scaling_nvlink --sim-threads 4" \
         "fig5_scaling_nvlink --json x" "fig5_scaling_nvlink --run-id x" \
         "table2_bfs_nvlink --trace $tmp/no.json" "table9"; do
     # shellcheck disable=SC2086
     "$bench" $args --quick > /dev/null 2>&1 && rc=0 || rc=$?
     [ "$rc" -eq 2 ] || { echo "FAIL: atos-bench $args exited $rc, expected 2" >&2; exit 1; }
+done
+for args in "--deny-regression 60" "--samples 3" "--skip-e2e" "--skip-graph"; do
+    # shellcheck disable=SC2086
+    ./target/release/bench_trajectory $args > /dev/null 2>&1 && rc=0 || rc=$?
+    [ "$rc" -eq 2 ] || { echo "FAIL: bench_trajectory $args exited $rc, expected 2" >&2; exit 1; }
 done
 echo "ok: unsupported flags and unknown experiments are rejected (exit 2)"
 
@@ -127,18 +134,17 @@ bash benchmark/run.sh --smoke --out "$tmp/benchmark-out" > "$tmp/benchmark-smoke
 }
 echo "ok: benchmark package builds and its smoke run verifies"
 
-echo "== bench trajectory (e2e smoke, regression gate) =="
-# Re-measures the fig5/fig8/fig9 quick workloads (e2e_quick) and the
-# graph-construction layer (graph_build: full-scale R-MAT + road-mesh
-# generation), then gates against the last
-# committed entries in results/BENCH_trajectory.json. The threshold is
-# loose (shared hosts are noisy). Cross-host comparisons are skipped
-# (host_cores is recorded).
-./target/release/bench_trajectory \
-    --sha "$(git rev-parse --short HEAD 2>/dev/null || echo unknown)" \
-    --stamp "$(date -u +%Y-%m-%dT%H:%M:%SZ)" \
-    --samples 3 --deny-regression 60
-echo "ok: trajectory gate passed"
+echo
+echo "== paired perf gate (scripts/ab.sh HEAD~1) =="
+# Builds the parent commit's bench_trajectory under target/ab/ and runs it
+# and this tree's alternately (the fig5/fig8/fig9 quick workloads and the
+# graph-construction layer); a metric fails when the change is worse than
+# its parent by more than FLOOR in the median pair and in at least 2/3 of
+# the pairs (crates/bench/src/trajectory.rs, DESIGN.md §4.12). Both sides
+# run on this host in this session; results/BENCH_trajectory.json is a
+# record and gates nothing. A parent that cannot be checked out fails here.
+scripts/ab.sh HEAD~1
+echo "ok: no metric regressed against the parent"
 
 echo
 echo "== observability smoke (atos-bench reference --trace / --metrics) =="
