@@ -16,9 +16,12 @@
 //! stay identical across thread counts; `atos-bench`'s one wall-clock line
 //! goes to stderr.
 
+#![allow(
+    clippy::disallowed_types,
+    reason = "host-side sweep scheduling around the system under test, in no modelled protocol"
+)]
+
 use std::path::PathBuf;
-// atos-lint: allow(facade_bypass) — host-side sweep scheduling around the
-// system under test, never built under `--cfg atos_check`.
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 

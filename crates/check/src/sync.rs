@@ -99,6 +99,7 @@ struct AtomCore {
 // a model operation, and the scheduler runs exactly one model thread at a
 // time — the RefCell is never borrowed concurrently.
 unsafe impl Send for AtomCore {}
+// SAFETY: as for `Send` above: one model thread runs at a time.
 unsafe impl Sync for AtomCore {}
 
 impl AtomCore {
@@ -290,6 +291,7 @@ macro_rules! shadow_atomic {
         // read back under the model engine lock with exactly one thread
         // running; `core` is internally serialized the same way.
         unsafe impl Send for $name {}
+        // SAFETY: as for `Send` above: one model thread runs at a time.
         unsafe impl Sync for $name {}
 
         impl $name {
@@ -501,6 +503,7 @@ pub struct UnsafeCell<T> {
 // exists precisely to report the schedules where real concurrent access
 // would occur.
 unsafe impl<T: Send> Send for UnsafeCell<T> {}
+// SAFETY: as for `Send` above: one model thread runs at a time.
 unsafe impl<T: Send> Sync for UnsafeCell<T> {}
 
 impl<T> UnsafeCell<T> {

@@ -83,6 +83,10 @@ fn fuzz_broker_queue() {
 /// worker threads, pop/process/push loops, and the outstanding-counter
 /// termination protocol.
 #[test]
+#[allow(
+    clippy::disallowed_types,
+    reason = "the test's own visit count, outside the model"
+)]
 fn fuzz_distributed_queues_push_recv() {
     use std::sync::atomic::{AtomicU64, Ordering};
     struct Relay {

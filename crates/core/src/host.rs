@@ -21,7 +21,7 @@
 //!   retires, so the counter can only reach zero when no task exists
 //!   anywhere — queues, claims, or in flight.
 
-// atos-lint: allow(sim_determinism) — real-thread backend, no tracer
+#[allow(clippy::disallowed_types, reason = "real-thread backend, no tracer")]
 use std::time::{Duration, Instant};
 
 use atos_macros::atos_hot;
@@ -64,7 +64,7 @@ pub struct HostConfig {
 impl HostConfig {
     /// A reasonable default: PEs × workers covering the machine, fetch 32.
     pub fn new(n_pes: usize, queue_capacity: usize) -> Self {
-        // atos-lint: allow(sim_determinism) — real-thread backend, no tracer
+        #[allow(clippy::disallowed_methods, reason = "real-thread backend, no tracer")]
         let threads = std::thread::available_parallelism()
             .map(|n| n.get())
             .unwrap_or(4)
@@ -293,7 +293,7 @@ pub fn run_host<A: HostApplication>(
             .expect("seed exceeds queue capacity");
     }
 
-    // atos-lint: allow(sim_determinism) — real-thread backend, no tracer
+    #[allow(clippy::disallowed_types, reason = "real-thread backend, no tracer")]
     let start = Instant::now();
     let ctx = WorkerCtx {
         app,

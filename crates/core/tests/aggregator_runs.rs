@@ -322,11 +322,31 @@ fn fnv(bytes: impl IntoIterator<Item = u8>) -> u64 {
     })
 }
 
+/// `RunStats` field by field, as `(name, Debug text)`. The pattern names
+/// every field — no `..` — so a new field does not compile until the rows
+/// below pin it.
+#[rustfmt::skip]
+fn fields(stats: &RunStats) -> Vec<(&'static str, String)> {
+    macro_rules! by_name {
+        ($($field:ident),*) => {{
+            let RunStats { $($field),* } = stats;
+            vec![$((stringify!($field), format!("{:?}", $field))),*]
+        }};
+    }
+    by_name!(
+        elapsed_ns, tasks_per_pe, edges_per_pe, busy_ns_per_pe, steps_per_pe, messages,
+        payload_bytes, wire_bytes, remote_tasks, agg_flushes, agg_flushes_size, agg_flushes_age,
+        agg_flushed_tasks, agg_flushed_bytes, queue_hwm_per_pe, ev_steps, ev_arrivals,
+        ev_agg_polls, coalesced_arrivals, agg_poll_coalesced, agg_poll_idle, peak_pending_events,
+        sim_events, burstiness, comm_peak_bytes, lb_steals, lb_stolen_tasks
+    )
+}
+
 /// Run `chains` chains of `ttl + 1` links on PE 0 and half as many on PE 1
 /// of a 4-PE InfiniBand cluster, so every lane-to-lane interleaving at a
-/// receiver is the schedule's; returns the stats and `[fnv(format!("{stats:?}")), fnv(every
-/// PE's delivered-task hash)]`.
-fn spray(fan: u32, chains: u32, ttl: u32, comm: CommMode) -> (RunStats, [u64; 2]) {
+/// receiver is the schedule's; returns the stats and `fnv(every PE's
+/// delivered-task hash)`, after printing both as a golden row.
+fn spray(fan: u32, chains: u32, ttl: u32, comm: CommMode) -> (RunStats, u64) {
     let app = Spray { n_pes: 4, fan, received: vec![0; 4] };
     let cfg = AtosConfig { comm, ..AtosConfig::ib_pagerank() };
     let mut rt = Runtime::new(app, Fabric::ib_cluster(4), cfg);
@@ -334,8 +354,19 @@ fn spray(fan: u32, chains: u32, ttl: u32, comm: CommMode) -> (RunStats, [u64; 2]
     rt.seed(1, (0..chains / 2).map(|c| (ttl, 500 + c * 1_000)));
     let stats = rt.run();
     let order = fnv(rt.app().received.iter().flat_map(|h| h.to_le_bytes()));
-    let row = [fnv(format!("{stats:?}").bytes()), order];
-    (stats, row)
+    let pins: Vec<String> = fields(&stats)
+        .iter()
+        .map(|(f, v)| format!("({f:?}, {v:?})"))
+        .collect();
+    println!("    &[{}],\n    {order},", pins.join(", "));
+    (stats, order)
+}
+
+/// Assert a golden row: every field of `stats`, then the delivery order.
+fn assert_row(stats: &RunStats, order: u64, (pins, want_order): (&[(&str, &str)], u64)) {
+    let want: Vec<(&str, String)> = pins.iter().map(|&(f, v)| (f, v.to_string())).collect();
+    assert_eq!(fields(stats), want);
+    assert_eq!(order, want_order);
 }
 
 #[test]
@@ -344,13 +375,12 @@ fn a_bundle_spanning_steps_runs_as_it_did_when_bundles_were_copies() {
     // half-microsecond steps: every bundle is the age trigger's — most cut by
     // a later dispatch, the last by the poll — over many steps' runs.
     let comm = CommMode::Aggregated { batch_bytes: 1 << 20, wait_time: 8 };
-    let (s, row) = spray(3, 6, 400, comm);
-    println!("    {row:?}, // {} bundles", s.agg_flushes);
+    let (s, order) = spray(3, 6, 400, comm);
     assert_eq!((s.agg_flushes_size, s.remote_tasks), (0, 9 * 401 * 9), "{s:?}");
     // A chain's links run in successive steps, so each source emitted
     // at least 401 runs per destination: three and more to a bundle.
     assert!(s.agg_flushes * 3 <= 2 * 3 * 401, "{s:?}");
-    assert_eq!(row, SPANNING_STEPS);
+    assert_row(&s, order, SPANNING_STEPS);
 }
 
 #[test]
@@ -359,23 +389,53 @@ fn a_step_cut_into_bundles_runs_as_it_did_when_bundles_were_copies() {
     // destination: the size trigger cuts even a one-link run three times,
     // and the remainder rides into the next step's run.
     let comm = CommMode::Aggregated { batch_bytes: 128, wait_time: 32 };
-    let (s, row) = spray(50, 6, 12, comm);
-    println!("    {row:?}, // {} size + {} age bundles", s.agg_flushes_size, s.agg_flushes_age);
+    let (s, order) = spray(50, 6, 12, comm);
     assert_eq!(s.remote_tasks, 9 * 13 * 150, "{s:?}");
     assert!(s.agg_flushes_size >= 3 * 3 * 9 * 13 && s.agg_flushes_age > 0, "{s:?}");
-    assert_eq!(row, CUT_WITHIN_A_STEP);
+    assert_row(&s, order, CUT_WITHIN_A_STEP);
 }
+
+/// A golden row: every `RunStats` field, then `fnv` of the delivery order.
+type Row = (&'static [(&'static str, &'static str)], u64);
 
 /// Captured on the parent commit fe33613, whose aggregator copied every
 /// task into a per-pair buffer and sent each bundle as a train of its own
 /// (`cargo test -p atos-core --test aggregator_runs -- --nocapture` prints
-/// the rows). The first column hashes `RunStats`' `Debug` text, so it was
-/// re-derived when the fields `lb_discipline` and `lb_stolen_edges` (both 0
-/// here) went: the same text with those two entries cut out. It was
-/// re-derived again when `comm_peak_bytes` came (176 128 and 104 448 here):
-/// the new text with that entry cut out hashes to the previous constants,
-/// 2723087143159785018 and 2814010227606959962.
+/// the rows). The fields were one hash of `RunStats`' `Debug` text until
+/// they were pinned by name; rendered back as that text, they hash to its
+/// last constants, 7028180558991062497 and 12754310916618590963.
 #[rustfmt::skip]
-const SPANNING_STEPS: [u64; 2] = [7028180558991062497, 11955051332651252563]; // 102 bundles
+const SPANNING_STEPS: Row = (
+    &[
+        ("elapsed_ns", "211904"), ("tasks_per_pe", "[6015, 8421, 10827, 10827]"),
+        ("edges_per_pe", "[6015, 8421, 10827, 10827]"),
+        ("busy_ns_per_pe", "[196377, 207024, 32481, 32481]"),
+        ("steps_per_pe", "[403, 402, 29, 28]"), ("messages", "102"), ("payload_bytes", "259848"),
+        ("wire_bytes", "525816"), ("remote_tasks", "32481"), ("agg_flushes", "102"),
+        ("agg_flushes_size", "0"), ("agg_flushes_age", "102"), ("agg_flushed_tasks", "32481"),
+        ("agg_flushed_bytes", "259848"), ("queue_hwm_per_pe", "[231, 453, 677, 663]"),
+        ("ev_steps", "901"), ("ev_arrivals", "37"), ("ev_agg_polls", "84"),
+        ("coalesced_arrivals", "0"), ("agg_poll_coalesced", "800"), ("agg_poll_idle", "32"),
+        ("peak_pending_events", "6"), ("sim_events", "1022"),
+        ("burstiness", "Some(0.7659866372737212)"), ("comm_peak_bytes", "104448"),
+        ("lb_steals", "0"), ("lb_stolen_tasks", "0"),
+    ],
+    11955051332651252563,
+);
 #[rustfmt::skip]
-const CUT_WITHIN_A_STEP: [u64; 2] = [12754310916618590963, 9117714385370042282]; // 1092 size + 6 age bundles
+const CUT_WITHIN_A_STEP: Row = (
+    &[
+        ("elapsed_ns", "60919"), ("tasks_per_pe", "[2028, 3939, 5850, 5850]"),
+        ("edges_per_pe", "[2028, 3939, 5850, 5850]"),
+        ("busy_ns_per_pe", "[11538, 16500, 18432, 18432]"), ("steps_per_pe", "[24, 18, 6, 6]"),
+        ("messages", "1098"), ("payload_bytes", "140400"), ("wire_bytes", "346680"),
+        ("remote_tasks", "17550"), ("agg_flushes", "1098"), ("agg_flushes_size", "1092"),
+        ("agg_flushes_age", "6"), ("agg_flushed_tasks", "17550"), ("agg_flushed_bytes", "140400"),
+        ("queue_hwm_per_pe", "[166, 768, 2688, 2688]"), ("ev_steps", "66"), ("ev_arrivals", "10"),
+        ("ev_agg_polls", "8"), ("coalesced_arrivals", "0"), ("agg_poll_coalesced", "24"),
+        ("agg_poll_idle", "2"), ("peak_pending_events", "6"), ("sim_events", "84"),
+        ("burstiness", "Some(2.001121892789719)"), ("comm_peak_bytes", "176128"),
+        ("lb_steals", "0"), ("lb_stolen_tasks", "0"),
+    ],
+    9117714385370042282,
+);

@@ -16,7 +16,7 @@
 //!   same bits.
 
 use std::cell::RefCell;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::rc::Rc;
 use std::sync::Arc;
 
@@ -160,7 +160,7 @@ fn record(n_pes: usize, limit: u32, cfg: AtosConfig) -> Seen {
 /// One step's entries, in order: hints and `process` calls only.
 fn check_step(step: &[Entry], step_pe: usize, tasks: usize, seen: &mut Seen) {
     // Where in the step each task ran, and at which batch position.
-    let mut ran: HashMap<u32, (usize, usize)> = HashMap::new();
+    let mut ran: BTreeMap<u32, (usize, usize)> = BTreeMap::new();
     for (at, entry) in step.iter().enumerate() {
         if let Entry::Process { pe, task } = *entry {
             assert_eq!(pe, step_pe, "a step runs its own PE's tasks");
@@ -175,8 +175,8 @@ fn check_step(step: &[Entry], step_pe: usize, tasks: usize, seen: &mut Seen) {
 
     // Every hint names a task this same step runs later; per task, at most
     // one of each kind, `Far` first.
-    let mut far_at: HashMap<u32, usize> = HashMap::new();
-    let mut near_at: HashMap<u32, usize> = HashMap::new();
+    let mut far_at: BTreeMap<u32, usize> = BTreeMap::new();
+    let mut near_at: BTreeMap<u32, usize> = BTreeMap::new();
     for (at, entry) in step.iter().enumerate() {
         let Entry::Hint(task, ahead) = *entry else {
             continue;

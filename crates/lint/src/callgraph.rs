@@ -69,9 +69,6 @@ impl CallGraph {
         let mut by_method: BTreeMap<(String, String), Vec<FnId>> = BTreeMap::new();
         let mut crate_dirs = Vec::new();
         for (fi, file) in ws.files.iter().enumerate() {
-            if file.skip {
-                continue;
-            }
             let krate = crate_of(&file.path);
             if !krate.is_empty() && !crate_dirs.contains(&krate.to_string()) {
                 crate_dirs.push(krate.to_string());
@@ -96,9 +93,6 @@ impl CallGraph {
             crate_dirs,
         };
         for (fi, file) in ws.files.iter().enumerate() {
-            if file.skip {
-                continue;
-            }
             for (gi, f) in file.parsed.fns.iter().enumerate() {
                 if f.in_test_mod || f.body.is_empty() {
                     continue;

@@ -1,48 +1,32 @@
-//! `atos-lint`: workspace static analysis for the invariants this project
-//! actually depends on.
+//! `atos-lint`: the workspace's call-graph lint.
 //!
 //! The dynamic side of verification — the model checker and race detector
-//! in `atos-check` (PR 3) — explores interleavings of code that *runs*.
-//! This crate is the static side: it parses every workspace source file
-//! into a lightweight token/item/event model (no `syn` — the offline
-//! build vendors zero external crates, so the parser is a small purpose-
-//! built lexer in [`parse`]) and checks structural invariants that are
-//! awkward or impossible to catch dynamically:
+//! in `atos-check` — explores interleavings of code that *runs*; clippy
+//! holds the path-scoped invariants by resolving types (the atomics
+//! facade, deterministic simulation, `SAFETY:` comments; DESIGN.md §7).
+//! This crate is the one check neither can express: it parses every
+//! workspace source file into a lightweight token/item/event model (no
+//! `syn` — the offline build vendors zero external crates, so the parser
+//! is a small purpose-built lexer in [`parse`]) and runs one rule,
+//! `panic-in-kernel`: `unwrap`/`expect`/`panic!`-family in hot functions
+//! and, transitively, in anything they reach through the workspace call
+//! graph ([`callgraph`] + fixed-point summaries in [`summaries`]), so an
+//! outlined `#[cold]` abort helper is attributed to its callers. A
+//! function is hot because it says so: `#[atos_hot]`, or the comment
+//! `// atos-lint: hot` on the line above the `fn` in the crates that stay
+//! dependency-free (`atos-queue`, `atos-graph`); with the marker's one
+//! argument (`#[atos_hot(no_index)]` / `// atos-lint: hot(no-index)`: the
+//! queue protocol and the `prefetch` hint path) panicking indexes too.
 //!
-//! 1. `facade-bypass` — raw `std::sync::atomic` / `std::cell::UnsafeCell`
-//!    outside the `atos_queue::sync` facade (which is what lets
-//!    `--cfg atos_check` interpose the checker's shadow types).
-//! 2. `panic-in-kernel` — `unwrap`/`expect`/`panic!`-family in hot
-//!    functions and, transitively, in anything they reach through the
-//!    workspace call graph ([`callgraph`] + fixed-point summaries in
-//!    [`summaries`]), so an outlined `#[cold]` abort helper is attributed
-//!    to its callers. A function is hot because it says so: `#[atos_hot]`,
-//!    or the comment `// atos-lint: hot` on the line above the `fn` in the
-//!    crates that stay dependency-free (`atos-queue`, `atos-graph`); with
-//!    the marker's one argument (`#[atos_hot(no_index)]` /
-//!    `// atos-lint: hot(no-index)`: the queue protocol and the
-//!    `prefetch` hint path) panicking indexes too.
-//! 3. `sim-determinism` — wall-clock, sleeps, default-hasher containers
-//!    and the host thread-count query, by name, in every crate that
-//!    produces trace events or virtual time (simulator, runtime,
-//!    applications, baselines).
-//! 4. `missing-safety` — `unsafe` without a `SAFETY:` comment.
+//! Why the rule stays, and what left (three flow analyses, the ordering
+//! pass, `hot-path-alloc`, and the three lexical rules clippy now holds),
+//! is the audit in DESIGN.md §7 and §11.
 //!
-//! Which rule is the only catcher of which seeded defect is the audit
-//! table in DESIGN.md §7. What left on that evidence (§11): three flow
-//! analyses (`determinism-taint`, `unchecked-guard`, and the
-//! owner-computes write check, whose every catch `tests/differential.rs`
-//! and the goldens repeat), the ordering pass (`atos-check` runs every
-//! cell access it saw) and `hot-path-alloc`
-//! (`crates/core/tests/alloc_count.rs` runs every hot function).
-//!
-//! Suppression is always visible in the diff: an `atos-lint: allow(rule)`
-//! comment on the finding line or the two lines above it, or a
-//! `lint:skip-file` marker in the first ten lines of a file (honored for
-//! deliberately-broken twins like `mutations.rs`).
+//! Suppression is always visible in the diff: an
+//! `atos-lint: allow(panic_in_kernel)` comment on the finding line or the
+//! two lines above it, or on a vetted callee's definition.
 
 pub mod callgraph;
-pub mod config;
 pub mod lints;
 pub mod model;
 pub mod parse;
@@ -73,8 +57,6 @@ pub struct SourceFile {
     pub path: String,
     /// Parsed view.
     pub parsed: parse::ParsedFile,
-    /// `lint:skip-file` marker present in the first ten lines.
-    pub skip: bool,
 }
 
 /// The parsed workspace.
@@ -86,15 +68,11 @@ pub struct Workspace {
 
 impl Workspace {
     /// Build from in-memory `(path, source)` pairs (used by tests and the
-    /// seeded-mutation checks).
+    /// CLI's explicit paths).
     pub fn from_sources(sources: Vec<(String, String)>) -> Workspace {
         let files = sources
             .into_iter()
             .map(|(path, src)| SourceFile {
-                skip: src
-                    .lines()
-                    .take(10)
-                    .any(|l| l.contains("lint:skip-file")),
                 parsed: parse::parse(&src),
                 path: path.replace('\\', "/"),
             })
@@ -148,22 +126,16 @@ fn walk(root: &Path, dir: &Path, out: &mut Vec<String>) -> io::Result<()> {
     Ok(())
 }
 
-/// Kebab rule id → snake (the form used in suppressions).
-fn snake(rule: &str) -> String {
-    rule.replace('-', "_")
+/// Is there an `atos-lint: allow(panic_in_kernel)` comment on `line` or
+/// the two above? The one spelling of a suppression: on a finding's line
+/// it silences the finding, on a definition's it vets the callee.
+pub(crate) fn allowed_at(file: &SourceFile, line: u32) -> bool {
+    file.parsed.comment_near(line, 2, "atos-lint: allow(panic_in_kernel)")
 }
 
-/// Is there an `atos-lint: allow(rule)` comment on `line` or the two
-/// above? The one spelling of a suppression: on a finding's line it
-/// silences the finding, on a definition's it vets the callee.
-pub(crate) fn allowed_at(file: &SourceFile, line: u32, rule: &str) -> bool {
-    let needle = format!("atos-lint: allow({})", snake(rule));
-    file.parsed.comment_near(line, 2, &needle)
-}
-
-/// Run every rule, apply suppressions, and return findings sorted by
-/// `(file, line, rule)`. The CLI calls [`lints::analyze`] and
-/// [`lints::run`] itself: it also wants the timing rows.
-pub fn run(ws: &Workspace, cfg: &config::Config) -> Vec<Finding> {
-    lints::run(ws, cfg, &lints::analyze(ws)).0
+/// Run the rule, apply suppressions, and return findings sorted by
+/// `(file, line)`. The CLI calls [`lints::analyze`] and [`lints::run`]
+/// itself: it also wants the timing rows.
+pub fn run(ws: &Workspace) -> Vec<Finding> {
+    lints::run(ws, &lints::analyze(ws))
 }

@@ -1,26 +1,18 @@
-//! The lint rules.
-//!
-//! Each rule is a pure function from the parsed workspace to findings;
-//! suppression (`atos-lint: allow(..)` comments, `lint:skip-file` markers)
-//! is applied centrally by [`crate::run`], so rules report every raw site
-//! they see.
+//! The lint rule: `panic-in-kernel`, the one check a compiler lint cannot
+//! express, because it walks the workspace call graph. Suppression
+//! (`atos-lint: allow(panic_in_kernel)` comments) is applied centrally by
+//! [`run`], so the rule reports every raw site it sees.
 
 use crate::callgraph::CallGraph;
-use crate::config::Config;
 use crate::model::{events_of, Event};
-use crate::parse::{FnItem, TokKind};
+use crate::parse::FnItem;
 use crate::summaries::{vetted, Summaries};
 use crate::{Finding, SourceFile, Workspace};
 
 /// All rule identifiers, in report order.
-pub const RULES: &[&str] = &[
-    "facade-bypass",
-    "panic-in-kernel",
-    "sim-determinism",
-    "missing-safety",
-];
+pub const RULES: &[&str] = &["panic-in-kernel"];
 
-/// The interprocedural substrate the rules share: built once per run.
+/// The interprocedural substrate the rule walks: built once per run.
 pub struct Analysis {
     /// Resolved call graph.
     pub graph: CallGraph,
@@ -47,100 +39,31 @@ pub fn analyze(ws: &Workspace) -> Analysis {
     }
 }
 
-/// Run every rule against a prebuilt [`Analysis`] and apply suppressions:
-/// the findings sorted by `(file, line, rule)` — a stable order for
-/// goldens — plus per-rule wall time (for `--timings`).
-pub fn run(
-    ws: &Workspace,
-    cfg: &Config,
-    an: &Analysis,
-) -> (Vec<Finding>, Vec<(&'static str, std::time::Duration)>) {
+/// Run the rule against a prebuilt [`Analysis`] and apply suppressions:
+/// the findings sorted by `(file, line)` — a stable order for goldens.
+pub fn run(ws: &Workspace, an: &Analysis) -> Vec<Finding> {
     let mut out = Vec::new();
-    let mut timings: Vec<(&'static str, std::time::Duration)> = Vec::new();
-    {
-        let mut rule = |name: &'static str,
-                        out: &mut Vec<Finding>,
-                        f: &mut dyn FnMut(usize, &SourceFile, &mut Vec<Finding>)| {
-            let t0 = std::time::Instant::now();
-            for (fi, file) in ws.files.iter().enumerate() {
-                if !file.skip {
-                    f(fi, file, out);
-                }
-            }
-            timings.push((name, t0.elapsed()));
-        };
-        rule("facade-bypass", &mut out, &mut |_, file, out| {
-            facade_bypass(file, cfg, out)
-        });
-        rule("panic-in-kernel", &mut out, &mut |fi, _, out| {
-            panic_in_kernel(ws, fi, an, out)
-        });
-        rule("sim-determinism", &mut out, &mut |_, file, out| {
-            sim_determinism(file, cfg, out)
-        });
-        rule("missing-safety", &mut out, &mut |_, file, out| {
-            missing_safety(file, out)
-        });
+    for fi in 0..ws.files.len() {
+        panic_in_kernel(ws, fi, an, &mut out);
     }
     out.retain(|f| {
         ws.files
             .iter()
             .find(|sf| sf.path == f.file)
-            .map(|sf| !crate::allowed_at(sf, f.line, f.rule))
+            .map(|sf| !crate::allowed_at(sf, f.line))
             .unwrap_or(true)
     });
-    out.sort_by(|a, b| (a.file.as_str(), a.line, a.rule).cmp(&(b.file.as_str(), b.line, b.rule)));
+    out.sort_by(|a, b| (a.file.as_str(), a.line).cmp(&(b.file.as_str(), b.line)));
     out.dedup();
-    (out, timings)
+    out
 }
 
-fn finding(rule: &'static str, file: &SourceFile, line: u32, message: String) -> Finding {
+fn finding(file: &SourceFile, line: u32, message: String) -> Finding {
     Finding {
-        rule,
+        rule: RULES[0],
         file: file.path.clone(),
         line,
         message,
-    }
-}
-
-// ---------------------------------------------------------------- facade
-
-/// Rule 1: `facade-bypass` — only the facade, the model checker, and the
-/// vendored shims may name `std::sync::atomic` / `std::cell::UnsafeCell`
-/// directly. Everything else goes through `atos_queue::sync`, so the
-/// whole workspace can be re-pointed at the checker's shadow types with
-/// one `--cfg`.
-fn facade_bypass(file: &SourceFile, cfg: &Config, out: &mut Vec<Finding>) {
-    if cfg.is_facade_allowed(&file.path) {
-        return;
-    }
-    let toks = &file.parsed.toks;
-    let mut seen_lines = Vec::new();
-    for i in 0..toks.len().saturating_sub(4) {
-        let root = toks[i].text.as_str();
-        if (root == "std" || root == "core")
-            && toks[i + 1].is("::")
-            && toks[i + 3].is("::")
-            && toks[i].kind == TokKind::Ident
-        {
-            let ns = toks[i + 2].text.as_str();
-            let leaf = toks[i + 4].text.as_str();
-            let hit = (ns == "sync" && leaf == "atomic")
-                || (ns == "cell" && leaf == "UnsafeCell");
-            if hit && !seen_lines.contains(&toks[i].line) {
-                seen_lines.push(toks[i].line);
-                out.push(finding(
-                    "facade-bypass",
-                    file,
-                    toks[i].line,
-                    format!(
-                        "direct `{root}::{ns}::{}` use; go through the `atos_queue::sync` \
-                         facade so `--cfg atos_check` can interpose the model checker",
-                        if ns == "sync" { "atomic" } else { leaf }
-                    ),
-                ));
-            }
-        }
     }
 }
 
@@ -180,7 +103,7 @@ pub fn hot_marker(file: &SourceFile, f: &FnItem) -> Option<bool> {
 pub(crate) const PANIC_MACROS: &[&str] = &["panic", "unreachable", "todo", "unimplemented", "assert", "assert_eq", "assert_ne"];
 pub(crate) const PANIC_CALLS: &[&str] = &["unwrap", "expect"];
 
-/// Rule 2: `panic-in-kernel` — no panicking construct in a hot function
+/// `panic-in-kernel` — no panicking construct in a hot function
 /// (queue protocol, runtime step, engine heap, hint path), nor
 /// (transitively) in anything it calls through the resolved call graph. A
 /// panic between reservation and publication strands the reservation for
@@ -217,7 +140,6 @@ fn panic_in_kernel(ws: &Workspace, fi: usize, an: &Analysis, out: &mut Vec<Findi
                 String::new()
             };
             out.push(finding(
-                "panic-in-kernel",
                 file,
                 site.line,
                 format!(
@@ -232,7 +154,6 @@ fn panic_in_kernel(ws: &Workspace, fi: usize, an: &Analysis, out: &mut Vec<Findi
             match &e {
                 Event::Macro { name, line } if PANIC_MACROS.contains(&name.as_str()) => {
                     out.push(finding(
-                        "panic-in-kernel",
                         file,
                         *line,
                         format!("`{name}!` in protocol fn `{}` can abort mid-protocol", f.name),
@@ -240,7 +161,6 @@ fn panic_in_kernel(ws: &Workspace, fi: usize, an: &Analysis, out: &mut Vec<Findi
                 }
                 Event::Call { name, line, .. } if PANIC_CALLS.contains(&name.as_str()) => {
                     out.push(finding(
-                        "panic-in-kernel",
                         file,
                         *line,
                         format!(
@@ -253,7 +173,6 @@ fn panic_in_kernel(ws: &Workspace, fi: usize, an: &Analysis, out: &mut Vec<Findi
                 }
                 Event::Index { base, line } if no_index => {
                     out.push(finding(
-                        "panic-in-kernel",
                         file,
                         *line,
                         format!(
@@ -265,84 +184,6 @@ fn panic_in_kernel(ws: &Workspace, fi: usize, an: &Analysis, out: &mut Vec<Findi
                 }
                 _ => {}
             }
-        }
-    }
-}
-
-// ------------------------------------------------------ sim-determinism
-
-/// Rule 3: `sim-determinism` — the simulator, the runtime that records
-/// its trace events, and the applications and baselines that charge its
-/// virtual time must be a pure function of their inputs: no wall-clock
-/// types, no default-hasher containers (their iteration order is seeded
-/// per-process), no thread sleeps, no host thread-count query. Lexical: a
-/// clock that cannot be named in these files cannot flow to a trace.
-fn sim_determinism(file: &SourceFile, cfg: &Config, out: &mut Vec<Finding>) {
-    if !cfg.is_sim_path(&file.path) {
-        return;
-    }
-    let toks = &file.parsed.toks;
-    let mut seen: Vec<(u32, String)> = Vec::new();
-    for (i, t) in toks.iter().enumerate() {
-        if t.kind != TokKind::Ident || !cfg.sim_forbidden.contains(&t.text.as_str()) {
-            continue;
-        }
-        // `sleep` only as a call; the rest also in type/use position.
-        if t.text == "sleep" && !toks.get(i + 1).map(|n| n.is("(")).unwrap_or(false) {
-            continue;
-        }
-        if let Some(f) = file.parsed.enclosing_fn(i) {
-            if f.in_test_mod {
-                continue;
-            }
-        }
-        let key = (t.line, t.text.clone());
-        if seen.contains(&key) {
-            continue;
-        }
-        seen.push(key);
-        out.push(finding(
-            "sim-determinism",
-            file,
-            t.line,
-            format!(
-                "`{}` in deterministic-simulation code; virtual time and order-stable \
-                 containers (BTreeMap/Vec) only",
-                t.text
-            ),
-        ));
-    }
-}
-
-// -------------------------------------------------------- missing-safety
-
-/// Rule 4: `missing-safety` — every `unsafe` keyword needs a `SAFETY:`
-/// comment on the same line or within the 8 preceding lines.
-fn missing_safety(file: &SourceFile, out: &mut Vec<Finding>) {
-    let mut seen_lines: Vec<u32> = Vec::new();
-    for (i, t) in file.parsed.toks.iter().enumerate() {
-        if t.kind != TokKind::Ident || !t.is("unsafe") {
-            continue;
-        }
-        // `unsafe fn` declarations document their contract with a
-        // `# Safety` doc section; the SAFETY-comment convention applies to
-        // the sites that *discharge* an obligation (blocks and impls).
-        if file.parsed.toks.get(i + 1).is_some_and(|n| n.is("fn")) {
-            continue;
-        }
-        if seen_lines.contains(&t.line) {
-            continue;
-        }
-        seen_lines.push(t.line);
-        if !file.parsed.comment_near(t.line, 8, "SAFETY") {
-            out.push(finding(
-                "missing-safety",
-                file,
-                t.line,
-                "`unsafe` without a `SAFETY:` comment on the same line or within \
-                 the 8 preceding lines"
-                    .into(),
-            ));
         }
     }
 }

@@ -1,44 +1,40 @@
 //! `atos-lint` CLI.
 //!
 //! ```text
-//! atos-lint (--workspace | PATH...) [--json] [--timings]
+//! atos-lint (--workspace | PATH...) [--timings]
 //! ```
 //!
 //! `--workspace` lints every `.rs` file under the workspace root; explicit
-//! paths lint those files/directories (both under the project config).
-//! `--json` prints the stable JSON report instead of the human one.
+//! paths lint those files/directories.
 //! `--timings` prints a per-phase/per-rule wall-time breakdown to stderr.
 //!
 //! Exit codes: 0 = clean, 1 = findings, 2 = usage or I/O error.
 
-use atos_lint::{config::Config, lints, report, Workspace};
+use atos_lint::{lints, report, Workspace};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::time::Instant;
 
 struct Args {
     workspace: bool,
-    json: bool,
     timings: bool,
     paths: Vec<PathBuf>,
 }
 
 fn usage() -> ExitCode {
-    eprintln!("usage: atos-lint (--workspace | PATH...) [--json] [--timings]");
+    eprintln!("usage: atos-lint (--workspace | PATH...) [--timings]");
     ExitCode::from(2)
 }
 
 fn parse_args() -> Result<Args, ExitCode> {
     let mut a = Args {
         workspace: false,
-        json: false,
         timings: false,
         paths: Vec::new(),
     };
     for arg in std::env::args().skip(1) {
         match arg.as_str() {
             "--workspace" => a.workspace = true,
-            "--json" => a.json = true,
             "--timings" => a.timings = true,
             p if !p.starts_with('-') => a.paths.push(PathBuf::from(p)),
             _ => return Err(usage()),
@@ -97,11 +93,13 @@ fn main() -> ExitCode {
         Workspace::from_sources(sources)
     };
 
-    let cfg = Config::project();
     let an = lints::analyze(&ws);
-    let (findings, rule_timings) = lints::run(&ws, &cfg, &an);
+    let t_rule = Instant::now();
+    let findings = lints::run(&ws, &an);
     if args.timings {
-        print_timings(&an.phase_timings, &rule_timings);
+        let mut rows = an.phase_timings.clone();
+        rows.push(("panic-in-kernel", t_rule.elapsed()));
+        print_timings(&rows);
     }
     eprintln!(
         "atos-lint: {} files, {} finding{} in {:.1} ms",
@@ -111,11 +109,7 @@ fn main() -> ExitCode {
         t0.elapsed().as_secs_f64() * 1e3
     );
 
-    if args.json {
-        println!("{}", report::json(&findings));
-    } else {
-        print!("{}", report::human(&findings));
-    }
+    print!("{}", report::human(&findings));
     if findings.is_empty() {
         ExitCode::SUCCESS
     } else {
@@ -124,18 +118,11 @@ fn main() -> ExitCode {
 }
 
 /// Render the `--timings` breakdown to stderr (stdout stays reserved for
-/// the byte-compared reports).
-fn print_timings(
-    phases: &[(&'static str, std::time::Duration)],
-    rules: &[(&'static str, std::time::Duration)],
-) {
+/// the byte-compared report).
+fn print_timings(rows: &[(&'static str, std::time::Duration)]) {
     eprintln!("atos-lint: wall time by phase and rule:");
-    let total: std::time::Duration = phases
-        .iter()
-        .chain(rules.iter())
-        .map(|(_, d)| *d)
-        .sum();
-    for (name, d) in phases.iter().chain(rules.iter()) {
+    let total: std::time::Duration = rows.iter().map(|(_, d)| *d).sum();
+    for (name, d) in rows {
         eprintln!("  {:<32} {:>9.3} ms", name, d.as_secs_f64() * 1e3);
     }
     eprintln!("  {:<32} {:>9.3} ms", "total", total.as_secs_f64() * 1e3);

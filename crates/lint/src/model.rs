@@ -1,7 +1,7 @@
 //! Workspace model: per-function facts extracted from the token stream.
 //!
 //! Every function body is summarized into an ordered list of *events* the
-//! lints consume: calls (the call graph's edges and the `unwrap`/`expect`
+//! rule consumes: calls (the call graph's edges and the `unwrap`/`expect`
 //! sites), macro invocations (the panic family) and panicking indexes. The
 //! extraction is name-based — no type information — which is the right
 //! fidelity for project-invariant lints; what it cannot see is covered by

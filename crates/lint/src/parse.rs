@@ -1,15 +1,15 @@
 //! A small Rust lexer and item scanner.
 //!
 //! The workspace builds offline with no registry access, so `syn` is not
-//! available; this module provides the fraction of it the lints need: a
-//! token stream with line numbers, comment capture (for `SAFETY:` and
-//! suppression markers), and extraction of `use` declarations and function
+//! available; this module provides the fraction of it the lint needs: a
+//! token stream with line numbers, comment capture (for hot and
+//! suppression markers), the `use` alias map, and extraction of function
 //! items with their attributes, signatures, and body token ranges.
 //!
 //! It is deliberately *not* a full parser. The grammar subset it
 //! understands — brace/paren nesting, attributes, `fn` items at any depth,
-//! string/char/lifetime disambiguation — is exactly what the rules in
-//! [`crate::lints`] consume, and the fixture golden tests pin its
+//! string/char/lifetime disambiguation — is exactly what the rule in
+//! [`crate::lints`] consumes, and the fixture golden tests pin its
 //! behavior. Anything it cannot classify it skips, so unknown syntax
 //! degrades to fewer findings, never to crashes.
 
@@ -44,7 +44,7 @@ impl Tok {
     }
 }
 
-/// One captured comment (line or block), used for `SAFETY:` checks and
+/// One captured comment (line or block), used for hot markers and
 /// `// atos-lint: allow(...)` suppressions.
 #[derive(Debug, Clone)]
 pub struct Comment {
@@ -248,17 +248,6 @@ pub fn lex(src: &str) -> Lexed {
     out
 }
 
-/// A `use` declaration, flattened to its path prefix text (group imports
-/// keep the common prefix: `use std::sync::atomic::{A, B}` →
-/// `std::sync::atomic::{A,B}`).
-#[derive(Debug, Clone)]
-pub struct UseDecl {
-    /// 1-based line of the `use` keyword.
-    pub line: u32,
-    /// Path text with whitespace removed.
-    pub path: String,
-}
-
 /// One parsed attribute, e.g. `atos_hot` or `atos_hot(no_index)`.
 #[derive(Debug, Clone)]
 pub struct Attr {
@@ -296,8 +285,6 @@ pub struct ParsedFile {
     pub toks: Vec<Tok>,
     /// Comments.
     pub comments: Vec<Comment>,
-    /// `use` declarations.
-    pub uses: Vec<UseDecl>,
     /// Function items (all nesting depths, including inside impls and
     /// test modules).
     pub fns: Vec<FnItem>,
@@ -315,14 +302,6 @@ impl ParsedFile {
         self.comments
             .iter()
             .any(|c| c.end_line >= lo && c.line <= line && c.text.contains(needle))
-    }
-
-    /// The innermost function whose body token range contains `tok_idx`.
-    pub fn enclosing_fn(&self, tok_idx: usize) -> Option<&FnItem> {
-        self.fns
-            .iter()
-            .filter(|f| f.body.contains(&tok_idx))
-            .min_by_key(|f| f.body.len())
     }
 }
 
@@ -346,24 +325,18 @@ pub fn parse(src: &str) -> ParsedFile {
         }
     }
     let comments = merged;
-    let mut uses = Vec::new();
     let mut fns = Vec::new();
     let mut aliases = std::collections::BTreeMap::new();
 
-    // Pass 1: use declarations (flattened path text, plus the structured
-    // alias map for call resolution).
+    // Pass 1: the `use` alias map, for call resolution.
     let mut i = 0;
     while i < toks.len() {
         if toks[i].kind == TokKind::Ident && toks[i].is("use") {
-            let line = toks[i].line;
-            let mut path = String::new();
             let mut j = i + 1;
             while j < toks.len() && !toks[j].is(";") {
-                path.push_str(&toks[j].text);
                 j += 1;
             }
             collect_use_aliases(&toks[i + 1..j], "", &mut aliases);
-            uses.push(UseDecl { line, path });
             i = j;
         }
         i += 1;
@@ -571,7 +544,6 @@ pub fn parse(src: &str) -> ParsedFile {
     ParsedFile {
         toks,
         comments,
-        uses,
         fns,
         aliases,
     }
@@ -679,14 +651,6 @@ fn f<'a>(x: &'a str) -> char {
     }
 
     #[test]
-    fn finds_use_decls() {
-        let p = parse("use std::sync::atomic::{AtomicU64, Ordering};\nuse foo::bar;\n");
-        assert_eq!(p.uses.len(), 2);
-        assert!(p.uses[0].path.starts_with("std::sync::atomic::"));
-        assert_eq!(p.uses[0].line, 1);
-    }
-
-    #[test]
     fn finds_fns_with_attrs_and_bodies() {
         let src = r#"
 impl Foo {
@@ -724,11 +688,11 @@ mod tests {
     }
 
     #[test]
-    fn comment_near_detects_safety() {
-        let src = "fn f() {\n    // SAFETY: fine.\n    unsafe { g() }\n}\n";
+    fn comment_near_finds_a_suppression() {
+        let src = "fn f() {\n    // atos-lint: allow(panic_in_kernel)\n    g().unwrap()\n}\n";
         let p = parse(src);
-        assert!(p.comment_near(3, 2, "SAFETY:"));
-        assert!(!p.comment_near(1, 0, "SAFETY:"));
+        assert!(p.comment_near(3, 2, "allow(panic_in_kernel)"));
+        assert!(!p.comment_near(1, 0, "allow(panic_in_kernel)"));
     }
 
     #[test]

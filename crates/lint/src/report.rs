@@ -1,4 +1,4 @@
-//! Human and JSON rendering of findings.
+//! Human rendering of findings.
 
 use crate::Finding;
 
@@ -21,67 +21,4 @@ pub fn human(findings: &[Finding]) -> String {
         ));
     }
     out
-}
-
-/// Stable JSON report: `{"findings":[{rule,file,line,message},..],"count":N}`.
-/// Hand-rolled serialization (no serde in the offline workspace); key
-/// order and finding order are deterministic so goldens can compare the
-/// raw string.
-pub fn json(findings: &[Finding]) -> String {
-    let mut out = String::from("{\"findings\":[");
-    for (i, f) in findings.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "{{\"rule\":{},\"file\":{},\"line\":{},\"message\":{}}}",
-            escape(f.rule),
-            escape(&f.file),
-            f.line,
-            escape(&f.message)
-        ));
-    }
-    out.push_str(&format!("],\"count\":{}}}", findings.len()));
-    out
-}
-
-/// JSON string escaping.
-pub(crate) fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn json_escapes_and_counts() {
-        let f = vec![Finding {
-            rule: "facade-bypass",
-            file: "a/b.rs".into(),
-            line: 3,
-            message: "say \"hi\"\\".into(),
-        }];
-        assert_eq!(
-            json(&f),
-            "{\"findings\":[{\"rule\":\"facade-bypass\",\"file\":\"a/b.rs\",\
-             \"line\":3,\"message\":\"say \\\"hi\\\"\\\\\"}],\"count\":1}"
-        );
-        assert!(human(&f).contains("a/b.rs:3: [facade-bypass]"));
-        assert!(human(&[]).contains("no findings"));
-    }
 }

@@ -1,5 +1,5 @@
-//! End-to-end CLI tests: exit codes, JSON mode and `--timings`, driven
-//! through the real `atos-lint` binary.
+//! End-to-end CLI tests: exit codes and `--timings`, driven through the
+//! real `atos-lint` binary.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -32,9 +32,12 @@ fn usage_error_exits_2() {
     let out = run(&workspace_root(), &["--no-such-flag"]);
     assert_eq!(out.status.code(), Some(2));
 
-    // Removed with the determinism-taint pass (DESIGN.md §11).
-    let out = run(&workspace_root(), &["--wall-clock-inventory", "x"]);
-    assert_eq!(out.status.code(), Some(2));
+    // Removed with the determinism-taint pass and the JSON report
+    // (DESIGN.md §11).
+    for flag in ["--wall-clock-inventory", "--json"] {
+        let out = run(&workspace_root(), &[flag, "x"]);
+        assert_eq!(out.status.code(), Some(2), "{flag}");
+    }
 }
 
 #[test]
@@ -50,21 +53,15 @@ fn clean_workspace_exits_0() {
 }
 
 #[test]
-fn findings_exit_1_with_stable_json() {
+fn findings_exit_1() {
     let lint_dir = workspace_root().join("crates/lint");
-    let out = run(
-        &lint_dir,
-        &["tests/fixtures/facade_bypass.rs", "--json"],
-    );
+    let out = run(&lint_dir, &["tests/fixtures/alias_resolution.rs"]);
     assert_eq!(out.status.code(), Some(1));
     let stdout = String::from_utf8_lossy(&out.stdout);
-    // Explicit-path mode runs the *project* config, under which the
-    // fixture's raw atomic import is a facade bypass.
     assert!(
-        stdout.contains("\"rule\":\"facade-bypass\"")
-            && stdout.contains("\"line\":4")
-            && stdout.contains("\"count\":1"),
-        "unexpected JSON: {stdout}"
+        stdout.contains("tests/fixtures/alias_resolution.rs:17: [panic-in-kernel]")
+            && stdout.ends_with("atos-lint: 1 finding\n"),
+        "unexpected report: {stdout}"
     );
 }
 
@@ -73,7 +70,7 @@ fn timings_breakdown_lists_every_rule() {
     let lint_dir = workspace_root().join("crates/lint");
     let out = run(
         &lint_dir,
-        &["tests/fixtures/facade_bypass.rs", "--timings"],
+        &["tests/fixtures/alias_resolution.rs", "--timings"],
     );
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(
@@ -83,15 +80,12 @@ fn timings_breakdown_lists_every_rule() {
     for row in [
         "analysis: call graph",
         "analysis: panic summaries",
-        "facade-bypass",
         "panic-in-kernel",
-        "sim-determinism",
-        "missing-safety",
         "total",
     ] {
         assert!(stderr.contains(row), "missing `{row}` row in: {stderr}");
     }
     // The breakdown goes to stderr only; stdout stays byte-comparable.
-    let plain = run(&lint_dir, &["tests/fixtures/facade_bypass.rs"]);
+    let plain = run(&lint_dir, &["tests/fixtures/alias_resolution.rs"]);
     assert_eq!(out.stdout, plain.stdout);
 }

@@ -1,4 +1,4 @@
-//! Parser fuzz: the hand-rolled lexer/parser and every rule over it must
+//! Parser fuzz: the hand-rolled lexer/parser and the rule over it must
 //! turn *any* text into findings or none — never a panic, never a hang.
 //! Inputs: arbitrary bytes (kept as valid UTF-8) spliced with the lexer's
 //! hard cases, and every real workspace file truncated at an arbitrary
@@ -8,18 +8,18 @@ use std::path::{Path, PathBuf};
 use std::sync::mpsc;
 use std::time::Duration;
 
-use atos_lint::{config::Config, Workspace};
+use atos_lint::Workspace;
 use proptest::collection::vec;
 use proptest::prelude::*;
 
-/// Lint one in-memory file under the project config on its own thread;
+/// Lint one in-memory file on its own thread;
 /// fail on a panic or when it is not back within a second.
 fn lint_bounded(path: &str, src: String) {
     let (tx, rx) = mpsc::channel();
     let sources = vec![(path.to_string(), src)];
     let worker = std::thread::spawn(move || {
         let ws = Workspace::from_sources(sources);
-        let _ = tx.send(atos_lint::run(&ws, &Config::project()).len());
+        let _ = tx.send(atos_lint::run(&ws).len());
     });
     match rx.recv_timeout(Duration::from_secs(1)) {
         Ok(_) => worker.join().expect("lint thread exits cleanly"),
@@ -52,7 +52,8 @@ fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) {
 }
 
 /// Every `.rs` file of the workspace as `(workspace-relative path, text)`;
-/// the relative path keeps each file inside its real path scopes.
+/// the relative path keeps each file in its real crate, which call
+/// resolution keys on.
 fn workspace_sources() -> Vec<(String, String)> {
     let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..").canonicalize().expect("root");
     let mut paths = Vec::new();
@@ -89,7 +90,7 @@ proptest! {
             from = to;
         }
         src.push_str(&raw[from..]);
-        // Inside the path scope of sim-determinism, and out.
+        // Inside two crates, and outside any.
         let path = ["crates/apps/src/fuzz.rs", "crates/queue/src/fuzz.rs", "fuzz.rs"][path];
         lint_bounded(path, src);
     }

@@ -1,4 +1,4 @@
-//! The marker attribute consumed by the [`atos-lint`] static analyzer.
+//! The marker attribute consumed by the [`atos-lint`] call-graph lint.
 //!
 //! [`macro@atos_hot`] is *inert at runtime*: it expands to the annotated
 //! item unchanged, so it costs nothing in any build. Its payload is the
@@ -15,8 +15,10 @@
 //! same marker as a comment on the line above the `fn`: `// atos-lint: hot`
 //! / `// atos-lint: hot(no-index)`.
 //!
-//! Suppression is not an attribute: an `atos-lint: allow(rule)` comment
-//! with its reason, on the finding or on the vetted callee's definition.
+//! Suppression is not an attribute: an `atos-lint: allow(panic_in_kernel)`
+//! comment with its reason, on the finding or on the vetted callee's
+//! definition. (The workspace's clippy lints take `#[allow(clippy::…,
+//! reason = "…")]`; this crate has nothing to do with them.)
 //!
 //! [`atos-lint`]: ../atos_lint/index.html
 

@@ -13,9 +13,12 @@
 //! group size `G`) are preserved, which is what drives the contention curves
 //! the figure shows.
 
-// atos-lint: allow(facade_bypass) — the harness *measures* real hardware
-// atomics (Figure 1); its own completion counters must not be rerouted to
-// the checker's shadow types, which would serialize the measured section.
+#![allow(
+    clippy::disallowed_types,
+    reason = "the harness measures real hardware atomics (Figure 1); its own counters must \
+              not be rerouted to the checker's shadow types, which would serialize it"
+)]
+
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};

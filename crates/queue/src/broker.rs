@@ -33,6 +33,7 @@ pub struct BrokerQueue<T> {
 // only in its reserver's private range before the Release flag store, and
 // read only after an Acquire flag load observes READY.
 unsafe impl<T: Copy + Send> Sync for BrokerQueue<T> {}
+// SAFETY: the queue owns its `T: Send` slot values; moving it moves them.
 unsafe impl<T: Copy + Send> Send for BrokerQueue<T> {}
 
 impl<T: Copy + Send> BrokerQueue<T> {
@@ -94,6 +95,7 @@ impl<T: Copy + Send> BrokerQueue<T> {
         // publishes it; a popper reads the slot only after an Acquire load
         // observes READY (checker-verified edge).
         let slot = unsafe { self.slot(idx) };
+        // SAFETY: `p` is the slot reserved above; the write initializes it.
         slot.with_mut(|p| unsafe { (*p).write(item) });
         // SAFETY: same bound as above; flags and slots have equal length.
         let flag = unsafe { self.flag(idx) };
@@ -138,6 +140,7 @@ impl<T: Copy + Send> BrokerQueue<T> {
             // happens-before this read; the head CAS gave us the exclusive
             // claim (checker-verified edge).
             let slot = unsafe { self.slot(h) };
+            // SAFETY: the slot claimed above is published, so it is initialized.
             let v = slot.with(|p| unsafe { (*p).assume_init() });
             return Some(v);
         }

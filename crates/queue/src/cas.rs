@@ -32,6 +32,7 @@ pub struct CasQueue<T> {
 // SAFETY: same argument as CounterQueue — reservation ranges are exclusive,
 // publication is Release/Acquire ordered through `end`.
 unsafe impl<T: Copy + Send> Sync for CasQueue<T> {}
+// SAFETY: the queue owns its `T: Send` slot values; moving it moves them.
 unsafe impl<T: Copy + Send> Send for CasQueue<T> {}
 
 impl<T: Copy + Send> CasQueue<T> {
@@ -109,6 +110,7 @@ impl<T: Copy + Send> CasQueue<T> {
             // AcqRel CAS chain on `end_max`/`end_count`/`end` below
             // (checker-verified edge).
             let slot = unsafe { self.slot(idx + i as u64) };
+            // SAFETY: `p` is the slot reserved above; the write initializes it.
             slot.with_mut(|p| unsafe { (*p).write(item) });
         }
         // Publication protocol shared with CounterQueue; end_max/end_count
@@ -223,6 +225,7 @@ impl<T: Copy + Send> CasQueue<T> {
                 // before these reads; the range is exclusively claimed by
                 // the successful CAS on `start` (checker-verified edge).
                 let slot = unsafe { self.slot(s + i) };
+                // SAFETY: the slot claimed above is published, so it is initialized.
                 let v = slot.with(|p| unsafe { (*p).assume_init() });
                 out.push(v);
             }

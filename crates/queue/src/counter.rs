@@ -79,6 +79,7 @@ pub struct CounterQueue<T> {
 // publication; reads happen in a privately claimed range after an Acquire
 // load of `end` that synchronizes with the publishing `fetch_max`).
 unsafe impl<T: Copy + Send> Sync for CounterQueue<T> {}
+// SAFETY: the queue owns its `T: Send` slot values; moving it moves them.
 unsafe impl<T: Copy + Send> Send for CounterQueue<T> {}
 
 impl<T: Copy + Send> CounterQueue<T> {
@@ -148,6 +149,7 @@ impl<T: Copy + Send> CounterQueue<T> {
             // publication chain below and a popper Acquire-loads `end`
             // (checker-verified edge).
             let slot = unsafe { self.slot(idx + i as u64) };
+            // SAFETY: `p` is the slot reserved above; the write initializes it.
             slot.with_mut(|p| unsafe { (*p).write(item) });
         }
         // Completion bookkeeping. The Release in these RMWs orders the slot
@@ -246,6 +248,7 @@ impl<T: Copy + Send> CounterQueue<T> {
             // `[claim_lo, claim_hi)` is exclusively ours by monotonicity of
             // `start.fetch_add` (checker-verified).
             let slot = unsafe { self.slot(state.cursor + i) };
+            // SAFETY: the slot claimed above is published, so it is initialized.
             let v = slot.with(|p| unsafe { (*p).assume_init() });
             out.push(v);
         }

@@ -1,4 +1,3 @@
-// lint:skip-file — this module exists to carry deliberately seeded bugs.
 //! Mutation twins: deliberately broken queue variants that validate the
 //! model checker.
 //!
@@ -29,7 +28,11 @@ pub struct CounterQueueRelaxedPub<T> {
     end_count: AtomicU64,
 }
 
+// SAFETY: the real queue's argument, minus the seeded bug, which is the
+// checker's to find: one model thread runs at a time, and a racing access
+// is reported instead of executed.
 unsafe impl<T: Copy + Send> Sync for CounterQueueRelaxedPub<T> {}
+// SAFETY: the queue owns its `T: Send` slot values; moving it moves them.
 unsafe impl<T: Copy + Send> Send for CounterQueueRelaxedPub<T> {}
 
 impl<T: Copy + Send> CounterQueueRelaxedPub<T> {
@@ -60,6 +63,8 @@ impl<T: Copy + Send> CounterQueueRelaxedPub<T> {
             });
         }
         for (i, &item) in items.iter().enumerate() {
+            // SAFETY: built only under `--cfg atos_check`, whose shadow cell reports a
+            // racing or uninitialized access instead of executing it.
             self.slots[(idx + i as u64) as usize].with_mut(|p| unsafe { (*p).write(item) });
         }
         // BUG (mutation 1): AcqRel weakened to Relaxed — no release edge
@@ -100,7 +105,11 @@ pub struct CounterQueueHolePub<T> {
     end_count: AtomicU64,
 }
 
+// SAFETY: the real queue's argument, minus the seeded bug, which is the
+// checker's to find: one model thread runs at a time, and a racing access
+// is reported instead of executed.
 unsafe impl<T: Copy + Send> Sync for CounterQueueHolePub<T> {}
+// SAFETY: the queue owns its `T: Send` slot values; moving it moves them.
 unsafe impl<T: Copy + Send> Send for CounterQueueHolePub<T> {}
 
 impl<T: Copy + Send> CounterQueueHolePub<T> {
@@ -131,6 +140,8 @@ impl<T: Copy + Send> CounterQueueHolePub<T> {
             });
         }
         for (i, &item) in items.iter().enumerate() {
+            // SAFETY: built only under `--cfg atos_check`, whose shadow cell reports a
+            // racing or uninitialized access instead of executing it.
             self.slots[(idx + i as u64) as usize].with_mut(|p| unsafe { (*p).write(item) });
         }
         self.end_max.fetch_max(idx + n, Ordering::AcqRel);
@@ -174,7 +185,11 @@ pub struct CasQueueRelaxedEnd<T> {
     end_count: AtomicU64,
 }
 
+// SAFETY: the real queue's argument, minus the seeded bug, which is the
+// checker's to find: one model thread runs at a time, and a racing access
+// is reported instead of executed.
 unsafe impl<T: Copy + Send> Sync for CasQueueRelaxedEnd<T> {}
+// SAFETY: the queue owns its `T: Send` slot values; moving it moves them.
 unsafe impl<T: Copy + Send> Send for CasQueueRelaxedEnd<T> {}
 
 impl<T: Copy + Send> CasQueueRelaxedEnd<T> {
@@ -216,6 +231,8 @@ impl<T: Copy + Send> CasQueueRelaxedEnd<T> {
             }
         }
         for (i, &item) in items.iter().enumerate() {
+            // SAFETY: built only under `--cfg atos_check`, whose shadow cell reports a
+            // racing or uninitialized access instead of executing it.
             self.slots[(idx + i as u64) as usize].with_mut(|p| unsafe { (*p).write(item) });
         }
         let mut cur = self.end_max.load(Ordering::Relaxed);
@@ -281,6 +298,8 @@ impl<T: Copy + Send> CasQueueRelaxedEnd<T> {
                 continue;
             }
             for i in 0..take {
+                // SAFETY: built only under `--cfg atos_check`, whose shadow cell reports a
+                // racing or uninitialized access instead of executing it.
                 let v = self.slots[(s + i) as usize].with(|p| unsafe { (*p).assume_init() });
                 out.push(v);
             }
@@ -307,7 +326,11 @@ pub struct CounterQueueRelaxedPopEnd<T> {
     end_count: AtomicU64,
 }
 
+// SAFETY: the real queue's argument, minus the seeded bug, which is the
+// checker's to find: one model thread runs at a time, and a racing access
+// is reported instead of executed.
 unsafe impl<T: Copy + Send> Sync for CounterQueueRelaxedPopEnd<T> {}
+// SAFETY: the queue owns its `T: Send` slot values; moving it moves them.
 unsafe impl<T: Copy + Send> Send for CounterQueueRelaxedPopEnd<T> {}
 
 impl<T: Copy + Send> CounterQueueRelaxedPopEnd<T> {
@@ -338,6 +361,8 @@ impl<T: Copy + Send> CounterQueueRelaxedPopEnd<T> {
             });
         }
         for (i, &item) in items.iter().enumerate() {
+            // SAFETY: built only under `--cfg atos_check`, whose shadow cell reports a
+            // racing or uninitialized access instead of executing it.
             self.slots[(idx + i as u64) as usize].with_mut(|p| unsafe { (*p).write(item) });
         }
         self.end_max.fetch_max(idx + n, Ordering::AcqRel);
@@ -369,6 +394,8 @@ impl<T: Copy + Send> CounterQueueRelaxedPopEnd<T> {
             let hi = state.claim_hi.min(e);
             let take = (hi.saturating_sub(state.cursor)).min(max as u64);
             for i in 0..take {
+                // SAFETY: built only under `--cfg atos_check`, whose shadow cell reports a
+                // racing or uninitialized access instead of executing it.
                 let v = slots[(state.cursor + i) as usize].with(|p| unsafe { (*p).assume_init() });
                 out.push(v);
             }
@@ -425,6 +452,8 @@ fn pop_group_counter_protocol<T: Copy>(
         let hi = state.claim_hi.min(e);
         let take = (hi.saturating_sub(state.cursor)).min(max as u64);
         for i in 0..take {
+            // SAFETY: built only under `--cfg atos_check`, whose shadow cell reports a
+            // racing or uninitialized access instead of executing it.
             let v = slots[(state.cursor + i) as usize].with(|p| unsafe { (*p).assume_init() });
             out.push(v);
         }

@@ -13,9 +13,12 @@
 //! On drop each queue folds its totals into a process-wide tally,
 //! [`global_snapshot`], which the bench binaries' `--metrics` flag dumps.
 
-// atos-lint: allow(facade_bypass) — observability counters are deliberately
-// invisible to the model checker (they carry no synchronization and would
-// only multiply the explored state space), so they stay on raw atomics.
+#![allow(
+    clippy::disallowed_types,
+    reason = "observability counters are deliberately invisible to the model checker (they \
+              carry no synchronization and would only multiply the explored state space)"
+)]
+
 use core::sync::atomic::{AtomicU64, Ordering};
 
 use crate::padded::Padded;

@@ -64,7 +64,6 @@ impl<E> Ord for Scheduled<E> {
 /// assert_eq!(e.pop(), Some((10, "sooner")));
 /// assert_eq!(e.now(), 10);
 /// assert_eq!(e.pop(), Some((20, "later")));
-/// assert!(e.is_idle());
 /// ```
 pub struct Engine<E> {
     now: Time,
@@ -187,11 +186,6 @@ impl<E> Engine<E> {
         self.heap.len()
     }
 
-    /// Whether no events remain (simulation termination).
-    pub fn is_idle(&self) -> bool {
-        self.heap.is_empty()
-    }
-
     /// Total events processed so far (diagnostics and runaway guards).
     pub fn processed(&self) -> u64 {
         self.processed
@@ -265,7 +259,7 @@ mod tests {
     #[test]
     fn bookkeeping_counters() {
         let mut e = Engine::new();
-        assert!(e.is_idle());
+        assert_eq!(e.pending(), 0);
         e.schedule_at(1, ());
         e.schedule_at(2, ());
         assert_eq!(e.pending(), 2);
@@ -319,6 +313,6 @@ mod tests {
         assert_eq!(e.popped_seq(), held);
         assert_eq!(e.pop(), Some((10, "third")));
         assert_eq!(e.popped_seq(), held + 2);
-        assert!(e.is_idle());
+        assert_eq!(e.pending(), 0);
     }
 }

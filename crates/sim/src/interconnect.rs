@@ -433,11 +433,6 @@ impl Fabric {
         }
     }
 
-    /// Whether two PEs have a route (self-routes do not exist).
-    pub fn connected(&self, src: PeId, dst: PeId) -> bool {
-        src != dst && self.routes[src.idx() * self.n_pes + dst.idx()].is_some()
-    }
-
     /// Reset link occupancy and traces, keeping the topology (new run).
     pub fn reset(&mut self) {
         for l in &mut self.links {
@@ -456,7 +451,7 @@ mod tests {
         let f = Fabric::daisy(4);
         for s in 0..4u32 {
             for d in 0..4u32 {
-                assert_eq!(f.connected(PeId(s), PeId(d)), s != d);
+                assert_eq!(f.routes[(s * 4 + d) as usize].is_some(), s != d);
             }
         }
     }

@@ -87,11 +87,6 @@ impl FabricTrace {
         self.total_wire_bytes
     }
 
-    /// Wire bytes per time bucket (index × [`BUCKET_NS`] = start time).
-    pub fn utilization_series(&self) -> &[u64] {
-        &self.buckets
-    }
-
     /// Coefficient of variation (σ/μ) of per-bucket traffic over the busy
     /// interval. 0 = perfectly smooth; larger = burstier. `None` if fewer
     /// than two buckets saw traffic.
@@ -130,7 +125,7 @@ mod tests {
         t.record_message();
         assert_eq!(t.total_wire_bytes(), 300);
         assert_eq!(t.total_messages(), 2);
-        assert_eq!(t.utilization_series(), &[100, 200]);
+        assert_eq!(t.buckets, [100, 200]);
     }
 
     #[test]
@@ -162,17 +157,17 @@ mod tests {
     fn finish_extends_series_to_run_end() {
         let mut t = FabricTrace::new();
         t.record_link(0, 100);
-        assert_eq!(t.utilization_series().len(), 1);
+        assert_eq!(t.buckets.len(), 1);
         t.finish(10 * BUCKET_NS);
-        assert_eq!(t.utilization_series().len(), 11);
-        assert_eq!(t.utilization_series()[10], 0);
+        assert_eq!(t.buckets.len(), 11);
+        assert_eq!(t.buckets[10], 0);
         // Earlier time: no shrink.
         t.finish(0);
-        assert_eq!(t.utilization_series().len(), 11);
+        assert_eq!(t.buckets.len(), 11);
         // No traffic at all: stays empty.
         let mut idle = FabricTrace::new();
         idle.finish(10 * BUCKET_NS);
-        assert!(idle.utilization_series().is_empty());
+        assert!(idle.buckets.is_empty());
         assert!(idle.burstiness().is_none());
     }
 }

@@ -1,6 +1,6 @@
 //! In-memory trace sink with timeline query helpers.
 
-use crate::{EventKind, Time, TraceEvent, Tracer, Track};
+use crate::{EventKind, TraceEvent, Tracer, Track};
 
 /// Collects every [`TraceEvent`] in memory, in recording order.
 ///
@@ -45,21 +45,6 @@ impl TraceBuffer {
         t.sort_unstable();
         t.dedup();
         t
-    }
-
-    /// Time-series of counter `name` on `track`, sorted by time.
-    pub fn counter_series(&self, track: Track, name: &str) -> Vec<(Time, u64)> {
-        let mut series: Vec<(Time, u64)> = self
-            .events
-            .iter()
-            .filter(|e| e.track == track && e.name == name)
-            .filter_map(|e| match e.kind {
-                EventKind::Counter { value } => Some((e.at, value)),
-                _ => None,
-            })
-            .collect();
-        series.sort_unstable_by_key(|&(at, _)| at);
-        series
     }
 
     /// Largest value counter `name` reaches anywhere in the buffer.
@@ -117,12 +102,8 @@ mod tests {
     }
 
     #[test]
-    fn counter_series_sorted_and_peak() {
+    fn counter_peak_is_the_largest_value() {
         let b = demo();
-        assert_eq!(
-            b.counter_series(Track::pe(0), "worklist"),
-            vec![(0, 4), (250, 1)]
-        );
         assert_eq!(b.counter_peak("worklist"), Some(4));
         assert_eq!(b.counter_peak("nope"), None);
     }

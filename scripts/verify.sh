@@ -1,12 +1,14 @@
 #!/usr/bin/env bash
-# Repository verification, in thirteen stages: tier-1 build+test, the
+# Repository verification, in fourteen stages: tier-1 build+test, the
 # workspace tests, the doc-reference check, the parallel-sweep smoke
 # (byte-identity across thread counts; usage errors, the removed --json,
 # --run-id and bench_trajectory gate flags among them), the golden
 # byte-compares, the frozen benchmark package (build + smoke run), the
 # paired perf gate against the parent commit (scripts/ab.sh HEAD~1), the
-# observability smoke, the line-level sampler smoke, atos-lint, miri, the
-# model checker under --cfg atos_check (tests + clippy), and clippy.
+# observability smoke, the line-level sampler smoke, atos-lint's call-graph
+# rule, miri, the model checker under --cfg atos_check (tests + the clippy
+# pass that holds the atomics facade), clippy (determinism and SAFETY
+# comments), and the seeded twins of those three clippy lints.
 #
 # Usage: scripts/verify.sh  (from anywhere; cd's to the repo root)
 
@@ -198,11 +200,11 @@ for app in "bfs 1" "sssp 1" "pr 1" "prib 1 --by file"; do
 done
 
 echo
-echo "== workspace static analysis (atos-lint) =="
+echo "== workspace call-graph lint (atos-lint) =="
 # Interprocedural pass over the whole workspace: transitive panic
-# propagation from the functions that mark themselves hot, and the lexical
-# rules (facade-bypass, sim-determinism, missing-safety); exits 1 on any
-# finding.
+# propagation from the functions that mark themselves hot
+# (panic-in-kernel); exits 1 on any finding. The path-scoped rules are
+# clippy lints, in the last three stages (DESIGN.md §7).
 # --timings prints the per-phase/per-rule breakdown so a rule that
 # regresses from microseconds to seconds shows up in every log, and the
 # whole run must stay fast enough to sit in a pre-commit hook (the release
@@ -243,15 +245,68 @@ echo "== model checker: queue suites under --cfg atos_check =="
 # ones out of undriven files), drives two sibling pops racing on one queue
 # as run_host's workers do (queue_models.rs), and catches the four seeded
 # twins of mutation_detection.rs. Clippy then lints the
-# #[cfg(atos_check)] code the ordinary pass below never compiles.
+# #[cfg(atos_check)] code the ordinary pass below never compiles, and is
+# the facade guard: only under this cfg do `atos_queue::sync`'s names
+# resolve to the checker's shadow types, so crates/check/clippy.toml's
+# disallowed std atomics, `UnsafeCell` and `fence` flag every use that
+# bypasses the checker. Examples stay out: none builds under the cfg.
 RUSTFLAGS="--cfg atos_check" CARGO_TARGET_DIR=target/check \
     cargo test -p atos-check -q
-RUSTFLAGS="--cfg atos_check" CARGO_TARGET_DIR=target/check \
-    cargo clippy -p atos-check -p atos-queue -p atos-core --all-targets -- -D warnings
+RUSTFLAGS="--cfg atos_check" CARGO_TARGET_DIR=target/check CLIPPY_CONF_DIR="$PWD/crates/check" \
+    cargo clippy --workspace --lib --bins --tests -- -D warnings
 
 echo
 echo "== clippy (deny warnings) =="
+# Also the determinism guard (crates/{sim, core, apps, baselines}/clippy.toml:
+# no clock, sleep, host thread count or default hasher) and the SAFETY-comment
+# rule (`undocumented_unsafe_blocks`, [workspace.lints.clippy]).
 cargo clippy --workspace --all-targets -- -D warnings
+
+echo
+echo "== seeded twins of the clippy lints (each must fail on its named lint) =="
+# A copy of the tracked tree under target/ (fixed paths and a shared target
+# dir keep warm runs to seconds); each twin is applied alone, must fail
+# clippy with the lint named, and is reverted. A twin that fails to compile
+# would prove nothing, so each is a compiling edit.
+twins=target/twins/tree
+rm -rf "$twins" && mkdir -p "$twins"
+git ls-files -z | tar --null -T - -c | tar -x -C "$twins"
+# twin <lint> <file> <edit> [VAR=value...]: apply <edit> (a command filtering
+# <file>) in the copy, run clippy on the file's crate with the given
+# environment, restore the file.
+twin() {
+    local lint="$1" file="$2" edit="$3" krate
+    shift 3
+    krate="atos-$(echo "$file" | cut -d/ -f2)"
+    sh -c "$edit" < "$file" > "$twins/$file"
+    if (cd "$twins" && env CARGO_TARGET_DIR="$PWD/target/twins/default" "$@" \
+            cargo clippy -p "$krate" --lib -- -D warnings) > "$tmp/twin.out" 2>&1; then
+        echo "FAIL: the $lint twin in $file passed clippy" >&2
+        exit 1
+    fi
+    grep -q "clippy::$lint" "$tmp/twin.out" || {
+        tail -n 30 "$tmp/twin.out" >&2
+        echo "FAIL: the $lint twin in $file failed without naming $lint" >&2
+        exit 1
+    }
+    cp "$file" "$twins/$file"
+    echo "ok: the $lint twin in $file fails clippy"
+}
+# (a) A raw atomic in the counter queue, under the facade pass.
+twin disallowed_types crates/queue/src/counter.rs \
+    "awk '!done && !/^\/\/!/ { print \"use std::sync::atomic::AtomicUsize;\"; done = 1 } { print }'" \
+    RUSTFLAGS="--cfg atos_check" CLIPPY_CONF_DIR="$PWD/$twins/crates/check" \
+    CARGO_TARGET_DIR="$PWD/target/twins/check"
+# (b) A wall-clock read into a trace counter in the runtime.
+twin disallowed_types crates/core/src/runtime.rs "cat; cat <<'RS'
+pub fn injected_trace(tracer: &mut dyn atos_trace::Tracer) {
+    let t0 = std::time::Instant::now();
+    let wall = t0.elapsed().as_nanos() as u64;
+    tracer.counter(atos_trace::Track::pe(0), 0, \"wall\", wall);
+}
+RS"
+# (c) One SAFETY comment dropped from the counter queue.
+twin undocumented_unsafe_blocks crates/queue/src/counter.rs "sed '0,/\/\/ SAFETY:/{//d}'"
 
 echo
 echo "verify: all checks passed"
