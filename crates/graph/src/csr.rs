@@ -18,7 +18,8 @@ pub type VertexId = u32;
 /// Each extra thread holds a cursor row of 4 B/vertex beside the 4 B/pair
 /// of `neighbors`, so on a sparse input the rows are a large share of the
 /// build's memory: the road mesh, at about 3.5 pairs per vertex, peaked
-/// 2 MiB higher on two threads (DESIGN.md §6).
+/// 2 MiB higher on two threads when it still built an edge list
+/// (DESIGN.md §6).
 const MIN_PAIRS_PER_VERTEX: usize = 8;
 
 /// Immutable CSR adjacency structure (out-edges).
@@ -162,6 +163,14 @@ impl Csr {
         offsets[n_vertices] = len as u64;
         neighbors.truncate(len);
         neighbors.shrink_to_fit();
+        Csr { offsets, neighbors }
+    }
+
+    /// A graph from its parts, built elsewhere in this crate: `offsets`
+    /// holds every row's start and then `neighbors.len()`, and each row is
+    /// sorted and free of duplicates, as [`Csr::from_edges`] leaves it.
+    pub(crate) fn from_rows(offsets: Vec<u64>, neighbors: Vec<VertexId>) -> Self {
+        debug_assert_eq!(offsets.last(), Some(&(neighbors.len() as u64)));
         Csr { offsets, neighbors }
     }
 

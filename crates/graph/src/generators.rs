@@ -18,7 +18,7 @@ use rand::rngs::SmallRng;
 use rand::{Rng, RngCore, SeedableRng};
 
 use crate::csr::{Csr, VertexId};
-use crate::par::{alongside, build_threads, EDGES_PER_CHUNK};
+use crate::par::{alongside, build_threads, split_at_cuts, RowBuild, EDGES_PER_CHUNK};
 
 /// Generator streams one chunk is sampled as: each lane owns a contiguous
 /// sixteenth of the chunk and all of them step together, like one 16-wide
@@ -264,61 +264,247 @@ pub fn uniform(n_vertices: usize, n_edges: usize, seed: u64) -> Csr {
 }
 
 /// 4-connected `w × h` grid, bidirectional edges. Diameter = `w + h - 2`.
+///
+/// Vertex `(x, y)` is `y·w + x`. The rows are written directly, on every
+/// host core (the `rmat` thread rule), each thread a band of whole grid
+/// rows.
+///
+/// # Panics
+/// If `w · h` is `u32::MAX` or more: the ids would not fit [`VertexId`].
 pub fn grid_2d(w: usize, h: usize) -> Csr {
-    let n = w * h;
-    let at = |x: usize, y: usize| (y * w + x) as VertexId;
-    let mut edges = Vec::with_capacity(4 * n);
-    for y in 0..h {
-        for x in 0..w {
-            if x + 1 < w {
-                edges.push((at(x, y), at(x + 1, y)));
-                edges.push((at(x + 1, y), at(x, y)));
-            }
-            if y + 1 < h {
-                edges.push((at(x, y), at(x, y + 1)));
-                edges.push((at(x, y + 1), at(x, y)));
-            }
-        }
-    }
-    Csr::from_edges(n, &edges)
+    grid_2d_on_threads(w, h, build_threads(4 * mesh_vertices(w, h)))
 }
 
-/// Road-network-like mesh: a `w × h` grid with a fraction of edges deleted
-/// and a few long-range "highway" shortcuts added, keeping average degree
-/// ≈ 2–3 and diameter in the thousands (road_usa / osm-eur structure).
+/// [`grid_2d`] built on `threads` threads (the caller's among them, so 0
+/// and 1 both mean the caller alone).
+pub(crate) fn grid_2d_on_threads(w: usize, h: usize, threads: usize) -> Csr {
+    mesh(w, h, None, threads)
+}
+
+/// Road-network-like mesh: a `w × h` grid with about 12 % of its edges
+/// deleted and a few long-range "highway" shortcuts added, keeping the
+/// average degree ≈ 3.5 and the diameter in the thousands (road_usa /
+/// osm-eur structure).
+///
+/// The graph is a contract of the `SmallRng` stream: vertex `(x, y)`,
+/// in row-major order, takes one draw for its right edge and then one for
+/// its down edge, except that row 0's right edges and column 0's down
+/// edges are never dropped and take none. The `n / 2048` highways draw
+/// after the last row. The rows are written directly, on every host core,
+/// each thread a band of whole grid rows reached with
+/// [`SmallRng::advance`], so the graph does not depend on the
+/// thread count.
+///
+/// # Panics
+/// If `w · h` is `u32::MAX` or more: the ids would not fit [`VertexId`].
 pub fn road_network(w: usize, h: usize, seed: u64) -> Csr {
-    let n = w * h;
-    let at = |x: usize, y: usize| (y * w + x) as VertexId;
-    let mut rng = SmallRng::seed_from_u64(seed);
-    let mut edges = Vec::with_capacity(4 * n);
-    let push_bidir = |edges: &mut Vec<(VertexId, VertexId)>, u: VertexId, v: VertexId| {
-        edges.push((u, v));
-        edges.push((v, u));
+    road_network_on_threads(w, h, seed, build_threads(4 * mesh_vertices(w, h)))
+}
+
+/// [`road_network`] built on `threads` threads (the caller's among them,
+/// so 0 and 1 both mean the caller alone).
+pub(crate) fn road_network_on_threads(w: usize, h: usize, seed: u64, threads: usize) -> Csr {
+    mesh(w, h, Some(seed), threads)
+}
+
+/// Share of a road network's grid edges a keep draw drops.
+const DROP: f64 = 0.12;
+
+/// `w · h`, the vertex count of a `w × h` mesh.
+///
+/// # Panics
+/// If it is `u32::MAX` or more.
+fn mesh_vertices(w: usize, h: usize) -> usize {
+    w.checked_mul(h)
+        .filter(|&n| n < u32::MAX as usize)
+        .unwrap_or_else(|| {
+            panic!("a {w} × {h} mesh needs u32::MAX vertex ids or more: VertexId would wrap")
+        })
+}
+
+/// The rows of a `w × h` mesh, written straight from its keep bits: the
+/// draws of a road network seeded with `seed`, or, without one, the full
+/// grid. No edge list is built.
+///
+/// A [`RowBuild`] over bands of whole grid rows, one per thread. Pass 1
+/// draws each vertex's two keep bits ([`keep_bits`]) into the low bits of
+/// its slot in `offsets` and counts its row: its kept up, left, right and
+/// down edges merged with its highways ([`merge_row`]). Pass 2 writes the
+/// rows and clears the bits. A band reaches its first draw with
+/// [`SmallRng::advance`], and reads the up bits of its first row from a
+/// second generator that draws the row above again, so no band reads
+/// another's slots. Each row is sorted and free of duplicates, as
+/// [`Csr::from_edges`] made it from the edge list.
+fn mesh(w: usize, h: usize, seed: Option<u64>, threads: usize) -> Csr {
+    let n = mesh_vertices(w, h);
+    if n == 0 {
+        return Csr::from_rows(vec![0], Vec::new());
+    }
+    let seeded = seed.map(SmallRng::seed_from_u64);
+    let highways = seeded
+        .clone()
+        .map_or_else(Vec::new, |rng| highways(w, h, rng));
+    // A generator at grid row `y`'s first keep draw: the rows above it
+    // drew (y − 1)(w − 1) right and min(y, h − 1)(w − 1) down bits.
+    let at_row = |y: usize| {
+        seeded.clone().map(|mut rng| {
+            rng.advance(((y.saturating_sub(1) + y.min(h - 1)) * (w - 1)) as u64);
+            rng
+        })
     };
-    for y in 0..h {
-        for x in 0..w {
-            // Delete ~12% of grid edges to break the regular lattice (but
-            // keep row 0 / column 0 intact so the graph stays connected).
-            if x + 1 < w && (y == 0 || rng.gen::<f64>() > 0.12) {
-                push_bidir(&mut edges, at(x, y), at(x + 1, y));
-            }
-            if y + 1 < h && (x == 0 || rng.gen::<f64>() > 0.12) {
-                push_bidir(&mut edges, at(x, y), at(x, y + 1));
+    // Vertex `first + i`'s four grid neighbours, ascending, and which of
+    // their edges were kept, from the keep bits in `slots`, those of a band
+    // starting at grid row `y0` at vertex `first`. `above` draws the row
+    // above the band again, one vertex a call, for its down bits.
+    let grid = |slots: &[u64],
+                i: usize,
+                (x, y, y0): (usize, usize, usize),
+                above: &mut Option<SmallRng>| {
+        let up = y > 0
+            && if y == y0 {
+                keep_bits(above, x, y - 1, w, h) & 2 != 0
+            } else {
+                slots[i - w] & 2 != 0
+            };
+        let left = x > 0 && slots[i - 1] & 1 != 0;
+        let (v, w) = ((y * w + x) as VertexId, w as VertexId);
+        let kept = [up, left, slots[i] & 1 != 0, slots[i] & 2 != 0];
+        let row = [
+            v.wrapping_sub(w),
+            v.wrapping_sub(1),
+            v + 1,
+            v.wrapping_add(w),
+        ];
+        (row, kept)
+    };
+    let from = |first: usize| &highways[highways.partition_point(|&(u, _)| (u as usize) < first)..];
+
+    let bands = threads.clamp(1, h);
+    let cuts = (0..=bands).map(|k| h * k / bands * w).collect();
+    let build = RowBuild::count(cuts, 2, |first, slots: &mut [u64]| {
+        let y0 = first / w;
+        let (mut rng, mut above) = (at_row(y0), at_row(y0.saturating_sub(1)));
+        let mut rest = from(first);
+        let mut i = 0;
+        for y in y0..y0 + slots.len() / w {
+            for x in 0..w {
+                slots[i] = keep_bits(&mut rng, x, y, w, h);
+                let (row, kept) = grid(slots, i, (x, y, y0), &mut above);
+                let mut len = kept.iter().filter(|&&k| k).count();
+                let mine = take_highways(&mut rest, first + i);
+                if !mine.is_empty() {
+                    len = 0;
+                    merge_row(row, kept, mine, |_| len += 1);
+                }
+                slots[i] |= (len as u64) << 2;
+                i += 1;
             }
         }
-    }
-    // Sparse highways: n/2048 shortcuts of bounded length, which perturb
-    // shortest paths without collapsing the diameter.
-    for _ in 0..(n / 2048) {
+    });
+    let mut neighbors = vec![0 as VertexId; build.len()];
+    let parts = split_at_cuts(&mut neighbors, build.bases());
+    let offsets = build.write(parts, |first, slots, out| {
+        let y0 = first / w;
+        let mut above = at_row(y0.saturating_sub(1));
+        let mut rest = from(first);
+        let (mut i, mut at) = (0, 0);
+        for y in y0..y0 + slots.len() / w {
+            for x in 0..w {
+                let (row, kept) = grid(slots, i, (x, y, y0), &mut above);
+                merge_row(row, kept, take_highways(&mut rest, first + i), |t| {
+                    out[at] = t;
+                    at += 1;
+                });
+                i += 1;
+            }
+            // The row above is read for the last time: clear its bits.
+            if y > y0 {
+                for slot in &mut slots[i - 2 * w..i - w] {
+                    *slot >>= 2;
+                }
+            }
+        }
+        let last_row = slots.len().saturating_sub(w);
+        for slot in &mut slots[last_row..] {
+            *slot >>= 2;
+        }
+    });
+    Csr::from_rows(offsets, neighbors)
+}
+
+/// The highways leaving vertex `v`, taken off the front of `rest`.
+fn take_highways<'a>(
+    rest: &mut &'a [(VertexId, VertexId)],
+    v: usize,
+) -> &'a [(VertexId, VertexId)] {
+    let k = rest.iter().take_while(|&&(u, _)| u as usize == v).count();
+    let (mine, after) = rest.split_at(k);
+    *rest = after;
+    mine
+}
+
+/// Vertex `(x, y)`'s right (bit 0) and down (bit 1) edge, kept or not,
+/// taking their draws from `rng` in stream order: a right edge's before a
+/// down edge's. Row 0's right edges and column 0's down edges are never
+/// dropped, so the mesh stays connected; without a generator none is.
+#[inline(always)]
+fn keep_bits(rng: &mut Option<SmallRng>, x: usize, y: usize, w: usize, h: usize) -> u64 {
+    let mut keep = |spine: bool| spine || rng.as_mut().is_none_or(|rng| rng.gen::<f64>() > DROP);
+    let right = x + 1 < w && keep(y == 0);
+    let down = y + 1 < h && keep(x == 0);
+    right as u64 | (down as u64) << 1
+}
+
+/// A road network's highways, both directions of each, sorted and
+/// deduplicated: `n / 2048` shortcuts of bounded length, which perturb
+/// shortest paths without collapsing the diameter. `rng` is the seeded
+/// generator; the highways draw after the mesh's 2(h − 1)(w − 1) keep
+/// draws.
+fn highways(w: usize, h: usize, mut rng: SmallRng) -> Vec<(VertexId, VertexId)> {
+    rng.advance((2 * (h - 1) * (w - 1)) as u64);
+    let at = |x: usize, y: usize| (y * w + x) as VertexId;
+    let count = w * h / 2048;
+    let mut pairs = Vec::with_capacity(2 * count);
+    for _ in 0..count {
         let x = rng.gen_range(0..w);
         let y = rng.gen_range(0..h);
         let dx = rng.gen_range(0..(w / 16).max(2));
         let dy = rng.gen_range(0..(h / 16).max(2));
-        let x2 = (x + dx).min(w - 1);
-        let y2 = (y + dy).min(h - 1);
-        push_bidir(&mut edges, at(x, y), at(x2, y2));
+        let (a, b) = (at(x, y), at((x + dx).min(w - 1), (y + dy).min(h - 1)));
+        pairs.extend([(a, b), (b, a)]);
     }
-    Csr::from_edges(n, &edges)
+    pairs.sort_unstable();
+    pairs.dedup();
+    pairs
+}
+
+/// One mesh row: the `grid` targets that were `kept` (ascending, distinct)
+/// merged with the targets of `highways` (one source's pairs, ascending
+/// and distinct), a target in both put once.
+#[inline(always)]
+fn merge_row(
+    grid: [VertexId; 4],
+    kept: [bool; 4],
+    highways: &[(VertexId, VertexId)],
+    mut put: impl FnMut(VertexId),
+) {
+    if highways.is_empty() {
+        for (t, k) in grid.into_iter().zip(kept) {
+            if k {
+                put(t);
+            }
+        }
+        return;
+    }
+    let mut extra = highways.iter().map(|&(_, t)| t).peekable();
+    for (t, _) in grid.into_iter().zip(kept).filter(|&(_, k)| k) {
+        while let Some(h) = extra.next_if(|&h| h < t) {
+            put(h);
+        }
+        extra.next_if_eq(&t);
+        put(t);
+    }
+    extra.for_each(put);
 }
 
 /// Structural family of a dataset, Table I's "type" column.
@@ -716,6 +902,143 @@ mod tests {
             rmat_on_threads(6, 3, probs, 8, 64),
             rmat_on_threads(6, 3, probs, 8, 1)
         );
+    }
+
+    /// The edge-list `grid_2d`, kept as the oracle: every edge pushed in
+    /// both directions, then `Csr::from_edges`.
+    fn grid_2d_oracle(w: usize, h: usize) -> Csr {
+        let n = w * h;
+        let at = |x: usize, y: usize| (y * w + x) as VertexId;
+        let mut edges = Vec::with_capacity(4 * n);
+        for y in 0..h {
+            for x in 0..w {
+                if x + 1 < w {
+                    edges.push((at(x, y), at(x + 1, y)));
+                    edges.push((at(x + 1, y), at(x, y)));
+                }
+                if y + 1 < h {
+                    edges.push((at(x, y), at(x, y + 1)));
+                    edges.push((at(x, y + 1), at(x, y)));
+                }
+            }
+        }
+        Csr::from_edges(n, &edges)
+    }
+
+    /// The edge-list `road_network`, kept as the oracle: every kept edge
+    /// and every highway pushed in both directions, in draw order, then
+    /// `Csr::from_edges`.
+    fn road_network_oracle(w: usize, h: usize, seed: u64) -> Csr {
+        let n = w * h;
+        let at = |x: usize, y: usize| (y * w + x) as VertexId;
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let mut edges = Vec::with_capacity(4 * n);
+        let push_bidir = |edges: &mut Vec<(VertexId, VertexId)>, u: VertexId, v: VertexId| {
+            edges.push((u, v));
+            edges.push((v, u));
+        };
+        for y in 0..h {
+            for x in 0..w {
+                // Delete ~12% of grid edges to break the regular lattice (but
+                // keep row 0 / column 0 intact so the graph stays connected).
+                if x + 1 < w && (y == 0 || rng.gen::<f64>() > 0.12) {
+                    push_bidir(&mut edges, at(x, y), at(x + 1, y));
+                }
+                if y + 1 < h && (x == 0 || rng.gen::<f64>() > 0.12) {
+                    push_bidir(&mut edges, at(x, y), at(x, y + 1));
+                }
+            }
+        }
+        // Sparse highways: n/2048 shortcuts of bounded length, which perturb
+        // shortest paths without collapsing the diameter.
+        for _ in 0..(n / 2048) {
+            let x = rng.gen_range(0..w);
+            let y = rng.gen_range(0..h);
+            let dx = rng.gen_range(0..(w / 16).max(2));
+            let dy = rng.gen_range(0..(h / 16).max(2));
+            let x2 = (x + dx).min(w - 1);
+            let y2 = (y + dy).min(h - 1);
+            push_bidir(&mut edges, at(x, y), at(x2, y2));
+        }
+        Csr::from_edges(n, &edges)
+    }
+
+    /// Both meshes equal their oracles on every thread count here: one
+    /// band per grid row and more (64, clamped to `h`), counts that leave
+    /// uneven bands (3, 7), and the caller alone (1).
+    fn assert_meshes_match_oracles(w: usize, h: usize, seed: u64) {
+        let (grid, road) = (grid_2d_oracle(w, h), road_network_oracle(w, h, seed));
+        assert_eq!(grid_2d(w, h), grid, "grid {w}x{h}");
+        assert_eq!(road_network(w, h, seed), road, "road {w}x{h} seed={seed}");
+        for threads in [1, 2, 3, 7, 64] {
+            assert_eq!(
+                grid_2d_on_threads(w, h, threads),
+                grid,
+                "grid {w}x{h} threads={threads}"
+            );
+            let got = road_network_on_threads(w, h, seed, threads);
+            assert_eq!(got, road, "road {w}x{h} seed={seed} threads={threads}");
+        }
+    }
+
+    #[test]
+    fn meshes_on_threads_match_the_edge_list_oracles() {
+        // Degenerate shapes; a single row or column, where one of the two
+        // keep draws never happens; the first size with highways
+        // (n/2048 = 4) and larger ones, where they collide with grid edges
+        // and each other; and widths and heights that cut into uneven
+        // bands.
+        for (w, h) in [
+            (0, 0),
+            (0, 5),
+            (5, 0),
+            (1, 1),
+            (2, 2),
+            (1, 97),
+            (97, 1),
+            (128, 64),
+            (257, 131),
+            (3000, 17),
+            (17, 3000),
+        ] {
+            for seed in 1..=3 {
+                assert_meshes_match_oracles(w, h, seed);
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// Shapes around the highway threshold (w·h ≥ 2048), where a
+        /// highway's clamped end can land on its start (a self-loop) or on
+        /// a kept grid edge, which the merge must put once.
+        #[test]
+        fn meshes_on_threads_match_oracles_on_random_shapes(
+            w in 1usize..128,
+            h in 1usize..128,
+            seed in 0u64..1 << 20,
+        ) {
+            assert_meshes_match_oracles(w, h, seed);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "a 65536 × 65536 mesh needs u32::MAX vertex ids or more")]
+    fn road_network_rejects_ids_past_vertex_id() {
+        road_network(1 << 16, 1 << 16, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "a 4294967295 × 1 mesh needs u32::MAX vertex ids or more")]
+    fn grid_2d_rejects_u32_max_vertices() {
+        grid_2d(u32::MAX as usize, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "mesh needs u32::MAX vertex ids or more")]
+    fn grid_2d_rejects_a_vertex_count_past_usize() {
+        grid_2d(usize::MAX, 2);
     }
 
     #[test]

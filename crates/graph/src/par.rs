@@ -1,10 +1,11 @@
 //! How the graph builders split their work across host threads.
 //!
-//! `rmat`, `Csr::from_edges` and `EdgeWeights::random` share one thread
-//! rule, [`build_threads`], and the two passes that walk rows share one
-//! split, [`balanced_rows`]. Every part is cut from the input alone and run
-//! as a plain serial loop, so no output depends on the thread count or on
-//! which thread ran which part.
+//! Every builder follows one thread rule, [`build_threads`], and the passes
+//! that walk rows cut them with [`balanced_rows`] (or, on a mesh, into
+//! bands of whole grid rows). [`RowBuild`] is the two-pass row build the
+//! meshes and `OwnerGrouped` share. Every part is cut from the
+//! input alone and run as a plain serial loop, so no output depends on the
+//! thread count or on which thread ran which part.
 
 /// Edges per thread at least: fewer stay on the calling thread, where a
 /// spawn would cost more than the work it takes over. Also the chunk size
@@ -61,6 +62,150 @@ pub(crate) fn split_at_cuts<'a, T>(mut xs: &'a mut [T], cuts: &[usize]) -> Vec<&
             head
         })
         .collect()
+}
+
+/// A row-index entry: `u64` in a [`crate::Csr`], `u32` in `OwnerGrouped`,
+/// whose two segment-index reads open every visit on the hot path.
+pub(crate) trait Offset: Copy + Default + Send {
+    fn get(self) -> u64;
+    /// `x` as an entry; the caller has checked that it fits.
+    fn of(x: u64) -> Self;
+}
+
+impl Offset for u64 {
+    fn get(self) -> u64 {
+        self
+    }
+    fn of(x: u64) -> Self {
+        x
+    }
+}
+
+impl Offset for u32 {
+    fn get(self) -> u64 {
+        self.into()
+    }
+    fn of(x: u64) -> Self {
+        x as u32
+    }
+}
+
+/// A row index built in two passes over the same row ranges
+/// `rows[k]..rows[k + 1]`, one range per thread, the caller's taking the
+/// first:
+///
+/// 1. [`RowBuild::count`] has each range set every row's slot to the
+///    row's length, shifted left by `tag_bits` over a tag the range may
+///    keep in the low bits until pass 2; the range then turns its lengths
+///    into starts, from 0, tags kept;
+/// 2. a serial pass over the ranges (not the rows) gives each its base,
+///    its first position in the rows' output;
+/// 3. [`RowBuild::write`] has each range add its base to its slots and
+///    fill its part of the output, exactly its rows. It must leave every
+///    slot the row's untagged start.
+///
+/// The caller allocates the output between the passes, exactly
+/// [`RowBuild::len`] entries, and cuts it at [`RowBuild::bases`]. Only
+/// `offsets` is allocated here; on one range nothing is spawned.
+pub(crate) struct RowBuild<O> {
+    rows: Vec<usize>,
+    /// Each range's first output position, then the total.
+    bases: Vec<usize>,
+    /// One slot per row, then the total.
+    offsets: Vec<O>,
+    tag_bits: u32,
+}
+
+impl<O: Offset> RowBuild<O> {
+    /// Pass 1 over the ranges `rows` (`rows[0] = 0`, the last the row
+    /// count, non-decreasing): `count(first, slots)` sets `slots[i]`, the
+    /// slot of row `first + i`, to that row's `len << tag_bits | tag`.
+    pub(crate) fn count(
+        rows: Vec<usize>,
+        tag_bits: u32,
+        count: impl Fn(usize, &mut [O]) + Sync,
+    ) -> Self {
+        let n = *rows.last().expect("one range or more");
+        let mut offsets = vec![O::default(); n + 1];
+        let mut lens = vec![0usize; rows.len() - 1];
+        let tag = (1u64 << tag_bits) - 1;
+        let count_range = |first: usize, slots: &mut [O], len: &mut usize| {
+            count(first, slots);
+            let mut at = 0u64;
+            for slot in slots {
+                let s = slot.get();
+                *slot = O::of(at << tag_bits | s & tag);
+                at += s >> tag_bits;
+            }
+            *len = at as usize;
+        };
+        let mut ranges = split_at_cuts(&mut offsets[..n], &rows)
+            .into_iter()
+            .zip(&rows)
+            .zip(&mut lens);
+        let ((first_slots, &first), first_len) = ranges.next().expect("one range or more");
+        alongside(
+            ranges,
+            |((slots, &from), len)| count_range(from, slots, len),
+            || count_range(first, first_slots, first_len),
+        );
+        let bases: Vec<usize> = [0]
+            .into_iter()
+            .chain(lens.iter().scan(0, |at, len| {
+                *at += len;
+                Some(*at)
+            }))
+            .collect();
+        offsets[n] = O::of(*bases.last().expect("one base or more") as u64);
+        RowBuild {
+            rows,
+            bases,
+            offsets,
+            tag_bits,
+        }
+    }
+
+    /// The rows' total length: what the output holds.
+    pub(crate) fn len(&self) -> usize {
+        *self.bases.last().expect("one base or more")
+    }
+
+    /// Where each range's rows start in the output, then the total: the
+    /// cuts for [`split_at_cuts`].
+    pub(crate) fn bases(&self) -> &[usize] {
+        &self.bases
+    }
+
+    /// Pass 2: `write(first, slots, part)` fills `part`, range by range
+    /// (`parts[k]` is range `k`'s), each slot its row's absolute
+    /// `start << tag_bits | tag`, and leaves each slot the plain start.
+    /// Returns the row index.
+    pub(crate) fn write<P: Send>(
+        mut self,
+        parts: Vec<P>,
+        write: impl Fn(usize, &mut [O], P) + Sync,
+    ) -> Vec<O> {
+        let n = self.offsets.len() - 1;
+        let tag_bits = self.tag_bits;
+        let write_range = |first: usize, slots: &mut [O], base: usize, part: P| {
+            for slot in slots.iter_mut() {
+                *slot = O::of(slot.get() + ((base as u64) << tag_bits));
+            }
+            write(first, slots, part);
+        };
+        let mut ranges = split_at_cuts(&mut self.offsets[..n], &self.rows)
+            .into_iter()
+            .zip(self.rows.iter().zip(&self.bases))
+            .zip(parts);
+        let ((first_slots, (&first, &base)), first_part) =
+            ranges.next().expect("one range or more");
+        alongside(
+            ranges,
+            |((slots, (&from, &base)), part)| write_range(from, slots, base, part),
+            || write_range(first, first_slots, base, first_part),
+        );
+        self.offsets
+    }
 }
 
 #[cfg(test)]

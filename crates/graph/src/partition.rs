@@ -66,10 +66,12 @@ impl Partition {
     pub fn block(n_vertices: usize, n_parts: usize) -> Self {
         check_n_parts(n_parts);
         let per = n_vertices.div_ceil(n_parts).max(1);
-        Partition {
-            owner: (0..n_vertices).map(|v| ((v / per) as u16).min(n_parts as u16 - 1)).collect(),
-            n_parts,
+        // `n_vertices.div_ceil(per)` ≤ `n_parts` runs of `per` owners.
+        let mut owner = vec![0; n_vertices];
+        for (p, run) in owner.chunks_mut(per).enumerate() {
+            run.fill(p as u16);
         }
+        Partition { owner, n_parts }
     }
 
     /// Greedy BFS region growing: seeds one BFS per part at spread-out
@@ -219,6 +221,26 @@ mod tests {
         assert_eq!(p.n_parts(), 1);
         assert!((0..10).all(|v| p.owner(v) == 0));
         assert_eq!(p.part_sizes(), vec![10]);
+    }
+
+    /// The per-vertex division form `block` had before it filled runs,
+    /// kept as the oracle.
+    fn block_oracle(n_vertices: usize, n_parts: usize) -> Vec<u16> {
+        let per = n_vertices.div_ceil(n_parts).max(1);
+        (0..n_vertices)
+            .map(|v| ((v / per) as u16).min(n_parts as u16 - 1))
+            .collect()
+    }
+
+    #[test]
+    fn block_matches_the_division_form() {
+        for n in [0, 1, 7, 1000] {
+            for parts in [1, 2, 3, 9, 4096] {
+                let p = Partition::block(n, parts);
+                assert_eq!(p.owner, block_oracle(n, parts), "n={n} parts={parts}");
+                assert_eq!(p.n_parts(), parts);
+            }
+        }
     }
 
     #[test]
