@@ -31,7 +31,7 @@ use std::sync::Arc;
 
 use atos_core::{
     assert_owner, Application, AtosConfig, Emitter, Lookahead, NullTracer, RunStats, Runtime,
-    RuntimeTuning, Tracer,
+    Tracer,
 };
 use atos_macros::atos_hot;
 use atos_graph::csr::{Csr, VertexId};
@@ -206,6 +206,9 @@ impl BfsRun {
 }
 
 /// Run asynchronous BFS under `cfg` on `fabric`.
+///
+/// # Panics
+/// If the partition's part count is not the fabric's PE count.
 pub fn run_bfs(
     graph: Arc<Csr>,
     partition: Arc<Partition>,
@@ -213,7 +216,7 @@ pub fn run_bfs(
     fabric: Fabric,
     cfg: AtosConfig,
 ) -> BfsRun {
-    run_bfs_tuned(graph, partition, source, fabric, cfg, RuntimeTuning::default(), NullTracer)
+    launch(graph, partition, source, fabric, cfg, NullTracer)
 }
 
 /// Run asynchronous BFS with a virtual-time tracer attached: per-PE step
@@ -228,27 +231,24 @@ pub fn run_bfs_traced(
     cfg: AtosConfig,
     tracer: &mut dyn Tracer,
 ) -> BfsRun {
-    run_bfs_tuned(graph, partition, source, fabric, cfg, RuntimeTuning::default(), tracer)
+    launch(graph, partition, source, fabric, cfg, tracer)
 }
 
-/// The one place a BFS run is launched — [`run_bfs`], [`run_bfs_traced`]
-/// and the Groute-/Galois-like baselines (which differ only in `cfg` and
-/// `tuning`) are calls to it: build the runtime, seed the source, run,
-/// collect. `tracer` collects the virtual-time timeline (pass
-/// [`NullTracer`] for none) and changes no depth, stat or virtual time.
-pub fn run_bfs_tuned<Tr: Tracer>(
+/// The one place a BFS run is launched — [`run_bfs`] and
+/// [`run_bfs_traced`] are calls to it: build the runtime, seed the source,
+/// run, collect. `tracer` collects the virtual-time timeline
+/// ([`NullTracer`] for none) and changes no depth, stat or virtual time.
+fn launch<Tr: Tracer>(
     graph: Arc<Csr>,
     partition: Arc<Partition>,
     source: VertexId,
     fabric: Fabric,
     cfg: AtosConfig,
-    tuning: RuntimeTuning,
     tracer: Tr,
 ) -> BfsRun {
-    assert_eq!(partition.n_parts(), fabric.n_pes(), "partition/fabric size");
+    crate::assert_partition_fits(&partition, &fabric);
     let app = BfsApp::new(graph, partition.clone(), source);
-    let cost = atos_sim::GpuCostModel::v100();
-    let mut rt = Runtime::with_tracer(app, fabric, cfg, cost, tuning, tracer);
+    let mut rt = Runtime::with_tracer(app, fabric, cfg, tracer);
     rt.seed(partition.owner(source), [(source, 0u32)]);
     let stats = rt.run();
     let app = rt.into_app();

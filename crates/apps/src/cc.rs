@@ -31,13 +31,16 @@ pub struct CcRun {
 }
 
 /// Run asynchronous connected components on a symmetric graph.
+///
+/// # Panics
+/// If the partition's part count is not the fabric's PE count.
 pub fn run_cc(
     graph: Arc<Csr>,
     partition: Arc<Partition>,
     fabric: Fabric,
     cfg: AtosConfig,
 ) -> CcRun {
-    assert_eq!(partition.n_parts(), fabric.n_pes());
+    crate::assert_partition_fits(&partition, &fabric);
     let app = BfsApp::components(graph, partition.clone());
     let mut rt = Runtime::new(app, fabric, cfg);
     for pe in 0..partition.n_parts() {

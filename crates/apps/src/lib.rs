@@ -36,3 +36,74 @@ pub use host_bfs::{host_bfs, HostBfsApp, HostBfsRun};
 pub use cc::CcRun;
 pub use pagerank::{PageRankApp, PageRankRun};
 pub use sssp::{SsspApp, SsspRun};
+
+use atos_graph::partition::Partition;
+use atos_sim::Fabric;
+
+/// The check every launch makes before it builds a runtime: one part of
+/// `partition` per PE of `fabric`.
+///
+/// # Panics
+/// If the part count is not the PE count.
+#[track_caller]
+pub fn assert_partition_fits(partition: &Partition, fabric: &Fabric) {
+    assert_eq!(partition.n_parts(), fabric.n_pes(), "partition/fabric size");
+}
+
+#[cfg(test)]
+mod tests {
+    //! Every launch rejects a partition that does not fit its fabric.
+
+    use std::sync::Arc;
+
+    use atos_core::AtosConfig;
+    use atos_graph::csr::Csr;
+    use atos_graph::weights::EdgeWeights;
+
+    use super::*;
+
+    const CFG: AtosConfig = AtosConfig::standard_persistent();
+
+    /// A 4-vertex ring split in two parts, for a 1-PE fabric.
+    fn misfit() -> (Arc<Csr>, Arc<Partition>, Fabric) {
+        let g = Arc::new(Csr::from_edges(4, &[(0, 1), (1, 2), (2, 3), (3, 0)]));
+        (g, Arc::new(Partition::block(4, 2)), Fabric::daisy(1))
+    }
+
+    #[test]
+    #[should_panic(expected = "partition/fabric size")]
+    fn run_bfs_checks_the_partition() {
+        let (g, part, fabric) = misfit();
+        bfs::run_bfs(g, part, 0, fabric, CFG);
+    }
+
+    #[test]
+    #[should_panic(expected = "partition/fabric size")]
+    fn run_pagerank_checks_the_partition() {
+        let (g, part, fabric) = misfit();
+        pagerank::run_pagerank(g, part, 0.85, 1e-3, fabric, CFG);
+    }
+
+    #[test]
+    #[should_panic(expected = "partition/fabric size")]
+    fn run_cc_checks_the_partition() {
+        let (g, part, fabric) = misfit();
+        cc::run_cc(g, part, fabric, CFG);
+    }
+
+    #[test]
+    #[should_panic(expected = "partition/fabric size")]
+    fn run_sssp_checks_the_partition() {
+        let (g, part, fabric) = misfit();
+        let w = Arc::new(EdgeWeights::random(&g, 4, 1));
+        sssp::run_sssp(g, w, part, 0, 2, fabric, CFG);
+    }
+
+    #[test]
+    #[should_panic(expected = "partition/fabric size")]
+    fn run_sssp_delta_checks_the_partition() {
+        let (g, part, fabric) = misfit();
+        let w = Arc::new(EdgeWeights::random(&g, 4, 1));
+        sssp::run_sssp_delta(g, w, part, 0, 2, fabric, CFG);
+    }
+}

@@ -38,7 +38,7 @@ use std::num::NonZeroU32;
 use std::sync::Arc;
 
 use atos_core::{
-    assert_owner, Application, AtosConfig, Emitter, Lookahead, RunStats, Runtime, RuntimeTuning,
+    assert_owner, Application, AtosConfig, Emitter, Lookahead, RunStats, Runtime,
 };
 use atos_macros::atos_hot;
 use atos_graph::csr::{Csr, VertexId};
@@ -318,7 +318,12 @@ pub struct PageRankRun {
     pub relaxations: u64,
 }
 
-/// Run asynchronous PageRank under `cfg` on `fabric`.
+/// Run asynchronous PageRank under `cfg` on `fabric`: build the runtime,
+/// seed every vertex on its owner, run, assert convergence, collect.
+///
+/// # Panics
+/// If the partition's part count is not the fabric's PE count, or if the
+/// queues drain while some residue is still at or above `epsilon`.
 pub fn run_pagerank(
     graph: Arc<Csr>,
     partition: Arc<Partition>,
@@ -327,30 +332,9 @@ pub fn run_pagerank(
     fabric: Fabric,
     cfg: AtosConfig,
 ) -> PageRankRun {
-    let tuning = RuntimeTuning::default();
-    run_pagerank_tuned(graph, partition, alpha, epsilon, fabric, cfg, tuning)
-}
-
-/// The one place a PageRank run is launched — [`run_pagerank`] and the
-/// Groute-/Galois-like baselines (which differ only in `cfg` and `tuning`)
-/// are calls to it: build the runtime, seed every vertex on its owner,
-/// run, assert convergence, collect.
-///
-/// # Panics
-/// If the queues drain while some residue is still at or above `epsilon`.
-pub fn run_pagerank_tuned(
-    graph: Arc<Csr>,
-    partition: Arc<Partition>,
-    alpha: f64,
-    epsilon: f64,
-    fabric: Fabric,
-    cfg: AtosConfig,
-    tuning: RuntimeTuning,
-) -> PageRankRun {
-    assert_eq!(partition.n_parts(), fabric.n_pes(), "partition/fabric size");
+    crate::assert_partition_fits(&partition, &fabric);
     let app = PageRankApp::new(graph, partition.clone(), alpha, epsilon);
-    let cost = atos_sim::GpuCostModel::v100();
-    let mut rt = Runtime::with_tuning(app, fabric, cfg, cost, tuning);
+    let mut rt = Runtime::new(app, fabric, cfg);
     for pe in 0..partition.n_parts() {
         let seeds: Vec<PrTask> = partition
             .vertices_of(pe)

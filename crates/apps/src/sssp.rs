@@ -394,6 +394,9 @@ impl SsspRun {
 
 /// Run asynchronous SSSP under `cfg`; `delta` is the priority bucket
 /// width (ignored by FIFO configurations).
+///
+/// # Panics
+/// If the partition's part count is not the fabric's PE count.
 pub fn run_sssp(
     graph: Arc<Csr>,
     weights: Arc<EdgeWeights>,
@@ -413,6 +416,9 @@ pub fn run_sssp(
 /// `cfg` should be a priority-queue configuration; under a FIFO queue
 /// the split still produces exact distances but loses its ordering
 /// benefit.
+///
+/// # Panics
+/// If the partition's part count is not the fabric's PE count.
 pub fn run_sssp_delta(
     graph: Arc<Csr>,
     weights: Arc<EdgeWeights>,
@@ -436,7 +442,7 @@ fn run_sssp_impl(
     cfg: AtosConfig,
     split: bool,
 ) -> SsspRun {
-    assert_eq!(partition.n_parts(), fabric.n_pes());
+    crate::assert_partition_fits(&partition, &fabric);
     let app = if split {
         SsspApp::new_split(graph, weights, partition.clone(), source, delta)
     } else {

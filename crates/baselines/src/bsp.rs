@@ -17,6 +17,7 @@
 
 use std::sync::Arc;
 
+use atos_apps::assert_partition_fits;
 use atos_apps::bfs::BfsApp;
 use atos_apps::pagerank::{PageRankApp, PrTask};
 use atos_core::{Application, Emitter, RunStats};
@@ -193,14 +194,14 @@ pub fn run_bsp<A: Application>(
 }
 
 /// Level-synchronous multi-GPU BFS (Gunrock-like): [`BfsApp`] under
-/// [`run_bsp`], seeded as `run_bfs_tuned` seeds it.
+/// [`run_bsp`], seeded as `run_bfs` seeds it.
 pub fn bsp_bfs(
     graph: Arc<Csr>,
     partition: Arc<Partition>,
     source: VertexId,
     fabric: Fabric,
 ) -> BspRun {
-    assert_eq!(partition.n_parts(), fabric.n_pes(), "partition/fabric size");
+    assert_partition_fits(&partition, &fabric);
     let mut app = BfsApp::new(graph, partition.clone(), source);
     let mut seeds = vec![Vec::new(); fabric.n_pes()];
     seeds[partition.owner(source)].push((source, 0));
@@ -209,7 +210,7 @@ pub fn bsp_bfs(
 }
 
 /// Bulk-synchronous push PageRank (Gunrock-like): [`PageRankApp`] under
-/// [`run_bsp`], every vertex seeded on its owner as `run_pagerank_tuned`
+/// [`run_bsp`], every vertex seeded on its owner as `run_pagerank`
 /// seeds it; remote contributions cross at the barrier.
 pub fn bsp_pagerank(
     graph: Arc<Csr>,
@@ -218,7 +219,7 @@ pub fn bsp_pagerank(
     epsilon: f64,
     fabric: Fabric,
 ) -> BspRun {
-    assert_eq!(partition.n_parts(), fabric.n_pes(), "partition/fabric size");
+    assert_partition_fits(&partition, &fabric);
     let mut app = PageRankApp::new(graph, partition.clone(), alpha, epsilon);
     let seeds = (0..partition.n_parts())
         .map(|pe| partition.vertices_of(pe).into_iter().map(PrTask::Relax).collect())

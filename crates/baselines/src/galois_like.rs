@@ -21,70 +21,41 @@
 //! push-PageRank lonestar-distributed variants, so the algorithms are the
 //! same as Atos's; only the framework differs.
 
-use std::sync::Arc;
+use atos_core::{AtosConfig, CommMode, KernelMode};
+use atos_graph::csr::Csr;
+use atos_sim::ControlPath;
 
-use atos_apps::bfs::{run_bfs_tuned, BfsRun};
-use atos_apps::pagerank::{run_pagerank_tuned, PageRankRun};
-use atos_core::{
-    AtosConfig, CommMode, KernelMode, NullTracer, QueueMode, RuntimeTuning, WorkerConfig,
-};
-use atos_graph::csr::{Csr, VertexId};
-use atos_graph::partition::Partition;
-use atos_sim::{ControlPath, Fabric};
-
-fn galois_config() -> AtosConfig {
+/// Galois/Gluon as a framework configuration for `graph`: one discrete
+/// kernel per bulk-asynchronous round, one bulk message per destination
+/// per round, a host-driven control path, and Gluon's per-round metadata.
+/// Pass it to `run_bfs`, `run_pagerank` or any other launch of
+/// `atos-apps`.
+pub fn galois_config(graph: &Csr) -> AtosConfig {
     AtosConfig {
-        // One discrete kernel per bulk-asynchronous round.
         kernel: KernelMode::Discrete,
-        queue: QueueMode::Standard,
-        worker: WorkerConfig::cta512(),
-        // One bulk message per destination per round.
         comm: CommMode::Direct { group: usize::MAX },
-    }
-}
-
-fn galois_tuning(graph: &Csr) -> RuntimeTuning {
-    // Gluon per-round metadata: bitvectors and offset arrays over the
-    // masters+mirrors id space (which spans the whole graph under the
-    // random/edge-cut partitions used here), packed and unpacked on the
-    // host. ~n/8 bytes per peer per communicating round, serialized at
-    // the runtime's `METADATA_CPU_NS_PER_BYTE`.
-    RuntimeTuning {
         control: ControlPath::cpu_mediated(),
         in_kernel_comm: false,
+        // Gluon per-round metadata: bitvectors and offset arrays over the
+        // masters+mirrors id space (which spans the whole graph under the
+        // random/edge-cut partitions used here), packed and unpacked on
+        // the host. ~n/8 bytes per peer per communicating round,
+        // serialized at `METADATA_CPU_NS_PER_BYTE`.
         round_metadata_bytes: (graph.n_vertices() as u64 / 8).max(64),
+        ..AtosConfig::standard_persistent()
     }
-}
-
-/// Galois-like bulk-asynchronous push BFS.
-pub fn galois_bfs(
-    graph: Arc<Csr>,
-    partition: Arc<Partition>,
-    source: VertexId,
-    fabric: Fabric,
-) -> BfsRun {
-    let (cfg, tuning) = (galois_config(), galois_tuning(&graph));
-    run_bfs_tuned(graph, partition, source, fabric, cfg, tuning, NullTracer)
-}
-
-/// Galois-like bulk-asynchronous push PageRank.
-pub fn galois_pagerank(
-    graph: Arc<Csr>,
-    partition: Arc<Partition>,
-    alpha: f64,
-    epsilon: f64,
-    fabric: Fabric,
-) -> PageRankRun {
-    let (cfg, tuning) = (galois_config(), galois_tuning(&graph));
-    run_pagerank_tuned(graph, partition, alpha, epsilon, fabric, cfg, tuning)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
+
     use atos_apps::bfs::run_bfs;
     use atos_apps::pagerank::run_pagerank;
     use atos_graph::generators::{Preset, Scale};
+    use atos_graph::partition::Partition;
+    use atos_sim::Fabric;
 
     #[test]
     fn atos_beats_galois_on_ib(){
@@ -100,7 +71,8 @@ mod tests {
             Fabric::ib_cluster(4),
             AtosConfig::ib_bfs(),
         );
-        let galois = galois_bfs(g, part, src, Fabric::ib_cluster(4));
+        let cfg = galois_config(&g);
+        let galois = run_bfs(g, part, src, Fabric::ib_cluster(4), cfg);
         assert_eq!(atos.depth, galois.depth);
         assert!(
             galois.stats.elapsed_ns > 3 * atos.stats.elapsed_ns,
@@ -123,7 +95,8 @@ mod tests {
             Fabric::ib_cluster(4),
             AtosConfig::ib_pagerank(),
         );
-        let galois = galois_pagerank(g, part, 0.85, 1e-6, Fabric::ib_cluster(4));
+        let cfg = galois_config(&g);
+        let galois = run_pagerank(g, part, 0.85, 1e-6, Fabric::ib_cluster(4), cfg);
         assert!(
             galois.stats.elapsed_ns > atos.stats.elapsed_ns,
             "Atos {} ms vs Galois {} ms",
@@ -145,7 +118,8 @@ mod tests {
             Fabric::ib_cluster(4),
             AtosConfig::ib_bfs(),
         );
-        let galois = galois_bfs(g, part, src, Fabric::ib_cluster(4));
+        let cfg = galois_config(&g);
+        let galois = run_bfs(g, part, src, Fabric::ib_cluster(4), cfg);
         assert!(galois.stats.payload_bytes > atos.stats.payload_bytes);
     }
 }

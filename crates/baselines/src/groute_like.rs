@@ -19,68 +19,37 @@
 //!   kernel completes, in medium-grained fragments (Groute's pipelined
 //!   router chunks).
 
-use std::sync::Arc;
-
-use atos_apps::bfs::{run_bfs_tuned, BfsRun};
-use atos_apps::pagerank::{run_pagerank_tuned, PageRankRun};
-use atos_core::{
-    AtosConfig, CommMode, KernelMode, NullTracer, QueueMode, RuntimeTuning, WorkerConfig,
-};
-use atos_graph::csr::{Csr, VertexId};
-use atos_graph::partition::Partition;
-use atos_sim::{ControlPath, Fabric};
+use atos_core::{AtosConfig, CommMode};
+use atos_sim::ControlPath;
 
 /// Groute's router moves data in pipelined fragments of a few thousand
 /// items rather than per-warp messages.
 const GROUTE_FRAGMENT_TASKS: usize = 1024;
 
-fn groute_config() -> AtosConfig {
+/// Groute as a framework configuration: Atos's persistent standard-queue
+/// runtime with a host-driven control path and kernel-boundary
+/// communication in fragments. Pass it to `run_bfs`, `run_pagerank` or
+/// any other launch of `atos-apps`.
+pub fn groute_config() -> AtosConfig {
     AtosConfig {
-        kernel: KernelMode::Persistent,
-        queue: QueueMode::Standard,
-        worker: WorkerConfig::cta512(),
         comm: CommMode::Direct {
             group: GROUTE_FRAGMENT_TASKS,
         },
-    }
-}
-
-fn groute_tuning() -> RuntimeTuning {
-    RuntimeTuning {
         control: ControlPath::cpu_mediated(),
         in_kernel_comm: false,
-        round_metadata_bytes: 0,
+        ..AtosConfig::standard_persistent()
     }
-}
-
-/// Groute-like asynchronous BFS.
-pub fn groute_bfs(
-    graph: Arc<Csr>,
-    partition: Arc<Partition>,
-    source: VertexId,
-    fabric: Fabric,
-) -> BfsRun {
-    let (cfg, tuning) = (groute_config(), groute_tuning());
-    run_bfs_tuned(graph, partition, source, fabric, cfg, tuning, NullTracer)
-}
-
-/// Groute-like asynchronous push PageRank.
-pub fn groute_pagerank(
-    graph: Arc<Csr>,
-    partition: Arc<Partition>,
-    alpha: f64,
-    epsilon: f64,
-    fabric: Fabric,
-) -> PageRankRun {
-    let (cfg, tuning) = (groute_config(), groute_tuning());
-    run_pagerank_tuned(graph, partition, alpha, epsilon, fabric, cfg, tuning)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
+
     use atos_apps::bfs::run_bfs;
     use atos_graph::generators::{Preset, Scale};
+    use atos_graph::partition::Partition;
+    use atos_sim::Fabric;
 
     #[test]
     fn atos_beats_groute_on_latency_bound_mesh() {
@@ -97,7 +66,7 @@ mod tests {
             Fabric::daisy(4),
             AtosConfig::standard_persistent(),
         );
-        let groute = groute_bfs(g, part, src, Fabric::daisy(4));
+        let groute = run_bfs(g, part, src, Fabric::daisy(4), groute_config());
         assert_eq!(atos.depth, groute.depth);
         assert!(
             atos.stats.elapsed_ns < groute.stats.elapsed_ns,
@@ -120,7 +89,7 @@ mod tests {
             Fabric::daisy(4),
             AtosConfig::standard_persistent(),
         );
-        let groute = groute_bfs(g, part, src, Fabric::daisy(4));
+        let groute = run_bfs(g, part, src, Fabric::daisy(4), groute_config());
         assert!(groute.stats.messages < atos.stats.messages);
         assert!(groute.stats.mean_message_bytes() > atos.stats.mean_message_bytes());
     }

@@ -22,6 +22,11 @@
 //!   metadata (bitvectors) to every peer over the CPU control path. This
 //!   per-round, per-peer overhead is what makes Galois anti-scale in
 //!   Table V.
+//!
+//! The two asynchronous baselines are values, not programs:
+//! [`groute_config`] and [`galois_config`] are `AtosConfig`s, and any
+//! launch of `atos-apps` (`run_bfs`, `run_pagerank`, `run_cc`, `run_sssp`,
+//! `run_sssp_delta`) runs under them.
 
 #![warn(missing_docs)]
 
@@ -30,5 +35,5 @@ pub mod galois_like;
 pub mod groute_like;
 
 pub use bsp::{bsp_bfs, bsp_pagerank, run_bsp, BspRun};
-pub use galois_like::{galois_bfs, galois_pagerank};
-pub use groute_like::{groute_bfs, groute_pagerank};
+pub use galois_like::galois_config;
+pub use groute_like::groute_config;

@@ -5,11 +5,11 @@
 
 use std::sync::Arc;
 
-use atos_apps::bfs::{run_bfs, BfsApp};
+use atos_apps::bfs::run_bfs;
 use atos_apps::pagerank::run_pagerank;
 use atos_apps::sssp::{run_sssp, run_sssp_delta};
-use atos_baselines::{bsp_bfs, bsp_pagerank, groute_bfs};
-use atos_core::{AtosConfig, RunStats, Runtime, WorkerConfig, WorkerSize};
+use atos_baselines::{bsp_bfs, bsp_pagerank, groute_config};
+use atos_core::{AtosConfig, RunStats, WorkerConfig, WorkerSize};
 use atos_graph::generators::{GraphKind, Preset, Scale};
 use atos_graph::partition::Partition;
 use atos_graph::stats::stats;
@@ -353,7 +353,7 @@ pub fn ablation_smoothing(args: &BenchArgs) {
         let (graph, part, fabric) = (ds.graph.clone(), part.clone(), Fabric::daisy(4));
         match which {
             0 => bsp_bfs(graph, part, ds.source, fabric).stats,
-            1 => groute_bfs(graph, part, ds.source, fabric).stats,
+            1 => run_bfs(graph, part, ds.source, fabric, groute_config()).stats,
             2 => run_bfs(graph, part, ds.source, fabric, atos_cfg).stats,
             3 => bsp_pagerank(graph, part, ALPHA, EPSILON, fabric).stats,
             _ => run_pagerank(graph, part, ALPHA, EPSILON, fabric, atos_cfg).stats,
@@ -382,8 +382,8 @@ pub fn ablation_smoothing(args: &BenchArgs) {
 /// predecessor for the sweep; this reproduces that sweep on the
 /// simulator's cost model: smaller workers lose neighbor-list coalescing
 /// (higher per-edge cost), larger fetch amortizes pops but delays
-/// communication. Each point builds its own `Runtime` on the worker
-/// shape's cost model under its own configuration.
+/// communication. Each point is one BFS run under its own configuration,
+/// which prices its steps by the worker shape's cost model.
 pub fn ablation_worker(args: &BenchArgs) {
     let ds = Dataset::named("soc-LiveJournal1_s", args.scale);
     let part = ds.partition(4);
@@ -396,8 +396,7 @@ pub fn ablation_worker(args: &BenchArgs) {
     let shapes = [
         ("thread", WorkerSize::Thread),
         ("warp", WorkerSize::Warp),
-        ("cta-256", WorkerSize::Cta(256)),
-        ("cta-512", WorkerSize::Cta(512)),
+        ("cta", WorkerSize::Cta),
     ];
     let mut cells: Vec<(usize, usize)> = Vec::new();
     for s in 0..shapes.len() {
@@ -415,10 +414,7 @@ pub fn ablation_worker(args: &BenchArgs) {
             worker,
             ..AtosConfig::standard_persistent()
         };
-        let app = BfsApp::new(ds.graph.clone(), part.clone(), ds.source);
-        let mut rt = Runtime::with_cost_model(app, Fabric::daisy(4), cfg, worker.cost_model());
-        rt.seed(part.owner(ds.source), [(ds.source, 0u32)]);
-        let stats = rt.run();
+        let stats = run_bfs(ds.graph.clone(), part.clone(), ds.source, Fabric::daisy(4), cfg).stats;
         format!(
             "{:<14}{:>8}{:>14.3}{:>14}{:>12}",
             shapes[s].0,

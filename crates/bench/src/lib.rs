@@ -28,7 +28,7 @@ pub use sweep::{BenchArgs, SweepRunner};
 
 use atos_apps::bfs::run_bfs;
 use atos_apps::pagerank::run_pagerank;
-use atos_baselines::{bsp_bfs, bsp_pagerank, galois_bfs, galois_pagerank, groute_bfs, groute_pagerank};
+use atos_baselines::{bsp_bfs, bsp_pagerank, galois_config, groute_config};
 use atos_core::{AtosConfig, RunStats};
 use atos_graph::csr::{Csr, VertexId};
 use atos_graph::generators::{Preset, Scale};
@@ -150,59 +150,73 @@ impl App {
     }
 }
 
-/// The frameworks compared on `system` for `app`, in row order; the first
-/// is the baseline the runtime tables quote speedups against.
-pub fn frameworks(system: System, app: App) -> &'static [&'static str] {
+/// One compared framework.
+#[derive(Clone, Copy)]
+pub enum Framework {
+    /// Gunrock-like level-synchronous BSP (`atos_baselines::bsp`).
+    Gunrock,
+    /// A framework on the Atos runtime: its configuration for a dataset's
+    /// graph (Atos presets, Groute, Galois).
+    Config(fn(&Csr) -> AtosConfig),
+}
+
+/// The frameworks compared on `system` for `app`, labelled, in row order;
+/// the first is the baseline the runtime tables quote speedups against.
+pub fn frameworks(system: System, app: App) -> &'static [(&'static str, Framework)] {
+    const GROUTE: (&str, Framework) = ("Groute", Framework::Config(|_| groute_config()));
     match (system, app) {
         (System::Nvlink, App::Bfs) => &[
-            "Gunrock",
-            "Groute",
-            "Atos (queue+persistent kernel)",
-            "Atos (priority queue+discrete kernel)",
+            ("Gunrock", Framework::Gunrock),
+            GROUTE,
+            (
+                "Atos (queue+persistent kernel)",
+                Framework::Config(|_| AtosConfig::standard_persistent()),
+            ),
+            (
+                "Atos (priority queue+discrete kernel)",
+                Framework::Config(|_| AtosConfig::priority_discrete()),
+            ),
         ],
         (System::Nvlink, App::PageRank) => &[
-            "Gunrock",
-            "Groute",
-            "Atos (discrete kernel)",
-            "Atos (persistent kernel)",
+            ("Gunrock", Framework::Gunrock),
+            GROUTE,
+            ("Atos (discrete kernel)", Framework::Config(|_| AtosConfig::standard_discrete())),
+            ("Atos (persistent kernel)", Framework::Config(|_| AtosConfig::standard_persistent())),
         ],
-        (System::Ib, _) => &["Galois", "Atos"],
+        (System::Ib, App::Bfs) => &[
+            ("Galois", Framework::Config(galois_config)),
+            ("Atos", Framework::Config(|_| AtosConfig::ib_bfs())),
+        ],
+        (System::Ib, App::PageRank) => &[
+            ("Galois", Framework::Config(galois_config)),
+            ("Atos", Framework::Config(|_| AtosConfig::ib_pagerank())),
+        ],
     }
 }
 
 /// Run `framework` (one of [`frameworks`]`(system, app)`) on `ds` at
 /// `gpus` GPUs.
-pub fn run_cell(system: System, app: App, framework: &str, ds: &Dataset, gpus: usize) -> RunStats {
+pub fn run_cell(
+    system: System,
+    app: App,
+    framework: Framework,
+    ds: &Dataset,
+    gpus: usize,
+) -> RunStats {
     let (graph, part, fabric) = (ds.graph.clone(), ds.partition(gpus), system.fabric(gpus));
-    let atos = match (system, app, framework) {
-        (System::Nvlink, App::Bfs, "Atos (queue+persistent kernel)")
-        | (System::Nvlink, App::PageRank, "Atos (persistent kernel)") => {
-            Some(AtosConfig::standard_persistent())
-        }
-        (System::Nvlink, App::Bfs, "Atos (priority queue+discrete kernel)") => {
-            Some(AtosConfig::priority_discrete())
-        }
-        (System::Nvlink, App::PageRank, "Atos (discrete kernel)") => {
-            Some(AtosConfig::standard_discrete())
-        }
-        (System::Ib, App::Bfs, "Atos") => Some(AtosConfig::ib_bfs()),
-        (System::Ib, App::PageRank, "Atos") => Some(AtosConfig::ib_pagerank()),
-        _ => None,
-    };
-    if let Some(cfg) = atos {
-        return match app {
-            App::Bfs => run_bfs(graph, part, ds.source, fabric, cfg).stats,
-            App::PageRank => run_pagerank(graph, part, ALPHA, EPSILON, fabric, cfg).stats,
-        };
-    }
     match (framework, app) {
-        ("Gunrock", App::Bfs) => bsp_bfs(graph, part, ds.source, fabric).stats,
-        ("Gunrock", App::PageRank) => bsp_pagerank(graph, part, ALPHA, EPSILON, fabric).stats,
-        ("Groute", App::Bfs) => groute_bfs(graph, part, ds.source, fabric).stats,
-        ("Groute", App::PageRank) => groute_pagerank(graph, part, ALPHA, EPSILON, fabric).stats,
-        ("Galois", App::Bfs) => galois_bfs(graph, part, ds.source, fabric).stats,
-        ("Galois", App::PageRank) => galois_pagerank(graph, part, ALPHA, EPSILON, fabric).stats,
-        (other, _) => panic!("unknown framework {other} for {app:?} on {system:?}"),
+        (Framework::Gunrock, App::Bfs) => bsp_bfs(graph, part, ds.source, fabric).stats,
+        (Framework::Gunrock, App::PageRank) => {
+            bsp_pagerank(graph, part, ALPHA, EPSILON, fabric).stats
+        }
+        (Framework::Config(config), App::Bfs) => {
+            let cfg = config(&graph);
+            run_bfs(graph, part, ds.source, fabric, cfg).stats
+        }
+        (Framework::Config(config), App::PageRank) => {
+            let cfg = config(&graph);
+            run_pagerank(graph, part, ALPHA, EPSILON, fabric, cfg).stats
+        }
     }
 }
 
@@ -244,9 +258,9 @@ mod tests {
         let ds = Dataset::build(Preset::by_name("road_usa_s").unwrap(), Scale::Tiny);
         for system in [System::Nvlink, System::Ib] {
             for app in [App::Bfs, App::PageRank] {
-                for f in frameworks(system, app) {
+                for &(label, f) in frameworks(system, app) {
                     let stats = run_cell(system, app, f, &ds, 2);
-                    assert!(stats.elapsed_ms() > 0.0, "{system:?}/{app:?}/{f}");
+                    assert!(stats.elapsed_ms() > 0.0, "{system:?}/{app:?}/{label}");
                 }
             }
         }

@@ -257,8 +257,8 @@ pub struct Cell {
     pub app: App,
     /// Index into [`GridSpec::datasets`].
     pub dataset: usize,
-    /// One of [`frameworks`]`(system, app)`.
-    pub framework: &'static str,
+    /// Index into [`frameworks`]`(system, app)`.
+    pub framework: usize,
     /// GPU count.
     pub gpus: usize,
 }
@@ -284,7 +284,7 @@ impl GridSpec {
         let mut cells = Vec::new();
         for &app in self.apps {
             for dataset in 0..n_datasets {
-                for &framework in frameworks(self.system, app) {
+                for framework in 0..frameworks(self.system, app).len() {
                     for gpus in 1..=self.max_gpus {
                         cells.push(Cell { app, dataset, framework, gpus });
                     }
@@ -298,7 +298,8 @@ impl GridSpec {
     /// [`GridSpec::datasets`]).
     pub fn run_cell(&self, cell: &Cell, datasets: &[Dataset]) -> RunStats {
         let ds = &datasets[cell.dataset];
-        run_cell(self.system, cell.app, cell.framework, ds, cell.gpus)
+        let (_, framework) = frameworks(self.system, cell.app)[cell.framework];
+        run_cell(self.system, cell.app, framework, ds, cell.gpus)
     }
 }
 
@@ -335,7 +336,7 @@ pub fn run_grid(spec: &GridSpec, args: &BenchArgs) {
                         .collect()
                 };
                 let baseline = rows(0);
-                for (f, fw) in fws.iter().enumerate() {
+                for (f, (fw, _)) in fws.iter().enumerate() {
                     let base = (f > 0).then_some(baseline.as_slice());
                     print_table_block(&format!("{} on {fw}", app.label()), &gpus, &rows(f), base);
                 }
@@ -355,7 +356,7 @@ pub fn run_grid(spec: &GridSpec, args: &BenchArgs) {
                         print!("{:>col_w$}", format!("{g}{unit}"));
                     }
                     println!();
-                    for (fw, series) in fws.iter().zip(s) {
+                    for ((fw, _), series) in fws.iter().zip(s) {
                         print!("{fw:<name_w$}");
                         for r in relative_speedup(series) {
                             print!("{r:>col_w$.2}");
@@ -426,9 +427,9 @@ mod tests {
         assert_eq!(cells.len(), 2 * 6 * 2 * 8);
         assert_eq!(
             cells[0],
-            Cell { app: App::Bfs, dataset: 0, framework: "Galois", gpus: 1 }
+            Cell { app: App::Bfs, dataset: 0, framework: 0, gpus: 1 }
         );
-        assert_eq!(cells[8].framework, "Atos");
+        assert_eq!(frameworks(spec.system, App::Bfs)[cells[8].framework].0, "Atos");
         assert!(cells.chunks(8).all(|s| s.iter().map(|c| c.gpus).eq(1..=8)));
         assert_eq!(grid("fig5_scaling_nvlink").cells().len(), 2 * 4 * 4 * 4);
     }

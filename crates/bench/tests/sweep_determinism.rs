@@ -10,7 +10,7 @@
 
 use std::process::{Command, Output};
 
-use atos_bench::{registry, run_cell, App, Dataset, SweepRunner, System};
+use atos_bench::{frameworks, registry, run_cell, App, Dataset, SweepRunner, System};
 use atos_graph::generators::{Preset, Scale};
 
 /// Run `atos-bench` with `args`.
@@ -42,10 +42,11 @@ fn same_configuration_runs_twice_identically() {
     // simulator has no hidden global state, so the sweep can run cells in
     // any order on any thread.
     let ds = Dataset::build(Preset::by_name("road_usa_s").unwrap(), Scale::Tiny);
-    for (system, app, framework, gpus) in [
+    for (system, app, label, gpus) in [
         (System::Nvlink, App::Bfs, "Atos (queue+persistent kernel)", 3),
         (System::Ib, App::PageRank, "Atos", 2),
     ] {
+        let &(_, framework) = frameworks(system, app).iter().find(|f| f.0 == label).unwrap();
         let once = || run_cell(system, app, framework, &ds, gpus);
         let (a, b) = (once(), once());
         assert_eq!(a.elapsed_ns, b.elapsed_ns, "{system:?}/{app:?}");

@@ -572,14 +572,14 @@ impl<A: Application, Tr: Tracer> Runtime<A, Tr> {
         // FIFO: egress is charged in issue order, so the payload staged
         // after the metadata cannot overtake it).
         let mut metadata_done = now + busy;
-        if self.tuning.round_metadata_bytes > 0 {
-            let ser_ns = (self.tuning.round_metadata_bytes as f64
-                * crate::runtime::METADATA_CPU_NS_PER_BYTE)
+        if self.cfg.round_metadata_bytes > 0 {
+            let ser_ns = (self.cfg.round_metadata_bytes as f64
+                * crate::config::METADATA_CPU_NS_PER_BYTE)
                 .ceil() as Time;
             for peer in 0..self.pes.len() {
                 if peer != src {
                     metadata_done += ser_ns;
-                    let bytes = self.tuning.round_metadata_bytes;
+                    let bytes = self.cfg.round_metadata_bytes;
                     self.egress(metadata_done, src, peer, bytes, 0);
                 }
             }
@@ -594,7 +594,7 @@ impl<A: Application, Tr: Tracer> Runtime<A, Tr> {
         // In-kernel issue times: Atos spreads `issues` sends across the
         // busy window (communication/computation overlap); kernel-boundary
         // frameworks emit everything when the kernel completes.
-        let clock = match self.tuning.in_kernel_comm {
+        let clock = match self.cfg.in_kernel_comm {
             true => IssueClock::spread(now, busy, issues),
             false => IssueClock::spread(metadata_done, 0, 1),
         };
@@ -725,7 +725,7 @@ impl<A: Application, Tr: Tracer> Runtime<A, Tr> {
             PeId(src as u32),
             PeId(dst as u32),
             bytes,
-            self.tuning.control,
+            self.cfg.control,
         );
         self.stats.messages += 1;
         self.stats.payload_bytes += bytes;

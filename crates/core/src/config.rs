@@ -1,5 +1,7 @@
-//! Runtime configuration: the paper's three design axes plus communication
-//! mode.
+//! Runtime configuration: the paper's three design axes, the communication
+//! mode, and who drives communication — one value per framework.
+
+use atos_sim::{ControlPath, GpuCostModel};
 
 /// Kernel implementation strategy (paper configuration decision 1).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -39,19 +41,8 @@ pub enum WorkerSize {
     Thread,
     /// One warp (32 threads) per worker (`launchWarp`).
     Warp,
-    /// One CTA of the given thread count (`launchCTA`).
-    Cta(u32),
-}
-
-impl WorkerSize {
-    /// Threads per worker.
-    pub fn threads(self) -> u32 {
-        match self {
-            WorkerSize::Thread => 1,
-            WorkerSize::Warp => 32,
-            WorkerSize::Cta(n) => n,
-        }
-    }
+    /// One CTA per worker (`launchCTA`; the paper's 512 threads).
+    Cta,
 }
 
 /// Worker pool shape for one PE.
@@ -72,7 +63,7 @@ impl WorkerConfig {
     /// full V100 residency (80 SMs × 2 CTAs), fetch 32.
     pub const fn cta512() -> Self {
         WorkerConfig {
-            size: WorkerSize::Cta(512),
+            size: WorkerSize::Cta,
             fetch: 32,
             num_workers: 160,
         }
@@ -93,14 +84,14 @@ impl WorkerConfig {
     /// staging for long lists (≈1.3×). Scheduling overhead moves the other
     /// way: small workers pay their pop more often but amortize it over
     /// fewer lanes.
-    pub fn cost_model(&self) -> atos_sim::GpuCostModel {
-        let base = atos_sim::GpuCostModel::v100();
+    pub fn cost_model(&self) -> GpuCostModel {
+        let base = GpuCostModel::v100();
         let (edge_factor, task_factor) = match self.size {
             WorkerSize::Thread => (4.0, 0.25),
             WorkerSize::Warp => (1.3, 0.5),
-            WorkerSize::Cta(_) => (1.0, 1.0),
+            WorkerSize::Cta => (1.0, 1.0),
         };
-        atos_sim::GpuCostModel {
+        GpuCostModel {
             edge_ns: base.edge_ns * edge_factor,
             task_ns: base.task_ns * task_factor,
             ..base
@@ -134,17 +125,41 @@ pub enum CommMode {
 /// is the effective bundle age limit.
 pub const AGGREGATOR_POLL_NS: u64 = 1_500;
 
-/// Complete runtime configuration.
+/// Host-side serialization cost per round-metadata byte, ns: about 60 MB/s
+/// effective (pack + MPI stack + unpack), the measured Gluon overhead
+/// regime. Gluon packs and unpacks its per-round update structures on the
+/// CPU; this charge — paid per peer, per communicating round, on the
+/// sender's critical path — is what makes bulk-asynchronous frameworks
+/// *slower* with more peers (Table V's anti-scaling).
+pub const METADATA_CPU_NS_PER_BYTE: f64 = 16.0;
+
+/// Complete framework configuration: everything a `Runtime` is told
+/// besides the application and the fabric. The presets are Atos's; the
+/// baseline frameworks in `atos-baselines` are other values of it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AtosConfig {
     /// Kernel strategy.
     pub kernel: KernelMode,
     /// Queue architecture.
     pub queue: QueueMode,
-    /// Worker pool shape.
+    /// Worker pool shape; its [`WorkerConfig::cost_model`] prices every
+    /// step.
     pub worker: WorkerConfig,
     /// Communication mode.
     pub comm: CommMode,
+    /// Who runs the communication control path. Atos: the GPU. Groute /
+    /// Galois: the host CPU.
+    pub control: ControlPath,
+    /// Whether remote pushes leave *during* a kernel (Atos's in-kernel
+    /// one-sided communication) or only at the kernel boundary
+    /// (traditional frameworks collect communication and issue it in bulk
+    /// at the end of the kernel).
+    pub in_kernel_comm: bool,
+    /// Gluon-style per-round synchronization metadata: if nonzero, every
+    /// scheduling step that communicates also broadcasts this many bytes
+    /// (update bitvectors / offsets) to every peer before its payload,
+    /// each peer's copy serialized at [`METADATA_CPU_NS_PER_BYTE`].
+    pub round_metadata_bytes: u64,
 }
 
 impl AtosConfig {
@@ -156,6 +171,9 @@ impl AtosConfig {
             queue: QueueMode::Standard,
             worker: WorkerConfig::cta512(),
             comm: CommMode::Direct { group: 32 },
+            control: ControlPath::gpu_direct(),
+            in_kernel_comm: true,
+            round_metadata_bytes: 0,
         }
     }
 
@@ -169,8 +187,7 @@ impl AtosConfig {
                 threshold: 1,
                 threshold_delta: 1,
             },
-            worker: WorkerConfig::cta512(),
-            comm: CommMode::Direct { group: 32 },
+            ..Self::standard_persistent()
         }
     }
 
@@ -178,9 +195,7 @@ impl AtosConfig {
     pub const fn standard_discrete() -> Self {
         AtosConfig {
             kernel: KernelMode::Discrete,
-            queue: QueueMode::Standard,
-            worker: WorkerConfig::cta512(),
-            comm: CommMode::Direct { group: 32 },
+            ..Self::standard_persistent()
         }
     }
 
@@ -188,13 +203,11 @@ impl AtosConfig {
     /// `WAIT_TIME = 4` — eager mode, because BFS is latency-bound.
     pub const fn ib_bfs() -> Self {
         AtosConfig {
-            kernel: KernelMode::Persistent,
-            queue: QueueMode::Standard,
-            worker: WorkerConfig::cta512(),
             comm: CommMode::Aggregated {
                 batch_bytes: 1 << 20,
                 wait_time: 4,
             },
+            ..Self::standard_persistent()
         }
     }
 
@@ -202,13 +215,11 @@ impl AtosConfig {
     /// `BATCH_SIZE`, `WAIT_TIME = 32` — favor bandwidth over latency.
     pub const fn ib_pagerank() -> Self {
         AtosConfig {
-            kernel: KernelMode::Persistent,
-            queue: QueueMode::Standard,
-            worker: WorkerConfig::cta512(),
             comm: CommMode::Aggregated {
                 batch_bytes: 1 << 20,
                 wait_time: 32,
             },
+            ..Self::standard_persistent()
         }
     }
 
@@ -250,9 +261,6 @@ mod tests {
 
     #[test]
     fn worker_shapes() {
-        assert_eq!(WorkerSize::Thread.threads(), 1);
-        assert_eq!(WorkerSize::Warp.threads(), 32);
-        assert_eq!(WorkerSize::Cta(512).threads(), 512);
         assert_eq!(WorkerConfig::cta512().round_capacity(), 160 * 32);
     }
 

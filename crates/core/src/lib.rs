@@ -18,7 +18,14 @@
 //! 2. **Queue architecture** — standard FIFO vs priority queue with
 //!    `threshold` / `threshold_delta` bucket scheduling.
 //! 3. **Worker shape** — thread/warp/CTA worker sizes and per-worker fetch
-//!    size.
+//!    size; the shape's cost model prices every step.
+//!
+//! The same value says who drives communication — the control path, in-kernel
+//! or kernel-boundary sends, Gluon-style round metadata — so one
+//! `AtosConfig` describes a whole framework: the presets are Atos, and the
+//! Groute- and Galois-like baselines (`atos-baselines`) are two more values.
+//! A [`runtime::Runtime`] is built from an application, a fabric and that
+//! one value.
 //!
 //! Plus the communication machinery of Section III-A:
 //!
@@ -65,7 +72,7 @@ pub use config::{AtosConfig, CommMode, KernelMode, QueueMode, WorkerConfig, Work
 pub use emitter::Emitter;
 pub use metrics::RunStats;
 pub use host::{run_host, HostApplication, HostConfig, HostStats};
-pub use runtime::{Runtime, RuntimeTuning};
+pub use runtime::Runtime;
 pub use sharded::{ShardProfile, ShardTelemetry, ShardableApp};
 
 // Observability: re-export the tracing vocabulary so downstream crates can

@@ -14,20 +14,23 @@
 //! ## What time is charged where
 //!
 //! * A scheduling step costs [`GpuCostModel::batch_ns`] (work/span over
-//!   the popped tasks); discrete mode adds a kernel launch + host sync
-//!   per step.
+//!   the popped tasks) under the worker shape's cost model,
+//!   [`WorkerConfig::cost_model`](crate::config::WorkerConfig::cost_model);
+//!   discrete mode adds a kernel launch + host sync per step.
 //! * Remote pushes issued during a step leave at times *spread across the
 //!   step* — this models Atos's in-kernel communication and is what makes
 //!   communication/computation overlap real in the simulation. A
 //!   kernel-boundary framework would emit everything at the end of the
 //!   step (that is exactly what the baselines in `atos-baselines` do).
-//! * Each message pays the GPU-resident control path
-//!   ([`ControlPath::gpu_direct`]) plus fabric serialization and latency.
+//! * Each message pays the configured control path
+//!   ([`AtosConfig::control`]; Atos's is the GPU-resident
+//!   [`ControlPath::gpu_direct`](atos_sim::ControlPath::gpu_direct)) plus
+//!   fabric serialization and latency.
 //! * In aggregated mode, pushes are counted into per-destination
 //!   [`Bundle`]s instead, and bundles leave on the size/age triggers.
 
 use atos_graph::Lookahead;
-use atos_sim::{ControlPath, Engine, Fabric, GpuCostModel, Time};
+use atos_sim::{Engine, Fabric, GpuCostModel, Time};
 use atos_trace::{NullTracer, Tracer, Track};
 
 use crate::aggregator::Bundle;
@@ -81,44 +84,6 @@ pub(crate) enum Ev {
     AggPoll { pe: usize },
 }
 
-/// Framework-behavior knobs that distinguish Atos from the baseline
-/// frameworks modeled on the same runtime (Groute, Galois). Atos defaults;
-/// the `atos-baselines` crate overrides them.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RuntimeTuning {
-    /// Who runs the communication control path. Atos: the GPU. Groute /
-    /// Galois: the host CPU.
-    pub control: ControlPath,
-    /// Whether remote pushes leave *during* a kernel (Atos's in-kernel
-    /// one-sided communication) or only at the kernel boundary
-    /// (traditional frameworks collect communication and issue it in bulk
-    /// at the end of the kernel).
-    pub in_kernel_comm: bool,
-    /// Gluon-style per-round synchronization metadata: if nonzero, every
-    /// scheduling step that communicates also broadcasts this many bytes
-    /// (update bitvectors / offsets) to every peer before its payload,
-    /// each peer's copy serialized at [`METADATA_CPU_NS_PER_BYTE`].
-    pub round_metadata_bytes: u64,
-}
-
-/// Host-side serialization cost per round-metadata byte, ns: about 60 MB/s
-/// effective (pack + MPI stack + unpack), the measured Gluon overhead
-/// regime. Gluon packs and unpacks its per-round update structures on the
-/// CPU; this charge — paid per peer, per communicating round, on the
-/// sender's critical path — is what makes bulk-asynchronous frameworks
-/// *slower* with more peers (Table V's anti-scaling).
-pub const METADATA_CPU_NS_PER_BYTE: f64 = 16.0;
-
-impl Default for RuntimeTuning {
-    fn default() -> Self {
-        RuntimeTuning {
-            control: ControlPath::gpu_direct(),
-            in_kernel_comm: true,
-            round_metadata_bytes: 0,
-        }
-    }
-}
-
 pub(crate) struct Pe<T> {
     pub(crate) queue: WorkQueue<T>,
     /// Arrivals resolved at a barrier and not yet handed to the
@@ -156,7 +121,6 @@ pub struct Runtime<A: Application, Tr: Tracer = NullTracer> {
     pub(crate) app: A,
     pub(crate) pes: Vec<Pe<A::Task>>,
     pub(crate) stats: RunStats,
-    pub(crate) tuning: RuntimeTuning,
     /// One emitter recycled across every PE's steps (cleared, never freed);
     /// its chunk pool is where delivered trains go home.
     pub(crate) em: Emitter<A::Task>,
@@ -173,26 +137,13 @@ pub struct Runtime<A: Application, Tr: Tracer = NullTracer> {
 }
 
 impl<A: Application> Runtime<A> {
-    /// Build a runtime over `fabric` with the V100 cost model.
+    /// Build a runtime over `fabric`; steps are priced by
+    /// `cfg.worker.cost_model()`.
+    ///
+    /// # Panics
+    /// As [`Runtime::with_tracer`].
     pub fn new(app: A, fabric: Fabric, cfg: AtosConfig) -> Self {
-        Self::with_cost_model(app, fabric, cfg, GpuCostModel::v100())
-    }
-
-    /// Build with an explicit cost model (ablations).
-    pub fn with_cost_model(app: A, fabric: Fabric, cfg: AtosConfig, cost: GpuCostModel) -> Self {
-        Self::with_tuning(app, fabric, cfg, cost, RuntimeTuning::default())
-    }
-
-    /// Build with explicit framework-behavior tuning — how the baseline
-    /// frameworks (Groute-, Galois-like) are modeled on this runtime.
-    pub fn with_tuning(
-        app: A,
-        fabric: Fabric,
-        cfg: AtosConfig,
-        cost: GpuCostModel,
-        tuning: RuntimeTuning,
-    ) -> Self {
-        Runtime::with_tracer(app, fabric, cfg, cost, tuning, NullTracer)
+        Runtime::with_tracer(app, fabric, cfg, NullTracer)
     }
 }
 
@@ -206,14 +157,7 @@ impl<A: Application, Tr: Tracer> Runtime<A, Tr> {
     /// persistent kernel whose worker pool pops nothing per round
     /// (`cfg.worker.fetch` or `cfg.worker.num_workers` is 0): its steps
     /// would find no task and strand every seeded one.
-    pub fn with_tracer(
-        app: A,
-        fabric: Fabric,
-        cfg: AtosConfig,
-        cost: GpuCostModel,
-        tuning: RuntimeTuning,
-        tracer: Tr,
-    ) -> Self {
+    pub fn with_tracer(app: A, fabric: Fabric, cfg: AtosConfig, tracer: Tr) -> Self {
         let n_pes = fabric.n_pes();
         assert!(n_pes <= u16::MAX as usize, "staged messages name PEs in 16 bits");
         let (fetch, num_workers) = (cfg.worker.fetch, cfg.worker.num_workers);
@@ -243,12 +187,11 @@ impl<A: Application, Tr: Tracer> Runtime<A, Tr> {
         Runtime {
             engine: Engine::new(),
             fabric,
-            cost,
+            cost: cfg.worker.cost_model(),
             cfg,
             app,
             pes,
             stats: RunStats::new(n_pes),
-            tuning,
             em: Emitter::new(0, n_pes),
             batch: Vec::new(),
             comm: Comm::default(),
@@ -280,7 +223,12 @@ impl<A: Application, Tr: Tracer> Runtime<A, Tr> {
     /// Seed initial tasks on a PE (before `run`). The initial scheduling
     /// steps are created by `run`'s bootstrap in ascending PE order, so
     /// seeding order never influences the event sequence.
+    ///
+    /// # Panics
+    /// If `pe` is not one of the fabric's PEs.
     pub fn seed(&mut self, pe: usize, tasks: impl IntoIterator<Item = A::Task>) {
+        let n_pes = self.pes.len();
+        assert!(pe < n_pes, "seed on PE {pe}, but the fabric has {n_pes} PEs");
         for t in tasks {
             let prio = self.app.priority(&t);
             self.pes[pe].queue.push(t, prio);
@@ -328,7 +276,7 @@ impl<A: Application, Tr: Tracer> Runtime<A, Tr> {
     /// unbounded lookahead — one window drains the whole run.
     fn lookahead(&self) -> Time {
         match self.fabric.min_remote_latency_ns() {
-            Some(lat) => self.tuning.control.inject_ns.saturating_add(lat),
+            Some(lat) => self.cfg.control.inject_ns.saturating_add(lat),
             None => Time::MAX,
         }
     }
@@ -543,7 +491,7 @@ impl<A: Application, Tr: Tracer> Runtime<A, Tr> {
 mod tests {
     use super::*;
     use crate::app::IdleOutcome;
-    use crate::config::{CommMode, WorkerConfig};
+    use crate::config::{CommMode, WorkerConfig, WorkerSize, METADATA_CPU_NS_PER_BYTE};
     use atos_sim::ControlPath;
 
     /// Relay: a task `(hops_left)` forwards itself to the next PE until
@@ -597,6 +545,41 @@ mod tests {
         assert_eq!(rt.app().received, 10);
         assert_eq!(stats.messages, 10);
         assert!(stats.elapsed_ns > 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "seed on PE 4, but the fabric has 4 PEs")]
+    fn seeding_a_pe_past_the_fabric_names_both() {
+        daisy_runtime(4, AtosConfig::standard_persistent()).seed(4, [1u32]);
+    }
+
+    /// One task expanding 64 edges, alone on one PE.
+    struct Wide;
+
+    impl Application for Wide {
+        type Task = ();
+        fn process(&mut self, _pe: usize, _t: (), _out: &mut Emitter<()>) {}
+        fn on_receive(&mut self, _pe: usize, t: ()) -> Option<()> {
+            Some(t)
+        }
+        fn task_edges(&self, _t: &()) -> u64 {
+            64
+        }
+    }
+
+    #[test]
+    fn the_worker_size_prices_every_step() {
+        // A lone task pays its span, `task_ns + 64 · edge_ns`, at each
+        // worker shape's cost model: smaller workers lose coalescing.
+        let elapsed = |size| {
+            let worker = WorkerConfig { size, ..WorkerConfig::cta512() };
+            let cfg = AtosConfig { worker, ..AtosConfig::standard_persistent() };
+            let mut rt = Runtime::new(Wide, Fabric::daisy(1), cfg);
+            rt.seed(0, [()]);
+            rt.run().elapsed_ns
+        };
+        let got = [WorkerSize::Thread, WorkerSize::Warp, WorkerSize::Cta].map(elapsed);
+        assert_eq!(got, [20_580, 6_856, 5_520]);
     }
 
     #[test]
@@ -779,18 +762,13 @@ mod tests {
                 processed: 0,
                 received: 0,
             };
-            let tuning = RuntimeTuning {
+            let cfg = AtosConfig {
                 control: ControlPath::cpu_mediated(),
                 in_kernel_comm: false,
                 round_metadata_bytes: 4096,
+                ..AtosConfig::standard_discrete()
             };
-            let mut rt = Runtime::with_tuning(
-                app,
-                Fabric::ib_cluster(n),
-                AtosConfig::standard_discrete(),
-                atos_sim::GpuCostModel::v100(),
-                tuning,
-            );
+            let mut rt = Runtime::new(app, Fabric::ib_cluster(n), cfg);
             rt.seed(0, [30u32]);
             rt.run().elapsed_ns
         };
@@ -812,17 +790,11 @@ mod tests {
                 processed: 0,
                 received: 0,
             };
-            let tuning = RuntimeTuning {
+            let cfg = AtosConfig {
                 in_kernel_comm: overlap,
-                ..RuntimeTuning::default()
+                ..AtosConfig::standard_persistent()
             };
-            let mut rt = Runtime::with_tuning(
-                app,
-                Fabric::daisy(2),
-                AtosConfig::standard_persistent(),
-                atos_sim::GpuCostModel::v100(),
-                tuning,
-            );
+            let mut rt = Runtime::new(app, Fabric::daisy(2), cfg);
             rt.seed(0, [40u32]);
             rt.run().elapsed_ns
         };
@@ -839,8 +811,6 @@ mod tests {
             FanOut { width: 500 },
             Fabric::ib_cluster(2),
             AtosConfig::ib_bfs(),
-            GpuCostModel::v100(),
-            RuntimeTuning::default(),
             TraceBuffer::new(),
         );
         rt.seed(0, [(0u32, true)]);
@@ -890,8 +860,6 @@ mod tests {
             },
             Fabric::daisy(4),
             AtosConfig::standard_persistent(),
-            GpuCostModel::v100(),
-            RuntimeTuning::default(),
             atos_trace::TraceBuffer::new(),
         );
         traced.seed(0, [25u32]);

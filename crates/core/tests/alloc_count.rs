@@ -34,7 +34,7 @@ use atos_apps::sssp::{KIND_FULL, KIND_HEAVY, KIND_LIGHT};
 use atos_apps::{BfsApp, PageRankApp, SsspApp};
 use atos_core::{
     run_host, Application, AtosConfig, CommMode, Emitter, HostApplication, HostConfig, Lookahead,
-    NullTracer, Runtime, RuntimeTuning,
+    NullTracer, Runtime,
 };
 use atos_graph::generators::{Preset, Scale};
 use atos_graph::partition::Partition;
@@ -45,7 +45,7 @@ use atos_queue::broker::BrokerQueue;
 use atos_queue::cas::CasQueue;
 use atos_queue::counter::CounterQueue;
 use atos_queue::{ConcurrentQueue, PopState, QueueFull};
-use atos_sim::{Engine, Fabric, GpuCostModel};
+use atos_sim::{Engine, Fabric};
 
 struct CountingAlloc;
 
@@ -320,14 +320,7 @@ fn drip(drips: u32) -> u64 {
 /// Tracing disabled (`NullTracer`, spelled out explicitly): the
 /// instrumentation hooks in step/route/arrive/flush compile down to nothing.
 fn null_tracer_relay(hops: u32) -> u64 {
-    let mut rt = Runtime::with_tracer(
-        Relay::new(2),
-        Fabric::daisy(2),
-        direct(),
-        GpuCostModel::v100(),
-        RuntimeTuning::default(),
-        NullTracer,
-    );
+    let mut rt = Runtime::with_tracer(Relay::new(2), Fabric::daisy(2), direct(), NullTracer);
     rt.seed(0, [hops]);
     let (during, stats) = counted(|| rt.run());
     assert_eq!(stats.messages, hops as u64);
@@ -360,16 +353,11 @@ fn busy_receiver(tasks: u32) -> u64 {
 /// at kernel end, finds nothing yet and goes idle: every hop's car is
 /// converted to a doorbell event by `ring_next`.
 fn lockstep_relay(hops: u32) -> u64 {
-    let mut rt = Runtime::with_tuning(
-        Relay::new(2),
-        Fabric::daisy(2),
-        AtosConfig::standard_discrete(),
-        GpuCostModel::v100(),
-        RuntimeTuning {
-            in_kernel_comm: false,
-            ..RuntimeTuning::default()
-        },
-    );
+    let cfg = AtosConfig {
+        in_kernel_comm: false,
+        ..AtosConfig::standard_discrete()
+    };
+    let mut rt = Runtime::new(Relay::new(2), Fabric::daisy(2), cfg);
     rt.seed(0, [hops / 2]);
     rt.seed(1, [hops / 2]);
     let (during, stats) = counted(|| rt.run());

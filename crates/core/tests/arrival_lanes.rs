@@ -33,14 +33,11 @@ use std::sync::Arc;
 use atos_apps::pagerank::PrTask;
 use atos_apps::sssp::KIND_LIGHT;
 use atos_apps::{BfsApp, PageRankApp, SsspApp};
-use atos_core::{
-    Application, AtosConfig, CommMode, Emitter, KernelMode, QueueMode, RunStats,
-    Runtime, RuntimeTuning, WorkerConfig,
-};
+use atos_core::{Application, AtosConfig, CommMode, Emitter, KernelMode, RunStats, Runtime};
 use atos_graph::generators::{Preset, Scale};
 use atos_graph::partition::Partition;
 use atos_graph::weights::EdgeWeights;
-use atos_sim::{ControlPath, Fabric, GpuCostModel};
+use atos_sim::{ControlPath, Fabric};
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
@@ -129,16 +126,9 @@ fn drive<A: Application>(
     seeds: Vec<(usize, Vec<A::Task>)>,
     fabric: Fabric,
     cfg: AtosConfig,
-    tuning: RuntimeTuning,
 ) -> Row {
     let n = fabric.n_pes();
-    let mut rt = Runtime::with_tuning(
-        Logged::new(app, n),
-        fabric,
-        cfg,
-        GpuCostModel::v100(),
-        tuning,
-    );
+    let mut rt = Runtime::new(Logged::new(app, n), fabric, cfg);
     for (pe, tasks) in seeds {
         rt.seed(pe, tasks);
     }
@@ -169,16 +159,16 @@ fn pagerank(fabric: Fabric, cfg: AtosConfig) -> Row {
         })
         .collect();
     let app = PageRankApp::new(g, part, 0.85, 1e-6);
-    drive(app, seeds, fabric, cfg, RuntimeTuning::default())
+    drive(app, seeds, fabric, cfg)
 }
 
-fn bfs(fabric: Fabric, cfg: AtosConfig, tuning: RuntimeTuning) -> Row {
+fn bfs(fabric: Fabric, cfg: AtosConfig) -> Row {
     let preset = Preset::by_name("soc-LiveJournal1_s").unwrap();
     let g = social();
     let src = preset.bfs_source(&g);
     let part = Arc::new(Partition::random(g.n_vertices(), fabric.n_pes(), 11));
     let seeds = vec![(part.owner(src), vec![(src, 0u32)])];
-    drive(BfsApp::new(g, part, src), seeds, fabric, cfg, tuning)
+    drive(BfsApp::new(g, part, src), seeds, fabric, cfg)
 }
 
 fn sssp(fabric: Fabric, cfg: AtosConfig) -> Row {
@@ -189,7 +179,7 @@ fn sssp(fabric: Fabric, cfg: AtosConfig) -> Row {
     let part = Arc::new(Partition::bfs_grow(&g, fabric.n_pes(), 3));
     let seeds = vec![(part.owner(src), vec![(src, 0u64, KIND_LIGHT)])];
     let app = SsspApp::new_split(g, w, part, src, 8);
-    drive(app, seeds, fabric, cfg, RuntimeTuning::default())
+    drive(app, seeds, fabric, cfg)
 }
 
 fn cc(fabric: Fabric, cfg: AtosConfig) -> Row {
@@ -198,38 +188,32 @@ fn cc(fabric: Fabric, cfg: AtosConfig) -> Row {
     let seeds = (0..part.n_parts())
         .map(|pe| (pe, part.vertices_of(pe).into_iter().map(|v| (v, v)).collect()))
         .collect();
-    drive(BfsApp::components(g, part), seeds, fabric, cfg, RuntimeTuning::default())
+    drive(BfsApp::components(g, part), seeds, fabric, cfg)
 }
 
 /// The Galois/Gluon-like baseline's shape: one discrete kernel per round,
 /// one bulk message per destination, host-mediated control path, and a
 /// per-round metadata broadcast (cars that occupy the wire and deliver
 /// nothing).
-fn gluon() -> (AtosConfig, RuntimeTuning) {
-    let cfg = AtosConfig {
+fn gluon() -> AtosConfig {
+    AtosConfig {
         kernel: KernelMode::Discrete,
-        queue: QueueMode::Standard,
-        worker: WorkerConfig::cta512(),
         comm: CommMode::Direct { group: usize::MAX },
-    };
-    let tuning = RuntimeTuning {
         control: ControlPath::cpu_mediated(),
         in_kernel_comm: false,
         round_metadata_bytes: 256,
-    };
-    (cfg, tuning)
+        ..AtosConfig::standard_persistent()
+    }
 }
 
 #[test]
 fn fingerprints_match_the_per_message_parent() {
-    let (gluon_cfg, gluon_tuning) = gluon();
-    let plain = RuntimeTuning::default();
     let got = [
         ("daisy4/pagerank-direct/1", pagerank(Fabric::daisy(4), AtosConfig::standard_persistent())),
         ("ib8/pagerank-aggregated/1", pagerank(Fabric::ib_cluster(8), AtosConfig::ib_pagerank())),
-        ("summit6/bfs/1", bfs(Fabric::summit_node(6), AtosConfig::standard_persistent(), plain)),
+        ("summit6/bfs/1", bfs(Fabric::summit_node(6), AtosConfig::standard_persistent())),
         ("daisy4/sssp-priority-discrete/1", sssp(Fabric::daisy(4), AtosConfig::priority_discrete())),
-        ("ib4/bfs-gluon-metadata/1", bfs(Fabric::ib_cluster(4), gluon_cfg, gluon_tuning)),
+        ("ib4/bfs-gluon-metadata/1", bfs(Fabric::ib_cluster(4), gluon())),
         ("daisy4/cc-direct/1", cc(Fabric::daisy(4), AtosConfig::standard_persistent())),
         ("ib4/cc-aggregated/1", cc(Fabric::ib_cluster(4), AtosConfig::ib_bfs())),
     ];

@@ -24,11 +24,11 @@ use atos_apps::pagerank::PrTask;
 use atos_apps::sssp::{KIND_FULL, KIND_LIGHT};
 use atos_apps::{BfsApp, PageRankApp, SsspApp};
 use atos_core::app::IdleOutcome;
-use atos_core::{Application, AtosConfig, Emitter, Lookahead, RunStats, Runtime, RuntimeTuning};
+use atos_core::{Application, AtosConfig, Emitter, Lookahead, RunStats, Runtime};
 use atos_graph::generators::{Preset, Scale};
 use atos_graph::partition::Partition;
 use atos_graph::weights::EdgeWeights;
-use atos_sim::{Fabric, GpuCostModel};
+use atos_sim::Fabric;
 use atos_trace::{EventKind, TraceEvent, Tracer};
 
 /// `PREFETCH_FAR` of `crates/core/src/runtime.rs`: the promise is stated
@@ -126,14 +126,7 @@ fn record(n_pes: usize, limit: u32, cfg: AtosConfig) -> Seen {
         limit,
         log: log.clone(),
     };
-    let mut rt = Runtime::with_tracer(
-        app,
-        Fabric::daisy(n_pes),
-        cfg,
-        GpuCostModel::v100(),
-        RuntimeTuning::default(),
-        StepMarks(log.clone()),
-    );
+    let mut rt = Runtime::with_tracer(app, Fabric::daisy(n_pes), cfg, StepMarks(log.clone()));
     rt.seed(0, [0u32]);
     let stats = rt.run();
     assert_eq!(stats.total_tasks(), limit as u64);

@@ -20,7 +20,7 @@
 use crate::engine::Time;
 
 /// Calibrated cost constants for one GPU.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GpuCostModel {
     /// Cost to launch one kernel (driver + hardware dispatch), ns.
     pub kernel_launch_ns: u64,

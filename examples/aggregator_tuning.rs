@@ -11,20 +11,18 @@ use std::sync::Arc;
 
 use atos::apps::bfs::run_bfs;
 use atos::apps::pagerank::run_pagerank;
-use atos::core::{AtosConfig, CommMode, KernelMode, QueueMode, WorkerConfig};
+use atos::core::{AtosConfig, CommMode};
 use atos::graph::generators::{rmat, road_network};
 use atos::graph::partition::Partition;
 use atos::sim::Fabric;
 
 fn cfg(batch_bytes: u64, wait_time: u32) -> AtosConfig {
     AtosConfig {
-        kernel: KernelMode::Persistent,
-        queue: QueueMode::Standard,
-        worker: WorkerConfig::cta512(),
         comm: CommMode::Aggregated {
             batch_bytes,
             wait_time,
         },
+        ..AtosConfig::ib_bfs()
     }
 }
 

@@ -13,7 +13,7 @@
 use std::sync::Arc;
 
 use atos::apps::bfs::run_bfs;
-use atos::baselines::{bsp_bfs, groute_bfs};
+use atos::baselines::{bsp_bfs, groute_config};
 use atos::core::AtosConfig;
 use atos::graph::generators::road_network;
 use atos::graph::partition::Partition;
@@ -45,7 +45,7 @@ fn main() {
     print_row("Gunrock-like (BSP)", &bsp.stats);
 
     // Groute-like (async, CPU control path).
-    let groute = groute_bfs(graph.clone(), partition.clone(), source, Fabric::daisy(4));
+    let groute = run_bfs(graph.clone(), partition.clone(), source, Fabric::daisy(4), groute_config());
     assert_eq!(groute.depth, want);
     print_row("Groute-like (async, CPU control)", &groute.stats);
 

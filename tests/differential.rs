@@ -21,18 +21,13 @@
 use std::ops::Range;
 use std::sync::Arc;
 
-use atos::apps::bfs::{run_bfs_tuned, BfsApp};
+use atos::apps::bfs::{run_bfs, BfsApp};
 use atos::apps::cc::run_cc;
 use atos::apps::host_bfs::host_bfs;
-use atos::apps::pagerank::run_pagerank_tuned;
+use atos::apps::pagerank::run_pagerank;
 use atos::apps::sssp::{run_sssp, run_sssp_delta, SsspApp, KIND_FULL, KIND_LIGHT};
-use atos::baselines::{
-    bsp_bfs, bsp_pagerank, galois_bfs, galois_pagerank, groute_bfs, groute_pagerank, run_bsp,
-};
-use atos::core::{
-    AtosConfig, CommMode, KernelMode, NullTracer, QueueMode, RunStats, RuntimeTuning,
-    WorkerConfig, WorkerSize,
-};
+use atos::baselines::{bsp_bfs, bsp_pagerank, galois_config, groute_config, run_bsp};
+use atos::core::{AtosConfig, CommMode, KernelMode, QueueMode, RunStats, WorkerConfig, WorkerSize};
 use atos::graph::csr::{Csr, VertexId};
 use atos::graph::generators::{grid_2d, rmat, road_network, uniform};
 use atos::graph::partition::Partition;
@@ -77,10 +72,9 @@ enum Net {
     Ib(usize),
 }
 
-/// Who runs a case: the Atos runtime under the drawn configuration and
-/// tuning, or one of the baselines under its own. Groute- and Galois-like
-/// exist for BFS and PageRank only; the bulk-synchronous schedule
-/// (`run_bsp`) runs every simulated application.
+/// Who runs a simulated case: the Atos runtime under the drawn
+/// configuration, or under Groute's or Galois's, or the bulk-synchronous
+/// schedule (`run_bsp`). Each runs every simulated application.
 #[derive(Debug, Clone, Copy)]
 enum Framework {
     Atos,
@@ -91,10 +85,10 @@ enum Framework {
 
 #[derive(Debug, Clone, Copy)]
 enum App {
-    Bfs(Framework),
-    PageRank { framework: Framework, alpha: f64 },
-    Cc(Framework),
-    Sssp { framework: Framework, split: bool, delta: u64, max_weight: u32, seed: u64 },
+    Bfs,
+    PageRank { alpha: f64 },
+    Cc,
+    Sssp { split: bool, delta: u64, max_weight: u32, seed: u64 },
     /// BFS on real threads (`atos-core`'s host backend).
     HostBfs,
 }
@@ -105,7 +99,7 @@ struct Case {
     split: Split,
     net: Net,
     cfg: AtosConfig,
-    tuning: RuntimeTuning,
+    framework: Framework,
     app: App,
     source: VertexId,
 }
@@ -219,7 +213,7 @@ fn draw_config(rng: &mut TestRng) -> AtosConfig {
     // may be 0 there (`Runtime::with_tracer` rejects it); a discrete kernel
     // pops its whole queue whatever they are.
     let floor = (kernel == KernelMode::Persistent) as usize;
-    let sizes = [WorkerSize::Thread, WorkerSize::Warp, WorkerSize::Cta(128), WorkerSize::Cta(512)];
+    let sizes = [WorkerSize::Thread, WorkerSize::Warp, WorkerSize::Cta];
     let worker = WorkerConfig {
         size: pick(rng, &sizes),
         fetch: draw(rng, floor..40),
@@ -232,11 +226,11 @@ fn draw_config(rng: &mut TestRng) -> AtosConfig {
             wait_time: draw(rng, 0..40),
         },
     };
-    AtosConfig { kernel, queue, worker, comm }
-}
-
-fn draw_tuning(rng: &mut TestRng) -> RuntimeTuning {
-    RuntimeTuning {
+    AtosConfig {
+        kernel,
+        queue,
+        worker,
+        comm,
         control: ControlPath { inject_ns: draw(rng, 0..20_000) },
         in_kernel_comm: draw(rng, 0..2) == 0,
         round_metadata_bytes: pick(rng, &[0, 0, 64, 4096]),
@@ -260,30 +254,27 @@ impl Case {
             _ => Split::BfsGrow(draw(&mut rng, 0..1 << 20)),
         };
         let cfg = draw_config(&mut rng);
-        let tuning = draw_tuning(&mut rng);
         let n = graph.n_vertices();
         let frameworks = [Framework::Atos, Framework::Groute, Framework::Galois, Framework::Bsp];
         let framework = pick(&mut rng, &frameworks);
-        // CC and SSSP have no Groute- or Galois-like configuration.
-        let schedule = pick(&mut rng, &[Framework::Atos, Framework::Bsp]);
         // `PageRankApp::new` takes any damping in [0, 1].
         let alpha = pick(&mut rng, &[0.0, 0.5, 0.7, 0.85, 1.0]);
         let max_weight = draw(&mut rng, 1..40);
         let delta = draw(&mut rng, 0..2 * max_weight as u64);
         let seed = draw(&mut rng, 0..1 << 20);
-        let sssp = |split| App::Sssp { framework: schedule, split, delta, max_weight, seed };
+        let sssp = |split| App::Sssp { split, delta, max_weight, seed };
         // CC and PageRank are the applications that need no source vertex.
         let app = match draw(&mut rng, 0..6) {
-            _ if n == 0 => pick(&mut rng, &[App::Cc(schedule), App::PageRank { framework, alpha }]),
-            0 => App::Bfs(framework),
-            1 => App::PageRank { framework, alpha },
-            2 => App::Cc(schedule),
+            _ if n == 0 => pick(&mut rng, &[App::Cc, App::PageRank { alpha }]),
+            0 => App::Bfs,
+            1 => App::PageRank { alpha },
+            2 => App::Cc,
             3 => sssp(false),
             4 => sssp(true),
             _ => App::HostBfs,
         };
         let source = if n == 0 { 0 } else { draw(&mut rng, 0..n as VertexId) };
-        Case { graph, split, net, cfg, tuning, app, source }
+        Case { graph, split, net, cfg, framework, app, source }
     }
 }
 
@@ -302,57 +293,56 @@ fn schedule(s: &RunStats) -> (u64, u64, u64, u64, Vec<u64>) {
     (s.elapsed_ns, s.sim_events, s.messages, s.wire_bytes, s.tasks_per_pe.clone())
 }
 
+/// The configuration `case` runs under on the Atos runtime; `None` for
+/// the bulk-synchronous schedule.
+fn config(case: &Case, g: &Csr) -> Option<AtosConfig> {
+    match case.framework {
+        Framework::Atos => Some(case.cfg),
+        Framework::Groute => Some(groute_config()),
+        Framework::Galois => Some(galois_config(g)),
+        Framework::Bsp => None,
+    }
+}
+
 /// One run of `case`: its answer and, on the simulator, its stats.
 fn run(case: &Case, g: &Arc<Csr>, part: &Arc<Partition>) -> (Answer, Option<RunStats>) {
     let (g, part, fabric) = (g.clone(), part.clone(), case.net.build());
-    let (cfg, tuning, src) = (case.cfg, case.tuning, case.source);
+    let (cfg, src) = (config(case, &g), case.source);
     let (answer, stats) = match case.app {
-        App::Bfs(framework) => {
-            let (depth, stats) = match framework {
-                Framework::Atos => {
-                    let r = run_bfs_tuned(g, part, src, fabric, cfg, tuning, NullTracer);
+        App::Bfs => {
+            let (depth, stats) = match cfg {
+                Some(cfg) => {
+                    let r = run_bfs(g, part, src, fabric, cfg);
                     (r.depth, r.stats)
                 }
-                Framework::Groute => {
-                    let r = groute_bfs(g, part, src, fabric);
-                    (r.depth, r.stats)
-                }
-                Framework::Galois => {
-                    let r = galois_bfs(g, part, src, fabric);
-                    (r.depth, r.stats)
-                }
-                Framework::Bsp => {
+                None => {
                     let r = bsp_bfs(g, part, src, fabric);
                     (r.depth, r.stats)
                 }
             };
             (Answer::Depth(depth), stats)
         }
-        App::PageRank { framework, alpha } => {
-            let (rank, stats) = match framework {
-                Framework::Atos => {
-                    let r = run_pagerank_tuned(g, part, alpha, EPS, fabric, cfg, tuning);
+        App::PageRank { alpha } => {
+            let (rank, stats) = match cfg {
+                Some(cfg) => {
+                    let r = run_pagerank(g, part, alpha, EPS, fabric, cfg);
                     (r.rank, r.stats)
                 }
-                Framework::Groute => {
-                    let r = groute_pagerank(g, part, alpha, EPS, fabric);
-                    (r.rank, r.stats)
-                }
-                Framework::Galois => {
-                    let r = galois_pagerank(g, part, alpha, EPS, fabric);
-                    (r.rank, r.stats)
-                }
-                Framework::Bsp => {
+                None => {
                     let r = bsp_pagerank(g, part, alpha, EPS, fabric);
                     (r.rank, r.stats)
                 }
             };
             (Answer::Rank(rank.iter().map(|x| x.to_bits()).collect()), stats)
         }
-        App::Cc(framework) => {
+        App::Cc => {
             let g = Arc::new(g.symmetrize());
-            let (label, stats) = match framework {
-                Framework::Bsp => {
+            let (label, stats) = match cfg {
+                Some(cfg) => {
+                    let r = run_cc(g, part, fabric, cfg);
+                    (r.label, r.stats)
+                }
+                None => {
                     let mut app = BfsApp::components(g, part.clone());
                     let seeds = (0..part.n_parts())
                         .map(|pe| part.vertices_of(pe).into_iter().map(|v| (v, v)).collect())
@@ -360,17 +350,18 @@ fn run(case: &Case, g: &Arc<Csr>, part: &Arc<Partition>) -> (Answer, Option<RunS
                     let (stats, _) = run_bsp(&mut app, fabric, seeds);
                     (app.depth, stats)
                 }
-                _ => {
-                    let r = run_cc(g, part, fabric, cfg);
-                    (r.label, r.stats)
-                }
             };
             (Answer::Label(label), stats)
         }
-        App::Sssp { framework, split, delta, max_weight, seed } => {
+        App::Sssp { split, delta, max_weight, seed } => {
             let w = Arc::new(EdgeWeights::random(&g, max_weight, seed));
-            let (dist, stats) = match framework {
-                Framework::Bsp => {
+            let (dist, stats) = match cfg {
+                Some(cfg) => {
+                    let go = if split { run_sssp_delta } else { run_sssp };
+                    let r = go(g, w, part, src, delta, fabric, cfg);
+                    (r.dist, r.stats)
+                }
+                None => {
                     let mut seeds = vec![Vec::new(); part.n_parts()];
                     let (mut app, kind) = if split {
                         (SsspApp::new_split(g, w, part.clone(), src, delta), KIND_LIGHT)
@@ -380,11 +371,6 @@ fn run(case: &Case, g: &Arc<Csr>, part: &Arc<Partition>) -> (Answer, Option<RunS
                     seeds[part.owner(src)].push((src, 0, kind));
                     let (stats, _) = run_bsp(&mut app, fabric, seeds);
                     (app.dist, stats)
-                }
-                _ => {
-                    let go = if split { run_sssp_delta } else { run_sssp };
-                    let r = go(g, w, part, src, delta, fabric, cfg);
-                    (r.dist, r.stats)
                 }
             };
             (Answer::Dist(dist), stats)

@@ -5,7 +5,7 @@
 use std::sync::Arc;
 
 use atos::apps::bfs::run_bfs;
-use atos::baselines::{bsp_bfs, galois_bfs};
+use atos::baselines::{bsp_bfs, galois_config};
 use atos::core::AtosConfig;
 use atos::graph::generators::{Preset, Scale};
 use atos::graph::partition::Partition;
@@ -48,7 +48,7 @@ fn paper_shapes_hold() {
     }
 
     // 4. On IB, Galois pays for bulk rounds: slower than Atos on mesh.
-    let galois = galois_bfs(g.clone(), part.clone(), src, Fabric::ib_cluster(4));
+    let galois = run_bfs(g.clone(), part.clone(), src, Fabric::ib_cluster(4), galois_config(&g));
     let atos_ib = run_bfs(
         g.clone(),
         part,

@@ -100,3 +100,24 @@ fn worker_cost_models_order_correctly() {
     assert!(thread.edge_ns > warp.edge_ns);
     assert!(warp.edge_ns > cta.edge_ns);
 }
+
+/// Every configuration the tables run prices its steps as the V100 model
+/// does, field for field: deriving the cost model from the configuration
+/// moved no virtual time.
+#[test]
+fn every_preset_and_baseline_prices_steps_as_the_v100() {
+    use atos::baselines::{galois_config, groute_config};
+    use atos::sim::GpuCostModel;
+    let g = road_network(8, 8, 1);
+    for cfg in [
+        AtosConfig::standard_persistent(),
+        AtosConfig::priority_discrete(),
+        AtosConfig::standard_discrete(),
+        AtosConfig::ib_bfs(),
+        AtosConfig::ib_pagerank(),
+        groute_config(),
+        galois_config(&g),
+    ] {
+        assert_eq!(cfg.worker.cost_model(), GpuCostModel::v100(), "{cfg:?}");
+    }
+}
