@@ -80,19 +80,11 @@ pub fn reference_run(scale: Scale) -> (TraceBuffer, MetricsRegistry) {
 
     // The simulated run never touches the host queues, so exercise them
     // directly: one counter-queue and one CAS-queue probe on real
-    // threads, whose per-queue tallies fold into the process-wide
-    // snapshot when the probe queues drop.
-    queue_probe(
-        QueueKind::CounterWarp,
-        Experiment::ConcurrentPopPush,
-        PROBE_VIRTUAL_THREADS,
-    );
-    queue_probe(
-        QueueKind::CasWarp,
-        Experiment::ConcurrentPopPush,
-        PROBE_VIRTUAL_THREADS,
-    );
-    let q = atos_queue::stats::global_snapshot();
+    // threads, their two queues' contention totals merged.
+    let probe =
+        |kind| queue_probe(kind, Experiment::ConcurrentPopPush, PROBE_VIRTUAL_THREADS).contention;
+    let mut q = probe(QueueKind::CounterWarp);
+    q.merge(&probe(QueueKind::CasWarp));
     reg.set("queue.cas_retries", q.cas_retries);
     reg.set("queue.reservation_conflicts", q.reservation_conflicts);
     reg.set("queue.host_occupancy_hwm", q.occupancy_hwm);

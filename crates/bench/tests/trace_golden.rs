@@ -11,10 +11,9 @@ use atos_graph::generators::Scale;
 use atos_trace::{json, perfetto};
 
 /// Metrics keys that legitimately differ between two identical runs: the
-/// process-global queue contention probe (`atos_queue::stats::
-/// global_snapshot`: CAS retries, reservation conflicts, host occupancy
-/// high-water mark), which any real-thread test in the same process
-/// moves. They are the three consecutive `reg.set("queue.*", ..)` calls
+/// host-queue contention probes (CAS retries, reservation conflicts, host
+/// occupancy high-water mark), which race real threads on real atomics.
+/// They are the three consecutive `reg.set("queue.*", ..)` calls
 /// of `crates/bench/src/observability.rs::reference_run`; everything else
 /// must be deterministic. A fourth host-derived key added there fails the
 /// test below on its first run pair.

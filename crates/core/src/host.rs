@@ -266,7 +266,12 @@ fn worker<A: HostApplication>(ctx: &WorkerCtx<'_, A>, pe: usize, tasks_ctr: &Ato
 }
 
 /// Execute `app` to global quiescence. `seeds[pe]` are the initial tasks
-/// of each PE. Panics if a queue's arena capacity is exceeded (size
+/// of each PE.
+///
+/// # Panics
+/// If `seeds` does not hold one list per PE; if `cfg` pops nothing
+/// (`cfg.fetch` or `cfg.workers_per_pe` is 0), which would strand every
+/// seeded task; or if a queue's arena capacity is exceeded (size
 /// `queue_capacity` to the workload, as the paper sizes `local_cap`).
 pub fn run_host<A: HostApplication>(
     app: &A,
@@ -274,6 +279,12 @@ pub fn run_host<A: HostApplication>(
     seeds: Vec<Vec<A::Task>>,
 ) -> HostStats {
     assert_eq!(seeds.len(), cfg.n_pes, "one seed list per PE");
+    let (fetch, workers) = (cfg.fetch, cfg.workers_per_pe);
+    assert!(
+        fetch > 0 && workers > 0,
+        "each PE pops cfg.fetch tasks a round on each of cfg.workers_per_pe workers, got \
+         fetch = {fetch}, workers_per_pe = {workers}"
+    );
     let queues: Vec<PeQueues<A::Task>> = (0..cfg.n_pes)
         .map(|_| PeQueues {
             local: CounterQueue::with_capacity(cfg.queue_capacity),
@@ -528,6 +539,33 @@ mod tests {
         let stats = run_host(&app, cfg, vec![vec![], vec![]]);
         assert_eq!(app.visits.load(Ordering::Relaxed), 0);
         assert_eq!(stats.tasks_per_pe, vec![0, 0]);
+    }
+
+    /// Run a seeded relay on one PE with `fetch` and `workers_per_pe`.
+    fn relay_on_one_pe(fetch: usize, workers_per_pe: usize) {
+        let app = Relay {
+            visits: AtomicU64::new(0),
+            n_pes: 1,
+        };
+        let cfg = HostConfig {
+            n_pes: 1,
+            workers_per_pe,
+            fetch,
+            queue_capacity: 16,
+        };
+        run_host(&app, cfg, vec![vec![3]]);
+    }
+
+    #[test]
+    #[should_panic(expected = "got fetch = 0, workers_per_pe = 1")]
+    fn a_config_that_fetches_nothing_is_rejected() {
+        relay_on_one_pe(0, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "got fetch = 4, workers_per_pe = 0")]
+    fn a_config_without_workers_is_rejected() {
+        relay_on_one_pe(4, 0);
     }
 
     #[test]

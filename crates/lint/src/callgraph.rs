@@ -17,7 +17,7 @@
 //!   `fn refill(&self, …)` in an `impl` block of the same crate;
 //! * `Type::assoc(..)` associated calls via the impl-block `Self` type
 //!   recorded by the parser;
-//! * cross-crate paths — `atos_queue::stats::global_snapshot` maps the
+//! * cross-crate paths — `atos_queue::sync::host_parallelism` maps the
 //!   `atos_x` lib ident to the `crates/x` directory.
 
 use std::collections::BTreeMap;

@@ -726,7 +726,7 @@ fn free(x: u64) -> impl Fn() -> u64 {
     fn use_aliases_cover_renames_and_groups() {
         let src = "use std::sync::atomic::{AtomicU64, Ordering as O};\n\
                    use core::cell::UnsafeCell as RawCell;\n\
-                   use atos_queue::stats::{self, global_snapshot};\n\
+                   use atos_queue::stats::{self, ContentionSnapshot};\n\
                    use atos_core::prelude::*;\n";
         let p = parse(src);
         assert_eq!(
@@ -746,8 +746,8 @@ fn free(x: u64) -> impl Fn() -> u64 {
             Some("atos_queue::stats")
         );
         assert_eq!(
-            p.aliases.get("global_snapshot").map(String::as_str),
-            Some("atos_queue::stats::global_snapshot")
+            p.aliases.get("ContentionSnapshot").map(String::as_str),
+            Some("atos_queue::stats::ContentionSnapshot")
         );
         assert!(!p.aliases.keys().any(|k| k == "*"));
     }

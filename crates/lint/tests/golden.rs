@@ -118,8 +118,6 @@ fn cell_accesses_stay_in_model_checked_files() {
         "crates/queue/src/counter.rs",
         "crates/queue/src/cas.rs",
         "crates/queue/src/broker.rs",
-        // The seeded twins; `mutation_detection.rs` drives each one.
-        "crates/queue/src/mutations.rs",
         "crates/queue/src/sync.rs",
         "crates/check/",
     ];

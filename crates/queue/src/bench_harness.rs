@@ -26,7 +26,7 @@ use std::time::{Duration, Instant};
 use crate::broker::BrokerQueue;
 use crate::cas::CasQueue;
 use crate::counter::CounterQueue;
-use crate::{ConcurrentQueue, PopState};
+use crate::{ConcurrentQueue, ContentionSnapshot, PopState};
 
 /// Which queue implementation to benchmark.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -113,6 +113,9 @@ pub struct Sample {
     pub virtual_threads: usize,
     /// Wall time for the whole experiment.
     pub elapsed: Duration,
+    /// The queue's contention totals after the experiment (all zero for
+    /// the broker queue, which counts none).
+    pub contention: ContentionSnapshot,
 }
 
 fn host_threads() -> usize {
@@ -128,23 +131,27 @@ fn host_threads() -> usize {
 /// fresh queue of `kind`, using all available host threads.
 pub fn run(kind: QueueKind, exp: Experiment, virtual_threads: usize) -> Sample {
     let total_ops = virtual_threads * OPS_PER_VIRTUAL_THREAD;
-    let elapsed = match kind {
+    let (elapsed, contention) = match kind {
         QueueKind::CounterWarp | QueueKind::CounterCta => {
             let q = CounterQueue::<u64>::with_capacity(2 * total_ops + 1024);
-            time_queue(&q, exp, total_ops, kind.group_size())
+            let elapsed = time_queue(&q, exp, total_ops, kind.group_size());
+            (elapsed, q.contention())
         }
         QueueKind::CasWarp | QueueKind::CasCta => {
             let q = CasQueue::<u64>::with_capacity(2 * total_ops + 1024);
-            time_queue(&q, exp, total_ops, kind.group_size())
+            let elapsed = time_queue(&q, exp, total_ops, kind.group_size());
+            (elapsed, q.contention())
         }
         QueueKind::Broker => {
             let q = BrokerQueue::<u64>::with_capacity(2 * total_ops + 1024);
-            time_queue(&q, exp, total_ops, kind.group_size())
+            let elapsed = time_queue(&q, exp, total_ops, kind.group_size());
+            (elapsed, ContentionSnapshot::default())
         }
     };
     Sample {
         virtual_threads,
         elapsed,
+        contention,
     }
 }
 

@@ -15,7 +15,7 @@ use core::mem::MaybeUninit;
 
 use crate::padded::Padded;
 use crate::sync::{AtomicU64, Ordering, UnsafeCell};
-use crate::stats::{self, ContentionCounters, ContentionSnapshot};
+use crate::stats::{ContentionCounters, ContentionSnapshot};
 use crate::{ConcurrentQueue, PopState, QueueFull};
 
 /// MPMC FIFO arena queue with CAS-based reservations.
@@ -207,8 +207,9 @@ impl<T: Copy + Send> CasQueue<T> {
             // `start` needs no release chain of its own because arena slots
             // are never reused, so no information ever flows back from
             // poppers to pushers through `start`. Model-checked by the
-            // `cas_pop_reservation_relaxed_is_sound` suite; weakening the
-            // `end` load instead is mutation 3, which the checker rejects.
+            // `cas_pop_reservation_relaxed_is_sound` suite, which fails when
+            // the `end` load is weakened instead (a seeded twin of
+            // `scripts/verify.sh`).
             if self
                 .start
                 .compare_exchange_weak(s, s + take, Ordering::Relaxed, Ordering::Relaxed)
@@ -276,12 +277,6 @@ impl<T: Copy + Send> CasQueue<T> {
     /// high-water (no reservation conflicts — CAS claims never overshoot).
     pub fn contention(&self) -> ContentionSnapshot {
         self.counters.snapshot()
-    }
-}
-
-impl<T> Drop for CasQueue<T> {
-    fn drop(&mut self) {
-        stats::absorb(self.counters.snapshot());
     }
 }
 

@@ -53,7 +53,7 @@ use core::mem::MaybeUninit;
 
 use crate::padded::Padded;
 use crate::sync::{AtomicU64, Ordering, UnsafeCell};
-use crate::stats::{self, ContentionCounters, ContentionSnapshot};
+use crate::stats::{ContentionCounters, ContentionSnapshot};
 use crate::{ConcurrentQueue, PopState, QueueFull};
 
 /// Re-export so `use atos_queue::counter::PopHandle` reads naturally in
@@ -274,8 +274,7 @@ impl<T: Copy + Send> CounterQueue<T> {
     }
 
     /// Reset the queue for a new epoch. Exclusive access makes this race-free.
-    /// Contention counters are *not* reset: they are lifetime totals,
-    /// folded into [`stats::global_snapshot`] when the queue drops.
+    /// Contention counters are *not* reset: they are lifetime totals.
     pub fn reset(&mut self) {
         *self.start.get_mut() = 0;
         *self.end.get_mut() = 0;
@@ -289,12 +288,6 @@ impl<T: Copy + Send> CounterQueue<T> {
     /// no CAS loop, which is its whole point).
     pub fn contention(&self) -> ContentionSnapshot {
         self.counters.snapshot()
-    }
-}
-
-impl<T> Drop for CounterQueue<T> {
-    fn drop(&mut self) {
-        stats::absorb(self.counters.snapshot());
     }
 }
 

@@ -51,8 +51,6 @@ pub mod bench_harness;
 pub mod broker;
 pub mod cas;
 pub mod counter;
-#[cfg(atos_check)]
-pub mod mutations;
 pub mod padded;
 pub mod stats;
 pub mod sync;

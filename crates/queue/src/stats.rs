@@ -10,8 +10,8 @@
 //! tallied locally and added once per operation), so instrumentation does
 //! not itself add a contended cache line to the protocol under study.
 //!
-//! On drop each queue folds its totals into a process-wide tally,
-//! [`global_snapshot`], which the bench binaries' `--metrics` flag dumps.
+//! Each queue reports its own totals (`contention()`); a caller that wants
+//! one figure for several queues merges their snapshots.
 
 #![allow(
     clippy::disallowed_types,
@@ -72,16 +72,9 @@ impl ContentionCounters {
             occupancy_hwm: self.occupancy_hwm.load(Ordering::Relaxed),
         }
     }
-
-    /// Zero all counters (exclusive access, used by `reset`).
-    pub fn clear(&mut self) {
-        *self.cas_retries.get_mut() = 0;
-        *self.reservation_conflicts.get_mut() = 0;
-        *self.occupancy_hwm.get_mut() = 0;
-    }
 }
 
-/// A point-in-time copy of one queue's (or the process's) counters.
+/// A point-in-time copy of one queue's counters (or of several, merged).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ContentionSnapshot {
     /// Failed compare-exchange iterations across all CAS retry loops.
@@ -98,32 +91,6 @@ impl ContentionSnapshot {
         self.cas_retries += other.cas_retries;
         self.reservation_conflicts += other.reservation_conflicts;
         self.occupancy_hwm = self.occupancy_hwm.max(other.occupancy_hwm);
-    }
-}
-
-static GLOBAL_CAS_RETRIES: AtomicU64 = AtomicU64::new(0);
-static GLOBAL_RESERVATION_CONFLICTS: AtomicU64 = AtomicU64::new(0);
-static GLOBAL_OCCUPANCY_HWM: AtomicU64 = AtomicU64::new(0);
-
-/// Fold a (usually dropping) queue's totals into the process-wide tally.
-pub fn absorb(s: ContentionSnapshot) {
-    if s.cas_retries > 0 {
-        GLOBAL_CAS_RETRIES.fetch_add(s.cas_retries, Ordering::Relaxed);
-    }
-    if s.reservation_conflicts > 0 {
-        GLOBAL_RESERVATION_CONFLICTS.fetch_add(s.reservation_conflicts, Ordering::Relaxed);
-    }
-    GLOBAL_OCCUPANCY_HWM.fetch_max(s.occupancy_hwm, Ordering::Relaxed);
-}
-
-/// Process-wide contention tally over every queue dropped (or absorbed)
-/// so far. Monotone within a process; intended for end-of-run metrics
-/// dumps, not for assertions in parallel test suites.
-pub fn global_snapshot() -> ContentionSnapshot {
-    ContentionSnapshot {
-        cas_retries: GLOBAL_CAS_RETRIES.load(Ordering::Relaxed),
-        reservation_conflicts: GLOBAL_RESERVATION_CONFLICTS.load(Ordering::Relaxed),
-        occupancy_hwm: GLOBAL_OCCUPANCY_HWM.load(Ordering::Relaxed),
     }
 }
 
@@ -151,15 +118,6 @@ mod tests {
     }
 
     #[test]
-    fn clear_zeroes() {
-        let mut c = ContentionCounters::new();
-        c.add_cas_retries(5);
-        c.raise_occupancy(7);
-        c.clear();
-        assert_eq!(c.snapshot(), ContentionSnapshot::default());
-    }
-
-    #[test]
     fn merge_adds_counts_maxes_hwm() {
         let mut a = ContentionSnapshot {
             cas_retries: 1,
@@ -174,19 +132,5 @@ mod tests {
         assert_eq!(a.cas_retries, 11);
         assert_eq!(a.reservation_conflicts, 2);
         assert_eq!(a.occupancy_hwm, 5);
-    }
-
-    #[test]
-    fn global_tally_is_monotone() {
-        let before = global_snapshot();
-        absorb(ContentionSnapshot {
-            cas_retries: 2,
-            reservation_conflicts: 1,
-            occupancy_hwm: 123,
-        });
-        let after = global_snapshot();
-        assert!(after.cas_retries >= before.cas_retries + 2);
-        assert!(after.reservation_conflicts > before.reservation_conflicts);
-        assert!(after.occupancy_hwm >= 123);
     }
 }

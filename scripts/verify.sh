@@ -8,7 +8,8 @@
 # observability smoke, the line-level sampler smoke, atos-lint's call-graph
 # rule, miri, the model checker under --cfg atos_check (tests + the clippy
 # pass that holds the atomics facade), clippy (determinism and SAFETY
-# comments), and the seeded twins of those three clippy lints.
+# comments), and seven seeded twins: edits of the real tree that those three
+# clippy lints and four queue_models.rs drivers must each reject.
 #
 # Usage: scripts/verify.sh  (from anywhere; cd's to the repo root)
 
@@ -242,9 +243,9 @@ echo "== model checker: queue suites under --cfg atos_check =="
 # sharing ./target would thrash the production build cache. This stage is
 # the ordering guard: the race detector runs every UnsafeCell access in the
 # queues (golden.rs::cell_accesses_stay_in_model_checked_files keeps new
-# ones out of undriven files), drives two sibling pops racing on one queue
-# as run_host's workers do (queue_models.rs), and catches the four seeded
-# twins of mutation_detection.rs. Clippy then lints the
+# ones out of undriven files) and drives two sibling pops racing on one
+# queue as run_host's workers do (queue_models.rs); the last stage shows it
+# rejects four weakened orderings of the real queues. Clippy then lints the
 # #[cfg(atos_check)] code the ordinary pass below never compiles, and is
 # the facade guard: only under this cfg do `atos_queue::sync`'s names
 # resolve to the checker's shadow types, so crates/check/clippy.toml's
@@ -263,50 +264,86 @@ echo "== clippy (deny warnings) =="
 cargo clippy --workspace --all-targets -- -D warnings
 
 echo
-echo "== seeded twins of the clippy lints (each must fail on its named lint) =="
-# A copy of the tracked tree under target/ (fixed paths and a shared target
-# dir keep warm runs to seconds); each twin is applied alone, must fail
-# clippy with the lint named, and is reverted. A twin that fails to compile
-# would prove nothing, so each is a compiling edit.
+echo "== seeded twins (each edit of the real tree must fail its named check) =="
+# A copy of the tracked tree under target/ (fixed paths and shared target
+# dirs keep warm runs short); each twin is one compiling edit of one file,
+# applied alone and reverted. Three must fail clippy naming their lint; four
+# weaken an ordering of the counter or CAS queue's publication protocol and
+# must fail a queue_models.rs driver under --cfg atos_check with the race
+# detector's failure kind and a schedule that replays to it (≈ 1 min, most
+# of it the three-pusher driver).
 twins=target/twins/tree
 rm -rf "$twins" && mkdir -p "$twins"
 git ls-files -z | tar --null -T - -c | tar -x -C "$twins"
-# twin <lint> <file> <edit> [VAR=value...]: apply <edit> (a command filtering
-# <file>) in the copy, run clippy on the file's crate with the given
-# environment, restore the file.
+caught=0
+# twin <file> <edit> <pattern> <command...>: apply <edit> (a command filtering
+# <file>) in the copy, run <command> there, which must fail and print
+# <pattern> (an extended regex), then restore the file.
 twin() {
-    local lint="$1" file="$2" edit="$3" krate
+    local file="$1" edit="$2" pattern="$3"
     shift 3
-    krate="atos-$(echo "$file" | cut -d/ -f2)"
     sh -c "$edit" < "$file" > "$twins/$file"
-    if (cd "$twins" && env CARGO_TARGET_DIR="$PWD/target/twins/default" "$@" \
-            cargo clippy -p "$krate" --lib -- -D warnings) > "$tmp/twin.out" 2>&1; then
-        echo "FAIL: the $lint twin in $file passed clippy" >&2
+    if cmp -s "$file" "$twins/$file"; then
+        echo "FAIL: a twin's edit no longer applies to $file (expecting $pattern)" >&2
         exit 1
     fi
-    grep -q "clippy::$lint" "$tmp/twin.out" || {
+    if (cd "$twins" && "$@") > "$tmp/twin.out" 2>&1; then
+        echo "FAIL: a twin in $file passed: $*" >&2
+        exit 1
+    fi
+    grep -Eq "$pattern" "$tmp/twin.out" || {
         tail -n 30 "$tmp/twin.out" >&2
-        echo "FAIL: the $lint twin in $file failed without naming $lint" >&2
+        echo "FAIL: a twin in $file failed without printing $pattern" >&2
         exit 1
     }
     cp "$file" "$twins/$file"
-    echo "ok: the $lint twin in $file fails clippy"
+    caught=$((caught + 1))
+    echo "ok: a twin in $file fails: $(grep -Eo "$pattern" "$tmp/twin.out" | head -n 1)"
 }
+plain=(env CARGO_TARGET_DIR="$PWD/target/twins/default")
+checked=(env RUSTFLAGS="--cfg atos_check" CARGO_TARGET_DIR="$PWD/target/twins/check")
+# "${drive[@]}" <test>: one queue_models.rs driver, exactly.
+drive=("${checked[@]}" cargo test -q -p atos-check --test queue_models -- --exact)
 # (a) A raw atomic in the counter queue, under the facade pass.
-twin disallowed_types crates/queue/src/counter.rs \
+twin crates/queue/src/counter.rs \
     "awk '!done && !/^\/\/!/ { print \"use std::sync::atomic::AtomicUsize;\"; done = 1 } { print }'" \
-    RUSTFLAGS="--cfg atos_check" CLIPPY_CONF_DIR="$PWD/$twins/crates/check" \
-    CARGO_TARGET_DIR="$PWD/target/twins/check"
+    "clippy::disallowed_types" \
+    "${checked[@]}" CLIPPY_CONF_DIR="$PWD/$twins/crates/check" cargo clippy -p atos-queue --lib -- -D warnings
 # (b) A wall-clock read into a trace counter in the runtime.
-twin disallowed_types crates/core/src/runtime.rs "cat; cat <<'RS'
+twin crates/core/src/runtime.rs "cat; cat <<'RS'
 pub fn injected_trace(tracer: &mut dyn atos_trace::Tracer) {
     let t0 = std::time::Instant::now();
     let wall = t0.elapsed().as_nanos() as u64;
     tracer.counter(atos_trace::Track::pe(0), 0, \"wall\", wall);
 }
-RS"
+RS" "clippy::disallowed_types" \
+    "${plain[@]}" cargo clippy -p atos-core --lib -- -D warnings
 # (c) One SAFETY comment dropped from the counter queue.
-twin undocumented_unsafe_blocks crates/queue/src/counter.rs "sed '0,/\/\/ SAFETY:/{//d}'"
-
+twin crates/queue/src/counter.rs "sed '0,/\/\/ SAFETY:/{//d}'" "clippy::undocumented_unsafe_blocks" \
+    "${plain[@]}" cargo clippy -p atos-queue --lib -- -D warnings
+# (d) The counter queue's publication chain in push_group all Relaxed: a
+# popper's Acquire load of `end` no longer orders the slot write before its
+# read.
+twin crates/queue/src/counter.rs "sed -e '/self.end_max.fetch_max(idx + n,/s/AcqRel/Relaxed/' \
+        -e '/self.end_count.fetch_add(n,/s/AcqRel/Relaxed/' \
+        -e '/let m = self.end_max.load(/s/Acquire/Relaxed/' -e '/self.end.fetch_max(m,/s/AcqRel/Relaxed/'" \
+    "replay reproduced DataRace" "${drive[@]}" counter_push_pop_publication_safe
+# (e) The CUDA listing's hole: `end` publishes a re-read of `end_max`, which a
+# higher group may have raised over a reserved, unwritten range.
+twin crates/queue/src/counter.rs \
+    "sed 's/self.end.fetch_max(m, /self.end.fetch_max(self.end_max.load(Ordering::Acquire), /'" \
+    "replay reproduced (DataRace|UninitRead)" "${drive[@]}" counter_three_pushers_one_popper
+# (f) The CAS queue's pop reads `end` Relaxed: seeing `end > start` no
+# longer synchronizes with the publisher.
+twin crates/queue/src/cas.rs \
+    "sed '/pub fn pop_group/,/^    }\$/s/self.end.load(Ordering::Acquire)/self.end.load(Ordering::Relaxed)/'" \
+    "replay reproduced DataRace" "${drive[@]}" cas_pop_reservation_relaxed_is_sound
+# (g) The counter queue's pops read `end` Relaxed, in the claim and in the
+# drain of an earlier claim.
+twin crates/queue/src/counter.rs \
+    "sed -e '/pub fn pop_group/,/^    }\$/s/self.end.load(Ordering::Acquire)/self.end.load(Ordering::Relaxed)/' \
+        -e '/fn drain_claim/,/^    }\$/s/self.end.load(Ordering::Acquire)/self.end.load(Ordering::Relaxed)/'" \
+    "replay reproduced DataRace" "${drive[@]}" counter_push_pop_publication_safe
+[ "$caught" -eq 7 ] || { echo "FAIL: $caught seeded twins ran, expected 7" >&2; exit 1; }
 echo
 echo "verify: all checks passed"
