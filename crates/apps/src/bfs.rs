@@ -16,6 +16,13 @@
 //!   it never re-sends a non-improving update; the mirror is private to
 //!   the sending PE, as memory on its own device would be.
 //!
+//! A mirror holds only the pages its PE has offered into ([`Mirror`]): a
+//! mesh band sends across a few rows of its neighbours' bands and keeps a
+//! few dozen pages, where a dense mirror would hold `n` slots per PE. A
+//! PE that touches more than a quarter of the graph (any scale-free input,
+//! within its first hub task) turns dense, and its loop is then the plain
+//! indexed one: `process` picks the arm once per task.
+//!
 //! Speculation and redundant work: out-of-order processing can visit a
 //! vertex more than once before its depth settles. The priority-queue
 //! configuration orders tasks by depth-at-push (`threshold_delta = 1`),
@@ -40,6 +47,121 @@ use atos_graph::prefetch::prefetch;
 use atos_graph::reference::UNREACHED;
 use atos_sim::Fabric;
 
+/// Slots per page of a paged [`Mirror`]. A constant, not a knob: 64, 256
+/// and 1024 all left the mesh benchmark's peak memory within 51–55 MiB.
+const PAGE: usize = 256;
+/// A directory entry with no page behind it.
+const NO_PAGE: u32 = u32::MAX;
+
+/// One PE's mirror: the best depth it has *sent* per remote vertex,
+/// [`UNREACHED`] until it first offers one.
+///
+/// It starts **paged**: `pages` holds one arena base per `PAGE` vertices
+/// ([`NO_PAGE`] = none yet), and a page's slots are appended to `slots`,
+/// all `UNREACHED`, the first time the PE offers into it. When another page
+/// would take the arena past `n / 4` slots the mirror is **promoted**: its
+/// pages are copied into a dense `slots[w]` for every `w`, and it stays
+/// dense. So a paged mirror never holds more than a quarter of the dense
+/// bytes plus the directory (`n / 64` bytes). Dense, the directory is the
+/// identity (`pages[p] = p · PAGE`), so a paged loop that promoted half way
+/// through a task still finds every slot.
+#[derive(Clone)]
+struct Mirror {
+    pages: Vec<u32>,
+    slots: Vec<u32>,
+    /// Vertex count: dense exactly when `slots` holds all `n`.
+    n: usize,
+}
+
+impl Mirror {
+    fn new(n: usize) -> Self {
+        Mirror {
+            pages: vec![NO_PAGE; n.div_ceil(PAGE)],
+            slots: Vec::new(),
+            n,
+        }
+    }
+
+    /// The dense slots, or `None` while paged (a paged arena holds at most
+    /// `n / 4 < n` slots).
+    fn dense(&mut self) -> Option<&mut [u32]> {
+        (self.slots.len() == self.n).then_some(&mut self.slots[..])
+    }
+
+    /// Bytes held: the directory and the arena or dense slots.
+    fn bytes(&self) -> usize {
+        4 * (self.pages.capacity() + self.slots.capacity())
+    }
+
+    /// The best offer sent for `w` so far.
+    #[cfg(test)]
+    fn get(&self, w: VertexId) -> u32 {
+        match self.pages[w as usize / PAGE] {
+            NO_PAGE => UNREACHED,
+            base => self.slots[base as usize + w as usize % PAGE],
+        }
+    }
+
+    /// Append `page` to the arena, or promote the mirror to dense if that
+    /// would take the arena past `n / 4` slots; `page`'s base either way.
+    #[cold]
+    #[inline(never)]
+    fn add_page(&mut self, page: usize) -> u32 {
+        let (len, limit) = (self.slots.len(), self.n / 4);
+        if len + PAGE > limit {
+            let mut dense = vec![UNREACHED; self.n];
+            for (p, base) in self.pages.iter_mut().enumerate() {
+                let at = p * PAGE;
+                if *base != NO_PAGE {
+                    let filled = PAGE.min(self.n - at);
+                    dense[at..at + filled].copy_from_slice(&self.slots[*base as usize..][..filled]);
+                }
+                // `at < n`, and vertex ids are `u32`.
+                *base = at as u32;
+            }
+            self.slots = dense;
+        } else {
+            // Doubling, capped at the limit, so the arena's capacity stays
+            // within it too. `cap ≥ len + PAGE`: the limit is, and so is
+            // twice a capacity of at least `max(len, PAGE)`.
+            if len + PAGE > self.slots.capacity() {
+                let cap = (2 * self.slots.capacity()).max(PAGE).min(limit);
+                self.slots.reserve_exact(cap - len);
+            }
+            self.slots.resize(len + PAGE, UNREACHED);
+            self.pages[page] = len as u32;
+        }
+        self.pages[page]
+    }
+}
+
+/// How a relaxation reaches the sender's slot for remote vertex `w`: the
+/// one thing the dense and the paged arm of [`BfsApp::process`] do
+/// differently.
+trait SentSlots {
+    fn slot(&mut self, w: VertexId) -> &mut u32;
+}
+
+impl SentSlots for [u32] {
+    #[inline]
+    fn slot(&mut self, w: VertexId) -> &mut u32 {
+        &mut self[w as usize]
+    }
+}
+
+impl SentSlots for Mirror {
+    /// `w`'s slot, its page added first if it has none.
+    #[inline]
+    fn slot(&mut self, w: VertexId) -> &mut u32 {
+        let page = w as usize / PAGE;
+        let mut base = self.pages[page];
+        if base == NO_PAGE {
+            base = self.add_page(page);
+        }
+        &mut self.slots[base as usize + w as usize % PAGE]
+    }
+}
+
 /// BFS (and, with hop 0, connected components) as an Atos application.
 pub struct BfsApp {
     graph: Arc<Csr>,
@@ -50,10 +172,10 @@ pub struct BfsApp {
     /// read/written by its owner (`process` local relaxations and
     /// `on_receive` remote ones).
     pub depth: Vec<u32>,
-    /// `mirror[pe][w]`: the best depth PE `pe` has *sent* for remote
-    /// vertex `w` — the sender-side duplicate-suppression filter. Private
-    /// to `pe`.
-    mirror: Vec<Vec<u32>>,
+    /// `mirror[pe]`: the best depth PE `pe` has *sent* per remote vertex —
+    /// the sender-side duplicate-suppression filter, paged until `pe` has
+    /// offered into a quarter of the graph ([`Mirror`]). Private to `pe`.
+    mirror: Vec<Mirror>,
     /// What one edge adds to the depth it relaxes: 1 for BFS, 0 for
     /// min-label components.
     hop: u32,
@@ -61,8 +183,16 @@ pub struct BfsApp {
 
 impl BfsApp {
     /// New BFS instance from `source`.
+    ///
+    /// # Panics
+    /// If `source` is not a vertex of `graph`.
     pub fn new(graph: Arc<Csr>, partition: Arc<Partition>, source: VertexId) -> Self {
-        let mut depth = vec![UNREACHED; graph.n_vertices()];
+        let n = graph.n_vertices();
+        assert!(
+            (source as usize) < n,
+            "BFS source {source} is not a vertex of a graph with {n} vertices"
+        );
+        let mut depth = vec![UNREACHED; n];
         depth[source as usize] = 0;
         Self::with_depths(graph, partition, depth, 1)
     }
@@ -81,7 +211,7 @@ impl BfsApp {
         assert_eq!(partition.n_vertices(), n);
         BfsApp {
             graph,
-            mirror: vec![vec![UNREACHED; n]; partition.n_parts()],
+            mirror: vec![Mirror::new(n); partition.n_parts()],
             partition,
             depth,
             hop,
@@ -91,6 +221,53 @@ impl BfsApp {
     /// Number of vertices reached so far.
     pub fn reached(&self) -> usize {
         self.depth.iter().filter(|&&d| d != UNREACHED).count()
+    }
+
+    /// Bytes the PEs' mirrors hold now, summed (directories, arenas and
+    /// dense slots, by capacity).
+    pub fn mirror_bytes(&self) -> usize {
+        self.mirror.iter().map(Mirror::bytes).sum()
+    }
+}
+
+/// Relax every neighbour of `v` with depth `nd` on PE `pe`, reaching the
+/// sent-offer slots through `sent`.
+#[inline]
+#[allow(
+    clippy::too_many_arguments,
+    reason = "the disjoint fields of one BfsApp, borrowed apart"
+)]
+fn relax<S: SentSlots + ?Sized>(
+    graph: &Csr,
+    partition: &Partition,
+    depth: &mut [u32],
+    sent: &mut S,
+    pe: usize,
+    v: VertexId,
+    nd: u32,
+    out: &mut Emitter<(VertexId, u32)>,
+) {
+    for &w in graph.neighbors(v) {
+        let owner = partition.owner(w);
+        if owner == pe {
+            // Local atomicMin + conditional local push.
+            if nd < depth[w as usize] {
+                depth[w as usize] = nd;
+                out.push_local((w, nd));
+            }
+        } else {
+            // The paper's one-sided RDMA atomicMin (Listing 5):
+            // `if (atomicMin(depth+neighbor, d+1, pe) > d+1)
+            // push_warp(neighbor, pe)`. The atomic takes effect at the
+            // remote memory on arrival (`on_receive`); the sender's
+            // private mirror suppresses offers that cannot improve on
+            // what this PE already sent.
+            let sent = sent.slot(w);
+            if nd < *sent {
+                *sent = nd;
+                out.push(owner, (w, nd));
+            }
+        }
     }
 }
 
@@ -103,24 +280,14 @@ impl Application for BfsApp {
         let d = self.depth[v as usize];
         debug_assert_ne!(d, UNREACHED, "queued vertex must have a depth");
         let nd = d + self.hop;
-        for &w in self.graph.neighbors(v) {
-            let owner = self.partition.owner(w);
-            if owner == pe {
-                // Local atomicMin + conditional local push.
-                if nd < self.depth[w as usize] {
-                    self.depth[w as usize] = nd;
-                    out.push_local((w, nd));
-                }
-            } else if nd < self.mirror[pe][w as usize] {
-                // The paper's one-sided RDMA atomicMin (Listing 5):
-                // `if (atomicMin(depth+neighbor, d+1, pe) > d+1)
-                // push_warp(neighbor, pe)`. The atomic takes effect at the
-                // remote memory on arrival (`on_receive`); the sender's
-                // private mirror suppresses offers that cannot improve on
-                // what this PE already sent.
-                self.mirror[pe][w as usize] = nd;
-                out.push(owner, (w, nd));
-            }
+        let (graph, partition, depth) = (&*self.graph, &*self.partition, &mut self.depth[..]);
+        // One dispatch per task, none per edge. A dense mirror is indexed
+        // directly: the directory load on every remote edge cost the
+        // scale-free `where_time_goes bfsr` run 6–20 %.
+        let mirror = &mut self.mirror[pe];
+        match mirror.dense() {
+            Some(dense) => relax(graph, partition, depth, dense, pe, v, nd, out),
+            None => relax(graph, partition, depth, mirror, pe, v, nd, out),
         }
     }
 
@@ -208,7 +375,8 @@ impl BfsRun {
 /// Run asynchronous BFS under `cfg` on `fabric`.
 ///
 /// # Panics
-/// If the partition's part count is not the fabric's PE count.
+/// If the partition's part count is not the fabric's PE count, or if
+/// `source` is not a vertex of `graph`.
 pub fn run_bfs(
     graph: Arc<Csr>,
     partition: Arc<Partition>,
@@ -263,7 +431,10 @@ fn launch<Tr: Tracer>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use atos_graph::generators::{GraphKind, Preset, Scale};
+    use atos_graph::generators::{rmat, road_network, GraphKind, Preset, Scale};
+    use atos_graph::reference;
+    use proptest::collection;
+    use proptest::prelude::*;
 
     #[test]
     fn priority_queue_reduces_redundant_work() {
@@ -386,4 +557,106 @@ mod tests {
         assert!(buf.events_named("step").len() as u64 >= traced.stats.steps_per_pe.iter().sum::<u64>());
     }
 
+    #[test]
+    #[should_panic(expected = "BFS source 9 is not a vertex of a graph with 4 vertices")]
+    fn a_source_outside_the_graph_is_refused_by_name() {
+        let g = Arc::new(Csr::from_edges(4, &[(0, 1), (1, 2), (2, 3)]));
+        let part = Arc::new(Partition::block(4, 2));
+        BfsApp::new(g, part, 9);
+    }
+
+    /// Run BFS from `src` on 4 PEs to termination and hand the app back.
+    fn run_from(g: &Arc<Csr>, part: &Arc<Partition>, src: VertexId) -> BfsApp {
+        let app = BfsApp::new(g.clone(), part.clone(), src);
+        let mut rt = Runtime::new(app, Fabric::daisy(4), AtosConfig::standard_persistent());
+        rt.seed(part.owner(src), [(src, 0)]);
+        rt.run();
+        rt.into_app()
+    }
+
+    #[test]
+    fn a_mesh_band_keeps_its_mirror_paged() {
+        // `bfs_mesh_nvlink`'s input: every PE sends across a few rows of
+        // its neighbours' bands, far below a quarter of the graph.
+        let side = 1000;
+        let g = Arc::new(road_network(side, side, 23));
+        let part = Arc::new(Partition::block(g.n_vertices(), 4));
+        let src = (side / 2 * side + side / 2) as VertexId;
+        let dense_bytes = 4 * 4 * g.n_vertices();
+        let mut app = run_from(&g, &part, src);
+        assert_eq!(app.depth, reference::bfs(&g, src));
+        for (pe, mirror) in app.mirror.iter_mut().enumerate() {
+            assert!(mirror.dense().is_none(), "PE {pe} promoted on a mesh");
+        }
+        let bytes = app.mirror_bytes();
+        assert!(
+            bytes < 1 << 20,
+            "{bytes} B of mirror on a mesh (dense: {dense_bytes} B)"
+        );
+    }
+
+    #[test]
+    fn a_scale_free_run_promotes_every_mirror() {
+        let g = Arc::new(rmat(14, 200_000, (0.57, 0.19, 0.19, 0.05), 23));
+        let part = Arc::new(Partition::random(g.n_vertices(), 4, 23));
+        let src = (0..g.n_vertices() as VertexId)
+            .max_by_key(|&v| g.degree(v))
+            .unwrap();
+        let mut app = run_from(&g, &part, src);
+        assert_eq!(app.depth, reference::bfs(&g, src));
+        for (pe, mirror) in app.mirror.iter_mut().enumerate() {
+            assert!(mirror.dense().is_some(), "PE {pe} stayed paged on R-MAT");
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Reads and writes against a plain `Vec<u32>`: no page (`n` = 0),
+        /// less than a page, a promotion at the first page (`n / 4 < PAGE`)
+        /// and paged runs that promote on their third or fifth page, none
+        /// of them a multiple of `PAGE`. Half the cases keep their writes in
+        /// a window of two pages, where the paged ones stay paged.
+        #[test]
+        fn a_mirror_reads_as_a_dense_vector(
+            size in 0usize..5,
+            window in 0usize..2,
+            ops in collection::vec((0u32..3, 0u32..u32::MAX, 0u32..1000), 1..600),
+        ) {
+            let n = [0, 100, 1000, 3000, 5000][size];
+            let mut mirror = Mirror::new(n);
+            let mut model = vec![UNREACHED; n];
+            let span = if window == 0 { n } else { n.min(2 * PAGE) };
+            let mut was_paged_with_pages = false;
+            for (kind, w, value) in ops {
+                if n == 0 {
+                    break;
+                }
+                let w = (w as usize % span) as VertexId;
+                if kind == 0 {
+                    prop_assert_eq!(mirror.get(w), model[w as usize], "read of {}", w);
+                } else {
+                    *mirror.slot(w) = value;
+                    model[w as usize] = value;
+                }
+                match mirror.dense() {
+                    Some(dense) => prop_assert_eq!(&dense[..], &model[..]),
+                    None => {
+                        was_paged_with_pages |= !mirror.slots.is_empty();
+                        prop_assert!(mirror.slots.capacity() <= n / 4, "arena past n / 4");
+                    }
+                }
+            }
+            let promoted = mirror.dense().is_some();
+            for w in 0..n as VertexId {
+                prop_assert_eq!(mirror.get(w), model[w as usize], "slot {} at the end", w);
+            }
+            if n < 4 * PAGE {
+                prop_assert!(!was_paged_with_pages, "n = {} held a page without promoting", n);
+            }
+            if window == 1 && n >= 3000 {
+                prop_assert!(!promoted, "two pages promoted n = {}", n);
+            }
+        }
+    }
 }

@@ -26,9 +26,16 @@ pub struct HostBfsApp {
 
 impl HostBfsApp {
     /// New instance with `source` at depth 0.
+    ///
+    /// # Panics
+    /// If `source` is not a vertex of `graph`.
     pub fn new(graph: Arc<Csr>, partition: Arc<Partition>, source: VertexId) -> Self {
         let n = graph.n_vertices();
         assert_eq!(partition.n_vertices(), n);
+        assert!(
+            (source as usize) < n,
+            "BFS source {source} is not a vertex of a graph with {n} vertices"
+        );
         let depth = (0..n)
             .map(|v| AtomicU32::new(if v == source as usize { 0 } else { UNREACHED }))
             .collect();
@@ -79,6 +86,10 @@ pub struct HostBfsRun {
 /// `4 × edges + n` covers everything we have observed; if a run exceeds
 /// it the push panics with a clear message — pass an explicit
 /// [`HostConfig`] with a larger `queue_capacity` for hostile cases.
+///
+/// # Panics
+/// If `source` is not a vertex of `graph`, or if `cfg` names another PE
+/// count than `partition`.
 pub fn host_bfs(
     graph: Arc<Csr>,
     partition: Arc<Partition>,
@@ -130,5 +141,13 @@ mod tests {
         let part4 = Arc::new(Partition::random(g.n_vertices(), 4, 1));
         let multi = host_bfs(g, part4, src, None);
         assert!(multi.stats.remote_pushes > 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "BFS source 9 is not a vertex of a graph with 4 vertices")]
+    fn a_source_outside_the_graph_is_refused_by_name() {
+        let g = Arc::new(Csr::from_edges(4, &[(0, 1), (1, 2), (2, 3)]));
+        let part = Arc::new(Partition::block(4, 2));
+        host_bfs(g, part, 9, None);
     }
 }

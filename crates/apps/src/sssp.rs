@@ -114,6 +114,10 @@ pub struct SsspApp {
 
 impl SsspApp {
     /// New instance from `source` with bucket width `delta`.
+    ///
+    /// # Panics
+    /// If `source` is not a vertex of `graph`, or if `n` × the largest
+    /// weight does not fit the 32-bit view.
     pub fn new(
         graph: Arc<Csr>,
         weights: Arc<EdgeWeights>,
@@ -127,6 +131,9 @@ impl SsspApp {
     /// [`SsspApp::new`] with light/heavy edge splitting enabled: tasks
     /// relax only light edges and schedule one heavy co-task per
     /// (vertex, bucket) at priority `2·bucket + 1`.
+    ///
+    /// # Panics
+    /// As [`SsspApp::new`].
     pub fn new_split(
         graph: Arc<Csr>,
         weights: Arc<EdgeWeights>,
@@ -147,6 +154,10 @@ impl SsspApp {
     ) -> Self {
         let n = graph.n_vertices();
         assert_eq!(partition.n_vertices(), n);
+        assert!(
+            (source as usize) < n,
+            "SSSP source {source} is not a vertex of a graph with {n} vertices"
+        );
         let max_weight = weights.max();
         assert!(
             (n as u64).saturating_mul(max_weight as u64) < UNREACHED_VIEW as u64,
@@ -680,4 +691,12 @@ mod tests {
         }
     }
 
+    #[test]
+    #[should_panic(expected = "SSSP source 9 is not a vertex of a graph with 4 vertices")]
+    fn a_source_outside_the_graph_is_refused_by_name() {
+        let g = Arc::new(Csr::from_edges(4, &[(0, 1), (1, 2), (2, 3)]));
+        let w = Arc::new(EdgeWeights::unit(&g));
+        let part = Arc::new(Partition::block(4, 2));
+        SsspApp::new_split(g, w, part, 9, 8);
+    }
 }

@@ -3,7 +3,8 @@
 //! A `SIGPROF` sampler (a sample per millisecond of CPU time, or per kernel
 //! tick where that is longer) around the repo benchmark's four
 //! single-threaded workloads, driven through the same public calls as
-//! `benchmark/src/workloads.rs`. Each sample is the interrupted instruction;
+//! `benchmark/src/workloads.rs`, and around `bfsr`, the scale-free BFS no
+//! workload runs. The header gives the median wall time of one run. Each sample is the interrupted instruction;
 //! `addr2line` turns it into its inline stack, and the report ranks the
 //! *innermost frame under `crates/`* — the line of this workspace that was
 //! waiting, whichever `core`/`alloc` helper it was in. A sample outside this
@@ -17,7 +18,7 @@
 //!
 //! ```bash
 //! cargo run --release --example where_time_goes -- bfs        # mesh BFS, 20 runs
-//! cargo run --release --example where_time_goes -- sssp 5     # sssp | pr | prib, run count
+//! cargo run --release --example where_time_goes -- sssp 5     # bfsr | sssp | pr | prib, run count
 //! cargo run --release --example where_time_goes -- pr 5 --by fn   # summed per function, or `--by file`
 //! ```
 //!
@@ -43,6 +44,7 @@ mod linux {
     use std::io::Write;
     use std::process::Command;
     use std::sync::Arc;
+    use std::time::Instant;
 
     use atos::apps::pagerank::PrTask;
     use atos::apps::sssp::KIND_LIGHT;
@@ -155,17 +157,20 @@ mod linux {
     }
 
     /// Construct, seed and run to termination, `runs` times; `check` sees the
-    /// last finished application (outside the sampled region).
+    /// last finished application (outside the sampled region). Returns the
+    /// median wall time of one sampled run, ms.
     fn drive<A: Application>(
         runs: usize,
         fabric: impl Fn() -> Fabric,
         cfg: AtosConfig,
         make: impl Fn() -> (A, Vec<(usize, Vec<A::Task>)>),
         check: impl FnOnce(A),
-    ) {
+    ) -> f64 {
         let mut last = None;
+        let mut wall_ms = Vec::with_capacity(runs);
         for _ in 0..runs {
             let (app, seeds) = make();
+            let t0 = Instant::now();
             set_sampling(1_000);
             let mut rt = Runtime::new(app, fabric(), cfg);
             for (pe, tasks) in seeds {
@@ -173,13 +178,35 @@ mod linux {
             }
             rt.run();
             set_sampling(0);
+            wall_ms.push(t0.elapsed().as_secs_f64() * 1e3);
             last = Some(rt.into_app());
         }
         check(last.expect("at least one run"));
+        wall_ms.sort_by(f64::total_cmp);
+        wall_ms[runs / 2]
     }
 
-    fn run_workload(name: &str, runs: usize) -> bool {
-        match name {
+    /// Run workload `name` `runs` times: the median wall time of one run, ms,
+    /// or `None` for an unknown name.
+    fn run_workload(name: &str, runs: usize) -> Option<f64> {
+        let wall_ms = match name {
+            // The scale-free side of BFS, which no benchmark workload runs:
+            // every PE's mirror turns dense within its first hub task.
+            "bfsr" => {
+                let g = Arc::new(rmat(18, 4_300_000, RMAT_PROBS, SEED));
+                let p = Arc::new(Partition::random(g.n_vertices(), 4, SEED));
+                let src = hub(&g);
+                drive(
+                    runs,
+                    || Fabric::daisy(4),
+                    AtosConfig::standard_persistent(),
+                    || {
+                        let seeds = vec![(p.owner(src), vec![(src, 0u32)])];
+                        (BfsApp::new(g.clone(), p.clone(), src), seeds)
+                    },
+                    |app| assert_eq!(app.depth, reference::bfs(&g, src), "BFS depths"),
+                )
+            }
             "bfs" => {
                 let side = 1000;
                 let g = Arc::new(road_network(side, side, SEED));
@@ -194,7 +221,7 @@ mod linux {
                         (BfsApp::new(g.clone(), p.clone(), src), seeds)
                     },
                     |app| assert_eq!(app.depth, reference::bfs(&g, src), "BFS depths"),
-                );
+                )
             }
             "sssp" => {
                 let g = Arc::new(rmat(18, 4_300_000, RMAT_PROBS, SEED));
@@ -213,7 +240,7 @@ mod linux {
                         )
                     },
                     |app| assert_eq!(app.dist, dijkstra(&g, &w, src), "SSSP distances"),
-                );
+                )
             }
             "pr" | "prib" => {
                 let (scale, edges, n_pes, cfg) = match name {
@@ -241,11 +268,11 @@ mod linux {
                         (PageRankApp::new(g.clone(), p.clone(), 0.85, 1e-5), seeds)
                     },
                     |app| assert!(app.converged(), "residue {} left", app.max_residue()),
-                );
+                )
             }
-            _ => return false,
-        }
-        true
+            _ => return None,
+        };
+        Some(wall_ms)
     }
 
     // ---- symbolisation ----------------------------------------------------
@@ -382,9 +409,9 @@ mod linux {
             Some(_) => usage(),
         };
         install_handler();
-        if !run_workload(name, runs) {
+        let Some(wall_ms) = run_workload(name, runs) else {
             usage();
-        }
+        };
 
         let taken = TAKEN.load(Ordering::Relaxed).min(MAX_SAMPLES);
         let exe = std::env::current_exe().expect("own path");
@@ -403,7 +430,8 @@ mod linux {
         }
         let inside: u64 = hits.values().sum();
         let mut report = format!(
-            "where_time_goes {name}: {runs} run(s), {taken} samples, {inside} inside this binary\n"
+            "where_time_goes {name}: {runs} run(s), {wall_ms:.1} ms median, {taken} samples, \
+             {inside} inside this binary\n"
         );
 
         let offsets: Vec<u64> = hits.keys().copied().collect();
@@ -442,7 +470,7 @@ mod linux {
     }
 
     fn usage() -> ! {
-        eprintln!("usage: where_time_goes bfs|sssp|pr|prib [runs] [--by line|fn|file]");
+        eprintln!("usage: where_time_goes bfs|bfsr|sssp|pr|prib [runs] [--by line|fn|file]");
         std::process::exit(2);
     }
 }
