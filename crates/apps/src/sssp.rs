@@ -279,11 +279,19 @@ impl Application for SsspApp {
             relax(row.iter().map(|&(w, wt)| (w, d + wt as u64)), view, improved);
         } else {
             // A heavy task skips the row's light edges (its light tasks
-            // relaxed them); KIND_FULL relaxes all.
+            // relaxed them); KIND_FULL relaxes all. The skip is a select,
+            // not a branch: a skipped edge offers `u64::MAX`, which no view
+            // slot is above, so `relax` never takes it. The weight test
+            // holds at no predictable place in a row, and a mispredicted
+            // branch on it discards the `view` loads already in flight
+            // (DESIGN.md §4.9).
             let skip_light = kind == KIND_HEAVY;
             let row = self.graph.neighbors(v).iter().zip(self.weights.of(&self.graph, v));
-            let kept = row.filter(|&(_, &wt)| !(skip_light && wt as u64 <= delta));
-            relax(kept.map(|(&w, &wt)| (w, d + wt as u64)), view, improved);
+            let offers = row.map(|(&w, &wt)| {
+                let kept = !(skip_light && wt as u64 <= delta);
+                (w, std::hint::select_unpredictable(kept, d + wt as u64, u64::MAX))
+            });
+            relax(offers, view, improved);
         }
     }
 

@@ -4,7 +4,10 @@
 //! tick where that is longer) around the repo benchmark's four
 //! single-threaded workloads, driven through the same public calls as
 //! `benchmark/src/workloads.rs`, and around `bfsr`, the scale-free BFS no
-//! workload runs. The header gives the median wall time of one run. Each sample is the interrupted instruction;
+//! workload runs. A sampled run is what the benchmark times: the
+//! application's construction, the runtime's, the seeding and the run; the
+//! graph and its partition are built once, outside. The header gives the
+//! median wall time of one run. Each sample is the interrupted instruction;
 //! `addr2line` turns it into its inline stack, and the report ranks the
 //! *innermost frame under `crates/`* — the line of this workspace that was
 //! waiting, whichever `core`/`alloc` helper it was in. A sample outside this
@@ -156,9 +159,11 @@ mod linux {
             .expect("generated graphs are not empty")
     }
 
-    /// Construct, seed and run to termination, `runs` times; `check` sees the
-    /// last finished application (outside the sampled region). Returns the
-    /// median wall time of one sampled run, ms.
+    /// Construct, seed and run to termination, `runs` times, all three
+    /// sampled and timed, as the benchmark times its run: the application's
+    /// construction (`make`, light rows and views included) is part of it.
+    /// `check` sees the last finished application (outside the sampled
+    /// region). Returns the median wall time of one sampled run, ms.
     fn drive<A: Application>(
         runs: usize,
         fabric: impl Fn() -> Fabric,
@@ -169,9 +174,9 @@ mod linux {
         let mut last = None;
         let mut wall_ms = Vec::with_capacity(runs);
         for _ in 0..runs {
-            let (app, seeds) = make();
             let t0 = Instant::now();
             set_sampling(1_000);
+            let (app, seeds) = make();
             let mut rt = Runtime::new(app, fabric(), cfg);
             for (pe, tasks) in seeds {
                 rt.seed(pe, tasks);

@@ -8,8 +8,9 @@
 # observability smoke, the line-level sampler smoke, atos-lint's call-graph
 # rule, miri, the model checker under --cfg atos_check (tests + the clippy
 # pass that holds the atomics facade), clippy (determinism and SAFETY
-# comments), and seven seeded twins: edits of the real tree that those three
-# clippy lints and four queue_models.rs drivers must each reject.
+# comments), and eight seeded twins: edits of the real tree that those three
+# clippy lints, four queue_models.rs drivers and the SSSP golden must each
+# reject.
 #
 # Usage: scripts/verify.sh  (from anywhere; cd's to the repo root)
 
@@ -271,7 +272,8 @@ echo "== seeded twins (each edit of the real tree must fail its named check) =="
 # weaken an ordering of the counter or CAS queue's publication protocol and
 # must fail a queue_models.rs driver under --cfg atos_check with the race
 # detector's failure kind and a schedule that replays to it (≈ 1 min, most
-# of it the three-pusher driver).
+# of it the three-pusher driver); one breaks SSSP's heavy-edge select and
+# must fail the whole-run fingerprints of sssp_golden.rs.
 twins=target/twins/tree
 rm -rf "$twins" && mkdir -p "$twins"
 git ls-files -z | tar --null -T - -c | tar -x -C "$twins"
@@ -344,6 +346,11 @@ twin crates/queue/src/counter.rs \
     "sed -e '/pub fn pop_group/,/^    }\$/s/self.end.load(Ordering::Acquire)/self.end.load(Ordering::Relaxed)/' \
         -e '/fn drain_claim/,/^    }\$/s/self.end.load(Ordering::Acquire)/self.end.load(Ordering::Relaxed)/'" \
     "replay reproduced DataRace" "${drive[@]}" counter_push_pop_publication_safe
-[ "$caught" -eq 7 ] || { echo "FAIL: $caught seeded twins ran, expected 7" >&2; exit 1; }
+# (h) SSSP's select loses its task-kind term: a heavy task relaxes its light
+# edges too, which its light tasks already did, and moves whole runs.
+twin crates/apps/src/sssp.rs "sed 's/let skip_light = kind == KIND_HEAVY;/let skip_light = false;/'" \
+    "panicked at crates/apps/tests/sssp_golden.rs" \
+    "${plain[@]}" cargo test -q -p atos-apps --test sssp_golden
+[ "$caught" -eq 8 ] || { echo "FAIL: $caught seeded twins ran, expected 8" >&2; exit 1; }
 echo
 echo "verify: all checks passed"

@@ -17,6 +17,13 @@
 //! failure prints the index and the drawn input, and rerunning the test
 //! replays it. The proptest shim cannot shrink, so sizes ramp with the
 //! index instead: the first case to fail is about the smallest that does.
+//!
+//! Those graphs stay under `MAX_VERTICES`, below the 1 024 vertices at
+//! which a quarter of the graph first holds a page of a `BfsApp` mirror, so
+//! every mirror they build turns dense at its first page. A second test
+//! draws `MESH_CASES` road networks and grids above that size on a block
+//! partition, for BFS and CC, checks them the same way, and asserts that
+//! some run ends with a mirror still paged.
 
 use std::ops::Range;
 use std::sync::Arc;
@@ -27,7 +34,9 @@ use atos::apps::host_bfs::host_bfs;
 use atos::apps::pagerank::run_pagerank;
 use atos::apps::sssp::{run_sssp, run_sssp_delta, SsspApp, KIND_FULL, KIND_LIGHT};
 use atos::baselines::{bsp_bfs, bsp_pagerank, galois_config, groute_config, run_bsp};
-use atos::core::{AtosConfig, CommMode, KernelMode, QueueMode, RunStats, WorkerConfig, WorkerSize};
+use atos::core::{
+    AtosConfig, CommMode, KernelMode, QueueMode, RunStats, Runtime, WorkerConfig, WorkerSize,
+};
 use atos::graph::csr::{Csr, VertexId};
 use atos::graph::generators::{grid_2d, rmat, road_network, uniform};
 use atos::graph::partition::Partition;
@@ -42,6 +51,8 @@ const CASES: u32 = 640;
 const MAX_VERTICES: usize = 400;
 /// Test threads: cases are independent, so they are dealt round-robin.
 const THREADS: u32 = 2;
+/// Mesh cases (`Case::draw_mesh`), 1 089 to 5 041 vertices each.
+const MESH_CASES: u32 = 8;
 
 /// PageRank's threshold: ranks within `EPS / (1 − α)` per vertex of the
 /// fixed point, well inside the 1e-3 the answers are held to.
@@ -82,6 +93,9 @@ enum Framework {
     Galois,
     Bsp,
 }
+
+const FRAMEWORKS: [Framework; 4] =
+    [Framework::Atos, Framework::Groute, Framework::Galois, Framework::Bsp];
 
 #[derive(Debug, Clone, Copy)]
 enum App {
@@ -255,8 +269,7 @@ impl Case {
         };
         let cfg = draw_config(&mut rng);
         let n = graph.n_vertices();
-        let frameworks = [Framework::Atos, Framework::Groute, Framework::Galois, Framework::Bsp];
-        let framework = pick(&mut rng, &frameworks);
+        let framework = pick(&mut rng, &FRAMEWORKS);
         // `PageRankApp::new` takes any damping in [0, 1].
         let alpha = pick(&mut rng, &[0.0, 0.5, 0.7, 0.85, 1.0]);
         let max_weight = draw(&mut rng, 1..40);
@@ -275,6 +288,29 @@ impl Case {
         };
         let source = if n == 0 { 0 } else { draw(&mut rng, 0..n as VertexId) };
         Case { graph, split, net, cfg, framework, app, source }
+    }
+
+    /// A mesh case: a road network or a full grid of 33 to 71 vertices a
+    /// side on `Partition::block` over 2 to 8 PEs, running BFS or CC. A
+    /// block's PE offers only into the bands next to its own, so its mirror
+    /// can stay paged.
+    fn draw_mesh(case: u32) -> Self {
+        let mut rng = TestRng::for_case("differential_mesh", case);
+        let (w, h) = (draw(&mut rng, 33..72), draw(&mut rng, 33..72));
+        let graph = match draw(&mut rng, 0..2) {
+            0 => GraphSpec::Road { w, h, seed: draw(&mut rng, 0..1 << 20) },
+            _ => GraphSpec::Grid { w, h },
+        };
+        let net = match draw(&mut rng, 0..3) {
+            0 => Net::Daisy(draw(&mut rng, 2..5)),
+            1 => Net::Summit(draw(&mut rng, 2..7)),
+            _ => Net::Ib(draw(&mut rng, 2..9)),
+        };
+        let cfg = draw_config(&mut rng);
+        let framework = pick(&mut rng, &FRAMEWORKS);
+        let app = pick(&mut rng, &[App::Bfs, App::Cc]);
+        let source = draw(&mut rng, 0..(w * h) as VertexId);
+        Case { graph, split: Split::Block, net, cfg, framework, app, source }
     }
 }
 
@@ -344,10 +380,7 @@ fn run(case: &Case, g: &Arc<Csr>, part: &Arc<Partition>) -> (Answer, Option<RunS
                 }
                 None => {
                     let mut app = BfsApp::components(g, part.clone());
-                    let seeds = (0..part.n_parts())
-                        .map(|pe| part.vertices_of(pe).into_iter().map(|v| (v, v)).collect())
-                        .collect();
-                    let (stats, _) = run_bsp(&mut app, fabric, seeds);
+                    let (stats, _) = run_bsp(&mut app, fabric, cc_seeds(&part));
                     (app.depth, stats)
                 }
             };
@@ -378,6 +411,41 @@ fn run(case: &Case, g: &Arc<Csr>, part: &Arc<Partition>) -> (Answer, Option<RunS
         App::HostBfs => return (Answer::Depth(host_bfs(g, part, src, None).depth), None),
     };
     (answer, Some(stats))
+}
+
+/// Every vertex labelled with itself, on its owner: CC's seeds.
+fn cc_seeds(part: &Partition) -> Vec<Vec<(VertexId, u32)>> {
+    (0..part.n_parts())
+        .map(|pe| part.vertices_of(pe).into_iter().map(|v| (v, v)).collect())
+        .collect()
+}
+
+/// One more run of a BFS or CC `case`, as `run` makes it, returning the
+/// finished application for its mirrors.
+fn finished_bfs_app(case: &Case, g: &Arc<Csr>, part: &Arc<Partition>) -> BfsApp {
+    let (mut app, seeds) = match case.app {
+        App::Bfs => {
+            let mut seeds = vec![Vec::new(); part.n_parts()];
+            seeds[part.owner(case.source)].push((case.source, 0));
+            (BfsApp::new(g.clone(), part.clone(), case.source), seeds)
+        }
+        App::Cc => (BfsApp::components(Arc::new(g.symmetrize()), part.clone()), cc_seeds(part)),
+        app => unreachable!("{app:?} keeps no BfsApp mirror"),
+    };
+    match config(case, g) {
+        Some(cfg) => {
+            let mut rt = Runtime::new(app, case.net.build(), cfg);
+            for (pe, tasks) in seeds.into_iter().enumerate() {
+                rt.seed(pe, tasks);
+            }
+            rt.run();
+            rt.into_app()
+        }
+        None => {
+            run_bsp(&mut app, case.net.build(), seeds);
+            app
+        }
+    }
 }
 
 /// Property 1: the answer the serial reference computes.
@@ -415,13 +483,14 @@ fn check(case: &Case) {
     assert!(peak <= bound, "{peak} pending events, more than n_pes·(n_pes+2) = {bound}");
 }
 
-/// Prints the failing case, index and input, while its check unwinds.
-struct Report<'a>(u32, &'a Case);
+/// Prints the failing case, index, case count and input, while its check
+/// unwinds.
+struct Report<'a>(u32, u32, &'a Case);
 
 impl Drop for Report<'_> {
     fn drop(&mut self) {
         if std::thread::panicking() {
-            eprintln!("differential: case {} of {CASES} failed: {:#?}", self.0, self.1);
+            eprintln!("differential: case {} of {} failed: {:#?}", self.0, self.1, self.2);
         }
     }
 }
@@ -433,10 +502,27 @@ fn every_configuration_matches_the_references() {
             s.spawn(move || {
                 for i in (t..CASES).step_by(THREADS as usize) {
                     let case = Case::draw(i);
-                    let _report = Report(i, &case);
+                    let _report = Report(i, CASES, &case);
                     check(&case);
                 }
             });
         }
     });
+}
+
+#[test]
+fn meshes_keep_some_bfs_mirror_paged() {
+    let mut paged = 0;
+    for i in 0..MESH_CASES {
+        let case = Case::draw_mesh(i);
+        let _report = Report(i, MESH_CASES, &case);
+        check(&case);
+        let g = Arc::new(case.graph.build());
+        let n_pes = case.net.n_pes();
+        let part = Arc::new(case.split.build(&g, n_pes));
+        // Every mirror dense holds at least `n` slots per PE.
+        let dense = n_pes * g.n_vertices() * std::mem::size_of::<u32>();
+        paged += (finished_bfs_app(&case, &g, &part).mirror_bytes() < dense) as u32;
+    }
+    assert!(paged > 0, "all {MESH_CASES} mesh cases ended with every mirror dense");
 }
