@@ -40,11 +40,11 @@ use atos_core::{
     assert_owner, Application, AtosConfig, Emitter, Lookahead, NullTracer, RunStats, Runtime,
     Tracer,
 };
-use atos_macros::atos_hot;
 use atos_graph::csr::{Csr, VertexId};
 use atos_graph::partition::Partition;
 use atos_graph::prefetch::prefetch;
 use atos_graph::reference::UNREACHED;
+use atos_macros::atos_hot;
 use atos_sim::Fabric;
 
 /// Slots per page of a paged [`Mirror`]. A constant, not a knob: 64, 256
@@ -275,7 +275,12 @@ impl Application for BfsApp {
     /// `(vertex, depth at push time)`.
     type Task = (VertexId, u32);
 
-    fn process(&mut self, pe: usize, (v, _pushed_depth): Self::Task, out: &mut Emitter<Self::Task>) {
+    fn process(
+        &mut self,
+        pe: usize,
+        (v, _pushed_depth): Self::Task,
+        out: &mut Emitter<Self::Task>,
+    ) {
         debug_assert_eq!(self.partition.owner(v), pe, "task on wrong PE");
         let d = self.depth[v as usize];
         debug_assert_ne!(d, UNREACHED, "queued vertex must have a depth");
@@ -518,7 +523,13 @@ mod tests {
             Fabric::daisy(4),
             AtosConfig::standard_persistent(),
         );
-        let disc = run_bfs(g, part, src, Fabric::daisy(4), AtosConfig::priority_discrete());
+        let disc = run_bfs(
+            g,
+            part,
+            src,
+            Fabric::daisy(4),
+            AtosConfig::priority_discrete(),
+        );
         assert!(
             pers.stats.elapsed_ns < disc.stats.elapsed_ns,
             "persistent {} vs discrete {}",
@@ -554,7 +565,9 @@ mod tests {
         assert_eq!(plain.stats.elapsed_ns, traced.stats.elapsed_ns);
         assert_eq!(plain.stats.messages, traced.stats.messages);
         assert!(!buf.is_empty(), "tracer saw the run");
-        assert!(buf.events_named("step").len() as u64 >= traced.stats.steps_per_pe.iter().sum::<u64>());
+        assert!(
+            buf.events_named("step").len() as u64 >= traced.stats.steps_per_pe.iter().sum::<u64>()
+        );
     }
 
     #[test]

@@ -48,7 +48,10 @@ impl HostBfsApp {
 
     /// Snapshot the depth array (after the run).
     pub fn depths(&self) -> Vec<u32> {
-        self.depth.iter().map(|d| d.load(Ordering::Relaxed)).collect()
+        self.depth
+            .iter()
+            .map(|d| d.load(Ordering::Relaxed))
+            .collect()
     }
 }
 
@@ -97,9 +100,8 @@ pub fn host_bfs(
     cfg: Option<HostConfig>,
 ) -> HostBfsRun {
     let n_pes = partition.n_parts();
-    let cfg = cfg.unwrap_or_else(|| {
-        HostConfig::new(n_pes, 4 * graph.n_edges() + graph.n_vertices() + 64)
-    });
+    let cfg = cfg
+        .unwrap_or_else(|| HostConfig::new(n_pes, 4 * graph.n_edges() + graph.n_vertices() + 64));
     assert_eq!(cfg.n_pes, n_pes, "config PEs must match partition");
     let app = HostBfsApp::new(graph, partition.clone(), source);
     let mut seeds = vec![Vec::new(); n_pes];

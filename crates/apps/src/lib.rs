@@ -32,8 +32,8 @@ pub mod pagerank;
 pub mod sssp;
 
 pub use bfs::{BfsApp, BfsRun};
-pub use host_bfs::{host_bfs, HostBfsApp, HostBfsRun};
 pub use cc::CcRun;
+pub use host_bfs::{host_bfs, HostBfsApp, HostBfsRun};
 pub use pagerank::{PageRankApp, PageRankRun};
 pub use sssp::{SsspApp, SsspRun};
 

@@ -37,14 +37,12 @@ use std::fmt;
 use std::num::NonZeroU32;
 use std::sync::Arc;
 
-use atos_core::{
-    assert_owner, Application, AtosConfig, Emitter, Lookahead, RunStats, Runtime,
-};
-use atos_macros::atos_hot;
+use atos_core::{assert_owner, Application, AtosConfig, Emitter, Lookahead, RunStats, Runtime};
 use atos_graph::csr::{Csr, VertexId};
 use atos_graph::grouped::OwnerGrouped;
 use atos_graph::partition::Partition;
 use atos_graph::prefetch::prefetch;
+use atos_macros::atos_hot;
 use atos_sim::Fabric;
 
 /// A PageRank task: relax an owned vertex, or apply a remote contribution.
@@ -89,9 +87,11 @@ impl fmt::Debug for PrTask {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match *self {
             PrTask::Relax(v) => f.debug_tuple("Relax").field(&v).finish(),
-            PrTask::Contrib(w, c) => {
-                f.debug_tuple("Contrib").field(&PrTask::target(w)).field(&c).finish()
-            }
+            PrTask::Contrib(w, c) => f
+                .debug_tuple("Contrib")
+                .field(&PrTask::target(w))
+                .field(&c)
+                .finish(),
         }
     }
 }
@@ -134,7 +134,10 @@ impl PageRankApp {
         );
         let n = graph.n_vertices();
         assert_eq!(partition.n_vertices(), n, "partition/graph size");
-        assert!(n < u32::MAX as usize, "PrTask::Contrib stores !vertex in a NonZeroU32");
+        assert!(
+            n < u32::MAX as usize,
+            "PrTask::Contrib stores !vertex in a NonZeroU32"
+        );
         PageRankApp {
             adj: Arc::new(OwnerGrouped::build(&graph, &partition)),
             partition,
@@ -233,7 +236,10 @@ impl Application for PageRankApp {
                 // same sequence of f64 additions as an ungrouped walk.
                 compact(segment, &mut out.local, |w| {
                     assert_owner!(self.partition, w, pe);
-                    (w, deposit(&mut self.residue[w as usize], self.epsilon, share))
+                    (
+                        w,
+                        deposit(&mut self.residue[w as usize], self.epsilon, share),
+                    )
                 });
             } else {
                 out.extend_remote(owner, segment.iter().map(|&w| PrTask::contrib(w, contrib)));
@@ -371,10 +377,16 @@ mod tests {
         assert_eq!(std::mem::size_of::<PrTask>(), 8);
         // The hand-written Debug is the derive's, vertex uncomplemented.
         assert_eq!(format!("{:?}", PrTask::Relax(7)), "Relax(7)");
-        assert_eq!(format!("{:?}", PrTask::contrib(0, 0.25)), "Contrib(0, 0.25)");
+        assert_eq!(
+            format!("{:?}", PrTask::contrib(0, 0.25)),
+            "Contrib(0, 0.25)"
+        );
         let last = PrTask::contrib(u32::MAX - 1, 1e-7);
         assert_eq!(format!("{last:?}"), "Contrib(4294967294, 1e-7)");
-        assert_eq!(format!("{last:#?}"), "Contrib(\n    4294967294,\n    1e-7,\n)");
+        assert_eq!(
+            format!("{last:#?}"),
+            "Contrib(\n    4294967294,\n    1e-7,\n)"
+        );
         for w in [0, 1, 7, u32::MAX - 1] {
             let PrTask::Contrib(packed, c) = PrTask::contrib(w, 0.5) else {
                 panic!("contrib built a Relax");
@@ -383,7 +395,10 @@ mod tests {
         }
         // Total outside its precondition: no panic edge in release builds.
         #[cfg(not(debug_assertions))]
-        assert_eq!(format!("{:?}", PrTask::contrib(u32::MAX, 0.5)), "Contrib(4294967294, 0.5)");
+        assert_eq!(
+            format!("{:?}", PrTask::contrib(u32::MAX, 0.5)),
+            "Contrib(4294967294, 0.5)"
+        );
     }
 
     #[test]
@@ -413,7 +428,10 @@ mod tests {
                 .err()
                 .unwrap_or_else(|| panic!("alpha {alpha}, epsilon {epsilon} accepted"));
             let text = panic.downcast_ref::<String>().expect("a formatted message");
-            assert!(text.starts_with(&format!("PageRank {named} must be")), "{text}");
+            assert!(
+                text.starts_with(&format!("PageRank {named} must be")),
+                "{text}"
+            );
         }
         // Both ends of alpha's range are legal, and so is a threshold above
         // the starting residue: nothing is folded, nothing is sent.

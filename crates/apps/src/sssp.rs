@@ -66,12 +66,12 @@
 use std::sync::Arc;
 
 use atos_core::{assert_owner, Application, AtosConfig, Emitter, Lookahead, RunStats, Runtime};
-use atos_macros::atos_hot;
 use atos_graph::csr::{Csr, VertexId};
 use atos_graph::light::LightEdges;
 use atos_graph::partition::Partition;
 use atos_graph::prefetch::prefetch;
 use atos_graph::weights::{EdgeWeights, UNREACHED_DIST};
+use atos_macros::atos_hot;
 use atos_sim::Fabric;
 
 /// Task kind: relax all edges (split mode off).
@@ -84,7 +84,6 @@ pub const KIND_HEAVY: u8 = 2;
 
 /// What `SsspApp::view` and `heavy_sent` hold for "no distance yet".
 const UNREACHED_VIEW: u32 = u32::MAX;
-
 
 /// SSSP as an Atos application.
 pub struct SsspApp {
@@ -172,7 +171,13 @@ impl SsspApp {
         let light = split.then(|| Arc::new(LightEdges::build(&graph, &weights, delta)));
         let heavy_sent = match &light {
             Some(light) => (0..n as VertexId)
-                .map(|v| if light.degree(v) < graph.degree(v) { UNREACHED_VIEW } else { 0 })
+                .map(|v| {
+                    if light.degree(v) < graph.degree(v) {
+                        UNREACHED_VIEW
+                    } else {
+                        0
+                    }
+                })
                 .collect(),
             None => Vec::new(),
         };
@@ -241,7 +246,12 @@ impl Application for SsspApp {
     /// format carries a constant byte and behavior is unchanged.
     type Task = (VertexId, u64, u8);
 
-    fn process(&mut self, pe: usize, (v, _pushed, kind): Self::Task, out: &mut Emitter<Self::Task>) {
+    fn process(
+        &mut self,
+        pe: usize,
+        (v, _pushed, kind): Self::Task,
+        out: &mut Emitter<Self::Task>,
+    ) {
         debug_assert_eq!(self.partition.owner(v), pe);
         let d = self.dist[v as usize];
         debug_assert_ne!(d, UNREACHED_DIST);
@@ -276,7 +286,11 @@ impl Application for SsspApp {
         let view = self.view[pe].as_mut_slice();
         if kind == KIND_LIGHT {
             let row = split_rows(&self.light).row(v);
-            relax(row.iter().map(|&(w, wt)| (w, d + wt as u64)), view, improved);
+            relax(
+                row.iter().map(|&(w, wt)| (w, d + wt as u64)),
+                view,
+                improved,
+            );
         } else {
             // A heavy task skips the row's light edges (its light tasks
             // relaxed them); KIND_FULL relaxes all. The skip is a select,
@@ -286,10 +300,17 @@ impl Application for SsspApp {
             // branch on it discards the `view` loads already in flight
             // (DESIGN.md §4.9).
             let skip_light = kind == KIND_HEAVY;
-            let row = self.graph.neighbors(v).iter().zip(self.weights.of(&self.graph, v));
+            let row = self
+                .graph
+                .neighbors(v)
+                .iter()
+                .zip(self.weights.of(&self.graph, v));
             let offers = row.map(|(&w, &wt)| {
                 let kept = !(skip_light && wt as u64 <= delta);
-                (w, std::hint::select_unpredictable(kept, d + wt as u64, u64::MAX))
+                (
+                    w,
+                    std::hint::select_unpredictable(kept, d + wt as u64, u64::MAX),
+                )
             });
             relax(offers, view, improved);
         }
@@ -568,7 +589,11 @@ mod tests {
             Fabric::daisy(n_pes),
             cfg,
         );
-        assert_eq!(run.dist, dijkstra(g, w, src), "split distances must be exact");
+        assert_eq!(
+            run.dist,
+            dijkstra(g, w, src),
+            "split distances must be exact"
+        );
         run
     }
 
@@ -608,11 +633,19 @@ mod tests {
         assert_eq!(spy.app.dist, split.dist);
         let all_light = |v: VertexId| w.of(&g, v).iter().all(|&wt| wt <= 8);
         assert!(!spy.heavy.is_empty(), "the run has heavy tasks");
-        assert!(spy.heavy.iter().all(|&v| !all_light(v)), "heavy task on an all-light vertex");
+        assert!(
+            spy.heavy.iter().all(|&v| !all_light(v)),
+            "heavy task on an all-light vertex"
+        );
         let reached_all_light = (0..g.n_vertices() as VertexId)
-            .filter(|&v| g.degree(v) > 0 && all_light(v) && spy.app.dist[v as usize] != UNREACHED_DIST)
+            .filter(|&v| {
+                g.degree(v) > 0 && all_light(v) && spy.app.dist[v as usize] != UNREACHED_DIST
+            })
             .count();
-        assert!(reached_all_light > 0, "no reached vertex has only light edges");
+        assert!(
+            reached_all_light > 0,
+            "no reached vertex has only light edges"
+        );
     }
 
     #[test]
@@ -653,7 +686,10 @@ mod tests {
         let g = Arc::new(Csr::from_edges(4, &[(0, 1), (1, 2), (2, 3)]));
         let w = Arc::new(EdgeWeights::random(&g, u32::MAX, 1));
         let max = w.max();
-        assert!(4 * max as u64 >= u32::MAX as u64, "the case needs a heavy edge, drew {max}");
+        assert!(
+            4 * max as u64 >= u32::MAX as u64,
+            "the case needs a heavy edge, drew {max}"
+        );
         let part = Arc::new(Partition::single(4));
         let built = std::panic::catch_unwind(|| SsspApp::new(g, w, part, 0, 8).delta);
         let err = built.expect_err("a view that cannot hold every offer is refused");

@@ -49,16 +49,32 @@ fn cases() -> Vec<(&'static str, Fabric, AtosConfig)> {
         ..AtosConfig::ib_pagerank()
     };
     vec![
-        ("daisy4/persistent", Fabric::daisy(4), AtosConfig::standard_persistent()),
-        ("daisy4/discrete", Fabric::daisy(4), AtosConfig::standard_discrete()),
-        ("ib8/ib_pagerank", Fabric::ib_cluster(8), AtosConfig::ib_pagerank()),
+        (
+            "daisy4/persistent",
+            Fabric::daisy(4),
+            AtosConfig::standard_persistent(),
+        ),
+        (
+            "daisy4/discrete",
+            Fabric::daisy(4),
+            AtosConfig::standard_discrete(),
+        ),
+        (
+            "ib8/ib_pagerank",
+            Fabric::ib_cluster(8),
+            AtosConfig::ib_pagerank(),
+        ),
         ("ib4/wait4", Fabric::ib_cluster(4), eager),
     ]
 }
 
 /// The row and the run's `peak_pending_events`.
 fn run(fabric: Fabric, cfg: AtosConfig) -> (Row, u64) {
-    let g = Arc::new(Preset::by_name("soc-LiveJournal1_s").unwrap().build(Scale::Tiny));
+    let g = Arc::new(
+        Preset::by_name("soc-LiveJournal1_s")
+            .unwrap()
+            .build(Scale::Tiny),
+    );
     let part = Arc::new(Partition::random(g.n_vertices(), fabric.n_pes(), 7));
     let app = PageRankApp::new(g, part.clone(), 0.85, 1e-6);
     let mut rt = Runtime::new(app, fabric, cfg);

@@ -45,7 +45,10 @@ fn cases() -> Vec<(&'static str, Fabric, AtosConfig)> {
         },
         ..base
     };
-    let (fifo, prio) = (AtosConfig::standard_persistent(), AtosConfig::priority_discrete());
+    let (fifo, prio) = (
+        AtosConfig::standard_persistent(),
+        AtosConfig::priority_discrete(),
+    );
     vec![
         ("daisy4/persistent", Fabric::daisy(4), fifo),
         ("daisy4/priority", Fabric::daisy(4), prio),
@@ -67,7 +70,12 @@ fn input(preset: &str) -> Input {
     let weights = Arc::new(EdgeWeights::random(&graph, MAX_WEIGHT, 1));
     let source = p.bfs_source(&graph);
     let exact = dijkstra(&graph, &weights, source);
-    Input { graph, weights, source, exact }
+    Input {
+        graph,
+        weights,
+        source,
+        exact,
+    }
 }
 
 /// The row and the run's `peak_pending_events`.
@@ -75,7 +83,10 @@ fn run(input: &Input, split: bool, fabric: Fabric, cfg: AtosConfig) -> (Row, u64
     let (g, w, src) = (input.graph.clone(), input.weights.clone(), input.source);
     let part = Arc::new(Partition::random(g.n_vertices(), fabric.n_pes(), 7));
     let (app, kind) = if split {
-        (SsspApp::new_split(g, w, part.clone(), src, DELTA), KIND_LIGHT)
+        (
+            SsspApp::new_split(g, w, part.clone(), src, DELTA),
+            KIND_LIGHT,
+        )
     } else {
         (SsspApp::new(g, w, part.clone(), src, DELTA), KIND_FULL)
     };

@@ -91,7 +91,9 @@ impl BspClock {
                 }
                 let bytes = run.len() as u64 * task_bytes;
                 let (from, to) = (PeId(src as u32), PeId(dst as u32));
-                let arrival = self.fabric.transfer(self.clock, from, to, bytes, self.control);
+                let arrival = self
+                    .fabric
+                    .transfer(self.clock, from, to, bytes, self.control);
                 self.stats.messages += 1;
                 self.stats.payload_bytes += bytes;
                 self.stats.remote_tasks += run.len() as u64;
@@ -143,8 +145,9 @@ pub fn run_bsp<A: Application>(
     let task_bytes = app.task_bytes();
     let mut frontier = seeds;
     // `sends[src][dst]`: the run `src` ships to `dst` at this barrier.
-    let mut sends: Vec<Vec<Vec<A::Task>>> =
-        (0..n_pes).map(|_| (0..n_pes).map(|_| Vec::new()).collect()).collect();
+    let mut sends: Vec<Vec<Vec<A::Task>>> = (0..n_pes)
+        .map(|_| (0..n_pes).map(|_| Vec::new()).collect())
+        .collect();
     let mut supersteps = 0u32;
     let mut out = Emitter::new(0, n_pes);
 
@@ -206,7 +209,12 @@ pub fn bsp_bfs(
     let mut seeds = vec![Vec::new(); fabric.n_pes()];
     seeds[partition.owner(source)].push((source, 0));
     let (stats, iterations) = run_bsp(&mut app, fabric, seeds);
-    BspRun { stats, depth: app.depth, rank: Vec::new(), iterations }
+    BspRun {
+        stats,
+        depth: app.depth,
+        rank: Vec::new(),
+        iterations,
+    }
 }
 
 /// Bulk-synchronous push PageRank (Gunrock-like): [`PageRankApp`] under
@@ -222,10 +230,21 @@ pub fn bsp_pagerank(
     assert_partition_fits(&partition, &fabric);
     let mut app = PageRankApp::new(graph, partition.clone(), alpha, epsilon);
     let seeds = (0..partition.n_parts())
-        .map(|pe| partition.vertices_of(pe).into_iter().map(PrTask::Relax).collect())
+        .map(|pe| {
+            partition
+                .vertices_of(pe)
+                .into_iter()
+                .map(PrTask::Relax)
+                .collect()
+        })
         .collect();
     let (stats, iterations) = run_bsp(&mut app, fabric, seeds);
-    BspRun { stats, depth: Vec::new(), rank: app.rank, iterations }
+    BspRun {
+        stats,
+        depth: Vec::new(),
+        rank: app.rank,
+        iterations,
+    }
 }
 
 #[cfg(test)]

@@ -58,7 +58,7 @@ mod tests {
     use atos_sim::Fabric;
 
     #[test]
-    fn atos_beats_galois_on_ib(){
+    fn atos_beats_galois_on_ib() {
         // Table V: Atos wins on every dataset, hugely on mesh.
         let p = Preset::by_name("road_usa_s").unwrap();
         let g = Arc::new(p.build(Scale::Tiny));

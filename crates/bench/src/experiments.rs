@@ -27,7 +27,10 @@ use crate::{relative_speedup, Dataset, ALPHA, EPSILON};
 /// Dataset construction + statistics are the cost, so each preset is one
 /// sweep cell.
 pub fn table1_datasets(args: &BenchArgs) {
-    println!("Table I: summary of the datasets (scaled presets, {:?})", args.scale);
+    println!(
+        "Table I: summary of the datasets (scaled presets, {:?})",
+        args.scale
+    );
     println!(
         "{:<22}{:>10}{:>12}{:>8}{:>12}{:>12}{:>8}  type",
         "Dataset", "Vertices", "Edges", "Diam.", "Max indeg", "Max outdeg", "Avg",
@@ -88,7 +91,10 @@ pub fn table3_priority_workload(args: &BenchArgs) {
     let header = |width: usize| {
         print!("{:<22}", "Dataset");
         for g in gpus {
-            print!("{:>width$}", format!("{g} GPU{}", if g > 1 { "s" } else { "" }));
+            print!(
+                "{:>width$}",
+                format!("{g} GPU{}", if g > 1 { "s" } else { "" })
+            );
         }
         println!();
     };
@@ -120,7 +126,11 @@ pub fn table3_priority_workload(args: &BenchArgs) {
     let sssp_pairs = SweepRunner::new(args.threads).run(&cells, |_, &(d, g)| {
         let ds = &datasets[d];
         let part = ds.partition(g);
-        let weights = Arc::new(EdgeWeights::random(&ds.graph, SSSP_MAX_WEIGHT, SSSP_WEIGHT_SEED));
+        let weights = Arc::new(EdgeWeights::random(
+            &ds.graph,
+            SSSP_MAX_WEIGHT,
+            SSSP_WEIGHT_SEED,
+        ));
         let cfg = AtosConfig::priority_discrete();
         let dij = run_sssp(
             ds.graph.clone(),
@@ -165,7 +175,15 @@ pub fn fig1_queue(args: &BenchArgs) {
     let points: Vec<usize> = if args.scale == Scale::Tiny {
         vec![1 << 10, 1 << 13]
     } else {
-        vec![1 << 10, 1 << 12, 1 << 14, 1 << 15, 1 << 16, 96 * 1024, 128 * 1024]
+        vec![
+            1 << 10,
+            1 << 12,
+            1 << 14,
+            1 << 15,
+            1 << 16,
+            96 * 1024,
+            128 * 1024,
+        ]
     };
     println!(
         "Figure 1: queue microbenchmarks ({} ops per virtual thread)",
@@ -198,7 +216,10 @@ pub fn fig1_queue(args: &BenchArgs) {
 /// packet-model evaluations.
 pub fn fig2_efficiency(_args: &BenchArgs) {
     println!("Figure 2: bandwidth efficiency vs requested bytes");
-    println!("{:<18}{:>14}{:>14}", "requested bytes", "PCIe gen 3", "NVLink");
+    println!(
+        "{:<18}{:>14}{:>14}",
+        "requested bytes", "PCIe gen 3", "NVLink"
+    );
     let pcie = figure2_series(PacketModel::PcieGen3);
     let nv = figure2_series(PacketModel::NvLink);
     for (p, n) in pcie.iter().zip(&nv) {
@@ -264,7 +285,10 @@ pub fn fig7_summit_node(args: &BenchArgs) {
     let names = ["soc-LiveJournal1_s", "indochina_2004_s"];
     let apps = ["BFS", "PageRank"];
     let frameworks = ["Gunrock", "Atos"];
-    let datasets: Vec<Dataset> = names.iter().map(|n| Dataset::named(n, args.scale)).collect();
+    let datasets: Vec<Dataset> = names
+        .iter()
+        .map(|n| Dataset::named(n, args.scale))
+        .collect();
 
     let mut cells: Vec<(usize, usize, usize, usize)> = Vec::new();
     for d in 0..datasets.len() {
@@ -414,7 +438,14 @@ pub fn ablation_worker(args: &BenchArgs) {
             worker,
             ..AtosConfig::standard_persistent()
         };
-        let stats = run_bfs(ds.graph.clone(), part.clone(), ds.source, Fabric::daisy(4), cfg).stats;
+        let stats = run_bfs(
+            ds.graph.clone(),
+            part.clone(),
+            ds.source,
+            Fabric::daisy(4),
+            cfg,
+        )
+        .stats;
         format!(
             "{:<14}{:>8}{:>14.3}{:>14}{:>12}",
             shapes[s].0,

@@ -180,8 +180,14 @@ pub fn frameworks(system: System, app: App) -> &'static [(&'static str, Framewor
         (System::Nvlink, App::PageRank) => &[
             ("Gunrock", Framework::Gunrock),
             GROUTE,
-            ("Atos (discrete kernel)", Framework::Config(|_| AtosConfig::standard_discrete())),
-            ("Atos (persistent kernel)", Framework::Config(|_| AtosConfig::standard_persistent())),
+            (
+                "Atos (discrete kernel)",
+                Framework::Config(|_| AtosConfig::standard_discrete()),
+            ),
+            (
+                "Atos (persistent kernel)",
+                Framework::Config(|_| AtosConfig::standard_persistent()),
+            ),
         ],
         (System::Ib, App::Bfs) => &[
             ("Galois", Framework::Config(galois_config)),

@@ -46,7 +46,10 @@ pub fn reference(args: &BenchArgs) {
         ("virtual time (ns)", "run.elapsed_ns"),
         ("reached vertices", "run.reached_vertices"),
     ] {
-        println!("{label:<20}{:>12}", reg.get(key).expect("reference run fills run.*"));
+        println!(
+            "{label:<20}{:>12}",
+            reg.get(key).expect("reference run fills run.*")
+        );
     }
     if let Some(path) = &args.trace {
         write_artifact(path, &perfetto::to_chrome_json(&buf), "trace");

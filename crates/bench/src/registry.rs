@@ -274,7 +274,10 @@ impl GridSpec {
 
     /// The grid's datasets built at `scale`, in row order.
     pub fn datasets(&self, scale: Scale) -> Vec<Dataset> {
-        self.dataset_names().iter().map(|n| Dataset::named(n, scale)).collect()
+        self.dataset_names()
+            .iter()
+            .map(|n| Dataset::named(n, scale))
+            .collect()
     }
 
     /// Every cell, ordered application → dataset → framework → GPU count
@@ -286,7 +289,12 @@ impl GridSpec {
             for dataset in 0..n_datasets {
                 for framework in 0..frameworks(self.system, app).len() {
                     for gpus in 1..=self.max_gpus {
-                        cells.push(Cell { app, dataset, framework, gpus });
+                        cells.push(Cell {
+                            app,
+                            dataset,
+                            framework,
+                            gpus,
+                        });
                     }
                 }
             }
@@ -322,7 +330,11 @@ pub fn run_grid(spec: &GridSpec, args: &BenchArgs) {
         let fws = frameworks(spec.system, app);
         let by_dataset: Vec<Vec<&[f64]>> = datasets
             .iter()
-            .map(|_| fws.iter().map(|_| series.next().expect("one series per cell run")).collect())
+            .map(|_| {
+                fws.iter()
+                    .map(|_| series.next().expect("one series per cell run"))
+                    .collect()
+            })
             .collect();
         match spec.render {
             Render::Runtimes => {
@@ -331,7 +343,10 @@ pub fn run_grid(spec: &GridSpec, args: &BenchArgs) {
                         .iter()
                         .zip(&by_dataset)
                         .map(|(ds, s)| {
-                            (format!("{}{}", ds.preset.name, ds.preset.kind.suffix()), s[f])
+                            (
+                                format!("{}{}", ds.preset.name, ds.preset.kind.suffix()),
+                                s[f],
+                            )
                         })
                         .collect()
                 };
@@ -380,7 +395,10 @@ fn print_table_block(
     println!("\nApplication: {title}");
     print!("{:<22}", "dataset");
     for g in gpu_counts {
-        print!("{:>18}", format!("{g} GPU{}", if *g > 1 { "s" } else { "" }));
+        print!(
+            "{:>18}",
+            format!("{g} GPU{}", if *g > 1 { "s" } else { "" })
+        );
     }
     println!();
     for (i, (name, ms)) in rows.iter().enumerate() {
@@ -408,7 +426,12 @@ mod tests {
     #[test]
     fn only_the_reference_run_accepts_artifact_flags() {
         for e in &EXPERIMENTS {
-            assert_eq!(e.check_flags(&args(&["--quick", "--threads", "3"])), Ok(()), "{}", e.name);
+            assert_eq!(
+                e.check_flags(&args(&["--quick", "--threads", "3"])),
+                Ok(()),
+                "{}",
+                e.name
+            );
             for flag in ["--trace", "--metrics"] {
                 let got = e.check_flags(&args(&[flag, "/tmp/x.json"]));
                 if e.name == REFERENCE {
@@ -427,9 +450,17 @@ mod tests {
         assert_eq!(cells.len(), 2 * 6 * 2 * 8);
         assert_eq!(
             cells[0],
-            Cell { app: App::Bfs, dataset: 0, framework: 0, gpus: 1 }
+            Cell {
+                app: App::Bfs,
+                dataset: 0,
+                framework: 0,
+                gpus: 1
+            }
         );
-        assert_eq!(frameworks(spec.system, App::Bfs)[cells[8].framework].0, "Atos");
+        assert_eq!(
+            frameworks(spec.system, App::Bfs)[cells[8].framework].0,
+            "Atos"
+        );
         assert!(cells.chunks(8).all(|s| s.iter().map(|c| c.gpus).eq(1..=8)));
         assert_eq!(grid("fig5_scaling_nvlink").cells().len(), 2 * 4 * 4 * 4);
     }

@@ -59,8 +59,10 @@ impl BenchArgs {
                 "--quick" => scale = Scale::Tiny,
                 "--threads" => {
                     let v = it.next().ok_or("--threads requires a value")?;
-                    threads =
-                        Some(v.parse().map_err(|_| format!("invalid --threads value `{v}`"))?);
+                    threads = Some(
+                        v.parse()
+                            .map_err(|_| format!("invalid --threads value `{v}`"))?,
+                    );
                 }
                 "--trace" => {
                     let v = it.next().ok_or("--trace requires a path")?;

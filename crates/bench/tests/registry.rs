@@ -31,7 +31,11 @@ fn run(name: &str, flags: &[&str], cwd: &Path) -> (Option<i32>, Vec<u8>, String)
         .args(flags)
         .output()
         .expect("atos-bench should spawn");
-    (out.status.code(), out.stdout, String::from_utf8_lossy(&out.stderr).into_owned())
+    (
+        out.status.code(),
+        out.stdout,
+        String::from_utf8_lossy(&out.stderr).into_owned(),
+    )
 }
 
 #[test]
@@ -48,15 +52,24 @@ fn every_row_is_documented_reproducible_and_ignores_no_flag() {
 
     for (i, e) in EXPERIMENTS.iter().enumerate() {
         let name = e.name;
-        assert!(EXPERIMENTS[..i].iter().all(|o| o.name != name), "duplicate row {name}");
-        assert!(index.contains(&format!("`{name}`")), "DESIGN.md §3 does not mention `{name}`");
+        assert!(
+            EXPERIMENTS[..i].iter().all(|o| o.name != name),
+            "duplicate row {name}"
+        );
+        assert!(
+            index.contains(&format!("`{name}`")),
+            "DESIGN.md §3 does not mention `{name}`"
+        );
 
         let (code, plain, stderr) = run(name, &[], &cwd);
         assert_eq!(code, Some(0), "{name}: {stderr}");
         assert!(!plain.is_empty(), "{name} printed nothing");
         if let Some((_, file)) = QUICK_GOLDENS.iter().find(|(n, _)| *n == name) {
             let golden = std::fs::read(repo_root().join("results").join(file)).unwrap();
-            assert!(plain == golden, "{name} --quick differs from results/{file}");
+            assert!(
+                plain == golden,
+                "{name} --quick differs from results/{file}"
+            );
         }
 
         // Refused by name before anything is printed or written.
@@ -65,7 +78,10 @@ fn every_row_is_documented_reproducible_and_ignores_no_flag() {
             let (code, stdout, stderr) = run(name, &["--trace", trace.to_str().unwrap()], &cwd);
             assert_eq!(code, Some(2), "{name} --trace: {stderr}");
             assert!(stderr.contains("--trace"), "{stderr}");
-            assert!(stdout.is_empty() && !trace.exists(), "{name} ran before refusing");
+            assert!(
+                stdout.is_empty() && !trace.exists(),
+                "{name} ran before refusing"
+            );
         }
         // Unknown flags, such as the old timing report's, are refused alike.
         for flag in ["--json", "--run-id"] {
@@ -75,11 +91,20 @@ fn every_row_is_documented_reproducible_and_ignores_no_flag() {
             assert!(stdout.is_empty(), "{name} ran before refusing {flag}");
         }
 
-        let left: Vec<_> = std::fs::read_dir(&cwd).unwrap().map(|e| e.unwrap().path()).collect();
-        assert!(left.is_empty(), "{name} wrote into its working directory: {left:?}");
+        let left: Vec<_> = std::fs::read_dir(&cwd)
+            .unwrap()
+            .map(|e| e.unwrap().path())
+            .collect();
+        assert!(
+            left.is_empty(),
+            "{name} wrote into its working directory: {left:?}"
+        );
     }
     for (name, _) in QUICK_GOLDENS {
-        assert!(EXPERIMENTS.iter().any(|e| e.name == name), "golden for unknown row {name}");
+        assert!(
+            EXPERIMENTS.iter().any(|e| e.name == name),
+            "golden for unknown row {name}"
+        );
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -87,7 +112,10 @@ fn every_row_is_documented_reproducible_and_ignores_no_flag() {
 #[test]
 fn an_unknown_or_missing_experiment_prints_the_table() {
     for args in [&[][..], &["table9"], &["--quick"]] {
-        let out = Command::new(env!("CARGO_BIN_EXE_atos-bench")).args(args).output().unwrap();
+        let out = Command::new(env!("CARGO_BIN_EXE_atos-bench"))
+            .args(args)
+            .output()
+            .unwrap();
         assert_eq!(out.status.code(), Some(2), "{args:?}");
         assert!(out.stdout.is_empty());
         let stderr = String::from_utf8_lossy(&out.stderr);

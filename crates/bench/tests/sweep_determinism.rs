@@ -43,10 +43,18 @@ fn same_configuration_runs_twice_identically() {
     // any order on any thread.
     let ds = Dataset::build(Preset::by_name("road_usa_s").unwrap(), Scale::Tiny);
     for (system, app, label, gpus) in [
-        (System::Nvlink, App::Bfs, "Atos (queue+persistent kernel)", 3),
+        (
+            System::Nvlink,
+            App::Bfs,
+            "Atos (queue+persistent kernel)",
+            3,
+        ),
         (System::Ib, App::PageRank, "Atos", 2),
     ] {
-        let &(_, framework) = frameworks(system, app).iter().find(|f| f.0 == label).unwrap();
+        let &(_, framework) = frameworks(system, app)
+            .iter()
+            .find(|f| f.0 == label)
+            .unwrap();
         let once = || run_cell(system, app, framework, &ds, gpus);
         let (a, b) = (once(), once());
         assert_eq!(a.elapsed_ns, b.elapsed_ns, "{system:?}/{app:?}");

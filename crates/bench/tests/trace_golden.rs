@@ -36,7 +36,11 @@ fn trace_export_is_byte_identical_across_runs() {
         if HOST_PROBE_KEYS.contains(&key) {
             continue;
         }
-        assert_eq!(reg_b.get(key), Some(val), "metric {key} must be deterministic");
+        assert_eq!(
+            reg_b.get(key),
+            Some(val),
+            "metric {key} must be deterministic"
+        );
     }
 }
 

@@ -448,7 +448,9 @@ impl Exec {
             st.threads[tid].status = Status::Yielded;
         }
         // A runnable caller can always be re-chosen, so this never deadlocks.
-        let chosen = st.decide_schedule(tid, !yielding).expect("caller is enabled");
+        let chosen = st
+            .decide_schedule(tid, !yielding)
+            .expect("caller is enabled");
         if chosen != tid {
             st.current = chosen;
             self.cv.notify_all();

@@ -115,9 +115,9 @@ impl Path {
                     );
                     o[*taken]
                 }
-                Branch::Value { .. } => panic!(
-                    "nondeterministic model: schedule point where a load was recorded"
-                ),
+                Branch::Value { .. } => {
+                    panic!("nondeterministic model: schedule point where a load was recorded")
+                }
             }
         } else {
             let t = options[0];
@@ -140,9 +140,9 @@ impl Path {
                     );
                     *taken
                 }
-                Branch::Schedule { .. } => panic!(
-                    "nondeterministic model: load point where a schedule was recorded"
-                ),
+                Branch::Schedule { .. } => {
+                    panic!("nondeterministic model: load point where a schedule was recorded")
+                }
             }
         } else {
             self.branches.push(Branch::Value { n, taken: 0 });

@@ -42,11 +42,17 @@ pub use crate::exec::STALE_BOUND;
 use crate::rt;
 
 fn is_acquire(order: Ordering) -> bool {
-    matches!(order, Ordering::Acquire | Ordering::AcqRel | Ordering::SeqCst)
+    matches!(
+        order,
+        Ordering::Acquire | Ordering::AcqRel | Ordering::SeqCst
+    )
 }
 
 fn is_release(order: Ordering) -> bool {
-    matches!(order, Ordering::Release | Ordering::AcqRel | Ordering::SeqCst)
+    matches!(
+        order,
+        Ordering::Release | Ordering::AcqRel | Ordering::SeqCst
+    )
 }
 
 /// One store in a location's modification order.
@@ -115,7 +121,12 @@ impl AtomCore {
 
     /// Newest committed value (no scheduling; for `get_mut` / `Debug`).
     fn latest(&self) -> u64 {
-        self.state.borrow().stores.last().expect("nonempty history").val
+        self.state
+            .borrow()
+            .stores
+            .last()
+            .expect("nonempty history")
+            .val
     }
 
     /// Reset the history to a single initial store after a `get_mut` write.
@@ -149,7 +160,11 @@ impl AtomCore {
                 floor = i;
             }
         }
-        let lo = if st.stale[tid] >= STALE_BOUND { latest } else { floor };
+        let lo = if st.stale[tid] >= STALE_BOUND {
+            latest
+        } else {
+            floor
+        };
         let k = eng.decide_value(latest - lo + 1);
         let idx = latest - k;
         st.last_read[tid] = idx;
@@ -231,7 +246,13 @@ impl AtomCore {
     /// Compare-exchange. A failed CAS is a load of the newest store with
     /// the failure ordering (no spurious weak failures — documented
     /// approximation).
-    fn cas(&self, expected: u64, new: u64, success: Ordering, failure: Ordering) -> Result<u64, u64> {
+    fn cas(
+        &self,
+        expected: u64,
+        new: u64,
+        success: Ordering,
+        failure: Ordering,
+    ) -> Result<u64, u64> {
         let ctx = rt::require();
         ctx.exec.schedule_point(ctx.tid);
         let tid = ctx.tid;
@@ -580,8 +601,11 @@ impl<T> UnsafeCell<T> {
         }
         drop(tr);
         if let Some(msg) = race {
-            ctx.exec
-                .fail_with(eng, FailureKind::DataRace, format!("data race on UnsafeCell: {msg}"));
+            ctx.exec.fail_with(
+                eng,
+                FailureKind::DataRace,
+                format!("data race on UnsafeCell: {msg}"),
+            );
         }
     }
 

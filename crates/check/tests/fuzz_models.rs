@@ -99,14 +99,25 @@ fn fuzz_distributed_queues_push_recv() {
             if ttl > 0 {
                 // Alternate local and one-sided remote pushes so both
                 // queue families see traffic in every schedule.
-                let dst = if ttl.is_multiple_of(2) { pe } else { (pe + 1) % 2 };
+                let dst = if ttl.is_multiple_of(2) {
+                    pe
+                } else {
+                    (pe + 1) % 2
+                };
                 push(dst, ttl - 1);
             }
         }
     }
     atos_check::fuzz_schedules(0xA706, 60, || {
-        let app = Relay { visits: AtomicU64::new(0) };
-        let cfg = HostConfig { n_pes: 2, workers_per_pe: 1, fetch: 1, queue_capacity: 64 };
+        let app = Relay {
+            visits: AtomicU64::new(0),
+        };
+        let cfg = HostConfig {
+            n_pes: 2,
+            workers_per_pe: 1,
+            fetch: 1,
+            queue_capacity: 64,
+        };
         let stats = run_host(&app, cfg, vec![vec![3u32], vec![]]);
         assert_eq!(app.visits.load(Ordering::Relaxed), 4, "ttl 3 → 4 visits");
         assert_eq!(stats.remote_pushes, 2, "ttl 3 and 1 cross PEs");

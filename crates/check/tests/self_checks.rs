@@ -177,7 +177,10 @@ fn stuck_spin_is_livelock() {
             atos_check::sync::spin_loop();
         }
     });
-    assert_eq!(out.failure().expect("must livelock").kind, FailureKind::Livelock);
+    assert_eq!(
+        out.failure().expect("must livelock").kind,
+        FailureKind::Livelock
+    );
 }
 
 /// A broker-style spin *with* a writer terminates: yielding lets the

@@ -58,7 +58,9 @@ impl IssueClock {
         match (need, self.busy) {
             (0, _) => Some(0),
             (_, 0) => None,
-            _ => u64::try_from((need as u128 * self.total as u128).div_ceil(self.busy as u128)).ok(),
+            _ => {
+                u64::try_from((need as u128 * self.total as u128).div_ceil(self.busy as u128)).ok()
+            }
         }
     }
 }

@@ -586,9 +586,9 @@ impl<A: Application, Tr: Tracer> Runtime<A, Tr> {
         }
         // One issue per message across all destinations, or one per task.
         let issues = match self.cfg.comm {
-            CommMode::Direct { group } => {
-                (0..em.n_dst()).map(|dst| em.run_len(dst).div_ceil(group.max(1))).sum()
-            }
+            CommMode::Direct { group } => (0..em.n_dst())
+                .map(|dst| em.run_len(dst).div_ceil(group.max(1)))
+                .sum(),
             CommMode::Aggregated { .. } => total,
         };
         // In-kernel issue times: Atos spreads `issues` sends across the
@@ -870,7 +870,11 @@ mod tests {
 
     #[test]
     fn exchange_key_orders_by_time_then_source_then_counter() {
-        let k = |t, s, c| ExchangeKey { t_key: t, src: s, counter: c };
+        let k = |t, s, c| ExchangeKey {
+            t_key: t,
+            src: s,
+            counter: c,
+        };
         let mut v = [k(5, 1, 0), k(5, 0, 1), k(4, 9, 9), k(5, 0, 0)];
         v.sort();
         assert_eq!(v, [k(4, 9, 9), k(5, 0, 0), k(5, 0, 1), k(5, 1, 0)]);

@@ -300,7 +300,8 @@ mod tests {
     #[test]
     fn a_run_walks_the_classes_and_stays_at_the_last() {
         let mut e = Emitter::new(0, 2);
-        let n = CHUNK_CLASSES.iter().sum::<usize>() + 2 * CHUNK_CLASSES[CHUNK_CLASSES.len() - 1] + 1;
+        let n =
+            CHUNK_CLASSES.iter().sum::<usize>() + 2 * CHUNK_CLASSES[CHUNK_CLASSES.len() - 1] + 1;
         e.extend_remote(1, 0..n as u32);
         let caps: Vec<usize> = e.take_run(1).map(|c| c.capacity()).collect();
         let last = CHUNK_CLASSES[CHUNK_CLASSES.len() - 1];
@@ -319,7 +320,11 @@ mod tests {
             e.pool.give(c);
         }
         e.extend_remote(1, 0..1000u32);
-        assert_eq!(e.pool.peak_bytes(), bytes, "the second run reuses the first's chunks");
+        assert_eq!(
+            e.pool.peak_bytes(),
+            bytes,
+            "the second run reuses the first's chunks"
+        );
     }
 
     #[test]

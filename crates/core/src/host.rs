@@ -225,9 +225,10 @@ fn worker<A: HostApplication>(ctx: &WorkerCtx<'_, A>, pe: usize, tasks_ctr: &Ato
             .recv
             .pop_group(&mut recv_state, ctx.cfg.fetch, &mut batch);
         if got < ctx.cfg.fetch {
-            got += ctx.queues[pe]
-                .local
-                .pop_group(&mut local_state, ctx.cfg.fetch - got, &mut batch);
+            got +=
+                ctx.queues[pe]
+                    .local
+                    .pop_group(&mut local_state, ctx.cfg.fetch - got, &mut batch);
         }
         if got == 0 {
             if ctx.outstanding.load(Ordering::Acquire) == 0 {
@@ -332,7 +333,10 @@ pub fn run_host<A: HostApplication>(
 
     HostStats {
         elapsed,
-        tasks_per_pe: tasks_per_pe.iter().map(|c| c.load(Ordering::Relaxed)).collect(),
+        tasks_per_pe: tasks_per_pe
+            .iter()
+            .map(|c| c.load(Ordering::Relaxed))
+            .collect(),
         remote_pushes: remote_pushes.load(Ordering::Relaxed),
         contention,
         idle_spin_rounds: idle.spins.load(Ordering::Relaxed),
@@ -422,7 +426,12 @@ mod tests {
 
     impl HostApplication for FanOut {
         type Task = (u32, u32); // (depth, salt)
-        fn process(&self, _pe: usize, (depth, salt): Self::Task, push: &mut dyn FnMut(usize, Self::Task)) {
+        fn process(
+            &self,
+            _pe: usize,
+            (depth, salt): Self::Task,
+            push: &mut dyn FnMut(usize, Self::Task),
+        ) {
             if depth == 0 {
                 self.leaves.fetch_add(1, Ordering::Relaxed);
                 return;

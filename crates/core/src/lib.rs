@@ -70,8 +70,8 @@ pub mod workqueue;
 pub use app::Application;
 pub use config::{AtosConfig, CommMode, KernelMode, QueueMode, WorkerConfig, WorkerSize};
 pub use emitter::Emitter;
-pub use metrics::RunStats;
 pub use host::{run_host, HostApplication, HostConfig, HostStats};
+pub use metrics::RunStats;
 pub use runtime::Runtime;
 pub use sharded::{ShardProfile, ShardTelemetry, ShardableApp};
 

@@ -159,7 +159,10 @@ impl<A: Application, Tr: Tracer> Runtime<A, Tr> {
     /// would find no task and strand every seeded one.
     pub fn with_tracer(app: A, fabric: Fabric, cfg: AtosConfig, tracer: Tr) -> Self {
         let n_pes = fabric.n_pes();
-        assert!(n_pes <= u16::MAX as usize, "staged messages name PEs in 16 bits");
+        assert!(
+            n_pes <= u16::MAX as usize,
+            "staged messages name PEs in 16 bits"
+        );
         let (fetch, num_workers) = (cfg.worker.fetch, cfg.worker.num_workers);
         assert!(
             cfg.kernel != KernelMode::Persistent || (fetch > 0 && num_workers > 0),
@@ -228,7 +231,10 @@ impl<A: Application, Tr: Tracer> Runtime<A, Tr> {
     /// If `pe` is not one of the fabric's PEs.
     pub fn seed(&mut self, pe: usize, tasks: impl IntoIterator<Item = A::Task>) {
         let n_pes = self.pes.len();
-        assert!(pe < n_pes, "seed on PE {pe}, but the fabric has {n_pes} PEs");
+        assert!(
+            pe < n_pes,
+            "seed on PE {pe}, but the fabric has {n_pes} PEs"
+        );
         for t in tasks {
             let prio = self.app.priority(&t);
             self.pes[pe].queue.push(t, prio);
@@ -572,8 +578,14 @@ mod tests {
         // A lone task pays its span, `task_ns + 64 · edge_ns`, at each
         // worker shape's cost model: smaller workers lose coalescing.
         let elapsed = |size| {
-            let worker = WorkerConfig { size, ..WorkerConfig::cta512() };
-            let cfg = AtosConfig { worker, ..AtosConfig::standard_persistent() };
+            let worker = WorkerConfig {
+                size,
+                ..WorkerConfig::cta512()
+            };
+            let cfg = AtosConfig {
+                worker,
+                ..AtosConfig::standard_persistent()
+            };
             let mut rt = Runtime::new(Wide, Fabric::daisy(1), cfg);
             rt.seed(0, [()]);
             rt.run().elapsed_ns
@@ -620,8 +632,17 @@ mod tests {
     #[test]
     #[should_panic(expected = "got fetch = 0, num_workers = 160")]
     fn a_persistent_kernel_that_pops_nothing_is_rejected() {
-        let worker = WorkerConfig { fetch: 0, ..WorkerConfig::cta512() };
-        daisy_runtime(2, AtosConfig { worker, ..AtosConfig::standard_persistent() });
+        let worker = WorkerConfig {
+            fetch: 0,
+            ..WorkerConfig::cta512()
+        };
+        daisy_runtime(
+            2,
+            AtosConfig {
+                worker,
+                ..AtosConfig::standard_persistent()
+            },
+        );
     }
 
     #[test]
@@ -830,7 +851,10 @@ mod tests {
         let flushes = buf.events_named("flush[size]").len() as u64
             + buf.events_named("flush[age]").len() as u64;
         assert_eq!(flushes, stats.agg_flushes, "one span per flush, tagged");
-        assert_eq!(stats.agg_flushes_size + stats.agg_flushes_age, stats.agg_flushes);
+        assert_eq!(
+            stats.agg_flushes_size + stats.agg_flushes_age,
+            stats.agg_flushes
+        );
 
         assert_eq!(
             buf.events_named("msg").len() as u64,

@@ -63,9 +63,7 @@ impl<T> WorkQueue<T> {
     pub fn push(&mut self, task: T, priority: u32) {
         match self {
             WorkQueue::Standard(q) => q.push_back(task),
-            WorkQueue::Priority {
-                buckets, len, ..
-            } => {
+            WorkQueue::Priority { buckets, len, .. } => {
                 buckets.entry(priority).or_default().push_back(task);
                 *len += 1;
             }

@@ -75,7 +75,10 @@ impl Dispatch {
             next += len as u32;
             deliver(buf, &tasks, &mut i, &mut flushed);
         }
-        let residual = bufs.iter().map(|b| (b.len(), b.bytes(), b.opened_at())).collect();
+        let residual = bufs
+            .iter()
+            .map(|b| (b.len(), b.bytes(), b.opened_at()))
+            .collect();
         (flushed, residual)
     }
 
@@ -153,7 +156,11 @@ impl Dispatch {
     fn check(&self) -> (Vec<Flushed>, Vec<Residual>) {
         let want = self.per_task();
         assert_eq!(self.run_filled(), want, "{self:?}");
-        let cuts = want.0.iter().map(|f| (f.0, f.1, f.2.len(), f.3, f.4)).collect();
+        let cuts = want
+            .0
+            .iter()
+            .map(|f| (f.0, f.1, f.2.len(), f.3, f.4))
+            .collect();
         assert_eq!(self.counted(), (cuts, want.1.clone()), "{self:?}");
         want
     }
@@ -209,24 +216,42 @@ fn corner_idle_dispatch_has_no_busy_window() {
     assert!(flushed.is_empty());
     assert_eq!(residual, [(40, 320, Some(0)), (40, 320, Some(0))]);
     // ...and "now" when the bundle an earlier step opened is due.
-    let due = Dispatch { now: 50_000, busy: 0, pre: (2_000, 3), ..base() };
+    let due = Dispatch {
+        now: 50_000,
+        busy: 0,
+        pre: (2_000, 3),
+        ..base()
+    };
     let (flushed, _) = due.check();
-    assert_eq!(flushed.iter().map(|f| f.2.len()).collect::<Vec<_>>(), [4, 4]);
+    assert_eq!(
+        flushed.iter().map(|f| f.2.len()).collect::<Vec<_>>(),
+        [4, 4]
+    );
 }
 
 #[test]
 fn corner_kernel_boundary_communication() {
     // Groute-/Galois-like tuning: everything leaves at `now + busy`.
-    let d = Dispatch { in_kernel_comm: false, batch_bytes: 80, ..base() };
+    let d = Dispatch {
+        in_kernel_comm: false,
+        batch_bytes: 80,
+        ..base()
+    };
     let (flushed, residual) = d.check();
     assert_eq!(flushed.len(), 8);
-    assert!(flushed.iter().all(|f| f.1 == 8_000 && f.2.len() == 10 && f.4));
+    assert!(flushed
+        .iter()
+        .all(|f| f.1 == 8_000 && f.2.len() == 10 && f.4));
     assert_eq!(residual, [(0, 0, None), (0, 0, None)]);
 }
 
 #[test]
 fn corner_zero_wait_time_flushes_every_task() {
-    let (flushed, _) = Dispatch { wait_time: 0, ..base() }.check();
+    let (flushed, _) = Dispatch {
+        wait_time: 0,
+        ..base()
+    }
+    .check();
     assert_eq!(flushed.len(), 80);
     assert!(flushed.iter().all(|f| f.2.len() == 1 && !f.4));
 }
@@ -234,7 +259,11 @@ fn corner_zero_wait_time_flushes_every_task() {
 #[test]
 fn corner_batch_no_larger_than_a_task() {
     for batch_bytes in [0, 1, 8] {
-        let (flushed, _) = Dispatch { batch_bytes, ..base() }.check();
+        let (flushed, _) = Dispatch {
+            batch_bytes,
+            ..base()
+        }
+        .check();
         assert_eq!(flushed.len(), 80);
         assert!(flushed.iter().all(|f| f.2.len() == 1 && f.4));
     }
@@ -242,22 +271,39 @@ fn corner_batch_no_larger_than_a_task() {
 
 #[test]
 fn corner_zero_byte_tasks_never_fill_a_batch() {
-    let d = Dispatch { task_bytes: 0, batch_bytes: 1, wait_time: 10, ..base() };
+    let d = Dispatch {
+        task_bytes: 0,
+        batch_bytes: 1,
+        wait_time: 10,
+        ..base()
+    };
     let (flushed, _) = d.check();
     // Age only: 15 µs = 150 issue slots, never reached in 80.
     assert!(flushed.is_empty());
     // A zero batch is "full" even when empty.
-    let (flushed, _) = Dispatch { task_bytes: 0, batch_bytes: 0, ..base() }.check();
+    let (flushed, _) = Dispatch {
+        task_bytes: 0,
+        batch_bytes: 0,
+        ..base()
+    }
+    .check();
     assert_eq!(flushed.len(), 80);
 }
 
 #[test]
 fn corner_single_task_dispatch() {
-    let one = Dispatch { lens: vec![0, 1], ..base() };
+    let one = Dispatch {
+        lens: vec![0, 1],
+        ..base()
+    };
     let (flushed, residual) = one.check();
     assert!(flushed.is_empty());
     assert_eq!(residual, [(0, 0, None), (1, 8, Some(0))]);
-    let (flushed, _) = Dispatch { batch_bytes: 8, ..one }.check();
+    let (flushed, _) = Dispatch {
+        batch_bytes: 8,
+        ..one
+    }
+    .check();
     assert_eq!(flushed, [(1, 0, vec![0], 8, true)]);
 }
 
@@ -265,10 +311,18 @@ fn corner_single_task_dispatch() {
 fn corner_age_deadline_lands_exactly_on_an_issue_time() {
     // Issue times are 0, 100, 200, ...; one poll is 1500 ns, so the
     // bundle opened by task 0 comes due exactly at task 15's issue.
-    let (flushed, _) = Dispatch { wait_time: 1, ..base() }.check();
+    let (flushed, _) = Dispatch {
+        wait_time: 1,
+        ..base()
+    }
+    .check();
     assert_eq!((flushed[0].1, flushed[0].2.len()), (1_500, 16));
     // One ns later and task 15 is still early.
-    let late = Dispatch { wait_time: 1, pre: (1, 1), ..base() };
+    let late = Dispatch {
+        wait_time: 1,
+        pre: (1, 1),
+        ..base()
+    };
     let (flushed, _) = late.check();
     assert_eq!((flushed[0].1, flushed[0].2.len()), (1_600, 18));
 }
@@ -347,8 +401,15 @@ fn fields(stats: &RunStats) -> Vec<(&'static str, String)> {
 /// receiver is the schedule's; returns the stats and `fnv(every PE's
 /// delivered-task hash)`, after printing both as a golden row.
 fn spray(fan: u32, chains: u32, ttl: u32, comm: CommMode) -> (RunStats, u64) {
-    let app = Spray { n_pes: 4, fan, received: vec![0; 4] };
-    let cfg = AtosConfig { comm, ..AtosConfig::ib_pagerank() };
+    let app = Spray {
+        n_pes: 4,
+        fan,
+        received: vec![0; 4],
+    };
+    let cfg = AtosConfig {
+        comm,
+        ..AtosConfig::ib_pagerank()
+    };
     let mut rt = Runtime::new(app, Fabric::ib_cluster(4), cfg);
     rt.seed(0, (0..chains).map(|c| (ttl, c * 1_000)));
     rt.seed(1, (0..chains / 2).map(|c| (ttl, 500 + c * 1_000)));
@@ -374,9 +435,16 @@ fn a_bundle_spanning_steps_runs_as_it_did_when_bundles_were_copies() {
     // 1 MiB batches never fill, and 8 polls (12 µs) outlast some twenty
     // half-microsecond steps: every bundle is the age trigger's — most cut by
     // a later dispatch, the last by the poll — over many steps' runs.
-    let comm = CommMode::Aggregated { batch_bytes: 1 << 20, wait_time: 8 };
+    let comm = CommMode::Aggregated {
+        batch_bytes: 1 << 20,
+        wait_time: 8,
+    };
     let (s, order) = spray(3, 6, 400, comm);
-    assert_eq!((s.agg_flushes_size, s.remote_tasks), (0, 9 * 401 * 9), "{s:?}");
+    assert_eq!(
+        (s.agg_flushes_size, s.remote_tasks),
+        (0, 9 * 401 * 9),
+        "{s:?}"
+    );
     // A chain's links run in successive steps, so each source emitted
     // at least 401 runs per destination: three and more to a bundle.
     assert!(s.agg_flushes * 3 <= 2 * 3 * 401, "{s:?}");
@@ -388,10 +456,16 @@ fn a_step_cut_into_bundles_runs_as_it_did_when_bundles_were_copies() {
     // 128-byte batches against 50 eight-byte tasks per link and
     // destination: the size trigger cuts even a one-link run three times,
     // and the remainder rides into the next step's run.
-    let comm = CommMode::Aggregated { batch_bytes: 128, wait_time: 32 };
+    let comm = CommMode::Aggregated {
+        batch_bytes: 128,
+        wait_time: 32,
+    };
     let (s, order) = spray(50, 6, 12, comm);
     assert_eq!(s.remote_tasks, 9 * 13 * 150, "{s:?}");
-    assert!(s.agg_flushes_size >= 3 * 3 * 9 * 13 && s.agg_flushes_age > 0, "{s:?}");
+    assert!(
+        s.agg_flushes_size >= 3 * 3 * 9 * 13 && s.agg_flushes_age > 0,
+        "{s:?}"
+    );
     assert_row(&s, order, CUT_WITHIN_A_STEP);
 }
 

@@ -291,7 +291,11 @@ fn direct_relay(hops: u32) -> u64 {
 /// so the aggregator flush path (bundle hand-off + payload recycle) runs
 /// once per message.
 fn aggregated_relay(hops: u32) -> u64 {
-    let mut rt = Runtime::new(Relay::new(2), Fabric::ib_cluster(2), AtosConfig::ib_pagerank());
+    let mut rt = Runtime::new(
+        Relay::new(2),
+        Fabric::ib_cluster(2),
+        AtosConfig::ib_pagerank(),
+    );
     rt.seed(0, [hops]);
     let (during, stats) = counted(|| rt.run());
     assert_eq!(stats.total_tasks(), hops as u64 + 1);
@@ -362,7 +366,10 @@ fn lockstep_relay(hops: u32) -> u64 {
     rt.seed(1, [hops / 2]);
     let (during, stats) = counted(|| rt.run());
     assert_eq!(stats.messages, hops as u64);
-    assert_eq!(stats.ev_arrivals, stats.messages, "every car rang its own doorbell");
+    assert_eq!(
+        stats.ev_arrivals, stats.messages,
+        "every car rang its own doorbell"
+    );
     during
 }
 
@@ -425,13 +432,21 @@ fn app_hints() -> u64 {
     let mesh_preset = Preset::by_name("road_usa_s").unwrap();
     let mesh = Arc::new(mesh_preset.build(Scale::Tiny));
     let mesh_part = Arc::new(Partition::block(mesh.n_vertices(), 4));
-    let social = Arc::new(Preset::by_name("soc-LiveJournal1_s").unwrap().build(Scale::Tiny));
+    let social = Arc::new(
+        Preset::by_name("soc-LiveJournal1_s")
+            .unwrap()
+            .build(Scale::Tiny),
+    );
     let social_part = Arc::new(Partition::random(social.n_vertices(), 4, 3));
     let weights = Arc::new(EdgeWeights::random(&social, 64, 5));
     let mesh_vs: Vec<u32> = (0..mesh.n_vertices() as u32).collect();
     let social_vs: Vec<u32> = (0..social.n_vertices() as u32).collect();
 
-    let bfs = BfsApp::new(mesh.clone(), mesh_part.clone(), mesh_preset.bfs_source(&mesh));
+    let bfs = BfsApp::new(
+        mesh.clone(),
+        mesh_part.clone(),
+        mesh_preset.bfs_source(&mesh),
+    );
     let cc = BfsApp::components(mesh.clone(), mesh_part);
     let pr = PageRankApp::new(social.clone(), social_part.clone(), 0.85, 1e-6);
     let sssp = SsspApp::new_split(social, weights, social_part, 0, 8);
@@ -481,9 +496,18 @@ fn every_hot_fn_runs_in_a_window_that_does_not_grow() {
     // The exact-zero windows first: a defect in code the runtime windows
     // also run (a queue pop under `run_host`) fails where it lives.
     let queues = [
-        ("counter queue", queue_churn(CounterQueue::with_capacity, CounterQueue::push)),
-        ("CAS queue", queue_churn(CasQueue::with_capacity, CasQueue::push)),
-        ("broker queue", queue_churn(BrokerQueue::with_capacity, BrokerQueue::push)),
+        (
+            "counter queue",
+            queue_churn(CounterQueue::with_capacity, CounterQueue::push),
+        ),
+        (
+            "CAS queue",
+            queue_churn(CasQueue::with_capacity, CasQueue::push),
+        ),
+        (
+            "broker queue",
+            queue_churn(BrokerQueue::with_capacity, BrokerQueue::push),
+        ),
     ];
     for (name, during) in queues {
         assert_eq!(during, 0, "{name}: push/pop churn must not allocate");

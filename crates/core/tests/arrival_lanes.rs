@@ -186,7 +186,12 @@ fn cc(fabric: Fabric, cfg: AtosConfig) -> Row {
     let g = Arc::new(social().symmetrize());
     let part = Arc::new(Partition::random(g.n_vertices(), fabric.n_pes(), 9));
     let seeds = (0..part.n_parts())
-        .map(|pe| (pe, part.vertices_of(pe).into_iter().map(|v| (v, v)).collect()))
+        .map(|pe| {
+            (
+                pe,
+                part.vertices_of(pe).into_iter().map(|v| (v, v)).collect(),
+            )
+        })
         .collect();
     drive(BfsApp::components(g, part), seeds, fabric, cfg)
 }
@@ -209,13 +214,34 @@ fn gluon() -> AtosConfig {
 #[test]
 fn fingerprints_match_the_per_message_parent() {
     let got = [
-        ("daisy4/pagerank-direct/1", pagerank(Fabric::daisy(4), AtosConfig::standard_persistent())),
-        ("ib8/pagerank-aggregated/1", pagerank(Fabric::ib_cluster(8), AtosConfig::ib_pagerank())),
-        ("summit6/bfs/1", bfs(Fabric::summit_node(6), AtosConfig::standard_persistent())),
-        ("daisy4/sssp-priority-discrete/1", sssp(Fabric::daisy(4), AtosConfig::priority_discrete())),
-        ("ib4/bfs-gluon-metadata/1", bfs(Fabric::ib_cluster(4), gluon())),
-        ("daisy4/cc-direct/1", cc(Fabric::daisy(4), AtosConfig::standard_persistent())),
-        ("ib4/cc-aggregated/1", cc(Fabric::ib_cluster(4), AtosConfig::ib_bfs())),
+        (
+            "daisy4/pagerank-direct/1",
+            pagerank(Fabric::daisy(4), AtosConfig::standard_persistent()),
+        ),
+        (
+            "ib8/pagerank-aggregated/1",
+            pagerank(Fabric::ib_cluster(8), AtosConfig::ib_pagerank()),
+        ),
+        (
+            "summit6/bfs/1",
+            bfs(Fabric::summit_node(6), AtosConfig::standard_persistent()),
+        ),
+        (
+            "daisy4/sssp-priority-discrete/1",
+            sssp(Fabric::daisy(4), AtosConfig::priority_discrete()),
+        ),
+        (
+            "ib4/bfs-gluon-metadata/1",
+            bfs(Fabric::ib_cluster(4), gluon()),
+        ),
+        (
+            "daisy4/cc-direct/1",
+            cc(Fabric::daisy(4), AtosConfig::standard_persistent()),
+        ),
+        (
+            "ib4/cc-aggregated/1",
+            cc(Fabric::ib_cluster(4), AtosConfig::ib_bfs()),
+        ),
     ];
     for (name, r) in &got {
         println!("    (\"{name}\", {r:?}),");
@@ -416,7 +442,9 @@ proptest! {
 // ---------------------------------------------------------------------------
 
 #[test]
-#[should_panic(expected = "the car of 5 tasks from PE 1 arriving at 70 ns outran its trains, 2 tasks still owed")]
+#[should_panic(
+    expected = "the car of 5 tasks from PE 1 arriving at 70 ns outran its trains, 2 tasks still owed"
+)]
 fn a_car_that_outruns_its_trains_aborts_in_every_build() {
     // A lane holding fewer tasks than a car counts means tasks were lost on
     // the way: a release build must stop too, not drop them and carry on.
@@ -424,7 +452,11 @@ fn a_car_that_outruns_its_trains_aborts_in_every_build() {
     rx.begin_barrier();
     rx.push_train(1, vec![10, 11, 12]);
     rx.file(1, 70, 5, || 0);
-    rx.drain_before((Time::MAX, u64::MAX), &mut ChunkPool::default(), &mut Log::default());
+    rx.drain_before(
+        (Time::MAX, u64::MAX),
+        &mut ChunkPool::default(),
+        &mut Log::default(),
+    );
 }
 
 /// Shapes one case exercised, as bit flags.
@@ -469,7 +501,10 @@ fn deliveries(log: &Log) -> Vec<(Vec<u32>, Time)> {
             Seen::Delivered(at) => out.push((std::mem::take(&mut tasks), *at)),
         }
     }
-    assert!(tasks.is_empty(), "tasks handed over and never marked delivered");
+    assert!(
+        tasks.is_empty(),
+        "tasks handed over and never marked delivered"
+    );
     out
 }
 
@@ -495,7 +530,12 @@ fn spanning_cars_match_copied_bundles(ops: &[(u32, usize, u32, u32)]) -> u32 {
 
     // Cut a car of `k` tasks off the front of what `src`'s cars have not
     // covered yet.
-    let cut = |r: &mut RouteModel, src: usize, k: usize, delay: Time, seen: &mut u32, pieces: &mut usize| {
+    let cut = |r: &mut RouteModel,
+               src: usize,
+               k: usize,
+               delay: Time,
+               seen: &mut u32,
+               pieces: &mut usize| {
         let (from, to) = (r.cut, r.cut + k);
         let first = r.ends.partition_point(|&e| e <= from);
         let last = r.ends.partition_point(|&e| e < to);
@@ -515,7 +555,10 @@ fn spanning_cars_match_copied_bundles(ops: &[(u32, usize, u32, u32)]) -> u32 {
 
     // However the case ends, the run ends the same way: a last car over
     // whatever is uncovered, a barrier, and a reader past everything.
-    for &(kind, src, a, b) in ops.iter().chain(&[(9, 0, 0, 0), (6, 0, 0, 0), (10, 0, 0, 0)]) {
+    for &(kind, src, a, b) in ops
+        .iter()
+        .chain(&[(9, 0, 0, 0), (6, 0, 0, 0), (10, 0, 0, 0)])
+    {
         let r = &mut routes[src];
         match kind {
             // Emit a run: a train of its own at the next barrier.
@@ -577,7 +620,10 @@ fn spanning_cars_match_copied_bundles(ops: &[(u32, usize, u32, u32)]) -> u32 {
                         false => waiting.last().expect("a delivery to join").1,
                     };
                     oracle.push_train(src, chunk(tasks.clone()));
-                    assert_eq!(oracle.file(src, arrival, tasks.len() as u32, || seq), opened);
+                    assert_eq!(
+                        oracle.file(src, arrival, tasks.len() as u32, || seq),
+                        opened
+                    );
                     waiting.push((arrival, seq));
                     cars += 1;
                 }
@@ -596,7 +642,10 @@ fn spanning_cars_match_copied_bundles(ops: &[(u32, usize, u32, u32)]) -> u32 {
                 rx.drain_before(bound, &mut pool, &mut log);
                 oracle.drain_before(bound, &mut oracle_pool, &mut oracle_log);
                 waiting.retain(|&k| k >= bound);
-                assert_eq!((rx.len(), rx.next_arrival()), (oracle.len(), oracle.next_arrival()));
+                assert_eq!(
+                    (rx.len(), rx.next_arrival()),
+                    (oracle.len(), oracle.next_arrival())
+                );
                 assert_eq!(rx.len(), waiting.len());
                 floor = floor.max(bound.0.saturating_add(1));
             }
@@ -604,7 +653,10 @@ fn spanning_cars_match_copied_bundles(ops: &[(u32, usize, u32, u32)]) -> u32 {
         }
     }
 
-    assert!(rx.is_drained() && oracle.is_drained(), "a car or a train was left behind");
+    assert!(
+        rx.is_drained() && oracle.is_drained(),
+        "a car or a train was left behind"
+    );
     // Each buffer came home once: one per run here, one per car there.
     assert_eq!((pool.len(), oracle_pool.len()), (trains, cars));
     // The same tasks under the same deliveries — as one run per car from

@@ -27,7 +27,10 @@ impl Application for Ring {
             return;
         }
         for i in 0..self.fan {
-            out.push((pe + 1 + i as usize % (self.n_pes - 1)) % self.n_pes, (0, id + i));
+            out.push(
+                (pe + 1 + i as usize % (self.n_pes - 1)) % self.n_pes,
+                (0, id + i),
+            );
         }
         out.push((pe + 1) % self.n_pes, (hops - 1, id + self.fan));
     }
@@ -44,7 +47,11 @@ impl Application for Ring {
 
 impl ShardableApp for Ring {
     fn fork(&self, _lo: usize, _hi: usize) -> Self {
-        Ring { n_pes: self.n_pes, fan: self.fan, received: self.received.clone() }
+        Ring {
+            n_pes: self.n_pes,
+            fan: self.fan,
+            received: self.received.clone(),
+        }
     }
 
     fn join(&mut self, shard: Self, lo: usize, hi: usize) {
@@ -54,7 +61,11 @@ impl ShardableApp for Ring {
 
 fn ring(fabric: &Fabric, cfg: AtosConfig) -> Runtime<Ring> {
     let n_pes = fabric.n_pes();
-    let app = Ring { n_pes, fan: 40, received: vec![0; n_pes] };
+    let app = Ring {
+        n_pes,
+        fan: 40,
+        received: vec![0; n_pes],
+    };
     let mut rt = Runtime::new(app, fabric.clone(), cfg);
     rt.seed(0, [(60u32, 0u32)]);
     rt
@@ -63,15 +74,28 @@ fn ring(fabric: &Fabric, cfg: AtosConfig) -> Runtime<Ring> {
 /// What `benchmark/src/single.rs` reads from a profile, spelled as it
 /// spells it.
 fn read(p: &ShardProfile) -> (u64, f64, f64) {
-    let windows = p.shards.iter().map(|s: &ShardTelemetry| s.windows).max().unwrap_or(0);
+    let windows = p
+        .shards
+        .iter()
+        .map(|s: &ShardTelemetry| s.windows)
+        .max()
+        .unwrap_or(0);
     (windows, p.barrier_frac(), p.imbalance_ratio())
 }
 
 #[test]
 fn run_sharded_is_run_and_collects_no_profile() {
     for (name, fabric, cfg) in [
-        ("direct", Fabric::daisy(4), AtosConfig::standard_persistent()),
-        ("aggregated", Fabric::ib_cluster(4), AtosConfig::ib_pagerank()),
+        (
+            "direct",
+            Fabric::daisy(4),
+            AtosConfig::standard_persistent(),
+        ),
+        (
+            "aggregated",
+            Fabric::ib_cluster(4),
+            AtosConfig::ib_pagerank(),
+        ),
     ] {
         let mut rt = ring(&fabric, cfg);
         let stats = rt.run();
@@ -84,7 +108,10 @@ fn run_sharded_is_run_and_collects_no_profile() {
         for k in [1, 2, 4] {
             let mut rt = ring(&fabric, cfg);
             assert_eq!(format!("{:?}", rt.run_sharded(k)), want, "{name}, k = {k}");
-            assert!(rt.take_shard_profile().as_ref().map(read).is_none(), "{name}, k = {k}");
+            assert!(
+                rt.take_shard_profile().as_ref().map(read).is_none(),
+                "{name}, k = {k}"
+            );
             assert_eq!(rt.into_app().received, answer, "{name}, k = {k}");
         }
     }

@@ -119,13 +119,27 @@ fn check(name: &str, fabric: impl Fn() -> Fabric, cfg: AtosConfig, cars_span_chu
     for app in [&by_push, &by_extend] {
         for (dst, routes) in app.got.iter().enumerate() {
             for (src, got) in routes.iter().enumerate() {
-                let want: Vec<u32> = if src == dst { Vec::new() } else { (0..per_route).collect() };
-                assert!(*got == want, "{name}: route {src} → {dst} delivered out of emission order");
+                let want: Vec<u32> = if src == dst {
+                    Vec::new()
+                } else {
+                    (0..per_route).collect()
+                };
+                assert!(
+                    *got == want,
+                    "{name}: route {src} → {dst} delivered out of emission order"
+                );
             }
         }
     }
-    assert_eq!(pushed.remote_tasks, (N_PES * (N_PES - 1)) as u64 * per_route as u64);
-    assert_eq!(format!("{pushed:?}"), format!("{extended:?}"), "{name}: push and extend_remote differ");
+    assert_eq!(
+        pushed.remote_tasks,
+        (N_PES * (N_PES - 1)) as u64 * per_route as u64
+    );
+    assert_eq!(
+        format!("{pushed:?}"),
+        format!("{extended:?}"),
+        "{name}: push and extend_remote differ"
+    );
     assert_eq!(by_push.pieces, by_extend.pieces, "{name}");
     if cars_span_chunks {
         assert!(
@@ -139,17 +153,28 @@ fn check(name: &str, fabric: impl Fn() -> Fabric, cfg: AtosConfig, cars_span_chu
 
 #[test]
 fn fine_grained_cars_deliver_every_run_in_order() {
-    let cfg = AtosConfig { comm: CommMode::Direct { group: 32 }, ..AtosConfig::standard_persistent() };
+    let cfg = AtosConfig {
+        comm: CommMode::Direct { group: 32 },
+        ..AtosConfig::standard_persistent()
+    };
     check("direct/32", || Fabric::daisy(N_PES), cfg, false);
 }
 
 #[test]
 fn cars_off_the_chunk_grid_deliver_every_run_in_order() {
-    let cfg = AtosConfig { comm: CommMode::Direct { group: 100 }, ..AtosConfig::standard_persistent() };
+    let cfg = AtosConfig {
+        comm: CommMode::Direct { group: 100 },
+        ..AtosConfig::standard_persistent()
+    };
     check("direct/100", || Fabric::daisy(N_PES), cfg, true);
 }
 
 #[test]
 fn aggregated_cars_span_chunks_and_deliver_every_run_in_order() {
-    check("aggregated", || Fabric::ib_cluster(N_PES), AtosConfig::ib_pagerank(), true);
+    check(
+        "aggregated",
+        || Fabric::ib_cluster(N_PES),
+        AtosConfig::ib_pagerank(),
+        true,
+    );
 }

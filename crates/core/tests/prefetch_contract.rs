@@ -320,7 +320,10 @@ fn assert_transparent<const RUNS: bool, A: Application, R: PartialEq + std::fmt:
         format!("{wrapped_stats:?}"),
         "{name}: a statistic moved"
     );
-    assert!(answer(bare) == answer(wrapped.0), "{name}: the answer moved");
+    assert!(
+        answer(bare) == answer(wrapped.0),
+        "{name}: the answer moved"
+    );
 }
 
 fn tiny(preset: &str) -> (Preset, Arc<atos_graph::Csr>) {

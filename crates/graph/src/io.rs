@@ -45,7 +45,9 @@ fn malformed(msg: impl Into<String>) -> ParseError {
 /// a [`VertexId`].
 fn vertex_count(n: usize) -> Result<usize, ParseError> {
     if n > VertexId::MAX as usize {
-        return Err(malformed(format!("{n} vertices overflow 32-bit vertex ids")));
+        return Err(malformed(format!(
+            "{n} vertices overflow 32-bit vertex ids"
+        )));
     }
     Ok(n)
 }
@@ -58,9 +60,7 @@ fn vertex_count(n: usize) -> Result<usize, ParseError> {
 /// Vertex ids in the file are 1-based, per the format.
 pub fn read_matrix_market<R: Read>(reader: R) -> Result<Csr, ParseError> {
     let mut lines = BufReader::new(reader).lines();
-    let header = lines
-        .next()
-        .ok_or_else(|| malformed("empty file"))??;
+    let header = lines.next().ok_or_else(|| malformed("empty file"))??;
     let head = header.to_ascii_lowercase();
     if !head.starts_with("%%matrixmarket matrix coordinate") {
         return Err(malformed(format!("unsupported header: {header}")));
@@ -152,7 +152,11 @@ pub fn read_dimacs<R: Read>(reader: R) -> Result<Csr, ParseError> {
                 if parts.len() < 4 || parts[1] != "sp" {
                     return Err(malformed(format!("bad problem line: {t}")));
                 }
-                n = vertex_count(parts[2].parse().map_err(|_| malformed("bad vertex count"))?)?;
+                n = vertex_count(
+                    parts[2]
+                        .parse()
+                        .map_err(|_| malformed("bad vertex count"))?,
+                )?;
             }
             Some('a') => {
                 let mut it = t.split_whitespace().skip(1);
@@ -225,17 +229,27 @@ mod tests {
 
     #[test]
     fn matrix_market_with_values_and_comments() {
-        let input = "%%MatrixMarket matrix coordinate real general\n% comment\n\n2 2 2\n1 2 0.5\n2 1 1.5\n";
+        let input =
+            "%%MatrixMarket matrix coordinate real general\n% comment\n\n2 2 2\n1 2 0.5\n2 1 1.5\n";
         let g = read_matrix_market(input.as_bytes()).unwrap();
         assert_eq!(g.n_edges(), 2);
     }
 
     #[test]
     fn rejects_bad_headers_and_indices() {
-        assert!(read_matrix_market("%%MatrixMarket matrix array real general\n1 1 0\n".as_bytes()).is_err());
-        assert!(read_matrix_market("%%MatrixMarket matrix coordinate pattern general\n2 2 1\n3 1\n".as_bytes()).is_err());
+        assert!(
+            read_matrix_market("%%MatrixMarket matrix array real general\n1 1 0\n".as_bytes())
+                .is_err()
+        );
+        assert!(read_matrix_market(
+            "%%MatrixMarket matrix coordinate pattern general\n2 2 1\n3 1\n".as_bytes()
+        )
+        .is_err());
         assert!(read_matrix_market("".as_bytes()).is_err());
-        assert!(read_dimacs("a 1 2 1\n".as_bytes()).is_err(), "arc before problem line");
+        assert!(
+            read_dimacs("a 1 2 1\n".as_bytes()).is_err(),
+            "arc before problem line"
+        );
         assert!(read_dimacs("p sp 2 1\nz nonsense\n".as_bytes()).is_err());
     }
 

@@ -74,7 +74,7 @@ fn deepest_depth(depths: &[u32]) -> u32 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::generators::{grid_2d, road_network, rmat, GraphKind, Preset, Scale};
+    use crate::generators::{grid_2d, rmat, road_network, GraphKind, Preset, Scale};
 
     #[test]
     fn grid_diameter_exact() {

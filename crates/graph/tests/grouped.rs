@@ -20,8 +20,11 @@ fn assert_stable_partition(g: &Csr, p: &Partition) {
             assert!(last_owner < Some(owner), "owners ascend in row {v}");
             last_owner = Some(owner);
             assert!(!seg.is_empty(), "empty segment in row {v}");
-            let want: Vec<VertexId> =
-                row.iter().copied().filter(|&w| p.owner(w) == owner).collect();
+            let want: Vec<VertexId> = row
+                .iter()
+                .copied()
+                .filter(|&w| p.owner(w) == owner)
+                .collect();
             assert_eq!(seg, want, "row {v}, owner {owner}");
             seen += seg.len();
         }

@@ -22,9 +22,28 @@ const PREFIXES: &[&str] = &[
 /// their own spaces so neighbouring tokens never fuse into a vertex count
 /// the host cannot allocate.
 const HARD_CASES: &[&str] = &[
-    "\n", "\r\n", " ", "\t", "%", "%%MatrixMarket matrix coordinate pattern general", "p sp ", "p",
-    "a ", "a", "c ", " 0 ", " 1 ", " 2 ", " 5 ", " -1 ", " 1.5 ", " 4294967296 ",
-    " 18446744073709551615 ", " 99999999999999999999 ", "symmetric", "é",
+    "\n",
+    "\r\n",
+    " ",
+    "\t",
+    "%",
+    "%%MatrixMarket matrix coordinate pattern general",
+    "p sp ",
+    "p",
+    "a ",
+    "a",
+    "c ",
+    " 0 ",
+    " 1 ",
+    " 2 ",
+    " 5 ",
+    " -1 ",
+    " 1.5 ",
+    " 4294967296 ",
+    " 18446744073709551615 ",
+    " 99999999999999999999 ",
+    "symmetric",
+    "é",
 ];
 
 /// Numbers no index may be: below the 1-based range, negative, fractional,
@@ -141,7 +160,8 @@ fn header_counts_past_the_vertex_id_range_are_errors() {
     assert!(read_dimacs("p sp 4294967296 0\n".as_bytes()).is_err());
     // A declared entry count allocates nothing: the entries that are there
     // decide.
-    let lying = "%%MatrixMarket matrix coordinate pattern symmetric\n2 2 18446744073709551615\n1 2\n";
+    let lying =
+        "%%MatrixMarket matrix coordinate pattern symmetric\n2 2 18446744073709551615\n1 2\n";
     assert!(read_matrix_market(lying.as_bytes()).is_err());
     let g = read_dimacs("p sp 2 18446744073709551615\na 1 2 1\n".as_bytes()).unwrap();
     assert_eq!(g.n_edges(), 1);

@@ -204,9 +204,7 @@ impl CallGraph {
                 return in_crate;
             }
             // A unique impl of this type anywhere is still unambiguous.
-            return self.unique_method(ws, &name, |_, f| {
-                f.self_ty.as_deref() == Some(ty.as_str())
-            });
+            return self.unique_method(ws, &name, |_, f| f.self_ty.as_deref() == Some(ty.as_str()));
         }
         // Plain fn path: same file, then target crate. Deliberately no
         // workspace-wide fallback: a crate-qualified path with no match

@@ -130,7 +130,8 @@ fn walk(root: &Path, dir: &Path, out: &mut Vec<String>) -> io::Result<()> {
 /// the two above? The one spelling of a suppression: on a finding's line
 /// it silences the finding, on a definition's it vets the callee.
 pub(crate) fn allowed_at(file: &SourceFile, line: u32) -> bool {
-    file.parsed.comment_near(line, 2, "atos-lint: allow(panic_in_kernel)")
+    file.parsed
+        .comment_near(line, 2, "atos-lint: allow(panic_in_kernel)")
 }
 
 /// Run the rule, apply suppressions, and return findings sorted by

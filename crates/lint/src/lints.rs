@@ -91,8 +91,17 @@ pub fn hot_marker(file: &SourceFile, f: &FnItem) -> Option<bool> {
     }
     // The comment form is the whole line directly above the `fn`: prose
     // that merely mentions the marker (this doc comment) is not one.
-    let above = file.parsed.comments.iter().find(|c| c.end_line + 1 == f.line)?;
-    let arg = above.text.lines().last()?.trim().strip_prefix("// atos-lint: hot")?;
+    let above = file
+        .parsed
+        .comments
+        .iter()
+        .find(|c| c.end_line + 1 == f.line)?;
+    let arg = above
+        .text
+        .lines()
+        .last()?
+        .trim()
+        .strip_prefix("// atos-lint: hot")?;
     match arg {
         "" => Some(false),
         "(no-index)" => Some(true),
@@ -100,7 +109,15 @@ pub fn hot_marker(file: &SourceFile, f: &FnItem) -> Option<bool> {
     }
 }
 
-pub(crate) const PANIC_MACROS: &[&str] = &["panic", "unreachable", "todo", "unimplemented", "assert", "assert_eq", "assert_ne"];
+pub(crate) const PANIC_MACROS: &[&str] = &[
+    "panic",
+    "unreachable",
+    "todo",
+    "unimplemented",
+    "assert",
+    "assert_eq",
+    "assert_ne",
+];
 pub(crate) const PANIC_CALLS: &[&str] = &["unwrap", "expect"];
 
 /// `panic-in-kernel` — no panicking construct in a hot function
@@ -133,8 +150,7 @@ fn panic_in_kernel(ws: &Workspace, fi: usize, an: &Analysis, out: &mut Vec<Findi
             let cfile = &ws.files[cfi];
             let callee = &cfile.parsed.fns[cgi];
             let via = if hops.len() > 1 {
-                let chain: Vec<String> =
-                    hops.iter().map(|(n, _, _)| format!("`{n}`")).collect();
+                let chain: Vec<String> = hops.iter().map(|(n, _, _)| format!("`{n}`")).collect();
                 format!(" via {}", chain.join(" -> "))
             } else {
                 String::new()
@@ -156,7 +172,10 @@ fn panic_in_kernel(ws: &Workspace, fi: usize, an: &Analysis, out: &mut Vec<Findi
                     out.push(finding(
                         file,
                         *line,
-                        format!("`{name}!` in protocol fn `{}` can abort mid-protocol", f.name),
+                        format!(
+                            "`{name}!` in protocol fn `{}` can abort mid-protocol",
+                            f.name
+                        ),
                     ));
                 }
                 Event::Call { name, line, .. } if PANIC_CALLS.contains(&name.as_str()) => {

@@ -109,13 +109,20 @@ mod tests {
     #[test]
     fn calls_macros_and_indexing_recorded() {
         let ev = events("fn f() { helper(); mod_a::g(x); out.push(v); vec![1]; buf[i] = 0; }");
-        assert!(ev.iter().any(|e| matches!(e, Event::Call { name, .. } if name == "helper")));
-        assert!(
-            ev.iter()
-                .any(|e| matches!(e, Event::Call { name, path, .. } if name == "g" && path == "mod_a::"))
-        );
-        assert!(ev.iter().any(|e| matches!(e, Event::Call { name, .. } if name == "push")));
-        assert!(ev.iter().any(|e| matches!(e, Event::Macro { name, .. } if name == "vec")));
-        assert!(ev.iter().any(|e| matches!(e, Event::Index { base, .. } if base == "buf")));
+        assert!(ev
+            .iter()
+            .any(|e| matches!(e, Event::Call { name, .. } if name == "helper")));
+        assert!(ev.iter().any(
+            |e| matches!(e, Event::Call { name, path, .. } if name == "g" && path == "mod_a::")
+        ));
+        assert!(ev
+            .iter()
+            .any(|e| matches!(e, Event::Call { name, .. } if name == "push")));
+        assert!(ev
+            .iter()
+            .any(|e| matches!(e, Event::Macro { name, .. } if name == "vec")));
+        assert!(ev
+            .iter()
+            .any(|e| matches!(e, Event::Index { base, .. } if base == "buf")));
     }
 }

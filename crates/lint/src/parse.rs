@@ -470,10 +470,7 @@ pub fn parse(src: &str) -> ParsedFile {
                         ">" => angle -= 1,
                         "for" if angle == 0 => self_ty.clear(),
                         "where" if angle == 0 => stop_collect = true,
-                        _ if angle == 0
-                            && !stop_collect
-                            && toks[j].kind == TokKind::Ident =>
-                        {
+                        _ if angle == 0 && !stop_collect && toks[j].kind == TokKind::Ident => {
                             self_ty = toks[j].text.clone();
                         }
                         _ => {}

@@ -130,7 +130,13 @@ fn cell_accesses_stay_in_model_checked_files() {
         }
         for f in file.parsed.fns.iter().filter(|f| !f.in_test_mod) {
             for e in events_of(&file.parsed, f) {
-                if let Event::Call { name, method: true, line, .. } = e {
+                if let Event::Call {
+                    name,
+                    method: true,
+                    line,
+                    ..
+                } = e
+                {
                     if name == "with" || name == "with_mut" {
                         stray.push(format!("{}:{line}", file.path));
                     }
@@ -167,14 +173,23 @@ fn every_application_is_drawn_by_the_differential_fuzzer() {
         .expect("tests/differential.rs")
         .parsed;
     let mut undrawn = Vec::new();
-    for file in ws.files.iter().filter(|f| APP_DIRS.iter().any(|d| f.path.starts_with(d))) {
+    for file in ws
+        .files
+        .iter()
+        .filter(|f| APP_DIRS.iter().any(|d| f.path.starts_with(d)))
+    {
         let p = &file.parsed;
         let live = |f: &&FnItem| !f.in_test_mod;
         let apps = p.toks.windows(3).filter_map(|w| {
             let is_trait = w[0].is("Application") || w[0].is("HostApplication");
             (is_trait && w[1].is("for")).then(|| w[2].text.as_str())
         });
-        let apps = apps.filter(|&x| p.fns.iter().filter(live).any(|f| f.self_ty.as_deref() == Some(x)));
+        let apps = apps.filter(|&x| {
+            p.fns
+                .iter()
+                .filter(live)
+                .any(|f| f.self_ty.as_deref() == Some(x))
+        });
         for app in apps {
             // The free functions that build `app`, closed under "calls one".
             let mut entries: Vec<&str> = Vec::new();
@@ -191,7 +206,10 @@ fn every_application_is_drawn_by_the_differential_fuzzer() {
                     break;
                 }
             }
-            if !entries.iter().any(|e| fuzzer.fns.iter().any(|f| names(fuzzer, f, e))) {
+            if !entries
+                .iter()
+                .any(|e| fuzzer.fns.iter().any(|f| names(fuzzer, f, e)))
+            {
                 undrawn.push(format!("{app} ({}; entry points {entries:?})", file.path));
             }
         }

@@ -23,18 +23,56 @@ fn lint_bounded(path: &str, src: String) {
     });
     match rx.recv_timeout(Duration::from_secs(1)) {
         Ok(_) => worker.join().expect("lint thread exits cleanly"),
-        Err(mpsc::RecvTimeoutError::Timeout) => panic!("atos-lint hung (> 1 s) on a mangled {path}"),
-        Err(mpsc::RecvTimeoutError::Disconnected) => panic!("atos-lint panicked on a mangled {path}"),
+        Err(mpsc::RecvTimeoutError::Timeout) => {
+            panic!("atos-lint hung (> 1 s) on a mangled {path}")
+        }
+        Err(mpsc::RecvTimeoutError::Disconnected) => {
+            panic!("atos-lint panicked on a mangled {path}")
+        }
     }
 }
 
 /// What the lexer has to disambiguate or balance.
 const HARD_CASES: &[&str] = &[
-    "\"", "r\"", "r#\"", "\"#", "'", "'a", "'\\", "\\", "/*", "*/", "//", "\n", "(", ")", "[",
-    "]", "{", "}", "#[atos_hot", "#[atos_hot(no_index)]", "#[derive(", "#[cfg(test)]",
-    "// atos-lint: hot", "// atos-lint: allow(", "fn ", "fn f(&mut self, pe: usize", "impl ",
-    "impl X for Y ", "mod ", "use a::{b, c as ", "unsafe ", ".unwrap()", ".with_mut(|p| ",
-    ".load(Ordering::", "self.x[i] = ", "::", "0..", "x!", " ",
+    "\"",
+    "r\"",
+    "r#\"",
+    "\"#",
+    "'",
+    "'a",
+    "'\\",
+    "\\",
+    "/*",
+    "*/",
+    "//",
+    "\n",
+    "(",
+    ")",
+    "[",
+    "]",
+    "{",
+    "}",
+    "#[atos_hot",
+    "#[atos_hot(no_index)]",
+    "#[derive(",
+    "#[cfg(test)]",
+    "// atos-lint: hot",
+    "// atos-lint: allow(",
+    "fn ",
+    "fn f(&mut self, pe: usize",
+    "impl ",
+    "impl X for Y ",
+    "mod ",
+    "use a::{b, c as ",
+    "unsafe ",
+    ".unwrap()",
+    ".with_mut(|p| ",
+    ".load(Ordering::",
+    "self.x[i] = ",
+    "::",
+    "0..",
+    "x!",
+    " ",
 ];
 
 fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) {
@@ -55,14 +93,21 @@ fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) {
 /// the relative path keeps each file in its real crate, which call
 /// resolution keys on.
 fn workspace_sources() -> Vec<(String, String)> {
-    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..").canonicalize().expect("root");
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("../..")
+        .canonicalize()
+        .expect("root");
     let mut paths = Vec::new();
     rust_files(&root, &mut paths);
     paths.sort();
     paths
         .iter()
         .map(|p| {
-            let rel = p.strip_prefix(&root).expect("under root").to_string_lossy().replace('\\', "/");
+            let rel = p
+                .strip_prefix(&root)
+                .expect("under root")
+                .to_string_lossy()
+                .replace('\\', "/");
             (rel, std::fs::read_to_string(p).expect("utf-8 source"))
         })
         .collect()

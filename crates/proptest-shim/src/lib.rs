@@ -252,7 +252,10 @@ pub struct CasePrinter(pub &'static str, pub u32);
 
 impl Drop for CasePrinter {
     fn drop(&mut self) {
-        eprintln!("proptest shim: property `{}` failed at case {}", self.0, self.1);
+        eprintln!(
+            "proptest shim: property `{}` failed at case {}",
+            self.0, self.1
+        );
     }
 }
 

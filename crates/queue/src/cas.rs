@@ -14,8 +14,8 @@
 use core::mem::MaybeUninit;
 
 use crate::padded::Padded;
-use crate::sync::{AtomicU64, Ordering, UnsafeCell};
 use crate::stats::{ContentionCounters, ContentionSnapshot};
+use crate::sync::{AtomicU64, Ordering, UnsafeCell};
 use crate::{ConcurrentQueue, PopState, QueueFull};
 
 /// MPMC FIFO arena queue with CAS-based reservations.
@@ -384,8 +384,7 @@ mod tests {
                 let q = Arc::clone(&q);
                 s.spawn(move || {
                     for chunk in (0..per as u64).collect::<Vec<_>>().chunks(32) {
-                        let items: Vec<u64> =
-                            chunk.iter().map(|i| (t * per) as u64 + i).collect();
+                        let items: Vec<u64> = chunk.iter().map(|i| (t * per) as u64 + i).collect();
                         q.push_group(&items).unwrap();
                     }
                 });

@@ -52,8 +52,8 @@
 use core::mem::MaybeUninit;
 
 use crate::padded::Padded;
-use crate::sync::{AtomicU64, Ordering, UnsafeCell};
 use crate::stats::{ContentionCounters, ContentionSnapshot};
+use crate::sync::{AtomicU64, Ordering, UnsafeCell};
 use crate::{ConcurrentQueue, PopState, QueueFull};
 
 /// Re-export so `use atos_queue::counter::PopHandle` reads naturally in

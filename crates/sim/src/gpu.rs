@@ -120,9 +120,9 @@ mod tests {
         let tasks = 100_000;
         let edges = 1_500_000u64;
         let t = m.batch_ns(tasks, edges, 30);
-        let work =
-            ((tasks as f64 * m.task_ns + edges as f64 * m.edge_ns) / m.resident_workers as f64)
-                .ceil() as u64;
+        let work = ((tasks as f64 * m.task_ns + edges as f64 * m.edge_ns)
+            / m.resident_workers as f64)
+            .ceil() as u64;
         assert_eq!(t, work);
     }
 

@@ -99,7 +99,11 @@ enum Route {
     Direct(usize),
     /// Egress injection link at the source, ingress link at the
     /// destination, network latency between them (InfiniBand-style).
-    TwoStage { egress: usize, ingress: usize, net_latency_ns: u64 },
+    TwoStage {
+        egress: usize,
+        ingress: usize,
+        net_latency_ns: u64,
+    },
 }
 
 /// A transfer whose source-side costs have been charged but whose
@@ -341,7 +345,8 @@ impl Fabric {
             Route::Direct(l) => {
                 let end = self.links[l].occupy(start, payload);
                 let lat = self.links[l].latency_ns;
-                self.trace.record_link(end, self.links[l].packet.wire_bytes(payload));
+                self.trace
+                    .record_link(end, self.links[l].packet.wire_bytes(payload));
                 (end + lat, NO_INGRESS)
             }
             Route::TwoStage {
@@ -362,7 +367,10 @@ impl Fabric {
                 } else {
                     // Pipelined: ingress starts receiving when the first
                     // byte arrives.
-                    (e_end.saturating_sub(e_wire) + net_latency_ns, ingress as u32)
+                    (
+                        e_end.saturating_sub(e_wire) + net_latency_ns,
+                        ingress as u32,
+                    )
                 }
             }
         };

@@ -92,10 +92,12 @@ impl PacketModel {
 
 /// The Figure 2 series: `(requested_bytes, efficiency)` for 4..=128 B.
 pub fn figure2_series(model: PacketModel) -> Vec<(u64, f64)> {
-    (1..=32).map(|i| {
-        let req = i * 4;
-        (req, model.efficiency(req))
-    }).collect()
+    (1..=32)
+        .map(|i| {
+            let req = i * 4;
+            (req, model.efficiency(req))
+        })
+        .collect()
 }
 
 #[cfg(test)]

@@ -96,8 +96,22 @@ mod tests {
         b.counter(Track::pe(0), 0, "worklist", 4);
         b.counter(Track::pe(0), 250, "worklist", 1);
         b.instant(Track::pe(1), 90, "msg", ["latency", ""], [80, 0]);
-        b.span(Track::agg(0, 1), 0, 60, "flush[size]", ["bytes", ""], [128, 0]);
-        b.span(Track::agg(0, 1), 100, 40, "flush[age]", ["bytes", ""], [32, 0]);
+        b.span(
+            Track::agg(0, 1),
+            0,
+            60,
+            "flush[size]",
+            ["bytes", ""],
+            [128, 0],
+        );
+        b.span(
+            Track::agg(0, 1),
+            100,
+            40,
+            "flush[age]",
+            ["bytes", ""],
+            [32, 0],
+        );
         b
     }
 

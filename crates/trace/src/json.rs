@@ -141,7 +141,10 @@ impl Parser<'_> {
     /// An object or array one level deeper than the current position.
     fn nested(&mut self) -> Result<Json, String> {
         if self.depth == MAX_DEPTH {
-            return Err(format!("nesting deeper than {MAX_DEPTH} at byte {}", self.pos));
+            return Err(format!(
+                "nesting deeper than {MAX_DEPTH} at byte {}",
+                self.pos
+            ));
         }
         self.depth += 1;
         let v = if self.peek() == Some(b'{') {
@@ -252,8 +255,7 @@ impl Parser<'_> {
                                 .get(self.pos + 1..self.pos + 5)
                                 .ok_or("truncated \\u escape")?;
                             let hex = std::str::from_utf8(hex).map_err(|e| e.to_string())?;
-                            let code =
-                                u32::from_str_radix(hex, 16).map_err(|e| e.to_string())?;
+                            let code = u32::from_str_radix(hex, 16).map_err(|e| e.to_string())?;
                             // Surrogates are rejected rather than paired:
                             // the exporters never emit them.
                             let c = char::from_u32(code)
@@ -330,7 +332,10 @@ mod tests {
     fn parses_nested_document() {
         let v = parse(r#"{"a":[1,2.5,-3e2],"b":{"c":"x\ny","d":true,"e":null}}"#).unwrap();
         assert_eq!(v.get("a").unwrap().as_arr().unwrap().len(), 3);
-        assert_eq!(v.get("a").unwrap().as_arr().unwrap()[2].as_num(), Some(-300.0));
+        assert_eq!(
+            v.get("a").unwrap().as_arr().unwrap()[2].as_num(),
+            Some(-300.0)
+        );
         assert_eq!(v.get("b").unwrap().get("c").unwrap().as_str(), Some("x\ny"));
         assert_eq!(v.get("b").unwrap().get("d"), Some(&Json::Bool(true)));
         assert_eq!(v.get("b").unwrap().get("e"), Some(&Json::Null));

@@ -53,7 +53,11 @@ impl MetricsRegistry {
     pub fn to_json(&self) -> String {
         let mut out = String::from("{\n");
         for (i, (k, v)) in self.counters.iter().enumerate() {
-            let sep = if i + 1 == self.counters.len() { "" } else { "," };
+            let sep = if i + 1 == self.counters.len() {
+                ""
+            } else {
+                ","
+            };
             out.push_str(&format!("  \"{}\": {v}{sep}\n", json::escape(k)));
         }
         out.push_str("}\n");

@@ -68,7 +68,10 @@ pub fn to_chrome_json(buf: &TraceBuffer) -> String {
                 args_json(ev)
             ),
             EventKind::Instant => {
-                format!("{{{common},\"ph\":\"i\",\"s\":\"t\",\"args\":{}}}", args_json(ev))
+                format!(
+                    "{{{common},\"ph\":\"i\",\"s\":\"t\",\"args\":{}}}",
+                    args_json(ev)
+                )
             }
             EventKind::Counter { .. } => {
                 format!("{{{common},\"ph\":\"C\",\"args\":{}}}", args_json(ev))
@@ -192,7 +195,14 @@ mod tests {
         b.span(Track::pe(1), 200, 300, "step", ["tasks", ""], [1, 0]);
         b.instant(Track::pe(1), 600, "msg", ["latency", ""], [400, 0]);
         b.counter(Track::pe(0), 1500, "worklist", 2);
-        b.span(Track::agg(0, 1), 100, 900, "flush[size]", ["bytes", ""], [256, 0]);
+        b.span(
+            Track::agg(0, 1),
+            100,
+            900,
+            "flush[size]",
+            ["bytes", ""],
+            [256, 0],
+        );
         b
     }
 

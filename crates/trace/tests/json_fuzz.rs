@@ -24,7 +24,14 @@ fn chrome_trace() -> String {
     buf.span(Track::pe(0), 0, 1_500, "step", ["tasks", "edges"], [3, 17]);
     buf.instant(Track::pe(1), 900, "msg", ["src", ""], [0, 0]);
     buf.counter(Track::pe(1), 900, "recvq", 4);
-    buf.span(Track::agg(0, 1), 1_000, 250, "flush[size]", ["tasks", ""], [12, 0]);
+    buf.span(
+        Track::agg(0, 1),
+        1_000,
+        250,
+        "flush[size]",
+        ["tasks", ""],
+        [12, 0],
+    );
     perfetto::to_chrome_json(&buf)
 }
 
@@ -72,7 +79,10 @@ fn structural(doc: &str) -> Vec<usize> {
 #[test]
 fn deep_nesting_is_an_error_not_a_stack_overflow() {
     for open in ["[", "{\"a\":"] {
-        assert!(json::parse(&open.repeat(100_000)).is_err(), "{open} x 100 000");
+        assert!(
+            json::parse(&open.repeat(100_000)).is_err(),
+            "{open} x 100 000"
+        );
     }
     let nest = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
     assert!(json::parse(&nest(MAX_DEPTH)).is_ok());

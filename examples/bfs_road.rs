@@ -45,7 +45,13 @@ fn main() {
     print_row("Gunrock-like (BSP)", &bsp.stats);
 
     // Groute-like (async, CPU control path).
-    let groute = run_bfs(graph.clone(), partition.clone(), source, Fabric::daisy(4), groute_config());
+    let groute = run_bfs(
+        graph.clone(),
+        partition.clone(),
+        source,
+        Fabric::daisy(4),
+        groute_config(),
+    );
     assert_eq!(groute.depth, want);
     print_row("Groute-like (async, CPU control)", &groute.stats);
 
@@ -65,10 +71,11 @@ fn main() {
         print_row(&cfg.label(), &run.stats);
     }
 
+    println!("\nAll four schedulers produced identical depths; the persistent-kernel");
     println!(
-        "\nAll four schedulers produced identical depths; the persistent-kernel"
+        "Atos configuration wins because the mesh's {} levels never pay a",
+        estimate_diameter(&graph)
     );
-    println!("Atos configuration wins because the mesh's {} levels never pay a", estimate_diameter(&graph));
     println!("kernel launch, and its one-sided pushes cross GPU boundaries at");
     println!("NVLink latency instead of a CPU round trip.");
 }

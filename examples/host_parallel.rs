@@ -28,7 +28,12 @@ struct FanOut {
 
 impl HostApplication for FanOut {
     type Task = (u32, u32);
-    fn process(&self, _pe: usize, (depth, salt): Self::Task, push: &mut dyn FnMut(usize, Self::Task)) {
+    fn process(
+        &self,
+        _pe: usize,
+        (depth, salt): Self::Task,
+        push: &mut dyn FnMut(usize, Self::Task),
+    ) {
         self.processed.fetch_add(1, Ordering::Relaxed);
         if depth > 0 {
             for i in 0..2u32 {
@@ -63,8 +68,15 @@ fn main() {
 
     // Part 2: an application of its own on the host backend — a
     // task-parallel fan-out where f1 generates work for other PEs.
-    let app = FanOut { processed: AtomicU64::new(0) };
-    let cfg = HostConfig { n_pes: 4, workers_per_pe: 2, fetch: 32, queue_capacity: 1 << 22 };
+    let app = FanOut {
+        processed: AtomicU64::new(0),
+    };
+    let cfg = HostConfig {
+        n_pes: 4,
+        workers_per_pe: 2,
+        fetch: 32,
+        queue_capacity: 1 << 22,
+    };
     let stats = run_host(&app, cfg, vec![vec![(20u32, 7u32)], vec![], vec![], vec![]]);
     let total = app.processed.load(Ordering::Relaxed);
     println!(

@@ -54,7 +54,10 @@ fn main() {
                 ..AtosConfig::ib_pagerank()
             },
         ),
-        ("aggregator, batched (WAIT_TIME=32)", AtosConfig::ib_pagerank()),
+        (
+            "aggregator, batched (WAIT_TIME=32)",
+            AtosConfig::ib_pagerank(),
+        ),
     ];
 
     println!(

@@ -93,6 +93,10 @@ fn main() {
     println!("\npop-and-push, {n} virtual threads x 10 ops:");
     for kind in QueueKind::ALL {
         let s = run(kind, Experiment::ConcurrentPopPush, n);
-        println!("  {:<18}{:>10.3} ms", kind.label(), s.elapsed.as_secs_f64() * 1e3);
+        println!(
+            "  {:<18}{:>10.3} ms",
+            kind.label(),
+            s.elapsed.as_secs_f64() * 1e3
+        );
     }
 }

@@ -60,12 +60,30 @@ const EPS: f64 = 1e-5;
 
 #[derive(Debug, Clone)]
 enum GraphSpec {
-    Rmat { scale: u32, edges: usize, seed: u64 },
-    Road { w: usize, h: usize, seed: u64 },
-    Grid { w: usize, h: usize },
-    Uniform { n: usize, edges: usize, seed: u64 },
+    Rmat {
+        scale: u32,
+        edges: usize,
+        seed: u64,
+    },
+    Road {
+        w: usize,
+        h: usize,
+        seed: u64,
+    },
+    Grid {
+        w: usize,
+        h: usize,
+    },
+    Uniform {
+        n: usize,
+        edges: usize,
+        seed: u64,
+    },
     /// An explicit edge list: isolated vertices, self-loops, duplicates.
-    Edges { n: usize, edges: Vec<(VertexId, VertexId)> },
+    Edges {
+        n: usize,
+        edges: Vec<(VertexId, VertexId)>,
+    },
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -94,15 +112,26 @@ enum Framework {
     Bsp,
 }
 
-const FRAMEWORKS: [Framework; 4] =
-    [Framework::Atos, Framework::Groute, Framework::Galois, Framework::Bsp];
+const FRAMEWORKS: [Framework; 4] = [
+    Framework::Atos,
+    Framework::Groute,
+    Framework::Galois,
+    Framework::Bsp,
+];
 
 #[derive(Debug, Clone, Copy)]
 enum App {
     Bfs,
-    PageRank { alpha: f64 },
+    PageRank {
+        alpha: f64,
+    },
     Cc,
-    Sssp { split: bool, delta: u64, max_weight: u32, seed: u64 },
+    Sssp {
+        split: bool,
+        delta: u64,
+        max_weight: u32,
+        seed: u64,
+    },
     /// BFS on real threads (`atos-core`'s host backend).
     HostBfs,
 }
@@ -141,11 +170,22 @@ impl GraphSpec {
                 let edges = draw(rng, 0..(8 << scale) + 1);
                 GraphSpec::Rmat { scale, edges, seed }
             }
-            1 => GraphSpec::Road { w: draw(rng, 1..side() + 1), h: draw(rng, 1..side() + 1), seed },
-            2 => GraphSpec::Grid { w: draw(rng, 0..side() + 1), h: draw(rng, 0..side() + 1) },
+            1 => GraphSpec::Road {
+                w: draw(rng, 1..side() + 1),
+                h: draw(rng, 1..side() + 1),
+                seed,
+            },
+            2 => GraphSpec::Grid {
+                w: draw(rng, 0..side() + 1),
+                h: draw(rng, 0..side() + 1),
+            },
             3 => {
                 let n = draw(rng, 1..size + 1);
-                GraphSpec::Uniform { n, edges: draw(rng, 0..4 * n + 1), seed }
+                GraphSpec::Uniform {
+                    n,
+                    edges: draw(rng, 0..4 * n + 1),
+                    seed,
+                }
             }
             _ => {
                 // Small id spaces: 0 or 1 vertices, and lists dense in
@@ -155,7 +195,11 @@ impl GraphSpec {
                 let mut edges = Vec::with_capacity(m);
                 for _ in 0..m {
                     let u = draw(rng, 0..n as u32);
-                    let v = if draw(rng, 0..4) == 0 { u } else { draw(rng, 0..n as u32) };
+                    let v = if draw(rng, 0..4) == 0 {
+                        u
+                    } else {
+                        draw(rng, 0..n as u32)
+                    };
                     edges.push((u, v));
                     if draw(rng, 0..4) == 0 {
                         edges.push((u, v));
@@ -234,7 +278,9 @@ fn draw_config(rng: &mut TestRng) -> AtosConfig {
         num_workers: draw(rng, floor..200),
     };
     let comm = match draw(rng, 0..2) {
-        0 => CommMode::Direct { group: pick(rng, &[0, 1, 2, 7, 32, 1024, usize::MAX]) },
+        0 => CommMode::Direct {
+            group: pick(rng, &[0, 1, 2, 7, 32, 1024, usize::MAX]),
+        },
         _ => CommMode::Aggregated {
             batch_bytes: pick(rng, &[0, 8, 64, 1000, 1 << 20]),
             wait_time: draw(rng, 0..40),
@@ -245,7 +291,9 @@ fn draw_config(rng: &mut TestRng) -> AtosConfig {
         queue,
         worker,
         comm,
-        control: ControlPath { inject_ns: draw(rng, 0..20_000) },
+        control: ControlPath {
+            inject_ns: draw(rng, 0..20_000),
+        },
         in_kernel_comm: draw(rng, 0..2) == 0,
         round_metadata_bytes: pick(rng, &[0, 0, 64, 4096]),
     }
@@ -275,7 +323,12 @@ impl Case {
         let max_weight = draw(&mut rng, 1..40);
         let delta = draw(&mut rng, 0..2 * max_weight as u64);
         let seed = draw(&mut rng, 0..1 << 20);
-        let sssp = |split| App::Sssp { split, delta, max_weight, seed };
+        let sssp = |split| App::Sssp {
+            split,
+            delta,
+            max_weight,
+            seed,
+        };
         // CC and PageRank are the applications that need no source vertex.
         let app = match draw(&mut rng, 0..6) {
             _ if n == 0 => pick(&mut rng, &[App::Cc, App::PageRank { alpha }]),
@@ -286,8 +339,20 @@ impl Case {
             4 => sssp(true),
             _ => App::HostBfs,
         };
-        let source = if n == 0 { 0 } else { draw(&mut rng, 0..n as VertexId) };
-        Case { graph, split, net, cfg, framework, app, source }
+        let source = if n == 0 {
+            0
+        } else {
+            draw(&mut rng, 0..n as VertexId)
+        };
+        Case {
+            graph,
+            split,
+            net,
+            cfg,
+            framework,
+            app,
+            source,
+        }
     }
 
     /// A mesh case: a road network or a full grid of 33 to 71 vertices a
@@ -298,7 +363,11 @@ impl Case {
         let mut rng = TestRng::for_case("differential_mesh", case);
         let (w, h) = (draw(&mut rng, 33..72), draw(&mut rng, 33..72));
         let graph = match draw(&mut rng, 0..2) {
-            0 => GraphSpec::Road { w, h, seed: draw(&mut rng, 0..1 << 20) },
+            0 => GraphSpec::Road {
+                w,
+                h,
+                seed: draw(&mut rng, 0..1 << 20),
+            },
             _ => GraphSpec::Grid { w, h },
         };
         let net = match draw(&mut rng, 0..3) {
@@ -310,7 +379,15 @@ impl Case {
         let framework = pick(&mut rng, &FRAMEWORKS);
         let app = pick(&mut rng, &[App::Bfs, App::Cc]);
         let source = draw(&mut rng, 0..(w * h) as VertexId);
-        Case { graph, split: Split::Block, net, cfg, framework, app, source }
+        Case {
+            graph,
+            split: Split::Block,
+            net,
+            cfg,
+            framework,
+            app,
+            source,
+        }
     }
 }
 
@@ -326,7 +403,13 @@ enum Answer {
 
 /// The `RunStats` fields two runs of one case must agree on.
 fn schedule(s: &RunStats) -> (u64, u64, u64, u64, Vec<u64>) {
-    (s.elapsed_ns, s.sim_events, s.messages, s.wire_bytes, s.tasks_per_pe.clone())
+    (
+        s.elapsed_ns,
+        s.sim_events,
+        s.messages,
+        s.wire_bytes,
+        s.tasks_per_pe.clone(),
+    )
 }
 
 /// The configuration `case` runs under on the Atos runtime; `None` for
@@ -369,7 +452,10 @@ fn run(case: &Case, g: &Arc<Csr>, part: &Arc<Partition>) -> (Answer, Option<RunS
                     (r.rank, r.stats)
                 }
             };
-            (Answer::Rank(rank.iter().map(|x| x.to_bits()).collect()), stats)
+            (
+                Answer::Rank(rank.iter().map(|x| x.to_bits()).collect()),
+                stats,
+            )
         }
         App::Cc => {
             let g = Arc::new(g.symmetrize());
@@ -386,7 +472,12 @@ fn run(case: &Case, g: &Arc<Csr>, part: &Arc<Partition>) -> (Answer, Option<RunS
             };
             (Answer::Label(label), stats)
         }
-        App::Sssp { split, delta, max_weight, seed } => {
+        App::Sssp {
+            split,
+            delta,
+            max_weight,
+            seed,
+        } => {
             let w = Arc::new(EdgeWeights::random(&g, max_weight, seed));
             let (dist, stats) = match cfg {
                 Some(cfg) => {
@@ -397,7 +488,10 @@ fn run(case: &Case, g: &Arc<Csr>, part: &Arc<Partition>) -> (Answer, Option<RunS
                 None => {
                     let mut seeds = vec![Vec::new(); part.n_parts()];
                     let (mut app, kind) = if split {
-                        (SsspApp::new_split(g, w, part.clone(), src, delta), KIND_LIGHT)
+                        (
+                            SsspApp::new_split(g, w, part.clone(), src, delta),
+                            KIND_LIGHT,
+                        )
                     } else {
                         (SsspApp::new(g, w, part.clone(), src, delta), KIND_FULL)
                     };
@@ -429,7 +523,10 @@ fn finished_bfs_app(case: &Case, g: &Arc<Csr>, part: &Arc<Partition>) -> BfsApp 
             seeds[part.owner(case.source)].push((case.source, 0));
             (BfsApp::new(g.clone(), part.clone(), case.source), seeds)
         }
-        App::Cc => (BfsApp::components(Arc::new(g.symmetrize()), part.clone()), cc_seeds(part)),
+        App::Cc => (
+            BfsApp::components(Arc::new(g.symmetrize()), part.clone()),
+            cc_seeds(part),
+        ),
         app => unreachable!("{app:?} keeps no BfsApp mirror"),
     };
     match config(case, g) {
@@ -451,7 +548,12 @@ fn finished_bfs_app(case: &Case, g: &Arc<Csr>, part: &Arc<Partition>) -> BfsApp 
 /// Property 1: the answer the serial reference computes.
 fn check_answer(case: &Case, g: &Csr, answer: &Answer) {
     match (case.app, answer) {
-        (App::Sssp { max_weight, seed, .. }, Answer::Dist(dist)) => {
+        (
+            App::Sssp {
+                max_weight, seed, ..
+            },
+            Answer::Dist(dist),
+        ) => {
             let w = EdgeWeights::random(g, max_weight, seed);
             assert_eq!(dist, &dijkstra(g, &w, case.source), "distances");
         }
@@ -477,10 +579,17 @@ fn check(case: &Case) {
     let (again, stats_again) = run(case, &g, &part);
     assert!(again == answer, "a rerun's answer differs");
     let stats_again = stats_again.expect("a simulated rerun has stats");
-    assert_eq!(schedule(&stats_again), schedule(&stats), "a rerun's schedule differs");
+    assert_eq!(
+        schedule(&stats_again),
+        schedule(&stats),
+        "a rerun's schedule differs"
+    );
     let bound = (n_pes * (n_pes + 2)) as u64;
     let peak = stats.peak_pending_events;
-    assert!(peak <= bound, "{peak} pending events, more than n_pes·(n_pes+2) = {bound}");
+    assert!(
+        peak <= bound,
+        "{peak} pending events, more than n_pes·(n_pes+2) = {bound}"
+    );
 }
 
 /// Prints the failing case, index, case count and input, while its check
@@ -490,7 +599,10 @@ struct Report<'a>(u32, u32, &'a Case);
 impl Drop for Report<'_> {
     fn drop(&mut self) {
         if std::thread::panicking() {
-            eprintln!("differential: case {} of {} failed: {:#?}", self.0, self.1, self.2);
+            eprintln!(
+                "differential: case {} of {} failed: {:#?}",
+                self.0, self.1, self.2
+            );
         }
     }
 }
@@ -524,5 +636,8 @@ fn meshes_keep_some_bfs_mirror_paged() {
         let dense = n_pes * g.n_vertices() * std::mem::size_of::<u32>();
         paged += (finished_bfs_app(&case, &g, &part).mirror_bytes() < dense) as u32;
     }
-    assert!(paged > 0, "all {MESH_CASES} mesh cases ended with every mirror dense");
+    assert!(
+        paged > 0,
+        "all {MESH_CASES} mesh cases ended with every mirror dense"
+    );
 }

@@ -48,7 +48,13 @@ fn paper_shapes_hold() {
     }
 
     // 4. On IB, Galois pays for bulk rounds: slower than Atos on mesh.
-    let galois = run_bfs(g.clone(), part.clone(), src, Fabric::ib_cluster(4), galois_config(&g));
+    let galois = run_bfs(
+        g.clone(),
+        part.clone(),
+        src,
+        Fabric::ib_cluster(4),
+        galois_config(&g),
+    );
     let atos_ib = run_bfs(
         g.clone(),
         part,

@@ -7,9 +7,9 @@ use std::sync::Arc;
 use atos::apps::host_bfs::host_bfs;
 use atos::apps::sssp::run_sssp;
 use atos::core::AtosConfig;
-use atos::graph::generators::{road_network, rmat, Preset, Scale};
+use atos::graph::generators::{rmat, road_network, Preset, Scale};
 use atos::graph::grouped::OwnerGrouped;
-use atos::graph::io::{read_matrix_market, write_dimacs, write_matrix_market, read_dimacs};
+use atos::graph::io::{read_dimacs, read_matrix_market, write_dimacs, write_matrix_market};
 use atos::graph::partition::Partition;
 use atos::graph::reference;
 use atos::graph::weights::{dijkstra, EdgeWeights};
