@@ -1,13 +1,14 @@
 //! Compressed sparse row graph storage.
 //!
 //! Mirrors the `CSR` the paper's BFS worker iterates
-//! (`neighborlist_start`, `neighbor_list_length`, `get_neighbor`): 64-bit
-//! offsets so twitter-scale edge counts fit, 32-bit vertex ids to halve
-//! memory traffic (the paper's graphs all fit u32).
+//! (`neighborlist_start`, `neighbor_list_length`, `get_neighbor`), with
+//! 32-bit vertex ids and row offsets: `u32::MAX` edges at most, where the
+//! largest graph here, full-scale `twitter_s`, has 16 M and the paper's
+//! largest, twitter50, 1.9 B.
 
 use std::ops::Range;
 
-use crate::par::{alongside, balanced_rows, build_threads, split_at_cuts};
+use crate::par::{alongside, balanced_rows, build_threads, row_index_entry, split_at_cuts};
 use crate::prefetch::{prefetch_row, Lookahead};
 
 /// Vertex identifier (u32: all Table I graphs fit, and halving index width
@@ -33,7 +34,7 @@ const MIN_PAIRS_PER_VERTEX: usize = 8;
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Csr {
-    offsets: Vec<u64>,
+    offsets: Vec<u32>,
     neighbors: Vec<VertexId>,
 }
 
@@ -62,6 +63,9 @@ impl Csr {
     /// thread. On one thread nothing is spawned, and the build allocates
     /// exactly what the serial counting sort did: `offsets` and
     /// `neighbors`.
+    ///
+    /// # Panics
+    /// If `edges` holds more than `u32::MAX` pairs.
     pub fn from_edges(n_vertices: usize, edges: &[(VertexId, VertexId)]) -> Self {
         let threads = if edges.len() < MIN_PAIRS_PER_VERTEX * n_vertices {
             1
@@ -78,18 +82,13 @@ impl Csr {
         edges: &[(VertexId, VertexId)],
         threads: usize,
     ) -> Self {
+        row_index_entry("Csr::from_edges pairs", edges.len(), 0);
         let in_range = |&&(u, v): &&(VertexId, VertexId)| {
             (u as usize) < n_vertices && (v as usize) < n_vertices
         };
-        // Slices before the last keep `u32` cursors, which must hold any slot.
-        let threads = if edges.len() > u32::MAX as usize {
-            1
-        } else {
-            threads.max(1)
-        };
-        let mut slices = edges.chunks(edges.len().div_ceil(threads).max(1));
+        let mut slices = edges.chunks(edges.len().div_ceil(threads.max(1)).max(1));
         let last = slices.next_back().unwrap_or_default();
-        let mut offsets = vec![0u64; n_vertices + 1];
+        let mut offsets = vec![0u32; n_vertices + 1];
         // Not `vec![row; k]`, which builds one row even for k = 0.
         let mut cursors: Vec<Vec<u32>> = (0..slices.len()).map(|_| vec![0; n_vertices]).collect();
 
@@ -113,12 +112,12 @@ impl Csr {
         // cursor now absolute; the last slice's cursor is `offsets[u]`. A
         // row whose pairs arrive sorted stays sorted, which its sort in
         // step 4 then only has to confirm.
-        let mut start = 0u64;
+        let mut start = 0u32;
         for u in 0..n_vertices {
             let mut at = start;
             for row in &mut cursors {
-                let count = u64::from(row[u]);
-                row[u] = at as u32;
+                let count = row[u];
+                row[u] = at;
                 at += count;
             }
             start = at + offsets[u + 1];
@@ -132,7 +131,7 @@ impl Csr {
         // The slices write the one array concurrently, so its address
         // crosses threads as a `usize`.
         let out = neighbors.as_mut_ptr() as usize;
-        let put = |slot: u64, v: VertexId| {
+        let put = |slot: u32, v: VertexId| {
             // SAFETY: step 2 gave each (row, slice) a run of exactly the
             // slice's count of the row's slots, inside `neighbors` and
             // disjoint from every other run. Each slice below puts a pair
@@ -145,7 +144,7 @@ impl Csr {
             slices.zip(&mut cursors),
             |(pairs, row)| {
                 for &(u, v) in pairs.iter().filter(in_range) {
-                    put(row[u as usize].into(), v);
+                    put(row[u as usize], v);
                     row[u as usize] += 1;
                 }
             },
@@ -160,7 +159,7 @@ impl Csr {
 
         // 4. Sort + dedup.
         let len = compact(&mut offsets[..n_vertices], &mut neighbors, threads);
-        offsets[n_vertices] = len as u64;
+        offsets[n_vertices] = len as u32;
         neighbors.truncate(len);
         neighbors.shrink_to_fit();
         Csr { offsets, neighbors }
@@ -169,8 +168,8 @@ impl Csr {
     /// A graph from its parts, built elsewhere in this crate: `offsets`
     /// holds every row's start and then `neighbors.len()`, and each row is
     /// sorted and free of duplicates, as [`Csr::from_edges`] leaves it.
-    pub(crate) fn from_rows(offsets: Vec<u64>, neighbors: Vec<VertexId>) -> Self {
-        debug_assert_eq!(offsets.last(), Some(&(neighbors.len() as u64)));
+    pub(crate) fn from_rows(offsets: Vec<u32>, neighbors: Vec<VertexId>) -> Self {
+        debug_assert_eq!(offsets.last(), Some(&(neighbors.len() as u32)));
         Csr { offsets, neighbors }
     }
 
@@ -200,7 +199,7 @@ impl Csr {
 
     /// The row index itself, for the hint path (`get`, never indexing).
     #[inline]
-    pub(crate) fn offsets(&self) -> &[u64] {
+    pub(crate) fn offsets(&self) -> &[u32] {
         &self.offsets
     }
 
@@ -234,10 +233,19 @@ impl Csr {
         self.n_edges() as f64 / self.n_vertices() as f64
     }
 
+    /// Heap bytes of the row index and the neighbor array, by capacity.
+    pub fn bytes(&self) -> usize {
+        4 * (self.offsets.capacity() + self.neighbors.capacity())
+    }
+
     /// Transposed graph (in-edges become out-edges).
+    ///
+    /// # Panics
+    /// If the graph holds more than `u32::MAX` edges (no [`Csr`] does).
     pub fn transpose(&self) -> Csr {
         let n = self.n_vertices();
-        let mut offsets = vec![0u64; n + 1];
+        row_index_entry("Csr::transpose edges", self.n_edges(), 0);
+        let mut offsets = vec![0u32; n + 1];
         for &v in &self.neighbors {
             offsets[v as usize + 1] += 1;
         }
@@ -257,7 +265,12 @@ impl Csr {
     }
 
     /// Undirected view: union of the graph and its transpose.
+    ///
+    /// # Panics
+    /// If `2 · n_edges()`, the pairs it would hand [`Csr::from_edges`],
+    /// pass `u32::MAX`; before it allocates them.
     pub fn symmetrize(&self) -> Csr {
+        row_index_entry("Csr::symmetrize pairs", 2 * self.n_edges(), 0);
         let mut edges = Vec::with_capacity(self.n_edges() * 2);
         for u in 0..self.n_vertices() as VertexId {
             for &v in self.neighbors(u) {
@@ -280,7 +293,7 @@ impl Csr {
 /// raw end to its compacted start. Returns the compacted length. Rows are
 /// cut into edge-balanced ranges, each range compacts in place from its own
 /// raw start, and the ranges then close up on the ones before them.
-fn compact(ends: &mut [u64], neighbors: &mut [VertexId], threads: usize) -> usize {
+fn compact(ends: &mut [u32], neighbors: &mut [VertexId], threads: usize) -> usize {
     if threads <= 1 {
         return compact_rows(ends, neighbors, 0);
     }
@@ -299,7 +312,7 @@ fn compact(ends: &mut [u64], neighbors: &mut [VertexId], threads: usize) -> usiz
     let (((first_ends, first_range), _), first_len) = ranges.next().expect("two ranges or more");
     alongside(
         ranges,
-        |(((range_ends, range), &base), len)| *len = compact_rows(range_ends, range, base as u64),
+        |(((range_ends, range), &base), len)| *len = compact_rows(range_ends, range, base as u32),
         || *first_len = compact_rows(first_ends, first_range, 0),
     );
     let mut len = lens[0];
@@ -308,7 +321,7 @@ fn compact(ends: &mut [u64], neighbors: &mut [VertexId], threads: usize) -> usiz
         if from != len {
             neighbors.copy_within(from..from + lens[k], len);
             for end in &mut ends[rows[k]..rows[k + 1]] {
-                *end -= (from - len) as u64;
+                *end -= (from - len) as u32;
             }
         }
         len += lens[k];
@@ -321,11 +334,11 @@ fn compact(ends: &mut [u64], neighbors: &mut [VertexId], threads: usize) -> usiz
 /// row i's raw end, absolute, and `base` the range's raw start; each entry
 /// becomes the row's compacted start, as if the range began at `base`.
 /// Returns the range's compacted length.
-fn compact_rows(ends: &mut [u64], neighbors: &mut [VertexId], base: u64) -> usize {
+fn compact_rows(ends: &mut [u32], neighbors: &mut [VertexId], base: u32) -> usize {
     let (mut raw_start, mut len) = (0usize, 0usize);
     for end in ends {
         let raw_end = (*end - base) as usize;
-        *end = base + len as u64;
+        *end = base + len as u32;
         neighbors[raw_start..raw_end].sort_unstable();
         for i in raw_start..raw_end {
             let v = neighbors[i];
@@ -354,7 +367,7 @@ mod tests {
             .collect();
         sorted.sort_unstable();
         sorted.dedup();
-        let mut offsets = vec![0u64; n_vertices + 1];
+        let mut offsets = vec![0u32; n_vertices + 1];
         for &(u, _) in &sorted {
             offsets[u as usize + 1] += 1;
         }
@@ -435,6 +448,12 @@ mod tests {
         assert_eq!(g.degree(1), 1);
         assert_eq!(g.max_degree(), 2);
         assert!((g.avg_degree() - 1.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn bytes_count_both_arrays_by_capacity() {
+        assert_eq!(diamond().bytes(), 4 * 5 + 4 * 4);
+        assert_eq!(Csr::from_edges(0, &[]).bytes(), 4);
     }
 
     #[test]

@@ -356,7 +356,7 @@ fn mesh(w: usize, h: usize, seed: Option<u64>, threads: usize) -> Csr {
     // their edges were kept, from the keep bits in `slots`, those of a band
     // starting at grid row `y0` at vertex `first`. `above` draws the row
     // above the band again, one vertex a call, for its down bits.
-    let grid = |slots: &[u64],
+    let grid = |slots: &[u32],
                 i: usize,
                 (x, y, y0): (usize, usize, usize),
                 above: &mut Option<SmallRng>| {
@@ -381,7 +381,7 @@ fn mesh(w: usize, h: usize, seed: Option<u64>, threads: usize) -> Csr {
 
     let bands = threads.clamp(1, h);
     let cuts = (0..=bands).map(|k| h * k / bands * w).collect();
-    let build = RowBuild::count(cuts, 2, |first, slots: &mut [u64]| {
+    let build = RowBuild::count(cuts, 2, |first, slots: &mut [u32]| {
         let y0 = first / w;
         let (mut rng, mut above) = (at_row(y0), at_row(y0.saturating_sub(1)));
         let mut rest = from(first);
@@ -396,7 +396,7 @@ fn mesh(w: usize, h: usize, seed: Option<u64>, threads: usize) -> Csr {
                     len = 0;
                     merge_row(row, kept, mine, |_| len += 1);
                 }
-                slots[i] |= (len as u64) << 2;
+                slots[i] |= (len as u32) << 2;
                 i += 1;
             }
         }
@@ -448,11 +448,11 @@ fn take_highways<'a>(
 /// down edge's. Row 0's right edges and column 0's down edges are never
 /// dropped, so the mesh stays connected; without a generator none is.
 #[inline(always)]
-fn keep_bits(rng: &mut Option<SmallRng>, x: usize, y: usize, w: usize, h: usize) -> u64 {
+fn keep_bits(rng: &mut Option<SmallRng>, x: usize, y: usize, w: usize, h: usize) -> u32 {
     let mut keep = |spine: bool| spine || rng.as_mut().is_none_or(|rng| rng.gen::<f64>() > DROP);
     let right = x + 1 < w && keep(y == 0);
     let down = y + 1 < h && keep(x == 0);
-    right as u64 | (down as u64) << 1
+    right as u32 | (down as u32) << 1
 }
 
 /// A road network's highways, both directions of each, sorted and
@@ -837,6 +837,16 @@ mod tests {
         let avg = g.avg_degree();
         assert!(avg > 2.0 && avg < 5.0, "avg degree {avg}");
         assert!(g.max_degree() <= 12);
+    }
+
+    /// The benchmark's mesh holds 4 B per row-index entry and 4 B per
+    /// edge, each array exactly: an 8-byte row index fails here.
+    #[test]
+    fn road_network_bytes_are_four_per_entry() {
+        let g = road_network(1000, 1000, 1);
+        let (n, m) = (g.n_vertices(), g.n_edges());
+        assert_eq!(n, 1_000_000);
+        assert_eq!(g.bytes(), 4 * (n + 1) + 4 * m);
     }
 
     #[test]

@@ -49,9 +49,7 @@ impl OwnerGrouped {
     /// exactly.
     ///
     /// # Panics
-    /// If the partition is for another vertex count, or the graph has more
-    /// than `u32::MAX` edges (segment bounds are 32-bit: they are read once
-    /// per segment on the traversal's hot path).
+    /// If the partition is for another vertex count.
     pub fn build(graph: &Csr, partition: &Partition) -> Self {
         Self::build_on_threads(graph, partition, build_threads(graph.n_edges()))
     }
@@ -61,7 +59,6 @@ impl OwnerGrouped {
     pub(crate) fn build_on_threads(graph: &Csr, partition: &Partition, threads: usize) -> Self {
         let (n, m) = (graph.n_vertices(), graph.n_edges());
         assert_eq!(partition.n_vertices(), n, "partition/graph size");
-        assert!(m <= u32::MAX as usize, "segment bounds are 32-bit");
         let rows = balanced_rows(&graph.offsets()[1..], threads.max(1));
         let edge_cuts: Vec<usize> = rows.iter().map(|&r| graph.offsets()[r] as usize).collect();
         let build = RowBuild::count(rows, 0, |first, lens: &mut [u32]| {

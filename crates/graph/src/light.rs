@@ -39,13 +39,8 @@ impl LightEdges {
     /// Copy out the edges of `graph` whose weight is at most `delta`. One
     /// pass over the edges with no per-edge branch: every edge is written
     /// at the cursor and only a light one advances it.
-    ///
-    /// # Panics
-    /// If the graph has more than `u32::MAX` edges (row offsets are 32-bit:
-    /// a light task reads two of them before anything else).
     pub fn build(graph: &Csr, weights: &EdgeWeights, delta: u64) -> Self {
         let (n, m) = (graph.n_vertices(), graph.n_edges());
-        assert!(m <= u32::MAX as usize, "row offsets are 32-bit");
         let mut offsets = Vec::with_capacity(n + 1);
         // Zeroed and written only up to the cursor, so the pages past the
         // last light edge are never touched.

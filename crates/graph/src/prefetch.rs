@@ -44,17 +44,12 @@ pub fn prefetch<T>(slice: &[T], index: usize) {
 /// `Near` reads that entry and touches the row's first line.
 #[inline(always)]
 // atos-lint: hot(no-index)
-pub(crate) fn prefetch_row<O: Copy + Into<u64>, T>(
-    offsets: &[O],
-    rows: &[T],
-    v: usize,
-    ahead: Lookahead,
-) {
+pub(crate) fn prefetch_row<T>(offsets: &[u32], rows: &[T], v: usize, ahead: Lookahead) {
     match ahead {
         Lookahead::Far => prefetch(offsets, v),
         Lookahead::Near => {
             if let Some(&lo) = offsets.get(v) {
-                prefetch(rows, lo.into() as usize);
+                prefetch(rows, lo as usize);
             }
         }
     }
