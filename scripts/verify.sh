@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
-# Repository verification, in fourteen stages: tier-1 build+test, the
-# workspace tests, the doc-reference check, the parallel-sweep smoke
-# (byte-identity across thread counts; usage errors, the removed --json,
-# --run-id and bench_trajectory gate flags among them), the golden
-# byte-compares, the frozen benchmark package (build + smoke run), the
+# Repository verification, in fifteen stages: rustfmt's check, tier-1
+# build+test, the workspace tests, the doc-reference check, the
+# parallel-sweep smoke (byte-identity across thread counts; usage errors,
+# the removed --json, --run-id and bench_trajectory gate flags among them),
+# the golden byte-compares, the frozen benchmark package (build + smoke run), the
 # paired perf gate against the parent commit (scripts/ab.sh HEAD~1), the
 # observability smoke, the line-level sampler smoke, atos-lint's call-graph
 # rule, miri, the model checker under --cfg atos_check (tests + the clippy
@@ -17,6 +17,14 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+echo "== rustfmt (cargo fmt --all --check) =="
+# Every workspace member is rustfmt-clean with the default settings. The
+# frozen benchmark/ is its own workspace, so this neither checks nor
+# rewrites it.
+cargo fmt --all --check
+echo "ok: the workspace is formatted"
+
+echo
 echo "== tier-1: cargo build --release && cargo test -q =="
 cargo build --release
 cargo test -q
