@@ -32,8 +32,20 @@
 //! every vertex is relaxed many times and every relaxation communicates,
 //! which is why the IB configuration batches aggressively
 //! (`WAIT_TIME = 32`).
+//!
+//! A relaxation's remote segment — the neighbours one other PE owns, 4.9 of
+//! them on average on the IB workload — is Listing 5's `push_warp(neighbor,
+//! pe)`: one cooperative write of the whole segment. Here it is one masked
+//! vector load of the ids and masked stores of the finished tasks, straight
+//! into the destination's tail chunk ([`Emitter::remote_spare`]), 16 ids at
+//! a time. `PageRankApp::new` picks the widest compilation the CPU runs —
+//! AVX-512F, AVX2, or the plain `extend` — once; a segment that does not
+//! fit the tail chunk takes the plain path, so every compilation leaves the
+//! same chunks, trains and run (DESIGN.md §4.10). The kernels write
+//! [`PrTask`]'s words directly, so its bit layout is checked at compile time.
 
 use std::fmt;
+use std::mem;
 use std::num::NonZeroU32;
 use std::sync::Arc;
 
@@ -81,6 +93,32 @@ impl PrTask {
     }
 }
 
+/// The high half of every contribution of share `c`: its `f32` bits.
+#[inline(always)]
+fn share_word(c: f32) -> u64 {
+    u64::from(c.to_bits()) << 32
+}
+
+/// [`PrTask`]'s words, which the vector emit writes directly: a
+/// contribution is its complemented vertex in the low half and the share's
+/// bits in the high half, and a relaxation is its vertex in the high half
+/// over a zero low half (the niche that tells the variants apart). The
+/// layout of a plain enum is the compiler's choice; these asserts make it
+/// a fact of the build, which fails if the layout is ever another.
+const _: () = {
+    // SAFETY: `PrTask` is 8 bytes with no padding in either variant (the
+    // niche fills `Relax`'s low half), so every byte of both values is
+    // initialised; const evaluation would reject the transmute otherwise.
+    let relax = unsafe { mem::transmute::<PrTask, u64>(PrTask::Relax(0x89AB_CDEF)) };
+    assert!(relax == 0x89AB_CDEF << 32);
+    // What `PrTask::contrib(0x0123_4567, -1.5)` builds (a `const fn` may
+    // not call its `unwrap_or`).
+    let packed = NonZeroU32::new(!0x0123_4567).unwrap();
+    // SAFETY: as above.
+    let contrib = unsafe { mem::transmute::<PrTask, u64>(PrTask::Contrib(packed, -1.5)) };
+    assert!(contrib == !0x0123_4567u32 as u64 | ((-1.5f32).to_bits() as u64) << 32);
+};
+
 /// What `#[derive(Debug)]` printed when `Contrib` held the vertex itself:
 /// logs and the schedule fingerprints hashed from them do not change.
 impl fmt::Debug for PrTask {
@@ -110,6 +148,8 @@ pub struct PageRankApp {
     pub residue: Vec<f64>,
     alpha: f64,
     epsilon: f64,
+    /// The compilation of the remote emit this host runs.
+    emit: Emit,
 }
 
 impl PageRankApp {
@@ -145,6 +185,7 @@ impl PageRankApp {
             residue: vec![1.0 - alpha; n],
             alpha,
             epsilon,
+            emit: Emit::host().next().unwrap_or(Emit::Plain),
         }
     }
 
@@ -164,6 +205,172 @@ fn deposit(residue: &mut f64, epsilon: f64, c: f64) -> bool {
     let new = old + c;
     *residue = new;
     (old < epsilon) & (new >= epsilon)
+}
+
+/// One compilation of the remote emit: `PrTask::contrib(w, c)` for every
+/// `w` of a segment, appended to the run for the segment's owner. Every
+/// compilation leaves the same tasks in the same chunks.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Emit {
+    /// Masked 512-bit loads and stores, 16 ids at a time.
+    #[cfg(target_arch = "x86_64")]
+    Avx512f,
+    /// Masked 256-bit loads and stores, 8 ids at a time.
+    #[cfg(target_arch = "x86_64")]
+    Avx2,
+    /// [`Emitter::extend_remote`] over an iterator, on every host.
+    Plain,
+}
+
+impl Emit {
+    /// The compilations this host runs, widest first: AVX-512F and AVX2
+    /// where the CPU reports them, then plain code, the only one off
+    /// x86_64. A value other than `Plain` exists only where its features
+    /// do, which is what makes [`Emit::remote`] sound.
+    fn host() -> impl Iterator<Item = Emit> {
+        #[cfg(target_arch = "x86_64")]
+        let wide = [
+            (Emit::Avx512f, std::is_x86_feature_detected!("avx512f")),
+            (Emit::Avx2, std::is_x86_feature_detected!("avx2")),
+        ];
+        #[cfg(not(target_arch = "x86_64"))]
+        let wide: [(Emit, bool); 0] = [];
+        wide.into_iter()
+            .filter_map(|(emit, here)| here.then_some(emit))
+            .chain([Emit::Plain])
+    }
+
+    /// Append `contrib(w, c)` for each `w` of `segment` to `dst`'s run.
+    #[inline(always)]
+    fn remote(self, out: &mut Emitter<PrTask>, dst: usize, segment: &[VertexId], c: f32) {
+        match self {
+            // SAFETY: `Emit::host` hands out `Avx512f` only where the CPU
+            // reports AVX-512F.
+            #[cfg(target_arch = "x86_64")]
+            Emit::Avx512f => unsafe { x86::emit_avx512f(out, dst, segment, c) },
+            // SAFETY: likewise for AVX2.
+            #[cfg(target_arch = "x86_64")]
+            Emit::Avx2 => unsafe { x86::emit_avx2(out, dst, segment, c) },
+            Emit::Plain => emit_plain(out, dst, segment, c),
+        }
+    }
+}
+
+/// The remote emit as an iterator: what every compilation must equal, and
+/// what the vector ones fall back on when the segment does not fit the
+/// tail chunk.
+#[inline(always)]
+fn emit_plain(out: &mut Emitter<PrTask>, dst: usize, segment: &[VertexId], c: f32) {
+    out.extend_remote(dst, segment.iter().map(|&w| PrTask::contrib(w, c)));
+}
+
+/// The remote emit on the vector unit. A segment is written into the slots
+/// [`Emitter::remote_spare`] lends, one block of ids per iteration: a
+/// masked load of the ids, `!w` clamped to at least 1 (`contrib`'s
+/// `unwrap_or(NonZeroU32::MIN)`), widened to 64-bit lanes and OR-ed with
+/// the share's bits ([`share_word`]), then masked stores. A segment that
+/// does not fit the tail chunk goes to [`emit_plain`], which spills exactly
+/// where it would have.
+#[cfg(target_arch = "x86_64")]
+mod x86 {
+    use std::arch::x86_64::*;
+
+    use atos_core::Emitter;
+    use atos_graph::csr::VertexId;
+    use atos_macros::atos_hot;
+
+    use super::{emit_plain, share_word, PrTask};
+
+    /// 16 ids per iteration: one 512-bit load, two 512-bit stores.
+    ///
+    /// # Safety
+    /// The host must have AVX-512F.
+    #[target_feature(enable = "avx512f")]
+    #[atos_hot(no_index)]
+    pub(super) unsafe fn emit_avx512f(
+        out: &mut Emitter<PrTask>,
+        dst: usize,
+        segment: &[VertexId],
+        c: f32,
+    ) {
+        let len = segment.len();
+        let Some(spare) = out.remote_spare(dst, len) else {
+            return emit_plain(out, dst, segment, c);
+        };
+        let share = _mm512_set1_epi64(share_word(c) as i64);
+        let (ones, one) = (_mm512_set1_epi32(-1), _mm512_set1_epi32(1));
+        let mut at = spare.as_mut_ptr().cast::<i64>();
+        for ids in segment.chunks(16) {
+            let n = ids.len();
+            let mask = ((1u32 << n) - 1) as u16;
+            // SAFETY: the mask enables the `n` lanes `ids` holds; masked-off
+            // lanes are not read and cannot fault.
+            let w = unsafe { _mm512_maskz_loadu_epi32(mask, ids.as_ptr().cast()) };
+            let packed = _mm512_max_epu32(_mm512_xor_si512(w, ones), one);
+            let lo = _mm512_cvtepu32_epi64(_mm512_castsi512_si256(packed));
+            let hi = _mm512_cvtepu32_epi64(_mm512_extracti64x4_epi64::<1>(packed));
+            // SAFETY: `at` is this block's first lent slot and `n` of the
+            // slots from it are lent (8-byte tasks, one per 64-bit lane);
+            // the masks enable exactly those lanes, and masked-off lanes
+            // are not written and cannot fault.
+            unsafe {
+                _mm512_mask_storeu_epi64(at, mask as u8, _mm512_or_si512(lo, share));
+                _mm512_mask_storeu_epi64(
+                    at.wrapping_add(8),
+                    (mask >> 8) as u8,
+                    _mm512_or_si512(hi, share),
+                );
+            }
+            at = at.wrapping_add(16);
+        }
+        // SAFETY: the loop wrote all `len` lent slots, and nothing touched
+        // `out` since `remote_spare`.
+        unsafe { out.commit_remote(dst, len) };
+    }
+
+    /// 8 ids per iteration: one 256-bit load, two 256-bit stores.
+    ///
+    /// # Safety
+    /// The host must have AVX2.
+    #[target_feature(enable = "avx2")]
+    #[atos_hot(no_index)]
+    pub(super) unsafe fn emit_avx2(
+        out: &mut Emitter<PrTask>,
+        dst: usize,
+        segment: &[VertexId],
+        c: f32,
+    ) {
+        let len = segment.len();
+        let Some(spare) = out.remote_spare(dst, len) else {
+            return emit_plain(out, dst, segment, c);
+        };
+        let share = _mm256_set1_epi64x(share_word(c) as i64);
+        let (ones, one) = (_mm256_set1_epi32(-1), _mm256_set1_epi32(1));
+        let lane = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
+        let mut at = spare.as_mut_ptr().cast::<i64>();
+        for ids in segment.chunks(8) {
+            // All ones in the lanes below `ids.len()`.
+            let mask = _mm256_cmpgt_epi32(_mm256_set1_epi32(ids.len() as i32), lane);
+            // SAFETY: the mask enables the lanes `ids` holds; masked-off
+            // lanes are not read and cannot fault.
+            let w = unsafe { _mm256_maskload_epi32(ids.as_ptr().cast(), mask) };
+            let packed = _mm256_max_epu32(_mm256_xor_si256(w, ones), one);
+            let lo = _mm256_cvtepu32_epi64(_mm256_castsi256_si128(packed));
+            let hi = _mm256_cvtepu32_epi64(_mm256_extracti128_si256::<1>(packed));
+            let mask_lo = _mm256_cvtepi32_epi64(_mm256_castsi256_si128(mask));
+            let mask_hi = _mm256_cvtepi32_epi64(_mm256_extracti128_si256::<1>(mask));
+            // SAFETY: as in `emit_avx512f`: the masks enable exactly the
+            // lent slots of this block.
+            unsafe {
+                _mm256_maskstore_epi64(at, mask_lo, _mm256_or_si256(lo, share));
+                _mm256_maskstore_epi64(at.wrapping_add(4), mask_hi, _mm256_or_si256(hi, share));
+            }
+            at = at.wrapping_add(8);
+        }
+        // SAFETY: the loop wrote all `len` lent slots, and nothing touched
+        // `out` since `remote_spare`.
+        unsafe { out.commit_remote(dst, len) };
+    }
 }
 
 /// Append `Relax(w)` to `keep`, in order, for every item whose `apply`
@@ -242,7 +449,7 @@ impl Application for PageRankApp {
                     )
                 });
             } else {
-                out.extend_remote(owner, segment.iter().map(|&w| PrTask::contrib(w, contrib)));
+                self.emit.remote(out, owner, segment, contrib);
             }
         }
     }
@@ -299,6 +506,7 @@ impl atos_core::ShardableApp for PageRankApp {
             residue: self.residue.clone(),
             alpha: self.alpha,
             epsilon: self.epsilon,
+            emit: self.emit,
         }
     }
 
@@ -340,6 +548,16 @@ pub fn run_pagerank(
 ) -> PageRankRun {
     crate::assert_partition_fits(&partition, &fabric);
     let app = PageRankApp::new(graph, partition.clone(), alpha, epsilon);
+    run_app(app, &partition, fabric, cfg)
+}
+
+/// [`run_pagerank`] on a built application.
+fn run_app(
+    app: PageRankApp,
+    partition: &Partition,
+    fabric: Fabric,
+    cfg: AtosConfig,
+) -> PageRankRun {
     let mut rt = Runtime::new(app, fabric, cfg);
     for pe in 0..partition.n_parts() {
         let seeds: Vec<PrTask> = partition
@@ -406,6 +624,140 @@ mod tests {
     #[should_panic(expected = "vertex ids stay below u32::MAX")]
     fn debug_builds_check_contribs_precondition() {
         PrTask::contrib(u32::MAX, 0.5);
+    }
+
+    /// A task\'s eight bytes as one word, by the layout the `const` block
+    /// pins: comparing words compares bytes.
+    fn word(task: PrTask) -> u64 {
+        match task {
+            PrTask::Relax(v) => u64::from(v) << 32,
+            PrTask::Contrib(w, c) => u64::from(w.get()) | share_word(c),
+        }
+    }
+
+    /// An emitter for PE 0 of 2 whose pool holds three chunks (classes 0,
+    /// 1 and 2) filled with a task no emit writes, so a slot an emit
+    /// counts but leaves unwritten reads as that task instead of as what
+    /// the allocator happened to hand back.
+    fn poisoned_emitter() -> Emitter<PrTask> {
+        let mut out = Emitter::new(0, 2);
+        let poison = PrTask::Relax(0xDEAD_BEEF);
+        out.extend_remote(1, std::iter::repeat_n(poison, 64 + 128 + 256));
+        out.reset_for(0);
+        out
+    }
+
+    /// Every compilation of the remote emit this host runs against the
+    /// plain one, on one emitter state at a time: segments of 0 to 40 ids
+    /// (past two 16-id blocks) behind a tail chunk not yet drawn, full, with
+    /// `n − 1`, `n` and `n + 1` slots free, and with most of a first- or a
+    /// second-class chunk free. Ids include 0 and `u32::MAX − 1`, whose
+    /// complement is the clamp\'s edge; shares include `-0.0` and a
+    /// subnormal. Every chunk of the run must have the same length,
+    /// capacity and task bytes.
+    #[test]
+    fn every_emit_this_host_runs_matches_the_plain_path() {
+        let ids: Vec<VertexId> = (0..40u32)
+            .map(|i| match i % 4 {
+                0 => 0,
+                1 => u32::MAX - 1,
+                _ => i.wrapping_mul(2_654_435_761) % (u32::MAX - 1),
+            })
+            .collect();
+        let shares = [-0.0, f32::from_bits(1), 0.15, f32::MAX];
+        let mut ran = Vec::new();
+        for emit in Emit::host() {
+            for len in 0..=ids.len() {
+                let segment = &ids[..len];
+                let rooms = [
+                    Some(0),
+                    len.checked_sub(1),
+                    Some(len),
+                    Some(len + 1),
+                    Some(63),
+                ];
+                // `None`: no chunk drawn. Otherwise the tasks pushed first.
+                let fronts = rooms
+                    .iter()
+                    .filter_map(|&room| room.and_then(|r| 64usize.checked_sub(r)))
+                    .map(Some)
+                    .chain([None, Some(65)]);
+                for front in fronts {
+                    for c in shares {
+                        let chunks = |emit: Emit| {
+                            let mut out = poisoned_emitter();
+                            for v in 0..front.unwrap_or(0) {
+                                out.push(1, PrTask::Relax(v as u32));
+                            }
+                            emit.remote(&mut out, 1, segment, c);
+                            let shape: Vec<(usize, usize, Vec<u64>)> = out
+                                .take_run(1)
+                                .map(|chunk| {
+                                    let words = chunk.iter().map(|&t| word(t)).collect();
+                                    (chunk.len(), chunk.capacity(), words)
+                                })
+                                .collect();
+                            shape
+                        };
+                        let (got, want) = (chunks(emit), chunks(Emit::Plain));
+                        let at = format!("{emit:?}: {len} ids after {front:?} tasks, share {c:e}");
+                        let lens = |run: &[(usize, usize, Vec<u64>)]| -> Vec<(usize, usize)> {
+                            run.iter().map(|&(len, cap, _)| (len, cap)).collect()
+                        };
+                        assert_eq!(
+                            lens(&got),
+                            lens(&want),
+                            "{at}: chunks differ from the plain emit"
+                        );
+                        assert!(got == want, "{at}: tasks differ from the plain emit");
+                    }
+                }
+            }
+            ran.push(emit);
+        }
+        assert_eq!(ran.last(), Some(&Emit::Plain));
+        println!("emit compilations checked against the plain path: {ran:?}");
+    }
+
+    /// Whole runs under every compilation of the remote emit this host
+    /// runs: Tiny scale-free, dense and road graphs on `Partition::{block,
+    /// random, bfs_grow}` over 4 PEs, NVLink persistent and IB aggregated,
+    /// at ε = 1e-4 (a debug build pays for every relaxation). `RunStats`
+    /// must be equal to the plain emit\'s by `Debug`, and `rank` bit for bit.
+    #[test]
+    fn whole_runs_are_the_same_under_every_emit() {
+        for name in ["soc-LiveJournal1_s", "hollywood_2009_s", "road_usa_s"] {
+            let g = Arc::new(Preset::by_name(name).unwrap().build(Scale::Tiny));
+            let n = g.n_vertices();
+            let parts = [
+                ("block", Partition::block(n, 4)),
+                ("random", Partition::random(n, 4, 7)),
+                ("bfs_grow", Partition::bfs_grow(&g, 4, 7)),
+            ];
+            for (part_name, part) in parts {
+                let part = Arc::new(part);
+                let setups = [
+                    (Fabric::daisy(4), AtosConfig::standard_persistent()),
+                    (Fabric::ib_cluster(4), AtosConfig::ib_pagerank()),
+                ];
+                for (fabric, cfg) in setups {
+                    let run = |emit: Emit| {
+                        let mut app = PageRankApp::new(g.clone(), part.clone(), ALPHA, 1e-4);
+                        app.emit = emit;
+                        let run = run_app(app, &part, fabric.clone(), cfg);
+                        let rank: Vec<u64> = run.rank.iter().map(|r| r.to_bits()).collect();
+                        (format!("{:?}", run.stats), rank)
+                    };
+                    let want = run(Emit::Plain);
+                    for emit in Emit::host().filter(|&emit| emit != Emit::Plain) {
+                        let at = format!("{emit:?}: {name}, {part_name}, {}", fabric.name());
+                        let got = run(emit);
+                        assert_eq!(got.0, want.0, "{at}: RunStats differ from the plain emit");
+                        assert!(got.1 == want.1, "{at}: rank differs from the plain emit");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -7,14 +7,20 @@
 //! **chunks** drawn from the emitter's [`ChunkPool`]: a run is the
 //! destination's chunks in order, and the runtime ships each chunk as one
 //! train. An application that produces a run itself appends it in one go
-//! through [`Emitter::extend_remote`].
+//! through [`Emitter::extend_remote`], or writes it straight into the tail
+//! chunk's free slots: [`Emitter::remote_spare`] lends them out (`None` when
+//! the run does not fit, which is then `extend_remote`'s case) and
+//! [`Emitter::commit_remote`] counts them as written — the
+//! `Vec::spare_capacity_mut` + `set_len` pair, for a kernel that stores a
+//! whole segment with vector stores. Either way the run lands in the same
+//! chunks.
 //!
 //! A run's chunks walk [`CHUNK_CLASSES`] smallest first, so a one-task run
 //! pins one small chunk and a long run is a few large ones; what the
 //! emitter and the lanes hold is then the volume in flight plus one partial
 //! chunk per open run, never the capacity of the longest run seen.
 
-use std::mem;
+use std::mem::{self, MaybeUninit};
 
 use atos_macros::atos_hot;
 
@@ -202,6 +208,50 @@ impl<T> Emitter<T> {
         }
     }
 
+    /// The next `n` free slots of `dst`'s tail chunk, to be written and then
+    /// counted with [`Emitter::commit_remote`]; `None` if the tail chunk has
+    /// fewer than `n` free slots (one not drawn yet has none). Only a run
+    /// that [`Emitter::extend_remote`] would write into the tail chunk
+    /// without spilling fits, so the two leave the same chunks.
+    ///
+    /// ```
+    /// use atos_core::Emitter;
+    /// let mut out = Emitter::new(0, 2);
+    /// assert!(out.remote_spare(1, 1).is_none()); // no chunk drawn yet
+    /// out.push(1, 7u32);
+    /// let spare = out.remote_spare(1, 2).expect("the first chunk has room");
+    /// spare[0].write(8);
+    /// spare[1].write(9);
+    /// // SAFETY: both slots lent out above were written.
+    /// unsafe { out.commit_remote(1, 2) };
+    /// let mut run = Vec::new();
+    /// out.drain_remote(1, &mut run);
+    /// assert_eq!(run, [7, 8, 9]);
+    /// ```
+    #[inline]
+    pub fn remote_spare(&mut self, dst: usize, n: usize) -> Option<&mut [MaybeUninit<T>]> {
+        debug_assert!(dst != self.my_pe, "remote push to self");
+        self.tail[dst].spare_capacity_mut().get_mut(..n)
+    }
+
+    /// Count the `n` slots [`Emitter::remote_spare`]`(dst, n)` lent out as
+    /// the next tasks of `dst`'s run.
+    ///
+    /// # Safety
+    /// `remote_spare(dst, n)` returned `Some` and all `n` of its slots were
+    /// written, with no other call on this emitter in between.
+    #[inline]
+    pub unsafe fn commit_remote(&mut self, dst: usize, n: usize) {
+        let tail = &mut self.tail[dst];
+        debug_assert!(
+            n <= tail.capacity() - tail.len(),
+            "commit past the lent slots"
+        );
+        // SAFETY: the caller wrote the `n` slots after `len`, which lie
+        // inside the capacity (`remote_spare` returned them).
+        unsafe { tail.set_len(tail.len() + n) }
+    }
+
     /// Move `dst`'s run, in emission order, onto the end of `into`; its
     /// chunks go back to the pool. For a schedule that hands each run over
     /// whole at a barrier (`run_bsp`); the runtime ships the chunks
@@ -228,8 +278,9 @@ impl<T> Emitter<T> {
     }
 
     /// `dst`'s run as its chunks, in emission order, each non-empty; the
-    /// emitter keeps none of them.
-    pub(crate) fn take_run(&mut self, dst: usize) -> impl Iterator<Item = Vec<T>> + '_ {
+    /// emitter keeps none of them. The runtime ships each as a train; a
+    /// test reads the chunks' lengths and capacities from it.
+    pub fn take_run(&mut self, dst: usize) -> impl Iterator<Item = Vec<T>> + '_ {
         let tail = mem::take(&mut self.tail[dst]);
         self.full[dst]
             .drain(..)
@@ -337,6 +388,24 @@ mod tests {
         assert!(e.local.is_empty() && e.run_len(0) == 0 && e.run_len(1) == 0);
         e.push(0, 3);
         assert_eq!(run_of(&mut e, 0), [3]);
+    }
+
+    #[test]
+    fn lent_slots_are_exactly_the_tail_chunks_free_ones() {
+        let mut e = Emitter::new(0, 2);
+        assert!(e.remote_spare(1, 1).is_none(), "no chunk drawn yet");
+        e.extend_remote(1, 0..60u32);
+        assert!(e.remote_spare(1, 5).is_none(), "4 slots free, 5 asked");
+        let spare = e.remote_spare(1, 4).expect("4 slots free");
+        for (i, slot) in spare.iter_mut().enumerate() {
+            slot.write(60 + i as u32);
+        }
+        // SAFETY: the 4 lent slots were written just above.
+        unsafe { e.commit_remote(1, 4) };
+        assert!(e.remote_spare(1, 1).is_none(), "the chunk is full");
+        e.push(1, 64);
+        let caps: Vec<(usize, usize)> = e.take_run(1).map(|c| (c.len(), c.capacity())).collect();
+        assert_eq!(caps, [(64, 64), (1, 128)]);
     }
 
     #[test]

@@ -162,6 +162,8 @@ const COVERED: &[(&str, &str)] = &[
     ("graph/src/weights.rs::prefetch", "hints: SSSP's full and heavy tasks"),
     ("apps/src/bfs.rs::prefetch", "hints: BfsApp, BFS and components, Far and Near"),
     ("apps/src/pagerank.rs::prefetch", "hints: PageRankApp over relaxations and contributions"),
+    ("apps/src/pagerank.rs::emit_avx512f", "PageRank emit: every relaxation's remote segments, where the host has AVX-512F"),
+    ("apps/src/pagerank.rs::emit_avx2", "PageRank emit: the same, where AVX2 is the widest the host has"),
     ("apps/src/sssp.rs::prefetch", "hints: split SsspApp over light, heavy and full tasks"),
 ];
 
@@ -465,6 +467,35 @@ fn app_hints() -> u64 {
         + hint_batch(&sssp, &sssp_tasks)
 }
 
+/// `PageRankApp::process` over every vertex of a tiny scale-free graph on
+/// a random partition, so its remote segments go through the compilation
+/// of the emit `PageRankApp::new` picks for this host. A first pass on a
+/// twin application warms the emitter — its pool, run lists and local
+/// queue — and the counted pass repeats it exactly on an application in
+/// the same state: every chunk it draws is one the warm pass returned.
+fn pagerank_emit() -> u64 {
+    let social = Arc::new(
+        Preset::by_name("soc-LiveJournal1_s")
+            .unwrap()
+            .build(Scale::Tiny),
+    );
+    let part = Arc::new(Partition::random(social.n_vertices(), 4, 3));
+    let owned: Vec<Vec<u32>> = (0..4).map(|pe| part.vertices_of(pe)).collect();
+    let mut out = Emitter::new(0, 4);
+    let mut pass = |app: &mut PageRankApp| {
+        for (pe, vs) in owned.iter().enumerate() {
+            out.reset_for(pe);
+            for &v in vs {
+                app.process(pe, PrTask::Relax(v), &mut out);
+            }
+        }
+    };
+    let mut warm = PageRankApp::new(social.clone(), part.clone(), 0.85, 1e-6);
+    let mut twin = PageRankApp::new(social, part, 0.85, 1e-6);
+    pass(&mut warm);
+    counted(|| pass(&mut twin)).0
+}
+
 /// Steady-state engine churn: after warm-up, the heap's schedule→pop cycle
 /// reuses its storage.
 fn engine_churn() -> u64 {
@@ -513,6 +544,11 @@ fn every_hot_fn_runs_in_a_window_that_does_not_grow() {
         assert_eq!(during, 0, "{name}: push/pop churn must not allocate");
     }
     assert_eq!(app_hints(), 0, "a `prefetch` hint must not allocate");
+    assert_eq!(
+        pagerank_emit(),
+        0,
+        "PageRank's remote emit must write into pooled chunks, not allocate"
+    );
     assert_eq!(
         engine_churn(),
         0,

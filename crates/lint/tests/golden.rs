@@ -151,6 +151,44 @@ fn cell_accesses_stay_in_model_checked_files() {
     );
 }
 
+/// Tripwire for a stale safety inventory: DESIGN.md §4.5 lists, in
+/// backticks, every file of the workspace whose code holds the `unsafe`
+/// keyword, each with its reason. The list must be exactly those files, so
+/// a new `unsafe` — or the last one leaving a file — edits §4.5 with it.
+/// The keyword counts as code only: comments and string literals are not
+/// tokens (`parse.rs` names it in both).
+#[test]
+fn unsafe_stays_in_the_files_design_lists() {
+    let root = workspace_root();
+    let design = std::fs::read_to_string(root.join("DESIGN.md")).expect("DESIGN.md");
+    let section = design
+        .split("\n## 4. ")
+        .nth(1)
+        .and_then(|s4| s4.split("\n5. **").nth(1))
+        .and_then(|item| item.split("\n6. **").next())
+        .expect("DESIGN.md has a §4 with items 5 and 6");
+    let mut listed: Vec<&str> = section
+        .split('`')
+        .skip(1)
+        .step_by(2)
+        .filter(|span| span.ends_with(".rs"))
+        .collect();
+    listed.sort();
+    listed.dedup();
+    let ws = Workspace::discover(&root).unwrap();
+    let holding: Vec<&str> = ws
+        .files
+        .iter()
+        .filter(|f| f.parsed.toks.iter().any(|t| t.is("unsafe")))
+        .map(|f| f.path.as_str())
+        .collect();
+    assert_eq!(
+        holding, listed,
+        "the files whose code holds `unsafe` (left) must be the files DESIGN.md §4.5 lists \
+         (right): give a new one its reason there, or strike one that no longer needs it"
+    );
+}
+
 /// Tripwire for undrawn applications: the owner-computes rule (a task
 /// writes only state its PE owns; everything else travels as a charged
 /// message) is guarded by `tests/differential.rs` and the goldens, not by

@@ -8,9 +8,9 @@
 # observability smoke, the line-level sampler smoke, atos-lint's call-graph
 # rule, miri, the model checker under --cfg atos_check (tests + the clippy
 # pass that holds the atomics facade), clippy (determinism and SAFETY
-# comments), and eight seeded twins: edits of the real tree that those three
-# clippy lints, four queue_models.rs drivers and the SSSP golden must each
-# reject.
+# comments), and nine seeded twins: edits of the real tree that those three
+# clippy lints, four queue_models.rs drivers, the SSSP golden and the
+# PageRank emit oracle must each reject.
 #
 # Usage: scripts/verify.sh  (from anywhere; cd's to the repo root)
 
@@ -281,7 +281,9 @@ echo "== seeded twins (each edit of the real tree must fail its named check) =="
 # must fail a queue_models.rs driver under --cfg atos_check with the race
 # detector's failure kind and a schedule that replays to it (≈ 1 min, most
 # of it the three-pusher driver); one breaks SSSP's heavy-edge select and
-# must fail the whole-run fingerprints of sssp_golden.rs.
+# must fail the whole-run fingerprints of sssp_golden.rs; one drops a lane
+# from PageRank's vector emit and must fail its oracle against the plain
+# emit.
 twins=target/twins/tree
 rm -rf "$twins" && mkdir -p "$twins"
 git ls-files -z | tar --null -T - -c | tar -x -C "$twins"
@@ -359,6 +361,16 @@ twin crates/queue/src/counter.rs \
 twin crates/apps/src/sssp.rs "sed 's/let skip_light = kind == KIND_HEAVY;/let skip_light = false;/'" \
     "panicked at crates/apps/tests/sssp_golden.rs" \
     "${plain[@]}" cargo test -q -p atos-apps --test sssp_golden
-[ "$caught" -eq 8 ] || { echo "FAIL: $caught seeded twins ran, expected 8" >&2; exit 1; }
+# (i) PageRank's vector emit loses the last lane of its mask: it counts a
+# slot it never wrote. The widest kernel the host runs is the one edited
+# (the oracle runs every compilation the host has).
+if grep -qw avx512f /proc/cpuinfo; then
+    emit_edit="sed 's/let mask = ((1u32 << n) - 1) as u16;/let mask = (((1u32 << n) - 1) >> 1) as u16;/'"
+else
+    emit_edit="sed 's/_mm256_set1_epi32(ids.len() as i32)/_mm256_set1_epi32(ids.len() as i32 - 1)/'"
+fi
+twin crates/apps/src/pagerank.rs "$emit_edit" "tasks differ from the plain emit" \
+    "${plain[@]}" cargo test -q -p atos-apps --lib pagerank::tests::every_emit_this_host_runs_matches_the_plain_path
+[ "$caught" -eq 9 ] || { echo "FAIL: $caught seeded twins ran, expected 9" >&2; exit 1; }
 echo
 echo "verify: all checks passed"
