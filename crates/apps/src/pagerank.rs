@@ -626,7 +626,7 @@ mod tests {
         PrTask::contrib(u32::MAX, 0.5);
     }
 
-    /// A task\'s eight bytes as one word, by the layout the `const` block
+    /// A task's eight bytes as one word, by the layout the `const` block
     /// pins: comparing words compares bytes.
     fn word(task: PrTask) -> u64 {
         match task {
@@ -652,7 +652,7 @@ mod tests {
     /// (past two 16-id blocks) behind a tail chunk not yet drawn, full, with
     /// `n − 1`, `n` and `n + 1` slots free, and with most of a first- or a
     /// second-class chunk free. Ids include 0 and `u32::MAX − 1`, whose
-    /// complement is the clamp\'s edge; shares include `-0.0` and a
+    /// complement is the clamp's edge; shares include `-0.0` and a
     /// subnormal. Every chunk of the run must have the same length,
     /// capacity and task bytes.
     #[test]
@@ -723,7 +723,7 @@ mod tests {
     /// runs: Tiny scale-free, dense and road graphs on `Partition::{block,
     /// random, bfs_grow}` over 4 PEs, NVLink persistent and IB aggregated,
     /// at ε = 1e-4 (a debug build pays for every relaxation). `RunStats`
-    /// must be equal to the plain emit\'s by `Debug`, and `rank` bit for bit.
+    /// must be equal to the plain emit's by `Debug`, and `rank` bit for bit.
     #[test]
     fn whole_runs_are_the_same_under_every_emit() {
         for name in ["soc-LiveJournal1_s", "hollywood_2009_s", "road_usa_s"] {
