@@ -38,11 +38,11 @@
 //! pe)`: one cooperative write of the whole segment. Here it is one masked
 //! vector load of the ids and masked stores of the finished tasks, straight
 //! into the destination's tail chunk ([`Emitter::remote_spare`]), 16 ids at
-//! a time. `PageRankApp::new` picks the widest compilation the CPU runs —
-//! AVX-512F, AVX2, or the plain `extend` — once; a segment that does not
-//! fit the tail chunk takes the plain path, so every compilation leaves the
-//! same chunks, trains and run (DESIGN.md §4.10). The kernels write
-//! [`PrTask`]'s words directly, so its bit layout is checked at compile time.
+//! a time. `PageRankApp::new` picks AVX-512F where the CPU reports it and
+//! the plain `extend` otherwise, once; a segment that does not fit the tail
+//! chunk takes the plain path, so both compilations leave the same chunks,
+//! trains and run (DESIGN.md §4.10). The kernel writes [`PrTask`]'s words
+//! directly, so its bit layout is checked at compile time.
 
 use std::fmt;
 use std::mem;
@@ -215,49 +215,42 @@ enum Emit {
     /// Masked 512-bit loads and stores, 16 ids at a time.
     #[cfg(target_arch = "x86_64")]
     Avx512f,
-    /// Masked 256-bit loads and stores, 8 ids at a time.
-    #[cfg(target_arch = "x86_64")]
-    Avx2,
     /// [`Emitter::extend_remote`] over an iterator, on every host.
     Plain,
 }
 
 impl Emit {
-    /// The compilations this host runs, widest first: AVX-512F and AVX2
-    /// where the CPU reports them, then plain code, the only one off
-    /// x86_64. A value other than `Plain` exists only where its features
+    /// The compilations this host runs, widest first: AVX-512F where the
+    /// CPU reports it, then plain code, the only one off x86_64. A value other than `Plain` exists only where its features
     /// do, which is what makes [`Emit::remote`] sound.
     fn host() -> impl Iterator<Item = Emit> {
         #[cfg(target_arch = "x86_64")]
-        let wide = [
-            (Emit::Avx512f, std::is_x86_feature_detected!("avx512f")),
-            (Emit::Avx2, std::is_x86_feature_detected!("avx2")),
-        ];
+        let wide = std::is_x86_feature_detected!("avx512f").then_some(Emit::Avx512f);
         #[cfg(not(target_arch = "x86_64"))]
-        let wide: [(Emit, bool); 0] = [];
-        wide.into_iter()
-            .filter_map(|(emit, here)| here.then_some(emit))
-            .chain([Emit::Plain])
+        let wide = None;
+        wide.into_iter().chain([Emit::Plain])
     }
 
     /// Append `contrib(w, c)` for each `w` of `segment` to `dst`'s run.
     #[inline(always)]
     fn remote(self, out: &mut Emitter<PrTask>, dst: usize, segment: &[VertexId], c: f32) {
+        // `PrTask::contrib`'s check, which the kernel does not call.
+        debug_assert!(
+            !segment.contains(&u32::MAX),
+            "vertex ids stay below u32::MAX"
+        );
         match self {
             // SAFETY: `Emit::host` hands out `Avx512f` only where the CPU
             // reports AVX-512F.
             #[cfg(target_arch = "x86_64")]
             Emit::Avx512f => unsafe { x86::emit_avx512f(out, dst, segment, c) },
-            // SAFETY: likewise for AVX2.
-            #[cfg(target_arch = "x86_64")]
-            Emit::Avx2 => unsafe { x86::emit_avx2(out, dst, segment, c) },
             Emit::Plain => emit_plain(out, dst, segment, c),
         }
     }
 }
 
 /// The remote emit as an iterator: what every compilation must equal, and
-/// what the vector ones fall back on when the segment does not fit the
+/// what the vector one falls back on when the segment does not fit the
 /// tail chunk.
 #[inline(always)]
 fn emit_plain(out: &mut Emitter<PrTask>, dst: usize, segment: &[VertexId], c: f32) {
@@ -322,50 +315,6 @@ mod x86 {
                 );
             }
             at = at.wrapping_add(16);
-        }
-        // SAFETY: the loop wrote all `len` lent slots, and nothing touched
-        // `out` since `remote_spare`.
-        unsafe { out.commit_remote(dst, len) };
-    }
-
-    /// 8 ids per iteration: one 256-bit load, two 256-bit stores.
-    ///
-    /// # Safety
-    /// The host must have AVX2.
-    #[target_feature(enable = "avx2")]
-    #[atos_hot(no_index)]
-    pub(super) unsafe fn emit_avx2(
-        out: &mut Emitter<PrTask>,
-        dst: usize,
-        segment: &[VertexId],
-        c: f32,
-    ) {
-        let len = segment.len();
-        let Some(spare) = out.remote_spare(dst, len) else {
-            return emit_plain(out, dst, segment, c);
-        };
-        let share = _mm256_set1_epi64x(share_word(c) as i64);
-        let (ones, one) = (_mm256_set1_epi32(-1), _mm256_set1_epi32(1));
-        let lane = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
-        let mut at = spare.as_mut_ptr().cast::<i64>();
-        for ids in segment.chunks(8) {
-            // All ones in the lanes below `ids.len()`.
-            let mask = _mm256_cmpgt_epi32(_mm256_set1_epi32(ids.len() as i32), lane);
-            // SAFETY: the mask enables the lanes `ids` holds; masked-off
-            // lanes are not read and cannot fault.
-            let w = unsafe { _mm256_maskload_epi32(ids.as_ptr().cast(), mask) };
-            let packed = _mm256_max_epu32(_mm256_xor_si256(w, ones), one);
-            let lo = _mm256_cvtepu32_epi64(_mm256_castsi256_si128(packed));
-            let hi = _mm256_cvtepu32_epi64(_mm256_extracti128_si256::<1>(packed));
-            let mask_lo = _mm256_cvtepi32_epi64(_mm256_castsi256_si128(mask));
-            let mask_hi = _mm256_cvtepi32_epi64(_mm256_extracti128_si256::<1>(mask));
-            // SAFETY: as in `emit_avx512f`: the masks enable exactly the
-            // lent slots of this block.
-            unsafe {
-                _mm256_maskstore_epi64(at, mask_lo, _mm256_or_si256(lo, share));
-                _mm256_maskstore_epi64(at.wrapping_add(4), mask_hi, _mm256_or_si256(hi, share));
-            }
-            at = at.wrapping_add(8);
         }
         // SAFETY: the loop wrote all `len` lent slots, and nothing touched
         // `out` since `remote_spare`.
@@ -626,6 +575,18 @@ mod tests {
         PrTask::contrib(u32::MAX, 0.5);
     }
 
+    /// The widest emit this host runs checks `contrib`'s precondition too,
+    /// though the vector kernel never calls `contrib`.
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "vertex ids stay below u32::MAX")]
+    fn debug_builds_check_the_emits_precondition() {
+        let mut out = Emitter::new(0, 2);
+        out.push(1, PrTask::Relax(0));
+        let widest = Emit::host().next().unwrap_or(Emit::Plain);
+        widest.remote(&mut out, 1, &[3, u32::MAX], 0.5);
+    }
+
     /// A task's eight bytes as one word, by the layout the `const` block
     /// pins: comparing words compares bytes.
     fn word(task: PrTask) -> u64 {
@@ -691,7 +652,7 @@ mod tests {
                             }
                             emit.remote(&mut out, 1, segment, c);
                             let shape: Vec<(usize, usize, Vec<u64>)> = out
-                                .take_run(1)
+                                .run_chunks(1)
                                 .map(|chunk| {
                                     let words = chunk.iter().map(|&t| word(t)).collect();
                                     (chunk.len(), chunk.capacity(), words)

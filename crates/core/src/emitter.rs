@@ -277,10 +277,19 @@ impl<T> Emitter<T> {
         self.tail.len()
     }
 
+    /// `dst`'s run as its chunks, in emission order, each non-empty, left
+    /// in place: what [`Emitter::take_run`] would hand the runtime, for a
+    /// test to read the chunks' lengths and capacities.
+    pub fn run_chunks(&self, dst: usize) -> impl Iterator<Item = &Vec<T>> {
+        let tail = &self.tail[dst];
+        self.full[dst]
+            .iter()
+            .chain((!tail.is_empty()).then_some(tail))
+    }
+
     /// `dst`'s run as its chunks, in emission order, each non-empty; the
-    /// emitter keeps none of them. The runtime ships each as a train; a
-    /// test reads the chunks' lengths and capacities from it.
-    pub fn take_run(&mut self, dst: usize) -> impl Iterator<Item = Vec<T>> + '_ {
+    /// emitter keeps none of them.
+    pub(crate) fn take_run(&mut self, dst: usize) -> impl Iterator<Item = Vec<T>> + '_ {
         let tail = mem::take(&mut self.tail[dst]);
         self.full[dst]
             .drain(..)
@@ -404,8 +413,10 @@ mod tests {
         unsafe { e.commit_remote(1, 4) };
         assert!(e.remote_spare(1, 1).is_none(), "the chunk is full");
         e.push(1, 64);
+        let seen: Vec<(usize, usize)> = e.run_chunks(1).map(|c| (c.len(), c.capacity())).collect();
         let caps: Vec<(usize, usize)> = e.take_run(1).map(|c| (c.len(), c.capacity())).collect();
         assert_eq!(caps, [(64, 64), (1, 128)]);
+        assert_eq!(seen, caps, "run_chunks shows what take_run hands over");
     }
 
     #[test]

@@ -163,7 +163,6 @@ const COVERED: &[(&str, &str)] = &[
     ("apps/src/bfs.rs::prefetch", "hints: BfsApp, BFS and components, Far and Near"),
     ("apps/src/pagerank.rs::prefetch", "hints: PageRankApp over relaxations and contributions"),
     ("apps/src/pagerank.rs::emit_avx512f", "PageRank emit: every relaxation's remote segments, where the host has AVX-512F"),
-    ("apps/src/pagerank.rs::emit_avx2", "PageRank emit: the same, where AVX2 is the widest the host has"),
     ("apps/src/sssp.rs::prefetch", "hints: split SsspApp over light, heavy and full tasks"),
 ];
 
