@@ -297,7 +297,7 @@ impl Application for BfsApp {
     }
 
     #[inline]
-    #[atos_hot(no_index)]
+    #[atos_hot]
     fn prefetch(&self, (v, _): &Self::Task, ahead: Lookahead) {
         self.graph.prefetch(*v, ahead);
         if ahead == Lookahead::Far {
@@ -402,7 +402,7 @@ pub fn run_bfs_traced(
     source: VertexId,
     fabric: Fabric,
     cfg: AtosConfig,
-    tracer: &mut dyn Tracer,
+    tracer: &mut impl Tracer,
 ) -> BfsRun {
     launch(graph, partition, source, fabric, cfg, tracer)
 }

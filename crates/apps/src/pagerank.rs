@@ -44,6 +44,11 @@
 //! trains and run (DESIGN.md §4.10). The kernel writes [`PrTask`]'s words
 //! directly, so its bit layout is checked at compile time.
 
+#![expect(
+    unsafe_code,
+    reason = "the remote emit's AVX-512F kernel writes the lent slots"
+)]
+
 use std::fmt;
 use std::mem;
 use std::num::NonZeroU32;
@@ -279,7 +284,7 @@ mod x86 {
     /// # Safety
     /// The host must have AVX-512F.
     #[target_feature(enable = "avx512f")]
-    #[atos_hot(no_index)]
+    #[atos_hot]
     pub(super) unsafe fn emit_avx512f(
         out: &mut Emitter<PrTask>,
         dst: usize,
@@ -404,7 +409,7 @@ impl Application for PageRankApp {
     }
 
     #[inline]
-    #[atos_hot(no_index)]
+    #[atos_hot]
     fn prefetch(&self, task: &PrTask, ahead: Lookahead) {
         // Only relaxations are popped; contributions are applied on arrival.
         let PrTask::Relax(v) = *task else { return };

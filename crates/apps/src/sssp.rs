@@ -317,7 +317,7 @@ impl Application for SsspApp {
     }
 
     #[inline]
-    #[atos_hot(no_index)]
+    #[atos_hot]
     fn prefetch(&self, &(v, _, kind): &Self::Task, ahead: Lookahead) {
         let light = self.light.as_deref();
         if let (KIND_LIGHT, Some(light)) = (kind, light) {

@@ -16,6 +16,11 @@
 //! grid over worker threads (default: host parallelism). `atos-bench`
 //! writes no file but the `reference` run's artifacts. [`sweep`] has the harness.
 
+#![expect(
+    unsafe_code,
+    reason = "signal(SIGPIPE, SIG_DFL) at process start, declared without libc"
+)]
+
 use std::sync::Arc;
 
 pub mod experiments;

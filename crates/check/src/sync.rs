@@ -31,6 +31,8 @@
 //! publication-safety failure. Checks run *before* the closure, so a buggy
 //! schedule is reported rather than executed.
 
+#![expect(unsafe_code, reason = "the checker's shadow atomics and UnsafeCell")]
+
 use std::cell::{Cell, RefCell};
 use std::panic::Location;
 

@@ -1,6 +1,11 @@
 //! Engine self-checks: tiny protocols with known verdicts. If any of
 //! these flip, the checker itself — not the queues — is broken.
 
+#![expect(
+    unsafe_code,
+    reason = "drives the shadow UnsafeCell the race detector watches"
+)]
+
 use std::sync::Arc;
 
 use atos_check::sync::{fence, AtomicU64, Ordering, UnsafeCell};

@@ -23,6 +23,8 @@
 //! index ([`IssueClock`]), so that count has a closed form.
 
 use atos_macros::atos_hot;
+use std::num::NonZeroU64;
+
 use atos_sim::Time;
 
 use crate::config::AGGREGATOR_POLL_NS;
@@ -35,13 +37,14 @@ use crate::config::AGGREGATOR_POLL_NS;
 pub struct IssueClock {
     start: Time,
     busy: Time,
-    total: u64,
+    total: NonZeroU64,
 }
 
 impl IssueClock {
     /// `total` issues spread evenly over `busy` ns from `start`.
+    #[inline]
     pub fn spread(start: Time, busy: Time, total: usize) -> Self {
-        let total = total.max(1) as u64;
+        let total = NonZeroU64::new(total as u64).unwrap_or(NonZeroU64::MIN);
         IssueClock { start, busy, total }
     }
 
@@ -53,13 +56,15 @@ impl IssueClock {
 
     /// Smallest index issued at or after `deadline`, `None` if none ever
     /// is: `⌊busy·j/total⌋ ≥ need ⟺ busy·j ≥ need·total`, in 128 bits.
+    #[inline]
     fn first_at_or_after(&self, deadline: u128) -> Option<u64> {
         let need = u64::try_from(deadline.saturating_sub(self.start as u128)).ok()?;
         match (need, self.busy) {
             (0, _) => Some(0),
             (_, 0) => None,
             _ => {
-                u64::try_from((need as u128 * self.total as u128).div_ceil(self.busy as u128)).ok()
+                u64::try_from((need as u128 * self.total.get() as u128).div_ceil(self.busy as u128))
+                    .ok()
             }
         }
     }
@@ -103,6 +108,7 @@ impl Bundle {
     /// each stops at the same task, given what every dispatch guarantees:
     /// only the bundle's own PE issues into it, in time order, so no task is
     /// issued before the bundle it joins opened.
+    #[inline]
     pub fn run_len(
         &self,
         clock: &IssueClock,
@@ -134,11 +140,13 @@ impl Bundle {
     }
 
     /// Accumulated payload bytes.
+    #[inline]
     pub fn bytes(&self) -> u64 {
         self.bytes
     }
 
     /// Time the oldest unsent item was enqueued.
+    #[inline]
     pub fn opened_at(&self) -> Option<Time> {
         self.opened_at
     }
@@ -148,6 +156,7 @@ impl Bundle {
     /// `WAIT_TIME` counts aggregator polls ("After WAIT_TIME visits, the
     /// data is sent out, whether it meets the maximum message size or
     /// not"), so the age limit is `wait_time × AGGREGATOR_POLL_NS`.
+    #[inline]
     pub fn should_flush(&self, now: Time, batch_bytes: u64, wait_time: u32) -> bool {
         if self.tasks == 0 {
             return false;
@@ -164,6 +173,7 @@ impl Bundle {
 
     /// Earliest time the age trigger can fire (for scheduling the next
     /// aggregator poll); `None` when empty.
+    #[inline]
     pub fn age_deadline(&self, wait_time: u32) -> Option<Time> {
         self.opened_at
             .map(|t0| t0 + wait_time as u64 * AGGREGATOR_POLL_NS)

@@ -78,8 +78,8 @@ pub trait Application {
     /// is the default (`crates/core/tests/prefetch_contract.rs`). Hints go
     /// through `atos_graph::prefetch::prefetch` and the structures'
     /// `prefetch` methods, which never panic: an override says so itself
-    /// with `#[atos_hot(no_index)]` (`get`, never `[..]`; no `unwrap`, no
-    /// allocation — `atos-lint` holds it to that).
+    /// with `#[atos_hot]` (`get`, never `[..]`; no `unwrap`, no allocation —
+    /// the no-unwind proof build and `alloc_count.rs` hold it to that).
     #[inline]
     fn prefetch(&self, _task: &Self::Task, _ahead: Lookahead) {}
 

@@ -61,7 +61,7 @@ use std::collections::VecDeque;
 
 use atos_graph::prefetch::prefetch;
 use atos_macros::atos_hot;
-use atos_sim::{PeId, PendingTransfer, Time};
+use atos_sim::{at, at_mut, nounwind, nounwind_inline, nounwind_when, PeId, PendingTransfer, Time};
 use atos_trace::{Tracer, Track};
 
 use crate::aggregator::IssueClock;
@@ -220,16 +220,14 @@ pub trait Sink<T> {
 
 /// Outlined abort for the invariant every lane rests on: the car being
 /// delivered counts `owed` tasks more than its route's trains hold, and
-/// carrying on would silently drop them.
-// Outlined failure path, vetted: invariant-violation abort.
+/// carrying on would silently drop them. `extern "C"`: the panic aborts,
+/// in every build, and `drain_before` keeps no unwinding edge.
 #[cold]
 #[inline(never)]
-// atos-lint: allow(panic_in_kernel)
-fn car_outran_its_trains(src: usize, car: LaneCar, owed: usize) -> ! {
+extern "C" fn car_outran_its_trains(src: usize, tasks: u32, arrival: Time, owed: usize) -> ! {
     panic!(
-        "lane invariant broken: the car of {} tasks from PE {src} arriving at {} ns \
-         outran its trains, {owed} tasks still owed",
-        car.tasks, car.arrival
+        "lane invariant broken: the car of {tasks} tasks from PE {src} arriving at {arrival} ns \
+         outran its trains, {owed} tasks still owed"
     );
 }
 
@@ -305,7 +303,8 @@ impl<T> Rx<T> {
     /// Append a train to `src`'s lane (emission order).
     pub fn push_train(&mut self, src: usize, buf: Vec<T>) {
         debug_assert!(!buf.is_empty(), "an empty train has no car to retire it");
-        self.lanes[src].trains.push_back(buf);
+        let trains = &mut at_mut(&mut self.lanes, src).trains;
+        nounwind_when(trains.len() == trains.capacity(), || trains.push_back(buf));
     }
 
     /// File a resolved car of `tasks` tasks from `src`, arriving at
@@ -317,6 +316,7 @@ impl<T> Rx<T> {
     /// only for genuinely simultaneous arrivals; cars are filed in
     /// `ExchangeKey` order, so a delivery hands its tasks over exactly
     /// as back-to-back arrival events would have.
+    #[inline]
     #[atos_hot]
     pub fn file(
         &mut self,
@@ -337,12 +337,12 @@ impl<T> Rx<T> {
             tasks,
             belled: false,
         };
-        let lane = &mut self.lanes[src].cars;
+        let lane = &mut at_mut(&mut self.lanes, src).cars;
         debug_assert!(
             lane.back().is_none_or(|last| last.order() < car.order()),
             "a route's arrivals went backwards: its link is not serial"
         );
-        lane.push_back(car);
+        nounwind_when(lane.len() == lane.capacity(), || lane.push_back(car));
         self.cars += 1;
         sub == 0
     }
@@ -368,6 +368,7 @@ impl<T> Rx<T> {
     /// Deliver, in key order, every waiting car whose `(arrival, seq)` is
     /// below `bound`; a train whose last task went out returns to its
     /// class in `pool` at once.
+    #[inline(always)]
     #[atos_hot]
     pub fn drain_before<S: Sink<T>>(&mut self, bound: Key, pool: &mut ChunkPool<T>, sink: &mut S) {
         let mut current: Option<Key> = None;
@@ -376,24 +377,25 @@ impl<T> Rx<T> {
                 sink.delivered(at);
             }
             current = Some(car.key());
-            let lane = &mut self.lanes[src];
+            let lane = at_mut(&mut self.lanes, src);
             lane.cars.pop_front();
             self.cars -= 1;
             let mut owed = car.tasks as usize;
             while owed > 0 {
                 let Some(train) = lane.trains.front() else {
-                    car_outran_its_trains(src, car, owed);
+                    car_outran_its_trains(src, car.tasks, car.arrival, owed);
                 };
-                let end = train.len().min(lane.cursor + owed);
-                if end == train.len() {
+                let rest = train.get(lane.cursor..).unwrap_or_default();
+                let run = &rest[..owed.min(rest.len())];
+                if run.len() == rest.len() {
                     if let Some(next) = lane.trains.get(1) {
                         prefetch_head(next);
                     }
                 }
-                sink.run(&train[lane.cursor..end]);
-                owed -= end - lane.cursor;
-                if end < train.len() {
-                    lane.cursor = end;
+                sink.run(run);
+                owed -= run.len();
+                if run.len() < rest.len() {
+                    lane.cursor += run.len();
                 } else {
                     lane.cursor = 0;
                     if let Some(done) = lane.trains.pop_front() {
@@ -415,7 +417,7 @@ impl<T> Rx<T> {
         if car.belled {
             return None;
         }
-        if let Some(head) = self.lanes[src].cars.front_mut() {
+        if let Some(head) = at_mut(&mut self.lanes, src).cars.front_mut() {
             head.belled = true;
         }
         Some(car.key())
@@ -441,23 +443,32 @@ struct Receive<'a, A: Application, Tr> {
 }
 
 impl<A: Application, Tr: Tracer> Sink<A::Task> for Receive<'_, A, Tr> {
+    #[inline(always)]
     fn run(&mut self, tasks: &[A::Task]) {
         // One-sided destination-side effect (e.g. the RDMA atomicMin):
         // only improved updates enter the queue.
-        self.app.on_receive_run(self.pe, tasks, self.keep);
+        let app = &mut *self.app;
+        nounwind_inline(|| app.on_receive_run(self.pe, tasks, self.keep));
         self.enqueued |= !self.keep.is_empty();
+        let prioritized = self.queue.threshold().is_some();
         for t in self.keep.drain(..) {
-            let prio = self.app.priority(&t);
+            // Only a priority queue consults it.
+            let prio = match prioritized {
+                true => nounwind_inline(|| app.priority(&t)),
+                false => 0,
+            };
             self.queue.push(t, prio);
         }
     }
 
+    #[inline(always)]
     fn delivered(&mut self, at: Time) {
         let len = self.queue.len() as u64;
         *self.hwm = (*self.hwm).max(len);
         if self.tracer.is_enabled() {
             // Receive-queue occupancy right after this delivery landed.
-            self.tracer.counter(Track::pe(self.pe), at, "recvq", len);
+            let tracer = &mut *self.tracer;
+            nounwind(|| tracer.counter(Track::pe(self.pe), at, "recvq", len));
         }
     }
 }
@@ -465,6 +476,7 @@ impl<A: Application, Tr: Tracer> Sink<A::Task> for Receive<'_, A, Tr> {
 impl<A: Application, Tr: Tracer> Runtime<A, Tr> {
     /// Bring `pe`'s receive side up to date for a reader at `bound`: apply
     /// every arrival keyed below it, in key order.
+    #[inline(always)]
     #[atos_hot]
     pub(crate) fn settle(&mut self, pe: usize, bound: Key) {
         let enqueued = self.deliver(pe, bound);
@@ -478,9 +490,10 @@ impl<A: Application, Tr: Tracer> Runtime<A, Tr> {
 
     /// Hand every arrival of `pe` keyed below `bound` to the application
     /// and the worklist, in key order. Returns whether any enqueued work.
+    #[inline(always)]
     #[atos_hot]
     fn deliver(&mut self, pe: usize, bound: Key) -> bool {
-        let Pe { rx, queue, .. } = &mut self.pes[pe];
+        let Pe { rx, queue, .. } = at_mut(&mut self.pes, pe);
         if rx.is_empty() {
             return false;
         }
@@ -489,7 +502,7 @@ impl<A: Application, Tr: Tracer> Runtime<A, Tr> {
             app: &mut self.app,
             queue,
             keep: &mut self.comm.keep,
-            hwm: &mut self.stats.queue_hwm_per_pe[pe],
+            hwm: at_mut(&mut self.stats.queue_hwm_per_pe, pe),
             tracer: &mut self.tracer,
             enqueued: false,
         };
@@ -500,6 +513,7 @@ impl<A: Application, Tr: Tracer> Runtime<A, Tr> {
     /// A doorbell: the arrival keyed `key` reaches a PE nobody was going
     /// to settle. Deliver through it and wake the PE if work came of it;
     /// if none did, the PE's next arrival needs a doorbell of its own.
+    #[inline(always)]
     #[atos_hot]
     pub(crate) fn arrive(&mut self, dst: usize, key: Key) {
         if self.deliver(dst, (key.0, key.1 + 1)) {
@@ -519,10 +533,11 @@ impl<A: Application, Tr: Tracer> Runtime<A, Tr> {
     /// doorbell is already pending.
     #[atos_hot]
     pub(crate) fn ring_doorbell(&mut self, pe: usize) {
-        if self.pes[pe].step_scheduled {
+        let p = at_mut(&mut self.pes, pe);
+        if p.step_scheduled {
             return;
         }
-        if let Some((at, seq)) = self.pes[pe].rx.ring_next() {
+        if let Some((at, seq)) = p.rx.ring_next() {
             self.engine.schedule_at_seq(at, seq, Ev::Arrive { dst: pe });
         }
     }
@@ -564,7 +579,7 @@ impl<A: Application, Tr: Tracer> Runtime<A, Tr> {
         if total == 0 {
             return;
         }
-        let task_bytes = self.app.task_bytes();
+        let task_bytes = nounwind(|| self.app.task_bytes());
         // Gluon-style round metadata: serialize and broadcast update masks
         // to every peer before this round's payload leaves. The host-side
         // pack/unpack cost accumulates per peer on the sender's critical
@@ -620,7 +635,7 @@ impl<A: Application, Tr: Tracer> Runtime<A, Tr> {
                     // Count the run into the pair's bundle: up to the
                     // next size or age trigger, flush, repeat.
                     while rest > 0 {
-                        let bundle = &mut self.pes[src].agg[dst];
+                        let bundle = at_mut(&mut at_mut(&mut self.pes, src).agg, dst);
                         let (k, fires) =
                             bundle.run_len(&clock, i, rest, task_bytes, batch_bytes, wait_time);
                         bundle.note(k, task_bytes, clock.at(i));
@@ -651,7 +666,7 @@ impl<A: Application, Tr: Tracer> Runtime<A, Tr> {
         task_bytes: u64,
         batch_bytes: u64,
     ) {
-        let bundle = &mut self.pes[src].agg[dst];
+        let bundle = at_mut(&mut at_mut(&mut self.pes, src).agg, dst);
         let by_size = bundle.bytes() >= batch_bytes;
         let opened = bundle.opened_at().unwrap_or(at);
         let (tasks, bytes) = bundle.close();
@@ -666,14 +681,17 @@ impl<A: Application, Tr: Tracer> Runtime<A, Tr> {
         if self.tracer.is_enabled() {
             // The aggregation window: from the oldest queued item to the
             // flush, on the (src, dst) pair's own track.
-            self.tracer.span(
-                Track::agg(src, dst),
-                opened,
-                at.saturating_sub(opened),
-                if by_size { "flush[size]" } else { "flush[age]" },
-                ["bytes", "tasks"],
-                [bytes, tasks as u64],
-            );
+            let tracer = &mut self.tracer;
+            nounwind(|| {
+                tracer.span(
+                    Track::agg(src, dst),
+                    opened,
+                    at.saturating_sub(opened),
+                    if by_size { "flush[size]" } else { "flush[age]" },
+                    ["bytes", "tasks"],
+                    [bytes, tasks as u64],
+                )
+            });
         }
         self.route(at, src, dst, tasks, task_bytes);
     }
@@ -683,10 +701,13 @@ impl<A: Application, Tr: Tracer> Runtime<A, Tr> {
     /// be, count.
     #[atos_hot]
     fn depart(&mut self, src: usize, dst: usize, buf: Vec<A::Task>) {
-        self.comm.outbox.trains.push(Train {
-            src: src as u16,
-            dst: dst as u16,
-            buf,
+        let trains = &mut self.comm.outbox.trains;
+        nounwind_when(trains.len() == trains.capacity(), || {
+            trains.push(Train {
+                src: src as u16,
+                dst: dst as u16,
+                buf,
+            })
         });
     }
 
@@ -698,13 +719,16 @@ impl<A: Application, Tr: Tracer> Runtime<A, Tr> {
         if self.tracer.is_enabled() {
             // The arrival mark is recorded when the barrier merge resolves
             // the message.
-            self.tracer.instant(
-                Track::pe(src),
-                at,
-                "send",
-                ["dst", "tasks"],
-                [dst as u64, tasks as u64],
-            );
+            let tracer = &mut self.tracer;
+            nounwind(|| {
+                tracer.instant(
+                    Track::pe(src),
+                    at,
+                    "send",
+                    ["dst", "tasks"],
+                    [dst as u64, tasks as u64],
+                )
+            });
         }
         debug_assert!(
             tasks <= u32::MAX as usize,
@@ -729,14 +753,18 @@ impl<A: Application, Tr: Tracer> Runtime<A, Tr> {
         );
         self.stats.messages += 1;
         self.stats.payload_bytes += bytes;
-        let counter = self.pes[src].emitted;
-        self.pes[src].emitted += 1;
-        self.comm.outbox.cars.push(Car {
-            xfer,
-            counter,
-            tasks,
-            src: src as u16,
-            dst: dst as u16,
+        let emitted = &mut at_mut(&mut self.pes, src).emitted;
+        let counter = *emitted;
+        *emitted += 1;
+        let cars = &mut self.comm.outbox.cars;
+        nounwind_when(cars.len() == cars.capacity(), || {
+            cars.push(Car {
+                xfer,
+                counter,
+                tasks,
+                src: src as u16,
+                dst: dst as u16,
+            })
         });
     }
 
@@ -749,7 +777,7 @@ impl<A: Application, Tr: Tracer> Runtime<A, Tr> {
     #[atos_hot]
     pub(crate) fn merge_records(&mut self) {
         for train in self.comm.outbox.trains.drain(..) {
-            self.pes[train.dst as usize]
+            at_mut(&mut self.pes, train.dst as usize)
                 .rx
                 .push_train(train.src as usize, train.buf);
         }
@@ -758,7 +786,8 @@ impl<A: Application, Tr: Tracer> Runtime<A, Tr> {
         }
         // Keys are unique (per-source counters), so unstable sort is
         // deterministic.
-        self.comm.outbox.cars.sort_unstable_by_key(Car::key);
+        let cars = &mut self.comm.outbox.cars;
+        nounwind(|| cars.sort_unstable_by_key(Car::key));
         for pe in &mut self.pes {
             pe.rx.begin_barrier();
         }
@@ -772,27 +801,29 @@ impl<A: Application, Tr: Tracer> Runtime<A, Tr> {
             if self.tracer.is_enabled() {
                 // Arrival mark carrying the end-to-end latency on the
                 // destination timeline (counterpart of `route`'s send).
-                self.tracer.instant(
-                    Track::pe(dst),
-                    arrival,
-                    "msg",
-                    ["latency_ns", "bytes"],
-                    [
-                        arrival.saturating_sub(car.xfer.issued),
-                        car.xfer.payload as u64,
-                    ],
-                );
+                let latency = arrival.saturating_sub(car.xfer.issued);
+                let tracer = &mut self.tracer;
+                nounwind(|| {
+                    tracer.instant(
+                        Track::pe(dst),
+                        arrival,
+                        "msg",
+                        ["latency_ns", "bytes"],
+                        [latency, car.xfer.payload as u64],
+                    )
+                });
             }
             debug_assert!(
                 arrival >= self.horizon,
                 "lookahead violated: arrival inside its window"
             );
             let engine = &mut self.engine;
-            let opened = self.pes[dst]
-                .rx
-                .file(car.src as usize, arrival, car.tasks, || {
-                    engine.reserve_seqs(1)
-                });
+            let opened =
+                at_mut(&mut self.pes, dst)
+                    .rx
+                    .file(car.src as usize, arrival, car.tasks, || {
+                        engine.reserve_seqs(1)
+                    });
             self.stats.coalesced_arrivals += !opened as u64;
         }
         for pe in 0..self.pes.len() {
@@ -806,36 +837,33 @@ impl<A: Application, Tr: Tracer> Runtime<A, Tr> {
             CommMode::Aggregated { wait_time, .. } => wait_time,
             _ => return,
         };
-        if self.pes[pe].agg_poll_scheduled {
+        let p = at_mut(&mut self.pes, pe);
+        if p.agg_poll_scheduled {
             // One pending timer already covers this flush window: buffers
             // open at or after the time the timer was armed, so every
             // deadline is at or past the armed one and the poll's
             // rescheduling loop picks it up — no per-destination timer.
             debug_assert!(
-                (self.pes[pe].agg.iter())
+                (p.agg.iter())
                     .filter_map(|b| b.age_deadline(wait_time))
                     .min()
-                    .is_none_or(|d| d >= self.pes[pe].agg_poll_deadline),
+                    .is_none_or(|d| d >= p.agg_poll_deadline),
                 "aggregator deadline moved earlier than the armed poll"
             );
             self.stats.agg_poll_coalesced += 1;
             return;
         }
-        let deadline = self.pes[pe]
-            .agg
-            .iter()
-            .filter_map(|b| b.age_deadline(wait_time))
-            .min();
+        let deadline = p.agg.iter().filter_map(|b| b.age_deadline(wait_time)).min();
         if let Some(d) = deadline {
-            self.pes[pe].agg_poll_scheduled = true;
-            self.pes[pe].agg_poll_deadline = d;
+            p.agg_poll_scheduled = true;
+            p.agg_poll_deadline = d;
             self.engine.schedule_at(d, Ev::AggPoll { pe });
         }
     }
 
     #[atos_hot]
     pub(crate) fn agg_poll(&mut self, pe: usize) {
-        self.pes[pe].agg_poll_scheduled = false;
+        at_mut(&mut self.pes, pe).agg_poll_scheduled = false;
         let (batch_bytes, wait_time) = match self.cfg.comm {
             CommMode::Aggregated {
                 batch_bytes,
@@ -844,10 +872,10 @@ impl<A: Application, Tr: Tracer> Runtime<A, Tr> {
             _ => return,
         };
         let now = self.engine.now();
-        let task_bytes = self.app.task_bytes();
+        let task_bytes = nounwind(|| self.app.task_bytes());
         let mut flushed_any = false;
-        for dst in 0..self.pes[pe].agg.len() {
-            if self.pes[pe].agg[dst].should_flush(now, batch_bytes, wait_time) {
+        for dst in 0..at(&self.pes, pe).agg.len() {
+            if at(&at(&self.pes, pe).agg, dst).should_flush(now, batch_bytes, wait_time) {
                 self.flush_bundle(now, pe, dst, task_bytes, batch_bytes);
                 flushed_any = true;
             }

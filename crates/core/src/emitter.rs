@@ -20,9 +20,15 @@
 //! emitter and the lanes hold is then the volume in flight plus one partial
 //! chunk per open run, never the capacity of the longest run seen.
 
+#![expect(
+    unsafe_code,
+    reason = "commit_remote sets the length over the slots remote_spare lent out"
+)]
+
 use std::mem::{self, MaybeUninit};
 
 use atos_macros::atos_hot;
+use atos_sim::{at, at_mut, nounwind, nounwind_when};
 
 /// Chunk capacities, in tasks: a run's first chunk is of the first class,
 /// its second of the second, and so on, staying at the last. Not a knob:
@@ -58,12 +64,14 @@ impl<T> ChunkPool<T> {
     /// if one is on hand.
     #[atos_hot]
     pub fn take(&mut self, class: usize) -> Vec<T> {
+        let free = at_mut(&mut self.free, class);
         let cap = CHUNK_CLASSES[class];
         self.out += cap * mem::size_of::<T>();
         self.peak = self.peak.max(self.out);
-        self.free[class]
-            .pop()
-            .unwrap_or_else(|| Vec::with_capacity(cap))
+        match free.pop() {
+            Some(chunk) => chunk,
+            None => nounwind(|| Vec::with_capacity(cap)),
+        }
     }
 
     /// Return a chunk whose tasks have all been delivered to the free list
@@ -73,8 +81,9 @@ impl<T> ChunkPool<T> {
         chunk.clear();
         let cap = chunk.capacity();
         self.out = self.out.saturating_sub(cap * mem::size_of::<T>());
-        if let Some(class) = CHUNK_CLASSES.iter().position(|&c| c == cap) {
-            self.free[class].push(chunk);
+        let mut classes = CHUNK_CLASSES.iter().zip(&mut self.free);
+        if let Some((_, free)) = classes.find(|(&c, _)| c == cap) {
+            nounwind_when(free.len() == free.capacity(), || free.push(chunk));
         }
     }
 
@@ -145,10 +154,11 @@ impl<T> Emitter<T> {
     /// its capacity, a run's chunks go back to the pool — the runtime
     /// recycles one emitter across all PEs' steps so the hot path never
     /// reallocates) and set the owning PE.
+    #[inline]
     pub fn reset_for(&mut self, my_pe: usize) {
         self.local.clear();
-        for dst in 0..self.tail.len() {
-            self.recycle_run(dst);
+        for (full, tail) in self.full.iter_mut().zip(&mut self.tail) {
+            recycle(&mut self.pool, full, tail);
         }
         self.my_pe = my_pe;
     }
@@ -183,7 +193,7 @@ impl<T> Emitter<T> {
     {
         debug_assert!(dst != self.my_pe, "remote push to self");
         let tasks = tasks.into_iter();
-        let tail = &mut self.tail[dst];
+        let tail = at_mut(&mut self.tail, dst);
         if tasks.len() <= tail.capacity() - tail.len() {
             tail.extend(tasks);
         } else {
@@ -193,11 +203,13 @@ impl<T> Emitter<T> {
 
     /// [`Emitter::extend_remote`] for a run that does not fit the tail
     /// chunk: fill it, spill, repeat. Out of line, so the common case
-    /// stays one `extend` wherever an application inlines the call.
-    #[inline(never)]
+    /// stays one `extend` wherever an application inlines the call (cold,
+    /// so it is not inlined, but a copy sits beside each caller).
+    #[cold]
+    #[inline]
     fn extend_across_chunks(&mut self, dst: usize, mut tasks: impl ExactSizeIterator<Item = T>) {
         loop {
-            let tail = &mut self.tail[dst];
+            let tail = at_mut(&mut self.tail, dst);
             let room = tail.capacity() - tail.len();
             if tasks.len() <= room {
                 tail.extend(tasks);
@@ -231,7 +243,9 @@ impl<T> Emitter<T> {
     #[inline]
     pub fn remote_spare(&mut self, dst: usize, n: usize) -> Option<&mut [MaybeUninit<T>]> {
         debug_assert!(dst != self.my_pe, "remote push to self");
-        self.tail[dst].spare_capacity_mut().get_mut(..n)
+        at_mut(&mut self.tail, dst)
+            .spare_capacity_mut()
+            .get_mut(..n)
     }
 
     /// Count the `n` slots [`Emitter::remote_spare`]`(dst, n)` lent out as
@@ -242,7 +256,7 @@ impl<T> Emitter<T> {
     /// written, with no other call on this emitter in between.
     #[inline]
     pub unsafe fn commit_remote(&mut self, dst: usize, n: usize) {
-        let tail = &mut self.tail[dst];
+        let tail = at_mut(&mut self.tail, dst);
         debug_assert!(
             n <= tail.capacity() - tail.len(),
             "commit past the lent slots"
@@ -264,12 +278,12 @@ impl<T> Emitter<T> {
             into.extend_from_slice(chunk);
         }
         into.extend_from_slice(&self.tail[dst]);
-        self.recycle_run(dst);
+        recycle(&mut self.pool, &mut self.full[dst], &mut self.tail[dst]);
     }
 
     /// The number of tasks in `dst`'s run.
     pub(crate) fn run_len(&self, dst: usize) -> usize {
-        self.full[dst].iter().map(Vec::len).sum::<usize>() + self.tail[dst].len()
+        at(&self.full, dst).iter().map(Vec::len).sum::<usize>() + at(&self.tail, dst).len()
     }
 
     /// Destinations, this PE included.
@@ -290,35 +304,39 @@ impl<T> Emitter<T> {
     /// `dst`'s run as its chunks, in emission order, each non-empty; the
     /// emitter keeps none of them.
     pub(crate) fn take_run(&mut self, dst: usize) -> impl Iterator<Item = Vec<T>> + '_ {
-        let tail = mem::take(&mut self.tail[dst]);
-        self.full[dst]
+        let tail = mem::take(at_mut(&mut self.tail, dst));
+        at_mut(&mut self.full, dst)
             .drain(..)
             .chain((!tail.is_empty()).then_some(tail))
     }
 
     /// The tail chunk of `dst` is full (or not drawn yet): file it with the
     /// run's full chunks and draw the next one, a class larger until the
-    /// last.
-    #[inline(never)]
+    /// last. Cold, so it stays out of line where `push` inlines, with a
+    /// copy beside each caller.
+    #[cold]
+    #[inline]
     #[atos_hot]
     fn spill(&mut self, dst: usize) {
-        let tail = mem::take(&mut self.tail[dst]);
+        let tail = mem::take(at_mut(&mut self.tail, dst));
+        let full = at_mut(&mut self.full, dst);
         if tail.capacity() > 0 {
-            self.full[dst].push(tail);
+            nounwind_when(full.len() == full.capacity(), || full.push(tail));
         }
-        let class = self.full[dst].len().min(CHUNK_CLASSES.len() - 1);
-        self.tail[dst] = self.pool.take(class);
+        let class = full.len().min(CHUNK_CLASSES.len() - 1);
+        *at_mut(&mut self.tail, dst) = self.pool.take(class);
     }
+}
 
-    /// Return every chunk of `dst`'s run to the pool.
-    fn recycle_run(&mut self, dst: usize) {
-        for chunk in self.full[dst].drain(..) {
-            self.pool.give(chunk);
-        }
-        let tail = mem::take(&mut self.tail[dst]);
-        if tail.capacity() > 0 {
-            self.pool.give(tail);
-        }
+/// Return a run's chunks, `full` and then `tail`, to `pool`.
+#[inline]
+fn recycle<T>(pool: &mut ChunkPool<T>, full: &mut Vec<Vec<T>>, tail: &mut Vec<T>) {
+    for chunk in full.drain(..) {
+        pool.give(chunk);
+    }
+    let tail = mem::take(tail);
+    if tail.capacity() > 0 {
+        pool.give(tail);
     }
 }
 

@@ -26,6 +26,7 @@ use std::time::{Duration, Instant};
 
 use atos_macros::atos_hot;
 use atos_queue::counter::CounterQueue;
+use atos_sim::{at, nounwind};
 // The sync facade makes this whole backend model-checkable: under
 // `--cfg atos_check` every atomic, thread spawn, yield, spin hint, and
 // timed park below runs on the atos-check shadow runtime instead of std
@@ -146,10 +147,6 @@ impl IdleBackoff {
     }
 
     /// One empty poll: wait according to the current tier, then escalate.
-    /// The transitive panic through the atos-check shim (`yield_now` →
-    /// `require`) only fires when a model-checked test drives the worker
-    /// outside a checker schedule — unreachable in production builds.
-    // atos-lint: allow(panic_in_kernel)
     #[inline]
     fn wait(&mut self) {
         if self.streak < IDLE_SPIN_ROUNDS {
@@ -196,39 +193,36 @@ struct WorkerCtx<'a, A: HostApplication> {
     cfg: HostConfig,
 }
 
-/// Outlined cold failure path for arena exhaustion. Keeps the worker loop
-/// itself free of panic machinery (`panic-in-kernel` lint): the only call
-/// site is a taken `Err` branch, so the unwind path costs nothing on the
-/// hot path and the sizing guidance lives in one place.
-// Outlined failure path, vetted: deliberate abort with sizing guidance.
+/// Abort for arena exhaustion, with the sizing guidance in one place.
+/// `extern "C"`: the panic aborts, and the worker loop keeps no unwinding
+/// edge.
 #[cold]
 #[inline(never)]
-// atos-lint: allow(panic_in_kernel)
-fn arena_exhausted() -> ! {
+extern "C" fn arena_exhausted() -> ! {
     panic!("queue arena exhausted: raise HostConfig::queue_capacity to the workload's total push bound");
 }
 
 /// One worker thread: `pop → process → push` to global quiescence
-/// (paper Listing 3). This function is queue-protocol code — covered by
-/// the `panic-in-kernel` lint, so failure paths are outlined or handled.
+/// (paper Listing 3). This function is queue-protocol code: it cannot
+/// unwind (`#[atos_hot]`), so failure paths abort.
 #[atos_hot]
 fn worker<A: HostApplication>(ctx: &WorkerCtx<'_, A>, pe: usize, tasks_ctr: &AtomicU64) {
     let mut recv_state = PopState::new();
     let mut local_state = PopState::new();
     let mut backoff = IdleBackoff::new();
-    let mut batch: Vec<A::Task> = Vec::with_capacity(ctx.cfg.fetch);
+    let mut batch: Vec<A::Task> = nounwind(|| Vec::with_capacity(ctx.cfg.fetch));
+    let own = at(ctx.queues, pe);
     loop {
         batch.clear();
         // Receive queue first (drain remote work eagerly, as the paper's
         // launch* pop loops do), then local.
-        let mut got = ctx.queues[pe]
+        let mut got = own
             .recv
             .pop_group(&mut recv_state, ctx.cfg.fetch, &mut batch);
         if got < ctx.cfg.fetch {
-            got +=
-                ctx.queues[pe]
-                    .local
-                    .pop_group(&mut local_state, ctx.cfg.fetch - got, &mut batch);
+            got += own
+                .local
+                .pop_group(&mut local_state, ctx.cfg.fetch - got, &mut batch);
         }
         if got == 0 {
             if ctx.outstanding.load(Ordering::Acquire) == 0 {
@@ -244,22 +238,23 @@ fn worker<A: HostApplication>(ctx: &WorkerCtx<'_, A>, pe: usize, tasks_ctr: &Ato
         }
         backoff.reset();
         tasks_ctr.fetch_add(got as u64, Ordering::Relaxed);
-        for &task in &batch[..got] {
+        // The pops appended exactly `got` tasks to the cleared batch.
+        for &task in &batch {
             let mut push = |dst: usize, t: A::Task| {
                 // Register the child before the parent retires (see
                 // module docs).
                 ctx.outstanding.fetch_add(1, Ordering::Release);
                 let q = if dst == pe {
-                    &ctx.queues[pe].local
+                    &own.local
                 } else {
                     ctx.remote_pushes.fetch_add(1, Ordering::Relaxed);
-                    &ctx.queues[dst].recv
+                    &at(ctx.queues, dst).recv
                 };
                 if q.push(t).is_err() {
                     arena_exhausted();
                 }
             };
-            ctx.app.process(pe, task, &mut push);
+            nounwind(|| ctx.app.process(pe, task, &mut push));
             ctx.outstanding.fetch_sub(1, Ordering::Release);
         }
     }

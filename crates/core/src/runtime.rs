@@ -30,7 +30,7 @@
 //!   [`Bundle`]s instead, and bundles leave on the size/age triggers.
 
 use atos_graph::Lookahead;
-use atos_sim::{Engine, Fabric, GpuCostModel, Time};
+use atos_sim::{at, at_mut, nounwind, nounwind_inline, Engine, Fabric, GpuCostModel, Time};
 use atos_trace::{NullTracer, Tracer, Track};
 
 use crate::aggregator::Bundle;
@@ -51,13 +51,11 @@ pub(crate) const WAKE_POLL_NS: Time = 400;
 /// applications (e.g. a task that re-emits itself forever).
 const MAX_EVENTS: u64 = 200_000_000;
 
-/// Outlined abort for the [`MAX_EVENTS`] runaway guard, kept out of the
-/// `run_window` kernel scope.
-// Outlined failure path, vetted: deliberate abort on the runaway guard.
+/// Abort for the [`MAX_EVENTS`] runaway guard: `extern "C"`, so the
+/// panic aborts and `run_window` keeps no unwinding edge.
 #[cold]
 #[inline(never)]
-// atos-lint: allow(panic_in_kernel)
-fn runaway_abort(processed: u64) -> ! {
+extern "C" fn runaway_abort(processed: u64) -> ! {
     panic!("runaway simulation: {processed} events");
 }
 
@@ -246,9 +244,10 @@ impl<A: Application, Tr: Tracer> Runtime<A, Tr> {
     #[inline]
     #[atos_hot]
     fn note_queue_depth(&mut self, pe: usize) {
-        let len = self.pes[pe].queue.len() as u64;
-        if len > self.stats.queue_hwm_per_pe[pe] {
-            self.stats.queue_hwm_per_pe[pe] = len;
+        let len = at(&self.pes, pe).queue.len() as u64;
+        let hwm = at_mut(&mut self.stats.queue_hwm_per_pe, pe);
+        if len > *hwm {
+            *hwm = len;
         }
     }
 
@@ -361,16 +360,18 @@ impl<A: Application, Tr: Tracer> Runtime<A, Tr> {
 
     #[atos_hot]
     pub(crate) fn wake(&mut self, pe: usize, delay: Time) {
-        if !self.pes[pe].step_scheduled && !self.pes[pe].queue.is_empty() {
-            self.pes[pe].step_scheduled = true;
-            self.pes[pe].idle_ran = false;
+        let p = at_mut(&mut self.pes, pe);
+        if !p.step_scheduled && !p.queue.is_empty() {
+            p.step_scheduled = true;
+            p.idle_ran = false;
             self.engine.schedule_after(delay, Ev::Step { pe });
         }
     }
 
+    #[inline(always)]
     #[atos_hot]
     fn step(&mut self, pe: usize) {
-        self.pes[pe].step_scheduled = false;
+        at_mut(&mut self.pes, pe).step_scheduled = false;
         // Persistent workers pop in fetch-sized rounds; a discrete kernel
         // is launched over the whole current queue snapshot (its grid
         // covers the frontier), so launch overhead amortizes over the full
@@ -381,17 +382,18 @@ impl<A: Application, Tr: Tracer> Runtime<A, Tr> {
         };
         let mut batch = std::mem::take(&mut self.batch);
         batch.clear();
-        let got = self.pes[pe].queue.pop_batch(cap, &mut batch);
+        let got = at_mut(&mut self.pes, pe).queue.pop_batch(cap, &mut batch);
         let now = self.engine.now();
 
         if got == 0 {
             self.batch = batch;
             // f2: one idle-handler invocation per idle transition.
-            if !self.pes[pe].idle_ran {
-                self.pes[pe].idle_ran = true;
+            let p = at_mut(&mut self.pes, pe);
+            if !p.idle_ran {
+                p.idle_ran = true;
                 let mut em = std::mem::take(&mut self.em);
                 em.reset_for(pe);
-                if self.app.on_idle(pe, &mut em) == IdleOutcome::Refilled {
+                if nounwind(|| self.app.on_idle(pe, &mut em)) == IdleOutcome::Refilled {
                     self.absorb_local(pe, &mut em);
                     self.dispatch_remote(pe, &mut em, now, 0);
                     self.wake(pe, 0);
@@ -404,13 +406,13 @@ impl<A: Application, Tr: Tracer> Runtime<A, Tr> {
             return;
         }
 
-        self.stats.steps_per_pe[pe] += 1;
-        self.stats.tasks_per_pe[pe] += got as u64;
+        *at_mut(&mut self.stats.steps_per_pe, pe) += 1;
+        *at_mut(&mut self.stats.tasks_per_pe, pe) += got as u64;
 
         let mut em = std::mem::take(&mut self.em);
         em.reset_for(pe);
         let (edges, span) = self.process_batch(pe, &batch, &mut em);
-        self.stats.edges_per_pe[pe] += edges;
+        *at_mut(&mut self.stats.edges_per_pe, pe) += edges;
 
         // A full round (queue held more than we popped) runs at pure
         // throughput: hubs pipeline with following batches. Discrete
@@ -421,21 +423,17 @@ impl<A: Application, Tr: Tracer> Runtime<A, Tr> {
         if self.cfg.kernel == KernelMode::Discrete {
             busy += self.cost.kernel_cycle_ns();
         }
-        self.stats.busy_ns_per_pe[pe] += busy;
+        *at_mut(&mut self.stats.busy_ns_per_pe, pe) += busy;
         if self.tracer.is_enabled() {
-            self.tracer.span(
-                Track::pe(pe),
-                now,
-                busy,
-                "step",
-                ["tasks", "edges"],
-                [got as u64, edges],
-            );
             // Worklist occupancy at the start of the step: the popped
             // batch plus whatever remained in the queue.
-            let remaining = self.pes[pe].queue.len() as u64;
-            self.tracer
-                .counter(Track::pe(pe), now, "worklist", got as u64 + remaining);
+            let worklist = got as u64 + at(&self.pes, pe).queue.len() as u64;
+            let tracer = &mut self.tracer;
+            nounwind(|| {
+                let edges = [got as u64, edges];
+                tracer.span(Track::pe(pe), now, busy, "step", ["tasks", "edges"], edges);
+                tracer.counter(Track::pe(pe), now, "worklist", worklist);
+            });
         }
 
         self.absorb_local(pe, &mut em);
@@ -446,8 +444,9 @@ impl<A: Application, Tr: Tracer> Runtime<A, Tr> {
         // Next scheduling round once this one's virtual time has elapsed.
         // If the queue is empty by then (no arrival beat it), that step
         // runs the f2 idle handler exactly once.
-        self.pes[pe].idle_ran = false;
-        self.pes[pe].step_scheduled = true;
+        let p = at_mut(&mut self.pes, pe);
+        p.idle_ran = false;
+        p.step_scheduled = true;
         self.engine.schedule_after(busy, Ev::Step { pe });
     }
 
@@ -458,7 +457,7 @@ impl<A: Application, Tr: Tracer> Runtime<A, Tr> {
     /// [`PREFETCH_NEAR`] positions before it runs
     /// ([`Application::prefetch`]). Returns the batch's total and largest
     /// `task_edges`.
-    #[inline]
+    #[inline(always)]
     #[atos_hot]
     fn process_batch(
         &mut self,
@@ -468,26 +467,34 @@ impl<A: Application, Tr: Tracer> Runtime<A, Tr> {
     ) -> (u64, u64) {
         let mut edges = 0u64;
         let mut span = 0u64;
+        let app = &mut self.app;
         for (i, &t) in batch.iter().enumerate() {
             if let Some(far) = batch.get(i + PREFETCH_FAR) {
-                self.app.prefetch(far, Lookahead::Far);
+                nounwind_inline(|| app.prefetch(far, Lookahead::Far));
             }
             if let Some(near) = batch.get(i + PREFETCH_NEAR) {
-                self.app.prefetch(near, Lookahead::Near);
+                nounwind_inline(|| app.prefetch(near, Lookahead::Near));
             }
-            let e = self.app.task_edges(&t);
+            let e = nounwind_inline(|| app.task_edges(&t));
             edges += e;
             span = span.max(e);
-            self.app.process(pe, t, em);
+            nounwind_inline(|| app.process(pe, t, em));
         }
         (edges, span)
     }
 
+    #[inline(always)]
     #[atos_hot]
     fn absorb_local(&mut self, pe: usize, em: &mut Emitter<A::Task>) {
+        let queue = &mut at_mut(&mut self.pes, pe).queue;
+        let prioritized = queue.threshold().is_some();
         for t in em.local.drain(..) {
-            let prio = self.app.priority(&t);
-            self.pes[pe].queue.push(t, prio);
+            // Only a priority queue consults it.
+            let prio = match prioritized {
+                true => nounwind_inline(|| self.app.priority(&t)),
+                false => 0,
+            };
+            queue.push(t, prio);
         }
         self.note_queue_depth(pe);
     }

@@ -9,6 +9,8 @@
 
 use std::collections::{BTreeMap, VecDeque};
 
+use atos_sim::{nounwind, nounwind_when};
+
 /// Scheduling discipline for one PE's local queue.
 #[derive(Debug)]
 pub enum WorkQueue<T> {
@@ -60,11 +62,15 @@ impl<T> WorkQueue<T> {
     }
 
     /// Push a task with the given priority (ignored by FIFO).
+    #[inline(always)]
     pub fn push(&mut self, task: T, priority: u32) {
         match self {
-            WorkQueue::Standard(q) => q.push_back(task),
+            WorkQueue::Standard(q) => nounwind_when(q.len() == q.capacity(), || q.push_back(task)),
             WorkQueue::Priority { buckets, len, .. } => {
-                buckets.entry(priority).or_default().push_back(task);
+                match buckets.get_mut(&priority) {
+                    Some(q) => nounwind_when(q.len() == q.capacity(), || q.push_back(task)),
+                    None => nounwind(|| buckets.entry(priority).or_default().push_back(task)),
+                }
                 *len += 1;
             }
         }
@@ -77,15 +83,14 @@ impl<T> WorkQueue<T> {
     /// above the threshold, the threshold advances (this is the point
     /// where a discrete-kernel run "closes an iteration" and admits the
     /// next depth range).
-    // The `expect` below is bounds-vetted: `take` is clamped to `len()`
-    // two lines above each pop, so the failure arm is unreachable.
-    // atos-lint: allow(panic_in_kernel)
+    #[inline]
     pub fn pop_batch(&mut self, max: usize, out: &mut Vec<T>) -> usize {
         match self {
             WorkQueue::Standard(q) => {
                 let take = max.min(q.len());
                 for _ in 0..take {
-                    out.push(q.pop_front().expect("len checked"));
+                    let Some(t) = q.pop_front() else { break };
+                    nounwind_when(out.len() == out.capacity(), || out.push(t));
                 }
                 take
             }
@@ -98,7 +103,10 @@ impl<T> WorkQueue<T> {
                 let mut got = 0;
                 while got < max && *len > 0 {
                     // Lowest non-empty bucket.
-                    let (&prio, _) = buckets.iter().next().expect("len > 0");
+                    let Some(mut bucket) = buckets.first_entry() else {
+                        break;
+                    };
+                    let prio = *bucket.key();
                     if prio >= *threshold {
                         if got > 0 {
                             // Eligible work was served this round; let the
@@ -117,19 +125,15 @@ impl<T> WorkQueue<T> {
                             }
                         }
                     }
-                    let bucket = buckets.get_mut(&prio).expect("exists");
+                    let tasks = bucket.get_mut();
                     while got < max {
-                        match bucket.pop_front() {
-                            Some(t) => {
-                                out.push(t);
-                                got += 1;
-                                *len -= 1;
-                            }
-                            None => break,
-                        }
+                        let Some(t) = tasks.pop_front() else { break };
+                        nounwind_when(out.len() == out.capacity(), || out.push(t));
+                        got += 1;
+                        *len -= 1;
                     }
-                    if bucket.is_empty() {
-                        buckets.remove(&prio);
+                    if tasks.is_empty() {
+                        nounwind(|| bucket.remove());
                     }
                 }
                 got

@@ -7,10 +7,10 @@
 //! chunks return to their class in the pool: the steady state sends and
 //! receives without touching the allocator. This test pins that down with a counting global allocator.
 //!
-//! Every function that says it is hot (`#[atos_hot]` / `// atos-lint:
-//! hot`, read by `atos_lint::lints::hot_marker`) in the runtime's crates
-//! runs inside one of the counted windows below, and [`COVERED`] names
-//! which. A runtime window runs the same scenario at `n` and `2n` tasks and
+//! Every function that says it is hot (`#[atos_hot]`, or `hot!(name, ..)`
+//! around its body in `atos-queue` and `atos-graph`) in the runtime's
+//! crates runs inside one of the counted windows below, and [`COVERED`]
+//! names which. A runtime window runs the same scenario at `n` and `2n` tasks and
 //! its counts may differ by at most [`GROWTH`] — warm-up growth of queues,
 //! lanes, heap and pool, about one allocation per doubling — so an
 //! allocation on any message, however rare, fails it. The queue, hint and
@@ -19,6 +19,8 @@
 //! One `#[test]`: the counter is process-global, so nothing else in this
 //! binary may allocate while a window is open. The coverage check parses
 //! source and runs first, before any window.
+
+#![expect(unsafe_code, reason = "the counting GlobalAlloc delegates to System")]
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::path::Path;
@@ -40,7 +42,6 @@ use atos_graph::generators::{Preset, Scale};
 use atos_graph::partition::Partition;
 use atos_graph::prefetch::prefetch;
 use atos_graph::weights::EdgeWeights;
-use atos_lint::{lints::hot_marker, Workspace};
 use atos_queue::broker::BrokerQueue;
 use atos_queue::cas::CasQueue;
 use atos_queue::counter::CounterQueue;
@@ -166,20 +167,46 @@ const COVERED: &[(&str, &str)] = &[
     ("apps/src/sssp.rs::prefetch", "hints: split SsspApp over light, heavy and full tasks"),
 ];
 
-/// [`COVERED`] names exactly the functions `hot_marker` marks.
-fn assert_every_hot_fn_is_mapped() {
+/// The hot-marked functions of `crates/{core,sim,queue,graph,apps}/src`,
+/// as `file::fn` under `crates/`: the `fn` after a `#[atos_hot]` line, and
+/// the name a `hot!(name, ..)` call gives. Comment lines do not count.
+fn hot_marked() -> Vec<String> {
     let crates = Path::new(env!("CARGO_MANIFEST_DIR")).join("..");
     let mut marked = Vec::new();
     for krate in ["core", "sim", "queue", "graph", "apps"] {
-        let ws = Workspace::discover(&crates.join(krate).join("src")).expect("read sources");
-        for file in &ws.files {
-            for f in &file.parsed.fns {
-                if hot_marker(file, f).is_some() {
-                    marked.push(format!("{krate}/src/{}::{}", file.path, f.name));
+        let src = crates.join(krate).join("src");
+        for entry in std::fs::read_dir(&src).expect("read sources") {
+            let path = entry.expect("read sources").path();
+            let text = std::fs::read_to_string(&path).expect("read a source file");
+            let file = path
+                .file_name()
+                .and_then(|f| f.to_str())
+                .expect("a file name");
+            let mut attribute = false;
+            for line in text.lines().map(str::trim).filter(|l| !l.starts_with("//")) {
+                let name = match line.split_once("hot!(") {
+                    Some((_, call)) => call.split(',').next(),
+                    None if attribute => line.split_once("fn ").map(|(_, rest)| rest),
+                    None => None,
+                };
+                attribute |= line == "#[atos_hot]";
+                if let Some(name) = name {
+                    let name: String = name
+                        .chars()
+                        .take_while(|c| c.is_alphanumeric() || *c == '_')
+                        .collect();
+                    marked.push(format!("{krate}/src/{file}::{name}"));
+                    attribute = false;
                 }
             }
         }
     }
+    marked
+}
+
+/// [`COVERED`] names exactly the functions [`hot_marked`] finds.
+fn assert_every_hot_fn_is_mapped() {
+    let mut marked = hot_marked();
     let mut mapped: Vec<String> = COVERED.iter().map(|(key, _)| key.to_string()).collect();
     marked.sort();
     mapped.sort();

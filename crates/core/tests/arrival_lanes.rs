@@ -442,21 +442,23 @@ proptest! {
 // ---------------------------------------------------------------------------
 
 #[test]
-#[should_panic(
-    expected = "the car of 5 tasks from PE 1 arriving at 70 ns outran its trains, 2 tasks still owed"
-)]
 fn a_car_that_outruns_its_trains_aborts_in_every_build() {
     // A lane holding fewer tasks than a car counts means tasks were lost on
     // the way: a release build must stop too, not drop them and carry on.
-    let mut rx: Rx<u32> = Rx::new(2);
-    rx.begin_barrier();
-    rx.push_train(1, vec![10, 11, 12]);
-    rx.file(1, 70, 5, || 0);
-    rx.drain_before(
-        (Time::MAX, u64::MAX),
-        &mut ChunkPool::default(),
-        &mut Log::default(),
-    );
+    let test = "a_car_that_outruns_its_trains_aborts_in_every_build";
+    let message =
+        "the car of 5 tasks from PE 1 arriving at 70 ns outran its trains, 2 tasks still owed";
+    atos_sim::assert_aborts(test, message, || {
+        let mut rx: Rx<u32> = Rx::new(2);
+        rx.begin_barrier();
+        rx.push_train(1, vec![10, 11, 12]);
+        rx.file(1, 70, 5, || 0);
+        rx.drain_before(
+            (Time::MAX, u64::MAX),
+            &mut ChunkPool::default(),
+            &mut Log::default(),
+        );
+    });
 }
 
 /// Shapes one case exercised, as bit flags.

@@ -6,6 +6,11 @@
 //! largest graph here, full-scale `twitter_s`, has 16 M and the paper's
 //! largest, twitter50, 1.9 B.
 
+#![expect(
+    unsafe_code,
+    reason = "the parallel scatter of from_edges writes disjoint runs through a raw pointer"
+)]
+
 use std::ops::Range;
 
 use crate::par::{alongside, balanced_rows, build_threads, row_index_entry, split_at_cuts};
@@ -212,9 +217,10 @@ impl Csr {
     /// Announce that row `v` is about to be read: `Far` touches its offset
     /// entry, `Near` reads that entry and touches the row's first line.
     #[inline]
-    // atos-lint: hot(no-index)
     pub fn prefetch(&self, v: VertexId, ahead: Lookahead) {
-        prefetch_row(&self.offsets, &self.neighbors, v as usize, ahead);
+        hot!(prefetch, {
+            prefetch_row(&self.offsets, &self.neighbors, v as usize, ahead);
+        })
     }
 
     /// Maximum out-degree.

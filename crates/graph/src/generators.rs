@@ -12,6 +12,11 @@
 //!
 //! All generators are deterministic in their seed.
 
+#![expect(
+    unsafe_code,
+    reason = "calls the R-MAT sampler's AVX-512F and AVX2 compilations where the CPU has them"
+)]
+
 use std::sync::Mutex;
 
 use rand::rngs::SmallRng;

@@ -137,17 +137,18 @@ impl OwnerGrouped {
     /// segment-index entry, `Near` reads that entry and touches the row's
     /// first segment (its bound and its owner).
     #[inline]
-    // atos-lint: hot(no-index)
     pub fn prefetch(&self, v: VertexId, ahead: Lookahead) {
-        match ahead {
-            Lookahead::Far => prefetch(&self.seg_offsets, v as usize),
-            Lookahead::Near => {
-                if let Some(&s) = self.seg_offsets.get(v as usize) {
-                    prefetch(&self.seg_bounds, s as usize);
-                    prefetch(&self.seg_owner, s as usize);
+        hot!(prefetch, {
+            match ahead {
+                Lookahead::Far => prefetch(&self.seg_offsets, v as usize),
+                Lookahead::Near => {
+                    if let Some(&s) = self.seg_offsets.get(v as usize) {
+                        prefetch(&self.seg_bounds, s as usize);
+                        prefetch(&self.seg_owner, s as usize);
+                    }
                 }
             }
-        }
+        })
     }
 
     /// `(owner, neighbours of v it owns)` for every owner with at least

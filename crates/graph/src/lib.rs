@@ -30,17 +30,17 @@
 //! * [`light`] — every row's edges of weight ≤ `delta`, target and weight
 //!   side by side: what a delta-stepping light task walks instead of
 //!   filtering the full row.
-//! * [`io`] — Matrix Market and DIMACS readers/writers for the paper's
-//!   original dataset formats.
 //! * [`mod@prefetch`] — the cache-line hint every structure's `prefetch`
 //!   bottoms out in, and the [`Lookahead`] distance a caller announces.
 
 #![warn(missing_docs)]
 
+// The hot-path marker; the file lives with the queues (DESIGN.md §7).
+include!("../../queue/src/hot.rs");
+
 pub mod csr;
 pub mod generators;
 pub mod grouped;
-pub mod io;
 pub mod light;
 mod par;
 pub mod partition;

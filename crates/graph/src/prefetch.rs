@@ -7,6 +7,8 @@
 //! positions before it runs them ([`Lookahead`]); each structure turns the
 //! announcement into [`prefetch`] calls on its own arrays.
 
+#![expect(unsafe_code, reason = "_mm_prefetch behind a bounds-checked helper")]
+
 /// How far ahead of its execution a task is being announced.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Lookahead {
@@ -22,37 +24,39 @@ pub enum Lookahead {
 /// Hint that `slice[index]` is about to be read. An out-of-range `index` is
 /// a no-op — a hint never panics — and so is every target but x86_64.
 #[inline(always)]
-// atos-lint: hot(no-index)
 pub fn prefetch<T>(slice: &[T], index: usize) {
-    let Some(item) = slice.get(index) else {
-        return;
-    };
-    #[cfg(target_arch = "x86_64")]
-    {
-        use core::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
-        // SAFETY: the pointer comes from a live reference, and a prefetch
-        // has no architectural effect: it reads and writes nothing the
-        // program can observe.
-        unsafe { _mm_prefetch::<_MM_HINT_T0>((item as *const T).cast::<i8>()) };
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    let _ = item;
+    hot!(prefetch, {
+        let Some(item) = slice.get(index) else {
+            return;
+        };
+        #[cfg(target_arch = "x86_64")]
+        {
+            use core::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+            // SAFETY: the pointer comes from a live reference, and a prefetch
+            // has no architectural effect: it reads and writes nothing the
+            // program can observe.
+            unsafe { _mm_prefetch::<_MM_HINT_T0>((item as *const T).cast::<i8>()) };
+        }
+        #[cfg(not(target_arch = "x86_64"))]
+        let _ = item;
+    })
 }
 
 /// The two stages for a CSR-shaped pair of arrays, where row `v` is
 /// `rows[offsets[v]..offsets[v + 1]]`: `Far` touches the row's offset entry,
 /// `Near` reads that entry and touches the row's first line.
 #[inline(always)]
-// atos-lint: hot(no-index)
 pub(crate) fn prefetch_row<T>(offsets: &[u32], rows: &[T], v: usize, ahead: Lookahead) {
-    match ahead {
-        Lookahead::Far => prefetch(offsets, v),
-        Lookahead::Near => {
-            if let Some(&lo) = offsets.get(v) {
-                prefetch(rows, lo as usize);
+    hot!(prefetch_row, {
+        match ahead {
+            Lookahead::Far => prefetch(offsets, v),
+            Lookahead::Near => {
+                if let Some(&lo) = offsets.get(v) {
+                    prefetch(rows, lo as usize);
+                }
             }
         }
-    }
+    })
 }
 
 #[cfg(test)]

@@ -87,11 +87,12 @@ impl EdgeWeights {
     /// left to do here; `Near` reads the offset entry that stage fetched
     /// and touches the row's first line.
     #[inline]
-    // atos-lint: hot(no-index)
     pub fn prefetch(&self, g: &Csr, u: VertexId, ahead: Lookahead) {
-        if ahead == Lookahead::Near {
-            prefetch_row(g.offsets(), &self.w, u as usize, ahead);
-        }
+        hot!(prefetch, {
+            if ahead == Lookahead::Near {
+                prefetch_row(g.offsets(), &self.w, u as usize, ahead);
+            }
+        })
     }
 
     /// Maximum weight present (delta-stepping tuning input).

@@ -12,6 +12,11 @@
 //! 2. discovering `k` new items costs `k` flag loads spread over `k` cache
 //!    lines, where the counter queue needs a single `end` broadcast.
 
+#![expect(
+    unsafe_code,
+    reason = "the ring slots are UnsafeCell<MaybeUninit<T>> written and read under the queue's claims"
+)]
+
 use core::mem::MaybeUninit;
 
 use crate::padded::Padded;
@@ -55,8 +60,8 @@ impl<T: Copy + Send> BrokerQueue<T> {
     }
 
     /// The slot at `idx`, without the bounds check — protocol code proves
-    /// its indices instead of risking a mid-protocol panic
-    /// (`panic-in-kernel` lint).
+    /// its indices instead of risking a mid-protocol panic (the no-unwind
+    /// proof, DESIGN.md §7).
     ///
     /// # Safety
     ///
@@ -82,25 +87,26 @@ impl<T: Copy + Send> BrokerQueue<T> {
 
     /// Push one item: reserve, write, fence, set flag (the three-step
     /// protocol the paper describes).
-    // atos-lint: hot(no-index)
     pub fn push(&self, item: T) -> Result<(), QueueFull> {
-        let idx = self.tail.fetch_add(1, Ordering::Relaxed);
-        if idx >= self.slots.len() as u64 {
-            return Err(QueueFull {
-                capacity: self.slots.len(),
-            });
-        }
-        // SAFETY: `idx < capacity` (checked above) and is exclusively ours
-        // (monotone `tail.fetch_add`) until the Release flag store below
-        // publishes it; a popper reads the slot only after an Acquire load
-        // observes READY (checker-verified edge).
-        let slot = unsafe { self.slot(idx) };
-        // SAFETY: `p` is the slot reserved above; the write initializes it.
-        slot.with_mut(|p| unsafe { (*p).write(item) });
-        // SAFETY: same bound as above; flags and slots have equal length.
-        let flag = unsafe { self.flag(idx) };
-        flag.store(READY, Ordering::Release);
-        Ok(())
+        hot!(push, {
+            let idx = self.tail.fetch_add(1, Ordering::Relaxed);
+            if idx >= self.slots.len() as u64 {
+                return Err(QueueFull {
+                    capacity: self.slots.len(),
+                });
+            }
+            // SAFETY: `idx < capacity` (checked above) and is exclusively ours
+            // (monotone `tail.fetch_add`) until the Release flag store below
+            // publishes it; a popper reads the slot only after an Acquire load
+            // observes READY (checker-verified edge).
+            let slot = unsafe { self.slot(idx) };
+            // SAFETY: `p` is the slot reserved above; the write initializes it.
+            slot.with_mut(|p| unsafe { (*p).write(item) });
+            // SAFETY: same bound as above; flags and slots have equal length.
+            let flag = unsafe { self.flag(idx) };
+            flag.store(READY, Ordering::Release);
+            Ok(())
+        })
     }
 
     /// Pop one item if its slot's flag is ready.
@@ -109,41 +115,42 @@ impl<T: Copy + Send> BrokerQueue<T> {
     /// producer that has reserved the slot is mid-write and will set it
     /// imminently). Returns `None` without reserving when the queue looks
     /// empty.
-    // atos-lint: hot(no-index)
     pub fn pop(&self) -> Option<T> {
-        loop {
-            let h = self.head.load(Ordering::Relaxed);
-            let t = self.tail.load(Ordering::Acquire);
-            if h >= t.min(self.slots.len() as u64) {
-                return None;
+        hot!(pop, {
+            loop {
+                let h = self.head.load(Ordering::Relaxed);
+                let t = self.tail.load(Ordering::Acquire);
+                if h >= t.min(self.slots.len() as u64) {
+                    return None;
+                }
+                // Claim the slot; CAS here (not fetch_add) so an empty-looking
+                // queue is never over-reserved — the broker design has no claim
+                // carry-over mechanism.
+                if self
+                    .head
+                    .compare_exchange_weak(h, h + 1, Ordering::Relaxed, Ordering::Relaxed)
+                    .is_err()
+                {
+                    continue;
+                }
+                // SAFETY: `h < min(tail, capacity)` was checked above and the
+                // head CAS gave us the exclusive claim on exactly this index.
+                let flag = unsafe { self.flag(h) };
+                // The producer reserved before we saw tail > h, so READY arrives
+                // after a bounded number of its instructions.
+                while flag.load(Ordering::Acquire) != READY {
+                    hint::spin_loop();
+                }
+                // SAFETY: same bound as the flag above; the Acquire flag load
+                // observed the producer's Release READY store, so the slot write
+                // happens-before this read; the head CAS gave us the exclusive
+                // claim (checker-verified edge).
+                let slot = unsafe { self.slot(h) };
+                // SAFETY: the slot claimed above is published, so it is initialized.
+                let v = slot.with(|p| unsafe { (*p).assume_init() });
+                return Some(v);
             }
-            // Claim the slot; CAS here (not fetch_add) so an empty-looking
-            // queue is never over-reserved — the broker design has no claim
-            // carry-over mechanism.
-            if self
-                .head
-                .compare_exchange_weak(h, h + 1, Ordering::Relaxed, Ordering::Relaxed)
-                .is_err()
-            {
-                continue;
-            }
-            // SAFETY: `h < min(tail, capacity)` was checked above and the
-            // head CAS gave us the exclusive claim on exactly this index.
-            let flag = unsafe { self.flag(h) };
-            // The producer reserved before we saw tail > h, so READY arrives
-            // after a bounded number of its instructions.
-            while flag.load(Ordering::Acquire) != READY {
-                hint::spin_loop();
-            }
-            // SAFETY: same bound as the flag above; the Acquire flag load
-            // observed the producer's Release READY store, so the slot write
-            // happens-before this read; the head CAS gave us the exclusive
-            // claim (checker-verified edge).
-            let slot = unsafe { self.slot(h) };
-            // SAFETY: the slot claimed above is published, so it is initialized.
-            let v = slot.with(|p| unsafe { (*p).assume_init() });
-            return Some(v);
-        }
+        })
     }
 
     /// Number of reserved-but-unclaimed items (flags may still be in flight).

@@ -11,6 +11,11 @@
 //! the group-leader ("warp intrinsic") optimization: one CAS loop per group,
 //! not per item, so the measured gap is add-vs-CAS, not grouping.
 
+#![expect(
+    unsafe_code,
+    reason = "the ring slots are UnsafeCell<MaybeUninit<T>> written and read under the queue's claims"
+)]
+
 use core::mem::MaybeUninit;
 
 use crate::padded::Padded;
@@ -57,8 +62,9 @@ impl<T: Copy + Send> CasQueue<T> {
     }
 
     /// The slot at `idx`, without the bounds check — a bounds panic inside
-    /// the protocol would strand a published reservation (`panic-in-kernel`
-    /// lint), so protocol code proves its indices instead.
+    /// the protocol would strand a published reservation (and fail the
+    /// no-unwind proof, DESIGN.md §7), so protocol code proves its indices
+    /// instead.
     ///
     /// # Safety
     ///
@@ -71,112 +77,112 @@ impl<T: Copy + Send> CasQueue<T> {
     }
 
     /// Push a group of items; the leader reserves with a CAS retry loop.
-    // atos-lint: hot(no-index)
     pub fn push_group(&self, items: &[T]) -> Result<(), QueueFull> {
-        if items.is_empty() {
-            return Ok(());
-        }
-        let n = items.len() as u64;
-        // Failed compare-exchange iterations across all four loops below,
-        // tallied locally and added once so the instrumentation does not
-        // itself contend (Fig. 1 measures these loops).
-        let mut retries = 0u64;
-        // CAS reservation loop (the contended operation under study).
-        let mut idx = self.end_alloc.load(Ordering::Relaxed);
-        loop {
-            if idx + n > self.slots.len() as u64 {
-                self.counters.add_cas_retries(retries);
-                return Err(QueueFull {
-                    capacity: self.slots.len(),
-                });
+        hot!(push_group, {
+            if items.is_empty() {
+                return Ok(());
             }
-            match self.end_alloc.compare_exchange_weak(
-                idx,
-                idx + n,
-                Ordering::Relaxed,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => break,
-                Err(cur) => {
-                    retries += 1;
-                    idx = cur;
+            let n = items.len() as u64;
+            // Failed compare-exchange iterations across all four loops below,
+            // tallied locally and added once so the instrumentation does not
+            // itself contend (Fig. 1 measures these loops).
+            let mut retries = 0u64;
+            // CAS reservation loop (the contended operation under study).
+            let mut idx = self.end_alloc.load(Ordering::Relaxed);
+            loop {
+                if idx + n > self.slots.len() as u64 {
+                    self.counters.add_cas_retries(retries);
+                    return Err(QueueFull {
+                        capacity: self.slots.len(),
+                    });
                 }
-            }
-        }
-        for (i, &item) in items.iter().enumerate() {
-            // SAFETY: `[idx, idx+n)` exclusively reserved (successful CAS on
-            // the monotone `end_alloc`), below capacity (checked in the
-            // reservation loop); published to readers only through the
-            // AcqRel CAS chain on `end_max`/`end_count`/`end` below
-            // (checker-verified edge).
-            let slot = unsafe { self.slot(idx + i as u64) };
-            // SAFETY: `p` is the slot reserved above; the write initializes it.
-            slot.with_mut(|p| unsafe { (*p).write(item) });
-        }
-        // Publication protocol shared with CounterQueue; end_max/end_count
-        // also via CAS loops to keep the design pure.
-        let mut cur = self.end_max.load(Ordering::Relaxed);
-        while cur < idx + n {
-            match self.end_max.compare_exchange_weak(
-                cur,
-                idx + n,
-                Ordering::AcqRel,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => break,
-                Err(c) => {
-                    retries += 1;
-                    cur = c;
-                }
-            }
-        }
-        let mut cnt = self.end_count.load(Ordering::Relaxed);
-        loop {
-            match self.end_count.compare_exchange_weak(
-                cnt,
-                cnt + n,
-                Ordering::AcqRel,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => break,
-                Err(c) => {
-                    retries += 1;
-                    cnt = c;
-                }
-            }
-        }
-        let m = self.end_max.load(Ordering::Acquire);
-        if cnt + n == m {
-            let mut e = self.end.load(Ordering::Relaxed);
-            while e < m {
-                match self
-                    .end
-                    .compare_exchange_weak(e, m, Ordering::AcqRel, Ordering::Relaxed)
-                {
+                match self.end_alloc.compare_exchange_weak(
+                    idx,
+                    idx + n,
+                    Ordering::Relaxed,
+                    Ordering::Relaxed,
+                ) {
                     Ok(_) => break,
-                    Err(c) => {
+                    Err(cur) => {
                         retries += 1;
-                        e = c;
+                        idx = cur;
                     }
                 }
             }
-        }
-        self.counters.add_cas_retries(retries);
-        // Observability only; compiled out under the model checker (no
-        // synchronization role, would only multiply the state space).
-        #[cfg(not(atos_check))]
-        {
-            let e = self.end.load(Ordering::Relaxed);
-            let s = self.start.load(Ordering::Relaxed);
-            self.counters.raise_occupancy(e.saturating_sub(s));
-        }
-        Ok(())
+            for (i, &item) in items.iter().enumerate() {
+                // SAFETY: `[idx, idx+n)` exclusively reserved (successful CAS on
+                // the monotone `end_alloc`), below capacity (checked in the
+                // reservation loop); published to readers only through the
+                // AcqRel CAS chain on `end_max`/`end_count`/`end` below
+                // (checker-verified edge).
+                let slot = unsafe { self.slot(idx + i as u64) };
+                // SAFETY: `p` is the slot reserved above; the write initializes it.
+                slot.with_mut(|p| unsafe { (*p).write(item) });
+            }
+            // Publication protocol shared with CounterQueue; end_max/end_count
+            // also via CAS loops to keep the design pure.
+            let mut cur = self.end_max.load(Ordering::Relaxed);
+            while cur < idx + n {
+                match self.end_max.compare_exchange_weak(
+                    cur,
+                    idx + n,
+                    Ordering::AcqRel,
+                    Ordering::Relaxed,
+                ) {
+                    Ok(_) => break,
+                    Err(c) => {
+                        retries += 1;
+                        cur = c;
+                    }
+                }
+            }
+            let mut cnt = self.end_count.load(Ordering::Relaxed);
+            loop {
+                match self.end_count.compare_exchange_weak(
+                    cnt,
+                    cnt + n,
+                    Ordering::AcqRel,
+                    Ordering::Relaxed,
+                ) {
+                    Ok(_) => break,
+                    Err(c) => {
+                        retries += 1;
+                        cnt = c;
+                    }
+                }
+            }
+            let m = self.end_max.load(Ordering::Acquire);
+            if cnt + n == m {
+                let mut e = self.end.load(Ordering::Relaxed);
+                while e < m {
+                    match self
+                        .end
+                        .compare_exchange_weak(e, m, Ordering::AcqRel, Ordering::Relaxed)
+                    {
+                        Ok(_) => break,
+                        Err(c) => {
+                            retries += 1;
+                            e = c;
+                        }
+                    }
+                }
+            }
+            self.counters.add_cas_retries(retries);
+            // Observability only; compiled out under the model checker (no
+            // synchronization role, would only multiply the state space).
+            #[cfg(not(atos_check))]
+            {
+                let e = self.end.load(Ordering::Relaxed);
+                let s = self.start.load(Ordering::Relaxed);
+                self.counters.raise_occupancy(e.saturating_sub(s));
+            }
+            Ok(())
+        })
     }
 
     /// Push one item.
-    // atos-lint: hot(no-index)
     pub fn push(&self, item: T) -> Result<(), QueueFull> {
-        self.push_group(core::slice::from_ref(&item))
+        hot!(push, { self.push_group(core::slice::from_ref(&item)) })
     }
 
     /// Pop up to `max` items with one CAS-reserved group claim.
@@ -184,55 +190,60 @@ impl<T: Copy + Send> CasQueue<T> {
     /// CAS lets the claim be bounded *exactly* by the published `end` (no
     /// overshoot), so no claim state persists; `_state` is accepted for
     /// interface parity.
-    // atos-lint: hot(no-index)
     pub fn pop_group(&self, _state: &mut PopState, max: usize, out: &mut Vec<T>) -> usize {
-        if max == 0 {
-            return 0;
-        }
-        let mut retries = 0u64;
-        loop {
-            let s = self.start.load(Ordering::Relaxed);
-            let e = self.end.load(Ordering::Acquire);
-            if e <= s {
-                self.counters.add_cas_retries(retries);
+        hot!(pop_group, {
+            if max == 0 {
                 return 0;
             }
-            let take = (max as u64).min(e - s);
-            // The *success* ordering here is deliberately Relaxed: `start`
-            // guards no data, only claim disjointness, which the CAS gives
-            // under any ordering (each value of `start` is won by exactly
-            // one popper). The happens-before edge that makes the slot
-            // reads below safe is the Acquire load of `end` above, which
-            // synchronizes with the publisher's AcqRel advance of `end` —
-            // `start` needs no release chain of its own because arena slots
-            // are never reused, so no information ever flows back from
-            // poppers to pushers through `start`. Model-checked by the
-            // `cas_pop_reservation_relaxed_is_sound` suite, which fails when
-            // the `end` load is weakened instead (a seeded twin of
-            // `scripts/verify.sh`).
-            if self
-                .start
-                .compare_exchange_weak(s, s + take, Ordering::Relaxed, Ordering::Relaxed)
-                .is_err()
-            {
-                retries += 1;
-                continue;
+            let mut retries = 0u64;
+            loop {
+                let s = self.start.load(Ordering::Relaxed);
+                let e = self.end.load(Ordering::Acquire);
+                if e <= s {
+                    self.counters.add_cas_retries(retries);
+                    return 0;
+                }
+                let take = (max as u64).min(e - s);
+                // The *success* ordering here is deliberately Relaxed: `start`
+                // guards no data, only claim disjointness, which the CAS gives
+                // under any ordering (each value of `start` is won by exactly
+                // one popper). The happens-before edge that makes the slot
+                // reads below safe is the Acquire load of `end` above, which
+                // synchronizes with the publisher's AcqRel advance of `end` —
+                // `start` needs no release chain of its own because arena slots
+                // are never reused, so no information ever flows back from
+                // poppers to pushers through `start`. Model-checked by the
+                // `cas_pop_reservation_relaxed_is_sound` suite, which fails when
+                // the `end` load is weakened instead (a seeded twin of
+                // `scripts/verify.sh`).
+                if self
+                    .start
+                    .compare_exchange_weak(s, s + take, Ordering::Relaxed, Ordering::Relaxed)
+                    .is_err()
+                {
+                    retries += 1;
+                    continue;
+                }
+                for i in 0..take {
+                    // SAFETY: `s + i < e <= capacity` (`end` only advances over
+                    // successful, capacity-checked reservations), and the
+                    // Acquire load of `end` above synchronizes with the
+                    // publishing AcqRel CAS on `end`, ordering the slot writes
+                    // before these reads; the range is exclusively claimed by
+                    // the successful CAS on `start` (checker-verified edge).
+                    let slot = unsafe { self.slot(s + i) };
+                    // SAFETY: the slot claimed above is published, so it is initialized.
+                    let v = slot.with(|p| unsafe { (*p).assume_init() });
+                    if out.len() == out.capacity() {
+                        crate::nounwind(|| out.push(v));
+                    } else {
+                        out.push(v);
+                    }
+                }
+                self.counters.add_cas_retries(retries);
+                return take as usize;
             }
-            for i in 0..take {
-                // SAFETY: `s + i < e <= capacity` (`end` only advances over
-                // successful, capacity-checked reservations), and the
-                // Acquire load of `end` above synchronizes with the
-                // publishing AcqRel CAS on `end`, ordering the slot writes
-                // before these reads; the range is exclusively claimed by
-                // the successful CAS on `start` (checker-verified edge).
-                let slot = unsafe { self.slot(s + i) };
-                // SAFETY: the slot claimed above is published, so it is initialized.
-                let v = slot.with(|p| unsafe { (*p).assume_init() });
-                out.push(v);
-            }
-            self.counters.add_cas_retries(retries);
-            return take as usize;
-        }
+        })
     }
 
     /// Pop one item.
@@ -281,13 +292,11 @@ impl<T: Copy + Send> CasQueue<T> {
 }
 
 impl<T: Copy + Send> ConcurrentQueue<T> for CasQueue<T> {
-    // atos-lint: hot(no-index)
     fn push_group(&self, items: &[T]) -> Result<(), QueueFull> {
-        CasQueue::push_group(self, items)
+        hot!(push_group, { CasQueue::push_group(self, items) })
     }
-    // atos-lint: hot(no-index)
     fn pop_group(&self, state: &mut PopState, max: usize, out: &mut Vec<T>) -> usize {
-        CasQueue::pop_group(self, state, max, out)
+        hot!(pop_group, { CasQueue::pop_group(self, state, max, out) })
     }
     fn len(&self) -> usize {
         CasQueue::len(self)

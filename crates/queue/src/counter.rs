@@ -49,6 +49,11 @@
 //! when `end` has reached its final value and unfilled claims provably refer
 //! to indices that were never pushed.
 
+#![expect(
+    unsafe_code,
+    reason = "the ring slots are UnsafeCell<MaybeUninit<T>> written and read under the queue's claims"
+)]
+
 use core::mem::MaybeUninit;
 
 use crate::padded::Padded;
@@ -111,7 +116,7 @@ impl<T: Copy + Send> CounterQueue<T> {
     /// The slot at `idx`, without the bounds check. A bounds panic inside
     /// the push/pop protocol would strand a published reservation for
     /// every other thread, so protocol code proves its indices instead
-    /// (`panic-in-kernel` lint).
+    /// (the no-unwind proof, DESIGN.md §7).
     ///
     /// # Safety
     ///
@@ -125,58 +130,58 @@ impl<T: Copy + Send> CounterQueue<T> {
 
     /// Push a group of items with a single reservation (the host analog of
     /// `push_warp`/`push_cta`: leader does one `atomicAdd`, lanes write).
-    // atos-lint: hot(no-index)
     pub fn push_group(&self, items: &[T]) -> Result<(), QueueFull> {
-        if items.is_empty() {
-            return Ok(());
-        }
-        let n = items.len() as u64;
-        // Leader reservation. Monotone: a failed (overflowing) reservation is
-        // not rolled back — rollback would let ranges be re-issued and break
-        // the disjointness invariant. The queue saturates instead.
-        let idx = self.end_alloc.fetch_add(n, Ordering::Relaxed);
-        if idx + n > self.slots.len() as u64 {
-            return Err(QueueFull {
-                capacity: self.slots.len(),
-            });
-        }
-        // Lane writes into the privately reserved range.
-        for (i, &item) in items.iter().enumerate() {
-            // SAFETY: `[idx, idx+n)` is exclusively ours (disjoint
-            // reservations off the monotone `end_alloc`) and below capacity
-            // (checked above); no reader sees the slot until this write is
-            // sequenced before the AcqRel `fetch_max`/`fetch_add`
-            // publication chain below and a popper Acquire-loads `end`
-            // (checker-verified edge).
-            let slot = unsafe { self.slot(idx + i as u64) };
-            // SAFETY: `p` is the slot reserved above; the write initializes it.
-            slot.with_mut(|p| unsafe { (*p).write(item) });
-        }
-        // Completion bookkeeping. The Release in these RMWs orders the slot
-        // writes before publication; poppers Acquire `end`.
-        self.end_max.fetch_max(idx + n, Ordering::AcqRel);
-        let prev = self.end_count.fetch_add(n, Ordering::AcqRel);
-        let m = self.end_max.load(Ordering::Acquire);
-        if prev + n == m {
-            self.end.fetch_max(m, Ordering::AcqRel);
-        }
-        // Observability only (off the counter-protocol cache lines): how
-        // full did the queue get after this push. Compiled out under the
-        // model checker — these loads carry no synchronization and would
-        // only multiply the explored state space.
-        #[cfg(not(atos_check))]
-        {
-            let e = self.end.load(Ordering::Relaxed);
-            let s = self.start.load(Ordering::Relaxed);
-            self.counters.raise_occupancy(e.saturating_sub(s));
-        }
-        Ok(())
+        hot!(push_group, {
+            if items.is_empty() {
+                return Ok(());
+            }
+            let n = items.len() as u64;
+            // Leader reservation. Monotone: a failed (overflowing) reservation is
+            // not rolled back — rollback would let ranges be re-issued and break
+            // the disjointness invariant. The queue saturates instead.
+            let idx = self.end_alloc.fetch_add(n, Ordering::Relaxed);
+            if idx + n > self.slots.len() as u64 {
+                return Err(QueueFull {
+                    capacity: self.slots.len(),
+                });
+            }
+            // Lane writes into the privately reserved range.
+            for (i, &item) in items.iter().enumerate() {
+                // SAFETY: `[idx, idx+n)` is exclusively ours (disjoint
+                // reservations off the monotone `end_alloc`) and below capacity
+                // (checked above); no reader sees the slot until this write is
+                // sequenced before the AcqRel `fetch_max`/`fetch_add`
+                // publication chain below and a popper Acquire-loads `end`
+                // (checker-verified edge).
+                let slot = unsafe { self.slot(idx + i as u64) };
+                // SAFETY: `p` is the slot reserved above; the write initializes it.
+                slot.with_mut(|p| unsafe { (*p).write(item) });
+            }
+            // Completion bookkeeping. The Release in these RMWs orders the slot
+            // writes before publication; poppers Acquire `end`.
+            self.end_max.fetch_max(idx + n, Ordering::AcqRel);
+            let prev = self.end_count.fetch_add(n, Ordering::AcqRel);
+            let m = self.end_max.load(Ordering::Acquire);
+            if prev + n == m {
+                self.end.fetch_max(m, Ordering::AcqRel);
+            }
+            // Observability only (off the counter-protocol cache lines): how
+            // full did the queue get after this push. Compiled out under the
+            // model checker — these loads carry no synchronization and would
+            // only multiply the explored state space.
+            #[cfg(not(atos_check))]
+            {
+                let e = self.end.load(Ordering::Relaxed);
+                let s = self.start.load(Ordering::Relaxed);
+                self.counters.raise_occupancy(e.saturating_sub(s));
+            }
+            Ok(())
+        })
     }
 
     /// Push one item (thread-sized worker).
-    // atos-lint: hot(no-index)
     pub fn push(&self, item: T) -> Result<(), QueueFull> {
-        self.push_group(core::slice::from_ref(&item))
+        hot!(push, { self.push_group(core::slice::from_ref(&item)) })
     }
 
     /// Pop up to `max` items as one group reservation, appending to `out`.
@@ -184,40 +189,42 @@ impl<T: Copy + Send> CounterQueue<T> {
     /// Returns how many items were produced. `0` means the queue *looked*
     /// empty (the scheduler's `f2` path); an outstanding claim in `state` may
     /// still fill on a later call once publication advances.
-    // atos-lint: hot(no-index)
+    #[inline]
     pub fn pop_group(&self, state: &mut PopState, max: usize, out: &mut Vec<T>) -> usize {
-        if max == 0 {
-            return 0;
-        }
-        let mut produced = 0usize;
+        hot!(pop_group, {
+            if max == 0 {
+                return 0;
+            }
+            let mut produced = 0usize;
 
-        // Drain any previously claimed, now-published indices first.
-        produced += self.drain_claim(state, max, out);
-        if produced == max {
-            return produced;
-        }
-
-        if state.cursor == state.claim_hi {
-            // No outstanding claim: make a new reservation bounded by the
-            // optimistic availability estimate (one `end` broadcast).
-            let e = self.end.load(Ordering::Acquire);
-            let s = self.start.load(Ordering::Relaxed);
-            if e <= s {
+            // Drain any previously claimed, now-published indices first.
+            produced += self.drain_claim(state, max, out);
+            if produced == max {
                 return produced;
             }
-            let want = ((max - produced) as u64).min(e - s);
-            let old = self.start.fetch_add(want, Ordering::Relaxed);
-            if old + want > e {
-                // Racing poppers moved `start` past our availability
-                // estimate: part of this claim waits for publication.
-                self.counters.add_reservation_conflict();
+
+            if state.cursor == state.claim_hi {
+                // No outstanding claim: make a new reservation bounded by the
+                // optimistic availability estimate (one `end` broadcast).
+                let e = self.end.load(Ordering::Acquire);
+                let s = self.start.load(Ordering::Relaxed);
+                if e <= s {
+                    return produced;
+                }
+                let want = ((max - produced) as u64).min(e - s);
+                let old = self.start.fetch_add(want, Ordering::Relaxed);
+                if old + want > e {
+                    // Racing poppers moved `start` past our availability
+                    // estimate: part of this claim waits for publication.
+                    self.counters.add_reservation_conflict();
+                }
+                state.claim_lo = old;
+                state.cursor = old;
+                state.claim_hi = old + want;
+                produced += self.drain_claim(state, max - produced, out);
             }
-            state.claim_lo = old;
-            state.cursor = old;
-            state.claim_hi = old + want;
-            produced += self.drain_claim(state, max - produced, out);
-        }
-        produced
+            produced
+        })
     }
 
     /// Pop a single item if one is available to this worker right now.
@@ -230,30 +237,35 @@ impl<T: Copy + Send> CounterQueue<T> {
         }
     }
 
-    // atos-lint: hot(no-index)
     fn drain_claim(&self, state: &mut PopState, max: usize, out: &mut Vec<T>) -> usize {
-        if state.cursor == state.claim_hi {
-            return 0;
-        }
-        let e = self.end.load(Ordering::Acquire);
-        let hi = state.claim_hi.min(e);
-        let take = (hi.saturating_sub(state.cursor)).min(max as u64);
-        for i in 0..take {
-            // SAFETY: `cursor + i < end <= capacity` (`end` only advances
-            // over successful, capacity-checked reservations), and the
-            // Acquire load of `end` above synchronizes with the publisher's
-            // AcqRel `fetch_max` on `end`, which in turn is ordered after
-            // the AcqRel completion RMWs and the slot writes — so the slot
-            // is fully written and visible. The claim range
-            // `[claim_lo, claim_hi)` is exclusively ours by monotonicity of
-            // `start.fetch_add` (checker-verified).
-            let slot = unsafe { self.slot(state.cursor + i) };
-            // SAFETY: the slot claimed above is published, so it is initialized.
-            let v = slot.with(|p| unsafe { (*p).assume_init() });
-            out.push(v);
-        }
-        state.cursor += take;
-        take as usize
+        hot!(drain_claim, {
+            if state.cursor == state.claim_hi {
+                return 0;
+            }
+            let e = self.end.load(Ordering::Acquire);
+            let hi = state.claim_hi.min(e);
+            let take = (hi.saturating_sub(state.cursor)).min(max as u64);
+            for i in 0..take {
+                // SAFETY: `cursor + i < end <= capacity` (`end` only advances
+                // over successful, capacity-checked reservations), and the
+                // Acquire load of `end` above synchronizes with the publisher's
+                // AcqRel `fetch_max` on `end`, which in turn is ordered after
+                // the AcqRel completion RMWs and the slot writes — so the slot
+                // is fully written and visible. The claim range
+                // `[claim_lo, claim_hi)` is exclusively ours by monotonicity of
+                // `start.fetch_add` (checker-verified).
+                let slot = unsafe { self.slot(state.cursor + i) };
+                // SAFETY: the slot claimed above is published, so it is initialized.
+                let v = slot.with(|p| unsafe { (*p).assume_init() });
+                if out.len() == out.capacity() {
+                    crate::nounwind(|| out.push(v));
+                } else {
+                    out.push(v);
+                }
+            }
+            state.cursor += take;
+            take as usize
+        })
     }
 
     /// Number of published-but-unreserved items. Exact when quiescent.
@@ -292,13 +304,13 @@ impl<T: Copy + Send> CounterQueue<T> {
 }
 
 impl<T: Copy + Send> ConcurrentQueue<T> for CounterQueue<T> {
-    // atos-lint: hot(no-index)
     fn push_group(&self, items: &[T]) -> Result<(), QueueFull> {
-        CounterQueue::push_group(self, items)
+        hot!(push_group, { CounterQueue::push_group(self, items) })
     }
-    // atos-lint: hot(no-index)
     fn pop_group(&self, state: &mut PopState, max: usize, out: &mut Vec<T>) -> usize {
-        CounterQueue::pop_group(self, state, max, out)
+        hot!(pop_group, {
+            CounterQueue::pop_group(self, state, max, out)
+        })
     }
     fn len(&self) -> usize {
         CounterQueue::len(self)

@@ -47,6 +47,23 @@
 #![warn(missing_docs)]
 #![deny(unsafe_op_in_unsafe_fn)]
 
+include!("hot.rs");
+
+/// Run `f` where it cannot unwind: inside an out-of-line `extern "C"`
+/// call, so a panic in it prints its message and aborts. The queues use it
+/// for a `Vec`'s growth and the idle worker's yield and park, which fail
+/// only on capacity overflow, allocation failure or a broken OS thread;
+/// the same trampoline as `atos_sim::nounwind`, which this crate does not
+/// depend on (DESIGN.md §7).
+#[inline(always)]
+pub(crate) fn nounwind<R>(f: impl FnOnce() -> R) -> R {
+    #[inline(never)]
+    extern "C" fn call<R, F: FnOnce() -> R>(f: F) -> R {
+        f()
+    }
+    call(f)
+}
+
 pub mod bench_harness;
 pub mod broker;
 pub mod cas;

@@ -68,11 +68,22 @@ mod imp {
         pub use core::hint::spin_loop;
     }
 
-    /// Threading primitives.
+    /// Threading primitives. `yield_now` and `park_timeout` cannot unwind
+    /// here, so an idle worker's wait leaves its hot loop no unwinding edge.
     pub mod thread {
-        pub use std::thread::{
-            park_timeout, scope, spawn, yield_now, JoinHandle, Scope, ScopedJoinHandle,
-        };
+        pub use std::thread::{scope, spawn, JoinHandle, Scope, ScopedJoinHandle};
+
+        /// `std::thread::yield_now`, aborting instead of unwinding.
+        #[inline]
+        pub fn yield_now() {
+            crate::nounwind(std::thread::yield_now)
+        }
+
+        /// `std::thread::park_timeout`, aborting instead of unwinding.
+        #[inline]
+        pub fn park_timeout(dur: core::time::Duration) {
+            crate::nounwind(|| std::thread::park_timeout(dur))
+        }
     }
 
     /// Hardware threads available to this process (1 when unknown).

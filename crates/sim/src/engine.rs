@@ -26,6 +26,8 @@ use std::collections::BinaryHeap;
 
 use atos_macros::atos_hot;
 
+use crate::{nounwind_inline, nounwind_when};
+
 /// Virtual time in nanoseconds.
 pub type Time = u64;
 
@@ -139,7 +141,10 @@ impl<E> Engine<E> {
     pub fn schedule_at_seq(&mut self, at: Time, seq: u64, event: E) {
         debug_assert!(seq < self.seq, "sequence number was never reserved");
         let at = at.max(self.now);
-        self.heap.push(Reverse(Scheduled { at, seq, event }));
+        let full = self.heap.len() == self.heap.capacity();
+        nounwind_when(full, || {
+            self.heap.push(Reverse(Scheduled { at, seq, event }))
+        });
         self.max_pending = self.max_pending.max(self.heap.len());
     }
 
@@ -149,10 +154,10 @@ impl<E> Engine<E> {
     }
 
     /// Pop the next event, advancing the clock to its timestamp.
-    #[inline]
+    #[inline(always)]
     #[atos_hot]
     pub fn pop(&mut self) -> Option<(Time, E)> {
-        let Reverse(s) = self.heap.pop()?;
+        let Reverse(s) = nounwind_inline(|| self.heap.pop())?;
         debug_assert!(s.at >= self.now, "time went backwards");
         self.now = s.at;
         self.now_seq = s.seq;
@@ -166,7 +171,7 @@ impl<E> Engine<E> {
     /// This is the window interface of the runtime's conservative-lookahead
     /// loop: it drains exactly the safe window `[now, horizon)` and stops
     /// without disturbing later events.
-    #[inline]
+    #[inline(always)]
     #[atos_hot]
     pub fn pop_before(&mut self, horizon: Time) -> Option<(Time, E)> {
         match self.peek_time() {

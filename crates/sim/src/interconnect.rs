@@ -19,6 +19,7 @@
 //! Figure 6 right) and [`Fabric::ib_cluster`] (one GPU per Summit node, all
 //! traffic over EDR InfiniBand).
 
+use crate::at_mut;
 use crate::engine::Time;
 use crate::packet::PacketModel;
 use crate::trace::FabricTrace;
@@ -83,6 +84,7 @@ impl Link {
 
     /// Occupy the link for the serialization of `payload` starting no
     /// earlier than `earliest`; returns the time the last byte leaves.
+    #[inline]
     fn occupy(&mut self, earliest: Time, payload: u64) -> Time {
         let wire = self.packet.wire_time_ns(payload, self.gbytes_per_s);
         let start = earliest.max(self.next_free);
@@ -311,7 +313,9 @@ impl Fabric {
     /// [`Fabric::resolve_ingress`] is a no-op returning it.
     ///
     /// # Panics
-    /// If `payload` does not fit the pending record's 32-bit byte count.
+    /// Aborts if `payload` does not fit the pending record's 32-bit byte
+    /// count, or if no route joins `src` to `dst`.
+    #[inline]
     pub fn transfer_egress(
         &mut self,
         now: Time,
@@ -324,12 +328,16 @@ impl Fabric {
         PendingTransfer {
             t_key,
             issued: now,
-            payload: u32::try_from(payload).expect("one staged message carries under 4 GiB"),
+            payload: match u32::try_from(payload) {
+                Ok(bytes) => bytes,
+                Err(_) => message_too_large(payload),
+            },
             ingress,
         }
     }
 
     /// Source side of a transfer: `(t_key, ingress link or NO_INGRESS)`.
+    #[inline]
     fn egress(
         &mut self,
         now: Time,
@@ -338,28 +346,29 @@ impl Fabric {
         payload: u64,
         control: ControlPath,
     ) -> (Time, u32) {
-        let route = self.routes[src.idx() * self.n_pes + dst.idx()]
-            .unwrap_or_else(|| panic!("no route {src:?} -> {dst:?}"));
+        let route = self.routes.get(src.idx() * self.n_pes + dst.idx());
+        let Some(&Some(route)) = route else {
+            no_route(src.0, dst.0);
+        };
         let start = now + control.inject_ns;
         let staged = match route {
             Route::Direct(l) => {
-                let end = self.links[l].occupy(start, payload);
-                let lat = self.links[l].latency_ns;
-                self.trace
-                    .record_link(end, self.links[l].packet.wire_bytes(payload));
-                (end + lat, NO_INGRESS)
+                let link = at_mut(&mut self.links, l);
+                let end = link.occupy(start, payload);
+                let wire_bytes = link.packet.wire_bytes(payload);
+                self.trace.record_link(end, wire_bytes);
+                (end + link.latency_ns, NO_INGRESS)
             }
             Route::TwoStage {
                 egress,
                 ingress,
                 net_latency_ns,
             } => {
-                let e_end = self.links[egress].occupy(start, payload);
-                let e_wire = self.links[egress]
-                    .packet
-                    .wire_time_ns(payload, self.links[egress].gbytes_per_s);
-                self.trace
-                    .record_link(e_end, self.links[egress].packet.wire_bytes(payload));
+                let link = at_mut(&mut self.links, egress);
+                let e_end = link.occupy(start, payload);
+                let e_wire = link.packet.wire_time_ns(payload, link.gbytes_per_s);
+                let wire_bytes = link.packet.wire_bytes(payload);
+                self.trace.record_link(e_end, wire_bytes);
                 if egress == ingress {
                     // Shared single bottleneck (X-bus): no second
                     // serialization of the same bytes.
@@ -384,20 +393,22 @@ impl Fabric {
     /// The runtime calls this at the window barrier, in deterministic
     /// merged order, which is what fixes how ingress-link contention
     /// resolves.
+    #[inline]
     pub fn resolve_ingress(&mut self, pending: &PendingTransfer) -> Time {
         self.ingress(pending.ingress, pending.t_key, pending.payload as u64)
     }
 
     /// Destination side of a transfer whose first byte reaches `link` (an
     /// ingress link, or `NO_INGRESS`) at `t_key`.
+    #[inline]
     fn ingress(&mut self, link: u32, t_key: Time, payload: u64) -> Time {
         if link == NO_INGRESS {
             return t_key;
         }
-        let link = link as usize;
-        let i_end = self.links[link].occupy(t_key, payload);
-        self.trace
-            .record_link(i_end, self.links[link].packet.wire_bytes(payload));
+        let link = at_mut(&mut self.links, link as usize);
+        let i_end = link.occupy(t_key, payload);
+        let wire_bytes = link.packet.wire_bytes(payload);
+        self.trace.record_link(i_end, wire_bytes);
         i_end
     }
 
@@ -423,6 +434,21 @@ impl Fabric {
         }
         self.trace = FabricTrace::new();
     }
+}
+
+/// Abort for a message between two PEs no route joins: `extern "C"`, so
+/// the panic aborts and the egress path keeps no unwinding edge.
+#[cold]
+#[inline(never)]
+extern "C" fn no_route(src: u32, dst: u32) -> ! {
+    panic!("no route PeId({src}) -> PeId({dst})");
+}
+
+/// Abort for a staged message of 4 GiB or more, as [`no_route`].
+#[cold]
+#[inline(never)]
+extern "C" fn message_too_large(payload: u64) -> ! {
+    panic!("one staged message carries under 4 GiB, got {payload} bytes");
 }
 
 #[cfg(test)]
@@ -554,9 +580,11 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "no route")]
     fn self_route_panics() {
-        let mut f = Fabric::daisy(2);
-        f.transfer(0, PeId(1), PeId(1), 8, ControlPath::gpu_direct());
+        let test = "interconnect::tests::self_route_panics";
+        crate::assert_aborts(test, "no route PeId(1) -> PeId(1)", || {
+            let mut f = Fabric::daisy(2);
+            f.transfer(0, PeId(1), PeId(1), 8, ControlPath::gpu_direct());
+        });
     }
 }

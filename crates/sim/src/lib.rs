@@ -42,6 +42,117 @@ pub use gpu::GpuCostModel;
 pub use interconnect::{ControlPath, Fabric, PeId, PendingTransfer};
 pub use packet::PacketModel;
 
+/// Run `f` where it cannot unwind: `f` runs inside an out-of-line
+/// `extern "C"` call, so a panic in it prints its message and aborts the
+/// process, as a fault inside a kernel does, and the call leaves no
+/// unwinding edge in its caller. Out of line, because the optimiser
+/// proves a caller free of unwinding only through calls it knows cannot
+/// unwind, and an inlined abort-on-unwind pad is not one. A hot path
+/// (`#[atos_hot]`) uses it for two kinds of call only: a std collection's
+/// growth, which fails only on capacity overflow or allocation failure,
+/// and the runtime's calls into `Application` and `Tracer` code, where
+/// user code runs (DESIGN.md §7).
+#[inline(always)]
+pub fn nounwind<R>(f: impl FnOnce() -> R) -> R {
+    #[inline(never)]
+    extern "C" fn call<R, F: FnOnce() -> R>(f: F) -> R {
+        f()
+    }
+    call(f)
+}
+
+/// [`nounwind`] inlined, for a call made once per task or event, where an
+/// out-of-line call costs a measurable share of the run. The inlined
+/// abort-on-unwind pad makes the optimiser treat the enclosing function as
+/// one that may unwind, so a hot function that uses it must be inlined
+/// (always) up to a caller that is not hot: `Runtime::process_batch` into
+/// `step` into `run_window`, and `Engine::pop` into `run_window`.
+#[inline(always)]
+pub fn nounwind_inline<R>(f: impl FnOnce() -> R) -> R {
+    #[inline(always)]
+    extern "C" fn call<R, F: FnOnce() -> R>(f: F) -> R {
+        f()
+    }
+    call(f)
+}
+
+/// `f`, a std collection call that grows only when `grows`: that case runs
+/// inside [`nounwind`], and the other stays inline, where the optimiser
+/// sees from the same length and capacity that it cannot grow.
+#[inline(always)]
+pub fn nounwind_when<R>(grows: bool, f: impl FnOnce() -> R) -> R {
+    if grows {
+        nounwind(f)
+    } else {
+        f()
+    }
+}
+
+/// `slice[i]` without an unwinding edge: an index out of range aborts with
+/// the message a bounds panic prints. For the dense per-PE and per-link
+/// arrays of the hot paths, whose indices are in range by construction.
+#[inline(always)]
+pub fn at<T>(slice: &[T], i: usize) -> &T {
+    match slice.get(i) {
+        Some(item) => item,
+        None => out_of_range(i, slice.len()),
+    }
+}
+
+/// `&mut slice[i]` without an unwinding edge, as [`at`].
+#[inline(always)]
+pub fn at_mut<T>(slice: &mut [T], i: usize) -> &mut T {
+    let len = slice.len();
+    match slice.get_mut(i) {
+        Some(item) => item,
+        None => out_of_range(i, len),
+    }
+}
+
+#[cold]
+#[inline(never)]
+extern "C" fn out_of_range(i: usize, len: usize) -> ! {
+    panic!("index out of bounds: the len is {len} but the index is {i}");
+}
+
+/// Test helper for a failure that aborts (an `extern "C"` abort helper, or
+/// a panic under [`nounwind`]), which `#[should_panic]` cannot observe:
+/// the test named `test` (its full libtest name) re-runs itself alone in a
+/// child process, where `body` runs; the parent asserts that the child
+/// died of `SIGABRT` after printing `message`.
+///
+/// # Panics
+/// If the child exits any other way or does not print `message`.
+pub fn assert_aborts(test: &str, message: &str, body: impl FnOnce()) {
+    const CHILD: &str = "ATOS_ASSERT_ABORTS_CHILD";
+    if std::env::var_os(CHILD).is_some() {
+        body();
+        return;
+    }
+    let exe = std::env::current_exe().expect("the test binary's path");
+    let out = std::process::Command::new(exe)
+        .args([test, "--exact", "--nocapture", "--test-threads=1"])
+        .env(CHILD, "1")
+        .output()
+        .expect("run the test binary again");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    #[cfg(unix)]
+    {
+        use std::os::unix::process::ExitStatusExt;
+        assert_eq!(
+            out.status.signal(),
+            Some(6),
+            "`{test}` did not abort ({}):\n{stderr}",
+            out.status
+        );
+    }
+    assert!(!out.status.success(), "`{test}` passed:\n{stderr}");
+    assert!(
+        stderr.contains(message),
+        "`{test}` aborted without printing {message:?}:\n{stderr}"
+    );
+}
+
 /// Nanoseconds per millisecond, for reporting.
 pub const NS_PER_MS: f64 = 1e6;
 

@@ -36,6 +36,7 @@ pub enum PacketModel {
 
 impl PacketModel {
     /// Bytes that actually cross the wire to deliver `payload` bytes.
+    #[inline]
     pub fn wire_bytes(self, payload: u64) -> u64 {
         if payload == 0 {
             return 0;
@@ -81,6 +82,7 @@ impl PacketModel {
 
     /// Time on the wire for `payload` bytes at `gbps` (10^9 bytes/s here —
     /// the paper quotes link rates in GB/s), in nanoseconds.
+    #[inline]
     pub fn wire_time_ns(self, payload: u64, gbytes_per_s: f64) -> u64 {
         if payload == 0 {
             return 0;

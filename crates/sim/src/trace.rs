@@ -45,16 +45,22 @@ impl FabricTrace {
     }
 
     /// Record `wire_bytes` leaving on some link at time `at`.
+    #[inline]
     pub fn record_link(&mut self, at: Time, wire_bytes: u64) {
         let b = (at / BUCKET_NS) as usize;
-        if b >= self.buckets.len() {
-            self.buckets.resize(b + 1, 0);
+        match self.buckets.get_mut(b) {
+            Some(bucket) => *bucket += wire_bytes,
+            // The series grows to the first traffic in bucket `b`.
+            None => crate::nounwind(|| {
+                self.buckets.resize(b, 0);
+                self.buckets.push(wire_bytes);
+            }),
         }
-        self.buckets[b] += wire_bytes;
         self.total_wire_bytes += wire_bytes;
     }
 
     /// Record one application message.
+    #[inline]
     pub fn record_message(&mut self) {
         self.total_messages += 1;
     }

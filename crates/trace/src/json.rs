@@ -6,6 +6,11 @@
 //! and the [`perfetto`](crate::perfetto) validator can round-trip the
 //! exporters' output. It is not a performance-oriented parser.
 
+#![expect(
+    unsafe_code,
+    reason = "from_utf8_unchecked on a suffix of a &str at a scalar boundary"
+)]
+
 use std::collections::BTreeMap;
 
 /// A parsed JSON value.

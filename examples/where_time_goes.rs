@@ -30,6 +30,11 @@
 //! release profile's `debug = "line-tables-only"` and `addr2line` on `PATH`;
 //! without the tool it prints the raw offsets.
 
+#![expect(
+    unsafe_code,
+    reason = "the SIGPROF sampler: setitimer, sigaction and the handler"
+)]
+
 #[cfg(not(all(target_os = "linux", target_arch = "x86_64")))]
 fn main() {
     println!("where_time_goes: unsupported on this target (Linux x86_64 only)");

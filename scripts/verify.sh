@@ -3,15 +3,17 @@
 # build+test, the workspace tests, the doc-reference check, the
 # parallel-sweep smoke (byte-identity across thread counts; usage errors,
 # the removed --json, --run-id and bench_trajectory gate flags among them),
-# the golden byte-compares, the frozen benchmark package (build + smoke run), the
-# paired perf gate against the parent commit (scripts/ab.sh HEAD~1), the
-# observability smoke, the line-level sampler smoke, atos-lint's call-graph
-# rule, miri, the model checker under --cfg atos_check (tests + the clippy
-# pass that holds the atomics facade), clippy (determinism and SAFETY
-# comments), and nine seeded twins: edits of the real tree that those three
-# clippy lints, four queue_models.rs drivers, the SSSP golden and the
-# PageRank emit oracle must each reject (the last only on a host whose CPU
-# runs the AVX-512F emit; eight elsewhere).
+# the golden byte-compares, the frozen benchmark package (a --locked build
+# + smoke run), the paired perf gate against the parent commit
+# (scripts/ab.sh HEAD~1), the observability smoke, the line-level sampler
+# smoke, the no-unwind proof (a release build under --cfg atos_nopanic that
+# links only if no hot function can unwind, and its control), miri, the
+# model checker under --cfg atos_check (tests + the clippy pass that holds
+# the atomics facade), clippy (determinism and SAFETY comments), and eleven
+# seeded twins: edits of the real tree that those three clippy lints, four
+# queue_models.rs drivers, the SSSP golden, the PageRank emit oracle and
+# the no-unwind proof (twice) must each reject (the emit twin only on a
+# host whose CPU runs the AVX-512F emit; ten elsewhere).
 #
 # Usage: scripts/verify.sh  (from anywhere; cd's to the repo root)
 
@@ -139,7 +141,9 @@ echo "== frozen benchmark package (build against the public surface + smoke run)
 # flush_with}`, `Engine::{schedule_after, pop}`, `RunStats` field names,
 # ...), so a break of that surface must fail here, not there. The smoke
 # run drives all six workloads on tiny inputs and verifies every answer.
-cargo build --release --offline --manifest-path benchmark/Cargo.toml
+# --locked: a changed dependency of a crate it builds fails here instead
+# of silently rewriting the frozen benchmark/Cargo.lock.
+cargo build --release --locked --offline --manifest-path benchmark/Cargo.toml
 bash benchmark/run.sh --smoke --out "$tmp/benchmark-out" > "$tmp/benchmark-smoke.out" 2>&1 || {
     tail -n 40 "$tmp/benchmark-smoke.out" >&2
     echo "FAIL: benchmark/run.sh --smoke" >&2
@@ -211,32 +215,72 @@ for app in "bfs 1" "sssp 1" "pr 1" "prib 1 --by file"; do
 done
 
 echo
-echo "== workspace call-graph lint (atos-lint) =="
-# Interprocedural pass over the whole workspace: transitive panic
-# propagation from the functions that mark themselves hot
-# (panic-in-kernel); exits 1 on any finding. The path-scoped rules are
-# clippy lints, in the last three stages (DESIGN.md §7).
-# --timings prints the per-phase/per-rule breakdown so a rule that
-# regresses from microseconds to seconds shows up in every log, and the
-# whole run must stay fast enough to sit in a pre-commit hook (the release
-# binary built above keeps cargo's overhead out of the number).
-lint_t0="$(date +%s%N)"
-./target/release/atos-lint --workspace --timings > "$tmp/lint.out" 2> "$tmp/lint.stderr" || {
-    cat "$tmp/lint.out" "$tmp/lint.stderr" >&2
-    echo "FAIL: atos-lint --workspace reported findings" >&2
-    exit 1
-}
-lint_ms=$(( ($(date +%s%N) - lint_t0) / 1000000 ))
-cat "$tmp/lint.stderr"
-grep -q "wall time by phase and rule:" "$tmp/lint.stderr" || {
-    echo "FAIL: --timings printed no per-rule breakdown" >&2
-    exit 1
-}
-if [ "$lint_ms" -ge 500 ]; then
-    echo "FAIL: atos-lint --workspace took ${lint_ms} ms (budget: 500 ms)" >&2
+echo "== no-unwind proof (release build under --cfg atos_nopanic) =="
+# Under the cfg, every #[atos_hot] function (and every `hot!(name, ..)` body
+# in atos-queue and atos-graph) runs behind a guard whose Drop calls an
+# undefined symbol, `atos_nopanic: <file>::<fn>`, and is forgotten on
+# return: the build links only if the optimiser removed every unwinding
+# edge from every hot function that a binary or example links (DESIGN.md
+# §7). Its own target dir: the cfg changes every crate's code.
+RUSTFLAGS="--cfg atos_nopanic" CARGO_TARGET_DIR=target/nopanic \
+    cargo build --release --workspace --bins --examples -q
+echo "ok: no hot function can unwind"
+# The control drops the guard instead of forgetting it, so every hot
+# function a binary links references its symbol, and the link must fail
+# naming each hot-marked function (alloc_count.rs' scan) except those no
+# binary or example links, each listed here with its reason. A new marker
+# on a function nothing links fails here by name.
+unlinked=(
+    # CasQueue::push, the single-item push: fig1_queue and queue_stress push
+    # CAS groups, and run_host's workers use the counter queue.
+    "queue/src/cas.rs::push"
+)
+control=target/twins/control
+rm -rf "$control" && mkdir -p "$control"
+git ls-files -z | tar --null -T - -c | tar -x -C "$control"
+sed -i 's/::core::mem::forget(atos_guard);/::core::mem::drop(atos_guard);/' \
+    "$control/crates/macros/src/lib.rs" "$control/crates/queue/src/hot.rs"
+# The linker names every undefined symbol (--error-limit=0), and
+# --keep-going links every binary and example.
+nopanic=(env RUSTFLAGS="--cfg atos_nopanic -C link-arg=-Wl,--error-limit=0"
+    CARGO_TARGET_DIR="$PWD/target/twins/nopanic"
+    cargo build --release --workspace --bins --examples --keep-going)
+if (cd "$control" && "${nopanic[@]}") > "$tmp/control.out" 2>&1; then
+    echo "FAIL: the control build linked: the guard no longer reaches the linker" >&2
     exit 1
 fi
-echo "ok: atos-lint --workspace clean in ${lint_ms} ms (< 500 ms budget)"
+python3 - "$tmp/control.out" "${unlinked[@]}" <<'EOF'
+import os, re, sys
+named = set(re.findall(r"undefined symbol: atos_nopanic: crates/(\S+)", open(sys.argv[1]).read()))
+marked = set()
+for krate in ["core", "sim", "queue", "graph", "apps"]:
+    src = f"crates/{krate}/src"
+    for file in sorted(os.listdir(src)):
+        attribute = False
+        for line in open(os.path.join(src, file)):
+            line = line.strip()
+            if line.startswith("//"):
+                continue
+            m = re.search(r"hot!\((\w+)", line) or (attribute and re.search(r"\bfn (\w+)", line))
+            attribute |= line == "#[atos_hot]"
+            if m:
+                marked.add(f"{krate}/src/{file}::{m.group(1)}")
+                attribute = False
+unlinked = set(sys.argv[2:])
+missing = sorted(marked - unlinked - named)
+stale = sorted(unlinked & named) + sorted(unlinked - marked)
+if missing or stale or named - marked:
+    print(f"FAIL: the control named {len(named)} of {len(marked)} hot functions", file=sys.stderr)
+    for key in missing:
+        print(f"  linked by no binary or example: {key}", file=sys.stderr)
+    for key in stale:
+        print(f"  listed as unlinked, but linked or no longer marked: {key}", file=sys.stderr)
+    for key in sorted(named - marked):
+        print(f"  named, but not found by the marker scan: {key}", file=sys.stderr)
+    sys.exit(1)
+print(f"ok: the control names all {len(named)} linked hot functions "
+      f"({len(unlinked)} more are linked by no binary)")
+EOF
 
 echo "== miri smoke (atos-queue unit tests) =="
 # Availability-gated: the offline container has no rustup component
@@ -284,7 +328,8 @@ echo "== seeded twins (each edit of the real tree must fail its named check) =="
 # of it the three-pusher driver); one breaks SSSP's heavy-edge select and
 # must fail the whole-run fingerprints of sssp_golden.rs; one drops a lane
 # from PageRank's vector emit and must fail its oracle against the plain
-# emit.
+# emit; two put an unwinding edge in a hot function, which the no-unwind
+# proof build must refuse to link, naming the function.
 twins=target/twins/tree
 rm -rf "$twins" && mkdir -p "$twins"
 git ls-files -z | tar --null -T - -c | tar -x -C "$twins"
@@ -372,16 +417,26 @@ emit_oracle=(cargo test -q -p atos-apps --lib pagerank::tests::every_emit_this_h
     echo "FAIL: the unedited emit oracle fails" >&2
     exit 1
 }
-want=8
+want=10
 if grep -q 'emit compilations checked against the plain path: \[Avx512f' "$tmp/emit.out"; then
     twin crates/apps/src/pagerank.rs \
         "sed 's/let mask = ((1u32 << n) - 1) as u16;/let mask = (((1u32 << n) - 1) >> 1) as u16;/'" \
         "tasks differ from the plain emit" \
         "${plain[@]}" "${emit_oracle[@]}"
-    want=9
+    want=11
 else
     echo "skip: twin (i); $(grep -o 'emit compilations checked.*' "$tmp/emit.out")"
 fi
+# (j) PageRank's hint panics on the arm it never takes (contributions are
+# never popped): the proof build must name the function.
+twin crates/apps/src/pagerank.rs \
+    "sed 's/let PrTask::Relax(v) = \*task else { return };/let PrTask::Relax(v) = *task else { panic!(\"a contribution was popped\") };/'" \
+    "atos_nopanic: crates/apps/src/pagerank.rs::prefetch" "${nopanic[@]}"
+# (k) The counter queue's pop reads the slot at its claim's start through a
+# checked index, which panics when the claim starts at the capacity.
+twin crates/queue/src/counter.rs \
+    "sed '/pub fn pop_group/,/^    }\$/s/let s = self.start.load(Ordering::Relaxed);/let s = self.start.load(Ordering::Relaxed);\n                let _ = \&self.slots[s as usize];/'" \
+    "atos_nopanic: crates/queue/src/counter.rs::pop_group" "${nopanic[@]}"
 [ "$caught" -eq "$want" ] || { echo "FAIL: $caught seeded twins ran, expected $want" >&2; exit 1; }
 echo
 echo "verify: all checks passed"

@@ -1,5 +1,5 @@
 //! Integration tests for the supporting substrates through the facade:
-//! file IO round trips, owner-grouped sharding, weighted SSSP on the
+//! a graph built from an edge list, owner-grouped sharding, weighted SSSP on the
 //! simulator, the host backend and the worker cost models.
 
 use std::sync::Arc;
@@ -7,42 +7,25 @@ use std::sync::Arc;
 use atos::apps::host_bfs::host_bfs;
 use atos::apps::sssp::run_sssp;
 use atos::core::AtosConfig;
-use atos::graph::generators::{rmat, road_network, Preset, Scale};
+use atos::graph::generators::{road_network, Preset, Scale};
 use atos::graph::grouped::OwnerGrouped;
-use atos::graph::io::{read_dimacs, read_matrix_market, write_dimacs, write_matrix_market};
 use atos::graph::partition::Partition;
 use atos::graph::reference;
 use atos::graph::weights::{dijkstra, EdgeWeights};
+use atos::graph::Csr;
 use atos::sim::Fabric;
 
 #[test]
-fn io_roundtrip_through_files() {
-    let g = rmat(9, 3000, (0.57, 0.19, 0.19, 0.05), 12);
-    let dir = std::env::temp_dir().join("atos-io-test");
-    std::fs::create_dir_all(&dir).unwrap();
-
-    let mm = dir.join("graph.mtx");
-    write_matrix_market(&g, std::fs::File::create(&mm).unwrap()).unwrap();
-    let back = read_matrix_market(std::fs::File::open(&mm).unwrap()).unwrap();
-    assert_eq!(back, g);
-
-    let gr = dir.join("graph.gr");
-    write_dimacs(&g, std::fs::File::create(&gr).unwrap()).unwrap();
-    let back = read_dimacs(std::fs::File::open(&gr).unwrap()).unwrap();
-    assert_eq!(back, g);
-
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-#[test]
 fn imported_graph_runs_the_full_pipeline() {
-    // Export a preset, reimport it, shard it, BFS it on the simulator and
-    // on the host backend — all answers agree.
+    // Rebuild a preset from its edge list, as an imported graph is built,
+    // shard it, BFS it on the simulator and on the host backend — all
+    // answers agree.
     let p = Preset::by_name("hollywood_2009_s").unwrap();
     let g0 = p.build(Scale::Tiny);
-    let mut buf = Vec::new();
-    write_matrix_market(&g0, &mut buf).unwrap();
-    let g = Arc::new(read_matrix_market(&buf[..]).unwrap());
+    let edges: Vec<(u32, u32)> = (0..g0.n_vertices() as u32)
+        .flat_map(|u| g0.neighbors(u).iter().map(move |&v| (u, v)))
+        .collect();
+    let g = Arc::new(Csr::from_edges(g0.n_vertices(), &edges));
     assert_eq!(*g, g0);
 
     let part = Arc::new(Partition::bfs_grow(&g, 3, 4));
