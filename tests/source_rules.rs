@@ -114,11 +114,15 @@ fn prev_is_ident(chars: &[char], i: usize) -> bool {
     i > 0 && (chars[i - 1].is_alphanumeric() || chars[i - 1] == '_')
 }
 
-/// The code of `file` up to its `#[cfg(test)]` module, if it has one.
+/// The code of `file` up to its `#[cfg(test)] mod`, if it has one.
 fn live_code(file: &str) -> String {
     let code = code_of(&std::fs::read_to_string(root().join(file)).expect("read a source file"));
-    match code.find("#[cfg(test)]") {
-        Some(at) => code[..at].to_string(),
+    let test_mod = code.match_indices("#[cfg(test)]").find(|&(at, attr)| {
+        let rest = code[at + attr.len()..].trim_start();
+        rest.starts_with("mod ") || rest.starts_with("pub mod ")
+    });
+    match test_mod {
+        Some((at, _)) => code[..at].to_string(),
         None => code,
     }
 }
