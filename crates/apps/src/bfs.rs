@@ -332,32 +332,8 @@ impl Application for BfsApp {
     }
 }
 
-// For the frozen `benchmark/` only (`atos_core::sharded`); nothing calls it.
-impl atos_core::ShardableApp for BfsApp {
-    fn fork(&self, _lo: usize, _hi: usize) -> Self {
-        BfsApp {
-            graph: self.graph.clone(),
-            partition: self.partition.clone(),
-            depth: self.depth.clone(),
-            mirror: self.mirror.clone(),
-            hop: self.hop,
-        }
-    }
-
-    fn join(&mut self, shard: Self, lo: usize, hi: usize) {
-        // Authoritative state: every vertex owned by the shard's PEs.
-        for (v, d) in shard.depth.into_iter().enumerate() {
-            let owner = self.partition.owner(v as VertexId);
-            if (lo..hi).contains(&owner) {
-                self.depth[v] = d;
-            }
-        }
-        // Send-side filters: private to each PE, adopted wholesale.
-        for (pe, row) in shard.mirror.into_iter().enumerate().take(hi).skip(lo) {
-            self.mirror[pe] = row;
-        }
-    }
-}
+// For the frozen `benchmark/` only (`atos_core::sharded`).
+impl atos_core::ShardableApp for BfsApp {}
 
 /// Result of one BFS run.
 #[derive(Debug, Clone)]

@@ -450,30 +450,8 @@ impl Application for PageRankApp {
     }
 }
 
-// For the frozen `benchmark/` only (`atos_core::sharded`); nothing calls it.
-impl atos_core::ShardableApp for PageRankApp {
-    fn fork(&self, _lo: usize, _hi: usize) -> Self {
-        PageRankApp {
-            adj: self.adj.clone(),
-            partition: self.partition.clone(),
-            rank: self.rank.clone(),
-            residue: self.residue.clone(),
-            alpha: self.alpha,
-            epsilon: self.epsilon,
-            emit: self.emit,
-        }
-    }
-
-    fn join(&mut self, shard: Self, lo: usize, hi: usize) {
-        for v in 0..self.rank.len() {
-            let owner = self.partition.owner(v as VertexId);
-            if (lo..hi).contains(&owner) {
-                self.rank[v] = shard.rank[v];
-                self.residue[v] = shard.residue[v];
-            }
-        }
-    }
-}
+// For the frozen `benchmark/` only (`atos_core::sharded`).
+impl atos_core::ShardableApp for PageRankApp {}
 
 /// Result of one PageRank run.
 #[derive(Debug, Clone)]

@@ -377,39 +377,8 @@ impl Application for SsspApp {
     }
 }
 
-// For the frozen `benchmark/` only (`atos_core::sharded`); nothing calls it.
-impl atos_core::ShardableApp for SsspApp {
-    fn fork(&self, _lo: usize, _hi: usize) -> Self {
-        SsspApp {
-            graph: self.graph.clone(),
-            weights: self.weights.clone(),
-            partition: self.partition.clone(),
-            dist: self.dist.clone(),
-            view: self.view.clone(),
-            heavy_sent: self.heavy_sent.clone(),
-            light: self.light.clone(),
-            delta: self.delta,
-        }
-    }
-
-    fn join(&mut self, shard: Self, lo: usize, hi: usize) {
-        for (v, d) in shard.dist.into_iter().enumerate() {
-            let owner = self.partition.owner(v as VertexId);
-            if (lo..hi).contains(&owner) {
-                self.dist[v] = d;
-            }
-        }
-        for (v, hs) in shard.heavy_sent.into_iter().enumerate() {
-            let owner = self.partition.owner(v as VertexId);
-            if (lo..hi).contains(&owner) {
-                self.heavy_sent[v] = hs;
-            }
-        }
-        for (pe, row) in shard.view.into_iter().enumerate().take(hi).skip(lo) {
-            self.view[pe] = row;
-        }
-    }
-}
+// For the frozen `benchmark/` only (`atos_core::sharded`).
+impl atos_core::ShardableApp for SsspApp {}
 
 /// Result of one SSSP run.
 #[derive(Debug, Clone)]

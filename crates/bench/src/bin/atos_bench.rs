@@ -9,7 +9,8 @@
 use std::time::Instant;
 
 use atos_bench::registry;
-use atos_bench::sweep::{default_threads, exit_usage, BenchArgs};
+use atos_bench::sweep::{exit_usage, BenchArgs};
+use atos_queue::sync::host_parallelism;
 
 fn main() {
     atos_bench::pipe_friendly();
@@ -18,7 +19,7 @@ fn main() {
         eprint!("{}", registry::usage());
         std::process::exit(2);
     };
-    let args = BenchArgs::parse_from(&argv[1..], default_threads())
+    let args = BenchArgs::parse_from(&argv[1..], host_parallelism())
         .and_then(|args| exp.check_flags(&args).map(|()| args))
         .unwrap_or_else(|e| exit_usage(&e));
     let started = Instant::now();

@@ -96,13 +96,6 @@ pub fn exit_usage(error: &str) -> ! {
     std::process::exit(2);
 }
 
-/// Host parallelism, the sweep-worker count when `--threads` is absent.
-pub fn default_threads() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-}
-
 /// Fans independent sweep cells over scoped worker threads.
 ///
 /// Workers claim cells from a shared atomic cursor (dynamic scheduling —

@@ -20,12 +20,14 @@ use std::path::Path;
 use std::time::Instant;
 
 use atos_graph::generators::Scale;
+use atos_queue::sync::host_parallelism;
 
 use crate::registry;
 
 /// Alternating base/change pairs per `scripts/ab.sh` run, which reads this
-/// line. DESIGN.md §4.12 has the twins that chose 20 and [`FLOOR`], and the
-/// A/A runs that moved it to 24.
+/// line. The twins that chose 20 and [`FLOOR`] are in
+/// `results/measurements/pr-36.md`, the A/A runs that moved it to 24 in
+/// `pr-38.md` (DESIGN.md §4.12).
 pub const PAIRS: usize = 24;
 
 /// How much worse than its parent a metric's median pair may read.
@@ -71,7 +73,7 @@ pub fn quick_grid_ms(name: &str) -> f64 {
 
 /// Host parallelism as recorded in every machine-dependent entry.
 pub fn host_cores() -> f64 {
-    std::thread::available_parallelism().map_or(1, |n| n.get()) as f64
+    host_parallelism() as f64
 }
 
 /// Measure the graph-construction layer for the `graph_build` trajectory

@@ -12,13 +12,30 @@ use crate::metrics::RunStats;
 use crate::runtime::Runtime;
 
 /// The bound the benchmark puts on an application it drives. Nothing calls
-/// either method.
+/// either method, so both abort: an application implements it as
+/// `impl ShardableApp for App {}`.
 pub trait ShardableApp: Application + Send {
     /// A copy of the application that can process PEs `lo..hi`.
-    fn fork(&self, lo: usize, hi: usize) -> Self;
+    fn fork(&self, _lo: usize, _hi: usize) -> Self
+    where
+        Self: Sized,
+    {
+        never_called("ShardableApp::fork")
+    }
 
     /// Adopt from `shard` every result PEs `lo..hi` own.
-    fn join(&mut self, shard: Self, lo: usize, hi: usize);
+    fn join(&mut self, _shard: Self, _lo: usize, _hi: usize)
+    where
+        Self: Sized,
+    {
+        never_called("ShardableApp::join")
+    }
+}
+
+#[cold]
+fn never_called(what: &str) -> ! {
+    eprintln!("{what} was called: there is one engine, and run_sharded(k) is run()");
+    std::process::abort()
 }
 
 /// Per-shard telemetry of a sharded run. Never constructed.

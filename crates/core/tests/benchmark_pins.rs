@@ -45,19 +45,7 @@ impl Application for Ring {
     }
 }
 
-impl ShardableApp for Ring {
-    fn fork(&self, _lo: usize, _hi: usize) -> Self {
-        Ring {
-            n_pes: self.n_pes,
-            fan: self.fan,
-            received: self.received.clone(),
-        }
-    }
-
-    fn join(&mut self, shard: Self, lo: usize, hi: usize) {
-        self.received[lo..hi].copy_from_slice(&shard.received[lo..hi]);
-    }
-}
+impl ShardableApp for Ring {}
 
 fn ring(fabric: &Fabric, cfg: AtosConfig) -> Runtime<Ring> {
     let n_pes = fabric.n_pes();

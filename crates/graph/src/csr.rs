@@ -25,7 +25,7 @@ pub type VertexId = u32;
 /// of `neighbors`, so on a sparse input the rows are a large share of the
 /// build's memory: the road mesh, at about 3.5 pairs per vertex, peaked
 /// 2 MiB higher on two threads when it still built an edge list
-/// (DESIGN.md §6).
+/// (DESIGN.md §6; runs in `results/measurements/pr-29.md`).
 const MIN_PAIRS_PER_VERTEX: usize = 8;
 
 /// Immutable CSR adjacency structure (out-edges).

@@ -29,7 +29,7 @@ use crate::par::{alongside, build_threads, split_at_cuts, RowBuild, EDGES_PER_CH
 /// sixteenth of the chunk and all of them step together, like one 16-wide
 /// warp. A constant, not a setting: 4 and 8 lanes sampled little or no
 /// faster than one serial stream, and 32 no faster than 16 on AVX-512 and
-/// slower on AVX2 (DESIGN.md §6).
+/// slower on AVX2 (DESIGN.md §6; runs in `results/measurements/pr-30.md`).
 const LANES: usize = 16;
 
 /// Integer thresholds `⌈a·2⁵³⌉, ⌈(a+b)·2⁵³⌉, ⌈(a+b+c)·2⁵³⌉` for
@@ -244,28 +244,6 @@ mod x86 {
     ) {
         sample_edges(out, rng, scale, thresholds)
     }
-}
-
-/// Uniform random (Erdős–Rényi G(n, m)) directed graph.
-///
-/// # Panics
-/// If `n_vertices` is 0 and `n_edges` is not: there is no vertex to draw
-/// an endpoint from.
-pub fn uniform(n_vertices: usize, n_edges: usize, seed: u64) -> Csr {
-    assert!(
-        n_vertices > 0 || n_edges == 0,
-        "uniform: {n_edges} edges need n_vertices > 0, got n_vertices = 0"
-    );
-    let mut rng = SmallRng::seed_from_u64(seed);
-    let edges: Vec<(VertexId, VertexId)> = (0..n_edges)
-        .map(|_| {
-            (
-                rng.gen_range(0..n_vertices) as VertexId,
-                rng.gen_range(0..n_vertices) as VertexId,
-            )
-        })
-        .collect();
-    Csr::from_edges(n_vertices, &edges)
 }
 
 /// 4-connected `w × h` grid, bidirectional edges. Diameter = `w + h - 2`.
@@ -1054,24 +1032,5 @@ mod tests {
     #[should_panic(expected = "mesh needs u32::MAX vertex ids or more")]
     fn grid_2d_rejects_a_vertex_count_past_usize() {
         grid_2d(usize::MAX, 2);
-    }
-
-    #[test]
-    #[should_panic(expected = "n_vertices = 0")]
-    fn uniform_rejects_edges_without_vertices() {
-        uniform(0, 3, 1);
-    }
-
-    #[test]
-    fn uniform_with_nothing_is_empty() {
-        let g = uniform(0, 0, 1);
-        assert_eq!((g.n_vertices(), g.n_edges()), (0, 0));
-    }
-
-    #[test]
-    fn uniform_has_requested_density() {
-        let g = uniform(1000, 5000, 5);
-        // Dedup can only lose a few collisions.
-        assert!(g.n_edges() > 4900);
     }
 }

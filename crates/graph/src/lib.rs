@@ -16,7 +16,7 @@
 //!
 //! Modules:
 //! * [`csr`] — compressed sparse row storage and builders.
-//! * [`generators`] — R-MAT, uniform, 2-D grid, and road-network
+//! * [`generators`] — R-MAT, 2-D grid, and road-network
 //!   generators plus the Table I preset catalog.
 //! * [`partition`] — random / block / BFS-grown partitioners and edge-cut
 //!   statistics (the paper uses METIS; BFS-grown matches its role).

@@ -3,7 +3,7 @@
 use proptest::prelude::*;
 
 use atos_graph::csr::{Csr, VertexId};
-use atos_graph::generators::{grid_2d, rmat, road_network, uniform};
+use atos_graph::generators::{grid_2d, rmat, road_network};
 use atos_graph::partition::Partition;
 use atos_graph::reference::{bfs, pagerank_push, UNREACHED};
 
@@ -112,8 +112,6 @@ proptest! {
         let g = rmat(scale, m, (0.57, 0.19, 0.19, 0.05), seed);
         prop_assert_eq!(g.n_vertices(), 1 << scale);
         prop_assert!(g.n_edges() <= m);
-        let u = uniform(100, m, seed);
-        prop_assert!(u.n_edges() <= m);
     }
 
     /// Grids and road networks are undirected (every edge has a reverse).

@@ -2,7 +2,8 @@
 //!
 //! The build container has no network access and no registry cache, so the
 //! workspace vendors the *minimal* surface it actually uses: `SmallRng`,
-//! `SeedableRng::seed_from_u64`, and `Rng::{gen, gen_range, gen_bool}`.
+//! `SeedableRng::seed_from_u64`, `Rng::gen::<f64>` and `Rng::gen_range`
+//! over `usize`.
 //! The generator is xoshiro256++ seeded through SplitMix64 — deterministic
 //! across runs and platforms, which is all the graph generators and
 //! partitioners require (they fix explicit seeds everywhere).
@@ -30,11 +31,6 @@ use std::ops::Range;
 pub trait RngCore {
     /// Next raw 64-bit word.
     fn next_u64(&mut self) -> u64;
-
-    /// Next raw 32-bit word (upper half of a 64-bit draw).
-    fn next_u32(&mut self) -> u32 {
-        (self.next_u64() >> 32) as u32
-    }
 }
 
 /// Construction from a 64-bit seed (the only constructor the workspace uses).
@@ -50,15 +46,10 @@ pub trait Rng: RngCore + Sized {
         range.sample_from(self)
     }
 
-    /// Sample a value of `T` from its standard distribution
-    /// (`f64`/`f32` in `[0, 1)`, integers over the full domain).
+    /// Sample a value of `T` from its standard distribution (`f64` in
+    /// `[0, 1)`).
     fn gen<T: Standard>(&mut self) -> T {
         T::sample(self)
-    }
-
-    /// Bernoulli draw with probability `p`.
-    fn gen_bool(&mut self, p: f64) -> bool {
-        self.gen::<f64>() < p
     }
 }
 
@@ -77,62 +68,21 @@ impl Standard for f64 {
     }
 }
 
-impl Standard for f32 {
-    fn sample<R: RngCore + ?Sized>(rng: &mut R) -> Self {
-        (rng.next_u64() >> 40) as f32 * (1.0 / (1u64 << 24) as f32)
-    }
-}
-
-impl Standard for bool {
-    fn sample<R: RngCore + ?Sized>(rng: &mut R) -> Self {
-        rng.next_u64() & 1 == 1
-    }
-}
-
-macro_rules! impl_standard_int {
-    ($($t:ty),*) => {$(
-        impl Standard for $t {
-            fn sample<R: RngCore + ?Sized>(rng: &mut R) -> Self {
-                rng.next_u64() as $t
-            }
-        }
-    )*};
-}
-impl_standard_int!(u8, u16, u32, u64, usize, i8, i16, i32, i64, isize);
-
 /// Ranges that can produce a uniform sample (the `rand` `SampleRange` role).
 pub trait SampleRange<T> {
     /// Draw one value in the range from `rng`.
     fn sample_from<R: RngCore + ?Sized>(self, rng: &mut R) -> T;
 }
 
-macro_rules! impl_sample_range_uint {
-    ($($t:ty),*) => {$(
-        impl SampleRange<$t> for Range<$t> {
-            fn sample_from<R: RngCore + ?Sized>(self, rng: &mut R) -> $t {
-                assert!(self.start < self.end, "empty range in gen_range");
-                let span = (self.end - self.start) as u64;
-                // Modulo bias is < span / 2^64 — irrelevant for the graph
-                // generators and test-case sampling this shim serves.
-                self.start + (rng.next_u64() % span) as $t
-            }
-        }
-    )*};
+impl SampleRange<usize> for Range<usize> {
+    fn sample_from<R: RngCore + ?Sized>(self, rng: &mut R) -> usize {
+        assert!(self.start < self.end, "empty range in gen_range");
+        let span = (self.end - self.start) as u64;
+        // Modulo bias is < span / 2^64 — irrelevant for the graph
+        // generators and test-case sampling this shim serves.
+        self.start + (rng.next_u64() % span) as usize
+    }
 }
-impl_sample_range_uint!(u8, u16, u32, u64, usize);
-
-macro_rules! impl_sample_range_int {
-    ($($t:ty),*) => {$(
-        impl SampleRange<$t> for Range<$t> {
-            fn sample_from<R: RngCore + ?Sized>(self, rng: &mut R) -> $t {
-                assert!(self.start < self.end, "empty range in gen_range");
-                let span = self.end.wrapping_sub(self.start) as u64;
-                self.start.wrapping_add((rng.next_u64() % span) as $t)
-            }
-        }
-    )*};
-}
-impl_sample_range_int!(i8, i16, i32, i64, isize);
 
 /// Named generators, mirroring `rand::rngs`.
 pub mod rngs {
@@ -370,10 +320,10 @@ mod tests {
         let mut a = SmallRng::seed_from_u64(42);
         let mut b = SmallRng::seed_from_u64(42);
         for _ in 0..100 {
-            assert_eq!(a.gen::<u64>(), b.gen::<u64>());
+            assert_eq!(a.next_u64(), b.next_u64());
         }
         let mut c = SmallRng::seed_from_u64(43);
-        assert_ne!(a.gen::<u64>(), c.gen::<u64>());
+        assert_ne!(a.next_u64(), c.next_u64());
     }
 
     #[test]
@@ -382,10 +332,8 @@ mod tests {
         for _ in 0..10_000 {
             let v = rng.gen_range(10usize..20);
             assert!((10..20).contains(&v));
-            let w = rng.gen_range(0u32..3);
+            let w = rng.gen_range(0usize..3);
             assert!(w < 3);
-            let x = rng.gen_range(-5i32..5);
-            assert!((-5..5).contains(&x));
         }
     }
 
@@ -429,7 +377,7 @@ mod tests {
         }
         let mut pick = SmallRng::seed_from_u64(2024);
         for seed in 0..12 {
-            let k = pick.gen_range(0..1_000_000u64);
+            let k = pick.gen_range(0..1_000_000usize) as u64;
             assert!(
                 same_state(&advanced(seed, k), &stepped(seed, k)),
                 "seed={seed} k={k}"
@@ -441,7 +389,7 @@ mod tests {
     fn advance_composes() {
         let mut pick = SmallRng::seed_from_u64(77);
         for _ in 0..16 {
-            let (a, b) = (pick.gen::<u64>() >> 2, pick.gen::<u64>() >> 2);
+            let (a, b) = (pick.next_u64() >> 2, pick.next_u64() >> 2);
             let mut twice = SmallRng::seed_from_u64(a ^ b);
             twice.advance(a);
             twice.advance(b);
@@ -565,12 +513,5 @@ mod tests {
                 0x3910_9bb0_2acb_e635
             ]
         );
-    }
-
-    #[test]
-    fn bool_and_spread() {
-        let mut rng = SmallRng::seed_from_u64(3);
-        let heads = (0..10_000).filter(|_| rng.gen_bool(0.5)).count();
-        assert!((4_500..5_500).contains(&heads), "{heads}");
     }
 }

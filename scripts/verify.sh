@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Repository verification, in fifteen stages: rustfmt's check, tier-1
-# build+test, the workspace tests, the doc-reference check, the
+# build+test, the workspace tests, the doc-reference check (backticked .rs
+# paths, DESIGN.md § citations and DESIGN.md's line cap), the
 # parallel-sweep smoke (byte-identity across thread counts; usage errors,
 # the removed --json, --run-id and bench_trajectory gate flags among them),
 # the golden byte-compares, the frozen benchmark package (a --locked build
@@ -37,7 +38,7 @@ echo "== workspace tests =="
 cargo test --workspace -q
 
 echo
-echo "== doc references (every backticked path.rs and path.rs::symbol resolves) =="
+echo "== doc references (backticked path.rs[::symbol], DESIGN.md § citations, DESIGN.md's length) =="
 # A path resolves if it is a file of the tree or the tail of one (`comm.rs`,
 # `tests/golden.rs`), after expanding `{a, b}` groups; a symbol must occur as
 # a word in a file the path names. Deleted files are named in plain text,
@@ -72,6 +73,48 @@ for doc in sys.argv[1:]:
                 stale.append(f"{doc}: `{span}`" + (f" ({', '.join(missing)} not in {path})" if hits else ""))
 print("\n".join(stale) or "ok: every doc reference resolves")
 sys.exit(bool(stale))
+EOF
+# Code, scripts and docs cite DESIGN.md's sections and §4 decisions by
+# number: every `DESIGN(.md) §N` or bare `§N.M` in a tracked .rs, .sh or
+# .toml file, in the docs above or in ROADMAP.md, and every § reference
+# inside DESIGN.md, must name a numbered section or a §4 decision it has.
+# CHANGES.md and results/measurements/ record what was, so they may cite
+# sections that have since gone, and are not read. DESIGN.md states what
+# is in at most DESIGN_LINES lines, its length when it was last cut back
+# (from 2 269): a change that needs more room moves text to
+# results/measurements/ first (ROADMAP item 10).
+DESIGN_LINES=880
+python3 - "$DESIGN_LINES" README.md EXPERIMENTS.md results/README.md .*/skills/verify/SKILL.md \
+        ROADMAP.md <<'EOF'
+import os, re, subprocess, sys
+tracked = subprocess.run(["git", "ls-files", "-z", "*.rs", "*.sh", "*.toml"],
+                         capture_output=True, check=True, text=True).stdout.split("\0")
+cap, sources = int(sys.argv[1]), sys.argv[2:] + [f for f in tracked if os.path.isfile(f)]
+design = open("DESIGN.md").read()
+valid, section = set(), None
+for line in design.splitlines():
+    if line.startswith("## "):
+        heading = re.match(r"## (\d+(?:, \d+)*)\. ", line)
+        section = heading.group(1) if heading else None
+        valid.update(section.split(", ") if section else [])
+    decision = re.match(r"(\d+)\. \*\*", line)
+    if decision and section == "4":
+        valid.add("4." + decision.group(1))
+bad = []
+def check(name, text, pattern):
+    for n, line in enumerate(text.splitlines(), 1):
+        for m in re.finditer(pattern, line):
+            cited = next(g for g in m.groups() if g)
+            if cited not in valid:
+                bad.append(f"{name}:{n}: §{cited} names no section or §4 decision of DESIGN.md")
+check("DESIGN.md", design, r"§(\d+(?:\.\d+)?)")
+for name in sources:
+    check(name, open(name).read(), r"DESIGN(?:\.md)? §(\d+(?:\.\d+)?)|§(\d+\.\d+)")
+lines = design.count("\n")
+if lines > cap:
+    bad.append(f"DESIGN.md: {lines} lines, over its cap of {cap}: move text to results/measurements/ first")
+print("\n".join(bad) or f"ok: every § citation names a section or decision of DESIGN.md ({lines} of at most {cap} lines)")
+sys.exit(bool(bad))
 EOF
 
 echo
@@ -185,8 +228,9 @@ echo
 echo "== line-level sampler smoke (examples/where_time_goes.rs) =="
 # One sampled run of each workload — mesh BFS, split SSSP, direct and
 # aggregated PageRank — must attribute at least one sample to a line of this
-# workspace (DESIGN.md §4.8's, §4.9's and §4.10's tables come from this
-# tool; §4.10 and §4.11 also use its `--by file` sums). It needs Linux x86_64
+# workspace (the sampler tables behind DESIGN.md §4.8–§4.11, kept in
+# results/measurements/design-archive.md, come from this tool, `--by file`
+# sums included). It needs Linux x86_64
 # and binutils' addr2line; anywhere else it has nothing to symbolise and
 # says so.
 for app in "bfs 1" "sssp 1" "pr 1" "prib 1 --by file"; do
@@ -227,9 +271,11 @@ RUSTFLAGS="--cfg atos_nopanic" CARGO_TARGET_DIR=target/nopanic \
 echo "ok: no hot function can unwind"
 # The control drops the guard instead of forgetting it, so every hot
 # function a binary links references its symbol, and the link must fail
-# naming each hot-marked function (alloc_count.rs' scan) except those no
-# binary or example links, each listed here with its reason. A new marker
-# on a function nothing links fails here by name.
+# naming each hot-marked function except those no binary or example links,
+# each listed here with its reason. The hot-marked functions are the keys
+# of alloc_count.rs' COVERED table, which the workspace tests hold equal
+# to a scan of the markers. A new marker on a function nothing links fails
+# here by name.
 unlinked=(
     # CasQueue::push, the single-item push: fig1_queue and queue_stress push
     # CAS groups, and run_host's workers use the counter queue.
@@ -254,22 +300,10 @@ if (cd "$control" && "${nopanic[@]}") > "$tmp/control.out" 2>&1; then
     exit 1
 fi
 python3 - "$tmp/control.out" "${unlinked[@]}" <<'EOF'
-import os, re, sys
+import re, sys
 named = set(re.findall(r"undefined symbol: atos_nopanic: crates/(\S+)", open(sys.argv[1]).read()))
-marked = set()
-for krate in ["core", "sim", "queue", "graph", "apps"]:
-    src = f"crates/{krate}/src"
-    for file in sorted(os.listdir(src)):
-        attribute = False
-        for line in open(os.path.join(src, file)):
-            line = line.strip()
-            if line.startswith("//"):
-                continue
-            m = re.search(r"hot!\((\w+)", line) or (attribute and re.search(r"\bfn (\w+)", line))
-            attribute |= line == "#[atos_hot]"
-            if m:
-                marked.add(f"{krate}/src/{file}::{m.group(1)}")
-                attribute = False
+table = open("crates/core/tests/alloc_count.rs").read().split("const COVERED: &[(&str, &str)] = &[")[1]
+marked = set(re.findall(r'^\s*\("([^"]+)",', table.split("\n];")[0], re.M))
 unlinked = set(sys.argv[2:])
 missing = sorted(marked - unlinked - named)
 stale = sorted(unlinked & named) + sorted(unlinked - marked)

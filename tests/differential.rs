@@ -38,12 +38,14 @@ use atos::core::{
     AtosConfig, CommMode, KernelMode, QueueMode, RunStats, Runtime, WorkerConfig, WorkerSize,
 };
 use atos::graph::csr::{Csr, VertexId};
-use atos::graph::generators::{grid_2d, rmat, road_network, uniform};
+use atos::graph::generators::{grid_2d, rmat, road_network};
 use atos::graph::partition::Partition;
 use atos::graph::reference;
 use atos::graph::weights::{connected_components, dijkstra, EdgeWeights};
 use atos::sim::{ControlPath, Fabric};
 use proptest::{Strategy, TestRng};
+use rand::rngs::SmallRng;
+use rand::{Rng, SeedableRng};
 
 /// Cases per run. Sizes ramp from a handful of vertices at case 0 to
 /// about `MAX_VERTICES` at the last.
@@ -229,6 +231,15 @@ impl GraphSpec {
             GraphSpec::Edges { n, ref edges } => Csr::from_edges(n, edges),
         }
     }
+}
+
+/// A uniform random (Erdős–Rényi G(n, m)) directed graph: `m` endpoint
+/// pairs drawn from one seeded `SmallRng`.
+fn uniform(n: usize, m: usize, seed: u64) -> Csr {
+    let mut rng = SmallRng::seed_from_u64(seed);
+    let mut id = || rng.gen_range(0..n) as VertexId;
+    let edges: Vec<_> = (0..m).map(|_| (id(), id())).collect();
+    Csr::from_edges(n, &edges)
 }
 
 impl Net {
