@@ -2,9 +2,10 @@
 //! ablation of the paper's evaluation, or capture the instrumented
 //! `reference` run. [`atos_bench::registry::EXPERIMENTS`] is the table of
 //! what it runs; an unknown or missing experiment name prints that table
-//! and exits 2, as does any flag the named experiment cannot honour. The
-//! table goes to stdout, one wall-clock line to stderr, and no file is
-//! written except the artifacts `reference` is asked for.
+//! and exits 2, as does any flag the named experiment cannot honour; exit
+//! 2 means a usage error and nothing else. The table goes to stdout, one
+//! wall-clock line to stderr, and no file is written except the artifacts
+//! `reference` is asked for; one it cannot write exits 1, naming the path.
 
 use std::time::Instant;
 

@@ -124,3 +124,17 @@ fn an_unknown_or_missing_experiment_prints_the_table() {
         }
     }
 }
+
+#[test]
+fn reference_exits_1_naming_an_artifact_it_cannot_write() {
+    let dir = std::env::temp_dir().join(format!("atos-artifact-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let file = dir.join("regular-file");
+    std::fs::write(&file, "").unwrap();
+    let trace = file.join("trace.json");
+    let (code, _, stderr) = run(REFERENCE, &["--trace", trace.to_str().unwrap()], &dir);
+    assert_eq!(code, Some(1), "{stderr}");
+    assert!(stderr.contains(trace.to_str().unwrap()), "{stderr}");
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -133,21 +133,16 @@ impl Arbitrary for bool {
     }
 }
 
-macro_rules! impl_arbitrary_int {
-    ($($t:ty),*) => {$(
-        impl Arbitrary for $t {
-            fn arbitrary(rng: &mut TestRng) -> Self {
-                rng.next_u64() as $t
-            }
-        }
-    )*};
+impl Arbitrary for u8 {
+    fn arbitrary(rng: &mut TestRng) -> Self {
+        rng.next_u64() as u8
+    }
 }
-impl_arbitrary_int!(u8, u16, u32, u64, usize, i8, i16, i32, i64, isize);
 
 /// Strategy over a type's full domain; build with [`any`].
 pub struct Any<T>(PhantomData<T>);
 
-/// The canonical strategy for `T` (`any::<bool>()`, `any::<u8>()`, ...).
+/// The canonical strategy for `T` (`any::<bool>()` or `any::<u8>()`).
 pub fn any<T: Arbitrary>() -> Any<T> {
     Any(PhantomData)
 }

@@ -19,11 +19,6 @@ impl TraceBuffer {
         TraceBuffer::default()
     }
 
-    /// Number of recorded events.
-    pub fn len(&self) -> usize {
-        self.events.len()
-    }
-
     /// True when nothing has been recorded.
     pub fn is_empty(&self) -> bool {
         self.events.is_empty()
@@ -32,11 +27,6 @@ impl TraceBuffer {
     /// All events in recording order.
     pub fn events(&self) -> &[TraceEvent] {
         &self.events
-    }
-
-    /// Discard all recorded events.
-    pub fn clear(&mut self) {
-        self.events.clear();
     }
 
     /// All distinct tracks that appear in the buffer, sorted.
@@ -130,14 +120,5 @@ mod tests {
             vec![Track::pe(0), Track::pe(1), Track::agg(0, 1)]
         );
         assert_eq!(b.events_named("step").len(), 3);
-    }
-
-    #[test]
-    fn clear_empties() {
-        let mut b = demo();
-        assert!(!b.is_empty());
-        b.clear();
-        assert!(b.is_empty());
-        assert_eq!(b.len(), 0);
     }
 }

@@ -14,10 +14,9 @@
 //!   compiles to nothing — the disabled path adds zero allocations and
 //!   (after inlining) zero instructions per task.
 //! * [`TraceBuffer`] — an in-memory sink with query helpers (tracks,
-//!   events by name, counter time-series and peaks) used by tests and
-//!   analysis code.
-//! * [`perfetto`] — a Chrome/Perfetto `trace_event` JSON writer plus a
-//!   validator, so traces load directly in `ui.perfetto.dev`.
+//!   events by name, counter peaks) used by tests and analysis code.
+//! * [`perfetto`] — a Chrome/Perfetto `trace_event` JSON writer, so
+//!   traces load directly in `ui.perfetto.dev`.
 //! * [`MetricsRegistry`] — a named-counter snapshot serialized to JSON by
 //!   the bench binaries' `--metrics` flag.
 //!
@@ -31,12 +30,29 @@
 #![warn(missing_docs)]
 
 pub mod buffer;
-pub mod json;
 pub mod metrics;
 pub mod perfetto;
 
 pub use buffer::TraceBuffer;
 pub use metrics::MetricsRegistry;
+
+/// Escape `s` for embedding in a JSON string (adds no quotes). The
+/// writers' one JSON need: the crate writes JSON and reads none.
+fn escape(s: &str) -> String {
+    let mut out = String::with_capacity(s.len());
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c => out.push(c),
+        }
+    }
+    out
+}
 
 /// Virtual time in nanoseconds (mirrors `atos_sim::Time`; duplicated here
 /// so the trace crate stays a dependency-free leaf).
@@ -275,7 +291,7 @@ mod tests {
             assert!(fwd.is_enabled());
             fwd.span(Track::pe(1), 100, 50, "step", ["tasks", ""], [4, 0]);
         }
-        assert_eq!(buf.len(), 1);
+        assert_eq!(buf.events().len(), 1);
         assert_eq!(buf.events()[0].name, "step");
     }
 }

@@ -208,8 +208,10 @@ echo "ok: no metric regressed against the parent"
 
 echo
 echo "== observability smoke (atos-bench reference --trace / --metrics) =="
+# The workspace writes JSON and parses none, so this is where the written
+# files, and the committed ledger, are read back as JSON.
 quick reference /dev/null --trace "$tmp/trace.json" --metrics "$tmp/metrics.json"
-python3 - "$tmp/trace.json" "$tmp/metrics.json" <<'EOF'
+python3 - "$tmp/trace.json" "$tmp/metrics.json" results/BENCH_trajectory.json <<'EOF'
 import json, sys
 trace = json.load(open(sys.argv[1]))
 events = trace["traceEvents"]
@@ -221,7 +223,9 @@ assert any(n.startswith("flush[") for n in names), "no aggregator flush spans"
 metrics = json.load(open(sys.argv[2]))
 for key in ("queue.cas_retries", "queue.occupancy_hwm", "run.elapsed_ns"):
     assert key in metrics, f"metrics snapshot missing {key}"
-print(f"ok: trace has {len(events)} events, metrics has {len(metrics)} counters")
+ledger = json.load(open(sys.argv[3]))
+print(f"ok: trace has {len(events)} events, metrics has {len(metrics)} counters, "
+      f"the ledger has {len(ledger)} entries")
 EOF
 
 echo
